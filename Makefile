@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-server bench-core bench-eval fuzz-smoke perf-check crash-smoke failover-smoke
+.PHONY: check fmt vet build test race loc bench-server bench-core bench-eval fuzz-smoke perf-check crash-smoke failover-smoke
 
 check: fmt vet build race
 
@@ -24,6 +24,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Non-test Go lines per package — the number simplicity PRs report before
+# and after. CI prints it on every run.
+loc:
+	@sh scripts/loc.sh
+
 # Refresh the serving perf baseline. Includes the drain probe (mixed read +
 # giant-drain scenario): read_p50_during_drain_ms and drain_cells_per_sec
 # land in the report and are gated by benchdiff alongside edits/s.
@@ -31,9 +36,10 @@ race:
 # parse-cache hit rate) to the report; benchdiff ignores unknown fields.
 # -standby-url inproc boots a warm standby shipping the primary's journals,
 # so the baseline measures the replicated configuration and reports the
-# replication lag mirrored reads observed. -churn-rounds exercises the
-# delta-snapshot spill path (spill_bytes_per_edit) and -fork-storm the
-# copy-on-write fork latency (fork_p50_ms); benchdiff gates both.
+# replication lag mirrored reads observed. -churn-rounds exercises
+# value-only eviction churn, which a durable store evicts without writing
+# (spill_bytes_per_edit), and -fork-storm the copy-on-write fork latency
+# (fork_p50_ms); benchdiff gates both.
 bench-server:
 	$(GO) run ./cmd/tacoload -sessions 32 -edits 100 -rows 100 -max-resident 12 -durable -churn-rounds 4 -fork-storm 64 -metrics-url /metrics -standby-url inproc -json > BENCH_server.json
 	@cat BENCH_server.json

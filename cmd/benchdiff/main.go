@@ -14,7 +14,8 @@
 //     above it (plus a small absolute grace for sub-millisecond noise), and
 //     drain_cells_per_sec must not drop more than tol below it. Two
 //     structural-sharing series gate the same way: spill_bytes_per_edit
-//     (eviction write amplification — the delta-snapshot win) must not rise
+//     (eviction write amplification — evictions the journal already covers
+//     write nothing) must not rise
 //     more than tol above the baseline, and fork_p50_ms (copy-on-write fork
 //     latency) must not rise more than tol plus the latency grace. Every
 //     optional series is gated only when the baseline carries it, so old
@@ -160,7 +161,8 @@ func main() {
 			}
 		}
 		// Spill write amplification: bytes the store wrote per journaled edit
-		// (delta snapshots exist to keep this small under eviction churn).
+		// (evictions the journal already covers write nothing, which keeps this
+		// small under eviction churn).
 		// Gated only when the baseline carries the series, so older baselines
 		// stay comparable.
 		if base.SpillBytesPerEdit > 0 {
@@ -174,8 +176,8 @@ func main() {
 			}
 		}
 		// Copy-on-write fork latency: must stay flat regardless of how large
-		// the parent sheet is — that O(1) shape is the point of forks sharing
-		// the parent's base + delta chain. Same absolute grace as the other
+		// the parent sheet is — that shape is the point of forks sharing the
+		// parent's base and copying only its journal tail. Same grace as the other
 		// latency gate: fork p50s are fractions of a millisecond.
 		if base.ForkP50Ms > 0 {
 			ceiling := base.ForkP50Ms*(1+*tol) + latencyGraceMs

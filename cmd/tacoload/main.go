@@ -117,13 +117,10 @@ type config struct {
 	// configuration.
 	Durable     bool   `json:"durable,omitempty"`
 	FsyncPolicy string `json:"fsync,omitempty"`
-	// DeltaSnapshots enables base + delta-chain spills on the in-process
-	// durable server (tacoserve's -delta-snapshots).
-	DeltaSnapshots bool `json:"delta_snapshots,omitempty"`
 	// ChurnRounds appends value-only single-edit rounds over every load
 	// session after the main workload — with -max-resident below the session
-	// count each round is an eviction-churn pass, the shape whose spill
-	// write-amplification delta snapshots collapse.
+	// count each round is an eviction-churn pass, the shape a durable store
+	// evicts without writing (the journal already holds the edits).
 	ChurnRounds int `json:"churn_rounds,omitempty"`
 	// ForkStorm forks the first load session this many times after the
 	// workload (POST /sessions/{id}/fork), measuring copy-on-write fork
@@ -173,10 +170,9 @@ type report struct {
 	ReadP50DuringDrainMs float64 `json:"read_p50_during_drain_ms"`
 	DrainCellsPerSec     float64 `json:"drain_cells_per_sec"`
 	// SpillBytesPerEdit is the server's spill traffic over the whole run
-	// (taco_store_spill_bytes_total scrape delta, delta files included)
-	// divided by the edits applied — the write-amplification figure delta
-	// snapshots exist to shrink. Present only with -metrics-url. Gated by
-	// benchdiff.
+	// (taco_store_spill_bytes_total scrape delta) divided by the edits
+	// applied — the eviction write-amplification figure. Present only with
+	// -metrics-url. Gated by benchdiff.
 	SpillBytesPerEdit float64 `json:"spill_bytes_per_edit,omitempty"`
 	// Fork-storm series (-fork-storm): copy-on-write fork latency. The p50 is
 	// gated by benchdiff — it must stay flat as parent sheets grow.
@@ -228,7 +224,6 @@ type serverMetricsDelta struct {
 	SnapshotSkips     float64 `json:"snapshot_skips"`
 	SpillBytes        float64 `json:"spill_bytes"`
 	DeltaWrites       float64 `json:"delta_writes,omitempty"`
-	DeltaBytes        float64 `json:"delta_bytes,omitempty"`
 	DeltaCompactions  float64 `json:"delta_compactions,omitempty"`
 	Restores          float64 `json:"restores"`
 	ScheduleBuilds    float64 `json:"schedule_builds"`
@@ -267,7 +262,6 @@ func metricsDelta(before, after *telemetry.Scrape) *serverMetricsDelta {
 	d.SnapshotSkips = counter("taco_store_snapshot_skips_total")
 	d.SpillBytes = counter("taco_store_spill_bytes_total")
 	d.DeltaWrites = counter("taco_snap_delta_writes_total")
-	d.DeltaBytes = counter("taco_snap_delta_bytes_total")
 	d.DeltaCompactions = counter("taco_snap_delta_compactions_total")
 	d.Restores = counter("taco_store_restores_total")
 	d.ScheduleBuilds = counter("taco_sched_builds_total")
@@ -313,8 +307,7 @@ func main() {
 	maxResident := flag.Int("max-resident", 0, "in-process server only: session cap forcing spill traffic")
 	durable := flag.Bool("durable", false, "in-process server only: journal edits and persist the session registry (crash-safe configuration)")
 	fsyncPolicy := flag.String("fsync", "interval", "in-process server only: journal fsync policy with -durable: always|interval|never")
-	deltaSnapshots := flag.Bool("delta-snapshots", true, "in-process server only: spill value-only edit tails as delta files chained off the base snapshot")
-	churnRounds := flag.Int("churn-rounds", 0, "after the workload, this many round-robin rounds of one value edit per session (with -max-resident below -sessions: pure eviction churn, the delta-snapshot target shape)")
+	churnRounds := flag.Int("churn-rounds", 0, "after the workload, this many round-robin rounds of one value edit per session (with -max-resident below -sessions: pure eviction churn, the write-nothing eviction shape)")
 	forkStorm := flag.Int("fork-storm", 0, "after the workload, fork the first load session this many times and report fork latency percentiles (needs -durable in-process)")
 	replay := flag.Bool("replay", false, "crash-recovery verification: rediscover this workload's loadN sessions on the target server, regenerate their edit streams from the same flags, and require every cell to match a never-crashed local replay")
 	recalcPar := flag.Int("recalc-parallelism", 0, "in-process server only: wavefront evaluators per level (0 = auto, -1 = serial)")
@@ -370,7 +363,7 @@ func main() {
 		Edits: *edits, Batch: *batch, ReadRatio: *readRatio, FormulaRatio: *formulaRatio,
 		FlushRatio: *flushRatio, Scenario: *scenario,
 		Seed: *seed, MaxResident: *maxResident,
-		Durable: *durable, FsyncPolicy: *fsyncPolicy, DeltaSnapshots: *deltaSnapshots,
+		Durable: *durable, FsyncPolicy: *fsyncPolicy,
 		ChurnRounds: *churnRounds, ForkStorm: *forkStorm,
 		RecalcParallelism: *recalcPar, RecalcWorkers: *recalcWorkers,
 		DrainSessions: *drainSessions, DrainFanout: *drainFanout,
@@ -435,7 +428,6 @@ func run(cfg config) (*report, error) {
 		srv, err := server.NewServer(server.Options{Store: server.StoreOptions{
 			MaxResident: cfg.MaxResident, SpillDir: spill,
 			Durable: cfg.Durable, FsyncPolicy: cfg.FsyncPolicy,
-			DeltaSnapshots:    cfg.DeltaSnapshots,
 			RecalcParallelism: cfg.RecalcParallelism, RecalcWorkers: cfg.RecalcWorkers,
 		}})
 		if err != nil {
@@ -464,7 +456,7 @@ func run(cfg config) (*report, error) {
 		}
 		defer os.RemoveAll(sbySpill)
 		sby, err := server.NewServer(server.Options{
-			Store:   server.StoreOptions{SpillDir: sbySpill, Durable: true, FsyncPolicy: cfg.FsyncPolicy, DeltaSnapshots: cfg.DeltaSnapshots},
+			Store:   server.StoreOptions{SpillDir: sbySpill, Durable: true, FsyncPolicy: cfg.FsyncPolicy},
 			Standby: server.StandbyOptions{PrimaryURL: base, Interval: 0},
 		})
 		if err != nil {
@@ -718,8 +710,8 @@ func run(cfg config) (*report, error) {
 	// Eviction-churn rounds: one value edit per session, round-robin. With
 	// -max-resident below -sessions every touch faults a cold session in and
 	// evicts another whose journal tail since its snapshot is a single value
-	// edit — the shape delta snapshots collapse from O(sheet) to O(edit)
-	// spill bytes. Serial on purpose: interleaving across sessions defeats
+	// edit — the shape a durable store evicts without writing at all. Serial
+	// on purpose: interleaving across sessions defeats
 	// LRU reuse and maximizes churn.
 	if cfg.ChurnRounds > 0 {
 		for r := 0; r < cfg.ChurnRounds; r++ {
@@ -739,7 +731,7 @@ func run(cfg config) (*report, error) {
 
 	// Fork storm: repeated copy-on-write forks of the first load session.
 	// Children are deleted immediately — the probe measures fork latency and
-	// the refcounted release of shared base/delta artifacts, not store growth.
+	// the refcounted release of the shared frozen base, not store growth.
 	if cfg.ForkStorm > 0 {
 		parent := ids[0]
 		for n := 0; n < cfg.ForkStorm; n++ {
@@ -1114,9 +1106,9 @@ func printReport(r *report) {
 			sm.DrainHoldP50Ms, sm.DrainHoldP99Ms, sm.DrainHoldSamples, sm.CellsEvaluated, sm.ParseCacheHitRate*100)
 		fmt.Printf("                %.0f evictions (%.0f snapshot skips, %.0f spill bytes), %.0f restores  |  %.0f schedule builds, %.0f resumes\n",
 			sm.Evictions, sm.SnapshotSkips, sm.SpillBytes, sm.Restores, sm.ScheduleBuilds, sm.ScheduleResumes)
-		if sm.DeltaWrites > 0 || r.Config.DeltaSnapshots {
-			fmt.Printf("                %.0f delta spills (%.0f bytes, %.0f compactions)  |  %.2f spill bytes/edit\n",
-				sm.DeltaWrites, sm.DeltaBytes, sm.DeltaCompactions, r.SpillBytesPerEdit)
+		if sm.DeltaWrites > 0 || r.Config.Durable {
+			fmt.Printf("                %.0f write-nothing tail evictions (%.0f forced to a full base by a tail cap)  |  %.2f spill bytes/edit\n",
+				sm.DeltaWrites, sm.DeltaCompactions, r.SpillBytesPerEdit)
 		}
 	}
 	if r.Forks > 0 {

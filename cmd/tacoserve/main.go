@@ -96,8 +96,6 @@ func main() {
 	durable := flag.Bool("durable", false, "journal edits and persist the session registry in -spill-dir; restarts recover every session")
 	fsyncPolicy := flag.String("fsync", "interval", "journal fsync policy with -durable: always|interval|never")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "background journal flush period with -fsync interval (0 = default 50ms)")
-	deltaSnapshots := flag.Bool("delta-snapshots", true, "with -durable: spill value-only edit tails as delta files chained off the base snapshot instead of rewriting it")
-	deltaMaxChain := flag.Int("delta-max-chain", 0, "delta chain length that forces compaction into a fresh full base (0 = default 16)")
 	recalcPar := flag.Int("recalc-parallelism", 0, "wavefront evaluators per session level (0 = CPUs capped at 8, -1 = serial)")
 	recalcWorkers := flag.Int("recalc-workers", 0, "background drain workers pulling sessions off the recalc queue (0 = CPUs, -1 = disable background draining)")
 	recalcChunk := flag.Int("recalc-chunk", 0, "evaluations per session-lock hold while draining (0 = default 256); readers interleave between holds")
@@ -136,8 +134,6 @@ func main() {
 			Durable:           *durable,
 			FsyncPolicy:       *fsyncPolicy,
 			FsyncInterval:     *fsyncInterval,
-			DeltaSnapshots:    *deltaSnapshots,
-			DeltaMaxChain:     *deltaMaxChain,
 		},
 		AccessLog: al,
 	}
@@ -211,8 +207,8 @@ func main() {
 	eff := srv.Store().Options()
 	durability := "off"
 	if eff.Durable {
-		durability = fmt.Sprintf("fsync=%s interval=%s delta-snapshots=%t recovered=%d",
-			*fsyncPolicy, eff.FsyncInterval, eff.DeltaSnapshots, srv.Store().Stats().RecoveredSessions)
+		durability = fmt.Sprintf("fsync=%s interval=%s recovered=%d",
+			*fsyncPolicy, eff.FsyncInterval, srv.Store().Stats().RecoveredSessions)
 	}
 	role := "primary"
 	if *standby {

@@ -44,13 +44,9 @@ import (
 // The CRC32C trailer makes torn or bit-rotted spill files detectable:
 // CheckSnapshotIntegrity verifies a whole file before the store trusts it
 // at restore. Streaming decoders self-delimit and simply never read the
-// trailer. TACOE1 (the pre-checksum format) is still accepted on read —
-// legacy files carry no trailer and pass the integrity check vacuously.
+// trailer.
 
-var (
-	engineSnapshotMagic   = []byte("TACOE2")
-	engineSnapshotMagicV1 = []byte("TACOE1")
-)
+var engineSnapshotMagic = []byte("TACOE2")
 
 // snapCRCTable is CRC32-Castagnoli, hardware-accelerated on amd64/arm64.
 var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -289,7 +285,7 @@ func scanCellsFiltered(br *bufio.Reader, parse bool, hint func(int), filter *ref
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadEngineSnapshot, err)
 	}
-	if string(magic) != string(engineSnapshotMagic) && string(magic) != string(engineSnapshotMagicV1) {
+	if string(magic) != string(engineSnapshotMagic) {
 		return fmt.Errorf("%w: bad magic %q", ErrBadEngineSnapshot, magic)
 	}
 	count, err := binary.ReadUvarint(br)
@@ -559,15 +555,11 @@ func ScanSnapshotCellsInRange(r io.Reader, rng ref.Range, fn func(SnapshotCell) 
 
 // CheckSnapshotIntegrity verifies a whole engine snapshot against its
 // CRC32C trailer before any of it is trusted: nil means the content is
-// exactly what was written. TACOE1 files (pre-checksum) pass vacuously —
-// they carry no trailer. A mismatch returns ErrSnapshotChecksum; an
+// exactly what was written. A mismatch returns ErrSnapshotChecksum; an
 // unrecognisable header returns ErrBadEngineSnapshot. The serving layer
 // runs this on every spill file it restores, quarantining failures instead
 // of serving silently corrupt sessions.
 func CheckSnapshotIntegrity(data []byte) error {
-	if len(data) >= len(engineSnapshotMagicV1) && bytes.Equal(data[:len(engineSnapshotMagicV1)], engineSnapshotMagicV1) {
-		return nil
-	}
 	if len(data) < len(engineSnapshotMagic)+4 || !bytes.Equal(data[:len(engineSnapshotMagic)], engineSnapshotMagic) {
 		return fmt.Errorf("%w: short or unrecognised header", ErrBadEngineSnapshot)
 	}

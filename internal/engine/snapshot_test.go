@@ -133,19 +133,26 @@ func TestRestoreSnapshotRejectsCorruptInput(t *testing.T) {
 	}
 	good := buf.Bytes()
 
+	// Magic followed by a huge cell count: must error, not allocate.
+	hugeCount := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	// Valid header, then a formula-cell record claiming a ~2^62-byte source
+	// string: must hit the length cap, not make([]byte, 2^62).
+	hugeString := []byte{
+		1,    // 1 cell
+		1, 1, // A1
+		1, // formula cell
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f,
+	}
 	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("NOTTACO"),
-		"truncated": good[:len(good)/2],
-		// Magic followed by a huge cell count: must error, not allocate.
-		"huge count": append([]byte("TACOE1"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
-		// Valid header, then a formula-cell record claiming a ~2^62-byte
-		// source string: must hit the length cap, not make([]byte, 2^62).
-		"huge string": append([]byte("TACOE1"),
-			1,    // 1 cell
-			1, 1, // A1
-			1, // formula cell
-			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f),
+		"empty":       {},
+		"bad magic":   []byte("NOTTACO"),
+		"truncated":   good[:len(good)/2],
+		"huge count":  append([]byte("TACOE2"), hugeCount...),
+		"huge string": append([]byte("TACOE2"), hugeString...),
+		// The pre-checksum TACOE1 format is no longer readable: its header is
+		// a bad magic whatever follows.
+		"legacy magic, huge count":  append([]byte("TACOE1"), hugeCount...),
+		"legacy magic, huge string": append([]byte("TACOE1"), hugeString...),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -302,7 +309,7 @@ func TestRecycleReusesColumnSlabs(t *testing.T) {
 
 // TestSnapshotChecksum pins the TACOE2 integrity trailer: a fresh snapshot
 // verifies, any single flipped bit fails with ErrSnapshotChecksum, and a
-// legacy TACOE1 file (no trailer) both passes the check and still restores.
+// legacy TACOE1 header is ErrBadEngineSnapshot.
 func TestSnapshotChecksum(t *testing.T) {
 	sheet := workload.FinancialModel(20, rand.New(rand.NewSource(11)))
 	e, err := Load(sheet, nil)
@@ -331,20 +338,14 @@ func TestSnapshotChecksum(t *testing.T) {
 		t.Fatalf("short header: err = %v, want ErrBadEngineSnapshot", err)
 	}
 
-	// A legacy TACOE1 snapshot is the same stream with the old magic and no
-	// trailer: it must pass the (vacuous) integrity check and restore.
+	// The pre-checksum TACOE1 format (same stream, old magic, no trailer) is
+	// rejected by both the integrity check and the decoder.
 	legacy := append([]byte("TACOE1"), good[6:len(good)-4]...)
-	if err := CheckSnapshotIntegrity(legacy); err != nil {
-		t.Fatalf("legacy snapshot fails integrity check: %v", err)
+	if err := CheckSnapshotIntegrity(legacy); !errors.Is(err, ErrBadEngineSnapshot) {
+		t.Fatalf("legacy snapshot integrity check: err = %v, want ErrBadEngineSnapshot", err)
 	}
-	r, err := RestoreSnapshot(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy snapshot restore: %v", err)
-	}
-	for at := range sheet.Cells {
-		if got, want := r.Value(at).String(), e.Value(at).String(); got != want {
-			t.Fatalf("legacy cell %v = %q, want %q", at, got, want)
-		}
+	if _, err := RestoreSnapshot(bytes.NewReader(legacy)); !errors.Is(err, ErrBadEngineSnapshot) {
+		t.Fatalf("legacy snapshot restore: err = %v, want ErrBadEngineSnapshot", err)
 	}
 }
 

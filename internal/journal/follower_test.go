@@ -93,7 +93,7 @@ func TestFollowerMissingFileAndTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := appendRecord(nil, 2, []byte("torn-record"))
+	full := AppendRecord(nil, 2, []byte("torn-record"))
 	if _, err := f.Write(full[:len(full)-5]); err != nil {
 		t.Fatal(err)
 	}

@@ -43,15 +43,11 @@ import (
 	"taco/internal/faultfs"
 )
 
-// Magic values identifying the three log kinds. Same length by design: the
+// Magic values identifying the two log kinds. Same length by design: the
 // scanner slices its header buffer by the magic it is given.
 var (
 	JournalMagic  = []byte("TACOJ1")
 	RegistryMagic = []byte("TACOR1")
-	// DeltaMagic heads delta snapshot files (<id>.<rev>.tacod): the journal
-	// record framing carrying the edit-codec payloads that advance a base
-	// snapshot to a later revision.
-	DeltaMagic = []byte("TACOD1")
 )
 
 // MaxRecordBytes bounds one record's body — comfortably above the server's
@@ -190,8 +186,6 @@ func (w *Writer) Head() uint64 {
 }
 
 // Size returns the byte length of the log's valid prefix (header included).
-// Callers use it to amortise truncation: reset only once enough log has
-// accumulated, instead of on every superseding snapshot.
 func (w *Writer) Size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -215,7 +209,7 @@ func (w *Writer) Append(rev uint64, payload []byte) error {
 	if w.torn {
 		return ErrTorn
 	}
-	w.scratch = appendRecord(w.scratch[:0], rev, payload)
+	w.scratch = AppendRecord(w.scratch[:0], rev, payload)
 	if _, err := w.f.Write(w.scratch); err != nil {
 		mAppendErrors.Inc()
 		// A short write may have torn the tail; restore the invariant that
@@ -385,9 +379,11 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// appendRecord encodes `uvarint(len) | body | crc32c(body)` with
-// body = `uvarint(rev) | payload` onto dst.
-func appendRecord(dst []byte, rev uint64, payload []byte) []byte {
+// AppendRecord encodes one record — `uvarint(len) | body | crc32c(body)` with
+// body = `uvarint(rev) | payload` — onto dst. It is the only encoder of the
+// on-disk framing: Writer.Append, the registry, and callers that assemble a
+// log in memory (replication streams, fork tail copies) all go through it.
+func AppendRecord(dst []byte, rev uint64, payload []byte) []byte {
 	var rb [binary.MaxVarintLen64]byte
 	rn := binary.PutUvarint(rb[:], rev)
 	var lb [binary.MaxVarintLen64]byte

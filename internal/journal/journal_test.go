@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -250,14 +251,14 @@ func TestRegistryRoundTripAndCompaction(t *testing.T) {
 	}
 }
 
-// TestRegistryChainExtensionCompat pins the delta-chain extension's
-// compatibility contract from both directions: a chain-free entry encodes
-// byte-identically to the pre-extension format (so registries written by
-// this build open under old decoders), and a registry written before the
-// extension existed — simulated by those identical bytes — opens warm here,
-// decoding to entries with empty chain state. Chained entries round-trip
-// through close/reopen.
-func TestRegistryChainExtensionCompat(t *testing.T) {
+// TestRegistryBaseExtensionCompat pins the shared-base extension's
+// compatibility contract: an own-base entry encodes byte-identically to the
+// pre-extension format (so a registry written before the extension existed —
+// simulated by those identical bytes — opens warm here), a shared-base entry
+// round-trips through close/reopen, and a hand-built record from the
+// delta-chain build (non-zero link count) fails OpenRegistry with
+// ErrLegacyChain instead of being misread as chain-free.
+func TestRegistryBaseExtensionCompat(t *testing.T) {
 	// Byte-identity with the pre-extension layout: ID, Name, uvarint
 	// SnapRev, held byte — and nothing after.
 	plain := Entry{ID: "aaa", Name: "old", SnapRev: 300, SnapHeld: true}
@@ -269,11 +270,9 @@ func TestRegistryChainExtensionCompat(t *testing.T) {
 	want = append(want, vb[:n]...)
 	want = append(want, 1)
 	if got := appendEntry(nil, plain); !bytes.Equal(got, want) {
-		t.Fatalf("chain-free entry encoding diverged from the pre-extension format:\ngot  %x\nwant %x", got, want)
+		t.Fatalf("own-base entry encoding diverged from the pre-extension format:\ngot  %x\nwant %x", got, want)
 	}
 
-	// An "old" registry — only chain-free entries — opens warm with empty
-	// chain state.
 	path := filepath.Join(t.TempDir(), "sessions.tacor")
 	r, err := OpenRegistry(path, SyncNever, nil)
 	if err != nil {
@@ -282,12 +281,8 @@ func TestRegistryChainExtensionCompat(t *testing.T) {
 	if err := r.Put(plain); err != nil {
 		t.Fatal(err)
 	}
-	chained := Entry{
-		ID: "bbb", Name: "forked", SnapRev: 7, SnapHeld: true,
-		BaseID: "aaa", BaseRev: 3,
-		Chain: []ChainLink{{ID: "aaa", Rev: 5}, {ID: "bbb", Rev: 7}},
-	}
-	if err := r.Put(chained); err != nil {
+	forked := Entry{ID: "bbb", Name: "forked", SnapRev: 7, SnapHeld: true, BaseID: "aaa"}
+	if err := r.Put(forked); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -297,7 +292,6 @@ func TestRegistryChainExtensionCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r2.Close()
 	got := map[string]Entry{}
 	for _, e := range r2.Entries() {
 		got[e.ID] = e
@@ -305,8 +299,29 @@ func TestRegistryChainExtensionCompat(t *testing.T) {
 	if !reflect.DeepEqual(got["aaa"], plain) {
 		t.Fatalf("pre-extension entry = %+v, want %+v", got["aaa"], plain)
 	}
-	if !reflect.DeepEqual(got["bbb"], chained) {
-		t.Fatalf("chained entry = %+v, want %+v", got["bbb"], chained)
+	if !reflect.DeepEqual(got["bbb"], forked) {
+		t.Fatalf("shared-base entry = %+v, want %+v", got["bbb"], forked)
+	}
+	r2.Close()
+
+	// The delta-chain build's layout: BaseID, BaseRev, link count, links.
+	legacy := appendString(nil, "ccc")
+	legacy = appendString(legacy, "chained")
+	legacy = append(legacy, 7, 1) // SnapRev 7, held
+	legacy = appendString(legacy, "aaa")
+	legacy = append(legacy, 3, 1) // BaseRev 3, one link
+	legacy = appendString(legacy, "ccc")
+	legacy = append(legacy, 7) // link rev
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(AppendRecord(nil, regOpPut, legacy)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := OpenRegistry(path, SyncNever, nil); !errors.Is(err, ErrLegacyChain) {
+		t.Fatalf("registry with a chained entry: err = %v, want ErrLegacyChain", err)
 	}
 }
 
@@ -337,9 +352,9 @@ func TestRegistryTornTail(t *testing.T) {
 func FuzzJournalDecode(f *testing.F) {
 	var seed []byte
 	seed = append(seed, JournalMagic...)
-	seed = appendRecord(seed, 1, []byte("hello"))
-	seed = appendRecord(seed, 2, []byte(""))
-	seed = appendRecord(seed, 3, bytes.Repeat([]byte{0xAB}, 300))
+	seed = AppendRecord(seed, 1, []byte("hello"))
+	seed = AppendRecord(seed, 2, []byte(""))
+	seed = AppendRecord(seed, 3, bytes.Repeat([]byte{0xAB}, 300))
 	f.Add(seed)
 	f.Add(seed[:len(seed)-2])      // torn tail
 	f.Add([]byte("TACOJ1"))        // empty log

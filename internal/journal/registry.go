@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,20 +30,10 @@ const (
 // maxRegistryString bounds ID and name fields on decode.
 const maxRegistryString = 4096
 
-// maxRegistryChain bounds the delta-chain length on decode; compaction
-// policies keep real chains far shorter.
-const maxRegistryChain = 4096
-
-// ChainLink is one delta record file in a session's snapshot chain: the
-// file <ID>.<Rev>.tacod holds the value-only edits that carry the state
-// from the previous link (or the base) up to Rev.
-type ChainLink struct {
-	// ID is the session that wrote the delta file (a fork's early links
-	// belong to its parent).
-	ID string
-	// Rev is the revision the chain reaches after replaying this link.
-	Rev uint64
-}
+// ErrLegacyChain is returned by OpenRegistry for a manifest written by the
+// delta-chain build: its entries name delta record files this build neither
+// reads nor writes, so opening it would silently serve stale bases.
+var ErrLegacyChain = errors.New("journal: registry entry carries a delta chain (written by an older build; not readable)")
 
 // Entry is one registered session.
 type Entry struct {
@@ -51,23 +42,17 @@ type Entry struct {
 	ID string
 	// Name is the client-supplied session label, preserved across restarts.
 	Name string
-	// SnapRev is the revision the session's snapshot state (base plus delta
-	// chain) holds; journal records with rev > SnapRev are the replay tail.
+	// SnapRev is the revision the session's base snapshot holds; journal
+	// records with rev > SnapRev are the replay tail.
 	SnapRev uint64
 	// SnapHeld reports whether snapshot state exists at all (a never-edited
 	// blank session has none; restore starts from an empty engine).
 	SnapHeld bool
 	// BaseID, when non-empty, names the session whose frozen base snapshot
-	// (<BaseID>.<BaseRev>.tacob) this entry's chain is rooted on — the
+	// (<BaseID>.<SnapRev>.tacob) this session restores from — the
 	// copy-on-write sharing edge. Empty means the session's own <ID>.tacos
 	// file is the base.
 	BaseID string
-	// BaseRev is the revision the frozen base holds. Meaningful only when
-	// BaseID is non-empty (an own-file base is at SnapRev minus the chain).
-	BaseRev uint64
-	// Chain lists the delta files to replay, in order, on top of the base.
-	// Empty means the base alone is the snapshot state.
-	Chain []ChainLink
 }
 
 // Registry is the persistent session manifest.
@@ -83,12 +68,16 @@ type Registry struct {
 
 // OpenRegistry loads (creating if needed) the manifest at path. A torn tail
 // from a crash is dropped exactly as for journals; the surviving prefix is
-// replayed into the live set.
+// replayed into the live set. A manifest holding a delta-chain entry fails
+// with ErrLegacyChain.
 func OpenRegistry(path string, pol Policy, sy *Syncer) (*Registry, error) {
 	r := &Registry{path: path, pol: pol, sy: sy, live: make(map[string]Entry)}
 	_, _, err := ScanFile(path, RegistryMagic, func(op uint64, payload []byte) error {
 		r.appends++
 		e, err := decodeEntry(op, payload)
+		if errors.Is(err, ErrLegacyChain) {
+			return err
+		}
 		if err != nil {
 			// Valid CRC but undecodable: a format bug, not corruption. Skip
 			// the record rather than losing the whole manifest.
@@ -206,7 +195,7 @@ func (r *Registry) compactLocked() error {
 	var scratch, rec []byte
 	for _, e := range r.live {
 		scratch = appendEntry(scratch[:0], e)
-		rec = appendRecord(rec[:0], regOpPut, scratch)
+		rec = AppendRecord(rec[:0], regOpPut, scratch)
 		buf.Write(rec)
 	}
 	tmp := r.path + ".tmp"
@@ -267,25 +256,18 @@ func appendEntry(dst []byte, e Entry) []byte {
 		held = 1
 	}
 	dst = append(dst, held)
-	// The delta-chain extension rides after the original fixed tail, and is
-	// written only when present: chain-free entries stay byte-identical to
-	// the pre-extension format, and pre-extension decoders (which required
-	// the payload to end at the held byte) would reject extended records
-	// rather than misread them.
-	if e.BaseID == "" && len(e.Chain) == 0 {
+	// The shared-base extension rides after the original fixed tail, and is
+	// written only when present: entries with an own-file base stay
+	// byte-identical to the pre-extension format. Its layout is BaseID, the
+	// base's revision (always SnapRev), and a delta-link count that is always
+	// 0 — kept so the delta-chain build's records stay distinguishable.
+	if e.BaseID == "" {
 		return dst
 	}
 	dst = appendString(dst, e.BaseID)
-	n = binary.PutUvarint(vb[:], e.BaseRev)
+	n = binary.PutUvarint(vb[:], e.SnapRev)
 	dst = append(dst, vb[:n]...)
-	n = binary.PutUvarint(vb[:], uint64(len(e.Chain)))
-	dst = append(dst, vb[:n]...)
-	for _, l := range e.Chain {
-		dst = appendString(dst, l.ID)
-		n = binary.PutUvarint(vb[:], l.Rev)
-		dst = append(dst, vb[:n]...)
-	}
-	return dst
+	return append(dst, 0)
 }
 
 func decodeEntry(op uint64, payload []byte) (Entry, error) {
@@ -310,35 +292,26 @@ func decodeEntry(op uint64, payload []byte) (Entry, error) {
 	e.SnapHeld = payload[n] != 0
 	payload = payload[n+1:]
 	if len(payload) == 0 {
-		// Pre-extension record: no chain, own-file base.
+		// Pre-extension record: own-file base.
 		return e, nil
 	}
 	e.BaseID, payload, err = takeString(payload)
 	if err != nil {
 		return e, err
 	}
-	if e.BaseRev, n = binary.Uvarint(payload); n <= 0 {
+	baseRev, n := binary.Uvarint(payload)
+	if n <= 0 {
 		return e, fmt.Errorf("journal: malformed registry entry")
 	}
 	payload = payload[n:]
 	links, n := binary.Uvarint(payload)
-	if n <= 0 || links > maxRegistryChain {
+	if n <= 0 {
 		return e, fmt.Errorf("journal: malformed registry entry")
 	}
-	payload = payload[n:]
-	for i := uint64(0); i < links; i++ {
-		var l ChainLink
-		l.ID, payload, err = takeString(payload)
-		if err != nil {
-			return e, err
-		}
-		if l.Rev, n = binary.Uvarint(payload); n <= 0 {
-			return e, fmt.Errorf("journal: malformed registry entry")
-		}
-		payload = payload[n:]
-		e.Chain = append(e.Chain, l)
+	if links != 0 {
+		return e, fmt.Errorf("%w: session %s", ErrLegacyChain, e.ID)
 	}
-	if len(payload) != 0 {
+	if baseRev != e.SnapRev || len(payload) != n {
 		return e, fmt.Errorf("journal: malformed registry entry")
 	}
 	return e, nil

@@ -53,6 +53,9 @@ func (st *Store) degradeLocked(s *Session, reason string, rec *pendingRecord) {
 	if rec != nil {
 		s.pendingRecs = append(s.pendingRecs, *rec)
 	}
+	// Whatever faulted, stop trusting base + journal to reproduce the state:
+	// the next eviction writes a full base.
+	s.tailBroken = true
 	if s.degraded {
 		return
 	}
@@ -173,9 +176,6 @@ func (st *Store) repairSpillLocked(s *Session) bool {
 		s.unevictable.Store(false)
 		return true
 	}
-	// A full snapshot write also collapses any delta chain: the degradation
-	// may have been a failed delta append, and repairing onto a fresh
-	// chain-free base converges the session in one step.
 	if err := st.writeFullLocked(s); err != nil {
 		return false
 	}

@@ -16,23 +16,24 @@ import (
 )
 
 // This file is the store's durability layer (StoreOptions.Durable): a
-// session becomes `snapshot + journal replay`. Every accepted edit batch is
-// appended to the session's journal before the response commits; spills
-// write their snapshot atomically and — once the journal passes the
-// checkpoint threshold — advance the session's registry entry and truncate
-// the journal; and a restarted store replays the registry at boot,
-// re-registering every session as non-resident. Restoring a session then
-// means: read the snapshot (integrity-checked, quarantined on corruption),
+// session is `base snapshot at snapRev + journal records (snapRev, rev]`.
+// Every accepted edit batch is appended to the session's journal before the
+// response commits; every full base write is a checkpoint — the base lands
+// atomically, the session's registry entry advances, and the journal is
+// truncated, so the journal only ever holds records above the base; and a
+// restarted store replays the registry at boot, re-registering every session
+// as non-resident. Restoring a session — after an eviction or a restart alike
+// — means: read the base (integrity-checked, quarantined on corruption),
 // replay the journal tail through the live edit path, and let the normal
 // drain reconverge values.
 //
 // Crash ordering. Journal records carry the post-batch revision and replay
-// skips records at or below the snapshot's revision, while every edit op is
-// an absolute assignment — so replaying a suffix of batches that the
-// snapshot already contains is harmless. That idempotence is what makes each
-// crash window safe: snapshot rename before registry update (re-replays the
-// tail), registry update before journal truncation (stale records are
-// skipped), truncation last (nothing left to replay).
+// skips records at or below the base's revision, while every edit op is an
+// absolute assignment — so replaying a suffix of batches that the base
+// already contains is harmless. That idempotence is what makes each crash
+// window safe: base rename before registry update (re-replays the tail),
+// registry update before journal truncation (stale records are skipped),
+// truncation last (nothing left to replay).
 //
 // Durability grades. Appends and snapshot renames are synchronous write(2)s,
 // so SIGKILL loses nothing under any policy; the fsync policy only decides
@@ -46,10 +47,11 @@ const registryFile = "sessions.tacor"
 // journalSuffix names per-session edit journals, next to the .tacos spills.
 const journalSuffix = ".tacoj"
 
-// ErrSnapshotCorrupt marks a session whose spill file failed its integrity
-// check at restore. The file has been quarantined (renamed *.corrupt) and
-// the session keeps failing with this error rather than serving bad data —
-// one corrupt session never degrades the rest of the store.
+// ErrSnapshotCorrupt marks a session whose base snapshot failed its integrity
+// check at restore, or whose journal ends short of the session's revision.
+// The file has been quarantined (renamed *.corrupt) and the session keeps
+// failing with this error rather than serving bad data — one corrupt session
+// never degrades the rest of the store.
 var ErrSnapshotCorrupt = errors.New("server: session snapshot corrupt (quarantined)")
 
 func (st *Store) journalPath(id string) string {
@@ -73,7 +75,6 @@ func (st *Store) openDurability() error {
 		return err
 	}
 	st.pol = pol
-	st.ckptBytes = journalCheckpointBytes
 	if pol == journal.SyncInterval {
 		st.syncer = journal.NewSyncer(st.opts.FsyncInterval)
 	}
@@ -101,21 +102,15 @@ func (st *Store) bootRecover() {
 		}
 		s := &Session{
 			ID: e.ID, Name: e.Name, rev: e.SnapRev, snapRev: e.SnapRev, snapHeld: e.SnapHeld,
-			baseID: e.BaseID, baseRev: e.BaseRev,
-			chain: append([]journal.ChainLink(nil), e.Chain...),
-		}
-		if e.BaseID == "" && len(e.Chain) == 0 {
-			// Pre-extension entry (or chain-free session): the own-file base
-			// holds exactly the snapshot revision.
-			s.baseRev = e.SnapRev
+			baseID: e.BaseID,
 		}
 		if head > s.rev {
 			s.rev = head
 		}
-		// Every registry entry is a live referent of its shared artifacts;
-		// the post-recovery orphan sweep relies on these counts being
-		// complete before the store serves.
-		for _, p := range st.sharedRefsLocked(s) {
+		// Every registry entry is a live referent of its frozen base; the
+		// post-recovery orphan sweep relies on these counts being complete
+		// before the store serves.
+		if p := st.frozenBaseLocked(s); p != "" {
 			st.incref(p)
 		}
 		s.tick.Store(st.clock.Add(1))
@@ -185,7 +180,6 @@ func (st *Store) recordCreate(s *Session, eng *engine.Engine) {
 		s.graphBlob, s.graphBlobGen = blob, gen
 		s.snapHeld = true
 		s.snapRev = 0
-		s.baseRev = 0
 		s.baseBytes = int64(buf.Len())
 		mSpillBytes.Add(uint64(buf.Len()))
 	}
@@ -198,39 +192,69 @@ func (st *Store) recordCreate(s *Session, eng *engine.Engine) {
 	}
 }
 
-// journalCheckpointBytes is the journal size above which a spill checkpoints
-// durable state: advance the registry to the new snapshot revision, then
-// truncate the journal. Below it the spill leaves both alone — the registry
-// entry goes stale, which replay idempotence makes safe (a recovered session
-// re-applies absolute-assignment batches its snapshot already contains) —
-// so eviction-heavy workloads pay the registry append and ftruncate once per
-// ~256KB of log instead of once per spill.
-const journalCheckpointBytes = 256 << 10
-
-// noteSpilled runs after a spill wrote (or reused) the session's snapshot.
-// When the journal has grown past the checkpoint threshold: advance the
-// registry entry, make it durable, and only then truncate the journal —
-// records the snapshot supersedes are skipped (or idempotently re-applied)
-// by replay, so truncating last means no crash window can lose an
-// acknowledged batch. Called with victim.mu held.
-func (st *Store) noteSpilled(victim *Session) {
+// writeFullLocked serialises the resident engine to the session's own base
+// snapshot file at s.rev (pooled buffer, then atomic publish: same-directory
+// temp file + rename, so neither a crash mid-write nor a restarted durable
+// store can ever observe a torn snapshot at the final path) and, on a durable
+// store, checkpoints: advance the registry entry, make it durable, release
+// the frozen base this one supersedes, and only then truncate the journal —
+// records the base supersedes are skipped (or idempotently re-applied) by
+// replay, so truncating last means no crash window can lose an acknowledged
+// batch. A failed checkpoint step keeps what the stale entry still
+// references: the journal stays (replay reconstructs past the stale entry)
+// and the old frozen base leaks until the next boot's sweep. Called with s.mu
+// held and s.eng non-nil.
+func (st *Store) writeFullLocked(s *Session) error {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer func() { buf.Reset(); bufPool.Put(buf) }()
+	buf.Reset()
+	if st.opts.NoGraphPin {
+		if err := s.eng.WriteSnapshot(buf); err != nil {
+			return err
+		}
+	} else {
+		blob, gen, err := s.eng.WriteSnapshotCached(buf, s.graphBlob, s.graphBlobGen)
+		if err != nil {
+			return err
+		}
+		s.graphBlob, s.graphBlobGen = blob, gen
+	}
+	if err := writeFileAtomic(st.spillPath(s.ID), buf.Bytes(), st.syncFiles()); err != nil {
+		return err
+	}
+	mSpillBytes.Add(uint64(buf.Len()))
+	oldBase := st.frozenBaseLocked(s)
+	s.snapHeld = true
+	s.snapRev = s.rev
+	s.baseID = ""
+	s.baseBytes = int64(buf.Len())
+	s.tailStructural, s.tailBroken = false, false
 	if !st.opts.Durable {
-		return
+		return nil
 	}
-	if victim.jw == nil || victim.jw.Size() < st.ckptBytes {
-		return // registry entry from create (or the last checkpoint) still serves
-	}
-	err := st.reg.Put(regEntryLocked(victim))
+	err := st.reg.Put(regEntryLocked(s))
 	if err == nil {
 		err = st.reg.Sync()
 	}
 	if err != nil {
 		mDurabilityErrors.Inc()
-		return // keep the journal: replay still reconstructs past the stale entry
+		return nil
 	}
-	if err := victim.jw.Reset(); err != nil {
-		mDurabilityErrors.Inc()
+	if oldBase != "" {
+		st.decref(oldBase)
 	}
+	if s.jw != nil || s.tailBytes > 0 { // else the journal holds no records
+		w, err := st.sessionJournal(s)
+		if err == nil {
+			err = w.Reset()
+		}
+		if err != nil {
+			mDurabilityErrors.Inc()
+		} else {
+			s.tailBytes = 0
+		}
+	}
+	return nil
 }
 
 // recordDelete erases a session's durable state: journal file and registry
@@ -246,8 +270,8 @@ func (st *Store) recordDelete(id string) {
 	}
 }
 
-// restoreEngine rebuilds a non-resident session's engine: snapshot first
-// (integrity-checked; corruption quarantines the file and poisons the
+// restoreEngine rebuilds a non-resident session's engine: base snapshot
+// first (integrity-checked; corruption quarantines the file and poisons the
 // session with ErrSnapshotCorrupt), then the journal tail replayed through
 // the live edit path. Replayed cells come back dirty and reconverge on the
 // normal drain. Called with s.mu held.
@@ -258,10 +282,11 @@ func (st *Store) restoreEngine(s *Session) (*engine.Engine, error) {
 	var eng *engine.Engine
 	if s.snapHeld {
 		var err error
-		eng, err = st.readSpill(st.baseFilePathLocked(s), s.graph)
+		path := st.baseFilePathLocked(s)
+		eng, err = st.readSpill(path, s.graph)
 		if err != nil {
 			if errors.Is(err, engine.ErrSnapshotChecksum) || errors.Is(err, engine.ErrBadEngineSnapshot) {
-				st.quarantine(s)
+				st.quarantine(s, path)
 				return nil, fmt.Errorf("%w: session %s: %v", ErrSnapshotCorrupt, s.ID, err)
 			}
 			return nil, err
@@ -271,14 +296,6 @@ func (st *Store) restoreEngine(s *Session) (*engine.Engine, error) {
 		// journaled edits): replay rebuilds it from an empty engine.
 		eng = engine.New(nil)
 	}
-	// Delta chain between base and journal tail: each link's value-only
-	// records re-apply through the same bulk path. The chain leaves the
-	// compressed graph untouched, so the cached graph blob stays valid.
-	if len(s.chain) > 0 {
-		if err := st.replayChain(s, eng); err != nil {
-			return nil, err
-		}
-	}
 	if st.opts.Durable && s.rev > s.snapRev {
 		if err := st.replayJournal(s, eng); err != nil {
 			return nil, err
@@ -287,26 +304,53 @@ func (st *Store) restoreEngine(s *Session) (*engine.Engine, error) {
 	return eng, nil
 }
 
-// quarantine renames a corrupt base snapshot aside (the session's own spill
-// file, or the frozen shared base it chains off) and poisons the session so
-// every subsequent touch fails the same way instead of retrying the decode.
-func (st *Store) quarantine(s *Session) {
-	path := st.baseFilePathLocked(s)
+// quarantine renames a corrupt file of the session aside (its base snapshot —
+// own or frozen and shared — or its journal) and poisons the session so every
+// subsequent touch fails the same way instead of retrying the decode.
+// Sessions sharing a broken frozen base fail the same way at their own
+// restore; sessions that don't reference the file are untouched.
+func (st *Store) quarantine(s *Session, path string) {
 	os.Rename(path, path+".corrupt")
 	s.corrupt = true
 	st.quarantined.Add(1)
 	mQuarantined.Inc()
 }
 
-// replayJournal applies the session's journal tail — records above the
-// snapshot revision — onto eng through the same parse/apply path as live
-// edits. Called with s.mu held, eng not yet published.
+// valueOnly reports whether every op is a plain value assignment — the edit
+// shape that leaves the formula graph as it is.
+func valueOnly(edits []EditOp) bool {
+	for _, op := range edits {
+		if op.Value == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// journalRecordBytes converts a journal's valid-prefix length to the framed
+// size of the records it holds.
+func journalRecordBytes(valid int64) int64 {
+	return max(valid-int64(len(journal.JournalMagic)), 0)
+}
+
+// replayJournal applies the session's journal tail — records above the base
+// revision — onto eng through the same parse/apply path as live edits, and
+// recomputes the session's tail state from what it read. The replay must
+// reach s.rev: the scanner's valid-prefix semantics stop silently at the
+// first bad record, so a short replay IS the corruption signal (at boot rev
+// was taken from the same valid prefix, so only a live store can see one) —
+// the journal is quarantined and only this session poisoned. A value-only
+// replay leaves the compressed graph untouched, so the cached graph blob
+// stays valid. Called with s.mu held, eng not yet published.
 func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 	start := time.Now()
+	path := st.journalPath(s.ID)
+	last := s.snapRev
 	replayed := 0
-	_, _, err := journal.ScanFile(st.journalPath(s.ID), journal.JournalMagic, func(rev uint64, payload []byte) error {
+	gap, structural, bulk := false, false, false
+	_, valid, err := journal.ScanFile(path, journal.JournalMagic, func(rev uint64, payload []byte) error {
 		if rev <= s.snapRev {
-			return nil // the snapshot already contains this batch
+			return nil // the base already contains this batch
 		}
 		edits, err := decodeEditOps(payload)
 		if err != nil {
@@ -316,7 +360,12 @@ func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 		if err != nil {
 			return fmt.Errorf("record rev %d: %w", rev, err)
 		}
-		applyBatch(eng, ops)
+		if _, _, b := applyBatch(eng, ops); b {
+			bulk = true
+		}
+		gap = gap || rev != last+1
+		structural = structural || !valueOnly(edits)
+		last = rev
 		replayed++
 		return nil
 	})
@@ -326,14 +375,21 @@ func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 		// loudly rather than serving a silently incomplete session.
 		return fmt.Errorf("replay journal for session %s: %w", s.ID, err)
 	}
-	if replayed > 0 {
-		// The engine no longer matches the snapshot (and the bulk path may
-		// have rebuilt it around a fresh graph): drop the cached graph blob.
-		s.graphBlob = nil
-		st.replayed.Add(uint64(replayed))
-		mReplayRecords.Add(uint64(replayed))
-		mReplayDuration.Observe(time.Since(start).Seconds())
+	if last < s.rev {
+		st.quarantine(s, path)
+		return fmt.Errorf("%w: session %s: journal replays to rev %d, want %d",
+			ErrSnapshotCorrupt, s.ID, last, s.rev)
 	}
+	s.tailBytes = journalRecordBytes(valid)
+	s.tailStructural, s.tailBroken = structural, gap
+	if structural || bulk {
+		// The engine's graph no longer matches the base's (and the bulk path
+		// rebuilt it around a fresh one): drop the cached graph blob.
+		s.graphBlob = nil
+	}
+	st.replayed.Add(uint64(replayed))
+	mReplayRecords.Add(uint64(replayed))
+	mReplayDuration.Observe(time.Since(start).Seconds())
 	return nil
 }
 
@@ -489,9 +545,28 @@ func decodeEditOps(payload []byte) ([]EditOp, error) {
 // Durable reports whether the store journals edits (StoreOptions.Durable).
 func (st *Store) Durable() bool { return st.opts.Durable }
 
-// UpdateJournaled is Update(id, true, fn) plus the durability contract: when
-// the store is durable and record (an encodeEditOps payload) is non-nil, the
-// record is appended to the session's journal at the bumped revision before
+// appendTailLocked journals the batch that produced s.rev and folds it into
+// the session's tail state. A failed append leaves a hole the journal-as-tail
+// design must not trust: the tail is marked broken so the next eviction
+// writes a full base. Called with s.mu held.
+func (st *Store) appendTailLocked(s *Session, edits []EditOp, record []byte) (*journal.Writer, error) {
+	w, err := st.sessionJournal(s)
+	if err == nil {
+		err = w.Append(s.rev, record)
+	}
+	if err != nil {
+		mDurabilityErrors.Inc()
+		s.tailBroken = true
+		return nil, err
+	}
+	s.tailBytes = journalRecordBytes(w.Size())
+	s.tailStructural = s.tailStructural || !valueOnly(edits)
+	return w, nil
+}
+
+// UpdateJournaled is Update(id, true, fn) plus the durability contract: on a
+// durable store the batch fn applied (edits, already validated by parseBatch)
+// is appended to the session's journal at the bumped revision before
 // UpdateJournaled returns, and the policy's fsync barrier has run — the
 // caller can acknowledge the batch knowing a crashed server will replay it.
 //
@@ -503,11 +578,15 @@ func (st *Store) Durable() bool { return st.opts.Durable }
 // repairer lands the buffered records. A failed group-commit fsync under
 // `always` both degrades and surfaces the error, since an fsynced
 // acknowledgement is exactly the guarantee that policy sells.
-func (st *Store) UpdateJournaled(id string, record []byte, fn func(*Session, *engine.Engine) error) error {
+func (st *Store) UpdateJournaled(id string, edits []EditOp, fn func(*Session, *engine.Engine) error) error {
+	if !st.opts.Durable {
+		return st.Update(id, true, fn)
+	}
 	s, err := st.lookup(id)
 	if err != nil {
 		return err
 	}
+	record := encodeEditOps(edits) // outside the session lock
 	var jw *journal.Writer
 	degradedNow := false
 	err = st.withResident(s, func(eng *engine.Engine) error {
@@ -518,18 +597,10 @@ func (st *Store) UpdateJournaled(id string, record []byte, fn func(*Session, *en
 			return err
 		}
 		s.rev++
-		if st.opts.Durable && record != nil {
-			w, jerr := st.sessionJournal(s)
-			if jerr == nil {
-				jerr = w.Append(s.rev, record)
-			}
-			if jerr != nil {
-				mDurabilityErrors.Inc()
-				st.degradeLocked(s, degradedJournal, &pendingRecord{rev: s.rev, payload: record})
-				degradedNow = true
-			} else {
-				jw = w
-			}
+		var jerr error
+		if jw, jerr = st.appendTailLocked(s, edits, record); jerr != nil {
+			st.degradeLocked(s, degradedJournal, &pendingRecord{rev: s.rev, payload: record})
+			degradedNow = true
 		}
 		return nil
 	})

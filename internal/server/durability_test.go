@@ -82,7 +82,7 @@ func applyJournaled(t *testing.T, st *Store, id string, batch []EditOp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = st.UpdateJournaled(id, encodeEditOps(batch), func(sess *Session, eng *engine.Engine) error {
+	err = st.UpdateJournaled(id, batch, func(sess *Session, eng *engine.Engine) error {
 		if _, _, bulk := applyBatch(eng, ops); bulk {
 			sess.graphBlob = nil
 			st.configureEngine(eng)
@@ -211,10 +211,6 @@ func TestCrashRecoveryWithSnapshotTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(st1.Close)
-	// Force every spill to checkpoint (registry advance + journal truncate);
-	// the default threshold amortises checkpoints over ~256KB of journal,
-	// which these small batches would never reach.
-	st1.ckptBytes = 1
 	batches := crashBatches()
 	split := 5
 

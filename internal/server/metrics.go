@@ -31,7 +31,7 @@ var (
 	mRestores = telemetry.NewCounter("taco_store_restores_total",
 		"Spilled sessions restored to residency from their snapshot.")
 	mEvictions = telemetry.NewCounter("taco_store_evictions_total",
-		"Sessions evicted from residency (snapshot written or reused).")
+		"Sessions evicted from residency (base snapshot written, or base + journal already current).")
 	mSnapSkips = telemetry.NewCounter("taco_store_snapshot_skips_total",
 		"Evictions that dropped residency without rewriting an unchanged snapshot.")
 	mSpillBytes = telemetry.NewCounter("taco_store_spill_bytes_total",
@@ -66,7 +66,7 @@ var (
 		"Journal-tail replay duration per session restore.",
 		telemetry.DurationBounds())
 	mQuarantined = telemetry.NewCounter("taco_recovery_quarantined_snapshots_total",
-		"Spill files that failed their integrity check at restore and were renamed aside as *.corrupt.")
+		"Base snapshots and journals that failed their integrity check at restore and were renamed aside as *.corrupt.")
 	mDurabilityErrors = telemetry.NewCounter("taco_store_durability_errors_total",
 		"Failed journal appends or registry updates; the session degrades to non-durable rather than failing the request.")
 
@@ -78,19 +78,15 @@ var (
 	mRepairFailures = telemetry.NewCounter("taco_durability_repair_failures_total",
 		"Repair attempts that failed and were re-scheduled on backoff.")
 
-	// Delta snapshots and copy-on-write forks (delta.go).
+	// Write-nothing evictions (store.go) and copy-on-write forks (fork.go).
 	mDeltaWrites = telemetry.NewCounter("taco_snap_delta_writes_total",
-		"Evictions and fork checkpoints that wrote a delta record file instead of a full snapshot.")
-	mDeltaBytes = telemetry.NewCounter("taco_snap_delta_bytes_total",
-		"Bytes written to delta record files (also included in taco_store_spill_bytes_total).")
+		"Evictions that dropped residency without writing because the journal already held the value-only edits above the base snapshot.")
 	mDeltaCompactions = telemetry.NewCounter("taco_snap_delta_compactions_total",
-		"Delta chains collapsed into a fresh full base snapshot.")
-	mDeltaReplayed = telemetry.NewCounter("taco_snap_delta_records_replayed_total",
-		"Delta-chain records replayed onto base snapshots at session restores.")
+		"Evictions forced to write a full base snapshot because the replayable journal tail exceeded its record or byte cap.")
 	mForks = telemetry.NewCounter("taco_fork_sessions_total",
 		"Copy-on-write session forks created.")
 	mForkDuration = telemetry.NewHistogram("taco_fork_seconds",
-		"Fork creation latency: parent checkpoint, base freeze, and registry update.",
+		"Fork creation latency: base freeze, journal-tail copy, and registry update.",
 		telemetry.DurationBounds())
 
 	// Journal shipping (replication.go). mReplShipped counts on the primary,

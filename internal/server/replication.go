@@ -4,14 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -102,9 +99,9 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	// A spilled session's base file is authoritative up to its revision and
 	// already in snapshot format: stream its bytes instead of faulting the
 	// session resident — a standby bootstrapping every cold session must not
-	// evict the hot set. With a delta chain, the base plus the chain records
-	// served by the journal endpoint reconstruct the full state, so an
-	// evicted-but-lightly-edited session ships the delta, not the sheet.
+	// evict the hot set. With a journal tail above it, the base plus the
+	// records served by the journal endpoint reconstruct the full state, so
+	// an evicted-but-lightly-edited session ships its edits, not the sheet.
 	handled, err := s.store.ReadSpilledBase(id, func(br *bufio.Reader, baseRev uint64) error {
 		rev = baseRev
 		_, err := buf.ReadFrom(br)
@@ -156,21 +153,13 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.RLock()
 	head, snapRev := sess.rev, sess.snapRev
-	chain := append([]journal.ChainLink(nil), sess.chain...)
-	floor := snapRev
-	if len(chain) > 0 {
-		// With a delta chain the snapshot endpoint ships the base alone, so
-		// the journal endpoint covers everything above the base: the chain's
-		// records first, then the live journal tail.
-		floor = sess.baseRev
-	}
 	sess.mu.RUnlock()
-	if from < floor {
-		// Records at or below the floor may have been truncated away by a
-		// checkpoint; the snapshot is the only complete source.
-		w.Header().Set("X-Snapshot-Rev", strconv.FormatUint(floor, 10))
+	if from < snapRev {
+		// Records at or below the base were truncated away by its checkpoint;
+		// the snapshot is the only complete source.
+		w.Header().Set("X-Snapshot-Rev", strconv.FormatUint(snapRev, 10))
 		writeErr(w, http.StatusConflict,
-			fmt.Errorf("rev %d predates snapshot rev %d: fetch the snapshot", from, floor))
+			fmt.Errorf("rev %d predates snapshot rev %d: fetch the snapshot", from, snapRev))
 		return
 	}
 	// A transient follower over the journal file: valid-prefix reads are
@@ -183,32 +172,9 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 	buf.Write(journal.JournalMagic)
 	var rec []byte
 	shipped := 0
-	// Delta files are immutable once published, so they are read without any
-	// lock; records the follower already holds (rev <= from) are skipped, and
-	// any overlap with the journal tail below is dropped by the standby's
-	// exactly-once revision guard.
-	for _, link := range chain {
-		if link.Rev <= from {
-			continue
-		}
-		_, _, err := journal.ScanFile(s.store.deltaPath(link.ID, link.Rev), journal.DeltaMagic,
-			func(rev uint64, payload []byte) error {
-				if rev <= from {
-					return nil
-				}
-				rec = appendJournalRecord(rec[:0], rev, payload)
-				buf.Write(rec)
-				shipped++
-				return nil
-			})
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
 	fl := journal.NewFollower(s.store.journalPath(id), journal.JournalMagic, from)
 	if _, err := fl.Poll(func(rev uint64, payload []byte) error {
-		rec = appendJournalRecord(rec[:0], rev, payload)
+		rec = journal.AppendRecord(rec[:0], rev, payload)
 		buf.Write(rec)
 		shipped++
 		return nil
@@ -221,22 +187,6 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Journal-Head", strconv.FormatUint(head, 10))
 	w.Header().Set("X-Snapshot-Rev", strconv.FormatUint(snapRev, 10))
 	w.Write(buf.Bytes())
-}
-
-// appendJournalRecord mirrors the journal's record framing:
-// uvarint(len) | uvarint(rev) payload | crc32c.
-func appendJournalRecord(dst []byte, rev uint64, payload []byte) []byte {
-	var rb [binary.MaxVarintLen64]byte
-	rn := binary.PutUvarint(rb[:], rev)
-	var lb [binary.MaxVarintLen64]byte
-	ln := binary.PutUvarint(lb[:], uint64(rn+len(payload)))
-	dst = append(dst, lb[:ln]...)
-	body := len(dst)
-	dst = append(dst, rb[:rn]...)
-	dst = append(dst, payload...)
-	var cb [4]byte
-	binary.LittleEndian.PutUint32(cb[:], crc32.Checksum(dst[body:], crc32.MakeTable(crc32.Castagnoli)))
-	return append(dst, cb[:]...)
 }
 
 // handlePromote fences the replicator (no further shipped records apply)
@@ -280,7 +230,7 @@ func (st *Store) CreateReplica(id, name string, eng *engine.Engine, rev uint64) 
 	}
 	sh.mu.Unlock()
 	st.configureEngine(eng)
-	s := &Session{ID: id, Name: name, eng: eng, rev: rev, snapRev: rev, baseRev: rev}
+	s := &Session{ID: id, Name: name, eng: eng, rev: rev, snapRev: rev}
 	if st.opts.Durable {
 		buf := bufPool.Get().(*bytes.Buffer)
 		buf.Reset()
@@ -349,17 +299,14 @@ func (st *Store) ApplyReplicated(id string, rev uint64, payload []byte) error {
 			s.graphBlob = nil
 			st.configureEngine(eng)
 		}
+		if rev != s.rev+1 || !st.opts.Durable {
+			s.tailBroken = true // revisions the local journal will not hold
+		}
 		s.rev = rev
 		if st.opts.Durable {
-			w, jerr := st.sessionJournal(s)
-			if jerr == nil {
-				jerr = w.Append(rev, payload)
-			}
-			if jerr != nil {
-				mDurabilityErrors.Inc()
-			} else {
-				jw = w
-			}
+			// A failed local append is not fatal to the standby — the primary
+			// still holds the record — but it breaks the tail.
+			jw, _ = st.appendTailLocked(s, edits, payload)
 		}
 		mReplApplied.Inc()
 		return nil

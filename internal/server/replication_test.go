@@ -166,10 +166,9 @@ func TestPromoteLiftsFenceAndFencesCursor(t *testing.T) {
 // the checkpoint gets 409 from the journal endpoint and re-bases from the
 // snapshot instead of missing records.
 func TestStandbyRebasesPastCheckpoint(t *testing.T) {
-	pri, priTC := newTestServer(t, Options{Store: StoreOptions{
+	_, priTC := newTestServer(t, Options{Store: StoreOptions{
 		SpillDir: t.TempDir(), Durable: true, FsyncPolicy: "never", MaxResident: 1,
 	}})
-	pri.Store().ckptBytes = 1 // every spill checkpoints
 
 	var a SessionInfo
 	priTC.do("POST", "/sessions", CreateRequest{Name: "a"}, &a)

@@ -326,8 +326,9 @@ type ForkRequest struct {
 }
 
 // handleFork creates a copy-on-write child of the session: a registry entry
-// sharing the parent's base snapshot and delta chain, O(1) in sheet size,
-// materialised lazily on first touch. Requires a durable store.
+// sharing the parent's base snapshot plus a copy of its journal tail,
+// independent of sheet size, materialised lazily on first touch. Requires a
+// durable store.
 func (s *Server) handleFork(w http.ResponseWriter, r *http.Request) {
 	if s.fenceWrites(w) {
 		return
@@ -491,16 +492,12 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	// In a durable store the validated batch is re-encoded for the session's
-	// edit journal; UpdateJournaled appends it (and runs the fsync policy's
+	// In a durable store UpdateJournaled re-encodes the validated batch,
+	// appends it to the session's edit journal (and runs the fsync policy's
 	// barrier) before the 200 commits, so an acknowledged batch survives a
 	// crash and replays at the next restore.
-	var record []byte
-	if s.store.Durable() {
-		record = encodeEditOps(batch.Edits)
-	}
 	var res EditResult
-	err = s.store.UpdateJournaled(id, record, func(sess *Session, eng *engine.Engine) error {
+	err = s.store.UpdateJournaled(id, batch.Edits, func(sess *Session, eng *engine.Engine) error {
 		applied, dirty, bulk := applyBatch(eng, ops)
 		if bulk {
 			// The bulk path rebuilt the engine around a fresh graph; the

@@ -104,18 +104,12 @@ type StoreOptions struct {
 	// "interval" (default 50ms) — the upper bound on edits a power failure
 	// can lose.
 	FsyncInterval time.Duration
-	// DeltaSnapshots enables base + delta-chain spills on a durable store:
-	// when everything since the held snapshot is value-only edits, eviction
-	// checkpoints the journal tail as a delta record file instead of
-	// re-encoding the whole engine — O(edits) written instead of O(sheet).
-	// Copy-on-write forks share bases and chains through the same machinery
-	// and work regardless of this flag (a fork checkpoint falls back to a
-	// full snapshot when deltas are off or ineligible). See delta.go.
+	// DeltaSnapshots is accepted and ignored: a durable store always evicts a
+	// session whose base + journal already reproduce its state without
+	// writing. The field survives only because bench/serve_sessions.go sets
+	// it and bench/ was frozen for the PR that removed the option; the next
+	// benchmark PR should delete both.
 	DeltaSnapshots bool
-	// DeltaMaxChain caps the delta-chain length before a spill compacts the
-	// chain into a fresh full base (default 16). Longer chains amortise more
-	// eviction churn but cost more replay at restore.
-	DeltaMaxChain int
 }
 
 func (o StoreOptions) withDefaults() StoreOptions {
@@ -146,9 +140,6 @@ func (o StoreOptions) withDefaults() StoreOptions {
 	if o.FsyncInterval <= 0 {
 		o.FsyncInterval = 50 * time.Millisecond
 	}
-	if o.DeltaMaxChain <= 0 {
-		o.DeltaMaxChain = 16
-	}
 	return o
 }
 
@@ -169,12 +160,30 @@ type Session struct {
 	// by mu). Reads serve last-computed values and report this so clients
 	// can distinguish settled values from in-flight ones.
 	pending int
-	// snapRev is the revision the session's spill file holds; the file is
-	// authoritative for the current state when snapHeld && rev == snapRev,
-	// letting eviction drop residency without rewriting an unchanged
-	// snapshot. Guarded by mu.
-	snapRev  uint64
-	snapHeld bool
+	// snapRev is the revision the session's base snapshot holds (snapHeld:
+	// one exists at all). The base is the session's own spill file, or —
+	// while baseID is set — the frozen <baseID>.<snapRev>.tacob it shares
+	// copy-on-write with the session it was forked from (fork.go).
+	// baseBytes is the base's size (0 = unknown, e.g. boot-recovered).
+	// Guarded by mu.
+	snapRev   uint64
+	snapHeld  bool
+	baseID    string
+	baseBytes int64
+	// Journal-tail state, guarded by mu: what is known in memory about the
+	// journal records above the base, so eviction decides whether base +
+	// journal already reproduce the session without opening the file. While
+	// tailBroken is false the journal holds exactly the records
+	// (snapRev, rev], contiguously; tailBroken marks a revision that never
+	// reached it (non-durable store, failed append, shipped gap).
+	// tailStructural marks a tail record that is not a plain value
+	// assignment — replaying it would not leave the pinned graph as it is.
+	// tailBytes is the framed size of the journal's records. Maintained by
+	// every revision bump, recomputed by replayJournal, reset by a full
+	// write.
+	tailBytes      int64
+	tailStructural bool
+	tailBroken     bool
 	// graph pins the session's compressed formula graph across a spill (nil
 	// while resident or with graph pinning disabled). The compressed graph
 	// is the compact part of a session, so keeping it lets dependents
@@ -192,18 +201,6 @@ type Session struct {
 	// jw is the session's edit journal writer, opened lazily on the first
 	// journaled edit of a durable store (guarded by mu).
 	jw *journal.Writer
-	// Delta-chain state (delta.go), guarded by mu. baseID names the session
-	// whose frozen base snapshot (<baseID>.<baseRev>.tacob) roots this
-	// session's chain — the copy-on-write sharing edge; empty means the
-	// session's own spill file is the base, at baseRev. chain lists the
-	// delta files replayed on top; snapRev always equals the last link's
-	// rev (or baseRev with no chain). baseBytes/chainBytes drive the
-	// compaction byte-ratio (0 baseBytes = unknown, e.g. boot-recovered).
-	baseID     string
-	baseRev    uint64
-	chain      []journal.ChainLink
-	baseBytes  int64
-	chainBytes int64
 	// corrupt poisons a session whose spill file failed its integrity check
 	// at restore; the file is quarantined and every touch returns
 	// ErrSnapshotCorrupt rather than serving bad data. Guarded by mu.
@@ -293,15 +290,13 @@ type Store struct {
 	// Durability layer (nil / zero unless StoreOptions.Durable): fsync
 	// policy, the shared background syncer (interval policy), and the
 	// persistent session registry. See durability.go.
-	pol       journal.Policy
-	syncer    *journal.Syncer
-	reg       *journal.Registry
-	ckptBytes int64 // journal size that makes a spill checkpoint the registry
+	pol    journal.Policy
+	syncer *journal.Syncer
+	reg    *journal.Registry
 
-	// refs counts live sessions referencing each shared snapshot artifact
-	// (frozen bases, delta files) by path; the last decref unlinks the file.
-	// Rebuilt from the registry at boot. refMu is a leaf lock, safe under a
-	// session lock. See delta.go.
+	// refs counts live sessions referencing each frozen base by path; the
+	// last decref unlinks the file. Rebuilt from the registry at boot. refMu
+	// is a leaf lock, safe under a session lock. See fork.go.
 	refMu sync.Mutex
 	refs  map[string]int
 
@@ -613,9 +608,9 @@ func (st *Store) drainChunk(s *Session) {
 // write lock (a waiter steals the work instead of sleeping on the
 // background pool, but still releases the lock between chunks so readers
 // interleave with the barrier exactly as they do with background drains). A
-// spilled or already-clean session is a no-op — the spill path drains
-// before writing, so non-residency implies drained — which keeps barriers
-// from faulting cold sessions back in and evicting warm ones.
+// spilled session whose base is current, or an already-clean one, is a no-op
+// — a base write drains first — which keeps barriers from faulting cold
+// sessions back in and evicting warm ones.
 func (st *Store) Wait(id string) error {
 	s, err := st.lookup(id)
 	if err != nil {
@@ -623,13 +618,12 @@ func (st *Store) Wait(id string) error {
 	}
 	s.mu.RLock()
 	deleted := s.deleted
-	// A boot-recovered session whose journal tail has not been replayed yet
-	// (rev ahead of the snapshot) is NOT settled even though it has no
-	// engine: the barrier must fault it in so its replayed cells drain. A
-	// spilled session carrying a delta chain is in the same position — the
-	// delta spill dropped residency without draining, and restore re-dirties
-	// every chained edit.
-	tail := s.eng == nil && (s.rev != s.snapRev || len(s.chain) > 0)
+	// A non-resident session with a journal tail above its base (evicted
+	// without a write, or boot-recovered) is NOT settled even though it has
+	// no engine: eviction dropped residency without draining, and restore
+	// re-dirties every replayed edit — the barrier must fault it in so those
+	// cells drain.
+	tail := s.eng == nil && s.rev != s.snapRev
 	settled := !tail && (s.eng == nil || s.pending == 0)
 	pending0 := s.pending
 	s.mu.RUnlock()
@@ -752,6 +746,7 @@ func (st *Store) Update(id string, bumpRev bool, fn func(*Session, *engine.Engin
 		}
 		if bumpRev {
 			s.rev++
+			s.tailBroken = true // a revision no journal holds: only a base write can
 		}
 		return nil
 	})
@@ -837,10 +832,9 @@ func (st *Store) ReadSpilled(id string, fn func(br *bufio.Reader, rev uint64) er
 	if s.eng != nil {
 		return false, nil
 	}
-	if s.rev != s.snapRev || s.corrupt || len(s.chain) > 0 {
-		// Boot-recovered with an unreplayed journal tail (the file is stale),
-		// quarantined, or chained (the base alone is not the current state):
-		// fall back to the faulting path.
+	if s.rev != s.snapRev || s.corrupt {
+		// A journal tail above the base (the base alone is not the current
+		// state), or quarantined: fall back to the faulting path.
 		return false, nil
 	}
 	f, err := os.Open(st.baseFilePathLocked(s))
@@ -970,9 +964,8 @@ func (st *Store) Delete(id string) error {
 	}
 	jw := s.jw
 	s.jw = nil
-	sharedRefs := st.sharedRefsLocked(s)
+	frozen := st.frozenBaseLocked(s)
 	s.baseID = ""
-	s.chain = nil
 	// Unlink from the LRU while still holding s.mu (the permitted s.mu ->
 	// sh.mu order): a restore that raced the map removal above may have
 	// re-registered the session, and leaving it listed would permanently
@@ -991,11 +984,10 @@ func (st *Store) Delete(id string) error {
 	if st.opts.SpillDir != "" {
 		os.Remove(st.spillPath(id))
 	}
-	// Shared artifacts (frozen base, delta files) go away only with their
-	// last referent — a forked child keeps its parent's base and chain alive
-	// past the parent's deletion.
-	for _, p := range sharedRefs {
-		st.decref(p)
+	// A frozen base goes away only with its last referent — a forked child
+	// keeps its parent's base alive past the parent's deletion.
+	if frozen != "" {
+		st.decref(frozen)
 	}
 	if st.opts.Durable {
 		st.recordDelete(id)
@@ -1111,78 +1103,77 @@ var (
 	brPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
 )
 
-// spill writes the victim's engine snapshot and releases the in-memory
-// state. A session touched between LRU removal and here is simply spilled
-// anyway — the next touch restores it (approximate LRU).
+// maxTailRecords caps the journal records an eviction may leave above the
+// base: replaying one costs roughly a seventh of restoring a whole base, so
+// the record count, not the byte count, is what bounds restore latency.
+const maxTailRecords = 32
+
+// tailReplayableLocked reports whether base + journal already reproduce the
+// session, so eviction may drop residency without writing. Everything above
+// the base must be in the journal and value-only (the pinned graph and the
+// cached graph blob stay exact), the session healthy, and the tail under its
+// caps; capped reports a refusal on the caps alone. The byte cap — once the
+// tail outweighs half the base, replaying it approaches the cost of restoring
+// the sheet itself — is skipped while the base size is unknown. Decided from
+// in-memory state only. Called with s.mu held.
+func (s *Session) tailReplayableLocked() (ok, capped bool) {
+	if !s.snapHeld || s.degraded || s.tailBroken || s.tailStructural {
+		return false, false
+	}
+	if s.rev-s.snapRev > maxTailRecords || (s.baseBytes > 0 && s.tailBytes > s.baseBytes/2) {
+		return false, true
+	}
+	return true, false
+}
+
+// spill releases the victim's in-memory state, first writing a full base
+// snapshot unless base + journal already hold the state. A session touched
+// between LRU removal and here is simply spilled anyway — the next touch
+// restores it (approximate LRU).
 func (st *Store) spill(victim *Session) error {
 	victim.mu.Lock()
 	defer victim.mu.Unlock()
 	if victim.eng == nil || victim.deleted {
 		return nil
 	}
-	if victim.snapHeld && victim.snapRev == victim.rev {
-		// The on-disk snapshot already holds this exact logical state — the
-		// session has only been read since its last spill or restore. Drop
-		// residency without rewriting: restoring the file reproduces the
-		// engine (including any still-unevaluated oversized-value cells,
-		// which the snapshot round-trips as dirty).
-		if !st.opts.NoGraphPin {
-			victim.graph = victim.eng.TACOGraph()
+	replayable, capped := victim.tailReplayableLocked()
+	switch {
+	case !replayable:
+		// writeFullLocked drains pending recalculation before serialising, so
+		// the stored values are authoritative.
+		if err := st.writeFullLocked(victim); err != nil {
+			return err
 		}
-		victim.eng.Recycle()
-		victim.eng = nil
-		victim.pending = 0
+		if capped {
+			mDeltaCompactions.Inc()
+		}
+	case victim.rev == victim.snapRev:
+		// The base already holds this exact state — the session has only been
+		// read since. Restoring the file reproduces the engine (including any
+		// still-unevaluated oversized-value cells, which the snapshot
+		// round-trips as dirty).
 		st.snapSkips.Add(1)
-		st.evictions.Add(1)
 		mSnapSkips.Inc()
-		mEvictions.Inc()
-		return nil
+	default:
+		// The journal holds the value edits above the base. Restore replays
+		// them through the bulk-edit path, re-dirtying their dependents, so
+		// pending recalculation need not drain before residency drops.
+		mDeltaWrites.Inc()
 	}
-	// Delta path: when the journal tail since the held snapshot is pure
-	// value edits, checkpoint the tail as a delta file chained off the base
-	// — O(edits) written instead of O(sheet). Restore replays the chain
-	// through the bulk-edit path, leaving those cells dirty exactly like a
-	// journal-tail replay, so draining is not required before dropping
-	// residency here. Any ineligibility or write failure falls through to
-	// the full snapshot below.
-	if st.deltaEligibleLocked(victim) && st.writeDeltaLocked(victim) {
-		if !st.opts.NoGraphPin {
-			victim.graph = victim.eng.TACOGraph()
-		}
-		victim.eng.Recycle()
-		victim.eng = nil
-		victim.pending = 0
-		st.noteSpilled(victim)
-		st.evictions.Add(1)
-		mEvictions.Inc()
-		return nil
-	}
-	// Full snapshot (writeFullLocked serialises to a pooled buffer, then
-	// publishes atomically: same-directory temp file + rename, so neither a
-	// crash mid-write nor a restarted durable store can ever observe a torn
-	// snapshot at the final path). A fresh base also compacts any delta
-	// chain away.
-	if err := st.writeFullLocked(victim); err != nil {
-		return err
-	}
-	// WriteSnapshot drained the pending recalculation before serialising, so
-	// the stored values are authoritative.
 	if !st.opts.NoGraphPin {
 		victim.graph = victim.eng.TACOGraph()
 	}
 	victim.eng.Recycle()
 	victim.eng = nil
 	victim.pending = 0
-	st.noteSpilled(victim)
 	st.evictions.Add(1)
 	mEvictions.Inc()
 	return nil
 }
 
 // readSpill restores an engine from the snapshot file at path, verifying
-// the snapshot's whole-file checksum first (a TACOE1 file from before
-// checksums passes vacuously). With a pinned graph the restore decodes only
-// the cell section and rebuilds around it.
+// the snapshot's whole-file checksum first. With a pinned graph the restore
+// decodes only the cell section and rebuilds around it.
 func (st *Store) readSpill(path string, pinned *core.Graph) (*engine.Engine, error) {
 	data, err := faultfs.ReadFile(path)
 	if err != nil {

@@ -4,10 +4,10 @@
 # with `tacoload -replay` that every session is rediscovered and replays to
 # the exact values of a never-crashed run. The server runs with a resident
 # cap well below the session count, so the stream is also an eviction-churn
-# drill: spills land as base snapshots plus delta chains (delta snapshots
-# default on), and the kill can tear a delta append or a chain compaction
-# mid-write. A second load-kill-restart round replays on top of recovered,
-# chained sessions.
+# drill: a session is a base snapshot plus its journal tail, most evictions
+# write nothing, and the kill can tear a base write or its checkpoint
+# mid-way. A second load-kill-restart round replays on top of recovered
+# sessions that were evicted with a tail.
 #
 # Usage: BIN=bin scripts/crash_smoke.sh   (BIN holds tacoserve + tacoload)
 set -eu
@@ -45,7 +45,7 @@ wait_ready() {
 # verifier regenerates the same sessions and edit streams from them.
 LOAD_FLAGS="-sessions 8 -edits 800 -rows 40 -batch 4"
 # A resident cap below the session count makes every run an eviction-churn
-# drill over the delta-snapshot spill path.
+# drill over the base + journal-tail restore path.
 SERVE_FLAGS="-durable -max-resident 4"
 
 # shellcheck disable=SC2086
@@ -81,7 +81,7 @@ wait_ready
 "$BIN/tacoload" -addr "http://$BOUND" $LOAD_FLAGS -replay
 
 # Round two: another load burst on top of the recovered sessions — whose
-# state is now base + delta chains — killed and recovered again. Sessions
+# state is now base + journal tail — killed and recovered again. Sessions
 # share names across rounds, which -replay handles: each regenerates the
 # same stream and is verified against its own acknowledged rev prefix.
 # shellcheck disable=SC2086
@@ -102,12 +102,23 @@ wait_ready
 # shellcheck disable=SC2086
 "$BIN/tacoload" -addr "http://$BOUND" $LOAD_FLAGS -replay
 
+# The verification above faulted every recovered session in under the
+# resident cap, so sessions restored from base + journal tail were evicted
+# again without a write: the tail path ran, and -replay vouched for it.
+tail_evictions=$(curl -sf "http://$BOUND/metrics" | awk '$1 == "taco_snap_delta_writes_total" { print $2 }')
+if [ "${tail_evictions:-0}" -eq 0 ]; then
+    echo "crash_smoke: no session was evicted with a journal tail; the drill did not cover the path" >&2
+    exit 1
+fi
+
 # A torn snapshot must never be observable at a final path: atomic writes
-# leave no *.tmp behind, and recovery quarantined nothing.
-leftovers=$(find "$SPILL" -name '*.tmp' -o -name '*.corrupt' | wc -l)
+# leave no *.tmp behind, and recovery quarantined nothing. The store's whole
+# on-disk vocabulary is base snapshots, frozen bases, journals and the
+# registry — in particular no per-eviction *.tacod record files.
+leftovers=$(find "$SPILL" -type f ! -name '*.tacos' ! -name '*.tacob' ! -name '*.tacoj' ! -name 'sessions.tacor' | wc -l)
 if [ "$leftovers" -ne 0 ]; then
-    echo "crash_smoke: torn or quarantined files in spill dir:" >&2
-    find "$SPILL" -name '*.tmp' -o -name '*.corrupt' >&2
+    echo "crash_smoke: torn, quarantined or unknown files in spill dir:" >&2
+    find "$SPILL" -type f ! -name '*.tacos' ! -name '*.tacob' ! -name '*.tacoj' ! -name 'sessions.tacor' >&2
     exit 1
 fi
 echo "crash_smoke: OK"

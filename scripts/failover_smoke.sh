@@ -43,10 +43,10 @@ wait_ready() {
 # verifier regenerates the same sessions and edit streams from them.
 LOAD_FLAGS="-sessions 8 -edits 800 -rows 40 -batch 4"
 
-# The primary runs with a resident cap below the session count: evicted
-# sessions spill as base + delta chains, so the standby's bootstrap ships a
-# spilled base and the chain records over the journal endpoint — the
-# evicted-but-lightly-edited transfer path.
+# The primary runs with a resident cap below the session count: an evicted
+# session is a base snapshot plus its journal tail, so the standby's
+# bootstrap ships the spilled base and the tail over the journal endpoint —
+# the evicted-but-lightly-edited transfer path.
 "$BIN/tacoserve" -addr "$ADDR" -port-file "$PRI_PORT_FILE" -durable -max-resident 4 -spill-dir "$PRI_SPILL" &
 pri_pid=$!
 wait_ready "$PRI_PORT_FILE"
@@ -76,6 +76,13 @@ load_pid=$!
 # Long enough that every session exists and shipping is under way, short
 # enough that the stream is still in flight.
 sleep 0.4
+# The transfer path under test: by now the primary has evicted sessions
+# without a write, leaving base + journal tail for the standby to ship.
+tail_evictions=$(curl -sf "http://$PRI_BOUND/metrics" | awk '$1 == "taco_snap_delta_writes_total" { print $2 }')
+if [ "${tail_evictions:-0}" -eq 0 ]; then
+    echo "failover_smoke: primary evicted no session with a journal tail; the drill did not cover the path" >&2
+    exit 1
+fi
 kill -9 "$pri_pid"
 wait "$load_pid" 2>/dev/null || true
 wait "$pri_pid" 2>/dev/null || true
@@ -109,12 +116,13 @@ fi
 # be quarantined. The dead primary's dir is allowed a stranded .tmp — a
 # SIGKILL mid-spill legitimately leaves one, and the boot sweep reclaims it
 # on restart, but this primary is never restarted (the runbook rebuilds it
-# as a standby).
-leftovers=$(find "$SBY_SPILL" -name '*.tmp' -o -name '*.corrupt' | wc -l)
-quarantined=$(find "$PRI_SPILL" -name '*.corrupt' | wc -l)
-if [ "$leftovers" -ne 0 ] || [ "$quarantined" -ne 0 ]; then
-    echo "failover_smoke: torn or quarantined files in spill dirs:" >&2
-    find "$PRI_SPILL" "$SBY_SPILL" -name '*.tmp' -o -name '*.corrupt' >&2
+# as a standby). Beyond that, both trees hold only base snapshots, frozen
+# bases, journals and the registry — no per-eviction *.tacod record files.
+leftovers=$(find "$SBY_SPILL" -type f ! -name '*.tacos' ! -name '*.tacob' ! -name '*.tacoj' ! -name 'sessions.tacor' | wc -l)
+stray=$(find "$PRI_SPILL" -type f ! -name '*.tacos' ! -name '*.tacob' ! -name '*.tacoj' ! -name 'sessions.tacor' ! -name '.spill-*.tmp' | wc -l)
+if [ "$leftovers" -ne 0 ] || [ "$stray" -ne 0 ]; then
+    echo "failover_smoke: torn, quarantined or unknown files in spill dirs:" >&2
+    find "$PRI_SPILL" "$SBY_SPILL" -type f ! -name '*.tacos' ! -name '*.tacob' ! -name '*.tacoj' ! -name 'sessions.tacor' >&2
     exit 1
 fi
 echo "failover_smoke: OK"
