@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race loc bench-server bench-core bench-eval fuzz-smoke perf-check crash-smoke failover-smoke
+.PHONY: check fmt vet build test race loc bench bench-test bench-server bench-core bench-eval fuzz-smoke perf-check crash-smoke failover-smoke
 
 check: fmt vet build race
 
@@ -29,6 +29,16 @@ race:
 loc:
 	@sh scripts/loc.sh
 
+# The repository's benchmark (BENCHMARK.json): every workload, untraced,
+# every oracle checked; non-zero exit on a mismatch. bench/ is its own
+# module, so the root's build, vet and tests never see it — bench-test is
+# what compile-checks it against the engine and server API it calls.
+bench:
+	bash bench/run.sh -seed 1
+
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Refresh the serving perf baseline. Includes the drain probe (mixed read +
 # giant-drain scenario): read_p50_during_drain_ms and drain_cells_per_sec
 # land in the report and are gated by benchdiff alongside edits/s.
@@ -51,8 +61,8 @@ bench-core:
 	$(GO) test ./internal/core -run '^$$' -bench=. -benchtime=1x
 
 # Refresh the evaluation perf baseline: the range-aggregation shapes (bulk
-# range resolver vs the per-cell probe path) and the recalculation shapes
-# (parallel wavefront drain vs the serial resolver, 4 workers).
+# range resolver vs the per-cell probe path) and the pattern-run shapes
+# (levelled vectorized drain vs per-cell AST on the pinned-serial resolver).
 bench-eval:
 	$(GO) run ./cmd/tacoeval -json > BENCH_eval.json
 	@cat BENCH_eval.json
@@ -69,10 +79,9 @@ fuzz-smoke:
 # Local mirror of CI's perf-regression gate: measure now, compare against
 # the checked-in baselines, fail on >25% regression (edits/s, mid-drain
 # read p50, drain throughput, per-shape ns/op), a bulk range speedup under
-# 2x, a wavefront recalc speedup under the baseline's per-shape floor
-# (1.5x on wide fanout; enforced only on hosts with >= 4 CPUs), or a
-# pattern-run drain speedup under its baseline floor (3x on the 100k-row
-# column shape; enforced on every host — the advantage is algorithmic).
+# 2x, or a pattern-run drain speedup under its baseline floor (3x on the
+# 100k-row column shape; enforced on every host — the advantage is
+# algorithmic).
 perf-check:
 	$(GO) run ./cmd/tacoload -sessions 32 -edits 100 -rows 100 -max-resident 12 -durable -churn-rounds 4 -fork-storm 64 -metrics-url /metrics -standby-url inproc -json > /tmp/taco_bench_server.json
 	$(GO) run ./cmd/benchdiff -tol 0.25 BENCH_server.json /tmp/taco_bench_server.json

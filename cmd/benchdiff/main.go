@@ -24,20 +24,14 @@
 //     not rise more than tol above the baseline, and the bulk-vs-percell
 //     speedup — host-independent, so it also holds on CI runners whose
 //     absolute numbers differ from the baseline host's — must stay at or
-//     above min-speedup. Recalc shapes are gated the same way on
-//     ns_op_parallel, plus a per-shape serial-vs-parallel speedup floor the
-//     baseline itself declares (min_speedup — policy travels with the
-//     checked-in report). A speedup floor is only enforced when the
-//     current host has at least as many CPUs as the shape ran workers:
-//     wall-clock parallel speedup on fewer cores than workers is
-//     physically meaningless, and the regression ceiling still applies.
-//     Pattern shapes ("patterns") are gated on ns_op_vectorized with the
-//     same ceiling, plus the baseline's min_speedup floor on the
-//     ast-vs-vectorized ratio. Unlike the recalc floors, a pattern floor
+//     above min-speedup. Pattern shapes ("patterns") are gated on
+//     ns_op_vectorized with the same ceiling, plus a per-shape floor on the
+//     ast-vs-vectorized ratio that the baseline itself declares
+//     (min_speedup — policy travels with the checked-in report). The floor
 //     is enforced on any host, including single-CPU runners: the
 //     vectorized drain is algorithmically cheaper than the per-cell AST
-//     walk (batched sweeps, warm schedules), not merely more parallel, so
-//     the ratio must hold regardless of core count.
+//     walk (batched sweeps, warm schedules), so the ratio must hold
+//     regardless of core count.
 package main
 
 import (
@@ -67,15 +61,6 @@ type evalResult struct {
 	Speedup     float64 `json:"speedup"`
 }
 
-type recalcResult struct {
-	Workers      int     `json:"workers"`
-	CPUs         int     `json:"cpus"`
-	NsOpSerial   float64 `json:"ns_op_serial"`
-	NsOpParallel float64 `json:"ns_op_parallel"`
-	Speedup      float64 `json:"speedup"`
-	MinSpeedup   float64 `json:"min_speedup"`
-}
-
 type patternResult struct {
 	NsOpAst        float64 `json:"ns_op_ast"`
 	NsOpVectorized float64 `json:"ns_op_vectorized"`
@@ -86,7 +71,6 @@ type patternResult struct {
 type evalReport struct {
 	Bench    string                   `json:"bench"`
 	Results  map[string]evalResult    `json:"results"`
-	Recalc   map[string]recalcResult  `json:"recalc"`
 	Patterns map[string]patternResult `json:"patterns"`
 }
 
@@ -218,42 +202,6 @@ func main() {
 					"%s: bulk speedup %.2fx below the %.2fx floor", name, c.Speedup, *minSpeedup))
 			}
 		}
-		for name, b := range base.Recalc {
-			c, ok := cur.Recalc[name]
-			if !ok {
-				failures = append(failures, fmt.Sprintf("%s: missing from current report", name))
-				continue
-			}
-			ceiling := b.NsOpParallel * (1 + *tol)
-			fmt.Printf("%-18s parallel %.0f ns/op (baseline %.0f, ceiling %.0f), speedup %.2fx",
-				name, c.NsOpParallel, b.NsOpParallel, ceiling, c.Speedup)
-			if c.NsOpParallel > ceiling {
-				failures = append(failures, fmt.Sprintf(
-					"%s: ns_op_parallel regressed: %.0f -> %.0f (>%.0f%% rise)",
-					name, b.NsOpParallel, c.NsOpParallel, *tol*100))
-			}
-			switch {
-			case b.MinSpeedup <= 0:
-				fmt.Println(" (no floor)")
-			case c.Workers != b.Workers:
-				// The floor was calibrated for the baseline's worker count;
-				// holding a different parallelism to it would gate apples
-				// against oranges.
-				fmt.Printf(" (floor %.2fx skipped: measured at %d workers, baseline at %d)\n",
-					b.MinSpeedup, c.Workers, b.Workers)
-			case c.CPUs < c.Workers:
-				// The floor is policy for hosts that can actually run the
-				// workers; a 1-CPU box cannot show wall-clock speedup.
-				fmt.Printf(" (floor %.2fx skipped: %d CPUs < %d workers)\n", b.MinSpeedup, c.CPUs, c.Workers)
-			default:
-				fmt.Printf(" (floor %.2fx)\n", b.MinSpeedup)
-				if c.Speedup < b.MinSpeedup {
-					failures = append(failures, fmt.Sprintf(
-						"%s: parallel speedup %.2fx below the baseline's %.2fx floor",
-						name, c.Speedup, b.MinSpeedup))
-				}
-			}
-		}
 		for name, b := range base.Patterns {
 			c, ok := cur.Patterns[name]
 			if !ok {
@@ -272,7 +220,7 @@ func main() {
 				fmt.Println(" (no floor)")
 				continue
 			}
-			// No CPU/worker skip here: the ast-vs-vectorized ratio compares two
+			// No CPU-count skip: the ast-vs-vectorized ratio compares two
 			// drains of the same cells on the same host, and the vectorized
 			// side's advantage is algorithmic, so the floor binds everywhere.
 			fmt.Printf(" (floor %.2fx)\n", b.MinSpeedup)

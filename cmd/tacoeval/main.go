@@ -4,25 +4,20 @@
 //     through the engine's columnar bulk path (formula.RangeResolver /
 //     CondFolder) versus the per-cell CellValue probe path, on dense,
 //     sparse, single-column, SUMIF, and SUMPRODUCT-rectangle shapes.
-//   - Recalculation: draining a dirtied sheet through the parallel
-//     wavefront scheduler versus the serial resolver, on deep-chain,
-//     wide-fanout, diamond, and mixed dependency shapes.
 //   - Pattern runs: columns of shift-identical formulas drained through
-//     the run-vectorized wavefront (one interned bytecode program swept
-//     across contiguous rows) versus per-cell AST evaluation.
+//     the levelled, run-vectorized scheduler (one interned bytecode program
+//     swept across contiguous rows) versus per-cell AST evaluation on the
+//     pinned-serial resolver.
 //
 // Usage:
 //
-//	tacoeval [-json] [-mintime 300ms] [-workers 4]
+//	tacoeval [-json] [-mintime 300ms]
 //
 // With -json it emits the BENCH_eval.json report that CI's perf-regression
 // job feeds to benchdiff: absolute ns/op per path plus the speedups, which
-// are host-independent and therefore the primary gates. The wide-fanout
-// recalc shape carries a min_speedup the checked-in baseline turns into a
-// CI floor — the shape with maximal level width is where wavefront
-// parallelism must pay, regardless of runner speed. The pattern shapes
-// carry min_speedup floors too, and theirs hold on any host: the drain is
-// algorithmically cheaper than the AST walk, not merely more parallel.
+// are host-independent and therefore the primary gates. The pattern shapes
+// carry min_speedup floors that hold on any host: the drain is
+// algorithmically cheaper than the AST walk.
 package main
 
 import (
@@ -48,41 +43,23 @@ type Result struct {
 	Speedup     float64 `json:"speedup"` // percell / bulk
 }
 
-// RecalcResult is one recalculation shape's measurement: the same dirtied
-// sheet drained serially and through the wavefront scheduler.
-type RecalcResult struct {
-	Dirty        int     `json:"dirty"` // cells drained per iteration
-	Workers      int     `json:"workers"`
-	CPUs         int     `json:"cpus"` // CPUs visible on the measuring host
-	Iters        int     `json:"iters"`
-	NsOpSerial   float64 `json:"ns_op_serial"`
-	NsOpParallel float64 `json:"ns_op_parallel"`
-	Speedup      float64 `json:"speedup"` // serial / parallel
-	// MinSpeedup, when set, is the floor benchdiff enforces for this shape
-	// (policy travels with the checked-in baseline): shapes with real level
-	// width must keep paying for their workers; shapes that are serial by
-	// construction (deep chains) carry none.
-	MinSpeedup float64 `json:"min_speedup,omitempty"`
-}
-
 // PatternResult is one pattern-run shape's measurement: the same dirtied
 // sheet drained with run vectorization on (interned bytecode programs swept
 // over contiguous rows against the column slabs) and fully off (per-cell
 // AST tree-walk through the serial resolver).
 type PatternResult struct {
-	Rows    int `json:"rows"`
-	Cells   int `json:"cells"` // formula cells drained per iteration
-	Workers int `json:"workers"`
-	CPUs    int `json:"cpus"`
-	Iters   int `json:"iters"`
+	Rows  int `json:"rows"`
+	Cells int `json:"cells"` // formula cells drained per iteration
+	CPUs  int `json:"cpus"`
+	Iters int `json:"iters"`
 	// NsOpAst is per-cell AST evaluation (pattern runs off, serial drain);
 	// NsOpVectorized is the run-batched bytecode drain of the same edit.
 	NsOpAst        float64 `json:"ns_op_ast"`
 	NsOpVectorized float64 `json:"ns_op_vectorized"`
 	Speedup        float64 `json:"speedup"` // ast / vectorized
-	// MinSpeedup is the floor benchdiff enforces for this shape. Unlike the
-	// recalc floors it is not CPU-gated: the vectorized drain beats the AST
-	// walk by doing less work per cell, so the floor binds on any host.
+	// MinSpeedup is the floor benchdiff enforces for this shape: the
+	// vectorized drain beats the AST walk by doing less work per cell, so
+	// the floor binds on any host.
 	MinSpeedup float64 `json:"min_speedup,omitempty"`
 }
 
@@ -91,7 +68,6 @@ type Report struct {
 	Bench    string                   `json:"bench"`
 	Config   map[string]any           `json:"config"`
 	Results  map[string]Result        `json:"results"`
-	Recalc   map[string]RecalcResult  `json:"recalc"`
 	Patterns map[string]PatternResult `json:"patterns"`
 }
 
@@ -169,20 +145,6 @@ func runShape(cols, rows, stride int, src string, minTime time.Duration) Result 
 	return r
 }
 
-// recalcShape builds one dependency shape for the recalculation benchmarks.
-// build populates a fresh engine; dirty re-dirties it (the measured
-// iteration is dirty + full drain). A non-zero budget drains through
-// repeated RecalculateN(budget) calls instead of one RecalculateAll — the
-// serving layer's chunked-hold pattern, which measures how well the
-// resumable schedule amortises levelling across chunks.
-type recalcShape struct {
-	name       string
-	minSpeedup float64
-	budget     int
-	build      func(e *engine.Engine)
-	dirty      func(e *engine.Engine, v float64)
-}
-
 func mustSetFormula(e *engine.Engine, at ref.Ref, src string) {
 	if _, err := e.SetFormula(at, src); err != nil {
 		fmt.Fprintf(os.Stderr, "tacoeval: %v: %v\n", at, err)
@@ -190,170 +152,9 @@ func mustSetFormula(e *engine.Engine, at ref.Ref, src string) {
 	}
 }
 
-func recalcShapes() []recalcShape {
-	a1 := ref.Ref{Col: 1, Row: 1}
-	bump := func(e *engine.Engine, v float64) {
-		e.SetValue(a1, formula.Num(v))
-	}
-	// SUMSQ rather than SUM keeps each cell's evaluation streamed per cell:
-	// SUM now folds off the slabs in one batched pass, which made the cells
-	// too cheap for a wall-clock parallelism floor to be meaningful — the
-	// shape gates level parallelism, so its per-cell work must stay real.
-	wideFanout := func(e *engine.Engine) {
-		for r := 1; r <= 100; r++ {
-			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)/7))
-		}
-		for col := 3; col <= 7; col++ {
-			for r := 1; r <= 1000; r++ {
-				mustSetFormula(e, ref.Ref{Col: col, Row: r},
-					fmt.Sprintf("SUMSQ(A$1:A$100)*%d+%d", col, r))
-			}
-		}
-	}
-	return []recalcShape{
-		{
-			// Every level is one cell wide: the scheduler's worst case, kept
-			// honest by the regression ceiling (no speedup floor — there is
-			// no parallelism to find in a chain).
-			name: "recalc_deep_chain",
-			build: func(e *engine.Engine) {
-				e.SetValue(a1, formula.Num(1))
-				mustSetFormula(e, ref.Ref{Col: 2, Row: 1}, "A1+1")
-				for i := 2; i <= 2000; i++ {
-					mustSetFormula(e, ref.Ref{Col: 2, Row: i}, fmt.Sprintf("B%d*1.0001+1", i-1))
-				}
-			},
-			dirty: bump,
-		},
-		{
-			// One input, one huge level: maximal level width, the shape the
-			// wavefront exists for — gated at 1.5x with 4 workers.
-			name:       "recalc_wide_fanout",
-			minSpeedup: 1.5,
-			build:      wideFanout,
-			dirty:      bump,
-		},
-		{
-			// The same fanout drained in 256-evaluation chunks, the serving
-			// layer's bounded-hold pattern. The resumable schedule levels
-			// once and resumes per chunk, so the parallel ns/op here must
-			// track the unbudgeted shape above instead of paying ~20
-			// re-levellings per drain (the regression ceiling enforces it).
-			name:   "recalc_budgeted_fanout",
-			budget: 256,
-			build:  wideFanout,
-			dirty:  bump,
-		},
-		{
-			// Alternating wide/narrow levels: fan out, reconverge through an
-			// aggregation, repeat — leveling overhead meets real width.
-			name: "recalc_diamond",
-			build: func(e *engine.Engine) {
-				e.SetValue(a1, formula.Num(2))
-				join := "A1"
-				for b := 0; b < 8; b++ {
-					col := 4 + b*2
-					for i := 1; i <= 250; i++ {
-						mustSetFormula(e, ref.Ref{Col: col, Row: i},
-							fmt.Sprintf("%s*1.001+%d", join, i))
-					}
-					jref := ref.Ref{Col: col + 1, Row: 1}
-					colA1 := ref.FormatA1(ref.Ref{Col: col, Row: 1})
-					colEnd := ref.FormatA1(ref.Ref{Col: col, Row: 250})
-					mustSetFormula(e, jref, fmt.Sprintf("SUM(%s:%s)/250", colA1, colEnd))
-					join = ref.FormatA1(jref)
-				}
-			},
-			dirty: bump,
-		},
-		{
-			// A mixed sheet: prefix-sum column, a chain over it, and a
-			// fan-out over both — the closest shape to real scenario sheets.
-			name: "recalc_mixed",
-			build: func(e *engine.Engine) {
-				for r := 1; r <= 400; r++ {
-					e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)/3))
-				}
-				for r := 1; r <= 400; r++ {
-					mustSetFormula(e, ref.Ref{Col: 2, Row: r}, fmt.Sprintf("SUM(A$1:A$%d)+A%d", r, r))
-				}
-				mustSetFormula(e, ref.Ref{Col: 3, Row: 1}, "SUM(B1:B400)")
-				for r := 2; r <= 200; r++ {
-					mustSetFormula(e, ref.Ref{Col: 3, Row: r}, fmt.Sprintf("C%d*1.0001+MAX(B1:B20)", r-1))
-				}
-				for r := 1; r <= 800; r++ {
-					mustSetFormula(e, ref.Ref{Col: 5, Row: r}, fmt.Sprintf("$C$1+AVERAGE(B1:B40)*%d", r))
-				}
-			},
-			dirty: bump,
-		},
-	}
-}
-
-// runRecalcShape measures one shape: identical engines drained serially and
-// through the wavefront, verified value-identical first.
-func runRecalcShape(s recalcShape, workers int, minTime time.Duration) RecalcResult {
-	build := func(parallelism int) *engine.Engine {
-		e := engine.New(nil)
-		s.build(e)
-		e.RecalculateAll()
-		e.SetRecalcParallelism(parallelism)
-		return e
-	}
-	drain := func(e *engine.Engine) {
-		if s.budget <= 0 {
-			e.RecalculateAll()
-			return
-		}
-		for e.Pending() > 0 {
-			if e.RecalculateN(s.budget) == 0 {
-				break
-			}
-		}
-	}
-	serial := build(1)
-	parallel := build(workers)
-
-	// Equivalence gate: one identically-dirtied drain each, every cell
-	// byte-identical afterwards.
-	s.dirty(serial, 42)
-	s.dirty(parallel, 42)
-	dirty := serial.Pending()
-	drain(serial)
-	drain(parallel)
-	serial.ScanRange(ref.Range{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: 64, Row: 1 << 20}},
-		func(at ref.Ref, v formula.Value, _ string, _ bool) bool {
-			if pv := parallel.Value(at); pv != v {
-				fmt.Fprintf(os.Stderr, "tacoeval: %s: %v serial=%v parallel=%v\n", s.name, at, v, pv)
-				os.Exit(1)
-			}
-			return true
-		})
-
-	var r RecalcResult
-	r.Dirty = dirty
-	r.Workers = workers
-	r.CPUs = runtime.NumCPU()
-	r.MinSpeedup = s.minSpeedup
-	tick := 0.0
-	r.NsOpSerial, r.Iters = measure(minTime, func() {
-		tick++
-		s.dirty(serial, tick)
-		drain(serial)
-	})
-	tick = 0
-	r.NsOpParallel, _ = measure(minTime, func() {
-		tick++
-		s.dirty(parallel, tick)
-		drain(parallel)
-	})
-	r.Speedup = r.NsOpSerial / r.NsOpParallel
-	return r
-}
-
 // patternShape is one pattern-run benchmark: a sheet whose formula columns
-// are shift-copies of a single template, so the wavefront can intern one
-// bytecode program per column and drain each as a vectorized sweep.
+// are shift-copies of a single template, so the levelled drain can intern
+// one bytecode program per column and drain each as a vectorized sweep.
 type patternShape struct {
 	name       string
 	minSpeedup float64
@@ -414,19 +215,18 @@ func patternShapes() []patternShape {
 }
 
 // runPatternShape measures one pattern shape: identical engines drained
-// with the run-vectorized wavefront and with per-cell AST evaluation
-// (pattern runs off, serial resolver), verified value-identical first.
-func runPatternShape(s patternShape, workers int, minTime time.Duration) PatternResult {
+// with the run-vectorized levelled scheduler and with per-cell AST
+// evaluation (pattern runs off, pinned to the serial resolver), verified
+// value-identical first.
+func runPatternShape(s patternShape, minTime time.Duration) PatternResult {
 	build := func(vectorized bool) *engine.Engine {
 		e := engine.New(nil)
-		s.build(e, s.rows)
-		e.RecalculateAll()
-		if vectorized {
-			e.SetRecalcParallelism(workers)
-		} else {
+		if !vectorized {
 			e.SetPatternRuns(false)
 			e.SetRecalcParallelism(1)
 		}
+		s.build(e, s.rows)
+		e.RecalculateAll()
 		return e
 	}
 	ast := build(false)
@@ -451,7 +251,6 @@ func runPatternShape(s patternShape, workers int, minTime time.Duration) Pattern
 	var r PatternResult
 	r.Rows = s.rows
 	r.Cells = dirty
-	r.Workers = workers
 	r.CPUs = runtime.NumCPU()
 	r.MinSpeedup = s.minSpeedup
 	tick := 0.0
@@ -473,7 +272,6 @@ func runPatternShape(s patternShape, workers int, minTime time.Duration) Pattern
 func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report")
 	minTime := flag.Duration("mintime", 300*time.Millisecond, "minimum measurement time per path")
-	workers := flag.Int("workers", 4, "wavefront workers for the recalc benchmarks")
 	flag.Parse()
 
 	shapes := []struct {
@@ -493,23 +291,17 @@ func main() {
 	rep := Report{
 		Bench: "eval",
 		Config: map[string]any{
-			"mintime_ms":     minTime.Milliseconds(),
-			"recalc_workers": *workers,
+			"mintime_ms": minTime.Milliseconds(),
 		},
 		Results:  map[string]Result{},
-		Recalc:   map[string]RecalcResult{},
 		Patterns: map[string]PatternResult{},
 	}
 	for _, s := range shapes {
 		rep.Results[s.name] = runShape(s.cols, s.rows, s.stride, s.formula, *minTime)
 	}
-	rshapes := recalcShapes()
-	for _, s := range rshapes {
-		rep.Recalc[s.name] = runRecalcShape(s, *workers, *minTime)
-	}
 	pshapes := patternShapes()
 	for _, s := range pshapes {
-		rep.Patterns[s.name] = runPatternShape(s, *workers, *minTime)
+		rep.Patterns[s.name] = runPatternShape(s, *minTime)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -524,11 +316,6 @@ func main() {
 		r := rep.Results[s.name]
 		fmt.Printf("%-22s %6d cells (%5d populated)  bulk %10.0f ns/op  percell %10.0f ns/op  speedup %.2fx\n",
 			s.name, r.Cells, r.Populated, r.NsOpBulk, r.NsOpPercell, r.Speedup)
-	}
-	for _, s := range rshapes {
-		r := rep.Recalc[s.name]
-		fmt.Printf("%-22s %6d dirty (%d workers)       serial %9.0f ns/op  parallel %9.0f ns/op  speedup %.2fx\n",
-			s.name, r.Dirty, r.Workers, r.NsOpSerial, r.NsOpParallel, r.Speedup)
 	}
 	for _, s := range pshapes {
 		r := rep.Patterns[s.name]

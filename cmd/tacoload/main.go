@@ -11,7 +11,7 @@
 //	         [-edits 200] [-batch 8] [-read-ratio 0] [-formula-ratio -1]
 //	         [-flush-ratio 0] [-scenario mixed] [-seed 1] [-max-resident 0]
 //	         [-durable] [-fsync interval] [-replay]
-//	         [-recalc-parallelism 0] [-recalc-workers 0]
+//	         [-recalc-workers 0]
 //	         [-drain-sessions 4] [-drain-fanout 8000] [-drain-span 2000]
 //	         [-drain-probes 3] [-metrics-url URL] [-standby-url URL]
 //	         [-standby-read-ratio 0.25] [-json] [-cpuprofile FILE]
@@ -43,7 +43,7 @@
 // read_p50_during_drain_ms (how long a reader is blocked by a live drain —
 // the per-level lock-release contract measured end to end) and the rounds'
 // wall time yields drain_cells_per_sec (cross-session drain throughput on
-// the shared evaluation pool). Both are gated by benchdiff.
+// the store's drain workers). Both are gated by benchdiff.
 //
 // -replay turns tacoload into a crash-recovery verifier: pointed (with the
 // original run's flags) at a server that was killed mid-workload and
@@ -126,9 +126,8 @@ type config struct {
 	// workload (POST /sessions/{id}/fork), measuring copy-on-write fork
 	// latency; children are deleted afterwards.
 	ForkStorm int `json:"fork_storm,omitempty"`
-	// Recalc knobs for the in-process server (0 = store defaults).
-	RecalcParallelism int `json:"recalc_parallelism,omitempty"`
-	RecalcWorkers     int `json:"recalc_workers,omitempty"`
+	// Drain workers of the in-process server (0 = store default).
+	RecalcWorkers int `json:"recalc_workers,omitempty"`
 	// Drain-probe scenario (see runDrainProbe): sessions × fanout-sized
 	// dirty sets per probe round, reads issued against the live drains.
 	DrainSessions int `json:"drain_sessions"`
@@ -310,7 +309,6 @@ func main() {
 	churnRounds := flag.Int("churn-rounds", 0, "after the workload, this many round-robin rounds of one value edit per session (with -max-resident below -sessions: pure eviction churn, the write-nothing eviction shape)")
 	forkStorm := flag.Int("fork-storm", 0, "after the workload, fork the first load session this many times and report fork latency percentiles (needs -durable in-process)")
 	replay := flag.Bool("replay", false, "crash-recovery verification: rediscover this workload's loadN sessions on the target server, regenerate their edit streams from the same flags, and require every cell to match a never-crashed local replay")
-	recalcPar := flag.Int("recalc-parallelism", 0, "in-process server only: wavefront evaluators per level (0 = auto, -1 = serial)")
 	recalcWorkers := flag.Int("recalc-workers", 0, "in-process server only: background drain workers (0 = auto)")
 	drainSessions := flag.Int("drain-sessions", 4, "drain probe: concurrent giant-drain sessions")
 	drainFanout := flag.Int("drain-fanout", 8000, "drain probe: formulas dirtied per session per probe")
@@ -365,7 +363,7 @@ func main() {
 		Seed: *seed, MaxResident: *maxResident,
 		Durable: *durable, FsyncPolicy: *fsyncPolicy,
 		ChurnRounds: *churnRounds, ForkStorm: *forkStorm,
-		RecalcParallelism: *recalcPar, RecalcWorkers: *recalcWorkers,
+		RecalcWorkers: *recalcWorkers,
 		DrainSessions: *drainSessions, DrainFanout: *drainFanout,
 		DrainSpan: *drainSpan, DrainProbes: *drainProbes,
 		MetricsURL: *metricsURL,
@@ -428,7 +426,7 @@ func run(cfg config) (*report, error) {
 		srv, err := server.NewServer(server.Options{Store: server.StoreOptions{
 			MaxResident: cfg.MaxResident, SpillDir: spill,
 			Durable: cfg.Durable, FsyncPolicy: cfg.FsyncPolicy,
-			RecalcParallelism: cfg.RecalcParallelism, RecalcWorkers: cfg.RecalcWorkers,
+			RecalcWorkers: cfg.RecalcWorkers,
 		}})
 		if err != nil {
 			return nil, err
@@ -835,7 +833,7 @@ type drainResult struct {
 // the main workload's small dirty sets cannot: how long a reader is blocked
 // when it lands mid-way through a giant wavefront drain (the per-level lock
 // release contract, measured end to end as read latency), and how fast the
-// store's shared pool drains several sessions' giant dirty sets at once
+// store's drain workers clear several sessions' giant dirty sets at once
 // (cross-session drain throughput). It builds DrainSessions wide-fanout
 // sessions — DrainFanout formulas, each a SUMSQ over a DrainSpan-cell
 // column; SUMSQ streams per cell rather than taking the batched SUM fold,

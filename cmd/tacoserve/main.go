@@ -6,8 +6,8 @@
 //
 //	tacoserve [-addr :8737] [-port-file PATH] [-shards 16] [-max-resident 0]
 //	          [-spill-dir DIR] [-durable] [-fsync interval] [-fsync-interval 50ms]
-//	          [-recalc-parallelism 0] [-recalc-workers 0] [-recalc-chunk 0]
-//	          [-recalc-pool 0] [-debug-addr ADDR] [-access-log]
+//	          [-recalc-workers 0] [-recalc-chunk 0]
+//	          [-debug-addr ADDR] [-access-log]
 //	          [-standby -primary-url URL] [-repl-interval 100ms]
 //
 // Endpoints:
@@ -96,10 +96,8 @@ func main() {
 	durable := flag.Bool("durable", false, "journal edits and persist the session registry in -spill-dir; restarts recover every session")
 	fsyncPolicy := flag.String("fsync", "interval", "journal fsync policy with -durable: always|interval|never")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "background journal flush period with -fsync interval (0 = default 50ms)")
-	recalcPar := flag.Int("recalc-parallelism", 0, "wavefront evaluators per session level (0 = CPUs capped at 8, -1 = serial)")
 	recalcWorkers := flag.Int("recalc-workers", 0, "background drain workers pulling sessions off the recalc queue (0 = CPUs, -1 = disable background draining)")
 	recalcChunk := flag.Int("recalc-chunk", 0, "evaluations per session-lock hold while draining (0 = default 256); readers interleave between holds")
-	recalcPool := flag.Int("recalc-pool", 0, "shared wavefront evaluation pool size (0 = (parallelism-1) x workers, -1 = per-drain goroutines)")
 	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof (empty = disabled); bind loopback, e.g. 127.0.0.1:6060")
 	accessLog := flag.Bool("access-log", false, "log one structured line per request to stderr")
 	standby := flag.Bool("standby", false, "run as a warm standby: read-only, tailing -primary-url's journals; POST /admin/promote to take over")
@@ -124,16 +122,14 @@ func main() {
 	}
 	srvOpts := server.Options{
 		Store: server.StoreOptions{
-			Shards:            *shards,
-			MaxResident:       *maxResident,
-			SpillDir:          *spillDir,
-			RecalcParallelism: *recalcPar,
-			RecalcWorkers:     *recalcWorkers,
-			RecalcChunk:       *recalcChunk,
-			RecalcPoolSize:    *recalcPool,
-			Durable:           *durable,
-			FsyncPolicy:       *fsyncPolicy,
-			FsyncInterval:     *fsyncInterval,
+			Shards:        *shards,
+			MaxResident:   *maxResident,
+			SpillDir:      *spillDir,
+			RecalcWorkers: *recalcWorkers,
+			RecalcChunk:   *recalcChunk,
+			Durable:       *durable,
+			FsyncPolicy:   *fsyncPolicy,
+			FsyncInterval: *fsyncInterval,
 		},
 		AccessLog: al,
 	}
@@ -214,9 +210,9 @@ func main() {
 	if *standby {
 		role = "standby of " + *primaryURL
 	}
-	log.Printf("tacoserve: listening on %s as %s (shards=%d max-resident=%d recalc-workers=%d recalc-parallelism=%d recalc-chunk=%d recalc-pool=%d graph-pin=%t durable=%s)",
-		bound, role, eff.Shards, eff.MaxResident, eff.RecalcWorkers, eff.RecalcParallelism,
-		eff.RecalcChunk, eff.RecalcPoolSize, !eff.NoGraphPin, durability)
+	log.Printf("tacoserve: listening on %s as %s (shards=%d max-resident=%d recalc-workers=%d recalc-chunk=%d graph-pin=%t durable=%s)",
+		bound, role, eff.Shards, eff.MaxResident, eff.RecalcWorkers,
+		eff.RecalcChunk, !eff.NoGraphPin, durability)
 	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("tacoserve: %v", err)
 	}

@@ -1,5 +1,5 @@
 // Inventory: an interactive session against the inventory-tracking scenario
-// from the paper's introduction, run on the asynchronous engine. Every
+// from the paper's introduction, in the asynchronous interaction model. Every
 // received/shipped edit must re-derive the running stock level (an RR-Chain)
 // and the reorder flags; the latency until control returns is the formula-
 // graph traversal TACO compresses.
@@ -21,31 +21,30 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	async := taco.NewAsyncEngine(eng)
-	defer async.Close()
 
 	stockEnd := taco.Ref{Col: 4, Row: days}
 	fmt.Printf("inventory ledger: %d days, stock level D%d = %s\n",
-		days, days, async.Get(stockEnd))
+		days, days, eng.Value(stockEnd))
 
 	// A correction arrives for day 2's receipts: control returns as soon as
-	// the dirty set is identified; evaluation completes in the background.
+	// the dirty set is identified; evaluation is a separate, later step (a
+	// server runs it on a background worker, see internal/server).
 	start := time.Now()
-	dirty := async.Set(taco.Ref{Col: 2, Row: 2}, taco.Num(500))
+	dirty := eng.SetValue(taco.Ref{Col: 2, Row: 2}, taco.Num(500))
 	returned := time.Since(start)
 
-	stale, clean := async.Peek(stockEnd)
+	stale, clean := eng.Peek(stockEnd)
 	fmt.Printf("edited B2: control returned in %v, %d cells marked dirty\n",
 		returned, taco.CountCells(dirty))
 	fmt.Printf("immediately after: D%d = %s (clean=%v — the UI greys it out)\n",
 		days, stale, clean)
 
-	// Get blocks until the background recalculation reaches the cell.
-	fresh := async.Get(stockEnd)
-	fmt.Printf("after background recalc: D%d = %s\n", days, fresh)
+	eng.RecalculateAll()
+	fresh, clean := eng.Peek(stockEnd)
+	fmt.Printf("after recalculation: D%d = %s (clean=%v)\n", days, fresh, clean)
 
 	// Audit: which days' reorder flags depend on the reorder threshold G1?
-	flagged := async.Dependents(taco.MustRange("G1"))
+	flagged := eng.Dependents(taco.MustRange("G1"))
 	fmt.Printf("cells depending on the reorder threshold G1: %d\n",
 		taco.CountCells(flagged))
 }

@@ -85,17 +85,24 @@ func TestEndToEndAsyncEditing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	async := taco.NewAsyncEngine(eng)
-	defer async.Close()
 
 	stockEnd := taco.Ref{Col: 4, Row: 200}
-	before := async.Get(stockEnd)
+	before := eng.Value(stockEnd)
 
-	dirty := async.Set(taco.Ref{Col: 2, Row: 1}, taco.Num(10000))
+	// Control returns with the dirty set identified and nothing evaluated:
+	// the cell reads its last value, flagged pending.
+	dirty := eng.SetValue(taco.Ref{Col: 2, Row: 1}, taco.Num(10000))
 	if taco.CountCells(dirty) < 200 {
 		t.Fatalf("dirty = %d cells", taco.CountCells(dirty))
 	}
-	after := async.Get(stockEnd)
+	if stale, clean := eng.Peek(stockEnd); clean || stale != before {
+		t.Fatalf("before recalculation: %v clean=%v, want %v pending", stale, clean, before)
+	}
+	eng.RecalculateAll()
+	after, clean := eng.Peek(stockEnd)
+	if !clean {
+		t.Fatal("recalculation left the cell pending")
+	}
 	if after.Num == before.Num {
 		t.Fatalf("edit did not propagate: %v", after)
 	}

@@ -132,8 +132,7 @@ type cell struct {
 	evaluating bool
 	// sched is the cell's node index in the wavefront schedule currently
 	// being built (see schedule.go). Valid only for cells in the dirty set
-	// during a drain — the scheduler rewrites it each time — and written
-	// exclusively by the drain coordinator, never by workers.
+	// during a drain — buildSchedule rewrites it each time.
 	sched int32
 	// prog is the cell's compiled bytecode program, interned through the
 	// formula-level compile cache so shifted copies of one formula pattern
@@ -176,9 +175,10 @@ type Engine struct {
 	// slabs tracks the cell-record blocks a snapshot restore allocated, so
 	// Recycle can return them to the pool when the engine is discarded.
 	slabs [][]cell
-	// parallelism is the recalculation worker bound: above 1, RecalculateAll
-	// and RecalculateN drain large dirty sets through the wavefront scheduler
-	// (schedule.go) instead of the serial resolver. 0 and 1 mean serial.
+	// parallelism is the serial-reference pin (the name is historical, see
+	// SetRecalcParallelism): 1 keeps every drain on the serial recursive
+	// resolver; any other value, the zero default included, lets
+	// wavefrontReady choose by dirty-set size.
 	parallelism int
 	// dirtyGen counts dirty-set mutations from outside a wavefront drain.
 	// The cached schedule carries the generation it was built at; a mismatch
@@ -189,11 +189,6 @@ type Engine struct {
 	// generation, nil when none is live. Built by ensureSchedule, drained by
 	// DrainLevels, invalidated by noteDirtyMutation.
 	sched *schedule
-	// runner, when set, executes wide wavefront levels — a serving layer
-	// injects its shared bounded pool here so drain concurrency is owned by
-	// the process, not spawned per drain. Nil falls back to a per-level
-	// goroutine fan-out.
-	runner LevelRunner
 	// levelsDrained and schedBuilds count executed wavefront levels and
 	// schedule constructions — the re-levelling amortisation the resumable
 	// schedule exists for is their ratio (see RecalcStats).
@@ -323,7 +318,7 @@ func Load(s *workload.Sheet, g Graph) (*Engine, error) {
 	for _, d := range deps {
 		e.graph.Add(d)
 	}
-	e.RecalculateAll()
+	e.drainSerial(len(e.dirty)) // see LoadBulkParsed
 	return e, nil
 }
 
@@ -386,7 +381,14 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 		e.store.set(c.At, rec) // ordered input: the append fast path
 	}
 	e.formulas = rtree.BulkLoad(items)
-	e.RecalculateAll()
+	// A fresh load's first full recalculation stays on the serial resolver,
+	// whatever its size: every cell is dirty exactly once and the engine may
+	// never see another sheet-wide drain, so the levelled path's per-cell
+	// programs and sheet-sized retained schedule are pure cost here —
+	// measured on the benchmark host, routing it through DrainLevels costs
+	// 15–20 % of load_cells_per_s on the ledger and scenario loads and +6 %
+	// live heap on the 64-session interactive workload.
+	e.drainSerial(len(e.dirty))
 	return e
 }
 
@@ -733,65 +735,60 @@ func (e *Engine) Dirty(at ref.Ref) bool {
 	return ok && c.dirty
 }
 
-// SetRecalcParallelism sets the recalculation worker bound. Above 1,
-// RecalculateAll and RecalculateN drain sufficiently large dirty sets through
-// the parallel wavefront scheduler; 0 or 1 keeps recalculation serial.
-// Parallel drains produce exactly the serial results (see schedule.go); the
-// knob only trades scheduling overhead against cores.
+// SetRecalcParallelism(1) pins recalculation to the serial recursive
+// resolver — the reference every equivalence oracle compares the levelled
+// drain against. Any other value (0 is the default) leaves the choice to
+// wavefrontReady. The name is historical: n was once a worker count, and the
+// frozen benchmark still calls it with one, so the signature stays until the
+// next benchmark PR renames it (the StoreOptions.DeltaSnapshots precedent).
 func (e *Engine) SetRecalcParallelism(n int) { e.parallelism = n }
 
-// RecalcParallelism returns the configured recalculation worker bound.
+// RecalcParallelism returns the value last given to SetRecalcParallelism.
 func (e *Engine) RecalcParallelism() int { return e.parallelism }
 
-// SetLevelRunner injects the executor for wide wavefront levels. A serving
-// layer hands every hosted engine the same store-owned bounded pool, so the
-// process's total drain concurrency is a configuration constant instead of
-// growing with the number of sessions draining. Nil restores the default
-// per-level goroutine fan-out.
-func (e *Engine) SetLevelRunner(run LevelRunner) { e.runner = run }
-
 // wavefrontReady reports whether recalculation should route through the
-// wavefront scheduler: parallelism configured and either a dirty set large
-// enough to be worth levelling, or a cached schedule mid-drain (resuming it
-// is always cheaper than switching to the serial path).
+// levelled drain (schedule.go): not pinned serial, and either a dirty set
+// large enough to be worth levelling or a cached schedule mid-drain
+// (resuming it is always cheaper than switching to the serial path). The
+// choice depends only on what the engine can observe, so it is the same on
+// every host.
 func (e *Engine) wavefrontReady() bool {
-	return e.parallelism > 1 && (e.sched != nil || len(e.dirty) >= minParallelDirty)
+	return e.parallelism != 1 && (e.sched != nil || len(e.dirty) >= minLevelledDirty)
 }
 
 // RecalculateAll evaluates every dirty formula cell (the background phase of
 // the asynchronous model). It returns the number of cells evaluated directly;
-// transitively evaluated precedents are drained from the dirty set too. With
-// recalc parallelism configured, large dirty sets drain through the wavefront
-// scheduler on a bounded worker pool.
+// transitively evaluated precedents are drained from the dirty set too.
+// Large dirty sets drain through the levelled scheduler, small ones through
+// the serial recursive resolver (see wavefrontReady).
 func (e *Engine) RecalculateAll() int {
 	if e.wavefrontReady() {
-		return e.DrainLevels(len(e.dirty), nil)
+		return e.DrainLevels(len(e.dirty))
 	}
-	n := 0
-	for at, c := range e.dirty {
-		if c.dirty {
-			e.evaluate(at, c)
-			n++
-		}
-	}
-	mCellsEvaluated.Add(uint64(n))
-	return n
+	return e.drainSerial(len(e.dirty))
 }
 
 // RecalculateN evaluates up to max dirty cells and returns how many it
 // evaluated directly. A background worker drains in bounded chunks so a
 // large recalculation never holds a session lock for its full duration —
-// readers interleave between chunks. Note a single evaluation can clean an
-// arbitrary number of transitive precedents (chains), so the work per call is
-// bounded in evaluations started, not cells cleaned. With recalc parallelism
-// configured the bound applies to wavefront evaluations instead: levels are
-// truncated to the budget and the schedule — built once per dirty generation
-// — stays cached between calls, so successive chunks resume the remaining
-// levels instead of re-levelling the remainder (see DrainLevels).
+// readers interleave between chunks. On the serial path a single evaluation
+// can clean an arbitrary number of transitive precedents (chains), so the
+// work per call is bounded in evaluations started, not cells cleaned. On the
+// levelled path the bound is exact: levels are truncated to the budget and
+// the schedule — built once per dirty generation — stays cached between
+// calls, so successive chunks resume the remaining levels instead of
+// re-levelling the remainder (see DrainLevels).
 func (e *Engine) RecalculateN(max int) int {
 	if e.wavefrontReady() {
-		return e.DrainLevels(max, nil)
+		return e.DrainLevels(max)
 	}
+	return e.drainSerial(max)
+}
+
+// drainSerial starts up to max evaluations on the serial recursive resolver:
+// reading a dirty precedent evaluates it first, so any iteration order over
+// the dirty set is topological.
+func (e *Engine) drainSerial(max int) int {
 	n := 0
 	for at, c := range e.dirty {
 		if n >= max {

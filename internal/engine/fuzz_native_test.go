@@ -9,13 +9,15 @@ import (
 )
 
 // FuzzRecalcParallel: for any parseable formula dropped into a populated
-// sheet, a parallel wavefront drain must produce byte-identical values to
-// the serial drain — the engine-level extension of formula.FuzzEval's
-// bulk≡percell property to the scheduler. Sheets where a fuzzed formula
-// closes a reference cycle are exempted from the value comparison (the
-// serial resolver's cycle results depend on drain order, which is exactly
-// the nondeterminism the wavefront's leveling-time detection removes), but
-// still executed: panics, races, and non-converging drains fail either way.
+// sheet, the levelled drain must produce byte-identical values to the
+// pinned-serial one — the engine-level extension of formula.FuzzEval's
+// bulk≡percell property to the scheduler. (The name predates the
+// single-goroutine drain; the corpus directory and the fuzz jobs refer to
+// it.) Sheets where a fuzzed formula closes a reference cycle are exempted
+// from the value comparison (the serial resolver's cycle results depend on
+// drain order, which is exactly the nondeterminism the wavefront's
+// leveling-time detection removes), but still executed: panics and
+// non-converging drains fail either way.
 func FuzzRecalcParallel(f *testing.F) {
 	seeds := []string{
 		"=SUM(A1:A40)+B3",
@@ -43,9 +45,11 @@ func FuzzRecalcParallel(f *testing.F) {
 				return
 			}
 		}
-		build := func(parallelism int) *Engine {
+		build := func(pinSerial bool) *Engine {
 			e := New(nil)
-			e.SetRecalcParallelism(parallelism)
+			if pinSerial {
+				e.SetRecalcParallelism(1)
+			}
 			for row := 1; row <= 40; row++ {
 				switch row % 4 {
 				case 0: // gaps: sparse columns
@@ -63,7 +67,7 @@ func FuzzRecalcParallel(f *testing.F) {
 			for row := 1; row <= 40; row++ {
 				mustFormula(t, e, fmt.Sprintf("C%d", row), fmt.Sprintf("SUM(A$1:B$%d)+%d", row, row))
 			}
-			for i := 1; i <= minParallelDirty; i++ {
+			for i := 1; i <= minLevelledDirty; i++ {
 				mustFormula(t, e, fmt.Sprintf("H%d", i), fmt.Sprintf("$A$1+%d", i))
 			}
 			// The fuzzed formula, twice, so it can also feed itself.
@@ -81,10 +85,10 @@ func FuzzRecalcParallel(f *testing.F) {
 			e.RecalculateAll()
 			return e
 		}
-		serial := build(1)
-		parallel := build(4)
-		if p := parallel.Pending(); p != 0 {
-			t.Fatalf("parallel drain left %d pending", p)
+		serial := build(true)
+		levelled := build(false)
+		if p := levelled.Pending(); p != 0 {
+			t.Fatalf("levelled drain left %d pending", p)
 		}
 		cycles := false
 		serial.store.eachColumnMajor(func(_ ref.Ref, c *cell) error {
@@ -93,7 +97,7 @@ func FuzzRecalcParallel(f *testing.F) {
 			}
 			return nil
 		})
-		parallel.store.eachColumnMajor(func(_ ref.Ref, c *cell) error {
+		levelled.store.eachColumnMajor(func(_ ref.Ref, c *cell) error {
 			if c.value.Err == "#CYCLE!" {
 				cycles = true
 			}
@@ -103,8 +107,8 @@ func FuzzRecalcParallel(f *testing.F) {
 			return
 		}
 		serial.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
-			if pv := parallel.Value(at); pv != c.value {
-				t.Errorf("%v: serial=%v parallel=%v (formula %q)", at, c.value, pv, src)
+			if pv := levelled.Value(at); pv != c.value {
+				t.Errorf("%v: serial=%v levelled=%v (formula %q)", at, c.value, pv, src)
 			}
 			return nil
 		})

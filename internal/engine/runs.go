@@ -2,8 +2,6 @@ package engine
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"taco/internal/core"
 	"taco/internal/formula"
@@ -26,7 +24,7 @@ import (
 // row per evaluated cell, foldRange-style, so the inner loop touches no maps
 // and re-resolves nothing. Range operands and call dispatch still go through
 // the ordinary resolver — folds keep their own batched paths. Every value a
-// run reads is settled by the level barrier (that is what a level is), so
+// run reads was settled by an earlier level (that is what a level is), so
 // the sweep reads exactly what per-cell evaluation against the read-only
 // valueResolver would read, and results — including error values and
 // #CYCLE! propagated from earlier levels — are bit-identical to the serial
@@ -294,39 +292,5 @@ func (e *Engine) executeRun(nodes []schedNode, r *levelRun) {
 		nd := &nodes[ni]
 		nd.c.value = p.EvalCells(res, nd.at, read)
 		nd.c.dirty = false
-	}
-}
-
-// drainRuns executes a level's detected runs. Runs write disjoint cells and
-// read only settled values, so they are independent units: with parallelism
-// configured and more than one run, they fan out (through the injected
-// LevelRunner when one is set); otherwise they sweep sequentially.
-func (e *Engine) drainRuns(nodes []schedNode, runs []levelRun, run LevelRunner) {
-	if e.parallelism > 1 && len(runs) > 1 {
-		if run != nil {
-			run(len(runs), func(i int) { e.executeRun(nodes, &runs[i]) })
-			return
-		}
-		workers := min(e.parallelism, len(runs))
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := cursor.Add(1) - 1
-					if i >= int64(len(runs)) {
-						return
-					}
-					e.executeRun(nodes, &runs[int(i)])
-				}
-			}()
-		}
-		wg.Wait()
-		return
-	}
-	for i := range runs {
-		e.executeRun(nodes, &runs[i])
 	}
 }

@@ -12,12 +12,10 @@ import (
 
 // runsFixture builds an engine whose dirty set holds the given formula
 // sources (installed after the data columns settled, so the formulas alone
-// form the wavefront), with enough parallelism and volume to engage the
-// wavefront path.
+// form the wavefront), with enough volume to engage the levelled path.
 func runsFixture(t testing.TB, g Graph, rows int, form func(r int) (cell string, src string)) *Engine {
 	t.Helper()
 	e := New(g)
-	e.SetRecalcParallelism(2)
 	for r := 1; r <= rows; r++ {
 		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)*1.25))
 		e.SetValue(ref.Ref{Col: 2, Row: r}, formula.Num(float64(rows-r)+0.5))
@@ -91,7 +89,6 @@ func TestPlanLevelPartialRun(t *testing.T) {
 // present cell shares the program.
 func TestPlanLevelGapSplitsRun(t *testing.T) {
 	e := New(nil)
-	e.SetRecalcParallelism(2)
 	for r := 1; r <= 41; r++ {
 		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
 	}
@@ -113,7 +110,6 @@ func TestPlanLevelGapSplitsRun(t *testing.T) {
 // irrelevant — a column loaded bottom-up still forms one ascending run.
 func TestPlanLevelReversedLoad(t *testing.T) {
 	e := New(nil)
-	e.SetRecalcParallelism(2)
 	for r := 1; r <= 50; r++ {
 		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
 	}
@@ -158,12 +154,10 @@ func drainEquivalence(t *testing.T, build func(e *Engine)) {
 	for i := range engines {
 		e := New(nil)
 		switch i {
-		case 0:
-			e.SetRecalcParallelism(2)
 		case 1:
-			e.SetRecalcParallelism(2)
 			e.SetPatternRuns(false)
-		case 2: // serial oracle: parallelism 1 never enters the wavefront
+		case 2: // serial oracle: the pin never enters the wavefront
+			e.SetRecalcParallelism(1)
 		}
 		build(e)
 		e.RecalculateAll()
@@ -290,7 +284,7 @@ func TestRunDrainAfterEdit(t *testing.T) {
 		}
 	}
 	vec, oracle := New(nil), New(nil)
-	vec.SetRecalcParallelism(2)
+	oracle.SetRecalcParallelism(1)
 	build(vec)
 	build(oracle)
 	vec.RecalculateAll()

@@ -3,19 +3,20 @@ package engine
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"taco/internal/formula"
 	"taco/internal/ref"
 )
 
-// This file implements parallel wavefront recalculation: the dirty set is
+// This file implements levelled (wavefront) recalculation: the dirty set is
 // partitioned into topological levels — a cell's level is one past its
-// deepest dirty precedent — and each level is evaluated concurrently on a
-// bounded worker pool. Cells within a level have no dirty precedents, so
-// every value a level's evaluations read is already settled: the formula
-// evaluator runs with read-only access to the cell store and the results are
-// exactly the serial resolver's, independent of worker count or scheduling.
+// deepest dirty precedent — and the levels are evaluated in order. Cells
+// within a level have no dirty precedents, so every value a level's
+// evaluations read is already settled: the formula evaluator runs against
+// the read-only value resolver, never recurses, and the results are exactly
+// the serial resolver's. What levelling buys is not concurrency but shape: a
+// level is a flat batch, so it can run compiled programs on the bytecode VM,
+// sweep pattern runs as vectorised loops (runs.go), and stop at any budget.
 //
 // The schedule is a first-class resumable object. It is built once per dirty
 // generation — Kahn's algorithm over the dirty-restricted dependency
@@ -39,29 +40,19 @@ import (
 // against those error values, propagating or rescuing them exactly as the
 // serial path does.
 //
-// Concurrency safety rests on two invariants. First, evaluation never
-// inserts or removes cells, so the columnar slabs, the cell map, and the
-// formula index are all stable for the duration of a drain. Second, a
-// worker writes only the cells it was handed — no two workers share a cell,
-// no evaluated cell is read before the level barrier that published it, and
-// the shared dirty set is maintained by the coordinator alone between
-// levels. Workers therefore need no locks and no per-cell atomics; the
-// level barrier is the only synchronisation.
+// A drain runs on one goroutine — the one that called it. Evaluation never
+// inserts or removes cells, so the columnar slabs, the cell map and the
+// formula index are stable for its duration, and the engine is as
+// single-threaded as every other write path: the caller's exclusive hold
+// (a session write lock, in the server) is the only synchronisation.
+// Concurrency lives a layer up, across sessions, in bounded lock holds.
 
 const (
-	// minParallelDirty is the dirty-set size below which RecalculateAll/N
-	// stay serial even with parallelism configured — levelling a handful of
-	// cells costs more than evaluating them. A cached schedule overrides the
-	// threshold: resuming it is cheaper than switching paths.
-	minParallelDirty = 64
-	// minParallelLevel is the level width below which the coordinator
-	// evaluates inline instead of fanning out: narrow levels (deep chains
-	// degenerate to width 1) have no parallelism to exploit.
-	minParallelLevel = 16
-	// levelGrab is the number of cells a worker claims per fetch from the
-	// shared level cursor — large enough to amortise the atomic, small
-	// enough to keep uneven formula costs balanced across workers.
-	levelGrab = 32
+	// minLevelledDirty is the dirty-set size below which RecalculateAll/N
+	// use the serial recursive resolver — levelling a handful of cells costs
+	// more than evaluating them. A cached schedule overrides the threshold:
+	// resuming it is cheaper than switching paths.
+	minLevelledDirty = 64
 	// smallPrecProbe is the precedent-range size up to which the linker
 	// probes the dirty map per cell instead of querying the per-column
 	// index. Single-cell references — all of a chain, most of a scalar
@@ -72,15 +63,6 @@ const (
 	maxWarmRoots = 8
 )
 
-// LevelRunner executes the independent evaluations of one wavefront level:
-// it must call eval(i) exactly once for every i in [0, n), from any
-// goroutine and in any interleaving, and return only after every call has
-// completed. The evaluations are data-independent by construction (that is
-// what a level is), so a runner needs no ordering — a serving layer injects
-// one backed by its shared worker pool (Engine.SetLevelRunner) so the
-// goroutine budget is owned by the process, not by each drain.
-type LevelRunner func(n int, eval func(i int))
-
 // schedNode is one dirty cell in the wavefront DAG.
 type schedNode struct {
 	at ref.Ref
@@ -88,10 +70,9 @@ type schedNode struct {
 	// outs indexes the dirty dependents of this cell; completing the cell
 	// decrements each one's nprec.
 	outs []int32
-	// nprec counts dirty direct precedents not yet published. Touched only
-	// by the coordinator — workers never see the schedule. nprec0 keeps the
-	// linker's initial count so a warm-cached schedule can re-arm without
-	// re-linking.
+	// nprec counts dirty direct precedents not yet published. nprec0 keeps
+	// the linker's initial count so a warm-cached schedule can re-arm
+	// without re-linking.
 	nprec  int32
 	nprec0 int32
 	// self marks a direct self-reference: an immediate cycle, never
@@ -291,20 +272,16 @@ func (e *Engine) ensureSchedule() *schedule {
 }
 
 // DrainLevels drains up to budget dirty cells through the resumable
-// wavefront schedule, running each level's evaluations with run (nil uses
-// the engine's configured runner, or a per-level goroutine fan-out when none
-// is set). The budget truncates the final level rather than splitting the
-// schedule's invariants: the remainder of a truncated level stays ready in
-// the frontier, the schedule stays cached on the engine, and the next call
+// wavefront schedule, one level after another on the calling goroutine. The
+// budget truncates the final level rather than splitting the schedule's
+// invariants: the remainder of a truncated level stays ready in the
+// frontier, the schedule stays cached on the engine, and the next call
 // resumes it without re-levelling — Kahn runs once per dirty generation, not
 // once per chunk. Returns the number of cells drained (evaluated or
 // published as #CYCLE!).
-func (e *Engine) DrainLevels(budget int, run LevelRunner) int {
+func (e *Engine) DrainLevels(budget int) int {
 	if budget <= 0 || len(e.dirty) == 0 {
 		return 0
-	}
-	if run == nil {
-		run = e.runner
 	}
 	sch := e.ensureSchedule()
 	drained := 0
@@ -317,7 +294,7 @@ func (e *Engine) DrainLevels(budget int, run LevelRunner) int {
 	remaining := len(e.dirty)
 	bulk := budget >= remaining
 	// Telemetry lands in one batch per call, not per cell or per level —
-	// the drain loop itself stays free of atomic traffic.
+	// the drain loop itself never touches the shared counters.
 	defer func() {
 		mCellsEvaluated.Add(uint64(drained))
 		mLevelsDrained.Add(levels)
@@ -331,13 +308,12 @@ func (e *Engine) DrainLevels(budget int, run LevelRunner) int {
 				// (its precedents are settled) and leads the next frontier.
 				level, rest = level[:rem], level[rem:]
 			}
-			e.runLevel(sch, level, run)
+			e.runLevel(sch, level)
 			e.levelsDrained++
 			levels++
 			drained += len(level)
 			// Publish: drop the evaluated cells from the dirty set and
-			// release their dependents. Coordinator-only — workers never
-			// touch the shared map or the schedule.
+			// release their dependents.
 			next := sch.next[:0]
 			if bulk {
 				for _, i := range level {
@@ -617,13 +593,8 @@ func (sch *schedule) searchLarge(p ref.Range, hit func(int32)) {
 // runLevel evaluates one level's cells. Levels wide enough to hold a
 // pattern run are first partitioned by planLevel (runs.go): detected runs
 // drain as vectorized sweeps and only the leftover singles go through
-// per-cell evaluation. Wide single sets fan out through the injected
-// LevelRunner (a serving layer's shared pool) or, when none is configured, a
-// per-level bounded goroutine fan-out; narrow ones run inline. Each cell's
-// value and clean flag are written by exactly one goroutine, and the
-// runner's completion barrier publishes them before any dependent
-// (necessarily in a later level) can read them.
-func (e *Engine) runLevel(sch *schedule, level []int32, run LevelRunner) {
+// per-cell evaluation.
+func (e *Engine) runLevel(sch *schedule, level []int32) {
 	nodes := sch.nodes
 	if e.patternRuns && len(level) >= minPatternRun {
 		runs, singles, cached := sch.replayPlan(level)
@@ -634,70 +605,25 @@ func (e *Engine) runLevel(sch *schedule, level []int32, run LevelRunner) {
 		if len(runs) > 0 {
 			mPatternRuns.Add(uint64(len(runs)))
 			mPatternRunCells.Add(uint64(len(level) - len(singles)))
-			e.drainRuns(nodes, runs, run)
-			e.runCells(nodes, singles, run)
-			return
-		}
-	}
-	e.runCells(nodes, level, run)
-}
-
-// runCells evaluates a set of independent level cells per-cell (see
-// runLevel for the fan-out policy).
-func (e *Engine) runCells(nodes []schedNode, level []int32, run LevelRunner) {
-	if len(level) < minParallelLevel || e.parallelism <= 1 {
-		for _, i := range level {
-			e.evalLevelCell(&nodes[i])
-		}
-		return
-	}
-	if run != nil {
-		run(len(level), func(i int) { e.evalLevelCell(&nodes[level[i]]) })
-		return
-	}
-	e.spawnLevel(nodes, level)
-}
-
-// spawnLevel is the default runner for standalone engines (no serving layer
-// to own a pool): a per-level bounded goroutine fan-out pulling shard-sized
-// blocks off a shared cursor.
-func (e *Engine) spawnLevel(nodes []schedNode, level []int32) {
-	workers := e.parallelism
-	if workers > len(level)/levelGrab {
-		workers = max(len(level)/levelGrab, 2)
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := cursor.Add(levelGrab) - levelGrab
-				if lo >= int64(len(level)) {
-					return
-				}
-				hi := min(lo+levelGrab, int64(len(level)))
-				for _, i := range level[lo:hi] {
-					e.evalLevelCell(&nodes[i])
-				}
+			for i := range runs {
+				e.executeRun(nodes, &runs[i])
 			}
-		}()
+			level = singles
+		}
 	}
-	wg.Wait()
+	for _, i := range level {
+		e.evalLevelCell(&nodes[i])
+	}
 }
 
 // evalLevelCell evaluates one levelled cell against the engine's read-only
-// value resolver. Every precedent is settled by construction (that is what
-// the level barrier guarantees), so unlike the serial evalResolver this
-// never recurses, never consults cycle flags, and never mutates shared
-// state — the writes are to the cell it owns (value, dirty, and the lazily
-// compiled program, cached on first drain). Compiled formulas run on the
-// bytecode VM — safe here because valueResolver is pure, and bit-identical
-// to the walker by the VM's equivalence contract (see formula/compile.go);
-// the walker remains the fallback for uncompilable expressions. The dirty
-// flag flips after the value write; the level barrier publishes both
-// together.
+// value resolver. Every precedent is settled by construction (it sits in an
+// earlier level, already drained), so unlike the serial evalResolver this
+// never recurses and never consults cycle flags — the writes are to the
+// cell itself (value, dirty, and the lazily compiled program, cached on
+// first drain). Compiled formulas run on the bytecode VM — bit-identical to
+// the walker by the VM's equivalence contract (see formula/compile.go); the
+// walker remains the fallback for uncompilable expressions.
 func (e *Engine) evalLevelCell(n *schedNode) {
 	if n.c.ast != nil {
 		if p := e.prog(n.at, n.c); p != nil {

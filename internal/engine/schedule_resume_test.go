@@ -30,41 +30,41 @@ func buildTieredFanout(t testing.TB, e *Engine) {
 // instead of re-running Kahn — while converging to the serial fixpoint.
 func TestScheduleResumesAcrossBudgets(t *testing.T) {
 	serial := New(nil)
-	parallel := New(nil)
-	parallel.SetRecalcParallelism(4)
-	for _, e := range []*Engine{serial, parallel} {
+	serial.SetRecalcParallelism(1)
+	levelled := New(nil)
+	for _, e := range []*Engine{serial, levelled} {
 		buildTieredFanout(t, e)
 		e.SetValue(ref.MustCell("A1"), formula.Num(11))
 	}
 	serial.RecalculateAll()
 
-	builds0 := parallel.RecalcStats().ScheduleBuilds
-	dirty0 := parallel.Pending()
-	if parallel.RecalculateN(37) == 0 {
+	builds0 := levelled.RecalcStats().ScheduleBuilds
+	dirty0 := levelled.Pending()
+	if levelled.RecalculateN(37) == 0 {
 		t.Fatal("first chunk made no progress")
 	}
-	st := parallel.RecalcStats()
+	st := levelled.RecalcStats()
 	if st.ScheduleBuilds != builds0+1 {
 		t.Fatalf("first chunk built %d schedules, want 1", st.ScheduleBuilds-builds0)
 	}
 	if st.Scheduled != dirty0 {
 		t.Fatalf("live schedule covers %d cells, want the %d dirtied", st.Scheduled, dirty0)
 	}
-	for i := 0; parallel.Pending() > 0; i++ {
-		if parallel.RecalculateN(37) == 0 {
-			t.Fatalf("drain stalled with %d pending", parallel.Pending())
+	for i := 0; levelled.Pending() > 0; i++ {
+		if levelled.RecalculateN(37) == 0 {
+			t.Fatalf("drain stalled with %d pending", levelled.Pending())
 		}
 		if i > 1000 {
 			t.Fatal("drain did not converge")
 		}
 	}
-	if got := parallel.RecalcStats().ScheduleBuilds; got != builds0+1 {
+	if got := levelled.RecalcStats().ScheduleBuilds; got != builds0+1 {
 		t.Fatalf("budgeted drain built %d schedules, want exactly 1 (resumed otherwise)", got-builds0)
 	}
-	if st := parallel.RecalcStats(); st.Scheduled != 0 {
+	if st := levelled.RecalcStats(); st.Scheduled != 0 {
 		t.Fatalf("exhausted drain left a live schedule: %+v", st)
 	}
-	enginesEqual(t, serial, parallel)
+	enginesEqual(t, serial, levelled)
 }
 
 // TestEditMidDrainInvalidatesSchedule interleaves an edit between budgeted
@@ -75,9 +75,9 @@ func TestScheduleResumesAcrossBudgets(t *testing.T) {
 // cannot change the result, only the schedule shapes).
 func TestEditMidDrainInvalidatesSchedule(t *testing.T) {
 	serial := New(nil)
-	parallel := New(nil)
-	parallel.SetRecalcParallelism(4)
-	for _, e := range []*Engine{serial, parallel} {
+	serial.SetRecalcParallelism(1)
+	levelled := New(nil)
+	for _, e := range []*Engine{serial, levelled} {
 		buildTieredFanout(t, e)
 	}
 	// Serial reference: both edits applied, fully drained.
@@ -85,66 +85,33 @@ func TestEditMidDrainInvalidatesSchedule(t *testing.T) {
 	serial.SetValue(ref.MustCell("A2"), formula.Num(-4))
 	serial.RecalculateAll()
 
-	parallel.SetValue(ref.MustCell("A1"), formula.Num(21))
-	builds0 := parallel.RecalcStats().ScheduleBuilds
-	if parallel.RecalculateN(50) == 0 {
+	levelled.SetValue(ref.MustCell("A1"), formula.Num(21))
+	builds0 := levelled.RecalcStats().ScheduleBuilds
+	if levelled.RecalculateN(50) == 0 {
 		t.Fatal("first chunk made no progress")
 	}
 	// The edit lands mid-drain: part of A1's dirty set is still scheduled.
-	parallel.SetValue(ref.MustCell("A2"), formula.Num(-4))
-	if st := parallel.RecalcStats(); st.Scheduled != 0 {
+	levelled.SetValue(ref.MustCell("A2"), formula.Num(-4))
+	if st := levelled.RecalcStats(); st.Scheduled != 0 {
 		t.Fatalf("edit left a stale schedule live: %+v", st)
 	}
-	for i := 0; parallel.Pending() > 0; i++ {
-		if parallel.RecalculateN(50) == 0 {
-			t.Fatalf("drain stalled with %d pending", parallel.Pending())
+	for i := 0; levelled.Pending() > 0; i++ {
+		if levelled.RecalculateN(50) == 0 {
+			t.Fatalf("drain stalled with %d pending", levelled.Pending())
 		}
 		if i > 1000 {
 			t.Fatal("drain did not converge")
 		}
 	}
-	if got := parallel.RecalcStats().ScheduleBuilds; got < builds0+2 {
+	if got := levelled.RecalcStats().ScheduleBuilds; got < builds0+2 {
 		t.Fatalf("schedule builds %d, want >= 2 (one per dirty generation)", got-builds0)
 	}
-	enginesEqual(t, serial, parallel)
-}
-
-// TestDrainLevelsCustomRunner drives DrainLevels through an injected
-// LevelRunner (the seam the serving layer's shared pool plugs into): the
-// runner sees only wide levels, may execute a level's cells in any order,
-// and the results stay byte-identical to serial.
-func TestDrainLevelsCustomRunner(t *testing.T) {
-	serial := New(nil)
-	parallel := New(nil)
-	parallel.SetRecalcParallelism(4)
-	runs := 0
-	parallel.SetLevelRunner(func(n int, eval func(int)) {
-		runs++
-		if n < minParallelLevel {
-			t.Errorf("runner invoked for a %d-wide level (inline threshold %d)", n, minParallelLevel)
-		}
-		for i := n - 1; i >= 0; i-- { // reversed: order within a level is free
-			eval(i)
-		}
-	})
-	for _, e := range []*Engine{serial, parallel} {
-		buildTieredFanout(t, e)
-		e.SetValue(ref.MustCell("A1"), formula.Num(7))
-	}
-	serial.RecalculateAll()
-	if parallel.DrainLevels(1<<30, nil) == 0 {
-		t.Fatal("DrainLevels drained nothing")
-	}
-	if runs == 0 {
-		t.Fatal("injected runner never invoked")
-	}
-	enginesEqual(t, serial, parallel)
+	enginesEqual(t, serial, levelled)
 }
 
 // TestRecalcStatsQuiescent: a settled engine reports empty scheduler state.
 func TestRecalcStatsQuiescent(t *testing.T) {
 	e := New(nil)
-	e.SetRecalcParallelism(4)
 	buildTieredFanout(t, e)
 	st := e.RecalcStats()
 	if st.Pending != 0 || st.Scheduled != 0 || st.FrontierWidth != 0 {

@@ -123,44 +123,44 @@ func recalcFixtures(t testing.TB) []recalcFixture {
 }
 
 // enginesEqual compares every populated cell of two engines.
-func enginesEqual(t *testing.T, serial, parallel *Engine) {
+func enginesEqual(t *testing.T, serial, levelled *Engine) {
 	t.Helper()
-	if sn, pn := serial.NumCells(), parallel.NumCells(); sn != pn {
-		t.Fatalf("cell counts diverge: serial %d, parallel %d", sn, pn)
+	if sn, pn := serial.NumCells(), levelled.NumCells(); sn != pn {
+		t.Fatalf("cell counts diverge: serial %d, levelled %d", sn, pn)
 	}
 	serial.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
-		pv := parallel.Value(at)
+		pv := levelled.Value(at)
 		if pv != c.value {
-			t.Errorf("%v: serial=%v parallel=%v", at, c.value, pv)
+			t.Errorf("%v: serial=%v levelled=%v", at, c.value, pv)
 		}
-		if parallel.Dirty(at) {
-			t.Errorf("%v: still dirty after parallel drain", at)
+		if levelled.Dirty(at) {
+			t.Errorf("%v: still dirty after levelled drain", at)
 		}
 		return nil
 	})
-	if p := parallel.Pending(); p != 0 {
-		t.Fatalf("parallel engine still has %d pending cells", p)
+	if p := levelled.Pending(); p != 0 {
+		t.Fatalf("levelled engine still has %d pending cells", p)
 	}
 }
 
 // TestWavefrontMatchesSerial drives every fixture through a serial engine
-// and a parallel one (4 workers, thresholds forced low enough to actually
-// exercise the scheduler) and requires identical values everywhere — the
+// and a levelled one (fixtures sized past the threshold, so the scheduler
+// actually runs) and requires identical values everywhere — the
 // scheduler's core contract.
 func TestWavefrontMatchesSerial(t *testing.T) {
 	for _, fx := range recalcFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			serial := New(nil)
-			parallel := New(nil)
-			parallel.SetRecalcParallelism(4)
-			for _, e := range []*Engine{serial, parallel} {
+			serial.SetRecalcParallelism(1)
+			levelled := New(nil)
+			for _, e := range []*Engine{serial, levelled} {
 				fx.build(e)
 				e.RecalculateAll()
 				fx.edit(e)
 			}
 			serial.RecalculateAll()
-			parallel.RecalculateAll()
-			enginesEqual(t, serial, parallel)
+			levelled.RecalculateAll()
+			enginesEqual(t, serial, levelled)
 		})
 	}
 }
@@ -171,44 +171,44 @@ func TestWavefrontNoCompBackend(t *testing.T) {
 	for _, fx := range recalcFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			serial := New(NoComp{G: nocomp.NewGraph()})
-			parallel := New(NoComp{G: nocomp.NewGraph()})
-			parallel.SetRecalcParallelism(4)
-			for _, e := range []*Engine{serial, parallel} {
+			serial.SetRecalcParallelism(1)
+			levelled := New(NoComp{G: nocomp.NewGraph()})
+			for _, e := range []*Engine{serial, levelled} {
 				fx.build(e)
 				e.RecalculateAll()
 				fx.edit(e)
 			}
 			serial.RecalculateAll()
-			parallel.RecalculateAll()
-			enginesEqual(t, serial, parallel)
+			levelled.RecalculateAll()
+			enginesEqual(t, serial, levelled)
 		})
 	}
 }
 
-// TestWavefrontRecalculateN checks the budgeted parallel drain: partial
+// TestWavefrontRecalculateN checks the budgeted levelled drain: partial
 // drains make progress, never evaluate a cell before its precedents, and
 // converge to the serial fixpoint.
 func TestWavefrontRecalculateN(t *testing.T) {
 	for _, fx := range recalcFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			serial := New(nil)
-			parallel := New(nil)
-			parallel.SetRecalcParallelism(4)
-			for _, e := range []*Engine{serial, parallel} {
+			serial.SetRecalcParallelism(1)
+			levelled := New(nil)
+			for _, e := range []*Engine{serial, levelled} {
 				fx.build(e)
 				e.RecalculateAll()
 				fx.edit(e)
 			}
 			serial.RecalculateAll()
-			for i := 0; parallel.Pending() > 0; i++ {
-				if parallel.RecalculateN(70) == 0 {
-					t.Fatalf("drain stalled with %d pending", parallel.Pending())
+			for i := 0; levelled.Pending() > 0; i++ {
+				if levelled.RecalculateN(70) == 0 {
+					t.Fatalf("drain stalled with %d pending", levelled.Pending())
 				}
 				if i > 10000 {
 					t.Fatal("drain did not converge")
 				}
 			}
-			enginesEqual(t, serial, parallel)
+			enginesEqual(t, serial, levelled)
 		})
 	}
 }
@@ -218,7 +218,6 @@ func TestWavefrontRecalculateN(t *testing.T) {
 // rescues it — for both drain paths.
 func TestWavefrontCycleValues(t *testing.T) {
 	e := New(nil)
-	e.SetRecalcParallelism(4)
 	e.SetValue(ref.MustCell("A1"), formula.Num(5))
 	mustFormula(t, e, "D1", "D2+A1")
 	mustFormula(t, e, "D2", "D1+1")
@@ -227,7 +226,7 @@ func TestWavefrontCycleValues(t *testing.T) {
 	mustFormula(t, e, "H1", "H1+1")
 	// Pad the dirty set past the serial-fallback threshold so the wavefront
 	// path actually runs.
-	for i := 1; i <= 2*minParallelDirty; i++ {
+	for i := 1; i <= 2*minLevelledDirty; i++ {
 		mustFormula(t, e, fmt.Sprintf("J%d", i), "$A$1")
 	}
 	e.RecalculateAll()
@@ -245,11 +244,9 @@ func TestWavefrontCycleValues(t *testing.T) {
 }
 
 // TestWavefrontSmallSetStaysSerial documents the fallback: below the
-// threshold the parallel engine takes the serial path (observable only via
-// correctness here, but it pins the threshold constant into a test).
+// threshold an unpinned engine takes the serial path and builds no schedule.
 func TestWavefrontSmallSetStaysSerial(t *testing.T) {
 	e := New(nil)
-	e.SetRecalcParallelism(8)
 	e.SetValue(ref.MustCell("A1"), formula.Num(2))
 	mustFormula(t, e, "B1", "A1*10")
 	if e.RecalculateAll() == 0 {
@@ -257,6 +254,62 @@ func TestWavefrontSmallSetStaysSerial(t *testing.T) {
 	}
 	if v := e.Value(ref.MustCell("B1")); v.Num != 20 {
 		t.Fatalf("B1 = %v", v)
+	}
+	if st := e.RecalcStats(); st.ScheduleBuilds != 0 {
+		t.Fatalf("a 1-cell dirty set was levelled: %+v", st)
+	}
+}
+
+// TestSerialPin: SetRecalcParallelism(1) is the serial-reference pin — a
+// 10k-cell drain, far past the levelling threshold, builds no schedule, and
+// its cells are bit-identical to the unpinned engine's levelled drain.
+func TestSerialPin(t *testing.T) {
+	build := func() *Engine {
+		e := New(nil)
+		e.SetValue(ref.MustCell("F1"), formula.Num(2))
+		for r := 1; r <= 5000; r++ {
+			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)/7))
+			mustFormula(t, e, fmt.Sprintf("B%d", r), fmt.Sprintf("A%d*$F$1", r))
+			mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("B%d+SUM(A$1:A%d)", r, min(r, 20)))
+		}
+		return e
+	}
+	pinned, levelled := build(), build()
+	pinned.SetRecalcParallelism(1)
+	for _, e := range []*Engine{pinned, levelled} {
+		e.RecalculateAll()
+		e.SetValue(ref.MustCell("F1"), formula.Num(3))
+		if e.Pending() != 10000 {
+			t.Fatalf("edit dirtied %d cells, want 10000", e.Pending())
+		}
+		e.RecalculateAll()
+	}
+	if st := pinned.RecalcStats(); st.ScheduleBuilds != 0 || st.LevelsDrained != 0 {
+		t.Fatalf("pinned engine levelled a drain: %+v", st)
+	}
+	if st := levelled.RecalcStats(); st.ScheduleBuilds == 0 {
+		t.Fatalf("unpinned engine never levelled: %+v", st)
+	}
+	enginesEqual(t, pinned, levelled)
+}
+
+// TestFreshLoadStaysSerial: the first full recalculation of a loaded sheet
+// runs on the serial resolver whatever its size, leaving neither a live nor
+// a warm schedule behind (see LoadBulkParsed).
+func TestFreshLoadStaysSerial(t *testing.T) {
+	pcells := []ParsedCell{{At: ref.MustCell("F1"), Value: formula.Num(2)}}
+	for r := 1; r <= 5000; r++ {
+		src := fmt.Sprintf("A%d*$F$1", r)
+		pcells = append(pcells,
+			ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(r))},
+			ParsedCell{At: ref.Ref{Col: 2, Row: r}, Src: src, AST: formula.MustParse(src)})
+	}
+	e := LoadBulkParsed(pcells)
+	if v := e.Value(ref.MustCell("B5000")); e.Pending() != 0 || v.Num != 10000 {
+		t.Fatalf("load left %d pending, B5000 = %v", e.Pending(), v)
+	}
+	if st := e.RecalcStats(); st.ScheduleBuilds != 0 || st.Scheduled != 0 || e.warm != nil {
+		t.Fatalf("fresh load went through the levelled drain: %+v warm=%v", st, e.warm != nil)
 	}
 }
 
@@ -279,7 +332,6 @@ func TestWarmScheduleReuse(t *testing.T) {
 		return e
 	}
 	e := build()
-	e.SetRecalcParallelism(4)
 
 	check := func(f1 float64) {
 		t.Helper()
@@ -363,15 +415,14 @@ func TestWarmScheduleSerialInterference(t *testing.T) {
 		mustFormula(t, e, fmt.Sprintf("B%d", r), fmt.Sprintf("A%d*$F$1", r))
 	}
 	e.RecalculateAll()
-	e.SetRecalcParallelism(4)
 	e.SetValue(ref.MustCell("F1"), formula.Num(2))
 	e.RecalculateAll() // retire a warm schedule for root F1
 
 	e.SetValue(ref.MustCell("F1"), formula.Num(3))
-	// Serial drain of part of the epoch: parallelism off for one call.
+	// Serial drain of part of the epoch: pinned for one call.
 	e.SetRecalcParallelism(1)
 	e.RecalculateN(10)
-	e.SetRecalcParallelism(4)
+	e.SetRecalcParallelism(0)
 	e.RecalculateAll()
 	for _, r := range []int{1, 50, 100} {
 		if v := e.Value(ref.Ref{Col: 2, Row: r}); v.Num != float64(r)*3 {

@@ -379,7 +379,6 @@ func TestRestoredEngineVectorizedDrain(t *testing.T) {
 	if _, err := r.SetFormula(ref.MustCell("B1"), "A1*$F$1+1"); err != nil {
 		t.Fatal(err)
 	}
-	r.SetRecalcParallelism(4)
 	runs0 := mPatternRuns.Value()
 	r.SetValue(ref.MustCell("F1"), formula.Num(3))
 	r.RecalculateAll()

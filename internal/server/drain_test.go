@@ -63,7 +63,7 @@ func TestEditDuringDrainConverges(t *testing.T) {
 				iters = 8
 			}
 			store, err := NewStore(StoreOptions{
-				Shards: 2, RecalcWorkers: 2, RecalcChunk: 16, RecalcParallelism: 4,
+				Shards: 2, RecalcWorkers: 2, RecalcChunk: 16,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -158,28 +158,22 @@ func TestEditDuringDrainConverges(t *testing.T) {
 	}
 }
 
-// TestDrainGoroutinesBounded pins the shared-pool contract: however many
-// sessions have pending recalculation, the store never spawns drain
-// goroutines beyond its fixed complement (drain workers + eval pool) — the
-// per-drain goroutine fan-out is gone.
+// TestDrainGoroutinesBounded: a drain runs on the goroutine that called it,
+// so the store's goroutine complement is fixed at NewStore — the count is
+// the same before, while and after 32 sessions drain concurrently.
 func TestDrainGoroutinesBounded(t *testing.T) {
-	store, err := NewStore(StoreOptions{
-		Shards: 2, RecalcWorkers: 2, RecalcChunk: 32, RecalcParallelism: 4,
-	})
+	store, err := NewStore(StoreOptions{Shards: 2, RecalcWorkers: 2, RecalcChunk: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if ps := store.Stats().EvalPoolWorkers; ps != (4-1)*2 {
-		t.Fatalf("pool sized %d, want %d", ps, (4-1)*2)
-	}
+	want := runtime.NumGoroutine()
 	var ids []string
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 32; i++ {
 		eng := engine.New(nil)
 		buildFanoutSheet(t, eng)
 		ids = append(ids, store.Create(fmt.Sprintf("s%d", i), eng).ID)
 	}
-	baseline := runtime.NumGoroutine()
 	for _, id := range ids { // dirty every session's whole fanout at once
 		err := store.Update(id, true, func(_ *Session, e *engine.Engine) error {
 			e.SetValue(ref.Ref{Col: 1, Row: 1}, formula.Num(99))
@@ -189,12 +183,17 @@ func TestDrainGoroutinesBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	peak := baseline
-	for i := 0; i < 400; i++ {
-		if n := runtime.NumGoroutine(); n > peak {
-			peak = n
+	// Only an excess fails: a goroutine left over from an earlier test may
+	// still exit while this one runs.
+	check := func(when string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > want {
+			t.Fatalf("%s: %d goroutines, %d after NewStore: a drain spawned", when, n, want)
 		}
-		settled := true
+	}
+	for settled := false; !settled; {
+		check("mid-drain")
+		settled = true
 		for _, id := range ids {
 			s, err := store.Peek(id)
 			if err != nil {
@@ -205,20 +204,57 @@ func TestDrainGoroutinesBounded(t *testing.T) {
 				break
 			}
 		}
-		if settled && i > 10 {
-			break
-		}
 		time.Sleep(100 * time.Microsecond)
-	}
-	// Everything above the pre-dirty baseline would be drain-spawned; allow
-	// a little slack for runtime/test housekeeping goroutines.
-	if peak > baseline+5 {
-		t.Fatalf("goroutines peaked at %d with baseline %d: drains are spawning beyond the pool", peak, baseline)
 	}
 	for _, id := range ids {
 		if err := store.Wait(id); err != nil {
 			t.Fatal(err)
 		}
+	}
+	check("settled")
+}
+
+// TestLevelledDrainOnOneCPU: which evaluator a session gets depends on the
+// size of its dirty set, never on the host — a default store on a single
+// CPU still levels a 200-cell drain.
+func TestLevelledDrainOnOneCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	store, err := NewStore(StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	eng := engine.New(nil)
+	eng.SetValue(ref.MustCell("A1"), formula.Num(2))
+	for r := 1; r <= 200; r++ {
+		if _, err := eng.SetFormula(ref.Ref{Col: 2, Row: r}, fmt.Sprintf("$A$1*%d", r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RecalculateAll()
+	sess := store.Create("one-cpu", eng)
+	builds0 := sessionInfo(sess).Recalc.ScheduleBuilds
+	err = store.Update(sess.ID, true, func(_ *Session, e *engine.Engine) error {
+		e.SetValue(ref.MustCell("A1"), formula.Num(3))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Wait(sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := sessionInfo(sess).Recalc.ScheduleBuilds; got <= builds0 {
+		t.Fatalf("schedule_builds %d -> %d: the drain took the serial path", builds0, got)
+	}
+	err = store.View(sess.ID, func(_ *Session, e *engine.Engine) error {
+		if v := e.Value(ref.Ref{Col: 2, Row: 200}); v.Num != 600 {
+			t.Errorf("B200 = %v, want 600", v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -273,34 +309,10 @@ func TestWaitTerminatesUnderWritePressure(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBulkBatchKeepsRecalcConfig: the bulk edit path rebuilds the engine
-// around a fresh graph, which used to reset its recalc configuration to
-// zero values — the session then silently drained serially, off the shared
-// pool. The store's policy must survive the rebuild.
-func TestBulkBatchKeepsRecalcConfig(t *testing.T) {
-	srv, tc := newTestServer(t, Options{Store: StoreOptions{RecalcParallelism: 4}})
-	var info SessionInfo
-	tc.do("POST", "/sessions", CreateRequest{Name: "bulk"}, &info)
-	var res EditResult
-	tc.do("POST", "/sessions/"+info.ID+"/edits", wideBatch(100, 5), &res)
-	if !res.Bulk {
-		t.Fatalf("batch did not take the bulk path: %+v", res)
-	}
-	err := srv.Store().View(info.ID, func(_ *Session, eng *engine.Engine) error {
-		if got := eng.RecalcParallelism(); got != 4 {
-			t.Fatalf("bulk rebuild dropped RecalcParallelism: %d", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStatsExposeScheduler: the store stats report the drain queue and pool
-// shape, and session stats carry the engine's scheduler snapshot.
+// TestStatsExposeScheduler: the store stats report the drain queue, and
+// session stats carry the engine's scheduler snapshot.
 func TestStatsExposeScheduler(t *testing.T) {
-	store, err := NewStore(StoreOptions{RecalcWorkers: -1, RecalcParallelism: 4})
+	store, err := NewStore(StoreOptions{RecalcWorkers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +332,6 @@ func TestStatsExposeScheduler(t *testing.T) {
 		t.Fatalf("session stats carry no pending scheduler state: %+v", info.Recalc)
 	}
 	st := store.Stats()
-	if st.EvalPoolWorkers != 3 { // (4-1) * max(-1 workers -> 1)
-		t.Fatalf("eval_pool_workers = %d, want 3", st.EvalPoolWorkers)
-	}
 	if st.DrainsInFlight != 0 {
 		t.Fatalf("drains_in_flight = %d with workers disabled", st.DrainsInFlight)
 	}

@@ -73,9 +73,8 @@ func sameValue(a, b formula.Value) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// applyJournaled mirrors handleEdits: parse, apply through the store with
-// the encoded batch journaled, and re-apply the bulk path's engine
-// reconfiguration.
+// applyJournaled mirrors handleEdits: parse, and apply through the store
+// with the encoded batch journaled.
 func applyJournaled(t *testing.T, st *Store, id string, batch []EditOp) {
 	t.Helper()
 	ops, err := parseBatch(batch)
@@ -85,7 +84,6 @@ func applyJournaled(t *testing.T, st *Store, id string, batch []EditOp) {
 	err = st.UpdateJournaled(id, batch, func(sess *Session, eng *engine.Engine) error {
 		if _, _, bulk := applyBatch(eng, ops); bulk {
 			sess.graphBlob = nil
-			st.configureEngine(eng)
 		}
 		return nil
 	})

@@ -137,9 +137,6 @@ func registerStoreGauges() {
 	telemetry.NewGaugeFunc("taco_store_drains_in_flight",
 		"Drain turns currently holding a session lock.",
 		func() float64 { return sumStores(func(s StoreStats) float64 { return float64(s.DrainsInFlight) }) })
-	telemetry.NewGaugeFunc("taco_store_eval_pool_workers",
-		"Shared wavefront evaluation pool size, across all stores.",
-		func() float64 { return sumStores(func(s StoreStats) float64 { return float64(s.EvalPoolWorkers) }) })
 	telemetry.NewGaugeFunc("taco_durability_degraded_sessions",
 		"Sessions currently write-fenced by a durability fault, awaiting repair.",
 		func() float64 { return sumStores(func(s StoreStats) float64 { return float64(s.DegradedSessions) }) })

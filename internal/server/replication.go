@@ -229,7 +229,6 @@ func (st *Store) CreateReplica(id, name string, eng *engine.Engine, rev uint64) 
 		return nil, fmt.Errorf("server: replica %s already exists", id)
 	}
 	sh.mu.Unlock()
-	st.configureEngine(eng)
 	s := &Session{ID: id, Name: name, eng: eng, rev: rev, snapRev: rev}
 	if st.opts.Durable {
 		buf := bufPool.Get().(*bytes.Buffer)
@@ -297,7 +296,6 @@ func (st *Store) ApplyReplicated(id string, rev uint64, payload []byte) error {
 		_, _, bulk := applyBatch(eng, ops)
 		if bulk {
 			s.graphBlob = nil
-			st.configureEngine(eng)
 		}
 		if rev != s.rev+1 || !st.opts.Durable {
 			s.tailBroken = true // revisions the local journal will not hold

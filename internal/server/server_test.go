@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -269,6 +270,60 @@ func TestBatchAtomicity(t *testing.T) {
 	tc.do("GET", "/sessions/"+info.ID, nil, &si)
 	if si.Rev != 1 {
 		t.Fatalf("rev = %d after rejected batch", si.Rev)
+	}
+}
+
+// TestNonFiniteNumberReads: a number that overflowed to ±Inf or NaN has no
+// JSON form; every read path reports it as #NUM! in a parseable 200 (the
+// encoder used to fail after the header, leaving a 200 with an empty body).
+func TestNonFiniteNumberReads(t *testing.T) {
+	srv, tc := newTestServer(t, Options{Store: StoreOptions{Shards: 1, MaxResident: 1}})
+	var info SessionInfo
+	tc.do("POST", "/sessions", CreateRequest{}, &info)
+	tc.do("POST", "/sessions/"+info.ID+"/edits", EditBatch{Edits: []EditOp{
+		{Cell: "A1", Formula: str("=1E308*10")}, // +Inf
+		{Cell: "A2", Formula: str("A1-A1")},     // NaN
+		{Cell: "A3", Value: num(7)},
+	}}, nil)
+	read := func(path string) {
+		t.Helper()
+		var cells CellsResult
+		if code := tc.do("GET", "/sessions/"+info.ID+path, nil, &cells); code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, code)
+		}
+		if len(cells.Cells) != 3 {
+			t.Fatalf("GET %s: %d cells, want 3", path, len(cells.Cells))
+		}
+		for _, c := range cells.Cells[:2] {
+			if c.Kind != "error" || c.Error != "#NUM!" {
+				t.Errorf("GET %s: %s = %+v, want #NUM!", path, c.Cell, c)
+			}
+		}
+		if c := cells.Cells[2]; c.Kind != "number" || c.Num != 7 {
+			t.Errorf("GET %s: A3 = %+v", path, c)
+		}
+	}
+	read("/cells?range=A1:A3&wait=1")
+	read("/cells?range=A1:A3")
+	tc.do("POST", "/sessions", CreateRequest{}, nil) // evicts the first session
+	reads0 := srv.Store().Stats().SpillReads
+	read("/cells?range=A1:A3")
+	if srv.Store().Stats().SpillReads == reads0 {
+		t.Fatal("read of the evicted session was not served from its spill file")
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value the encoder rejects is a 500 with an
+// error body, whatever status the handler asked for.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.Inf(1))
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Fatalf("body %q: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
 	}
 }
 

@@ -59,27 +59,10 @@ type StoreOptions struct {
 	// recalculation instead of stalling behind it. The engine's resumable
 	// wavefront schedule survives across holds — levelling runs once per
 	// dirty generation however small the chunk — so the bound applies
-	// uniformly to serial and parallel drains: a wavefront hold covers at
+	// uniformly to serial and levelled drains: a levelled hold covers at
 	// most one (possibly truncated) level's worth of this many evaluations,
 	// and a reader arriving mid-drain waits for at most that.
 	RecalcChunk int
-	// RecalcParallelism bounds the wavefront evaluators working one
-	// session's level concurrently (engine.SetRecalcParallelism). With it
-	// set above 1, levels are executed on the store's shared evaluation
-	// pool — recalc latency drops by roughly the worker count on wide dirty
-	// sets. 0 means one worker per available CPU (capped at 8); -1 (or 1)
-	// keeps recalculation serial.
-	RecalcParallelism int
-	// RecalcPoolSize sets the store-owned shared evaluation pool: the one
-	// bounded set of goroutines that executes every session's wavefront
-	// levels, whatever the session count — drain concurrency is a
-	// configuration constant, not sessions × workers. 0 sizes it
-	// automatically at (RecalcParallelism-1) × max(RecalcWorkers, 1), so a
-	// drain worker plus its pool helpers together never exceed
-	// RecalcParallelism evaluators per level; -1 disables the shared pool
-	// (engines then fan each wide level out on transient goroutines of
-	// their own, the pre-pool behaviour).
-	RecalcPoolSize int
 	// NoGraphPin disables keeping a spilled session's compressed formula
 	// graph in memory. Pinning (the default) trades a small per-session
 	// footprint — the graph is the compact part, which is the paper's thesis
@@ -124,18 +107,6 @@ func (o StoreOptions) withDefaults() StoreOptions {
 	}
 	if o.RecalcChunk <= 0 {
 		o.RecalcChunk = 256
-	}
-	if o.RecalcParallelism == 0 {
-		o.RecalcParallelism = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if o.RecalcParallelism < 0 {
-		o.RecalcParallelism = 1
-	}
-	if o.RecalcPoolSize == 0 {
-		o.RecalcPoolSize = (o.RecalcParallelism - 1) * max(o.RecalcWorkers, 1)
-	}
-	if o.RecalcPoolSize < 0 || o.RecalcParallelism <= 1 {
-		o.RecalcPoolSize = 0
 	}
 	if o.FsyncInterval <= 0 {
 		o.FsyncInterval = 50 * time.Millisecond
@@ -278,11 +249,6 @@ type Store struct {
 		closed bool
 	}
 	wg sync.WaitGroup
-	// pool is the shared wavefront evaluation pool (nil when serial or
-	// disabled): every hosted engine executes its wide levels here, so
-	// total drain goroutines are fixed by configuration regardless of how
-	// many sessions have pending work.
-	pool *evalPool
 	// drainsInFlight counts drainChunk turns currently holding a session —
 	// the live occupancy of the drain workers, surfaced in Stats.
 	drainsInFlight atomic.Int64
@@ -362,9 +328,6 @@ func NewStore(opts StoreOptions) (*Store, error) {
 	st.repq.queued = make(map[*Session]bool)
 	st.wg.Add(1)
 	go st.repairWorker()
-	if opts.RecalcPoolSize > 0 {
-		st.pool = newEvalPool(opts.RecalcPoolSize)
-	}
 	if opts.RecalcWorkers > 0 {
 		st.wg.Add(opts.RecalcWorkers)
 		for i := 0; i < opts.RecalcWorkers; i++ {
@@ -380,22 +343,10 @@ func NewStore(opts StoreOptions) (*Store, error) {
 // for startup logging and diagnostics.
 func (st *Store) Options() StoreOptions { return st.opts }
 
-// configureEngine applies the store's recalculation policy to a hosted
-// engine: the per-level worker bound, and the shared pool as its level
-// executor so drains never spawn goroutines of their own. Called at Create
-// and at every restore (the engine is rebuilt from the snapshot).
-func (st *Store) configureEngine(eng *engine.Engine) {
-	eng.SetRecalcParallelism(st.opts.RecalcParallelism)
-	if st.pool != nil {
-		eng.SetLevelRunner(st.pool.run)
-	}
-}
-
-// Close stops the background recalculation workers and the shared
-// evaluation pool, waiting for both to exit. Undrained sessions simply keep
-// their dirty sets; the spill path drains before writing, so no state is
-// lost. Inline drains after Close (Wait barriers, spills) still complete:
-// the pool's run contract never depends on pool evaluators for progress.
+// Close stops the background recalculation workers, waiting for them to
+// exit. Undrained sessions simply keep their dirty sets; the spill path
+// drains before writing, so no state is lost. Inline drains after Close
+// (Wait barriers, spills) still complete: a drain runs on its caller.
 func (st *Store) Close() {
 	liveStores.Delete(st)
 	st.rq.mu.Lock()
@@ -412,9 +363,6 @@ func (st *Store) Close() {
 	}
 	st.repq.mu.Unlock()
 	st.wg.Wait()
-	if st.pool != nil && !closed {
-		st.pool.close()
-	}
 	if st.opts.Durable && !closed {
 		st.closeDurability()
 	}
@@ -451,119 +399,6 @@ func (st *Store) recalcWorker() {
 	}
 }
 
-// evalGrab is the number of level cells an evaluator claims per fetch from
-// a level task's shared cursor — the pool-side mirror of the engine's
-// per-level sharding granularity.
-const evalGrab = 32
-
-// levelTask is one wavefront level submitted to the shared pool: a bag of
-// independent evaluations drained cooperatively by the submitting drain
-// worker and any pool evaluators that pick the task up. The cursor hands
-// out disjoint shards (each eval(i) runs exactly once); fin closes when the
-// last shard completes.
-type levelTask struct {
-	n      int
-	eval   func(int)
-	cursor atomic.Int64
-	done   atomic.Int64
-	fin    chan struct{}
-}
-
-// work drains shards until the cursor is exhausted. Safe to call from any
-// number of goroutines; a call against an already-finished task returns
-// immediately (stale queue entries are harmless).
-func (t *levelTask) work() {
-	for {
-		lo := t.cursor.Add(evalGrab) - evalGrab
-		if lo >= int64(t.n) {
-			return
-		}
-		hi := min(lo+evalGrab, int64(t.n))
-		for i := lo; i < hi; i++ {
-			t.eval(int(i))
-		}
-		if t.done.Add(hi-lo) == int64(t.n) {
-			close(t.fin)
-		}
-	}
-}
-
-// evalPool is the store-owned shared evaluation pool: one bounded set of
-// goroutines executing every session's wavefront levels. Before it, each
-// drain fanned its levels out on goroutines of its own, so a server with
-// many concurrently draining sessions oversubscribed its cores by
-// sessions × parallelism; now drain concurrency is a configuration constant
-// (the drain workers plus this pool) however many sessions are dirty.
-// Tasks from different sessions interleave on the FIFO task channel, so
-// pool capacity is shared fairly rather than captured by whichever drain
-// got there first.
-type evalPool struct {
-	tasks chan *levelTask
-	quit  chan struct{}
-	size  int
-	wg    sync.WaitGroup
-}
-
-func newEvalPool(size int) *evalPool {
-	p := &evalPool{
-		tasks: make(chan *levelTask, 2*size),
-		quit:  make(chan struct{}),
-		size:  size,
-	}
-	p.wg.Add(size)
-	for i := 0; i < size; i++ {
-		go func() {
-			defer p.wg.Done()
-			for {
-				select {
-				case t := <-p.tasks:
-					t.work()
-				case <-p.quit:
-					return
-				}
-			}
-		}()
-	}
-	return p
-}
-
-// run implements engine.LevelRunner on the shared pool. The caller (a drain
-// worker holding its session's write lock) always participates — progress
-// never depends on pool availability — and helpers are invited with
-// non-blocking sends: a saturated pool just means the caller evaluates more
-// of its own level. Returns when every evaluation has completed.
-func (p *evalPool) run(n int, eval func(int)) {
-	if n <= 0 {
-		return
-	}
-	if p == nil || n <= evalGrab {
-		for i := 0; i < n; i++ {
-			eval(i)
-		}
-		return
-	}
-	t := &levelTask{n: n, eval: eval, fin: make(chan struct{})}
-	invites := min(p.size, (n-1)/evalGrab)
-invite:
-	for i := 0; i < invites; i++ {
-		select {
-		case p.tasks <- t:
-		default:
-			break invite // saturated: the caller picks up the slack
-		}
-	}
-	t.work()
-	<-t.fin
-}
-
-// close stops the pool's evaluators. In-flight tasks complete via their
-// submitting caller (run never depends on the pool for progress), so close
-// needs no drain handshake.
-func (p *evalPool) close() {
-	close(p.quit)
-	p.wg.Wait()
-}
-
 // drainChunk recalculates one bounded chunk of a session's dirty cells
 // under one short session-lock hold and re-queues the session at the tail
 // if work remains. The engine's resumable wavefront schedule persists
@@ -572,8 +407,8 @@ func (p *evalPool) close() {
 // most one truncated level) without re-levelling overhead: readers take
 // the lock between every hold, and an edit landing between holds simply
 // starts a new dirty generation whose first hold rebuilds the remaining
-// schedule. Wide levels are executed on the store's shared pool via the
-// LevelRunner injected at Create/restore.
+// schedule. The drain runs on this goroutine: drain concurrency is exactly
+// the RecalcWorkers (plus any Wait barriers draining inline).
 func (st *Store) drainChunk(s *Session) {
 	st.drainsInFlight.Add(1)
 	defer st.drainsInFlight.Add(-1)
@@ -691,7 +526,6 @@ func newSessionID() string {
 // insertion may push the store over MaxResident, in which case the coldest
 // sessions are spilled before Create returns.
 func (st *Store) Create(name string, eng *engine.Engine) *Session {
-	st.configureEngine(eng)
 	s := &Session{ID: newSessionID(), Name: name, eng: eng}
 	if st.opts.Durable {
 		st.recordCreate(s, eng)
@@ -913,7 +747,6 @@ func (st *Store) withResident(s *Session, fn func(*engine.Engine) error) error {
 			s.mu.Unlock()
 			return fmt.Errorf("server: restore session %s: %w", s.ID, err)
 		}
-		st.configureEngine(eng)
 		s.eng = eng
 		s.graph = nil // live again; the engine owns it now
 		restored = true
@@ -1225,10 +1058,6 @@ type StoreStats struct {
 	// DrainsInFlight is the number of drain turns holding a session right
 	// now (bounded by RecalcWorkers).
 	DrainsInFlight int `json:"drains_in_flight"`
-	// EvalPoolWorkers is the size of the shared wavefront evaluation pool
-	// (0 = serial or pool disabled). Together with RecalcWorkers it is the
-	// store's total drain-goroutine bound, independent of session count.
-	EvalPoolWorkers int `json:"eval_pool_workers"`
 	// Durable reports whether the store journals edits for crash recovery.
 	Durable bool `json:"durable,omitempty"`
 	// RecoveredSessions counts sessions re-registered from the persistent
@@ -1262,25 +1091,20 @@ func (st *Store) Stats() StoreStats {
 	st.rq.mu.Lock()
 	queued := len(st.rq.queue)
 	st.rq.mu.Unlock()
-	poolWorkers := 0
-	if st.pool != nil {
-		poolWorkers = st.pool.size
-	}
 	return StoreStats{
-		Sessions:        total,
-		Resident:        resident,
-		Spilled:         total - resident,
-		Shards:          len(st.shards),
-		Hits:            st.hits.Load(),
-		Misses:          st.misses.Load(),
-		Evictions:       st.evictions.Load(),
-		Restores:        st.restores.Load(),
-		Recalcs:         st.recalcs.Load(),
-		SnapSkips:       st.snapSkips.Load(),
-		SpillReads:      st.spillReads.Load(),
-		RecalcQueue:     queued,
-		DrainsInFlight:  int(st.drainsInFlight.Load()),
-		EvalPoolWorkers: poolWorkers,
+		Sessions:       total,
+		Resident:       resident,
+		Spilled:        total - resident,
+		Shards:         len(st.shards),
+		Hits:           st.hits.Load(),
+		Misses:         st.misses.Load(),
+		Evictions:      st.evictions.Load(),
+		Restores:       st.restores.Load(),
+		Recalcs:        st.recalcs.Load(),
+		SnapSkips:      st.snapSkips.Load(),
+		SpillReads:     st.spillReads.Load(),
+		RecalcQueue:    queued,
+		DrainsInFlight: int(st.drainsInFlight.Load()),
 
 		Durable:              st.opts.Durable,
 		RecoveredSessions:    st.recovered.Load(),

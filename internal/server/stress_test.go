@@ -13,10 +13,9 @@ import (
 	"taco/internal/workload"
 )
 
-// TestRaceStress drives the three concurrency layers at once under the race
-// detector: raw SafeGraph readers/writers, an AsyncEngine absorbing edits
-// while being read, and the session store cycling sessions through
-// edit/query/spill/restore. Run with -race (the CI default) to make it a
+// TestRaceStress drives both concurrency layers at once under the race
+// detector: raw SafeGraph readers/writers, and the session store cycling
+// sessions through edit/query/spill/restore. Run with -race (the CI default) to make it a
 // synchronisation proof rather than just a load test.
 func TestRaceStress(t *testing.T) {
 	iters := 60
@@ -54,32 +53,7 @@ func TestRaceStress(t *testing.T) {
 		}(w)
 	}
 
-	// Layer 2: AsyncEngine — writers race the background recalculation
-	// worker and blocking readers.
-	sheet := workload.InventoryTracker(80, rand.New(rand.NewSource(21)))
-	eng, err := engine.Load(sheet, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	async := engine.NewAsync(eng)
-	defer async.Close()
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + w)))
-			for i := 0; i < iters; i++ {
-				async.Set(ref.Ref{Col: 2, Row: 1 + rng.Intn(80)}, workloadNum(rng))
-				async.Peek(ref.Ref{Col: 4, Row: 80})
-				if i%5 == 0 {
-					async.Get(ref.Ref{Col: 4, Row: 40})
-					async.Dependents(ref.CellRange(ref.Ref{Col: 2, Row: 1 + rng.Intn(80)}))
-				}
-			}
-		}(w)
-	}
-
-	// Layer 3: the session store — mixed batched edits, value reads, and
+	// Layer 2: the session store — mixed batched edits, value reads, and
 	// dependent queries across sessions cycling through spill/restore.
 	store, err := NewStore(StoreOptions{Shards: 4, MaxResident: 3, SpillDir: t.TempDir()})
 	if err != nil {
@@ -142,7 +116,6 @@ func TestRaceStress(t *testing.T) {
 	}
 
 	wg.Wait()
-	async.Flush()
 	if err := sg.Check(); err != nil {
 		t.Fatalf("SafeGraph invariants violated after stress: %v", err)
 	}
@@ -159,24 +132,24 @@ func workloadNum(rng *rand.Rand) formula.Value { return formula.Num(float64(rng.
 
 // TestWavefrontDrainReadStress hammers value reads, range scans, and graph
 // queries against sessions whose dirty sets are being drained by the
-// parallel wavefront scheduler. The scheduler's workers run strictly inside
-// the session write lock, so under -race this proves the level-barrier
-// synchronisation and the read paths' side-effect freedom compose: readers
-// never observe a torn value and never race a wavefront worker.
+// levelled scheduler on the store's drain workers. A drain runs strictly
+// inside the session write lock, so under -race this proves the bounded
+// lock holds and the read paths' side-effect freedom compose: readers
+// never observe a torn value and never race a drain.
 func TestWavefrontDrainReadStress(t *testing.T) {
 	iters := 40
 	if testing.Short() {
 		iters = 10
 	}
-	store, err := NewStore(StoreOptions{Shards: 2, RecalcParallelism: 4, RecalcWorkers: 2})
+	store, err := NewStore(StoreOptions{Shards: 2, RecalcWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 
 	// One wide sheet: a shared input column fanning out to hundreds of
-	// formulas, so every edit dirties a set large enough for the wavefront
-	// path (and wide enough for real level parallelism).
+	// formulas, so every edit dirties a set large enough for the levelled
+	// path.
 	eng := engine.New(nil)
 	for r := 1; r <= 10; r++ {
 		eng.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))

@@ -46,8 +46,15 @@ func Metrics(deps []core.Dependency) SheetMetrics {
 	for _, d := range deps {
 		byDep[d.Dep] = append(byDep[d.Dep], d)
 	}
-	cellIndex := rtree.New[ref.Ref]()
+	// Sorted, so that ties below break the same way on every call instead
+	// of by map order.
+	cells := make([]ref.Ref, 0, len(formulaCells))
 	for c := range formulaCells {
+		cells = append(cells, c)
+	}
+	sortColumnMajor(cells)
+	cellIndex := rtree.New[ref.Ref]()
+	for _, c := range cells {
 		cellIndex.Insert(ref.CellRange(c), c)
 	}
 	depth := make(map[ref.Ref]int, len(formulaCells))
@@ -71,7 +78,7 @@ func Metrics(deps []core.Dependency) SheetMetrics {
 		depth[c] = best
 		return best
 	}
-	for c := range formulaCells {
+	for _, c := range cells { // the first cell, column-major, of maximal depth
 		if d := depthOf(c); d > m.LongestPath {
 			m.LongestPath = d
 			m.LongestPathCell = c
@@ -80,23 +87,19 @@ func Metrics(deps []core.Dependency) SheetMetrics {
 	// The query seed is the *root* of the longest path (the paper queries
 	// from the cell whose update triggers the longest recalculation chain):
 	// walk back from the deepest cell through precedents of strictly
-	// decreasing depth until the path starts at a data cell.
+	// decreasing depth — the column-major smallest where several qualify —
+	// until the path starts at a data cell.
 	cur := m.LongestPathCell
 	for cur.Valid() {
 		var next ref.Ref
 		found := false
 		for _, d := range byDep[cur] {
 			cellIndex.Search(d.Prec, func(_ ref.Range, p ref.Ref) bool {
-				if depth[p] == depth[cur]-1 {
-					next = p
-					found = true
-					return false
+				if depth[p] == depth[cur]-1 && (!found || ref.ColumnMajorCompare(p, next) < 0) {
+					next, found = p, true
 				}
 				return true
 			})
-			if found {
-				break
-			}
 		}
 		if !found {
 			// The path head: seed from this cell's first data precedent.

@@ -179,6 +179,33 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
+// TestMetricsDeterministic: two chains of equal depth tie for the longest
+// path — at the deepest cell, and (with a cell joining both) on the walk
+// back to the root. Ties break column-major, not by map order.
+func TestMetricsDeterministic(t *testing.T) {
+	for _, join := range []bool{false, true} {
+		s := NewSheet("t")
+		rng := rand.New(rand.NewSource(3))
+		s.AddDataColumn(1, 30, rng)
+		s.AddDataColumn(3, 30, rng)
+		s.AddChain(2, 1, 30)
+		s.AddChain(4, 3, 30)
+		if join {
+			s.SetFormula(ref.MustCell("F1"), "B30+D30")
+		}
+		deps := s.MustDependencies()
+		want := Metrics(deps)
+		if want.LongestPathCell != ref.MustCell("A1") {
+			t.Fatalf("join=%v: longest path seeded from %v, want A1", join, want.LongestPathCell)
+		}
+		for i := 0; i < 20; i++ {
+			if got := Metrics(deps); got != want {
+				t.Fatalf("join=%v: call %d answered %+v, first call %+v", join, i, got, want)
+			}
+		}
+	}
+}
+
 func TestMetricsEmpty(t *testing.T) {
 	m := Metrics(nil)
 	if m.MaxDependents != 0 || m.LongestPath != 0 {

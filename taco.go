@@ -90,9 +90,6 @@ type (
 	Cell = workload.Cell
 	// Engine is a spreadsheet host with TACO-driven recalculation.
 	Engine = engine.Engine
-	// AsyncEngine runs recalculation on a background worker, returning
-	// control after the dirty set is identified (the DataSpread model).
-	AsyncEngine = engine.AsyncEngine
 	// Book is a multi-sheet workbook; each sheet has its own TACO graph.
 	Book = engine.Book
 	// Value is a spreadsheet value (number, text, bool, error, empty).
@@ -226,10 +223,6 @@ func NewEngine() *Engine { return engine.New(nil) }
 // LoadEngine populates an engine from a sheet and evaluates all formulae,
 // using TACO as the dependency graph.
 func LoadEngine(s *Sheet) (*Engine, error) { return engine.Load(s, nil) }
-
-// NewAsyncEngine wraps an engine with a background recalculation worker.
-// Callers must Close it and must not use the wrapped engine directly.
-func NewAsyncEngine(e *Engine) *AsyncEngine { return engine.NewAsync(e) }
 
 // NewServer builds the multi-tenant spreadsheet service. Mount the returned
 // handler on any mux, or serve it directly with http.ListenAndServe.
