@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race loc bench bench-test bench-server bench-core bench-eval fuzz-smoke perf-check crash-smoke failover-smoke
+.PHONY: check fmt vet build test race loc bench bench-test bench-pairs bench-server bench-core bench-engine bench-eval fuzz-smoke perf-check crash-smoke failover-smoke
 
 check: fmt vet build race
 
@@ -39,6 +39,14 @@ bench:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# Alternating parent/change pairs of one workload, the way a claimed gain is
+# shown (choosing-metrics §8): every run, medians, quartiles, wins and the
+# verdict per end-to-end metric. PARENT is a checkout of the parent commit
+# (`git clone . /tmp/parent && git -C /tmp/parent checkout <rev>`), the
+# change is this tree:  make bench-pairs PARENT=/tmp/parent W=engine_recalc N=10
+bench-pairs:
+	bash scripts/bench_pairs.sh $(PARENT) . $(W) $(or $(N),10) $(SEED0)
+
 # Refresh the serving perf baseline. Includes the drain probe (mixed read +
 # giant-drain scenario): read_p50_during_drain_ms and drain_cells_per_sec
 # land in the report and are gated by benchdiff alongside edits/s.
@@ -60,6 +68,12 @@ bench-server:
 bench-core:
 	$(GO) test ./internal/core -run '^$$' -bench=. -benchtime=1x
 
+# The two edits that dominate engine_recalc and serve_big_drain, on the
+# 20k-row ledger built in the test — the fast inner loop for scheduler work.
+# CI smoke-runs them once; drop -benchtime for real measurements.
+bench-engine:
+	$(GO) test ./internal/engine -run '^$$' -bench=Ledger -benchtime=1x
+
 # Refresh the evaluation perf baseline: the range-aggregation shapes (bulk
 # range resolver vs the per-cell probe path) and the pattern-run shapes
 # (levelled vectorized drain vs per-cell AST on the pinned-serial resolver).
@@ -74,6 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzEval$$' -fuzztime=15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzBytecodeEval$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzRecalcParallel$$' -fuzztime=15s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSpanDrain$$' -fuzztime=15s
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime=15s
 
 # Local mirror of CI's perf-regression gate: measure now, compare against

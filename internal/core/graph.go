@@ -324,27 +324,25 @@ func (g *Graph) DirectPrecedents(r ref.Range, fn func(ref.Range) bool) {
 	})
 }
 
-// DirectPrecedentsEach is the per-cell variant of DirectPrecedents: for
-// every compressed edge whose dependent run overlaps r, fn is called once
-// per overlapping dependent cell with that cell's one-hop precedent window.
-// The windows are exactly what DirectPrecedents reports for the single-cell
-// query, but the index is searched — and the edge decoded — once for all of
-// r: a recalculation scheduler links a contiguous segment of dirty cells
-// with one probe instead of one per cell, which is where compression pays
-// on the scheduling side (a compressed run's dependents are enumerable by
-// pattern arithmetic alone).
+// DirectPrecedentsEach is the per-edge variant of DirectPrecedents: for
+// every compressed edge whose dependent run overlaps r, edge is called once
+// with the overlapping dependent span, the union precedent window of that
+// span (exactly DirectPrecedents' answer for it), and the precedent window of
+// the span's first cell alone. The index is searched — and each edge decoded
+// — once for all of r, which is where compression pays on the scheduling
+// side: a recalculation scheduler links a whole span of dirty cells with one
+// probe instead of one per cell.
 //
-// edge, when non-nil, is an edge-level pre-filter: it receives the
-// overlapping dependent span and the union precedent window of that span
-// (exactly DirectPrecedents' answer for it) before any per-cell work;
-// returning false skips the edge's enumeration entirely. A scheduler passes
-// a does-this-window-touch-the-dirty-set test so edges feeding only on
-// settled data cost one window check instead of per-cell arithmetic.
+// Every pattern's per-cell window is linear in the dependent's position
+// (each corner is fixed or moves with the cell), so first bounds the span's
+// other windows from one side: a scheduler that wants to evaluate a
+// self-referencing span top to bottom needs only check that first reads
+// nothing at or below the span's head.
 //
-// Cells of r covered by no edge are not reported; duplicates across
-// overlapping edges are, like DirectPrecedents. fn returning false stops
-// the walk.
-func (g *Graph) DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan ref.Range) bool, fn func(dep ref.Ref, prec ref.Range) bool) {
+// Cells of r covered by no edge are not reported; overlapping edges yield
+// overlapping spans, like DirectPrecedents. edge returning false stops the
+// walk. Safe for concurrent use with other read-only queries.
+func (g *Graph) DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan, first ref.Range) bool) {
 	g.byDep.Search(r, func(_ ref.Range, e *Edge) bool {
 		clipped, ok := r.Intersect(e.Dep)
 		if !ok {
@@ -354,30 +352,11 @@ func (g *Graph) DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan re
 		if e.Axis == ref.AxisRow {
 			clipped = clipped.T()
 		}
-		if edge != nil {
-			span := directPrecsCol(c, clipped)
-			depSpan := clipped
-			if e.Axis == ref.AxisRow {
-				span, depSpan = span.T(), depSpan.T()
-			}
-			if !edge(depSpan, span) {
-				return true
-			}
+		span, first := directPrecsCol(c, clipped), directPrecsCol(c, ref.CellRange(clipped.Head))
+		if e.Axis == ref.AxisRow {
+			clipped, span, first = clipped.T(), span.T(), first.T()
 		}
-		for col := clipped.Head.Col; col <= clipped.Tail.Col; col++ {
-			for row := clipped.Head.Row; row <= clipped.Tail.Row; row++ {
-				cell := ref.Range{Head: ref.Ref{Col: col, Row: row}, Tail: ref.Ref{Col: col, Row: row}}
-				dep, prec := cell.Head, directPrecsCol(c, cell)
-				if e.Axis == ref.AxisRow {
-					dep = ref.Ref{Col: dep.Row, Row: dep.Col}
-					prec = prec.T()
-				}
-				if !fn(dep, prec) {
-					return false
-				}
-			}
-		}
-		return true
+		return edge(clipped, span, first)
 	})
 }
 

@@ -548,83 +548,84 @@ func TestDirectPrecedents(t *testing.T) {
 	}
 }
 
-// TestDirectPrecedentsEach: the batched one-hop enumeration must yield, for
-// every dependent cell of the query range, exactly the precedent cells the
-// per-cell DirectPrecedents query yields — the equivalence the engine's
-// batched wavefront linker rests on. The edge pre-filter contract is checked
-// too: every per-cell precedent window is contained in the union span the
-// filter saw (so a filter keyed on the union can never skip a live edge),
-// and a filter that rejects everything suppresses all pairs.
+// TestDirectPrecedentsEach: the per-edge one-hop enumeration must describe,
+// for every dependent column of the random graphs, exactly what the per-cell
+// DirectPrecedents query yields — the equivalence the engine's span linker
+// rests on. For each reported (dependent span, union window, first window):
+// the union contains the precedents of every cell of the span that the edge
+// covers (so linking on the union can never miss a precedent), and the first
+// windows reported for a span's head cell are exactly that cell's precedents
+// (so the scheduler's sweep test sees what the cell really reads). An edge
+// callback that returns false stops the walk.
 func TestDirectPrecedentsEach(t *testing.T) {
+	exactChecks := 0
 	for seed := int64(0); seed < 20; seed++ {
 		deps := genRandomDeps(rand.New(rand.NewSource(seed)))
 		g := Build(deps, DefaultOptions())
-		cells := map[ref.Ref]bool{}
-		bounds := ref.CellRange(deps[0].Dep)
+		byCol := map[int]ref.Range{}
 		for _, d := range deps {
-			cells[d.Dep] = true
-			bounds.Head.Col = min(bounds.Head.Col, d.Dep.Col)
-			bounds.Head.Row = min(bounds.Head.Row, d.Dep.Row)
-			bounds.Tail.Col = max(bounds.Tail.Col, d.Dep.Col)
-			bounds.Tail.Row = max(bounds.Tail.Row, d.Dep.Row)
+			b, ok := byCol[d.Dep.Col]
+			if !ok {
+				b = ref.CellRange(d.Dep)
+			}
+			byCol[d.Dep.Col] = b.Bound(ref.CellRange(d.Dep))
 		}
-
-		// Batched enumeration over the whole dependent bounding box, with a
-		// recording filter that accepts every edge.
-		got := map[ref.Ref]map[ref.Ref]bool{}
-		var spans []ref.Range
-		g.DirectPrecedentsEach(bounds,
-			func(_, span ref.Range) bool {
-				spans = append(spans, span)
-				return true
-			},
-			func(dep ref.Ref, prec ref.Range) bool {
-				set := got[dep]
-				if set == nil {
-					set = map[ref.Ref]bool{}
-					got[dep] = set
+		for _, column := range byCol {
+			union := map[ref.Ref]map[ref.Ref]bool{} // dependent cell -> cells of the unions covering it
+			first := map[ref.Ref]map[ref.Ref]bool{} // span head -> cells of its first windows
+			add := func(m map[ref.Ref]map[ref.Ref]bool, at ref.Ref, r ref.Range) {
+				if m[at] == nil {
+					m[at] = map[ref.Ref]bool{}
 				}
-				prec.Cells(func(x ref.Ref) bool {
-					set[x] = true
+				r.Cells(func(x ref.Ref) bool {
+					m[at][x] = true
 					return true
 				})
-				// Union soundness: the per-cell window must sit inside some
-				// span the filter was shown.
-				inSpan := false
-				for _, s := range spans {
-					if s.ContainsRange(prec) {
-						inSpan = true
-						break
+			}
+			heads := map[ref.Ref]int{} // span head -> edges reporting a span headed there
+			g.DirectPrecedentsEach(column, func(dep, prec, fst ref.Range) bool {
+				if !column.ContainsRange(dep) || !prec.ContainsRange(fst) {
+					t.Fatalf("seed %d: span %v (query %v), union %v, first %v", seed, dep, column, prec, fst)
+				}
+				dep.Cells(func(c ref.Ref) bool {
+					add(union, c, prec)
+					return true
+				})
+				add(first, dep.Head, fst)
+				heads[dep.Head]++
+				return true
+			})
+			column.Cells(func(c ref.Ref) bool {
+				want := oracleDirectPrecedents(deps, c)
+				for x := range want {
+					if !union[c][x] {
+						t.Fatalf("seed %d: %v reads %v, outside every union window reported for it", seed, c, x)
 					}
 				}
-				if !inSpan {
-					t.Fatalf("seed %d: window %v for %v outside every filter span %v",
-						seed, prec, dep, spans)
+				// A head of every span covering it: the firsts are exact.
+				edges := 0
+				g.DirectPrecedents(ref.CellRange(c), func(ref.Range) bool {
+					edges++
+					return true
+				})
+				if heads[c] == edges && edges > 0 {
+					exactChecks++
+					sameCells(t, fmt.Sprintf("seed %d first windows of %v", seed, c), first[c], want)
 				}
 				return true
 			})
-
-		for c := range cells {
-			want := oracleDirectPrecedents(deps, c)
-			gotc := got[c]
-			if gotc == nil {
-				gotc = map[ref.Ref]bool{}
-			}
-			sameCells(t, fmt.Sprintf("seed %d cell %v", seed, c), gotc, want)
-		}
-		for dep := range got {
-			if !cells[dep] {
-				t.Fatalf("seed %d: pair for %v, which is not a dependent cell", seed, dep)
-			}
-		}
-
-		// A filter that rejects every edge yields no pairs at all.
-		g.DirectPrecedentsEach(bounds,
-			func(_, _ ref.Range) bool { return false },
-			func(dep ref.Ref, prec ref.Range) bool {
-				t.Fatalf("seed %d: pair (%v, %v) leaked past a rejecting filter", seed, dep, prec)
+			calls := 0
+			g.DirectPrecedentsEach(column, func(_, _, _ ref.Range) bool {
+				calls++
 				return false
 			})
+			if calls > 1 {
+				t.Fatalf("seed %d: walk continued after edge returned false (%d calls)", seed, calls)
+			}
+		}
+	}
+	if exactChecks == 0 {
+		t.Fatal("no span head was checked against its exact precedents")
 	}
 }
 

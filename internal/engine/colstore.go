@@ -16,14 +16,30 @@ import (
 // binary search each) instead of rows×cols map probes. The engine's flat
 // cell map is retained alongside it as a secondary index for O(1) point
 // lookups; every write goes through both (see Engine.setCell).
+//
+// The dirty set lives on the slabs too: membership is the dirty flag on the
+// cell record, ndirty counts the flagged records, and each column keeps an
+// ordered list of row spans that together cover its flagged cells (dirtyCols
+// names, ascending, the columns whose list is non-empty). Enumerating the set
+// is a column-major walk of those windows filtering on the flag — a span may
+// still cover cells cleaned since it was noted — and the lists are dropped
+// when the count reaches zero, so the bookkeeping is proportional to what was
+// marked, never to the sheet's height.
 type colStore struct {
-	cols map[int]*column
+	cols      map[int]*column
+	ndirty    int
+	dirtyCols []int
 }
 
+// rowSpan is an inclusive row interval of one column.
+type rowSpan struct{ r0, r1 int }
+
 // column is one row-ordered slab: rows sorted ascending, cells parallel.
+// dirty is the column's dirty-span list: ascending, disjoint, never touching.
 type column struct {
 	rows  []int
 	cells []*cell
+	dirty []rowSpan
 }
 
 // columnPool and colMapPool recycle the store's containers across the
@@ -50,14 +66,77 @@ func (s *colStore) recycle() {
 	}
 	clear(s.cols)
 	colMapPool.Put(s.cols)
-	s.cols = nil
+	s.cols, s.ndirty, s.dirtyCols = nil, 0, nil
 }
 
 func recycleColumn(col *column) {
 	clear(col.cells) // drop cell-record references before pooling
 	col.rows = col.rows[:0]
 	col.cells = col.cells[:0]
+	col.dirty = col.dirty[:0]
 	columnPool.Put(col)
+}
+
+// noteDirty records that n cells of col, all within rows r0..r1, were just
+// flagged dirty. The span is merged into the column's list, coalescing with
+// every span it overlaps or touches; marking walks a column top to bottom, so
+// the common case appends to or extends the last span.
+func (s *colStore) noteDirty(col, r0, r1, n int) {
+	c := s.cols[col]
+	if len(c.dirty) == 0 {
+		// A column deleted and re-created mid-epoch may still be listed.
+		if i, listed := slices.BinarySearch(s.dirtyCols, col); !listed {
+			s.dirtyCols = slices.Insert(s.dirtyCols, i, col)
+		}
+	}
+	s.ndirty += n
+	d := c.dirty
+	i, _ := slices.BinarySearchFunc(d, r0-1, func(sp rowSpan, row int) int { return sp.r1 - row })
+	j := i
+	for ; j < len(d) && d[j].r0 <= r1+1; j++ {
+		r0, r1 = min(r0, d[j].r0), max(r1, d[j].r1)
+	}
+	if i == j {
+		c.dirty = slices.Insert(d, i, rowSpan{r0, r1})
+		return
+	}
+	d[i] = rowSpan{r0, r1}
+	c.dirty = slices.Delete(d, i+1, j)
+}
+
+// cleaned records that n flagged cells had their flag cleared (evaluated,
+// overwritten or removed). When the last one goes, so do the span lists.
+func (s *colStore) cleaned(n int) {
+	if s.ndirty -= n; s.ndirty > 0 {
+		return
+	}
+	for _, ci := range s.dirtyCols {
+		if c := s.cols[ci]; c != nil {
+			c.dirty = c.dirty[:0]
+		}
+	}
+	s.dirtyCols = s.dirtyCols[:0]
+}
+
+// dirtyWindows calls fn with the slab window of each dirty span, column-major,
+// until fn returns false; the flagged cells are the ones in those windows
+// whose flag is still set. fn may clean cells (never flag new ones): when it
+// cleans the last one the span lists are dropped under the walk, which the
+// length checks then end.
+func (s *colStore) dirtyWindows(fn func(ci int, col *column, lo, hi int) bool) {
+	for i := 0; i < len(s.dirtyCols); i++ {
+		ci := s.dirtyCols[i]
+		col := s.cols[ci]
+		if col == nil {
+			continue // deleted since it was marked
+		}
+		for k := 0; k < len(col.dirty); k++ {
+			lo, hi := col.window(col.dirty[k].r0, col.dirty[k].r1)
+			if !fn(ci, col, lo, hi) {
+				return
+			}
+		}
+	}
 }
 
 // set installs (or replaces) the record at the given position. Loaders feed

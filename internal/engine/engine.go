@@ -64,11 +64,10 @@ func (t TACO) PatternRunSpans(r ref.Range, fn func(span ref.Range, p core.Patter
 	t.G.PatternRunSpans(r, fn)
 }
 
-// DirectPrecedentsEach implements batchPrecedenter: per-dependent-cell
-// precedent windows for a whole contiguous segment, one compressed-index
-// search instead of one per cell.
-func (t TACO) DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan ref.Range) bool, fn func(dep ref.Ref, prec ref.Range) bool) {
-	t.G.DirectPrecedentsEach(r, edge, fn)
+// DirectPrecedentsEach implements spanPrecedenter: the precedent windows of a
+// whole dependent span, one per covering compressed edge.
+func (t TACO) DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan, first ref.Range) bool) {
+	t.G.DirectPrecedentsEach(r, edge)
 }
 
 // NoComp adapts *nocomp.Graph to the engine's Graph interface.
@@ -108,16 +107,14 @@ type directPrecedenter interface {
 	DirectPrecedents(r ref.Range, fn func(ref.Range) bool)
 }
 
-// batchPrecedenter is the batched refinement of directPrecedenter the
-// scheduler prefers when the backend offers it: the one-hop windows of every
-// dependent cell in a range, answered with a single index search. On a
-// compressed graph a contiguous dirty segment is typically covered by a
-// handful of pattern edges, so linking it costs edge decoding plus pattern
-// arithmetic per cell instead of an R-tree descent per cell — and the edge
-// pre-filter lets the scheduler discard edges whose whole precedent window
-// misses the dirty set before any per-cell work happens.
-type batchPrecedenter interface {
-	DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan ref.Range) bool, fn func(dep ref.Ref, prec ref.Range) bool)
+// spanPrecedenter is the per-edge refinement of directPrecedenter the
+// scheduler prefers when the backend offers it: for each compressed edge
+// covering part of a dependent span, the covered sub-span, the union of its
+// cells' precedent windows, and the window of its first cell alone. A span
+// node links with one index search, and the first-cell window is what decides
+// whether a span that reads itself can be swept top to bottom (schedule.go).
+type spanPrecedenter interface {
+	DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan, first ref.Range) bool)
 }
 
 // cell is the engine's cell record.
@@ -130,10 +127,6 @@ type cell struct {
 	// flag on the record instead of a side map, so the (very hot) resolver
 	// path costs one pointer dereference, not a map probe.
 	evaluating bool
-	// sched is the cell's node index in the wavefront schedule currently
-	// being built (see schedule.go). Valid only for cells in the dirty set
-	// during a drain — buildSchedule rewrites it each time.
-	sched int32
 	// prog is the cell's compiled bytecode program, interned through the
 	// formula-level compile cache so shifted copies of one formula pattern
 	// share a single *Program (pointer equality is how the scheduler detects
@@ -169,9 +162,6 @@ type Engine struct {
 	// mark formula-dense columns by walking the columnar slabs — contiguous
 	// arrays — instead of descending the spatial index per dependent range.
 	nform map[int]int
-	// dirty is the explicit dirty set: exactly the cells whose record has
-	// dirty=true. Recalculation drains it without scanning the cell map.
-	dirty map[ref.Ref]*cell
 	// slabs tracks the cell-record blocks a snapshot restore allocated, so
 	// Recycle can return them to the pool when the engine is discarded.
 	slabs [][]cell
@@ -194,18 +184,19 @@ type Engine struct {
 	// schedule exists for is their ratio (see RecalcStats).
 	levelsDrained uint64
 	schedBuilds   uint64
-	// patternRuns gates the vectorized run drain (runs.go): when true (the
-	// default), wavefront levels are scanned for contiguous-row runs sharing
-	// one compiled program and drained as batched sweeps. SetPatternRuns(false)
-	// forces per-cell evaluation — the oracle path the run drain must match.
+	// patternRuns gates span nodes (runs.go): when true (the default), the
+	// schedule build carves contiguous dirty rows sharing one compiled program
+	// into single nodes drained as batched sweeps. SetPatternRuns(false) makes
+	// every node one cell — the oracle path the sweeps must match.
 	patternRuns bool
 
 	// Warm-schedule cache: a completed wavefront schedule is a pure function
 	// of the formula/graph structure and the epoch's edit roots, so the
 	// interactive steady state — the same input cell edited over and over —
-	// re-arms the retired schedule instead of re-levelling 20k cells per
-	// keystroke. structGen counts structural mutations (formula installs and
-	// removals, graph edits); roots accumulates the dirty epoch's edit
+	// re-arms the retired schedule instead of re-walking every flagged record
+	// per keystroke. structGen counts structural mutations (formula installs
+	// and removals, graph edits, cells entering or leaving a slab — the span
+	// windows alias the slabs); roots accumulates the dirty epoch's edit
 	// origins while rootsOK holds (no partial drain or serial evaluation
 	// punched a hole in the dirty set the roots can't describe); warm is the
 	// last cleanly completed schedule with the structGen and roots it was
@@ -230,7 +221,6 @@ func New(g Graph) *Engine {
 		cells:       make(map[ref.Ref]*cell),
 		formulas:    rtree.New[ref.Ref](),
 		nform:       make(map[int]int),
-		dirty:       make(map[ref.Ref]*cell),
 		patternRuns: true,
 		rootsOK:     true,
 	}
@@ -238,8 +228,15 @@ func New(g Graph) *Engine {
 
 // SetPatternRuns toggles the vectorized pattern-run drain (on by default).
 // Off forces every wavefront cell through per-cell evaluation — useful as
-// the equivalence oracle in tests and benchmarks.
-func (e *Engine) SetPatternRuns(on bool) { e.patternRuns = on }
+// the equivalence oracle in tests and benchmarks. A schedule carved under
+// the other setting is dropped.
+func (e *Engine) SetPatternRuns(on bool) {
+	if on != e.patternRuns {
+		e.patternRuns = on
+		e.releaseSchedule()
+		e.releaseWarm()
+	}
+}
 
 // prog returns the cell's interned bytecode program, compiling on first use.
 // Nil when the formula has no compiled form (the AST walker handles it).
@@ -263,18 +260,22 @@ func (e *Engine) setCell(at ref.Ref, c *cell) {
 			e.decForm(at.Col)
 			e.noteStructMutation()
 		}
-		delete(e.dirty, at)
+		if old.dirty {
+			e.store.cleaned(1) // the replaced record leaves the set with its flag
+		}
+	} else {
+		e.noteStructMutation() // the slab grows: warm span windows alias it
 	}
 	if c.ast != nil {
 		e.formulas.Insert(ref.CellRange(at), at)
 		e.nform[at.Col]++
 		e.noteStructMutation()
 	}
-	if c.dirty {
-		e.dirty[at] = c
-	}
 	e.cells[at] = c
 	e.store.set(at, c)
+	if c.dirty {
+		e.store.noteDirty(at.Col, at.Row, at.Row, 1)
+	}
 }
 
 // populate fills the engine's cell store from a sheet: values clean,
@@ -318,7 +319,7 @@ func Load(s *workload.Sheet, g Graph) (*Engine, error) {
 	for _, d := range deps {
 		e.graph.Add(d)
 	}
-	e.drainSerial(len(e.dirty)) // see LoadBulkParsed
+	e.drainSerial(e.store.ndirty) // see LoadBulkParsed
 	return e, nil
 }
 
@@ -371,7 +372,6 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 		var rec *cell
 		if c.AST != nil {
 			rec = &cell{ast: c.AST, src: c.Src, dirty: true}
-			e.dirty[c.At] = rec
 			e.nform[c.At.Col]++
 			items = append(items, rtree.Item[ref.Ref]{Rect: ref.CellRange(c.At), Value: c.At})
 		} else {
@@ -379,6 +379,9 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 		}
 		e.cells[c.At] = rec
 		e.store.set(c.At, rec) // ordered input: the append fast path
+		if rec.dirty {
+			e.store.noteDirty(c.At.Col, c.At.Row, c.At.Row, 1)
+		}
 	}
 	e.formulas = rtree.BulkLoad(items)
 	// A fresh load's first full recalculation stays on the serial resolver,
@@ -388,7 +391,7 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 	// measured on the benchmark host, routing it through DrainLevels costs
 	// 15–20 % of load_cells_per_s on the ledger and scenario loads and +6 %
 	// live heap on the 64-session interactive workload.
-	e.drainSerial(len(e.dirty))
+	e.drainSerial(e.store.ndirty)
 	return e
 }
 
@@ -452,7 +455,7 @@ func (r evalResolver) CellValue(at ref.Ref) formula.Value {
 		if c.evaluating {
 			return formula.Errorf("#CYCLE!")
 		}
-		r.e.evaluate(at, c)
+		r.e.evaluate(c)
 	}
 	return c.value
 }
@@ -469,7 +472,7 @@ func (r evalResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.V
 			if c.evaluating {
 				return fn(at, formula.Errorf("#CYCLE!"))
 			}
-			r.e.evaluate(at, c)
+			r.e.evaluate(c)
 		}
 		return fn(at, c.value)
 	})
@@ -491,7 +494,7 @@ func (r evalResolver) dirtyVal(at ref.Ref, c *cell) formula.Value {
 	if c.evaluating {
 		return formula.Errorf("#CYCLE!")
 	}
-	r.e.evaluate(at, c)
+	r.e.evaluate(c)
 	return c.value
 }
 
@@ -505,7 +508,7 @@ func (r evalResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
 	return r.e.store.foldSumProduct(a, b, r.dirtyVal)
 }
 
-func (e *Engine) evaluate(at ref.Ref, c *cell) {
+func (e *Engine) evaluate(c *cell) {
 	e.noteDirtyMutation()
 	// A serial evaluation drains cells the roots model can't account for.
 	e.rootsOK = false
@@ -515,7 +518,7 @@ func (e *Engine) evaluate(at ref.Ref, c *cell) {
 		c.evaluating = false
 	}
 	c.dirty = false
-	delete(e.dirty, at)
+	e.store.cleaned(1)
 }
 
 // Formula returns the formula source of a cell ("" for value cells).
@@ -565,14 +568,19 @@ func (e *Engine) SetFormulaParsed(at ref.Ref, src string, ast formula.Node) []re
 // ClearCell removes a cell entirely.
 func (e *Engine) ClearCell(at ref.Ref) []ref.Range {
 	e.noteDirtyMutation()
-	if old, ok := e.cells[at]; ok && old.ast != nil {
+	old, ok := e.cells[at]
+	if ok && old.ast != nil {
 		e.graph.Clear(ref.CellRange(at))
 		e.formulas.Delete(ref.CellRange(at), func(ref.Ref) bool { return true })
 		e.decForm(at.Col)
-		e.noteStructMutation()
+	}
+	if ok {
+		e.noteStructMutation() // the slab shrinks: warm span windows alias it
+		if old.dirty {
+			e.store.cleaned(1)
+		}
 	}
 	delete(e.cells, at)
-	delete(e.dirty, at)
 	e.store.delete(at)
 	return e.invalidate(at)
 }
@@ -599,7 +607,7 @@ func (e *Engine) invalidate(at ref.Ref) []ref.Range {
 // more than a handful of distinct roots won't repeat exactly anyway, so it
 // is cheaper to stop tracking than to compare long lists.
 func (e *Engine) noteRoot(at ref.Ref) {
-	if len(e.dirty) == 0 && e.sched == nil {
+	if e.store.ndirty == 0 && e.sched == nil {
 		e.roots = e.roots[:0]
 		e.rootsOK = true
 	}
@@ -650,16 +658,26 @@ func (e *Engine) markRange(rng ref.Range) {
 // the column's slab window is formula-dense (at most a few populated cells
 // per formula), it scans the contiguous slab checking ast != nil — a few ns
 // per cell — instead of descending the spatial index, whose per-entry cost
-// is an order of magnitude higher. Sparse windows (a handful of formulae in
-// a sea of values) fall back to the single-column R-tree search.
+// is an order of magnitude higher, and notes one dirty span from the first
+// row it flagged to the last. Sparse windows (a handful of formulae in a sea
+// of values) fall back to the single-column R-tree search and note each cell
+// on its own, so a later walk of the spans never crosses the sea.
 func (e *Engine) markCol(col, r1, r2, nf int) {
 	if c := e.store.cols[col]; c != nil {
 		if lo, hi := c.window(r1, r2); hi-lo <= 4*nf {
+			n, first, last := 0, 0, 0
 			for i := lo; i < hi; i++ {
 				if cc := c.cells[i]; cc.ast != nil && !cc.dirty {
 					cc.dirty = true
-					e.dirty[ref.Ref{Col: col, Row: c.rows[i]}] = cc
+					if n == 0 {
+						first = c.rows[i]
+					}
+					last = c.rows[i]
+					n++
 				}
+			}
+			if n > 0 {
+				e.store.noteDirty(col, first, last, n)
 			}
 			return
 		}
@@ -668,7 +686,7 @@ func (e *Engine) markCol(col, r1, r2, nf int) {
 	e.formulas.Search(r, func(_ ref.Range, fat ref.Ref) bool {
 		if cc := e.cells[fat]; cc != nil && !cc.dirty {
 			cc.dirty = true
-			e.dirty[fat] = cc
+			e.store.noteDirty(col, fat.Row, fat.Row, 1)
 		}
 		return true
 	})
@@ -753,7 +771,7 @@ func (e *Engine) RecalcParallelism() int { return e.parallelism }
 // choice depends only on what the engine can observe, so it is the same on
 // every host.
 func (e *Engine) wavefrontReady() bool {
-	return e.parallelism != 1 && (e.sched != nil || len(e.dirty) >= minLevelledDirty)
+	return e.parallelism != 1 && (e.sched != nil || e.store.ndirty >= minLevelledDirty)
 }
 
 // RecalculateAll evaluates every dirty formula cell (the background phase of
@@ -763,9 +781,9 @@ func (e *Engine) wavefrontReady() bool {
 // the serial recursive resolver (see wavefrontReady).
 func (e *Engine) RecalculateAll() int {
 	if e.wavefrontReady() {
-		return e.DrainLevels(len(e.dirty))
+		return e.DrainLevels(e.store.ndirty)
 	}
-	return e.drainSerial(len(e.dirty))
+	return e.drainSerial(e.store.ndirty)
 }
 
 // RecalculateN evaluates up to max dirty cells and returns how many it
@@ -787,18 +805,21 @@ func (e *Engine) RecalculateN(max int) int {
 
 // drainSerial starts up to max evaluations on the serial recursive resolver:
 // reading a dirty precedent evaluates it first, so any iteration order over
-// the dirty set is topological.
+// the dirty set is topological. The order is the dirty spans', column-major.
 func (e *Engine) drainSerial(max int) int {
 	n := 0
-	for at, c := range e.dirty {
-		if n >= max {
-			break
+	e.store.dirtyWindows(func(_ int, col *column, lo, hi int) bool {
+		for _, c := range col.cells[lo:hi] {
+			if c.dirty {
+				if n >= max {
+					return false
+				}
+				e.evaluate(c)
+				n++
+			}
 		}
-		if c.dirty {
-			e.evaluate(at, c)
-			n++
-		}
-	}
+		return true
+	})
 	mCellsEvaluated.Add(uint64(n))
 	return n
 }
@@ -810,14 +831,15 @@ func (e *Engine) drainSerial(max int) int {
 type RecalcStats struct {
 	// Pending is the number of cells awaiting recalculation.
 	Pending int `json:"pending"`
-	// Scheduled is the node count of the live resumable schedule (0 when no
-	// schedule is cached — the dirty set has not been levelled, or the last
-	// drain ran to exhaustion).
+	// Scheduled is the cell count of the live resumable schedule at build
+	// time (0 when no schedule is cached — the dirty set has not been
+	// levelled, or the last drain ran to exhaustion).
 	Scheduled int `json:"scheduled,omitempty"`
 	// FrontierWidth is the ready width of the live schedule: cells whose
 	// precedents are all settled, i.e. the size of the next level.
 	FrontierWidth int `json:"frontier_width,omitempty"`
-	// LevelsDrained counts wavefront levels executed over the engine's life.
+	// LevelsDrained counts wavefront levels completed over the engine's life
+	// (a level a budget cuts counts once, when its last node finishes).
 	LevelsDrained uint64 `json:"levels_drained"`
 	// ScheduleBuilds counts schedule constructions (Kahn runs). Budgeted
 	// drains resuming a cached schedule do not rebuild, so this stays at one
@@ -828,19 +850,21 @@ type RecalcStats struct {
 // RecalcStats returns the recalculation scheduler's state snapshot.
 func (e *Engine) RecalcStats() RecalcStats {
 	st := RecalcStats{
-		Pending:        len(e.dirty),
+		Pending:        e.store.ndirty,
 		LevelsDrained:  e.levelsDrained,
 		ScheduleBuilds: e.schedBuilds,
 	}
-	if e.sched != nil {
-		st.Scheduled = e.sched.total
-		st.FrontierWidth = len(e.sched.frontier)
+	if sch := e.sched; sch != nil {
+		st.Scheduled = sch.total
+		for _, i := range sch.frontier {
+			st.FrontierWidth += len(sch.nodes[i].cells) - sch.nodes[i].done
+		}
 	}
 	return st
 }
 
 // Pending returns the number of cells awaiting recalculation.
-func (e *Engine) Pending() int { return len(e.dirty) }
+func (e *Engine) Pending() int { return e.store.ndirty }
 
 // Dependents exposes the graph's dependents query (used by tracing tools).
 func (e *Engine) Dependents(r ref.Range) []ref.Range { return e.graph.Dependents(r) }
@@ -893,7 +917,6 @@ func (e *Engine) Recycle() {
 	cellMapPool.Put(e.cells)
 	e.cells = nil
 	e.store.recycle()
-	e.dirty = nil
 	e.formulas = nil
 }
 

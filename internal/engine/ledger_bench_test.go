@@ -1,0 +1,90 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"taco/internal/formula"
+	"taco/internal/ref"
+)
+
+// ledgerEngine loads the benchmark's ledger sheet (bench/gen.go: A, B data;
+// C = A*B*$H$1; D a running sum of C restarted every 256 rows; E a 7-row
+// sliding SUM of C; F one SUM per 1000 rows of C; G1 = SUM(F); H1 the rate)
+// so the two edits that dominate engine_recalc and serve_big_drain have a
+// fast inner loop next to the code they exercise.
+func ledgerEngine(tb testing.TB, rows int) *Engine {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	var cells []ParsedCell
+	value := func(col, row int, v float64) {
+		cells = append(cells, ParsedCell{At: ref.Ref{Col: col, Row: row}, Value: formula.Num(v)})
+	}
+	form := func(col, row int, src string) {
+		cells = append(cells, ParsedCell{At: ref.Ref{Col: col, Row: row}, Src: src, AST: formula.MustParse(src)})
+	}
+	for r := 1; r <= rows; r++ {
+		value(1, r, float64(rng.Intn(1000))+0.5)
+		value(2, r, float64(rng.Intn(100))+0.25)
+		form(3, r, fmt.Sprintf("A%d*B%d*$H$1", r, r))
+		if (r-1)%256 == 0 {
+			form(4, r, fmt.Sprintf("C%d", r))
+		} else {
+			form(4, r, fmt.Sprintf("D%d+C%d", r-1, r))
+		}
+		if r >= 7 {
+			form(5, r, fmt.Sprintf("SUM(C%d:C%d)", r-6, r))
+		}
+	}
+	blocks := 0
+	for b := 1; b <= rows; b += 1000 {
+		blocks++
+		form(6, blocks, fmt.Sprintf("SUM(C%d:C%d)", b, min(b+999, rows)))
+	}
+	form(7, 1, fmt.Sprintf("SUM(F1:F%d)", blocks))
+	value(8, 1, 1.05)
+	return LoadBulkParsed(cells)
+}
+
+const ledgerBenchRows = 20_000
+
+// ledgerEdit applies one edit and drains it.
+func ledgerEdit(b *testing.B, e *Engine, at ref.Ref, v float64) {
+	e.SetValue(at, formula.Num(v))
+	e.RecalculateAll()
+	if e.Pending() != 0 {
+		b.Fatalf("%d cells pending after the drain", e.Pending())
+	}
+}
+
+// BenchmarkLedgerRateEdit times the edit of $H$1 — 3 dirty cells per row —
+// with an untimed point edit between every two, so no schedule cache hits,
+// as in engine_recalc's op list.
+func BenchmarkLedgerRateEdit(b *testing.B) {
+	e := ledgerEngine(b, ledgerBenchRows)
+	rng := rand.New(rand.NewSource(2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ledgerEdit(b, e, ref.Ref{Col: 1, Row: 1 + rng.Intn(ledgerBenchRows)}, float64(rng.Intn(1000)))
+		b.StartTimer()
+		ledgerEdit(b, e, ref.MustCell("H1"), 1+float64(1+rng.Intn(999))/10000)
+	}
+}
+
+// BenchmarkLedgerPointEdit times the edit of one A cell — about 270 dirty
+// cells — with an untimed rate edit every 16.
+func BenchmarkLedgerPointEdit(b *testing.B) {
+	e := ledgerEngine(b, ledgerBenchRows)
+	rng := rand.New(rand.NewSource(2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%16 == 15 {
+			b.StopTimer()
+			ledgerEdit(b, e, ref.MustCell("H1"), 1+float64(1+rng.Intn(999))/10000)
+			b.StartTimer()
+		}
+		ledgerEdit(b, e, ref.Ref{Col: 1, Row: 1 + rng.Intn(ledgerBenchRows)}, float64(rng.Intn(1000)))
+	}
+}

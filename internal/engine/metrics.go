@@ -13,7 +13,7 @@ var (
 	mCellsEvaluated = telemetry.NewCounter("taco_engine_cells_evaluated_total",
 		"Dirty cells evaluated (or published as #CYCLE!) by recalculation.")
 	mLevelsDrained = telemetry.NewCounter("taco_sched_levels_drained_total",
-		"Wavefront levels executed by the resumable scheduler.")
+		"Wavefront levels of span nodes completed by the resumable scheduler.")
 	mSchedBuilds = telemetry.NewCounter("taco_sched_builds_total",
 		"Schedule constructions (Kahn levelling runs).")
 	mSchedResumes = telemetry.NewCounter("taco_sched_resumes_total",
@@ -23,7 +23,7 @@ var (
 	mSchedWarmReuses = telemetry.NewCounter("taco_sched_warm_reuses_total",
 		"Completed schedules re-armed for an identical edit epoch (same roots, unchanged structure).")
 	mPatternRuns = telemetry.NewCounter("taco_sched_pattern_runs_total",
-		"Pattern runs drained as vectorized sweeps (see runs.go).")
+		"Sweeps of pattern-run span nodes; a span a budget cuts is one sweep per chunk (see runs.go).")
 	mPatternRunCells = telemetry.NewCounter("taco_sched_pattern_run_cells_total",
 		"Cells evaluated inside vectorized pattern-run sweeps.")
 	mCycleCells = telemetry.NewCounter("taco_sched_cycle_cells_total",

@@ -1,22 +1,22 @@
 package engine
 
 import (
-	"slices"
-
 	"taco/internal/core"
 	"taco/internal/formula"
 	"taco/internal/ref"
 )
 
-// This file implements the vectorized pattern-run drain: inside one
-// wavefront level, contiguous rows of a column whose cells share one
-// compiled program (modulo relative offsets) are evaluated as a single
-// batched sweep instead of per-cell dispatch. The sharing is exactly what
-// the TACO graph's pattern/RR-Chain edges record — a compressed dependent
-// run is a set of cells with one formula shape — so run detection is keyed
-// on the canonical compile cache (shifted copies of a formula intern to one
-// *Program; membership is pointer equality) and, when the graph supports it,
-// pre-filtered by the compressed edges' dependent spans (patternSpanner).
+// This file implements pattern runs, the span nodes of the levelled schedule
+// (schedule.go): contiguous dirty rows of a column whose cells share one
+// compiled program (modulo relative offsets) are carved into one node and
+// evaluated as a single batched sweep instead of per-cell dispatch. The
+// sharing is exactly what the TACO graph's pattern/RR-Chain edges record — a
+// compressed dependent run is a set of cells with one formula shape — so run
+// detection is keyed on the canonical compile cache (shifted copies of a
+// formula intern to one *Program; membership is pointer equality) and, when
+// the graph supports it, gated on the compressed edges' dependent spans
+// (patternSpanner). It happens once per schedule build, during the
+// column-major walk of the dirty spans that enumerates the set anyway.
 //
 // The sweep itself plans one cursor per compiled cell operand: a row-fixed
 // operand ($-anchored row) resolves to one position for the whole run and is
@@ -24,179 +24,126 @@ import (
 // row per evaluated cell, foldRange-style, so the inner loop touches no maps
 // and re-resolves nothing. Range operands and call dispatch still go through
 // the ordinary resolver — folds keep their own batched paths. Every value a
-// run reads was settled by an earlier level (that is what a level is), so
-// the sweep reads exactly what per-cell evaluation against the read-only
-// valueResolver would read, and results — including error values and
-// #CYCLE! propagated from earlier levels — are bit-identical to the serial
-// AST path.
+// run reads was settled by an earlier level or by an earlier row of the same
+// sweep (a span that reads itself is only carved when it reads strictly
+// upwards, and the cursors read a cell's value when they reach it), so the
+// sweep reads exactly what per-cell evaluation in dependency order would
+// read, and results — including error values and #CYCLE! propagated from
+// earlier levels — are bit-identical to the serial AST path.
 
-// minPatternRun is the run length below which the batched sweep is not
-// attempted: planning cursors for a handful of cells costs more than
-// evaluating them, and levels narrower than this skip detection entirely.
+// minPatternRun is the run length below which a span is not carved: planning
+// cursors for a handful of cells costs more than evaluating them.
 const minPatternRun = 8
 
-// levelRun is one detected pattern run: node indices of a single column's
-// contiguous rows (ascending), all sharing prog.
-type levelRun struct {
-	prog  *formula.Program
-	nodes []int32
-}
-
-// levelPlan is one level's cached pattern-run partition. A schedule's level
-// sequence is a pure function of its nodes and links, so when a warm-reused
-// schedule replays the same frontier sequence, the partitions computed on
-// the first drain replay too — run detection (the sort filter, program
-// interning probes, span coverage) runs once per schedule, not once per
-// drain. Validity is checked by exact level equality, so a drain whose
-// budget splits levels differently simply recomputes from the first
-// mismatch (see replayPlan).
-type levelPlan struct {
-	level   []int32
-	runs    []levelRun
-	singles []int32
-}
-
-// replayPlan returns the cached partition for the next drained level, if it
-// was recorded for exactly this level. On mismatch the stale tail of the
-// plan list is dropped — everything after this point was recorded for a
-// level sequence this drain is no longer following.
-func (sch *schedule) replayPlan(level []int32) (runs []levelRun, singles []int32, ok bool) {
-	if sch.planIdx < len(sch.plans) && slices.Equal(sch.plans[sch.planIdx].level, level) {
-		p := &sch.plans[sch.planIdx]
-		sch.planIdx++
-		return p.runs, p.singles, true
-	}
-	for i := sch.planIdx; i < len(sch.plans); i++ {
-		sch.plans[i] = levelPlan{}
-	}
-	sch.plans = sch.plans[:sch.planIdx]
-	return nil, nil, false
-}
-
-// recordPlan caches one level's freshly computed partition. Copies
-// throughout: level is the schedule's reused frontier buffer and the run
-// node slices alias planLevel's sort scratch, neither of which survives the
-// next level.
-func (sch *schedule) recordPlan(level []int32, runs []levelRun, singles []int32) {
-	p := levelPlan{
-		level:   slices.Clone(level),
-		singles: slices.Clone(singles),
-		runs:    make([]levelRun, len(runs)),
-	}
-	for i, r := range runs {
-		p.runs[i] = levelRun{prog: r.prog, nodes: slices.Clone(r.nodes)}
-	}
-	sch.plans = append(sch.plans, p)
-	sch.planIdx = len(sch.plans)
-}
-
-// planLevel partitions one wavefront level into pattern runs and leftover
-// singles. Cells are sorted by (column, row); a maximal chain of contiguous
-// rows whose cells intern to the same compiled program becomes a run if it
-// is long enough and — when the graph tracks pattern compression — its whole
-// extent is covered by compressed dependent spans. Everything else (value
-// cells, uncompilable formulas, broken/short chains) stays per-cell. The
-// returned slices index into nodes; the level itself is not reordered, so
-// the caller's publish loop is unaffected.
-func (e *Engine) planLevel(nodes []schedNode, level []int32) (runs []levelRun, singles []int32) {
-	var sorted []int32
-	if sch := e.sched; sch != nil && len(sch.order) == len(nodes) {
-		// The batched linker already position-sorted the whole node set;
-		// filtering its order by level membership yields this level sorted
-		// in O(nodes) instead of another comparison sort. The scratch
-		// buffers live on the schedule; runs alias sorted, which stays
-		// untouched until the next level plans (after this level drains).
-		mark := sch.mark
-		if cap(mark) < len(nodes) {
-			mark = make([]bool, len(nodes))
-		} else {
-			mark = mark[:len(nodes)]
-			clear(mark)
-		}
-		sch.mark = mark
-		for _, i := range level {
-			mark[i] = true
-		}
-		sorted = sch.lvl[:0]
-		for _, i := range sch.order {
-			if mark[i] {
-				sorted = append(sorted, i)
-			}
-		}
-		sch.lvl = sorted
-	} else {
-		sorted = make([]int32, len(level))
-		copy(sorted, level)
-		slices.SortFunc(sorted, func(a, b int32) int {
-			na, nb := nodes[a].at, nodes[b].at
-			if na.Col != nb.Col {
-				return na.Col - nb.Col
-			}
-			return na.Row - nb.Row
-		})
-	}
+// carve walks the dirty spans column-major and appends the schedule's nodes.
+// A maximal run of contiguous flagged rows whose cells intern to one compiled
+// program is a candidate when runs is set and it is at least minPatternRun
+// long; each stretch of it that is itself that long, that compressed
+// dependent spans cover (when the graph tracks pattern compression) and that
+// an ascending sweep can order — its cells read, inside the stretch, only
+// rows above their own — becomes one span node. Every other dirty cell is a
+// node of its own: value cells, uncompilable formulas, short or broken runs,
+// rows only Single edges claim, every cell when runs is off.
+//
+// The sweep test is a precedent query per candidate span that linkSchedule
+// repeats: linking needs the finished node index, so the windows seen here
+// would have to be retained per node to be reused. On compressed edges that
+// is a second index search per span, and spans are few next to the records
+// the walk visits; a backend that answers per cell (NoComp, the oracle)
+// enumerates a sweepable span's windows twice.
+func (e *Engine) carve(sch *schedule, runs bool) {
 	sp, hasSp := e.graph.(patternSpanner)
-	var cover []bool
-	i := 0
-	for i < len(sorted) {
-		n := &nodes[sorted[i]]
-		var p *formula.Program
-		if n.c.ast != nil {
-			p = e.prog(n.at, n.c)
-		}
-		if p == nil {
-			singles = append(singles, sorted[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(sorted) {
-			m := &nodes[sorted[j]]
-			if m.at.Col != n.at.Col || m.at.Row != nodes[sorted[j-1]].at.Row+1 ||
-				m.c.ast == nil || e.prog(m.at, m.c) != p {
-				break
-			}
-			j++
-		}
-		lastRow := nodes[sorted[j-1]].at.Row
-		if j-i >= minPatternRun &&
-			(!hasSp || e.spanCovered(sp, n.at.Col, n.at.Row, lastRow, &cover)) {
-			runs = append(runs, levelRun{prog: p, nodes: sorted[i:j]})
-		} else {
-			singles = append(singles, sorted[i:j]...)
-		}
-		i = j
+	// One closure per build, re-aimed per stretch through span.
+	var span ref.Range
+	var sweepable bool
+	check := func(dep, _, first ref.Range) bool {
+		// Windows are linear in the row, so if the first cell this edge
+		// covers reads nothing at or below itself inside the span, no later
+		// cell does either.
+		sweepable = !first.Overlaps(ref.Range{Head: dep.Head, Tail: span.Tail})
+		return sweepable
 	}
-	return runs, singles
+	e.store.dirtyWindows(func(ci int, col *column, lo, hi int) bool {
+		at := func(k int) ref.Ref { return ref.Ref{Col: ci, Row: col.rows[k]} }
+		for i := lo; i < hi; {
+			c := col.cells[i]
+			if !c.dirty {
+				i++
+				continue
+			}
+			run0, j := i, i+1
+			var p *formula.Program
+			if runs && c.ast != nil {
+				p = e.prog(at(i), c) // nil when the compiler declines the formula
+			}
+			for p != nil && j < hi && col.cells[j].dirty && col.rows[j] == col.rows[j-1]+1 &&
+				col.cells[j].ast != nil && e.prog(at(j), col.cells[j]) == p {
+				j++
+			}
+			long := j-i >= minPatternRun
+			var holes []bool // rows of the run no compressed edge covers, if any
+			if long && hasSp {
+				holes = uncovered(sp, ref.Range{Head: at(i), Tail: at(j - 1)}, &sch.cover)
+			}
+			for i < j {
+				k := i + 1
+				if long && (holes == nil || !holes[i-run0]) {
+					for k < j && (holes == nil || !holes[k-run0]) {
+						k++
+					}
+					span, sweepable = ref.Range{Head: at(i), Tail: at(k - 1)}, k-i >= minPatternRun
+					if sweepable {
+						e.spanPrecedents(span, col.cells[i:k], check)
+					}
+					if sweepable {
+						sch.addNode(at(i), col.cells[i:k], p)
+						i = k
+						continue
+					}
+				}
+				for ; i < k; i++ {
+					sch.addNode(at(i), col.cells[i:i+1], nil)
+				}
+			}
+		}
+		return true
+	})
 }
 
-// spanCovered reports whether every row of col[rowLo..rowHi] lies inside
-// some compressed (non-Single) dependent span — the graph's own evidence
-// that these cells share a formula shape. Spans from different edges may
-// each cover part of the run (one edge per reference, clipped by partial
-// dirty sets), so coverage is a union, tracked in the reusable scratch.
-func (e *Engine) spanCovered(sp patternSpanner, col, rowLo, rowHi int, scratch *[]bool) bool {
-	n := rowHi - rowLo + 1
-	buf := *scratch
-	if cap(buf) < n {
-		buf = make([]bool, n)
-	} else {
-		buf = buf[:n]
-		clear(buf)
+// uncovered marks the rows of a column span that lie inside no compressed
+// (non-Single) dependent span — the graph's own evidence of which cells share
+// a formula shape — and returns nil when there are none. Spans from different
+// edges may each cover part of the run (one edge per reference, clipped by
+// partial dirty sets), so coverage is a union, tracked in the reusable
+// scratch. A hole splits a run, it does not spoil it: two formula rewrites on
+// neighbouring rows can leave the cell between them on Single edges for good
+// (the greedy compressor merges only on insert), and one such cell must not
+// cost a 20k-row column its sweep.
+func uncovered(sp patternSpanner, span ref.Range, scratch *[]bool) []bool {
+	n := span.Rows()
+	holes := *scratch
+	if cap(holes) < n {
+		holes = make([]bool, n)
 	}
-	*scratch = buf
-	covered := 0
-	r := ref.Range{Head: ref.Ref{Col: col, Row: rowLo}, Tail: ref.Ref{Col: col, Row: rowHi}}
-	sp.PatternRunSpans(r, func(span ref.Range, _ core.PatternType) bool {
-		for row := span.Head.Row; row <= span.Tail.Row; row++ {
-			if !buf[row-rowLo] {
-				buf[row-rowLo] = true
-				covered++
+	holes = holes[:n]
+	for i := range holes {
+		holes[i] = true
+	}
+	*scratch = holes
+	left := n
+	sp.PatternRunSpans(span, func(part ref.Range, _ core.PatternType) bool {
+		for row := part.Head.Row; row <= part.Tail.Row; row++ {
+			if holes[row-span.Head.Row] {
+				holes[row-span.Head.Row] = false
+				left--
 			}
 		}
-		return covered < n
+		return left > 0
 	})
-	return covered == n
+	if left == 0 {
+		return nil
+	}
+	return holes
 }
 
 // runCursor feeds one compiled cell operand during a sweep: a row-fixed
@@ -214,83 +161,87 @@ const (
 	curSlab
 )
 
-// executeRun evaluates one pattern run as a batched sweep: cursors are
-// planned once against the run's first anchor, then each row is one VM
-// evaluation with cell reads served straight off the slabs. Rows ascend, so
-// every slab cursor advances monotonically; a missing cell reads as Empty,
-// exactly as valueResolver.CellValue would return it. Each cell's value and
-// clean flag are written exactly once, same as evalLevelCell.
-func (e *Engine) executeRun(nodes []schedNode, r *levelRun) {
-	p := r.prog
+// runScratch is the sweep's per-schedule scratch: the operand cursors, the
+// numeric fast path's operand buffer, and read — readOp bound once, so
+// handing it to the VM allocates nothing per sweep.
+type runScratch struct {
+	cursors []runCursor
+	vals    []float64
+	read    func(op int, target ref.Ref) formula.Value
+}
+
+// readOp serves one cell-operand read from its cursor. A missing cell reads
+// as Empty, exactly as valueResolver.CellValue would return it.
+func (rs *runScratch) readOp(op int, target ref.Ref) formula.Value {
+	cu := &rs.cursors[op]
+	switch cu.kind {
+	case curFixed:
+		return cu.v
+	case curEmpty:
+		return formula.Empty()
+	}
+	if c := cu.cur.probe(target.Row); c != nil {
+		return c.value
+	}
+	return formula.Empty()
+}
+
+// executeRun sweeps the next m cells of a span node, from its cursor:
+// operand cursors are planned once against the first row swept, then each
+// row is one VM evaluation with cell reads served straight off the slabs.
+// Rows ascend, so every slab cursor advances monotonically, and a cursor
+// over the span's own column reads what the rows above just wrote. Each
+// cell's value and clean flag are written exactly once, same as
+// evalLevelCell.
+func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
+	p := nd.prog
 	res := valueResolver{e}
-	anchor0 := nodes[r.nodes[0]].at
-	n := len(r.nodes)
+	anchor := ref.Ref{Col: nd.at.Col, Row: nd.at.Row + nd.done}
 	ops := p.CellOps()
-	cursors := make([]runCursor, len(ops))
-	for i, op := range ops {
-		t0 := op.At(anchor0)
+	rs.cursors = rs.cursors[:0]
+	for _, op := range ops {
+		t0 := op.At(anchor)
 		if op.RowFixed {
 			// The anchor column is constant across the run, so a row-fixed
 			// operand resolves to one position: read it once.
-			cursors[i] = runCursor{kind: curFixed, v: res.CellValue(t0)}
+			rs.cursors = append(rs.cursors, runCursor{kind: curFixed, v: res.CellValue(t0)})
 			continue
 		}
 		col := e.store.cols[t0.Col]
 		if col == nil {
-			cursors[i] = runCursor{kind: curEmpty}
+			rs.cursors = append(rs.cursors, runCursor{kind: curEmpty})
 			continue
 		}
-		lo, hi := col.window(t0.Row, t0.Row+n-1)
-		cursors[i] = runCursor{kind: curSlab,
-			cur: foldCursor{col: t0.Col, rows: col.rows[lo:hi], cells: col.cells[lo:hi]}}
+		lo, hi := col.window(t0.Row, t0.Row+m-1)
+		rs.cursors = append(rs.cursors, runCursor{kind: curSlab,
+			cur: foldCursor{col: t0.Col, rows: col.rows[lo:hi], cells: col.cells[lo:hi]}})
 	}
-	read := func(op int, target ref.Ref) formula.Value {
-		cu := &cursors[op]
-		switch cu.kind {
-		case curFixed:
-			return cu.v
-		case curEmpty:
-			return formula.Empty()
-		}
-		if c := cu.cur.probe(target.Row); c != nil {
-			return c.value
-		}
-		return formula.Empty()
+	if cap(rs.vals) < len(ops) {
+		rs.vals = make([]float64, len(ops))
 	}
-	if p.HasNumericSweep() {
+	vals, numeric := rs.vals[:len(ops)], p.HasNumericSweep()
+	at := anchor
+	for _, c := range nd.cells[nd.done : nd.done+m] {
 		// Straight-line arithmetic sweeps on the float fast path: all cell
 		// operands pre-read and coerced per row, the program run on a bare
-		// float64 stack. Any row the fast path cannot reproduce exactly —
-		// an error operand, a failed coercion, a zero divisor — re-runs on
-		// the generic interpreter (probe is idempotent for its row), which
-		// keeps every error and coercion outcome bit-identical.
-		vals := make([]float64, len(ops))
-		for _, ni := range r.nodes {
-			nd := &nodes[ni]
-			fast := true
-			for i := range ops {
-				f, numeric := read(i, ops[i].At(nd.at)).AsNumber()
-				if !numeric {
-					fast = false
-					break
-				}
-				vals[i] = f
-			}
-			if fast {
-				if f, ok := p.NumericSweep(vals); ok {
-					nd.c.value = formula.Num(f)
-					nd.c.dirty = false
-					continue
-				}
-			}
-			nd.c.value = p.EvalCells(res, nd.at, read)
-			nd.c.dirty = false
+		// float64 stack. Any row the fast path cannot reproduce exactly — an
+		// error operand, a failed coercion, a zero divisor — re-runs on the
+		// generic interpreter (probe is idempotent for its row), which keeps
+		// every error and coercion outcome bit-identical.
+		fast := numeric
+		for i := 0; fast && i < len(ops); i++ {
+			vals[i], fast = rs.read(i, ops[i].At(at)).AsNumber()
 		}
-		return
-	}
-	for _, ni := range r.nodes {
-		nd := &nodes[ni]
-		nd.c.value = p.EvalCells(res, nd.at, read)
-		nd.c.dirty = false
+		var f float64
+		if fast {
+			f, fast = p.NumericSweep(vals)
+		}
+		if fast {
+			c.value = formula.Num(f)
+		} else {
+			c.value = p.EvalCells(res, at, rs.read)
+		}
+		c.dirty = false
+		at.Row++
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"taco/internal/core"
 	"taco/internal/formula"
 	"taco/internal/nocomp"
 	"taco/internal/ref"
@@ -28,28 +29,38 @@ func runsFixture(t testing.TB, g Graph, rows int, form func(r int) (cell string,
 	return e
 }
 
-// planFixture levels the engine's dirty set and returns the first frontier's
-// plan — the unit under test for the detection cases.
-func planFixture(e *Engine) (runs []levelRun, singles []int32) {
+// carveFixture builds the schedule over the engine's dirty set and returns
+// its span nodes (more than one cell) and the number of single-cell nodes —
+// the unit under test for the detection cases. The TestPlanLevel* names
+// predate span carving: the per-level planner they exercised is gone, and
+// they now pin the same six cases on the schedule build.
+func carveFixture(e *Engine) (runs []*schedNode, singles int) {
 	sch := e.ensureSchedule()
-	return e.planLevel(sch.nodes, sch.frontier)
+	for i := range sch.nodes {
+		if nd := &sch.nodes[i]; len(nd.cells) > 1 {
+			runs = append(runs, nd)
+		} else {
+			singles++
+		}
+	}
+	return runs, singles
 }
 
 func TestPlanLevelDetectsColumnRun(t *testing.T) {
 	e := runsFixture(t, nil, 100, func(r int) (string, string) {
 		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d+A%d", r, r, r)
 	})
-	runs, singles := planFixture(e)
-	if len(runs) != 1 || len(singles) != 0 {
-		t.Fatalf("got %d runs, %d singles; want 1 run, 0 singles", len(runs), len(singles))
+	runs, singles := carveFixture(e)
+	if len(runs) != 1 || singles != 0 {
+		t.Fatalf("got %d runs, %d singles; want 1 run, 0 singles", len(runs), singles)
 	}
-	if n := len(runs[0].nodes); n != 100 {
+	if n := len(runs[0].cells); n != 100 {
 		t.Fatalf("run length %d, want 100", n)
 	}
 }
 
-// TestPlanLevelBrokenRun: a different shape mid-column splits the chain; the
-// long halves stay runs, the odd cell goes per-cell.
+// TestPlanLevelBrokenRun: a different shape mid-column splits the run; the
+// long halves stay spans, the odd cell goes per-cell.
 func TestPlanLevelBrokenRun(t *testing.T) {
 	e := runsFixture(t, nil, 40, func(r int) (string, string) {
 		if r == 20 {
@@ -57,31 +68,47 @@ func TestPlanLevelBrokenRun(t *testing.T) {
 		}
 		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d+B%d", r, r)
 	})
-	runs, singles := planFixture(e)
+	runs, singles := carveFixture(e)
 	if len(runs) != 2 {
 		t.Fatalf("got %d runs, want 2 (split around the odd row)", len(runs))
 	}
-	if len(runs[0].nodes) != 19 || len(runs[1].nodes) != 20 {
-		t.Fatalf("run lengths %d/%d, want 19/20", len(runs[0].nodes), len(runs[1].nodes))
+	if len(runs[0].cells) != 19 || len(runs[1].cells) != 20 {
+		t.Fatalf("run lengths %d/%d, want 19/20", len(runs[0].cells), len(runs[1].cells))
 	}
-	if len(singles) != 1 {
-		t.Fatalf("got %d singles, want 1", len(singles))
+	if singles != 1 {
+		t.Fatalf("got %d singles, want 1", singles)
 	}
 }
 
-// TestPlanLevelPartialRun: chains shorter than minPatternRun stay per-cell.
+// TestPlanLevelPartialRun: runs shorter than minPatternRun stay per-cell.
 func TestPlanLevelPartialRun(t *testing.T) {
 	e := runsFixture(t, nil, minPatternRun-1, func(r int) (string, string) {
 		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d+B%d", r, r)
 	})
-	// The whole dirty set is below minParallelDirty, so exercise the planner
+	// The whole dirty set is below minLevelledDirty, so exercise the carve
 	// directly rather than through RecalculateAll.
-	runs, singles := planFixture(e)
+	runs, singles := carveFixture(e)
 	if len(runs) != 0 {
-		t.Fatalf("got %d runs from a %d-cell chain, want 0", len(runs), minPatternRun-1)
+		t.Fatalf("got %d runs from a %d-cell column, want 0", len(runs), minPatternRun-1)
 	}
-	if len(singles) != minPatternRun-1 {
-		t.Fatalf("got %d singles, want %d", len(singles), minPatternRun-1)
+	if singles != minPatternRun-1 {
+		t.Fatalf("got %d singles, want %d", singles, minPatternRun-1)
+	}
+}
+
+// TestPlanLevelPartialDirtySet: only the still-flagged part of a column is
+// carved — a drained prefix splits nothing and joins nothing.
+func TestPlanLevelPartialDirtySet(t *testing.T) {
+	e := runsFixture(t, nil, 100, func(r int) (string, string) {
+		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d", r, r)
+	})
+	if n := e.RecalculateN(30); n != 30 {
+		t.Fatalf("first chunk drained %d cells, want 30", n)
+	}
+	e.SetValue(ref.MustCell("A60"), formula.Num(1)) // invalidates; C60 is dirty already
+	runs, singles := carveFixture(e)
+	if len(runs) != 1 || singles != 0 || runs[0].at != ref.MustCell("C31") || len(runs[0].cells) != 70 {
+		t.Fatalf("rebuild carved %d runs, %d singles (first %+v); want one run C31:C100", len(runs), singles, runs)
 	}
 }
 
@@ -99,14 +126,40 @@ func TestPlanLevelGapSplitsRun(t *testing.T) {
 		}
 		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*2", r))
 	}
-	runs, _ := planFixture(e)
-	if len(runs) != 2 || len(runs[0].nodes) != 20 || len(runs[1].nodes) != 20 {
+	runs, _ := carveFixture(e)
+	if len(runs) != 2 || len(runs[0].cells) != 20 || len(runs[1].cells) != 20 {
 		t.Fatalf("gap not respected: %d runs", len(runs))
 	}
 }
 
-// TestPlanLevelReversedLoad: detection sorts by position, so the order the
-// formulas were installed (and the dirty map's iteration order) is
+// TestPlanLevelHoleSplitsRun: a row that only Single edges claim — what
+// formula rewrites on neighbouring rows leave behind, since the greedy
+// compressor merges only on insert — splits the run around it; it does not
+// cost the whole column its sweep.
+func TestPlanLevelHoleSplitsRun(t *testing.T) {
+	e := runsFixture(t, nil, 60, func(r int) (string, string) {
+		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d", r, r)
+	})
+	e.RecalculateAll()
+	for _, r := range []int{30, 31} {
+		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("B%d*2", r))
+		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d", r, r))
+	}
+	e.TACOGraph().PatternRunSpans(ref.MustRange("C30"), func(span ref.Range, _ core.PatternType) bool {
+		t.Fatalf("fixture: C30 is still on a compressed edge (%v); the rewrites no longer isolate it", span)
+		return false
+	})
+	for r := 1; r <= 60; r++ { // re-dirty the whole column
+		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+	}
+	runs, singles := carveFixture(e)
+	if len(runs) != 2 || singles != 1 || runs[0].span() != ref.MustRange("C1:C29") || runs[1].span() != ref.MustRange("C31:C60") {
+		t.Fatalf("carved %d runs, %d singles; want C1:C29, the single C30, C31:C60", len(runs), singles)
+	}
+}
+
+// TestPlanLevelReversedLoad: the carve walks the slabs, so the order the
+// formulas were installed (and the order their dirty spans were noted) is
 // irrelevant — a column loaded bottom-up still forms one ascending run.
 func TestPlanLevelReversedLoad(t *testing.T) {
 	e := New(nil)
@@ -117,16 +170,20 @@ func TestPlanLevelReversedLoad(t *testing.T) {
 	for r := 50; r >= 1; r-- {
 		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*2", r))
 	}
-	runs, singles := planFixture(e)
-	if len(runs) != 1 || len(singles) != 0 || len(runs[0].nodes) != 50 {
-		t.Fatalf("reversed load: %d runs, %d singles", len(runs), len(singles))
+	runs, singles := carveFixture(e)
+	if len(runs) != 1 || singles != 0 || len(runs[0].cells) != 50 {
+		t.Fatalf("reversed load: %d runs, %d singles", len(runs), singles)
 	}
-	rows := runs[0].nodes
-	sch := e.sched
-	for k := 1; k < len(rows); k++ {
-		if sch.nodes[rows[k]].at.Row != sch.nodes[rows[k-1]].at.Row+1 {
-			t.Fatal("run rows not ascending-contiguous")
+	if runs[0].at != ref.MustCell("C1") {
+		t.Fatalf("run starts at %v, want C1", runs[0].at)
+	}
+	for k, c := range runs[0].cells {
+		if c != e.cells[ref.Ref{Col: 3, Row: 1 + k}] {
+			t.Fatalf("run cell %d is not C%d's record", k, 1+k)
 		}
+	}
+	if spans := e.store.cols[3].dirty; len(spans) != 1 || spans[0] != (rowSpan{1, 50}) {
+		t.Fatalf("bottom-up marks left dirty spans %v, want one coalesced [1,50]", spans)
 	}
 }
 
@@ -139,8 +196,8 @@ func TestPlanLevelNoCompFallback(t *testing.T) {
 	if _, ok := e.graph.(patternSpanner); ok {
 		t.Fatal("fixture graph unexpectedly implements patternSpanner")
 	}
-	runs, _ := planFixture(e)
-	if len(runs) != 1 || len(runs[0].nodes) != 30 {
+	runs, _ := carveFixture(e)
+	if len(runs) != 1 || len(runs[0].cells) != 30 {
 		t.Fatalf("structural fallback found %d runs", len(runs))
 	}
 }

@@ -8,37 +8,56 @@ import (
 	"taco/internal/ref"
 )
 
-// This file implements levelled (wavefront) recalculation: the dirty set is
-// partitioned into topological levels — a cell's level is one past its
-// deepest dirty precedent — and the levels are evaluated in order. Cells
-// within a level have no dirty precedents, so every value a level's
-// evaluations read is already settled: the formula evaluator runs against
-// the read-only value resolver, never recurses, and the results are exactly
-// the serial resolver's. What levelling buys is not concurrency but shape: a
-// level is a flat batch, so it can run compiled programs on the bytecode VM,
-// sweep pattern runs as vectorised loops (runs.go), and stop at any budget.
+// This file implements levelled (wavefront) recalculation. The unit of the
+// schedule is the column span, not the cell: the dirty set is carved, in one
+// column-major walk of the dirty spans on the slabs, into nodes that are each
+// a run of contiguous dirty rows of one column — a whole pattern run when the
+// cells share one compiled program (runs.go), a single cell otherwise. The
+// nodes are partitioned into topological levels — a node's level is one past
+// its deepest dirty precedent node — and the levels are evaluated in order.
+// Nodes within a level have no unsettled precedents outside themselves, so
+// the evaluator runs against the read-only value resolver, never recurses,
+// and the results are exactly the serial resolver's. What levelling buys is
+// not concurrency but shape: a node is a flat batch, so it can run compiled
+// programs on the bytecode VM as one vectorised sweep and stop at any budget.
+//
+// Links are per span too: one graph query per node yields, per covering
+// compressed edge, the union precedent window of the span, and intersecting
+// that window with a per-column row-sorted index of the nodes gives the
+// in-edges. Coarse edges only add ordering, which costs nothing on one
+// goroutine — with two exceptions, both about a span depending on itself:
+//
+//   - A span whose precedent window overlaps the span stays whole only if an
+//     ascending sweep is a valid order: every cell reads, inside the span,
+//     only rows strictly above its own (a running balance, a cumulative
+//     SUM(D$1:D4)). Per-cell windows are linear in the row, so the first cell
+//     of each covering edge decides it. Anything else — look-down, straddling,
+//     a fixed window inside the span — is carved as single cells.
+//   - Coarse edges can close cycles the cells do not (X reads Y's previous
+//     row, Y reads X's current row: two spans each waiting on the other, the
+//     cells a zig-zag chain). When Kahn stalls with spans unfinished, what is
+//     still dirty is re-carved as single cells and re-linked; only a stall
+//     among single cells is a reference cycle.
 //
 // The schedule is a first-class resumable object. It is built once per dirty
-// generation — Kahn's algorithm over the dirty-restricted dependency
-// relation, direct precedents from the graph's one-hop query intersected
-// with the dirty set — and then drained level by level under a budget
-// (DrainLevels). A budget that runs out mid-schedule leaves the schedule
-// cached on the engine with its remaining frontier intact, so the next
-// RecalculateN call resumes where the last one stopped instead of
-// re-levelling the remainder: a serving layer can drain a giant dirty set in
-// many short lock holds and pay for levelling exactly once. Any dirty-set
-// mutation from outside a drain (an edit, a clear, a serial evaluation)
-// bumps the engine's dirty generation and invalidates the cached schedule;
-// the next drain simply rebuilds over whatever is dirty then. The generation
-// stamp is also checked at resume time, so a schedule can never be drained
-// against a dirty set it does not describe.
+// generation and then drained level by level under a budget (DrainLevels). A
+// budget that runs out mid-schedule — even inside a span, whose node keeps a
+// cursor — leaves the schedule cached on the engine with its remaining
+// frontier intact, so the next RecalculateN call resumes where the last one
+// stopped instead of re-levelling the remainder: a serving layer can drain a
+// giant dirty set in many short lock holds and pay for levelling exactly
+// once. Any dirty-set mutation from outside a drain (an edit, a clear, a
+// serial evaluation) bumps the engine's dirty generation and invalidates the
+// cached schedule; the next drain simply rebuilds over whatever is still
+// flagged then. The generation stamp is also checked at resume time, so a
+// schedule can never be drained against a dirty set it does not describe.
 //
 // Reference cycles are detected during levelling, not mid-evaluation: when
-// Kahn stalls, the strongly connected components of the stalled subgraph are
-// the cycles; their members are published as #CYCLE! and the downstream
-// cells (which are stuck behind, not on, a cycle) then evaluate normally
-// against those error values, propagating or rescuing them exactly as the
-// serial path does.
+// Kahn stalls among single cells, the strongly connected components of the
+// stalled subgraph are the cycles; their members are published as #CYCLE!
+// and the downstream cells (which are stuck behind, not on, a cycle) then
+// evaluate normally against those error values, propagating or rescuing them
+// exactly as the serial path does.
 //
 // A drain runs on one goroutine — the one that called it. Evaluation never
 // inserts or removes cells, so the columnar slabs, the cell map and the
@@ -53,42 +72,50 @@ const (
 	// more than evaluating them. A cached schedule overrides the threshold:
 	// resuming it is cheaper than switching paths.
 	minLevelledDirty = 64
-	// smallPrecProbe is the precedent-range size up to which the linker
-	// probes the dirty map per cell instead of querying the per-column
-	// index. Single-cell references — all of a chain, most of a scalar
-	// sheet — then never touch (or build) the index at all.
-	smallPrecProbe = 8
 	// maxWarmRoots bounds the edit-root list the warm-schedule cache
 	// compares epochs by; epochs with more distinct roots rebuild.
 	maxWarmRoots = 8
 )
 
-// schedNode is one dirty cell in the wavefront DAG.
+// schedNode is one span of the wavefront DAG: contiguous dirty rows of one
+// column, evaluated top to bottom as a unit. A span of more than one cell is
+// a pattern run — every cell interns to prog — and drains as one sweep.
 type schedNode struct {
-	at ref.Ref
-	c  *cell
-	// outs indexes the dirty dependents of this cell; completing the cell
+	// at is the span's first cell; cells is its slab window, cells[i] being
+	// row at.Row+i. The window aliases the column slab, which is stable for
+	// as long as the schedule is valid.
+	at    ref.Ref
+	cells []*cell
+	prog  *formula.Program // the shared program; nil for a single cell
+	// done is the budget cursor: cells[:done] are published.
+	done int
+	// outs indexes the dirty dependents of this span; completing the span
 	// decrements each one's nprec.
 	outs []int32
-	// nprec counts dirty direct precedents not yet published. nprec0 keeps
-	// the linker's initial count so a warm-cached schedule can re-arm
-	// without re-linking.
+	// nprec counts dirty precedent nodes not yet published. nprec0 keeps the
+	// linker's initial count so a warm-cached schedule can re-arm without
+	// re-linking.
 	nprec  int32
 	nprec0 int32
-	// self marks a direct self-reference: an immediate cycle, never
+	// self marks a cell that reads itself: an immediate cycle, never
 	// evaluated, resolved to #CYCLE! with the other cycle members.
 	self bool
 	// cyclic marks a cell resolved as a cycle member during levelling.
 	cyclic bool
 }
 
-// schedule is the resumable wavefront schedule: the dirty set snapshotted as
-// a levelled DAG at one dirty generation, with the current ready frontier.
-// It lives on the engine between budgeted drains and is released back to the
-// package pool on exhaustion or invalidation. Pooled instances keep their
-// node array's per-slot out-edge capacity, the frontier buffers, and the
-// column index's per-column slices, so a server draining sessions at a
-// steady rate stops allocating once the pool warms up.
+// span returns the node's extent.
+func (n *schedNode) span() ref.Range {
+	return ref.Range{Head: n.at, Tail: ref.Ref{Col: n.at.Col, Row: n.at.Row + len(n.cells) - 1}}
+}
+
+// schedule is the resumable wavefront schedule: the dirty set carved into a
+// levelled DAG of spans at one dirty generation, with the current ready
+// frontier. It lives on the engine between budgeted drains and is released
+// back to the package pool on exhaustion or invalidation. Pooled instances
+// keep their node array's per-slot out-edge capacity, the frontier buffers,
+// the column index's per-column slices and the sweep scratch, so a server
+// draining sessions at a steady rate stops allocating once the pool warms up.
 type schedule struct {
 	nodes []schedNode
 	// frontier holds the ready level: nodes whose dirty precedents have all
@@ -99,37 +126,31 @@ type schedule struct {
 	// mismatch at resume time means an edit slipped in and the schedule no
 	// longer describes the dirty set.
 	gen uint64
-	// total is the node count at build time (stats).
+	// total is the cell count at build time (stats); spans counts the
+	// unfinished nodes of more than one cell — what a stall demotes.
 	total int
-	// cols is the lazy dirty-position index for large precedent ranges:
-	// per column, (row<<32 | node index) packed and row-sorted. Rebuilt
-	// per build, but only when some precedent range is too large to probe
-	// cell-by-cell.
-	cols     map[int][]uint64
-	colsomeN int // nodes indexed so far (0 = index not built this drain)
-	// order is the linker's position-sorted node permutation (batched
-	// backends only; empty otherwise). planLevel reuses it to avoid
-	// re-sorting each level. mark and lvl are its filter scratch buffers.
-	order []int32
-	mark  []bool
-	lvl   []int32
-	// plans caches each drained level's pattern-run partition in order;
-	// planIdx is the replay cursor, reset when a warm schedule re-arms.
-	// See levelPlan in runs.go.
-	plans   []levelPlan
-	planIdx int
+	spans int
+	// cols is the per-column index of the nodes, (first row<<32 | node index)
+	// packed; the column-major carve appends it row-sorted.
+	cols map[int][]uint64
+	// cover and run are the carve's span-coverage scratch and the sweep's
+	// cursor scratch (runs.go).
+	cover []bool
+	run   runScratch
 }
 
 var schedPool = sync.Pool{New: func() any {
-	return &schedule{cols: make(map[int][]uint64)}
+	sch := &schedule{cols: make(map[int][]uint64)}
+	sch.run.read = sch.run.readOp
+	return sch
 }}
 
 // noteDirtyMutation records a dirty-set mutation from outside a wavefront
 // drain: every such mutation starts a new dirty generation and invalidates
 // the cached schedule (the drain's own publications do not — the schedule
-// tracks those itself). Called from every write path that touches e.dirty.
-// Interrupting a live (unfinished) schedule also poisons the epoch's root
-// tracking: the dirty set now mixes a partial drain's remainder with new
+// tracks those itself). Called from every write path that flags or cleans a
+// cell. Interrupting a live (unfinished) schedule also poisons the epoch's
+// root tracking: the dirty set now mixes a partial drain's remainder with new
 // marks, which no root list describes.
 func (e *Engine) noteDirtyMutation() {
 	e.dirtyGen++
@@ -140,9 +161,10 @@ func (e *Engine) noteDirtyMutation() {
 	}
 }
 
-// noteStructMutation records a change to the formula set or dependency
-// graph: the warm-cached schedule describes a structure that no longer
-// exists, so it is released (and its retained cell records unpinned).
+// noteStructMutation records a change to the formula set, the dependency
+// graph or the shape of a slab: the warm-cached schedule describes a
+// structure that no longer exists, so it is released (and its retained slab
+// windows unpinned).
 func (e *Engine) noteStructMutation() {
 	e.structGen++
 	if e.warm != nil {
@@ -169,28 +191,31 @@ func (e *Engine) releaseWarm() {
 }
 
 func poolSchedule(sch *schedule) {
-	sch.colsomeN = 0
-	for i := range sch.nodes {
-		sch.nodes[i].c = nil
-	}
-	sch.frontier = sch.frontier[:0]
-	sch.next = sch.next[:0]
-	sch.order = sch.order[:0]
-	for i := range sch.plans {
-		sch.plans[i] = levelPlan{} // unpin interned programs
-	}
-	sch.plans = sch.plans[:0]
-	sch.planIdx = 0
+	sch.reset()
+	clear(sch.run.cursors)
 	schedPool.Put(sch)
+}
+
+// reset empties the schedule, dropping the slab windows and programs its
+// nodes reference but keeping every slice's capacity.
+func (sch *schedule) reset() {
+	for i := range sch.nodes {
+		sch.nodes[i].cells, sch.nodes[i].prog = nil, nil
+	}
+	sch.nodes = sch.nodes[:0]
+	for c, list := range sch.cols {
+		sch.cols[c] = list[:0]
+	}
+	sch.frontier, sch.next = sch.frontier[:0], sch.next[:0]
 }
 
 // retireSchedule moves a cleanly completed schedule into the warm cache,
 // stamped with the structure generation and edit roots it is valid for. The
-// retired schedule keeps its nodes, links, sort order, and column index —
-// everything but the consumed nprec counters, which nprec0 restores at
-// re-arm time. Unlike pooling, retirement intentionally pins the node set's
-// cell records: they stay live unless a structural mutation (which releases
-// the warm cache) replaces them.
+// retired schedule keeps its nodes, links and column index — everything but
+// the consumed nprec counters and cursors, which re-arming restores. Unlike
+// pooling, retirement intentionally pins the node set's slab windows: they
+// stay valid unless a structural mutation (which releases the warm cache)
+// reshapes them.
 func (e *Engine) retireSchedule() {
 	sch := e.sched
 	if sch == nil {
@@ -208,31 +233,42 @@ func (e *Engine) retireSchedule() {
 // structure, same edit roots, cleanly tracked (rootsOK), and a matching
 // dirty count. The dirty set is then exactly the cached node set — the
 // graph's dependent closure is deterministic — so resetting the precedent
-// counters and rebuilding the initial frontier is the whole cost: O(nodes),
-// no precedent queries, no sort, no linking. This is the interactive steady
-// state: the same input cell edited repeatedly re-levels nothing.
+// counters and cursors and rebuilding the initial frontier is the whole cost:
+// O(nodes), no walk, no precedent queries, no linking. This is the
+// interactive steady state: the same input cell edited repeatedly re-levels
+// nothing.
 func (e *Engine) takeWarm() *schedule {
 	sch := e.warm
 	if sch == nil || !e.rootsOK || e.warmStruct != e.structGen ||
-		len(e.dirty) != len(sch.nodes) || !slices.Equal(e.roots, e.warmRoots) {
+		e.store.ndirty != sch.total || !slices.Equal(e.roots, e.warmRoots) {
 		return nil
 	}
 	e.warm = nil
 	sch.gen = e.dirtyGen
-	sch.planIdx = 0
-	sch.frontier = sch.frontier[:0]
-	for i := range sch.nodes {
-		nd := &sch.nodes[i]
-		nd.nprec = nd.nprec0
-		nd.cyclic = false
-		if nd.nprec0 == 0 && !nd.self {
-			sch.frontier = append(sch.frontier, int32(i))
-		}
-	}
-	sch.total = len(sch.nodes)
+	sch.armFrontier(true)
 	e.sched = sch
 	mSchedWarmReuses.Inc()
 	return sch
+}
+
+// armFrontier computes the initial frontier and span count from the linker's
+// precedent counts — or, re-arming a retired schedule, from the saved ones.
+func (sch *schedule) armFrontier(rearm bool) {
+	sch.frontier, sch.spans = sch.frontier[:0], 0
+	for i := range sch.nodes {
+		nd := &sch.nodes[i]
+		if rearm {
+			nd.nprec, nd.done, nd.cyclic = nd.nprec0, 0, false
+		} else {
+			nd.nprec0 = nd.nprec
+		}
+		if len(nd.cells) > 1 {
+			sch.spans++
+		}
+		if nd.nprec == 0 && !nd.self {
+			sch.frontier = append(sch.frontier, int32(i))
+		}
+	}
 }
 
 // ensureSchedule returns the live schedule for the current dirty generation,
@@ -254,319 +290,106 @@ func (e *Engine) ensureSchedule() *schedule {
 	}
 	sch := schedPool.Get().(*schedule)
 	sch.gen = e.dirtyGen
-	e.buildSchedule(sch)
-	e.linkSchedule(sch)
-	sch.frontier = sch.frontier[:0]
-	for i := range sch.nodes {
-		nd := &sch.nodes[i]
-		nd.nprec0 = nd.nprec
-		if nd.nprec == 0 && !nd.self {
-			sch.frontier = append(sch.frontier, int32(i))
-		}
-	}
-	sch.total = len(sch.nodes)
+	sch.total = e.store.ndirty
+	e.buildSchedule(sch, e.patternRuns)
 	e.schedBuilds++
 	mSchedBuilds.Inc()
 	e.sched = sch
 	return sch
 }
 
-// DrainLevels drains up to budget dirty cells through the resumable
-// wavefront schedule, one level after another on the calling goroutine. The
-// budget truncates the final level rather than splitting the schedule's
-// invariants: the remainder of a truncated level stays ready in the
-// frontier, the schedule stays cached on the engine, and the next call
-// resumes it without re-levelling — Kahn runs once per dirty generation, not
-// once per chunk. Returns the number of cells drained (evaluated or
-// published as #CYCLE!).
-func (e *Engine) DrainLevels(budget int) int {
-	if budget <= 0 || len(e.dirty) == 0 {
-		return 0
-	}
-	sch := e.ensureSchedule()
-	drained := 0
-	levels := uint64(0)
-	// Whole-schedule drains defer the per-cell dirty-map deletes and clear
-	// the map wholesale at the end: the live schedule's undrained nodes are
-	// exactly the dirty set, so when the budget covers all of it the keyed
-	// deletes are pure overhead on a large drain. Budgeted chunks keep the
-	// per-cell deletes so Pending() stays exact between calls.
-	remaining := len(e.dirty)
-	bulk := budget >= remaining
-	// Telemetry lands in one batch per call, not per cell or per level —
-	// the drain loop itself never touches the shared counters.
-	defer func() {
-		mCellsEvaluated.Add(uint64(drained))
-		mLevelsDrained.Add(levels)
-	}()
-	for {
-		for len(sch.frontier) > 0 && drained < budget {
-			level := sch.frontier
-			var rest []int32
-			if rem := budget - drained; len(level) > rem {
-				// Truncate the level to the budget; the rest is still ready
-				// (its precedents are settled) and leads the next frontier.
-				level, rest = level[:rem], level[rem:]
-			}
-			e.runLevel(sch, level)
-			e.levelsDrained++
-			levels++
-			drained += len(level)
-			// Publish: drop the evaluated cells from the dirty set and
-			// release their dependents.
-			next := sch.next[:0]
-			if bulk {
-				for _, i := range level {
-					for _, j := range sch.nodes[i].outs {
-						sch.nodes[j].nprec--
-						if sch.nodes[j].nprec == 0 && !sch.nodes[j].self {
-							next = append(next, j)
-						}
-					}
-				}
-			} else {
-				for _, i := range level {
-					delete(e.dirty, sch.nodes[i].at)
-					for _, j := range sch.nodes[i].outs {
-						sch.nodes[j].nprec--
-						if sch.nodes[j].nprec == 0 && !sch.nodes[j].self {
-							next = append(next, j)
-						}
-					}
-				}
-			}
-			next = append(next, rest...)
-			sch.frontier, sch.next = next, sch.frontier[:0]
-		}
-		if len(sch.frontier) > 0 {
-			// Budget exhausted mid-schedule: keep it cached for the next
-			// call. Unreachable in bulk mode — the budget covers every node,
-			// so the frontier cannot outlive it and no deferred deletes leak.
-			return drained
-		}
-		if drained == remaining {
-			if bulk {
-				clear(e.dirty)
-			}
-			break
-		}
-		if !bulk && len(e.dirty) == 0 {
-			break
-		}
-		if drained >= budget {
-			// Budget exhausted with only cycle-bound cells left; they resolve
-			// on the next call against the same cached schedule.
-			return drained
-		}
-		// Kahn stalled with budget left: every remaining dirty cell either
-		// sits on a reference cycle or depends on one. Resolve the cycles
-		// and resume — the survivors form a DAG and level normally.
-		freed := e.resolveCycles(sch, &drained, bulk)
-		if len(freed) == 0 {
-			break
-		}
-		sch.frontier = append(sch.frontier[:0], freed...)
-	}
-	if bulk && len(e.dirty) != 0 {
-		// Stall exit with cells left undrained (nothing freed past a cycle):
-		// reconcile the deletes the wholesale clear would have covered.
-		for at, c := range e.dirty {
-			if !c.dirty {
-				delete(e.dirty, at)
-			}
-		}
-	}
-	if len(e.dirty) == 0 && e.rootsOK {
-		e.retireSchedule()
+// buildSchedule carves the flagged cells into sch's nodes — spans where runs
+// says so and the cells allow it, single cells otherwise — links them, and
+// arms the frontier.
+func (e *Engine) buildSchedule(sch *schedule, runs bool) {
+	sch.reset()
+	e.carve(sch, runs)
+	e.linkSchedule(sch)
+	sch.armFrontier(false)
+}
+
+// addNode appends a node for the slab window cells starting at at, reusing
+// the slot's out-edge capacity, and indexes it.
+func (sch *schedule) addNode(at ref.Ref, cells []*cell, p *formula.Program) {
+	i := len(sch.nodes)
+	if i < cap(sch.nodes) {
+		sch.nodes = sch.nodes[:i+1]
 	} else {
-		e.rootsOK = false
-		e.releaseSchedule()
+		sch.nodes = append(sch.nodes, schedNode{})
 	}
-	return drained
+	nd := &sch.nodes[i]
+	*nd = schedNode{at: at, cells: cells, prog: p, outs: nd.outs[:0]}
+	sch.cols[at.Col] = append(sch.cols[at.Col], uint64(at.Row)<<32|uint64(i))
 }
 
-// buildSchedule snapshots the dirty set into the schedule's node array,
-// reusing each slot's out-edge capacity, and stamps every dirty cell record
-// with its node index — the position "map" is the cell store itself, so
-// linking costs dirty-map probes, not a second hash table built per drain.
-func (e *Engine) buildSchedule(sch *schedule) {
-	n := len(e.dirty)
-	if cap(sch.nodes) < n {
-		sch.nodes = append(sch.nodes[:cap(sch.nodes)], make([]schedNode, n-cap(sch.nodes))...)
+// spanPrecedents reports the one-hop precedents of a dependent span, per
+// covering edge (see spanPrecedenter). Backends that cannot attribute a
+// window to a sub-span report every window against the whole span and as its
+// own first-cell window, which reads as "any self-overlap is unsweepable";
+// backends without a one-hop query fall back to the formulas' own reference
+// lists, which record the same dependencies.
+func (e *Engine) spanPrecedents(span ref.Range, cells []*cell, fn func(dep, prec, first ref.Range) bool) {
+	switch g := e.graph.(type) {
+	case spanPrecedenter:
+		g.DirectPrecedentsEach(span, fn)
+	case directPrecedenter:
+		g.DirectPrecedents(span, func(p ref.Range) bool { return fn(span, p, p) })
+	default:
+		for i, c := range cells {
+			if c.ast == nil {
+				continue // dirty value cell: no precedents, levels at 0
+			}
+			at := ref.CellRange(ref.Ref{Col: span.Head.Col, Row: span.Head.Row + i})
+			for _, r := range formula.Refs(c.ast) {
+				if !fn(at, r.At, r.At) {
+					return
+				}
+			}
+		}
 	}
-	nodes := sch.nodes[:n]
-	i := int32(0)
-	for at, c := range e.dirty {
-		nd := &nodes[i]
-		nd.at, nd.c = at, c
-		nd.outs = nd.outs[:0]
-		nd.nprec, nd.self, nd.cyclic = 0, false, false
-		c.sched = i
-		i++
-	}
-	sch.nodes = nodes
 }
 
-// linkSchedule wires the dirty-restricted dependency edges: for each node,
-// its direct precedent ranges (from the graph's one-hop query, or the
-// formula's own reference list for backends without one) are intersected
-// with the dirty set — small ranges by probing the dirty map per cell,
-// large ranges through a per-column sorted index over the dirty positions,
-// built lazily on the first one (a sheet of scalar references never pays
-// for the index). Duplicate edges — overlapping precedent ranges are legal
-// — are kept, with nprec counted per occurrence, so release stays
-// consistent.
+// linkSchedule wires the dirty-restricted dependency edges: each node's
+// precedent windows are intersected with the column index of the nodes.
+// Duplicate edges — overlapping precedent windows are legal — are kept, with
+// nprec counted per occurrence, so release stays consistent. A span's reads
+// of itself were checked sweepable when it was carved and add no edge; a
+// single cell reading itself is an immediate cycle.
 func (e *Engine) linkSchedule(sch *schedule) {
 	nodes := sch.nodes
-	dp, hasDP := e.graph.(directPrecedenter)
-	// One closure set per drain, re-aimed per node through cur — a closure
-	// per node would be the dominant allocation of the whole drain.
+	// One closure pair per build, re-aimed per node through cur — a closure
+	// per node would be the dominant allocation of the whole build.
 	var cur int32
-	addEdge := func(j int32) {
+	hit := func(j int32) {
 		if j == cur {
-			nodes[cur].self = true
+			nodes[cur].self = len(nodes[cur].cells) == 1
 			return
 		}
 		nodes[j].outs = append(nodes[j].outs, cur)
 		nodes[cur].nprec++
 	}
-	probe := func(at ref.Ref) bool {
-		if c, ok := e.dirty[at]; ok {
-			addEdge(c.sched)
-		}
+	link := func(_, prec, _ ref.Range) bool {
+		sch.search(prec, hit)
 		return true
-	}
-	link := func(p ref.Range) bool {
-		if p.Size() <= smallPrecProbe {
-			p.Cells(probe)
-			return true
-		}
-		sch.searchLarge(p, addEdge)
-		return true
-	}
-	if bp, ok := e.graph.(batchPrecedenter); ok {
-		// Batched linking: sort the nodes by position, carve the dirty set
-		// into maximal contiguous column segments, and answer each segment
-		// with one compressed-index search. The graph enumerates (dependent
-		// cell, precedent window) pairs per covering edge — identical pairs,
-		// in a different order, to the per-cell queries below — and segment
-		// contiguity turns the dependent-cell-to-node lookup into row
-		// arithmetic on the sorted order, no map probe. The edge pre-filter
-		// discards edges whose union precedent window holds no dirty cell
-		// (data-fed edges, the bulk of a sheet) before any per-cell work;
-		// windows that survive link exactly as the per-cell path would.
-		// Dirty value cells ride along harmlessly: no edge claims them.
-		order := sch.order[:0]
-		for i := range nodes {
-			order = append(order, int32(i))
-		}
-		slices.SortFunc(order, func(a, b int32) int {
-			if c := nodes[a].at.Col - nodes[b].at.Col; c != 0 {
-				return c
-			}
-			return nodes[a].at.Row - nodes[b].at.Row
-		})
-		sch.order = order
-		sch.buildColsFromOrder()
-		skipClean := func(_, prec ref.Range) bool { return sch.dirtyOverlaps(prec) }
-		for s := 0; s < len(order); {
-			head := nodes[order[s]].at
-			t := s + 1
-			for t < len(order) {
-				at := nodes[order[t]].at
-				if at.Col != head.Col || at.Row != head.Row+(t-s) {
-					break
-				}
-				t++
-			}
-			seg := ref.Range{Head: head, Tail: ref.Ref{Col: head.Col, Row: head.Row + (t - s - 1)}}
-			base := s
-			bp.DirectPrecedentsEach(seg, skipClean, func(dep ref.Ref, prec ref.Range) bool {
-				cur = order[base+(dep.Row-head.Row)]
-				link(prec)
-				return true
-			})
-			s = t
-		}
-		return
 	}
 	for i := range nodes {
-		n := &nodes[i]
-		if n.c.ast == nil {
-			continue // dirty value cell: no precedents, levels at 0
-		}
 		cur = int32(i)
-		if hasDP {
-			dp.DirectPrecedents(ref.CellRange(n.at), link)
-		} else {
-			for _, r := range formula.Refs(n.c.ast) {
-				link(r.At)
-			}
-		}
+		e.spanPrecedents(nodes[i].span(), nodes[i].cells, link)
 	}
 }
 
-// buildColsFromOrder populates the per-column dirty-position index straight
-// from the linker's position-sorted order: one pass, and every per-column
-// list comes out row-sorted for free — the batched linker pays for the sort
-// once and both consumers (dirtyOverlaps here, searchLarge for big windows)
-// reuse it.
-func (sch *schedule) buildColsFromOrder() {
-	if sch.colsomeN != 0 {
-		return
-	}
-	for c, list := range sch.cols {
-		sch.cols[c] = list[:0]
-	}
-	for _, i := range sch.order {
-		at := sch.nodes[i].at
-		sch.cols[at.Col] = append(sch.cols[at.Col], uint64(at.Row)<<32|uint64(uint32(i)))
-	}
-	sch.colsomeN = len(sch.nodes)
-}
-
-// dirtyOverlaps reports whether any dirty cell lies inside p — the linker's
-// edge pre-filter. One binary search per overlapping populated column.
-func (sch *schedule) dirtyOverlaps(p ref.Range) bool {
-	overlap := func(list []uint64) bool {
-		lo, _ := slices.BinarySearch(list, uint64(p.Head.Row)<<32)
-		return lo < len(list) && int(list[lo]>>32) <= p.Tail.Row
-	}
-	if p.Cols() > len(sch.cols) {
-		for c, list := range sch.cols {
-			if c >= p.Head.Col && c <= p.Tail.Col && overlap(list) {
-				return true
-			}
-		}
-		return false
-	}
-	for c := p.Head.Col; c <= p.Tail.Col; c++ {
-		if list, ok := sch.cols[c]; ok && overlap(list) {
-			return true
-		}
-	}
-	return false
-}
-
-// searchLarge finds the dirty cells inside a large precedent range through
-// the per-column index, building it on first use. Per populated column the
-// query is one binary search plus a walk of the overlapping rows.
-func (sch *schedule) searchLarge(p ref.Range, hit func(int32)) {
-	if sch.colsomeN == 0 {
-		for c, list := range sch.cols {
-			sch.cols[c] = list[:0]
-		}
-		for i := range sch.nodes {
-			at := sch.nodes[i].at
-			sch.cols[at.Col] = append(sch.cols[at.Col], uint64(at.Row)<<32|uint64(uint32(i)))
-		}
-		for _, list := range sch.cols {
-			slices.Sort(list) // row-major: row is the high word
-		}
-		sch.colsomeN = len(sch.nodes)
-	}
+// search reports the nodes holding a cell inside p: per indexed column, one
+// binary search for the first node starting inside the window — the node
+// before it may straddle the window's head — plus a walk of the rest.
+func (sch *schedule) search(p ref.Range, hit func(int32)) {
 	scan := func(list []uint64) {
 		lo, _ := slices.BinarySearch(list, uint64(p.Head.Row)<<32)
+		if lo > 0 {
+			j := int32(uint32(list[lo-1]))
+			if nd := &sch.nodes[j]; nd.at.Row+len(nd.cells) > p.Head.Row {
+				hit(j)
+			}
+		}
 		for _, packed := range list[lo:] {
 			if int(packed>>32) > p.Tail.Row {
 				return
@@ -575,7 +398,7 @@ func (sch *schedule) searchLarge(p ref.Range, hit func(int32)) {
 		}
 	}
 	if p.Cols() > len(sch.cols) {
-		// Wider than the populated column set: walk the index instead.
+		// Wider than the indexed column set: walk the index instead.
 		for c, list := range sch.cols {
 			if c >= p.Head.Col && c <= p.Tail.Col {
 				scan(list)
@@ -584,39 +407,116 @@ func (sch *schedule) searchLarge(p ref.Range, hit func(int32)) {
 		return
 	}
 	for c := p.Head.Col; c <= p.Tail.Col; c++ {
-		if list, ok := sch.cols[c]; ok {
+		if list := sch.cols[c]; len(list) > 0 {
 			scan(list)
 		}
 	}
 }
 
-// runLevel evaluates one level's cells. Levels wide enough to hold a
-// pattern run are first partitioned by planLevel (runs.go): detected runs
-// drain as vectorized sweeps and only the leftover singles go through
-// per-cell evaluation.
-func (e *Engine) runLevel(sch *schedule, level []int32) {
-	nodes := sch.nodes
-	if e.patternRuns && len(level) >= minPatternRun {
-		runs, singles, cached := sch.replayPlan(level)
-		if !cached {
-			runs, singles = e.planLevel(nodes, level)
-			sch.recordPlan(level, runs, singles)
-		}
-		if len(runs) > 0 {
-			mPatternRuns.Add(uint64(len(runs)))
-			mPatternRunCells.Add(uint64(len(level) - len(singles)))
-			for i := range runs {
-				e.executeRun(nodes, &runs[i])
+// DrainLevels drains up to budget dirty cells through the resumable
+// wavefront schedule, one level after another on the calling goroutine. The
+// budget truncates the final level — and the final span, whose cursor
+// advances — rather than splitting the schedule's invariants: the cut span
+// and the rest of its level stay ready at the head of the frontier, the
+// schedule stays cached on the engine, and the next call resumes the sweep
+// at that row without re-levelling — Kahn runs once per dirty generation,
+// not once per chunk. Returns the number of cells drained (evaluated or
+// published as #CYCLE!).
+func (e *Engine) DrainLevels(budget int) int {
+	if budget <= 0 || e.store.ndirty == 0 {
+		return 0
+	}
+	sch := e.ensureSchedule()
+	drained := 0
+	var levels, runs, runCells uint64
+	// Telemetry lands in one batch per call, not per cell or per level —
+	// the drain loop itself never touches the shared counters.
+	defer func() {
+		mCellsEvaluated.Add(uint64(drained))
+		mLevelsDrained.Add(levels)
+		mPatternRuns.Add(runs)
+		mPatternRunCells.Add(runCells)
+	}()
+	for {
+		for len(sch.frontier) > 0 && drained < budget {
+			level, next := sch.frontier, sch.next[:0]
+			start, k := drained, 0
+			for k < len(level) && drained < budget {
+				nd := &sch.nodes[level[k]]
+				m := min(len(nd.cells)-nd.done, budget-drained)
+				if len(nd.cells) == 1 {
+					e.evalLevelCell(nd)
+				} else {
+					e.executeRun(&sch.run, nd, m)
+					runs++
+					runCells += uint64(m)
+				}
+				nd.done += m
+				drained += m
+				if nd.done < len(nd.cells) {
+					break // the budget ended inside the span
+				}
+				k++
+				if len(nd.cells) > 1 {
+					sch.spans--
+				}
+				// Publish: release the span's dependents.
+				for _, j := range nd.outs {
+					dep := &sch.nodes[j]
+					if dep.nprec--; dep.nprec == 0 && !dep.self {
+						next = append(next, j)
+					}
+				}
 			}
-			level = singles
+			e.store.cleaned(drained - start)
+			if k == len(level) {
+				e.levelsDrained++
+				levels++
+			}
+			// What the budget cut off is still ready (its precedents are
+			// settled) and leads the next frontier; its level counts when
+			// the chunk that finishes it runs.
+			sch.frontier = append(append(level[:0], level[k:]...), next...)
+			sch.next = next[:0]
 		}
+		if len(sch.frontier) > 0 {
+			return drained // budget exhausted mid-schedule: stays cached
+		}
+		if e.store.ndirty == 0 {
+			break
+		}
+		if drained >= budget {
+			// Budget exhausted with only stalled cells left; they resolve on
+			// the next call against the same cached schedule.
+			return drained
+		}
+		if sch.spans > 0 {
+			// Kahn stalled with spans unfinished: their coarse edges may be
+			// all that closes the loop. Everything still flagged is stalled;
+			// demote it to single cells, re-link and carry on.
+			e.rootsOK = false
+			e.buildSchedule(sch, false)
+			continue
+		}
+		// Stalled among single cells: every remaining dirty cell either sits
+		// on a reference cycle or depends on one. Resolve the cycles and
+		// resume — the survivors form a DAG and level normally.
+		freed := e.resolveCycles(sch, &drained)
+		if len(freed) == 0 {
+			break
+		}
+		sch.frontier = append(sch.frontier[:0], freed...)
 	}
-	for _, i := range level {
-		e.evalLevelCell(&nodes[i])
+	if e.store.ndirty == 0 && e.rootsOK {
+		e.retireSchedule()
+	} else {
+		e.rootsOK = false
+		e.releaseSchedule()
 	}
+	return drained
 }
 
-// evalLevelCell evaluates one levelled cell against the engine's read-only
+// evalLevelCell evaluates a single-cell node against the engine's read-only
 // value resolver. Every precedent is settled by construction (it sits in an
 // earlier level, already drained), so unlike the serial evalResolver this
 // never recurses and never consults cycle flags — the writes are to the
@@ -625,29 +525,29 @@ func (e *Engine) runLevel(sch *schedule, level []int32) {
 // the walker by the VM's equivalence contract (see formula/compile.go); the
 // walker remains the fallback for uncompilable expressions.
 func (e *Engine) evalLevelCell(n *schedNode) {
-	if n.c.ast != nil {
-		if p := e.prog(n.at, n.c); p != nil {
-			n.c.value = p.EvalAt(valueResolver{e}, n.at)
+	c := n.cells[0]
+	if c.ast != nil {
+		if p := e.prog(n.at, c); p != nil {
+			c.value = p.EvalAt(valueResolver{e}, n.at)
 		} else {
-			n.c.value = formula.Eval(n.c.ast, valueResolver{e})
+			c.value = formula.Eval(c.ast, valueResolver{e})
 		}
 	}
-	n.c.dirty = false
+	c.dirty = false
 }
 
-// resolveCycles handles a stalled schedule: the strongly connected
-// components of the still-dirty subgraph that contain a cycle (size > 1, or
-// a direct self-reference) are exactly the cells the serial resolver would
-// poison, and every one of their members is published as #CYCLE! without
-// evaluation. Dependents released by the poisoned cells are returned as the
-// next frontier; they evaluate normally and see the error values, so
-// propagation (and IFERROR-style rescue) downstream of a cycle matches the
-// serial path. drained is advanced by the number of cells resolved.
-// deferDirty skips the per-cell dirty-map deletes for bulk drains, which
-// reconcile the map wholesale on exit (see DrainLevels).
-func (e *Engine) resolveCycles(sch *schedule, drained *int, deferDirty bool) []int32 {
+// resolveCycles handles a schedule stalled among single cells (DrainLevels
+// demotes unfinished spans first): the strongly connected components of the
+// still-dirty subgraph that contain a cycle (size > 1, or a direct
+// self-reference) are exactly the cells the serial resolver would poison,
+// and every one of their members is published as #CYCLE! without evaluation.
+// Dependents released by the poisoned cells are returned as the next
+// frontier; they evaluate normally and see the error values, so propagation
+// (and IFERROR-style rescue) downstream of a cycle matches the serial path.
+// drained is advanced by the number of cells resolved.
+func (e *Engine) resolveCycles(sch *schedule, drained *int) []int32 {
 	nodes := sch.nodes
-	stalled := func(i int32) bool { return nodes[i].c.dirty && !nodes[i].cyclic }
+	stalled := func(i int32) bool { return nodes[i].done < len(nodes[i].cells) && !nodes[i].cyclic }
 
 	// Tarjan over the stalled subgraph. Iterative: a chain stuck behind a
 	// cycle can be as deep as the dirty set itself.
@@ -730,15 +630,14 @@ func (e *Engine) resolveCycles(sch *schedule, drained *int, deferDirty bool) []i
 	var freed []int32
 	for _, i := range cyclic {
 		n := &nodes[i]
-		if n.c.ast != nil {
-			n.c.value = formula.Errorf("#CYCLE!")
+		if c := n.cells[0]; c.ast != nil {
+			c.value = formula.Errorf("#CYCLE!")
 		}
-		n.c.dirty = false
-		if !deferDirty {
-			delete(e.dirty, n.at)
-		}
-		*drained++
+		n.cells[0].dirty = false
+		n.done = 1
 	}
+	*drained += len(cyclic)
+	e.store.cleaned(len(cyclic))
 	for _, i := range cyclic {
 		for _, j := range nodes[i].outs {
 			nodes[j].nprec--

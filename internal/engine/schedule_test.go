@@ -433,3 +433,46 @@ func TestWarmScheduleSerialInterference(t *testing.T) {
 		t.Fatalf("pending = %d", e.Pending())
 	}
 }
+
+// TestWarmScheduleSlabReshape: a retired schedule's span windows alias the
+// column slabs, so a cell entering or leaving a slab — even a plain value,
+// which changes no formula — must drop the warm cache: the same root edited
+// again rebuilds, and reads the records that are there now.
+func TestWarmScheduleSlabReshape(t *testing.T) {
+	e := New(nil)
+	e.SetValue(ref.MustCell("F1"), formula.Num(2))
+	for r := 1; r <= 200; r++ {
+		if r == 101 {
+			continue // the hole a value will fill
+		}
+		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*$F$1", r))
+	}
+	e.RecalculateAll()
+	edit := func(f1 float64) (warm uint64) {
+		warm0 := mSchedWarmReuses.Value()
+		e.SetValue(ref.MustCell("F1"), formula.Num(f1))
+		e.RecalculateAll()
+		for _, r := range []int{1, 100, 102, 200} {
+			if v := e.Value(ref.Ref{Col: 3, Row: r}); v.Num != float64(r)*f1 {
+				t.Fatalf("F1=%v: C%d = %v, want %v", f1, r, v, float64(r)*f1)
+			}
+		}
+		return mSchedWarmReuses.Value() - warm0
+	}
+	edit(3)
+	if edit(4) != 1 {
+		t.Fatal("repeating the root did not re-arm the retired schedule")
+	}
+	e.SetValue(ref.MustCell("C101"), formula.Num(-1)) // shifts C102.. one slot down the slab
+	if edit(5) != 0 {
+		t.Fatal("a reshaped slab left the warm schedule armed")
+	}
+	e.ClearCell(ref.MustCell("C101"))
+	if edit(6) != 0 {
+		t.Fatal("a reshaped slab left the warm schedule armed")
+	}
+	if edit(7) != 1 {
+		t.Fatal("the rebuilt schedule was not retired")
+	}
+}

@@ -430,7 +430,6 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 	}
 	cells := cellMapPool.Get().(map[ref.Ref]*cell)
 	store := newColStore()
-	dirty := make(map[ref.Ref]*cell)
 	nform := make(map[int]int)
 	var fitems []rtree.Item[ref.Ref]
 	// Slab-allocate cell records in pooled blocks: pointers into a full
@@ -460,7 +459,7 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 			nform[sc.At.Col]++
 		}
 		if sc.Dirty {
-			dirty[sc.At] = c
+			store.noteDirty(sc.At.Col, sc.At.Row, sc.At.Row, 1)
 		}
 		return nil
 	})
@@ -480,7 +479,6 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 		cells:       cells,
 		formulas:    rtree.BulkLoad(fitems),
 		nform:       nform,
-		dirty:       dirty,
 		slabs:       slabs,
 		patternRuns: true,
 		rootsOK:     true,

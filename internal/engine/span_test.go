@@ -1,0 +1,539 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"taco/internal/formula"
+	"taco/internal/nocomp"
+	"taco/internal/ref"
+)
+
+// This file is the differential harness for span scheduling: a small sheet
+// whose formula columns are each stamped from one template, an edit list and
+// a budget list, driven through the engine under test (TACO graph, span
+// nodes, budgeted RecalculateN interleaved with the edits) and through the
+// reference (NoComp graph, pattern runs off, pinned to the serial resolver),
+// which must agree bit for bit — #CYCLE! set included. The named cases and
+// FuzzSpanDrain's seeds are the same inputs.
+//
+// Every template is additive over numeric data, so a cell on a reference
+// cycle is #CYCLE! on the serial resolver whichever member it enters the
+// cycle by — the error propagates through + and SUM — and the two paths'
+// cycle sets are comparable.
+
+// Column templates: how the cell at (column X, row r) reads its sheet. P is
+// the column before X (B, a data column, before the first), N the one after.
+const (
+	tmplLookUp     = iota // X[r-k] + P[r]: a chain of stride k (k=1: a running balance)
+	tmplLookDown          // X[r+k] + A[r]
+	tmplStraddle          // X[r-1] + X[r+1]: =D4+D6 copied down, a true cycle
+	tmplSameRow           // P[r] + A[r]
+	tmplNextPrev          // N[r-1] + A[r]: with tmplSameRow in N, the X/Y zig-zag
+	tmplFixedCell         // A[r] * $H$1
+	tmplWinAbove          // SUM(X[r-k]:X[r-1]) + A[r]
+	tmplWinOnto           // SUM(X[r-k]:X[r]): every cell reads itself
+	tmplWinBelow          // SUM(X[r+1]:X[r+k]) + A[r]
+	tmplCumulative        // SUM(X$1:X[r-1]) + A[r]
+	tmplDeclined          // X[r-1] + a nest deeper than the VM's stack: AST walker only
+	tmplSlidePrev         // SUM(P[r-k]:P[r]): the ledger's E
+	tmplFixedWin          // SUM(P$2:P$5) + A[r]
+	numTmpl
+)
+
+const (
+	spanColA     = 1
+	spanColB     = 2
+	spanFirstCol = 3 // formula columns start at C
+	spanRateCol  = 30
+)
+
+var spanRate = ref.Ref{Col: spanRateCol, Row: 1}
+
+// declinedNest is an addend the compiler declines (value stack > maxVMStack).
+var declinedNest = strings.Repeat("(1+", 140) + "1" + strings.Repeat(")", 140)
+
+// spanColumn is one formula column: template, stride/width k, every hole-th
+// row left empty, every head-th row a chain head (=A[r]), and one row holding
+// a plain value instead of the formula (0: none).
+type spanColumn struct {
+	tmpl, k, hole, head, over int
+}
+
+func (c spanColumn) formula(col, r int) string {
+	x, p, n := ref.ColName(col), ref.ColName(col-1), ref.ColName(col+1)
+	head := fmt.Sprintf("A%d", r)
+	if c.head > 0 && (r-1)%c.head == 0 {
+		return head
+	}
+	switch c.tmpl {
+	case tmplLookUp:
+		if r-c.k < 1 {
+			return fmt.Sprintf("%s%d", p, r)
+		}
+		return fmt.Sprintf("%s%d+%s%d", x, r-c.k, p, r)
+	case tmplLookDown:
+		return fmt.Sprintf("%s%d+A%d", x, r+c.k, r)
+	case tmplStraddle:
+		if r == 1 {
+			return head
+		}
+		return fmt.Sprintf("%s%d+%s%d", x, r-1, x, r+1)
+	case tmplSameRow:
+		return fmt.Sprintf("%s%d+A%d", p, r, r)
+	case tmplNextPrev:
+		if r == 1 {
+			return head
+		}
+		return fmt.Sprintf("%s%d+A%d", n, r-1, r)
+	case tmplFixedCell:
+		return fmt.Sprintf("A%d*$%s$1", r, ref.ColName(spanRateCol))
+	case tmplWinAbove:
+		if r-c.k < 1 {
+			return head
+		}
+		return fmt.Sprintf("SUM(%s%d:%s%d)+A%d", x, r-c.k, x, r-1, r)
+	case tmplWinOnto:
+		return fmt.Sprintf("SUM(%s%d:%s%d)", x, max(1, r-c.k), x, r)
+	case tmplWinBelow:
+		return fmt.Sprintf("SUM(%s%d:%s%d)+A%d", x, r+1, x, r+c.k, r)
+	case tmplCumulative:
+		if r == 1 {
+			return head
+		}
+		return fmt.Sprintf("SUM(%s$1:%s%d)+A%d", x, x, r-1, r)
+	case tmplDeclined:
+		if r == 1 {
+			return head
+		}
+		return fmt.Sprintf("%s%d+%s", x, r-1, declinedNest)
+	case tmplSlidePrev:
+		return fmt.Sprintf("SUM(%s%d:%s%d)", p, max(1, r-c.k), p, r)
+	default: // tmplFixedWin
+		return fmt.Sprintf("SUM(%s$2:%s$5)+A%d", p, p, r)
+	}
+}
+
+// Edit kinds. The column selector picks a formula column where one is needed.
+const (
+	editData    = iota // A[row] := val
+	editRate           // the $-fixed cell := val
+	editValue          // (col,row) := val — overwrites a formula, e.g. a chain head
+	editFormula        // (col,row) := the column's formula — e.g. a value→formula switch
+	editClear          // clear (col,row)
+	numEdit
+)
+
+// spanEdit is one edit; val is the value written, and val%4 == 3 also asks
+// for a full drain after the edit's budgeted chunk.
+type spanEdit struct{ kind, col, row, val int }
+
+// spanCase is one differential input.
+type spanCase struct {
+	rows    int
+	cols    []spanColumn
+	edits   []spanEdit
+	budgets []int // RecalculateN budgets, one after each edit, then cycled to drain
+}
+
+// decodeSpanCase maps fuzz bytes onto a bounded case: 8–71 rows, up to six
+// formula columns (four bytes each), up to twelve edits (four bytes each).
+func decodeSpanCase(rows uint8, cols, edits, budgets []byte) spanCase {
+	sc := spanCase{rows: 8 + int(rows%64)}
+	for i := 0; i+4 <= len(cols) && len(sc.cols) < 6; i += 4 {
+		c := spanColumn{tmpl: int(cols[i]) % numTmpl, k: 1 + int(cols[i+1])%3}
+		if h := int(cols[i+2]) % 8; h >= 3 {
+			c.hole = h
+		}
+		if h := int(cols[i+2]) / 8 % 8; h >= 2 {
+			c.head = 4 * h
+		}
+		c.over = int(cols[i+3]) % (sc.rows + 1)
+		sc.cols = append(sc.cols, c)
+	}
+	for i := 0; i+4 <= len(edits) && len(sc.edits) < 12; i += 4 {
+		sc.edits = append(sc.edits, spanEdit{
+			kind: int(edits[i]) % numEdit, col: int(edits[i+1]), row: 1 + int(edits[i+2])%sc.rows, val: int(edits[i+3]),
+		})
+	}
+	for _, b := range budgets {
+		sc.budgets = append(sc.budgets, 1+int(b))
+	}
+	return sc
+}
+
+func (sc spanCase) build(t testing.TB, e *Engine) {
+	e.SetValue(spanRate, formula.Num(1.5))
+	for r := 1; r <= sc.rows; r++ {
+		e.SetValue(ref.Ref{Col: spanColA, Row: r}, formula.Num(float64(r)+0.25))
+		e.SetValue(ref.Ref{Col: spanColB, Row: r}, formula.Num(float64(sc.rows-r)+0.5))
+	}
+	for i, c := range sc.cols {
+		col := spanFirstCol + i
+		for r := 1; r <= sc.rows; r++ {
+			at := ref.Ref{Col: col, Row: r}
+			switch {
+			case c.hole > 0 && r%c.hole == 0:
+			case r == c.over:
+				e.SetValue(at, formula.Num(float64(r)))
+			default:
+				if _, err := e.SetFormula(at, c.formula(col, r)); err != nil {
+					t.Fatalf("SetFormula(%v): %v", at, err)
+				}
+			}
+		}
+	}
+}
+
+func (sc spanCase) apply(t testing.TB, e *Engine, ed spanEdit) {
+	v := formula.Num(float64(ed.val) + 0.5)
+	switch ed.kind {
+	case editData:
+		e.SetValue(ref.Ref{Col: spanColA, Row: ed.row}, v)
+		return
+	case editRate:
+		e.SetValue(spanRate, v)
+		return
+	}
+	if len(sc.cols) == 0 {
+		return
+	}
+	i := ed.col % len(sc.cols)
+	at := ref.Ref{Col: spanFirstCol + i, Row: ed.row}
+	switch ed.kind {
+	case editValue:
+		e.SetValue(at, v)
+	case editFormula:
+		if _, err := e.SetFormula(at, sc.cols[i].formula(at.Col, at.Row)); err != nil {
+			t.Fatalf("SetFormula(%v): %v", at, err)
+		}
+	case editClear:
+		e.ClearCell(at)
+	}
+}
+
+// run drives the case through both engines and compares them.
+func (sc spanCase) run(t *testing.T) (got *Engine) {
+	t.Helper()
+	got = New(nil)
+	want := New(NoComp{G: nocomp.NewGraph()})
+	want.SetPatternRuns(false)
+	want.SetRecalcParallelism(1)
+	sc.build(t, got)
+	sc.build(t, want)
+	budget := func(i int) int {
+		if len(sc.budgets) == 0 {
+			return 1 << 20
+		}
+		return sc.budgets[i%len(sc.budgets)]
+	}
+	got.RecalculateN(budget(0))
+	for i, ed := range sc.edits {
+		sc.apply(t, got, ed)
+		sc.apply(t, want, ed)
+		before := got.Pending()
+		if n := got.RecalculateN(budget(i + 1)); before > 0 && n == 0 {
+			t.Fatalf("edit %d: budgeted drain made no progress with %d pending", i, before)
+		}
+		if ed.val%4 == 3 {
+			got.RecalculateAll() // a finished epoch: the next edit of the same root may re-arm its schedule
+		}
+	}
+	for i := 0; got.Pending() > 0; i++ {
+		if got.RecalculateN(budget(i)) == 0 {
+			t.Fatalf("drain stalled with %d pending", got.Pending())
+		}
+	}
+	want.RecalculateAll()
+	if g, w := got.NumCells(), want.NumCells(); g != w {
+		t.Fatalf("cell counts diverge: %d vs reference %d", g, w)
+	}
+	want.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
+		g, clean := got.Peek(at)
+		if !clean {
+			t.Errorf("%v: left dirty", at)
+		}
+		if w := c.value; g.Kind != w.Kind || math.Float64bits(g.Num) != math.Float64bits(w.Num) || g.Err != w.Err {
+			t.Errorf("%v (%q): got %v, reference %v", at, c.src, g, w)
+		}
+		return nil
+	})
+	if err := got.TACOGraph().Check(); err != nil {
+		t.Fatalf("graph invariants: %v", err)
+	}
+	return got
+}
+
+// The named shapes: each is a fuzz seed and a test of its own.
+var spanSeeds = []struct {
+	name string
+	sc   spanCase
+}{
+	{"ledger", spanCase{rows: 71, // C rate column, D running balance with heads, E sliding SUM, F fixed SUM, G cumulative
+		cols: []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplLookUp, k: 1, head: 16}, {tmpl: tmplSlidePrev, k: 3},
+			{tmpl: tmplFixedWin}, {tmpl: tmplCumulative}},
+		edits:   []spanEdit{{kind: editRate, val: 3}, {kind: editData, row: 40, val: 9}, {kind: editRate, val: 4}},
+		budgets: []int{256, 7, 64}}},
+	{"straddle_D4_plus_D6", spanCase{rows: 40,
+		cols:    []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplStraddle}, {tmpl: tmplSameRow}},
+		edits:   []spanEdit{{kind: editRate, val: 2}, {kind: editValue, col: 1, row: 20, val: 5}},
+		budgets: []int{50}}},
+	{"zigzag", spanCase{rows: 64,
+		cols:    []spanColumn{{tmpl: tmplNextPrev}, {tmpl: tmplSameRow}, {tmpl: tmplSameRow}},
+		edits:   []spanEdit{{kind: editData, row: 1, val: 7}, {kind: editData, row: 30, val: 8}},
+		budgets: []int{33}}},
+	{"look_down_chain", spanCase{rows: 70,
+		cols:    []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplLookDown, k: 1}, {tmpl: tmplWinBelow, k: 3}},
+		edits:   []spanEdit{{kind: editRate, val: 6}, {kind: editData, row: 70, val: 1}},
+		budgets: []int{40, 9}}},
+	{"chain_head_overwritten_between_chunks", spanCase{rows: 71,
+		cols: []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplLookUp, k: 1}},
+		edits: []spanEdit{{kind: editRate, val: 2}, {kind: editValue, col: 1, row: 1, val: 11},
+			{kind: editValue, col: 1, row: 30, val: 12}, {kind: editFormula, col: 1, row: 30}, {kind: editClear, col: 1, row: 50}},
+		budgets: []int{100, 20, 7}}},
+	{"same_root_repeated_around_slab_edits", spanCase{rows: 71,
+		cols: []spanColumn{{tmpl: tmplFixedCell, hole: 7}, {tmpl: tmplLookUp, k: 1, head: 16}, {tmpl: tmplSlidePrev, k: 2}},
+		edits: []spanEdit{{kind: editRate, val: 3}, {kind: editRate, val: 7}, {kind: editValue, col: 0, row: 14, val: 3},
+			{kind: editRate, val: 11}, {kind: editClear, col: 0, row: 14, val: 3}, {kind: editRate, val: 15}, {kind: editRate, val: 19}},
+		budgets: []int{256}}},
+	{"windows_and_declined", spanCase{rows: 60,
+		cols: []spanColumn{{tmpl: tmplWinAbove, k: 3, hole: 7}, {tmpl: tmplWinOnto, k: 2}, {tmpl: tmplDeclined, over: 9},
+			{tmpl: tmplLookUp, k: 2, head: 12}},
+		edits:   []spanEdit{{kind: editData, row: 2, val: 3}, {kind: editFormula, col: 2, row: 9}, {kind: editData, row: 5, val: 4}},
+		budgets: []int{17}}},
+}
+
+func TestSpanDrainShapes(t *testing.T) {
+	for _, seed := range spanSeeds {
+		t.Run(seed.name, func(t *testing.T) { seed.sc.run(t) })
+	}
+}
+
+// encode is decodeSpanCase's inverse for the seeds.
+func (sc spanCase) encode() (rows uint8, cols, edits, budgets []byte) {
+	for _, c := range sc.cols {
+		cols = append(cols, byte(c.tmpl), byte(max(c.k, 1)-1), byte(c.hole+8*(c.head/4)), byte(c.over))
+	}
+	for _, ed := range sc.edits {
+		edits = append(edits, byte(ed.kind), byte(ed.col), byte(max(ed.row, 1)-1), byte(ed.val))
+	}
+	for _, b := range sc.budgets {
+		budgets = append(budgets, byte(b-1))
+	}
+	return uint8(sc.rows - 8), cols, edits, budgets
+}
+
+// FuzzSpanDrain: any sheet the templates can stamp, under any interleaving
+// of edits and budgeted drains, ends bit-identical to the serial reference
+// with nothing pending and the compressed graph's invariants intact.
+func FuzzSpanDrain(f *testing.F) {
+	for _, seed := range spanSeeds {
+		rows, cols, edits, budgets := seed.sc.encode()
+		f.Add(rows, cols, edits, budgets)
+	}
+	f.Fuzz(func(t *testing.T, rows uint8, cols, edits, budgets []byte) {
+		decodeSpanCase(rows, cols, edits, budgets).run(t)
+	})
+}
+
+// TestSpanSelfDependence pins the sweep-it-or-split-it rule on the shapes it
+// separates: a span that reads only rows above itself stays one node, every
+// other self-dependence is carved as single cells up front.
+func TestSpanSelfDependence(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		col   spanColumn
+		whole bool
+	}{
+		{"running_balance", spanColumn{tmpl: tmplLookUp, k: 1}, true},
+		{"stride_2_chain", spanColumn{tmpl: tmplLookUp, k: 2}, true},
+		{"window_above", spanColumn{tmpl: tmplWinAbove, k: 3}, true},
+		{"cumulative_sum", spanColumn{tmpl: tmplCumulative}, true},
+		{"look_down", spanColumn{tmpl: tmplLookDown, k: 1}, false},
+		{"straddle", spanColumn{tmpl: tmplStraddle}, false},
+		{"window_onto_itself", spanColumn{tmpl: tmplWinOnto, k: 2}, false},
+		{"window_below", spanColumn{tmpl: tmplWinBelow, k: 2}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := spanCase{rows: 70, cols: []spanColumn{tc.col}}
+			e := New(nil)
+			sc.build(t, e)
+			runs, singles := carveFixture(e)
+			spans := len(runs)
+			if tc.whole && (spans != 1 || singles > 3) {
+				t.Fatalf("carved %d spans and %d singles, want one span (and the head cells)", spans, singles)
+			}
+			if !tc.whole && spans != 0 {
+				t.Fatalf("carved %d spans from a column an ascending sweep cannot order", spans)
+			}
+			sc.run(t)
+		})
+	}
+}
+
+// TestSpanCoarseCycleDemotes: X reads Y's previous row and Y reads X's
+// current row — two spans each waiting on the other while the cells form a
+// zig-zag chain. The stall demotes them; nothing is a cycle.
+func TestSpanCoarseCycleDemotes(t *testing.T) {
+	sc := spanSeeds[2].sc
+	if spanSeeds[2].name != "zigzag" {
+		t.Fatalf("seed 2 is %q", spanSeeds[2].name)
+	}
+	e := New(nil)
+	sc.build(t, e)
+	if runs, _ := carveFixture(e); len(runs) != 3 {
+		t.Fatalf("carved %d spans, want the three columns", len(runs))
+	}
+	builds := e.RecalcStats().ScheduleBuilds
+	e.RecalculateAll()
+	if got := e.RecalcStats().ScheduleBuilds; got != builds {
+		t.Fatalf("demotion counted as %d schedule builds", got-builds)
+	}
+	e.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
+		if c.dirty || c.value.Kind == formula.KindError {
+			t.Errorf("%v = %v (dirty %v) after the demoted drain", at, c.value, c.dirty)
+		}
+		return nil
+	})
+	sc.run(t)
+}
+
+// TestSpanChainInChunksOfSeven: a 256-row chain drained seven cells at a
+// time stays one node whose cursor advances — one build, exact budgets, and
+// every chunk a sweep.
+func TestSpanChainInChunksOfSeven(t *testing.T) {
+	build := func(e *Engine) {
+		e.SetValue(spanRate, formula.Num(2))
+		for r := 1; r <= 256; r++ {
+			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+			if r == 1 {
+				mustFormula(t, e, "D1", "A1*$AD$1")
+			} else {
+				mustFormula(t, e, fmt.Sprintf("D%d", r), fmt.Sprintf("D%d+A%d*$AD$1", r-1, r))
+			}
+		}
+		e.RecalculateAll()
+		e.SetValue(spanRate, formula.Num(3))
+	}
+	serial, e := New(nil), New(nil)
+	serial.SetRecalcParallelism(1)
+	build(serial)
+	build(e)
+	serial.RecalculateAll()
+	builds := e.RecalcStats().ScheduleBuilds
+	for pending := 256; pending > 0; pending -= 7 {
+		if n := e.RecalculateN(7); n != min(7, pending) || e.Pending() != max(pending-7, 0) {
+			t.Fatalf("chunk drained %d, %d pending; want %d, %d", n, e.Pending(), min(7, pending), max(pending-7, 0))
+		}
+	}
+	if got := e.RecalcStats().ScheduleBuilds - builds; got != 1 {
+		t.Fatalf("%d schedule builds, want 1", got)
+	}
+	enginesEqual(t, serial, e)
+}
+
+// TestSpanBudgetCut is the engine-level budget-truncation test: a 2 000-row
+// running balance beside an A*B*$rate column, the rate edited, drained 256
+// cells at a time.
+func TestSpanBudgetCut(t *testing.T) {
+	const rows = 2000
+	build := func(e *Engine) {
+		e.SetValue(spanRate, formula.Num(1.05))
+		for r := 1; r <= rows; r++ {
+			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r%97)+0.5))
+			e.SetValue(ref.Ref{Col: 2, Row: r}, formula.Num(float64(r%13)+0.25))
+		}
+		for r := 1; r <= rows; r++ {
+			mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d*$AD$1", r, r))
+		}
+		mustFormula(t, e, "D1", "C1")
+		for r := 2; r <= rows; r++ {
+			mustFormula(t, e, fmt.Sprintf("D%d", r), fmt.Sprintf("D%d+C%d", r-1, r))
+		}
+		e.RecalculateAll()
+	}
+	serial, e := New(nil), New(nil)
+	serial.SetRecalcParallelism(1)
+	build(serial)
+	build(e)
+
+	serial.SetValue(spanRate, formula.Num(1.07))
+	serial.RecalculateAll()
+	e.SetValue(spanRate, formula.Num(1.07))
+	builds := e.RecalcStats().ScheduleBuilds
+	cells0, runCells0 := mCellsEvaluated.Value(), mPatternRunCells.Value()
+	for pending := 2 * rows; pending > 0; pending -= 256 {
+		if n := e.RecalculateN(256); n != min(256, pending) || e.Pending() != max(pending-256, 0) {
+			t.Fatalf("chunk drained %d, %d pending; want %d, %d", n, e.Pending(), min(256, pending), max(pending-256, 0))
+		}
+		if pending == 2*rows-256*9 { // the tenth chunk ends inside D: 2 000 of C, then 560 of D
+			for r, wantClean := range map[int]bool{1: true, 560: true, 561: false, rows: false} {
+				if _, clean := e.Peek(ref.Ref{Col: 4, Row: r}); clean != wantClean {
+					t.Fatalf("D%d clean=%v after the cut, want %v", r, clean, wantClean)
+				}
+			}
+		}
+	}
+	if got := e.RecalcStats().ScheduleBuilds - builds; got != 1 {
+		t.Fatalf("%d schedule builds over the chunked drain, want 1", got)
+	}
+	cells, runCells := mCellsEvaluated.Value()-cells0, mPatternRunCells.Value()-runCells0
+	if float64(runCells) < 0.95*float64(cells) {
+		t.Fatalf("%d of %d cells drained inside pattern runs, want >= 95%%", runCells, cells)
+	}
+	enginesEqual(t, serial, e)
+
+	// An edit between two chunks invalidates; the rebuilt schedule holds only
+	// what is still flagged.
+	for _, eng := range []*Engine{serial, e} {
+		eng.SetValue(spanRate, formula.Num(1.09))
+	}
+	e.RecalculateN(256)
+	e.RecalculateN(256)
+	for _, eng := range []*Engine{serial, e} {
+		eng.SetValue(ref.MustCell("A1500"), formula.Num(3))
+	}
+	if st := e.RecalcStats(); st.Scheduled != 0 || st.Pending != 2*rows-512 {
+		t.Fatalf("after the mid-drain edit: %+v, want no live schedule and %d pending", st, 2*rows-512)
+	}
+	e.RecalculateN(256)
+	if st := e.RecalcStats(); st.Scheduled != 2*rows-512 {
+		t.Fatalf("rebuilt schedule covers %d cells, want the %d still flagged", st.Scheduled, 2*rows-512)
+	}
+	e.RecalculateAll()
+	serial.RecalculateAll()
+	enginesEqual(t, serial, e)
+}
+
+// TestSweepAllocatesNothingPerSpan: with the schedule built and the pool
+// warm, a resumed chunk that sweeps a span allocates nothing — the cursors,
+// the operand buffer and the read callback are the schedule's, not the
+// sweep's. A 1 000-row chain split into ten spans, drained 100 cells a call.
+func TestSweepAllocatesNothingPerSpan(t *testing.T) {
+	e := New(nil)
+	e.SetValue(spanRate, formula.Num(2))
+	for r := 1; r <= 1000; r++ {
+		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+		if (r-1)%100 == 0 {
+			mustFormula(t, e, fmt.Sprintf("D%d", r), fmt.Sprintf("A%d*$AD$1", r))
+		} else {
+			mustFormula(t, e, fmt.Sprintf("D%d", r), fmt.Sprintf("D%d+A%d*$AD$1", r-1, r))
+		}
+	}
+	e.RecalculateAll()
+	e.SetValue(spanRate, formula.Num(3))
+	sweeps0 := mPatternRuns.Value()
+	// The warm-up call builds the schedule; the nine measured calls resume it.
+	allocs := testing.AllocsPerRun(9, func() { e.RecalculateN(100) })
+	if e.Pending() != 0 {
+		t.Fatalf("%d cells pending after ten chunks of 100", e.Pending())
+	}
+	if sweeps := mPatternRuns.Value() - sweeps0; sweeps < 10 {
+		t.Fatalf("only %d sweeps ran; the chain was not drained as spans", sweeps)
+	}
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("a resumed chunk allocates %.1f times, want 0", allocs)
+	}
+}
