@@ -89,14 +89,16 @@ fuzz-smoke:
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzBytecodeEval$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzRecalcParallel$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSpanDrain$$' -fuzztime=15s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzColStore$$' -fuzztime=15s
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime=15s
 
 # Local mirror of CI's perf-regression gate: measure now, compare against
 # the checked-in baselines, fail on >25% regression (edits/s, mid-drain
 # read p50, drain throughput, per-shape ns/op), a bulk range speedup under
 # 2x, or a pattern-run drain speedup under its baseline floor (3x on the
-# 100k-row column shape; enforced on every host — the advantage is
-# algorithmic).
+# 100k-row column shape, enforced on every host — the advantage is
+# algorithmic; the SUMPRODUCT rectangle carries none, both its sides spend
+# their time in the same slab fold).
 perf-check:
 	$(GO) run ./cmd/tacoload -sessions 32 -edits 100 -rows 100 -max-resident 12 -durable -churn-rounds 4 -fork-storm 64 -metrics-url /metrics -standby-url inproc -json > /tmp/taco_bench_server.json
 	$(GO) run ./cmd/benchdiff -tol 0.25 BENCH_server.json /tmp/taco_bench_server.json

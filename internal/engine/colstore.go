@@ -13,9 +13,9 @@ import (
 // row-sorted slab of cell records. It exploits the tabular regularity the
 // TACO paper builds on — spreadsheet ranges are column-aligned rectangles,
 // so a range read becomes a handful of contiguous per-column scans (one
-// binary search each) instead of rows×cols map probes. The engine's flat
-// cell map is retained alongside it as a secondary index for O(1) point
-// lookups; every write goes through both (see Engine.setCell).
+// binary search each) instead of rows×cols map probes. It is also the
+// engine's only cell index: a point read (get) is one column probe plus a
+// binary search of that column's rows, and ncells counts the records.
 //
 // The dirty set lives on the slabs too: membership is the dirty flag on the
 // cell record, ndirty counts the flagged records, and each column keeps an
@@ -27,6 +27,7 @@ import (
 // marked, never to the sheet's height.
 type colStore struct {
 	cols      map[int]*column
+	ncells    int
 	ndirty    int
 	dirtyCols []int
 }
@@ -66,7 +67,7 @@ func (s *colStore) recycle() {
 	}
 	clear(s.cols)
 	colMapPool.Put(s.cols)
-	s.cols, s.ndirty, s.dirtyCols = nil, 0, nil
+	s.cols, s.ncells, s.ndirty, s.dirtyCols = nil, 0, 0, nil
 }
 
 func recycleColumn(col *column) {
@@ -139,10 +140,21 @@ func (s *colStore) dirtyWindows(fn func(ci int, col *column, lo, hi int) bool) {
 	}
 }
 
-// set installs (or replaces) the record at the given position. Loaders feed
-// cells in column-major order, so the append fast path handles bulk fills
-// without a binary search per cell.
-func (s *colStore) set(at ref.Ref, c *cell) {
+// get returns the record at the given position, nil when it is unpopulated.
+func (s *colStore) get(at ref.Ref) *cell {
+	if col := s.cols[at.Col]; col != nil {
+		if i, found := slices.BinarySearch(col.rows, at.Row); found {
+			return col.cells[i]
+		}
+	}
+	return nil
+}
+
+// set installs the record at the given position and returns the one it
+// replaced, nil when the position was unpopulated. Loaders feed cells in
+// column-major order, so the append fast path handles bulk fills without a
+// binary search per cell.
+func (s *colStore) set(at ref.Ref, c *cell) (old *cell) {
 	col := s.cols[at.Col]
 	if col == nil {
 		col = columnPool.Get().(*column)
@@ -151,43 +163,40 @@ func (s *colStore) set(at ref.Ref, c *cell) {
 	if n := len(col.rows); n == 0 || at.Row > col.rows[n-1] {
 		col.rows = append(col.rows, at.Row)
 		col.cells = append(col.cells, c)
-		return
+		s.ncells++
+		return nil
 	}
 	i, found := slices.BinarySearch(col.rows, at.Row)
 	if found {
-		col.cells[i] = c
-		return
+		old, col.cells[i] = col.cells[i], c
+		return old
 	}
 	col.rows = slices.Insert(col.rows, i, at.Row)
 	col.cells = slices.Insert(col.cells, i, c)
+	s.ncells++
+	return nil
 }
 
-// delete removes the record at the given position, if present.
-func (s *colStore) delete(at ref.Ref) {
+// delete removes and returns the record at the given position, nil when it
+// was unpopulated.
+func (s *colStore) delete(at ref.Ref) *cell {
 	col := s.cols[at.Col]
 	if col == nil {
-		return
+		return nil
 	}
 	i, found := slices.BinarySearch(col.rows, at.Row)
 	if !found {
-		return
+		return nil
 	}
+	old := col.cells[i]
 	col.rows = slices.Delete(col.rows, i, i+1)
 	col.cells = slices.Delete(col.cells, i, i+1)
+	s.ncells--
 	if len(col.rows) == 0 {
 		delete(s.cols, at.Col)
 		recycleColumn(col)
 	}
-}
-
-// count returns the number of stored cells (used by invariant checks; the
-// engine's cell map is the authoritative O(1) counter).
-func (s *colStore) count() int {
-	n := 0
-	for _, col := range s.cols {
-		n += len(col.rows)
-	}
-	return n
+	return old
 }
 
 // window returns the slab index range [lo, hi) covering rows r1..r2.
@@ -206,7 +215,7 @@ func (c *column) window(r1, r2 int) (lo, hi int) {
 // A single-column range (the common aggregation shape) is one binary search
 // plus a linear walk. Multi-column ranges merge the per-column windows with
 // a small binary heap keyed on (row, col) — O(cells · log cols), no
-// per-cell map probes.
+// per-cell point reads.
 func (s *colStore) scanRange(rng ref.Range, fn func(at ref.Ref, c *cell) bool) bool {
 	if rng.Head.Col == rng.Tail.Col {
 		col := s.cols[rng.Head.Col]
@@ -642,9 +651,8 @@ type CellStoreStats struct {
 
 // stats computes the store's shape summary.
 func (s *colStore) stats() CellStoreStats {
-	st := CellStoreStats{Columns: len(s.cols)}
+	st := CellStoreStats{Columns: len(s.cols), Cells: s.ncells}
 	for _, col := range s.cols {
-		st.Cells += len(col.rows)
 		st.SlabCapacity += cap(col.rows)
 		if len(col.rows) > st.LongestSlab {
 			st.LongestSlab = len(col.rows)

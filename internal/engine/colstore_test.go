@@ -1,0 +1,319 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"taco/internal/formula"
+	"taco/internal/nocomp"
+	"taco/internal/ref"
+)
+
+// The column slabs are the engine's only cell index, so the flat map they
+// replaced survives here, as the oracle: storeModel is a map[ref.Ref] sheet
+// with its own (naive) dependents closure and evaluator, and FuzzColStore
+// holds every point read and every counter of the engine to it after every
+// step of a random edit program.
+
+// The model's window. Columns from modelNarrowFrom on only ever use their
+// first three rows, so a program empties and re-creates them all the time.
+const (
+	modelCols       = 20
+	modelRows       = 60
+	modelNarrowFrom = 16
+	modelMaxSteps   = 128 // a step re-reads the whole window: keep executions short
+)
+
+// Program steps, four bytes each: op, column, row, argument. The op byte mod
+// 16 selects the last op not above it, so one step in sixteen is a drain and
+// the dirty sets in between grow past the levelled drain's threshold. The
+// other ops fill down: the argument's top three bits are how many further
+// rows get the same write, formulae shifted row by row as a copy would.
+const (
+	modelOpValue = 0  // at := arg
+	modelOpRef   = 5  // at := <one earlier cell> + arg
+	modelOpSum   = 9  // at := SUM(<a window of earlier cells>) + arg
+	modelOpClear = 12 // clear at
+	modelOpDrain = 15 // RecalculateAll
+)
+
+// modelCell is the oracle's record: the last computed value, and for a
+// formula its source, the window it sums and the constant it adds.
+type modelCell struct {
+	value formula.Value
+	src   string
+	prec  ref.Range // the zero Range for a value or a constant formula
+	k     float64
+	dirty bool
+}
+
+type storeModel map[ref.Ref]*modelCell
+
+// modelPrecedents picks what a formula at `at` reads, relative to at so a
+// fill-down stamps one pattern: only cells before it in column-major order, so
+// no program can close a cycle and a column-major pass is a topological one.
+// one asks for a single cell; ok is false where nothing precedes at.
+func modelPrecedents(at ref.Ref, arg int, one bool) (prec ref.Range, ok bool) {
+	above := at.Row > 1 && (at.Col == 1 || arg%2 == 0)
+	switch {
+	case above && one:
+		return ref.CellRange(ref.Ref{Col: at.Col, Row: max(1, at.Row-1-arg%3)}), true
+	case above:
+		return ref.Range{Head: ref.Ref{Col: at.Col, Row: max(1, at.Row-1-arg%7)}, Tail: ref.Ref{Col: at.Col, Row: at.Row - 1}}, true
+	case at.Col == 1:
+		return ref.Range{}, false // A1
+	case one:
+		return ref.CellRange(ref.Ref{Col: 1 + arg%(at.Col-1), Row: at.Row}), true
+	}
+	return ref.Range{Head: ref.Ref{Col: max(1, at.Col-1-arg%3), Row: at.Row},
+		Tail: ref.Ref{Col: at.Col - 1, Row: min(modelRows, at.Row+arg%5)}}, true
+}
+
+// step applies one program step to the engine and to the model.
+func (m storeModel) step(t *testing.T, e *Engine, op, cb, rb, ab byte) {
+	if op %= 16; op >= modelOpDrain {
+		e.RecalculateAll()
+		m.drain()
+		return
+	}
+	at, rows := ref.Ref{Col: 1 + int(cb)%modelCols}, modelRows
+	if at.Col >= modelNarrowFrom {
+		rows = 3
+	}
+	at.Row = 1 + int(rb)%rows
+	arg := int(ab) % 32
+	for last := min(rows, at.Row+int(ab)/32); at.Row <= last; at.Row++ {
+		switch {
+		case op < modelOpRef:
+			v := formula.Num(float64(arg))
+			e.SetValue(at, v)
+			m[at] = &modelCell{value: v}
+		case op < modelOpClear:
+			mc := &modelCell{src: fmt.Sprintf("%d", arg), k: float64(arg), dirty: true}
+			if prec, ok := modelPrecedents(at, arg, op < modelOpSum); ok && prec.IsCell() {
+				mc.src, mc.prec = fmt.Sprintf("%v+%d", prec, arg), prec
+			} else if ok {
+				mc.src, mc.prec = fmt.Sprintf("SUM(%v)+%d", prec, arg), prec
+			}
+			mustFormula(t, e, at.String(), mc.src)
+			m[at] = mc
+		default:
+			e.ClearCell(at)
+			delete(m, at)
+		}
+		m.invalidate(at)
+	}
+}
+
+// invalidate flags every formula that transitively reads at.
+func (m storeModel) invalidate(at ref.Ref) {
+	var hit [modelCols + 1][modelRows + 1]bool
+	hit[at.Col][at.Row] = true
+	for col := at.Col; col <= modelCols; col++ {
+		for row := 1; row <= modelRows; row++ {
+			mc := m[ref.Ref{Col: col, Row: row}]
+			if mc == nil || !mc.prec.Valid() {
+				continue
+			}
+			mc.prec.Cells(func(r ref.Ref) bool {
+				if hit[r.Col][r.Row] {
+					mc.dirty, hit[col][row] = true, true
+				}
+				return !hit[col][row]
+			})
+		}
+	}
+}
+
+// drain evaluates the flagged formulae, precedents first.
+func (m storeModel) drain() {
+	for col := 1; col <= modelCols; col++ {
+		for row := 1; row <= modelRows; row++ {
+			mc := m[ref.Ref{Col: col, Row: row}]
+			if mc == nil || !mc.dirty {
+				continue
+			}
+			sum := 0.0
+			if mc.prec.Valid() {
+				mc.prec.Cells(func(r ref.Ref) bool { // row-major, the order SUM folds in
+					if pc := m[r]; pc != nil {
+						sum += pc.value.Num
+					}
+					return true
+				})
+			}
+			mc.value, mc.dirty = formula.Num(sum+mc.k), false
+		}
+	}
+}
+
+// check holds every read path and counter of e to the model, at every ref of
+// the window and a margin around it, and the slabs to their shape invariants.
+func (m storeModel) check(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	formulas, pending := 0, 0
+	for _, mc := range m {
+		if mc.src != "" {
+			formulas++
+		}
+		if mc.dirty {
+			pending++
+		}
+	}
+	if e.NumCells() != len(m) || e.NumFormulas() != formulas || e.Pending() != pending {
+		t.Fatalf("%s: engine counts %d cells, %d formulas, %d pending; model %d, %d, %d",
+			when, e.NumCells(), e.NumFormulas(), e.Pending(), len(m), formulas, pending)
+	}
+	unpopulated := &modelCell{}
+	for col := 1; col <= modelCols+1; col++ {
+		for row := 1; row <= modelRows+1; row++ {
+			at := ref.Ref{Col: col, Row: row}
+			want := m[at]
+			if want == nil {
+				want = unpopulated
+			}
+			peek, clean := e.Peek(at)
+			if e.Value(at) != want.value || peek != want.value || clean == want.dirty ||
+				e.Dirty(at) != want.dirty || e.Formula(at) != want.src {
+				t.Fatalf("%s: %v reads value %v, peek (%v, clean %v), dirty %v, formula %q; model %+v",
+					when, at, e.Value(at), peek, clean, e.Dirty(at), e.Formula(at), *want)
+			}
+		}
+	}
+	if slabbed := slabbedCells(t, e, when); slabbed != len(m) {
+		t.Fatalf("%s: slabs hold %d cells, model %d", when, slabbed, len(m))
+	}
+}
+
+// slabbedCells counts the records on e's slabs, holding each column to its
+// shape: never empty, rows and records parallel, rows strictly ascending.
+func slabbedCells(t *testing.T, e *Engine, when string) (n int) {
+	t.Helper()
+	for ci, col := range e.store.cols {
+		if len(col.rows) == 0 || len(col.rows) != len(col.cells) {
+			t.Fatalf("%s: column %d holds %d rows and %d records", when, ci, len(col.rows), len(col.cells))
+		}
+		for i, row := range col.rows {
+			if i > 0 && row <= col.rows[i-1] {
+				t.Fatalf("%s: column %d rows not strictly ascending: %v", when, ci, col.rows)
+			}
+			if col.cells[i] == nil {
+				t.Fatalf("%s: column %d row %d has no record", when, ci, row)
+			}
+		}
+		n += len(col.rows)
+	}
+	return n
+}
+
+func modelProg(ops ...[4]byte) (prog []byte) {
+	for _, op := range ops {
+		prog = append(prog, op[:]...)
+	}
+	return prog
+}
+
+// FuzzColStore: under any program of value writes, formula writes, clears and
+// drains over a 20×60 window — gapped columns, first and last rows, columns
+// emptied and re-created — Value, Peek, Dirty, Formula, NumCells, NumFormulas
+// and Pending agree with the map model after every step, the slabs stay
+// strictly ascending with no empty column, and a snapshot round trip
+// preserves all of it.
+func FuzzColStore(f *testing.F) {
+	const q, a, fill = modelNarrowFrom, 0, 32 // column bytes Q (narrow) and A; one more row filled
+	// A narrow column filled, emptied, re-created by a formula, then a row
+	// inserted above it.
+	f.Add(modelProg([4]byte{modelOpValue, q, 0, 2*fill + 5}, [4]byte{modelOpClear, q, 0, 2 * fill}, [4]byte{modelOpSum, q, 1, 3},
+		[4]byte{modelOpDrain}, [4]byte{modelOpValue, q, 0, 9}))
+	// First and last row: A60 sums the rows above it, then the slab under the
+	// window changes at both ends and in the middle, values and formulae
+	// replacing each other.
+	f.Add(modelProg([4]byte{modelOpValue, a, 0, 7*fill + 1}, [4]byte{modelOpValue, a, 30, 2}, [4]byte{modelOpSum, a, 59, 6},
+		[4]byte{modelOpDrain}, [4]byte{modelOpClear, a, 0, 0}, [4]byte{modelOpValue, a, 15, 4},
+		[4]byte{modelOpRef, a, 30, 3*fill + 15}, [4]byte{modelOpValue, a, 59, 8}, [4]byte{modelOpClear, a, 59, 0}))
+	for seed := int64(1); seed <= 4; seed++ {
+		prog := make([]byte, 4*modelMaxSteps)
+		rand.New(rand.NewSource(seed)).Read(prog)
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		e, m := New(nil), storeModel{}
+		for i := 0; i+4 <= len(prog) && i < 4*modelMaxSteps; i += 4 {
+			m.step(t, e, prog[i], prog[i+1], prog[i+2], prog[i+3])
+			m.check(t, e, fmt.Sprintf("step %d", i/4))
+		}
+		var buf bytes.Buffer
+		if err := e.WriteSnapshot(&buf); err != nil { // drains first
+			t.Fatal(err)
+		}
+		m.drain()
+		m.check(t, e, "after the snapshot's drain")
+		r, err := RestoreSnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.check(t, r, "restored")
+	})
+}
+
+// coarseGraph is a Graph that answers every dependents query with one fixed
+// range, however few formulae it holds — the coarsest answer the interface
+// allows.
+type coarseGraph struct {
+	NoComp
+	all ref.Range
+}
+
+func (g coarseGraph) Dependents(ref.Range) []ref.Range { return []ref.Range{g.all} }
+
+// TestMarkCoarseRange: a dependents range that is a whole column of values
+// with a few formulae in it marks exactly the formulae, under one dirty span
+// from the first to the last, and both drains settle them across the values
+// in between.
+func TestMarkCoarseRange(t *testing.T) {
+	for _, every := range []int{400, 12} { // 3 formulae (serial drain), 84 (levelled)
+		col := ref.MustRange("A1:A1002")
+		e := New(coarseGraph{NoComp{G: nocomp.NewGraph()}, col})
+		e.SetValue(ref.MustCell("B1"), formula.Num(1))
+		var formulas []ref.Ref
+		for row := 1; row <= 1002; row++ {
+			at := ref.Ref{Col: 1, Row: row}
+			if row%every == 1 {
+				mustFormula(t, e, at.String(), fmt.Sprintf("$B$1*%d", row))
+				formulas = append(formulas, at)
+			} else {
+				e.SetValue(at, formula.Num(float64(row)))
+			}
+		}
+		e.RecalculateAll()
+		if got := e.SetValue(ref.MustCell("B1"), formula.Num(3)); len(got) != 1 || got[0] != col {
+			t.Fatalf("dirty ranges = %v, want the whole column", got)
+		}
+		if e.Pending() != len(formulas) || e.NumFormulas() != len(formulas) {
+			t.Fatalf("every %d: %d pending of %d formulae, want %d", every, e.Pending(), e.NumFormulas(), len(formulas))
+		}
+		col.Cells(func(at ref.Ref) bool {
+			if want := at.Row%every == 1; e.Dirty(at) != want {
+				t.Fatalf("every %d: %v dirty = %v, want %v", every, at, e.Dirty(at), want)
+			}
+			return true
+		})
+		first, last := formulas[0].Row, formulas[len(formulas)-1].Row
+		if spans := e.store.cols[1].dirty; len(spans) != 1 || spans[0] != (rowSpan{first, last}) {
+			t.Fatalf("every %d: dirty spans %v, want one [%d,%d]", every, spans, first, last)
+		}
+		if n := e.RecalculateAll(); n != len(formulas) || e.Pending() != 0 {
+			t.Fatalf("every %d: drain evaluated %d and left %d pending", every, n, e.Pending())
+		}
+		for _, at := range formulas {
+			if v := e.Value(at); v.Num != float64(3*at.Row) {
+				t.Fatalf("every %d: %v = %v, want %d", every, at, v, 3*at.Row)
+			}
+		}
+		if v := e.Value(ref.MustCell("A2")); v.Num != 2 {
+			t.Fatalf("every %d: the value cell A2 = %v, want 2", every, v)
+		}
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"taco/internal/formula"
 	"taco/internal/nocomp"
 	"taco/internal/ref"
-	"taco/internal/rtree"
 	"taco/internal/workload"
 )
 
@@ -145,23 +144,12 @@ type cell struct {
 // background phase of the asynchronous interaction model.
 type Engine struct {
 	graph Graph
-	// store is the primary cell storage: column-sliced, row-ordered slabs,
-	// so range reads are contiguous per-column scans (see colstore.go).
+	// store is the cell storage and the only cell index: column-sliced,
+	// row-ordered slabs, so range reads are contiguous per-column scans and a
+	// point read is a column probe plus a binary search (see colstore.go).
 	store colStore
-	// cells is the secondary point index over the same records — O(1)
-	// single-cell lookups while the columnar store serves the scans. Every
-	// write maintains both (setCell / ClearCell).
-	cells map[ref.Ref]*cell
-	// formulas spatially indexes formula-cell positions, so invalidate can
-	// intersect a dirty range with the populated formula cells (O(log n + k))
-	// instead of probing every cell of the range (O(area) — ruinous for
-	// whole-column dependents).
-	formulas *rtree.Tree[ref.Ref]
-	// nform counts formula cells per column (keys only while non-zero).
-	// invalidate consults it to skip formula-free columns outright and to
-	// mark formula-dense columns by walking the columnar slabs — contiguous
-	// arrays — instead of descending the spatial index per dependent range.
-	nform map[int]int
+	// nformulas counts the formula cells in store (NumFormulas).
+	nformulas int
 	// slabs tracks the cell-record blocks a snapshot restore allocated, so
 	// Recycle can return them to the pool when the engine is discarded.
 	slabs [][]cell
@@ -218,9 +206,6 @@ func New(g Graph) *Engine {
 	return &Engine{
 		graph:       g,
 		store:       newColStore(),
-		cells:       make(map[ref.Ref]*cell),
-		formulas:    rtree.New[ref.Ref](),
-		nform:       make(map[int]int),
 		patternRuns: true,
 		rootsOK:     true,
 	}
@@ -250,29 +235,23 @@ func (e *Engine) prog(at ref.Ref, c *cell) *formula.Program {
 	return c.prog
 }
 
-// setCell installs a cell record, maintaining the formula index and the
-// dirty set.
+// setCell installs a cell record, maintaining the formula count and the
+// dirty set. A replaced formula's dependencies leave the graph with it; the
+// caller registers the new record's.
 func (e *Engine) setCell(at ref.Ref, c *cell) {
 	e.noteDirtyMutation()
-	if old, ok := e.cells[at]; ok {
-		if old.ast != nil {
-			e.formulas.Delete(ref.CellRange(at), func(ref.Ref) bool { return true })
-			e.decForm(at.Col)
-			e.noteStructMutation()
-		}
-		if old.dirty {
-			e.store.cleaned(1) // the replaced record leaves the set with its flag
-		}
-	} else {
-		e.noteStructMutation() // the slab grows: warm span windows alias it
-	}
-	if c.ast != nil {
-		e.formulas.Insert(ref.CellRange(at), at)
-		e.nform[at.Col]++
+	old := e.store.set(at, c)
+	if old == nil || old.ast != nil || c.ast != nil {
+		// The slab grew or the formula set changed: the warm schedule's span
+		// windows alias the one and describe the other.
 		e.noteStructMutation()
 	}
-	e.cells[at] = c
-	e.store.set(at, c)
+	if old != nil {
+		e.dropped(at, old)
+	}
+	if c.ast != nil {
+		e.nformulas++
+	}
 	if c.dirty {
 		e.store.noteDirty(at.Col, at.Row, at.Row, 1)
 	}
@@ -365,25 +344,19 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 		}
 	}
 	e := New(TACO{G: core.BuildBulk(deps, core.DefaultOptions())})
-	// Fill the cell map directly and STR-pack the formula index: the bulk
-	// path has all entries up front, so it skips per-cell R-tree insertion.
-	var items []rtree.Item[ref.Ref]
 	for _, c := range ordered {
 		var rec *cell
 		if c.AST != nil {
 			rec = &cell{ast: c.AST, src: c.Src, dirty: true}
-			e.nform[c.At.Col]++
-			items = append(items, rtree.Item[ref.Ref]{Rect: ref.CellRange(c.At), Value: c.At})
+			e.nformulas++
 		} else {
 			rec = &cell{value: c.Value}
 		}
-		e.cells[c.At] = rec
 		e.store.set(c.At, rec) // ordered input: the append fast path
 		if rec.dirty {
 			e.store.noteDirty(c.At.Col, c.At.Row, c.At.Row, 1)
 		}
 	}
-	e.formulas = rtree.BulkLoad(items)
 	// A fresh load's first full recalculation stays on the serial resolver,
 	// whatever its size: every cell is dirty exactly once and the engine may
 	// never see another sheet-wide drain, so the levelled path's per-cell
@@ -420,7 +393,7 @@ func LoadBulk(s *workload.Sheet) (*Engine, error) {
 // RecalculateAll/RecalculateN to drain), so concurrent readers are safe under
 // a shared read lock.
 func (e *Engine) Value(at ref.Ref) formula.Value {
-	if c, ok := e.cells[at]; ok {
+	if c := e.store.get(at); c != nil {
 		return c.value
 	}
 	return formula.Empty()
@@ -430,8 +403,8 @@ func (e *Engine) Value(at ref.Ref) formula.Value {
 // (dirty) cell returns its stale value with clean=false — the greyed-out
 // state an asynchronous UI shows.
 func (e *Engine) Peek(at ref.Ref) (v formula.Value, clean bool) {
-	c, ok := e.cells[at]
-	if !ok {
+	c := e.store.get(at)
+	if c == nil {
 		return formula.Empty(), true
 	}
 	return c.value, !c.dirty
@@ -444,11 +417,11 @@ func (e *Engine) Peek(at ref.Ref) (v formula.Value, clean bool) {
 type evalResolver struct{ e *Engine }
 
 // CellValue implements formula.Resolver. Clean cells — the overwhelming
-// majority of references during a recalculation — pay one map probe and no
-// cycle bookkeeping.
+// majority of references during a recalculation — pay one point read and
+// no cycle bookkeeping.
 func (r evalResolver) CellValue(at ref.Ref) formula.Value {
-	c, ok := r.e.cells[at]
-	if !ok {
+	c := r.e.store.get(at)
+	if c == nil {
 		return formula.Empty()
 	}
 	if c.dirty {
@@ -462,8 +435,8 @@ func (r evalResolver) CellValue(at ref.Ref) formula.Value {
 
 // RangeValues implements formula.RangeResolver: the evaluator's bulk fast
 // path for range-consuming builtins. It streams the populated cells of rng
-// in row-major order straight off the columnar slabs — no per-cell map
-// probes — evaluating dirty cells on the way exactly as CellValue would.
+// in row-major order straight off the columnar slabs — no per-cell point
+// reads — evaluating dirty cells on the way exactly as CellValue would.
 // Evaluation never inserts or removes cells, so the slabs are stable under
 // the recursive evaluations a scan can trigger.
 func (r evalResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) bool {
@@ -523,7 +496,7 @@ func (e *Engine) evaluate(c *cell) {
 
 // Formula returns the formula source of a cell ("" for value cells).
 func (e *Engine) Formula(at ref.Ref) string {
-	if c, ok := e.cells[at]; ok {
+	if c := e.store.get(at); c != nil {
 		return c.src
 	}
 	return ""
@@ -532,9 +505,6 @@ func (e *Engine) Formula(at ref.Ref) string {
 // SetValue writes a pure value, returning the dirty set — the transitive
 // dependents the asynchronous model hides before returning control.
 func (e *Engine) SetValue(at ref.Ref, v formula.Value) []ref.Range {
-	if old, ok := e.cells[at]; ok && old.ast != nil {
-		e.graph.Clear(ref.CellRange(at))
-	}
 	e.setCell(at, &cell{value: v})
 	return e.invalidate(at)
 }
@@ -553,44 +523,42 @@ func (e *Engine) SetFormula(at ref.Ref, src string) ([]ref.Range, error) {
 // batch endpoints validate whole batches up front and must not pay for a
 // second parse per edit.
 func (e *Engine) SetFormulaParsed(at ref.Ref, src string, ast formula.Node) []ref.Range {
-	if old, ok := e.cells[at]; ok && old.ast != nil {
-		e.graph.Clear(ref.CellRange(at))
-	}
+	e.setCell(at, &cell{ast: ast, src: src, dirty: true})
 	for _, r := range formula.Refs(ast) {
 		e.graph.Add(core.Dependency{
 			Prec: r.At, Dep: at, HeadFixed: r.HeadFixed, TailFixed: r.TailFixed,
 		})
 	}
-	e.setCell(at, &cell{ast: ast, src: src, dirty: true})
 	return e.invalidate(at)
 }
 
 // ClearCell removes a cell entirely.
 func (e *Engine) ClearCell(at ref.Ref) []ref.Range {
 	e.noteDirtyMutation()
-	old, ok := e.cells[at]
-	if ok && old.ast != nil {
-		e.graph.Clear(ref.CellRange(at))
-		e.formulas.Delete(ref.CellRange(at), func(ref.Ref) bool { return true })
-		e.decForm(at.Col)
-	}
-	if ok {
+	if old := e.store.delete(at); old != nil {
 		e.noteStructMutation() // the slab shrinks: warm span windows alias it
-		if old.dirty {
-			e.store.cleaned(1)
-		}
+		e.dropped(at, old)
 	}
-	delete(e.cells, at)
-	e.store.delete(at)
 	return e.invalidate(at)
+}
+
+// dropped settles the books for a record that just left the store, replaced
+// or removed: a formula takes its dependencies out of the graph and its unit
+// off the formula count, a dirty record leaves the dirty set with its flag.
+func (e *Engine) dropped(at ref.Ref, old *cell) {
+	if old.ast != nil {
+		e.graph.Clear(ref.CellRange(at))
+		e.nformulas--
+	}
+	if old.dirty {
+		e.store.cleaned(1)
+	}
 }
 
 // invalidate marks the transitive dependents of at dirty and returns them.
 // This is the critical-path step of the asynchronous model: its cost is
-// dominated by the dependency-graph traversal. Marking intersects each dirty
-// range with the formula index rather than probing every cell of the range —
-// a dependents range can span whole columns while holding a handful of
-// formulae.
+// dominated by the dependency-graph traversal. Marking walks the populated
+// slab windows of each dirty range, never the range's area.
 func (e *Engine) invalidate(at ref.Ref) []ref.Range {
 	e.noteDirtyMutation()
 	e.noteRoot(at)
@@ -624,72 +592,50 @@ func (e *Engine) noteRoot(at ref.Ref) {
 	e.roots = append(e.roots, at)
 }
 
-// decForm drops one from a column's formula count, deleting the key at
-// zero so nform holds only columns that actually contain formulae.
-func (e *Engine) decForm(col int) {
-	if n := e.nform[col] - 1; n > 0 {
-		e.nform[col] = n
-	} else {
-		delete(e.nform, col)
-	}
-}
-
-// markRange marks the formula cells of one dirty range. Columns with no
-// formulae at all are skipped via the per-column count; ranges wider than
-// the set of formula-bearing columns iterate that set instead of the span
-// (a whole-row dependent range costs O(formula columns), not O(width)).
+// markRange marks the formula cells of one dirty range, one populated column
+// at a time; a range wider than the set of populated columns iterates that
+// set instead of the span (a whole-row dependent range costs O(populated
+// columns), not O(width)). Both shipped graphs answer Dependents with
+// sub-runs of formula spans, so the windows walked hold nothing but the
+// cells to flag. A third-party Graph returning coarser ranges than it must is
+// still marked exactly — markCol filters on the record — just in time
+// proportional to the populated cells of the window rather than to the
+// formulae among them.
 func (e *Engine) markRange(rng ref.Range) {
-	if rng.Cols() > len(e.nform) {
-		for col, nf := range e.nform {
-			if col >= rng.Head.Col && col <= rng.Tail.Col {
-				e.markCol(col, rng.Head.Row, rng.Tail.Row, nf)
+	if rng.Cols() > len(e.store.cols) {
+		for ci, col := range e.store.cols {
+			if ci >= rng.Head.Col && ci <= rng.Tail.Col {
+				e.markCol(ci, col, rng.Head.Row, rng.Tail.Row)
 			}
 		}
 		return
 	}
-	for col := rng.Head.Col; col <= rng.Tail.Col; col++ {
-		if nf, ok := e.nform[col]; ok {
-			e.markCol(col, rng.Head.Row, rng.Tail.Row, nf)
+	for ci := rng.Head.Col; ci <= rng.Tail.Col; ci++ {
+		if col := e.store.cols[ci]; col != nil {
+			e.markCol(ci, col, rng.Head.Row, rng.Tail.Row)
 		}
 	}
 }
 
-// markCol marks the formula cells of one column's row window dirty. When
-// the column's slab window is formula-dense (at most a few populated cells
-// per formula), it scans the contiguous slab checking ast != nil — a few ns
-// per cell — instead of descending the spatial index, whose per-entry cost
-// is an order of magnitude higher, and notes one dirty span from the first
-// row it flagged to the last. Sparse windows (a handful of formulae in a sea
-// of values) fall back to the single-column R-tree search and note each cell
-// on its own, so a later walk of the spans never crosses the sea.
-func (e *Engine) markCol(col, r1, r2, nf int) {
-	if c := e.store.cols[col]; c != nil {
-		if lo, hi := c.window(r1, r2); hi-lo <= 4*nf {
-			n, first, last := 0, 0, 0
-			for i := lo; i < hi; i++ {
-				if cc := c.cells[i]; cc.ast != nil && !cc.dirty {
-					cc.dirty = true
-					if n == 0 {
-						first = c.rows[i]
-					}
-					last = c.rows[i]
-					n++
-				}
+// markCol flags the clean formula cells of one column's row window: a scan of
+// the contiguous slab checking ast != nil — a few ns per cell — that notes
+// one dirty span from the first row it flagged to the last.
+func (e *Engine) markCol(ci int, col *column, r1, r2 int) {
+	lo, hi := col.window(r1, r2)
+	n, first, last := 0, 0, 0
+	for i := lo; i < hi; i++ {
+		if c := col.cells[i]; c.ast != nil && !c.dirty {
+			c.dirty = true
+			if n == 0 {
+				first = col.rows[i]
 			}
-			if n > 0 {
-				e.store.noteDirty(col, first, last, n)
-			}
-			return
+			last = col.rows[i]
+			n++
 		}
 	}
-	r := ref.Range{Head: ref.Ref{Col: col, Row: r1}, Tail: ref.Ref{Col: col, Row: r2}}
-	e.formulas.Search(r, func(_ ref.Range, fat ref.Ref) bool {
-		if cc := e.cells[fat]; cc != nil && !cc.dirty {
-			cc.dirty = true
-			e.store.noteDirty(col, fat.Row, fat.Row, 1)
-		}
-		return true
-	})
+	if n > 0 {
+		e.store.noteDirty(ci, first, last, n)
+	}
 }
 
 // ScanRange streams the populated cells of rng in row-major order with
@@ -749,8 +695,8 @@ func (e *Engine) CellStats() CellStoreStats { return e.store.stats() }
 
 // Dirty reports whether the cell awaits recalculation.
 func (e *Engine) Dirty(at ref.Ref) bool {
-	c, ok := e.cells[at]
-	return ok && c.dirty
+	c := e.store.get(at)
+	return c != nil && c.dirty
 }
 
 // SetRecalcParallelism(1) pins recalculation to the serial recursive
@@ -873,10 +819,10 @@ func (e *Engine) Dependents(r ref.Range) []ref.Range { return e.graph.Dependents
 func (e *Engine) Precedents(r ref.Range) []ref.Range { return e.graph.Precedents(r) }
 
 // NumCells returns the number of populated cells.
-func (e *Engine) NumCells() int { return len(e.cells) }
+func (e *Engine) NumCells() int { return e.store.ncells }
 
 // NumFormulas returns the number of formula cells.
-func (e *Engine) NumFormulas() int { return e.formulas.Len() }
+func (e *Engine) NumFormulas() int { return e.nformulas }
 
 // GraphStats returns the compressed graph's size statistics. ok is false
 // when the engine drives a non-TACO backend.
@@ -899,12 +845,12 @@ func (e *Engine) TACOGraph() *core.Graph {
 	return nil
 }
 
-// Recycle returns the engine's recyclable containers (cell map, column
-// slabs, dirty set, restore slabs) to package pools. Only for owners
-// discarding the engine — the serving layer's spill path, which holds the
-// session exclusively and drops its last reference right after. The graph
-// is untouched (it may be pinned and outlive the engine). Using the engine
-// after Recycle is a bug.
+// Recycle returns the engine's recyclable containers (column slabs, dirty
+// spans, restore slabs) to package pools. Only for owners discarding the
+// engine — the serving layer's spill path, which holds the session
+// exclusively and drops its last reference right after. The graph is
+// untouched (it may be pinned and outlive the engine). Using the engine after
+// Recycle is a bug.
 func (e *Engine) Recycle() {
 	e.releaseSchedule()
 	e.releaseWarm()
@@ -913,16 +859,9 @@ func (e *Engine) Recycle() {
 		slabPool.Put(block[:0])
 	}
 	e.slabs = nil
-	clear(e.cells)
-	cellMapPool.Put(e.cells)
-	e.cells = nil
 	e.store.recycle()
-	e.formulas = nil
 }
 
-var (
-	cellMapPool = sync.Pool{New: func() any { return make(map[ref.Ref]*cell, 1024) }}
-	slabPool    = sync.Pool{New: func() any { return make([]cell, 0, slabBlockSize) }}
-)
+var slabPool = sync.Pool{New: func() any { return make([]cell, 0, slabBlockSize) }}
 
 const slabBlockSize = 1024

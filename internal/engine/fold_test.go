@@ -89,7 +89,7 @@ func TestFoldEvaluatesDirtyCells(t *testing.T) {
 	e.RecalculateAll()
 	e.SetValue(ref.MustCell("A1"), formula.Num(3)) // dirties the B column + C1
 	// Evaluating only C1 must pull every dirty B through the fold.
-	e.evaluate(e.cells[ref.MustCell("C1")])
+	e.evaluate(e.store.get(ref.MustCell("C1")))
 	if v := e.Value(ref.MustCell("C1")); v.Num != 3*210 {
 		t.Fatalf("C1 = %v, want %v", v, 3*210)
 	}
@@ -193,7 +193,7 @@ func TestCondFoldEvaluatesDirty(t *testing.T) {
 	mustFormula(t, e, "D1", "SUMIF(B1:B20,\">0\",C1:C20)+SUMPRODUCT(B1:B20,C1:C20)")
 	e.RecalculateAll()
 	e.SetValue(ref.MustCell("A1"), formula.Num(3))
-	e.evaluate(e.cells[ref.MustCell("D1")])
+	e.evaluate(e.store.get(ref.MustCell("D1")))
 	if v := e.Value(ref.MustCell("D1")); v.Num != 20+3*210 {
 		t.Fatalf("D1 = %v, want %v", v, 20+3*210)
 	}

@@ -241,8 +241,9 @@ func TestScanRangeMatchesPeek(t *testing.T) {
 }
 
 // TestColumnStoreInvariants runs random interleaved sets, formula writes,
-// overwrites, and clears, asserting the columnar store and the point-index
-// map never diverge, and that snapshots round-trip the combined state.
+// overwrites, and clears, asserting the columnar store's counter, slabs and
+// scans agree with the set of live refs. FuzzColStore (colstore_test.go)
+// holds every read to a map model after every step.
 func TestColumnStoreInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := New(nil)
@@ -266,8 +267,8 @@ func TestColumnStoreInvariants(t *testing.T) {
 			delete(live, at)
 		}
 	}
-	if got, want := e.store.count(), e.NumCells(); got != want {
-		t.Fatalf("store holds %d cells, map holds %d", got, want)
+	if got, want := slabbedCells(t, e, "after the program"), e.NumCells(); got != want {
+		t.Fatalf("slabs hold %d cells, the store counts %d", got, want)
 	}
 	if got, want := e.NumCells(), len(live); got != want {
 		t.Fatalf("engine holds %d cells, want %d", got, want)
@@ -286,9 +287,6 @@ func TestColumnStoreInvariants(t *testing.T) {
 			seen[at] = true
 			if !live[at] {
 				t.Fatalf("scan yielded cleared cell %v", at)
-			}
-			if c != e.cells[at] {
-				t.Fatalf("store and map disagree on the record at %v", at)
 			}
 			return true
 		})

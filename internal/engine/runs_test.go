@@ -178,7 +178,7 @@ func TestPlanLevelReversedLoad(t *testing.T) {
 		t.Fatalf("run starts at %v, want C1", runs[0].at)
 	}
 	for k, c := range runs[0].cells {
-		if c != e.cells[ref.Ref{Col: 3, Row: 1 + k}] {
+		if c != e.store.get(ref.Ref{Col: 3, Row: 1 + k}) {
 			t.Fatalf("run cell %d is not C%d's record", k, 1+k)
 		}
 	}

@@ -60,8 +60,8 @@ import (
 // exactly as the serial path does.
 //
 // A drain runs on one goroutine — the one that called it. Evaluation never
-// inserts or removes cells, so the columnar slabs, the cell map and the
-// formula index are stable for its duration, and the engine is as
+// inserts or removes cells, so the columnar slabs — the only cell index
+// there is — are stable for its duration, and the engine is as
 // single-threaded as every other write path: the caller's exclusive hold
 // (a session write lock, in the server) is the only synchronisation.
 // Concurrency lives a layer up, across sessions, in bounded lock holds.

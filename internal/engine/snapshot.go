@@ -13,7 +13,6 @@ import (
 	"taco/internal/core"
 	"taco/internal/formula"
 	"taco/internal/ref"
-	"taco/internal/rtree"
 )
 
 // This file implements engine-level snapshotting: serialising a whole live
@@ -62,12 +61,8 @@ var ErrSnapshotChecksum = errors.New("engine: snapshot checksum mismatch")
 // encode and decode, so any snapshot that was written can be read back
 // (spill must never strand a session) while a corrupt or hostile snapshot
 // fails with ErrBadEngineSnapshot instead of attempting a multi-gigabyte
-// allocation inside a multi-tenant host. maxCellsHint bounds only the
-// decoder's up-front allocation.
-const (
-	MaxSnapshotString = 4 << 20
-	maxCellsHint      = 1 << 16
-)
+// allocation inside a multi-tenant host.
+const MaxSnapshotString = 4 << 20
 
 // snapWriter is the buffered sink the encoder needs; callers passing one
 // (bytes.Buffer, bufio.Writer) skip the wrapper layer and its extra copy.
@@ -187,7 +182,7 @@ func (e *Engine) writeCells(bw snapWriter) error {
 	// bytes, mirroring the core snapshot's guarantee. The columnar store
 	// already holds cells in exactly this order — the encoder streams the
 	// slabs directly, with no per-spill sort or scratch buffers at all.
-	if err := putUvarint(uint64(len(e.cells))); err != nil {
+	if err := putUvarint(uint64(e.store.ncells)); err != nil {
 		return err
 	}
 	return e.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
@@ -266,11 +261,9 @@ type SnapshotCell struct {
 // cells they don't need. With parse set, formula sources go through the
 // process-wide parse cache and Src is the cache's canonical string — a
 // restore of a previously-seen session allocates no per-formula memory.
-// hint, when non-nil, receives the cell count (clamped against hostile
-// values) before the first record so callers can pre-size containers.
 // On return the reader is positioned at the graph section.
-func scanCells(br *bufio.Reader, parse bool, hint func(int), fn func(SnapshotCell) error) error {
-	return scanCellsFiltered(br, parse, hint, nil, nil, fn)
+func scanCells(br *bufio.Reader, parse bool, fn func(SnapshotCell) error) error {
+	return scanCellsFiltered(br, parse, nil, nil, fn)
 }
 
 // scanCellsFiltered is scanCells with an optional rectangle filter: records
@@ -279,7 +272,13 @@ func scanCells(br *bufio.Reader, parse bool, hint func(int), fn func(SnapshotCel
 // decode cost only for the cells it returns. Skimmed formula records still
 // report their dirty flag through pending (the record header carries it), so
 // the caller's session-wide pending count stays exact.
-func scanCellsFiltered(br *bufio.Reader, parse bool, hint func(int), filter *ref.Range, pending *int, fn func(SnapshotCell) error) error {
+//
+// The writer emits records strictly ascending in column-major order, and
+// every reader holds the input to it: a repeated or out-of-order ref is
+// ErrBadEngineSnapshot. That is what makes a restore's store.set the append
+// path, and what keeps its cell, formula and dirty counts in step with the
+// records the slabs end up holding.
+func scanCellsFiltered(br *bufio.Reader, parse bool, filter *ref.Range, pending *int, fn func(SnapshotCell) error) error {
 	var magicBuf [8]byte
 	magic := magicBuf[:len(engineSnapshotMagic)]
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -291,9 +290,6 @@ func scanCellsFiltered(br *bufio.Reader, parse bool, hint func(int), filter *ref
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadEngineSnapshot, err)
-	}
-	if hint != nil {
-		hint(int(min(count, maxCellsHint)))
 	}
 	var scratch []byte
 	readBytes := func() ([]byte, error) {
@@ -328,8 +324,9 @@ func scanCellsFiltered(br *bufio.Reader, parse bool, hint func(int), filter *ref
 		b, err := readBytes()
 		return string(b), err
 	}
-	// The cell loop fails naturally on truncated input; only up-front
-	// allocations need bounding against a hostile count.
+	// The cell loop fails naturally on truncated input, so a hostile count
+	// needs no bound of its own.
+	var prev ref.Ref
 	for i := uint64(0); i < count; i++ {
 		col, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -343,6 +340,10 @@ func scanCellsFiltered(br *bufio.Reader, parse bool, hint func(int), filter *ref
 		if !at.Valid() {
 			return fmt.Errorf("%w: cell %d: invalid ref %v", ErrBadEngineSnapshot, i, at)
 		}
+		if !ref.ColumnMajorLess(prev, at) { // the zero Ref precedes every valid one
+			return fmt.Errorf("%w: cell %d: %v does not follow %v", ErrBadEngineSnapshot, i, at, prev)
+		}
+		prev = at
 		kind, err := br.ReadByte()
 		if err != nil {
 			return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
@@ -428,10 +429,7 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 	if !isBufio {
 		br = bufio.NewReader(r)
 	}
-	cells := cellMapPool.Get().(map[ref.Ref]*cell)
-	store := newColStore()
-	nform := make(map[int]int)
-	var fitems []rtree.Item[ref.Ref]
+	store, nformulas := newColStore(), 0
 	// Slab-allocate cell records in pooled blocks: pointers into a full
 	// block stay valid (blocks never regrow), and the restore/spill churn of
 	// a capped host stops allocating once the pools warm up.
@@ -446,17 +444,12 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 		slabs[len(slabs)-1] = block
 		return &block[len(block)-1]
 	}
-	hint := func(n int) {
-		fitems = make([]rtree.Item[ref.Ref], 0, n)
-	}
-	err := scanCells(br, true, hint, func(sc SnapshotCell) error {
+	err := scanCells(br, true, func(sc SnapshotCell) error {
 		c := newCell()
 		*c = cell{ast: sc.AST, src: sc.Src, value: sc.Value, dirty: sc.Dirty}
-		cells[sc.At] = c
-		store.set(sc.At, c) // snapshots are column-major: the append fast path
+		store.set(sc.At, c) // records ascend column-major: the append fast path
 		if sc.AST != nil {
-			fitems = append(fitems, rtree.Item[ref.Ref]{Rect: ref.CellRange(sc.At), Value: sc.At})
-			nform[sc.At.Col]++
+			nformulas++
 		}
 		if sc.Dirty {
 			store.noteDirty(sc.At.Col, sc.At.Row, sc.At.Row, 1)
@@ -476,9 +469,7 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 	return &Engine{
 		graph:       TACO{G: g},
 		store:       store,
-		cells:       cells,
-		formulas:    rtree.BulkLoad(fitems),
-		nform:       nform,
+		nformulas:   nformulas,
 		slabs:       slabs,
 		patternRuns: true,
 		rootsOK:     true,
@@ -494,7 +485,7 @@ func ReadSnapshotGraph(r io.Reader) (*core.Graph, error) {
 	if !isBufio {
 		br = bufio.NewReader(r)
 	}
-	if err := scanCells(br, false, nil, nil); err != nil {
+	if err := scanCells(br, false, nil); err != nil {
 		return nil, err
 	}
 	return core.ReadSnapshot(br, core.DefaultOptions())
@@ -510,7 +501,7 @@ func ScanSnapshotCells(r io.Reader, fn func(SnapshotCell) bool) error {
 		br = bufio.NewReader(r)
 	}
 	errStop := errors.New("stop")
-	err := scanCells(br, false, nil, func(sc SnapshotCell) error {
+	err := scanCells(br, false, func(sc SnapshotCell) error {
 		if !fn(sc) {
 			return errStop
 		}
@@ -539,7 +530,7 @@ func ScanSnapshotCellsInRange(r io.Reader, rng ref.Range, fn func(SnapshotCell) 
 		br = bufio.NewReader(r)
 	}
 	errStop := errors.New("stop")
-	err = scanCellsFiltered(br, false, nil, &rng, &pending, func(sc SnapshotCell) error {
+	err = scanCellsFiltered(br, false, &rng, &pending, func(sc SnapshotCell) error {
 		if !fn(sc) {
 			return errStop
 		}

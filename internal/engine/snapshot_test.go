@@ -2,12 +2,17 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"taco/internal/core"
 	"taco/internal/formula"
 	"taco/internal/ref"
 	"taco/internal/workload"
@@ -160,6 +165,114 @@ func TestRestoreSnapshotRejectsCorruptInput(t *testing.T) {
 				t.Fatal("corrupt snapshot restored without error")
 			}
 		})
+	}
+
+	// Well-formed files (magic, count, decodable records, graph, matching
+	// CRC) whose records are not strictly ascending in column-major order.
+	// A repeated ref would count a formula twice and leave a pending count
+	// no drain can bring to zero, wedging Store.Wait; every reader must
+	// refuse all three, skimmed records included.
+	one := formula.Num(1)
+	unordered := map[string][]byte{
+		"duplicate ref":     craftSnapshot(t, snapRec{"A1", 2, "1+1", one}, snapRec{"A1", 1, "1+1", one}),
+		"descending row":    craftSnapshot(t, snapRec{"A2", 0, "", one}, snapRec{"A1", 0, "", one}),
+		"descending column": craftSnapshot(t, snapRec{"B1", 0, "", one}, snapRec{"A5", 1, "1+1", one}),
+	}
+	for name, data := range unordered {
+		t.Run(name, func(t *testing.T) {
+			if err := CheckSnapshotIntegrity(data); err != nil {
+				t.Fatalf("crafted file is not well-formed: %v", err)
+			}
+			_, restoreErr := RestoreSnapshot(bytes.NewReader(data))
+			_, graphErr := ReadSnapshotGraph(bytes.NewReader(data))
+			scanErr := ScanSnapshotCells(bytes.NewReader(data), func(SnapshotCell) bool { return true })
+			// A rectangle holding none of the records: the skim path checks too.
+			_, rangeErr := ScanSnapshotCellsInRange(bytes.NewReader(data), ref.MustRange("F9:G10"),
+				func(SnapshotCell) bool { return true })
+			for reader, err := range map[string]error{"RestoreSnapshot": restoreErr, "ReadSnapshotGraph": graphErr,
+				"ScanSnapshotCells": scanErr, "ScanSnapshotCellsInRange": rangeErr} {
+				if !errors.Is(err, ErrBadEngineSnapshot) {
+					t.Errorf("%s: err = %v, want ErrBadEngineSnapshot", reader, err)
+				}
+			}
+		})
+	}
+	// The same builder with the records in order is a snapshot every reader
+	// takes, so the cases above fail on order alone.
+	ordered := craftSnapshot(t, snapRec{"A1", 2, "1+1", one}, snapRec{"A2", 1, "1+1", one}, snapRec{"B1", 0, "", one})
+	r, err := RestoreSnapshot(bytes.NewReader(ordered))
+	if err != nil {
+		t.Fatalf("ordered crafted snapshot: %v", err)
+	}
+	if r.NumCells() != 3 || r.NumFormulas() != 2 || r.Pending() != 1 {
+		t.Fatalf("ordered crafted snapshot: %d cells, %d formulas, %d pending", r.NumCells(), r.NumFormulas(), r.Pending())
+	}
+	if r.RecalculateAll(); r.Pending() != 0 || r.Value(ref.MustCell("A1")).Num != 2 {
+		t.Fatalf("A1 = %v with %d pending after the drain", r.Value(ref.MustCell("A1")), r.Pending())
+	}
+}
+
+// snapRec is one hand-written TACOE2 cell record: kind 0 a value, 1 a formula
+// with its cached value, 2 a formula without one.
+type snapRec struct {
+	at   string
+	kind byte
+	src  string
+	val  formula.Value // numbers only
+}
+
+// craftSnapshot assembles a checksummed TACOE2 file holding recs, in the
+// order given, over an empty graph — the bytes a peer or a spill directory
+// could hand the decoder, whatever the writer would have produced.
+func craftSnapshot(t *testing.T, recs ...snapRec) []byte {
+	t.Helper()
+	b := append([]byte("TACOE2"), byte(len(recs)))
+	for _, rec := range recs {
+		at := ref.MustCell(rec.at)
+		b = append(b, byte(at.Col), byte(at.Row), rec.kind)
+		if rec.kind != 0 {
+			b = append(append(b, byte(len(rec.src))), rec.src...)
+		}
+		if rec.kind != 2 {
+			b = binary.AppendUvarint(append(b, byte(formula.KindNumber)), math.Float64bits(rec.val.Num))
+		}
+	}
+	var g bytes.Buffer
+	if err := core.NewGraph(core.DefaultOptions()).WriteSnapshot(&g); err != nil {
+		t.Fatal(err)
+	}
+	b = append(b, g.Bytes()...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, snapCRCTable))
+}
+
+// TestSnapshotFormatGolden pins the TACOE2 bytes: a fixed small engine —
+// every value kind, formulae clean, erroring and cyclic, a gapped column, a
+// far column — hashes to the constant its WriteSnapshot produced at commit
+// 1731fbe, so spill files written since then stay readable. A format change
+// bumps the magic and this constant together.
+func TestSnapshotFormatGolden(t *testing.T) {
+	e := New(nil)
+	e.SetValue(ref.MustCell("A1"), formula.Num(1.5))
+	e.SetValue(ref.MustCell("A2"), formula.Str("text"))
+	e.SetValue(ref.MustCell("A3"), formula.Boolean(true))
+	e.SetValue(ref.MustCell("A5"), formula.Empty())
+	e.SetValue(ref.MustCell("AD1"), formula.Num(-2))
+	for r := 1; r <= 6; r++ {
+		e.SetValue(ref.Ref{Col: 2, Row: r}, formula.Num(float64(r)))
+		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("B%d*$AD$1", r))
+		mustFormula(t, e, fmt.Sprintf("E%d", r+1), fmt.Sprintf("SUM(C$1:C%d)", r))
+	}
+	mustFormula(t, e, "D1", "1/0")
+	mustFormula(t, e, "D2", "A2&\"!\"")
+	mustFormula(t, e, "D4", "D4+1")
+	e.ClearCell(ref.MustCell("B4"))
+	var buf bytes.Buffer
+	if err := e.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "088f8eb4fdff9be333d92f4fb99f37d2b1609781780e0f9388f35c23e20344af"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != 539 || got != want {
+		t.Fatalf("snapshot is %d bytes hashing to %s, want 539 bytes hashing to %s", buf.Len(), got, want)
 	}
 }
 
@@ -352,8 +465,8 @@ func TestSnapshotChecksum(t *testing.T) {
 // TestRestoredEngineVectorizedDrain pins two restore-path regressions: a
 // restored engine must keep the vectorized pattern-run drain enabled (the
 // toggle defaults on and must survive the snapshot round trip), and its
-// per-column formula counts must be rebuilt so post-restore edits — which
-// maintain those counts — work at all.
+// formula count must be rebuilt so post-restore edits — which maintain it —
+// keep it exact.
 func TestRestoredEngineVectorizedDrain(t *testing.T) {
 	e := New(nil)
 	e.SetValue(ref.MustCell("F1"), formula.Num(2))
@@ -374,10 +487,13 @@ func TestRestoredEngineVectorizedDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Formula-count index is live: an edit that maintains it must not blow
-	// up, and a formula overwrite keeps invalidation exact.
+	// The formula count is live: a formula overwrite leaves it where it was
+	// and keeps invalidation exact.
 	if _, err := r.SetFormula(ref.MustCell("B1"), "A1*$F$1+1"); err != nil {
 		t.Fatal(err)
+	}
+	if r.NumFormulas() != 64 {
+		t.Fatalf("formulas = %d after a formula overwrite, want 64", r.NumFormulas())
 	}
 	runs0 := mPatternRuns.Value()
 	r.SetValue(ref.MustCell("F1"), formula.Num(3))

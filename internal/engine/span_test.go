@@ -187,31 +187,45 @@ func (sc spanCase) build(t testing.TB, e *Engine) {
 	}
 }
 
+// apply makes one edit and checks the invariant marking rests on: what an
+// edit returns as its dependents covers, of the populated cells, formula
+// cells only — so markRange's slab walk touches nothing it does not flag.
 func (sc spanCase) apply(t testing.TB, e *Engine, ed spanEdit) {
+	for _, rng := range sc.edit(t, e, ed) {
+		e.ScanRange(rng, func(at ref.Ref, _ formula.Value, src string, _ bool) bool {
+			if src == "" {
+				t.Fatalf("edit %+v: dependents range %v covers the value cell %v", ed, rng, at)
+			}
+			return true
+		})
+	}
+}
+
+// edit makes one edit and returns the dirty ranges the engine answered.
+func (sc spanCase) edit(t testing.TB, e *Engine, ed spanEdit) []ref.Range {
 	v := formula.Num(float64(ed.val) + 0.5)
 	switch ed.kind {
 	case editData:
-		e.SetValue(ref.Ref{Col: spanColA, Row: ed.row}, v)
-		return
+		return e.SetValue(ref.Ref{Col: spanColA, Row: ed.row}, v)
 	case editRate:
-		e.SetValue(spanRate, v)
-		return
+		return e.SetValue(spanRate, v)
 	}
 	if len(sc.cols) == 0 {
-		return
+		return nil
 	}
 	i := ed.col % len(sc.cols)
 	at := ref.Ref{Col: spanFirstCol + i, Row: ed.row}
 	switch ed.kind {
 	case editValue:
-		e.SetValue(at, v)
+		return e.SetValue(at, v)
 	case editFormula:
-		if _, err := e.SetFormula(at, sc.cols[i].formula(at.Col, at.Row)); err != nil {
+		dirty, err := e.SetFormula(at, sc.cols[i].formula(at.Col, at.Row))
+		if err != nil {
 			t.Fatalf("SetFormula(%v): %v", at, err)
 		}
-	case editClear:
-		e.ClearCell(at)
+		return dirty
 	}
+	return e.ClearCell(at)
 }
 
 // run drives the case through both engines and compares them.

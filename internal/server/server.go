@@ -613,13 +613,11 @@ func parseBatch(edits []EditOp) ([]parsedOp, error) {
 // and without a second parse.
 func applyBatch(eng *engine.Engine, ops []parsedOp) (applied, dirty int, bulk bool) {
 	if eng.NumCells() == 0 && !anyClear(ops) {
-		uniq := make(map[ref.Ref]parsedOp, len(ops)) // later ops win, as in sequential apply
+		// In batch order: of ops on one ref LoadBulkParsed keeps the last,
+		// as sequential application would.
+		pcells := make([]engine.ParsedCell, 0, len(ops))
 		for _, p := range ops {
-			uniq[p.at] = p
-		}
-		pcells := make([]engine.ParsedCell, 0, len(uniq))
-		for at, p := range uniq {
-			pc := engine.ParsedCell{At: at}
+			pc := engine.ParsedCell{At: p.at}
 			switch {
 			case p.op.Value != nil:
 				pc.Value = formula.Num(*p.op.Value)

@@ -144,6 +144,46 @@ func TestCreateBlankAndEdit(t *testing.T) {
 	}
 }
 
+// TestBulkBatchRepeatedRefLaterWins: a first batch that writes one ref more
+// than once still takes the bulk path, and reads back what applying the ops
+// one after another would have left — the later op, whatever its kind.
+func TestBulkBatchRepeatedRefLaterWins(t *testing.T) {
+	_, tc := newTestServer(t, Options{})
+	var info SessionInfo
+	tc.do("POST", "/sessions", CreateRequest{Name: "dup"}, &info)
+	batch := EditBatch{Edits: []EditOp{
+		{Cell: "A1", Value: num(1)},
+		{Cell: "B1", Formula: str("A1*10")},
+		{Cell: "C1", Formula: str("A1+1")},
+		{Cell: "A1", Value: num(7)},
+		{Cell: "C1", Value: num(4)},
+		{Cell: "D1", Value: num(5)},
+		{Cell: "D1", Formula: str("A1+B1")},
+	}}
+	var res EditResult
+	if code := tc.do("POST", "/sessions/"+info.ID+"/edits", batch, &res); code != http.StatusOK {
+		t.Fatalf("edits: status %d", code)
+	}
+	if !res.Bulk || res.Applied != len(batch.Edits) {
+		t.Fatalf("res = %+v", res)
+	}
+	var cells CellsResult
+	tc.do("GET", "/sessions/"+info.ID+"/cells?range=A1:D1&wait=1", nil, &cells)
+	byCell := map[string]CellOut{}
+	for _, c := range cells.Cells {
+		byCell[c.Cell] = c
+	}
+	if len(byCell) != 4 || byCell["A1"].Num != 7 || byCell["B1"].Num != 70 ||
+		byCell["C1"].Num != 4 || byCell["C1"].Formula != "" ||
+		byCell["D1"].Num != 77 || byCell["D1"].Formula != "A1+B1" {
+		t.Fatalf("cells = %+v", byCell)
+	}
+	tc.do("GET", "/sessions/"+info.ID, nil, &info)
+	if info.Cells != 4 || info.Formulas != 2 {
+		t.Fatalf("info = %+v, want 4 cells and 2 formulas", info)
+	}
+}
+
 func TestCreateFromScenario(t *testing.T) {
 	_, tc := newTestServer(t, Options{})
 	var info SessionInfo
