@@ -69,10 +69,12 @@ bench-core:
 	$(GO) test ./internal/core -run '^$$' -bench=. -benchtime=1x
 
 # The two edits that dominate engine_recalc and serve_big_drain, on the
-# 20k-row ledger built in the test — the fast inner loop for scheduler work.
-# CI smoke-runs them once; drop -benchtime for real measurements.
+# 20k-row ledger built in the test (the rate edit also reports ns/cell), and
+# the edit under a 20k-row running total — the fast inner loop for scheduler
+# and sweep work. CI smoke-runs them once; drop -benchtime for real
+# measurements.
 bench-engine:
-	$(GO) test ./internal/engine -run '^$$' -bench=Ledger -benchtime=1x
+	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal' -benchtime=1x
 
 # Refresh the evaluation perf baseline: the range-aggregation shapes (bulk
 # range resolver vs the per-cell probe path) and the pattern-run shapes

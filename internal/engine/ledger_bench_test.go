@@ -49,28 +49,32 @@ func ledgerEngine(tb testing.TB, rows int) *Engine {
 
 const ledgerBenchRows = 20_000
 
-// ledgerEdit applies one edit and drains it.
-func ledgerEdit(b *testing.B, e *Engine, at ref.Ref, v float64) {
+// ledgerEdit applies one edit, drains it and returns the cells recalculated.
+func ledgerEdit(b *testing.B, e *Engine, at ref.Ref, v float64) int {
 	e.SetValue(at, formula.Num(v))
-	e.RecalculateAll()
+	n := e.RecalculateAll()
 	if e.Pending() != 0 {
 		b.Fatalf("%d cells pending after the drain", e.Pending())
 	}
+	return n
 }
 
 // BenchmarkLedgerRateEdit times the edit of $H$1 — 3 dirty cells per row —
 // with an untimed point edit between every two, so no schedule cache hits,
-// as in engine_recalc's op list.
+// as in engine_recalc's op list. ns/cell is the edit's time over the cells
+// it recalculates (C, D, E, F and G1).
 func BenchmarkLedgerRateEdit(b *testing.B) {
 	e := ledgerEngine(b, ledgerBenchRows)
 	rng := rand.New(rand.NewSource(2))
+	cells := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ledgerEdit(b, e, ref.Ref{Col: 1, Row: 1 + rng.Intn(ledgerBenchRows)}, float64(rng.Intn(1000)))
 		b.StartTimer()
-		ledgerEdit(b, e, ref.MustCell("H1"), 1+float64(1+rng.Intn(999))/10000)
+		cells += ledgerEdit(b, e, ref.MustCell("H1"), 1+float64(1+rng.Intn(999))/10000)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
 }
 
 // BenchmarkLedgerPointEdit times the edit of one A cell — about 270 dirty
@@ -86,5 +90,26 @@ func BenchmarkLedgerPointEdit(b *testing.B) {
 			b.StartTimer()
 		}
 		ledgerEdit(b, e, ref.Ref{Col: 1, Row: 1 + rng.Intn(ledgerBenchRows)}, float64(rng.Intn(1000)))
+	}
+}
+
+// BenchmarkRunningTotalEdit times the edit of A1 under a filled-down running
+// total, B[r] = SUM(A$1:A[r]) — the paper's FR shape: every row's window
+// holds the row above's, so the sweep extends one accumulator down the
+// column where per-cell evaluation folds rows²/2 cells.
+func BenchmarkRunningTotalEdit(b *testing.B) {
+	var cells []ParsedCell
+	for r := 1; r <= ledgerBenchRows; r++ {
+		src := fmt.Sprintf("SUM(A$1:A%d)", r)
+		cells = append(cells,
+			ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(r%97) + 0.5)},
+			ParsedCell{At: ref.Ref{Col: 2, Row: r}, Src: src, AST: formula.MustParse(src)})
+	}
+	e := LoadBulkParsed(cells)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := ledgerEdit(b, e, ref.MustCell("A1"), float64(i)); n != ledgerBenchRows {
+			b.Fatalf("the edit recalculated %d cells, want %d", n, ledgerBenchRows)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"taco/internal/core"
 	"taco/internal/formula"
 	"taco/internal/ref"
@@ -22,14 +24,18 @@ import (
 // operand ($-anchored row) resolves to one position for the whole run and is
 // read once; a relative-row operand advances down a columnar slab window one
 // row per evaluated cell, foldRange-style, so the inner loop touches no maps
-// and re-resolves nothing. Range operands and call dispatch still go through
-// the ordinary resolver — folds keep their own batched paths. Every value a
-// run reads was settled by an earlier level or by an earlier row of the same
-// sweep (a span that reads itself is only carved when it reads strictly
-// upwards, and the cursors read a cell's value when they reach it), so the
-// sweep reads exactly what per-cell evaluation in dependency order would
-// read, and results — including error values and #CYCLE! propagated from
-// earlier levels — are bit-identical to the serial AST path.
+// and re-resolves nothing. A range operand the numeric plan folds (SUM,
+// AVERAGE, COUNT, COUNTA, MIN, MAX of one single-column range) is a cursor
+// too: one slab window per sweep whose ends only move down (foldWindow), so a
+// sliding window costs its width per row and a running total what entered.
+// Other range operands and call dispatch still go through the ordinary
+// resolver — folds keep their own batched paths. Every value a run reads was
+// settled by an earlier level or by an earlier row of the same sweep (a span
+// that reads itself is only carved when it reads strictly upwards, and the
+// cursors read a cell's value when they reach it), so the sweep reads exactly
+// what per-cell evaluation in dependency order would read, and results —
+// including error values and #CYCLE! propagated from earlier levels — are
+// bit-identical to the serial AST path.
 
 // minPatternRun is the run length below which a span is not carved: planning
 // cursors for a handful of cells costs more than evaluating them.
@@ -147,25 +153,74 @@ func uncovered(sp patternSpanner, span ref.Range, scratch *[]bool) []bool {
 }
 
 // runCursor feeds one compiled cell operand during a sweep: a row-fixed
-// operand is a single pre-read value, an operand over an unpopulated column
-// is always Empty, and a relative-row operand is an advancing slab window.
+// operand is a single pre-read value, a relative-row operand an advancing
+// slab window — an empty one when its column is unpopulated.
 type runCursor struct {
-	kind uint8 // curFixed, curEmpty, curSlab
-	v    formula.Value
-	cur  foldCursor
+	fixed bool
+	v     formula.Value
+	cur   foldCursor
 }
 
-const (
-	curFixed = iota
-	curEmpty
-	curSlab
-)
+// number is readOp for the numeric fast path: the operand's AsNumber
+// coercion, read in place — no Value is copied to extract a float.
+func (cu *runCursor) number(row int) (float64, bool) {
+	v := &cu.v
+	if !cu.fixed {
+		c := cu.cur.probe(row)
+		if c == nil {
+			return 0, true // Empty coerces to 0
+		}
+		v = &c.value
+	}
+	if v.Kind == formula.KindNumber {
+		return v.Num, true
+	}
+	return v.AsNumber()
+}
 
-// runScratch is the sweep's per-schedule scratch: the operand cursors, the
-// numeric fast path's operand buffer, and read — readOp bound once, so
-// handing it to the VM allocates nothing per sweep.
+// foldWindow feeds one aggregate of the numeric plan during a sweep. rows and
+// cells are the slab window spanning every row's range — the live records,
+// so a span over its own column folds what the rows above just wrote — and
+// acc holds the fold of cells[lo:hi], the current row's range.
+type foldWindow struct {
+	rows   []int
+	cells  []*cell
+	lo, hi int
+	acc    foldAcc
+}
+
+// restart empties the window at slab index lo.
+func (w *foldWindow) restart(lo int) {
+	w.acc.f = formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}
+	w.lo, w.hi = lo, lo
+}
+
+// fold moves the window down to the rows of rng and returns its fold, the
+// left-to-right chain from zero foldRange computes. A window whose head stayed
+// put (the paper's FR shape, a running total) extends the accumulator by the
+// records that entered — the same additions in the same order. One whose head
+// moved starts over: sliding it, adding the entering cell and dropping the
+// leaving one, is a different float sum.
+func (w *foldWindow) fold(rng ref.Range) *formula.NumericFold {
+	lo := w.lo
+	for lo < len(w.rows) && w.rows[lo] < rng.Head.Row {
+		lo++
+	}
+	if lo != w.lo {
+		w.restart(lo)
+	}
+	for ; w.hi < len(w.rows) && w.rows[w.hi] <= rng.Tail.Row; w.hi++ {
+		w.acc.add(ref.Ref{}, w.cells[w.hi])
+	}
+	return &w.acc.f
+}
+
+// runScratch is the sweep's per-schedule scratch: operand cursors, aggregate
+// windows, the numeric fast path's operand buffer (cells, then aggregates),
+// and read — readOp bound once, so handing it to the VM allocates nothing.
 type runScratch struct {
 	cursors []runCursor
+	windows []foldWindow
 	vals    []float64
 	read    func(op int, target ref.Ref) formula.Value
 }
@@ -174,11 +229,8 @@ type runScratch struct {
 // as Empty, exactly as valueResolver.CellValue would return it.
 func (rs *runScratch) readOp(op int, target ref.Ref) formula.Value {
 	cu := &rs.cursors[op]
-	switch cu.kind {
-	case curFixed:
+	if cu.fixed {
 		return cu.v
-	case curEmpty:
-		return formula.Empty()
 	}
 	if c := cu.cur.probe(target.Row); c != nil {
 		return c.value
@@ -186,51 +238,75 @@ func (rs *runScratch) readOp(op int, target ref.Ref) formula.Value {
 	return formula.Empty()
 }
 
+// planWindows plans one window per aggregate for the m rows from anchor, or
+// reports that the sweep cannot fold them: each range must be one column wide
+// and, first row to last (it is linear in between), stay upright and not rise.
+func (rs *runScratch) planWindows(s *colStore, folds []formula.FoldOp, anchor ref.Ref, m int) bool {
+	rs.windows = rs.windows[:0]
+	for _, fo := range folds {
+		a, z := fo.At(anchor), fo.At(ref.Ref{Col: anchor.Col, Row: anchor.Row + m - 1})
+		if a.Head.Col != a.Tail.Col || a.Head.Row > a.Tail.Row || z.Head.Row > z.Tail.Row ||
+			z.Head.Row < a.Head.Row || z.Tail.Row < a.Tail.Row {
+			return false
+		}
+		var w foldWindow
+		if col := s.cols[a.Head.Col]; col != nil {
+			lo, hi := col.window(a.Head.Row, z.Tail.Row)
+			w.rows, w.cells = col.rows[lo:hi], col.cells[lo:hi]
+		}
+		w.restart(0)
+		rs.windows = append(rs.windows, w)
+	}
+	return true
+}
+
 // executeRun sweeps the next m cells of a span node, from its cursor:
-// operand cursors are planned once against the first row swept, then each
-// row is one VM evaluation with cell reads served straight off the slabs.
-// Rows ascend, so every slab cursor advances monotonically, and a cursor
-// over the span's own column reads what the rows above just wrote. Each
-// cell's value and clean flag are written exactly once, same as
+// operand cursors and aggregate windows are planned once against the first
+// row swept, then each row is one evaluation with cell reads served straight
+// off the slabs. Rows ascend, so every slab cursor advances monotonically,
+// and a cursor over the span's own column reads what the rows above just
+// wrote. Each cell's value and clean flag are written exactly once, same as
 // evalLevelCell.
 func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 	p := nd.prog
 	res := valueResolver{e}
 	anchor := ref.Ref{Col: nd.at.Col, Row: nd.at.Row + nd.done}
-	ops := p.CellOps()
+	ops, folds := p.CellOps(), p.FoldOps()
 	rs.cursors = rs.cursors[:0]
 	for _, op := range ops {
 		t0 := op.At(anchor)
+		var cu runCursor
 		if op.RowFixed {
 			// The anchor column is constant across the run, so a row-fixed
 			// operand resolves to one position: read it once.
-			rs.cursors = append(rs.cursors, runCursor{kind: curFixed, v: res.CellValue(t0)})
-			continue
+			cu.fixed, cu.v = true, res.CellValue(t0)
+		} else if col := e.store.cols[t0.Col]; col != nil {
+			lo, hi := col.window(t0.Row, t0.Row+m-1)
+			cu.cur = foldCursor{col: t0.Col, rows: col.rows[lo:hi], cells: col.cells[lo:hi]}
 		}
-		col := e.store.cols[t0.Col]
-		if col == nil {
-			rs.cursors = append(rs.cursors, runCursor{kind: curEmpty})
-			continue
-		}
-		lo, hi := col.window(t0.Row, t0.Row+m-1)
-		rs.cursors = append(rs.cursors, runCursor{kind: curSlab,
-			cur: foldCursor{col: t0.Col, rows: col.rows[lo:hi], cells: col.cells[lo:hi]}})
+		rs.cursors = append(rs.cursors, cu)
 	}
-	if cap(rs.vals) < len(ops) {
-		rs.vals = make([]float64, len(ops))
+	if n := len(ops) + len(folds); cap(rs.vals) < n {
+		rs.vals = make([]float64, n)
 	}
-	vals, numeric := rs.vals[:len(ops)], p.HasNumericSweep()
+	vals := rs.vals[:len(ops)+len(folds)]
+	numeric := p.HasNumericSweep() && rs.planWindows(&e.store, folds, anchor, m)
 	at := anchor
 	for _, c := range nd.cells[nd.done : nd.done+m] {
 		// Straight-line arithmetic sweeps on the float fast path: all cell
-		// operands pre-read and coerced per row, the program run on a bare
-		// float64 stack. Any row the fast path cannot reproduce exactly — an
-		// error operand, a failed coercion, a zero divisor — re-runs on the
-		// generic interpreter (probe is idempotent for its row), which keeps
+		// operands read and coerced per row, every aggregate folded off its
+		// window, the program run on a bare float64 stack. Any row the fast
+		// path cannot reproduce exactly — an error operand, a failed coercion,
+		// an aggregate that is not a number, a zero divisor — re-runs on the
+		// generic interpreter (probe is idempotent for its row, and ranges it
+		// resolves itself, so a half-advanced window is harmless), which keeps
 		// every error and coercion outcome bit-identical.
 		fast := numeric
 		for i := 0; fast && i < len(ops); i++ {
-			vals[i], fast = rs.read(i, ops[i].At(at)).AsNumber()
+			vals[i], fast = rs.cursors[i].number(ops[i].At(at).Row)
+		}
+		for i := 0; fast && i < len(folds); i++ {
+			vals[len(ops)+i], fast = folds[i].Result(rs.windows[i].fold(folds[i].At(at)))
 		}
 		var f float64
 		if fast {
@@ -244,4 +320,5 @@ func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 		c.dirty = false
 		at.Row++
 	}
+	clear(rs.windows) // the pooled scratch must not pin the slabs (poolSchedule clears the cursors)
 }

@@ -383,3 +383,36 @@ func TestSetPatternRunsToggle(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanWindowsRefusals: the sweep folds an aggregate's range itself only
+// when it is one column wide and stays the right way up from the first row
+// swept to the last; any other program goes row by row to the interpreter.
+// A span's cells each normalised their range at parse, so the inside-out case
+// takes a program planned past the rows it was compiled for.
+func TestPlanWindowsRefusals(t *testing.T) {
+	e := New(nil)
+	for r := 1; r <= 20; r++ {
+		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+	}
+	anchor := ref.MustCell("D2")
+	for _, tc := range []struct {
+		src  string
+		m    int
+		want bool
+	}{
+		{"SUM(A1:A2)", 10, true},
+		{"SUM(A$1:A2)-MAX(A$3:A$9)+COUNT(C2:C$20)", 10, true}, // C is empty: a window over no slab
+		{"SUM(A1:B2)", 10, false},                             // two columns wide
+		{"SUM(A2:A$5)", 3, true},                              // the head reaches the fixed tail
+		{"SUM(A2:A$5)", 5, false},                             // and would pass it
+	} {
+		p := formula.CompileCached(formula.MustParse(tc.src), anchor)
+		if p == nil || !p.HasNumericSweep() {
+			t.Fatalf("%s: no numeric plan", tc.src)
+		}
+		var rs runScratch
+		if got := rs.planWindows(&e.store, p.FoldOps(), anchor, tc.m); got != tc.want {
+			t.Errorf("%s over %d rows: planned=%v, want %v", tc.src, tc.m, got, tc.want)
+		}
+	}
+}

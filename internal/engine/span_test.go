@@ -19,10 +19,13 @@ import (
 // which must agree bit for bit — #CYCLE! set included. The named cases and
 // FuzzSpanDrain's seeds are the same inputs.
 //
-// Every template is additive over numeric data, so a cell on a reference
-// cycle is #CYCLE! on the serial resolver whichever member it enters the
-// cycle by — the error propagates through + and SUM — and the two paths'
-// cycle sets are comparable.
+// Every template that can close a reference cycle is additive, so a cell on
+// one is #CYCLE! on the serial resolver whichever member it enters the cycle
+// by — the error propagates through + and SUM — and the two paths' cycle
+// sets are comparable. The templates whose window lies in another column or
+// strictly above their row can close none, and those take any aggregate of
+// the numeric plan (spanAggs) in SUM's place; with salt set, column B — the
+// data they fold — holds every kind of cell a fold has to get right.
 
 // Column templates: how the cell at (column X, row r) reads its sheet. P is
 // the column before X (B, a data column, before the first), N the one after.
@@ -33,15 +36,30 @@ const (
 	tmplSameRow           // P[r] + A[r]
 	tmplNextPrev          // N[r-1] + A[r]: with tmplSameRow in N, the X/Y zig-zag
 	tmplFixedCell         // A[r] * $H$1
-	tmplWinAbove          // SUM(X[r-k]:X[r-1]) + A[r]
+	tmplWinAbove          // AGG(X[r-k]:X[r-1]) + A[r]
 	tmplWinOnto           // SUM(X[r-k]:X[r]): every cell reads itself
 	tmplWinBelow          // SUM(X[r+1]:X[r+k]) + A[r]
-	tmplCumulative        // SUM(X$1:X[r-1]) + A[r]
+	tmplCumulative        // AGG(X$1:X[r-1]) + A[r]: a fixed-head window over the span's own column
 	tmplDeclined          // X[r-1] + a nest deeper than the VM's stack: AST walker only
-	tmplSlidePrev         // SUM(P[r-k]:P[r]): the ledger's E
-	tmplFixedWin          // SUM(P$2:P$5) + A[r]
+	tmplSlidePrev         // AGG(P[r-k]:P[r]): the ledger's E
+	tmplFixedWin          // AGG(P$2:P$5) + A[r]
+	tmplSlideB            // AGG(B[r-k]:B[r]): a sliding window (the paper's RR)
+	tmplRunningB          // AGG(B$1:B[r]): a running total (FR) — the accumulator extends
+	tmplShrinkB           // AGG(B[r]:B$20): shrinking (RF), then growing once r passes the $ row
+	tmplFixedB            // AGG(B$8:B$12) - A[r]: fully fixed (FF)
+	tmplRatioB            // AGG(B[r-k]:B[r]) / B[r]: an aggregate under arithmetic, zero divisors
+	tmplTwoFolds          // SUM(B[r]:B[r+k]) - AGG(A$1:A[r]): two windows, one running off the populated rows
+	tmplRectAB            // AGG(A[r]:B[r+k]) + A[r]: two columns wide — the sweep leaves it to the interpreter
+	tmplTwoArgs           // AGG(A[r-k]:A[r], B[r]): no numeric plan
 	numTmpl
 )
+
+// spanAggs are the aggregates the numeric plan folds, as spanColumn.agg
+// selects them.
+var spanAggs = [...]string{"SUM", "AVERAGE", "COUNT", "COUNTA", "MIN", "MAX"}
+
+// spanPivot is tmplShrinkB's fixed row.
+const spanPivot = 20
 
 const (
 	spanColA     = 1
@@ -57,13 +75,15 @@ var declinedNest = strings.Repeat("(1+", 140) + "1" + strings.Repeat(")", 140)
 
 // spanColumn is one formula column: template, stride/width k, every hole-th
 // row left empty, every head-th row a chain head (=A[r]), and one row holding
-// a plain value instead of the formula (0: none).
+// a plain value instead of the formula (0: none). agg indexes spanAggs in the
+// templates that take an aggregate.
 type spanColumn struct {
-	tmpl, k, hole, head, over int
+	tmpl, k, hole, head, over, agg int
 }
 
 func (c spanColumn) formula(col, r int) string {
 	x, p, n := ref.ColName(col), ref.ColName(col-1), ref.ColName(col+1)
+	agg := spanAggs[c.agg]
 	head := fmt.Sprintf("A%d", r)
 	if c.head > 0 && (r-1)%c.head == 0 {
 		return head
@@ -94,7 +114,7 @@ func (c spanColumn) formula(col, r int) string {
 		if r-c.k < 1 {
 			return head
 		}
-		return fmt.Sprintf("SUM(%s%d:%s%d)+A%d", x, r-c.k, x, r-1, r)
+		return fmt.Sprintf("%s(%s%d:%s%d)+A%d", agg, x, r-c.k, x, r-1, r)
 	case tmplWinOnto:
 		return fmt.Sprintf("SUM(%s%d:%s%d)", x, max(1, r-c.k), x, r)
 	case tmplWinBelow:
@@ -103,16 +123,32 @@ func (c spanColumn) formula(col, r int) string {
 		if r == 1 {
 			return head
 		}
-		return fmt.Sprintf("SUM(%s$1:%s%d)+A%d", x, x, r-1, r)
+		return fmt.Sprintf("%s(%s$1:%s%d)+A%d", agg, x, x, r-1, r)
 	case tmplDeclined:
 		if r == 1 {
 			return head
 		}
 		return fmt.Sprintf("%s%d+%s", x, r-1, declinedNest)
 	case tmplSlidePrev:
-		return fmt.Sprintf("SUM(%s%d:%s%d)", p, max(1, r-c.k), p, r)
-	default: // tmplFixedWin
-		return fmt.Sprintf("SUM(%s$2:%s$5)+A%d", p, p, r)
+		return fmt.Sprintf("%s(%s%d:%s%d)", agg, p, max(1, r-c.k), p, r)
+	case tmplFixedWin:
+		return fmt.Sprintf("%s(%s$2:%s$5)+A%d", agg, p, p, r)
+	case tmplSlideB:
+		return fmt.Sprintf("%s(B%d:B%d)", agg, max(1, r-c.k), r)
+	case tmplRunningB:
+		return fmt.Sprintf("%s(B$1:B%d)", agg, r)
+	case tmplShrinkB:
+		return fmt.Sprintf("%s(B%d:B$%d)", agg, r, spanPivot) // past the pivot the parser swaps the corners
+	case tmplFixedB:
+		return fmt.Sprintf("%s(B$8:B$12)-A%d", agg, r)
+	case tmplRatioB:
+		return fmt.Sprintf("%s(B%d:B%d)/B%d", agg, max(1, r-c.k), r, r)
+	case tmplTwoFolds:
+		return fmt.Sprintf("SUM(B%d:B%d)-%s(A$1:A%d)", r, r+c.k, agg, r)
+	case tmplRectAB:
+		return fmt.Sprintf("%s(A%d:B%d)+A%d", agg, r, r+c.k, r)
+	default: // tmplTwoArgs
+		return fmt.Sprintf("%s(A%d:A%d,B%d)", agg, max(1, r-c.k), r, r)
 	}
 }
 
@@ -123,6 +159,7 @@ const (
 	editValue          // (col,row) := val — overwrites a formula, e.g. a chain head
 	editFormula        // (col,row) := the column's formula — e.g. a value→formula switch
 	editClear          // clear (col,row)
+	editPrev           // B[row] := val — a number over whatever the salt left there
 	numEdit
 )
 
@@ -133,17 +170,19 @@ type spanEdit struct{ kind, col, row, val int }
 // spanCase is one differential input.
 type spanCase struct {
 	rows    int
+	salt    bool // B holds saltValue's mix of kinds instead of numbers
 	cols    []spanColumn
 	edits   []spanEdit
 	budgets []int // RecalculateN budgets, one after each edit, then cycled to drain
 }
 
-// decodeSpanCase maps fuzz bytes onto a bounded case: 8–71 rows, up to six
-// formula columns (four bytes each), up to twelve edits (four bytes each).
+// decodeSpanCase maps fuzz bytes onto a bounded case: 8–71 rows, salted or
+// not, up to six formula columns (four bytes each), up to twelve edits (four
+// bytes each).
 func decodeSpanCase(rows uint8, cols, edits, budgets []byte) spanCase {
-	sc := spanCase{rows: 8 + int(rows%64)}
+	sc := spanCase{rows: 8 + int(rows%64), salt: rows&64 != 0}
 	for i := 0; i+4 <= len(cols) && len(sc.cols) < 6; i += 4 {
-		c := spanColumn{tmpl: int(cols[i]) % numTmpl, k: 1 + int(cols[i+1])%3}
+		c := spanColumn{tmpl: int(cols[i]) % numTmpl, k: 1 + int(cols[i+1])%3, agg: int(cols[i+1]) / 3 % len(spanAggs)}
 		if h := int(cols[i+2]) % 8; h >= 3 {
 			c.hole = h
 		}
@@ -164,11 +203,48 @@ func decodeSpanCase(rows uint8, cols, edits, budgets []byte) spanCase {
 	return sc
 }
 
+// saltValue is what a salted column B holds at row r — per 23 rows: three
+// rows without a number (AVERAGE of them is #DIV/0!), two different errors
+// one above the other (the upper one is the window's), a stored blank, -0,
+// both infinities within one window's reach (their sum is NaN), three rows
+// with no record at all, and numbers elsewhere. set is false for the gap.
+func saltValue(r int) (v formula.Value, set bool) {
+	switch r % 23 {
+	case 0:
+		return formula.Str("txt"), true
+	case 1:
+		return formula.Str("12.5"), true // a number to a cell operand, text to a fold
+	case 2:
+		return formula.Boolean(true), true
+	case 5:
+		return formula.Errorf("#N/A"), true
+	case 6:
+		return formula.Errorf("#DIV/0!"), true
+	case 8:
+		return formula.Empty(), true
+	case 9:
+		return formula.Num(math.Copysign(0, -1)), true
+	case 10:
+		return formula.Num(math.Inf(1)), true
+	case 12:
+		return formula.Num(math.Inf(-1)), true
+	case 15, 16, 17:
+		return formula.Value{}, false
+	}
+	return formula.Num(float64(r%7) - 2.5), true
+}
+
 func (sc spanCase) build(t testing.TB, e *Engine) {
 	e.SetValue(spanRate, formula.Num(1.5))
 	for r := 1; r <= sc.rows; r++ {
 		e.SetValue(ref.Ref{Col: spanColA, Row: r}, formula.Num(float64(r)+0.25))
-		e.SetValue(ref.Ref{Col: spanColB, Row: r}, formula.Num(float64(sc.rows-r)+0.5))
+		b, set := formula.Num(float64(sc.rows-r)+0.5), true
+		if sc.salt {
+			b, set = saltValue(r)
+		}
+		if set {
+			e.SetValue(ref.Ref{Col: spanColB, Row: r}, b)
+		}
 	}
 	for i, c := range sc.cols {
 		col := spanFirstCol + i
@@ -209,6 +285,8 @@ func (sc spanCase) edit(t testing.TB, e *Engine, ed spanEdit) []ref.Range {
 		return e.SetValue(ref.Ref{Col: spanColA, Row: ed.row}, v)
 	case editRate:
 		return e.SetValue(spanRate, v)
+	case editPrev:
+		return e.SetValue(ref.Ref{Col: spanColB, Row: ed.row}, v)
 	}
 	if len(sc.cols) == 0 {
 		return nil
@@ -317,6 +395,36 @@ var spanSeeds = []struct {
 			{tmpl: tmplLookUp, k: 2, head: 12}},
 		edits:   []spanEdit{{kind: editData, row: 2, val: 3}, {kind: editFormula, col: 2, row: 9}, {kind: editData, row: 5, val: 4}},
 		budgets: []int{17}}},
+	// Every aggregate of the numeric plan over each window shape, on the
+	// salted column: errors (two different ones in one window), text, a bool,
+	// a stored blank, gaps, -0, ±Inf, and windows holding no number or
+	// nothing at all.
+	{"aggregates_sliding", spanCase{rows: 71, salt: true, cols: sixAggs(tmplSlideB, 2),
+		edits: []spanEdit{{kind: editPrev, row: 6, val: 2}, {kind: editPrev, row: 16, val: 5}}, budgets: []int{256}}},
+	// A budget of seven cuts each running total every few rows, so the
+	// accumulator restarts mid-column from a re-planned window.
+	{"aggregates_fixed_head_in_chunks_of_seven", spanCase{rows: 71, salt: true, cols: sixAggs(tmplRunningB, 1),
+		edits: []spanEdit{{kind: editPrev, row: 5, val: 3}, {kind: editPrev, row: 40, val: 7}}, budgets: []int{7}}},
+	{"aggregates_fixed_tail_crossing_its_pivot", spanCase{rows: 60, salt: true, cols: sixAggs(tmplShrinkB, 1),
+		edits: []spanEdit{{kind: editPrev, row: spanPivot, val: 3}, {kind: editPrev, row: 6, val: 1}}, budgets: []int{100, 9}}},
+	{"aggregates_fully_fixed", spanCase{rows: 40, salt: true, cols: sixAggs(tmplFixedB, 1),
+		edits: []spanEdit{{kind: editPrev, row: 10, val: 3}, {kind: editData, row: 3, val: 2}}, budgets: []int{64}}},
+	{"aggregates_over_their_own_column", spanCase{rows: 71, cols: sixAggs(tmplCumulative, 1),
+		edits:   []spanEdit{{kind: editData, row: 1, val: 3}, {kind: editValue, col: 4, row: 30, val: 7}, {kind: editData, row: 2, val: 4}},
+		budgets: []int{7}}},
+	{"aggregates_under_arithmetic_and_off_the_fast_path", spanCase{rows: 71, salt: true,
+		cols: []spanColumn{{tmpl: tmplRatioB, k: 3}, {tmpl: tmplRatioB, k: 2, agg: 1}, {tmpl: tmplTwoFolds, k: 3, agg: 2},
+			{tmpl: tmplTwoFolds, k: 2, agg: 5}, {tmpl: tmplRectAB, k: 2}, {tmpl: tmplTwoArgs, k: 2, agg: 4}},
+		edits:   []spanEdit{{kind: editData, row: 1, val: 3}, {kind: editPrev, row: 9, val: 2}, {kind: editPrev, row: 23, val: 0}},
+		budgets: []int{50, 7}}},
+}
+
+// sixAggs is one column of the template per aggregate.
+func sixAggs(tmpl, k int) (cols []spanColumn) {
+	for agg := range spanAggs {
+		cols = append(cols, spanColumn{tmpl: tmpl, k: k, agg: agg})
+	}
+	return cols
 }
 
 func TestSpanDrainShapes(t *testing.T) {
@@ -328,7 +436,7 @@ func TestSpanDrainShapes(t *testing.T) {
 // encode is decodeSpanCase's inverse for the seeds.
 func (sc spanCase) encode() (rows uint8, cols, edits, budgets []byte) {
 	for _, c := range sc.cols {
-		cols = append(cols, byte(c.tmpl), byte(max(c.k, 1)-1), byte(c.hole+8*(c.head/4)), byte(c.over))
+		cols = append(cols, byte(c.tmpl), byte(max(c.k, 1)-1+3*c.agg), byte(c.hole+8*(c.head/4)), byte(c.over))
 	}
 	for _, ed := range sc.edits {
 		edits = append(edits, byte(ed.kind), byte(ed.col), byte(max(ed.row, 1)-1), byte(ed.val))
@@ -336,7 +444,11 @@ func (sc spanCase) encode() (rows uint8, cols, edits, budgets []byte) {
 	for _, b := range sc.budgets {
 		budgets = append(budgets, byte(b-1))
 	}
-	return uint8(sc.rows - 8), cols, edits, budgets
+	rows = uint8(sc.rows - 8)
+	if sc.salt {
+		rows |= 64
+	}
+	return rows, cols, edits, budgets
 }
 
 // FuzzSpanDrain: any sheet the templates can stamp, under any interleaving

@@ -125,9 +125,6 @@ type Program struct {
 // callers must not mutate).
 func (p *Program) CellOps() []CellOp { return p.cells }
 
-// NumRangeOps returns the number of range operands the program reads.
-func (p *Program) NumRangeOps() int { return len(p.ranges) }
-
 // maxVMStack bounds a program's evaluation stack; expressions nesting deeper
 // than this stay on the AST walker.
 const maxVMStack = 128
@@ -267,16 +264,19 @@ func (c *compiler) gen(n Node) {
 }
 
 // The numeric sweep fast path: a program whose every instruction is a
-// numeric constant, a cell operand, or a +,-,*,/ binary evaluates on a bare
-// float64 stack — no arg boxing, no pool traffic, no string op lookup. It
-// covers exactly the operand combinations where applyBinary reduces to the
-// raw float operation over AsNumber coercions, so the result is bit-identical
-// to the generic interpreter whenever every operand coerces and no divisor is
-// zero; any other row (error operand, unparsable string, #DIV/0!) bails back
-// to the generic run, which owns all error semantics.
+// numeric constant, a cell operand, a +,-,*,/ binary, or a fold-compatible
+// aggregate of one range evaluates on a bare float64 stack — no arg boxing,
+// no pool traffic, no string op lookup. It covers exactly the operand
+// combinations where applyBinary reduces to the raw float operation over
+// AsNumber coercions — an aggregate being the number foldAggregate makes of
+// the caller's NumericFold — so the result is bit-identical to the generic
+// interpreter whenever every operand coerces, every aggregate is a number and
+// no divisor is zero; any other row (error operand, unparsable string,
+// #DIV/0!) bails back to the generic run, which owns all error semantics.
 
 // numInstr is one numeric-plan instruction; a indexes the plan's consts
-// (npConst) or the program's CellOps (npCell).
+// (npConst) or the operand buffer: the program's CellOps (npCell), then the
+// plan's FoldOps (npFold).
 type numInstr struct {
 	kind uint8
 	a    int32
@@ -285,6 +285,7 @@ type numInstr struct {
 const (
 	npConst = iota
 	npCell
+	npFold
 	npAdd
 	npSub
 	npMul
@@ -298,23 +299,63 @@ const maxNumericDepth = 16
 type numericPlan struct {
 	code   []numInstr
 	consts []float64
+	folds  []FoldOp
+}
+
+// FoldOp is an aggregate the numeric plan reads as one number: a call from
+// the set foldAggregate answers off a NumericFold — SUM, AVERAGE/AVG, COUNT,
+// COUNTA, MIN, MAX — whose only argument is a range operand. The engine's run
+// executor folds the range At resolves and hands in what Result makes of it.
+type FoldOp struct {
+	fn  uint8
+	rng rangeOp
+}
+
+const (
+	foldSum = iota
+	foldAverage
+	foldCount
+	foldCountA
+	foldMin
+	foldMax
+)
+
+var foldFns = map[string]uint8{"SUM": foldSum, "AVERAGE": foldAverage, "AVG": foldAverage,
+	"COUNT": foldCount, "COUNTA": foldCountA, "MIN": foldMin, "MAX": foldMax}
+
+// At resolves the aggregate's range for a given anchor cell.
+func (o FoldOp) At(anchor ref.Ref) ref.Range { return o.rng.at(anchor) }
+
+// Result finishes the aggregate from its range's fold, as foldAggregate does.
+// ok is false when the interpreter answers an error instead: one in the range
+// (the counting two ignore it), or #DIV/0! for an AVERAGE of no numbers.
+func (o FoldOp) Result(f *NumericFold) (v float64, ok bool) {
+	switch {
+	case o.fn == foldCount:
+		return float64(f.Count), true
+	case o.fn == foldCountA:
+		return float64(f.NonEmpty), true
+	case f.Err.IsError():
+		return 0, false
+	case o.fn == foldSum:
+		return f.Sum, true
+	case o.fn == foldAverage:
+		return f.Sum / float64(f.Count), f.Count > 0
+	case f.Count == 0:
+		return 0, true // MIN and MAX of no numbers
+	case o.fn == foldMin:
+		return f.Min, true
+	}
+	return f.Max, true
 }
 
 // buildNumeric derives the numeric plan, or nil when any instruction falls
 // outside the straight-line arithmetic subset.
 func (p *Program) buildNumeric() *numericPlan {
-	if len(p.ranges) > 0 || len(p.calls) > 0 || len(p.code) == 0 {
-		return nil
-	}
-	// The result must come off an arithmetic op: a bare cell or constant
-	// program preserves its operand's kind (`=B5` of a bool is a bool),
-	// which a float stack cannot represent.
-	if p.code[len(p.code)-1].op != opBinary {
-		return nil
-	}
 	np := &numericPlan{}
 	depth, maxDepth := 0, 0
-	for _, ins := range p.code {
+	for i := 0; i < len(p.code); i++ {
+		ins := p.code[i]
 		switch ins.op {
 		case opConst:
 			v := p.consts[ins.a]
@@ -326,6 +367,19 @@ func (p *Program) buildNumeric() *numericPlan {
 			depth++
 		case opCell:
 			np.code = append(np.code, numInstr{kind: npCell, a: ins.a})
+			depth++
+		case opRange:
+			// Only as the whole argument list of the call that follows.
+			if i++; i == len(p.code) || p.code[i].op != opCall {
+				return nil
+			}
+			ci := p.calls[p.code[i].a]
+			fn, folds := foldFns[ci.name]
+			if !folds || ci.argc != 1 {
+				return nil
+			}
+			np.code = append(np.code, numInstr{kind: npFold, a: int32(len(p.cells) + len(np.folds))})
+			np.folds = append(np.folds, FoldOp{fn: fn, rng: p.ranges[ins.a]})
 			depth++
 		case opBinary:
 			var k uint8
@@ -350,7 +404,10 @@ func (p *Program) buildNumeric() *numericPlan {
 			maxDepth = depth
 		}
 	}
-	if maxDepth > maxNumericDepth {
+	// The result must come off an arithmetic op or an aggregate: a bare cell
+	// or constant program preserves its operand's kind (`=B5` of a bool is a
+	// bool), which a float stack cannot represent.
+	if n := len(np.code); n == 0 || np.code[n-1].kind <= npCell || maxDepth > maxNumericDepth {
 		return nil
 	}
 	return np
@@ -359,12 +416,21 @@ func (p *Program) buildNumeric() *numericPlan {
 // HasNumericSweep reports whether NumericSweep is available for this program.
 func (p *Program) HasNumericSweep() bool { return p.numeric != nil }
 
-// NumericSweep evaluates the numeric fast path for one row: cellVals[i] must
-// hold the AsNumber coercion of the value CellOps()[i] resolves to (the
-// caller bails to the generic interpreter when any coercion fails). ok is
-// false on a zero divisor — the row re-runs generically so #DIV/0! placement
-// is exactly the interpreter's.
-func (p *Program) NumericSweep(cellVals []float64) (v float64, ok bool) {
+// FoldOps returns the aggregates the numeric plan reads (shared slice —
+// callers must not mutate); none without a plan.
+func (p *Program) FoldOps() []FoldOp {
+	if p.numeric == nil {
+		return nil
+	}
+	return p.numeric.folds
+}
+
+// NumericSweep evaluates the numeric fast path for one row: vals must hold
+// the AsNumber coercion of the value each of CellOps() resolves to, then the
+// Result of each of FoldOps() over its range (the caller bails to the generic
+// interpreter when any of them fails). ok is false on a zero divisor — the
+// row re-runs generically so #DIV/0! placement is exactly the interpreter's.
+func (p *Program) NumericSweep(vals []float64) (v float64, ok bool) {
 	var stack [maxNumericDepth]float64
 	sp := 0
 	for _, ins := range p.numeric.code {
@@ -372,8 +438,8 @@ func (p *Program) NumericSweep(cellVals []float64) (v float64, ok bool) {
 		case npConst:
 			stack[sp] = p.numeric.consts[ins.a]
 			sp++
-		case npCell:
-			stack[sp] = cellVals[ins.a]
+		case npCell, npFold:
+			stack[sp] = vals[ins.a]
 			sp++
 		case npAdd:
 			sp--

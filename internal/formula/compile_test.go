@@ -1,6 +1,7 @@
 package formula
 
 import (
+	"math"
 	"testing"
 
 	"taco/internal/ref"
@@ -217,10 +218,13 @@ func TestCompileDeclines(t *testing.T) {
 }
 
 // TestNumericPlanEligibility: the float fast path claims only straight-line
-// arithmetic whose result comes off an operator. Anything that could produce
-// or pass through a non-number — bare references (kind-preserving), string or
-// boolean constants, concatenation, comparisons, folds, calls — must stay on
-// the generic interpreter, as must programs deeper than the fixed float stack.
+// arithmetic — over cells, numeric constants and the fold-compatible
+// aggregates of one range — whose result comes off an operator or such an
+// aggregate. Anything that could produce or pass through a non-number — bare
+// references (kind-preserving), string or boolean constants, concatenation,
+// comparisons, other calls, an aggregate with more than its range to read —
+// must stay on the generic interpreter, as must programs deeper than the
+// fixed float stack.
 func TestNumericPlanEligibility(t *testing.T) {
 	anchor := ref.Ref{Col: 3, Row: 5}
 	cases := []struct {
@@ -229,14 +233,23 @@ func TestNumericPlanEligibility(t *testing.T) {
 	}{
 		{"=A5*B5+1.5", true},
 		{"=A5/B5-$C$1", true},
-		{"=B5", false},         // bare cell: `=B5` of a bool is a bool
-		{"=1.5", false},        // bare constant likewise preserves kind
-		{"=-A5", false},        // unary stays generic
-		{"=A5&B5", false},      // concatenation
-		{"=A5>B5", false},      // comparison yields a bool
-		{"=SUM(A1:A9)", false}, // range fold
-		{"=IF(A5,1,2)", false}, // call dispatch
-		{"=\"2\"+A5", false},   // non-numeric constant
+		{"=B5", false},        // bare cell: `=B5` of a bool is a bool
+		{"=1.5", false},       // bare constant likewise preserves kind
+		{"=-A5", false},       // unary stays generic
+		{"=A5&B5", false},     // concatenation
+		{"=A5>B5", false},     // comparison yields a bool
+		{"=SUM(A1:A9)", true}, // a one-range aggregate is one number
+		{"=AVG(A$1:A5)/COUNTA(B1:B9)-MIN(A1:A9)*MAX(A1:A9)+COUNT(A1:A9)", true},
+		{"=D5-SUM(C$1:C5)", true},
+		{"=SUM(A1:B9)", true},           // width is the sweep's to refuse, when it plans its windows
+		{"=SUM(A1:A9,B1)", false},       // a second argument
+		{"=SUM(A5)", false},             // a scalar argument
+		{"=ROUND(SUM(A1:A9),2)", false}, // call dispatch around the fold
+		{"=SUMIF(A1:A9,\">2\")", false},
+		{"=MEDIAN(A1:A9)", false}, // not answered off a NumericFold
+		{"=A1:A9+1", false},       // a range in scalar position
+		{"=IF(A5,1,2)", false},    // call dispatch
+		{"=\"2\"+A5", false},      // non-numeric constant
 		{"=TRUE+A5", false},
 	}
 	for _, tc := range cases {
@@ -266,41 +279,95 @@ func TestNumericPlanEligibility(t *testing.T) {
 	}
 }
 
-// TestNumericSweepMatchesVM: for eligible programs and all-numeric operands,
-// the float stack must reproduce the generic VM bit-for-bit; a zero divisor
-// must make it stand aside (ok=false) rather than emit ±Inf.
+// gridFold is the test-side NumericFold of one range of a grid: populated
+// cells in row-major order, one sequential chain, as the contract states it.
+func gridFold(res *colResolver, rng ref.Range) NumericFold {
+	f := NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}
+	res.RangeValues(rng, func(_ ref.Ref, v Value) bool {
+		switch v.Kind {
+		case KindEmpty:
+			return true
+		case KindNumber:
+			f.Sum += v.Num
+			f.Count++
+			if v.Num < f.Min {
+				f.Min = v.Num
+			}
+			if v.Num > f.Max {
+				f.Max = v.Num
+			}
+		case KindError:
+			if !f.Err.IsError() {
+				f.Err = v
+			}
+		}
+		f.NonEmpty++
+		return true
+	})
+	return f
+}
+
+// TestNumericSweepMatchesVM: for eligible programs whose operands all coerce
+// and whose aggregates are all numbers, the float stack must reproduce the
+// generic VM bit-for-bit; an aggregate the interpreter answers with an error
+// must make FoldOp.Result stand aside, and a zero divisor NumericSweep
+// (ok=false) rather than emit ±Inf.
 func TestNumericSweepMatchesVM(t *testing.T) {
 	grid := bytecodeGrid()
+	grid[ref.Ref{Col: 4, Row: 14}] = Errorf("#N/A") // second to D6's #DIV/0!
 	anchor := ref.Ref{Col: 8, Row: 4}
-	for _, src := range []string{"=A4*B4+A5", "=A4/B4-$A$1", "=(A4+B4)*(A5-B5)"} {
-		p := Compile(MustParse(src), anchor)
+	for _, tc := range []struct {
+		src   string
+		bails bool
+	}{
+		{"=A4*B4+A5", false},
+		{"=A4/B4-$A$1", false},
+		{"=(A4+B4)*(A5-B5)", false},
+		{"=SUM(A1:A30)", false},
+		{"=SUM(B1:B30)/COUNT(B1:B30)-AVERAGE(B1:B30)", false}, // text and a bool skipped, not coerced
+		{"=A4-SUM(A$1:A4)*MAX(B1:B30)+MIN(B1:B30)", false},
+		{"=COUNT(D1:D30)+COUNTA(D1:D30)", false},                                  // the counting two ignore the errors
+		{"=AVG(A2:A6)+SUM(C1:C30)+MIN(C1:C30)+MAX(C1:C30)+COUNTA(C1:C30)", false}, // C is empty
+		{"=SUM(D1:D30)", true},
+		{"=MIN(D1:D30)+1", true},
+		{"=MAX(D12:D30)", true}, // only the second error
+		{"=AVERAGE(D1:D30)", true},
+		{"=AVERAGE(C1:C30)", true},         // no numbers: #DIV/0!
+		{"=1+AVERAGE(B9:B9)", true},        // text only
+		{"=SUM(A1:A30)/SUM(C1:C30)", true}, // zero divisor
+	} {
+		p := Compile(MustParse(tc.src), anchor)
 		if p == nil || !p.HasNumericSweep() {
-			t.Fatalf("%q: no numeric plan", src)
+			t.Fatalf("%q: no numeric plan", tc.src)
 		}
 		res := &colResolver{cells: grid}
-		vals := make([]float64, len(p.CellOps()))
-		for i, op := range p.CellOps() {
-			f, ok := res.CellValue(op.At(anchor)).AsNumber()
-			if !ok {
-				t.Fatalf("%q: operand %d not numeric in fixture", src, i)
-			}
-			vals[i] = f
-		}
-		got, ok := p.NumericSweep(vals)
-		if !ok {
-			t.Fatalf("%q: sweep declined numeric operands", src)
-		}
 		want := p.EvalAt(res, anchor)
-		if want.Kind != KindNumber || got != want.Num {
-			t.Errorf("%q: sweep=%v VM=%v", src, got, want)
+		var vals []float64
+		ok := true
+		for i, op := range p.CellOps() {
+			f, numeric := res.CellValue(op.At(anchor)).AsNumber()
+			if !numeric {
+				t.Fatalf("%q: operand %d not numeric in fixture", tc.src, i)
+			}
+			vals = append(vals, f)
 		}
-	}
-	p := Compile(MustParse("=A4/B4"), anchor)
-	if p == nil || !p.HasNumericSweep() {
-		t.Fatal("division did not get a numeric plan")
-	}
-	if _, ok := p.NumericSweep([]float64{1, 0}); ok {
-		t.Error("zero divisor not deferred to the generic interpreter")
+		for _, fo := range p.FoldOps() {
+			fold := gridFold(res, fo.At(anchor))
+			f, isNum := fo.Result(&fold)
+			vals, ok = append(vals, f), ok && isNum
+		}
+		var got float64
+		if ok {
+			got, ok = p.NumericSweep(vals)
+		}
+		switch {
+		case ok == tc.bails:
+			t.Errorf("%q: fast path answered=%v, want bail=%v (VM=%v)", tc.src, ok, tc.bails, want)
+		case ok && !sameValue(Num(got), want):
+			t.Errorf("%q: sweep=%v VM=%v", tc.src, got, want)
+		case !ok && want.Kind != KindError:
+			t.Errorf("%q: bailed on a row the VM answers %v", tc.src, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package formula
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -159,6 +160,42 @@ func TestShiftAutofill(t *testing.T) {
 	n = Shift(MustParse("$A1+B$2"), 2, 5)
 	if got := Text(n); got != "($A6+D$2)" {
 		t.Errorf("shifted = %q", got)
+	}
+}
+
+// TestShiftCrossingFixedCorner: when a fill carries a relative corner past
+// the fixed one, the corners trade places and each `$` must stay with the
+// corner that owns it — what the parser makes of the same text shifted by
+// hand (rangeNode). Rows and columns, both orientations, one axis and both.
+func TestShiftCrossingFixedCorner(t *testing.T) {
+	for _, tc := range []struct {
+		src        string
+		dCol, dRow int
+		byHand     string // the source with its relative corners moved, as typed
+		text       string
+		head, tail bool // Refs' HeadFixed, TailFixed
+	}{
+		{"SUM(C1:C$5)", 0, 5, "SUM(C6:C$5)", "SUM(C$5:C6)", false, false},
+		{"SUM($C1:$C$5)", 0, 5, "SUM($C6:$C$5)", "SUM($C$5:$C6)", true, false},
+		{"SUM($C$5:$C9)", 0, -6, "SUM($C$5:$C3)", "SUM($C3:$C$5)", false, true},
+		{"SUM(A$1:$C$1)", 4, 0, "SUM(E$1:$C$1)", "SUM($C$1:E$1)", true, false},
+		{"SUM($C$1:F$1)", -4, 0, "SUM($C$1:B$1)", "SUM(B$1:$C$1)", false, true},
+		{"SUM(A1:$C$5)", 4, 6, "SUM(E7:$C$5)", "SUM($C$5:E7)", true, false},
+		{"SUM(A1:$C$5)", 4, 0, "SUM(E1:$C$5)", "SUM($C1:E$5)", false, false}, // one axis crosses, the other keeps its corner
+		{"SUM(A1:$C$5)", 1, 3, "SUM(B4:$C$5)", "SUM(B4:$C$5)", false, true},  // nothing crosses
+	} {
+		got := Shift(MustParse(tc.src), tc.dCol, tc.dRow)
+		if txt := Text(got); txt != tc.text {
+			t.Errorf("Shift(%s, %d, %d) = %s, want %s", tc.src, tc.dCol, tc.dRow, txt, tc.text)
+		}
+		for _, want := range []Node{MustParse(tc.byHand), MustParse(Text(got))} {
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Shift(%s, %d, %d): AST %s differs from the parser's %s", tc.src, tc.dCol, tc.dRow, Text(got), Text(want))
+			}
+		}
+		if r := Refs(got)[0]; r.HeadFixed != tc.head || r.TailFixed != tc.tail {
+			t.Errorf("Shift(%s, %d, %d): Refs reports head/tail fixed %v/%v, want %v/%v", tc.src, tc.dCol, tc.dRow, r.HeadFixed, r.TailFixed, tc.head, tc.tail)
+		}
 	}
 }
 

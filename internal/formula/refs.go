@@ -101,6 +101,13 @@ func Shift(n Node, dCol, dRow int) Node {
 		if !r.TailRowF {
 			tl.Row += dRow
 		}
+		// Corners that traded places keep their `$`, per axis, as in rangeNode.
+		if h.Col > tl.Col {
+			r.HeadColFixed, r.TailColFixed = r.TailColFixed, r.HeadColFixed
+		}
+		if h.Row > tl.Row {
+			r.HeadRowF, r.TailRowF = r.TailRowF, r.HeadRowF
+		}
 		r.At = ref.RangeOf(h, tl)
 		return &r
 	case *Binary:

@@ -179,3 +179,33 @@ func TestReaderBooleanCells(t *testing.T) {
 		t.Fatalf("bools = %v %v", a, b)
 	}
 }
+
+// TestReaderSharedFormulaCrossingItsFixedRow: a running total filled down
+// past its own `$` row. Each follower is the master shifted; from the row
+// where the relative corner passes the fixed one the corners trade places,
+// and the `$` must come out on the corner Excel leaves it on.
+func TestReaderSharedFormulaCrossingItsFixedRow(t *testing.T) {
+	data := buildPackage(t, map[string]string{
+		"xl/workbook.xml": minimalWorkbook,
+		"xl/worksheets/sheet1.xml": `<?xml version="1.0"?>
+<worksheet xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main">
+<sheetData>
+<row r="1"><c r="B1"><f t="shared" ref="B1:B5" si="0">SUM(A1:A$3)</f></c></row>
+<row r="2"><c r="B2"><f t="shared" si="0"/></c></row>
+<row r="3"><c r="B3"><f t="shared" si="0"/></c></row>
+<row r="4"><c r="B4"><f t="shared" si="0"/></c></row>
+<row r="5"><c r="B5"><f t="shared" si="0"/></c></row>
+</sheetData></worksheet>`,
+	})
+	sheets, err := Read(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cell, want := range map[string]string{
+		"B2": "SUM(A2:A$3)", "B3": "SUM(A3:A$3)", "B4": "SUM(A$3:A4)", "B5": "SUM(A$3:A5)",
+	} {
+		if got := sheets[0].Cells[ref.MustCell(cell)].Formula; got != want {
+			t.Errorf("%s = %s, want %s", cell, got, want)
+		}
+	}
+}
