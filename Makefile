@@ -71,10 +71,11 @@ bench-core:
 # The two edits that dominate engine_recalc and serve_big_drain, on the
 # 20k-row ledger built in the test (the rate edit also reports ns/cell), and
 # the edit under a 20k-row running total — the fast inner loop for scheduler
-# and sweep work. CI smoke-runs them once; drop -benchtime for real
-# measurements.
+# and sweep work — then one 20k-row column per sweep shape (BenchmarkSweepShape,
+# ns/cell each), which says which shape a sweep change moved. CI smoke-runs
+# them once; drop -benchtime for real measurements.
 bench-engine:
-	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal' -benchtime=1x
+	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape' -benchtime=1x
 
 # Refresh the evaluation perf baseline: the range-aggregation shapes (bulk
 # range resolver vs the per-cell probe path) and the pattern-run shapes
@@ -89,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzEval$$' -fuzztime=15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzBytecodeEval$$' -fuzztime=15s
+	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzNumericLanes$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzRecalcParallel$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSpanDrain$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzColStore$$' -fuzztime=15s

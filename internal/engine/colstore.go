@@ -309,22 +309,30 @@ const maxFoldCols = 16
 // foldAcc accumulates one cell into a NumericFold with the exact per-cell
 // semantics of the streaming path: dirty cells resolve through dirtyVal
 // when non-nil (the eval resolver evaluates them; nil folds the stale
-// value, matching the side-effect-free read path).
+// value, matching the side-effect-free read path). sumOnly leaves Min and Max
+// alone, for a consumer that reads neither: over a short fold their strict
+// comparisons mispredict on most numbers.
 type foldAcc struct {
 	f        formula.NumericFold
 	dirtyVal func(ref.Ref, *cell) formula.Value
+	sumOnly  bool
 }
 
+// add reads the record's value in place: 56 bytes, of which a number needs 8.
 func (a *foldAcc) add(at ref.Ref, c *cell) {
-	v := c.value
+	v := &c.value
 	if c.dirty && a.dirtyVal != nil {
-		v = a.dirtyVal(at, c)
+		dv := a.dirtyVal(at, c)
+		v = &dv
 	}
 	switch v.Kind {
 	case formula.KindNumber:
 		a.f.Sum += v.Num
 		a.f.Count++
 		a.f.NonEmpty++
+		if a.sumOnly {
+			return
+		}
 		if v.Num < a.f.Min {
 			a.f.Min = v.Num
 		}
@@ -336,7 +344,7 @@ func (a *foldAcc) add(at ref.Ref, c *cell) {
 	case formula.KindError:
 		a.f.NonEmpty++
 		if !a.f.Err.IsError() {
-			a.f.Err = v
+			a.f.Err = *v
 		}
 	default: // string, bool: non-blank, non-numeric
 		a.f.NonEmpty++

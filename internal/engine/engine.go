@@ -177,6 +177,7 @@ type Engine struct {
 	// into single nodes drained as batched sweeps. SetPatternRuns(false) makes
 	// every node one cell — the oracle path the sweeps must match.
 	patternRuns bool
+	swept       sweepCounts // rows the span sweeps evaluated, by path (runs.go)
 
 	// Warm-schedule cache: a completed wavefront schedule is a pure function
 	// of the formula/graph structure and the epoch's edit roots, so the

@@ -113,3 +113,56 @@ func BenchmarkRunningTotalEdit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepShape times one span shape at a time: a 20 000-row column of
+// one formula hanging off $H$1, the edit of H1 and its drain, in ns per cell
+// recalculated — so a change to the sweep shows which shape it moved. All but
+// running_balance, which reads its own column and stays on the row loop, run
+// on gathered lanes; the 1 000-row sliding SUM is the widest window here (a
+// chunk of it still fits under the gather's cap), and the gapped operand takes
+// the gather's probe arm.
+func BenchmarkSweepShape(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		src  func(r int) string
+		gap  int // every gap-th row of A is left empty
+	}{
+		{"mul_fixed", func(r int) string { return fmt.Sprintf("A%d*B%d*$H$1", r, r) }, 0},
+		{"div", func(r int) string { return fmt.Sprintf("A%d/B%d-$H$1", r, r) }, 0},
+		{"running_balance", func(r int) string {
+			if r == 1 {
+				return "A1*$H$1"
+			}
+			return fmt.Sprintf("C%d+A%d*$H$1", r-1, r)
+		}, 0},
+		{"sliding_sum7", func(r int) string { return fmt.Sprintf("SUM(A%d:A%d)*$H$1", max(1, r-6), r) }, 0},
+		{"sliding_min7", func(r int) string { return fmt.Sprintf("MIN(A%d:A%d)*$H$1", max(1, r-6), r) }, 0},
+		{"running_total", func(r int) string { return fmt.Sprintf("SUM(A$1:A%d)*$H$1", r) }, 0},
+		{"block_sum1000", func(r int) string { return fmt.Sprintf("SUM(A%d:A%d)*$H$1", r, r+999) }, 0},
+		{"gapped_operand", func(r int) string { return fmt.Sprintf("A%d*B%d*$H$1", r, r) }, 5},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			cells := []ParsedCell{{At: ref.MustCell("H1"), Value: formula.Num(1.05)}}
+			for r := 1; r <= ledgerBenchRows; r++ {
+				if shape.gap == 0 || r%shape.gap != 0 {
+					cells = append(cells, ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(rng.Intn(1000)) + 0.5)})
+				}
+				src := shape.src(r)
+				cells = append(cells,
+					ParsedCell{At: ref.Ref{Col: 2, Row: r}, Value: formula.Num(float64(rng.Intn(100)) + 0.25)},
+					ParsedCell{At: ref.Ref{Col: 3, Row: r}, Src: src, AST: formula.MustParse(src)})
+			}
+			e := LoadBulkParsed(cells)
+			n := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n += ledgerEdit(b, e, ref.MustCell("H1"), 1+float64(1+rng.Intn(999))/10000)
+			}
+			if n != b.N*ledgerBenchRows {
+				b.Fatalf("%d cells recalculated over %d edits, want %d an edit", n, b.N, ledgerBenchRows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/cell")
+		})
+	}
+}

@@ -51,6 +51,9 @@ const (
 	tmplTwoFolds          // SUM(B[r]:B[r+k]) - AGG(A$1:A[r]): two windows, one running off the populated rows
 	tmplRectAB            // AGG(A[r]:B[r+k]) + A[r]: two columns wide — the sweep leaves it to the interpreter
 	tmplTwoArgs           // AGG(A[r-k]:A[r], B[r]): no numeric plan
+	tmplDivB              // A[r] / B[r]: zero divisors, and operands that do not coerce, where B is salted
+	tmplPairB             // B[r] + B[r+2]: salted, a column of numbers with a NaN (Inf-Inf), ±Inf and errors in it
+	tmplBlockB            // AGG(B[r]:B[r+47]): enters more records per five-row chunk than a window gathers
 	numTmpl
 )
 
@@ -147,8 +150,14 @@ func (c spanColumn) formula(col, r int) string {
 		return fmt.Sprintf("SUM(B%d:B%d)-%s(A$1:A%d)", r, r+c.k, agg, r)
 	case tmplRectAB:
 		return fmt.Sprintf("%s(A%d:B%d)+A%d", agg, r, r+c.k, r)
-	default: // tmplTwoArgs
+	case tmplTwoArgs:
 		return fmt.Sprintf("%s(A%d:A%d,B%d)", agg, max(1, r-c.k), r, r)
+	case tmplDivB:
+		return fmt.Sprintf("A%d/B%d", r, r)
+	case tmplPairB:
+		return fmt.Sprintf("B%d+B%d", r, r+2)
+	default: // tmplBlockB
+		return fmt.Sprintf("%s(B%d:B%d)", agg, r, r+47)
 	}
 }
 
@@ -306,8 +315,29 @@ func (sc spanCase) edit(t testing.TB, e *Engine, ed spanEdit) []ref.Range {
 	return e.ClearCell(at)
 }
 
-// run drives the case through both engines and compares them.
+// spanChunks are the lane sweep's chunk lengths every case runs at: the
+// shipped one, which no case here is long enough to fill, and a small odd one
+// that puts a chunk's edge inside every span — a flagged row first or last in
+// its chunk, a budget that ends mid-chunk, a fold window across two chunks.
+var spanChunks = [...]int{sweepChunk, 5}
+
+// eachSpanChunk runs fn once per chunk length and puts the shipped one back.
+func eachSpanChunk(fn func()) {
+	defer func(n int) { sweepChunk = n }(sweepChunk)
+	for _, sweepChunk = range spanChunks {
+		fn()
+	}
+}
+
+// run drives the case through both engines, once per chunk length, and
+// compares them; it returns the last engine under test.
 func (sc spanCase) run(t *testing.T) (got *Engine) {
+	t.Helper()
+	eachSpanChunk(func() { got = sc.runOnce(t) })
+	return got
+}
+
+func (sc spanCase) runOnce(t *testing.T) (got *Engine) {
 	t.Helper()
 	got = New(nil)
 	want := New(NoComp{G: nocomp.NewGraph()})
@@ -662,4 +692,112 @@ func TestSweepAllocatesNothingPerSpan(t *testing.T) {
 	if allocs != 0 && !raceEnabled {
 		t.Fatalf("a resumed chunk allocates %.1f times, want 0", allocs)
 	}
+}
+
+// TestSweepAllocatesNothingPerLaneChunk is the same bound on the lane path: a
+// product column, a sliding SUM over it and a 1 000-row block SUM (more
+// records a chunk than a window gathers: it must fold them, not grow the
+// buffer), 1 000 rows, drained 100 cells a call with the lane pool warm — and
+// afterwards no schedule, live, warm or pooled, holds on to a slab window or
+// to a lane buffer (a window's gathered floats are the only pointer into one
+// that outlives a statement). At five rows a chunk every chunk of the block SUM
+// is past the cap.
+func TestSweepAllocatesNothingPerLaneChunk(t *testing.T) {
+	eachSpanChunk(func() { sweepAllocatesNothingPerLaneChunk(t) })
+}
+
+func sweepAllocatesNothingPerLaneChunk(t *testing.T) {
+	build := func(e *Engine) *Engine {
+		e.SetValue(spanRate, formula.Num(2))
+		for r := 1; r <= 1000; r++ {
+			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+			e.SetValue(ref.Ref{Col: 2, Row: r}, formula.Num(float64(r%13)+0.25))
+			mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d*$AD$1", r, r))
+			if r >= 7 {
+				mustFormula(t, e, fmt.Sprintf("E%d", r), fmt.Sprintf("SUM(C%d:C%d)", r-6, r))
+			}
+			mustFormula(t, e, fmt.Sprintf("F%d", r), fmt.Sprintf("SUM(C%d:C%d)", r, r+999))
+		}
+		e.RecalculateAll()
+		e.SetValue(spanRate, formula.Num(3))
+		e.RecalculateAll() // every program's lanes are in the pool now
+		e.SetValue(spanRate, formula.Num(4))
+		return e
+	}
+	serial := New(nil)
+	serial.SetRecalcParallelism(1)
+	build(serial).RecalculateAll()
+	e := build(New(nil))
+	unpinned := func(which string, sch *schedule) {
+		t.Helper()
+		if sch == nil {
+			t.Fatalf("no %s schedule to inspect", which)
+		}
+		for _, w := range sch.run.windows[:cap(sch.run.windows)] {
+			if w.rows != nil || w.cells != nil || w.nums != nil {
+				t.Fatalf("the %s schedule's sweep scratch still holds a window: %d rows, %d gathered floats", which, len(w.rows), len(w.nums))
+			}
+		}
+	}
+	lane0 := e.swept
+	// 2 994 cells: the warm-up call re-arms or rebuilds the schedule, the 28
+	// measured ones resume it, and one more finishes.
+	allocs := testing.AllocsPerRun(28, func() { e.RecalculateN(100) })
+	unpinned("live", e.sched)
+	if e.RecalculateN(100); e.Pending() != 0 {
+		t.Fatalf("%d cells pending after thirty chunks of 100", e.Pending())
+	}
+	if got := e.swept.lane - lane0.lane; got != 2994 || e.swept.loop != lane0.loop || e.swept.interp != lane0.interp {
+		t.Fatalf("rows by path %+v after %+v: want 2 994 more lane rows and nothing else", e.swept, lane0)
+	}
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("a resumed chunk on the lane path allocates %.1f times, want 0", allocs)
+	}
+	unpinned("warm", e.warm)
+	enginesEqual(t, serial, e)
+	e.SetValue(ref.MustCell("A5"), formula.Num(1)) // another root: the warm schedule is dropped for the pool
+	e.RecalculateAll()
+	e.SetValue(spanRate, formula.Num(5))
+	e.RecalculateN(100)
+	e.SetValue(spanRate, formula.Num(6)) // and the live one, mid-drain
+	sch := schedPool.Get().(*schedule)
+	unpinned("pooled", sch)
+	schedPool.Put(sch)
+}
+
+// TestSweepPathsOnTheLedger: which rows take which path is part of the
+// contract, not an accident of the benchmark. On the ledger sheet a rate edit
+// sweeps C (a product) and E (a sliding SUM of C) on gathered lanes and D (a
+// running balance: it reads its own column) on the row loop, and nothing needs
+// the interpreter; where an operand column is salted, the rows the interpreter
+// re-runs are exactly the ones holding text or an error.
+func TestSweepPathsOnTheLedger(t *testing.T) {
+	const rows = 2000
+	e := ledgerEngine(t, rows)
+	before := e.swept
+	e.SetValue(ref.MustCell("H1"), formula.Num(1.07))
+	e.RecalculateAll()
+	heads := (rows + 255) / 256 // D restarts every 256 rows: a bare =C[r], a node of its own
+	want := sweepCounts{lane: before.lane + rows + rows - 6, loop: before.loop + rows - uint64(heads), interp: before.interp}
+	if e.swept != want {
+		t.Fatalf("rows by path after the rate edit: %+v, want %+v (from %+v)", e.swept, want, before)
+	}
+
+	eachSpanChunk(func() {
+		sc := spanCase{rows: 71, salt: true, cols: []spanColumn{{tmpl: tmplSameRow}}} // C[r] = B[r] + A[r]
+		e := New(nil)
+		sc.build(t, e)
+		e.RecalculateAll()
+		want := sweepCounts{}
+		for r := 1; r <= sc.rows; r++ {
+			if v, _ := saltValue(r); v.Kind == formula.KindError || v.Kind == formula.KindString && v.Str == "txt" {
+				want.interp++
+			} else {
+				want.lane++
+			}
+		}
+		if e.swept != want {
+			t.Fatalf("chunks of %d: rows by path over the salted operand %+v, want %+v", sweepChunk, e.swept, want)
+		}
+	})
 }

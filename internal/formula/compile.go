@@ -300,6 +300,7 @@ type numericPlan struct {
 	code   []numInstr
 	consts []float64
 	folds  []FoldOp
+	depth  int // the deepest the value stack gets
 }
 
 // FoldOp is an aggregate the numeric plan reads as one number: a call from
@@ -325,6 +326,10 @@ var foldFns = map[string]uint8{"SUM": foldSum, "AVERAGE": foldAverage, "AVG": fo
 
 // At resolves the aggregate's range for a given anchor cell.
 func (o FoldOp) At(anchor ref.Ref) ref.Range { return o.rng.at(anchor) }
+
+// WantsExtrema reports whether Result reads the fold's Min and Max; a fold kept
+// only for Result can leave them alone when it does not.
+func (o FoldOp) WantsExtrema() bool { return o.fn >= foldMin }
 
 // Result finishes the aggregate from its range's fold, as foldAggregate does.
 // ok is false when the interpreter answers an error instead: one in the range
@@ -410,6 +415,7 @@ func (p *Program) buildNumeric() *numericPlan {
 	if n := len(np.code); n == 0 || np.code[n-1].kind <= npCell || maxDepth > maxNumericDepth {
 		return nil
 	}
+	np.depth = maxDepth
 	return np
 }
 
@@ -459,6 +465,68 @@ func (p *Program) NumericSweep(vals []float64) (v float64, ok bool) {
 		}
 	}
 	return stack[0], true
+}
+
+// NumericWork is how many work lanes NumericSweepRows needs: the stack's depth.
+func (p *Program) NumericWork() int { return p.numeric.depth }
+
+// NumericSweepRows is NumericSweep for n rows at once. Lane i is
+// lanes[i*stride:][:n]: one per operand — lane i's k-th float is vals[i] of
+// row k — then NumericWork() lanes of scratch. The plan runs one instruction
+// at a time over whole lanes: per row the same float operations in the same
+// order, so the same bits. A zero divisor sets bad[k] where NumericSweep
+// answers ok=false (that row's result is garbage, as is one the caller flagged
+// beforehand). The result is a work lane or, for a bare aggregate, an operand's.
+func (p *Program) NumericSweepRows(lanes []float64, stride, n int, bad []bool) []float64 {
+	np := p.numeric
+	lane := func(i int) []float64 { return lanes[i*stride:][:n] }
+	work := len(p.cells) + len(np.folds)
+	var stack [maxNumericDepth][]float64
+	sp := 0
+	for _, ins := range np.code {
+		switch ins.kind {
+		case npConst:
+			dst, c := lane(work+sp), np.consts[ins.a]
+			for k := range dst {
+				dst[k] = c
+			}
+			stack[sp] = dst
+			sp++
+		case npCell, npFold:
+			stack[sp] = lane(int(ins.a))
+			sp++
+		default:
+			// A work lane is only ever held by its own stack level, so dst
+			// aliases at most l, element for element.
+			sp--
+			dst := lane(work + sp - 1)
+			l, r := stack[sp-1][:len(dst)], stack[sp][:len(dst)]
+			switch ins.kind {
+			case npAdd:
+				for k := range dst {
+					dst[k] = l[k] + r[k]
+				}
+			case npSub:
+				for k := range dst {
+					dst[k] = l[k] - r[k]
+				}
+			case npMul:
+				for k := range dst {
+					dst[k] = l[k] * r[k]
+				}
+			default: // npDiv
+				bad := bad[:len(dst)]
+				for k := range dst {
+					if r[k] == 0 {
+						bad[k] = true
+					}
+					dst[k] = l[k] / r[k]
+				}
+			}
+			stack[sp-1] = dst
+		}
+	}
+	return stack[0]
 }
 
 // scalarize coerces a stacked argument to scalar context: a range argument

@@ -2,6 +2,7 @@ package formula
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"taco/internal/ref"
@@ -367,6 +368,80 @@ func TestNumericSweepMatchesVM(t *testing.T) {
 			t.Errorf("%q: sweep=%v VM=%v", tc.src, got, want)
 		case !ok && want.Kind != KindError:
 			t.Errorf("%q: bailed on a row the VM answers %v", tc.src, want)
+		}
+	}
+}
+
+// numericPrograms are the programs with a numeric plan among the equivalence
+// corpus, plus the shapes the corpus has no reason to hold: every operator
+// over cells, constants and aggregates, a repeated operand, a divisor that is
+// itself a quotient, the float stack at its full depth.
+func numericPrograms(t testing.TB) (ps []*Program) {
+	srcs := append([]string{}, bytecodeCorpus...)
+	srcs = append(srcs, "=A4*B4*$C$1", "=A4/B4-$A$1", "=(A4+B4)*(A5-B5)/(A4-A4)", "=A4*A4-A4/A4", "=1/(A4/B4)",
+		"=2.5-A4/0.5+B4*-1", "=SUM(A1:A30)/COUNT(B1:B30)-AVERAGE(B1:B30)", "=A4-SUM(A$1:A4)*MAX(B1:B30)+MIN(B1:B30)",
+		"=MAX(A1:A9)/MIN(A1:A9)/COUNTA(C1:C9)")
+	deep := "=A4"
+	for i := 0; i < maxNumericDepth-2; i++ {
+		deep += "/(B4"
+	}
+	deep += "*2"
+	for i := 0; i < maxNumericDepth-2; i++ {
+		deep += ")"
+	}
+	for _, src := range append(srcs, deep) {
+		if p := Compile(MustParse(src), ref.Ref{Col: 8, Row: 4}); p != nil && p.HasNumericSweep() {
+			ps = append(ps, p)
+		}
+	}
+	if len(ps) < 20 {
+		t.Fatalf("only %d programs with a numeric plan", len(ps))
+	}
+	return ps
+}
+
+// checkNumericLanes is the property NumericSweepRows is held to: over any
+// operand lanes, rows at once answer what NumericSweep answers row by row —
+// the same bits, and a flag exactly where it says ok=false.
+func checkNumericLanes(t testing.TB, p *Program, n int, operand func(i, k int) float64) {
+	nin, stride := len(p.CellOps())+len(p.FoldOps()), n+3
+	lanes := make([]float64, (nin+p.NumericWork())*stride)
+	for i := range lanes {
+		lanes[i] = math.NaN() // a work lane is written before it is read, and nothing past n is read
+		if i < nin*stride && i%stride < n {
+			lanes[i] = operand(i/stride, i%stride)
+		}
+	}
+	bad := make([]bool, n)
+	out := p.NumericSweepRows(lanes, stride, n, bad)
+	vals := make([]float64, nin)
+	for k := 0; k < n; k++ {
+		for i := range vals {
+			vals[i] = lanes[i*stride+k]
+		}
+		want, ok := p.NumericSweep(vals)
+		if bad[k] == ok || ok && math.Float64bits(out[k]) != math.Float64bits(want) {
+			t.Fatalf("row %d of %d, operands %v: lanes answer %v (bad=%v), the row sweep %v (ok=%v)", k, n, vals, out[k], bad[k], want, ok)
+		}
+	}
+}
+
+// laneSpecials are the operands float arithmetic treats specially.
+var laneSpecials = [...]float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1, 1e-300, 3}
+
+func TestNumericSweepRowsMatchesRowSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, p := range numericPrograms(t) {
+		for _, n := range []int{1, 5, 256} {
+			for round := 0; round < 4; round++ {
+				checkNumericLanes(t, p, n, func(int, int) float64 {
+					if rng.Intn(3) == 0 {
+						return laneSpecials[rng.Intn(len(laneSpecials))]
+					}
+					return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(7)-3))
+				})
+			}
 		}
 	}
 }

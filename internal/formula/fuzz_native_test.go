@@ -1,6 +1,8 @@
 package formula
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"taco/internal/ref"
@@ -151,5 +153,30 @@ func FuzzBytecodeEval(f *testing.F) {
 		if got := p2.EvalAt(&colResolver{cells: grid}, at2); !sameValue(got, want) {
 			t.Fatalf("%q shifted: VM=%v AST=%v", src, got, want)
 		}
+	})
+}
+
+// FuzzNumericLanes: NumericSweepRows ≡ NumericSweep on operands the fuzzer
+// writes bit by bit. prog picks a program of the numeric corpus, every eight
+// bytes of data are one float64, dealt out row-major; a row the bytes do not
+// reach reads its operands off the specials.
+func FuzzNumericLanes(f *testing.F) {
+	progs := numericPrograms(f)
+	var seed []byte
+	for _, v := range laneSpecials {
+		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
+	}
+	for i := range progs {
+		f.Add(uint8(i), uint16(1+i*7), seed[8*(i%len(laneSpecials)):])
+	}
+	f.Fuzz(func(t *testing.T, prog uint8, rows uint16, data []byte) {
+		p := progs[int(prog)%len(progs)]
+		nin := len(p.CellOps()) + len(p.FoldOps())
+		checkNumericLanes(t, p, 1+int(rows)%300, func(i, k int) float64 {
+			if at := 8 * (k*nin + i); at+8 <= len(data) {
+				return math.Float64frombits(binary.LittleEndian.Uint64(data[at:]))
+			}
+			return laneSpecials[(k*nin+i)%len(laneSpecials)]
+		})
 	})
 }
