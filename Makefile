@@ -72,10 +72,12 @@ bench-core:
 # 20k-row ledger built in the test (the rate edit also reports ns/cell), and
 # the edit under a 20k-row running total — the fast inner loop for scheduler
 # and sweep work — then one 20k-row column per sweep shape (BenchmarkSweepShape,
-# ns/cell each), which says which shape a sweep change moved. CI smoke-runs
-# them once; drop -benchtime for real measurements.
+# ns/cell each), which says which shape a sweep change moved — and the two
+# write paths that reshape a slab, the ledger installed row by row and a
+# column's gaps filled mid-slab. CI smoke-runs them once; drop -benchtime for
+# real measurements.
 bench-engine:
-	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape' -benchtime=1x
+	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape|RowByRowInstall|MidColumnInsert' -benchtime=1x
 
 # Refresh the evaluation perf baseline: the range-aggregation shapes (bulk
 # range resolver vs the per-cell probe path) and the pattern-run shapes

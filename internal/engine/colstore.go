@@ -10,12 +10,19 @@ import (
 )
 
 // colStore is the engine's column-sliced cell storage: per column, a
-// row-sorted slab of cell records. It exploits the tabular regularity the
-// TACO paper builds on — spreadsheet ranges are column-aligned rectangles,
-// so a range read becomes a handful of contiguous per-column scans (one
-// binary search each) instead of rows×cols map probes. It is also the
-// engine's only cell index: a point read (get) is one column probe plus a
-// binary search of that column's rows, and ncells counts the records.
+// row-sorted slab of cell records, held by value. It exploits the tabular
+// regularity the TACO paper builds on — spreadsheet ranges are column-aligned
+// rectangles, so a range read becomes a handful of contiguous per-column
+// scans (one binary search each) instead of rows×cols map probes. It is also
+// the engine's only cell index and the only holder of a record: a point read
+// (get) is one column probe plus a binary search of that column's rows, and
+// ncells counts the records.
+//
+// Every *cell and every []cell window the store hands out points into a slab
+// and is valid until that column's next insert or delete, which may move the
+// records: nothing keeps one across a set of a new position or a delete (the
+// engine drops its live and warm schedules, whose nodes are such windows, on
+// exactly those writes). Evaluation never reshapes a slab.
 //
 // The dirty set lives on the slabs too: membership is the dirty flag on the
 // cell record, ndirty counts the flagged records, and each column keeps an
@@ -35,11 +42,12 @@ type colStore struct {
 // rowSpan is an inclusive row interval of one column.
 type rowSpan struct{ r0, r1 int }
 
-// column is one row-ordered slab: rows sorted ascending, cells parallel.
-// dirty is the column's dirty-span list: ascending, disjoint, never touching.
+// column is one row-ordered slab: rows sorted ascending, cells — the records
+// themselves — parallel. dirty is the column's dirty-span list: ascending,
+// disjoint, never touching.
 type column struct {
 	rows  []int
-	cells []*cell
+	cells []cell
 	dirty []rowSpan
 }
 
@@ -47,8 +55,9 @@ type column struct {
 // spill/restore churn of a capped multi-tenant host: a restored session's
 // column slabs come back from whatever engine was recycled last, so the
 // eviction round-trip stops allocating once the pools warm up. Pooled
-// columns keep their slab capacity (that is the point) but are emptied —
-// and their cell pointers cleared — before pooling.
+// columns keep their slab capacity (that is the point: it is the one record
+// allocator there is) but are emptied — and their records zeroed, so no AST or
+// string stays reachable — before pooling.
 var (
 	columnPool = sync.Pool{New: func() any { return &column{} }}
 	colMapPool = sync.Pool{New: func() any { return make(map[int]*column, 32) }}
@@ -71,7 +80,7 @@ func (s *colStore) recycle() {
 }
 
 func recycleColumn(col *column) {
-	clear(col.cells) // drop cell-record references before pooling
+	clear(col.cells) // drop the records' AST and string references before pooling
 	col.rows = col.rows[:0]
 	col.cells = col.cells[:0]
 	col.dirty = col.dirty[:0]
@@ -124,7 +133,7 @@ func (s *colStore) cleaned(n int) {
 // whose flag is still set. fn may clean cells (never flag new ones): when it
 // cleans the last one the span lists are dropped under the walk, which the
 // length checks then end.
-func (s *colStore) dirtyWindows(fn func(ci int, col *column, lo, hi int) bool) {
+func (s *colStore) dirtyWindows(fn func(ci int, rows []int, cells []cell) bool) {
 	for i := 0; i < len(s.dirtyCols); i++ {
 		ci := s.dirtyCols[i]
 		col := s.cols[ci]
@@ -132,8 +141,8 @@ func (s *colStore) dirtyWindows(fn func(ci int, col *column, lo, hi int) bool) {
 			continue // deleted since it was marked
 		}
 		for k := 0; k < len(col.dirty); k++ {
-			lo, hi := col.window(col.dirty[k].r0, col.dirty[k].r1)
-			if !fn(ci, col, lo, hi) {
+			rows, cells := col.view(col.dirty[k].r0, col.dirty[k].r1)
+			if !fn(ci, rows, cells) {
 				return
 			}
 		}
@@ -144,66 +153,130 @@ func (s *colStore) dirtyWindows(fn func(ci int, col *column, lo, hi int) bool) {
 func (s *colStore) get(at ref.Ref) *cell {
 	if col := s.cols[at.Col]; col != nil {
 		if i, found := slices.BinarySearch(col.rows, at.Row); found {
-			return col.cells[i]
+			return &col.cells[i]
 		}
 	}
 	return nil
 }
 
-// set installs the record at the given position and returns the one it
-// replaced, nil when the position was unpopulated. Loaders feed cells in
-// column-major order, so the append fast path handles bulk fills without a
-// binary search per cell.
-func (s *colStore) set(at ref.Ref, c *cell) (old *cell) {
-	col := s.cols[at.Col]
+// column returns the slab of column ci, creating it with room for n records
+// when the column is unpopulated — which is how a loader that knows a column's
+// height sizes its slab once, with no growth copies and no growth slack. A
+// pooled column keeps its capacity when that fits, at least n and at most an
+// eighth over; otherwise its slab is allocated exactly: a record is 112 bytes,
+// and whatever capacity the pool happened to hand out would put a 2 000-row
+// slab under a three-cell column for as long as the session is resident.
+func (s *colStore) column(ci, n int) *column {
+	col := s.cols[ci]
 	if col == nil {
 		col = columnPool.Get().(*column)
-		s.cols[at.Col] = col
+		if c := cap(col.cells); c < n || c > n+n/8 {
+			col.rows, col.cells = make([]int, 0, n), make([]cell, 0, n)
+		}
+		s.cols[ci] = col
 	}
+	return col
+}
+
+// set installs the record at the given position and returns the one it
+// replaced, had reporting whether there was one. Loaders feed cells in
+// column-major order, so the append fast path handles bulk fills without a
+// binary search per cell.
+func (s *colStore) set(at ref.Ref, c cell) (old cell, had bool) {
+	col := s.column(at.Col, 1)
 	if n := len(col.rows); n == 0 || at.Row > col.rows[n-1] {
 		col.rows = append(col.rows, at.Row)
 		col.cells = append(col.cells, c)
 		s.ncells++
-		return nil
+		return cell{}, false
 	}
 	i, found := slices.BinarySearch(col.rows, at.Row)
 	if found {
 		old, col.cells[i] = col.cells[i], c
-		return old
+		return old, true
 	}
 	col.rows = slices.Insert(col.rows, i, at.Row)
 	col.cells = slices.Insert(col.cells, i, c)
 	s.ncells++
-	return nil
+	return cell{}, false
 }
 
-// delete removes and returns the record at the given position, nil when it
-// was unpopulated.
-func (s *colStore) delete(at ref.Ref) *cell {
+// delete removes and returns the record at the given position, had reporting
+// whether it was populated.
+func (s *colStore) delete(at ref.Ref) (old cell, had bool) {
 	col := s.cols[at.Col]
 	if col == nil {
-		return nil
+		return cell{}, false
 	}
 	i, found := slices.BinarySearch(col.rows, at.Row)
 	if !found {
-		return nil
+		return cell{}, false
 	}
-	old := col.cells[i]
+	old = col.cells[i]
 	col.rows = slices.Delete(col.rows, i, i+1)
-	col.cells = slices.Delete(col.cells, i, i+1)
+	col.cells = slices.Delete(col.cells, i, i+1) // zeroes the vacated tail record
 	s.ncells--
 	if len(col.rows) == 0 {
 		delete(s.cols, at.Col)
 		recycleColumn(col)
 	}
-	return old
+	return old, true
 }
 
-// window returns the slab index range [lo, hi) covering rows r1..r2.
-func (c *column) window(r1, r2 int) (lo, hi int) {
-	lo, _ = slices.BinarySearch(c.rows, r1)
-	hi, _ = slices.BinarySearch(c.rows, r2+1)
-	return lo, hi
+// view returns the slab window covering rows r1..r2: the rows populated
+// there and, parallel, their records.
+func (c *column) view(r1, r2 int) (rows []int, cells []cell) {
+	lo, _ := slices.BinarySearch(c.rows, r1)
+	hi, _ := slices.BinarySearch(c.rows, r2+1)
+	return c.rows[lo:hi], c.cells[lo:hi]
+}
+
+// foldCursor is one column's slab window with a scan position — the unit of
+// the row-major merges below and of a sweep's operand reads (runs.go).
+type foldCursor struct {
+	col   int
+	rows  []int
+	cells []cell
+	i     int
+}
+
+// cursors appends the populated column windows of rng to curs, in ascending
+// column order; a range crossing empty columns costs one map probe each.
+func (s *colStore) cursors(rng ref.Range, curs []foldCursor) []foldCursor {
+	for c := rng.Head.Col; c <= rng.Tail.Col; c++ {
+		if col := s.cols[c]; col != nil {
+			if rows, cells := col.view(rng.Head.Row, rng.Tail.Row); len(rows) > 0 {
+				curs = append(curs, foldCursor{col: c, rows: rows, cells: cells})
+			}
+		}
+	}
+	return curs
+}
+
+// minHead returns the cursor with the lowest current row, nil when every one
+// is exhausted. Ties resolve to the lowest column because cursors are stored
+// in column order and the comparison is strict, so taking minHead until nil
+// visits cells in exactly the streaming scan's row-major order.
+func minHead(curs []foldCursor) *foldCursor {
+	var best *foldCursor
+	for k := range curs {
+		if cu := &curs[k]; cu.i < len(cu.rows) && (best == nil || cu.rows[cu.i] < best.rows[best.i]) {
+			best = cu
+		}
+	}
+	return best
+}
+
+// probe advances the cursor to row (monotonic: callers feed ascending rows)
+// and returns the cell stored there, or nil when the row is unpopulated.
+func (cu *foldCursor) probe(row int) *cell {
+	for cu.i < len(cu.rows) && cu.rows[cu.i] < row {
+		cu.i++
+	}
+	if cu.i < len(cu.rows) && cu.rows[cu.i] == row {
+		return &cu.cells[cu.i]
+	}
+	return nil
 }
 
 // scanRange visits every populated cell of rng in row-major order — the
@@ -222,35 +295,15 @@ func (s *colStore) scanRange(rng ref.Range, fn func(at ref.Ref, c *cell) bool) b
 		if col == nil {
 			return true
 		}
-		lo, hi := col.window(rng.Head.Row, rng.Tail.Row)
-		for i := lo; i < hi; i++ {
-			if !fn(ref.Ref{Col: rng.Head.Col, Row: col.rows[i]}, col.cells[i]) {
+		rows, cells := col.view(rng.Head.Row, rng.Tail.Row)
+		for i := range cells {
+			if !fn(ref.Ref{Col: rng.Head.Col, Row: rows[i]}, &cells[i]) {
 				return false
 			}
 		}
 		return true
 	}
-	type cursor struct {
-		col   int
-		rows  []int
-		cells []*cell
-		i     int
-	}
-	var curs []cursor
-	for c := rng.Head.Col; c <= rng.Tail.Col; c++ {
-		col := s.cols[c]
-		if col == nil {
-			continue // ranges crossing empty columns cost one map probe each
-		}
-		lo, hi := col.window(rng.Head.Row, rng.Tail.Row)
-		if lo == hi {
-			continue
-		}
-		curs = append(curs, cursor{col: c, rows: col.rows[lo:hi], cells: col.cells[lo:hi]})
-	}
-	if len(curs) == 0 {
-		return true
-	}
+	curs := s.cursors(rng, nil)
 	// Binary min-heap of cursor indices, ordered by (current row, column).
 	less := func(a, b int) bool {
 		ca, cb := &curs[a], &curs[b]
@@ -285,7 +338,7 @@ func (s *colStore) scanRange(rng ref.Range, fn func(at ref.Ref, c *cell) bool) b
 	}
 	for len(h) > 0 {
 		c := &curs[h[0]]
-		if !fn(ref.Ref{Col: c.col, Row: c.rows[c.i]}, c.cells[c.i]) {
+		if !fn(ref.Ref{Col: c.col, Row: c.rows[c.i]}, &c.cells[c.i]) {
 			return false
 		}
 		c.i++
@@ -372,15 +425,15 @@ func (s *colStore) foldRange(rng ref.Range, dirtyVal func(ref.Ref, *cell) formul
 	if col == nil {
 		return acc.f, true
 	}
-	lo, hi := col.window(rng.Head.Row, rng.Tail.Row)
-	rows, cells := col.rows[lo:hi], col.cells[lo:hi]
+	rows, cells := col.view(rng.Head.Row, rng.Tail.Row)
 	f := &acc.f
 	slow := func(i int) {
-		acc.add(ref.Ref{Col: rng.Head.Col, Row: rows[i]}, cells[i])
+		acc.add(ref.Ref{Col: rng.Head.Col, Row: rows[i]}, &cells[i])
 	}
 	i, n := 0, len(cells)
 	for ; i+4 <= n; i += 4 {
-		c0, c1, c2, c3 := cells[i], cells[i+1], cells[i+2], cells[i+3]
+		b := cells[i : i+4] // one bounds check for the four records, read in place
+		c0, c1, c2, c3 := &b[0], &b[1], &b[2], &b[3]
 		if !(c0.dirty || c1.dirty || c2.dirty || c3.dirty) &&
 			c0.value.Kind == formula.KindNumber && c1.value.Kind == formula.KindNumber &&
 			c2.value.Kind == formula.KindNumber && c3.value.Kind == formula.KindNumber {
@@ -425,67 +478,23 @@ func (s *colStore) foldRange(rng ref.Range, dirtyVal func(ref.Ref, *cell) formul
 	return acc.f, true
 }
 
-// foldCursor is one column's slab window with a scan position — the unit of
-// the row-major cursor merges below.
-type foldCursor struct {
-	col   int
-	rows  []int
-	cells []*cell
-	i     int
-}
-
-// loadCursors fills curs with the populated column windows of rng, in
-// ascending column order. Returns false when the rectangle is wider than
-// maxFoldCols (the caller falls back to the streaming scan).
-func (s *colStore) loadCursors(rng ref.Range, curs *[maxFoldCols]foldCursor) (n int, ok bool) {
-	if rng.Cols() > maxFoldCols {
-		return 0, false
-	}
-	for c := rng.Head.Col; c <= rng.Tail.Col; c++ {
-		col := s.cols[c]
-		if col == nil {
-			continue
-		}
-		lo, hi := col.window(rng.Head.Row, rng.Tail.Row)
-		if lo == hi {
-			continue
-		}
-		curs[n] = foldCursor{col: c, rows: col.rows[lo:hi], cells: col.cells[lo:hi]}
-		n++
-	}
-	return n, true
-}
-
-// foldRect folds a multi-column rectangle by min-scanning the per-column
-// cursor heads: each step picks the cursor with the lowest current row —
-// ties resolve to the lowest column because cursors are stored in column
-// order and the comparison is strict — which reproduces the streaming
-// scan's row-major visit order exactly, so Sum/Err match bit-for-bit.
+// foldRect folds a multi-column rectangle by taking the lowest cursor head
+// until none is left (minHead), which reproduces the streaming scan's
+// row-major visit order exactly, so Sum/Err match bit-for-bit. A rectangle
+// wider than maxFoldCols reports handled=false (the caller falls back to the
+// streaming scan).
 func (s *colStore) foldRect(rng ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (formula.NumericFold, bool) {
-	var curs [maxFoldCols]foldCursor
-	n, ok := s.loadCursors(rng, &curs)
-	if !ok {
+	if rng.Cols() > maxFoldCols {
 		return formula.NumericFold{}, false
 	}
+	var buf [maxFoldCols]foldCursor
+	curs := s.cursors(rng, buf[:0])
 	acc := foldAcc{f: formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}, dirtyVal: dirtyVal}
-	for {
-		best := -1
-		for k := 0; k < n; k++ {
-			cu := &curs[k]
-			if cu.i >= len(cu.rows) {
-				continue
-			}
-			if best < 0 || cu.rows[cu.i] < curs[best].rows[curs[best].i] {
-				best = k
-			}
-		}
-		if best < 0 {
-			return acc.f, true
-		}
-		cu := &curs[best]
-		acc.add(ref.Ref{Col: cu.col, Row: cu.rows[cu.i]}, cu.cells[cu.i])
+	for cu := minHead(curs); cu != nil; cu = minHead(curs) {
+		acc.add(ref.Ref{Col: cu.col, Row: cu.rows[cu.i]}, &cu.cells[cu.i])
 		cu.i++
 	}
+	return acc.f, true
 }
 
 // cellVal resolves one stored cell's value with the fold paths' dirty
@@ -495,18 +504,6 @@ func cellVal(at ref.Ref, c *cell, dirtyVal func(ref.Ref, *cell) formula.Value) f
 		return dirtyVal(at, c)
 	}
 	return c.value
-}
-
-// probe advances the cursor to row (monotonic: callers feed ascending rows)
-// and returns the cell stored there, or nil when the row is unpopulated.
-func (cu *foldCursor) probe(row int) *cell {
-	for cu.i < len(cu.rows) && cu.rows[cu.i] < row {
-		cu.i++
-	}
-	if cu.i < len(cu.rows) && cu.rows[cu.i] == row {
-		return cu.cells[cu.i]
-	}
-	return nil
 }
 
 // foldSumIf is the slab fold behind formula.CondFolder.FoldSumIf for the
@@ -527,19 +524,17 @@ func (s *colStore) foldSumIf(critRng ref.Range, crit formula.Criterion, sumRng r
 	if col == nil {
 		return 0, true
 	}
-	lo, hi := col.window(critRng.Head.Row, critRng.Tail.Row)
-	rows, cells := col.rows[lo:hi], col.cells[lo:hi]
+	rows, cells := col.view(critRng.Head.Row, critRng.Tail.Row)
 	var sumCur foldCursor
 	if !same {
 		if sc := s.cols[sumRng.Head.Col]; sc != nil {
-			slo, shi := sc.window(sumRng.Head.Row, sumRng.Tail.Row)
-			sumCur = foldCursor{col: sumRng.Head.Col, rows: sc.rows[slo:shi], cells: sc.cells[slo:shi]}
+			sumCur.rows, sumCur.cells = sc.view(sumRng.Head.Row, sumRng.Tail.Row)
 		}
 	}
 	dRow := sumRng.Head.Row - critRng.Head.Row
 	total := 0.0
 	for i := range rows {
-		v := cellVal(ref.Ref{Col: critRng.Head.Col, Row: rows[i]}, cells[i], dirtyVal)
+		v := cellVal(ref.Ref{Col: critRng.Head.Col, Row: rows[i]}, &cells[i], dirtyVal)
 		if !crit.Matches(v) {
 			continue
 		}
@@ -570,6 +565,9 @@ func (s *colStore) foldSumIf(critRng ref.Range, crit formula.Criterion, sumRng r
 // RangeValues/CellValue semantics; non-numeric and error values contribute a
 // zero factor via formula.SumProductFactor.
 func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (float64, bool) {
+	if a.Cols() > maxFoldCols || b.Cols() > maxFoldCols {
+		return 0, false
+	}
 	for _, rng := range [2]ref.Range{a, b} {
 		finite := s.scanRange(rng, func(at ref.Ref, c *cell) bool {
 			v := cellVal(at, c, dirtyVal)
@@ -582,40 +580,19 @@ func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, *cell) 
 			return 0, false
 		}
 	}
-	var acurs, bcurs [maxFoldCols]foldCursor
-	an, ok := s.loadCursors(a, &acurs)
-	if !ok {
-		return 0, false
-	}
-	bn, ok := s.loadCursors(b, &bcurs)
-	if !ok {
-		return 0, false
-	}
+	var abuf, bbuf [maxFoldCols]foldCursor
+	acurs, bcurs := s.cursors(a, abuf[:0]), s.cursors(b, bbuf[:0])
 	// Index b's cursors by column offset for O(1) pairing; absent columns
 	// stay nil and read as Empty.
 	var bByCol [maxFoldCols]*foldCursor
-	for k := 0; k < bn; k++ {
+	for k := range bcurs {
 		bByCol[bcurs[k].col-b.Head.Col] = &bcurs[k]
 	}
 	dRow := b.Head.Row - a.Head.Row
 	total := 0.0
-	for {
-		best := -1
-		for k := 0; k < an; k++ {
-			cu := &acurs[k]
-			if cu.i >= len(cu.rows) {
-				continue
-			}
-			if best < 0 || cu.rows[cu.i] < acurs[best].rows[acurs[best].i] {
-				best = k
-			}
-		}
-		if best < 0 {
-			return total, true
-		}
-		cu := &acurs[best]
+	for cu := minHead(acurs); cu != nil; cu = minHead(acurs) {
 		arow := cu.rows[cu.i]
-		av := cellVal(ref.Ref{Col: cu.col, Row: arow}, cu.cells[cu.i], dirtyVal)
+		av := cellVal(ref.Ref{Col: cu.col, Row: arow}, &cu.cells[cu.i], dirtyVal)
 		cu.i++
 		bv := formula.Empty()
 		if bc := bByCol[cu.col-a.Head.Col]; bc != nil {
@@ -626,6 +603,7 @@ func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, *cell) 
 		}
 		total += formula.SumProductFactor(av) * formula.SumProductFactor(bv)
 	}
+	return total, true
 }
 
 // eachColumnMajor visits every stored cell in column-major order — the
@@ -640,7 +618,7 @@ func (s *colStore) eachColumnMajor(fn func(at ref.Ref, c *cell) error) error {
 	for _, cidx := range cols {
 		col := s.cols[cidx]
 		for i, row := range col.rows {
-			if err := fn(ref.Ref{Col: cidx, Row: row}, col.cells[i]); err != nil {
+			if err := fn(ref.Ref{Col: cidx, Row: row}, &col.cells[i]); err != nil {
 				return err
 			}
 		}

@@ -3,7 +3,9 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"taco/internal/formula"
@@ -150,7 +152,8 @@ func (m storeModel) drain() {
 }
 
 // check holds every read path and counter of e to the model, at every ref of
-// the window and a margin around it, and the slabs to their shape invariants.
+// the window and a margin around it — the record behind each ref included,
+// re-fetched here, after the step — and the slabs to their shape invariants.
 func (m storeModel) check(t *testing.T, e *Engine, when string) {
 	t.Helper()
 	formulas, pending := 0, 0
@@ -180,6 +183,12 @@ func (m storeModel) check(t *testing.T, e *Engine, when string) {
 				t.Fatalf("%s: %v reads value %v, peek (%v, clean %v), dirty %v, formula %q; model %+v",
 					when, at, e.Value(at), peek, clean, e.Dirty(at), e.Formula(at), *want)
 			}
+			// The record itself, through a pointer taken after the step: one
+			// from before it may address another row's record, or a dead slab.
+			if c := e.store.get(at); (c != nil) != (m[at] != nil) ||
+				c != nil && (c.value != want.value || c.dirty != want.dirty || c.src != want.src || (c.ast != nil) != (want.src != "")) {
+				t.Fatalf("%s: %v holds record %+v; model %+v", when, at, c, *want)
+			}
 		}
 	}
 	if slabbed := slabbedCells(t, e, when); slabbed != len(m) {
@@ -188,9 +197,11 @@ func (m storeModel) check(t *testing.T, e *Engine, when string) {
 }
 
 // slabbedCells counts the records on e's slabs, holding each column to its
-// shape: never empty, rows and records parallel, rows strictly ascending.
+// shape — never empty, rows and records parallel, rows strictly ascending —
+// and the engine's three counters to a recount of the records themselves.
 func slabbedCells(t *testing.T, e *Engine, when string) (n int) {
 	t.Helper()
+	dirty, formulas := 0, 0
 	for ci, col := range e.store.cols {
 		if len(col.rows) == 0 || len(col.rows) != len(col.cells) {
 			t.Fatalf("%s: column %d holds %d rows and %d records", when, ci, len(col.rows), len(col.cells))
@@ -199,11 +210,18 @@ func slabbedCells(t *testing.T, e *Engine, when string) (n int) {
 			if i > 0 && row <= col.rows[i-1] {
 				t.Fatalf("%s: column %d rows not strictly ascending: %v", when, ci, col.rows)
 			}
-			if col.cells[i] == nil {
-				t.Fatalf("%s: column %d row %d has no record", when, ci, row)
+			if col.cells[i].dirty {
+				dirty++
+			}
+			if col.cells[i].ast != nil {
+				formulas++
 			}
 		}
 		n += len(col.rows)
+	}
+	if n != e.store.ncells || dirty != e.store.ndirty || formulas != e.nformulas {
+		t.Fatalf("%s: slabs hold %d records, %d dirty, %d formulas; the engine counts %d, %d, %d",
+			when, n, dirty, formulas, e.store.ncells, e.store.ndirty, e.nformulas)
 	}
 	return n
 }
@@ -315,5 +333,127 @@ func TestMarkCoarseRange(t *testing.T) {
 		if v := e.Value(ref.MustCell("A2")); v.Num != 2 {
 			t.Fatalf("every %d: the value cell A2 = %v, want 2", every, v)
 		}
+	}
+}
+
+// TestSlabReshapeBetweenBudgetedDrains: a span node is a window of the slab's
+// records, not a list of pointers to them, so a write that moves records — an
+// append that regrows the slab, an insert or a delete mid-column — under a
+// schedule cut mid-span must leave nothing aliasing the old layout. On the
+// 2 000-row ledger (E1000 cleared first, for the insert to fill) each reshape
+// lands between two budgeted chunks of a rate edit's drain: the live schedule
+// is dropped and rebuilt over what is still flagged, no warm one is re-armed,
+// and the cells end bit-identical to a serial twin's.
+func TestSlabReshapeBetweenBudgetedDrains(t *testing.T) {
+	eachSpanChunk(func() { slabReshapeBetweenBudgetedDrains(t) })
+}
+
+func slabReshapeBetweenBudgetedDrains(t *testing.T) {
+	const rows, budget = 2000, 700
+	e, serial := ledgerEngine(t, rows), ledgerEngine(t, rows)
+	serial.SetRecalcParallelism(1)
+	both := func(do func(*Engine)) { do(e); do(serial) }
+	both(func(e *Engine) { e.ClearCell(ref.MustCell("E1000")); e.RecalculateAll() })
+	for i, reshape := range []struct {
+		name string
+		do   func(*Engine)
+	}{
+		{"a row appended to C, which regrows", func(e *Engine) { mustFormula(t, e, "C2001", "A2001*B2001*$H$1") }},
+		{"a record inserted mid-E", func(e *Engine) { mustFormula(t, e, "E1000", "SUM(C994:C1000)") }},
+		{"a record deleted mid-D", func(e *Engine) { e.ClearCell(ref.MustCell("D1500")) }},
+	} {
+		both(func(e *Engine) { e.SetValue(ref.MustCell("H1"), formula.Num(1.06+float64(i)/100)) })
+		if n := e.RecalculateN(budget); n != budget {
+			t.Fatalf("%s: the first chunk drained %d cells, want %d", reshape.name, n, budget)
+		}
+		cut := e.sched != nil && len(e.sched.frontier) > 0
+		if cut {
+			nd := &e.sched.nodes[e.sched.frontier[0]]
+			cut = nd.done > 0 && nd.done < len(nd.cells)
+		}
+		if !cut {
+			t.Fatalf("%s: the budget did not end inside a span", reshape.name)
+		}
+		builds, warm := e.schedBuilds, mSchedWarmReuses.Value()
+		both(reshape.do)
+		if e.sched != nil || e.warm != nil {
+			t.Fatalf("%s: a schedule outlived the reshape (live %v, warm %v)", reshape.name, e.sched != nil, e.warm != nil)
+		}
+		for e.Pending() > 0 {
+			if e.RecalculateN(budget) == 0 {
+				t.Fatalf("%s: drain stalled with %d pending", reshape.name, e.Pending())
+			}
+		}
+		serial.RecalculateAll()
+		if e.schedBuilds == builds || mSchedWarmReuses.Value() != warm {
+			t.Fatalf("%s: %d rebuilds and %d warm re-arms after the reshape, want a rebuild and no re-arm",
+				reshape.name, e.schedBuilds-builds, mSchedWarmReuses.Value()-warm)
+		}
+		slabbedCells(t, e, reshape.name)
+		if g, w := e.NumCells(), serial.NumCells(); g != w {
+			t.Fatalf("%s: %d cells, the serial twin %d", reshape.name, g, w)
+		}
+		serial.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
+			g, clean := e.Peek(at)
+			if w := c.value; !clean || g.Kind != w.Kind || math.Float64bits(g.Num) != math.Float64bits(w.Num) || g.Err != w.Err {
+				t.Errorf("%s, chunks of %d: %v = %v (clean %v), the serial twin has %v", reshape.name, sweepChunk, at, g, clean, w)
+			}
+			return nil
+		})
+	}
+}
+
+// TestBulkLoadAndRestoreAllocatePerColumn: the slab is the record allocator.
+// A bulk load sizes each slab once, exactly, from its column's count; a restore
+// stages a column and does the same, into the capacity a pooled column kept
+// when that fits. Neither allocates per record — shown where nothing else allocates per cell either: the ledger with
+// its values pasted over its formulas, and a restore around a pinned graph.
+func TestBulkLoadAndRestoreAllocatePerColumn(t *testing.T) {
+	runtime.GC()
+	runtime.GC() // two collections empty the column pool: every slab below is allocated here
+	e := ledgerEngine(t, 2000)
+	var pasted []ParsedCell
+	for ci, col := range e.store.cols {
+		if len(col.cells) != cap(col.cells) || len(col.rows) != cap(col.rows) {
+			t.Errorf("column %d: %d records in a slab of %d, %d rows in %d: want no slack after a bulk load",
+				ci, len(col.cells), cap(col.cells), len(col.rows), cap(col.rows))
+		}
+		for i, row := range col.rows {
+			pasted = append(pasted, ParsedCell{At: ref.Ref{Col: ci, Row: row}, Value: col.cells[i].value})
+		}
+	}
+	// A pooled slab is reused only where it fits: a short sheet loaded, or one
+	// cell written, after a tall engine was recycled does not sit on its slabs.
+	ledgerEngine(t, 2000).Recycle()
+	short := ledgerEngine(t, 20)
+	short.SetValue(ref.MustCell("Z1"), formula.Num(1))
+	for ci, col := range short.store.cols {
+		if n := len(col.cells); cap(col.cells) > n+n/8 || cap(col.rows) > n+n/8 {
+			t.Errorf("column %d: %d records in a slab of %d (rows %d) after a 2 000-row engine was recycled", ci, n, cap(col.cells), cap(col.rows))
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops items at random under the race detector
+	}
+	cells, cols := e.NumCells(), len(e.store.cols)
+	if allocs := testing.AllocsPerRun(5, func() { LoadBulkParsed(pasted) }); allocs > float64(cells/10) {
+		t.Errorf("a bulk load of %d value cells in %d columns allocates %.0f times, want O(columns)", cells, cols, allocs)
+	}
+	var buf bytes.Buffer
+	if err := e.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, prev := e.TACOGraph(), e
+	allocs := testing.AllocsPerRun(5, func() {
+		prev.Recycle()
+		r, err := RestoreSnapshotWithGraph(bytes.NewReader(buf.Bytes()), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev = r
+	})
+	if prev.NumCells() != cells || allocs > float64(4*cols+64) { // two a column that fits no pooled slab, the stage's growth
+		t.Errorf("a warm-pool restore of %d cells in %d columns allocates %.0f times (and holds %d), want none per record",
+			cells, cols, allocs, prev.NumCells())
 	}
 }

@@ -13,7 +13,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"taco/internal/core"
 	"taco/internal/formula"
@@ -116,7 +115,9 @@ type spanPrecedenter interface {
 	DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan, first ref.Range) bool)
 }
 
-// cell is the engine's cell record.
+// cell is the engine's cell record, 112 bytes stored by value on its column's
+// slab (colstore.go): a *cell is an address inside the slab, good until that
+// column's next insert or delete.
 type cell struct {
 	ast   formula.Node // nil for pure values
 	src   string
@@ -124,7 +125,7 @@ type cell struct {
 	dirty bool
 	// evaluating guards against reference cycles during recalculation — a
 	// flag on the record instead of a side map, so the (very hot) resolver
-	// path costs one pointer dereference, not a map probe.
+	// path reads it off the record it already holds, not off a map probe.
 	evaluating bool
 	// prog is the cell's compiled bytecode program, interned through the
 	// formula-level compile cache so shifted copies of one formula pattern
@@ -150,9 +151,6 @@ type Engine struct {
 	store colStore
 	// nformulas counts the formula cells in store (NumFormulas).
 	nformulas int
-	// slabs tracks the cell-record blocks a snapshot restore allocated, so
-	// Recycle can return them to the pool when the engine is discarded.
-	slabs [][]cell
 	// parallelism is the serial-reference pin (the name is historical, see
 	// SetRecalcParallelism): 1 keeps every drain on the serial recursive
 	// resolver; any other value, the zero default included, lets
@@ -239,16 +237,16 @@ func (e *Engine) prog(at ref.Ref, c *cell) *formula.Program {
 // setCell installs a cell record, maintaining the formula count and the
 // dirty set. A replaced formula's dependencies leave the graph with it; the
 // caller registers the new record's.
-func (e *Engine) setCell(at ref.Ref, c *cell) {
+func (e *Engine) setCell(at ref.Ref, c cell) {
 	e.noteDirtyMutation()
-	old := e.store.set(at, c)
-	if old == nil || old.ast != nil || c.ast != nil {
+	old, had := e.store.set(at, c)
+	if !had || old.ast != nil || c.ast != nil {
 		// The slab grew or the formula set changed: the warm schedule's span
 		// windows alias the one and describe the other.
 		e.noteStructMutation()
 	}
-	if old != nil {
-		e.dropped(at, old)
+	if had {
+		e.dropped(at, &old)
 	}
 	if c.ast != nil {
 		e.nformulas++
@@ -278,9 +276,9 @@ func (e *Engine) populate(s *workload.Sheet) error {
 			if err != nil {
 				return fmt.Errorf("engine: cell %v: %w", at, err)
 			}
-			e.setCell(at, &cell{ast: ast, src: c.Formula, dirty: true})
+			e.setCell(at, cell{ast: ast, src: c.Formula, dirty: true})
 		} else {
-			e.setCell(at, &cell{value: c.Value})
+			e.setCell(at, cell{value: c.Value})
 		}
 	}
 	return nil
@@ -345,13 +343,19 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 		}
 	}
 	e := New(TACO{G: core.BuildBulk(deps, core.DefaultOptions())})
-	for _, c := range ordered {
-		var rec *cell
+	for i, c := range ordered {
+		if i == 0 || c.At.Col != ordered[i-1].At.Col {
+			// The input is sorted: each slab is sized once, for its column's run.
+			n := 1
+			for i+n < len(ordered) && ordered[i+n].At.Col == c.At.Col {
+				n++
+			}
+			e.store.column(c.At.Col, n)
+		}
+		rec := cell{value: c.Value}
 		if c.AST != nil {
-			rec = &cell{ast: c.AST, src: c.Src, dirty: true}
+			rec = cell{ast: c.AST, src: c.Src, dirty: true}
 			e.nformulas++
-		} else {
-			rec = &cell{value: c.Value}
 		}
 		e.store.set(c.At, rec) // ordered input: the append fast path
 		if rec.dirty {
@@ -506,7 +510,7 @@ func (e *Engine) Formula(at ref.Ref) string {
 // SetValue writes a pure value, returning the dirty set — the transitive
 // dependents the asynchronous model hides before returning control.
 func (e *Engine) SetValue(at ref.Ref, v formula.Value) []ref.Range {
-	e.setCell(at, &cell{value: v})
+	e.setCell(at, cell{value: v})
 	return e.invalidate(at)
 }
 
@@ -524,7 +528,7 @@ func (e *Engine) SetFormula(at ref.Ref, src string) ([]ref.Range, error) {
 // batch endpoints validate whole batches up front and must not pay for a
 // second parse per edit.
 func (e *Engine) SetFormulaParsed(at ref.Ref, src string, ast formula.Node) []ref.Range {
-	e.setCell(at, &cell{ast: ast, src: src, dirty: true})
+	e.setCell(at, cell{ast: ast, src: src, dirty: true})
 	for _, r := range formula.Refs(ast) {
 		e.graph.Add(core.Dependency{
 			Prec: r.At, Dep: at, HeadFixed: r.HeadFixed, TailFixed: r.TailFixed,
@@ -536,9 +540,9 @@ func (e *Engine) SetFormulaParsed(at ref.Ref, src string, ast formula.Node) []re
 // ClearCell removes a cell entirely.
 func (e *Engine) ClearCell(at ref.Ref) []ref.Range {
 	e.noteDirtyMutation()
-	if old := e.store.delete(at); old != nil {
+	if old, had := e.store.delete(at); had {
 		e.noteStructMutation() // the slab shrinks: warm span windows alias it
-		e.dropped(at, old)
+		e.dropped(at, &old)
 	}
 	return e.invalidate(at)
 }
@@ -622,15 +626,15 @@ func (e *Engine) markRange(rng ref.Range) {
 // the contiguous slab checking ast != nil — a few ns per cell — that notes
 // one dirty span from the first row it flagged to the last.
 func (e *Engine) markCol(ci int, col *column, r1, r2 int) {
-	lo, hi := col.window(r1, r2)
+	rows, cells := col.view(r1, r2)
 	n, first, last := 0, 0, 0
-	for i := lo; i < hi; i++ {
-		if c := col.cells[i]; c.ast != nil && !c.dirty {
+	for i := range cells {
+		if c := &cells[i]; c.ast != nil && !c.dirty {
 			c.dirty = true
 			if n == 0 {
-				first = col.rows[i]
+				first = rows[i]
 			}
-			last = col.rows[i]
+			last = rows[i]
 			n++
 		}
 	}
@@ -755,9 +759,9 @@ func (e *Engine) RecalculateN(max int) int {
 // the dirty set is topological. The order is the dirty spans', column-major.
 func (e *Engine) drainSerial(max int) int {
 	n := 0
-	e.store.dirtyWindows(func(_ int, col *column, lo, hi int) bool {
-		for _, c := range col.cells[lo:hi] {
-			if c.dirty {
+	e.store.dirtyWindows(func(_ int, _ []int, cells []cell) bool {
+		for i := range cells {
+			if c := &cells[i]; c.dirty {
 				if n >= max {
 					return false
 				}
@@ -846,23 +850,14 @@ func (e *Engine) TACOGraph() *core.Graph {
 	return nil
 }
 
-// Recycle returns the engine's recyclable containers (column slabs, dirty
-// spans, restore slabs) to package pools. Only for owners discarding the
-// engine — the serving layer's spill path, which holds the session
-// exclusively and drops its last reference right after. The graph is
-// untouched (it may be pinned and outlive the engine). Using the engine after
-// Recycle is a bug.
+// Recycle returns the engine's recyclable containers (column slabs, with the
+// record capacity they hold, and dirty spans) to package pools. Only for
+// owners discarding the engine — the serving layer's spill path, which holds
+// the session exclusively and drops its last reference right after. The graph
+// is untouched (it may be pinned and outlive the engine). Using the engine
+// after Recycle is a bug.
 func (e *Engine) Recycle() {
 	e.releaseSchedule()
 	e.releaseWarm()
-	for _, block := range e.slabs {
-		clear(block) // drop AST/string references before pooling
-		slabPool.Put(block[:0])
-	}
-	e.slabs = nil
 	e.store.recycle()
 }
-
-var slabPool = sync.Pool{New: func() any { return make([]cell, 0, slabBlockSize) }}
-
-const slabBlockSize = 1024

@@ -9,15 +9,12 @@ import (
 	"taco/internal/ref"
 )
 
-// ledgerEngine loads the benchmark's ledger sheet (bench/gen.go: A, B data;
+// ledgerCells is the benchmark's ledger sheet (bench/gen.go: A, B data;
 // C = A*B*$H$1; D a running sum of C restarted every 256 rows; E a 7-row
-// sliding SUM of C; F one SUM per 1000 rows of C; G1 = SUM(F); H1 the rate)
-// so the two edits that dominate engine_recalc and serve_big_drain have a
-// fast inner loop next to the code they exercise.
-func ledgerEngine(tb testing.TB, rows int) *Engine {
-	tb.Helper()
+// sliding SUM of C; F one SUM per 1000 rows of C; G1 = SUM(F); H1 the rate),
+// row by row with the columns interleaved.
+func ledgerCells(rows int) (cells []ParsedCell) {
 	rng := rand.New(rand.NewSource(1))
-	var cells []ParsedCell
 	value := func(col, row int, v float64) {
 		cells = append(cells, ParsedCell{At: ref.Ref{Col: col, Row: row}, Value: formula.Num(v)})
 	}
@@ -44,7 +41,15 @@ func ledgerEngine(tb testing.TB, rows int) *Engine {
 	}
 	form(7, 1, fmt.Sprintf("SUM(F1:F%d)", blocks))
 	value(8, 1, 1.05)
-	return LoadBulkParsed(cells)
+	return cells
+}
+
+// ledgerEngine bulk-loads the ledger, so the two edits that dominate
+// engine_recalc and serve_big_drain have a fast inner loop next to the code
+// they exercise.
+func ledgerEngine(tb testing.TB, rows int) *Engine {
+	tb.Helper()
+	return LoadBulkParsed(ledgerCells(rows))
 }
 
 const ledgerBenchRows = 20_000
@@ -91,6 +96,50 @@ func BenchmarkLedgerPointEdit(b *testing.B) {
 		}
 		ledgerEdit(b, e, ref.Ref{Col: 1, Row: 1 + rng.Intn(ledgerBenchRows)}, float64(rng.Intn(1000)))
 	}
+}
+
+// BenchmarkRowByRowInstall times the 2 000-row ledger installed one write at
+// a time, row by row — SetValue and SetFormula, every column's slab growing by
+// append as the rows arrive, where the bulk load sizes each once — and the
+// drain that settles it. ns/cell is over the cells installed.
+func BenchmarkRowByRowInstall(b *testing.B) {
+	cells := ledgerCells(2000)
+	for i := 0; i < b.N; i++ {
+		e := New(nil)
+		for _, c := range cells {
+			if c.AST == nil {
+				e.SetValue(c.At, c.Value)
+			} else if _, err := e.SetFormula(c.At, c.Src); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if e.RecalculateAll(); e.Pending() != 0 || e.NumCells() != len(cells) {
+			b.Fatalf("%d cells installed, %d pending; want %d, 0", e.NumCells(), e.Pending(), len(cells))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cells)), "ns/cell")
+}
+
+// BenchmarkMidColumnInsert times filling the gaps of a 20 000-row column that
+// holds every other row, top to bottom: each write inserts mid-slab and moves
+// every record below it, 112 bytes apiece — the worst case for a slab of
+// records against one of pointers to them. ns/insert is over the 10 000 gaps.
+func BenchmarkMidColumnInsert(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := New(nil)
+		for r := 1; r <= ledgerBenchRows; r += 2 {
+			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+		}
+		b.StartTimer()
+		for r := 2; r <= ledgerBenchRows; r += 2 {
+			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+		}
+		if e.NumCells() != ledgerBenchRows {
+			b.Fatalf("%d cells, want %d", e.NumCells(), ledgerBenchRows)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ledgerBenchRows/2), "ns/insert")
 }
 
 // BenchmarkRunningTotalEdit times the edit of A1 under a filled-down running

@@ -79,10 +79,10 @@ func (e *Engine) carve(sch *schedule, runs bool) {
 		sweepable = !first.Overlaps(ref.Range{Head: dep.Head, Tail: span.Tail})
 		return sweepable
 	}
-	e.store.dirtyWindows(func(ci int, col *column, lo, hi int) bool {
-		at := func(k int) ref.Ref { return ref.Ref{Col: ci, Row: col.rows[k]} }
-		for i := lo; i < hi; {
-			c := col.cells[i]
+	e.store.dirtyWindows(func(ci int, rows []int, cells []cell) bool {
+		at := func(k int) ref.Ref { return ref.Ref{Col: ci, Row: rows[k]} }
+		for i := 0; i < len(cells); {
+			c := &cells[i]
 			if !c.dirty {
 				i++
 				continue
@@ -92,8 +92,8 @@ func (e *Engine) carve(sch *schedule, runs bool) {
 			if runs && c.ast != nil {
 				p = e.prog(at(i), c) // nil when the compiler declines the formula
 			}
-			for p != nil && j < hi && col.cells[j].dirty && col.rows[j] == col.rows[j-1]+1 &&
-				col.cells[j].ast != nil && e.prog(at(j), col.cells[j]) == p {
+			for p != nil && j < len(cells) && cells[j].dirty && rows[j] == rows[j-1]+1 &&
+				cells[j].ast != nil && e.prog(at(j), &cells[j]) == p {
 				j++
 			}
 			long := j-i >= minPatternRun
@@ -109,16 +109,16 @@ func (e *Engine) carve(sch *schedule, runs bool) {
 					}
 					span, sweepable = ref.Range{Head: at(i), Tail: at(k - 1)}, k-i >= minPatternRun
 					if sweepable {
-						e.spanPrecedents(span, col.cells[i:k], check)
+						e.spanPrecedents(span, cells[i:k], check)
 					}
 					if sweepable {
-						sch.addNode(at(i), col.cells[i:k], p)
+						sch.addNode(at(i), cells[i:k], p)
 						i = k
 						continue
 					}
 				}
 				for ; i < k; i++ {
-					sch.addNode(at(i), col.cells[i:i+1], nil)
+					sch.addNode(at(i), cells[i:i+1], nil)
 				}
 			}
 		}
@@ -236,7 +236,7 @@ func (cu *runCursor) gather(row int, lane []float64, bad []bool) {
 // sweep has its chunk's records gathered, nums[i-base] is cells[i]'s float.
 type foldWindow struct {
 	rows   []int
-	cells  []*cell
+	cells  []cell
 	lo, hi int
 	acc    foldAcc
 	nums   []float64
@@ -273,8 +273,8 @@ func (w *foldWindow) fold(head, tail int) *formula.NumericFold {
 		hi++
 	}
 	if w.nums == nil {
-		for _, c := range w.cells[w.hi:hi] {
-			w.acc.add(ref.Ref{}, c)
+		for i := w.hi; i < hi; i++ {
+			w.acc.add(ref.Ref{}, &w.cells[i])
 		}
 	} else {
 		in, sum := w.nums[w.hi-w.base:hi-w.base], f.Sum
@@ -355,8 +355,7 @@ func (rs *runScratch) planWindows(s *colStore, folds []formula.FoldOp, anchor re
 		}
 		var w foldWindow
 		if col := s.cols[a.Head.Col]; col != nil {
-			lo, hi := col.window(a.Head.Row, z.Tail.Row)
-			w.rows, w.cells = col.rows[lo:hi], col.cells[lo:hi]
+			w.rows, w.cells = col.view(a.Head.Row, z.Tail.Row)
 		}
 		w.acc.sumOnly = !fo.WantsExtrema()
 		w.restart(0)
@@ -411,8 +410,7 @@ func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 				numeric = false
 			}
 		} else if col := e.store.cols[t0.Col]; col != nil {
-			lo, hi := col.window(t0.Row, t0.Row+m-1)
-			cu.cur = foldCursor{col: t0.Col, rows: col.rows[lo:hi], cells: col.cells[lo:hi]}
+			cu.cur.rows, cu.cur.cells = col.view(t0.Row, t0.Row+m-1)
 		}
 		rs.cursors = append(rs.cursors, cu)
 	}
@@ -435,8 +433,9 @@ func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 	}
 	vals := rs.vals[:len(ops)+len(folds)]
 	at, slow := anchor, 0
-	for _, c := range nd.cells[nd.done : nd.done+m] {
-		fast := numeric
+	cells := nd.cells[nd.done : nd.done+m]
+	for k := range cells {
+		c, fast := &cells[k], numeric
 		for i := 0; fast && i < len(ops); i++ {
 			vals[i], fast = asNumber(rs.cursors[i].at(ops[i].At(at).Row))
 		}
@@ -497,7 +496,8 @@ func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref
 			rs.windows[i].lane(fo, at, lanes[(len(ops)+i)*chunk:][:n], bad, buf)
 		}
 		out := p.NumericSweepRows(lanes, chunk, n, bad)
-		for k, c := range cells[:n] {
+		for k := range n {
+			c := &cells[k]
 			if bad[k] {
 				// Operands through the cursors, ranges through the resolver.
 				c.value = p.EvalCells(res, at, rs.read)

@@ -177,8 +177,8 @@ func TestPlanLevelReversedLoad(t *testing.T) {
 	if runs[0].at != ref.MustCell("C1") {
 		t.Fatalf("run starts at %v, want C1", runs[0].at)
 	}
-	for k, c := range runs[0].cells {
-		if c != e.store.get(ref.Ref{Col: 3, Row: 1 + k}) {
+	for k := range runs[0].cells {
+		if &runs[0].cells[k] != e.store.get(ref.Ref{Col: 3, Row: 1 + k}) {
 			t.Fatalf("run cell %d is not C%d's record", k, 1+k)
 		}
 	}

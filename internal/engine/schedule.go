@@ -82,10 +82,11 @@ const (
 // a pattern run — every cell interns to prog — and drains as one sweep.
 type schedNode struct {
 	// at is the span's first cell; cells is its slab window, cells[i] being
-	// row at.Row+i. The window aliases the column slab, which is stable for
-	// as long as the schedule is valid.
+	// row at.Row+i. The window aliases the column slab — it is the records,
+	// not a list of them — which is stable for as long as the schedule is
+	// valid: an insert or delete drops the live and the warm schedule.
 	at    ref.Ref
-	cells []*cell
+	cells []cell
 	prog  *formula.Program // the shared program; nil for a single cell
 	// done is the budget cursor: cells[:done] are published.
 	done int
@@ -173,7 +174,7 @@ func (e *Engine) noteStructMutation() {
 }
 
 // releaseSchedule returns the cached schedule to the package pool, dropping
-// its cell-record references so pooling does not pin them.
+// its slab windows so pooling does not pin the slabs.
 func (e *Engine) releaseSchedule() {
 	if sch := e.sched; sch != nil {
 		e.sched = nil
@@ -310,7 +311,7 @@ func (e *Engine) buildSchedule(sch *schedule, runs bool) {
 
 // addNode appends a node for the slab window cells starting at at, reusing
 // the slot's out-edge capacity, and indexes it.
-func (sch *schedule) addNode(at ref.Ref, cells []*cell, p *formula.Program) {
+func (sch *schedule) addNode(at ref.Ref, cells []cell, p *formula.Program) {
 	i := len(sch.nodes)
 	if i < cap(sch.nodes) {
 		sch.nodes = sch.nodes[:i+1]
@@ -328,19 +329,19 @@ func (sch *schedule) addNode(at ref.Ref, cells []*cell, p *formula.Program) {
 // own first-cell window, which reads as "any self-overlap is unsweepable";
 // backends without a one-hop query fall back to the formulas' own reference
 // lists, which record the same dependencies.
-func (e *Engine) spanPrecedents(span ref.Range, cells []*cell, fn func(dep, prec, first ref.Range) bool) {
+func (e *Engine) spanPrecedents(span ref.Range, cells []cell, fn func(dep, prec, first ref.Range) bool) {
 	switch g := e.graph.(type) {
 	case spanPrecedenter:
 		g.DirectPrecedentsEach(span, fn)
 	case directPrecedenter:
 		g.DirectPrecedents(span, func(p ref.Range) bool { return fn(span, p, p) })
 	default:
-		for i, c := range cells {
-			if c.ast == nil {
+		for i := range cells {
+			if cells[i].ast == nil {
 				continue // dirty value cell: no precedents, levels at 0
 			}
 			at := ref.CellRange(ref.Ref{Col: span.Head.Col, Row: span.Head.Row + i})
-			for _, r := range formula.Refs(c.ast) {
+			for _, r := range formula.Refs(cells[i].ast) {
 				if !fn(at, r.At, r.At) {
 					return
 				}
@@ -525,7 +526,7 @@ func (e *Engine) DrainLevels(budget int) int {
 // the walker by the VM's equivalence contract (see formula/compile.go); the
 // walker remains the fallback for uncompilable expressions.
 func (e *Engine) evalLevelCell(n *schedNode) {
-	c := n.cells[0]
+	c := &n.cells[0]
 	if c.ast != nil {
 		if p := e.prog(n.at, c); p != nil {
 			c.value = p.EvalAt(valueResolver{e}, n.at)
@@ -630,10 +631,11 @@ func (e *Engine) resolveCycles(sch *schedule, drained *int) []int32 {
 	var freed []int32
 	for _, i := range cyclic {
 		n := &nodes[i]
-		if c := n.cells[0]; c.ast != nil {
+		c := &n.cells[0]
+		if c.ast != nil {
 			c.value = formula.Errorf("#CYCLE!")
 		}
-		n.cells[0].dirty = false
+		c.dirty = false
 		n.done = 1
 	}
 	*drained += len(cyclic)

@@ -25,8 +25,9 @@ import (
 // Besides the full restore, two partial readers serve a spilled session
 // without making it resident: ReadSnapshotGraph skims the cell section and
 // decodes only the graph (dependents/precedents queries), and
-// ScanSnapshotCells streams the cell records without building an engine
-// (range reads). Both exist for the serving layer's non-faulting read path.
+// ScanSnapshotCellsInRange streams the cell records of a rectangle without
+// building an engine (range reads). Both exist for the serving layer's
+// non-faulting read path.
 //
 // Format:
 //
@@ -246,7 +247,8 @@ func writeValue(bw snapWriter, putUvarint func(uint64) error, putString func(str
 	}
 }
 
-// SnapshotCell is one decoded cell record, as streamed by ScanSnapshotCells.
+// SnapshotCell is one decoded cell record, as streamed by
+// ScanSnapshotCellsInRange.
 type SnapshotCell struct {
 	At    ref.Ref
 	Src   string       // formula source ("" for value cells)
@@ -430,35 +432,40 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 		br = bufio.NewReader(r)
 	}
 	store, nformulas := newColStore(), 0
-	// Slab-allocate cell records in pooled blocks: pointers into a full
-	// block stay valid (blocks never regrow), and the restore/spill churn of
-	// a capped host stops allocating once the pools warm up.
-	var slabs [][]cell
-	var block []cell
-	newCell := func() *cell {
-		if len(block) == cap(block) {
-			block = slabPool.Get().([]cell)
-			slabs = append(slabs, block)
+	// Records ascend column-major, so a column's arrive together: they are
+	// staged and its slab sized once, from what was actually read — never from
+	// the snapshot's unchecked count — into the capacity a pooled column kept
+	// from the engine recycled before, when it has enough. That is how the
+	// restore/spill churn of a capped host stops allocating record storage
+	// once the pool warms up, and why a restored slab carries no growth slack.
+	var stage []SnapshotCell
+	install := func() {
+		if len(stage) == 0 {
+			return
 		}
-		block = append(block, cell{})
-		slabs[len(slabs)-1] = block
-		return &block[len(block)-1]
+		store.column(stage[0].At.Col, len(stage))
+		for _, sc := range stage {
+			store.set(sc.At, cell{ast: sc.AST, src: sc.Src, value: sc.Value, dirty: sc.Dirty}) // the append path
+			if sc.AST != nil {
+				nformulas++
+			}
+			if sc.Dirty {
+				store.noteDirty(sc.At.Col, sc.At.Row, sc.At.Row, 1)
+			}
+		}
+		stage = stage[:0]
 	}
 	err := scanCells(br, true, func(sc SnapshotCell) error {
-		c := newCell()
-		*c = cell{ast: sc.AST, src: sc.Src, value: sc.Value, dirty: sc.Dirty}
-		store.set(sc.At, c) // records ascend column-major: the append fast path
-		if sc.AST != nil {
-			nformulas++
+		if len(stage) > 0 && stage[0].At.Col != sc.At.Col {
+			install()
 		}
-		if sc.Dirty {
-			store.noteDirty(sc.At.Col, sc.At.Row, sc.At.Row, 1)
-		}
+		stage = append(stage, sc)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	install()
 	g := pinned
 	if g == nil {
 		g, err = core.ReadSnapshot(br, core.DefaultOptions())
@@ -470,7 +477,6 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 		graph:       TACO{G: g},
 		store:       store,
 		nformulas:   nformulas,
-		slabs:       slabs,
 		patternRuns: true,
 		rootsOK:     true,
 	}, nil
@@ -489,28 +495,6 @@ func ReadSnapshotGraph(r io.Reader) (*core.Graph, error) {
 		return nil, err
 	}
 	return core.ReadSnapshot(br, core.DefaultOptions())
-}
-
-// ScanSnapshotCells streams the cell records of an engine snapshot in the
-// written (column-major) order, stopping early when fn returns false. It
-// never builds an engine — the serving layer's read path for spilled
-// sessions. Formula sources are returned unparsed (AST is nil).
-func ScanSnapshotCells(r io.Reader, fn func(SnapshotCell) bool) error {
-	br, isBufio := r.(*bufio.Reader)
-	if !isBufio {
-		br = bufio.NewReader(r)
-	}
-	errStop := errors.New("stop")
-	err := scanCells(br, false, func(sc SnapshotCell) error {
-		if !fn(sc) {
-			return errStop
-		}
-		return nil
-	})
-	if errors.Is(err, errStop) {
-		return nil
-	}
-	return err
 }
 
 // ScanSnapshotCellsInRange streams only the cell records inside rng, in the

@@ -185,12 +185,13 @@ func TestRestoreSnapshotRejectsCorruptInput(t *testing.T) {
 			}
 			_, restoreErr := RestoreSnapshot(bytes.NewReader(data))
 			_, graphErr := ReadSnapshotGraph(bytes.NewReader(data))
-			scanErr := ScanSnapshotCells(bytes.NewReader(data), func(SnapshotCell) bool { return true })
-			// A rectangle holding none of the records: the skim path checks too.
+			// The whole sheet, so every record is decoded; then a rectangle
+			// holding none of them: the skim path checks too.
+			_, scanErr := ScanSnapshotCellsInRange(bytes.NewReader(data), wholeSheet, func(SnapshotCell) bool { return true })
 			_, rangeErr := ScanSnapshotCellsInRange(bytes.NewReader(data), ref.MustRange("F9:G10"),
 				func(SnapshotCell) bool { return true })
 			for reader, err := range map[string]error{"RestoreSnapshot": restoreErr, "ReadSnapshotGraph": graphErr,
-				"ScanSnapshotCells": scanErr, "ScanSnapshotCellsInRange": rangeErr} {
+				"ScanSnapshotCellsInRange, whole sheet": scanErr, "ScanSnapshotCellsInRange, skimming": rangeErr} {
 				if !errors.Is(err, ErrBadEngineSnapshot) {
 					t.Errorf("%s: err = %v, want ErrBadEngineSnapshot", reader, err)
 				}
@@ -306,6 +307,10 @@ func countCells(rs []ref.Range) int {
 	return n
 }
 
+// wholeSheet is the rectangle no record lies outside: the range scan over it
+// decodes every record, as a full scan.
+var wholeSheet = ref.Range{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: ref.MaxA1Col, Row: ref.MaxA1Row}}
+
 // TestScanSnapshotCellsInRange checks the range-filtered snapshot scan
 // against the full scan: identical in-range records in identical order, an
 // exact snapshot-wide pending count, and nothing delivered from outside the
@@ -339,7 +344,7 @@ func TestScanSnapshotCellsInRange(t *testing.T) {
 
 	rng := ref.MustRange("B2:D6")
 	var full []SnapshotCell
-	if err := ScanSnapshotCells(bytes.NewReader(raw), func(sc SnapshotCell) bool {
+	if _, err := ScanSnapshotCellsInRange(bytes.NewReader(raw), wholeSheet, func(sc SnapshotCell) bool {
 		if rng.Contains(sc.At) {
 			full = append(full, sc)
 		}
