@@ -210,9 +210,9 @@ func main() {
 	if *standby {
 		role = "standby of " + *primaryURL
 	}
-	log.Printf("tacoserve: listening on %s as %s (shards=%d max-resident=%d recalc-workers=%d recalc-chunk=%d graph-pin=%t durable=%s)",
+	log.Printf("tacoserve: listening on %s as %s (shards=%d max-resident=%d recalc-workers=%d recalc-chunk=%d durable=%s)",
 		bound, role, eff.Shards, eff.MaxResident, eff.RecalcWorkers,
-		eff.RecalcChunk, !eff.NoGraphPin, durability)
+		eff.RecalcChunk, durability)
 	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("tacoserve: %v", err)
 	}

@@ -297,90 +297,6 @@ func (g *Graph) FindPrecedents(r ref.Range) []ref.Range {
 	return out
 }
 
-// DirectPrecedents calls fn with the one-hop precedent ranges of r: for each
-// compressed edge whose dependent run overlaps r, the union of the direct
-// precedent windows of the overlapping cells. Unlike FindPrecedents it does
-// not traverse transitively — in particular RR-Chain edges contribute the
-// per-cell precedent span, not the whole upstream chain — and it does not
-// deduplicate: overlapping edges yield overlapping ranges, and fn may see
-// the same cell more than once. For a single-cell r the ranges are exactly
-// the cells r's formula references. A recalculation scheduler uses it to
-// restrict precedent lookups to the dirty set: one R-tree probe per dirty
-// cell, no transitive closure. fn returning false stops the walk. Safe for
-// concurrent use with other read-only queries.
-func (g *Graph) DirectPrecedents(r ref.Range, fn func(ref.Range) bool) {
-	g.byDep.Search(r, func(_ ref.Range, e *Edge) bool {
-		clipped, ok := r.Intersect(e.Dep)
-		if !ok {
-			return true
-		}
-		var p ref.Range
-		if e.Axis == ref.AxisRow {
-			p = directPrecsCol(e.canon(), clipped.T()).T()
-		} else {
-			p = directPrecsCol(e.canon(), clipped)
-		}
-		return fn(p)
-	})
-}
-
-// DirectPrecedentsEach is the per-edge variant of DirectPrecedents: for
-// every compressed edge whose dependent run overlaps r, edge is called once
-// with the overlapping dependent span, the union precedent window of that
-// span (exactly DirectPrecedents' answer for it), and the precedent window of
-// the span's first cell alone. The index is searched — and each edge decoded
-// — once for all of r, which is where compression pays on the scheduling
-// side: a recalculation scheduler links a whole span of dirty cells with one
-// probe instead of one per cell.
-//
-// Every pattern's per-cell window is linear in the dependent's position
-// (each corner is fixed or moves with the cell), so first bounds the span's
-// other windows from one side: a scheduler that wants to evaluate a
-// self-referencing span top to bottom needs only check that first reads
-// nothing at or below the span's head.
-//
-// Cells of r covered by no edge are not reported; overlapping edges yield
-// overlapping spans, like DirectPrecedents. edge returning false stops the
-// walk. Safe for concurrent use with other read-only queries.
-func (g *Graph) DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan, first ref.Range) bool) {
-	g.byDep.Search(r, func(_ ref.Range, e *Edge) bool {
-		clipped, ok := r.Intersect(e.Dep)
-		if !ok {
-			return true
-		}
-		c := e.canon()
-		if e.Axis == ref.AxisRow {
-			clipped = clipped.T()
-		}
-		span, first := directPrecsCol(c, clipped), directPrecsCol(c, ref.CellRange(clipped.Head))
-		if e.Axis == ref.AxisRow {
-			clipped, span, first = clipped.T(), span.T(), first.T()
-		}
-		return edge(clipped, span, first)
-	})
-}
-
-// PatternRunSpans reports, for every compressed (non-Single) edge whose
-// dependent run intersects r, the intersection and the edge's pattern type.
-// This is the compression-for-speed seam the vectorized evaluator reads: a
-// compressed dependent run is exactly a set of cells sharing one formula
-// shape modulo relative offsets, so the engine can restrict its pattern-run
-// detection to these spans instead of fingerprinting every dirty cell.
-// Spans from different edges may overlap; fn returning false stops the
-// enumeration. Single edges carry no sharing evidence and are skipped.
-func (g *Graph) PatternRunSpans(r ref.Range, fn func(span ref.Range, p PatternType) bool) {
-	g.byDep.Search(r, func(_ ref.Range, e *Edge) bool {
-		if e.Pattern == Single {
-			return true
-		}
-		clipped, ok := r.Intersect(e.Dep)
-		if !ok {
-			return true
-		}
-		return fn(clipped, e.Pattern)
-	})
-}
-
 // TraversalStats instruments one traversal for the Sec. IV-D cost analysis:
 // the complexity of Alg. 3 depends on whether each compressed edge is
 // accessed at most once (Case 1) or repeatedly (Case 2). The paper reports

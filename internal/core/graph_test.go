@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -502,179 +501,5 @@ func TestDeterministicBuild(t *testing.T) {
 		if sa[i] != sb[i] {
 			t.Fatalf("non-deterministic edge %d: %s vs %s", i, sa[i], sb[i])
 		}
-	}
-}
-
-// oracleDirectPrecedents is the one-hop oracle: the union of raw precedent
-// ranges whose dependency targets exactly c.
-func oracleDirectPrecedents(deps []Dependency, c ref.Ref) map[ref.Ref]bool {
-	out := map[ref.Ref]bool{}
-	for _, d := range deps {
-		if d.Dep != c {
-			continue
-		}
-		d.Prec.Cells(func(p ref.Ref) bool {
-			out[p] = true
-			return true
-		})
-	}
-	return out
-}
-
-// TestDirectPrecedents checks the one-hop query against the raw dependency
-// list for every formula cell of random graphs: per single-cell query, the
-// union of the returned ranges must be exactly the cells that cell
-// references — no transitive chain members (the RR-Chain case), nothing
-// missing. This is the contract the engine's wavefront scheduler levels on.
-func TestDirectPrecedents(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		deps := genRandomDeps(rand.New(rand.NewSource(seed)))
-		g := Build(deps, DefaultOptions())
-		cells := map[ref.Ref]bool{}
-		for _, d := range deps {
-			cells[d.Dep] = true
-		}
-		for c := range cells {
-			got := map[ref.Ref]bool{}
-			g.DirectPrecedents(ref.CellRange(c), func(p ref.Range) bool {
-				p.Cells(func(x ref.Ref) bool {
-					got[x] = true
-					return true
-				})
-				return true
-			})
-			sameCells(t, fmt.Sprintf("seed %d cell %v", seed, c), got, oracleDirectPrecedents(deps, c))
-		}
-	}
-}
-
-// TestDirectPrecedentsEach: the per-edge one-hop enumeration must describe,
-// for every dependent column of the random graphs, exactly what the per-cell
-// DirectPrecedents query yields — the equivalence the engine's span linker
-// rests on. For each reported (dependent span, union window, first window):
-// the union contains the precedents of every cell of the span that the edge
-// covers (so linking on the union can never miss a precedent), and the first
-// windows reported for a span's head cell are exactly that cell's precedents
-// (so the scheduler's sweep test sees what the cell really reads). An edge
-// callback that returns false stops the walk.
-func TestDirectPrecedentsEach(t *testing.T) {
-	exactChecks := 0
-	for seed := int64(0); seed < 20; seed++ {
-		deps := genRandomDeps(rand.New(rand.NewSource(seed)))
-		g := Build(deps, DefaultOptions())
-		byCol := map[int]ref.Range{}
-		for _, d := range deps {
-			b, ok := byCol[d.Dep.Col]
-			if !ok {
-				b = ref.CellRange(d.Dep)
-			}
-			byCol[d.Dep.Col] = b.Bound(ref.CellRange(d.Dep))
-		}
-		for _, column := range byCol {
-			union := map[ref.Ref]map[ref.Ref]bool{} // dependent cell -> cells of the unions covering it
-			first := map[ref.Ref]map[ref.Ref]bool{} // span head -> cells of its first windows
-			add := func(m map[ref.Ref]map[ref.Ref]bool, at ref.Ref, r ref.Range) {
-				if m[at] == nil {
-					m[at] = map[ref.Ref]bool{}
-				}
-				r.Cells(func(x ref.Ref) bool {
-					m[at][x] = true
-					return true
-				})
-			}
-			heads := map[ref.Ref]int{} // span head -> edges reporting a span headed there
-			g.DirectPrecedentsEach(column, func(dep, prec, fst ref.Range) bool {
-				if !column.ContainsRange(dep) || !prec.ContainsRange(fst) {
-					t.Fatalf("seed %d: span %v (query %v), union %v, first %v", seed, dep, column, prec, fst)
-				}
-				dep.Cells(func(c ref.Ref) bool {
-					add(union, c, prec)
-					return true
-				})
-				add(first, dep.Head, fst)
-				heads[dep.Head]++
-				return true
-			})
-			column.Cells(func(c ref.Ref) bool {
-				want := oracleDirectPrecedents(deps, c)
-				for x := range want {
-					if !union[c][x] {
-						t.Fatalf("seed %d: %v reads %v, outside every union window reported for it", seed, c, x)
-					}
-				}
-				// A head of every span covering it: the firsts are exact.
-				edges := 0
-				g.DirectPrecedents(ref.CellRange(c), func(ref.Range) bool {
-					edges++
-					return true
-				})
-				if heads[c] == edges && edges > 0 {
-					exactChecks++
-					sameCells(t, fmt.Sprintf("seed %d first windows of %v", seed, c), first[c], want)
-				}
-				return true
-			})
-			calls := 0
-			g.DirectPrecedentsEach(column, func(_, _, _ ref.Range) bool {
-				calls++
-				return false
-			})
-			if calls > 1 {
-				t.Fatalf("seed %d: walk continued after edge returned false (%d calls)", seed, calls)
-			}
-		}
-	}
-	if exactChecks == 0 {
-		t.Fatal("no span head was checked against its exact precedents")
-	}
-}
-
-// TestPatternRunSpans: compressed dependent runs are reported clipped to the
-// query, Single edges are skipped, and fn can stop the enumeration.
-func TestPatternRunSpans(t *testing.T) {
-	var deps []Dependency
-	// A column of =A{r}*2 formulas in C: compresses into one RR run C1:C20.
-	for r := 1; r <= 20; r++ {
-		deps = append(deps, Dependency{
-			Prec: ref.CellRange(ref.Ref{Col: 1, Row: r}),
-			Dep:  ref.Ref{Col: 3, Row: r},
-		})
-	}
-	// One lone dependency far away: stays a Single edge.
-	deps = append(deps, Dependency{Prec: mustRange("A100"), Dep: mustCell("E100")})
-	g := Build(deps, DefaultOptions())
-
-	collect := func(q ref.Range) (spans []ref.Range) {
-		g.PatternRunSpans(q, func(span ref.Range, p PatternType) bool {
-			if p == Single {
-				t.Fatalf("Single edge reported as a pattern span: %v", span)
-			}
-			spans = append(spans, span)
-			return true
-		})
-		return spans
-	}
-
-	full := collect(mustRange("C1:C20"))
-	if len(full) != 1 || full[0] != mustRange("C1:C20") {
-		t.Fatalf("full query: spans = %v", full)
-	}
-	// Clipping: a partial query returns the intersection only.
-	part := collect(mustRange("C5:C12"))
-	if len(part) != 1 || part[0] != mustRange("C5:C12") {
-		t.Fatalf("partial query: spans = %v", part)
-	}
-	// The Single edge's dependent yields nothing.
-	if got := collect(mustRange("E100")); len(got) != 0 {
-		t.Fatalf("Single dependent reported spans: %v", got)
-	}
-	// Early stop is honoured.
-	calls := 0
-	g.PatternRunSpans(mustRange("A1:Z200"), func(ref.Range, PatternType) bool {
-		calls++
-		return false
-	})
-	if calls > 1 {
-		t.Fatalf("enumeration continued after fn returned false (%d calls)", calls)
 	}
 }

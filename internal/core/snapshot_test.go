@@ -157,10 +157,17 @@ func TestGraphCheckOnRandomWorkloads(t *testing.T) {
 	}
 }
 
+// TestDependenciesDecompression holds every pattern's per-cell window
+// (directPrecsCol) to the raw dependency list: the paper's Fig. 2 sheet, and
+// random graphs for the shapes it lacks — row-axis runs, fixed corners, chains.
 func TestDependenciesDecompression(t *testing.T) {
 	deps := fig2Deps(40)
 	g := Build(deps, DefaultOptions())
 	depsEqualAsSets(t, deps, g.Dependencies())
+	for seed := int64(0); seed < 20; seed++ {
+		deps := genRandomDeps(rand.New(rand.NewSource(seed)))
+		depsEqualAsSets(t, deps, Build(deps, DefaultOptions()).Dependencies())
+	}
 }
 
 func TestZigZag(t *testing.T) {

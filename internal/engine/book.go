@@ -71,9 +71,8 @@ func (b *Book) Stats() map[string]core.Stats {
 	names := b.Names()
 	sort.Strings(names)
 	for _, name := range names {
-		e := b.sheets[name]
-		if tg, ok := e.graph.(TACO); ok {
-			out[name] = tg.G.Stats()
+		if st, ok := b.sheets[name].GraphStats(); ok {
+			out[name] = st
 		}
 	}
 	return out

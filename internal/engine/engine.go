@@ -21,9 +21,14 @@ import (
 	"taco/internal/workload"
 )
 
-// Graph is the dependency-graph interface the engine drives. Both the TACO
-// compressed graph and the NoComp baseline satisfy it via the adapters
-// below.
+// Graph is the dependency-graph interface the engine drives, and all of it:
+// registering and clearing a formula cell's dependencies — always exactly
+// formula.Refs of its formula — and the two transitive queries. Dependents is
+// the one on an edit's critical path: it decides the dirty set, and cannot be
+// answered without an index. What a formula cell reads is never asked — it is
+// written in the formula — so the recalculation schedule (schedule.go) is the
+// same whichever Graph an engine drives. Both the TACO compressed graph and
+// the NoComp baseline satisfy it via the adapters below.
 type Graph interface {
 	// Add registers one dependency.
 	Add(d core.Dependency)
@@ -50,24 +55,6 @@ func (t TACO) Dependents(r ref.Range) []ref.Range { return t.G.FindDependents(r)
 // Precedents implements Graph.
 func (t TACO) Precedents(r ref.Range) []ref.Range { return t.G.FindPrecedents(r) }
 
-// DirectPrecedents implements directPrecedenter: the wavefront scheduler's
-// one-hop precedent query, answered on the compressed edges.
-func (t TACO) DirectPrecedents(r ref.Range, fn func(ref.Range) bool) {
-	t.G.DirectPrecedents(r, fn)
-}
-
-// PatternRunSpans implements patternSpanner: the compressed edges' dependent
-// runs, the graph's own evidence of formula-shape sharing (see runs.go).
-func (t TACO) PatternRunSpans(r ref.Range, fn func(span ref.Range, p core.PatternType) bool) {
-	t.G.PatternRunSpans(r, fn)
-}
-
-// DirectPrecedentsEach implements spanPrecedenter: the precedent windows of a
-// whole dependent span, one per covering compressed edge.
-func (t TACO) DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan, first ref.Range) bool) {
-	t.G.DirectPrecedentsEach(r, edge)
-}
-
 // NoComp adapts *nocomp.Graph to the engine's Graph interface.
 type NoComp struct{ G *nocomp.Graph }
 
@@ -82,38 +69,6 @@ func (n NoComp) Dependents(r ref.Range) []ref.Range { return n.G.FindDependents(
 
 // Precedents implements Graph.
 func (n NoComp) Precedents(r ref.Range) []ref.Range { return n.G.FindPrecedents(r) }
-
-// DirectPrecedents implements directPrecedenter.
-func (n NoComp) DirectPrecedents(r ref.Range, fn func(ref.Range) bool) {
-	n.G.DirectPrecedents(r, fn)
-}
-
-// patternSpanner is the optional Graph extension the vectorized run drain
-// prefers: graphs that track pattern compression (TACO) report which cell
-// spans their compressed edges cover, letting run detection skip cells no
-// edge claims share a shape. Graphs without it (NoComp) fall back to purely
-// structural detection — interned-program equality over contiguous rows.
-type patternSpanner interface {
-	PatternRunSpans(r ref.Range, fn func(span ref.Range, p core.PatternType) bool)
-}
-
-// directPrecedenter is the optional Graph extension the wavefront scheduler
-// levels against: one-hop precedent ranges, no transitive closure. Backends
-// without it fall back to the formula ASTs' reference lists, which record the
-// same dependencies.
-type directPrecedenter interface {
-	DirectPrecedents(r ref.Range, fn func(ref.Range) bool)
-}
-
-// spanPrecedenter is the per-edge refinement of directPrecedenter the
-// scheduler prefers when the backend offers it: for each compressed edge
-// covering part of a dependent span, the covered sub-span, the union of its
-// cells' precedent windows, and the window of its first cell alone. A span
-// node links with one index search, and the first-cell window is what decides
-// whether a span that reads itself can be swept top to bottom (schedule.go).
-type spanPrecedenter interface {
-	DirectPrecedentsEach(r ref.Range, edge func(depSpan, precSpan, first ref.Range) bool)
-}
 
 // cell is the engine's cell record, 112 bytes stored by value on its column's
 // slab (colstore.go): a *cell is an address inside the slab, good until that

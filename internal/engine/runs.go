@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"taco/internal/core"
 	"taco/internal/formula"
 	"taco/internal/ref"
 )
@@ -13,12 +12,12 @@ import (
 // (schedule.go): contiguous dirty rows of a column whose cells share one
 // compiled program (modulo relative offsets) are carved into one node and
 // evaluated as a single batched sweep instead of per-cell dispatch. The
-// sharing is exactly what the TACO graph's pattern/RR-Chain edges record — a
-// compressed dependent run is a set of cells with one formula shape — so run
-// detection is keyed on the canonical compile cache (shifted copies of a
-// formula intern to one *Program; membership is pointer equality) and, when
-// the graph supports it, gated on the compressed edges' dependent spans
-// (patternSpanner). It happens once per schedule build, during the
+// sharing is what the TACO graph's pattern/RR-Chain edges record too — a
+// compressed dependent run is a set of cells with one formula shape — but run
+// detection does not read it off the edges: it is keyed on the canonical
+// compile cache (shifted copies of a formula intern to one *Program;
+// membership is pointer equality), which every backend shares and no edit
+// history fragments. It happens once per schedule build, during the
 // column-major walk of the dirty spans that enumerates the set anyway.
 //
 // A sweep plans one cursor per compiled cell operand — a row-fixed operand is
@@ -53,30 +52,23 @@ const minPatternRun = 8
 
 // carve walks the dirty spans column-major and appends the schedule's nodes.
 // A maximal run of contiguous flagged rows whose cells intern to one compiled
-// program is a candidate when runs is set and it is at least minPatternRun
-// long; each stretch of it that is itself that long, that compressed
-// dependent spans cover (when the graph tracks pattern compression) and that
-// an ascending sweep can order — its cells read, inside the stretch, only
-// rows above their own — becomes one span node. Every other dirty cell is a
-// node of its own: value cells, uncompilable formulas, short or broken runs,
-// rows only Single edges claim, every cell when runs is off.
+// program becomes one span node when runs is set, it is at least
+// minPatternRun long and an ascending sweep can order it — its cells read,
+// inside the run, only rows above their own. Every other dirty cell is a node
+// of its own: value cells, uncompilable formulas, short or unsweepable runs,
+// every cell when runs is off.
 //
-// The sweep test is a precedent query per candidate span that linkSchedule
-// repeats: linking needs the finished node index, so the windows seen here
-// would have to be retained per node to be reused. On compressed edges that
-// is a second index search per span, and spans are few next to the records
-// the walk visits; a backend that answers per cell (NoComp, the oracle)
-// enumerates a sweepable span's windows twice.
+// The sweep test resolves the run's operand windows and linkSchedule resolves
+// them again — linking needs the finished node index, and a few additions per
+// operand are cheaper than retaining the windows per node.
 func (e *Engine) carve(sch *schedule, runs bool) {
-	sp, hasSp := e.graph.(patternSpanner)
-	// One closure per build, re-aimed per stretch through span.
+	// One closure per build, re-aimed per run through span.
 	var span ref.Range
 	var sweepable bool
-	check := func(dep, _, first ref.Range) bool {
-		// Windows are linear in the row, so if the first cell this edge
-		// covers reads nothing at or below itself inside the span, no later
-		// cell does either.
-		sweepable = !first.Overlaps(ref.Range{Head: dep.Head, Tail: span.Tail})
+	check := func(_, first ref.Range) bool {
+		// Windows are linear in the row, so if the first cell reads nothing
+		// inside the run, no later cell reads at or below itself there.
+		sweepable = !first.Overlaps(span)
 		return sweepable
 	}
 	e.store.dirtyWindows(func(ci int, rows []int, cells []cell) bool {
@@ -87,7 +79,7 @@ func (e *Engine) carve(sch *schedule, runs bool) {
 				i++
 				continue
 			}
-			run0, j := i, i+1
+			j := i + 1
 			var p *formula.Program
 			if runs && c.ast != nil {
 				p = e.prog(at(i), c) // nil when the compiler declines the formula
@@ -96,70 +88,22 @@ func (e *Engine) carve(sch *schedule, runs bool) {
 				cells[j].ast != nil && e.prog(at(j), &cells[j]) == p {
 				j++
 			}
-			long := j-i >= minPatternRun
-			var holes []bool // rows of the run no compressed edge covers, if any
-			if long && hasSp {
-				holes = uncovered(sp, ref.Range{Head: at(i), Tail: at(j - 1)}, &sch.cover)
+			sweepable = j-i >= minPatternRun
+			if sweepable {
+				span = ref.Range{Head: at(i), Tail: at(j - 1)}
+				e.spanPrecedents(sch, at(i), cells[i:j], p, check)
 			}
-			for i < j {
-				k := i + 1
-				if long && (holes == nil || !holes[i-run0]) {
-					for k < j && (holes == nil || !holes[k-run0]) {
-						k++
-					}
-					span, sweepable = ref.Range{Head: at(i), Tail: at(k - 1)}, k-i >= minPatternRun
-					if sweepable {
-						e.spanPrecedents(span, cells[i:k], check)
-					}
-					if sweepable {
-						sch.addNode(at(i), cells[i:k], p)
-						i = k
-						continue
-					}
-				}
-				for ; i < k; i++ {
-					sch.addNode(at(i), cells[i:i+1], nil)
-				}
+			if sweepable {
+				sch.addNode(at(i), cells[i:j], p)
+				i = j
+				continue
+			}
+			for ; i < j; i++ {
+				sch.addNode(at(i), cells[i:i+1], nil)
 			}
 		}
 		return true
 	})
-}
-
-// uncovered marks the rows of a column span that lie inside no compressed
-// (non-Single) dependent span — the graph's own evidence of which cells share
-// a formula shape — and returns nil when there are none. Spans from different
-// edges may each cover part of the run (one edge per reference, clipped by
-// partial dirty sets), so coverage is a union, tracked in the reusable
-// scratch. A hole splits a run, it does not spoil it: two formula rewrites on
-// neighbouring rows can leave the cell between them on Single edges for good
-// (the greedy compressor merges only on insert), and one such cell must not
-// cost a 20k-row column its sweep.
-func uncovered(sp patternSpanner, span ref.Range, scratch *[]bool) []bool {
-	n := span.Rows()
-	holes := *scratch
-	if cap(holes) < n {
-		holes = make([]bool, n)
-	}
-	holes = holes[:n]
-	for i := range holes {
-		holes[i] = true
-	}
-	*scratch = holes
-	left := n
-	sp.PatternRunSpans(span, func(part ref.Range, _ core.PatternType) bool {
-		for row := part.Head.Row; row <= part.Tail.Row; row++ {
-			if holes[row-span.Head.Row] {
-				holes[row-span.Head.Row] = false
-				left--
-			}
-		}
-		return left > 0
-	})
-	if left == 0 {
-		return nil
-	}
-	return holes
 }
 
 // runCursor feeds one compiled cell operand during a sweep: a row-fixed

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"taco/internal/core"
@@ -132,30 +134,88 @@ func TestPlanLevelGapSplitsRun(t *testing.T) {
 	}
 }
 
-// TestPlanLevelHoleSplitsRun: a row that only Single edges claim — what
-// formula rewrites on neighbouring rows leave behind, since the greedy
-// compressor merges only on insert — splits the run around it; it does not
-// cost the whole column its sweep.
+// TestPlanLevelHoleSplitsRun pins the opposite of its name, which predates
+// carving from the formulas: a row that only Single edges claim — what formula
+// rewrites on neighbouring rows leave behind, since the greedy compressor
+// merges only on insert — is no hole. Its cell still interns to the column's
+// program, so the re-dirtied column is one span, whatever the edges look like.
 func TestPlanLevelHoleSplitsRun(t *testing.T) {
-	e := runsFixture(t, nil, 60, func(r int) (string, string) {
+	form := func(r int) (string, string) {
 		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d", r, r)
-	})
-	e.RecalculateAll()
-	for _, r := range []int{30, 31} {
-		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("B%d*2", r))
-		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d", r, r))
 	}
-	e.TACOGraph().PatternRunSpans(ref.MustRange("C30"), func(span ref.Range, _ core.PatternType) bool {
-		t.Fatalf("fixture: C30 is still on a compressed edge (%v); the rewrites no longer isolate it", span)
-		return false
-	})
-	for r := 1; r <= 60; r++ { // re-dirty the whole column
-		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+	serial, e := runsFixture(t, nil, 60, form), runsFixture(t, nil, 60, form)
+	serial.SetRecalcParallelism(1)
+	for _, eng := range []*Engine{serial, e} {
+		eng.RecalculateAll()
+		for _, r := range []int{30, 31} {
+			mustFormula(t, eng, fmt.Sprintf("C%d", r), fmt.Sprintf("B%d*2", r))
+			mustFormula(t, eng, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d", r, r))
+		}
+		for r := 1; r <= 60; r++ { // re-dirty the whole column
+			eng.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+		}
 	}
+	e.TACOGraph().Edges(func(ed *core.Edge) bool {
+		if ed.Dep.Contains(ref.MustCell("C30")) && ed.Pattern != core.Single {
+			t.Fatalf("fixture: C30 is still on a compressed edge (%v); the rewrites no longer isolate it", ed.Dep)
+		}
+		return true
+	})
 	runs, singles := carveFixture(e)
-	if len(runs) != 2 || singles != 1 || runs[0].span() != ref.MustRange("C1:C29") || runs[1].span() != ref.MustRange("C31:C60") {
-		t.Fatalf("carved %d runs, %d singles; want C1:C29, the single C30, C31:C60", len(runs), singles)
+	if len(runs) != 1 || singles != 0 || runs[0].at != ref.MustCell("C1") || len(runs[0].cells) != 60 {
+		t.Fatalf("carved %d runs, %d singles; want the one span C1:C60", len(runs), singles)
 	}
+	serial.RecalculateAll()
+	e.RecalculateAll() // resumes the schedule carveFixture built: the span is swept
+	enginesEqual(t, serial, e)
+}
+
+// carved is the node list a schedule build would carve from the engine's dirty
+// set, as (first cell, length) pairs — built on a schedule of its own, so the
+// engine's live and warm ones, and the path its next drain takes, are as they
+// were.
+func carved(e *Engine) (list []ref.Range) {
+	sch := schedPool.Get().(*schedule)
+	e.carve(sch, e.patternRuns)
+	for i := range sch.nodes {
+		nd := &sch.nodes[i]
+		list = append(list, ref.Range{Head: nd.at, Tail: ref.Ref{Col: nd.at.Col, Row: nd.at.Row + len(nd.cells) - 1}})
+	}
+	poolSchedule(sch)
+	return list
+}
+
+// TestCarveIgnoresEdgeFragmentation is ROADMAP item 3's script in small:
+// rewriting and restoring 200 cells of a 2 000-row ledger's column C leaves its
+// compressed edges in pieces for good, and the rate edit that follows carves
+// the node list, and drains the levels, of a freshly bulk-loaded twin.
+func TestCarveIgnoresEdgeFragmentation(t *testing.T) {
+	const rows = 2000
+	fresh, e := ledgerEngine(t, rows), ledgerEngine(t, rows)
+	edges := e.TACOGraph().NumEdges()
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		r := 1 + rng.Intn(rows)
+		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("B%d*2", r))
+		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d*$H$1", r, r))
+	}
+	e.RecalculateAll()
+	if got := e.TACOGraph().NumEdges(); got < edges+100 {
+		t.Fatalf("fixture: %d edges after the rewrites, %d before; they no longer fragment the column", got, edges)
+	}
+	for _, eng := range []*Engine{fresh, e} {
+		eng.SetValue(ref.MustCell("H1"), formula.Num(1.07))
+	}
+	if got, want := carved(e), carved(fresh); !slices.Equal(got, want) {
+		t.Fatalf("the rewritten ledger carves %d nodes, the fresh one %d:\n%v\n%v", len(got), len(want), got, want)
+	}
+	levels := [2]uint64{fresh.RecalcStats().LevelsDrained, e.RecalcStats().LevelsDrained}
+	fresh.RecalculateAll()
+	e.RecalculateAll()
+	if got, want := e.RecalcStats().LevelsDrained-levels[1], fresh.RecalcStats().LevelsDrained-levels[0]; got != want || want == 0 {
+		t.Fatalf("the rewritten ledger drained %d levels, the fresh one %d", got, want)
+	}
+	enginesEqual(t, fresh, e)
 }
 
 // TestPlanLevelReversedLoad: the carve walks the slabs, so the order the
@@ -187,18 +247,15 @@ func TestPlanLevelReversedLoad(t *testing.T) {
 	}
 }
 
-// TestPlanLevelNoCompFallback: a graph without pattern spans still detects
-// runs structurally, via interned-program equality alone.
+// TestPlanLevelNoCompFallback: run detection asks the graph nothing — on the
+// uncompressed backend too it is interned-program equality alone.
 func TestPlanLevelNoCompFallback(t *testing.T) {
 	e := runsFixture(t, NoComp{G: nocomp.NewGraph()}, 30, func(r int) (string, string) {
 		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d+B%d", r, r)
 	})
-	if _, ok := e.graph.(patternSpanner); ok {
-		t.Fatal("fixture graph unexpectedly implements patternSpanner")
-	}
 	runs, _ := carveFixture(e)
 	if len(runs) != 1 || len(runs[0].cells) != 30 {
-		t.Fatalf("structural fallback found %d runs", len(runs))
+		t.Fatalf("the NoComp-backed engine carved %d runs", len(runs))
 	}
 }
 

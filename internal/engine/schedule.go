@@ -21,19 +21,25 @@ import (
 // not concurrency but shape: a node is a flat batch, so it can run compiled
 // programs on the bytecode VM as one vectorised sweep and stop at any budget.
 //
-// Links are per span too: one graph query per node yields, per covering
-// compressed edge, the union precedent window of the span, and intersecting
-// that window with a per-column row-sorted index of the nodes gives the
-// in-edges. Coarse edges only add ordering, which costs nothing on one
-// goroutine — with two exceptions, both about a span depending on itself:
+// Links are per span too, and come from the formulas, not from the graph: what
+// a cell reads is written in it, so the graph is asked only what cannot be
+// answered without an index — the dependents of an edit, which set the dirty
+// flags. A node's operands, resolved at its first row and at its last, give
+// per operand the union precedent window of the span (spanPrecedents), and
+// intersecting that window with a per-column row-sorted index of the nodes
+// gives the in-edges. The schedule is therefore a function of the sheet's
+// formulas and dirty flags alone: the same under TACO, NoComp or any other
+// Graph, however edits have fragmented the compressed edges. Coarse windows
+// only add ordering, which costs nothing on one goroutine — with two
+// exceptions, both about a span depending on itself:
 //
 //   - A span whose precedent window overlaps the span stays whole only if an
 //     ascending sweep is a valid order: every cell reads, inside the span,
 //     only rows strictly above its own (a running balance, a cumulative
 //     SUM(D$1:D4)). Per-cell windows are linear in the row, so the first cell
-//     of each covering edge decides it. Anything else — look-down, straddling,
-//     a fixed window inside the span — is carved as single cells.
-//   - Coarse edges can close cycles the cells do not (X reads Y's previous
+//     decides it. Anything else — look-down, straddling, a fixed window
+//     inside the span — is carved as single cells.
+//   - Coarse windows can close cycles the cells do not (X reads Y's previous
 //     row, Y reads X's current row: two spans each waiting on the other, the
 //     cells a zig-zag chain). When Kahn stalls with spans unfinished, what is
 //     still dirty is re-carved as single cells and re-linked; only a stall
@@ -105,11 +111,6 @@ type schedNode struct {
 	cyclic bool
 }
 
-// span returns the node's extent.
-func (n *schedNode) span() ref.Range {
-	return ref.Range{Head: n.at, Tail: ref.Ref{Col: n.at.Col, Row: n.at.Row + len(n.cells) - 1}}
-}
-
 // schedule is the resumable wavefront schedule: the dirty set carved into a
 // levelled DAG of spans at one dirty generation, with the current ready
 // frontier. It lives on the engine between budgeted drains and is released
@@ -134,9 +135,9 @@ type schedule struct {
 	// cols is the per-column index of the nodes, (first row<<32 | node index)
 	// packed; the column-major carve appends it row-sorted.
 	cols map[int][]uint64
-	// cover and run are the carve's span-coverage scratch and the sweep's
-	// cursor scratch (runs.go).
-	cover []bool
+	// reads and run are spanPrecedents' operand-window scratch and the
+	// sweep's cursor scratch (runs.go).
+	reads []ref.Range
 	run   runScratch
 }
 
@@ -323,29 +324,37 @@ func (sch *schedule) addNode(at ref.Ref, cells []cell, p *formula.Program) {
 	sch.cols[at.Col] = append(sch.cols[at.Col], uint64(at.Row)<<32|uint64(i))
 }
 
-// spanPrecedents reports the one-hop precedents of a dependent span, per
-// covering edge (see spanPrecedenter). Backends that cannot attribute a
-// window to a sub-span report every window against the whole span and as its
-// own first-cell window, which reads as "any self-overlap is unsweepable";
-// backends without a one-hop query fall back to the formulas' own reference
-// lists, which record the same dependencies.
-func (e *Engine) spanPrecedents(span ref.Range, cells []cell, fn func(dep, prec, first ref.Range) bool) {
-	switch g := e.graph.(type) {
-	case spanPrecedenter:
-		g.DirectPrecedentsEach(span, fn)
-	case directPrecedenter:
-		g.DirectPrecedents(span, func(p ref.Range) bool { return fn(span, p, p) })
-	default:
-		for i := range cells {
-			if cells[i].ast == nil {
-				continue // dirty value cell: no precedents, levels at 0
-			}
-			at := ref.CellRange(ref.Ref{Col: span.Head.Col, Row: span.Head.Row + i})
-			for _, r := range formula.Refs(cells[i].ast) {
-				if !fn(at, r.At, r.At) {
+// spanPrecedents reports what a node reads, one call per operand of its
+// formula: the window the node's cells read between them, and the window the
+// first cell reads alone. A span's cells share one program, which each
+// compiled from its own normalised formula at its own position, so an operand
+// resolves upright at the first row and at the last and moves linearly in
+// between — the box around the two is the span's union window. A formula the
+// compiler declines still has its reference list. Either way these are the
+// ranges every constructor registers with the graph as the cell's
+// dependencies, the invariant dirty-marking rests on too.
+func (e *Engine) spanPrecedents(sch *schedule, at ref.Ref, cells []cell, p *formula.Program, fn func(prec, first ref.Range) bool) {
+	if p == nil { // a single cell
+		c := &cells[0]
+		if c.ast == nil {
+			return // dirty value cell: no precedents, levels at 0
+		}
+		if p = e.prog(at, c); p == nil {
+			for _, r := range formula.Refs(c.ast) {
+				if !fn(r.At, r.At) {
 					return
 				}
 			}
+			return
+		}
+	}
+	reads := p.AppendReads(sch.reads[:0], at)
+	n := len(reads)
+	reads = p.AppendReads(reads, ref.Ref{Col: at.Col, Row: at.Row + len(cells) - 1})
+	sch.reads = reads
+	for i, first := range reads[:n] {
+		if !fn(first.Bound(reads[n+i]), first) {
+			return
 		}
 	}
 }
@@ -369,13 +378,13 @@ func (e *Engine) linkSchedule(sch *schedule) {
 		nodes[j].outs = append(nodes[j].outs, cur)
 		nodes[cur].nprec++
 	}
-	link := func(_, prec, _ ref.Range) bool {
+	link := func(prec, _ ref.Range) bool {
 		sch.search(prec, hit)
 		return true
 	}
 	for i := range nodes {
 		cur = int32(i)
-		e.spanPrecedents(nodes[i].span(), nodes[i].cells, link)
+		e.spanPrecedents(sch, nodes[i].at, nodes[i].cells, nodes[i].prog, link)
 	}
 }
 

@@ -166,7 +166,8 @@ func TestWavefrontMatchesSerial(t *testing.T) {
 }
 
 // TestWavefrontNoCompBackend runs the same equivalence over the NoComp
-// baseline graph, which exercises the uncompressed DirectPrecedents mirror.
+// baseline graph: the dirty sets come from the uncompressed index, the
+// schedule from the formulas as ever.
 func TestWavefrontNoCompBackend(t *testing.T) {
 	for _, fx := range recalcFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {

@@ -92,8 +92,8 @@ func (e *Engine) WriteSnapshotCached(w io.Writer, blob []byte, gen uint64) ([]by
 }
 
 func (e *Engine) writeSnapshot(w io.Writer, blob []byte, gen uint64) ([]byte, uint64, error) {
-	tg, ok := e.graph.(TACO)
-	if !ok {
+	g := e.TACOGraph()
+	if g == nil {
 		return nil, 0, errors.New("engine: only TACO-backed engines support snapshots")
 	}
 	e.RecalculateAll()
@@ -107,12 +107,12 @@ func (e *Engine) writeSnapshot(w io.Writer, blob []byte, gen uint64) ([]byte, ui
 	if err := e.writeCells(cw); err != nil {
 		return nil, 0, err
 	}
-	if blob == nil || gen != tg.G.Gen() {
+	if blob == nil || gen != g.Gen() {
 		var gb bytes.Buffer
-		if err := tg.G.WriteSnapshot(&gb); err != nil {
+		if err := g.WriteSnapshot(&gb); err != nil {
 			return nil, 0, err
 		}
-		blob, gen = gb.Bytes(), tg.G.Gen()
+		blob, gen = gb.Bytes(), g.Gen()
 	}
 	if _, err := cw.Write(blob); err != nil {
 		return nil, 0, err

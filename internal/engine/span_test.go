@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +17,9 @@ import (
 // a budget list, driven through the engine under test (TACO graph, span
 // nodes, budgeted RecalculateN interleaved with the edits) and through the
 // reference (NoComp graph, pattern runs off, pinned to the serial resolver),
-// which must agree bit for bit — #CYCLE! set included. The named cases and
+// which must agree bit for bit — #CYCLE! set included — and, step for step,
+// through a twin of the engine under test on the NoComp graph, which must
+// carve the same nodes and drain the same levels. The named cases and
 // FuzzSpanDrain's seeds are the same inputs.
 //
 // Every template that can close a reference cycle is additive, so a cell on
@@ -340,10 +343,14 @@ func (sc spanCase) run(t *testing.T) (got *Engine) {
 func (sc spanCase) runOnce(t *testing.T) (got *Engine) {
 	t.Helper()
 	got = New(nil)
+	// The twin differs from got in its graph only, so it must schedule as got
+	// does: the same nodes carved from what is flagged, the same levels drained.
+	twin := New(NoComp{G: nocomp.NewGraph()})
 	want := New(NoComp{G: nocomp.NewGraph()})
 	want.SetPatternRuns(false)
 	want.SetRecalcParallelism(1)
 	sc.build(t, got)
+	sc.build(t, twin)
 	sc.build(t, want)
 	budget := func(i int) int {
 		if len(sc.budgets) == 0 {
@@ -351,23 +358,41 @@ func (sc spanCase) runOnce(t *testing.T) (got *Engine) {
 		}
 		return sc.budgets[i%len(sc.budgets)]
 	}
+	sameSchedule := func(step string) {
+		t.Helper()
+		if g, w := carved(got), carved(twin); !slices.Equal(g, w) {
+			t.Fatalf("%s: TACO-backed engine carves %v, NoComp-backed %v", step, g, w)
+		}
+		if g, w := got.RecalcStats().LevelsDrained, twin.RecalcStats().LevelsDrained; g != w {
+			t.Fatalf("%s: TACO-backed engine has drained %d levels, NoComp-backed %d", step, g, w)
+		}
+	}
+	sameSchedule("load")
 	got.RecalculateN(budget(0))
+	twin.RecalculateN(budget(0))
 	for i, ed := range sc.edits {
 		sc.apply(t, got, ed)
+		sc.apply(t, twin, ed)
 		sc.apply(t, want, ed)
+		sameSchedule(fmt.Sprintf("edit %d", i))
 		before := got.Pending()
 		if n := got.RecalculateN(budget(i + 1)); before > 0 && n == 0 {
 			t.Fatalf("edit %d: budgeted drain made no progress with %d pending", i, before)
 		}
+		twin.RecalculateN(budget(i + 1))
 		if ed.val%4 == 3 {
 			got.RecalculateAll() // a finished epoch: the next edit of the same root may re-arm its schedule
+			twin.RecalculateAll()
 		}
+		sameSchedule(fmt.Sprintf("drain after edit %d", i))
 	}
 	for i := 0; got.Pending() > 0; i++ {
 		if got.RecalculateN(budget(i)) == 0 {
 			t.Fatalf("drain stalled with %d pending", got.Pending())
 		}
+		twin.RecalculateN(budget(i))
 	}
+	sameSchedule("final drain")
 	want.RecalculateAll()
 	if g, w := got.NumCells(), want.NumCells(); g != w {
 		t.Fatalf("cell counts diverge: %d vs reference %d", g, w)
@@ -494,9 +519,20 @@ func FuzzSpanDrain(f *testing.F) {
 	})
 }
 
+// spanBackends are the graphs the schedule must come out the same on: it is
+// carved and linked from the formulas, and asks the graph nothing.
+var spanBackends = []struct {
+	name string
+	new  func() Graph
+}{
+	{"TACO", func() Graph { return nil }},
+	{"NoComp", func() Graph { return NoComp{G: nocomp.NewGraph()} }},
+}
+
 // TestSpanSelfDependence pins the sweep-it-or-split-it rule on the shapes it
-// separates: a span that reads only rows above itself stays one node, every
-// other self-dependence is carved as single cells up front.
+// separates, on either backend: a span that reads only rows above itself stays
+// one node and drains as one sweep, every other self-dependence is carved as
+// single cells up front.
 func TestSpanSelfDependence(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -514,15 +550,29 @@ func TestSpanSelfDependence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := spanCase{rows: 70, cols: []spanColumn{tc.col}}
-			e := New(nil)
-			sc.build(t, e)
-			runs, singles := carveFixture(e)
-			spans := len(runs)
-			if tc.whole && (spans != 1 || singles > 3) {
-				t.Fatalf("carved %d spans and %d singles, want one span (and the head cells)", spans, singles)
-			}
-			if !tc.whole && spans != 0 {
-				t.Fatalf("carved %d spans from a column an ascending sweep cannot order", spans)
+			serial := New(nil)
+			serial.SetRecalcParallelism(1)
+			sc.build(t, serial)
+			serial.RecalculateAll()
+			for _, backend := range spanBackends {
+				e := New(backend.new())
+				sc.build(t, e)
+				runs, singles := carveFixture(e)
+				spans, want := len(runs), 0
+				for _, nd := range runs {
+					want += len(nd.cells) // the drain drops the windows
+				}
+				if tc.whole && (spans != 1 || singles > 3) {
+					t.Fatalf("%s: carved %d spans and %d singles, want one span (and the head cells)", backend.name, spans, singles)
+				}
+				if !tc.whole && spans != 0 {
+					t.Fatalf("%s: carved %d spans from a column an ascending sweep cannot order", backend.name, spans)
+				}
+				e.RecalculateAll()
+				if swept := e.swept.lane + e.swept.loop + e.swept.interp; swept != uint64(want) {
+					t.Fatalf("%s: %d rows swept, want the span's %d", backend.name, swept, want)
+				}
+				enginesEqual(t, serial, e)
 			}
 			sc.run(t)
 		})
@@ -558,7 +608,7 @@ func TestSpanCoarseCycleDemotes(t *testing.T) {
 
 // TestSpanChainInChunksOfSeven: a 256-row chain drained seven cells at a
 // time stays one node whose cursor advances — one build, exact budgets, and
-// every chunk a sweep.
+// every chunk a sweep — on either backend.
 func TestSpanChainInChunksOfSeven(t *testing.T) {
 	build := func(e *Engine) {
 		e.SetValue(spanRate, formula.Num(2))
@@ -573,21 +623,27 @@ func TestSpanChainInChunksOfSeven(t *testing.T) {
 		e.RecalculateAll()
 		e.SetValue(spanRate, formula.Num(3))
 	}
-	serial, e := New(nil), New(nil)
+	serial := New(nil)
 	serial.SetRecalcParallelism(1)
 	build(serial)
-	build(e)
 	serial.RecalculateAll()
-	builds := e.RecalcStats().ScheduleBuilds
-	for pending := 256; pending > 0; pending -= 7 {
-		if n := e.RecalculateN(7); n != min(7, pending) || e.Pending() != max(pending-7, 0) {
-			t.Fatalf("chunk drained %d, %d pending; want %d, %d", n, e.Pending(), min(7, pending), max(pending-7, 0))
+	for _, backend := range spanBackends {
+		e := New(backend.new())
+		build(e)
+		builds, swept := e.RecalcStats().ScheduleBuilds, e.swept.loop
+		for pending := 256; pending > 0; pending -= 7 {
+			if n := e.RecalculateN(7); n != min(7, pending) || e.Pending() != max(pending-7, 0) {
+				t.Fatalf("%s: chunk drained %d, %d pending; want %d, %d", backend.name, n, e.Pending(), min(7, pending), max(pending-7, 0))
+			}
 		}
+		if got := e.RecalcStats().ScheduleBuilds - builds; got != 1 {
+			t.Fatalf("%s: %d schedule builds, want 1", backend.name, got)
+		}
+		if got := e.swept.loop - swept; got != 255 {
+			t.Fatalf("%s: %d rows swept on the row loop, want D2:D256", backend.name, got)
+		}
+		enginesEqual(t, serial, e)
 	}
-	if got := e.RecalcStats().ScheduleBuilds - builds; got != 1 {
-		t.Fatalf("%d schedule builds, want 1", got)
-	}
-	enginesEqual(t, serial, e)
 }
 
 // TestSpanBudgetCut is the engine-level budget-truncation test: a 2 000-row

@@ -125,6 +125,19 @@ type Program struct {
 // callers must not mutate).
 func (p *Program) CellOps() []CellOp { return p.cells }
 
+// AppendReads appends to dst what the cell at anchor reads: one range per
+// distinct cell and range operand — the ranges Refs reports of the formula the
+// program was compiled from, when anchor is a cell it was compiled at.
+func (p *Program) AppendReads(dst []ref.Range, anchor ref.Ref) []ref.Range {
+	for _, o := range p.cells {
+		dst = append(dst, ref.CellRange(o.At(anchor)))
+	}
+	for _, o := range p.ranges {
+		dst = append(dst, o.at(anchor))
+	}
+	return dst
+}
+
 // maxVMStack bounds a program's evaluation stack; expressions nesting deeper
 // than this stay on the AST walker.
 const maxVMStack = 128

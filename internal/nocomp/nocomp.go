@@ -114,20 +114,6 @@ func (g *Graph) FindPrecedents(r ref.Range) []ref.Range {
 	return result
 }
 
-// DirectPrecedents calls fn with the one-hop precedent ranges of r — every
-// edge whose formula cell lies in r contributes its precedent range, without
-// transitive traversal or deduplication. The uncompressed mirror of
-// core.Graph.DirectPrecedents, so either backend can drive the engine's
-// wavefront recalculation scheduler.
-func (g *Graph) DirectPrecedents(r ref.Range, fn func(ref.Range) bool) {
-	g.byDep.Search(r, func(_ ref.Range, e *Edge) bool {
-		if r.Contains(e.Dep) {
-			return fn(e.Prec)
-		}
-		return true
-	})
-}
-
 // Clear removes every dependency whose formula cell lies in s.
 func (g *Graph) Clear(s ref.Range) {
 	var doomed []*Edge

@@ -247,15 +247,18 @@ func TestEvictionDrainsPendingAndRoundTrips(t *testing.T) {
 	}
 }
 
-// TestQueryAgainstSpilledSession: dependents/precedents of a spilled session
-// are answered from the pinned compressed graph (or a graph-only decode)
-// without restoring the cell store.
+// TestQueryAgainstSpilledSession: dependents/precedents of a non-resident
+// session are answered without restoring the cell store — from the compressed
+// graph an eviction left pinned, or, for a session a durable store's boot
+// re-registered and nothing has faulted in yet (no engine, so no graph to
+// pin), from a graph-only decode of its base file.
 func TestQueryAgainstSpilledSession(t *testing.T) {
 	for _, noPin := range []bool{false, true} {
 		t.Run(fmt.Sprintf("noGraphPin=%v", noPin), func(t *testing.T) {
-			srv, tc := newTestServer(t, Options{Store: StoreOptions{
-				Shards: 2, MaxResident: 1, NoGraphPin: noPin,
-			}})
+			opts := Options{Store: StoreOptions{
+				Shards: 2, MaxResident: 1, SpillDir: t.TempDir(), Durable: noPin, FsyncPolicy: "never",
+			}}
+			srv, tc := newTestServer(t, opts)
 			var a SessionInfo
 			tc.do("POST", "/sessions", CreateRequest{Name: "q"}, &a)
 			tc.do("POST", "/sessions/"+a.ID+"/edits", EditBatch{Edits: []EditOp{
@@ -264,6 +267,10 @@ func TestQueryAgainstSpilledSession(t *testing.T) {
 				{Cell: "C1", Formula: str("B1*2")},
 			}}, nil)
 			tc.do("POST", "/sessions", CreateRequest{Name: "pusher"}, nil)
+			if noPin {
+				srv.Close() // the eviction checkpointed q; the restart forgets its graph
+				srv, tc = newTestServer(t, opts)
+			}
 
 			sess, err := srv.Store().lookup(a.ID)
 			if err != nil {
@@ -271,6 +278,12 @@ func TestQueryAgainstSpilledSession(t *testing.T) {
 			}
 			if sess.Resident() {
 				t.Fatal("session still resident")
+			}
+			sess.mu.RLock()
+			pinned := sess.graph != nil
+			sess.mu.RUnlock()
+			if pinned == noPin {
+				t.Fatalf("pinned graph present = %v, want %v", pinned, !noPin)
 			}
 			var q QueryResult
 			if code := tc.do("GET", "/sessions/"+a.ID+"/dependents?of=A1", nil, &q); code != http.StatusOK {

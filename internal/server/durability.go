@@ -208,17 +208,11 @@ func (st *Store) writeFullLocked(s *Session) error {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer func() { buf.Reset(); bufPool.Put(buf) }()
 	buf.Reset()
-	if st.opts.NoGraphPin {
-		if err := s.eng.WriteSnapshot(buf); err != nil {
-			return err
-		}
-	} else {
-		blob, gen, err := s.eng.WriteSnapshotCached(buf, s.graphBlob, s.graphBlobGen)
-		if err != nil {
-			return err
-		}
-		s.graphBlob, s.graphBlobGen = blob, gen
+	blob, gen, err := s.eng.WriteSnapshotCached(buf, s.graphBlob, s.graphBlobGen)
+	if err != nil {
+		return err
 	}
+	s.graphBlob, s.graphBlobGen = blob, gen
 	if err := writeFileAtomic(st.spillPath(s.ID), buf.Bytes(), st.syncFiles()); err != nil {
 		return err
 	}
@@ -232,7 +226,7 @@ func (st *Store) writeFullLocked(s *Session) error {
 	if !st.opts.Durable {
 		return nil
 	}
-	err := st.reg.Put(regEntryLocked(s))
+	err = st.reg.Put(regEntryLocked(s))
 	if err == nil {
 		err = st.reg.Sync()
 	}

@@ -63,12 +63,6 @@ type StoreOptions struct {
 	// most one (possibly truncated) level's worth of this many evaluations,
 	// and a reader arriving mid-drain waits for at most that.
 	RecalcChunk int
-	// NoGraphPin disables keeping a spilled session's compressed formula
-	// graph in memory. Pinning (the default) trades a small per-session
-	// footprint — the graph is the compact part, which is the paper's thesis
-	// — for dependents/precedents queries that never touch disk and
-	// restores that skip the graph decode.
-	NoGraphPin bool
 	// Durable enables crash-safe sessions: every accepted edit batch is
 	// appended to a per-session journal before the response commits, a
 	// persistent registry in SpillDir maps sessions to their snapshots and
@@ -993,9 +987,7 @@ func (st *Store) spill(victim *Session) error {
 		// pending recalculation need not drain before residency drops.
 		mDeltaWrites.Inc()
 	}
-	if !st.opts.NoGraphPin {
-		victim.graph = victim.eng.TACOGraph()
-	}
+	victim.graph = victim.eng.TACOGraph()
 	victim.eng.Recycle()
 	victim.eng = nil
 	victim.pending = 0
