@@ -701,7 +701,8 @@ func (e *Engine) RecalculateAll() int {
 // levelled path the bound is exact: levels are truncated to the budget and
 // the schedule — built once per dirty generation — stays cached between
 // calls, so successive chunks resume the remaining levels instead of
-// re-levelling the remainder (see DrainLevels).
+// re-levelling the remainder — until Kahn stalls on a reference cycle, after
+// which the rest of the call has the serial contract (see DrainLevels).
 func (e *Engine) RecalculateN(max int) int {
 	if e.wavefrontReady() {
 		return e.DrainLevels(max)

@@ -11,7 +11,7 @@ import "taco/internal/telemetry"
 // no atomic traffic.
 var (
 	mCellsEvaluated = telemetry.NewCounter("taco_engine_cells_evaluated_total",
-		"Dirty cells evaluated (or published as #CYCLE!) by recalculation.")
+		"Dirty cells evaluated by recalculation.")
 	mLevelsDrained = telemetry.NewCounter("taco_sched_levels_drained_total",
 		"Wavefront levels of span nodes completed by the resumable scheduler.")
 	mSchedBuilds = telemetry.NewCounter("taco_sched_builds_total",
@@ -27,5 +27,5 @@ var (
 	mPatternRunCells = telemetry.NewCounter("taco_sched_pattern_run_cells_total",
 		"Cells evaluated inside vectorized pattern-run sweeps.")
 	mCycleCells = telemetry.NewCounter("taco_sched_cycle_cells_total",
-		"Cells published as #CYCLE! by the cycle resolver.")
+		"Cells the serial resolver drained after a levelled drain stalled on a reference cycle: the cycles and every dirty cell downstream of them.")
 )

@@ -356,17 +356,22 @@ func TestRunDrainEquivalenceNumericSweep(t *testing.T) {
 }
 
 // TestRunDrainEquivalenceCycles: a reference cycle upstream of a pattern
-// run must poison the run's cells exactly as it poisons the serial path —
-// #CYCLE! propagates into the vectorized sweep via the settled values.
+// run must poison the run's cells exactly as it poisons the serial path. The
+// load's drain stalls behind the cycle and finishes on the serial resolver;
+// the F1 edit then re-dirties the runs alone, so #CYCLE! propagates into the
+// vectorized sweep via the settled values.
 func TestRunDrainEquivalenceCycles(t *testing.T) {
 	drainEquivalence(t, func(e *Engine) {
+		e.SetValue(ref.MustCell("F1"), formula.Num(1))
 		mustFormula(t, e, "X1", "X2+1")
 		mustFormula(t, e, "X2", "X1+1")
 		for r := 1; r <= 150; r++ {
 			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
-			mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d+$X$1", r))
+			mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d+$X$1+$F$1", r))
 			mustFormula(t, e, fmt.Sprintf("D%d", r), fmt.Sprintf("IFERROR(C%d,A%d)", r, r))
 		}
+		e.RecalculateAll()
+		e.SetValue(ref.MustCell("F1"), formula.Num(2))
 	})
 }
 

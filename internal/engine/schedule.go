@@ -58,12 +58,14 @@ import (
 // flagged then. The generation stamp is also checked at resume time, so a
 // schedule can never be drained against a dirty set it does not describe.
 //
-// Reference cycles are detected during levelling, not mid-evaluation: when
-// Kahn stalls among single cells, the strongly connected components of the
-// stalled subgraph are the cycles; their members are published as #CYCLE!
-// and the downstream cells (which are stuck behind, not on, a cycle) then
-// evaluate normally against those error values, propagating or rescuing them
-// exactly as the serial path does.
+// Reference cycles have one semantics, the serial resolver's: a read of a
+// cell still being evaluated is #CYCLE!. The schedule never evaluates one.
+// When Kahn stalls among single cells — every unpublished cell on a cycle or
+// downstream of one, and no published cell reading any of them — the
+// schedule is released and the serial resolver drains the rest of the call
+// in its column-major order, entering each cycle where a pinned-serial drain
+// of the whole dirty set would. So a cell's value never depends on how many
+// other cells an edit dirtied.
 //
 // A drain runs on one goroutine — the one that called it. Evaluation never
 // inserts or removes cells, so the columnar slabs — the only cell index
@@ -104,11 +106,6 @@ type schedNode struct {
 	// re-linking.
 	nprec  int32
 	nprec0 int32
-	// self marks a cell that reads itself: an immediate cycle, never
-	// evaluated, resolved to #CYCLE! with the other cycle members.
-	self bool
-	// cyclic marks a cell resolved as a cycle member during levelling.
-	cyclic bool
 }
 
 // schedule is the resumable wavefront schedule: the dirty set carved into a
@@ -128,10 +125,8 @@ type schedule struct {
 	// mismatch at resume time means an edit slipped in and the schedule no
 	// longer describes the dirty set.
 	gen uint64
-	// total is the cell count at build time (stats); spans counts the
-	// unfinished nodes of more than one cell — what a stall demotes.
+	// total is the cell count at build time (stats).
 	total int
-	spans int
 	// cols is the per-column index of the nodes, (first row<<32 | node index)
 	// packed; the column-major carve appends it row-sorted.
 	cols map[int][]uint64
@@ -253,21 +248,18 @@ func (e *Engine) takeWarm() *schedule {
 	return sch
 }
 
-// armFrontier computes the initial frontier and span count from the linker's
-// precedent counts — or, re-arming a retired schedule, from the saved ones.
+// armFrontier computes the initial frontier from the linker's precedent
+// counts — or, re-arming a retired schedule, from the saved ones.
 func (sch *schedule) armFrontier(rearm bool) {
-	sch.frontier, sch.spans = sch.frontier[:0], 0
+	sch.frontier = sch.frontier[:0]
 	for i := range sch.nodes {
 		nd := &sch.nodes[i]
 		if rearm {
-			nd.nprec, nd.done, nd.cyclic = nd.nprec0, 0, false
+			nd.nprec, nd.done = nd.nprec0, 0
 		} else {
 			nd.nprec0 = nd.nprec
 		}
-		if len(nd.cells) > 1 {
-			sch.spans++
-		}
-		if nd.nprec == 0 && !nd.self {
+		if nd.nprec == 0 {
 			sch.frontier = append(sch.frontier, int32(i))
 		}
 	}
@@ -293,21 +285,13 @@ func (e *Engine) ensureSchedule() *schedule {
 	sch := schedPool.Get().(*schedule)
 	sch.gen = e.dirtyGen
 	sch.total = e.store.ndirty
-	e.buildSchedule(sch, e.patternRuns)
+	e.carve(sch, e.patternRuns)
+	e.linkSchedule(sch)
+	sch.armFrontier(false)
 	e.schedBuilds++
 	mSchedBuilds.Inc()
 	e.sched = sch
 	return sch
-}
-
-// buildSchedule carves the flagged cells into sch's nodes — spans where runs
-// says so and the cells allow it, single cells otherwise — links them, and
-// arms the frontier.
-func (e *Engine) buildSchedule(sch *schedule, runs bool) {
-	sch.reset()
-	e.carve(sch, runs)
-	e.linkSchedule(sch)
-	sch.armFrontier(false)
 }
 
 // addNode appends a node for the slab window cells starting at at, reusing
@@ -364,15 +348,15 @@ func (e *Engine) spanPrecedents(sch *schedule, at ref.Ref, cells []cell, p *form
 // Duplicate edges — overlapping precedent windows are legal — are kept, with
 // nprec counted per occurrence, so release stays consistent. A span's reads
 // of itself were checked sweepable when it was carved and add no edge; a
-// single cell reading itself is an immediate cycle.
+// single cell reading itself gets an ordinary self-edge, so it never becomes
+// ready and is left to the serial resolver (DrainLevels).
 func (e *Engine) linkSchedule(sch *schedule) {
 	nodes := sch.nodes
 	// One closure pair per build, re-aimed per node through cur — a closure
 	// per node would be the dominant allocation of the whole build.
 	var cur int32
 	hit := func(j int32) {
-		if j == cur {
-			nodes[cur].self = len(nodes[cur].cells) == 1
+		if j == cur && len(nodes[cur].cells) > 1 {
 			return
 		}
 		nodes[j].outs = append(nodes[j].outs, cur)
@@ -430,8 +414,12 @@ func (sch *schedule) search(p ref.Range, hit func(int32)) {
 // and the rest of its level stay ready at the head of the frontier, the
 // schedule stays cached on the engine, and the next call resumes the sweep
 // at that row without re-levelling — Kahn runs once per dirty generation,
-// not once per chunk. Returns the number of cells drained (evaluated or
-// published as #CYCLE!).
+// not once per chunk. A stall with spans unfinished re-carves the remainder
+// as single cells and drains on, the budget still exact in cells. A stall
+// among single cells — a reference cycle — hands the rest of the call to the
+// serial resolver, whose budget counts evaluations started, not cells.
+// Returns the cells drained on the levels plus the evaluations started after
+// such a stall.
 func (e *Engine) DrainLevels(budget int) int {
 	if budget <= 0 || e.store.ndirty == 0 {
 		return 0
@@ -467,13 +455,10 @@ func (e *Engine) DrainLevels(budget int) int {
 					break // the budget ended inside the span
 				}
 				k++
-				if len(nd.cells) > 1 {
-					sch.spans--
-				}
 				// Publish: release the span's dependents.
 				for _, j := range nd.outs {
 					dep := &sch.nodes[j]
-					if dep.nprec--; dep.nprec == 0 && !dep.self {
+					if dep.nprec--; dep.nprec == 0 {
 						next = append(next, j)
 					}
 				}
@@ -489,41 +474,44 @@ func (e *Engine) DrainLevels(budget int) int {
 			sch.frontier = append(append(level[:0], level[k:]...), next...)
 			sch.next = next[:0]
 		}
-		if len(sch.frontier) > 0 {
+		switch {
+		case len(sch.frontier) > 0:
 			return drained // budget exhausted mid-schedule: stays cached
-		}
-		if e.store.ndirty == 0 {
-			break
-		}
-		if drained >= budget {
-			// Budget exhausted with only stalled cells left; they resolve on
-			// the next call against the same cached schedule.
+		case e.store.ndirty == 0:
+			if e.rootsOK {
+				e.retireSchedule()
+			} else {
+				e.releaseSchedule()
+			}
+			return drained
+		case drained >= budget:
+			// Budget exhausted with only stalled cells left: the next call
+			// resumes the cached schedule straight into the stall.
 			return drained
 		}
-		if sch.spans > 0 {
-			// Kahn stalled with spans unfinished: their coarse edges may be
-			// all that closes the loop. Everything still flagged is stalled;
-			// demote it to single cells, re-link and carry on.
-			e.rootsOK = false
-			e.buildSchedule(sch, false)
-			continue
-		}
-		// Stalled among single cells: every remaining dirty cell either sits
-		// on a reference cycle or depends on one. Resolve the cycles and
-		// resume — the survivors form a DAG and level normally.
-		freed := e.resolveCycles(sch, &drained)
-		if len(freed) == 0 {
+		if !slices.ContainsFunc(sch.nodes, func(nd schedNode) bool { return len(nd.cells) > 1 && nd.done < len(nd.cells) }) {
 			break
 		}
-		sch.frontier = append(sch.frontier[:0], freed...)
-	}
-	if e.store.ndirty == 0 && e.rootsOK {
-		e.retireSchedule()
-	} else {
+		// Kahn stalled with a span unfinished: its coarse windows may be all
+		// that closes the loop. Everything still flagged is stalled; re-carve
+		// it as single cells, re-link and carry on — levels, not recursion, so
+		// the budget stays exact in cells.
 		e.rootsOK = false
-		e.releaseSchedule()
+		sch.reset()
+		e.carve(sch, false)
+		e.linkSchedule(sch)
+		sch.armFrontier(false)
 	}
-	return drained
+	// Stalled among single cells: every unpublished cell sits on a reference
+	// cycle or downstream of one, and no published cell reads any of them. So
+	// the serial resolver's column-major walk enters each cycle at the cell a
+	// pinned-serial drain of the whole dirty set would, and the values are the
+	// serial reference's, cycles included.
+	e.releaseSchedule()
+	left := e.store.ndirty
+	n := e.drainSerial(budget - drained)
+	mCycleCells.Add(uint64(left - e.store.ndirty))
+	return drained + n
 }
 
 // evalLevelCell evaluates a single-cell node against the engine's read-only
@@ -544,118 +532,4 @@ func (e *Engine) evalLevelCell(n *schedNode) {
 		}
 	}
 	c.dirty = false
-}
-
-// resolveCycles handles a schedule stalled among single cells (DrainLevels
-// demotes unfinished spans first): the strongly connected components of the
-// still-dirty subgraph that contain a cycle (size > 1, or a direct
-// self-reference) are exactly the cells the serial resolver would poison,
-// and every one of their members is published as #CYCLE! without evaluation.
-// Dependents released by the poisoned cells are returned as the next
-// frontier; they evaluate normally and see the error values, so propagation
-// (and IFERROR-style rescue) downstream of a cycle matches the serial path.
-// drained is advanced by the number of cells resolved.
-func (e *Engine) resolveCycles(sch *schedule, drained *int) []int32 {
-	nodes := sch.nodes
-	stalled := func(i int32) bool { return nodes[i].done < len(nodes[i].cells) && !nodes[i].cyclic }
-
-	// Tarjan over the stalled subgraph. Iterative: a chain stuck behind a
-	// cycle can be as deep as the dirty set itself.
-	const unvisited = -1
-	idx := make([]int32, len(nodes))
-	low := make([]int32, len(nodes))
-	onStack := make([]bool, len(nodes))
-	for i := range idx {
-		idx[i] = unvisited
-	}
-	var clock int32
-	var stack, members []int32
-	type frame struct {
-		node int32
-		edge int
-	}
-	var cyclic []int32
-	var frames []frame
-	for root := range nodes {
-		if idx[root] != unvisited || !stalled(int32(root)) {
-			continue
-		}
-		frames = append(frames[:0], frame{node: int32(root)})
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			v := f.node
-			if f.edge == 0 {
-				idx[v], low[v] = clock, clock
-				clock++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			for f.edge < len(nodes[v].outs) {
-				w := nodes[v].outs[f.edge]
-				f.edge++
-				if !stalled(w) {
-					continue
-				}
-				if idx[w] == unvisited {
-					frames = append(frames, frame{node: w})
-					advanced = true
-					break
-				}
-				if onStack[w] {
-					low[v] = min(low[v], idx[w])
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[v] == idx[v] {
-				members = members[:0]
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					members = append(members, w)
-					if w == v {
-						break
-					}
-				}
-				if len(members) > 1 || nodes[v].self {
-					for _, w := range members {
-						nodes[w].cyclic = true
-						cyclic = append(cyclic, w)
-					}
-				}
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].node
-				low[p] = min(low[p], low[v])
-			}
-		}
-	}
-
-	// Publish the poisoned cells and release their dependents.
-	mCycleCells.Add(uint64(len(cyclic)))
-	var freed []int32
-	for _, i := range cyclic {
-		n := &nodes[i]
-		c := &n.cells[0]
-		if c.ast != nil {
-			c.value = formula.Errorf("#CYCLE!")
-		}
-		c.dirty = false
-		n.done = 1
-	}
-	*drained += len(cyclic)
-	e.store.cleaned(len(cyclic))
-	for _, i := range cyclic {
-		for _, j := range nodes[i].outs {
-			nodes[j].nprec--
-			if nodes[j].nprec == 0 && !nodes[j].self && !nodes[j].cyclic {
-				freed = append(freed, j)
-			}
-		}
-	}
-	return freed
 }

@@ -57,6 +57,7 @@ const (
 	tmplDivB              // A[r] / B[r]: zero divisors, and operands that do not coerce, where B is salted
 	tmplPairB             // B[r] + B[r+2]: salted, a column of numbers with a NaN (Inf-Inf), ±Inf and errors in it
 	tmplBlockB            // AGG(B[r]:B[r+47]): enters more records per five-row chunk than a window gathers
+	tmplNextNext          // N[r+1] + A[r]: with tmplSameRow in N, the zig-zag mirrored — X1 reads down the whole chain
 	numTmpl
 )
 
@@ -159,6 +160,8 @@ func (c spanColumn) formula(col, r int) string {
 		return fmt.Sprintf("A%d/B%d", r, r)
 	case tmplPairB:
 		return fmt.Sprintf("B%d+B%d", r, r+2)
+	case tmplNextNext:
+		return fmt.Sprintf("%s%d+A%d", n, r+1, r)
 	default: // tmplBlockB
 		return fmt.Sprintf("%s(B%d:B%d)", agg, r, r+47)
 	}
@@ -431,6 +434,10 @@ var spanSeeds = []struct {
 		cols:    []spanColumn{{tmpl: tmplNextPrev}, {tmpl: tmplSameRow}, {tmpl: tmplSameRow}},
 		edits:   []spanEdit{{kind: editData, row: 1, val: 7}, {kind: editData, row: 30, val: 8}},
 		budgets: []int{33}}},
+	{"mirrored_zigzag", spanCase{rows: 64,
+		cols:    []spanColumn{{tmpl: tmplNextNext}, {tmpl: tmplSameRow}},
+		edits:   []spanEdit{{kind: editData, row: 64, val: 7}, {kind: editData, row: 30, val: 8}},
+		budgets: []int{33}}},
 	{"look_down_chain", spanCase{rows: 70,
 		cols:    []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplLookDown, k: 1}, {tmpl: tmplWinBelow, k: 3}},
 		edits:   []spanEdit{{kind: editRate, val: 6}, {kind: editData, row: 70, val: 1}},
@@ -581,14 +588,18 @@ func TestSpanSelfDependence(t *testing.T) {
 
 // TestSpanCoarseCycleDemotes: X reads Y's previous row and Y reads X's
 // current row — two spans each waiting on the other while the cells form a
-// zig-zag chain. The stall demotes them; nothing is a cycle.
+// zig-zag chain. The stall demotes them; nothing is a cycle, and the values
+// are a pinned-serial twin's.
 func TestSpanCoarseCycleDemotes(t *testing.T) {
 	sc := spanSeeds[2].sc
 	if spanSeeds[2].name != "zigzag" {
 		t.Fatalf("seed 2 is %q", spanSeeds[2].name)
 	}
-	e := New(nil)
+	serial, e := New(nil), New(nil)
+	serial.SetRecalcParallelism(1)
+	sc.build(t, serial)
 	sc.build(t, e)
+	serial.RecalculateAll()
 	if runs, _ := carveFixture(e); len(runs) != 3 {
 		t.Fatalf("carved %d spans, want the three columns", len(runs))
 	}
@@ -603,7 +614,41 @@ func TestSpanCoarseCycleDemotes(t *testing.T) {
 		}
 		return nil
 	})
+	enginesEqual(t, serial, e)
 	sc.run(t)
+}
+
+// TestSpanMirroredZigzagDrainsInBudget: the zig-zag mirrored — X reads Y's
+// next row, Y reads X's current row — so the serial resolver, entering at X1,
+// recurses down the whole chain. The levelled drain stalls on the two spans
+// all the same and demotes them, and a server's chunks of 256 then drain the
+// chain by levels: none past its budget, one schedule build for the edit, the
+// values a pinned-serial twin's.
+func TestSpanMirroredZigzagDrainsInBudget(t *testing.T) {
+	const budget = 256
+	sc := spanCase{rows: 600, cols: []spanColumn{{tmpl: tmplNextNext}, {tmpl: tmplSameRow}}}
+	serial, e := New(nil), New(nil)
+	serial.SetRecalcParallelism(1)
+	for _, eng := range []*Engine{serial, e} {
+		sc.build(t, eng)
+		eng.RecalculateAll()
+		sc.apply(t, eng, spanEdit{kind: editData, row: sc.rows, val: 3})
+	}
+	serial.RecalculateAll()
+	if e.Pending() != 2*sc.rows {
+		t.Fatalf("the edit dirtied %d cells, want the whole chain, %d", e.Pending(), 2*sc.rows)
+	}
+	builds := e.RecalcStats().ScheduleBuilds
+	for e.Pending() > 0 {
+		before := e.Pending()
+		if n := e.RecalculateN(budget); n == 0 || n > budget || before-e.Pending() > budget {
+			t.Fatalf("RecalculateN(%d) returned %d and cleaned %d of %d pending", budget, n, before-e.Pending(), before)
+		}
+	}
+	if got := e.RecalcStats().ScheduleBuilds - builds; got != 1 {
+		t.Fatalf("%d schedule builds for one edit's chunks, want one", got)
+	}
+	enginesEqual(t, serial, e)
 }
 
 // TestSpanChainInChunksOfSeven: a 256-row chain drained seven cells at a
