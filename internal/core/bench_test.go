@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -87,5 +88,33 @@ func BenchmarkStats(b *testing.B) {
 		if s := g.Stats(); s.Edges == 0 {
 			b.Fatal("empty graph")
 		}
+	}
+}
+
+// BenchmarkFindDependentsAfterRewrites times the rate edit's traversal,
+// FindDependents($H$1), on the 20 000-row ledger: freshly bulk-loaded, and
+// after 128 rewrite-and-restores of column C at random rows, as many as
+// engine_recalc's op list makes. The two should cost the same.
+func BenchmarkFindDependentsAfterRewrites(b *testing.B) {
+	deps := ledgerDeps(b, 20_000)
+	rate := ref.CellRange(ref.MustCell("H1"))
+	for _, rewrites := range []int{0, 128} {
+		name := "fresh"
+		if rewrites > 0 {
+			name = fmt.Sprintf("rewritten_%d", rewrites)
+		}
+		b.Run(name, func(b *testing.B) {
+			g := core.BuildBulk(deps, core.DefaultOptions())
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < rewrites; i++ {
+				rewriteLedgerRow(b, g, 1+rng.Intn(20_000))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.FindDependents(rate)
+			}
+			b.ReportMetric(float64(g.NumEdges()), "edges")
+		})
 	}
 }

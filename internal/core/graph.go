@@ -47,7 +47,11 @@ func (o Options) patterns() []PatternType {
 // Graph is a TACO compressed formula graph. It supports adding dependencies
 // one at a time (compressing greedily per Alg. 2), querying dependents and
 // precedents directly on the compressed representation (Alg. 3), and
-// incremental maintenance when formula cells are cleared or updated.
+// incremental maintenance when formula cells are cleared or updated. Clear
+// splits a run around the cleared cells; a dependency added back into the gap
+// bridges the two pieces into one edge again, so an update (Clear, then the
+// new formula's dependencies) that restores a cell's shape leaves the graph as
+// compressed as it was.
 //
 // Graph is not safe for concurrent mutation; wrap it with a lock if needed.
 type Graph struct {
@@ -165,22 +169,48 @@ type candidate struct {
 // compressing it into an adjacent edge when a predefined pattern applies
 // (Alg. 2). It reports whether the dependency was compressed into an
 // existing edge (false means it was inserted as a Single edge).
+//
+// When the edge on the far side of d's cell extends the merged run with the
+// same pattern and metadata — the other piece a Clear of that cell left —
+// the two pieces are bridged into one edge, so a formula rewritten and then
+// restored leaves its column as compressed as it found it.
 func (g *Graph) AddDependency(d Dependency) bool {
-	cands := g.findCandidates(d)
-	if len(cands) > 0 {
-		best := g.selectCandidate(cands, d)
-		g.deleteEdge(best.old)
-		g.insertEdge(best.merged)
-		return true
+	var buf [8]candidate
+	cands := g.findCandidates(buf[:0], d)
+	if len(cands) == 0 {
+		g.insertEdge(singleEdge(d))
+		return false
 	}
-	g.insertEdge(singleEdge(d))
-	return false
+	best := g.selectCandidate(cands, d)
+	g.deleteEdge(best.old)
+	if far := bridge(cands, best); far != nil {
+		g.deleteEdge(far)
+		best.merged.Prec = best.merged.Prec.Bound(far.Prec)
+		best.merged.Dep = best.merged.Dep.Bound(far.Dep)
+	}
+	g.insertEdge(best.merged)
+	return true
+}
+
+// bridge returns the old edge of a candidate that continues best's merged run
+// on its far side along the same axis, under the same pattern and metadata,
+// or nil. Adjacency is tested against the merged run, not against d's cell: a
+// parallel edge on best's own side (a formula that reads one cell twice)
+// overlaps the merged run and is no bridge.
+func bridge(cands []candidate, best candidate) *Edge {
+	for _, c := range cands {
+		if c.axis == best.axis && c.merged.Pattern == best.merged.Pattern && c.merged.Meta == best.merged.Meta &&
+			best.merged.Dep.Adjacent(c.old.Dep, best.axis) {
+			return c.old
+		}
+	}
+	return nil
 }
 
 // findCandidates shifts the inserted formula cell one step in all four
 // directions, finds the edges whose dependent run touches the shifted cell,
-// and keeps those that genCompEdges validates.
-func (g *Graph) findCandidates(d Dependency) []candidate {
+// and appends to cands those that genCompEdges validates.
+func (g *Graph) findCandidates(cands []candidate, d Dependency) []candidate {
 	type probe struct {
 		off  ref.Offset
 		axis ref.Axis
@@ -191,21 +221,21 @@ func (g *Graph) findCandidates(d Dependency) []candidate {
 		{ref.Offset{DCol: -1, DRow: 0}, ref.AxisRow},
 		{ref.Offset{DCol: 1, DRow: 0}, ref.AxisRow},
 	}
-	var cands []candidate
-	seen := map[*Edge]struct{}{}
+	// The probes return a handful of edges, so a linear scan dedups them
+	// without allocating.
+	var seenBuf [16]*Edge
+	seen := seenBuf[:0]
 	for _, pr := range probes {
 		shifted := ref.CellRange(d.Dep.Add(pr.off))
 		if !shifted.Head.Valid() {
 			continue
 		}
 		g.byDep.Search(shifted, func(_ ref.Range, e *Edge) bool {
-			if _, dup := seen[e]; dup {
+			if slices.Contains(seen, e) {
 				return true
 			}
-			seen[e] = struct{}{}
-			for _, merged := range g.genCompEdges(e, d, pr.axis) {
-				cands = append(cands, candidate{merged: merged, old: e, axis: pr.axis})
-			}
+			seen = append(seen, e)
+			cands = g.genCompEdges(cands, e, d, pr.axis)
 			return true
 		})
 	}
@@ -213,21 +243,21 @@ func (g *Graph) findCandidates(d Dependency) []candidate {
 }
 
 // genCompEdges tries to compress d into candidate edge e along axis,
-// returning the valid merged edges (the paper's genCompEdges).
-func (g *Graph) genCompEdges(e *Edge, d Dependency, axis ref.Axis) []*Edge {
-	var out []*Edge
-	if e.Pattern == Single {
-		for _, p := range g.opts.patterns() {
-			if merged := AddDep(e, d, p, axis); merged != nil && g.allowed(merged) {
-				out = append(out, merged)
-			}
+// appending the valid merged edges to cands (the paper's genCompEdges).
+func (g *Graph) genCompEdges(cands []candidate, e *Edge, d Dependency, axis ref.Axis) []candidate {
+	try := func(p PatternType) {
+		if merged := AddDep(e, d, p, axis); merged != nil && g.allowed(merged) {
+			cands = append(cands, candidate{merged: merged, old: e, axis: axis})
 		}
-		return out
 	}
-	if merged := AddDep(e, d, e.Pattern, axis); merged != nil && g.allowed(merged) {
-		out = append(out, merged)
+	if e.Pattern != Single {
+		try(e.Pattern)
+		return cands
 	}
-	return out
+	for _, p := range g.opts.patterns() {
+		try(p)
+	}
+	return cands
 }
 
 // allowed applies variant restrictions (TACO-InRow).

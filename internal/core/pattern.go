@@ -219,8 +219,8 @@ func AddDep(e *Edge, d Dependency, p PatternType, axis ref.Axis) *Edge {
 		dc = transposeDep(d)
 	}
 	merged := addDepCol(c, dc, p)
-	if merged == nil {
-		return nil
+	if merged == nil || axis == ref.AxisCol {
+		return merged
 	}
 	return uncanon(*merged, axis)
 }

@@ -135,15 +135,18 @@ func TestPlanLevelGapSplitsRun(t *testing.T) {
 }
 
 // TestPlanLevelHoleSplitsRun pins the opposite of its name, which predates
-// carving from the formulas: a row that only Single edges claim — what formula
-// rewrites on neighbouring rows leave behind, since the greedy compressor
-// merges only on insert — is no hole. Its cell still interns to the column's
-// program, so the re-dirtied column is one span, whatever the edges look like.
+// carving from the formulas: a row that only Single edges claim is no hole.
+// Its cell still interns to the column's program, so the re-dirtied column is
+// one span, whatever the edges look like. The graph under test compresses
+// nothing (every pattern disabled), so C30 keeps only Single edges through the
+// rewrites and restores of rows 30 and 31, which a compressing graph bridges
+// back into the column's runs.
 func TestPlanLevelHoleSplitsRun(t *testing.T) {
 	form := func(r int) (string, string) {
 		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d", r, r)
 	}
-	serial, e := runsFixture(t, nil, 60, form), runsFixture(t, nil, 60, form)
+	uncompressed := TACO{G: core.NewGraph(core.Options{Patterns: []core.PatternType{}})}
+	serial, e := runsFixture(t, nil, 60, form), runsFixture(t, uncompressed, 60, form)
 	serial.SetRecalcParallelism(1)
 	for _, eng := range []*Engine{serial, e} {
 		eng.RecalculateAll()
@@ -185,14 +188,21 @@ func carved(e *Engine) (list []ref.Range) {
 	return list
 }
 
-// TestCarveIgnoresEdgeFragmentation is ROADMAP item 3's script in small:
-// rewriting and restoring 200 cells of a 2 000-row ledger's column C leaves its
-// compressed edges in pieces for good, and the rate edit that follows carves
-// the node list, and drains the levels, of a freshly bulk-loaded twin.
+// TestCarveIgnoresEdgeFragmentation: a 2 000-row ledger installed one write at
+// a time, row by row, leaves its compressed edges in pieces (the greedy
+// compressor's result depends on insertion order), and 200 rewrites and
+// restores of column C on top change nothing. The rate edit that follows
+// carves the node list, and drains the levels, of a freshly bulk-loaded twin.
 func TestCarveIgnoresEdgeFragmentation(t *testing.T) {
 	const rows = 2000
-	fresh, e := ledgerEngine(t, rows), ledgerEngine(t, rows)
-	edges := e.TACOGraph().NumEdges()
+	fresh, e := ledgerEngine(t, rows), New(nil)
+	for _, c := range ledgerCells(rows) {
+		if c.AST == nil {
+			e.SetValue(c.At, c.Value)
+		} else {
+			e.SetFormulaParsed(c.At, c.Src, c.AST)
+		}
+	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		r := 1 + rng.Intn(rows)
@@ -200,8 +210,8 @@ func TestCarveIgnoresEdgeFragmentation(t *testing.T) {
 		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*B%d*$H$1", r, r))
 	}
 	e.RecalculateAll()
-	if got := e.TACOGraph().NumEdges(); got < edges+100 {
-		t.Fatalf("fixture: %d edges after the rewrites, %d before; they no longer fragment the column", got, edges)
+	if got, want := e.TACOGraph().NumEdges(), fresh.TACOGraph().NumEdges(); got < want+100 {
+		t.Fatalf("fixture: %d edges installed row by row, %d bulk-loaded; the install order no longer fragments the graph", got, want)
 	}
 	for _, eng := range []*Engine{fresh, e} {
 		eng.SetValue(ref.MustCell("H1"), formula.Num(1.07))

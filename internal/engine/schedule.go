@@ -29,7 +29,7 @@ import (
 // intersecting that window with a per-column row-sorted index of the nodes
 // gives the in-edges. The schedule is therefore a function of the sheet's
 // formulas and dirty flags alone: the same under TACO, NoComp or any other
-// Graph, however edits have fragmented the compressed edges. Coarse windows
+// Graph, however fragmented the compressed edges are. Coarse windows
 // only add ordering, which costs nothing on one goroutine — with two
 // exceptions, both about a span depending on itself:
 //
