@@ -12,6 +12,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"taco/internal/core"
@@ -78,9 +79,9 @@ type cell struct {
 	src   string
 	value formula.Value
 	dirty bool
-	// evaluating guards against reference cycles during recalculation — a
-	// flag on the record instead of a side map, so the (very hot) resolver
-	// path reads it off the record it already holds, not off a map probe.
+	// evaluating marks a cell the walk has started and not finished; reading
+	// it is #CYCLE!. A flag on the record, not a side map, so the hot resolver
+	// path reads it off the record it already holds.
 	evaluating bool
 	// prog is the cell's compiled bytecode program, interned through the
 	// formula-level compile cache so shifted copies of one formula pattern
@@ -107,10 +108,17 @@ type Engine struct {
 	// nformulas counts the formula cells in store (NumFormulas).
 	nformulas int
 	// parallelism is the serial-reference pin (the name is historical, see
-	// SetRecalcParallelism): 1 keeps every drain on the serial recursive
-	// resolver; any other value, the zero default included, lets
-	// wavefrontReady choose by dirty-set size.
+	// SetRecalcParallelism): 1 keeps every drain on the walk; any other value,
+	// the zero default included, lets wavefrontReady choose.
 	parallelism int
+	// walk is the serial resolver's stack (see evalResolver), walk[:exact] its
+	// exact entries, top its height when the evaluation in progress started;
+	// cycled says that evaluation read a cell under evaluation, walking that
+	// the walk owns the dirty generation.
+	walk       []*cell
+	exact, top int
+	cycled     bool
+	walking    bool
 	// dirtyGen counts dirty-set mutations from outside a wavefront drain.
 	// The cached schedule carries the generation it was built at; a mismatch
 	// means an edit intervened and the schedule no longer describes the
@@ -252,7 +260,7 @@ func Load(s *workload.Sheet, g Graph) (*Engine, error) {
 	for _, d := range deps {
 		e.graph.Add(d)
 	}
-	e.drainSerial(e.store.ndirty) // see LoadBulkParsed
+	e.drainSerial(math.MaxInt) // see LoadBulkParsed
 	return e, nil
 }
 
@@ -317,14 +325,10 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 			e.store.noteDirty(c.At.Col, c.At.Row, c.At.Row, 1)
 		}
 	}
-	// A fresh load's first full recalculation stays on the serial resolver,
-	// whatever its size: every cell is dirty exactly once and the engine may
-	// never see another sheet-wide drain, so the levelled path's per-cell
-	// programs and sheet-sized retained schedule are pure cost here —
-	// measured on the benchmark host, routing it through DrainLevels costs
-	// 15–20 % of load_cells_per_s on the ledger and scenario loads and +6 %
-	// live heap on the 64-session interactive workload.
-	e.drainSerial(e.store.ndirty)
+	// A fresh load drains on the walk, whatever its size: every cell is dirty
+	// once, and the levelled path would compile every formula first (on a
+	// 2-CPU host the 20 000-row ledger loaded in 116 ms that way, 103 here).
+	e.drainSerial(math.MaxInt)
 	return e
 }
 
@@ -370,88 +374,140 @@ func (e *Engine) Peek(at ref.Ref) (v formula.Value, clean bool) {
 	return c.value, !c.dirty
 }
 
-// evalResolver is the formula.Resolver recalculation runs under: reading a
-// dirty precedent evaluates it first, which makes recalculation naturally
-// topological. It is deliberately not the public read path — Engine.Value
-// must stay side-effect-free.
+// evalResolver is the formula.Resolver of the walk, the serial resolver that
+// drains loads, small dirty sets, a pinned engine and the rest of a stalled
+// levelled drain; it is never the public read path, which must stay
+// side-effect-free. The walk evaluates the top of its stack with formula.Eval.
+// A read of a cell under evaluation is #CYCLE!; any other dirty cell is pushed
+// and reads a placeholder, and the reader is discarded, to be evaluated again
+// once what it pushed is finished. An exact evaluation's first dirty read is
+// pushed exact: evaluation is a pure function of its reads, so the retry
+// replays a recursion's reads up to its next dirty one, and #CYCLE! lands
+// where the recursion put it (walk_test.go keeps it as the reference). Other
+// dirty reads are pushed speculative, above every exact entry: a speculative
+// evaluation that reads no cell under evaluation has its value on any path
+// and commits, so a scan over n dirty formulas is retried once, not n times;
+// one that reads such a cell drops every speculative entry. The stack stays
+// on the engine between budgeted calls, every evaluation started counts
+// against the budget, and the walk owns the dirty generation until an edit
+// starts the next (noteDirtyMutation), which empties the stack.
 type evalResolver struct{ e *Engine }
 
-// CellValue implements formula.Resolver. Clean cells — the overwhelming
-// majority of references during a recalculation — pay one point read and
-// no cycle bookkeeping.
+// CellValue implements formula.Resolver: a clean cell costs one point read.
 func (r evalResolver) CellValue(at ref.Ref) formula.Value {
 	c := r.e.store.get(at)
 	if c == nil {
 		return formula.Empty()
 	}
 	if c.dirty {
-		if c.evaluating {
-			return formula.Errorf("#CYCLE!")
-		}
-		r.e.evaluate(c)
+		return r.await(at, c)
 	}
 	return c.value
 }
 
-// RangeValues implements formula.RangeResolver: the evaluator's bulk fast
-// path for range-consuming builtins. It streams the populated cells of rng
-// in row-major order straight off the columnar slabs — no per-cell point
-// reads — evaluating dirty cells on the way exactly as CellValue would.
-// Evaluation never inserts or removes cells, so the slabs are stable under
-// the recursive evaluations a scan can trigger.
+// RangeValues implements formula.RangeResolver straight off the slabs.
 func (r evalResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) bool {
-	r.e.store.scanRange(rng, func(at ref.Ref, c *cell) bool {
-		if c.dirty {
-			if c.evaluating {
-				return fn(at, formula.Errorf("#CYCLE!"))
-			}
-			r.e.evaluate(c)
-		}
-		return fn(at, c.value)
-	})
+	r.e.store.scanRange(rng, func(at ref.Ref, c *cell) bool { return fn(at, cellVal(at, c, r.await)) })
 	return true
 }
 
-// FoldRange implements formula.RangeFolder for the recalculation path:
-// the plain aggregates fold straight off the columnar slabs, evaluating
-// dirty cells on the way exactly as CellValue would (and reporting a cell
-// currently being evaluated as #CYCLE!, like every other read of it).
+// FoldRange implements formula.RangeFolder: the plain aggregates fold straight
+// off the slabs.
 func (r evalResolver) FoldRange(rng ref.Range) (formula.NumericFold, bool) {
-	return r.e.store.foldRange(rng, r.dirtyVal)
-}
-
-// dirtyVal is the dirty-cell hook the fold paths share: evaluate the cell
-// first, exactly as CellValue would (a cell currently being evaluated reads
-// as #CYCLE!, like every other read of it).
-func (r evalResolver) dirtyVal(at ref.Ref, c *cell) formula.Value {
-	if c.evaluating {
-		return formula.Errorf("#CYCLE!")
-	}
-	r.e.evaluate(c)
-	return c.value
+	return r.e.store.foldRange(rng, r.await)
 }
 
 // FoldSumIf implements formula.CondFolder for the recalculation path.
 func (r evalResolver) FoldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range) (float64, bool) {
-	return r.e.store.foldSumIf(critRng, crit, sumRng, r.dirtyVal)
+	return r.e.store.foldSumIf(critRng, crit, sumRng, r.await)
 }
 
 // FoldSumProduct implements formula.CondFolder for the recalculation path.
 func (r evalResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
-	return r.e.store.foldSumProduct(a, b, r.dirtyVal)
+	return r.e.store.foldSumProduct(a, b, r.await)
 }
 
-func (e *Engine) evaluate(c *cell) {
-	e.noteDirtyMutation()
-	// A serial evaluation drains cells the roots model can't account for.
-	e.rootsOK = false
-	if c.ast != nil {
-		c.evaluating = true
-		c.value = formula.Eval(c.ast, evalResolver{e})
+// await is the hook for a dirty read (see evalResolver).
+func (r evalResolver) await(_ ref.Ref, c *cell) formula.Value {
+	e := r.e
+	if c.evaluating {
+		e.cycled = true
+		return formula.Errorf("#CYCLE!")
+	}
+	if len(e.walk) == e.top && e.top == e.exact {
+		e.exact++ // an exact evaluation's first dirty read
+	}
+	e.walk = append(e.walk, c)
+	return formula.Errorf("#AWAIT!") // discarded with the evaluation
+}
+
+// drainSerial runs up to max evaluations on the walk, the stack a budget left
+// first, then one root per dirty cell in column-major order.
+func (e *Engine) drainSerial(max int) int {
+	if e.sched != nil {
+		e.noteDirtyMutation() // pinned serial mid-drain: the schedule is stale
+	}
+	e.walking, e.rootsOK = true, false // the roots model can't describe a walk
+	left := e.store.ndirty
+	n := e.unwind(max)
+	e.store.dirtyWindows(func(_ int, _ []int, cells []cell) bool {
+		for i := range cells {
+			if c := &cells[i]; c.dirty {
+				if len(e.walk) > 0 || n >= max {
+					return false
+				}
+				e.walk, e.exact = append(e.walk, c), 1
+				n += e.unwind(max - n)
+			}
+		}
+		return true
+	})
+	mCellsEvaluated.Add(uint64(left - e.store.ndirty))
+	return n
+}
+
+// unwind evaluates the top of the stack until the stack is empty or max
+// evaluations ran, and returns how many did.
+func (e *Engine) unwind(max int) int {
+	n, cycles := 0, 0
+	for len(e.walk) > 0 && n < max {
+		top := len(e.walk) - 1
+		if c := e.walk[top]; c.dirty { // else cleaned since it was pushed
+			n++
+			if c.ast != nil {
+				c.evaluating, e.top, e.cycled = true, len(e.walk), false
+				v := formula.Eval(c.ast, evalResolver{e})
+				if e.cycled && top >= e.exact {
+					e.truncate(e.exact) // a speculation met a cycle
+					continue
+				}
+				if len(e.walk) > e.top {
+					continue // finish what it read, then retry
+				}
+				c.value, c.evaluating = v, false
+				if v.Err == "#CYCLE!" {
+					cycles++
+				}
+			}
+			c.dirty = false
+			e.store.cleaned(1)
+		}
+		e.truncate(top)
+	}
+	if cycles > 0 {
+		mCycleCells.Add(uint64(cycles))
+	}
+	return n
+}
+
+// truncate pops the stack to height h, clearing the flags of what it pops and
+// the slots, which must not pin a slab. It runs before any slab is reshaped.
+func (e *Engine) truncate(h int) {
+	for _, c := range e.walk[h:] {
 		c.evaluating = false
 	}
-	c.dirty = false
-	e.store.cleaned(1)
+	clear(e.walk[h:])
+	e.walk, e.exact = e.walk[:h], min(e.exact, h)
 }
 
 // Formula returns the formula source of a cell ("" for value cells).
@@ -659,76 +715,42 @@ func (e *Engine) Dirty(at ref.Ref) bool {
 	return c != nil && c.dirty
 }
 
-// SetRecalcParallelism(1) pins recalculation to the serial recursive
-// resolver — the reference every equivalence oracle compares the levelled
-// drain against. Any other value (0 is the default) leaves the choice to
-// wavefrontReady. The name is historical: n was once a worker count, and the
-// frozen benchmark still calls it with one, so the signature stays until the
-// next benchmark PR renames it (the StoreOptions.DeltaSnapshots precedent).
+// SetRecalcParallelism(1) pins recalculation to the walk (see evalResolver),
+// the reference the equivalence oracles compare the levelled drain against;
+// any other value (0 is the default) leaves the choice to wavefrontReady. The
+// name is historical — n was a worker count — and stays while the frozen
+// benchmark calls it.
 func (e *Engine) SetRecalcParallelism(n int) { e.parallelism = n }
 
 // RecalcParallelism returns the value last given to SetRecalcParallelism.
 func (e *Engine) RecalcParallelism() int { return e.parallelism }
 
 // wavefrontReady reports whether recalculation should route through the
-// levelled drain (schedule.go): not pinned serial, and either a dirty set
+// levelled drain (schedule.go) rather than the walk: not pinned serial, the
+// walk not already draining this dirty generation, and either a dirty set
 // large enough to be worth levelling or a cached schedule mid-drain
-// (resuming it is always cheaper than switching to the serial path). The
-// choice depends only on what the engine can observe, so it is the same on
-// every host.
+// (resuming it is always cheaper than switching paths). The choice depends
+// only on what the engine can observe, so it is the same on every host.
 func (e *Engine) wavefrontReady() bool {
-	return e.parallelism != 1 && (e.sched != nil || e.store.ndirty >= minLevelledDirty)
+	return e.parallelism != 1 && !e.walking && (e.sched != nil || e.store.ndirty >= minLevelledDirty)
 }
 
 // RecalculateAll evaluates every dirty formula cell (the background phase of
-// the asynchronous model). It returns the number of cells evaluated directly;
-// transitively evaluated precedents are drained from the dirty set too.
-// Large dirty sets drain through the levelled scheduler, small ones through
-// the serial recursive resolver (see wavefrontReady).
-func (e *Engine) RecalculateAll() int {
-	if e.wavefrontReady() {
-		return e.DrainLevels(e.store.ndirty)
-	}
-	return e.drainSerial(e.store.ndirty)
-}
+// the asynchronous model) and returns the evaluations it ran: on the levels
+// one per cell, on the walk one per cell plus one per retry (see evalResolver).
+func (e *Engine) RecalculateAll() int { return e.RecalculateN(math.MaxInt) }
 
-// RecalculateN evaluates up to max dirty cells and returns how many it
-// evaluated directly. A background worker drains in bounded chunks so a
-// large recalculation never holds a session lock for its full duration —
-// readers interleave between chunks. On the serial path a single evaluation
-// can clean an arbitrary number of transitive precedents (chains), so the
-// work per call is bounded in evaluations started, not cells cleaned. On the
-// levelled path the bound is exact: levels are truncated to the budget and
-// the schedule — built once per dirty generation — stays cached between
-// calls, so successive chunks resume the remaining levels instead of
-// re-levelling the remainder — until Kahn stalls on a reference cycle, after
-// which the rest of the call has the serial contract (see DrainLevels).
+// RecalculateN runs up to max evaluations and returns how many it ran, at
+// least one while anything is pending, so a worker draining in chunks never
+// holds a session lock for a whole recalculation. Each path keeps its state
+// between calls: the levelled drain its schedule, whose levels and spans the
+// budget cuts, and the walk its stack, so a chain deeper than max drains over
+// several calls.
 func (e *Engine) RecalculateN(max int) int {
 	if e.wavefrontReady() {
 		return e.DrainLevels(max)
 	}
 	return e.drainSerial(max)
-}
-
-// drainSerial starts up to max evaluations on the serial recursive resolver:
-// reading a dirty precedent evaluates it first, so any iteration order over
-// the dirty set is topological. The order is the dirty spans', column-major.
-func (e *Engine) drainSerial(max int) int {
-	n := 0
-	e.store.dirtyWindows(func(_ int, _ []int, cells []cell) bool {
-		for i := range cells {
-			if c := &cells[i]; c.dirty {
-				if n >= max {
-					return false
-				}
-				e.evaluate(c)
-				n++
-			}
-		}
-		return true
-	})
-	mCellsEvaluated.Add(uint64(n))
-	return n
 }
 
 // RecalcStats describes the recalculation scheduler's state: the dirty
@@ -813,6 +835,7 @@ func (e *Engine) TACOGraph() *core.Graph {
 // is untouched (it may be pinned and outlive the engine). Using the engine
 // after Recycle is a bug.
 func (e *Engine) Recycle() {
+	e.truncate(0)
 	e.releaseSchedule()
 	e.releaseWarm()
 	e.store.recycle()

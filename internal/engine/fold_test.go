@@ -76,9 +76,9 @@ func TestFoldRangeMatchesScan(t *testing.T) {
 	}
 }
 
-// TestFoldEvaluatesDirtyCells: the recalculation-path fold must evaluate
-// dirty cells it passes over (and surface in-flight cycles as #CYCLE!),
-// exactly like the streaming evalResolver.
+// TestFoldEvaluatesDirtyCells: the recalculation-path fold must have the walk
+// evaluate the dirty cells it passes over — the first exact, the rest
+// speculative — so the total is retried once.
 func TestFoldEvaluatesDirtyCells(t *testing.T) {
 	e := New(nil)
 	e.SetValue(ref.MustCell("A1"), formula.Num(2))
@@ -88,8 +88,10 @@ func TestFoldEvaluatesDirtyCells(t *testing.T) {
 	mustFormula(t, e, "C1", "SUM(B1:B20)")
 	e.RecalculateAll()
 	e.SetValue(ref.MustCell("A1"), formula.Num(3)) // dirties the B column + C1
-	// Evaluating only C1 must pull every dirty B through the fold.
-	e.evaluate(e.store.get(ref.MustCell("C1")))
+	// Walking from C1 alone must pull every dirty B through the fold.
+	if n := walkFrom(e, ref.MustCell("C1")); n != 22 {
+		t.Fatalf("%d evaluations, want C1, the twenty B cells and one retry of C1", n)
+	}
 	if v := e.Value(ref.MustCell("C1")); v.Num != 3*210 {
 		t.Fatalf("C1 = %v, want %v", v, 3*210)
 	}
@@ -182,7 +184,7 @@ func TestCondFoldsMatchPerCell(t *testing.T) {
 }
 
 // TestCondFoldEvaluatesDirty: the recalculation-path SUMIF/SUMPRODUCT folds
-// must evaluate dirty cells they pass over, like FoldRange does.
+// must have the walk evaluate dirty cells they pass over, like FoldRange does.
 func TestCondFoldEvaluatesDirty(t *testing.T) {
 	e := New(nil)
 	e.SetValue(ref.MustCell("A1"), formula.Num(2))
@@ -193,7 +195,9 @@ func TestCondFoldEvaluatesDirty(t *testing.T) {
 	mustFormula(t, e, "D1", "SUMIF(B1:B20,\">0\",C1:C20)+SUMPRODUCT(B1:B20,C1:C20)")
 	e.RecalculateAll()
 	e.SetValue(ref.MustCell("A1"), formula.Num(3))
-	e.evaluate(e.store.get(ref.MustCell("D1")))
+	if n := walkFrom(e, ref.MustCell("D1")); n != 22 {
+		t.Fatalf("%d evaluations, want D1, the twenty B cells and one retry of D1", n)
+	}
 	if v := e.Value(ref.MustCell("D1")); v.Num != 20+3*210 {
 		t.Fatalf("D1 = %v, want %v", v, 20+3*210)
 	}

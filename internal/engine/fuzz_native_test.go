@@ -9,13 +9,15 @@ import (
 )
 
 // FuzzRecalcParallel: for any parseable formula dropped into a populated
-// sheet, the levelled drain must produce byte-identical values to the
-// pinned-serial one — the engine-level extension of formula.FuzzEval's
-// bulk≡percell property to the scheduler. (The name predates the
-// single-goroutine drain; the corpus directory and the fuzz jobs refer to
-// it.) Reference cycles included: a levelled drain that stalls on a
-// reference cycle hands the rest to the serial resolver, so a cycle's values
-// are the reference's too.
+// sheet, three drains must produce byte-identical values — the pinned-serial
+// walk, the default engine drained in fuzz-chosen chunks (RecalculateN(1 +
+// chunk) loops, which cut levels, spans and the walk's stack across calls),
+// and the recursive resolver the walk replaced (walk_test.go). It is the
+// engine-level extension of formula.FuzzEval's bulk≡percell property to the
+// scheduler. (The name predates the single-goroutine drain; the corpus
+// directory and the fuzz jobs refer to it.) Reference cycles included: the
+// sheet carries a look-down chain D1:D40 whose last row reads G20, so a
+// formula there that reads D1 closes a cycle under it.
 func FuzzRecalcParallel(f *testing.F) {
 	seeds := []string{
 		"=SUM(A1:A40)+B3",
@@ -26,11 +28,13 @@ func FuzzRecalcParallel(f *testing.F) {
 		"=IFERROR(1/A5,99)",
 		"=E5+1",      // self-reference once placed at E5
 		"=((A1:X1))", // a bare range: a graph edge through F1 the walker never reads
+		"=D1+1",      // at G20, a cycle through the whole look-down chain
+		"=SUM(D1:D40)-F1",
 	}
-	for _, s := range seeds {
-		f.Add(s)
+	for i, s := range seeds {
+		f.Add(s, uint8(i*37))
 	}
-	f.Fuzz(func(t *testing.T, src string) {
+	f.Fuzz(func(t *testing.T, src string, chunk uint8) {
 		node, err := formula.Parse(src)
 		if err != nil {
 			return
@@ -44,9 +48,23 @@ func FuzzRecalcParallel(f *testing.F) {
 				return
 			}
 		}
-		build := func(pinSerial bool) *Engine {
+		drain := func(e *Engine, arm string) {
+			switch arm {
+			case "serial":
+				e.RecalculateAll() // pinned: the walk
+			case "chunked":
+				for e.Pending() > 0 {
+					if e.RecalculateN(1+int(chunk)) == 0 {
+						t.Fatalf("RecalculateN(%d) made no progress with %d pending", 1+int(chunk), e.Pending())
+					}
+				}
+			default:
+				drainRecursive(e)
+			}
+		}
+		build := func(arm string) *Engine {
 			e := New(nil)
-			if pinSerial {
+			if arm == "serial" {
 				e.SetRecalcParallelism(1)
 			}
 			for row := 1; row <= 40; row++ {
@@ -61,11 +79,16 @@ func FuzzRecalcParallel(f *testing.F) {
 					e.SetValue(ref.Ref{Col: 2, Row: row}, formula.Num(float64(row*row)))
 				}
 			}
-			// A formula tier over the data plus padding wide enough to push
+			// A formula tier over the data, a look-down chain reading the
+			// fuzzed formula at its foot, and padding wide enough to push
 			// every drain over the wavefront threshold.
 			for row := 1; row <= 40; row++ {
 				mustFormula(t, e, fmt.Sprintf("C%d", row), fmt.Sprintf("SUM(A$1:B$%d)+%d", row, row))
+				if row < 40 {
+					mustFormula(t, e, fmt.Sprintf("D%d", row), fmt.Sprintf("D%d+A%d", row+1, row))
+				}
 			}
+			mustFormula(t, e, "D40", "IFERROR($G$20,2)+1")
 			for i := 1; i <= minLevelledDirty; i++ {
 				mustFormula(t, e, fmt.Sprintf("H%d", i), fmt.Sprintf("$A$1+%d", i))
 			}
@@ -77,23 +100,25 @@ func FuzzRecalcParallel(f *testing.F) {
 				t.Fatalf("parsed but rejected by SetFormula: %v", err)
 			}
 			mustFormula(t, e, "F1", "E5+G20")
-			e.RecalculateAll()
+			drain(e, arm)
 			// Re-dirty through the shared input and drain again: the second
 			// drain exercises invalidate-driven dirty sets, not load-time ones.
 			e.SetValue(ref.MustCell("A1"), formula.Num(17))
-			e.RecalculateAll()
+			drain(e, arm)
 			return e
 		}
-		serial := build(true)
-		levelled := build(false)
-		if p := levelled.Pending(); p != 0 {
-			t.Fatalf("levelled drain left %d pending", p)
-		}
-		serial.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
-			if pv := levelled.Value(at); pv != c.value {
-				t.Errorf("%v: serial=%v levelled=%v (formula %q)", at, c.value, pv, src)
+		serial := build("serial")
+		for _, arm := range []string{"chunked", "recursive"} {
+			e := build(arm)
+			if p := e.Pending(); p != 0 {
+				t.Fatalf("%s drain left %d pending", arm, p)
 			}
-			return nil
-		})
+			serial.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
+				if v := e.Value(at); v != c.value {
+					t.Errorf("%v: serial=%v %s=%v (formula %q, chunk %d)", at, c.value, arm, v, src, 1+int(chunk))
+				}
+				return nil
+			})
+		}
 	})
 }

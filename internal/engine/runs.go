@@ -52,16 +52,16 @@ const minPatternRun = 8
 
 // carve walks the dirty spans column-major and appends the schedule's nodes.
 // A maximal run of contiguous flagged rows whose cells intern to one compiled
-// program becomes one span node when runs is set, it is at least
-// minPatternRun long and an ascending sweep can order it — its cells read,
-// inside the run, only rows above their own. Every other dirty cell is a node
-// of its own: value cells, uncompilable formulas, short or unsweepable runs,
-// every cell when runs is off.
+// program becomes one span node when pattern runs are on (SetPatternRuns), it
+// is at least minPatternRun long and an ascending sweep can order it — its
+// cells read, inside the run, only rows above their own. Every other dirty
+// cell is a node of its own: value cells, uncompilable formulas, short or
+// unsweepable runs, every cell when pattern runs are off.
 //
 // The sweep test resolves the run's operand windows and linkSchedule resolves
 // them again — linking needs the finished node index, and a few additions per
 // operand are cheaper than retaining the windows per node.
-func (e *Engine) carve(sch *schedule, runs bool) {
+func (e *Engine) carve(sch *schedule) {
 	// One closure per build, re-aimed per run through span.
 	var span ref.Range
 	var sweepable bool
@@ -81,7 +81,7 @@ func (e *Engine) carve(sch *schedule, runs bool) {
 			}
 			j := i + 1
 			var p *formula.Program
-			if runs && c.ast != nil {
+			if e.patternRuns && c.ast != nil {
 				p = e.prog(at(i), c) // nil when the compiler declines the formula
 			}
 			for p != nil && j < len(cells) && cells[j].dirty && rows[j] == rows[j-1]+1 &&

@@ -179,7 +179,7 @@ func TestPlanLevelHoleSplitsRun(t *testing.T) {
 // were.
 func carved(e *Engine) (list []ref.Range) {
 	sch := schedPool.Get().(*schedule)
-	e.carve(sch, e.patternRuns)
+	e.carve(sch)
 	for i := range sch.nodes {
 		nd := &sch.nodes[i]
 		list = append(list, ref.Range{Head: nd.at, Tail: ref.Ref{Col: nd.at.Col, Row: nd.at.Row + len(nd.cells) - 1}})

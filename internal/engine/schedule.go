@@ -16,8 +16,8 @@ import (
 // nodes are partitioned into topological levels — a node's level is one past
 // its deepest dirty precedent node — and the levels are evaluated in order.
 // Nodes within a level have no unsettled precedents outside themselves, so
-// the evaluator runs against the read-only value resolver, never recurses,
-// and the results are exactly the serial resolver's. What levelling buys is
+// the evaluator runs against the read-only value resolver, never waits on a
+// dirty cell, and the results are exactly the walk's. What levelling buys is
 // not concurrency but shape: a node is a flat batch, so it can run compiled
 // programs on the bytecode VM as one vectorised sweep and stop at any budget.
 //
@@ -31,7 +31,7 @@ import (
 // formulas and dirty flags alone: the same under TACO, NoComp or any other
 // Graph, however fragmented the compressed edges are. Coarse windows
 // only add ordering, which costs nothing on one goroutine — with two
-// exceptions, both about a span depending on itself:
+// exceptions, both about spans depending on themselves:
 //
 //   - A span whose precedent window overlaps the span stays whole only if an
 //     ascending sweep is a valid order: every cell reads, inside the span,
@@ -39,11 +39,10 @@ import (
 //     SUM(D$1:D4)). Per-cell windows are linear in the row, so the first cell
 //     decides it. Anything else — look-down, straddling, a fixed window
 //     inside the span — is carved as single cells.
-//   - Coarse windows can close cycles the cells do not (X reads Y's previous
+//   - Coarse windows can close loops the cells do not (X reads Y's previous
 //     row, Y reads X's current row: two spans each waiting on the other, the
-//     cells a zig-zag chain). When Kahn stalls with spans unfinished, what is
-//     still dirty is re-carved as single cells and re-linked; only a stall
-//     among single cells is a reference cycle.
+//     cells a zig-zag chain). Kahn stalls on such a loop exactly as on a
+//     reference cycle, and the stall is handled the same way (below).
 //
 // The schedule is a first-class resumable object. It is built once per dirty
 // generation and then drained level by level under a budget (DrainLevels). A
@@ -52,20 +51,18 @@ import (
 // frontier intact, so the next RecalculateN call resumes where the last one
 // stopped instead of re-levelling the remainder: a serving layer can drain a
 // giant dirty set in many short lock holds and pay for levelling exactly
-// once. Any dirty-set mutation from outside a drain (an edit, a clear, a
-// serial evaluation) bumps the engine's dirty generation and invalidates the
-// cached schedule; the next drain simply rebuilds over whatever is still
-// flagged then. The generation stamp is also checked at resume time, so a
-// schedule can never be drained against a dirty set it does not describe.
+// once. Any dirty-set mutation from outside a drain (an edit, a clear)
+// bumps the engine's dirty generation and invalidates the cached schedule;
+// the next drain simply rebuilds over whatever is still flagged then. The
+// generation stamp is also checked at resume time, so a schedule can never
+// be drained against a dirty set it does not describe.
 //
-// Reference cycles have one semantics, the serial resolver's: a read of a
-// cell still being evaluated is #CYCLE!. The schedule never evaluates one.
-// When Kahn stalls among single cells — every unpublished cell on a cycle or
-// downstream of one, and no published cell reading any of them — the
-// schedule is released and the serial resolver drains the rest of the call
-// in its column-major order, entering each cycle where a pinned-serial drain
-// of the whole dirty set would. So a cell's value never depends on how many
-// other cells an edit dirtied.
+// Reference cycles have one semantics, the walk's (evalResolver): a read of a
+// cell under evaluation is #CYCLE!. The schedule never evaluates one. When
+// Kahn stalls — on a cycle or a coarse loop — the schedule is released and the
+// walk drains the rest of the dirty generation, entering each cycle where a
+// pinned-serial drain of the whole dirty set would (DrainLevels): a value
+// never depends on how many other cells an edit dirtied.
 //
 // A drain runs on one goroutine — the one that called it. Evaluation never
 // inserts or removes cells, so the columnar slabs — the only cell index
@@ -76,9 +73,9 @@ import (
 
 const (
 	// minLevelledDirty is the dirty-set size below which RecalculateAll/N
-	// use the serial recursive resolver — levelling a handful of cells costs
-	// more than evaluating them. A cached schedule overrides the threshold:
-	// resuming it is cheaper than switching paths.
+	// use the walk — levelling a handful of cells costs more than evaluating
+	// them. A cached schedule overrides the threshold: resuming it is cheaper
+	// than switching paths.
 	minLevelledDirty = 64
 	// maxWarmRoots bounds the edit-root list the warm-schedule cache
 	// compares epochs by; epochs with more distinct roots rebuild.
@@ -142,15 +139,16 @@ var schedPool = sync.Pool{New: func() any {
 	return sch
 }}
 
-// noteDirtyMutation records a dirty-set mutation from outside a wavefront
-// drain: every such mutation starts a new dirty generation and invalidates
-// the cached schedule (the drain's own publications do not — the schedule
-// tracks those itself). Called from every write path that flags or cleans a
-// cell. Interrupting a live (unfinished) schedule also poisons the epoch's
-// root tracking: the dirty set now mixes a partial drain's remainder with new
-// marks, which no root list describes.
+// noteDirtyMutation records a dirty-set mutation from outside a drain — every
+// write path that flags or cleans a cell calls it before touching a slab. It
+// starts a new dirty generation, drops the walk's stack and invalidates the
+// cached schedule. Interrupting a live (unfinished) schedule also poisons the
+// epoch's root tracking: the dirty set now mixes a partial drain's remainder
+// with new marks, which no root list describes.
 func (e *Engine) noteDirtyMutation() {
 	e.dirtyGen++
+	e.truncate(0)
+	e.walking = false
 	if e.sched != nil {
 		mSchedInvalidations.Inc()
 		e.rootsOK = false
@@ -187,15 +185,9 @@ func (e *Engine) releaseWarm() {
 	}
 }
 
+// poolSchedule empties a schedule into the package pool, dropping the slab
+// windows and programs its nodes reference but keeping every slice's capacity.
 func poolSchedule(sch *schedule) {
-	sch.reset()
-	clear(sch.run.cursors)
-	schedPool.Put(sch)
-}
-
-// reset empties the schedule, dropping the slab windows and programs its
-// nodes reference but keeping every slice's capacity.
-func (sch *schedule) reset() {
 	for i := range sch.nodes {
 		sch.nodes[i].cells, sch.nodes[i].prog = nil, nil
 	}
@@ -204,6 +196,8 @@ func (sch *schedule) reset() {
 		sch.cols[c] = list[:0]
 	}
 	sch.frontier, sch.next = sch.frontier[:0], sch.next[:0]
+	clear(sch.run.cursors)
+	schedPool.Put(sch)
 }
 
 // retireSchedule moves a cleanly completed schedule into the warm cache,
@@ -285,7 +279,7 @@ func (e *Engine) ensureSchedule() *schedule {
 	sch := schedPool.Get().(*schedule)
 	sch.gen = e.dirtyGen
 	sch.total = e.store.ndirty
-	e.carve(sch, e.patternRuns)
+	e.carve(sch)
 	e.linkSchedule(sch)
 	sch.armFrontier(false)
 	e.schedBuilds++
@@ -349,7 +343,7 @@ func (e *Engine) spanPrecedents(sch *schedule, at ref.Ref, cells []cell, p *form
 // nprec counted per occurrence, so release stays consistent. A span's reads
 // of itself were checked sweepable when it was carved and add no edge; a
 // single cell reading itself gets an ordinary self-edge, so it never becomes
-// ready and is left to the serial resolver (DrainLevels).
+// ready and is left to the walk (DrainLevels).
 func (e *Engine) linkSchedule(sch *schedule) {
 	nodes := sch.nodes
 	// One closure pair per build, re-aimed per node through cur — a closure
@@ -414,12 +408,10 @@ func (sch *schedule) search(p ref.Range, hit func(int32)) {
 // and the rest of its level stay ready at the head of the frontier, the
 // schedule stays cached on the engine, and the next call resumes the sweep
 // at that row without re-levelling — Kahn runs once per dirty generation,
-// not once per chunk. A stall with spans unfinished re-carves the remainder
-// as single cells and drains on, the budget still exact in cells. A stall
-// among single cells — a reference cycle — hands the rest of the call to the
-// serial resolver, whose budget counts evaluations started, not cells.
-// Returns the cells drained on the levels plus the evaluations started after
-// such a stall.
+// not once per chunk. When Kahn stalls — on a reference cycle, or on a loop
+// only coarse span windows close — the walk drains the rest of the dirty
+// generation, starting with the rest of this call's budget. Returns the cells
+// drained on the levels plus the evaluations the walk ran.
 func (e *Engine) DrainLevels(budget int) int {
 	if budget <= 0 || e.store.ndirty == 0 {
 		return 0
@@ -435,91 +427,74 @@ func (e *Engine) DrainLevels(budget int) int {
 		mPatternRuns.Add(runs)
 		mPatternRunCells.Add(runCells)
 	}()
-	for {
-		for len(sch.frontier) > 0 && drained < budget {
-			level, next := sch.frontier, sch.next[:0]
-			start, k := drained, 0
-			for k < len(level) && drained < budget {
-				nd := &sch.nodes[level[k]]
-				m := min(len(nd.cells)-nd.done, budget-drained)
-				if len(nd.cells) == 1 {
-					e.evalLevelCell(nd)
-				} else {
-					e.executeRun(&sch.run, nd, m)
-					runs++
-					runCells += uint64(m)
-				}
-				nd.done += m
-				drained += m
-				if nd.done < len(nd.cells) {
-					break // the budget ended inside the span
-				}
-				k++
-				// Publish: release the span's dependents.
-				for _, j := range nd.outs {
-					dep := &sch.nodes[j]
-					if dep.nprec--; dep.nprec == 0 {
-						next = append(next, j)
-					}
-				}
-			}
-			e.store.cleaned(drained - start)
-			if k == len(level) {
-				e.levelsDrained++
-				levels++
-			}
-			// What the budget cut off is still ready (its precedents are
-			// settled) and leads the next frontier; its level counts when
-			// the chunk that finishes it runs.
-			sch.frontier = append(append(level[:0], level[k:]...), next...)
-			sch.next = next[:0]
-		}
-		switch {
-		case len(sch.frontier) > 0:
-			return drained // budget exhausted mid-schedule: stays cached
-		case e.store.ndirty == 0:
-			if e.rootsOK {
-				e.retireSchedule()
+	for len(sch.frontier) > 0 && drained < budget {
+		level, next := sch.frontier, sch.next[:0]
+		start, k := drained, 0
+		for k < len(level) && drained < budget {
+			nd := &sch.nodes[level[k]]
+			m := min(len(nd.cells)-nd.done, budget-drained)
+			if len(nd.cells) == 1 {
+				e.evalLevelCell(nd)
 			} else {
-				e.releaseSchedule()
+				e.executeRun(&sch.run, nd, m)
+				runs++
+				runCells += uint64(m)
 			}
-			return drained
-		case drained >= budget:
-			// Budget exhausted with only stalled cells left: the next call
-			// resumes the cached schedule straight into the stall.
-			return drained
+			nd.done += m
+			drained += m
+			if nd.done < len(nd.cells) {
+				break // the budget ended inside the span
+			}
+			k++
+			// Publish: release the span's dependents.
+			for _, j := range nd.outs {
+				dep := &sch.nodes[j]
+				if dep.nprec--; dep.nprec == 0 {
+					next = append(next, j)
+				}
+			}
 		}
-		if !slices.ContainsFunc(sch.nodes, func(nd schedNode) bool { return len(nd.cells) > 1 && nd.done < len(nd.cells) }) {
-			break
+		e.store.cleaned(drained - start)
+		if k == len(level) {
+			e.levelsDrained++
+			levels++
 		}
-		// Kahn stalled with a span unfinished: its coarse windows may be all
-		// that closes the loop. Everything still flagged is stalled; re-carve
-		// it as single cells, re-link and carry on — levels, not recursion, so
-		// the budget stays exact in cells.
-		e.rootsOK = false
-		sch.reset()
-		e.carve(sch, false)
-		e.linkSchedule(sch)
-		sch.armFrontier(false)
+		// What the budget cut off is still ready (its precedents are
+		// settled) and leads the next frontier; its level counts when the
+		// chunk that finishes it runs.
+		sch.frontier = append(append(level[:0], level[k:]...), next...)
+		sch.next = next[:0]
 	}
-	// Stalled among single cells: every unpublished cell sits on a reference
-	// cycle or downstream of one, and no published cell reads any of them. So
-	// the serial resolver's column-major walk enters each cycle at the cell a
-	// pinned-serial drain of the whole dirty set would, and the values are the
-	// serial reference's, cycles included.
+	switch {
+	case len(sch.frontier) > 0:
+		return drained // budget exhausted mid-schedule: stays cached
+	case e.store.ndirty == 0:
+		if e.rootsOK {
+			e.retireSchedule()
+		} else {
+			e.releaseSchedule()
+		}
+		return drained
+	case drained >= budget:
+		// Budget exhausted with only stalled cells left: the next call
+		// resumes the cached schedule straight into the stall.
+		return drained
+	}
+	// Stalled: every unpublished cell sits on a loop of nodes or downstream of
+	// one, and no published cell reads any of them. So the walk, rooted at the
+	// dirty cells in column-major order, enters each reference cycle at the
+	// cell a pinned-serial drain of the whole dirty set would, and the values
+	// are the serial reference's, cycles included.
 	e.releaseSchedule()
-	left := e.store.ndirty
-	n := e.drainSerial(budget - drained)
-	mCycleCells.Add(uint64(left - e.store.ndirty))
-	return drained + n
+	return drained + e.drainSerial(budget-drained)
 }
 
 // evalLevelCell evaluates a single-cell node against the engine's read-only
 // value resolver. Every precedent is settled by construction (it sits in an
-// earlier level, already drained), so unlike the serial evalResolver this
-// never recurses and never consults cycle flags — the writes are to the
-// cell itself (value, dirty, and the lazily compiled program, cached on
-// first drain). Compiled formulas run on the bytecode VM — bit-identical to
+// earlier level, already drained), so unlike the walk's evalResolver this
+// never meets a dirty read or a cycle flag — the writes are to the cell
+// itself (value, dirty, and the lazily compiled program, cached on first
+// drain). Compiled formulas run on the bytecode VM — bit-identical to
 // the walker by the VM's equivalence contract (see formula/compile.go); the
 // walker remains the fallback for uncompilable expressions.
 func (e *Engine) evalLevelCell(n *schedNode) {

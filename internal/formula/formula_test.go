@@ -1,6 +1,7 @@
 package formula
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -398,5 +399,36 @@ func TestDeepNesting(t *testing.T) {
 	}
 	if v := Eval(n, grid(nil)); v.Num != 1 {
 		t.Fatalf("deep nesting = %v", v)
+	}
+}
+
+// TestNestingBound: a formula nested MaxNesting levels deep parses and
+// evaluates; one level more is an *ErrNesting — for parentheses, signs, calls
+// and powers alike — and so is the 500 000-parenthesis formula a 1 MiB edit
+// can carry, rejected before the parser's recursion grows with it.
+func TestNestingBound(t *testing.T) {
+	for name, nest := range map[string]func(d int) string{
+		"parentheses": func(d int) string { return strings.Repeat("(", d) + "1" + strings.Repeat(")", d) },
+		"signs":       func(d int) string { return strings.Repeat("+", d) + "1" },
+		"calls":       func(d int) string { return strings.Repeat("ABS(", d) + "1" + strings.Repeat(")", d) },
+		"powers":      func(d int) string { return "1" + strings.Repeat("^1", d) },
+	} {
+		const d = MaxNesting - 1 // the whole formula is the first level
+		n, err := Parse(nest(d))
+		if err != nil {
+			t.Fatalf("%s: %d levels: %v", name, MaxNesting, err)
+		}
+		if v := Eval(n, grid(nil)); v != Num(1) {
+			t.Fatalf("%s: %d levels = %v", name, MaxNesting, v)
+		}
+		var deep *ErrNesting
+		if _, err := Parse(nest(d + 1)); !errors.As(err, &deep) {
+			t.Fatalf("%s: %d levels: err = %v, want *ErrNesting", name, MaxNesting+1, err)
+		}
+	}
+	src := strings.Repeat("(", 500000) + "1" + strings.Repeat(")", 500000)
+	var deep *ErrNesting
+	if _, err := Parse(src); !errors.As(err, &deep) || deep.Pos != MaxNesting {
+		t.Fatalf("500 000 parentheses: err = %v, want *ErrNesting at offset %d", err, MaxNesting)
 	}
 }

@@ -54,6 +54,13 @@ func (e *ErrSyntax) Error() string {
 	return fmt.Sprintf("formula: syntax error at offset %d: %s", e.Pos, e.Msg)
 }
 
+// ErrNesting rejects a formula whose operands nest deeper than MaxNesting.
+type ErrNesting struct{ Pos int }
+
+func (e *ErrNesting) Error() string {
+	return fmt.Sprintf("formula: nested past %d at %d", MaxNesting, e.Pos)
+}
+
 type lexer struct {
 	src string
 	pos int

@@ -161,9 +161,14 @@ func MustParse(src string) Node {
 	return n
 }
 
+// MaxNesting bounds nesting — a parseExpr level per parenthesis, argument,
+// sign and binary right operand — far below the stack limit (Excel nests 64).
+const MaxNesting = 1024
+
 type parser struct {
-	lx  lexer
-	tok token
+	lx    lexer
+	tok   token
+	depth int // parseExpr calls open
 }
 
 func (p *parser) advance() error {
@@ -193,6 +198,10 @@ func precedence(op string) int {
 }
 
 func (p *parser) parseExpr(minPrec int) (Node, error) {
+	if p.depth++; p.depth > MaxNesting {
+		return nil, &ErrNesting{Pos: p.tok.pos}
+	}
+	defer func() { p.depth-- }()
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -226,7 +235,7 @@ func (p *parser) parseUnary() (Node, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		x, err := p.parseUnary()
+		x, err := p.parseExpr(precedence("^") + 1) // one operand, no binary operator
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"taco/internal/formula"
 	"taco/internal/workload"
 	"taco/internal/xlsx"
 )
@@ -265,6 +267,16 @@ func TestBadRequests(t *testing.T) {
 		}},
 		{"bad xlsx", http.StatusBadRequest, func() int {
 			return tc.do("POST", "/sessions/xlsx", []byte("not a zip"), nil)
+		}},
+		{"formula nested past formula.MaxNesting", http.StatusBadRequest, func() int {
+			// 1 000 001 bytes: under maxEditStringBytes, so only the parser's
+			// nesting bound refuses it.
+			deep := strings.Repeat("(", 500000) + "1" + strings.Repeat(")", 500000)
+			if _, err := parseBatch([]EditOp{{Cell: "A1", Formula: &deep}}); !errors.As(err, new(*formula.ErrNesting)) {
+				t.Errorf("parseBatch: %v, want a *formula.ErrNesting", err)
+			}
+			return tc.do("POST", "/sessions/"+info.ID+"/edits",
+				EditBatch{Edits: []EditOp{{Cell: "A1", Formula: &deep}}}, nil)
 		}},
 		{"oversized text payload", http.StatusBadRequest, func() int {
 			big := strings.Repeat("x", maxEditStringBytes+1)
