@@ -79,10 +79,11 @@ type cell struct {
 	src   string
 	value formula.Value
 	dirty bool
-	// evaluating marks a cell the walk has started and not finished; reading
-	// it is #CYCLE!. A flag on the record, not a side map, so the hot resolver
-	// path reads it off the record it already holds.
-	evaluating bool
+	// evaluating marks a cell the walk has started and not finished, reading
+	// which is #CYCLE!: exact or speculative (see evalResolver). A flag on the
+	// record, not a side map, so the hot resolver path reads it off the record
+	// it already holds.
+	evaluating uint8
 	// prog is the cell's compiled bytecode program, interned through the
 	// formula-level compile cache so shifted copies of one formula pattern
 	// share a single *Program (pointer equality is how the scheduler detects
@@ -112,13 +113,18 @@ type Engine struct {
 	// the zero default included, lets wavefrontReady choose.
 	parallelism int
 	// walk is the serial resolver's stack (see evalResolver), walk[:exact] its
-	// exact entries, top its height when the evaluation in progress started;
-	// cycled says that evaluation read a cell under evaluation, walking that
+	// exact entries, top its height when the evaluation in progress started,
+	// cycled the most it read under evaluation, kids the tentative evaluations
+	// it read; reader is the exact evaluation last started, tent the tentative
+	// evaluations, fold says a fold's reads are exact (FoldRange), walking that
 	// the walk owns the dirty generation.
-	walk       []*cell
-	exact, top int
-	cycled     bool
-	walking    bool
+	walk          []*cell
+	exact, top    int
+	cycled        uint8
+	kids          []*tentative
+	reader        *cell
+	tent          map[*cell]*tentative
+	fold, walking bool
 	// dirtyGen counts dirty-set mutations from outside a wavefront drain.
 	// The cached schedule carries the generation it was built at; a mismatch
 	// means an edit intervened and the schedule no longer describes the
@@ -376,21 +382,22 @@ func (e *Engine) Peek(at ref.Ref) (v formula.Value, clean bool) {
 
 // evalResolver is the formula.Resolver of the walk, the serial resolver that
 // drains loads, small dirty sets, a pinned engine and the rest of a stalled
-// levelled drain; it is never the public read path, which must stay
-// side-effect-free. The walk evaluates the top of its stack with formula.Eval.
-// A read of a cell under evaluation is #CYCLE!; any other dirty cell is pushed
-// and reads a placeholder, and the reader is discarded, to be evaluated again
-// once what it pushed is finished. An exact evaluation's first dirty read is
-// pushed exact: evaluation is a pure function of its reads, so the retry
-// replays a recursion's reads up to its next dirty one, and #CYCLE! lands
-// where the recursion put it (walk_test.go keeps it as the reference). Other
-// dirty reads are pushed speculative, above every exact entry: a speculative
-// evaluation that reads no cell under evaluation has its value on any path
-// and commits, so a scan over n dirty formulas is retried once, not n times;
-// one that reads such a cell drops every speculative entry. The stack stays
-// on the engine between budgeted calls, every evaluation started counts
-// against the budget, and the walk owns the dirty generation until an edit
-// starts the next (noteDirtyMutation), which empties the stack.
+// levelled drain; never the public read path, which must stay side-effect-free.
+// The walk evaluates the top of its stack with formula.Eval. A read of a cell
+// under evaluation is #CYCLE!; any other dirty cell is pushed and reads a blank
+// placeholder, and the reader is evaluated again once what it pushed is
+// finished. An exact evaluation's first dirty read is pushed exact, with the
+// rest of its fold (FoldRange): evaluation is a pure function of its reads, so
+// the retry replays a recursion's reads up to its next dirty one, and #CYCLE!
+// lands where the recursion (walk_test.go) puts it. Other dirty reads are
+// pushed speculative, above every exact entry, so a scan over n dirty formulas
+// is retried once, not n times. A speculative evaluation that reads no cell
+// under evaluation but itself has its value on any path and commits; one that
+// reads a speculative one drops every speculative entry; one that reads exact
+// ones is tentative (commit). The stack stays on the engine between budgeted
+// calls, every evaluation started counts against the budget, and the walk owns
+// the dirty generation until an edit starts the next (noteDirtyMutation),
+// which empties the stack.
 type evalResolver struct{ e *Engine }
 
 // CellValue implements formula.Resolver: a clean cell costs one point read.
@@ -411,10 +418,16 @@ func (r evalResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.V
 	return true
 }
 
-// FoldRange implements formula.RangeFolder: the plain aggregates fold straight
-// off the slabs.
+// FoldRange implements formula.RangeFolder straight off the slabs. A fold reads
+// every cell of its range whatever their values, so when it makes an exact
+// evaluation's first dirty read, its every dirty read is exact, in read order.
 func (r evalResolver) FoldRange(rng ref.Range) (formula.NumericFold, bool) {
-	return r.e.store.foldRange(rng, r.await)
+	e, h := r.e, len(r.e.walk)
+	e.fold = h == e.top && e.top == e.exact
+	f, ok := e.store.foldRange(rng, r.await)
+	e.fold = false
+	slices.Reverse(e.walk[h:])
+	return f, ok
 }
 
 // FoldSumIf implements formula.CondFolder for the recalculation path.
@@ -430,15 +443,61 @@ func (r evalResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
 // await is the hook for a dirty read (see evalResolver).
 func (r evalResolver) await(_ ref.Ref, c *cell) formula.Value {
 	e := r.e
-	if c.evaluating {
-		e.cycled = true
+	exact := e.fold || len(e.walk) == e.top && e.top == e.exact // the first dirty read
+	if c.evaluating != 0 {
+		if c != e.walk[e.top-1] { // a read of itself is #CYCLE! on any path
+			e.cycled = max(e.cycled, c.evaluating)
+		}
 		return formula.Errorf("#CYCLE!")
 	}
-	if len(e.walk) == e.top && e.top == e.exact {
-		e.exact++ // an exact evaluation's first dirty read
+	if t := e.tent[c]; t != nil && t.on.evaluating != 0 {
+		if exact {
+			e.commit(t)
+		} else {
+			e.cycled, e.kids = max(e.cycled, exactEval), append(e.kids, t)
+		}
+		return t.v
+	}
+	if exact {
+		e.exact++
 	}
 	e.walk = append(e.walk, c)
-	return formula.Errorf("#AWAIT!") // discarded with the evaluation
+	return formula.Empty() // a placeholder, discarded with the evaluation
+}
+
+// exactEval and specEval are the walk's evaluations, as cell.evaluating says.
+const exactEval, specEval uint8 = 1, 2
+
+// tentative is a speculative evaluation of c to v that read cells under exact
+// evaluation, or the tentative evaluations kids; on is the exact evaluation
+// then in progress, which they all started no later than. Its value is the
+// recursion's wherever the recursion evaluates c while on is under evaluation.
+type tentative struct {
+	c, on *cell
+	v     formula.Value
+	kids  []*tentative
+}
+
+// commit settles t and the tentative evaluations under it, at an exact read of
+// it while on is under evaluation: where the recursion evaluates them.
+func (e *Engine) commit(t *tentative) {
+	for work := []*tentative{t}; len(work) > 0; {
+		k := work[len(work)-1]
+		if work = work[:len(work)-1]; e.tent[k.c] == k { // else settled already
+			delete(e.tent, k.c)
+			e.settle(k.c, k.v)
+			work = append(work, k.kids...)
+		}
+	}
+}
+
+// settle makes v the value of c, which leaves the dirty set.
+func (e *Engine) settle(c *cell, v formula.Value) {
+	c.value, c.dirty = v, false
+	e.store.cleaned(1)
+	if v.Err == "#CYCLE!" {
+		mCycleCells.Inc()
+	}
 }
 
 // drainSerial runs up to max evaluations on the walk, the stack a budget left
@@ -467,47 +526,62 @@ func (e *Engine) drainSerial(max int) int {
 }
 
 // unwind evaluates the top of the stack until the stack is empty or max
-// evaluations ran, and returns how many did.
+// evaluations ran, and returns how many did. An entry needs none if its cell
+// was cleaned since it was pushed, or has a tentative evaluation that holds —
+// which an exact entry commits.
 func (e *Engine) unwind(max int) int {
-	n, cycles := 0, 0
+	n := 0
 	for len(e.walk) > 0 && n < max {
 		top := len(e.walk) - 1
-		if c := e.walk[top]; c.dirty { // else cleaned since it was pushed
+		c := e.walk[top]
+		if t := e.tent[c]; c.dirty && t != nil && t.on.evaluating != 0 {
+			if top < e.exact {
+				e.commit(t)
+			}
+		} else if c.dirty {
 			n++
+			v := c.value
 			if c.ast != nil {
-				c.evaluating, e.top, e.cycled = true, len(e.walk), false
-				v := formula.Eval(c.ast, evalResolver{e})
-				if e.cycled && top >= e.exact {
-					e.truncate(e.exact) // a speculation met a cycle
+				c.evaluating, e.top, e.cycled, e.kids = specEval, len(e.walk), 0, e.kids[:0]
+				if top < e.exact {
+					c.evaluating, e.reader = exactEval, c
+				}
+				v = formula.Eval(c.ast, evalResolver{e})
+				if e.cycled == specEval && top >= e.exact {
+					e.truncate(e.exact) // a cycle among speculations
 					continue
 				}
 				if len(e.walk) > e.top {
 					continue // finish what it read, then retry
 				}
-				c.value, c.evaluating = v, false
-				if v.Err == "#CYCLE!" {
-					cycles++
+				if c.evaluating = 0; e.cycled != 0 && top >= e.exact {
+					if e.tent == nil {
+						e.tent = make(map[*cell]*tentative)
+					}
+					e.tent[c] = &tentative{c, e.reader, v, slices.Clone(e.kids)}
+					e.truncate(top)
+					continue
 				}
 			}
-			c.dirty = false
-			e.store.cleaned(1)
+			e.settle(c, v)
 		}
 		e.truncate(top)
-	}
-	if cycles > 0 {
-		mCycleCells.Add(uint64(cycles))
 	}
 	return n
 }
 
 // truncate pops the stack to height h, clearing the flags of what it pops and
 // the slots, which must not pin a slab. It runs before any slab is reshaped.
+// Popped empty, it drops the tentative evaluations, whose exact ones finished.
 func (e *Engine) truncate(h int) {
 	for _, c := range e.walk[h:] {
-		c.evaluating = false
+		c.evaluating = 0
 	}
 	clear(e.walk[h:])
 	e.walk, e.exact = e.walk[:h], min(e.exact, h)
+	if h == 0 {
+		e.reader, e.kids, e.tent = nil, nil, nil
+	}
 }
 
 // Formula returns the formula source of a cell ("" for value cells).

@@ -30,6 +30,7 @@ func FuzzRecalcParallel(f *testing.F) {
 		"=((A1:X1))", // a bare range: a graph edge through F1 the walker never reads
 		"=D1+1",      // at G20, a cycle through the whole look-down chain
 		"=SUM(D1:D40)-F1",
+		"=COUNTIF(D1:D40,\">0\")", // at G20, a scan of the chain its foot reads back
 	}
 	for i, s := range seeds {
 		f.Add(s, uint8(i*37))

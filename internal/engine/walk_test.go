@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime/debug"
 	"testing"
 
@@ -47,7 +48,7 @@ func (r recursiveResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
 // dirtyVal evaluates a dirty cell before it is read; a cell under evaluation
 // reads as #CYCLE!.
 func (r recursiveResolver) dirtyVal(_ ref.Ref, c *cell) formula.Value {
-	if c.evaluating {
+	if c.evaluating != 0 {
 		return formula.Errorf("#CYCLE!")
 	}
 	r.evaluate(c)
@@ -56,9 +57,9 @@ func (r recursiveResolver) dirtyVal(_ ref.Ref, c *cell) formula.Value {
 
 func (r recursiveResolver) evaluate(c *cell) {
 	if c.ast != nil {
-		c.evaluating = true
+		c.evaluating = exactEval
 		c.value = formula.Eval(c.ast, r)
-		c.evaluating = false
+		c.evaluating = 0
 	}
 	c.dirty = false
 	r.e.store.cleaned(1)
@@ -235,6 +236,160 @@ func TestEditMidWalk(t *testing.T) {
 	for r := 1; r <= 40; r++ {
 		if v := e.Value(ref.Ref{Col: 1, Row: r}); v != formula.Num(float64(3*(41-r))) {
 			t.Fatalf("A%d = %v, want %d", r, v, 3*(41-r))
+		}
+	}
+}
+
+// TestTotalAboveColumnDrainsLinear: a total above a column of 20 000 formulas
+// drains pinned serial — whole and one evaluation at a time — and after a
+// stalled levelled drain, whole and by RecalculateN(256), to the recursion's
+// values, in at most two evaluations per dirty cell and three of the total,
+// where a walk that retried the total once per dirty row would take seconds. The column
+// reads the total back — the share-of-total sheet with the total summed by
+// mistake, the same rescued by IFERROR or through a helper column, a cycle in
+// every row — or, for the scans that stop at an error, nothing above it.
+func TestTotalAboveColumnDrainsLinear(t *testing.T) {
+	const rows, budget = 20000, 256
+	share, rescued := "B%[1]d/$C$1", "IFERROR(B%[1]d/$C$1,B%[1]d)"
+	for _, tc := range []struct {
+		name, total, edit string
+		cols              map[int]string // column → formula of row %[1]d
+	}{
+		{"share", "SUM(D1:D%d)", "B1", map[int]string{4: share}},
+		{"rescued share", "SUM(D1:D%d)", "B1", map[int]string{4: rescued}},
+		{"helper column", "SUM(D1:D%d)", "B1", map[int]string{4: "E%[1]d*2", 5: rescued}},
+		{"cycle per row", "SUM(D1:D%d)", "A1", map[int]string{4: "IFERROR(E%[1]d,0)+B%[1]d*$A$1", 5: "D%[1]d+1"}},
+		{"COUNTIF share", "COUNTIF(D1:D%d,\">1\")", "B1", map[int]string{4: share}},
+		{"COUNTIF helper column", "COUNTIF(D1:D%d,\">1\")", "B1", map[int]string{4: "E%[1]d*2", 5: rescued}},
+		{"AND", "AND(D1:D%d)", "A1", map[int]string{4: "B%[1]d*$A$1"}},
+		{"SUM of two arguments", "SUM(D1:D%d,1)", "A1", map[int]string{4: "B%[1]d*$A$1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			total := fmt.Sprintf(tc.total, rows)
+			build := func() *Engine {
+				pcells := []ParsedCell{
+					{At: ref.MustCell("A1"), Value: formula.Num(1)},
+					{At: ref.MustCell("C1"), Src: total, AST: formula.MustParse(total)},
+				}
+				for r := 1; r <= rows; r++ {
+					pcells = append(pcells, ParsedCell{At: ref.Ref{Col: 2, Row: r}, Value: formula.Num(float64(r))})
+					for col, f := range tc.cols {
+						src := fmt.Sprintf(f, r)
+						pcells = append(pcells, ParsedCell{At: ref.Ref{Col: col, Row: r}, Src: src, AST: formula.MustParse(src)})
+					}
+				}
+				e := LoadBulkParsed(pcells)
+				e.SetValue(ref.MustCell(tc.edit), formula.Num(3))
+				return e
+			}
+			reference := build()
+			dirty := reference.Pending()
+			if dirty <= rows {
+				t.Fatalf("the edit dirtied %d cells", dirty)
+			}
+			drainRecursive(reference)
+			pinned, whole, chunked, stepped := build(), build(), build(), build()
+			pinned.SetRecalcParallelism(1)
+			stepped.SetRecalcParallelism(1)
+			evals := map[string]int{"pinned": pinned.RecalculateAll(), "whole": whole.RecalculateAll()}
+			for chunked.Pending() > 0 {
+				n := chunked.RecalculateN(budget)
+				if n < 1 || n > budget {
+					t.Fatalf("RecalculateN(%d) = %d with %d pending", budget, n, chunked.Pending())
+				}
+				evals["chunked"] += n
+			}
+			// One evaluation a call: the next is of the topmost dirty entry
+			// of the stack, or of a root when there is none.
+			totalCell, totals := stepped.store.get(ref.MustCell("C1")), 1
+			for stepped.Pending() > 0 {
+				for i := len(stepped.walk) - 1; i >= 0; i-- {
+					if c := stepped.walk[i]; c.dirty {
+						if c == totalCell {
+							totals++
+						}
+						break
+					}
+				}
+				evals["stepped"] += stepped.RecalculateN(1)
+			}
+			for path, n := range evals {
+				if n > 2*dirty {
+					t.Errorf("%s: %d evaluations for %d dirty cells", path, n, dirty)
+				}
+			}
+			if totals > 3 {
+				t.Errorf("the total was evaluated %d times", totals)
+			}
+			for _, e := range []*Engine{pinned, whole, chunked, stepped} {
+				enginesEqual(t, reference, e)
+			}
+		})
+	}
+}
+
+// TestWalkMatchesRecursionOnRandomSheets: small sheets of random formulas
+// over one another — cycles everywhere, entered through folds, scans,
+// conditionals and IFERROR rescues — drain on the walk, pinned and in random
+// chunks, to the recursive reference's values, in a bounded number of
+// evaluations.
+func TestWalkMatchesRecursionOnRandomSheets(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	const cols, rows = 5, 6
+	cellName := func() string { return fmt.Sprintf("%c%d", 'A'+rng.IntN(cols), 1+rng.IntN(rows)) }
+	rangeOf := func() string { return cellName() + ":" + cellName() }
+	shapes := []func() string{
+		func() string { return cellName() + "+1" },
+		func() string { return cellName() + "*2-" + cellName() },
+		func() string { return "SUM(" + rangeOf() + ")" },
+		func() string { return "MAX(" + rangeOf() + "," + rangeOf() + ")" },
+		func() string { return "IFERROR(" + cellName() + "," + fmt.Sprint(rng.IntN(9)) + ")" },
+		func() string { return "IF(ISERROR(" + cellName() + ")," + cellName() + "," + cellName() + "+3)" },
+		func() string { return "IFERROR(" + cellName() + "+" + cellName() + ",SUM(" + rangeOf() + "))" },
+		func() string { return "COUNTIF(" + rangeOf() + ",\">2\")" },
+		func() string { return "IFERROR(VLOOKUP(3," + rangeOf() + ",1),7)" },
+	}
+	for sheet := 0; sheet < 300; sheet++ {
+		srcs := map[string]string{}
+		for c := 0; c < cols; c++ {
+			for r := 1; r <= rows; r++ {
+				if rng.IntN(4) > 0 {
+					srcs[fmt.Sprintf("%c%d", 'A'+c, r)] = shapes[rng.IntN(len(shapes))]() + "+$Z$1"
+				}
+			}
+		}
+		build := func() *Engine {
+			e := New(nil)
+			e.SetValue(ref.MustCell("Z1"), formula.Num(1))
+			for at, src := range srcs {
+				mustFormula(t, e, at, src)
+			}
+			e.SetRecalcParallelism(1)
+			return e
+		}
+		reference, pinned, chunked := build(), build(), build()
+		drain := func(e *Engine, chunk func() int) {
+			for n, dirty := 0, e.Pending(); e.Pending() > 0; {
+				if n += e.RecalculateN(chunk()); n > 20*dirty {
+					t.Fatalf("sheet %d: %d evaluations for %d dirty cells: %v", sheet, n, dirty, srcs)
+				}
+			}
+		}
+		for _, z := range []float64{2, 3} {
+			drainRecursive(reference)
+			drain(pinned, func() int { return math.MaxInt })
+			drain(chunked, func() int { return 1 + rng.IntN(4) })
+			for _, e := range []*Engine{reference, pinned, chunked} {
+				e.SetValue(ref.MustCell("Z1"), formula.Num(z))
+			}
+		}
+		drainRecursive(reference)
+		drain(pinned, func() int { return math.MaxInt })
+		drain(chunked, func() int { return 1 + rng.IntN(4) })
+		enginesEqual(t, reference, pinned)
+		enginesEqual(t, reference, chunked)
+		if t.Failed() {
+			t.Fatalf("sheet %d: %v", sheet, srcs)
 		}
 	}
 }

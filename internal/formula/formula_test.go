@@ -402,33 +402,48 @@ func TestDeepNesting(t *testing.T) {
 	}
 }
 
-// TestNestingBound: a formula nested MaxNesting levels deep parses and
-// evaluates; one level more is an *ErrNesting — for parentheses, signs, calls
-// and powers alike — and so is the 500 000-parenthesis formula a 1 MiB edit
-// can carry, rejected before the parser's recursion grows with it.
+// TestNestingBound: a formula MaxNesting deep — d operators or calls around a
+// leaf, each shape the parser builds, recursing or not — parses, evaluates,
+// and renders (Text, which parenthesises every binary operator) to a formula
+// that re-parses to itself; one level more is an *ErrNesting. Parentheses
+// alone build nothing: the parser's recursion bound, twice MaxNesting, refuses
+// them, and the 500 000 a 1 MiB edit can carry are refused there.
 func TestNestingBound(t *testing.T) {
 	for name, nest := range map[string]func(d int) string{
-		"parentheses": func(d int) string { return strings.Repeat("(", d) + "1" + strings.Repeat(")", d) },
-		"signs":       func(d int) string { return strings.Repeat("+", d) + "1" },
-		"calls":       func(d int) string { return strings.Repeat("ABS(", d) + "1" + strings.Repeat(")", d) },
-		"powers":      func(d int) string { return "1" + strings.Repeat("^1", d) },
+		"signs":    func(d int) string { return strings.Repeat("+", d) + "1" },
+		"percents": func(d int) string { return "1" + strings.Repeat("%", d) },
+		"sums":     func(d int) string { return strings.Repeat("1+", d) + "1" },
+		"powers":   func(d int) string { return "1" + strings.Repeat("^1", d) },
+		"calls":    func(d int) string { return strings.Repeat("ABS(", d) + "1" + strings.Repeat(")", d) },
+		"mixed": func(d int) string {
+			return strings.Repeat("-(1+", d/2) + strings.Repeat("-", d%2) + "1" + strings.Repeat(")", d/2)
+		},
 	} {
-		const d = MaxNesting - 1 // the whole formula is the first level
+		const d = MaxNesting - 1 // the leaf is the last level
 		n, err := Parse(nest(d))
 		if err != nil {
-			t.Fatalf("%s: %d levels: %v", name, MaxNesting, err)
+			t.Fatalf("%s: %d deep: %v", name, MaxNesting, err)
 		}
-		if v := Eval(n, grid(nil)); v != Num(1) {
-			t.Fatalf("%s: %d levels = %v", name, MaxNesting, v)
+		if v := Eval(n, grid(nil)); v.Err != "" {
+			t.Fatalf("%s: %d deep = %v", name, MaxNesting, v)
+		}
+		text := Text(n)
+		if again, err := Parse(text); err != nil || Text(again) != text {
+			t.Fatalf("%s: %d deep: rendered %d bytes, re-parsed: %v", name, MaxNesting, len(text), err)
 		}
 		var deep *ErrNesting
 		if _, err := Parse(nest(d + 1)); !errors.As(err, &deep) {
-			t.Fatalf("%s: %d levels: err = %v, want *ErrNesting", name, MaxNesting+1, err)
+			t.Fatalf("%s: %d deep: err = %v, want *ErrNesting", name, MaxNesting+1, err)
 		}
 	}
-	src := strings.Repeat("(", 500000) + "1" + strings.Repeat(")", 500000)
-	var deep *ErrNesting
-	if _, err := Parse(src); !errors.As(err, &deep) || deep.Pos != MaxNesting {
-		t.Fatalf("500 000 parentheses: err = %v, want *ErrNesting at offset %d", err, MaxNesting)
+	parens := func(d int) string { return strings.Repeat("(", d) + "1" + strings.Repeat(")", d) }
+	if _, err := Parse(parens(2*MaxNesting - 1)); err != nil {
+		t.Fatalf("%d parentheses: %v", 2*MaxNesting-1, err)
+	}
+	for _, d := range []int{2 * MaxNesting, 500000} {
+		var deep *ErrNesting
+		if _, err := Parse(parens(d)); !errors.As(err, &deep) || deep.Pos != 2*MaxNesting {
+			t.Fatalf("%d parentheses: err = %v, want *ErrNesting at offset %d", d, err, 2*MaxNesting)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package formula
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 	"testing"
 
@@ -14,9 +13,7 @@ import (
 // tier-1 variant.
 
 // FuzzParse: the parser must never panic, and anything that parses must
-// render (Text) and re-parse to a fixed point — or be refused as nested past
-// MaxNesting: Text parenthesises every operator, so a long chain or a formula
-// near the bound renders deeper than it was written.
+// render (Text) and re-parse to a fixed point.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"=SUM(A1:B10)",
@@ -42,9 +39,6 @@ func FuzzParse(f *testing.F) {
 		}
 		rendered := Text(node)
 		again, err := Parse(rendered)
-		if deep := (*ErrNesting)(nil); errors.As(err, &deep) {
-			return
-		}
 		if err != nil {
 			t.Fatalf("round trip of %q -> %q failed: %v", src, rendered, err)
 		}

@@ -54,7 +54,7 @@ func (e *ErrSyntax) Error() string {
 	return fmt.Sprintf("formula: syntax error at offset %d: %s", e.Pos, e.Msg)
 }
 
-// ErrNesting rejects a formula whose operands nest deeper than MaxNesting.
+// ErrNesting rejects a formula nested past MaxNesting (see parser).
 type ErrNesting struct{ Pos int }
 
 func (e *ErrNesting) Error() string {

@@ -161,14 +161,23 @@ func MustParse(src string) Node {
 	return n
 }
 
-// MaxNesting bounds nesting — a parseExpr level per parenthesis, argument,
-// sign and binary right operand — far below the stack limit (Excel nests 64).
+// MaxNesting bounds a formula's depth, operators and calls inside one another,
+// far below the stack limit (Excel nests 64). The parser recurses at most twice
+// that deep, which the rendering (Text) of any formula within it fits.
 const MaxNesting = 1024
 
 type parser struct {
-	lx    lexer
-	tok   token
-	depth int // parseExpr calls open
+	lx      lexer
+	tok     token
+	open, d int // parseExpr calls open; the depth of the node parsed last
+}
+
+// nest sets the depth of a node over operands d deep, unless err is set.
+func (p *parser) nest(err error, d int) error {
+	if p.d = d + 1; err == nil && p.d > MaxNesting {
+		return &ErrNesting{Pos: p.tok.pos}
+	}
+	return err
 }
 
 func (p *parser) advance() error {
@@ -198,15 +207,15 @@ func precedence(op string) int {
 }
 
 func (p *parser) parseExpr(minPrec int) (Node, error) {
-	if p.depth++; p.depth > MaxNesting {
+	if p.open++; p.open > 2*MaxNesting {
 		return nil, &ErrNesting{Pos: p.tok.pos}
 	}
-	defer func() { p.depth-- }()
+	defer func() { p.open-- }()
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	for p.tok.kind == tokOp {
+	for d := p.d; p.tok.kind == tokOp; d = p.d {
 		op := p.tok.text
 		prec := precedence(op)
 		if prec == 0 || prec < minPrec {
@@ -221,7 +230,7 @@ func (p *parser) parseExpr(minPrec int) (Node, error) {
 			nextMin = prec
 		}
 		right, err := p.parseExpr(nextMin)
-		if err != nil {
+		if err = p.nest(err, max(d, p.d)); err != nil {
 			return nil, err
 		}
 		left = &Binary{Op: op, L: left, R: right}
@@ -236,29 +245,20 @@ func (p *parser) parseUnary() (Node, error) {
 			return nil, err
 		}
 		x, err := p.parseExpr(precedence("^") + 1) // one operand, no binary operator
-		if err != nil {
-			return nil, err
-		}
-		return p.parsePercent(&Unary{Op: op, X: x})
+		return p.parsePercent(&Unary{Op: op, X: x}, p.nest(err, p.d))
 	}
-	x, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	return p.parsePercent(x)
+	return p.parsePercent(p.parsePrimary())
 }
 
-func (p *parser) parsePercent(x Node) (Node, error) {
-	for p.tok.kind == tokOp && p.tok.text == "%" {
-		x = &Unary{Op: "%", Postfix: true, X: x}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+func (p *parser) parsePercent(x Node, err error) (Node, error) {
+	for err == nil && p.tok.kind == tokOp && p.tok.text == "%" {
+		x, err = &Unary{Op: "%", Postfix: true, X: x}, p.nest(p.advance(), p.d)
 	}
-	return x, nil
+	return x, err
 }
 
 func (p *parser) parsePrimary() (Node, error) {
+	p.d = 1 // a leaf; a call or parentheses set their own
 	switch p.tok.kind {
 	case tokNumber:
 		n := &Number{Value: p.tok.num}
@@ -305,14 +305,14 @@ func (p *parser) parsePrimary() (Node, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		var args []Node
+		args, d := []Node(nil), 0 // d: the deepest argument's depth
 		if p.tok.kind != tokRParen {
 			for {
 				a, err := p.parseExpr(0)
 				if err != nil {
 					return nil, err
 				}
-				args = append(args, a)
+				args, d = append(args, a), max(d, p.d)
 				if p.tok.kind == tokComma {
 					if err := p.advance(); err != nil {
 						return nil, err
@@ -325,7 +325,7 @@ func (p *parser) parsePrimary() (Node, error) {
 		if p.tok.kind != tokRParen {
 			return nil, p.lx.errf(p.tok.pos, "expected ')' in call to %s", name)
 		}
-		return &Call{Name: name, Args: args}, p.advance()
+		return &Call{Name: name, Args: args}, p.nest(p.advance(), d)
 	case tokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err

@@ -346,3 +346,65 @@ func TestStatsExposeScheduler(t *testing.T) {
 		t.Fatalf("drain left no scheduler trace: %+v", info.Recalc)
 	}
 }
+
+// TestWaitHoldsStayBoundedOnTheWalk: Wait drains a walk in holds of at most
+// RecalcChunk evaluations to the end — a look-down chain on a pinned engine,
+// and a mirrored zig-zag whose levelled drain stalls at once — even though the
+// walk runs more evaluations than there are cells (a retry per chain link):
+// Wait makes exactly the RecalculateN calls a budgeted loop over a copy of the
+// engine makes, and never the unbounded final hold.
+func TestWaitHoldsStayBoundedOnTheWalk(t *testing.T) {
+	const rows, chunk = 20000, 256
+	for _, tc := range []struct {
+		name string
+		srcs map[int]string // column → formula of row %[1]d, %[2]d the row below
+		pin  bool
+	}{
+		{"look-down chain", map[int]string{1: "A%[2]d+$B$1"}, true},
+		{"mirrored zig-zag", map[int]string{3: "D%[2]d+A%[1]d+$B$1", 4: "C%[1]d+A%[1]d"}, false},
+	} {
+		srcs := tc.srcs
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *engine.Engine {
+				pcells := []engine.ParsedCell{{At: ref.MustCell("B1"), Value: formula.Num(1)}}
+				for r := 1; r <= rows/len(srcs); r++ {
+					if !tc.pin {
+						pcells = append(pcells, engine.ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(r))})
+					}
+					for col, f := range srcs {
+						src := fmt.Sprintf(f, r, r+1)
+						pcells = append(pcells, engine.ParsedCell{At: ref.Ref{Col: col, Row: r}, Src: src, AST: formula.MustParse(src)})
+					}
+				}
+				e := engine.LoadBulkParsed(pcells)
+				if tc.pin {
+					e.SetRecalcParallelism(1)
+				}
+				return e
+			}
+			edit := func(e *engine.Engine) { e.SetValue(ref.MustCell("B1"), formula.Num(2)) }
+			loop := build()
+			edit(loop)
+			calls := 0
+			for ; loop.Pending() > 0; calls++ {
+				loop.RecalculateN(chunk)
+			}
+			store, err := NewStore(StoreOptions{RecalcWorkers: -1, RecalcChunk: chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			id := store.Create(tc.name, build()).ID
+			if err := store.Update(id, true, func(_ *Session, e *engine.Engine) error { edit(e); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			_, _, holds0 := mDrainHold.Snapshot()
+			if err := store.Wait(id); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, holds := mDrainHold.Snapshot(); int(holds-holds0) != calls {
+				t.Fatalf("Wait drained in %d holds; a RecalculateN(%d) loop takes %d calls", holds-holds0, chunk, calls)
+			}
+		})
+	}
+}

@@ -269,14 +269,24 @@ func TestBadRequests(t *testing.T) {
 			return tc.do("POST", "/sessions/xlsx", []byte("not a zip"), nil)
 		}},
 		{"formula nested past formula.MaxNesting", http.StatusBadRequest, func() int {
-			// 1 000 001 bytes: under maxEditStringBytes, so only the parser's
-			// nesting bound refuses it.
-			deep := strings.Repeat("(", 500000) + "1" + strings.Repeat(")", 500000)
-			if _, err := parseBatch([]EditOp{{Cell: "A1", Formula: &deep}}); !errors.As(err, new(*formula.ErrNesting)) {
-				t.Errorf("parseBatch: %v, want a *formula.ErrNesting", err)
+			// Each about 1 MB: under maxEditStringBytes, so only the parser's
+			// nesting bounds refuse them — parentheses its recursion, a chain
+			// of postfix % or of sums, built in a loop, the AST's depth.
+			code := http.StatusBadRequest
+			for _, deep := range []string{
+				strings.Repeat("(", 500000) + "1" + strings.Repeat(")", 500000),
+				"1" + strings.Repeat("%", 1000000),
+				strings.Repeat("1+", 500000) + "1",
+			} {
+				if _, err := parseBatch([]EditOp{{Cell: "A1", Formula: &deep}}); !errors.As(err, new(*formula.ErrNesting)) {
+					t.Errorf("parseBatch of %.8s…: %v, want a *formula.ErrNesting", deep, err)
+				}
+				if got := tc.do("POST", "/sessions/"+info.ID+"/edits",
+					EditBatch{Edits: []EditOp{{Cell: "A1", Formula: &deep}}}, nil); got != code {
+					code = got
+				}
 			}
-			return tc.do("POST", "/sessions/"+info.ID+"/edits",
-				EditBatch{Edits: []EditOp{{Cell: "A1", Formula: &deep}}}, nil)
+			return code
 		}},
 		{"oversized text payload", http.StatusBadRequest, func() int {
 			big := strings.Repeat("x", maxEditStringBytes+1)

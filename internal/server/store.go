@@ -470,10 +470,13 @@ func (st *Store) Wait(id string) error {
 	}
 	// Chunked holds are bounded by the work observed at entry (plus slack):
 	// a concurrent editor re-dirtying the sheet between holds could
-	// otherwise outpace the chunks and starve the barrier forever. Once the
-	// budget is spent, the final hold drains to completion without
-	// releasing the lock — the pre-chunking behaviour, and a guaranteed
-	// terminating one, since it blocks the editor it was racing.
+	// otherwise outpace the chunks and starve the barrier forever. A hold
+	// spends the cells it cleans, at least one: RecalculateN counts
+	// evaluations, retries included, and a hold spent pushing down a chain
+	// on the walk's stack cleans none. Once the budget is spent, the final
+	// hold drains to completion without releasing the lock — the
+	// pre-chunking behaviour, and a guaranteed terminating one, since it
+	// blocks the editor it was racing.
 	budget := pending0 + 8*st.opts.RecalcChunk
 	drained := 0
 	for {
@@ -495,9 +498,11 @@ func (st *Store) Wait(id string) error {
 			s.mu.Unlock()
 			return nil
 		}
-		drained += s.eng.RecalculateN(st.opts.RecalcChunk)
+		before := s.eng.Pending()
+		s.eng.RecalculateN(st.opts.RecalcChunk)
 		mDrainHold.Observe(time.Since(holdStart).Seconds())
 		s.pending = s.eng.Pending()
+		drained += max(1, before-s.pending)
 		s.mu.Unlock()
 	}
 }

@@ -3,6 +3,8 @@ package xlsx
 import (
 	"archive/zip"
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"taco/internal/formula"
@@ -206,6 +208,34 @@ func TestReaderSharedFormulaCrossingItsFixedRow(t *testing.T) {
 	} {
 		if got := sheets[0].Cells[ref.MustCell(cell)].Formula; got != want {
 			t.Errorf("%s = %s, want %s", cell, got, want)
+		}
+	}
+}
+
+// TestReaderSharedFormulaLongChain: a shared formula as deep as the parser
+// accepts — a sum of formula.MaxNesting terms, each + one level — imports its
+// followers as the master shifted and rendered, and each rendering parses.
+func TestReaderSharedFormulaLongChain(t *testing.T) {
+	chain := "A1" + strings.Repeat("+A1", formula.MaxNesting-1)
+	data := buildPackage(t, map[string]string{
+		"xl/workbook.xml": minimalWorkbook,
+		"xl/worksheets/sheet1.xml": `<?xml version="1.0"?>
+<worksheet xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main">
+<sheetData>
+<row r="1"><c r="B1"><f t="shared" ref="B1:B3" si="0">` + chain + `</f></c></row>
+<row r="2"><c r="B2"><f t="shared" si="0"/></c></row>
+<row r="3"><c r="B3"><f t="shared" si="0"/></c></row>
+</sheetData></worksheet>`,
+	})
+	sheets, err := Read(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 2; r <= 3; r++ {
+		src := sheets[0].Cells[ref.Ref{Col: 2, Row: r}].Formula
+		want := formula.Text(formula.MustParse(strings.ReplaceAll(chain, "A1", fmt.Sprintf("A%d", r))))
+		if n, err := formula.Parse(src); err != nil || formula.Text(n) != want {
+			t.Fatalf("B%d: %d-byte formula does not re-parse to the shifted chain: %v", r, len(src), err)
 		}
 	}
 }
