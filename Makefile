@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race loc bench bench-test bench-pairs bench-server bench-core bench-engine bench-eval fuzz-smoke perf-check crash-smoke failover-smoke
+.PHONY: check fmt vet build test race loc bench bench-test bench-pairs bench-server bench-core bench-engine profile-engine bench-eval fuzz-smoke perf-check crash-smoke failover-smoke
 
 check: fmt vet build race
 
@@ -69,7 +69,8 @@ bench-core:
 	$(GO) test ./internal/core -run '^$$' -bench=. -benchtime=1x
 
 # The two edits that dominate engine_recalc and serve_big_drain, on the
-# 20k-row ledger built in the test (the rate edit also reports ns/cell), and
+# 20k-row ledger built in the test (the rate edit also reports ns/cell), its
+# formula rewrite-and-restore (BenchmarkLedgerRewrite, the run table's repair), and
 # the edit under a 20k-row running total — the fast inner loop for scheduler
 # and sweep work — then one 20k-row column per sweep shape (BenchmarkSweepShape,
 # ns/cell each), which says which shape a sweep change moved — and the two
@@ -78,6 +79,15 @@ bench-core:
 # real measurements.
 bench-engine:
 	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape|RowByRowInstall|MidColumnInsert' -benchtime=1x
+
+# The rate edit's CPU profile, cumulative, cut to the engine, graph and R-tree
+# frames: the edit's stages (mark, FindDependents, carve, link, sweeps) in one
+# command. Binary and profile go to a temporary directory, removed afterwards.
+profile-engine:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) test ./internal/engine -run '^$$' -bench '^BenchmarkLedgerRateEdit$$' -benchtime=3s \
+		-cpuprofile "$$dir/cpu.out" -o "$$dir/engine.test" && \
+	$(GO) tool pprof -top -cum -show 'internal/(engine|core|rtree)' "$$dir/engine.test" "$$dir/cpu.out"
 
 # Refresh the evaluation perf baseline: the range-aggregation shapes (bulk
 # range resolver vs the per-cell probe path) and the pattern-run shapes

@@ -21,8 +21,9 @@ import (
 // Every *cell and every []cell window the store hands out points into a slab
 // and is valid until that column's next insert or delete, which may move the
 // records: nothing keeps one across a set of a new position or a delete (the
-// engine drops its live and warm schedules, whose nodes are such windows, on
-// exactly those writes). Evaluation never reshapes a slab.
+// engine drops its live schedule, whose nodes are such windows, on exactly
+// those writes, and the column its run table, whose entries are slab indexes).
+// Evaluation never reshapes a slab.
 //
 // The dirty set lives on the slabs too: membership is the dirty flag on the
 // cell record, ndirty counts the flagged records, and each column keeps an
@@ -32,23 +33,45 @@ import (
 // still cover cells cleaned since it was noted — and the lists are dropped
 // when the count reaches zero, so the bookkeeping is proportional to what was
 // marked, never to the sheet's height.
+//
+// A span is dense when every record in it is flagged — what marking a window
+// of formulas leaves — so a carve can take its records as they lie, without
+// reading a flag. cuts counts the cleans that left the dirty set non-empty and
+// the inserts into a column with spans; either may leave a hole in a dense
+// span, so each one retires every dense mark at once: a span is dense while its
+// stamp is cuts+1.
 type colStore struct {
 	cols      map[int]*column
 	ncells    int
 	ndirty    int
 	dirtyCols []int
+	cuts      uint64
 }
 
-// rowSpan is an inclusive row interval of one column.
-type rowSpan struct{ r0, r1 int }
+// rowSpan is an inclusive row interval of one column; dense is the store's
+// cuts+1 when it was noted dense (see colStore).
+type rowSpan struct {
+	r0, r1 int
+	dense  uint64
+}
 
 // column is one row-ordered slab: rows sorted ascending, cells — the records
 // themselves — parallel. dirty is the column's dirty-span list: ascending,
-// disjoint, never touching.
+// disjoint, never touching. runs is the column's run table, valid while
+// runsOK (see runTable).
 type column struct {
-	rows  []int
-	cells []cell
-	dirty []rowSpan
+	rows   []int
+	cells  []cell
+	dirty  []rowSpan
+	runs   []colRun
+	runsOK bool
+}
+
+// colRun is one stretch of a column's run table: the n ≥ minPatternRun records
+// from slab index i on, on contiguous rows from row on, that all intern to p.
+type colRun struct {
+	row, i, n int
+	p         *formula.Program
 }
 
 // columnPool and colMapPool recycle the store's containers across the
@@ -84,14 +107,16 @@ func recycleColumn(col *column) {
 	col.rows = col.rows[:0]
 	col.cells = col.cells[:0]
 	col.dirty = col.dirty[:0]
+	col.dropRuns()
 	columnPool.Put(col)
 }
 
 // noteDirty records that n cells of col, all within rows r0..r1, were just
-// flagged dirty. The span is merged into the column's list, coalescing with
-// every span it overlaps or touches; marking walks a column top to bottom, so
-// the common case appends to or extends the last span.
-func (s *colStore) noteDirty(col, r0, r1, n int) {
+// flagged dirty — every record in r0..r1 when dense. The span is merged into
+// the column's list, coalescing with every span it overlaps or touches, and
+// stays dense if each of them is dense or lies inside r0..r1; marking walks a
+// column top to bottom, so the common case appends to or extends the last span.
+func (s *colStore) noteDirty(col, r0, r1, n int, dense bool) {
 	c := s.cols[col]
 	if len(c.dirty) == 0 {
 		// A column deleted and re-created mid-epoch may still be listed.
@@ -100,24 +125,33 @@ func (s *colStore) noteDirty(col, r0, r1, n int) {
 		}
 	}
 	s.ndirty += n
+	mark := uint64(0)
+	if dense {
+		mark = s.cuts + 1
+	}
 	d := c.dirty
 	i, _ := slices.BinarySearchFunc(d, r0-1, func(sp rowSpan, row int) int { return sp.r1 - row })
-	j := i
-	for ; j < len(d) && d[j].r0 <= r1+1; j++ {
-		r0, r1 = min(r0, d[j].r0), max(r1, d[j].r1)
+	lo, hi, j := r0, r1, i
+	for ; j < len(d) && d[j].r0 <= hi+1; j++ {
+		if d[j].dense != mark && (d[j].r0 < r0 || d[j].r1 > r1) {
+			mark = 0
+		}
+		lo, hi = min(lo, d[j].r0), max(hi, d[j].r1)
 	}
 	if i == j {
-		c.dirty = slices.Insert(d, i, rowSpan{r0, r1})
+		c.dirty = slices.Insert(d, i, rowSpan{lo, hi, mark})
 		return
 	}
-	d[i] = rowSpan{r0, r1}
+	d[i] = rowSpan{lo, hi, mark}
 	c.dirty = slices.Delete(d, i+1, j)
 }
 
 // cleaned records that n flagged cells had their flag cleared (evaluated,
-// overwritten or removed). When the last one goes, so do the span lists.
+// overwritten or removed). When the last one goes, so do the span lists;
+// otherwise the dense marks do.
 func (s *colStore) cleaned(n int) {
 	if s.ndirty -= n; s.ndirty > 0 {
+		s.cuts++
 		return
 	}
 	for _, ci := range s.dirtyCols {
@@ -128,12 +162,12 @@ func (s *colStore) cleaned(n int) {
 	s.dirtyCols = s.dirtyCols[:0]
 }
 
-// dirtyWindows calls fn with the slab window of each dirty span, column-major,
-// until fn returns false; the flagged cells are the ones in those windows
-// whose flag is still set. fn may clean cells (never flag new ones): when it
-// cleans the last one the span lists are dropped under the walk, which the
-// length checks then end.
-func (s *colStore) dirtyWindows(fn func(ci int, rows []int, cells []cell) bool) {
+// dirtyWindows calls fn with the slab window col.cells[lo:hi] of each dirty
+// span, column-major, until fn returns false; the flagged cells are the ones
+// in those windows whose flag is still set — all of them when dense. fn may
+// clean cells (never flag new ones): when it cleans the last one the span
+// lists are dropped under the walk, which the length checks then end.
+func (s *colStore) dirtyWindows(fn func(ci int, col *column, lo, hi int, dense bool) bool) {
 	for i := 0; i < len(s.dirtyCols); i++ {
 		ci := s.dirtyCols[i]
 		col := s.cols[ci]
@@ -141,8 +175,9 @@ func (s *colStore) dirtyWindows(fn func(ci int, rows []int, cells []cell) bool) 
 			continue // deleted since it was marked
 		}
 		for k := 0; k < len(col.dirty); k++ {
-			rows, cells := col.view(col.dirty[k].r0, col.dirty[k].r1)
-			if !fn(ci, rows, cells) {
+			sp := col.dirty[k]
+			lo, hi := col.window(sp.r0, sp.r1)
+			if !fn(ci, col, lo, hi, sp.dense == s.cuts+1) {
 				return
 			}
 		}
@@ -181,22 +216,31 @@ func (s *colStore) column(ci, n int) *column {
 // set installs the record at the given position and returns the one it
 // replaced, had reporting whether there was one. Loaders feed cells in
 // column-major order, so the append fast path handles bulk fills without a
-// binary search per cell.
+// binary search per cell. An append or an overwrite of a formula repairs the
+// column's run table; an insert mid-slab moves records and drops it.
 func (s *colStore) set(at ref.Ref, c cell) (old cell, had bool) {
 	col := s.column(at.Col, 1)
 	if n := len(col.rows); n == 0 || at.Row > col.rows[n-1] {
 		col.rows = append(col.rows, at.Row)
 		col.cells = append(col.cells, c)
 		s.ncells++
+		col.repairRuns(at.Col, n)
 		return cell{}, false
 	}
 	i, found := slices.BinarySearch(col.rows, at.Row)
 	if found {
 		old, col.cells[i] = col.cells[i], c
+		if old.ast != nil || c.ast != nil {
+			col.repairRuns(at.Col, i)
+		}
 		return old, true
+	}
+	if len(col.dirty) > 0 {
+		s.cuts++ // the record may land inside a dense span
 	}
 	col.rows = slices.Insert(col.rows, i, at.Row)
 	col.cells = slices.Insert(col.cells, i, c)
+	col.dropRuns()
 	s.ncells++
 	return cell{}, false
 }
@@ -215,6 +259,7 @@ func (s *colStore) delete(at ref.Ref) (old cell, had bool) {
 	old = col.cells[i]
 	col.rows = slices.Delete(col.rows, i, i+1)
 	col.cells = slices.Delete(col.cells, i, i+1) // zeroes the vacated tail record
+	col.dropRuns()
 	s.ncells--
 	if len(col.rows) == 0 {
 		delete(s.cols, at.Col)
@@ -226,9 +271,99 @@ func (s *colStore) delete(at ref.Ref) (old cell, had bool) {
 // view returns the slab window covering rows r1..r2: the rows populated
 // there and, parallel, their records.
 func (c *column) view(r1, r2 int) (rows []int, cells []cell) {
-	lo, _ := slices.BinarySearch(c.rows, r1)
-	hi, _ := slices.BinarySearch(c.rows, r2+1)
+	lo, hi := c.window(r1, r2)
 	return c.rows[lo:hi], c.cells[lo:hi]
+}
+
+// window is view's slab index interval [lo, hi).
+func (c *column) window(r1, r2 int) (lo, hi int) {
+	lo, _ = slices.BinarySearch(c.rows, r1)
+	hi, _ = slices.BinarySearch(c.rows[lo:], r2+1)
+	return lo, lo + hi
+}
+
+// The run table lists a column's stretches: every maximal run of at least
+// minPatternRun records on contiguous rows that intern to one compiled program,
+// and nothing else. It is what a carve intersects the dirty spans with (see
+// runs.go), built the first time one touches the column and kept between
+// epochs. A write of one record changes only the stretches through its row,
+// and any stretch the table lacks is shorter than minPatternRun, so repairing
+// one reads at most that many records on each side; an insert or a delete
+// mid-slab moves the slab indexes, and drops the table instead.
+
+// runTable returns the column's run table, building it if it is not valid.
+func (c *column) runTable(ci int) []colRun {
+	if !c.runsOK {
+		c.runs, c.runsOK = c.runs[:0], true
+		for i := 0; i < len(c.cells); {
+			p, j := c.progAt(ci, i), i+1
+			for p != nil && j < len(c.cells) && c.rows[j] == c.rows[j-1]+1 && c.progAt(ci, j) == p {
+				j++
+			}
+			if j-i >= minPatternRun {
+				c.runs = append(c.runs, colRun{row: c.rows[i], i: i, n: j - i, p: p})
+			}
+			i = j
+		}
+	}
+	return c.runs
+}
+
+// progAt is the interned program of the record at slab index i.
+func (c *column) progAt(ci, i int) *formula.Program {
+	return c.cells[i].program(ref.Ref{Col: ci, Row: c.rows[i]})
+}
+
+// dropRuns invalidates the run table, keeping its capacity.
+func (c *column) dropRuns() {
+	clear(c.runs)
+	c.runs, c.runsOK = c.runs[:0], false
+}
+
+// repairRuns brings a valid run table up to date after the record at slab
+// index i was written, every other index unmoved: the stretch that held it
+// splits, and the record joins what its program continues above and below.
+func (c *column) repairRuns(ci, i int) {
+	if !c.runsOK {
+		return
+	}
+	runs := c.runs
+	k, _ := slices.BinarySearchFunc(runs, i, func(st colRun, i int) int { return st.i + st.n - 1 - i })
+	if k < len(runs) && runs[k].i <= i {
+		st := runs[k]
+		runs = slices.Delete(runs, k, k+1)
+		if up := i - st.i; up >= minPatternRun {
+			runs = slices.Insert(runs, k, colRun{row: st.row, i: st.i, n: up, p: st.p})
+			k++
+		}
+		if down := st.i + st.n - i - 1; down >= minPatternRun {
+			runs = slices.Insert(runs, k, colRun{row: c.rows[i+1], i: i + 1, n: down, p: st.p})
+		}
+	}
+	if p := c.progAt(ci, i); p != nil {
+		lo, hi := i, i+1
+		if k > 0 && runs[k-1].i+runs[k-1].n == i && runs[k-1].p == p && c.rows[i-1] == c.rows[i]-1 {
+			k--
+			lo = runs[k].i
+			runs = slices.Delete(runs, k, k+1)
+		} else {
+			for lo > 0 && i-lo < minPatternRun && c.rows[lo-1] == c.rows[lo]-1 && c.progAt(ci, lo-1) == p {
+				lo--
+			}
+		}
+		if k < len(runs) && runs[k].i == i+1 && runs[k].p == p && c.rows[i+1] == c.rows[i]+1 {
+			hi = i + 1 + runs[k].n
+			runs = slices.Delete(runs, k, k+1)
+		} else {
+			for hi < len(c.cells) && hi-i <= minPatternRun && c.rows[hi] == c.rows[hi-1]+1 && c.progAt(ci, hi) == p {
+				hi++
+			}
+		}
+		if hi-lo >= minPatternRun {
+			runs = slices.Insert(runs, k, colRun{row: c.rows[lo], i: lo, n: hi - lo, p: p})
+		}
+	}
+	c.runs = runs
 }
 
 // foldCursor is one column's slab window with a scan position — the unit of

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"taco/internal/formula"
@@ -194,6 +195,7 @@ func (m storeModel) check(t *testing.T, e *Engine, when string) {
 	if slabbed := slabbedCells(t, e, when); slabbed != len(m) {
 		t.Fatalf("%s: slabs hold %d cells, model %d", when, slabbed, len(m))
 	}
+	checkRunTables(t, e, when)
 }
 
 // slabbedCells counts the records on e's slabs, holding each column to its
@@ -226,6 +228,33 @@ func slabbedCells(t *testing.T, e *Engine, when string) (n int) {
 	return n
 }
 
+// checkRunTables holds every valid run table of e to one derived afresh from
+// the records (see runTable).
+func checkRunTables(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	for ci, col := range e.store.cols {
+		if !col.runsOK {
+			continue
+		}
+		var want []colRun
+		for i := 0; i < len(col.cells); {
+			p, j := col.cells[i].program(ref.Ref{Col: ci, Row: col.rows[i]}), i+1
+			for ; p != nil && j < len(col.cells) && col.rows[j] == col.rows[j-1]+1; j++ {
+				if col.cells[j].program(ref.Ref{Col: ci, Row: col.rows[j]}) != p {
+					break
+				}
+			}
+			if j-i >= minPatternRun {
+				want = append(want, colRun{row: col.rows[i], i: i, n: j - i, p: p})
+			}
+			i = j
+		}
+		if !slices.Equal(col.runs, want) {
+			t.Fatalf("%s: column %d's run table is %v, derived afresh %v", when, ci, col.runs, want)
+		}
+	}
+}
+
 func modelProg(ops ...[4]byte) (prog []byte) {
 	for _, op := range ops {
 		prog = append(prog, op[:]...)
@@ -237,8 +266,9 @@ func modelProg(ops ...[4]byte) (prog []byte) {
 // drains over a 20×60 window — gapped columns, first and last rows, columns
 // emptied and re-created — Value, Peek, Dirty, Formula, NumCells, NumFormulas
 // and Pending agree with the map model after every step, the slabs stay
-// strictly ascending with no empty column, and a snapshot round trip
-// preserves all of it.
+// strictly ascending with no empty column, every column's run table — each is
+// kept built, so every write repairs or drops one — equals one derived afresh,
+// and a snapshot round trip preserves all of it.
 func FuzzColStore(f *testing.F) {
 	const q, a, fill = modelNarrowFrom, 0, 32 // column bytes Q (narrow) and A; one more row filled
 	// A narrow column filled, emptied, re-created by a formula, then a row
@@ -261,6 +291,9 @@ func FuzzColStore(f *testing.F) {
 		for i := 0; i+4 <= len(prog) && i < 4*modelMaxSteps; i += 4 {
 			m.step(t, e, prog[i], prog[i+1], prog[i+2], prog[i+3])
 			m.check(t, e, fmt.Sprintf("step %d", i/4))
+			for ci, col := range e.store.cols {
+				col.runTable(ci)
+			}
 		}
 		var buf bytes.Buffer
 		if err := e.WriteSnapshot(&buf); err != nil { // drains first
@@ -319,7 +352,7 @@ func TestMarkCoarseRange(t *testing.T) {
 			return true
 		})
 		first, last := formulas[0].Row, formulas[len(formulas)-1].Row
-		if spans := e.store.cols[1].dirty; len(spans) != 1 || spans[0] != (rowSpan{first, last}) {
+		if spans := e.store.cols[1].dirty; len(spans) != 1 || spans[0] != (rowSpan{r0: first, r1: last}) {
 			t.Fatalf("every %d: dirty spans %v, want one [%d,%d]", every, spans, first, last)
 		}
 		if n := e.RecalculateAll(); n != len(formulas) || e.Pending() != 0 {
@@ -342,7 +375,8 @@ func TestMarkCoarseRange(t *testing.T) {
 // schedule cut mid-span must leave nothing aliasing the old layout. On the
 // 2 000-row ledger (E1000 cleared first, for the insert to fill) each reshape
 // lands between two budgeted chunks of a rate edit's drain: the live schedule
-// is dropped and rebuilt over what is still flagged, no warm one is re-armed,
+// is dropped and rebuilt over what is still flagged, the column's run table is
+// repaired (an append) or dropped (an insert, a delete) and carved from afresh,
 // and the cells end bit-identical to a serial twin's.
 func TestSlabReshapeBetweenBudgetedDrains(t *testing.T) {
 	eachSpanChunk(func() { slabReshapeBetweenBudgetedDrains(t) })
@@ -374,10 +408,10 @@ func slabReshapeBetweenBudgetedDrains(t *testing.T) {
 		if !cut {
 			t.Fatalf("%s: the budget did not end inside a span", reshape.name)
 		}
-		builds, warm := e.schedBuilds, mSchedWarmReuses.Value()
+		builds := e.schedBuilds
 		both(reshape.do)
-		if e.sched != nil || e.warm != nil {
-			t.Fatalf("%s: a schedule outlived the reshape (live %v, warm %v)", reshape.name, e.sched != nil, e.warm != nil)
+		if e.sched != nil {
+			t.Fatalf("%s: the live schedule outlived the reshape", reshape.name)
 		}
 		for e.Pending() > 0 {
 			if e.RecalculateN(budget) == 0 {
@@ -385,11 +419,11 @@ func slabReshapeBetweenBudgetedDrains(t *testing.T) {
 			}
 		}
 		serial.RecalculateAll()
-		if e.schedBuilds == builds || mSchedWarmReuses.Value() != warm {
-			t.Fatalf("%s: %d rebuilds and %d warm re-arms after the reshape, want a rebuild and no re-arm",
-				reshape.name, e.schedBuilds-builds, mSchedWarmReuses.Value()-warm)
+		if e.schedBuilds == builds {
+			t.Fatalf("%s: no rebuild after the reshape", reshape.name)
 		}
 		slabbedCells(t, e, reshape.name)
+		checkRunTables(t, e, reshape.name)
 		if g, w := e.NumCells(), serial.NumCells(); g != w {
 			t.Fatalf("%s: %d cells, the serial twin %d", reshape.name, g, w)
 		}

@@ -146,23 +146,6 @@ type Engine struct {
 	patternRuns bool
 	swept       sweepCounts // rows the span sweeps evaluated, by path (runs.go)
 
-	// Warm-schedule cache: a completed wavefront schedule is a pure function
-	// of the formula/graph structure and the epoch's edit roots, so the
-	// interactive steady state — the same input cell edited over and over —
-	// re-arms the retired schedule instead of re-walking every flagged record
-	// per keystroke. structGen counts structural mutations (formula installs
-	// and removals, graph edits, cells entering or leaving a slab — the span
-	// windows alias the slabs); roots accumulates the dirty epoch's edit
-	// origins while rootsOK holds (no partial drain or serial evaluation
-	// punched a hole in the dirty set the roots can't describe); warm is the
-	// last cleanly completed schedule with the structGen and roots it was
-	// valid for. See takeWarm/retireSchedule in schedule.go.
-	structGen  uint64
-	roots      []ref.Ref
-	rootsOK    bool
-	warm       *schedule
-	warmStruct uint64
-	warmRoots  []ref.Ref
 }
 
 // New returns an empty engine driving the given dependency graph. A nil
@@ -175,7 +158,6 @@ func New(g Graph) *Engine {
 		graph:       g,
 		store:       newColStore(),
 		patternRuns: true,
-		rootsOK:     true,
 	}
 }
 
@@ -187,13 +169,12 @@ func (e *Engine) SetPatternRuns(on bool) {
 	if on != e.patternRuns {
 		e.patternRuns = on
 		e.releaseSchedule()
-		e.releaseWarm()
 	}
 }
 
-// prog returns the cell's interned bytecode program, compiling on first use.
-// Nil when the formula has no compiled form (the AST walker handles it).
-func (e *Engine) prog(at ref.Ref, c *cell) *formula.Program {
+// program returns the cell's interned bytecode program, compiling on first
+// use. Nil when the formula has no compiled form (the AST walker handles it).
+func (c *cell) program(at ref.Ref) *formula.Program {
 	if !c.progTried {
 		c.progTried = true
 		if c.ast != nil {
@@ -209,11 +190,6 @@ func (e *Engine) prog(at ref.Ref, c *cell) *formula.Program {
 func (e *Engine) setCell(at ref.Ref, c cell) {
 	e.noteDirtyMutation()
 	old, had := e.store.set(at, c)
-	if !had || old.ast != nil || c.ast != nil {
-		// The slab grew or the formula set changed: the warm schedule's span
-		// windows alias the one and describe the other.
-		e.noteStructMutation()
-	}
 	if had {
 		e.dropped(at, &old)
 	}
@@ -221,7 +197,7 @@ func (e *Engine) setCell(at ref.Ref, c cell) {
 		e.nformulas++
 	}
 	if c.dirty {
-		e.store.noteDirty(at.Col, at.Row, at.Row, 1)
+		e.store.noteDirty(at.Col, at.Row, at.Row, 1, true)
 	}
 }
 
@@ -328,7 +304,7 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 		}
 		e.store.set(c.At, rec) // ordered input: the append fast path
 		if rec.dirty {
-			e.store.noteDirty(c.At.Col, c.At.Row, c.At.Row, 1)
+			e.store.noteDirty(c.At.Col, c.At.Row, c.At.Row, 1, true)
 		}
 	}
 	// A fresh load drains on the walk, whatever its size: every cell is dirty
@@ -506,12 +482,12 @@ func (e *Engine) drainSerial(max int) int {
 	if e.sched != nil {
 		e.noteDirtyMutation() // pinned serial mid-drain: the schedule is stale
 	}
-	e.walking, e.rootsOK = true, false // the roots model can't describe a walk
+	e.walking = true
 	left := e.store.ndirty
 	n := e.unwind(max)
-	e.store.dirtyWindows(func(_ int, _ []int, cells []cell) bool {
-		for i := range cells {
-			if c := &cells[i]; c.dirty {
+	e.store.dirtyWindows(func(_ int, col *column, lo, hi int, _ bool) bool {
+		for i := lo; i < hi; i++ {
+			if c := &col.cells[i]; c.dirty {
 				if len(e.walk) > 0 || n >= max {
 					return false
 				}
@@ -626,7 +602,6 @@ func (e *Engine) SetFormulaParsed(at ref.Ref, src string, ast formula.Node) []re
 func (e *Engine) ClearCell(at ref.Ref) []ref.Range {
 	e.noteDirtyMutation()
 	if old, had := e.store.delete(at); had {
-		e.noteStructMutation() // the slab shrinks: warm span windows alias it
 		e.dropped(at, &old)
 	}
 	return e.invalidate(at)
@@ -651,35 +626,11 @@ func (e *Engine) dropped(at ref.Ref, old *cell) {
 // slab windows of each dirty range, never the range's area.
 func (e *Engine) invalidate(at ref.Ref) []ref.Range {
 	e.noteDirtyMutation()
-	e.noteRoot(at)
 	dirty := e.graph.Dependents(ref.CellRange(at))
 	for _, rng := range dirty {
 		e.markRange(rng)
 	}
 	return dirty
-}
-
-// noteRoot tracks the dirty epoch's edit origins for the warm-schedule
-// cache (schedule.go): an empty dirty set means this edit starts a fresh
-// epoch, so the roots list restarts. The list stays small — an epoch fed by
-// more than a handful of distinct roots won't repeat exactly anyway, so it
-// is cheaper to stop tracking than to compare long lists.
-func (e *Engine) noteRoot(at ref.Ref) {
-	if e.store.ndirty == 0 && e.sched == nil {
-		e.roots = e.roots[:0]
-		e.rootsOK = true
-	}
-	if !e.rootsOK {
-		return
-	}
-	if slices.Contains(e.roots, at) {
-		return // re-editing a root marks nothing new
-	}
-	if len(e.roots) >= maxWarmRoots {
-		e.rootsOK = false
-		return
-	}
-	e.roots = append(e.roots, at)
 }
 
 // markRange marks the formula cells of one dirty range, one populated column
@@ -709,12 +660,16 @@ func (e *Engine) markRange(rng ref.Range) {
 
 // markCol flags the clean formula cells of one column's row window: a scan of
 // the contiguous slab checking ast != nil — a few ns per cell — that notes
-// one dirty span from the first row it flagged to the last.
+// one dirty span from the first row it flagged to the last. A window of
+// formulas only is noted whole and dense (see colStore), even when it flagged
+// none: every record in it is flagged now.
 func (e *Engine) markCol(ci int, col *column, r1, r2 int) {
 	rows, cells := col.view(r1, r2)
-	n, first, last := 0, 0, 0
+	n, first, last, all := 0, 0, 0, len(cells) > 0
 	for i := range cells {
-		if c := &cells[i]; c.ast != nil && !c.dirty {
+		if c := &cells[i]; c.ast == nil {
+			all = false
+		} else if !c.dirty {
 			c.dirty = true
 			if n == 0 {
 				first = rows[i]
@@ -723,8 +678,11 @@ func (e *Engine) markCol(ci int, col *column, r1, r2 int) {
 			n++
 		}
 	}
-	if n > 0 {
-		e.store.noteDirty(ci, first, last, n)
+	if all {
+		first, last = rows[0], rows[len(rows)-1]
+	}
+	if n > 0 || all {
+		e.store.noteDirty(ci, first, last, n, all)
 	}
 }
 
@@ -911,6 +869,5 @@ func (e *Engine) TACOGraph() *core.Graph {
 func (e *Engine) Recycle() {
 	e.truncate(0)
 	e.releaseSchedule()
-	e.releaseWarm()
 	e.store.recycle()
 }

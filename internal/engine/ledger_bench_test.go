@@ -65,9 +65,9 @@ func ledgerEdit(b *testing.B, e *Engine, at ref.Ref, v float64) int {
 }
 
 // BenchmarkLedgerRateEdit times the edit of $H$1 — 3 dirty cells per row —
-// with an untimed point edit between every two, so no schedule cache hits,
-// as in engine_recalc's op list. ns/cell is the edit's time over the cells
-// it recalculates (C, D, E, F and G1).
+// with an untimed point edit between every two, as engine_recalc's op list
+// has them. ns/cell is the edit's time over the cells it recalculates (C, D,
+// E, F and G1).
 func BenchmarkLedgerRateEdit(b *testing.B) {
 	e := ledgerEngine(b, ledgerBenchRows)
 	rng := rand.New(rand.NewSource(2))
@@ -83,10 +83,13 @@ func BenchmarkLedgerRateEdit(b *testing.B) {
 }
 
 // BenchmarkLedgerPointEdit times the edit of one A cell — about 270 dirty
-// cells — with an untimed rate edit every 16.
+// cells — with an untimed rate edit every 16, and one before the first, as
+// engine_recalc's set-up has: the first levelled drain over a column builds
+// its run table, which every later one reuses.
 func BenchmarkLedgerPointEdit(b *testing.B) {
 	e := ledgerEngine(b, ledgerBenchRows)
 	rng := rand.New(rand.NewSource(2))
+	ledgerEdit(b, e, ref.MustCell("H1"), 1.0001)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%16 == 15 {
@@ -95,6 +98,29 @@ func BenchmarkLedgerPointEdit(b *testing.B) {
 			b.StartTimer()
 		}
 		ledgerEdit(b, e, ref.Ref{Col: 1, Row: 1 + rng.Intn(ledgerBenchRows)}, float64(rng.Intn(1000)))
+	}
+}
+
+// BenchmarkLedgerRewrite times engine_recalc's formula op: one C cell rewritten
+// to B[r]*2 and back, drained after each write — the graph's Clear and Add, the
+// run table's repair (the stretch splits, then joins again) and the drain of
+// the cells each write dirties. ns/op is the pair.
+func BenchmarkLedgerRewrite(b *testing.B) {
+	e := ledgerEngine(b, ledgerBenchRows)
+	rng := rand.New(rand.NewSource(2))
+	ledgerEdit(b, e, ref.MustCell("H1"), 1.0001) // the run tables, as engine_recalc's set-up leaves them
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := 1 + rng.Intn(ledgerBenchRows)
+		at := ref.Ref{Col: 3, Row: r}
+		for _, src := range []string{fmt.Sprintf("B%d*2", r), fmt.Sprintf("A%d*B%d*$H$1", r, r)} {
+			if _, err := e.SetFormula(at, src); err != nil {
+				b.Fatal(err)
+			}
+			if e.RecalculateAll(); e.Pending() != 0 {
+				b.Fatalf("%d cells pending after the drain", e.Pending())
+			}
+		}
 	}
 }
 

@@ -15,13 +15,11 @@ var (
 	mLevelsDrained = telemetry.NewCounter("taco_sched_levels_drained_total",
 		"Wavefront levels of span nodes completed by the resumable scheduler.")
 	mSchedBuilds = telemetry.NewCounter("taco_sched_builds_total",
-		"Schedule constructions (Kahn levelling runs).")
+		"Schedule builds, one per dirty generation drained on the levels: the carve against the columns' run tables, the span links and Kahn's first frontier.")
 	mSchedResumes = telemetry.NewCounter("taco_sched_resumes_total",
 		"Budgeted drains that resumed a cached schedule instead of re-levelling.")
 	mSchedInvalidations = telemetry.NewCounter("taco_sched_invalidations_total",
 		"Cached schedules invalidated by a dirty-set mutation mid-drain.")
-	mSchedWarmReuses = telemetry.NewCounter("taco_sched_warm_reuses_total",
-		"Completed schedules re-armed for an identical edit epoch (same roots, unchanged structure).")
 	mPatternRuns = telemetry.NewCounter("taco_sched_pattern_runs_total",
 		"Sweeps of pattern-run span nodes; a span a budget cuts is one sweep per chunk (see runs.go).")
 	mPatternRunCells = telemetry.NewCounter("taco_sched_pattern_run_cells_total",

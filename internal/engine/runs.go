@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"taco/internal/formula"
@@ -17,30 +18,38 @@ import (
 // detection does not read it off the edges: it is keyed on the canonical
 // compile cache (shifted copies of a formula intern to one *Program;
 // membership is pointer equality), which every backend shares and no edit
-// history fragments. It happens once per schedule build, during the
-// column-major walk of the dirty spans that enumerates the set anyway.
+// history fragments. Like the graph's edges, the runs outlive an edit: each
+// column's run table (colstore.go) lists its stretches of one program, built
+// once and repaired where a write lands, and a carve intersects the dirty
+// spans with it — a dense span (one the marking pass flagged whole) without
+// reading a record.
 //
 // A sweep plans one cursor per compiled cell operand — a row-fixed operand is
 // one position for the whole run, read once; a relative-row one a slab window
 // that only moves down — and one foldWindow per range the numeric plan folds
 // (SUM, AVERAGE, COUNT, COUNTA, MIN, MAX of one single-column range), whose
 // ends only move down too: a sliding window costs its width per row, a running
-// total what entered. A numeric-plan span that reads nothing in its own column
-// then runs lanes, not rows (sweepLanes), sweepChunk rows at a time. Gather:
-// each relative operand's AsNumber coercions go straight off its slab window
-// into a []float64 lane (fixed operands are broadcast once), each aggregate's
-// per-row Result into a lane of its own. Run: formula.NumericSweepRows executes
-// the plan one instruction at a time over whole lanes — per row NumericSweep's
-// float operations in NumericSweep's order, so the same bits. Bad rows: one
-// whose operand does not coerce, whose aggregate is not a number or whose
-// divisor is zero is flagged by the step that met it and evaluated by the
-// generic interpreter, which owns every error and coercion outcome.
+// total what entered. A numeric-plan span then runs on lanes (sweepLanes),
+// sweepChunk rows at a time. Gather: each relative operand in another column
+// has its AsNumber coercions read straight off its slab window into a
+// []float64 lane (fixed operands are broadcast once), each aggregate over
+// another column its per-row Result into a lane of its own. Run: a span that
+// reads nothing in its own column runs formula.NumericSweepRows, the plan one
+// instruction at a time over whole lanes — per row NumericSweep's float
+// operations in NumericSweep's order, so the same bits. Bad rows: one whose
+// operand does not coerce, whose aggregate is not a number or whose divisor is
+// zero is flagged by the step that met it and evaluated by the generic
+// interpreter, which owns every error and coercion outcome.
 //
 // A span that reads its own column (a running balance, a cumulative fold) must
-// see what the row above just wrote, and a program without a numeric plan has
-// no lanes to run on: those stay on executeRun's row loop, one evaluation per
-// row off the same cursors and windows (as chunks of one row they cost a tenth
-// of the ledger's rate edit). Every value a run reads was settled by an earlier
+// see what the row above just wrote, so those reads are not gathered: the row
+// loop takes them a row at a time into the row's lane slots — an operand k
+// rows up carried from the record the sweep wrote k rows before (a span's rows
+// are contiguous), or off the slab above the span; a fold off its live window
+// — and runs the plan on that row (NumericSweepRow). Chunks of one row on the
+// lane path, the other way to one loop, cost a tenth of the ledger's rate
+// edit. A program without a numeric plan runs on the interpreter, row by row,
+// off the same cursors. Every value a run reads was settled by an earlier
 // level or an earlier row of the same sweep — a span that reads itself is only
 // carved when it reads strictly upwards — and no float expression is
 // reassociated (no sliding, pairwise or blocked sum), so results, errors and
@@ -50,13 +59,16 @@ import (
 // cursors for a handful of cells costs more than evaluating them.
 const minPatternRun = 8
 
-// carve walks the dirty spans column-major and appends the schedule's nodes.
-// A maximal run of contiguous flagged rows whose cells intern to one compiled
-// program becomes one span node when pattern runs are on (SetPatternRuns), it
-// is at least minPatternRun long and an ascending sweep can order it — its
-// cells read, inside the run, only rows above their own. Every other dirty
-// cell is a node of its own: value cells, uncompilable formulas, short or
-// unsweepable runs, every cell when pattern runs are off.
+// carve appends the schedule's nodes, one column-major pass over the dirty
+// spans. With pattern runs on (SetPatternRuns), each span is intersected with
+// its column's run table (colstore.go): a maximal run of flagged rows inside
+// one stretch — the whole clipped stretch in a dense span, whose records are
+// all flagged — becomes one span node when it is at least minPatternRun long
+// and an ascending sweep can order it: its cells read, inside the run, only
+// rows above their own. Every other flagged cell is a node of its own: value
+// cells, uncompilable formulas, short or unsweepable runs, every cell when
+// pattern runs are off. A dense span costs its nodes and stretches, not its
+// records; another reads each record's flag, never its program.
 //
 // The sweep test resolves the run's operand windows and linkSchedule resolves
 // them again — linking needs the finished node index, and a few additions per
@@ -71,37 +83,49 @@ func (e *Engine) carve(sch *schedule) {
 		sweepable = !first.Overlaps(span)
 		return sweepable
 	}
-	e.store.dirtyWindows(func(ci int, rows []int, cells []cell) bool {
-		at := func(k int) ref.Ref { return ref.Ref{Col: ci, Row: rows[k]} }
-		for i := 0; i < len(cells); {
-			c := &cells[i]
-			if !c.dirty {
-				i++
-				continue
-			}
-			j := i + 1
-			var p *formula.Program
-			if e.patternRuns && c.ast != nil {
-				p = e.prog(at(i), c) // nil when the compiler declines the formula
-			}
-			for p != nil && j < len(cells) && cells[j].dirty && rows[j] == rows[j-1]+1 &&
-				cells[j].ast != nil && e.prog(at(j), &cells[j]) == p {
-				j++
-			}
-			sweepable = j-i >= minPatternRun
-			if sweepable {
-				span = ref.Range{Head: at(i), Tail: at(j - 1)}
-				e.spanPrecedents(sch, at(i), cells[i:j], p, check)
-			}
-			if sweepable {
-				sch.addNode(at(i), cells[i:j], p)
-				i = j
-				continue
-			}
+	e.store.dirtyWindows(func(ci int, col *column, lo, hi int, dense bool) bool {
+		rows, cells := col.rows, col.cells
+		at := func(i int) ref.Ref { return ref.Ref{Col: ci, Row: rows[i]} }
+		singles := func(i, j int) {
 			for ; i < j; i++ {
-				sch.addNode(at(i), cells[i:i+1], nil)
+				if dense || cells[i].dirty {
+					sch.addNode(at(i), cells[i:i+1], nil)
+				}
 			}
 		}
+		if !e.patternRuns {
+			singles(lo, hi)
+			return true
+		}
+		runs := col.runTable(ci)
+		k, _ := slices.BinarySearchFunc(runs, lo, func(st colRun, i int) int { return st.i + st.n - 1 - i })
+		for ; k < len(runs) && runs[k].i < hi; k++ {
+			a, z := max(runs[k].i, lo), min(runs[k].i+runs[k].n, hi)
+			singles(lo, a)
+			for a < z {
+				b := z
+				if !dense { // the next run of flagged records in the stretch
+					for a < z && !cells[a].dirty {
+						a++
+					}
+					for b = a; b < z && cells[b].dirty; b++ {
+					}
+				}
+				sweepable = b-a >= minPatternRun
+				if sweepable {
+					span = ref.Range{Head: at(a), Tail: at(b - 1)}
+					e.spanPrecedents(sch, at(a), cells[a:b], runs[k].p, check)
+				}
+				if sweepable {
+					sch.addNode(at(a), cells[a:b], runs[k].p)
+				} else {
+					singles(a, b)
+				}
+				a = b
+			}
+			lo = z
+		}
+		singles(lo, hi)
 		return true
 	})
 }
@@ -110,11 +134,14 @@ func (e *Engine) carve(sch *schedule) {
 // operand is a single pre-read value, a relative-row operand an advancing
 // slab window — an empty one when its column is unpopulated. A gather leaves it
 // at the chunk's first row, for a flagged row to probe, and its end in end.
+// own marks a relative-row operand in the span's own column, d rows from the
+// row reading it, which the row loop reads row by row instead (see selfAt).
 type runCursor struct {
-	fixed bool
-	v     formula.Value
-	cur   foldCursor
-	end   int
+	fixed, own bool
+	d          int
+	v          formula.Value
+	cur        foldCursor
+	end        int
 }
 
 // asNumber is v.AsNumber() without copying a number's Value to read its float.
@@ -149,6 +176,17 @@ func (cu *runCursor) at(row int) *formula.Value {
 	return &blank
 }
 
+// selfAt is an own-column operand's value at the span nd's row index j: a row
+// of the span itself is its record — the rows are contiguous, and an ascending
+// sweep has computed every one it reads (see carve) — and a row outside it
+// comes off the slab.
+func (cu *runCursor) selfAt(nd *schedNode, j int) *formula.Value {
+	if j >= 0 && j < len(nd.cells) {
+		return &nd.cells[j].value
+	}
+	return cu.at(nd.at.Row + j)
+}
+
 // gather reads a relative operand's AsNumber coercions at the len(lane) rows
 // from row, on a copy of the cursor; bad flags a failed one.
 func (cu *runCursor) gather(row int, lane []float64, bad []bool) {
@@ -175,8 +213,8 @@ func (cu *runCursor) gather(row int, lane []float64, bad []bool) {
 
 // foldWindow feeds one aggregate of the numeric plan during a sweep. rows and
 // cells are the slab window spanning every row's range — the live records,
-// so a span over its own column folds what the rows above just wrote — and
-// acc holds the fold of cells[lo:hi], the current row's range. While a lane
+// so a span over its own column (own) folds what the rows above just wrote —
+// and acc holds the fold of cells[lo:hi], the current row's range. While a lane
 // sweep has its chunk's records gathered, nums[i-base] is cells[i]'s float.
 type foldWindow struct {
 	rows   []int
@@ -185,6 +223,7 @@ type foldWindow struct {
 	acc    foldAcc
 	nums   []float64
 	base   int
+	own    bool
 }
 
 // restart empties the window at slab index lo.
@@ -272,12 +311,11 @@ func (w *foldWindow) lane(fo formula.FoldOp, at ref.Ref, out []float64, bad []bo
 }
 
 // runScratch is the sweep's per-schedule scratch: operand cursors, aggregate
-// windows, the row loop's operand buffer (cells, then aggregates), and read —
-// readOp bound once, so handing it to the VM allocates nothing.
+// windows, and read — readOp bound once, so handing it to the VM allocates
+// nothing.
 type runScratch struct {
 	cursors []runCursor
 	windows []foldWindow
-	vals    []float64
 	read    func(op int, target ref.Ref) formula.Value
 }
 
@@ -297,7 +335,7 @@ func (rs *runScratch) planWindows(s *colStore, folds []formula.FoldOp, anchor re
 			z.Head.Row < a.Head.Row || z.Tail.Row < a.Tail.Row {
 			return false
 		}
-		var w foldWindow
+		w := foldWindow{own: a.Head.Col == anchor.Col}
 		if col := s.cols[a.Head.Col]; col != nil {
 			w.rows, w.cells = col.view(a.Head.Row, z.Tail.Row)
 		}
@@ -334,16 +372,15 @@ type sweepCounts struct{ lane, loop, interp uint64 }
 // executeRun sweeps the next m cells of a span node, from its cursor. Cursors
 // and windows are planned once against the first row swept and only move
 // down; each cell's value and clean flag are written exactly once, same as
-// evalLevelCell. Lanes or rows: see the head of this file.
+// evalLevelCell. A numeric plan sweeps lanes (sweepLanes); a program without
+// one runs on the interpreter, row by row, its cell operands off the cursors.
 func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 	p, res := nd.prog, valueResolver{e}
 	anchor := ref.Ref{Col: nd.at.Col, Row: nd.at.Row + nd.done}
-	ops, folds := p.CellOps(), p.FoldOps()
-	own, numeric := false, p.HasNumericSweep()
+	numeric := p.HasNumericSweep()
 	rs.cursors = rs.cursors[:0]
-	for _, op := range ops {
+	for _, op := range p.CellOps() {
 		t0 := op.At(anchor)
-		own = own || t0.Col == anchor.Col
 		var cu runCursor
 		if op.RowFixed {
 			// The anchor column is constant across the run, so a row-fixed
@@ -355,66 +392,49 @@ func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 			}
 		} else if col := e.store.cols[t0.Col]; col != nil {
 			cu.cur.rows, cu.cur.cells = col.view(t0.Row, t0.Row+m-1)
+			cu.own, cu.d = t0.Col == anchor.Col, t0.Row-anchor.Row
 		}
 		rs.cursors = append(rs.cursors, cu)
 	}
-	for _, fo := range folds {
-		own = own || fo.At(anchor).Head.Col == anchor.Col
-	}
-	numeric = numeric && rs.planWindows(&e.store, folds, anchor, m)
+	numeric = numeric && rs.planWindows(&e.store, p.FoldOps(), anchor, m)
 	defer clear(rs.windows) // the pooled scratch must not pin the slabs (poolSchedule clears the cursors)
-	if numeric && !own {
+	if numeric {
 		e.sweepLanes(rs, nd, m, anchor)
 		return
 	}
-	// The row loop. With numeric set each row tries the float fast path —
-	// operands coerced, aggregates folded off their windows, the plan on a
-	// bare float64 stack — and one the lane sweep would flag re-runs on the
-	// interpreter: probe is idempotent for its row, and ranges it resolves
-	// itself, so a half-advanced window is harmless.
-	if n := len(ops) + len(folds); cap(rs.vals) < n {
-		rs.vals = make([]float64, n)
-	}
-	vals := rs.vals[:len(ops)+len(folds)]
-	at, slow := anchor, 0
-	cells := nd.cells[nd.done : nd.done+m]
-	for k := range cells {
-		c, fast := &cells[k], numeric
-		for i := 0; fast && i < len(ops); i++ {
-			vals[i], fast = asNumber(rs.cursors[i].at(ops[i].At(at).Row))
-		}
-		for i := 0; fast && i < len(folds); i++ {
-			rng := folds[i].At(at)
-			vals[len(ops)+i], fast = folds[i].Result(rs.windows[i].fold(rng.Head.Row, rng.Tail.Row))
-		}
-		var f float64
-		if fast {
-			f, fast = p.NumericSweep(vals)
-		}
-		if fast {
-			setNum(&c.value, f)
-		} else {
-			c.value = p.EvalCells(res, at, rs.read)
-			slow++
-		}
+	at := anchor
+	for k := range m {
+		c := &nd.cells[nd.done+k]
+		c.value = p.EvalCells(res, at, rs.read)
 		c.dirty = false
 		at.Row++
 	}
-	e.swept.loop += uint64(m - slow)
-	e.swept.interp += uint64(slow)
+	e.swept.interp += uint64(m)
 }
 
-// sweepLanes is executeRun over gathered float lanes, a chunk of rows at a time.
+// sweepLanes is executeRun over gathered float lanes, a chunk of rows at a
+// time. What the span reads in other columns is gathered; what it reads in its
+// own column — a running balance, a cumulative fold — is what the rows above
+// just wrote, so a span that reads it runs the plan row by row (NumericSweep,
+// the lane sweep's operations in its order) over the gathered floats and its
+// own column's records and live windows.
 func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref) {
 	p, res := nd.prog, valueResolver{e}
 	ops, folds := p.CellOps(), p.FoldOps()
+	own := false
+	for i := range rs.cursors {
+		own = own || rs.cursors[i].own
+	}
+	for i := range rs.windows {
+		own = own || rs.windows[i].own
+	}
 	chunk, nlanes := min(m, sweepChunk), len(ops)+len(folds)+p.NumericWork()
 	lb := lanePool.Get().(*laneBuf)
-	if need := (nlanes + len(folds)*foldGatherChunks) * chunk; cap(lb.floats) < need {
-		lb.floats = make([]float64, need)
+	if per := nlanes + len(folds)*foldGatherChunks; cap(lb.floats) < per*chunk {
+		lb.floats = make([]float64, per*sweepChunk) // a full chunk's: a budget cuts sweeps of every length
 	}
 	if cap(lb.bad) < chunk {
-		lb.bad = make([]bool, chunk)
+		lb.bad = make([]bool, sweepChunk)
 	}
 	lanes, gathers, bad := lb.floats[:nlanes*chunk], lb.floats[nlanes*chunk:], lb.bad[:chunk]
 	for i := range ops {
@@ -431,32 +451,67 @@ func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref
 		n := min(chunk, len(cells))
 		clear(bad[:n])
 		for i, op := range ops {
-			if !op.RowFixed {
-				rs.cursors[i].gather(op.At(at).Row, lanes[i*chunk:][:n], bad)
+			if cu := &rs.cursors[i]; !cu.fixed && !cu.own {
+				cu.gather(op.At(at).Row, lanes[i*chunk:][:n], bad)
 			}
 		}
 		for i, fo := range folds {
-			buf := gathers[i*foldGatherChunks*chunk:][: 0 : foldGatherChunks*chunk]
-			rs.windows[i].lane(fo, at, lanes[(len(ops)+i)*chunk:][:n], bad, buf)
+			if w := &rs.windows[i]; !w.own {
+				buf := gathers[i*foldGatherChunks*chunk:][: 0 : foldGatherChunks*chunk]
+				w.lane(fo, at, lanes[(len(ops)+i)*chunk:][:n], bad, buf)
+			}
 		}
-		out := p.NumericSweepRows(lanes, chunk, n, bad)
+		var out []float64
+		if !own {
+			out = p.NumericSweepRows(lanes, chunk, n, bad)
+		}
 		for k := range n {
-			c := &cells[k]
-			if bad[k] {
-				// Operands through the cursors, ranges through the resolver.
+			c, fast := &cells[k], !bad[k]
+			var f float64
+			if own && fast {
+				// The row loop: what the span reads of its own column goes
+				// into the row's lane slots, and the plan runs on the row.
+				j := at.Row - nd.at.Row
+				for i := 0; fast && i < len(ops); i++ {
+					if cu := &rs.cursors[i]; cu.own {
+						lanes[i*chunk+k], fast = asNumber(cu.selfAt(nd, j+cu.d))
+					}
+				}
+				for i := 0; fast && i < len(folds); i++ {
+					if w := &rs.windows[i]; w.own {
+						rng := folds[i].At(at)
+						lanes[(len(ops)+i)*chunk+k], fast = folds[i].Result(w.fold(rng.Head.Row, rng.Tail.Row))
+					}
+				}
+				if fast {
+					f, fast = p.NumericSweepRow(lanes, chunk, k)
+				}
+			} else if fast {
+				f = out[k]
+			}
+			if fast {
+				setNum(&c.value, f)
+			} else {
+				// Operands through the cursors, ranges through the resolver:
+				// probe is idempotent for its row, and a half-advanced window
+				// is harmless.
 				c.value = p.EvalCells(res, at, rs.read)
 				flagged++
-			} else {
-				setNum(&c.value, out[k])
 			}
 			c.dirty = false
 			at.Row++
 		}
 		for i := range rs.cursors {
-			rs.cursors[i].cur.i = rs.cursors[i].end
+			if cu := &rs.cursors[i]; !cu.own {
+				cu.cur.i = cu.end
+			}
 		}
 	}
 	lanePool.Put(lb)
-	e.swept.lane += uint64(m - flagged)
+	if own {
+		e.swept.loop += uint64(m - flagged)
+	} else {
+		e.swept.lane += uint64(m - flagged)
+	}
 	e.swept.interp += uint64(flagged)
 }

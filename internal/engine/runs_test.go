@@ -175,14 +175,80 @@ func TestPlanLevelHoleSplitsRun(t *testing.T) {
 
 // carved is the node list a schedule build would carve from the engine's dirty
 // set, as (first cell, length) pairs — built on a schedule of its own, so the
-// engine's live and warm ones, and the path its next drain takes, are as they
-// were.
+// engine's live one, and the path its next drain takes, are as they were.
 func carved(e *Engine) (list []ref.Range) {
 	sch := schedPool.Get().(*schedule)
 	e.carve(sch)
 	for i := range sch.nodes {
 		nd := &sch.nodes[i]
 		list = append(list, ref.Range{Head: nd.at, Tail: ref.Ref{Col: nd.at.Col, Row: nd.at.Row + len(nd.cells) - 1}})
+	}
+	poolSchedule(sch)
+	return list
+}
+
+// carveRecords is the record walk the carve replaced, kept as its reference:
+// per dirty span, a maximal run of contiguous flagged rows whose cells intern
+// to one compiled program, found by reading every record's flag and program,
+// is one span node when it is at least minPatternRun long and sweepable, and
+// every other flagged cell a node of its own.
+func (e *Engine) carveRecords(sch *schedule) {
+	var span ref.Range
+	var sweepable bool
+	check := func(_, first ref.Range) bool {
+		sweepable = !first.Overlaps(span)
+		return sweepable
+	}
+	e.store.dirtyWindows(func(ci int, col *column, lo, hi int, _ bool) bool {
+		rows, cells := col.rows[lo:hi], col.cells[lo:hi]
+		at := func(k int) ref.Ref { return ref.Ref{Col: ci, Row: rows[k]} }
+		for i := 0; i < len(cells); {
+			c := &cells[i]
+			if !c.dirty {
+				i++
+				continue
+			}
+			j := i + 1
+			var p *formula.Program
+			if e.patternRuns && c.ast != nil {
+				p = c.program(at(i))
+			}
+			for p != nil && j < len(cells) && cells[j].dirty && rows[j] == rows[j-1]+1 &&
+				cells[j].ast != nil && cells[j].program(at(j)) == p {
+				j++
+			}
+			sweepable = j-i >= minPatternRun
+			if sweepable {
+				span = ref.Range{Head: at(i), Tail: at(j - 1)}
+				e.spanPrecedents(sch, at(i), cells[i:j], p, check)
+			}
+			if sweepable {
+				sch.addNode(at(i), cells[i:j], p)
+				i = j
+				continue
+			}
+			for ; i < j; i++ {
+				sch.addNode(at(i), cells[i:i+1], nil)
+			}
+		}
+		return true
+	})
+}
+
+// carvedNode is one node a carve made: its first cell, length and program.
+type carvedNode struct {
+	at ref.Ref
+	n  int
+	p  *formula.Program
+}
+
+// carvedNodes is what carve makes of e's dirty set, on a schedule of its own.
+func carvedNodes(e *Engine, carve func(*Engine, *schedule)) (list []carvedNode) {
+	sch := schedPool.Get().(*schedule)
+	carve(e, sch)
+	for i := range sch.nodes {
+		nd := &sch.nodes[i]
+		list = append(list, carvedNode{nd.at, len(nd.cells), nd.prog})
 	}
 	poolSchedule(sch)
 	return list
@@ -252,7 +318,7 @@ func TestPlanLevelReversedLoad(t *testing.T) {
 			t.Fatalf("run cell %d is not C%d's record", k, 1+k)
 		}
 	}
-	if spans := e.store.cols[3].dirty; len(spans) != 1 || spans[0] != (rowSpan{1, 50}) {
+	if spans := e.store.cols[3].dirty; len(spans) != 1 || spans[0].r0 != 1 || spans[0].r1 != 50 {
 		t.Fatalf("bottom-up marks left dirty spans %v, want one coalesced [1,50]", spans)
 	}
 }

@@ -10,11 +10,15 @@ import (
 
 // This file implements levelled (wavefront) recalculation. The unit of the
 // schedule is the column span, not the cell: the dirty set is carved, in one
-// column-major walk of the dirty spans on the slabs, into nodes that are each
-// a run of contiguous dirty rows of one column — a whole pattern run when the
-// cells share one compiled program (runs.go), a single cell otherwise. The
-// nodes are partitioned into topological levels — a node's level is one past
-// its deepest dirty precedent node — and the levels are evaluated in order.
+// column-major pass over the dirty spans on the slabs, into nodes that are
+// each a run of contiguous dirty rows of one column — a whole pattern run when
+// the cells share one compiled program (runs.go), a single cell otherwise. The
+// carve rediscovers nothing an edit did not change: each column keeps its run
+// table across epochs, repaired where a write lands (colstore.go), and a span
+// the marking pass flagged whole — a dense one — is cut against it in time
+// proportional to the nodes it yields, not to its records. The nodes are
+// partitioned into topological levels — a node's level is one past its
+// deepest dirty precedent node — and the levels are evaluated in order.
 // Nodes within a level have no unsettled precedents outside themselves, so
 // the evaluator runs against the read-only value resolver, never waits on a
 // dirty cell, and the results are exactly the walk's. What levelling buys is
@@ -55,7 +59,10 @@ import (
 // bumps the engine's dirty generation and invalidates the cached schedule;
 // the next drain simply rebuilds over whatever is still flagged then. The
 // generation stamp is also checked at resume time, so a schedule can never
-// be drained against a dirty set it does not describe.
+// be drained against a dirty set it does not describe. A finished schedule
+// goes back to the pool, not into a cache: what one epoch shares with the
+// next — which rows form runs — lives in the run tables, so the next build
+// costs what re-arming a kept schedule would.
 //
 // Reference cycles have one semantics, the walk's (evalResolver): a read of a
 // cell under evaluation is #CYCLE!. The schedule never evaluates one. When
@@ -77,9 +84,6 @@ const (
 	// them. A cached schedule overrides the threshold: resuming it is cheaper
 	// than switching paths.
 	minLevelledDirty = 64
-	// maxWarmRoots bounds the edit-root list the warm-schedule cache
-	// compares epochs by; epochs with more distinct roots rebuild.
-	maxWarmRoots = 8
 )
 
 // schedNode is one span of the wavefront DAG: contiguous dirty rows of one
@@ -89,7 +93,7 @@ type schedNode struct {
 	// at is the span's first cell; cells is its slab window, cells[i] being
 	// row at.Row+i. The window aliases the column slab — it is the records,
 	// not a list of them — which is stable for as long as the schedule is
-	// valid: an insert or delete drops the live and the warm schedule.
+	// valid: an insert or delete drops it.
 	at    ref.Ref
 	cells []cell
 	prog  *formula.Program // the shared program; nil for a single cell
@@ -98,11 +102,8 @@ type schedNode struct {
 	// outs indexes the dirty dependents of this span; completing the span
 	// decrements each one's nprec.
 	outs []int32
-	// nprec counts dirty precedent nodes not yet published. nprec0 keeps the
-	// linker's initial count so a warm-cached schedule can re-arm without
-	// re-linking.
-	nprec  int32
-	nprec0 int32
+	// nprec counts dirty precedent nodes not yet published.
+	nprec int32
 }
 
 // schedule is the resumable wavefront schedule: the dirty set carved into a
@@ -142,28 +143,14 @@ var schedPool = sync.Pool{New: func() any {
 // noteDirtyMutation records a dirty-set mutation from outside a drain — every
 // write path that flags or cleans a cell calls it before touching a slab. It
 // starts a new dirty generation, drops the walk's stack and invalidates the
-// cached schedule. Interrupting a live (unfinished) schedule also poisons the
-// epoch's root tracking: the dirty set now mixes a partial drain's remainder
-// with new marks, which no root list describes.
+// cached schedule.
 func (e *Engine) noteDirtyMutation() {
 	e.dirtyGen++
 	e.truncate(0)
 	e.walking = false
 	if e.sched != nil {
 		mSchedInvalidations.Inc()
-		e.rootsOK = false
 		e.releaseSchedule()
-	}
-}
-
-// noteStructMutation records a change to the formula set, the dependency
-// graph or the shape of a slab: the warm-cached schedule describes a
-// structure that no longer exists, so it is released (and its retained slab
-// windows unpinned).
-func (e *Engine) noteStructMutation() {
-	e.structGen++
-	if e.warm != nil {
-		e.releaseWarm()
 	}
 }
 
@@ -172,15 +159,6 @@ func (e *Engine) noteStructMutation() {
 func (e *Engine) releaseSchedule() {
 	if sch := e.sched; sch != nil {
 		e.sched = nil
-		poolSchedule(sch)
-	}
-}
-
-// releaseWarm returns the warm-cached schedule to the package pool.
-func (e *Engine) releaseWarm() {
-	if sch := e.warm; sch != nil {
-		e.warm = nil
-		e.warmRoots = e.warmRoots[:0]
 		poolSchedule(sch)
 	}
 }
@@ -200,60 +178,12 @@ func poolSchedule(sch *schedule) {
 	schedPool.Put(sch)
 }
 
-// retireSchedule moves a cleanly completed schedule into the warm cache,
-// stamped with the structure generation and edit roots it is valid for. The
-// retired schedule keeps its nodes, links and column index — everything but
-// the consumed nprec counters and cursors, which re-arming restores. Unlike
-// pooling, retirement intentionally pins the node set's slab windows: they
-// stay valid unless a structural mutation (which releases the warm cache)
-// reshapes them.
-func (e *Engine) retireSchedule() {
-	sch := e.sched
-	if sch == nil {
-		return
-	}
-	e.sched = nil
-	e.releaseWarm()
-	e.warm = sch
-	e.warmStruct = e.structGen
-	e.warmRoots = append(e.warmRoots[:0], e.roots...)
-}
-
-// takeWarm re-arms the warm-cached schedule when the current dirty epoch is
-// provably identical to the one it was built for: same formula/graph
-// structure, same edit roots, cleanly tracked (rootsOK), and a matching
-// dirty count. The dirty set is then exactly the cached node set — the
-// graph's dependent closure is deterministic — so resetting the precedent
-// counters and cursors and rebuilding the initial frontier is the whole cost:
-// O(nodes), no walk, no precedent queries, no linking. This is the
-// interactive steady state: the same input cell edited repeatedly re-levels
-// nothing.
-func (e *Engine) takeWarm() *schedule {
-	sch := e.warm
-	if sch == nil || !e.rootsOK || e.warmStruct != e.structGen ||
-		e.store.ndirty != sch.total || !slices.Equal(e.roots, e.warmRoots) {
-		return nil
-	}
-	e.warm = nil
-	sch.gen = e.dirtyGen
-	sch.armFrontier(true)
-	e.sched = sch
-	mSchedWarmReuses.Inc()
-	return sch
-}
-
 // armFrontier computes the initial frontier from the linker's precedent
-// counts — or, re-arming a retired schedule, from the saved ones.
-func (sch *schedule) armFrontier(rearm bool) {
+// counts.
+func (sch *schedule) armFrontier() {
 	sch.frontier = sch.frontier[:0]
 	for i := range sch.nodes {
-		nd := &sch.nodes[i]
-		if rearm {
-			nd.nprec, nd.done = nd.nprec0, 0
-		} else {
-			nd.nprec0 = nd.nprec
-		}
-		if nd.nprec == 0 {
+		if sch.nodes[i].nprec == 0 {
 			sch.frontier = append(sch.frontier, int32(i))
 		}
 	}
@@ -273,15 +203,12 @@ func (e *Engine) ensureSchedule() *schedule {
 		}
 		e.releaseSchedule()
 	}
-	if sch := e.takeWarm(); sch != nil {
-		return sch
-	}
 	sch := schedPool.Get().(*schedule)
 	sch.gen = e.dirtyGen
 	sch.total = e.store.ndirty
 	e.carve(sch)
 	e.linkSchedule(sch)
-	sch.armFrontier(false)
+	sch.armFrontier()
 	e.schedBuilds++
 	mSchedBuilds.Inc()
 	e.sched = sch
@@ -317,7 +244,7 @@ func (e *Engine) spanPrecedents(sch *schedule, at ref.Ref, cells []cell, p *form
 		if c.ast == nil {
 			return // dirty value cell: no precedents, levels at 0
 		}
-		if p = e.prog(at, c); p == nil {
+		if p = c.program(at); p == nil {
 			for _, r := range formula.Refs(c.ast) {
 				if !fn(r.At, r.At) {
 					return
@@ -469,11 +396,7 @@ func (e *Engine) DrainLevels(budget int) int {
 	case len(sch.frontier) > 0:
 		return drained // budget exhausted mid-schedule: stays cached
 	case e.store.ndirty == 0:
-		if e.rootsOK {
-			e.retireSchedule()
-		} else {
-			e.releaseSchedule()
-		}
+		e.releaseSchedule()
 		return drained
 	case drained >= budget:
 		// Budget exhausted with only stalled cells left: the next call
@@ -500,7 +423,7 @@ func (e *Engine) DrainLevels(budget int) int {
 func (e *Engine) evalLevelCell(n *schedNode) {
 	c := &n.cells[0]
 	if c.ast != nil {
-		if p := e.prog(n.at, c); p != nil {
+		if p := c.program(n.at); p != nil {
 			c.value = p.EvalAt(valueResolver{e}, n.at)
 		} else {
 			c.value = formula.Eval(c.ast, valueResolver{e})

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"taco/internal/formula"
@@ -295,8 +296,8 @@ func TestSerialPin(t *testing.T) {
 }
 
 // TestFreshLoadStaysSerial: the first full recalculation of a loaded sheet
-// runs on the serial resolver whatever its size, leaving neither a live nor
-// a warm schedule behind (see LoadBulkParsed).
+// runs on the serial resolver whatever its size, leaving no schedule and no
+// run table behind (see LoadBulkParsed).
 func TestFreshLoadStaysSerial(t *testing.T) {
 	pcells := []ParsedCell{{At: ref.MustCell("F1"), Value: formula.Num(2)}}
 	for r := 1; r <= 5000; r++ {
@@ -309,171 +310,174 @@ func TestFreshLoadStaysSerial(t *testing.T) {
 	if v := e.Value(ref.MustCell("B5000")); e.Pending() != 0 || v.Num != 10000 {
 		t.Fatalf("load left %d pending, B5000 = %v", e.Pending(), v)
 	}
-	if st := e.RecalcStats(); st.ScheduleBuilds != 0 || st.Scheduled != 0 || e.warm != nil {
-		t.Fatalf("fresh load went through the levelled drain: %+v warm=%v", st, e.warm != nil)
+	if st := e.RecalcStats(); st.ScheduleBuilds != 0 || st.Scheduled != 0 {
+		t.Fatalf("fresh load went through the levelled drain: %+v", st)
+	}
+	for ci, col := range e.store.cols {
+		if col.runsOK {
+			t.Fatalf("column %d: the load built a run table", ci)
+		}
 	}
 }
 
-// TestWarmScheduleReuse pins the warm-schedule cache's contract: repeating
-// the same value edit re-arms the retired schedule (no re-levelling), the
-// results stay identical to a cold drain, and anything that changes the
-// epoch's shape — a different edit root, a structural mutation — falls back
-// to a fresh build.
-func TestWarmScheduleReuse(t *testing.T) {
-	build := func() *Engine {
-		e := New(nil)
-		e.SetValue(ref.MustCell("F1"), formula.Num(1.5))
-		e.SetValue(ref.MustCell("G1"), formula.Num(2))
-		for r := 1; r <= 200; r++ {
-			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
-			mustFormula(t, e, fmt.Sprintf("B%d", r), fmt.Sprintf("A%d*$F$1", r))
+// runTableSheet is two formula columns over a data column, B[r] = A[r]*$F$1
+// and C[r] = B[r]+$G$1, 200 rows each, with C101 left empty when gap is set.
+func runTableSheet(t *testing.T, gap bool) *Engine {
+	e := New(nil)
+	e.SetValue(ref.MustCell("F1"), formula.Num(1.5))
+	e.SetValue(ref.MustCell("G1"), formula.Num(2))
+	for r := 1; r <= 200; r++ {
+		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+		mustFormula(t, e, fmt.Sprintf("B%d", r), fmt.Sprintf("A%d*$F$1", r))
+		if !gap || r != 101 {
 			mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("B%d+$G$1", r))
 		}
-		e.RecalculateAll()
-		return e
 	}
-	e := build()
+	e.RecalculateAll()
+	return e
+}
 
-	check := func(f1 float64) {
+// stretches is a column's run table as row ranges, nil when it has none.
+func stretches(e *Engine, col string) (list []ref.Range) {
+	c := e.store.cols[ref.MustCell(col+"1").Col]
+	if c == nil || !c.runsOK {
+		return nil
+	}
+	for _, st := range c.runs {
+		list = append(list, ref.Range{Head: ref.Ref{Col: 0, Row: st.row}, Tail: ref.Ref{Col: 0, Row: st.row + st.n - 1}})
+	}
+	return list
+}
+
+func rows(spans ...[2]int) (list []ref.Range) {
+	for _, sp := range spans {
+		list = append(list, ref.Range{Head: ref.Ref{Row: sp[0]}, Tail: ref.Ref{Row: sp[1]}})
+	}
+	return list
+}
+
+// TestRunTableRepairsOwnColumn: the first levelled drain builds the run tables
+// of the columns it carves, and the next edits reuse them. A formula written
+// over one of a column's records repairs that column's table alone — the
+// stretch splits around it, and a restore joins the pieces again — and every
+// drain's values stay exact.
+func TestRunTableRepairsOwnColumn(t *testing.T) {
+	e := runTableSheet(t, false)
+	check := func(f1, g1 float64) {
 		t.Helper()
+		e.SetValue(ref.MustCell("F1"), formula.Num(f1))
+		e.RecalculateAll()
 		for _, r := range []int{1, 57, 200} {
-			want := float64(r)*f1 + 2
-			if v := e.Value(ref.Ref{Col: 3, Row: r}); v.Num != want {
+			if v, want := e.Value(ref.Ref{Col: 3, Row: r}), float64(r)*f1+g1; v.Num != want {
 				t.Fatalf("C%d = %v, want %v", r, v, want)
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("pending = %d after drain", e.Pending())
-		}
+		checkRunTables(t, e, fmt.Sprintf("F1=%v", f1))
 	}
-
-	// Cold drain: builds and retires the schedule.
-	builds0, warm0 := mSchedBuilds.Value(), mSchedWarmReuses.Value()
-	e.SetValue(ref.MustCell("F1"), formula.Num(3))
+	check(3, 2)
+	whole := rows([2]int{1, 200})
+	if b, c := stretches(e, "B"), stretches(e, "C"); !slices.Equal(b, whole) || !slices.Equal(c, whole) {
+		t.Fatalf("after the first rate edit: B %v, C %v; want one stretch each", b, c)
+	}
+	bRuns := e.store.cols[2].runs
+	mustFormula(t, e, "C57", "B57-$G$1")
+	if c := stretches(e, "C"); !slices.Equal(c, rows([2]int{1, 56}, [2]int{58, 200})) {
+		t.Fatalf("C57 rewritten: C %v, want the stretch split around it", c)
+	}
+	if b := e.store.cols[2].runs; !slices.Equal(b, bRuns) || &b[0] != &bRuns[0] {
+		t.Fatal("a write to C touched B's run table")
+	}
 	e.RecalculateAll()
-	check(3)
-	if d := mSchedBuilds.Value() - builds0; d != 1 {
-		t.Fatalf("cold drain: %d schedule builds, want 1", d)
+	if v := e.Value(ref.MustCell("C57")); v.Num != 57*3-2 {
+		t.Fatalf("C57 = %v, want %v", v, 57*3-2)
 	}
-
-	// Same root again: the retired schedule re-arms, nothing re-levels.
-	builds0 = mSchedBuilds.Value()
-	for i, f1 := range []float64{4, 5, 6} {
-		e.SetValue(ref.MustCell("F1"), formula.Num(f1))
-		e.RecalculateAll()
-		check(f1)
-		if d := mSchedWarmReuses.Value() - warm0; d != uint64(i+1) {
-			t.Fatalf("edit %d: %d warm reuses, want %d", i, d, i+1)
-		}
+	mustFormula(t, e, "C57", "B57+$G$1")
+	if c := stretches(e, "C"); !slices.Equal(c, whole) {
+		t.Fatalf("C57 restored: C %v, want one stretch again", c)
 	}
-	if d := mSchedBuilds.Value() - builds0; d != 0 {
-		t.Fatalf("warm edits: %d schedule builds, want 0", d)
+	check(4, 2)
+	mustFormula(t, e, "C3", "B3-$G$1") // a piece too short to keep above
+	if c := stretches(e, "C"); !slices.Equal(c, rows([2]int{4, 200})) {
+		t.Fatalf("C3 rewritten: C %v, want C4:C200 alone", c)
 	}
-
-	// A different root: same structure, different epoch — must rebuild and
-	// still be exact.
-	builds0, warm0 = mSchedBuilds.Value(), mSchedWarmReuses.Value()
-	e.SetValue(ref.MustCell("G1"), formula.Num(10))
-	e.RecalculateAll()
-	for _, r := range []int{1, 200} {
-		want := float64(r)*6 + 10
-		if v := e.Value(ref.Ref{Col: 3, Row: r}); v.Num != want {
-			t.Fatalf("C%d = %v, want %v after G1 edit", r, v, want)
-		}
-	}
-	if mSchedWarmReuses.Value() != warm0 {
-		t.Fatal("G1 edit reused the F1 epoch's schedule")
-	}
-	if d := mSchedBuilds.Value() - builds0; d != 1 {
-		t.Fatalf("G1 edit: %d schedule builds, want 1", d)
-	}
-
-	// A structural mutation invalidates the warm cache even for the same
-	// root: the re-pointed formula must see fresh levels, not stale links.
-	e.SetValue(ref.MustCell("G1"), formula.Num(10)) // retire a G1-rooted schedule
-	e.RecalculateAll()
-	mustFormula(t, e, "C1", "B1-$G$1")
-	e.RecalculateAll()
-	e.SetValue(ref.MustCell("G1"), formula.Num(20))
-	e.RecalculateAll()
-	if v := e.Value(ref.MustCell("C1")); v.Num != 6-20 {
-		t.Fatalf("C1 = %v, want %v after formula change", v, 6-20)
-	}
-	if v := e.Value(ref.MustCell("C2")); v.Num != 2*6+20 {
-		t.Fatalf("C2 = %v, want %v after formula change", v, 2*6+20)
-	}
+	check(5, 2)
 }
 
-// TestWarmScheduleSerialInterference: a serial evaluation (a read-through
-// Recalculate on a small budget, or any evalResolver recursion) drains
-// cells the root model cannot account for, so the next drain must not trust
-// the warm cache.
-func TestWarmScheduleSerialInterference(t *testing.T) {
-	e := New(nil)
-	e.SetValue(ref.MustCell("F1"), formula.Num(1))
-	for r := 1; r <= 100; r++ {
-		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
-		mustFormula(t, e, fmt.Sprintf("B%d", r), fmt.Sprintf("A%d*$F$1", r))
+// TestRunTableSurvivesWalk: a walk (a pinned serial drain of part of an epoch)
+// cleans cells, which leaves the dirty spans no longer dense, but changes no
+// record's program: the run tables stay valid, and once an edit hands the rest
+// to the levelled drain, its carve reads them with the flags.
+func TestRunTableSurvivesWalk(t *testing.T) {
+	e := runTableSheet(t, false)
+	serial := runTableSheet(t, false)
+	serial.SetRecalcParallelism(1)
+	for _, eng := range []*Engine{e, serial} {
+		eng.SetValue(ref.MustCell("F1"), formula.Num(2))
+		eng.RecalculateAll()
+		eng.SetValue(ref.MustCell("F1"), formula.Num(3))
 	}
-	e.RecalculateAll()
-	e.SetValue(ref.MustCell("F1"), formula.Num(2))
-	e.RecalculateAll() // retire a warm schedule for root F1
-
-	e.SetValue(ref.MustCell("F1"), formula.Num(3))
-	// Serial drain of part of the epoch: pinned for one call.
 	e.SetRecalcParallelism(1)
 	e.RecalculateN(10)
 	e.SetRecalcParallelism(0)
-	e.RecalculateAll()
-	for _, r := range []int{1, 50, 100} {
-		if v := e.Value(ref.Ref{Col: 2, Row: r}); v.Num != float64(r)*3 {
-			t.Fatalf("B%d = %v, want %v", r, v, float64(r)*3)
+	for _, eng := range []*Engine{e, serial} {
+		eng.SetValue(ref.MustCell("G1"), formula.Num(2))
+	}
+	for _, sp := range e.store.cols[2].dirty {
+		if sp.dense == e.store.cuts+1 {
+			t.Fatalf("span %v still dense after the walk cleaned part of it", sp)
 		}
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d", e.Pending())
+	if b := stretches(e, "B"); !slices.Equal(b, rows([2]int{1, 200})) {
+		t.Fatalf("after the walk: B %v, want the one stretch", b)
 	}
+	builds := e.RecalcStats().ScheduleBuilds
+	e.RecalculateAll()
+	serial.RecalculateAll()
+	if e.RecalcStats().ScheduleBuilds == builds {
+		t.Fatal("the rest of the epoch was not levelled")
+	}
+	checkRunTables(t, e, "after the walk")
+	enginesEqual(t, serial, e)
 }
 
-// TestWarmScheduleSlabReshape: a retired schedule's span windows alias the
-// column slabs, so a cell entering or leaving a slab — even a plain value,
-// which changes no formula — must drop the warm cache: the same root edited
-// again rebuilds, and reads the records that are there now.
-func TestWarmScheduleSlabReshape(t *testing.T) {
-	e := New(nil)
-	e.SetValue(ref.MustCell("F1"), formula.Num(2))
-	for r := 1; r <= 200; r++ {
-		if r == 101 {
-			continue // the hole a value will fill
-		}
-		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
-		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*$F$1", r))
-	}
-	e.RecalculateAll()
-	edit := func(f1 float64) (warm uint64) {
-		warm0 := mSchedWarmReuses.Value()
+// TestRunTableDroppedOnSlabReshape: a run table indexes the slab, so a record
+// entering or leaving it mid-column — even a plain value, which changes no
+// formula — drops that column's table and no other; the next carve rebuilds
+// it from the records that are there now.
+func TestRunTableDroppedOnSlabReshape(t *testing.T) {
+	e := runTableSheet(t, true)
+	edit := func(f1 float64) {
+		t.Helper()
 		e.SetValue(ref.MustCell("F1"), formula.Num(f1))
 		e.RecalculateAll()
 		for _, r := range []int{1, 100, 102, 200} {
-			if v := e.Value(ref.Ref{Col: 3, Row: r}); v.Num != float64(r)*f1 {
-				t.Fatalf("F1=%v: C%d = %v, want %v", f1, r, v, float64(r)*f1)
+			if v, want := e.Value(ref.Ref{Col: 3, Row: r}), float64(r)*f1+2; v.Num != want {
+				t.Fatalf("F1=%v: C%d = %v, want %v", f1, r, v, want)
 			}
 		}
-		return mSchedWarmReuses.Value() - warm0
+		checkRunTables(t, e, fmt.Sprintf("F1=%v", f1))
 	}
 	edit(3)
-	if edit(4) != 1 {
-		t.Fatal("repeating the root did not re-arm the retired schedule")
+	gapped := rows([2]int{1, 100}, [2]int{102, 200})
+	if c := stretches(e, "C"); !slices.Equal(c, gapped) {
+		t.Fatalf("C %v, want the two stretches around the gap", c)
 	}
 	e.SetValue(ref.MustCell("C101"), formula.Num(-1)) // shifts C102.. one slot down the slab
-	if edit(5) != 0 {
-		t.Fatal("a reshaped slab left the warm schedule armed")
+	if e.store.cols[3].runsOK || !e.store.cols[2].runsOK {
+		t.Fatalf("after an insert into C: C's table valid %v, B's %v; want only B's", e.store.cols[3].runsOK, e.store.cols[2].runsOK)
+	}
+	edit(4)
+	if c := stretches(e, "C"); !slices.Equal(c, gapped) {
+		t.Fatalf("rebuilt around a value: C %v, want %v", c, gapped)
 	}
 	e.ClearCell(ref.MustCell("C101"))
-	if edit(6) != 0 {
-		t.Fatal("a reshaped slab left the warm schedule armed")
+	if e.store.cols[3].runsOK {
+		t.Fatal("a delete from C left its run table valid")
 	}
-	if edit(7) != 1 {
-		t.Fatal("the rebuilt schedule was not retired")
+	edit(5)
+	mustFormula(t, e, "C101", "B101+$G$1") // an insert that joins the two stretches
+	edit(6)
+	if c := stretches(e, "C"); !slices.Equal(c, rows([2]int{1, 200})) {
+		t.Fatalf("the gap filled: C %v, want one stretch", c)
 	}
 }

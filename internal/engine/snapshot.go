@@ -450,7 +450,7 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 				nformulas++
 			}
 			if sc.Dirty {
-				store.noteDirty(sc.At.Col, sc.At.Row, sc.At.Row, 1)
+				store.noteDirty(sc.At.Col, sc.At.Row, sc.At.Row, 1, true)
 			}
 		}
 		stage = stage[:0]
@@ -478,7 +478,6 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 		store:       store,
 		nformulas:   nformulas,
 		patternRuns: true,
-		rootsOK:     true,
 	}, nil
 }
 

@@ -366,6 +366,10 @@ func (sc spanCase) runOnce(t *testing.T) (got *Engine) {
 		if g, w := carved(got), carved(twin); !slices.Equal(g, w) {
 			t.Fatalf("%s: TACO-backed engine carves %v, NoComp-backed %v", step, g, w)
 		}
+		if g, w := carvedNodes(got, (*Engine).carve), carvedNodes(got, (*Engine).carveRecords); !slices.Equal(g, w) {
+			t.Fatalf("%s: the carve from the run tables gives %v, the record walk %v", step, g, w)
+		}
+		checkRunTables(t, got, step)
 		if g, w := got.RecalcStats().LevelsDrained, twin.RecalcStats().LevelsDrained; g != w {
 			t.Fatalf("%s: TACO-backed engine has drained %d levels, NoComp-backed %d", step, g, w)
 		}
@@ -384,7 +388,7 @@ func (sc spanCase) runOnce(t *testing.T) (got *Engine) {
 		}
 		twin.RecalculateN(budget(i + 1))
 		if ed.val%4 == 3 {
-			got.RecalculateAll() // a finished epoch: the next edit of the same root may re-arm its schedule
+			got.RecalculateAll() // a finished epoch: the next edit starts with nothing dirty
 			twin.RecalculateAll()
 		}
 		sameSchedule(fmt.Sprintf("drain after edit %d", i))
@@ -479,6 +483,34 @@ var spanSeeds = []struct {
 			{tmpl: tmplTwoFolds, k: 2, agg: 5}, {tmpl: tmplRectAB, k: 2}, {tmpl: tmplTwoArgs, k: 2, agg: 4}},
 		edits:   []spanEdit{{kind: editData, row: 1, val: 3}, {kind: editPrev, row: 9, val: 2}, {kind: editPrev, row: 23, val: 0}},
 		budgets: []int{50, 7}}},
+	// The run tables under the writes that repair them, each between full
+	// drains that carve from the repaired table: a rewrite at row 3, whose
+	// upper piece is too short to keep, and its restore; a rewrite and restore
+	// mid-column; a clear that leaves a gap, and the insert into it that joins
+	// the two stretches again.
+	{"rewrite_at_row_3", spanCase{rows: 40,
+		cols: []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplLookUp, k: 1}},
+		edits: []spanEdit{{kind: editRate, val: 3}, {kind: editValue, col: 0, row: 3, val: 7}, {kind: editRate, val: 11},
+			{kind: editFormula, col: 0, row: 3, val: 3}, {kind: editValue, col: 1, row: 3, val: 3}, {kind: editRate, val: 15}},
+		budgets: []int{256}}},
+	{"rewrite_and_restore", spanCase{rows: 60,
+		cols: []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplSlidePrev, k: 3}},
+		edits: []spanEdit{{kind: editRate, val: 3}, {kind: editValue, col: 0, row: 30, val: 7}, {kind: editRate, val: 11},
+			{kind: editFormula, col: 0, row: 30, val: 3}, {kind: editRate, val: 15}},
+		budgets: []int{256}}},
+	{"insert_joins_two_stretches", spanCase{rows: 50,
+		cols: []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplLookUp, k: 1}},
+		edits: []spanEdit{{kind: editRate, val: 3}, {kind: editClear, col: 0, row: 25, val: 3}, {kind: editRate, val: 7},
+			{kind: editFormula, col: 0, row: 25, val: 3}, {kind: editRate, val: 11}},
+		budgets: []int{256}}},
+	// A budget cuts the rate edit's drain, which retires its dense marks, and
+	// edits mark over the remainder before the next chunk: a rate edit
+	// re-marks whole columns, a data edit a few rows of each.
+	{"budget_cut_then_edit", spanCase{rows: 71,
+		cols: []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplLookUp, k: 1, head: 16}, {tmpl: tmplSlidePrev, k: 3}},
+		edits: []spanEdit{{kind: editRate, val: 1}, {kind: editData, row: 20, val: 2}, {kind: editRate, val: 5},
+			{kind: editValue, col: 1, row: 40, val: 6}, {kind: editRate, val: 8}},
+		budgets: []int{30, 9}}},
 }
 
 // sixAggs is one column of the template per aggregate.
@@ -765,8 +797,8 @@ func TestSpanBudgetCut(t *testing.T) {
 }
 
 // TestSweepAllocatesNothingPerSpan: with the schedule built and the pool
-// warm, a resumed chunk that sweeps a span allocates nothing — the cursors,
-// the operand buffer and the read callback are the schedule's, not the
+// warm, a resumed chunk that sweeps a span allocates nothing — the cursors
+// and the read callback are the schedule's and the lanes the pool's, not the
 // sweep's. A 1 000-row chain split into ten spans, drained 100 cells a call.
 func TestSweepAllocatesNothingPerSpan(t *testing.T) {
 	e := New(nil)
@@ -799,7 +831,7 @@ func TestSweepAllocatesNothingPerSpan(t *testing.T) {
 // product column, a sliding SUM over it and a 1 000-row block SUM (more
 // records a chunk than a window gathers: it must fold them, not grow the
 // buffer), 1 000 rows, drained 100 cells a call with the lane pool warm — and
-// afterwards no schedule, live, warm or pooled, holds on to a slab window or
+// afterwards no schedule, live or pooled, holds on to a slab window or
 // to a lane buffer (a window's gathered floats are the only pointer into one
 // that outlives a statement). At five rows a chunk every chunk of the block SUM
 // is past the cap.
@@ -841,8 +873,8 @@ func sweepAllocatesNothingPerLaneChunk(t *testing.T) {
 		}
 	}
 	lane0 := e.swept
-	// 2 994 cells: the warm-up call re-arms or rebuilds the schedule, the 28
-	// measured ones resume it, and one more finishes.
+	// 2 994 cells: the warm-up call builds the schedule, the 28 measured ones
+	// resume it, and one more finishes.
 	allocs := testing.AllocsPerRun(28, func() { e.RecalculateN(100) })
 	unpinned("live", e.sched)
 	if e.RecalculateN(100); e.Pending() != 0 {
@@ -854,16 +886,51 @@ func sweepAllocatesNothingPerLaneChunk(t *testing.T) {
 	if allocs != 0 && !raceEnabled {
 		t.Fatalf("a resumed chunk on the lane path allocates %.1f times, want 0", allocs)
 	}
-	unpinned("warm", e.warm)
 	enginesEqual(t, serial, e)
-	e.SetValue(ref.MustCell("A5"), formula.Num(1)) // another root: the warm schedule is dropped for the pool
-	e.RecalculateAll()
 	e.SetValue(spanRate, formula.Num(5))
 	e.RecalculateN(100)
-	e.SetValue(spanRate, formula.Num(6)) // and the live one, mid-drain
+	e.SetValue(spanRate, formula.Num(6)) // the live schedule, dropped mid-drain
 	sch := schedPool.Get().(*schedule)
 	unpinned("pooled", sch)
 	schedPool.Put(sch)
+}
+
+// TestRateEditAllocatesNothing: once the pools are warm, a rate edit of the
+// 2 000-row ledger allocates nothing — the mark, the carve from the cached run
+// tables, the link, and every sweep, D's row loop on its lanes included. The
+// graph's dependents query answers with a fresh slice, so it is asked once, up
+// front, and each edit marks that answer as SetValue would.
+func TestRateEditAllocatesNothing(t *testing.T) {
+	e, h1 := ledgerEngine(t, 2000), ref.MustCell("H1")
+	dirty := e.Dependents(ref.CellRange(h1))
+	rate := 1.0
+	edit := func() {
+		rate += 1.0 / 1024
+		e.setCell(h1, cell{value: formula.Num(rate)})
+		for _, rng := range dirty {
+			e.markRange(rng)
+		}
+		if e.RecalculateAll(); e.Pending() != 0 {
+			t.Fatalf("%d cells pending after the drain", e.Pending())
+		}
+	}
+	edit() // the first levelled drain builds the run tables
+	builds, loop := e.schedBuilds, e.swept.loop
+	allocs := testing.AllocsPerRun(5, edit)
+	if got := e.schedBuilds - builds; got != 6 {
+		t.Fatalf("%d schedule builds for six edits, want one each", got)
+	}
+	if e.swept.loop == loop {
+		t.Fatal("D's rows did not take the row loop")
+	}
+	serial := ledgerEngine(t, 2000)
+	serial.SetRecalcParallelism(1)
+	serial.SetValue(h1, formula.Num(rate))
+	serial.RecalculateAll()
+	enginesEqual(t, serial, e)
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("a rate edit allocates %.1f times, want 0", allocs)
+	}
 }
 
 // TestSweepPathsOnTheLedger: which rows take which path is part of the

@@ -70,10 +70,9 @@ func (r recursiveResolver) evaluate(c *cell) {
 // takes its roots in.
 func drainRecursive(e *Engine) {
 	e.noteDirtyMutation()
-	e.rootsOK = false
-	e.store.dirtyWindows(func(_ int, _ []int, cells []cell) bool {
-		for i := range cells {
-			if c := &cells[i]; c.dirty {
+	e.store.dirtyWindows(func(_ int, col *column, lo, hi int, _ bool) bool {
+		for i := lo; i < hi; i++ {
+			if c := &col.cells[i]; c.dirty {
 				recursiveResolver{e}.evaluate(c)
 			}
 		}

@@ -450,34 +450,45 @@ func (p *Program) FoldOps() []FoldOp {
 // interpreter when any of them fails). ok is false on a zero divisor — the
 // row re-runs generically so #DIV/0! placement is exactly the interpreter's.
 func (p *Program) NumericSweep(vals []float64) (v float64, ok bool) {
+	return p.NumericSweepRow(vals, 1, 0)
+}
+
+// NumericSweepRow is NumericSweep for row k of NumericSweepRows' lanes: vals[i]
+// is lanes[i*stride+k], and the work lanes are not touched.
+func (p *Program) NumericSweepRow(lanes []float64, stride, k int) (v float64, ok bool) {
+	// The top of the stack is v and the rest stack[1:sp]: a push spills v
+	// first (the first spill, into stack[0], keeps nothing). Each operation is
+	// NumericSweepRows' on one row, its operands in the same order.
+	const mask = maxNumericDepth - 1 // buildNumeric keeps sp below it: no bounds checks
 	var stack [maxNumericDepth]float64
 	sp := 0
-	for _, ins := range p.numeric.code {
+	np := p.numeric
+	for _, ins := range np.code {
 		switch ins.kind {
 		case npConst:
-			stack[sp] = p.numeric.consts[ins.a]
+			stack[sp&mask], v = v, np.consts[ins.a]
 			sp++
 		case npCell, npFold:
-			stack[sp] = vals[ins.a]
+			stack[sp&mask], v = v, lanes[int(ins.a)*stride+k]
 			sp++
 		case npAdd:
 			sp--
-			stack[sp-1] += stack[sp]
+			v = stack[sp&mask] + v
 		case npSub:
 			sp--
-			stack[sp-1] -= stack[sp]
+			v = stack[sp&mask] - v
 		case npMul:
 			sp--
-			stack[sp-1] *= stack[sp]
+			v = stack[sp&mask] * v
 		default: // npDiv
-			sp--
-			if stack[sp] == 0 {
+			if v == 0 {
 				return 0, false
 			}
-			stack[sp-1] /= stack[sp]
+			sp--
+			v = stack[sp&mask] / v
 		}
 	}
-	return stack[0], true
+	return v, true
 }
 
 // NumericWork is how many work lanes NumericSweepRows needs: the stack's depth.
