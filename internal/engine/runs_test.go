@@ -173,20 +173,6 @@ func TestPlanLevelHoleSplitsRun(t *testing.T) {
 	enginesEqual(t, serial, e)
 }
 
-// carved is the node list a schedule build would carve from the engine's dirty
-// set, as (first cell, length) pairs — built on a schedule of its own, so the
-// engine's live one, and the path its next drain takes, are as they were.
-func carved(e *Engine) (list []ref.Range) {
-	sch := schedPool.Get().(*schedule)
-	e.carve(sch)
-	for i := range sch.nodes {
-		nd := &sch.nodes[i]
-		list = append(list, ref.Range{Head: nd.at, Tail: ref.Ref{Col: nd.at.Col, Row: nd.at.Row + len(nd.cells) - 1}})
-	}
-	poolSchedule(sch)
-	return list
-}
-
 // carveRecords is the record walk the carve replaced, kept as its reference:
 // per dirty span, a maximal run of contiguous flagged rows whose cells intern
 // to one compiled program, found by reading every record's flag and program,
@@ -242,7 +228,9 @@ type carvedNode struct {
 	p  *formula.Program
 }
 
-// carvedNodes is what carve makes of e's dirty set, on a schedule of its own.
+// carvedNodes is what carve makes of e's dirty set, on a schedule of its own,
+// so the engine's live one, and the path its next drain takes, are as they
+// were.
 func carvedNodes(e *Engine, carve func(*Engine, *schedule)) (list []carvedNode) {
 	sch := schedPool.Get().(*schedule)
 	carve(e, sch)
@@ -282,7 +270,7 @@ func TestCarveIgnoresEdgeFragmentation(t *testing.T) {
 	for _, eng := range []*Engine{fresh, e} {
 		eng.SetValue(ref.MustCell("H1"), formula.Num(1.07))
 	}
-	if got, want := carved(e), carved(fresh); !slices.Equal(got, want) {
+	if got, want := carvedNodes(e, (*Engine).carve), carvedNodes(fresh, (*Engine).carve); !slices.Equal(got, want) {
 		t.Fatalf("the rewritten ledger carves %d nodes, the fresh one %d:\n%v\n%v", len(got), len(want), got, want)
 	}
 	levels := [2]uint64{fresh.RecalcStats().LevelsDrained, e.RecalcStats().LevelsDrained}

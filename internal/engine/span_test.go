@@ -363,7 +363,7 @@ func (sc spanCase) runOnce(t *testing.T) (got *Engine) {
 	}
 	sameSchedule := func(step string) {
 		t.Helper()
-		if g, w := carved(got), carved(twin); !slices.Equal(g, w) {
+		if g, w := carvedNodes(got, (*Engine).carve), carvedNodes(twin, (*Engine).carve); !slices.Equal(g, w) {
 			t.Fatalf("%s: TACO-backed engine carves %v, NoComp-backed %v", step, g, w)
 		}
 		if g, w := carvedNodes(got, (*Engine).carve), carvedNodes(got, (*Engine).carveRecords); !slices.Equal(g, w) {
