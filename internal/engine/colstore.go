@@ -22,7 +22,7 @@ import (
 // and is valid until that column's next insert or delete, which may move the
 // records: nothing keeps one across a set of a new position or a delete (the
 // engine drops its live schedule, whose nodes are such windows, on exactly
-// those writes, and the column its run table, whose entries are slab indexes).
+// those writes, and the column shifts its run table's slab indexes).
 // Evaluation never reshapes a slab.
 //
 // The dirty set lives on the slabs too: membership is the dirty flag on the
@@ -216,8 +216,8 @@ func (s *colStore) column(ci, n int) *column {
 // set installs the record at the given position and returns the one it
 // replaced, had reporting whether there was one. Loaders feed cells in
 // column-major order, so the append fast path handles bulk fills without a
-// binary search per cell. An append or an overwrite of a formula repairs the
-// column's run table; an insert mid-slab moves records and drops it.
+// binary search per cell. A write that can change the column's run table
+// repairs it; an insert mid-slab first shifts the stretches below it.
 func (s *colStore) set(at ref.Ref, c cell) (old cell, had bool) {
 	col := s.column(at.Col, 1)
 	if n := len(col.rows); n == 0 || at.Row > col.rows[n-1] {
@@ -240,13 +240,15 @@ func (s *colStore) set(at ref.Ref, c cell) (old cell, had bool) {
 	}
 	col.rows = slices.Insert(col.rows, i, at.Row)
 	col.cells = slices.Insert(col.cells, i, c)
-	col.dropRuns()
+	col.shiftRuns(i, 1)
+	col.repairRuns(at.Col, i)
 	s.ncells++
 	return cell{}, false
 }
 
 // delete removes and returns the record at the given position, had reporting
-// whether it was populated.
+// whether it was populated. The stretch that held it splits, and the ones
+// below it shift up.
 func (s *colStore) delete(at ref.Ref) (old cell, had bool) {
 	col := s.cols[at.Col]
 	if col == nil {
@@ -257,9 +259,10 @@ func (s *colStore) delete(at ref.Ref) (old cell, had bool) {
 		return cell{}, false
 	}
 	old = col.cells[i]
+	col.cutRuns(i)
+	col.shiftRuns(i+1, -1)
 	col.rows = slices.Delete(col.rows, i, i+1)
 	col.cells = slices.Delete(col.cells, i, i+1) // zeroes the vacated tail record
-	col.dropRuns()
 	s.ncells--
 	if len(col.rows) == 0 {
 		delete(s.cols, at.Col)
@@ -285,28 +288,44 @@ func (c *column) window(r1, r2 int) (lo, hi int) {
 // The run table lists a column's stretches: every maximal run of at least
 // minPatternRun records on contiguous rows that intern to one compiled program,
 // and nothing else. It is what a carve intersects the dirty spans with (see
-// runs.go), built the first time one touches the column and kept between
-// epochs. A write of one record changes only the stretches through its row,
+// runs.go), built by the first carve of a dense span over all of the
+// column's records (see carve), and kept between epochs. A
+// write of one record changes only the stretches through its row,
 // and any stretch the table lacks is shorter than minPatternRun, so repairing
-// one reads at most that many records on each side; an insert or a delete
-// mid-slab moves the slab indexes, and drops the table instead.
+// one reads at most that many records on each side. An insert or a delete
+// mid-slab also moves the slab indexes below it by one, and shifting them is
+// all it costs the stretches it does not touch: no record changes its row, an
+// insert fills a gap in the rows and a delete opens one, so neither lands
+// inside another stretch.
 
 // runTable returns the column's run table, building it if it is not valid.
 func (c *column) runTable(ci int) []colRun {
 	if !c.runsOK {
-		c.runs, c.runsOK = c.runs[:0], true
-		for i := 0; i < len(c.cells); {
-			p, j := c.progAt(ci, i), i+1
-			for p != nil && j < len(c.cells) && c.rows[j] == c.rows[j-1]+1 && c.progAt(ci, j) == p {
-				j++
-			}
-			if j-i >= minPatternRun {
-				c.runs = append(c.runs, colRun{row: c.rows[i], i: i, n: j - i, p: p})
-			}
-			i = j
-		}
+		c.runs, c.runsOK = c.appendStretches(c.runs[:0], ci, 0, len(c.cells), false), true
 	}
 	return c.runs
+}
+
+// appendStretches appends to runs the stretches among the records at slab
+// indexes lo..hi-1, counting only the flagged ones when flagged is set.
+func (c *column) appendStretches(runs []colRun, ci, lo, hi int, flagged bool) []colRun {
+	prog := func(i int) *formula.Program {
+		if flagged && !c.cells[i].dirty {
+			return nil
+		}
+		return c.progAt(ci, i)
+	}
+	for i := lo; i < hi; {
+		p, j := prog(i), i+1
+		for p != nil && j < hi && c.rows[j] == c.rows[j-1]+1 && prog(j) == p {
+			j++
+		}
+		if j-i >= minPatternRun {
+			runs = append(runs, colRun{row: c.rows[i], i: i, n: j - i, p: p})
+		}
+		i = j
+	}
+	return runs
 }
 
 // progAt is the interned program of the record at slab index i.
@@ -321,25 +340,14 @@ func (c *column) dropRuns() {
 }
 
 // repairRuns brings a valid run table up to date after the record at slab
-// index i was written, every other index unmoved: the stretch that held it
-// splits, and the record joins what its program continues above and below.
+// index i was written, every other record where it was: the stretch that held
+// it splits, and the record joins what its program continues above and below.
 func (c *column) repairRuns(ci, i int) {
 	if !c.runsOK {
 		return
 	}
+	k := c.cutRuns(i)
 	runs := c.runs
-	k, _ := slices.BinarySearchFunc(runs, i, func(st colRun, i int) int { return st.i + st.n - 1 - i })
-	if k < len(runs) && runs[k].i <= i {
-		st := runs[k]
-		runs = slices.Delete(runs, k, k+1)
-		if up := i - st.i; up >= minPatternRun {
-			runs = slices.Insert(runs, k, colRun{row: st.row, i: st.i, n: up, p: st.p})
-			k++
-		}
-		if down := st.i + st.n - i - 1; down >= minPatternRun {
-			runs = slices.Insert(runs, k, colRun{row: c.rows[i+1], i: i + 1, n: down, p: st.p})
-		}
-	}
 	if p := c.progAt(ci, i); p != nil {
 		lo, hi := i, i+1
 		if k > 0 && runs[k-1].i+runs[k-1].n == i && runs[k-1].p == p && c.rows[i-1] == c.rows[i]-1 {
@@ -364,6 +372,35 @@ func (c *column) repairRuns(ci, i int) {
 		}
 	}
 	c.runs = runs
+}
+
+// cutRuns splits the stretch holding slab index i, if one does, into what is
+// left of it above i and below, and returns the index of the first stretch
+// below i.
+func (c *column) cutRuns(i int) int {
+	runs := c.runs
+	k, _ := slices.BinarySearchFunc(runs, i, func(st colRun, i int) int { return st.i + st.n - 1 - i })
+	if k < len(runs) && runs[k].i <= i {
+		st := runs[k]
+		runs = slices.Delete(runs, k, k+1)
+		if up := i - st.i; up >= minPatternRun {
+			runs = slices.Insert(runs, k, colRun{row: st.row, i: st.i, n: up, p: st.p})
+			k++
+		}
+		if down := st.i + st.n - i - 1; down >= minPatternRun {
+			runs = slices.Insert(runs, k, colRun{row: c.rows[i+1], i: i + 1, n: down, p: st.p})
+		}
+	}
+	c.runs = runs
+	return k
+}
+
+// shiftRuns moves the slab indexes of the stretches from index i on by d, as
+// an insert (d = 1) or a delete (d = -1) at i moves their records.
+func (c *column) shiftRuns(i, d int) {
+	for k := len(c.runs) - 1; k >= 0 && c.runs[k].i >= i; k-- {
+		c.runs[k].i += d
+	}
 }
 
 // foldCursor is one column's slab window with a scan position — the unit of

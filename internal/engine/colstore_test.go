@@ -267,7 +267,7 @@ func modelProg(ops ...[4]byte) (prog []byte) {
 // emptied and re-created — Value, Peek, Dirty, Formula, NumCells, NumFormulas
 // and Pending agree with the map model after every step, the slabs stay
 // strictly ascending with no empty column, every column's run table — each is
-// kept built, so every write repairs or drops one — equals one derived afresh,
+// kept built, so every write repairs one — equals one derived afresh,
 // and a snapshot round trip preserves all of it.
 func FuzzColStore(f *testing.F) {
 	const q, a, fill = modelNarrowFrom, 0, 32 // column bytes Q (narrow) and A; one more row filled
@@ -376,8 +376,8 @@ func TestMarkCoarseRange(t *testing.T) {
 // 2 000-row ledger (E1000 cleared first, for the insert to fill) each reshape
 // lands between two budgeted chunks of a rate edit's drain: the live schedule
 // is dropped and rebuilt over what is still flagged, the column's run table is
-// repaired (an append) or dropped (an insert, a delete) and carved from afresh,
-// and the cells end bit-identical to a serial twin's.
+// repaired, its stretches below an insert or a delete shifted, and the cells
+// end bit-identical to a serial twin's.
 func TestSlabReshapeBetweenBudgetedDrains(t *testing.T) {
 	eachSpanChunk(func() { slabReshapeBetweenBudgetedDrains(t) })
 }

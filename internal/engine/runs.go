@@ -35,8 +35,8 @@ import (
 // []float64 lane (fixed operands are broadcast once), each aggregate over
 // another column its per-row Result into a lane of its own. Run: a span that
 // reads nothing in its own column runs formula.NumericSweepRows, the plan one
-// instruction at a time over whole lanes — per row NumericSweep's float
-// operations in NumericSweep's order, so the same bits. Bad rows: one whose
+// instruction at a time over whole lanes — per row NumericSweepRow's float
+// operations in NumericSweepRow's order, so the same bits. Bad rows: one whose
 // operand does not coerce, whose aggregate is not a number or whose divisor is
 // zero is flagged by the step that met it and evaluated by the generic
 // interpreter, which owns every error and coercion outcome.
@@ -70,6 +70,12 @@ const minPatternRun = 8
 // pattern runs are off. A dense span costs its nodes and stretches, not its
 // records; another reads each record's flag, never its program.
 //
+// A column with no table — a restored or freshly loaded one — gets one from a
+// dense span over all of its records, so building it reads no record the carve
+// would not: every one is flagged. Any other span there is cut against the
+// stretches of its own flagged records, found by reading them and kept for
+// this build alone, so a few dirty rows never cost a tall column's height.
+//
 // The sweep test resolves the run's operand windows and linkSchedule resolves
 // them again — linking needs the finished node index, and a few additions per
 // operand are cheaper than retaining the windows per node.
@@ -97,7 +103,13 @@ func (e *Engine) carve(sch *schedule) {
 			singles(lo, hi)
 			return true
 		}
-		runs := col.runTable(ci)
+		runs := col.runs
+		if dense && lo == 0 && hi == len(cells) {
+			runs = col.runTable(ci)
+		} else if !col.runsOK {
+			sch.stretches = col.appendStretches(sch.stretches[:0], ci, lo, hi, !dense)
+			runs = sch.stretches
+		}
 		k, _ := slices.BinarySearchFunc(runs, lo, func(st colRun, i int) int { return st.i + st.n - 1 - i })
 		for ; k < len(runs) && runs[k].i < hi; k++ {
 			a, z := max(runs[k].i, lo), min(runs[k].i+runs[k].n, hi)
@@ -358,7 +370,7 @@ const foldGatherChunks = 8
 
 // laneBuf is a lane sweep's memory — the lanes, lane i at floats[i*chunk], one
 // gather buffer per aggregate after them, the flags — pooled process-wide and
-// held for one sweep: no schedule, live, warm or pooled, ever reaches a lane.
+// held for one sweep: no schedule, live or pooled, ever reaches a lane.
 type laneBuf struct {
 	floats []float64
 	bad    []bool
@@ -415,7 +427,7 @@ func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 // sweepLanes is executeRun over gathered float lanes, a chunk of rows at a
 // time. What the span reads in other columns is gathered; what it reads in its
 // own column — a running balance, a cumulative fold — is what the rows above
-// just wrote, so a span that reads it runs the plan row by row (NumericSweep,
+// just wrote, so a span that reads it runs the plan row by row (NumericSweepRow,
 // the lane sweep's operations in its order) over the gathered floats and its
 // own column's records and live windows.
 func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref) {

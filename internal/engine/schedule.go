@@ -129,9 +129,11 @@ type schedule struct {
 	// packed; the column-major carve appends it row-sorted.
 	cols map[int][]uint64
 	// reads and run are spanPrecedents' operand-window scratch and the
-	// sweep's cursor scratch (runs.go).
-	reads []ref.Range
-	run   runScratch
+	// sweep's cursor scratch, stretches the carve's for a column with no run
+	// table (runs.go).
+	reads     []ref.Range
+	run       runScratch
+	stretches []colRun
 }
 
 var schedPool = sync.Pool{New: func() any {
@@ -175,6 +177,7 @@ func poolSchedule(sch *schedule) {
 	}
 	sch.frontier, sch.next = sch.frontier[:0], sch.next[:0]
 	clear(sch.run.cursors)
+	clear(sch.stretches)
 	schedPool.Put(sch)
 }
 

@@ -321,17 +321,15 @@ func TestFreshLoadStaysSerial(t *testing.T) {
 }
 
 // runTableSheet is two formula columns over a data column, B[r] = A[r]*$F$1
-// and C[r] = B[r]+$G$1, 200 rows each, with C101 left empty when gap is set.
-func runTableSheet(t *testing.T, gap bool) *Engine {
+// and C[r] = B[r]+$G$1, 200 rows each.
+func runTableSheet(t *testing.T) *Engine {
 	e := New(nil)
 	e.SetValue(ref.MustCell("F1"), formula.Num(1.5))
 	e.SetValue(ref.MustCell("G1"), formula.Num(2))
 	for r := 1; r <= 200; r++ {
 		e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
 		mustFormula(t, e, fmt.Sprintf("B%d", r), fmt.Sprintf("A%d*$F$1", r))
-		if !gap || r != 101 {
-			mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("B%d+$G$1", r))
-		}
+		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("B%d+$G$1", r))
 	}
 	e.RecalculateAll()
 	return e
@@ -362,7 +360,7 @@ func rows(spans ...[2]int) (list []ref.Range) {
 // stretch splits around it, and a restore joins the pieces again — and every
 // drain's values stay exact.
 func TestRunTableRepairsOwnColumn(t *testing.T) {
-	e := runTableSheet(t, false)
+	e := runTableSheet(t)
 	check := func(f1, g1 float64) {
 		t.Helper()
 		e.SetValue(ref.MustCell("F1"), formula.Num(f1))
@@ -408,8 +406,8 @@ func TestRunTableRepairsOwnColumn(t *testing.T) {
 // record's program: the run tables stay valid, and once an edit hands the rest
 // to the levelled drain, its carve reads them with the flags.
 func TestRunTableSurvivesWalk(t *testing.T) {
-	e := runTableSheet(t, false)
-	serial := runTableSheet(t, false)
+	e := runTableSheet(t)
+	serial := runTableSheet(t)
 	serial.SetRecalcParallelism(1)
 	for _, eng := range []*Engine{e, serial} {
 		eng.SetValue(ref.MustCell("F1"), formula.Num(2))
@@ -440,44 +438,90 @@ func TestRunTableSurvivesWalk(t *testing.T) {
 	enginesEqual(t, serial, e)
 }
 
-// TestRunTableDroppedOnSlabReshape: a run table indexes the slab, so a record
+// TestRunTableBuiltFromWholeColumn: a freshly loaded column has no run table,
+// and a levelled drain over a few of its rows does not build one — it cuts the
+// span against the stretches of its own flagged records and still sweeps
+// them — while a drain that flags every record of a column (a rate edit; the
+// one-record G too) builds its table.
+func TestRunTableBuiltFromWholeColumn(t *testing.T) {
+	e, serial := ledgerEngine(t, 2000), ledgerEngine(t, 2000)
+	serial.SetRecalcParallelism(1)
+	for _, eng := range []*Engine{e, serial} {
+		eng.SetValue(ref.MustCell("A1300"), formula.Num(7)) // D1300:D1536 and a few more
+		eng.SetValue(ref.MustCell("A1700"), formula.Num(8)) // D1700:D1792
+	}
+	loop := e.swept.loop
+	e.RecalculateAll()
+	serial.RecalculateAll()
+	if e.RecalcStats().ScheduleBuilds == 0 {
+		t.Fatal("the point edits were not levelled")
+	}
+	if got := e.swept.loop - loop; got != 237+93 {
+		t.Fatalf("%d rows of D on the row loop, want D1300:D1536 and D1700:D1792", got)
+	}
+	for _, col := range []string{"C", "D", "E"} {
+		if c := e.store.cols[ref.MustCell(col+"7").Col]; c.runsOK {
+			t.Fatalf("point edits built %s's run table", col)
+		}
+	}
+	enginesEqual(t, serial, e)
+	for _, eng := range []*Engine{e, serial} {
+		eng.SetValue(ref.MustCell("H1"), formula.Num(1.5))
+		eng.RecalculateAll()
+	}
+	for _, col := range []string{"C", "D", "E"} {
+		if c := e.store.cols[ref.MustCell(col+"7").Col]; !c.runsOK {
+			t.Fatalf("the rate edit left %s without a run table", col)
+		}
+	}
+	checkRunTables(t, e, "after the rate edit")
+	enginesEqual(t, serial, e)
+}
+
+// TestRunTableFollowsSlabReshape: a run table indexes the slab, so a record
 // entering or leaving it mid-column — even a plain value, which changes no
-// formula — drops that column's table and no other; the next carve rebuilds
-// it from the records that are there now.
-func TestRunTableDroppedOnSlabReshape(t *testing.T) {
-	e := runTableSheet(t, true)
+// formula — moves the slab indexes of the stretches below it. The table
+// shifts them and repairs the stretches through the record's row: a delete
+// inside a stretch splits it, a value filling the gap leaves the pieces, and
+// a formula filling it joins them. No other column's table moves.
+func TestRunTableFollowsSlabReshape(t *testing.T) {
+	e := runTableSheet(t)
 	edit := func(f1 float64) {
 		t.Helper()
 		e.SetValue(ref.MustCell("F1"), formula.Num(f1))
 		e.RecalculateAll()
-		for _, r := range []int{1, 100, 102, 200} {
+		for _, r := range []int{1, 49, 100, 102, 200} {
 			if v, want := e.Value(ref.Ref{Col: 3, Row: r}), float64(r)*f1+2; v.Num != want {
 				t.Fatalf("F1=%v: C%d = %v, want %v", f1, r, v, want)
 			}
 		}
 		checkRunTables(t, e, fmt.Sprintf("F1=%v", f1))
 	}
+	want := func(when string, spans ...[2]int) {
+		t.Helper()
+		checkRunTables(t, e, when)
+		if c := stretches(e, "C"); !slices.Equal(c, rows(spans...)) {
+			t.Fatalf("%s: C %v, want %v", when, c, rows(spans...))
+		}
+	}
 	edit(3)
-	gapped := rows([2]int{1, 100}, [2]int{102, 200})
-	if c := stretches(e, "C"); !slices.Equal(c, gapped) {
-		t.Fatalf("C %v, want the two stretches around the gap", c)
-	}
-	e.SetValue(ref.MustCell("C101"), formula.Num(-1)) // shifts C102.. one slot down the slab
-	if e.store.cols[3].runsOK || !e.store.cols[2].runsOK {
-		t.Fatalf("after an insert into C: C's table valid %v, B's %v; want only B's", e.store.cols[3].runsOK, e.store.cols[2].runsOK)
-	}
+	want("built", [2]int{1, 200})
+	bRuns := e.store.cols[2].runs
+	e.ClearCell(ref.MustCell("C101")) // shifts C102.. one slot up the slab
+	want("C101 cleared", [2]int{1, 100}, [2]int{102, 200})
 	edit(4)
-	if c := stretches(e, "C"); !slices.Equal(c, gapped) {
-		t.Fatalf("rebuilt around a value: C %v, want %v", c, gapped)
-	}
-	e.ClearCell(ref.MustCell("C101"))
-	if e.store.cols[3].runsOK {
-		t.Fatal("a delete from C left its run table valid")
+	e.SetValue(ref.MustCell("C101"), formula.Num(-1)) // and back down
+	want("a value in the gap", [2]int{1, 100}, [2]int{102, 200})
+	if b := e.store.cols[2].runs; !slices.Equal(b, bRuns) || &b[0] != &bRuns[0] {
+		t.Fatal("a reshape of C touched B's run table")
 	}
 	edit(5)
-	mustFormula(t, e, "C101", "B101+$G$1") // an insert that joins the two stretches
+	e.ClearCell(ref.MustCell("C101"))
+	e.ClearCell(ref.MustCell("C50"))
+	want("C50 cleared", [2]int{1, 49}, [2]int{51, 100}, [2]int{102, 200})
+	mustFormula(t, e, "C101", "B101+$G$1") // an insert that joins two stretches
+	want("the gap filled", [2]int{1, 49}, [2]int{51, 200})
+	mustFormula(t, e, "C50", "B50+$G$1")
+	want("C50 back", [2]int{1, 200})
 	edit(6)
-	if c := stretches(e, "C"); !slices.Equal(c, rows([2]int{1, 200})) {
-		t.Fatalf("the gap filled: C %v, want one stretch", c)
-	}
 }

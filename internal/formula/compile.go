@@ -432,7 +432,8 @@ func (p *Program) buildNumeric() *numericPlan {
 	return np
 }
 
-// HasNumericSweep reports whether NumericSweep is available for this program.
+// HasNumericSweep reports whether the numeric fast path (NumericSweepRow,
+// NumericSweepRows) is available for this program.
 func (p *Program) HasNumericSweep() bool { return p.numeric != nil }
 
 // FoldOps returns the aggregates the numeric plan reads (shared slice —
@@ -444,61 +445,52 @@ func (p *Program) FoldOps() []FoldOp {
 	return p.numeric.folds
 }
 
-// NumericSweep evaluates the numeric fast path for one row: vals must hold
-// the AsNumber coercion of the value each of CellOps() resolves to, then the
-// Result of each of FoldOps() over its range (the caller bails to the generic
-// interpreter when any of them fails). ok is false on a zero divisor — the
-// row re-runs generically so #DIV/0! placement is exactly the interpreter's.
-func (p *Program) NumericSweep(vals []float64) (v float64, ok bool) {
-	return p.NumericSweepRow(vals, 1, 0)
-}
-
-// NumericSweepRow is NumericSweep for row k of NumericSweepRows' lanes: vals[i]
-// is lanes[i*stride+k], and the work lanes are not touched.
+// NumericSweepRow evaluates the numeric fast path for row k of
+// NumericSweepRows' lanes: lanes[i*stride+k] must hold the AsNumber coercion
+// of the value the i-th of CellOps() resolves to, then the Result of each of
+// FoldOps() over its range (the caller bails to the generic interpreter when
+// any of them fails); the work lanes are not touched. ok is false on a zero
+// divisor — the row re-runs generically so #DIV/0! placement is exactly the
+// interpreter's. Called with stride 1 and k 0, lanes is one row's operands.
 func (p *Program) NumericSweepRow(lanes []float64, stride, k int) (v float64, ok bool) {
-	// The top of the stack is v and the rest stack[1:sp]: a push spills v
-	// first (the first spill, into stack[0], keeps nothing). Each operation is
-	// NumericSweepRows' on one row, its operands in the same order.
-	const mask = maxNumericDepth - 1 // buildNumeric keeps sp below it: no bounds checks
 	var stack [maxNumericDepth]float64
 	sp := 0
-	np := p.numeric
-	for _, ins := range np.code {
+	for _, ins := range p.numeric.code {
 		switch ins.kind {
 		case npConst:
-			stack[sp&mask], v = v, np.consts[ins.a]
+			stack[sp] = p.numeric.consts[ins.a]
 			sp++
 		case npCell, npFold:
-			stack[sp&mask], v = v, lanes[int(ins.a)*stride+k]
+			stack[sp] = lanes[int(ins.a)*stride+k]
 			sp++
 		case npAdd:
 			sp--
-			v = stack[sp&mask] + v
+			stack[sp-1] += stack[sp]
 		case npSub:
 			sp--
-			v = stack[sp&mask] - v
+			stack[sp-1] -= stack[sp]
 		case npMul:
 			sp--
-			v = stack[sp&mask] * v
+			stack[sp-1] *= stack[sp]
 		default: // npDiv
-			if v == 0 {
+			sp--
+			if stack[sp] == 0 {
 				return 0, false
 			}
-			sp--
-			v = stack[sp&mask] / v
+			stack[sp-1] /= stack[sp]
 		}
 	}
-	return v, true
+	return stack[0], true
 }
 
 // NumericWork is how many work lanes NumericSweepRows needs: the stack's depth.
 func (p *Program) NumericWork() int { return p.numeric.depth }
 
-// NumericSweepRows is NumericSweep for n rows at once. Lane i is
+// NumericSweepRows is NumericSweepRow for n rows at once. Lane i is
 // lanes[i*stride:][:n]: one per operand — lane i's k-th float is vals[i] of
 // row k — then NumericWork() lanes of scratch. The plan runs one instruction
 // at a time over whole lanes: per row the same float operations in the same
-// order, so the same bits. A zero divisor sets bad[k] where NumericSweep
+// order, so the same bits. A zero divisor sets bad[k] where NumericSweepRow
 // answers ok=false (that row's result is garbage, as is one the caller flagged
 // beforehand). The result is a work lane or, for a bare aggregate, an operand's.
 func (p *Program) NumericSweepRows(lanes []float64, stride, n int, bad []bool) []float64 {

@@ -311,7 +311,7 @@ func gridFold(res *colResolver, rng ref.Range) NumericFold {
 // TestNumericSweepMatchesVM: for eligible programs whose operands all coerce
 // and whose aggregates are all numbers, the float stack must reproduce the
 // generic VM bit-for-bit; an aggregate the interpreter answers with an error
-// must make FoldOp.Result stand aside, and a zero divisor NumericSweep
+// must make FoldOp.Result stand aside, and a zero divisor NumericSweepRow
 // (ok=false) rather than emit ±Inf.
 func TestNumericSweepMatchesVM(t *testing.T) {
 	grid := bytecodeGrid()
@@ -359,7 +359,7 @@ func TestNumericSweepMatchesVM(t *testing.T) {
 		}
 		var got float64
 		if ok {
-			got, ok = p.NumericSweep(vals)
+			got, ok = p.NumericSweepRow(vals, 1, 0)
 		}
 		switch {
 		case ok == tc.bails:
@@ -401,7 +401,7 @@ func numericPrograms(t testing.TB) (ps []*Program) {
 }
 
 // checkNumericLanes is the property NumericSweepRows is held to: over any
-// operand lanes, rows at once answer what NumericSweep answers row by row —
+// operand lanes, rows at once answer what NumericSweepRow answers row by row —
 // the same bits, and a flag exactly where it says ok=false.
 func checkNumericLanes(t testing.TB, p *Program, n int, operand func(i, k int) float64) {
 	nin, stride := len(p.CellOps())+len(p.FoldOps()), n+3
@@ -419,7 +419,7 @@ func checkNumericLanes(t testing.TB, p *Program, n int, operand func(i, k int) f
 		for i := range vals {
 			vals[i] = lanes[i*stride+k]
 		}
-		want, ok := p.NumericSweep(vals)
+		want, ok := p.NumericSweepRow(vals, 1, 0)
 		if bad[k] == ok || ok && math.Float64bits(out[k]) != math.Float64bits(want) {
 			t.Fatalf("row %d of %d, operands %v: lanes answer %v (bad=%v), the row sweep %v (ok=%v)", k, n, vals, out[k], bad[k], want, ok)
 		}

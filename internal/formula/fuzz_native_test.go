@@ -156,7 +156,7 @@ func FuzzBytecodeEval(f *testing.F) {
 	})
 }
 
-// FuzzNumericLanes: NumericSweepRows ≡ NumericSweep on operands the fuzzer
+// FuzzNumericLanes: NumericSweepRows ≡ NumericSweepRow on operands the fuzzer
 // writes bit by bit. prog picks a program of the numeric corpus, every eight
 // bytes of data are one float64, dealt out row-major; a row the bytes do not
 // reach reads its operands off the specials.
