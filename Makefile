@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race loc bench bench-test bench-pairs bench-server bench-core bench-engine profile-engine bench-eval fuzz-smoke perf-check crash-smoke failover-smoke
+.PHONY: check fmt vet build test race loc bench bench-test bench-pairs bench-server bench-core bench-engine profile-engine bench-eval fuzz-smoke perf-check crash-smoke failover-smoke stress-drain
 
 check: fmt vet build race
 
@@ -23,6 +23,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The drain-ownership and barrier tests, ten times over under the race
+# detector: a lost wake-up or a write-fence deadlock shows on some runs only.
+stress-drain:
+	$(GO) test -race -run 'Wait|Drain|OneDrainer|Stress' -count=10 ./internal/server
 
 # Non-test Go lines per package — the number simplicity PRs report before
 # and after. CI prints it on every run.

@@ -30,7 +30,7 @@
 //     (min_speedup — policy travels with the checked-in report). The floor
 //     is enforced on any host, including single-CPU runners: the
 //     vectorized drain is algorithmically cheaper than the per-cell AST
-//     walk (batched sweeps, warm schedules), so the ratio must hold
+//     walk (batched sweeps), so the ratio must hold
 //     regardless of core count.
 package main
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -261,8 +262,9 @@ func TestLevelledDrainOnOneCPU(t *testing.T) {
 // TestWaitTerminatesUnderWritePressure pins the barrier's liveness: Wait
 // releases the session lock between chunks (readers interleave), but a
 // writer re-dirtying the sheet in those gaps must not be able to starve it
-// — once the entry backlog's budget is spent, Wait finishes the drain under
-// one uninterrupted hold and returns.
+// — a registered waiter fences revision-bumping writes, so Wait drains the
+// backlog it found and returns — and the fence must lift when it does: the
+// writer makes progress again.
 func TestWaitTerminatesUnderWritePressure(t *testing.T) {
 	store, err := NewStore(StoreOptions{RecalcWorkers: -1, RecalcChunk: 8})
 	if err != nil {
@@ -280,6 +282,7 @@ func TestWaitTerminatesUnderWritePressure(t *testing.T) {
 	}
 
 	var stop atomic.Bool
+	var writes atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // re-dirties the whole fanout in every between-hold gap
@@ -293,6 +296,7 @@ func TestWaitTerminatesUnderWritePressure(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			writes.Add(1)
 		}
 	}()
 	done := make(chan error, 1)
@@ -304,6 +308,12 @@ func TestWaitTerminatesUnderWritePressure(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Wait starved by a concurrent writer")
+	}
+	for n, deadline := writes.Load(), time.Now().Add(30*time.Second); writes.Load() <= n+1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer made no progress after Wait returned: the fence did not lift")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -351,8 +361,8 @@ func TestStatsExposeScheduler(t *testing.T) {
 // RecalcChunk evaluations to the end — a look-down chain on a pinned engine,
 // and a mirrored zig-zag whose levelled drain stalls at once — even though the
 // walk runs more evaluations than there are cells (a retry per chain link):
-// Wait makes exactly the RecalculateN calls a budgeted loop over a copy of the
-// engine makes, and never the unbounded final hold.
+// Wait makes exactly the RecalculateN calls a loop over a copy of the engine
+// makes, every one a bounded hold.
 func TestWaitHoldsStayBoundedOnTheWalk(t *testing.T) {
 	const rows, chunk = 20000, 256
 	for _, tc := range []struct {
@@ -406,5 +416,183 @@ func TestWaitHoldsStayBoundedOnTheWalk(t *testing.T) {
 				t.Fatalf("Wait drained in %d holds; a RecalculateN(%d) loop takes %d calls", holds-holds0, chunk, calls)
 			}
 		})
+	}
+}
+
+// ledgerEngine bulk-loads a ledger of the given height: A and B data, C =
+// A*B*$H$1, D a running sum of C restarted every 256 rows, H1 the rate — so a
+// rate edit dirties two whole columns.
+func ledgerEngine(rows int) *engine.Engine {
+	cells := []engine.ParsedCell{{At: ref.MustCell("H1"), Value: formula.Num(1.05)}}
+	form := func(at ref.Ref, src string) {
+		cells = append(cells, engine.ParsedCell{At: at, Src: src, AST: formula.MustParse(src)})
+	}
+	for r := 1; r <= rows; r++ {
+		cells = append(cells,
+			engine.ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(r%997) + 0.5)},
+			engine.ParsedCell{At: ref.Ref{Col: 2, Row: r}, Value: formula.Num(float64(r%89) + 0.25)})
+		form(ref.Ref{Col: 3, Row: r}, fmt.Sprintf("A%d*B%d*$H$1", r, r))
+		if (r-1)%256 == 0 {
+			form(ref.Ref{Col: 4, Row: r}, fmt.Sprintf("C%d", r))
+		} else {
+			form(ref.Ref{Col: 4, Row: r}, fmt.Sprintf("D%d+C%d", r-1, r))
+		}
+	}
+	return engine.LoadBulkParsed(cells)
+}
+
+// rateEdit sets the ledger's rate, dirtying every C and D cell.
+func rateEdit(store *Store, id string, v float64) error {
+	return store.Update(id, true, func(_ *Session, e *engine.Engine) error {
+		e.SetValue(ref.MustCell("H1"), formula.Num(v))
+		return nil
+	})
+}
+
+// TestOneDrainerPerSession: one goroutine at a time owns a session's drain.
+// Two workers and four concurrent Wait barriers settle one rate edit on a
+// 20 000-row ledger in 8-evaluation chunks, while a sampler watches how many
+// goroutines are inside drainChunk — the store holds this one session, so
+// the store-wide count is the session's — and that never exceeds one: a
+// waiter sleeps through a running chunk, and a worker popping a session a
+// waiter owns ends its turn. Every Wait settles the session.
+func TestOneDrainerPerSession(t *testing.T) {
+	const rows = 20000
+	store, err := NewStore(StoreOptions{RecalcWorkers: 2, RecalcChunk: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sess := store.Create("ledger", ledgerEngine(rows))
+	if err := rateEdit(store, sess.ID, 1.25); err != nil {
+		t.Fatal(err)
+	}
+
+	var done atomic.Bool
+	sampled := make(chan int64)
+	go func() {
+		peak := int64(0)
+		for !done.Load() {
+			peak = max(peak, store.drainsInFlight.Load())
+			runtime.Gosched()
+		}
+		sampled <- peak
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := store.Wait(sess.ID); err != nil {
+				t.Error(err)
+			}
+			if n := sess.Pending(); n != 0 {
+				t.Errorf("Wait returned with %d cells pending", n)
+			}
+		}()
+	}
+	wg.Wait()
+	done.Store(true)
+	if peak := <-sampled; peak > 1 {
+		t.Fatalf("%d goroutines inside drainChunk on one session at once", peak)
+	}
+
+	want := ledgerEngine(rows)
+	want.SetValue(ref.MustCell("H1"), formula.Num(1.25))
+	want.RecalculateAll()
+	last := ref.Ref{Col: 4, Row: rows}
+	err = store.View(sess.ID, func(_ *Session, e *engine.Engine) error {
+		if got, w := e.Value(last), want.Value(last); got != w {
+			t.Errorf("%v = %v, want %v", last, got, w)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// waitRegistered polls until n Wait barriers are registered on s.
+func waitRegistered(t *testing.T, s *Session, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		s.mu.RLock()
+		got := s.waiters
+		s.mu.RUnlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters registered, want %d", got, n)
+		}
+	}
+}
+
+// TestWaitSleepingWaiterSeesDelete: a waiter asleep behind another owner's
+// chunk re-checks the session at that chunk's end and returns
+// ErrSessionDeleted when the session went away meanwhile.
+func TestWaitSleepingWaiterSeesDelete(t *testing.T) {
+	store, err := NewStore(StoreOptions{RecalcWorkers: -1, RecalcChunk: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sess := store.Create("deleted", ledgerEngine(1000))
+	if err := rateEdit(store, sess.ID, 2); err != nil {
+		t.Fatal(err)
+	}
+	// The test owns the drain, standing in for a worker mid-chunk.
+	sess.mu.Lock()
+	sess.draining = true
+	sess.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- store.Wait(sess.ID) }()
+	waitRegistered(t, sess, 1)
+	if err := store.Delete(sess.ID); err != nil {
+		t.Fatal(err)
+	}
+	store.drainChunk(sess, false) // the owner's chunk ends
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrSessionDeleted) {
+			t.Fatalf("Wait = %v, want ErrSessionDeleted", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wait still asleep after the session was deleted")
+	}
+}
+
+// TestWaitSettlesAcrossClose: Close runs while a waiter sleeps behind
+// another owner's chunk; at that chunk's end the waiter finds no worker
+// left, takes the drain and settles the session itself.
+func TestWaitSettlesAcrossClose(t *testing.T) {
+	store, err := NewStore(StoreOptions{RecalcWorkers: 2, RecalcChunk: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := store.Create("closing", ledgerEngine(20000))
+	// The test owns the drain before the edit queues the session, so a
+	// worker popping it ends its turn and the waiter below must sleep.
+	sess.mu.Lock()
+	sess.draining = true
+	sess.mu.Unlock()
+	if err := rateEdit(store, sess.ID, 3); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- store.Wait(sess.ID) }()
+	waitRegistered(t, sess, 1)
+	store.Close()
+	store.drainChunk(sess, false) // the owner's chunk ends
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("Wait did not return after Close")
+	}
+	if n := sess.Pending(); n != 0 {
+		t.Fatalf("Wait returned across Close with %d cells pending", n)
 	}
 }

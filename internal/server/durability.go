@@ -583,7 +583,7 @@ func (st *Store) UpdateJournaled(id string, edits []EditOp, fn func(*Session, *e
 	record := encodeEditOps(edits) // outside the session lock
 	var jw *journal.Writer
 	degradedNow := false
-	err = st.withResident(s, func(eng *engine.Engine) error {
+	err = st.withResident(s, true, func(eng *engine.Engine) error {
 		if s.degraded {
 			return ErrSessionDegraded
 		}

@@ -105,7 +105,7 @@ func assertNoTempFiles(t *testing.T, dir string) {
 
 // TestCrashRecoveryConvergence is the kill-and-restart proof, run under
 // -race in CI: a durable store takes journaled edit batches and is then
-// abandoned without Close or Flush — its background drain workers still
+// abandoned without Wait or Close — its background drain workers still
 // mid-wavefront, exactly a SIGKILL's view of memory — while a second store
 // opens the same directory. Every session must be rediscovered, replay its
 // journal, and settle to values byte-identical to a serial reference engine
@@ -143,7 +143,7 @@ func TestCrashRecoveryConvergence(t *testing.T) {
 					applyJournaled(t, st1, id, batch)
 				}
 			}
-			// No Wait, no Flush, no Close: drains are in flight right now.
+			// No Wait, no Close: drains are in flight right now.
 
 			st2, err := NewStore(opts)
 			if err != nil {

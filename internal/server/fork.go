@@ -173,7 +173,7 @@ func (st *Store) Fork(parentID, name string) (*Session, error) {
 		// The parent's base + journal do not reproduce its state (content but
 		// no base yet, or a journal with a hole): fault it in and write a full
 		// base, forking inside the hold so no edit can slip between.
-		err = st.withResident(p, func(*engine.Engine) error {
+		err = st.withResident(p, false, func(*engine.Engine) error {
 			if err := st.writeFullLocked(p); err != nil {
 				return fmt.Errorf("server: fork checkpoint of %s: %w", p.ID, err)
 			}

@@ -46,15 +46,15 @@ var (
 		"Session lookups for unknown IDs.")
 
 	// Drain path. The hold histogram is the store's tail-latency instrument:
-	// every session-lock hold taken to evaluate a recalculation chunk —
-	// background drain turns and inline Wait barriers alike — records its
-	// duration, so the p99 bounds how long a concurrent reader can stall
+	// every session-lock hold taken to evaluate a recalculation chunk — in
+	// drainChunk, whether a worker or a Wait barrier owns the drain — records
+	// its duration, so the p99 bounds how long a concurrent reader can stall
 	// behind recalculation.
 	mDrainHold = telemetry.NewHistogram("taco_store_drain_hold_seconds",
-		"Session write-lock hold duration per recalculation chunk (background and barrier drains).",
+		"Session write-lock hold duration per recalculation chunk, whether a drain worker or a Wait barrier runs it.",
 		telemetry.DurationBounds())
 	mDrains = telemetry.NewCounter("taco_store_drains_total",
-		"Background drains completed (session reached zero pending cells).")
+		"Drains settled (a session reached zero pending cells), by a drain worker or a Wait barrier.")
 
 	// Durability and crash recovery (durability.go). taco_journal_* families
 	// live in internal/journal.
@@ -135,7 +135,7 @@ func registerStoreGauges() {
 		"Sessions queued for a background drain worker.",
 		func() float64 { return sumStores(func(s StoreStats) float64 { return float64(s.RecalcQueue) }) })
 	telemetry.NewGaugeFunc("taco_store_drains_in_flight",
-		"Drain turns currently holding a session lock.",
+		"Recalculation chunks currently running or taking a session lock, at most one per session.",
 		func() float64 { return sumStores(func(s StoreStats) float64 { return float64(s.DrainsInFlight) }) })
 	telemetry.NewGaugeFunc("taco_durability_degraded_sessions",
 		"Sessions currently write-fenced by a durability fault, awaiting repair.",

@@ -281,7 +281,7 @@ func (st *Store) ApplyReplicated(id string, rev uint64, payload []byte) error {
 		return err
 	}
 	var jw *journal.Writer
-	err = st.withResident(s, func(eng *engine.Engine) error {
+	err = st.withResident(s, true, func(eng *engine.Engine) error {
 		if rev <= s.rev {
 			return nil
 		}

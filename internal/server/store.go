@@ -50,9 +50,9 @@ type StoreOptions struct {
 	// RecalcWorkers sets the background recalculation worker pool size. An
 	// edit batch returns after graph maintenance and the dirty-set traversal
 	// only; these store-owned workers drain the resulting dirty cells behind
-	// the response. 0 means one worker per available CPU; -1 disables
-	// background draining entirely — recalculation then happens only on
-	// Wait/flush barriers and on spill (useful for deterministic tests).
+	// the response. 0 means one worker per available CPU; -1 starts none —
+	// recalculation then happens only in Wait barriers, which run the chunks
+	// themselves, and on spill (useful for deterministic tests).
 	RecalcWorkers int
 	// RecalcChunk bounds the evaluations started per session-lock hold while
 	// a worker drains (default 256), so readers interleave with a large
@@ -160,9 +160,16 @@ type Session struct {
 	// Guarded by mu.
 	graphBlob    []byte
 	graphBlobGen uint64
-	// queued marks membership in the store's recalc queue (guarded by the
-	// store's recalc mutex, not the session lock).
+	// queued marks a worker turn — in the recalc queue or mid-chunk on a
+	// worker — guarded by the store's recalc mutex, not the session lock.
 	queued bool
+	// draining marks the drain's one owner, a worker or a Wait barrier, from
+	// its claim to its chunk's end; waiters counts the Wait barriers, which
+	// fence revision-bumping writes; drained wakes sleepers at a chunk's end
+	// and at the last waiter's exit. Guarded by mu.
+	draining bool
+	waiters  int
+	drained  sync.Cond
 	// jw is the session's edit journal writer, opened lazily on the first
 	// journaled edit of a durable store (guarded by mu).
 	jw *journal.Writer
@@ -243,8 +250,8 @@ type Store struct {
 		closed bool
 	}
 	wg sync.WaitGroup
-	// drainsInFlight counts drainChunk turns currently holding a session —
-	// the live occupancy of the drain workers, surfaced in Stats.
+	// drainsInFlight counts the goroutines inside drainChunk — at most one
+	// per session — surfaced in Stats.
 	drainsInFlight atomic.Int64
 
 	// Durability layer (nil / zero unless StoreOptions.Durable): fsync
@@ -339,8 +346,8 @@ func (st *Store) Options() StoreOptions { return st.opts }
 
 // Close stops the background recalculation workers, waiting for them to
 // exit. Undrained sessions simply keep their dirty sets; the spill path
-// drains before writing, so no state is lost. Inline drains after Close
-// (Wait barriers, spills) still complete: a drain runs on its caller.
+// drains before writing, so no state is lost. Wait barriers after Close
+// still settle: with no worker left, the waiter owns the drain.
 func (st *Store) Close() {
 	liveStores.Delete(st)
 	st.rq.mu.Lock()
@@ -374,6 +381,20 @@ func (st *Store) enqueueRecalc(s *Session) {
 	st.rq.mu.Unlock()
 }
 
+// endTurnLocked ends a worker's turn: back to the queue's tail while work
+// remains. Under s.mu, so an edit lands before the decision or enqueues
+// after it.
+func (st *Store) endTurnLocked(s *Session, more bool) {
+	st.rq.mu.Lock()
+	if more && !st.rq.closed {
+		st.rq.queue = append(st.rq.queue, s)
+		st.rq.cond.Signal()
+	} else {
+		s.queued = false
+	}
+	st.rq.mu.Unlock()
+}
+
 func (st *Store) recalcWorker() {
 	defer st.wg.Done()
 	for {
@@ -387,58 +408,67 @@ func (st *Store) recalcWorker() {
 		}
 		s := st.rq.queue[0]
 		st.rq.queue = st.rq.queue[1:]
-		s.queued = false
 		st.rq.mu.Unlock()
-		st.drainChunk(s)
+		s.mu.Lock()
+		if s.draining { // a Wait barrier owns it and settles it before leaving
+			st.endTurnLocked(s, false)
+			s.mu.Unlock()
+			continue
+		}
+		s.draining = true
+		s.mu.Unlock()
+		st.drainChunk(s, true)
 	}
 }
 
-// drainChunk recalculates one bounded chunk of a session's dirty cells
-// under one short session-lock hold and re-queues the session at the tail
-// if work remains. The engine's resumable wavefront schedule persists
-// across holds — levelling runs once per dirty generation, not once per
-// chunk — so the hold can stay fine-grained (RecalcChunk evaluations, at
-// most one truncated level) without re-levelling overhead: readers take
-// the lock between every hold, and an edit landing between holds simply
-// starts a new dirty generation whose first hold rebuilds the remaining
-// schedule. The drain runs on this goroutine: drain concurrency is exactly
-// the RecalcWorkers (plus any Wait barriers draining inline).
-func (st *Store) drainChunk(s *Session) {
+// drainChunk, the store's only drainer, recalculates one bounded chunk of a
+// session's dirty cells under one short session-lock hold; its caller owns
+// the drain (draining set). The engine's resumable wavefront schedule
+// persists across holds, so a hold stays at RecalcChunk evaluations (at most
+// one truncated level): readers take the lock between holds, and an edit
+// landing between them starts a dirty generation whose first hold rebuilds
+// the remaining schedule. The chunk's end releases the drain, wakes the
+// sleepers and, on a worker's turn, re-queues the session.
+func (st *Store) drainChunk(s *Session, worker bool) {
 	st.drainsInFlight.Add(1)
-	defer st.drainsInFlight.Add(-1)
 	s.mu.Lock()
-	if s.deleted || s.eng == nil {
-		// Deleted, or spilled before the worker got here — the spill path
-		// drained (or preserved) the dirty set in the snapshot already.
-		s.pending = 0
-		s.mu.Unlock()
-		return
+	s.pending = 0 // deleted, or spilled with its dirty set drained or kept
+	if !s.deleted && s.eng != nil && s.eng.Pending() > 0 {
+		// The hold timer runs inside the lock so the sample is published
+		// before any barrier observes pending == 0, and because the hold IS
+		// the quantity measured: how long a reader can stall behind a chunk.
+		holdStart := time.Now()
+		s.eng.RecalculateN(st.opts.RecalcChunk)
+		mDrainHold.Observe(time.Since(holdStart).Seconds())
+		if s.pending = s.eng.Pending(); s.pending == 0 {
+			st.recalcs.Add(1)
+			mDrains.Inc()
+		}
 	}
-	// The hold timer runs inside the lock so the histogram sample is
-	// published before any barrier observes pending == 0 — and because the
-	// lock hold IS the quantity being measured: how long a reader can stall
-	// behind one drain chunk.
-	holdStart := time.Now()
-	s.eng.RecalculateN(st.opts.RecalcChunk)
-	mDrainHold.Observe(time.Since(holdStart).Seconds())
-	s.pending = s.eng.Pending()
-	more := s.pending > 0
+	if worker {
+		st.endTurnLocked(s, s.pending > 0)
+	}
+	st.drainsInFlight.Add(-1) // before the next owner can claim the drain
+	s.draining = false
+	s.drained.Broadcast()
 	s.mu.Unlock()
-	if more {
-		st.enqueueRecalc(s)
-	} else {
-		st.recalcs.Add(1)
-		mDrains.Inc()
+}
+
+// sleepLocked waits on drained. Called with s.mu held; returns with it held.
+func (s *Session) sleepLocked() {
+	if s.drained.L == nil {
+		s.drained.L = &s.mu
 	}
+	s.drained.Wait()
 }
 
 // Wait is the read-your-writes barrier: it blocks until the session has no
-// pending recalculation, draining inline in bounded holds under the session
-// write lock (a waiter steals the work instead of sleeping on the
-// background pool, but still releases the lock between chunks so readers
-// interleave with the barrier exactly as they do with background drains). A
-// spilled session whose base is current, or an already-clean one, is a no-op
-// — a base write drains first — which keeps barriers from faulting cold
+// pending recalculation. It registers as a waiter, which fences the
+// session's revision-bumping writes, so it drains at most the backlog it
+// found. While a chunk runs it sleeps; otherwise it owns the drain and runs
+// the next chunk itself, in the bounded holds a worker takes. A spilled
+// session whose base is current, or an already-clean one, is a no-op — a
+// base write drains first — which keeps barriers from faulting cold
 // sessions back in and evicting warm ones.
 func (st *Store) Wait(id string) error {
 	s, err := st.lookup(id)
@@ -446,65 +476,42 @@ func (st *Store) Wait(id string) error {
 		return err
 	}
 	s.mu.RLock()
-	deleted := s.deleted
 	// A non-resident session with a journal tail above its base (evicted
 	// without a write, or boot-recovered) is NOT settled even though it has
 	// no engine: eviction dropped residency without draining, and restore
 	// re-dirties every replayed edit — the barrier must fault it in so those
 	// cells drain.
-	tail := s.eng == nil && s.rev != s.snapRev
-	settled := !tail && (s.eng == nil || s.pending == 0)
-	pending0 := s.pending
+	tail := !s.deleted && s.eng == nil && s.rev != s.snapRev
+	settled := !s.deleted && !tail && (s.eng == nil || s.pending == 0)
 	s.mu.RUnlock()
-	if deleted {
-		return ErrSessionDeleted
-	}
 	if settled {
 		return nil
 	}
 	if tail {
-		if err := st.withResident(s, func(*engine.Engine) error { return nil }); err != nil {
+		if err := st.withResident(s, false, func(*engine.Engine) error { return nil }); err != nil {
 			return err
 		}
-		pending0 = s.Pending()
 	}
-	// Chunked holds are bounded by the work observed at entry (plus slack):
-	// a concurrent editor re-dirtying the sheet between holds could
-	// otherwise outpace the chunks and starve the barrier forever. A hold
-	// spends the cells it cleans, at least one: RecalculateN counts
-	// evaluations, retries included, and a hold spent pushing down a chain
-	// on the walk's stack cleans none. Once the budget is spent, the final
-	// hold drains to completion without releasing the lock — the
-	// pre-chunking behaviour, and a guaranteed terminating one, since it
-	// blocks the editor it was racing.
-	budget := pending0 + 8*st.opts.RecalcChunk
-	drained := 0
-	for {
-		s.mu.Lock()
-		if s.deleted {
-			s.mu.Unlock()
-			return ErrSessionDeleted
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.waiters++
+	for !s.deleted && s.eng != nil && s.eng.Pending() > 0 {
+		if s.draining {
+			s.sleepLocked()
+			continue
 		}
-		if s.eng == nil || s.eng.Pending() == 0 {
-			s.pending = 0
-			s.mu.Unlock()
-			return nil
-		}
-		holdStart := time.Now()
-		if drained >= budget {
-			s.eng.RecalculateAll()
-			mDrainHold.Observe(time.Since(holdStart).Seconds())
-			s.pending = s.eng.Pending()
-			s.mu.Unlock()
-			return nil
-		}
-		before := s.eng.Pending()
-		s.eng.RecalculateN(st.opts.RecalcChunk)
-		mDrainHold.Observe(time.Since(holdStart).Seconds())
-		s.pending = s.eng.Pending()
-		drained += max(1, before-s.pending)
+		s.draining = true
 		s.mu.Unlock()
+		st.drainChunk(s, false)
+		s.mu.Lock()
 	}
+	if s.waiters--; s.waiters == 0 {
+		s.drained.Broadcast() // lift the write fence
+	}
+	if s.deleted {
+		return ErrSessionDeleted
+	}
+	return nil
 }
 
 func (st *Store) shardFor(id string) *shard {
@@ -558,7 +565,7 @@ func (st *Store) View(id string, fn func(*Session, *engine.Engine) error) error 
 	}
 	s.mu.RUnlock()
 	// Spilled (or racing a delete): take the write lock and restore.
-	return st.withResident(s, func(eng *engine.Engine) error { return fn(s, eng) })
+	return st.withResident(s, false, func(eng *engine.Engine) error { return fn(s, eng) })
 }
 
 // Update runs fn with the session's engine under the session write lock,
@@ -570,7 +577,7 @@ func (st *Store) Update(id string, bumpRev bool, fn func(*Session, *engine.Engin
 	if err != nil {
 		return err
 	}
-	return st.withResident(s, func(eng *engine.Engine) error {
+	return st.withResident(s, bumpRev, func(eng *engine.Engine) error {
 		if bumpRev && s.degraded {
 			return ErrSessionDegraded
 		}
@@ -582,21 +589,6 @@ func (st *Store) Update(id string, bumpRev bool, fn func(*Session, *engine.Engin
 			s.tailBroken = true // a revision no journal holds: only a base write can
 		}
 		return nil
-	})
-}
-
-// Flush drains every resident session's pending recalculation. Used by
-// graceful shutdown paths and tests; spilled sessions are already drained on
-// disk.
-func (st *Store) Flush() {
-	st.Each(func(s *Session) bool {
-		s.mu.Lock()
-		if s.eng != nil && !s.deleted {
-			s.eng.RecalculateAll()
-			s.pending = 0
-		}
-		s.mu.Unlock()
-		return true
 	})
 }
 
@@ -725,11 +717,15 @@ func (st *Store) lookup(id string) (*Session, error) {
 }
 
 // withResident runs fn under the session write lock, restoring the engine
-// from disk if it was spilled. Eviction overflow is handled after the
-// session lock is released — a goroutine never holds two session locks, so
-// spills cannot deadlock with restores.
-func (st *Store) withResident(s *Session, fn func(*engine.Engine) error) error {
+// from disk if it was spilled; a write (a revision bump) first sleeps out
+// any Wait barrier. Eviction overflow is handled after the session lock is
+// released — a goroutine never holds two session locks, so spills cannot
+// deadlock with restores.
+func (st *Store) withResident(s *Session, write bool, fn func(*engine.Engine) error) error {
 	s.mu.Lock()
+	for write && s.waiters > 0 {
+		s.sleepLocked()
+	}
 	if s.deleted {
 		s.mu.Unlock()
 		return ErrSessionDeleted
@@ -1041,7 +1037,7 @@ type StoreStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Restores  uint64 `json:"restores"`
-	// Recalcs counts background drains completed by the worker pool.
+	// Recalcs counts drains settled, by a worker or a Wait barrier.
 	Recalcs uint64 `json:"recalcs"`
 	// SnapSkips counts evictions that dropped residency without rewriting an
 	// unchanged snapshot.
@@ -1052,8 +1048,8 @@ type StoreStats struct {
 	// RecalcQueue is the number of sessions currently queued for a drain
 	// worker — the recalculation backlog's breadth.
 	RecalcQueue int `json:"recalc_queue"`
-	// DrainsInFlight is the number of drain turns holding a session right
-	// now (bounded by RecalcWorkers).
+	// DrainsInFlight is the number of recalculation chunks running right
+	// now, at most one per session.
 	DrainsInFlight int `json:"drains_in_flight"`
 	// Durable reports whether the store journals edits for crash recovery.
 	Durable bool `json:"durable,omitempty"`
