@@ -65,9 +65,6 @@ type Graph struct {
 	// layer reports graph stats on hot paths).
 	verts map[ref.Range]int
 	ndeps int
-	// gen counts structural mutations. Callers cache derived artefacts (an
-	// encoded snapshot section, say) and revalidate with Gen.
-	gen uint64
 	// scratch pools per-traversal state (visited tree, touched set, BFS
 	// queue). Concurrent read-only traversals each take their own scratch, so
 	// queries stay safe under a shared read lock.
@@ -123,7 +120,6 @@ func (g *Graph) noteInsert(e *Edge) {
 		g.verts[e.Dep]++
 	}
 	g.ndeps += e.Count()
-	g.gen++
 }
 
 func (g *Graph) noteDelete(e *Edge) {
@@ -137,12 +133,7 @@ func (g *Graph) noteDelete(e *Edge) {
 		decref(e.Dep)
 	}
 	g.ndeps -= e.Count()
-	g.gen++
 }
-
-// Gen returns the structural-mutation counter: unchanged Gen means an
-// unchanged edge set.
-func (g *Graph) Gen() uint64 { return g.gen }
 
 func (g *Graph) insertEdge(e *Edge) {
 	g.edges[e] = struct{}{}

@@ -22,12 +22,9 @@ import (
 // values, so a restored engine answers reads immediately; the graph section
 // reuses the core snapshot format (and its bulk-loaded R-tree restore).
 //
-// Besides the full restore, two partial readers serve a spilled session
-// without making it resident: ReadSnapshotGraph skims the cell section and
-// decodes only the graph (dependents/precedents queries), and
-// ScanSnapshotCellsInRange streams the cell records of a rectangle without
-// building an engine (range reads). Both exist for the serving layer's
-// non-faulting read path.
+// RestoreSnapshot is the only decoder. A caller that kept the session's
+// compressed graph pinned across a spill restores through
+// RestoreSnapshotWithGraph, which decodes the cell section alone.
 //
 // Format:
 //
@@ -41,10 +38,11 @@ import (
 // value is itself too large to snapshot). Values are a formula.Kind byte
 // plus a kind-specific payload.
 //
-// The CRC32C trailer makes torn or bit-rotted spill files detectable:
-// CheckSnapshotIntegrity verifies a whole file before the store trusts it
-// at restore. Streaming decoders self-delimit and simply never read the
-// trailer.
+// The CRC32C trailer makes torn or bit-rotted snapshots detectable:
+// CheckSnapshotIntegrity verifies the whole byte string before anything
+// trusts it — the store before every restore of a spill file, a standby
+// before it bootstraps from a shipped one. The decoder self-delimits and
+// never reads the trailer.
 
 var engineSnapshotMagic = []byte("TACOE2")
 
@@ -78,56 +76,32 @@ type snapWriter interface {
 // cell clean (oversized computed values excepted — they round-trip as
 // dirty). Engines driving a non-TACO graph backend cannot be snapshotted.
 func (e *Engine) WriteSnapshot(w io.Writer) error {
-	_, _, err := e.writeSnapshot(w, nil, 0)
-	return err
-}
-
-// WriteSnapshotCached is WriteSnapshot reusing a pre-encoded graph section:
-// when gen still matches the graph's generation, blob is appended verbatim
-// instead of re-encoding the (unchanged) edge set — value-only edit streams
-// never touch the graph, so spill-heavy hosts skip most of the encode work.
-// It returns the blob and generation to cache for the next call.
-func (e *Engine) WriteSnapshotCached(w io.Writer, blob []byte, gen uint64) ([]byte, uint64, error) {
-	return e.writeSnapshot(w, blob, gen)
-}
-
-func (e *Engine) writeSnapshot(w io.Writer, blob []byte, gen uint64) ([]byte, uint64, error) {
 	g := e.TACOGraph()
 	if g == nil {
-		return nil, 0, errors.New("engine: only TACO-backed engines support snapshots")
+		return errors.New("engine: only TACO-backed engines support snapshots")
 	}
 	e.RecalculateAll()
 	bw, buffered := w.(snapWriter)
 	if !buffered {
 		bw = bufio.NewWriter(w)
 	}
-	// Everything up to the trailer flows through the CRC writer; the cached
-	// graph blob stays raw (the checksum is per-file, computed per write).
+	// Everything up to the trailer flows through the CRC writer.
 	cw := &crcWriter{w: bw}
 	if err := e.writeCells(cw); err != nil {
-		return nil, 0, err
+		return err
 	}
-	if blob == nil || gen != g.Gen() {
-		var gb bytes.Buffer
-		if err := g.WriteSnapshot(&gb); err != nil {
-			return nil, 0, err
-		}
-		blob, gen = gb.Bytes(), g.Gen()
-	}
-	if _, err := cw.Write(blob); err != nil {
-		return nil, 0, err
+	if err := g.WriteSnapshot(cw); err != nil {
+		return err
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], cw.sum)
 	if _, err := bw.Write(trailer[:]); err != nil {
-		return nil, 0, err
+		return err
 	}
 	if f, isBufio := bw.(*bufio.Writer); isBufio {
-		if err := f.Flush(); err != nil {
-			return nil, 0, err
-		}
+		return f.Flush()
 	}
-	return blob, gen, nil
+	return nil
 }
 
 // crcWriter threads every byte through the running CRC32C on its way to the
@@ -247,40 +221,27 @@ func writeValue(bw snapWriter, putUvarint func(uint64) error, putString func(str
 	}
 }
 
-// SnapshotCell is one decoded cell record, as streamed by
-// ScanSnapshotCellsInRange.
-type SnapshotCell struct {
-	At    ref.Ref
-	Src   string       // formula source ("" for value cells)
-	AST   formula.Node // parsed formula; nil for value cells or unparsed scans
-	Value formula.Value
-	Dirty bool // formula restored without a cached value (kind 2)
+// snapshotCell is one decoded cell record.
+type snapshotCell struct {
+	at    ref.Ref
+	src   string       // formula source ("" for value cells)
+	ast   formula.Node // parsed formula; nil for value cells
+	value formula.Value
+	dirty bool // formula restored without a cached value (kind 2)
 }
 
 // scanCells decodes the cell section (magic, count, records), invoking fn
-// per cell. With fn == nil it skims: payloads are length-skipped without
-// allocating, which is how graph-only restores pay almost nothing for the
-// cells they don't need. With parse set, formula sources go through the
-// process-wide parse cache and Src is the cache's canonical string — a
-// restore of a previously-seen session allocates no per-formula memory.
-// On return the reader is positioned at the graph section.
-func scanCells(br *bufio.Reader, parse bool, fn func(SnapshotCell) error) error {
-	return scanCellsFiltered(br, parse, nil, nil, fn)
-}
-
-// scanCellsFiltered is scanCells with an optional rectangle filter: records
-// outside filter are skimmed — their payloads length-skipped, never decoded,
-// allocated, or parsed — so a range read against a spilled session pays full
-// decode cost only for the cells it returns. Skimmed formula records still
-// report their dirty flag through pending (the record header carries it), so
-// the caller's session-wide pending count stays exact.
+// per cell. Formula sources go through the process-wide parse cache and src
+// is the cache's canonical string — a restore of a previously-seen session
+// allocates no per-formula memory. On return the reader is positioned at the
+// graph section.
 //
 // The writer emits records strictly ascending in column-major order, and
-// every reader holds the input to it: a repeated or out-of-order ref is
+// the reader holds the input to it: a repeated or out-of-order ref is
 // ErrBadEngineSnapshot. That is what makes a restore's store.set the append
 // path, and what keeps its cell, formula and dirty counts in step with the
 // records the slabs end up holding.
-func scanCellsFiltered(br *bufio.Reader, parse bool, filter *ref.Range, pending *int, fn func(SnapshotCell) error) error {
+func scanCells(br *bufio.Reader, fn func(snapshotCell) error) error {
 	var magicBuf [8]byte
 	magic := magicBuf[:len(engineSnapshotMagic)]
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -310,17 +271,6 @@ func scanCellsFiltered(br *bufio.Reader, parse bool, filter *ref.Range, pending 
 			return nil, err
 		}
 		return b, nil
-	}
-	skipBytes := func() error {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
-		}
-		if n > MaxSnapshotString {
-			return fmt.Errorf("string length %d exceeds limit", n)
-		}
-		_, err = br.Discard(int(n))
-		return err
 	}
 	readString := func() (string, error) {
 		b, err := readBytes()
@@ -353,49 +303,25 @@ func scanCellsFiltered(br *bufio.Reader, parse bool, filter *ref.Range, pending 
 		if kind > 2 {
 			return fmt.Errorf("%w: cell %d: unknown cell kind %d", ErrBadEngineSnapshot, i, kind)
 		}
-		if fn == nil || (filter != nil && !filter.Contains(at)) { // skim mode
-			if kind == 2 && pending != nil {
-				*pending++
-			}
-			if kind != 0 {
-				if err := skipBytes(); err != nil {
-					return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
-				}
-			}
-			if kind != 2 {
-				if err := skipValue(br); err != nil {
-					return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
-				}
-			}
-			continue
-		}
-		sc := SnapshotCell{At: at}
+		sc := snapshotCell{at: at}
 		if kind != 0 {
 			b, err := readBytes()
 			if err != nil {
 				return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
 			}
-			if parse {
-				ast, src, err := formula.ParseCachedBytes(b)
-				if err != nil {
-					return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
-				}
-				sc.AST, sc.Src = ast, src
-			} else {
-				sc.Src = string(b)
+			sc.ast, sc.src, err = formula.ParseCachedBytes(b)
+			if err != nil {
+				return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
 			}
 		}
 		if kind == 2 {
-			sc.Dirty = true // no cached value; recomputed on demand
-			if pending != nil {
-				*pending++
-			}
+			sc.dirty = true // no cached value; recomputed on demand
 		} else {
 			v, err := readValue(br, readString)
 			if err != nil {
 				return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
 			}
-			sc.Value = v
+			sc.value = v
 		}
 		if err := fn(sc); err != nil {
 			return err
@@ -438,25 +364,25 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 	// from the engine recycled before, when it has enough. That is how the
 	// restore/spill churn of a capped host stops allocating record storage
 	// once the pool warms up, and why a restored slab carries no growth slack.
-	var stage []SnapshotCell
+	var stage []snapshotCell
 	install := func() {
 		if len(stage) == 0 {
 			return
 		}
-		store.column(stage[0].At.Col, len(stage))
+		store.column(stage[0].at.Col, len(stage))
 		for _, sc := range stage {
-			store.set(sc.At, cell{ast: sc.AST, src: sc.Src, value: sc.Value, dirty: sc.Dirty}) // the append path
-			if sc.AST != nil {
+			store.set(sc.at, cell{ast: sc.ast, src: sc.src, value: sc.value, dirty: sc.dirty}) // the append path
+			if sc.ast != nil {
 				nformulas++
 			}
-			if sc.Dirty {
-				store.noteDirty(sc.At.Col, sc.At.Row, sc.At.Row, 1, true)
+			if sc.dirty {
+				store.noteDirty(sc.at.Col, sc.at.Row, sc.at.Row, 1, true)
 			}
 		}
 		stage = stage[:0]
 	}
-	err := scanCells(br, true, func(sc SnapshotCell) error {
-		if len(stage) > 0 && stage[0].At.Col != sc.At.Col {
+	err := scanCells(br, func(sc snapshotCell) error {
+		if len(stage) > 0 && stage[0].at.Col != sc.at.Col {
 			install()
 		}
 		stage = append(stage, sc)
@@ -481,56 +407,13 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 	}, nil
 }
 
-// ReadSnapshotGraph decodes only the compressed formula graph of an engine
-// snapshot, skimming the cell section without materialising cells or parsing
-// formulae. A serving layer uses it to answer dependents/precedents queries
-// against a spilled session without faulting it back to residency.
-func ReadSnapshotGraph(r io.Reader) (*core.Graph, error) {
-	br, isBufio := r.(*bufio.Reader)
-	if !isBufio {
-		br = bufio.NewReader(r)
-	}
-	if err := scanCells(br, false, nil); err != nil {
-		return nil, err
-	}
-	return core.ReadSnapshot(br, core.DefaultOptions())
-}
-
-// ScanSnapshotCellsInRange streams only the cell records inside rng, in the
-// written (column-major) order. Records outside the rectangle are skimmed —
-// length-skipped without decoding, allocating, or copying — so a range read
-// against a spilled session costs the full decode only for the cells it
-// returns; everything else is varint headers plus buffered discards.
-// pending reports the snapshot-wide count of formula records stored without
-// a cached value (the cells a restore would re-evaluate), counted across
-// the whole snapshot, skimmed records included, so the serving layer's
-// session-wide pending stays exact — unless fn stops the scan early, which
-// leaves pending covering only the records seen. Formula sources are
-// returned unparsed.
-func ScanSnapshotCellsInRange(r io.Reader, rng ref.Range, fn func(SnapshotCell) bool) (pending int, err error) {
-	br, isBufio := r.(*bufio.Reader)
-	if !isBufio {
-		br = bufio.NewReader(r)
-	}
-	errStop := errors.New("stop")
-	err = scanCellsFiltered(br, false, &rng, &pending, func(sc SnapshotCell) error {
-		if !fn(sc) {
-			return errStop
-		}
-		return nil
-	})
-	if errors.Is(err, errStop) {
-		return pending, nil
-	}
-	return pending, err
-}
-
 // CheckSnapshotIntegrity verifies a whole engine snapshot against its
 // CRC32C trailer before any of it is trusted: nil means the content is
 // exactly what was written. A mismatch returns ErrSnapshotChecksum; an
 // unrecognisable header returns ErrBadEngineSnapshot. The serving layer
 // runs this on every spill file it restores, quarantining failures instead
-// of serving silently corrupt sessions.
+// of serving silently corrupt sessions, and on every snapshot a standby
+// bootstraps from.
 func CheckSnapshotIntegrity(data []byte) error {
 	if len(data) < len(engineSnapshotMagic)+4 || !bytes.Equal(data[:len(engineSnapshotMagic)], engineSnapshotMagic) {
 		return fmt.Errorf("%w: short or unrecognised header", ErrBadEngineSnapshot)
@@ -541,35 +424,6 @@ func CheckSnapshotIntegrity(data []byte) error {
 		return fmt.Errorf("%w: computed %08x, stored %08x", ErrSnapshotChecksum, got, want)
 	}
 	return nil
-}
-
-func skipValue(br *bufio.Reader) error {
-	kb, err := br.ReadByte()
-	if err != nil {
-		return err
-	}
-	switch formula.Kind(kb) {
-	case formula.KindEmpty:
-		return nil
-	case formula.KindNumber:
-		_, err := binary.ReadUvarint(br)
-		return err
-	case formula.KindString, formula.KindError:
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
-		}
-		if n > MaxSnapshotString {
-			return fmt.Errorf("string length %d exceeds limit", n)
-		}
-		_, err = br.Discard(int(n))
-		return err
-	case formula.KindBool:
-		_, err := br.ReadByte()
-		return err
-	default:
-		return fmt.Errorf("unknown value kind %d", kb)
-	}
 }
 
 func readValue(br *bufio.Reader, readString func() (string, error)) (formula.Value, error) {

@@ -170,8 +170,8 @@ func TestRestoreSnapshotRejectsCorruptInput(t *testing.T) {
 	// Well-formed files (magic, count, decodable records, graph, matching
 	// CRC) whose records are not strictly ascending in column-major order.
 	// A repeated ref would count a formula twice and leave a pending count
-	// no drain can bring to zero, wedging Store.Wait; every reader must
-	// refuse all three, skimmed records included.
+	// no drain can bring to zero, wedging Store.Wait; the decoder must
+	// refuse all three.
 	one := formula.Num(1)
 	unordered := map[string][]byte{
 		"duplicate ref":     craftSnapshot(t, snapRec{"A1", 2, "1+1", one}, snapRec{"A1", 1, "1+1", one}),
@@ -183,22 +183,12 @@ func TestRestoreSnapshotRejectsCorruptInput(t *testing.T) {
 			if err := CheckSnapshotIntegrity(data); err != nil {
 				t.Fatalf("crafted file is not well-formed: %v", err)
 			}
-			_, restoreErr := RestoreSnapshot(bytes.NewReader(data))
-			_, graphErr := ReadSnapshotGraph(bytes.NewReader(data))
-			// The whole sheet, so every record is decoded; then a rectangle
-			// holding none of them: the skim path checks too.
-			_, scanErr := ScanSnapshotCellsInRange(bytes.NewReader(data), wholeSheet, func(SnapshotCell) bool { return true })
-			_, rangeErr := ScanSnapshotCellsInRange(bytes.NewReader(data), ref.MustRange("F9:G10"),
-				func(SnapshotCell) bool { return true })
-			for reader, err := range map[string]error{"RestoreSnapshot": restoreErr, "ReadSnapshotGraph": graphErr,
-				"ScanSnapshotCellsInRange, whole sheet": scanErr, "ScanSnapshotCellsInRange, skimming": rangeErr} {
-				if !errors.Is(err, ErrBadEngineSnapshot) {
-					t.Errorf("%s: err = %v, want ErrBadEngineSnapshot", reader, err)
-				}
+			if _, err := RestoreSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrBadEngineSnapshot) {
+				t.Errorf("RestoreSnapshot: err = %v, want ErrBadEngineSnapshot", err)
 			}
 		})
 	}
-	// The same builder with the records in order is a snapshot every reader
+	// craftSnapshot with the records in order makes a snapshot the decoder
 	// takes, so the cases above fail on order alone.
 	ordered := craftSnapshot(t, snapRec{"A1", 2, "1+1", one}, snapRec{"A2", 1, "1+1", one}, snapRec{"B1", 0, "", one})
 	r, err := RestoreSnapshot(bytes.NewReader(ordered))
@@ -225,7 +215,7 @@ type snapRec struct {
 // craftSnapshot assembles a checksummed TACOE2 file holding recs, in the
 // order given, over an empty graph — the bytes a peer or a spill directory
 // could hand the decoder, whatever the writer would have produced.
-func craftSnapshot(t *testing.T, recs ...snapRec) []byte {
+func craftSnapshot(t testing.TB, recs ...snapRec) []byte {
 	t.Helper()
 	b := append([]byte("TACOE2"), byte(len(recs)))
 	for _, rec := range recs {
@@ -244,6 +234,47 @@ func craftSnapshot(t *testing.T, recs ...snapRec) []byte {
 	}
 	b = append(b, g.Bytes()...)
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, snapCRCTable))
+}
+
+// FuzzSnapshotDecode feeds RestoreSnapshot — the one snapshot decoder, which
+// reads spill files and the bytes a standby is shipped — arbitrary input. It
+// must never panic, and an engine it accepts must write back through
+// WriteSnapshot into a checksummed snapshot that restores to as many cells.
+func FuzzSnapshotDecode(f *testing.F) {
+	var ledger bytes.Buffer
+	if err := ledgerEngine(f, 12).WriteSnapshot(&ledger); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ledger.Bytes())
+	one := formula.Num(1)
+	for _, recs := range [][]snapRec{
+		{{"A1", 2, "1+1", one}, {"A1", 1, "1+1", one}},
+		{{"A2", 0, "", one}, {"A1", 0, "", one}},
+		{{"B1", 0, "", one}, {"A5", 1, "1+1", one}},
+		{{"A1", 2, "1+1", one}, {"A2", 1, "1+1", one}, {"B1", 0, "", one}},
+	} {
+		f.Add(craftSnapshot(f, recs...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := RestoreSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := e.WriteSnapshot(&buf); err != nil {
+			t.Fatalf("accepted snapshot does not write back: %v", err)
+		}
+		if err := CheckSnapshotIntegrity(buf.Bytes()); err != nil {
+			t.Fatalf("written-back snapshot: %v", err)
+		}
+		r, err := RestoreSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("written-back snapshot does not restore: %v", err)
+		}
+		if r.NumCells() != e.NumCells() {
+			t.Fatalf("written-back snapshot restores %d cells, want %d", r.NumCells(), e.NumCells())
+		}
+	})
 }
 
 // TestSnapshotFormatGolden pins the TACOE2 bytes: a fixed small engine —
@@ -305,84 +336,6 @@ func countCells(rs []ref.Range) int {
 		n += r.Size()
 	}
 	return n
-}
-
-// wholeSheet is the rectangle no record lies outside: the range scan over it
-// decodes every record, as a full scan.
-var wholeSheet = ref.Range{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: ref.MaxA1Col, Row: ref.MaxA1Row}}
-
-// TestScanSnapshotCellsInRange checks the range-filtered snapshot scan
-// against the full scan: identical in-range records in identical order, an
-// exact snapshot-wide pending count, and nothing delivered from outside the
-// rectangle — on a snapshot that also carries a dirty (kind 2) record both
-// inside and outside the range.
-func TestScanSnapshotCellsInRange(t *testing.T) {
-	e := New(nil)
-	big := strings.Repeat("y", MaxSnapshotString/2+1)
-	for col := 1; col <= 8; col++ {
-		for row := 1; row <= 20; row++ {
-			e.SetValue(ref.Ref{Col: col, Row: row}, formula.Num(float64(col*100+row)))
-		}
-	}
-	e.SetValue(ref.MustCell("A21"), formula.Str(big))
-	// Oversized computed values snapshot as kind 2 (dirty): one inside the
-	// queried range, one outside it.
-	if _, err := e.SetFormula(ref.MustCell("C5"), "A21&A21"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.SetFormula(ref.MustCell("H20"), "A21&A21"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.SetFormula(ref.MustCell("D4"), "SUM(B1:B10)"); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	rng := ref.MustRange("B2:D6")
-	var full []SnapshotCell
-	if _, err := ScanSnapshotCellsInRange(bytes.NewReader(raw), wholeSheet, func(sc SnapshotCell) bool {
-		if rng.Contains(sc.At) {
-			full = append(full, sc)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var filtered []SnapshotCell
-	pending, err := ScanSnapshotCellsInRange(bytes.NewReader(raw), rng, func(sc SnapshotCell) bool {
-		if !rng.Contains(sc.At) {
-			t.Fatalf("out-of-range cell %v delivered", sc.At)
-		}
-		filtered = append(filtered, sc)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pending != 2 {
-		t.Fatalf("pending = %d, want 2 (one in range, one out)", pending)
-	}
-	if len(filtered) != len(full) {
-		t.Fatalf("filtered %d cells, full scan saw %d in range", len(filtered), len(full))
-	}
-	for i := range full {
-		if filtered[i].At != full[i].At || filtered[i].Src != full[i].Src ||
-			filtered[i].Value != full[i].Value || filtered[i].Dirty != full[i].Dirty {
-			t.Fatalf("record %d diverges: %+v vs %+v", i, filtered[i], full[i])
-		}
-	}
-	// Early stop leaves the reader consistent and returns without error.
-	n := 0
-	if _, err := ScanSnapshotCellsInRange(bytes.NewReader(raw), rng, func(SnapshotCell) bool {
-		n++
-		return false
-	}); err != nil || n != 1 {
-		t.Fatalf("early stop: n=%d err=%v", n, err)
-	}
 }
 
 // TestRecycleReusesColumnSlabs pins the spill/restore pooling: a restore

@@ -169,7 +169,7 @@ func (st *Store) recordCreate(s *Session, eng *engine.Engine) {
 		buf := bufPool.Get().(*bytes.Buffer)
 		defer func() { buf.Reset(); bufPool.Put(buf) }()
 		buf.Reset()
-		blob, gen, err := eng.WriteSnapshotCached(buf, nil, 0)
+		err := eng.WriteSnapshot(buf)
 		if err == nil {
 			err = writeFileAtomic(st.spillPath(s.ID), buf.Bytes(), st.syncFiles())
 		}
@@ -177,7 +177,6 @@ func (st *Store) recordCreate(s *Session, eng *engine.Engine) {
 			mDurabilityErrors.Inc()
 			return
 		}
-		s.graphBlob, s.graphBlobGen = blob, gen
 		s.snapHeld = true
 		s.snapRev = 0
 		s.baseBytes = int64(buf.Len())
@@ -208,11 +207,9 @@ func (st *Store) writeFullLocked(s *Session) error {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer func() { buf.Reset(); bufPool.Put(buf) }()
 	buf.Reset()
-	blob, gen, err := s.eng.WriteSnapshotCached(buf, s.graphBlob, s.graphBlobGen)
-	if err != nil {
+	if err := s.eng.WriteSnapshot(buf); err != nil {
 		return err
 	}
-	s.graphBlob, s.graphBlobGen = blob, gen
 	if err := writeFileAtomic(st.spillPath(s.ID), buf.Bytes(), st.syncFiles()); err != nil {
 		return err
 	}
@@ -226,7 +223,7 @@ func (st *Store) writeFullLocked(s *Session) error {
 	if !st.opts.Durable {
 		return nil
 	}
-	err = st.reg.Put(regEntryLocked(s))
+	err := st.reg.Put(regEntryLocked(s))
 	if err == nil {
 		err = st.reg.Sync()
 	}
@@ -333,15 +330,14 @@ func journalRecordBytes(valid int64) int64 {
 // reach s.rev: the scanner's valid-prefix semantics stop silently at the
 // first bad record, so a short replay IS the corruption signal (at boot rev
 // was taken from the same valid prefix, so only a live store can see one) —
-// the journal is quarantined and only this session poisoned. A value-only
-// replay leaves the compressed graph untouched, so the cached graph blob
-// stays valid. Called with s.mu held, eng not yet published.
+// the journal is quarantined and only this session poisoned. Called with
+// s.mu held, eng not yet published.
 func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 	start := time.Now()
 	path := st.journalPath(s.ID)
 	last := s.snapRev
 	replayed := 0
-	gap, structural, bulk := false, false, false
+	gap, structural := false, false
 	_, valid, err := journal.ScanFile(path, journal.JournalMagic, func(rev uint64, payload []byte) error {
 		if rev <= s.snapRev {
 			return nil // the base already contains this batch
@@ -354,9 +350,7 @@ func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 		if err != nil {
 			return fmt.Errorf("record rev %d: %w", rev, err)
 		}
-		if _, _, b := applyBatch(eng, ops); b {
-			bulk = true
-		}
+		applyBatch(eng, ops)
 		gap = gap || rev != last+1
 		structural = structural || !valueOnly(edits)
 		last = rev
@@ -376,11 +370,6 @@ func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 	}
 	s.tailBytes = journalRecordBytes(valid)
 	s.tailStructural, s.tailBroken = structural, gap
-	if structural || bulk {
-		// The engine's graph no longer matches the base's (and the bulk path
-		// rebuilt it around a fresh one): drop the cached graph blob.
-		s.graphBlob = nil
-	}
 	st.replayed.Add(uint64(replayed))
 	mReplayRecords.Add(uint64(replayed))
 	mReplayDuration.Observe(time.Since(start).Seconds())

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -81,10 +82,8 @@ func applyJournaled(t *testing.T, st *Store, id string, batch []EditOp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = st.UpdateJournaled(id, batch, func(sess *Session, eng *engine.Engine) error {
-		if _, _, bulk := applyBatch(eng, ops); bulk {
-			sess.graphBlob = nil
-		}
+	err = st.UpdateJournaled(id, batch, func(_ *Session, eng *engine.Engine) error {
+		applyBatch(eng, ops)
 		return nil
 	})
 	if err != nil {
@@ -377,6 +376,68 @@ func TestQuarantineCorruptSnapshot(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spillRotted creates a session holding A1 = 7 and B1 = A1*2 on tc's server,
+// pushes it out with a second session (the server must cap residency at
+// one), and flips one bit of A1's value payload in its base file in dir, so
+// the file decodes cleanly to A1 = 7.5 and only its CRC trailer tells.
+// Returns the session's id and the path of its base file.
+func spillRotted(t *testing.T, tc *testClient, dir string) (string, string) {
+	t.Helper()
+	var info SessionInfo
+	tc.do("POST", "/sessions", CreateRequest{Name: "rot"}, &info)
+	if code := tc.do("POST", "/sessions/"+info.ID+"/edits?wait=1", EditBatch{Edits: []EditOp{
+		{Cell: "A1", Value: num(7)},
+		{Cell: "B1", Formula: str("A1*2")},
+	}}, nil); code != http.StatusOK {
+		t.Fatalf("edit: status %d", code)
+	}
+	tc.do("POST", "/sessions", CreateRequest{Name: "pusher"}, nil) // evicts rot
+	path := filepath.Join(dir, info.ID+".tacos")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 7.0 is 0x401C000000000000; its uvarint ends in 8e 40, and 8f 40 is
+	// 7.5's ending.
+	seven := []byte{0x8e, 0x40}
+	if n := bytes.Count(data, seven); n != 1 {
+		t.Fatalf("base file holds %d copies of A1's payload ending, want 1", n)
+	}
+	data[bytes.Index(data, seven)] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return info.ID, path
+}
+
+// TestRottedSpillNeverServed: whichever request touches a spilled session
+// first — a plain read, a barrier read or a query — a spill file whose CRC
+// does not match answers 500 and is quarantined as *.corrupt, and every
+// later request answers 500 too. Nothing decodes a spill file unchecked.
+func TestRottedSpillNeverServed(t *testing.T) {
+	paths := []string{"/cells?at=A1", "/cells?at=A1&wait=1", "/dependents?of=A1"}
+	for i, name := range []string{"plain read", "barrier read", "query"} {
+		first := paths[i]
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, tc := newTestServer(t, Options{Store: StoreOptions{Shards: 1, MaxResident: 1, SpillDir: dir}})
+			id, path := spillRotted(t, tc, dir)
+			for _, p := range append([]string{first}, paths...) {
+				var body map[string]any
+				if code := tc.do("GET", "/sessions/"+id+p, nil, &body); code != http.StatusInternalServerError {
+					t.Fatalf("GET %s: status %d, body %v; want 500", p, code, body)
+				}
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Fatalf("rotted file not quarantined: %v", err)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("rotted file still at its path (err=%v)", err)
+			}
+		})
 	}
 }
 

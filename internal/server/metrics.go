@@ -39,7 +39,7 @@ var (
 	mSpillErrors = telemetry.NewCounter("taco_store_spill_errors_total",
 		"Failed snapshot writes; the victim is kept resident and marked unevictable.")
 	mSpillReads = telemetry.NewCounter("taco_store_spill_reads_total",
-		"Reads served directly from spill files or pinned graphs without restoring.")
+		"Spilled base snapshots streamed to a standby by the replication snapshot endpoint.")
 	mLookupHits = telemetry.NewCounter("taco_store_lookup_hits_total",
 		"Session lookups that found the session.")
 	mLookupMisses = telemetry.NewCounter("taco_store_lookup_misses_total",

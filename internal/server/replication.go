@@ -293,10 +293,7 @@ func (st *Store) ApplyReplicated(id string, rev uint64, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("shipped record rev %d: %w", rev, err)
 		}
-		_, _, bulk := applyBatch(eng, ops)
-		if bulk {
-			s.graphBlob = nil
-		}
+		applyBatch(eng, ops)
 		if rev != s.rev+1 || !st.opts.Durable {
 			s.tailBroken = true // revisions the local journal will not hold
 		}
@@ -509,6 +506,11 @@ func (rp *Replicator) bootstrap(ps *replSession) error {
 	rev, err := strconv.ParseUint(hdr.Get("X-Snapshot-Rev"), 10, 64)
 	if err != nil {
 		return fmt.Errorf("replication: snapshot of %s: bad X-Snapshot-Rev: %w", ps.ID, err)
+	}
+	// The primary streams a spilled base as it lies on its disk, unverified:
+	// check the trailer before trusting a byte of it.
+	if err := engine.CheckSnapshotIntegrity(body); err != nil {
+		return fmt.Errorf("replication: snapshot of %s: %w", ps.ID, err)
 	}
 	eng, err := engine.RestoreSnapshot(bytes.NewReader(body))
 	if err != nil {

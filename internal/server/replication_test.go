@@ -1,11 +1,14 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
+
+	"taco/internal/engine"
 )
 
 // newPair boots a durable primary and a warm standby following it over
@@ -201,5 +204,39 @@ func TestStandbyRebasesPastCheckpoint(t *testing.T) {
 	}
 	if len(cr.Cells) != 1 || cr.Cells[0].Num != 3 {
 		t.Fatalf("re-based standby serves wrong state: %+v", cr.Cells)
+	}
+}
+
+// TestStandbyRefusesRottedBase: the primary ships a spilled session's base
+// file as it lies on disk, so the standby checks its CRC trailer before
+// restoring it. A rotted base fails the bootstrap with ErrSnapshotChecksum
+// and leaves no replica behind; the primary's own restore refuses the same
+// file.
+func TestStandbyRefusesRottedBase(t *testing.T) {
+	dir := t.TempDir()
+	_, priTC := newTestServer(t, Options{Store: StoreOptions{
+		Shards: 1, SpillDir: dir, Durable: true, FsyncPolicy: "never", MaxResident: 1,
+	}})
+	id, _ := spillRotted(t, priTC, dir)
+
+	store, err := NewStore(StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	rp := NewReplicator(store, StandbyOptions{PrimaryURL: priTC.base})
+	if err := rp.cycle(); !errors.Is(err, engine.ErrSnapshotChecksum) {
+		t.Fatalf("shipping pass: err = %v, want ErrSnapshotChecksum", err)
+	}
+	if _, err := store.Peek(id); !errors.Is(err, ErrSessionNotFound) {
+		t.Fatalf("standby holds a replica of the rotted session (err=%v)", err)
+	}
+	replicas := 0
+	store.Each(func(*Session) bool { replicas++; return true })
+	if replicas != 1 {
+		t.Fatalf("standby holds %d replicas, want the sound session alone", replicas)
+	}
+	if code := priTC.do("GET", "/sessions/"+id+"/cells?at=A1", nil, nil); code != http.StatusInternalServerError {
+		t.Fatalf("primary read of the rotted session: status %d, want 500", code)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -11,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"slices"
 	"strconv"
 
 	"taco/internal/core"
@@ -509,12 +507,6 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 	var res EditResult
 	err = s.store.UpdateJournaled(id, batch.Edits, func(sess *Session, eng *engine.Engine) error {
 		applied, dirty, bulk := applyBatch(eng, ops)
-		if bulk {
-			// The bulk path rebuilt the engine around a fresh graph; the
-			// cached graph-section blob (keyed by the old instance's
-			// generation counter) no longer describes it.
-			sess.graphBlob = nil
-		}
 		res = EditResult{
 			Rev: sess.rev + 1, Applied: applied, DirtyCells: dirty,
 			Pending: eng.Pending(), Bulk: bulk,
@@ -699,15 +691,19 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 	// ?wait=1 drains pending recalculation first — the read-your-writes
 	// barrier. Plain reads serve last-computed values immediately.
-	wait := q.Get("wait") == "1"
-	if wait {
+	if q.Get("wait") == "1" {
 		if err := s.store.Wait(id); err != nil {
 			writeErr(w, errStatus(err), err)
 			return
 		}
 	}
+	// View, not Update: reads are side-effect-free, so a resident session
+	// answers under the read lock and never blocks behind (or triggers)
+	// recalculation. A spilled session is restored first — through the
+	// integrity-checked path, so a rotted spill file is quarantined, never
+	// served.
 	res := CellsResult{Cells: []CellOut{}}
-	liveRead := func(sess *Session, eng *engine.Engine) error {
+	err := s.store.View(id, func(sess *Session, eng *engine.Engine) error {
 		res.Rev = sess.rev
 		res.Pending = eng.Pending()
 		// Columnar scan: contiguous per-column slabs instead of a Peek map
@@ -720,68 +716,12 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 			return true
 		})
 		return nil
-	}
-	// View, not Update: reads are side-effect-free, so they run under the
-	// session read lock and never block behind (or trigger) recalculation.
-	// A spilled session is served straight from its spill file — which is
-	// authoritative while the session is non-resident — without faulting it
-	// back in and evicting someone else.
-	handled := wait
-	var err error
-	if wait {
-		err = s.store.View(id, liveRead)
-	} else {
-		handled, err = s.store.TryView(id, liveRead)
-	}
-	if err == nil && !handled {
-		handled, err = s.readSpilledCells(id, rng, &res)
-	}
-	if err == nil && !handled {
-		err = s.store.View(id, liveRead) // lost the race: fault it in
-	}
+	})
 	if err != nil {
 		writeErr(w, errStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// readSpilledCells serves a range read from the session's spill file. The
-// scan streams the snapshot's cell records — no engine, graph, or parse
-// work — decoding only the records inside the requested rectangle; the
-// rest are length-skipped off the snapshot's column-major layout. Pending
-// still reports the (rare) cells the snapshot round-trips dirty, counted
-// snapshot-wide by the skimming scan.
-func (s *Server) readSpilledCells(id string, rng ref.Range, res *CellsResult) (bool, error) {
-	type hit struct {
-		at  ref.Ref
-		out CellOut
-	}
-	var hits []hit
-	handled, err := s.store.ReadSpilled(id, func(br *bufio.Reader, rev uint64) error {
-		res.Rev = rev
-		pending, err := engine.ScanSnapshotCellsInRange(br, rng, func(sc engine.SnapshotCell) bool {
-			hits = append(hits, hit{sc.At, cellOut(sc.At, sc.Value, sc.Src, sc.Dirty)})
-			return true
-		})
-		res.Pending = pending
-		return err
-	})
-	if err != nil || !handled {
-		res.Rev, res.Pending = 0, 0
-		return false, err
-	}
-	// Snapshots are column-major; the API serves row-major like live reads.
-	slices.SortFunc(hits, func(a, b hit) int {
-		if a.at.Row != b.at.Row {
-			return a.at.Row - b.at.Row
-		}
-		return a.at.Col - b.at.Col
-	})
-	for _, h := range hits {
-		res.Cells = append(res.Cells, h.out)
-	}
-	return true, nil
 }
 
 func cellOut(at ref.Ref, v formula.Value, src string, pending bool) CellOut {
@@ -827,46 +767,17 @@ func (s *Server) handleQuery(dependents bool) http.HandlerFunc {
 				res.Ranges[i] = rr.String()
 			}
 		}
-		liveQuery := func(sess *Session, eng *engine.Engine) error {
+		// A spilled session is restored first; the restore reuses its pinned
+		// graph, so the query still traverses the compressed graph and
+		// decompresses nothing.
+		err = s.store.View(id, func(sess *Session, eng *engine.Engine) error {
 			if dependents {
 				build(eng.Dependents(rng))
 			} else {
 				build(eng.Precedents(rng))
 			}
 			return nil
-		}
-		// Resident sessions answer under the read lock; spilled sessions
-		// answer from the pinned in-memory graph when available, else from a
-		// graph-only decode of the spill file (the cell section is skimmed,
-		// not materialised) — either way without faulting residency.
-		handled, err := s.store.TryView(id, liveQuery)
-		if err == nil && !handled {
-			handled, err = s.store.ViewPinnedGraph(id, func(g *core.Graph, rev uint64) error {
-				if dependents {
-					build(g.FindDependents(rng))
-				} else {
-					build(g.FindPrecedents(rng))
-				}
-				return nil
-			})
-		}
-		if err == nil && !handled {
-			handled, err = s.store.ReadSpilled(id, func(br *bufio.Reader, rev uint64) error {
-				g, gerr := engine.ReadSnapshotGraph(br)
-				if gerr != nil {
-					return gerr
-				}
-				if dependents {
-					build(g.FindDependents(rng))
-				} else {
-					build(g.FindPrecedents(rng))
-				}
-				return nil
-			})
-		}
-		if err == nil && !handled {
-			err = s.store.View(id, liveQuery) // lost the race: fault it in
-		}
+		})
 		if err != nil {
 			writeErr(w, errStatus(err), err)
 			return

@@ -150,16 +150,11 @@ type Session struct {
 	tailStructural bool
 	tailBroken     bool
 	// graph pins the session's compressed formula graph across a spill (nil
-	// while resident or with graph pinning disabled). The compressed graph
-	// is the compact part of a session, so keeping it lets dependents
-	// queries run in memory against spilled sessions and lets restores skip
-	// the graph decode. Guarded by mu; valid only while eng == nil.
+	// while resident, and for a session recovered at boot, which has not yet
+	// been restored). The compressed graph is the compact part of a
+	// session, so keeping it lets restores skip the graph decode. Guarded by
+	// mu; valid only while eng == nil.
 	graph *core.Graph
-	// graphBlob caches the encoded graph section at graphBlobGen, so spills
-	// after value-only edits skip re-encoding the unchanged edge set.
-	// Guarded by mu.
-	graphBlob    []byte
-	graphBlobGen uint64
 	// queued marks a worker turn — in the recalc queue or mid-chunk on a
 	// worker — guarded by the store's recalc mutex, not the session lock.
 	queued bool
@@ -291,7 +286,7 @@ type Store struct {
 	restores    atomic.Uint64
 	recalcs     atomic.Uint64 // background drains completed
 	snapSkips   atomic.Uint64 // evictions that skipped an unchanged snapshot write
-	spillReads  atomic.Uint64 // reads served from spill files without restoring
+	spillReads  atomic.Uint64 // spilled bases streamed to a standby without restoring
 	recovered   atomic.Uint64 // sessions re-registered from the registry at boot
 	replayed    atomic.Uint64 // journal records replayed at restores
 	quarantined atomic.Uint64 // spill files quarantined as corrupt
@@ -552,7 +547,9 @@ func (st *Store) Create(name string, eng *engine.Engine) *Session {
 // View runs fn with the session's engine under the session read lock.
 // Engine reads are side-effect-free (Value/Peek never evaluate), so graph
 // queries, value reads, and metadata are all safe here and run concurrently;
-// use Update for mutations.
+// use Update for mutations. A spilled session is restored first, its spill
+// file checked against its CRC: View is the only way a read reaches a
+// session's cells or graph.
 func (st *Store) View(id string, fn func(*Session, *engine.Engine) error) error {
 	s, err := st.lookup(id)
 	if err != nil {
@@ -590,95 +587,6 @@ func (st *Store) Update(id string, bumpRev bool, fn func(*Session, *engine.Engin
 		}
 		return nil
 	})
-}
-
-// TryView runs fn under the session read lock only if the session is
-// resident, reporting whether it ran. A false return with nil error means
-// the session is spilled — the caller can serve the read from the spill
-// file via ReadSpilled without faulting the session back in.
-func (st *Store) TryView(id string, fn func(*Session, *engine.Engine) error) (bool, error) {
-	s, err := st.lookup(id)
-	if err != nil {
-		return false, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.deleted {
-		return false, ErrSessionDeleted
-	}
-	if s.eng == nil {
-		return false, nil
-	}
-	return true, fn(s, s.eng)
-}
-
-// ViewPinnedGraph runs fn against the compressed formula graph a spilled
-// session left pinned in memory, under the session read lock. Returns
-// handled=false when the session is resident (use the live engine) or no
-// graph is pinned (decode the spill file instead). The traversal runs
-// entirely in memory — no disk, no cell materialisation.
-func (st *Store) ViewPinnedGraph(id string, fn func(g *core.Graph, rev uint64) error) (handled bool, err error) {
-	s, err := st.lookup(id)
-	if err != nil {
-		return false, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.deleted {
-		return false, ErrSessionDeleted
-	}
-	if s.eng != nil || s.graph == nil {
-		return false, nil
-	}
-	st.spillReads.Add(1)
-	mSpillReads.Inc()
-	return true, fn(s.graph, s.rev)
-}
-
-// ReadSpilled decodes the session's spill file with fn, holding the session
-// read lock for the duration. While a session is spilled its file is
-// authoritative — the spill path drains pending recalculation and writes
-// before dropping residency — and holding the read lock over the
-// (sub-millisecond) decode excludes the restore → edit → re-spill sequence
-// that could otherwise rewrite the file mid-read. Returns handled=false
-// when the session is resident (serve the live engine instead), when the
-// file is missing, or when fn fails to decode — callers then fall back to
-// the faulting path, which surfaces genuine errors.
-func (st *Store) ReadSpilled(id string, fn func(br *bufio.Reader, rev uint64) error) (handled bool, err error) {
-	s, err := st.lookup(id)
-	if err != nil {
-		return false, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.deleted {
-		return false, ErrSessionDeleted
-	}
-	if s.eng != nil {
-		return false, nil
-	}
-	if s.rev != s.snapRev || s.corrupt {
-		// A journal tail above the base (the base alone is not the current
-		// state), or quarantined: fall back to the faulting path.
-		return false, nil
-	}
-	f, err := os.Open(st.baseFilePathLocked(s))
-	if err != nil {
-		return false, nil
-	}
-	defer f.Close()
-	br := brPool.Get().(*bufio.Reader)
-	br.Reset(f)
-	defer func() {
-		br.Reset(nil)
-		brPool.Put(br)
-	}()
-	if fn(br, s.rev) != nil {
-		return false, nil
-	}
-	st.spillReads.Add(1)
-	mSpillReads.Inc()
-	return true, nil
 }
 
 // Peek finds a session without touching its LRU position or miss/hit
@@ -784,7 +692,6 @@ func (st *Store) Delete(id string) error {
 	s.deleted = true
 	s.eng = nil
 	s.graph = nil
-	s.graphBlob = nil
 	if s.degraded {
 		s.degraded = false
 		s.pendingRecs = nil
@@ -938,8 +845,8 @@ const maxTailRecords = 32
 
 // tailReplayableLocked reports whether base + journal already reproduce the
 // session, so eviction may drop residency without writing. Everything above
-// the base must be in the journal and value-only (the pinned graph and the
-// cached graph blob stay exact), the session healthy, and the tail under its
+// the base must be in the journal and value-only (the pinned graph stays
+// exact), the session healthy, and the tail under its
 // caps; capped reports a refusal on the caps alone. The byte cap — once the
 // tail outweighs half the base, replaying it approaches the cost of restoring
 // the sheet itself — is skipped while the base size is unknown. Decided from
@@ -1042,8 +949,8 @@ type StoreStats struct {
 	// SnapSkips counts evictions that dropped residency without rewriting an
 	// unchanged snapshot.
 	SnapSkips uint64 `json:"snap_skips"`
-	// SpillReads counts reads served directly from spill files without
-	// faulting the session back to residency.
+	// SpillReads counts spilled base snapshots the replication snapshot
+	// endpoint streamed to a standby without restoring the session.
 	SpillReads uint64 `json:"spill_reads"`
 	// RecalcQueue is the number of sessions currently queued for a drain
 	// worker — the recalculation backlog's breadth.
