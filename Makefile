@@ -80,8 +80,9 @@ bench-core:
 # and sweep work — then one 20k-row column per sweep shape (BenchmarkSweepShape,
 # ns/cell each), which says which shape a sweep change moved — and the two
 # write paths that reshape a slab, the ledger installed row by row and a
-# column's gaps filled mid-slab. CI smoke-runs them once; drop -benchtime for
-# real measurements.
+# column's gaps filled mid-slab — and the loaded ledger's bytes per cell
+# (BenchmarkLedgerHeap: the slab records and the live heap). CI smoke-runs
+# them once; drop -benchtime for real measurements.
 bench-engine:
 	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape|RowByRowInstall|MidColumnInsert' -benchtime=1x
 

@@ -1028,7 +1028,7 @@ func compareCell(at ref.Ref, got server.CellOut, want formula.Value) error {
 	case formula.KindBool:
 		ok = got.Kind == "bool" && got.Bool == want.Bool
 	case formula.KindError:
-		ok = got.Kind == "error" && got.Error == want.Err
+		ok = got.Kind == "error" && got.Error == want.Err.String()
 	}
 	if !ok {
 		return fmt.Errorf("cell %s diverged: server {kind=%s num=%v str=%q bool=%v err=%q}, replay %v",

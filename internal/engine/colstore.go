@@ -198,7 +198,7 @@ func (s *colStore) get(at ref.Ref) *cell {
 // when the column is unpopulated — which is how a loader that knows a column's
 // height sizes its slab once, with no growth copies and no growth slack. A
 // pooled column keeps its capacity when that fits, at least n and at most an
-// eighth over; otherwise its slab is allocated exactly: a record is 112 bytes,
+// eighth over; otherwise its slab is allocated exactly: a record is 80 bytes,
 // and whatever capacity the pool happened to hand out would put a 2 000-row
 // slab under a three-cell column for as long as the session is resident.
 func (s *colStore) column(ci, n int) *column {
@@ -543,7 +543,7 @@ type foldAcc struct {
 	sumOnly  bool
 }
 
-// add reads the record's value in place: 56 bytes, of which a number needs 8.
+// add reads the record's value in place: 32 bytes, of which a number needs 8.
 func (a *foldAcc) add(at ref.Ref, c *cell) {
 	v := &c.value
 	if c.dirty && a.dirtyVal != nil {

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"taco/internal/formula"
 	"taco/internal/nocomp"
@@ -318,6 +319,17 @@ type coarseGraph struct {
 }
 
 func (g coarseGraph) Dependents(ref.Range) []ref.Range { return []ref.Range{g.all} }
+
+// TestRecordLayout pins the slab record's size: a sweep or a mark steps
+// through records one at a time, so every byte of one is paid per cell.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(formula.Value{}); got != 32 {
+		t.Errorf("formula.Value is %d bytes, want 32: Kind, Bool and Err share its first word", got)
+	}
+	if got := unsafe.Sizeof(cell{}); got != 80 {
+		t.Errorf("cell is %d bytes, want 80: see the layout comment on cell in engine.go, its flags share the word after prog", got)
+	}
+}
 
 // TestMarkCoarseRange: a dependents range that is a whole column of values
 // with a few formulae in it marks exactly the formulae, under one dirty span

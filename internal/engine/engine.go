@@ -71,26 +71,28 @@ func (n NoComp) Dependents(r ref.Range) []ref.Range { return n.G.FindDependents(
 // Precedents implements Graph.
 func (n NoComp) Precedents(r ref.Range) []ref.Range { return n.G.FindPrecedents(r) }
 
-// cell is the engine's cell record, 112 bytes stored by value on its column's
+// cell is the engine's cell record, 80 bytes stored by value on its column's
 // slab (colstore.go): a *cell is an address inside the slab, good until that
-// column's next insert or delete.
+// column's next insert or delete. The three flags share the last word, after
+// prog; a field added anywhere else costs every record a word
+// (TestRecordLayout).
 type cell struct {
 	ast   formula.Node // nil for pure values
 	src   string
 	value formula.Value
+	// prog is the cell's compiled bytecode program, interned through the
+	// formula-level compile cache so shifted copies of one formula pattern
+	// share a single *Program (pointer equality is how the scheduler detects
+	// pattern runs — see runs.go). Lazily compiled on first wavefront drain;
+	// progTried avoids recompiling formulas the compiler declines.
+	prog  *formula.Program
 	dirty bool
 	// evaluating marks a cell the walk has started and not finished, reading
 	// which is #CYCLE!: exact or speculative (see evalResolver). A flag on the
 	// record, not a side map, so the hot resolver path reads it off the record
 	// it already holds.
 	evaluating uint8
-	// prog is the cell's compiled bytecode program, interned through the
-	// formula-level compile cache so shifted copies of one formula pattern
-	// share a single *Program (pointer equality is how the scheduler detects
-	// pattern runs — see runs.go). Lazily compiled on first wavefront drain;
-	// progTried avoids recompiling formulas the compiler declines.
-	prog      *formula.Program
-	progTried bool
+	progTried  bool
 }
 
 // Engine is a single-sheet spreadsheet host.
@@ -424,7 +426,7 @@ func (r evalResolver) await(_ ref.Ref, c *cell) formula.Value {
 		if c != e.walk[e.top-1] { // a read of itself is #CYCLE! on any path
 			e.cycled = max(e.cycled, c.evaluating)
 		}
-		return formula.Errorf("#CYCLE!")
+		return formula.Error(formula.ErrCycle)
 	}
 	if t := e.tent[c]; t != nil && t.on.evaluating != 0 {
 		if exact {
@@ -471,7 +473,7 @@ func (e *Engine) commit(t *tentative) {
 func (e *Engine) settle(c *cell, v formula.Value) {
 	c.value, c.dirty = v, false
 	e.store.cleaned(1)
-	if v.Err == "#CYCLE!" {
+	if v.Err == formula.ErrCycle {
 		mCycleCells.Inc()
 	}
 }

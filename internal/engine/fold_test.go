@@ -127,7 +127,7 @@ func TestCondFoldsMatchPerCell(t *testing.T) {
 		case 4:
 			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Boolean(r%2 == 0))
 		case 5:
-			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Errorf("#N/A"))
+			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Error(formula.ErrNA))
 		default:
 			e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
 		}

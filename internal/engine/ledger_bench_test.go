@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"taco/internal/formula"
 	"taco/internal/ref"
@@ -148,7 +150,7 @@ func BenchmarkRowByRowInstall(b *testing.B) {
 
 // BenchmarkMidColumnInsert times filling the gaps of a 20 000-row column that
 // holds every other row, top to bottom: each write inserts mid-slab and moves
-// every record below it, 112 bytes apiece — the worst case for a slab of
+// every record below it, 80 bytes apiece — the worst case for a slab of
 // records against one of pointers to them. ns/insert is over the 10 000 gaps.
 func BenchmarkMidColumnInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -166,6 +168,35 @@ func BenchmarkMidColumnInsert(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ledgerBenchRows/2), "ns/insert")
+}
+
+// BenchmarkLedgerHeap measures what a loaded, settled 20 000-row ledger
+// holds, per cell: slab-B/cell is the column slabs' records (capacity times
+// the record's size), heap-B/cell the live heap the engine adds, read as
+// HeapAlloc after two GCs against the same reading before the load.
+func BenchmarkLedgerHeap(b *testing.B) {
+	var ms runtime.MemStats
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var slab, live float64
+	for i := 0; i < b.N; i++ {
+		before := heap()
+		e := ledgerEngine(b, ledgerBenchRows)
+		e.RecalculateAll()
+		live = (float64(heap()) - float64(before)) / float64(e.NumCells())
+		slab = 0
+		for _, col := range e.store.cols {
+			slab += float64(uintptr(cap(col.cells)) * unsafe.Sizeof(cell{}))
+		}
+		slab /= float64(e.NumCells())
+		runtime.KeepAlive(e)
+	}
+	b.ReportMetric(slab, "slab-B/cell")
+	b.ReportMetric(live, "heap-B/cell")
 }
 
 // BenchmarkRunningTotalEdit times the edit of A1 under a filled-down running

@@ -380,7 +380,7 @@ func TestRunDrainEquivalenceErrors(t *testing.T) {
 	drainEquivalence(t, func(e *Engine) {
 		for r := 1; r <= 200; r++ {
 			if r%17 == 0 {
-				e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Errorf("#N/A"))
+				e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Error(formula.ErrNA))
 			} else if r%13 != 0 { // every 13th row of A left unpopulated
 				e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r-100)))
 			}
@@ -406,7 +406,7 @@ func TestRunDrainEquivalenceNumericSweep(t *testing.T) {
 			case r%17 == 0:
 				e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Boolean(r%2 == 0))
 			case r%19 == 0:
-				e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Errorf("#N/A"))
+				e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Error(formula.ErrNA))
 			case r%23 != 0: // every 23rd row of A left blank → coerces to 0
 				e.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)-120.5))
 			}

@@ -233,7 +233,7 @@ func TestWavefrontCycleValues(t *testing.T) {
 	}
 	e.RecalculateAll()
 	for _, at := range []string{"D1", "D2", "E1", "H1"} {
-		if v := e.Value(ref.MustCell(at)); v.Err != "#CYCLE!" {
+		if v := e.Value(ref.MustCell(at)); v.Err != formula.ErrCycle {
 			t.Errorf("%s = %v, want #CYCLE!", at, v)
 		}
 	}

@@ -215,7 +215,7 @@ func writeValue(bw snapWriter, putUvarint func(uint64) error, putString func(str
 		}
 		return bw.WriteByte(b)
 	case formula.KindError:
-		return putString(v.Err)
+		return putString(v.Err.String())
 	default:
 		return fmt.Errorf("engine: cannot snapshot value kind %d", v.Kind)
 	}
@@ -457,7 +457,11 @@ func readValue(br *bufio.Reader, readString func() (string, error)) (formula.Val
 		if err != nil {
 			return formula.Value{}, err
 		}
-		return formula.Errorf(s), nil
+		c, ok := formula.ParseErrCode(s)
+		if !ok {
+			return formula.Value{}, fmt.Errorf("unknown error value %q", s)
+		}
+		return formula.Error(c), nil
 	default:
 		return formula.Value{}, fmt.Errorf("unknown value kind %d", kb)
 	}

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -228,12 +229,53 @@ func craftSnapshot(t testing.TB, recs ...snapRec) []byte {
 			b = binary.AppendUvarint(append(b, byte(formula.KindNumber)), math.Float64bits(rec.val.Num))
 		}
 	}
+	return sealSnapshot(t, b)
+}
+
+// sealSnapshot ends the cell records in b with an empty graph and the
+// checksum trailer.
+func sealSnapshot(t testing.TB, b []byte) []byte {
+	t.Helper()
 	var g bytes.Buffer
 	if err := core.NewGraph(core.DefaultOptions()).WriteSnapshot(&g); err != nil {
 		t.Fatal(err)
 	}
 	b = append(b, g.Bytes()...)
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, snapCRCTable))
+}
+
+// errorTextSnapshot is a checksummed TACOE2 file of one value cell, A1, whose
+// kind-4 value reads text.
+func errorTextSnapshot(t testing.TB, text string) []byte {
+	t.Helper()
+	b := append([]byte("TACOE2"), 1, 1, 1, 0, byte(formula.KindError), byte(len(text)))
+	return sealSnapshot(t, append(b, text...))
+}
+
+// TestSnapshotUnknownErrorText: an error value is stored as its text, and a
+// text that names no formula.ErrCode fails the restore with
+// ErrBadEngineSnapshot — what the store quarantines a spill file on — not a
+// panic. FuzzSnapshotDecode's corpus holds the same file as a seed.
+func TestSnapshotUnknownErrorText(t *testing.T) {
+	good := errorTextSnapshot(t, "#DIV/0!")
+	e, err := RestoreSnapshot(bytes.NewReader(good))
+	if err != nil {
+		t.Fatalf("#DIV/0! snapshot: %v", err)
+	}
+	if v := e.Value(ref.MustCell("A1")); v != formula.Error(formula.ErrDiv0) {
+		t.Fatalf("A1 = %v, want #DIV/0!", v)
+	}
+	bogus := errorTextSnapshot(t, "#BOGUS!")
+	if err := CheckSnapshotIntegrity(bogus); err != nil {
+		t.Fatalf("crafted file is not well-formed: %v", err)
+	}
+	if _, err := RestoreSnapshot(bytes.NewReader(bogus)); !errors.Is(err, ErrBadEngineSnapshot) {
+		t.Fatalf("RestoreSnapshot: err = %v, want ErrBadEngineSnapshot", err)
+	}
+	seed, err := os.ReadFile("testdata/fuzz/FuzzSnapshotDecode/bogus_error_text")
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bogus); err != nil || string(seed) != want {
+		t.Fatalf("FuzzSnapshotDecode seed (err %v) is not:\n%s", err, want)
+	}
 }
 
 // FuzzSnapshotDecode feeds RestoreSnapshot — the one snapshot decoder, which

@@ -232,9 +232,9 @@ func saltValue(r int) (v formula.Value, set bool) {
 	case 2:
 		return formula.Boolean(true), true
 	case 5:
-		return formula.Errorf("#N/A"), true
+		return formula.Error(formula.ErrNA), true
 	case 6:
-		return formula.Errorf("#DIV/0!"), true
+		return formula.Error(formula.ErrDiv0), true
 	case 8:
 		return formula.Empty(), true
 	case 9:

@@ -49,7 +49,7 @@ func (r recursiveResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
 // reads as #CYCLE!.
 func (r recursiveResolver) dirtyVal(_ ref.Ref, c *cell) formula.Value {
 	if c.evaluating != 0 {
-		return formula.Errorf("#CYCLE!")
+		return formula.Error(formula.ErrCycle)
 	}
 	r.evaluate(c)
 	return c.value
@@ -156,7 +156,7 @@ func TestLookDownCycleDrainsInBudget(t *testing.T) {
 			t.Fatalf("%d cells counted as #CYCLE!, want %d", got, rows)
 		}
 		for _, r := range []int{1, rows} {
-			if v := e.Value(ref.Ref{Col: 1, Row: r}); v.Err != "#CYCLE!" {
+			if v := e.Value(ref.Ref{Col: 1, Row: r}); v.Err != formula.ErrCycle {
 				t.Fatalf("A%d = %v, want #CYCLE!", r, v)
 			}
 		}

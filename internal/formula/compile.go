@@ -549,7 +549,7 @@ func (p *Program) NumericSweepRows(lanes []float64, stride, n int, bad []bool) [
 // in scalar position is #VALUE!, exactly like Eval on a bare *RangeRef.
 func scalarize(a arg) Value {
 	if a.isRange {
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	}
 	return a.scalar
 }
@@ -630,7 +630,7 @@ func dispatchCall(ci callInfo, args []arg, res Resolver) Value {
 	switch ci.name {
 	case "IF":
 		if len(args) < 2 || len(args) > 3 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		cond := scalarize(args[0])
 		if cond.IsError() {
@@ -645,7 +645,7 @@ func dispatchCall(ci callInfo, args []arg, res Resolver) Value {
 		return Boolean(false)
 	case "IFERROR":
 		if len(args) != 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		v := scalarize(args[0])
 		if v.IsError() {
@@ -753,8 +753,7 @@ func (p *Program) appendKey(b []byte) []byte {
 				b = append(b, 0)
 			}
 		case KindError:
-			b = binary.AppendUvarint(b, uint64(len(v.Err)))
-			b = append(b, v.Err...)
+			b = append(b, byte(v.Err))
 		}
 	}
 	flags := func(fs ...bool) (out byte) {

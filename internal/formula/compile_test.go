@@ -315,7 +315,7 @@ func gridFold(res *colResolver, rng ref.Range) NumericFold {
 // (ok=false) rather than emit ±Inf.
 func TestNumericSweepMatchesVM(t *testing.T) {
 	grid := bytecodeGrid()
-	grid[ref.Ref{Col: 4, Row: 14}] = Errorf("#N/A") // second to D6's #DIV/0!
+	grid[ref.Ref{Col: 4, Row: 14}] = Error(ErrNA) // second to D6's #DIV/0!
 	anchor := ref.Ref{Col: 8, Row: 4}
 	for _, tc := range []struct {
 		src   string
@@ -452,11 +452,11 @@ func TestCriterionMatchesOracle(t *testing.T) {
 	crits := []Value{
 		Num(5), Str("5"), Str(">3"), Str("<3"), Str(">=5"), Str("<=5"),
 		Str("<>5"), Str("=5"), Str("=txt"), Str("txt"), Str("<>txt"),
-		Str(">abc"), Str(""), Boolean(true), Errorf("#N/A"), Empty(),
+		Str(">abc"), Str(""), Boolean(true), Error(ErrNA), Empty(),
 	}
 	vals := []Value{
 		Num(3), Num(5), Num(7), Str("5"), Str("txt"), Str(""),
-		Boolean(true), Boolean(false), Errorf("#N/A"), Empty(),
+		Boolean(true), Boolean(false), Error(ErrNA), Empty(),
 	}
 	for _, c := range crits {
 		pc := ParseCriterion(c)

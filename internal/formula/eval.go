@@ -25,14 +25,49 @@ const (
 	KindError
 )
 
+// ErrCode is the code of an error value: the zero code is none, the others
+// are the closed set of errors the evaluator produces. String gives a code's
+// spreadsheet text, which is all a snapshot or a client sees of it, and
+// ParseErrCode reads the text back.
+type ErrCode uint8
+
+// The error codes, in errText's order.
+const (
+	ErrNull  ErrCode = iota + 1 // #NULL!
+	ErrDiv0                     // #DIV/0!
+	ErrValue                    // #VALUE!
+	ErrRef                      // #REF!
+	ErrName                     // #NAME?
+	ErrNum                      // #NUM!
+	ErrNA                       // #N/A
+	ErrCycle                    // #CYCLE!, a reference cycle
+)
+
+var errText = [...]string{"", "#NULL!", "#DIV/0!", "#VALUE!", "#REF!", "#NAME?", "#NUM!", "#N/A", "#CYCLE!"}
+
+// String returns the code's spreadsheet text, "" for the zero code.
+func (c ErrCode) String() string { return errText[c] }
+
+// ParseErrCode returns the code whose text is s; ok is false when s names
+// none.
+func ParseErrCode(s string) (c ErrCode, ok bool) {
+	for c = ErrNull; int(c) < len(errText); c++ {
+		if errText[c] == s {
+			return c, true
+		}
+	}
+	return 0, false
+}
+
 // Value is a spreadsheet value: the pure value of a data cell or the
-// evaluated value of a formula cell.
+// evaluated value of a formula cell. Kind, Bool and Err share one word, so a
+// Value is 32 bytes.
 type Value struct {
 	Kind Kind
+	Bool bool
+	Err  ErrCode
 	Num  float64
 	Str  string
-	Bool bool
-	Err  string
 }
 
 // Num returns a numeric value.
@@ -47,8 +82,18 @@ func Boolean(b bool) Value { return Value{Kind: KindBool, Bool: b} }
 // Empty returns the blank value.
 func Empty() Value { return Value{Kind: KindEmpty} }
 
-// Errorf returns an error value with a spreadsheet-style code.
-func Errorf(code string) Value { return Value{Kind: KindError, Err: code} }
+// Error returns the error value with the given code.
+func Error(c ErrCode) Value { return Value{Kind: KindError, Err: c} }
+
+// Errorf returns the error value whose text is code, the way a client reads
+// one back; a text that names no ErrCode reads as #VALUE!.
+func Errorf(code string) Value {
+	c, ok := ParseErrCode(code)
+	if !ok {
+		c = ErrValue
+	}
+	return Error(c)
+}
 
 // IsError reports whether the value is an evaluation error.
 func (v Value) IsError() bool { return v.Kind == KindError }
@@ -68,7 +113,7 @@ func (v Value) String() string {
 		}
 		return "FALSE"
 	default:
-		return v.Err
+		return v.Err.String()
 	}
 }
 
@@ -221,7 +266,7 @@ func foldAggregate(name string, args []arg, res Resolver) (Value, bool) {
 			return Num(f.Sum), true
 		}
 		if f.Count == 0 {
-			return Errorf("#DIV/0!"), true
+			return Error(ErrDiv0), true
 		}
 		return Num(f.Sum / float64(f.Count)), true
 	case "COUNT", "COUNTA":
@@ -259,7 +304,7 @@ func foldAggregate(name string, args []arg, res Resolver) (Value, bool) {
 			if !a.isRange {
 				v, ok := a.scalar.AsNumber()
 				if !ok {
-					return Errorf("#VALUE!"), true
+					return Error(ErrValue), true
 				}
 				n++
 				if wantMin && v < best || !wantMin && v > best {
@@ -308,7 +353,7 @@ func Eval(n Node, res Resolver) Value {
 	case *RangeRef:
 		// A bare range in scalar context is an error (no implicit
 		// intersection); functions receive ranges via evalArg.
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	case *Unary:
 		return evalUnary(t, res)
 	case *Binary:
@@ -316,7 +361,7 @@ func Eval(n Node, res Resolver) Value {
 	case *Call:
 		return evalCall(t, res)
 	}
-	return Errorf("#VALUE!")
+	return Error(ErrValue)
 }
 
 func evalUnary(t *Unary, res Resolver) Value {
@@ -332,7 +377,7 @@ func applyUnary(op string, x Value) Value {
 	}
 	f, ok := x.AsNumber()
 	if !ok {
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	}
 	switch op {
 	case "-":
@@ -342,7 +387,7 @@ func applyUnary(op string, x Value) Value {
 	case "%":
 		return Num(f / 100)
 	}
-	return Errorf("#VALUE!")
+	return Error(ErrValue)
 }
 
 func evalBinary(t *Binary, res Resolver) Value {
@@ -375,7 +420,7 @@ func applyBinary(op string, l, r Value) Value {
 	lf, ok1 := l.AsNumber()
 	rf, ok2 := r.AsNumber()
 	if !ok1 || !ok2 {
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	}
 	switch op {
 	case "+":
@@ -386,13 +431,13 @@ func applyBinary(op string, l, r Value) Value {
 		return Num(lf * rf)
 	case "/":
 		if rf == 0 {
-			return Errorf("#DIV/0!")
+			return Error(ErrDiv0)
 		}
 		return Num(lf / rf)
 	case "^":
 		return Num(math.Pow(lf, rf))
 	}
-	return Errorf("#VALUE!")
+	return Error(ErrValue)
 }
 
 func compare(op string, l, r Value) Value {
@@ -491,7 +536,7 @@ func evalCall(t *Call, res Resolver) Value {
 	switch t.Name {
 	case "IF":
 		if len(t.Args) < 2 || len(t.Args) > 3 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		cond := Eval(t.Args[0], res)
 		if cond.IsError() {
@@ -506,7 +551,7 @@ func evalCall(t *Call, res Resolver) Value {
 		return Boolean(false)
 	case "IFERROR":
 		if len(t.Args) != 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		v := Eval(t.Args[0], res)
 		if v.IsError() {
@@ -558,7 +603,7 @@ func callShared(name string, args []arg, res Resolver) Value {
 			return *err
 		}
 		if n == 0 {
-			return Errorf("#DIV/0!")
+			return Error(ErrDiv0)
 		}
 		return Num(sum / float64(n))
 	case "MIN":
@@ -618,27 +663,27 @@ func callShared(name string, args []arg, res Resolver) Value {
 		return Boolean(out)
 	case "NOT":
 		if len(args) != 1 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		f, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		return Boolean(f == 0)
 	case "ABS", "SQRT", "INT", "EXP", "LN":
 		if len(args) != 1 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		f, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		switch name {
 		case "ABS":
 			return Num(math.Abs(f))
 		case "SQRT":
 			if f < 0 {
-				return Errorf("#NUM!")
+				return Error(ErrNum)
 			}
 			return Num(math.Sqrt(f))
 		case "INT":
@@ -647,38 +692,38 @@ func callShared(name string, args []arg, res Resolver) Value {
 			return Num(math.Exp(f))
 		default:
 			if f <= 0 {
-				return Errorf("#NUM!")
+				return Error(ErrNum)
 			}
 			return Num(math.Log(f))
 		}
 	case "ROUND":
 		if len(args) < 1 || len(args) > 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		f, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		digits := 0.0
 		if len(args) == 2 {
 			digits, ok = args[1].scalar.AsNumber()
 			if !ok {
-				return Errorf("#VALUE!")
+				return Error(ErrValue)
 			}
 		}
 		scale := math.Pow(10, digits)
 		return Num(math.Round(f*scale) / scale)
 	case "MOD":
 		if len(args) != 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		a, ok1 := args[0].scalar.AsNumber()
 		b, ok2 := args[1].scalar.AsNumber()
 		if !ok1 || !ok2 {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		if b == 0 {
-			return Errorf("#DIV/0!")
+			return Error(ErrDiv0)
 		}
 		m := math.Mod(a, b)
 		if m != 0 && (m < 0) != (b < 0) {
@@ -687,12 +732,12 @@ func callShared(name string, args []arg, res Resolver) Value {
 		return Num(m)
 	case "POWER":
 		if len(args) != 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		a, ok1 := args[0].scalar.AsNumber()
 		b, ok2 := args[1].scalar.AsNumber()
 		if !ok1 || !ok2 {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		return Num(math.Pow(a, b))
 	case "CONCATENATE", "CONCAT":
@@ -706,12 +751,12 @@ func callShared(name string, args []arg, res Resolver) Value {
 		return Str(sb.String())
 	case "LEN":
 		if len(args) != 1 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		return Num(float64(len(args[0].scalar.String())))
 	case "UPPER", "LOWER", "TRIM":
 		if len(args) != 1 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		s := args[0].scalar.String()
 		switch name {
@@ -724,7 +769,7 @@ func callShared(name string, args []arg, res Resolver) Value {
 		}
 	case "LEFT", "RIGHT":
 		if len(args) < 1 || len(args) > 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		s := args[0].scalar.String()
 		n := 1.0
@@ -732,7 +777,7 @@ func callShared(name string, args []arg, res Resolver) Value {
 			var ok bool
 			n, ok = args[1].scalar.AsNumber()
 			if !ok || n < 0 {
-				return Errorf("#VALUE!")
+				return Error(ErrValue)
 			}
 		}
 		k := int(n)
@@ -808,7 +853,7 @@ func forNumbers(args []arg, res Resolver, fn func(float64)) *Value {
 		}
 		f, ok := a.scalar.AsNumber()
 		if !ok {
-			e := Errorf("#VALUE!")
+			e := Error(ErrValue)
 			return &e
 		}
 		fn(f)
@@ -841,20 +886,20 @@ func extremum(args []arg, res Resolver, wantMin bool) Value {
 // mode the paper's FF range-lookup workloads use.
 func evalVlookup(args []arg, res Resolver) Value {
 	if len(args) < 3 {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	needle := args[0].scalar
 	if !args[1].isRange {
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	}
 	table := args[1].rng
 	colF, ok := args[2].scalar.AsNumber()
 	if !ok {
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	}
 	col := int(colF)
 	if col < 1 || col > table.Cols() {
-		return Errorf("#REF!")
+		return Error(ErrRef)
 	}
 	// Bulk path: the key column is a single contiguous slab scan. Sound
 	// only when a blank key cell cannot match the needle (a numeric needle
@@ -876,7 +921,7 @@ func evalVlookup(args []arg, res Resolver) Value {
 			if out != nil {
 				return *out
 			}
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 	}
 	for row := table.Head.Row; row <= table.Tail.Row; row++ {
@@ -885,18 +930,18 @@ func evalVlookup(args []arg, res Resolver) Value {
 			return res.CellValue(ref.Ref{Col: table.Head.Col + col - 1, Row: row})
 		}
 	}
-	return Errorf("#N/A")
+	return Error(ErrNA)
 }
 
 func evalSumif(args []arg, res Resolver) Value {
 	if len(args) < 2 || !args[0].isRange {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	crit := ParseCriterion(args[1].scalar)
 	sumRange := args[0].rng
 	if len(args) >= 3 {
 		if !args[2].isRange {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		sumRange = args[2].rng
 	}
@@ -951,7 +996,7 @@ func evalSumif(args []arg, res Resolver) Value {
 
 func evalCountif(args []arg, res Resolver) Value {
 	if len(args) != 2 || !args[0].isRange {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	crit := ParseCriterion(args[1].scalar)
 	n := 0

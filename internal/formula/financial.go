@@ -15,14 +15,14 @@ func evalFinancial(name string, args []arg, res Resolver) (Value, bool) {
 	switch name {
 	case "NPV":
 		if len(args) < 2 {
-			return Errorf("#N/A"), true
+			return Error(ErrNA), true
 		}
 		rate, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!"), true
+			return Error(ErrValue), true
 		}
 		if rate <= -1 {
-			return Errorf("#NUM!"), true
+			return Error(ErrNum), true
 		}
 		total := 0.0
 		period := 1
@@ -55,7 +55,7 @@ func evalFinancial(name string, args []arg, res Resolver) (Value, bool) {
 		rate, nper, pv := vals[0], vals[1], vals[2]
 		fv, due := optArg(vals, 3), optArg(vals, 4) != 0
 		if nper == 0 {
-			return Errorf("#NUM!"), true
+			return Error(ErrNum), true
 		}
 		if rate == 0 {
 			return Num(-(pv + fv) / nper), true
@@ -103,7 +103,7 @@ func evalFinancial(name string, args []arg, res Resolver) (Value, bool) {
 	case "IRR":
 		// IRR(values[, guess]) — Newton iteration on the NPV polynomial.
 		if len(args) < 1 || !args[0].isRange {
-			return Errorf("#N/A"), true
+			return Error(ErrNA), true
 		}
 		var flows []float64
 		var errVal Value
@@ -130,7 +130,7 @@ func evalFinancial(name string, args []arg, res Resolver) (Value, bool) {
 		}
 		rate, ok := irr(flows, guess)
 		if !ok {
-			return Errorf("#NUM!"), true
+			return Error(ErrNum), true
 		}
 		return Num(rate), true
 	default:
@@ -141,18 +141,18 @@ func evalFinancial(name string, args []arg, res Resolver) (Value, bool) {
 // numericArgs coerces between min and max scalar arguments to numbers.
 func numericArgs(args []arg, min, max int) ([]float64, *Value) {
 	if len(args) < min || len(args) > max {
-		e := Errorf("#N/A")
+		e := Error(ErrNA)
 		return nil, &e
 	}
 	out := make([]float64, len(args))
 	for i, a := range args {
 		if a.isRange {
-			e := Errorf("#VALUE!")
+			e := Error(ErrValue)
 			return nil, &e
 		}
 		f, ok := a.scalar.AsNumber()
 		if !ok {
-			e := Errorf("#VALUE!")
+			e := Error(ErrValue)
 			return nil, &e
 		}
 		out[i] = f

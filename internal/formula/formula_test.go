@@ -234,7 +234,7 @@ func TestEvalAggregates(t *testing.T) {
 		"=COUNTA(A1:B3)":       Num(5),
 		"=PRODUCT(A1:A3)":      Num(6),
 		"=SUM(A1:A3)*2":        Num(12),
-		"=AVERAGE(B1)":         Errorf("#VALUE!"), // scalar text arg
+		"=AVERAGE(B1)":         Error(ErrValue), // scalar text arg
 		"=SUMIF(A1:A3,\">1\")": Num(5),
 		"=COUNTIF(A1:A3,2)":    Num(1),
 	}
@@ -302,11 +302,11 @@ func TestEvalVlookup(t *testing.T) {
 		t.Fatalf("VLOOKUP = %v", got)
 	}
 	got = Eval(MustParse("=VLOOKUP(\"nope\",D1:E3,2)"), g)
-	if !got.IsError() || got.Err != "#N/A" {
+	if !got.IsError() || got.Err != ErrNA {
 		t.Fatalf("missing key = %v", got)
 	}
 	got = Eval(MustParse("=VLOOKUP(A1,D1:E3,5)"), g)
-	if !got.IsError() || got.Err != "#REF!" {
+	if !got.IsError() || got.Err != ErrRef {
 		t.Fatalf("bad col = %v", got)
 	}
 }
@@ -323,8 +323,31 @@ func TestEvalErrors(t *testing.T) {
 	}
 	for src, wantErr := range cases {
 		got := Eval(MustParse(src), g)
-		if !got.IsError() || got.Err != wantErr {
+		if !got.IsError() || got.Err.String() != wantErr {
 			t.Errorf("%s = %v, want error %s", src, got, wantErr)
+		}
+	}
+}
+
+// TestErrCodeText: every ErrCode renders as its spreadsheet text and parses
+// back from it; that text is all a snapshot or a client ever sees of a code.
+func TestErrCodeText(t *testing.T) {
+	want := []string{"", "#NULL!", "#DIV/0!", "#VALUE!", "#REF!", "#NAME?", "#NUM!", "#N/A", "#CYCLE!"}
+	codes := []ErrCode{ErrNull, ErrDiv0, ErrValue, ErrRef, ErrName, ErrNum, ErrNA, ErrCycle}
+	for _, c := range codes {
+		if c.String() != want[c] {
+			t.Errorf("ErrCode %d = %q, want %q", c, c.String(), want[c])
+		}
+		if got, ok := ParseErrCode(c.String()); !ok || got != c {
+			t.Errorf("ParseErrCode(%q) = %d, %v; want %d", c.String(), got, ok, c)
+		}
+		if v := Errorf(c.String()); v != Error(c) || v.String() != want[c] {
+			t.Errorf("Errorf(%q) = %#v, want Error(%d)", c.String(), v, c)
+		}
+	}
+	for _, text := range []string{"", "#BOGUS!", "#div/0!", "#N/A "} {
+		if c, ok := ParseErrCode(text); ok {
+			t.Errorf("ParseErrCode(%q) = %d, want no code", text, c)
 		}
 	}
 }
@@ -352,7 +375,7 @@ func TestValueString(t *testing.T) {
 	if Boolean(true).String() != "TRUE" || Empty().String() != "" {
 		t.Error("bool/empty formatting")
 	}
-	if Errorf("#REF!").String() != "#REF!" {
+	if Error(ErrRef).String() != "#REF!" {
 		t.Error("error formatting")
 	}
 }
@@ -424,7 +447,7 @@ func TestNestingBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %d deep: %v", name, MaxNesting, err)
 		}
-		if v := Eval(n, grid(nil)); v.Err != "" {
+		if v := Eval(n, grid(nil)); v.Err != 0 {
 			t.Fatalf("%s: %d deep = %v", name, MaxNesting, v)
 		}
 		text := Text(n)

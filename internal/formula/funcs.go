@@ -18,28 +18,28 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		return evalFloorCeiling(name, args)
 	case "TRUNC":
 		if len(args) < 1 || len(args) > 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		f, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		digits := 0.0
 		if len(args) == 2 {
 			digits, ok = args[1].scalar.AsNumber()
 			if !ok {
-				return Errorf("#VALUE!")
+				return Error(ErrValue)
 			}
 		}
 		scale := math.Pow(10, digits)
 		return Num(math.Trunc(f*scale) / scale)
 	case "SIGN":
 		if len(args) != 1 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		f, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		switch {
 		case f > 0:
@@ -51,38 +51,38 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		}
 	case "LOG":
 		if len(args) < 1 || len(args) > 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		f, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		base := 10.0
 		if len(args) == 2 {
 			base, ok = args[1].scalar.AsNumber()
 			if !ok {
-				return Errorf("#VALUE!")
+				return Error(ErrValue)
 			}
 		}
 		if f <= 0 || base <= 0 || base == 1 {
-			return Errorf("#NUM!")
+			return Error(ErrNum)
 		}
 		return Num(math.Log(f) / math.Log(base))
 	case "LOG10":
 		if len(args) != 1 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		f, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		if f <= 0 {
-			return Errorf("#NUM!")
+			return Error(ErrNum)
 		}
 		return Num(math.Log10(f))
 	case "PI":
 		if len(args) != 0 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		return Num(math.Pi)
 	case "SUMSQ":
@@ -97,7 +97,7 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 			return errv
 		}
 		if len(xs.vals) == 0 {
-			return Errorf("#NUM!")
+			return Error(ErrNum)
 		}
 		sort.Float64s(xs.vals)
 		n := len(xs.vals)
@@ -112,7 +112,7 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		}
 		n := float64(len(xs.vals))
 		if n < 2 {
-			return Errorf("#DIV/0!")
+			return Error(ErrDiv0)
 		}
 		mean := 0.0
 		for _, v := range xs.vals {
@@ -130,7 +130,7 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		return Num(math.Sqrt(variance))
 	case "LARGE", "SMALL":
 		if len(args) != 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		xs := collectNumbers(args[:1], res)
 		if errv, ok := xs.err(); ok {
@@ -139,7 +139,7 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		kf, ok := args[1].scalar.AsNumber()
 		k := int(kf)
 		if !ok || k < 1 || k > len(xs.vals) {
-			return Errorf("#NUM!")
+			return Error(ErrNum)
 		}
 		sort.Float64s(xs.vals)
 		if name == "SMALL" {
@@ -148,11 +148,11 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		return Num(xs.vals[len(xs.vals)-k])
 	case "RANK":
 		if len(args) < 2 || len(args) > 3 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		needle, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		xs := collectNumbers(args[1:2], res)
 		if errv, ok := xs.err(); ok {
@@ -162,7 +162,7 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		if len(args) == 3 {
 			o, ok := args[2].scalar.AsNumber()
 			if !ok {
-				return Errorf("#VALUE!")
+				return Error(ErrValue)
 			}
 			ascending = o != 0
 		}
@@ -177,12 +177,12 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 			}
 		}
 		if !seenNeedle {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		return Num(float64(rank))
 	case "COUNTBLANK":
 		if len(args) != 1 || !args[0].isRange {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		// Count non-blanks on the sparse scan and subtract: unpopulated
 		// cells and stored empty values are both blank, so the difference
@@ -205,28 +205,28 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		return evalMatch(args, res)
 	case "CHOOSE":
 		if len(args) < 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		kf, ok := args[0].scalar.AsNumber()
 		k := int(kf)
 		if !ok || k < 1 || k > len(args)-1 {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		if args[k].isRange {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		return args[k].scalar
 
 	// --- Text ----------------------------------------------------------
 	case "MID":
 		if len(args) != 3 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		s := args[0].scalar.String()
 		startF, ok1 := args[1].scalar.AsNumber()
 		countF, ok2 := args[2].scalar.AsNumber()
 		if !ok1 || !ok2 || startF < 1 || countF < 0 {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		start, count := int(startF)-1, int(countF)
 		if start >= len(s) {
@@ -239,7 +239,7 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		return Str(s[start:end])
 	case "FIND":
 		if len(args) < 2 || len(args) > 3 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		needle := args[0].scalar.String()
 		hay := args[1].scalar.String()
@@ -247,50 +247,50 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		if len(args) == 3 {
 			f, ok := args[2].scalar.AsNumber()
 			if !ok || f < 1 {
-				return Errorf("#VALUE!")
+				return Error(ErrValue)
 			}
 			from = int(f)
 		}
 		if from > len(hay)+1 {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		idx := strings.Index(hay[from-1:], needle)
 		if idx < 0 {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		return Num(float64(from + idx))
 	case "SUBSTITUTE":
 		if len(args) != 3 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		return Str(strings.ReplaceAll(args[0].scalar.String(),
 			args[1].scalar.String(), args[2].scalar.String()))
 	case "REPT":
 		if len(args) != 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		nf, ok := args[1].scalar.AsNumber()
 		if !ok || nf < 0 || nf > 32767 {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		return Str(strings.Repeat(args[0].scalar.String(), int(nf)))
 	case "EXACT":
 		if len(args) != 2 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		return Boolean(args[0].scalar.String() == args[1].scalar.String())
 	case "PROPER":
 		if len(args) != 1 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		return Str(properCase(args[0].scalar.String()))
 	case "VALUE":
 		if len(args) != 1 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		f, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		return Num(f)
 
@@ -324,41 +324,41 @@ func evalCallExt(name string, args []arg, res Resolver) Value {
 		return Boolean(len(args) == 1 && !args[0].isRange && args[0].scalar.Kind == KindBool)
 	case "ISEVEN", "ISODD":
 		if len(args) != 1 {
-			return Errorf("#N/A")
+			return Error(ErrNA)
 		}
 		f, ok := args[0].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		even := int64(math.Trunc(f))%2 == 0
 		return Boolean(even == (name == "ISEVEN"))
 	case "NA":
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	default:
 		if v, handled := evalFinancial(name, args, res); handled {
 			return v
 		}
-		return Errorf("#NAME?")
+		return Error(ErrName)
 	}
 }
 
 func evalFloorCeiling(name string, args []arg) Value {
 	if len(args) < 1 || len(args) > 2 {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	f, ok := args[0].scalar.AsNumber()
 	if !ok {
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	}
 	step := 1.0
 	if len(args) == 2 {
 		step, ok = args[1].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 	}
 	if step == 0 {
-		return Errorf("#DIV/0!")
+		return Error(ErrDiv0)
 	}
 	q := f / step
 	if name == "FLOOR" {
@@ -390,15 +390,15 @@ func collectNumbers(args []arg, res Resolver) numbers {
 // sums the products.
 func evalSumProduct(args []arg, res Resolver) Value {
 	if len(args) == 0 {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	for _, a := range args {
 		if !a.isRange {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		if a.rng.Size() != args[0].rng.Size() ||
 			a.rng.Cols() != args[0].rng.Cols() {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 	}
 	first := args[0].rng
@@ -480,20 +480,20 @@ func SumProductFactor(v Value) float64 {
 // row, result from the given row index. Exact-match mode.
 func evalHlookup(args []arg, res Resolver) Value {
 	if len(args) < 3 {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	needle := args[0].scalar
 	if !args[1].isRange {
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	}
 	table := args[1].rng
 	rowF, ok := args[2].scalar.AsNumber()
 	if !ok {
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	}
 	row := int(rowF)
 	if row < 1 || row > table.Rows() {
-		return Errorf("#REF!")
+		return Error(ErrRef)
 	}
 	for col := table.Head.Col; col <= table.Tail.Col; col++ {
 		v := res.CellValue(ref.Ref{Col: col, Row: table.Head.Row})
@@ -501,25 +501,25 @@ func evalHlookup(args []arg, res Resolver) Value {
 			return res.CellValue(ref.Ref{Col: col, Row: table.Head.Row + row - 1})
 		}
 	}
-	return Errorf("#N/A")
+	return Error(ErrNA)
 }
 
 // evalIndex returns the cell at (rowIdx, colIdx) within a range. A
 // single-row or single-column range accepts one index.
 func evalIndex(args []arg, res Resolver) Value {
 	if len(args) < 2 || len(args) > 3 || !args[0].isRange {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	rng := args[0].rng
 	idx1, ok := args[1].scalar.AsNumber()
 	if !ok {
-		return Errorf("#VALUE!")
+		return Error(ErrValue)
 	}
 	rowIdx, colIdx := int(idx1), 1
 	if len(args) == 3 {
 		idx2, ok := args[2].scalar.AsNumber()
 		if !ok {
-			return Errorf("#VALUE!")
+			return Error(ErrValue)
 		}
 		colIdx = int(idx2)
 	} else if rng.Rows() == 1 {
@@ -527,7 +527,7 @@ func evalIndex(args []arg, res Resolver) Value {
 		rowIdx, colIdx = 1, int(idx1)
 	}
 	if rowIdx < 1 || rowIdx > rng.Rows() || colIdx < 1 || colIdx > rng.Cols() {
-		return Errorf("#REF!")
+		return Error(ErrRef)
 	}
 	return res.CellValue(ref.Ref{
 		Col: rng.Head.Col + colIdx - 1,
@@ -539,18 +539,18 @@ func evalIndex(args []arg, res Resolver) Value {
 // single-column range. Exact-match mode (type 0) only.
 func evalMatch(args []arg, res Resolver) Value {
 	if len(args) < 2 || len(args) > 3 || !args[1].isRange {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	if len(args) == 3 {
 		mt, ok := args[2].scalar.AsNumber()
 		if !ok || mt != 0 {
-			return Errorf("#N/A") // only exact match supported
+			return Error(ErrNA) // only exact match supported
 		}
 	}
 	needle := args[0].scalar
 	rng := args[1].rng
 	if rng.Rows() != 1 && rng.Cols() != 1 {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	pos := 1
 	var found *int
@@ -564,7 +564,7 @@ func evalMatch(args []arg, res Resolver) Value {
 		return true
 	})
 	if found == nil {
-		return Errorf("#N/A")
+		return Error(ErrNA)
 	}
 	return Num(float64(*found))
 }

@@ -50,7 +50,7 @@ func TestMathExtensions(t *testing.T) {
 		"=LOG(8,1)":   "#NUM!",
 		"=LOG10(0)":   "#NUM!",
 	} {
-		if got := evalOn(t, g, src); !got.IsError() || got.Err != wantErr {
+		if got := evalOn(t, g, src); !got.IsError() || got.Err.String() != wantErr {
 			t.Errorf("%s = %v, want %s", src, got, wantErr)
 		}
 	}
@@ -86,7 +86,7 @@ func TestStatistics(t *testing.T) {
 		"=STDEV(5)":        "#DIV/0!",
 		"=MEDIAN(B9:B10)":  "#NUM!", // no numbers in range
 	} {
-		if got := evalOn(t, g, src); !got.IsError() || got.Err != wantErr {
+		if got := evalOn(t, g, src); !got.IsError() || got.Err.String() != wantErr {
 			t.Errorf("%s = %v, want %s", src, got, wantErr)
 		}
 	}
@@ -127,10 +127,10 @@ func TestLookupExtensions(t *testing.T) {
 	if got := evalOn(t, g, `=HLOOKUP("bob",D1:F2,2)`); got.Num != 20 {
 		t.Errorf("HLOOKUP = %v", got)
 	}
-	if got := evalOn(t, g, `=HLOOKUP("zed",D1:F2,2)`); got.Err != "#N/A" {
+	if got := evalOn(t, g, `=HLOOKUP("zed",D1:F2,2)`); got.Err != ErrNA {
 		t.Errorf("HLOOKUP missing = %v", got)
 	}
-	if got := evalOn(t, g, `=HLOOKUP("ann",D1:F2,9)`); got.Err != "#REF!" {
+	if got := evalOn(t, g, `=HLOOKUP("ann",D1:F2,9)`); got.Err != ErrRef {
 		t.Errorf("HLOOKUP bad row = %v", got)
 	}
 	if got := evalOn(t, g, `=INDEX(D1:F2,2,3)`); got.Num != 30 {
@@ -139,16 +139,16 @@ func TestLookupExtensions(t *testing.T) {
 	if got := evalOn(t, g, `=INDEX(D2:F2,3)`); got.Num != 30 {
 		t.Errorf("INDEX row vector = %v", got)
 	}
-	if got := evalOn(t, g, `=INDEX(D1:F2,5,1)`); got.Err != "#REF!" {
+	if got := evalOn(t, g, `=INDEX(D1:F2,5,1)`); got.Err != ErrRef {
 		t.Errorf("INDEX out of range = %v", got)
 	}
 	if got := evalOn(t, g, `=MATCH("cat",D1:F1,0)`); got.Num != 3 {
 		t.Errorf("MATCH = %v", got)
 	}
-	if got := evalOn(t, g, `=MATCH("zed",D1:F1,0)`); got.Err != "#N/A" {
+	if got := evalOn(t, g, `=MATCH("zed",D1:F1,0)`); got.Err != ErrNA {
 		t.Errorf("MATCH missing = %v", got)
 	}
-	if got := evalOn(t, g, `=MATCH("ann",D1:F2,0)`); got.Err != "#N/A" {
+	if got := evalOn(t, g, `=MATCH("ann",D1:F2,0)`); got.Err != ErrNA {
 		t.Errorf("MATCH 2D range = %v", got)
 	}
 	if got := evalOn(t, g, `=INDEX(D1:F1,MATCH("bob",D1:F1,0))`); got.Str != "bob" {
@@ -210,10 +210,10 @@ func TestLogicAndInfoExtensions(t *testing.T) {
 			t.Errorf("%s = %#v, want %#v", src, got, want)
 		}
 	}
-	if got := evalOn(t, g, "=NA()"); got.Err != "#N/A" {
+	if got := evalOn(t, g, "=NA()"); got.Err != ErrNA {
 		t.Errorf("NA() = %v", got)
 	}
-	if got := evalOn(t, g, "=TOTALLYUNKNOWN(1)"); got.Err != "#NAME?" {
+	if got := evalOn(t, g, "=TOTALLYUNKNOWN(1)"); got.Err != ErrName {
 		t.Errorf("unknown fn = %v", got)
 	}
 }

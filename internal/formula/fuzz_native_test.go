@@ -76,7 +76,7 @@ func FuzzEval(f *testing.F) {
 			grid[ref.Ref{Col: 1, Row: row}] = Boolean(row%2 == 0)
 			grid[ref.Ref{Col: 2, Row: row}] = Num(-float64(row))
 		default:
-			grid[ref.Ref{Col: 3, Row: row}] = Errorf("#DIV/0!")
+			grid[ref.Ref{Col: 3, Row: row}] = Error(ErrDiv0)
 		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -123,7 +123,7 @@ func FuzzBytecodeEval(f *testing.F) {
 			grid[ref.Ref{Col: 1, Row: row}] = Boolean(row%2 == 0)
 			grid[ref.Ref{Col: 2, Row: row}] = Num(-float64(row))
 		default:
-			grid[ref.Ref{Col: 3, Row: row}] = Errorf("#DIV/0!")
+			grid[ref.Ref{Col: 3, Row: row}] = Error(ErrDiv0)
 		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {

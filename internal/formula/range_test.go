@@ -70,7 +70,7 @@ func rangeTestGrid() map[ref.Ref]Value {
 	cells[ref.Ref{Col: 2, Row: 25}] = Str("5")
 	cells[ref.Ref{Col: 2, Row: 28}] = Boolean(true)
 	// Column C empty; column D sparse with an error.
-	cells[ref.Ref{Col: 4, Row: 6}] = Errorf("#DIV/0!")
+	cells[ref.Ref{Col: 4, Row: 6}] = Error(ErrDiv0)
 	cells[ref.Ref{Col: 4, Row: 12}] = Num(7)
 	return cells
 }
@@ -178,14 +178,14 @@ func TestSumProductNonFiniteFallsBack(t *testing.T) {
 // paths must surface the same (row-major first) error.
 func TestSumifEarlyErrorOrder(t *testing.T) {
 	grid := map[ref.Ref]Value{
-		{Col: 1, Row: 3}: Errorf("#DIV/0!"),
-		{Col: 1, Row: 9}: Errorf("#VALUE!"),
+		{Col: 1, Row: 3}: Error(ErrDiv0),
+		{Col: 1, Row: 9}: Error(ErrValue),
 		{Col: 2, Row: 5}: Num(1),
 	}
 	ast := MustParse("=SUM(A1:B10)")
 	bulk := Eval(ast, &colResolver{cells: grid})
 	percell := Eval(ast, &colResolver{cells: grid, decline: true})
-	if bulk != percell || bulk.Err != "#DIV/0!" {
+	if bulk != percell || bulk.Err != ErrDiv0 {
 		t.Fatalf("bulk=%v percell=%v, want #DIV/0! from both", bulk, percell)
 	}
 }

@@ -441,6 +441,59 @@ func TestRottedSpillNeverServed(t *testing.T) {
 	}
 }
 
+// TestErrorValuesSurviveEviction: an error value is a one-byte code in
+// memory and its spreadsheet text on disk and on the wire, so a durable
+// session's #DIV/0!, #N/A (a VLOOKUP miss), #VALUE! and #CYCLE! cells read
+// the same "error" text before an eviction and after the restore.
+func TestErrorValuesSurviveEviction(t *testing.T) {
+	dir := t.TempDir()
+	srv, tc := newTestServer(t, Options{Store: StoreOptions{
+		Durable: true, Shards: 1, MaxResident: 1, SpillDir: dir, FsyncPolicy: "never"}})
+	var info SessionInfo
+	tc.do("POST", "/sessions", CreateRequest{Name: "errors"}, &info)
+	if code := tc.do("POST", "/sessions/"+info.ID+"/edits?wait=1", EditBatch{Edits: []EditOp{
+		{Cell: "A1", Value: num(1)},
+		{Cell: "A2", Text: str("x")},
+		{Cell: "B1", Formula: str("A1/0")},
+		{Cell: "B2", Formula: str("VLOOKUP(99,A1:A2,1,FALSE)")},
+		{Cell: "B3", Formula: str("A2*2")},
+		{Cell: "B4", Formula: str("B4+1")},
+	}}, nil); code != http.StatusOK {
+		t.Fatalf("edit: status %d", code)
+	}
+	want := []string{"#DIV/0!", "#N/A", "#VALUE!", "#CYCLE!"}
+	check := func(when string) {
+		t.Helper()
+		var got CellsResult
+		if code := tc.do("GET", "/sessions/"+info.ID+"/cells?range=B1:B4&wait=1", nil, &got); code != http.StatusOK {
+			t.Fatalf("%s: read: status %d", when, code)
+		}
+		if len(got.Cells) != len(want) {
+			t.Fatalf("%s: %d cells, want %d", when, len(got.Cells), len(want))
+		}
+		for i, c := range got.Cells {
+			if c.Kind != "error" || c.Error != want[i] {
+				t.Errorf("%s: %s = %+v, want error %s", when, c.Cell, c, want[i])
+			}
+		}
+	}
+	check("before eviction")
+	tc.do("POST", "/sessions", CreateRequest{Name: "pusher"}, nil) // evicts errors
+	base, err := os.ReadFile(filepath.Join(dir, info.ID+".tacos"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range want {
+		if !bytes.Contains(base, []byte(text)) {
+			t.Errorf("base file does not hold %s", text)
+		}
+	}
+	check("after restore")
+	if st := srv.Store().Stats(); st.Evictions == 0 || st.Restores == 0 {
+		t.Fatalf("%d evictions, %d restores; want the session spilled and restored", st.Evictions, st.Restores)
+	}
+}
+
 // TestEditOpsCodec round-trips every op shape and rejects malformed bytes.
 func TestEditOpsCodec(t *testing.T) {
 	in := []EditOp{

@@ -733,7 +733,7 @@ func cellOut(at ref.Ref, v formula.Value, src string, pending bool) CellOut {
 		if math.IsInf(v.Num, 0) || math.IsNaN(v.Num) {
 			// JSON has no non-finite numbers. Presentation only: the
 			// stored value keeps its bits.
-			c.Kind, c.Error = "error", "#NUM!"
+			c.Kind, c.Error = "error", formula.ErrNum.String()
 		} else {
 			c.Kind, c.Num = "number", v.Num
 		}
@@ -742,7 +742,7 @@ func cellOut(at ref.Ref, v formula.Value, src string, pending bool) CellOut {
 	case formula.KindBool:
 		c.Kind, c.Bool = "bool", v.Bool
 	case formula.KindError:
-		c.Kind, c.Error = "error", v.Err
+		c.Kind, c.Error = "error", v.Err.String()
 	}
 	return c
 }
