@@ -80,9 +80,11 @@ bench-core:
 # and sweep work — then one 20k-row column per sweep shape (BenchmarkSweepShape,
 # ns/cell each), which says which shape a sweep change moved — and the two
 # write paths that reshape a slab, the ledger installed row by row and a
-# column's gaps filled mid-slab — and the loaded ledger's bytes per cell
-# (BenchmarkLedgerHeap: the slab records and the live heap). CI smoke-runs
-# them once; drop -benchtime for real measurements.
+# column's gaps filled mid-slab — the loaded ledger's bytes per cell
+# (BenchmarkLedgerHeap: the slab records and the live heap), and the loads of
+# the ledger and of the running total (BenchmarkLedgerLoad,
+# BenchmarkRunningTotalLoad). CI smoke-runs them once; drop -benchtime for
+# real measurements.
 bench-engine:
 	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape|RowByRowInstall|MidColumnInsert' -benchtime=1x
 
@@ -97,7 +99,7 @@ profile-engine:
 
 # Refresh the evaluation perf baseline: the range-aggregation shapes (bulk
 # range resolver vs the per-cell probe path) and the pattern-run shapes
-# (levelled vectorized drain vs per-cell AST on the pinned-serial resolver).
+# (levelled vectorized drain vs per-cell evaluation on the pinned walk).
 bench-eval:
 	$(GO) run ./cmd/tacoeval -json > BENCH_eval.json
 	@cat BENCH_eval.json
@@ -110,6 +112,7 @@ fuzz-smoke:
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzBytecodeEval$$' -fuzztime=15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzNumericLanes$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzRecalcParallel$$' -fuzztime=15s
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWalkCycles$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSpanDrain$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzColStore$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime=15s

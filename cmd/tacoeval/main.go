@@ -6,8 +6,8 @@
 //     sparse, single-column, SUMIF, and SUMPRODUCT-rectangle shapes.
 //   - Pattern runs: columns of shift-identical formulas drained through
 //     the levelled, run-vectorized scheduler (one interned bytecode program
-//     swept across contiguous rows) versus per-cell AST evaluation on the
-//     pinned-serial resolver.
+//     swept across contiguous rows) versus per-cell evaluation on the
+//     pinned walk.
 //
 // Usage:
 //
@@ -17,7 +17,7 @@
 // job feeds to benchdiff: absolute ns/op per path plus the speedups, which
 // are host-independent and therefore the primary gates. A pattern shape
 // may carry a min_speedup floor that holds on any host (the column drain
-// does: it is algorithmically cheaper than the AST walk).
+// does: it is algorithmically cheaper than the per-cell walk).
 package main
 
 import (
@@ -46,19 +46,21 @@ type Result struct {
 // PatternResult is one pattern-run shape's measurement: the same dirtied
 // sheet drained with run vectorization on (interned bytecode programs swept
 // over contiguous rows against the column slabs) and fully off (per-cell
-// AST tree-walk through the serial resolver).
+// evaluation of each cell's program on the pinned walk). The JSON keeps the
+// name "ast" for the per-cell side, which ran the AST walker until the walk
+// moved to the VM.
 type PatternResult struct {
 	Rows  int `json:"rows"`
 	Cells int `json:"cells"` // formula cells drained per iteration
 	CPUs  int `json:"cpus"`
 	Iters int `json:"iters"`
-	// NsOpAst is per-cell AST evaluation (pattern runs off, serial drain);
+	// NsOpAst is per-cell evaluation (pattern runs off, pinned walk);
 	// NsOpVectorized is the run-batched bytecode drain of the same edit.
 	NsOpAst        float64 `json:"ns_op_ast"`
 	NsOpVectorized float64 `json:"ns_op_vectorized"`
 	Speedup        float64 `json:"speedup"` // ast / vectorized
 	// MinSpeedup is the floor benchdiff enforces for this shape, zero for
-	// none: where the vectorized drain beats the AST walk by doing less
+	// none: where the vectorized drain beats the per-cell walk by doing less
 	// work per cell, the floor binds on any host.
 	MinSpeedup float64 `json:"min_speedup,omitempty"`
 }
@@ -214,8 +216,8 @@ func patternShapes() []patternShape {
 }
 
 // runPatternShape measures one pattern shape: identical engines drained
-// with the run-vectorized levelled scheduler and with per-cell AST
-// evaluation (pattern runs off, pinned to the serial resolver), verified
+// with the run-vectorized levelled scheduler and with per-cell evaluation
+// (pattern runs off, pinned to the walk), verified
 // value-identical first.
 func runPatternShape(s patternShape, minTime time.Duration) PatternResult {
 	build := func(vectorized bool) *engine.Engine {
@@ -232,7 +234,7 @@ func runPatternShape(s patternShape, minTime time.Duration) PatternResult {
 	vec := build(true)
 
 	// Equivalence gate: the vectorized drain must stay byte-identical to
-	// the per-cell AST walk on every cell it touches.
+	// the per-cell walk on every cell it touches.
 	s.dirty(ast, 42)
 	s.dirty(vec, 42)
 	dirty := ast.Pending()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -126,4 +127,71 @@ func TestCycleAboveColumnDrainsLikeSerial(t *testing.T) {
 		}
 	}
 	enginesEqual(t, serial, e)
+}
+
+// TestCycleReadsEveryOperand: A1 = IFERROR(B1*2-C1,1) over B1 = A1 and
+// C1 = COUNTIF(A1:A1,">0"). The walk enters the cycle at A1, whose evaluation
+// reads B1 — #CYCLE!, since B1 reads A1 — and then C1, though the left operand
+// is already an error. So C1 is evaluated while A1 is, and it counts the
+// #CYCLE! it reads as no match. C1 is 0 on every drain path, and after a
+// snapshot round trip. A walk that skipped the right operand gave C1 a root
+// of its own, after A1 had settled at 1, and C1 = 1.
+func TestCycleReadsEveryOperand(t *testing.T) {
+	cells := [][2]string{{"A1", "IFERROR(B1*2-C1,1)"}, {"B1", "A1"}, {"C1", `COUNTIF(A1:A1,">0")`}}
+	build := func(pad int) *Engine {
+		e := New(nil)
+		e.SetValue(ref.MustCell("Z1"), formula.Num(1))
+		for _, c := range cells {
+			mustFormula(t, e, c[0], c[1])
+		}
+		for r := 1; r <= pad; r++ {
+			mustFormula(t, e, fmt.Sprintf("J%d", r), fmt.Sprintf("$Z$1+%d", r))
+		}
+		return e
+	}
+	check := func(path string, e *Engine) {
+		t.Helper()
+		if e.Pending() != 0 {
+			t.Fatalf("%s: %d pending", path, e.Pending())
+		}
+		for at, want := range map[string]formula.Value{
+			"A1": formula.Num(1), "B1": formula.Error(formula.ErrCycle), "C1": formula.Num(0),
+		} {
+			if v := e.Value(ref.MustCell(at)); v != want {
+				t.Errorf("%s: %s = %v, want %v", path, at, v, want)
+			}
+		}
+	}
+	pinned := build(0)
+	pinned.SetRecalcParallelism(1)
+	pinned.RecalculateAll()
+	check("pinned walk", pinned)
+
+	stalled := build(2 * minLevelledDirty)
+	stalled.RecalculateAll()
+	if stalled.RecalcStats().ScheduleBuilds == 0 {
+		t.Fatal("the padded sheet was not levelled")
+	}
+	check("levelled stall hand-off", stalled)
+
+	chunked := build(2 * minLevelledDirty)
+	for calls := 0; chunked.Pending() > 0; calls++ {
+		if chunked.RecalculateN(1) != 1 || calls > 4*minLevelledDirty {
+			t.Fatalf("RecalculateN(1) did not run one evaluation a call (call %d)", calls)
+		}
+	}
+	check("RecalculateN(1) chunks", chunked)
+
+	var buf bytes.Buffer
+	if err := stalled.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored)
+	mustFormula(t, restored, "A1", cells[0][1]) // the cycle dirty again
+	restored.RecalculateAll()
+	check("restored, then re-entered", restored)
 }

@@ -73,18 +73,18 @@ func (n NoComp) Precedents(r ref.Range) []ref.Range { return n.G.FindPrecedents(
 
 // cell is the engine's cell record, 80 bytes stored by value on its column's
 // slab (colstore.go): a *cell is an address inside the slab, good until that
-// column's next insert or delete. The three flags share the last word, after
+// column's next insert or delete. The two flags share the last word, after
 // prog; a field added anywhere else costs every record a word
 // (TestRecordLayout).
 type cell struct {
 	ast   formula.Node // nil for pure values
 	src   string
 	value formula.Value
-	// prog is the cell's compiled bytecode program, interned through the
-	// formula-level compile cache so shifted copies of one formula pattern
-	// share a single *Program (pointer equality is how the scheduler detects
-	// pattern runs — see runs.go). Lazily compiled on first wavefront drain;
-	// progTried avoids recompiling formulas the compiler declines.
+	// prog is the cell's compiled bytecode program, which every evaluation of
+	// the cell runs, interned through the formula-level compile cache so
+	// shifted copies of one formula pattern share a single *Program (pointer
+	// equality is how the scheduler detects pattern runs — see runs.go).
+	// Compiled on the cell's first evaluation or carve; nil for a value.
 	prog  *formula.Program
 	dirty bool
 	// evaluating marks a cell the walk has started and not finished, reading
@@ -92,7 +92,6 @@ type cell struct {
 	// record, not a side map, so the hot resolver path reads it off the record
 	// it already holds.
 	evaluating uint8
-	progTried  bool
 }
 
 // Engine is a single-sheet spreadsheet host.
@@ -120,7 +119,7 @@ type Engine struct {
 	// it read; reader is the exact evaluation last started, tent the tentative
 	// evaluations, fold says a fold's reads are exact (FoldRange), walking that
 	// the walk owns the dirty generation.
-	walk          []*cell
+	walk          []walkSlot
 	exact, top    int
 	cycled        uint8
 	kids          []*tentative
@@ -175,13 +174,10 @@ func (e *Engine) SetPatternRuns(on bool) {
 }
 
 // program returns the cell's interned bytecode program, compiling on first
-// use. Nil when the formula has no compiled form (the AST walker handles it).
+// use; nil for a value cell.
 func (c *cell) program(at ref.Ref) *formula.Program {
-	if !c.progTried {
-		c.progTried = true
-		if c.ast != nil {
-			c.prog = formula.CompileCached(c.ast, at)
-		}
+	if c.prog == nil && c.ast != nil {
+		c.prog = formula.CompileCached(c.ast, at)
 	}
 	return c.prog
 }
@@ -244,7 +240,7 @@ func Load(s *workload.Sheet, g Graph) (*Engine, error) {
 	for _, d := range deps {
 		e.graph.Add(d)
 	}
-	e.drainSerial(math.MaxInt) // see LoadBulkParsed
+	e.RecalculateAll()
 	return e, nil
 }
 
@@ -264,7 +260,8 @@ type ParsedCell struct {
 // per-dependency candidate search. Cells may arrive in any order, with the
 // later of duplicate refs winning (as if applied sequentially);
 // dependencies are derived in column-major order, the order that gives the
-// streaming compressor its adjacent runs.
+// streaming compressor its adjacent runs. The load drains like any other
+// dirty set: levelled from minLevelledDirty cells on, on the walk below.
 func LoadBulkParsed(pcells []ParsedCell) *Engine {
 	// Duplicate refs: the later cell wins, matching sequential application.
 	ordered := make([]ParsedCell, 0, len(pcells))
@@ -309,10 +306,7 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 			e.store.noteDirty(c.At.Col, c.At.Row, c.At.Row, 1, true)
 		}
 	}
-	// A fresh load drains on the walk, whatever its size: every cell is dirty
-	// once, and the levelled path would compile every formula first (on a
-	// 2-CPU host the 20 000-row ledger loaded in 116 ms that way, 103 here).
-	e.drainSerial(math.MaxInt)
+	e.RecalculateAll()
 	return e
 }
 
@@ -359,9 +353,10 @@ func (e *Engine) Peek(at ref.Ref) (v formula.Value, clean bool) {
 }
 
 // evalResolver is the formula.Resolver of the walk, the serial resolver that
-// drains loads, small dirty sets, a pinned engine and the rest of a stalled
-// levelled drain; never the public read path, which must stay side-effect-free.
-// The walk evaluates the top of its stack with formula.Eval. A read of a cell
+// drains small dirty sets, a pinned engine and the rest of a stalled levelled
+// drain; never the public read path, which must stay side-effect-free.
+// The walk evaluates the top of its stack through the cell's program, which
+// reads every operand of the formula, left to right. A read of a cell
 // under evaluation is #CYCLE!; any other dirty cell is pushed and reads a blank
 // placeholder, and the reader is evaluated again once what it pushed is
 // finished. An exact evaluation's first dirty read is pushed exact, with the
@@ -419,11 +414,11 @@ func (r evalResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
 }
 
 // await is the hook for a dirty read (see evalResolver).
-func (r evalResolver) await(_ ref.Ref, c *cell) formula.Value {
+func (r evalResolver) await(at ref.Ref, c *cell) formula.Value {
 	e := r.e
 	exact := e.fold || len(e.walk) == e.top && e.top == e.exact // the first dirty read
 	if c.evaluating != 0 {
-		if c != e.walk[e.top-1] { // a read of itself is #CYCLE! on any path
+		if c != e.walk[e.top-1].c { // a read of itself is #CYCLE! on any path
 			e.cycled = max(e.cycled, c.evaluating)
 		}
 		return formula.Error(formula.ErrCycle)
@@ -439,8 +434,15 @@ func (r evalResolver) await(_ ref.Ref, c *cell) formula.Value {
 	if exact {
 		e.exact++
 	}
-	e.walk = append(e.walk, c)
+	e.walk = append(e.walk, walkSlot{c, at})
 	return formula.Empty() // a placeholder, discarded with the evaluation
+}
+
+// walkSlot is an entry of the walk's stack: a cell and its position, the
+// anchor its program runs at.
+type walkSlot struct {
+	c  *cell
+	at ref.Ref
 }
 
 // exactEval and specEval are the walk's evaluations, as cell.evaluating says.
@@ -487,13 +489,13 @@ func (e *Engine) drainSerial(max int) int {
 	e.walking = true
 	left := e.store.ndirty
 	n := e.unwind(max)
-	e.store.dirtyWindows(func(_ int, col *column, lo, hi int, _ bool) bool {
+	e.store.dirtyWindows(func(ci int, col *column, lo, hi int, _ bool) bool {
 		for i := lo; i < hi; i++ {
 			if c := &col.cells[i]; c.dirty {
 				if len(e.walk) > 0 || n >= max {
 					return false
 				}
-				e.walk, e.exact = append(e.walk, c), 1
+				e.walk, e.exact = append(e.walk, walkSlot{c, ref.Ref{Col: ci, Row: col.rows[i]}}), 1
 				n += e.unwind(max - n)
 			}
 		}
@@ -511,7 +513,8 @@ func (e *Engine) unwind(max int) int {
 	n := 0
 	for len(e.walk) > 0 && n < max {
 		top := len(e.walk) - 1
-		c := e.walk[top]
+		s := e.walk[top]
+		c := s.c
 		if t := e.tent[c]; c.dirty && t != nil && t.on.evaluating != 0 {
 			if top < e.exact {
 				e.commit(t)
@@ -524,7 +527,7 @@ func (e *Engine) unwind(max int) int {
 				if top < e.exact {
 					c.evaluating, e.reader = exactEval, c
 				}
-				v = formula.Eval(c.ast, evalResolver{e})
+				v = c.program(s.at).EvalAt(evalResolver{e}, s.at)
 				if e.cycled == specEval && top >= e.exact {
 					e.truncate(e.exact) // a cycle among speculations
 					continue
@@ -552,8 +555,8 @@ func (e *Engine) unwind(max int) int {
 // the slots, which must not pin a slab. It runs before any slab is reshaped.
 // Popped empty, it drops the tentative evaluations, whose exact ones finished.
 func (e *Engine) truncate(h int) {
-	for _, c := range e.walk[h:] {
-		c.evaluating = 0
+	for _, s := range e.walk[h:] {
+		s.c.evaluating = 0
 	}
 	clear(e.walk[h:])
 	e.walk, e.exact = e.walk[:h], min(e.exact, h)

@@ -27,7 +27,7 @@ func FuzzRecalcParallel(f *testing.F) {
 		"=AVERAGE(C1:C30)&COUNTIF(A1:A40,\">3\")",
 		"=IFERROR(1/A5,99)",
 		"=E5+1",      // self-reference once placed at E5
-		"=((A1:X1))", // a bare range: a graph edge through F1 the walker never reads
+		"=((A1:X1))", // a bare range: a graph edge through F1 no evaluation reads
 		"=D1+1",      // at G20, a cycle through the whole look-down chain
 		"=SUM(D1:D40)-F1",
 		"=COUNTIF(D1:D40,\">0\")", // at G20, a scan of the chain its foot reads back

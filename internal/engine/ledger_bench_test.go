@@ -199,25 +199,48 @@ func BenchmarkLedgerHeap(b *testing.B) {
 	b.ReportMetric(live, "heap-B/cell")
 }
 
-// BenchmarkRunningTotalEdit times the edit of A1 under a filled-down running
-// total, B[r] = SUM(A$1:A[r]) — the paper's FR shape: every row's window
-// holds the row above's, so the sweep extends one accumulator down the
-// column where per-cell evaluation folds rows²/2 cells.
-func BenchmarkRunningTotalEdit(b *testing.B) {
-	var cells []ParsedCell
-	for r := 1; r <= ledgerBenchRows; r++ {
+// runningTotalCells is a filled-down running total over a data column,
+// B[r] = SUM(A$1:A[r]) — the paper's FR shape: every row's window holds the
+// row above's.
+func runningTotalCells(rows int) (cells []ParsedCell) {
+	for r := 1; r <= rows; r++ {
 		src := fmt.Sprintf("SUM(A$1:A%d)", r)
 		cells = append(cells,
 			ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(r%97) + 0.5)},
 			ParsedCell{At: ref.Ref{Col: 2, Row: r}, Src: src, AST: formula.MustParse(src)})
 	}
-	e := LoadBulkParsed(cells)
+	return cells
+}
+
+// BenchmarkRunningTotalEdit times the edit of A1 under the 20 000-row running
+// total: the sweep extends one accumulator down the column where per-cell
+// evaluation folds rows²/2 cells.
+func BenchmarkRunningTotalEdit(b *testing.B) {
+	e := LoadBulkParsed(runningTotalCells(ledgerBenchRows))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if n := ledgerEdit(b, e, ref.MustCell("A1"), float64(i)); n != ledgerBenchRows {
 			b.Fatalf("the edit recalculated %d cells, want %d", n, ledgerBenchRows)
 		}
 	}
+}
+
+// BenchmarkLedgerLoad times LoadBulkParsed of the 20 000-row ledger's parsed
+// cells — the graph, the slabs and the first full drain, what a fresh session
+// pays. ns/cell is over the cells loaded.
+func BenchmarkLedgerLoad(b *testing.B) { benchmarkLoad(b, ledgerCells(ledgerBenchRows)) }
+
+// BenchmarkRunningTotalLoad is BenchmarkLedgerLoad for the 20 000-row running
+// total, whose first drain folds rows²/2 cells unless it sweeps.
+func BenchmarkRunningTotalLoad(b *testing.B) { benchmarkLoad(b, runningTotalCells(ledgerBenchRows)) }
+
+func benchmarkLoad(b *testing.B, cells []ParsedCell) {
+	for i := 0; i < b.N; i++ {
+		if e := LoadBulkParsed(cells); e.Pending() != 0 {
+			b.Fatalf("%d cells pending after the load", e.Pending())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cells)), "ns/cell")
 }
 
 // BenchmarkSweepShape times one span shape at a time: a 20 000-row column of

@@ -25,5 +25,5 @@ var (
 	mPatternRunCells = telemetry.NewCounter("taco_sched_pattern_run_cells_total",
 		"Cells evaluated inside vectorized pattern-run sweeps.")
 	mCycleCells = telemetry.NewCounter("taco_sched_cycle_cells_total",
-		"Cells whose value the serial walk (loads, small drains, the tail of a stalled levelled drain) computed as #CYCLE!: on a reference cycle, or propagating one's error.")
+		"Cells whose value the serial walk (small drains, a pinned engine, the tail of a stalled levelled drain) computed as #CYCLE!: on a reference cycle, or propagating one's error.")
 )

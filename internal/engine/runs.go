@@ -53,7 +53,7 @@ import (
 // level or an earlier row of the same sweep — a span that reads itself is only
 // carved when it reads strictly upwards — and no float expression is
 // reassociated (no sliding, pairwise or blocked sum), so results, errors and
-// #CYCLE! from earlier levels included, are bit-identical to the serial AST path.
+// #CYCLE! from earlier levels included, are bit-identical to the walk.
 
 // minPatternRun is the run length below which a span is not carved: planning
 // cursors for a handful of cells costs more than evaluating them.
@@ -66,13 +66,12 @@ const minPatternRun = 8
 // all flagged — becomes one span node when it is at least minPatternRun long
 // and an ascending sweep can order it: its cells read, inside the run, only
 // rows above their own. Every other flagged cell is a node of its own: value
-// cells, uncompilable formulas, short or unsweepable runs, every cell when
-// pattern runs are off. A dense span costs its nodes and stretches, not its
+// cells, short or unsweepable runs, every cell when pattern runs are off. A dense span costs its nodes and stretches, not its
 // records; another reads each record's flag, never its program.
 //
-// A column with no table — a restored or freshly loaded one — gets one from a
-// dense span over all of its records, so building it reads no record the carve
-// would not: every one is flagged. Any other span there is cut against the
+// A column with no table — a restored one, or one the walk drained — gets one
+// from a dense span over all of its records, so building it reads no record
+// the carve would not: every one is flagged. Any other span there is cut against the
 // stretches of its own flagged records, found by reading them and kept for
 // this build alone, so a few dirty rows never cost a tall column's height.
 //

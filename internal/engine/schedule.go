@@ -237,8 +237,7 @@ func (sch *schedule) addNode(at ref.Ref, cells []cell, p *formula.Program) {
 // first cell reads alone. A span's cells share one program, which each
 // compiled from its own normalised formula at its own position, so an operand
 // resolves upright at the first row and at the last and moves linearly in
-// between — the box around the two is the span's union window. A formula the
-// compiler declines still has its reference list. Either way these are the
+// between — the box around the two is the span's union window. These are the
 // ranges every constructor registers with the graph as the cell's
 // dependencies, the invariant dirty-marking rests on too.
 func (e *Engine) spanPrecedents(sch *schedule, at ref.Ref, cells []cell, p *formula.Program, fn func(prec, first ref.Range) bool) {
@@ -247,14 +246,7 @@ func (e *Engine) spanPrecedents(sch *schedule, at ref.Ref, cells []cell, p *form
 		if c.ast == nil {
 			return // dirty value cell: no precedents, levels at 0
 		}
-		if p = c.program(at); p == nil {
-			for _, r := range formula.Refs(c.ast) {
-				if !fn(r.At, r.At) {
-					return
-				}
-			}
-			return
-		}
+		p = c.program(at)
 	}
 	reads := p.AppendReads(sch.reads[:0], at)
 	n := len(reads)
@@ -419,18 +411,12 @@ func (e *Engine) DrainLevels(budget int) int {
 // value resolver. Every precedent is settled by construction (it sits in an
 // earlier level, already drained), so unlike the walk's evalResolver this
 // never meets a dirty read or a cycle flag — the writes are to the cell
-// itself (value, dirty, and the lazily compiled program, cached on first
-// drain). Compiled formulas run on the bytecode VM — bit-identical to
-// the walker by the VM's equivalence contract (see formula/compile.go); the
-// walker remains the fallback for uncompilable expressions.
+// itself (value, dirty, and the program, compiled on first use), run on the
+// bytecode VM as the walk runs it.
 func (e *Engine) evalLevelCell(n *schedNode) {
 	c := &n.cells[0]
 	if c.ast != nil {
-		if p := c.program(n.at); p != nil {
-			c.value = p.EvalAt(valueResolver{e}, n.at)
-		} else {
-			c.value = formula.Eval(c.ast, valueResolver{e})
-		}
+		c.value = c.program(n.at).EvalAt(valueResolver{e}, n.at)
 	}
 	c.dirty = false
 }

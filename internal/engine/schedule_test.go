@@ -295,29 +295,64 @@ func TestSerialPin(t *testing.T) {
 	enginesEqual(t, pinned, levelled)
 }
 
-// TestFreshLoadStaysSerial: the first full recalculation of a loaded sheet
-// runs on the serial resolver whatever its size, leaving no schedule and no
-// run table behind (see LoadBulkParsed).
-func TestFreshLoadStaysSerial(t *testing.T) {
+// installByEdits writes cells into e one edit at a time, the values first,
+// with a drain after every edit when each is set and one at the end.
+func installByEdits(e *Engine, cells []ParsedCell, each bool) {
+	for _, formulas := range []bool{false, true} {
+		for _, c := range cells {
+			switch {
+			case (c.AST != nil) != formulas:
+				continue
+			case formulas:
+				e.SetFormulaParsed(c.At, c.Src, c.AST)
+			default:
+				e.SetValue(c.At, c.Value)
+			}
+			if each {
+				e.RecalculateAll()
+			}
+		}
+	}
+	e.RecalculateAll()
+}
+
+// TestFreshLoadDrainsLevelled: a 5 000-row load drains like any dirty set of
+// its size — through a schedule, whose carve over whole columns leaves their
+// run tables — and comes out bit-identical to the same cells installed by
+// edits on a pinned engine.
+func TestFreshLoadDrainsLevelled(t *testing.T) {
+	const rows = 5000
 	pcells := []ParsedCell{{At: ref.MustCell("F1"), Value: formula.Num(2)}}
-	for r := 1; r <= 5000; r++ {
-		src := fmt.Sprintf("A%d*$F$1", r)
-		pcells = append(pcells,
-			ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(r))},
-			ParsedCell{At: ref.Ref{Col: 2, Row: r}, Src: src, AST: formula.MustParse(src)})
+	form := func(col, row int, src string) {
+		pcells = append(pcells, ParsedCell{At: ref.Ref{Col: col, Row: row}, Src: src, AST: formula.MustParse(src)})
+	}
+	for r := 1; r <= rows; r++ {
+		pcells = append(pcells, ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(r))})
+		form(2, r, fmt.Sprintf("A%d*$F$1", r))
+		if r == 1 {
+			form(3, r, "B1")
+		} else {
+			form(3, r, fmt.Sprintf("C%d+B%d", r-1, r))
+		}
+		form(4, r, fmt.Sprintf("SUM(B$1:B%d)-C%d", r, r))
 	}
 	e := LoadBulkParsed(pcells)
 	if v := e.Value(ref.MustCell("B5000")); e.Pending() != 0 || v.Num != 10000 {
 		t.Fatalf("load left %d pending, B5000 = %v", e.Pending(), v)
 	}
-	if st := e.RecalcStats(); st.ScheduleBuilds != 0 || st.Scheduled != 0 {
-		t.Fatalf("fresh load went through the levelled drain: %+v", st)
+	if st := e.RecalcStats(); st.ScheduleBuilds != 1 || st.Scheduled != 0 {
+		t.Fatalf("the load did not drain through one schedule: %+v", st)
 	}
-	for ci, col := range e.store.cols {
-		if col.runsOK {
-			t.Fatalf("column %d: the load built a run table", ci)
+	for _, col := range []string{"B", "C", "D"} {
+		if len(stretches(e, col)) == 0 {
+			t.Fatalf("the load left column %s without a run table", col)
 		}
 	}
+	checkRunTables(t, e, "after the load")
+	pinned := New(nil)
+	pinned.SetRecalcParallelism(1)
+	installByEdits(pinned, pcells, false)
+	enginesEqual(t, pinned, e)
 }
 
 // runTableSheet is two formula columns over a data column, B[r] = A[r]*$F$1
@@ -438,14 +473,22 @@ func TestRunTableSurvivesWalk(t *testing.T) {
 	enginesEqual(t, serial, e)
 }
 
-// TestRunTableBuiltFromWholeColumn: a freshly loaded column has no run table,
-// and a levelled drain over a few of its rows does not build one — it cuts the
-// span against the stretches of its own flagged records and still sweeps
-// them — while a drain that flags every record of a column (a rate edit; the
-// one-record G too) builds its table.
+// TestRunTableBuiltFromWholeColumn: a column installed by edits, each drained
+// on the walk, has no run table, and a levelled drain over a few of its rows
+// does not build one — it cuts the span against the stretches of its own
+// flagged records and still sweeps them — while a drain that flags every
+// record of a column (a rate edit; the one-record G too) builds its table.
 func TestRunTableBuiltFromWholeColumn(t *testing.T) {
-	e, serial := ledgerEngine(t, 2000), ledgerEngine(t, 2000)
+	e, serial := New(nil), New(nil)
 	serial.SetRecalcParallelism(1)
+	for _, eng := range []*Engine{e, serial} {
+		installByEdits(eng, ledgerCells(2000), true)
+	}
+	for ci, col := range e.store.cols {
+		if col.runsOK {
+			t.Fatalf("column %d: the walk's drains built a run table", ci)
+		}
+	}
 	for _, eng := range []*Engine{e, serial} {
 		eng.SetValue(ref.MustCell("A1300"), formula.Num(7)) // D1300:D1536 and a few more
 		eng.SetValue(ref.MustCell("A1700"), formula.Num(8)) // D1700:D1792

@@ -43,7 +43,7 @@ const (
 	tmplWinOnto           // SUM(X[r-k]:X[r]): every cell reads itself
 	tmplWinBelow          // SUM(X[r+1]:X[r+k]) + A[r]
 	tmplCumulative        // AGG(X$1:X[r-1]) + A[r]: a fixed-head window over the span's own column
-	tmplDeclined          // X[r-1] + a nest deeper than the VM's stack: AST walker only
+	tmplDeepStack         // X[r-1] + a deep nest: a program with a deep value stack and no numeric plan
 	tmplSlidePrev         // AGG(P[r-k]:P[r]): the ledger's E
 	tmplFixedWin          // AGG(P$2:P$5) + A[r]
 	tmplSlideB            // AGG(B[r-k]:B[r]): a sliding window (the paper's RR)
@@ -77,8 +77,9 @@ const (
 
 var spanRate = ref.Ref{Col: spanRateCol, Row: 1}
 
-// declinedNest is an addend the compiler declines (value stack > maxVMStack).
-var declinedNest = strings.Repeat("(1+", 140) + "1" + strings.Repeat(")", 140)
+// deepNest is an addend whose program stacks 141 values, past the numeric
+// plan's depth, so its column runs on the row loop.
+var deepNest = strings.Repeat("(1+", 140) + "1" + strings.Repeat(")", 140)
 
 // spanColumn is one formula column: template, stride/width k, every hole-th
 // row left empty, every head-th row a chain head (=A[r]), and one row holding
@@ -131,11 +132,11 @@ func (c spanColumn) formula(col, r int) string {
 			return head
 		}
 		return fmt.Sprintf("%s(%s$1:%s%d)+A%d", agg, x, x, r-1, r)
-	case tmplDeclined:
+	case tmplDeepStack:
 		if r == 1 {
 			return head
 		}
-		return fmt.Sprintf("%s%d+%s", x, r-1, declinedNest)
+		return fmt.Sprintf("%s%d+%s", x, r-1, deepNest)
 	case tmplSlidePrev:
 		return fmt.Sprintf("%s(%s%d:%s%d)", agg, p, max(1, r-c.k), p, r)
 	case tmplFixedWin:
@@ -456,8 +457,8 @@ var spanSeeds = []struct {
 		edits: []spanEdit{{kind: editRate, val: 3}, {kind: editRate, val: 7}, {kind: editValue, col: 0, row: 14, val: 3},
 			{kind: editRate, val: 11}, {kind: editClear, col: 0, row: 14, val: 3}, {kind: editRate, val: 15}, {kind: editRate, val: 19}},
 		budgets: []int{256}}},
-	{"windows_and_declined", spanCase{rows: 60,
-		cols: []spanColumn{{tmpl: tmplWinAbove, k: 3, hole: 7}, {tmpl: tmplWinOnto, k: 2}, {tmpl: tmplDeclined, over: 9},
+	{"windows_and_deep_stack", spanCase{rows: 60,
+		cols: []spanColumn{{tmpl: tmplWinAbove, k: 3, hole: 7}, {tmpl: tmplWinOnto, k: 2}, {tmpl: tmplDeepStack, over: 9},
 			{tmpl: tmplLookUp, k: 2, head: 12}},
 		edits:   []spanEdit{{kind: editData, row: 2, val: 3}, {kind: editFormula, col: 2, row: 9}, {kind: editData, row: 5, val: 4}},
 		budgets: []int{17}}},

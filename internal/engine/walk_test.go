@@ -84,7 +84,7 @@ func drainRecursive(e *Engine) {
 // the evaluations it ran.
 func walkFrom(e *Engine, at ref.Ref) int {
 	e.walking = true
-	e.walk, e.exact = append(e.walk, e.store.get(at)), 1
+	e.walk, e.exact = append(e.walk, walkSlot{e.store.get(at), at}), 1
 	return e.unwind(math.MaxInt)
 }
 
@@ -110,17 +110,25 @@ func withSmallStack(fn func()) {
 }
 
 // TestLookDownChainLoads: a 50 000-row look-down chain loads through
-// LoadBulkParsed, which drains it on the walk, with the stack capped at 32 MB.
+// LoadBulkParsed, levelled, and drains again on the walk after an edit of B1
+// on a pinned engine, with the stack capped at 32 MB.
 func TestLookDownChainLoads(t *testing.T) {
 	const rows = 50000
 	withSmallStack(func() {
 		e := LoadBulkParsed(lookDownChain(rows, "$B$1"))
-		if e.Pending() != 0 {
-			t.Fatalf("the load left %d pending", e.Pending())
-		}
-		for _, r := range []int{1, rows / 2, rows} {
-			if v := e.Value(ref.Ref{Col: 1, Row: r}); v != formula.Num(float64(rows-r+1)) {
-				t.Fatalf("A%d = %v, want %d", r, v, rows-r+1)
+		for _, b1 := range []float64{1, 2} {
+			if b1 != 1 {
+				e.SetRecalcParallelism(1)
+				e.SetValue(ref.MustCell("B1"), formula.Num(b1))
+				e.RecalculateAll()
+			}
+			if e.Pending() != 0 {
+				t.Fatalf("B1=%v: %d pending", b1, e.Pending())
+			}
+			for _, r := range []int{1, rows / 2, rows} {
+				if v, want := e.Value(ref.Ref{Col: 1, Row: r}), b1*float64(rows-r+1); v != formula.Num(want) {
+					t.Fatalf("B1=%v: A%d = %v, want %v", b1, r, v, want)
+				}
 			}
 		}
 	})
@@ -303,7 +311,7 @@ func TestTotalAboveColumnDrainsLinear(t *testing.T) {
 			totalCell, totals := stepped.store.get(ref.MustCell("C1")), 1
 			for stepped.Pending() > 0 {
 				for i := len(stepped.walk) - 1; i >= 0; i-- {
-					if c := stepped.walk[i]; c.dirty {
+					if c := stepped.walk[i].c; c.dirty {
 						if c == totalCell {
 							totals++
 						}
@@ -334,6 +342,27 @@ func TestTotalAboveColumnDrainsLinear(t *testing.T) {
 // evaluations.
 func TestWalkMatchesRecursionOnRandomSheets(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
+	for sheet := 0; sheet < 300; sheet++ {
+		walkMatchesRecursion(t, rng, sheet)
+	}
+}
+
+// FuzzWalkCycles is TestWalkMatchesRecursionOnRandomSheets with the fuzzer
+// choosing the seed of one sheet and of its chunk sizes.
+func FuzzWalkCycles(f *testing.F) {
+	for seed := range uint64(8) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		walkMatchesRecursion(t, rand.New(rand.NewPCG(seed, 11)), 0)
+	})
+}
+
+// walkMatchesRecursion draws a random 5×6 sheet from rng and drains it, and two
+// edits of it, on the recursive reference and on the walk, pinned and in
+// chunks of 1–4 evaluations, which must agree everywhere.
+func walkMatchesRecursion(t *testing.T, rng *rand.Rand, sheet int) {
+	t.Helper()
 	const cols, rows = 5, 6
 	cellName := func() string { return fmt.Sprintf("%c%d", 'A'+rng.IntN(cols), 1+rng.IntN(rows)) }
 	rangeOf := func() string { return cellName() + ":" + cellName() }
@@ -348,47 +377,45 @@ func TestWalkMatchesRecursionOnRandomSheets(t *testing.T) {
 		func() string { return "COUNTIF(" + rangeOf() + ",\">2\")" },
 		func() string { return "IFERROR(VLOOKUP(3," + rangeOf() + ",1),7)" },
 	}
-	for sheet := 0; sheet < 300; sheet++ {
-		srcs := map[string]string{}
-		for c := 0; c < cols; c++ {
-			for r := 1; r <= rows; r++ {
-				if rng.IntN(4) > 0 {
-					srcs[fmt.Sprintf("%c%d", 'A'+c, r)] = shapes[rng.IntN(len(shapes))]() + "+$Z$1"
-				}
+	srcs := map[string]string{}
+	for c := 0; c < cols; c++ {
+		for r := 1; r <= rows; r++ {
+			if rng.IntN(4) > 0 {
+				srcs[fmt.Sprintf("%c%d", 'A'+c, r)] = shapes[rng.IntN(len(shapes))]() + "+$Z$1"
 			}
 		}
-		build := func() *Engine {
-			e := New(nil)
-			e.SetValue(ref.MustCell("Z1"), formula.Num(1))
-			for at, src := range srcs {
-				mustFormula(t, e, at, src)
-			}
-			e.SetRecalcParallelism(1)
-			return e
+	}
+	build := func() *Engine {
+		e := New(nil)
+		e.SetValue(ref.MustCell("Z1"), formula.Num(1))
+		for at, src := range srcs {
+			mustFormula(t, e, at, src)
 		}
-		reference, pinned, chunked := build(), build(), build()
-		drain := func(e *Engine, chunk func() int) {
-			for n, dirty := 0, e.Pending(); e.Pending() > 0; {
-				if n += e.RecalculateN(chunk()); n > 20*dirty {
-					t.Fatalf("sheet %d: %d evaluations for %d dirty cells: %v", sheet, n, dirty, srcs)
-				}
-			}
-		}
-		for _, z := range []float64{2, 3} {
-			drainRecursive(reference)
-			drain(pinned, func() int { return math.MaxInt })
-			drain(chunked, func() int { return 1 + rng.IntN(4) })
-			for _, e := range []*Engine{reference, pinned, chunked} {
-				e.SetValue(ref.MustCell("Z1"), formula.Num(z))
+		e.SetRecalcParallelism(1)
+		return e
+	}
+	reference, pinned, chunked := build(), build(), build()
+	drain := func(e *Engine, chunk func() int) {
+		for n, dirty := 0, e.Pending(); e.Pending() > 0; {
+			if n += e.RecalculateN(chunk()); n > 20*dirty {
+				t.Fatalf("sheet %d: %d evaluations for %d dirty cells: %v", sheet, n, dirty, srcs)
 			}
 		}
+	}
+	for _, z := range []float64{2, 3} {
 		drainRecursive(reference)
 		drain(pinned, func() int { return math.MaxInt })
 		drain(chunked, func() int { return 1 + rng.IntN(4) })
-		enginesEqual(t, reference, pinned)
-		enginesEqual(t, reference, chunked)
-		if t.Failed() {
-			t.Fatalf("sheet %d: %v", sheet, srcs)
+		for _, e := range []*Engine{reference, pinned, chunked} {
+			e.SetValue(ref.MustCell("Z1"), formula.Num(z))
 		}
+	}
+	drainRecursive(reference)
+	drain(pinned, func() int { return math.MaxInt })
+	drain(chunked, func() int { return 1 + rng.IntN(4) })
+	enginesEqual(t, reference, pinned)
+	enginesEqual(t, reference, chunked)
+	if t.Failed() {
+		t.Fatalf("sheet %d: %v", sheet, srcs)
 	}
 }

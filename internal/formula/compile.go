@@ -3,6 +3,7 @@ package formula
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"taco/internal/ref"
@@ -24,16 +25,12 @@ import (
 // detection keys on (see engine/runs.go): a column of =A2*B2+C2,
 // =A3*B3+C3, ... shares one *Program.
 //
-// Exactness: the VM evaluates every argument expression before dispatching a
-// call, where the walker stops at the first scalar error for non-exempt
-// builtins and IF short-circuits the untaken branch. Under a pure resolver —
-// one whose CellValue has no side effects, like the engine's read-only
-// valueResolver or any map-backed test resolver — the skipped evaluations
-// are value-invisible, so the VM's results are bit-identical to the walker's
-// (pinned by TestBytecodeEquivalence and FuzzBytecodeEval). The VM must NOT
-// be used with resolvers that evaluate dirty cells on read (the engine's
-// serial evalResolver): there, evaluation order is observable through cycle
-// detection.
+// Exactness: Eval and the VM read the same operands in the same order — both
+// evaluate every argument expression before they apply an operator or
+// dispatch a call (dispatchCall, shared) — so they make the same resolver
+// calls and return the same value under any resolver, including the engine's
+// walk, whose reads of dirty cells decide where #CYCLE! lands (pinned by
+// TestBytecodeEquivalence, FuzzBytecodeEval and TestEvalReadsLikeVM).
 
 // opcode is a VM instruction tag.
 type opcode uint8
@@ -102,23 +99,27 @@ func (o rangeOp) at(anchor ref.Ref) ref.Range {
 type callInfo struct {
 	name string
 	argc int32
-	// exempt marks the builtins the walker exempts from first-scalar-error
-	// propagation (IF, ISERROR, IFERROR — they give errors meaning).
+	// exempt marks the builtins exempt from first-scalar-error propagation
+	// (IF, ISERROR, IFERROR — they give errors meaning).
 	exempt bool
+}
+
+// callSite is the call site of the named builtin over argc arguments.
+func callSite(name string, argc int) callInfo {
+	return callInfo{name: name, argc: int32(argc), exempt: name == "IF" || name == "ISERROR" || name == "IFERROR"}
 }
 
 // Program is a compiled formula: flat postfix code over operand tables.
 // Programs are immutable after compilation and safe for concurrent
 // evaluation from any number of goroutines.
 type Program struct {
-	code     []instr
-	consts   []Value
-	cells    []CellOp
-	ranges   []rangeOp
-	calls    []callInfo
-	ops      []string
-	maxStack int
-	numeric  *numericPlan
+	code    []instr
+	consts  []Value
+	cells   []CellOp
+	ranges  []rangeOp
+	calls   []callInfo
+	ops     []string
+	numeric *numericPlan
 }
 
 // CellOps returns the program's cell operand descriptors (shared slice —
@@ -138,19 +139,12 @@ func (p *Program) AppendReads(dst []ref.Range, anchor ref.Ref) []ref.Range {
 	return dst
 }
 
-// maxVMStack bounds a program's evaluation stack; expressions nesting deeper
-// than this stay on the AST walker.
-const maxVMStack = 128
-
-// Compile compiles the AST to a Program anchored at the given cell, or nil
-// when the expression is not compilable (unknown node kinds, or a value
-// stack deeper than maxVMStack).
+// Compile compiles the AST to a Program anchored at the given cell. Every
+// parsed formula compiles: Node is sealed, and the VM's stack grows as deep as
+// the expression nests.
 func Compile(n Node, at ref.Ref) *Program {
-	c := compiler{anchor: at, ok: true}
+	c := compiler{anchor: at}
 	c.gen(n)
-	if !c.ok {
-		return nil
-	}
 	c.p.numeric = c.p.buildNumeric()
 	return &c.p
 }
@@ -158,19 +152,11 @@ func Compile(n Node, at ref.Ref) *Program {
 type compiler struct {
 	p      Program
 	anchor ref.Ref
-	depth  int
-	ok     bool
+	key    []byte // CompileCached's interning key
 }
 
-func (c *compiler) emit(op opcode, a int32, delta int) {
+func (c *compiler) emit(op opcode, a int32) {
 	c.p.code = append(c.p.code, instr{op: op, a: a})
-	c.depth += delta
-	if c.depth > c.p.maxStack {
-		c.p.maxStack = c.depth
-		if c.depth > maxVMStack {
-			c.ok = false
-		}
-	}
 }
 
 func (c *compiler) addConst(v Value) int32 {
@@ -232,22 +218,19 @@ func rel(coord, anchor int, fixed bool) int32 {
 }
 
 func (c *compiler) gen(n Node) {
-	if !c.ok {
-		return
-	}
 	switch t := n.(type) {
 	case *Number:
-		c.emit(opConst, c.addConst(Num(t.Value)), 1)
+		c.emit(opConst, c.addConst(Num(t.Value)))
 	case *String:
-		c.emit(opConst, c.addConst(Str(t.Value)), 1)
+		c.emit(opConst, c.addConst(Str(t.Value)))
 	case *Bool:
-		c.emit(opConst, c.addConst(Boolean(t.Value)), 1)
+		c.emit(opConst, c.addConst(Boolean(t.Value)))
 	case *CellRef:
 		c.emit(opCell, c.addCell(CellOp{
 			DCol:     rel(t.At.Col, c.anchor.Col, t.ColFixed),
 			DRow:     rel(t.At.Row, c.anchor.Row, t.RowFixed),
 			ColFixed: t.ColFixed, RowFixed: t.RowFixed,
-		}), 1)
+		}))
 	case *RangeRef:
 		c.emit(opRange, c.addRange(rangeOp{
 			headCol:      rel(t.At.Head.Col, c.anchor.Col, t.HeadColFixed),
@@ -256,23 +239,19 @@ func (c *compiler) gen(n Node) {
 			tailRow:      rel(t.At.Tail.Row, c.anchor.Row, t.TailRowF),
 			headColFixed: t.HeadColFixed, headRowFixed: t.HeadRowF,
 			tailColFixed: t.TailColFixed, tailRowFixed: t.TailRowF,
-		}), 1)
+		}))
 	case *Unary:
 		c.gen(t.X)
-		c.emit(opUnary, c.addOp(t.Op), 0)
+		c.emit(opUnary, c.addOp(t.Op))
 	case *Binary:
 		c.gen(t.L)
 		c.gen(t.R)
-		c.emit(opBinary, c.addOp(t.Op), -1)
+		c.emit(opBinary, c.addOp(t.Op))
 	case *Call:
 		for _, a := range t.Args {
 			c.gen(a)
 		}
-		exempt := t.Name == "IF" || t.Name == "ISERROR" || t.Name == "IFERROR"
-		c.emit(opCall, c.addCall(callInfo{name: t.Name, argc: int32(len(t.Args)), exempt: exempt}),
-			1-len(t.Args))
-	default:
-		c.ok = false
+		c.emit(opCall, c.addCall(callSite(t.Name, len(t.Args))))
 	}
 }
 
@@ -560,8 +539,8 @@ var vmStatePool = sync.Pool{New: func() any {
 	return &vmState{stack: make([]arg, 0, 32)}
 }}
 
-// EvalAt evaluates the program for the given anchor cell against a pure
-// resolver. See the package comment on this file for the purity requirement.
+// EvalAt evaluates the program for the given anchor cell: the value Eval gives
+// of the formula it was compiled from at that cell, read for read.
 func (p *Program) EvalAt(res Resolver, at ref.Ref) Value {
 	return p.run(res, at, nil)
 }
@@ -613,12 +592,10 @@ func (p *Program) run(res Resolver, at ref.Ref, read func(int, ref.Ref) Value) V
 	return out
 }
 
-// dispatchCall runs one compiled call site. The early-error scan replicates
-// the walker's argument loop: the first scalar error (in argument order)
-// propagates unless the builtin gives errors meaning. IF and IFERROR are
-// handled here over the already-evaluated arguments — value-identical to the
-// walker's branch re-evaluation under a pure resolver — and everything else
-// goes through the shared dispatcher.
+// dispatchCall runs one call site over its evaluated arguments, for the VM and
+// Eval alike: the first scalar error (in argument order) propagates unless the
+// builtin gives errors meaning, IF and IFERROR pick among their evaluated
+// arguments, and everything else goes through the shared dispatcher.
 func dispatchCall(ci callInfo, args []arg, res Resolver) Value {
 	if !ci.exempt {
 		for i := range args {
@@ -676,7 +653,7 @@ var (
 	mCompileHits = telemetry.NewCounter("taco_compile_cache_hits_total",
 		"Formula compilations served from the process-wide program cache.")
 	mCompileMisses = telemetry.NewCounter("taco_compile_cache_misses_total",
-		"Formula compilations that missed the cache and ran the compiler.")
+		"Formula compilations that missed the cache and built a new program.")
 	mCompileDrops = telemetry.NewCounter("taco_compile_cache_drops_total",
 		"Wholesale program-cache resets triggered by the byte budget.")
 )
@@ -691,29 +668,36 @@ func init() {
 		})
 }
 
+// compilerPool recycles CompileCached's compilers: a hit generates into a
+// pooled compiler's tables and key buffer and allocates nothing.
+var compilerPool = sync.Pool{New: func() any { return new(compiler) }}
+
 // CompileCached is Compile with canonical interning: programs are keyed by
 // their serialized bytes, so every formula cell that is a shifted copy of
 // the same shape shares one *Program pointer. The engine's pattern-run
 // detector relies on that canonicalisation — run membership is program
 // pointer equality, never a structural comparison per drain.
 func CompileCached(n Node, at ref.Ref) *Program {
-	p := Compile(n, at)
-	if p == nil {
-		return nil
-	}
-	key := string(p.appendKey(make([]byte, 0, 128)))
-	if len(key) > progCacheMaxEntry {
+	c := compilerPool.Get().(*compiler)
+	defer compilerPool.Put(c)
+	p := &c.p
+	p.code, p.consts, p.cells, p.ranges, p.calls, p.ops = p.code[:0], p.consts[:0], p.cells[:0], p.ranges[:0], p.calls[:0], p.ops[:0]
+	c.anchor = at
+	c.gen(n)
+	c.key = p.appendKey(c.key[:0])
+	if len(c.key) > progCacheMaxEntry {
 		mCompileMisses.Inc()
-		return p
+		return p.clone()
 	}
 	progCache.RLock()
-	cached, ok := progCache.m[key]
+	cached, ok := progCache.m[string(c.key)]
 	progCache.RUnlock()
 	if ok {
 		mCompileHits.Inc()
 		return cached
 	}
 	mCompileMisses.Inc()
+	key := string(c.key)
 	progCache.Lock()
 	defer progCache.Unlock()
 	if cached, ok := progCache.m[key]; ok {
@@ -724,9 +708,19 @@ func CompileCached(n Node, at ref.Ref) *Program {
 		progCache.bytes = 0
 		mCompileDrops.Inc()
 	}
-	progCache.m[key] = p
+	cached = p.clone()
+	progCache.m[key] = cached
 	progCache.bytes += len(key)
-	return p
+	return cached
+}
+
+// clone copies a pooled compiler's program out of its tables and derives the
+// numeric plan.
+func (p *Program) clone() *Program {
+	q := &Program{code: slices.Clone(p.code), consts: slices.Clone(p.consts), cells: slices.Clone(p.cells),
+		ranges: slices.Clone(p.ranges), calls: slices.Clone(p.calls), ops: slices.Clone(p.ops)}
+	q.numeric = q.buildNumeric()
+	return q
 }
 
 // appendKey serializes the program unambiguously (every variable-length

@@ -1,8 +1,11 @@
 package formula
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"taco/internal/ref"
@@ -196,25 +199,84 @@ func TestCellOpAt(t *testing.T) {
 	}
 }
 
-// TestCompileDeclines: expressions nesting beyond the VM stack bound stay on
-// the walker instead of compiling to an overflowing program.
-func TestCompileDeclines(t *testing.T) {
-	src := "=1"
-	for i := 0; i < maxVMStack+8; i++ {
-		src += "+(1"
+// TestCompileAcceptsEveryFormula: a nest far deeper than the numeric plan's
+// stack and SUMs of more single cells than the VM's initial stack holds
+// compile, through Compile and the cache, and evaluate to what Eval gives.
+func TestCompileAcceptsEveryFormula(t *testing.T) {
+	sumOf := func(n int) string {
+		cells := make([]string, n)
+		for i := range cells {
+			cells[i] = fmt.Sprintf("A%d", 1+i%40)
+		}
+		return "=SUM(" + strings.Join(cells, ",") + ")"
 	}
-	for i := 0; i < maxVMStack+8; i++ {
-		src += ")"
+	grid := bytecodeGrid()
+	anchor := ref.Ref{Col: 1, Row: 1}
+	for _, src := range []string{
+		"=1" + strings.Repeat("+(1", 140) + "*A2" + strings.Repeat(")", 140),
+		sumOf(129),
+		sumOf(1000),
+	} {
+		ast := MustParse(src)
+		want := Eval(ast, &colResolver{cells: grid})
+		for _, p := range []*Program{Compile(ast, anchor), CompileCached(ast, anchor)} {
+			if p == nil {
+				t.Fatalf("%.40q: did not compile", src)
+			}
+			if got := p.EvalAt(&colResolver{cells: grid}, anchor); !sameValue(got, want) {
+				t.Fatalf("%.40q: VM=%v AST=%v", src, got, want)
+			}
+		}
 	}
-	ast, err := Parse(src)
-	if err != nil {
-		t.Skipf("parser rejected depth probe: %v", err)
+}
+
+// TestCompileCachedHitAllocatesNothing: a warm cache hit — a shifted copy of
+// an interned formula — generates into a pooled compiler and allocates 0.
+func TestCompileCachedHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	if p := Compile(ast, ref.Ref{Col: 1, Row: 1}); p != nil {
-		t.Fatal("over-deep expression compiled")
+	ast := MustParse("=IF(A7>0,SUM(B1:B7)*$H$1,\"none\")&C7")
+	at := ref.Ref{Col: 4, Row: 7}
+	p := CompileCached(ast, at)
+	shifted, at2 := Shift(ast, 0, 5), ref.Ref{Col: 4, Row: 12}
+	if CompileCached(shifted, at2) != p {
+		t.Fatal("a shifted copy did not intern to the same program")
 	}
-	if p := CompileCached(ast, ref.Ref{Col: 1, Row: 1}); p != nil {
-		t.Fatal("CompileCached returned a program for an uncompilable AST")
+	if allocs := testing.AllocsPerRun(100, func() { CompileCached(shifted, at2) }); allocs != 0 {
+		t.Fatalf("a cache hit allocates %.1f times, want 0", allocs)
+	}
+}
+
+// readLog is a resolver that records every cell read, in order, over a grid.
+type readLog struct {
+	cells map[ref.Ref]Value
+	reads []ref.Ref
+}
+
+func (r *readLog) CellValue(at ref.Ref) Value {
+	r.reads = append(r.reads, at)
+	return r.cells[at]
+}
+
+// TestEvalReadsLikeVM: Eval and the VM read the same cells in the same order,
+// an error in the left operand or an earlier argument included — under a
+// resolver whose reads have effects (the engine's walk) that is what makes
+// their values agree.
+func TestEvalReadsLikeVM(t *testing.T) {
+	grid := map[ref.Ref]Value{
+		ref.MustCell("B1"): Error(ErrDiv0),
+		ref.MustCell("C1"): Num(2),
+		ref.MustCell("D1"): Num(3),
+	}
+	at := ref.MustCell("A1")
+	for _, src := range []string{"=B1*2-C1", "=SUM(B1,C1)", "=IF(B1,C1,D1)", "=IFERROR(B1+C1,D1)"} {
+		ast := MustParse(src)
+		walker, vm := &readLog{cells: grid}, &readLog{cells: grid}
+		want, got := Eval(ast, walker), Compile(ast, at).EvalAt(vm, at)
+		if !sameValue(got, want) || !slices.Equal(walker.reads, vm.reads) {
+			t.Errorf("%s: Eval read %v for %v, the VM %v for %v", src, walker.reads, want, vm.reads, got)
+		}
 	}
 }
 

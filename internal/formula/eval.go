@@ -339,7 +339,8 @@ func foldAggregate(name string, args []arg, res Resolver) (Value, bool) {
 
 // Eval evaluates the AST against the resolver, returning the cell's value.
 // Errors propagate as #-style error values rather than Go errors, matching
-// spreadsheet semantics.
+// spreadsheet semantics. It is the reference the bytecode VM is held to: both
+// evaluate every operand, left to right, before they apply what consumes it.
 func Eval(n Node, res Resolver) Value {
 	switch t := n.(type) {
 	case *Number:
@@ -391,19 +392,12 @@ func applyUnary(op string, x Value) Value {
 }
 
 func evalBinary(t *Binary, res Resolver) Value {
-	l := Eval(t.L, res)
-	if l.IsError() {
-		return l
-	}
-	return applyBinary(t.Op, l, Eval(t.R, res))
+	return applyBinary(t.Op, Eval(t.L, res), Eval(t.R, res))
 }
 
 // applyBinary applies a binary operator to evaluated operands, propagating
-// the left error first, then the right — the AST walker's order. Shared with
-// the bytecode VM. (The walker short-circuits the right operand's evaluation
-// after a left error; under a pure resolver the skipped evaluation has no
-// observable effect, so applying the operator to both evaluated operands is
-// value-identical.)
+// the left error first, then the right. Shared with the bytecode VM; both
+// evaluate the two operands before applying it, whatever the left one holds.
 func applyBinary(op string, l, r Value) Value {
 	if l.IsError() {
 		return l
@@ -520,46 +514,8 @@ func evalCall(t *Call, res Resolver) Value {
 	args := make([]arg, len(t.Args))
 	for i, a := range t.Args {
 		args[i] = evalArg(a, res)
-		if !args[i].isRange && args[i].scalar.IsError() {
-			// IF and IS* handle errors themselves; aggregate functions
-			// propagate them.
-			if t.Name != "IF" && t.Name != "ISERROR" && t.Name != "IFERROR" {
-				return args[i].scalar
-			}
-		}
 	}
-	// IF and IFERROR are the only builtins that evaluate argument ASTs a
-	// second time (the taken branch, the error fallback) instead of
-	// consuming the evaluated arguments; they stay here, and everything
-	// else dispatches by name through callShared — the dispatch surface the
-	// bytecode VM shares.
-	switch t.Name {
-	case "IF":
-		if len(t.Args) < 2 || len(t.Args) > 3 {
-			return Error(ErrNA)
-		}
-		cond := Eval(t.Args[0], res)
-		if cond.IsError() {
-			return cond
-		}
-		if condTruth(cond) {
-			return Eval(t.Args[1], res)
-		}
-		if len(t.Args) == 3 {
-			return Eval(t.Args[2], res)
-		}
-		return Boolean(false)
-	case "IFERROR":
-		if len(t.Args) != 2 {
-			return Error(ErrNA)
-		}
-		v := Eval(t.Args[0], res)
-		if v.IsError() {
-			return Eval(t.Args[1], res)
-		}
-		return v
-	}
-	return callShared(t.Name, args, res)
+	return dispatchCall(callSite(t.Name, len(t.Args)), args, res)
 }
 
 // condTruth is IF's condition coercion: booleans as themselves, numbers by
@@ -580,8 +536,7 @@ func condTruth(cond Value) bool {
 // callShared evaluates a builtin from its name and evaluated arguments — the
 // dispatcher shared by the AST walker and the bytecode VM. Every function
 // here is a pure mapping of (evaluated arguments, resolver) to a value; IF
-// and IFERROR, which re-evaluate argument ASTs, are handled by each caller
-// before dispatching.
+// and IFERROR are handled by dispatchCall before it.
 func callShared(name string, args []arg, res Resolver) Value {
 	// Fold-compatible aggregates first: one batched pass over the columnar
 	// slabs when the resolver supports it, bit-identical to the streaming

@@ -3,6 +3,7 @@ package formula
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"taco/internal/ref"
@@ -134,7 +135,13 @@ func FuzzBytecodeEval(f *testing.F) {
 		anchor := ref.Ref{Col: 4, Row: 7}
 		p := Compile(node, anchor)
 		if p == nil {
-			return // uncompilable stays on the walker by design
+			t.Fatalf("%q: parsed but did not compile", src)
+		}
+		walker, vm := &readLog{cells: grid}, &readLog{cells: grid}
+		Eval(node, walker)
+		p.EvalAt(vm, anchor)
+		if !slices.Equal(walker.reads, vm.reads) {
+			t.Fatalf("%q: Eval read %v, the VM %v", src, walker.reads, vm.reads)
 		}
 		for _, decline := range []bool{false, true} {
 			want := Eval(node, &colResolver{cells: grid, decline: decline})
