@@ -111,6 +111,7 @@ fuzz-smoke:
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzEval$$' -fuzztime=15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzBytecodeEval$$' -fuzztime=15s
 	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzNumericLanes$$' -fuzztime=15s
+	$(GO) test ./internal/formula -run '^$$' -fuzz '^FuzzShapeRender$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzRecalcParallel$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzWalkCycles$$' -fuzztime=15s
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSpanDrain$$' -fuzztime=15s

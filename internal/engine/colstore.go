@@ -79,8 +79,8 @@ type colRun struct {
 // column slabs come back from whatever engine was recycled last, so the
 // eviction round-trip stops allocating once the pools warm up. Pooled
 // columns keep their slab capacity (that is the point: it is the one record
-// allocator there is) but are emptied — and their records zeroed, so no AST or
-// string stays reachable — before pooling.
+// allocator there is) but are emptied — and their records zeroed, so no shape
+// or string stays reachable — before pooling.
 var (
 	columnPool = sync.Pool{New: func() any { return &column{} }}
 	colMapPool = sync.Pool{New: func() any { return make(map[int]*column, 32) }}
@@ -103,7 +103,7 @@ func (s *colStore) recycle() {
 }
 
 func recycleColumn(col *column) {
-	clear(col.cells) // drop the records' AST and string references before pooling
+	clear(col.cells) // drop the records' shape and string references before pooling
 	col.rows = col.rows[:0]
 	col.cells = col.cells[:0]
 	col.dirty = col.dirty[:0]
@@ -198,7 +198,7 @@ func (s *colStore) get(at ref.Ref) *cell {
 // when the column is unpopulated — which is how a loader that knows a column's
 // height sizes its slab once, with no growth copies and no growth slack. A
 // pooled column keeps its capacity when that fits, at least n and at most an
-// eighth over; otherwise its slab is allocated exactly: a record is 80 bytes,
+// eighth over; otherwise its slab is allocated exactly: a record is 48 bytes,
 // and whatever capacity the pool happened to hand out would put a 2 000-row
 // slab under a three-cell column for as long as the session is resident.
 func (s *colStore) column(ci, n int) *column {
@@ -224,14 +224,14 @@ func (s *colStore) set(at ref.Ref, c cell) (old cell, had bool) {
 		col.rows = append(col.rows, at.Row)
 		col.cells = append(col.cells, c)
 		s.ncells++
-		col.repairRuns(at.Col, n)
+		col.repairRuns(n)
 		return cell{}, false
 	}
 	i, found := slices.BinarySearch(col.rows, at.Row)
 	if found {
 		old, col.cells[i] = col.cells[i], c
-		if old.ast != nil || c.ast != nil {
-			col.repairRuns(at.Col, i)
+		if old.shape != nil || c.shape != nil {
+			col.repairRuns(i)
 		}
 		return old, true
 	}
@@ -241,7 +241,7 @@ func (s *colStore) set(at ref.Ref, c cell) (old cell, had bool) {
 	col.rows = slices.Insert(col.rows, i, at.Row)
 	col.cells = slices.Insert(col.cells, i, c)
 	col.shiftRuns(i, 1)
-	col.repairRuns(at.Col, i)
+	col.repairRuns(i)
 	s.ncells++
 	return cell{}, false
 }
@@ -299,21 +299,21 @@ func (c *column) window(r1, r2 int) (lo, hi int) {
 // inside another stretch.
 
 // runTable returns the column's run table, building it if it is not valid.
-func (c *column) runTable(ci int) []colRun {
+func (c *column) runTable() []colRun {
 	if !c.runsOK {
-		c.runs, c.runsOK = c.appendStretches(c.runs[:0], ci, 0, len(c.cells), false), true
+		c.runs, c.runsOK = c.appendStretches(c.runs[:0], 0, len(c.cells), false), true
 	}
 	return c.runs
 }
 
 // appendStretches appends to runs the stretches among the records at slab
 // indexes lo..hi-1, counting only the flagged ones when flagged is set.
-func (c *column) appendStretches(runs []colRun, ci, lo, hi int, flagged bool) []colRun {
+func (c *column) appendStretches(runs []colRun, lo, hi int, flagged bool) []colRun {
 	prog := func(i int) *formula.Program {
 		if flagged && !c.cells[i].dirty {
 			return nil
 		}
-		return c.progAt(ci, i)
+		return c.cells[i].program()
 	}
 	for i := lo; i < hi; {
 		p, j := prog(i), i+1
@@ -328,11 +328,6 @@ func (c *column) appendStretches(runs []colRun, ci, lo, hi int, flagged bool) []
 	return runs
 }
 
-// progAt is the interned program of the record at slab index i.
-func (c *column) progAt(ci, i int) *formula.Program {
-	return c.cells[i].program(ref.Ref{Col: ci, Row: c.rows[i]})
-}
-
 // dropRuns invalidates the run table, keeping its capacity.
 func (c *column) dropRuns() {
 	clear(c.runs)
@@ -342,20 +337,20 @@ func (c *column) dropRuns() {
 // repairRuns brings a valid run table up to date after the record at slab
 // index i was written, every other record where it was: the stretch that held
 // it splits, and the record joins what its program continues above and below.
-func (c *column) repairRuns(ci, i int) {
+func (c *column) repairRuns(i int) {
 	if !c.runsOK {
 		return
 	}
 	k := c.cutRuns(i)
 	runs := c.runs
-	if p := c.progAt(ci, i); p != nil {
+	if p := c.cells[i].program(); p != nil {
 		lo, hi := i, i+1
 		if k > 0 && runs[k-1].i+runs[k-1].n == i && runs[k-1].p == p && c.rows[i-1] == c.rows[i]-1 {
 			k--
 			lo = runs[k].i
 			runs = slices.Delete(runs, k, k+1)
 		} else {
-			for lo > 0 && i-lo < minPatternRun && c.rows[lo-1] == c.rows[lo]-1 && c.progAt(ci, lo-1) == p {
+			for lo > 0 && i-lo < minPatternRun && c.rows[lo-1] == c.rows[lo]-1 && c.cells[lo-1].program() == p {
 				lo--
 			}
 		}
@@ -363,7 +358,7 @@ func (c *column) repairRuns(ci, i int) {
 			hi = i + 1 + runs[k].n
 			runs = slices.Delete(runs, k, k+1)
 		} else {
-			for hi < len(c.cells) && hi-i <= minPatternRun && c.rows[hi] == c.rows[hi-1]+1 && c.progAt(ci, hi) == p {
+			for hi < len(c.cells) && hi-i <= minPatternRun && c.rows[hi] == c.rows[hi-1]+1 && c.cells[hi].program() == p {
 				hi++
 			}
 		}

@@ -188,7 +188,7 @@ func (m storeModel) check(t *testing.T, e *Engine, when string) {
 			// The record itself, through a pointer taken after the step: one
 			// from before it may address another row's record, or a dead slab.
 			if c := e.store.get(at); (c != nil) != (m[at] != nil) ||
-				c != nil && (c.value != want.value || c.dirty != want.dirty || c.src != want.src || (c.ast != nil) != (want.src != "")) {
+				c != nil && (c.value != want.value || c.dirty != want.dirty || (c.shape != nil) != (want.src != "")) {
 				t.Fatalf("%s: %v holds record %+v; model %+v", when, at, c, *want)
 			}
 		}
@@ -216,7 +216,7 @@ func slabbedCells(t *testing.T, e *Engine, when string) (n int) {
 			if col.cells[i].dirty {
 				dirty++
 			}
-			if col.cells[i].ast != nil {
+			if col.cells[i].shape != nil {
 				formulas++
 			}
 		}
@@ -239,9 +239,9 @@ func checkRunTables(t *testing.T, e *Engine, when string) {
 		}
 		var want []colRun
 		for i := 0; i < len(col.cells); {
-			p, j := col.cells[i].program(ref.Ref{Col: ci, Row: col.rows[i]}), i+1
+			p, j := col.cells[i].program(), i+1
 			for ; p != nil && j < len(col.cells) && col.rows[j] == col.rows[j-1]+1; j++ {
-				if col.cells[j].program(ref.Ref{Col: ci, Row: col.rows[j]}) != p {
+				if col.cells[j].program() != p {
 					break
 				}
 			}
@@ -292,8 +292,8 @@ func FuzzColStore(f *testing.F) {
 		for i := 0; i+4 <= len(prog) && i < 4*modelMaxSteps; i += 4 {
 			m.step(t, e, prog[i], prog[i+1], prog[i+2], prog[i+3])
 			m.check(t, e, fmt.Sprintf("step %d", i/4))
-			for ci, col := range e.store.cols {
-				col.runTable(ci)
+			for _, col := range e.store.cols {
+				col.runTable()
 			}
 		}
 		var buf bytes.Buffer
@@ -326,8 +326,8 @@ func TestRecordLayout(t *testing.T) {
 	if got := unsafe.Sizeof(formula.Value{}); got != 32 {
 		t.Errorf("formula.Value is %d bytes, want 32: Kind, Bool and Err share its first word", got)
 	}
-	if got := unsafe.Sizeof(cell{}); got != 80 {
-		t.Errorf("cell is %d bytes, want 80: see the layout comment on cell in engine.go, its flags share the word after prog", got)
+	if got := unsafe.Sizeof(cell{}); got != 48 {
+		t.Errorf("cell is %d bytes, want 48: see the layout comment on cell in engine.go, its flags share the word after shape", got)
 	}
 }
 

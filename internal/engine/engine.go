@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"taco/internal/core"
 	"taco/internal/formula"
@@ -71,21 +72,21 @@ func (n NoComp) Dependents(r ref.Range) []ref.Range { return n.G.FindDependents(
 // Precedents implements Graph.
 func (n NoComp) Precedents(r ref.Range) []ref.Range { return n.G.FindPrecedents(r) }
 
-// cell is the engine's cell record, 80 bytes stored by value on its column's
+// cell is the engine's cell record, 48 bytes stored by value on its column's
 // slab (colstore.go): a *cell is an address inside the slab, good until that
-// column's next insert or delete. The two flags share the last word, after
-// prog; a field added anywhere else costs every record a word
+// column's next insert or delete. The record is its value (32 bytes), one
+// pointer to its formula's shape and a word the two flags share; a field
+// added anywhere but beside the flags costs every record a word
 // (TestRecordLayout).
 type cell struct {
-	ast   formula.Node // nil for pure values
-	src   string
 	value formula.Value
-	// prog is the cell's compiled bytecode program, which every evaluation of
-	// the cell runs, interned through the formula-level compile cache so
-	// shifted copies of one formula pattern share a single *Program (pointer
-	// equality is how the scheduler detects pattern runs — see runs.go).
-	// Compiled on the cell's first evaluation or carve; nil for a value.
-	prog  *formula.Program
+	// shape is the cell's formula, interned by its relative structure
+	// (formula.ParseShape): every row of a filled-down column holds the same
+	// *Shape. At the cell's position it renders the source, lists the
+	// references and gives the program every evaluation runs — interned too,
+	// so shifted copies of one formula share a *Program, and pointer equality
+	// is how the scheduler detects pattern runs (runs.go). nil for a value.
+	shape *formula.Shape
 	dirty bool
 	// evaluating marks a cell the walk has started and not finished, reading
 	// which is #CYCLE!: exact or speculative (see evalResolver). A flag on the
@@ -173,13 +174,12 @@ func (e *Engine) SetPatternRuns(on bool) {
 	}
 }
 
-// program returns the cell's interned bytecode program, compiling on first
-// use; nil for a value cell.
-func (c *cell) program(at ref.Ref) *formula.Program {
-	if c.prog == nil && c.ast != nil {
-		c.prog = formula.CompileCached(c.ast, at)
+// program returns the cell's interned bytecode program; nil for a value cell.
+func (c *cell) program() *formula.Program {
+	if c.shape == nil {
+		return nil
 	}
-	return c.prog
+	return c.shape.Program()
 }
 
 // setCell installs a cell record, maintaining the formula count and the
@@ -191,7 +191,7 @@ func (e *Engine) setCell(at ref.Ref, c cell) {
 	if had {
 		e.dropped(at, &old)
 	}
-	if c.ast != nil {
+	if c.shape != nil {
 		e.nformulas++
 	}
 	if c.dirty {
@@ -215,11 +215,11 @@ func (e *Engine) populate(s *workload.Sheet) error {
 	for _, at := range refs {
 		c := s.Cells[at]
 		if c.IsFormula() {
-			ast, err := formula.ParseCached(c.Formula)
+			shape, err := formula.ParseShape(c.Formula, at)
 			if err != nil {
 				return fmt.Errorf("engine: cell %v: %w", at, err)
 			}
-			e.setCell(at, cell{ast: ast, src: c.Formula, dirty: true})
+			e.setCell(at, cell{shape: shape, dirty: true})
 		} else {
 			e.setCell(at, cell{value: c.Value})
 		}
@@ -244,14 +244,13 @@ func Load(s *workload.Sheet, g Graph) (*Engine, error) {
 	return e, nil
 }
 
-// ParsedCell is a pre-parsed cell for LoadBulkParsed: a formula (Src + AST)
-// or a pure value. Callers that already parsed their input — batch
-// validation, file loaders — hand the ASTs over instead of paying a second
-// parse.
+// ParsedCell is a pre-parsed cell for LoadBulkParsed: a formula (its shape,
+// parsed at At) or a pure value. Callers that already parsed their input —
+// batch validation, file loaders — hand the shapes over instead of paying a
+// second lookup.
 type ParsedCell struct {
 	At    ref.Ref
-	Src   string       // formula source ("" for value cells)
-	AST   formula.Node // nil for value cells
+	Shape *formula.Shape // formula.ParseShape of the source at At; nil for value cells
 	Value formula.Value
 }
 
@@ -276,11 +275,13 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 	}
 	slices.SortFunc(ordered, func(a, b ParsedCell) int { return ref.ColumnMajorCompare(a.At, b.At) })
 	var deps []core.Dependency
+	var refs []formula.RefInfo
 	for _, c := range ordered {
-		if c.AST == nil {
+		if c.Shape == nil {
 			continue
 		}
-		for _, r := range formula.Refs(c.AST) {
+		refs = c.Shape.AppendRefs(refs[:0], c.At)
+		for _, r := range refs {
 			deps = append(deps, core.Dependency{
 				Prec: r.At, Dep: c.At, HeadFixed: r.HeadFixed, TailFixed: r.TailFixed,
 			})
@@ -297,8 +298,8 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 			e.store.column(c.At.Col, n)
 		}
 		rec := cell{value: c.Value}
-		if c.AST != nil {
-			rec = cell{ast: c.AST, src: c.Src, dirty: true}
+		if c.Shape != nil {
+			rec = cell{shape: c.Shape, dirty: true}
 			e.nformulas++
 		}
 		e.store.set(c.At, rec) // ordered input: the append fast path
@@ -311,18 +312,19 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 }
 
 // LoadBulk populates an engine from a workload sheet like Load, but through
-// the bulk path. Each formula is parsed exactly once. Use it when
+// the bulk path. Each formula is looked up by its shape, and parsed only when
+// no shifted copy of it was parsed before. Use it when
 // materialising a whole sheet at once — fresh server sessions, file opens —
 // and Load/SetFormula for interactive edits.
 func LoadBulk(s *workload.Sheet) (*Engine, error) {
 	pcells := make([]ParsedCell, 0, len(s.Cells))
 	for at, c := range s.Cells {
 		if c.IsFormula() {
-			ast, err := formula.ParseCached(c.Formula)
+			shape, err := formula.ParseShape(c.Formula, at)
 			if err != nil {
 				return nil, fmt.Errorf("engine: cell %v: %w", at, err)
 			}
-			pcells = append(pcells, ParsedCell{At: at, Src: c.Formula, AST: ast})
+			pcells = append(pcells, ParsedCell{At: at, Shape: shape})
 		} else {
 			pcells = append(pcells, ParsedCell{At: at, Value: c.Value})
 		}
@@ -522,12 +524,12 @@ func (e *Engine) unwind(max int) int {
 		} else if c.dirty {
 			n++
 			v := c.value
-			if c.ast != nil {
+			if c.shape != nil {
 				c.evaluating, e.top, e.cycled, e.kids = specEval, len(e.walk), 0, e.kids[:0]
 				if top < e.exact {
 					c.evaluating, e.reader = exactEval, c
 				}
-				v = c.program(s.at).EvalAt(evalResolver{e}, s.at)
+				v = c.program().EvalAt(evalResolver{e}, s.at)
 				if e.cycled == specEval && top >= e.exact {
 					e.truncate(e.exact) // a cycle among speculations
 					continue
@@ -565,10 +567,11 @@ func (e *Engine) truncate(h int) {
 	}
 }
 
-// Formula returns the formula source of a cell ("" for value cells).
+// Formula returns the formula source of a cell ("" for value cells),
+// rendered from its shape: the text it was written with, byte for byte.
 func (e *Engine) Formula(at ref.Ref) string {
-	if c := e.store.get(at); c != nil {
-		return c.src
+	if c := e.store.get(at); c != nil && c.shape != nil {
+		return c.shape.Source(at)
 	}
 	return ""
 }
@@ -583,19 +586,32 @@ func (e *Engine) SetValue(at ref.Ref, v formula.Value) []ref.Range {
 // SetFormula writes a formula, registering its dependencies and returning
 // the dirty set.
 func (e *Engine) SetFormula(at ref.Ref, src string) ([]ref.Range, error) {
-	ast, err := formula.Parse(src)
+	shape, err := formula.ParseShape(src, at)
 	if err != nil {
 		return nil, err
 	}
-	return e.SetFormulaParsed(at, src, ast), nil
+	return e.SetFormulaShape(at, shape), nil
 }
 
-// SetFormulaParsed is SetFormula for a formula the caller already parsed —
-// batch endpoints validate whole batches up front and must not pay for a
-// second parse per edit.
+// SetFormulaParsed is SetFormula for a source the caller already parsed to
+// ast. The cell holds src's shape, looked up by its text, so ast only vouches
+// that src parses; the method stays for the benchmark harness (bench/), which
+// calls it. It panics when src does not parse.
 func (e *Engine) SetFormulaParsed(at ref.Ref, src string, ast formula.Node) []ref.Range {
-	e.setCell(at, cell{ast: ast, src: src, dirty: true})
-	for _, r := range formula.Refs(ast) {
+	shape, err := formula.ParseShape(src, at)
+	if err != nil {
+		panic(fmt.Sprintf("engine: SetFormulaParsed of a formula that does not parse: %v", err))
+	}
+	return e.SetFormulaShape(at, shape)
+}
+
+// SetFormulaShape is SetFormula for a formula the caller already parsed
+// (formula.ParseShape at the same position) — batch endpoints validate whole
+// batches up front and must not pay for a second lookup per edit.
+func (e *Engine) SetFormulaShape(at ref.Ref, shape *formula.Shape) []ref.Range {
+	e.setCell(at, cell{shape: shape, dirty: true})
+	var refs [8]formula.RefInfo
+	for _, r := range shape.AppendRefs(refs[:0], at) {
 		e.graph.Add(core.Dependency{
 			Prec: r.At, Dep: at, HeadFixed: r.HeadFixed, TailFixed: r.TailFixed,
 		})
@@ -616,7 +632,7 @@ func (e *Engine) ClearCell(at ref.Ref) []ref.Range {
 // or removed: a formula takes its dependencies out of the graph and its unit
 // off the formula count, a dirty record leaves the dirty set with its flag.
 func (e *Engine) dropped(at ref.Ref, old *cell) {
-	if old.ast != nil {
+	if old.shape != nil {
 		e.graph.Clear(ref.CellRange(at))
 		e.nformulas--
 	}
@@ -664,7 +680,7 @@ func (e *Engine) markRange(rng ref.Range) {
 }
 
 // markCol flags the clean formula cells of one column's row window: a scan of
-// the contiguous slab checking ast != nil — a few ns per cell — that notes
+// the contiguous slab checking shape != nil — a few ns per cell — that notes
 // one dirty span from the first row it flagged to the last. A window of
 // formulas only is noted whole and dense (see colStore), even when it flagged
 // none: every record in it is flagged now.
@@ -672,7 +688,7 @@ func (e *Engine) markCol(ci int, col *column, r1, r2 int) {
 	rows, cells := col.view(r1, r2)
 	n, first, last, all := 0, 0, 0, len(cells) > 0
 	for i := range cells {
-		if c := &cells[i]; c.ast == nil {
+		if c := &cells[i]; c.shape == nil {
 			all = false
 		} else if !c.dirty {
 			c.dirty = true
@@ -696,10 +712,20 @@ func (e *Engine) markCol(ci int, col *column, r1, r2 int) {
 // and Peek it is side-effect-free — dirty cells report their stale value
 // with clean=false — so a serving layer can run it under a shared read
 // lock. Unpopulated cells are skipped: a range read costs contiguous
-// per-column slab scans, not rows×cols map probes.
+// per-column slab scans, not rows×cols map probes. The sources are rendered
+// from the cells' shapes into one buffer per scan, which the strings share.
 func (e *Engine) ScanRange(rng ref.Range, fn func(at ref.Ref, v formula.Value, src string, clean bool) bool) {
+	var sources strings.Builder
+	var scratch []byte
 	e.store.scanRange(rng, func(at ref.Ref, c *cell) bool {
-		return fn(at, c.value, c.src, !c.dirty)
+		src := ""
+		if c.shape != nil {
+			scratch = c.shape.AppendSource(scratch[:0], at)
+			n := sources.Len()
+			sources.Write(scratch)
+			src = sources.String()[n:]
+		}
+		return fn(at, c.value, src, !c.dirty)
 	})
 }
 

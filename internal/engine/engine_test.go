@@ -120,10 +120,9 @@ func TestRecalculateNDrainsInChunks(t *testing.T) {
 func TestLoadBulkParsedDuplicateRefsLaterWins(t *testing.T) {
 	// A formula overwritten by a value at the same ref: the later cell wins
 	// and no stale formula survives in the index or the dirty set.
-	ast := formula.MustParse("A1*2")
 	e := LoadBulkParsed([]ParsedCell{
 		{At: ref.MustCell("A1"), Value: formula.Num(3)},
-		{At: ref.MustCell("B1"), Src: "A1*2", AST: ast},
+		{At: ref.MustCell("B1"), Shape: formula.MustParseShape("A1*2", ref.MustCell("B1"))},
 		{At: ref.MustCell("B1"), Value: formula.Num(7)},
 	})
 	if e.NumCells() != 2 || e.NumFormulas() != 0 || e.Pending() != 0 {

@@ -9,19 +9,27 @@ import (
 
 	"taco/internal/formula"
 	"taco/internal/ref"
+	"taco/internal/workload"
 )
 
-// ledgerCells is the benchmark's ledger sheet (bench/gen.go: A, B data;
+// textCell is one cell of a sheet as text: a formula's source, or a value.
+type textCell struct {
+	at    ref.Ref
+	src   string // "" for a value
+	value float64
+}
+
+// ledgerText is the benchmark's ledger sheet (bench/gen.go: A, B data;
 // C = A*B*$H$1; D a running sum of C restarted every 256 rows; E a 7-row
 // sliding SUM of C; F one SUM per 1000 rows of C; G1 = SUM(F); H1 the rate),
 // row by row with the columns interleaved.
-func ledgerCells(rows int) (cells []ParsedCell) {
+func ledgerText(rows int) (cells []textCell) {
 	rng := rand.New(rand.NewSource(1))
 	value := func(col, row int, v float64) {
-		cells = append(cells, ParsedCell{At: ref.Ref{Col: col, Row: row}, Value: formula.Num(v)})
+		cells = append(cells, textCell{at: ref.Ref{Col: col, Row: row}, value: v})
 	}
 	form := func(col, row int, src string) {
-		cells = append(cells, ParsedCell{At: ref.Ref{Col: col, Row: row}, Src: src, AST: formula.MustParse(src)})
+		cells = append(cells, textCell{at: ref.Ref{Col: col, Row: row}, src: src})
 	}
 	for r := 1; r <= rows; r++ {
 		value(1, r, float64(rng.Intn(1000))+0.5)
@@ -44,6 +52,31 @@ func ledgerCells(rows int) (cells []ParsedCell) {
 	form(7, 1, fmt.Sprintf("SUM(F1:F%d)", blocks))
 	value(8, 1, 1.05)
 	return cells
+}
+
+// ledgerCells is the ledger parsed, in ledgerText's order.
+func ledgerCells(rows int) (cells []ParsedCell) {
+	for _, c := range ledgerText(rows) {
+		if c.src == "" {
+			cells = append(cells, ParsedCell{At: c.at, Value: formula.Num(c.value)})
+		} else {
+			cells = append(cells, ParsedCell{At: c.at, Shape: formula.MustParseShape(c.src, c.at)})
+		}
+	}
+	return cells
+}
+
+// ledgerSheet is the ledger as the workloads hold it, for LoadBulk.
+func ledgerSheet(rows int) *workload.Sheet {
+	s := workload.NewSheet("ledger")
+	for _, c := range ledgerText(rows) {
+		if c.src == "" {
+			s.SetValue(c.at, c.value)
+		} else {
+			s.SetFormula(c.at, c.src)
+		}
+	}
+	return s
 }
 
 // ledgerEngine bulk-loads the ledger, so the two edits that dominate
@@ -131,13 +164,13 @@ func BenchmarkLedgerRewrite(b *testing.B) {
 // append as the rows arrive, where the bulk load sizes each once — and the
 // drain that settles it. ns/cell is over the cells installed.
 func BenchmarkRowByRowInstall(b *testing.B) {
-	cells := ledgerCells(2000)
+	cells := ledgerText(2000)
 	for i := 0; i < b.N; i++ {
 		e := New(nil)
 		for _, c := range cells {
-			if c.AST == nil {
-				e.SetValue(c.At, c.Value)
-			} else if _, err := e.SetFormula(c.At, c.Src); err != nil {
+			if c.src == "" {
+				e.SetValue(c.at, formula.Num(c.value))
+			} else if _, err := e.SetFormula(c.at, c.src); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -150,7 +183,7 @@ func BenchmarkRowByRowInstall(b *testing.B) {
 
 // BenchmarkMidColumnInsert times filling the gaps of a 20 000-row column that
 // holds every other row, top to bottom: each write inserts mid-slab and moves
-// every record below it, 80 bytes apiece — the worst case for a slab of
+// every record below it, 48 bytes apiece — the worst case for a slab of
 // records against one of pointers to them. ns/insert is over the 10 000 gaps.
 func BenchmarkMidColumnInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -173,7 +206,9 @@ func BenchmarkMidColumnInsert(b *testing.B) {
 // BenchmarkLedgerHeap measures what a loaded, settled 20 000-row ledger
 // holds, per cell: slab-B/cell is the column slabs' records (capacity times
 // the record's size), heap-B/cell the live heap the engine adds, read as
-// HeapAlloc after two GCs against the same reading before the load.
+// HeapAlloc after two GCs against the same reading before the load. The
+// ledger is loaded from its text through LoadBulk, as the workloads load it,
+// into an emptied shape cache, so what the process-wide cache keeps counts.
 func BenchmarkLedgerHeap(b *testing.B) {
 	var ms runtime.MemStats
 	heap := func() uint64 {
@@ -182,10 +217,15 @@ func BenchmarkLedgerHeap(b *testing.B) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	sheet := ledgerSheet(ledgerBenchRows)
 	var slab, live float64
 	for i := 0; i < b.N; i++ {
+		formula.ResetShapeCache()
 		before := heap()
-		e := ledgerEngine(b, ledgerBenchRows)
+		e, err := LoadBulk(sheet)
+		if err != nil {
+			b.Fatal(err)
+		}
 		e.RecalculateAll()
 		live = (float64(heap()) - float64(before)) / float64(e.NumCells())
 		slab = 0
@@ -195,6 +235,7 @@ func BenchmarkLedgerHeap(b *testing.B) {
 		slab /= float64(e.NumCells())
 		runtime.KeepAlive(e)
 	}
+	runtime.KeepAlive(sheet)
 	b.ReportMetric(slab, "slab-B/cell")
 	b.ReportMetric(live, "heap-B/cell")
 }
@@ -207,7 +248,7 @@ func runningTotalCells(rows int) (cells []ParsedCell) {
 		src := fmt.Sprintf("SUM(A$1:A%d)", r)
 		cells = append(cells,
 			ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(r%97) + 0.5)},
-			ParsedCell{At: ref.Ref{Col: 2, Row: r}, Src: src, AST: formula.MustParse(src)})
+			ParsedCell{At: ref.Ref{Col: 2, Row: r}, Shape: formula.MustParseShape(src, ref.Ref{Col: 2, Row: r})})
 	}
 	return cells
 }
@@ -280,7 +321,7 @@ func BenchmarkSweepShape(b *testing.B) {
 				src := shape.src(r)
 				cells = append(cells,
 					ParsedCell{At: ref.Ref{Col: 2, Row: r}, Value: formula.Num(float64(rng.Intn(100)) + 0.25)},
-					ParsedCell{At: ref.Ref{Col: 3, Row: r}, Src: src, AST: formula.MustParse(src)})
+					ParsedCell{At: ref.Ref{Col: 3, Row: r}, Shape: formula.MustParseShape(src, ref.Ref{Col: 3, Row: r})})
 			}
 			e := LoadBulkParsed(cells)
 			n := 0

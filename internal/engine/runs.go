@@ -104,9 +104,9 @@ func (e *Engine) carve(sch *schedule) {
 		}
 		runs := col.runs
 		if dense && lo == 0 && hi == len(cells) {
-			runs = col.runTable(ci)
+			runs = col.runTable()
 		} else if !col.runsOK {
-			sch.stretches = col.appendStretches(sch.stretches[:0], ci, lo, hi, !dense)
+			sch.stretches = col.appendStretches(sch.stretches[:0], lo, hi, !dense)
 			runs = sch.stretches
 		}
 		k, _ := slices.BinarySearchFunc(runs, lo, func(st colRun, i int) int { return st.i + st.n - 1 - i })

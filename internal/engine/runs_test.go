@@ -196,11 +196,11 @@ func (e *Engine) carveRecords(sch *schedule) {
 			}
 			j := i + 1
 			var p *formula.Program
-			if e.patternRuns && c.ast != nil {
-				p = c.program(at(i))
+			if e.patternRuns {
+				p = c.program()
 			}
 			for p != nil && j < len(cells) && cells[j].dirty && rows[j] == rows[j-1]+1 &&
-				cells[j].ast != nil && cells[j].program(at(j)) == p {
+				cells[j].program() == p {
 				j++
 			}
 			sweepable = j-i >= minPatternRun
@@ -251,10 +251,10 @@ func TestCarveIgnoresEdgeFragmentation(t *testing.T) {
 	const rows = 2000
 	fresh, e := ledgerEngine(t, rows), New(nil)
 	for _, c := range ledgerCells(rows) {
-		if c.AST == nil {
+		if c.Shape == nil {
 			e.SetValue(c.At, c.Value)
 		} else {
-			e.SetFormulaParsed(c.At, c.Src, c.AST)
+			e.SetFormulaShape(c.At, c.Shape)
 		}
 	}
 	rng := rand.New(rand.NewSource(3))

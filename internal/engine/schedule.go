@@ -243,10 +243,9 @@ func (sch *schedule) addNode(at ref.Ref, cells []cell, p *formula.Program) {
 func (e *Engine) spanPrecedents(sch *schedule, at ref.Ref, cells []cell, p *formula.Program, fn func(prec, first ref.Range) bool) {
 	if p == nil { // a single cell
 		c := &cells[0]
-		if c.ast == nil {
+		if p = c.program(); p == nil {
 			return // dirty value cell: no precedents, levels at 0
 		}
-		p = c.program(at)
 	}
 	reads := p.AppendReads(sch.reads[:0], at)
 	n := len(reads)
@@ -415,8 +414,8 @@ func (e *Engine) DrainLevels(budget int) int {
 // bytecode VM as the walk runs it.
 func (e *Engine) evalLevelCell(n *schedNode) {
 	c := &n.cells[0]
-	if c.ast != nil {
-		c.value = c.program(n.at).EvalAt(valueResolver{e}, n.at)
+	if p := c.program(); p != nil {
+		c.value = p.EvalAt(valueResolver{e}, n.at)
 	}
 	c.dirty = false
 }

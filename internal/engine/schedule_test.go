@@ -301,10 +301,10 @@ func installByEdits(e *Engine, cells []ParsedCell, each bool) {
 	for _, formulas := range []bool{false, true} {
 		for _, c := range cells {
 			switch {
-			case (c.AST != nil) != formulas:
+			case (c.Shape != nil) != formulas:
 				continue
 			case formulas:
-				e.SetFormulaParsed(c.At, c.Src, c.AST)
+				e.SetFormulaShape(c.At, c.Shape)
 			default:
 				e.SetValue(c.At, c.Value)
 			}
@@ -324,7 +324,7 @@ func TestFreshLoadDrainsLevelled(t *testing.T) {
 	const rows = 5000
 	pcells := []ParsedCell{{At: ref.MustCell("F1"), Value: formula.Num(2)}}
 	form := func(col, row int, src string) {
-		pcells = append(pcells, ParsedCell{At: ref.Ref{Col: col, Row: row}, Src: src, AST: formula.MustParse(src)})
+		pcells = append(pcells, ParsedCell{At: ref.Ref{Col: col, Row: row}, Shape: formula.MustParseShape(src, ref.Ref{Col: col, Row: row})})
 	}
 	for r := 1; r <= rows; r++ {
 		pcells = append(pcells, ParsedCell{At: ref.Ref{Col: 1, Row: r}, Value: formula.Num(float64(r))})

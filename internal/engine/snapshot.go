@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"unsafe"
 
 	"taco/internal/core"
 	"taco/internal/formula"
@@ -143,14 +144,28 @@ func (e *Engine) writeCells(bw snapWriter) error {
 		_, err := bw.Write(buf[:n])
 		return err
 	}
-	putString := func(s string) error {
-		if len(s) > MaxSnapshotString {
-			return fmt.Errorf("engine: cannot snapshot string of %d bytes (limit %d)", len(s), MaxSnapshotString)
+	putLen := func(n int) error {
+		if n > MaxSnapshotString {
+			return fmt.Errorf("engine: cannot snapshot string of %d bytes (limit %d)", n, MaxSnapshotString)
 		}
-		if err := putUvarint(uint64(len(s))); err != nil {
+		return putUvarint(uint64(n))
+	}
+	putString := func(s string) error {
+		if err := putLen(len(s)); err != nil {
 			return err
 		}
 		_, err := bw.WriteString(s)
+		return err
+	}
+	// A formula's source is rendered from its shape into src, which every
+	// record reuses.
+	var src []byte
+	putSource := func(at ref.Ref, s *formula.Shape) error {
+		src = s.AppendSource(src[:0], at)
+		if err := putLen(len(src)); err != nil {
+			return err
+		}
+		_, err := bw.Write(src)
 		return err
 	}
 	// Deterministic column-major order so equal engines produce identical
@@ -161,12 +176,13 @@ func (e *Engine) writeCells(bw snapWriter) error {
 		return err
 	}
 	return e.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
-		return e.writeCell(bw, putUvarint, putString, at, c)
+		return e.writeCell(bw, putUvarint, putString, putSource, at, c)
 	})
 }
 
 // writeCell encodes one cell record.
-func (e *Engine) writeCell(bw snapWriter, putUvarint func(uint64) error, putString func(string) error, at ref.Ref, c *cell) error {
+func (e *Engine) writeCell(bw snapWriter, putUvarint func(uint64) error, putString func(string) error,
+	putSource func(ref.Ref, *formula.Shape) error, at ref.Ref, c *cell) error {
 	if err := putUvarint(uint64(at.Col)); err != nil {
 		return err
 	}
@@ -174,7 +190,7 @@ func (e *Engine) writeCell(bw snapWriter, putUvarint func(uint64) error, putStri
 		return err
 	}
 	kind := byte(0)
-	if c.ast != nil {
+	if c.shape != nil {
 		kind = 1
 		// A computed value can outgrow the snapshot string limit (string
 		// concatenation compounds); it is only a cache, so persist the
@@ -187,7 +203,7 @@ func (e *Engine) writeCell(bw snapWriter, putUvarint func(uint64) error, putStri
 		return err
 	}
 	if kind != 0 {
-		if err := putString(c.src); err != nil {
+		if err := putSource(at, c.shape); err != nil {
 			return err
 		}
 	}
@@ -224,16 +240,16 @@ func writeValue(bw snapWriter, putUvarint func(uint64) error, putString func(str
 // snapshotCell is one decoded cell record.
 type snapshotCell struct {
 	at    ref.Ref
-	src   string       // formula source ("" for value cells)
-	ast   formula.Node // parsed formula; nil for value cells
+	shape *formula.Shape // the formula; nil for value cells
 	value formula.Value
 	dirty bool // formula restored without a cached value (kind 2)
 }
 
 // scanCells decodes the cell section (magic, count, records), invoking fn
-// per cell. Formula sources go through the process-wide parse cache and src
-// is the cache's canonical string — a restore of a previously-seen session
-// allocates no per-formula memory. On return the reader is positioned at the
+// per cell. Formula sources go through the process-wide shape cache
+// (formula.ParseShape at the record's position): a formula whose shape was
+// seen before — any row of a fill, any session — is looked up, not parsed,
+// and restores as the same *Shape. On return the reader is positioned at the
 // graph section.
 //
 // The writer emits records strictly ascending in column-major order, and
@@ -309,7 +325,8 @@ func scanCells(br *bufio.Reader, fn func(snapshotCell) error) error {
 			if err != nil {
 				return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
 			}
-			sc.ast, sc.src, err = formula.ParseCachedBytes(b)
+			// ParseShape keeps nothing of the text, so it reads it in place.
+			sc.shape, err = formula.ParseShape(unsafe.String(unsafe.SliceData(b), len(b)), at)
 			if err != nil {
 				return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
 			}
@@ -334,7 +351,7 @@ func scanCells(br *bufio.Reader, fn func(snapshotCell) error) error {
 // restored with their cached values (formulae whose cached value was too
 // large to persist come back dirty and recompute on demand); the graph is
 // bulk-loaded through the core snapshot path, so no dependency is
-// recompressed, and formula sources hit the process-wide parse cache.
+// recompressed, and formula sources hit the process-wide shape cache.
 func RestoreSnapshot(r io.Reader) (*Engine, error) {
 	return restoreSnapshot(r, nil)
 }
@@ -371,8 +388,8 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 		}
 		store.column(stage[0].at.Col, len(stage))
 		for _, sc := range stage {
-			store.set(sc.at, cell{ast: sc.ast, src: sc.src, value: sc.value, dirty: sc.dirty}) // the append path
-			if sc.ast != nil {
+			store.set(sc.at, cell{shape: sc.shape, value: sc.value, dirty: sc.dirty}) // the append path
+			if sc.shape != nil {
 				nformulas++
 			}
 			if sc.dirty {

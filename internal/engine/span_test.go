@@ -411,7 +411,7 @@ func (sc spanCase) runOnce(t *testing.T) (got *Engine) {
 			t.Errorf("%v: left dirty", at)
 		}
 		if w := c.value; g.Kind != w.Kind || math.Float64bits(g.Num) != math.Float64bits(w.Num) || g.Err != w.Err {
-			t.Errorf("%v (%q): got %v, reference %v", at, c.src, g, w)
+			t.Errorf("%v (%q): got %v, reference %v", at, want.Formula(at), g, w)
 		}
 		return nil
 	})

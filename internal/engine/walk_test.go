@@ -47,18 +47,19 @@ func (r recursiveResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
 
 // dirtyVal evaluates a dirty cell before it is read; a cell under evaluation
 // reads as #CYCLE!.
-func (r recursiveResolver) dirtyVal(_ ref.Ref, c *cell) formula.Value {
+func (r recursiveResolver) dirtyVal(at ref.Ref, c *cell) formula.Value {
 	if c.evaluating != 0 {
 		return formula.Error(formula.ErrCycle)
 	}
-	r.evaluate(c)
+	r.evaluate(at, c)
 	return c.value
 }
 
-func (r recursiveResolver) evaluate(c *cell) {
-	if c.ast != nil {
+// evaluate runs the AST walker over the formula the cell's shape renders.
+func (r recursiveResolver) evaluate(at ref.Ref, c *cell) {
+	if c.shape != nil {
 		c.evaluating = exactEval
-		c.value = formula.Eval(c.ast, r)
+		c.value = formula.Eval(formula.MustParse(c.shape.Source(at)), r)
 		c.evaluating = 0
 	}
 	c.dirty = false
@@ -70,10 +71,10 @@ func (r recursiveResolver) evaluate(c *cell) {
 // takes its roots in.
 func drainRecursive(e *Engine) {
 	e.noteDirtyMutation()
-	e.store.dirtyWindows(func(_ int, col *column, lo, hi int, _ bool) bool {
+	e.store.dirtyWindows(func(ci int, col *column, lo, hi int, _ bool) bool {
 		for i := lo; i < hi; i++ {
 			if c := &col.cells[i]; c.dirty {
-				recursiveResolver{e}.evaluate(c)
+				recursiveResolver{e}.evaluate(ref.Ref{Col: ci, Row: col.rows[i]}, c)
 			}
 		}
 		return true
@@ -97,7 +98,7 @@ func lookDownChain(n int, last string) []ParsedCell {
 		if r == n {
 			src = last
 		}
-		pcells = append(pcells, ParsedCell{At: ref.Ref{Col: 1, Row: r}, Src: src, AST: formula.MustParse(src)})
+		pcells = append(pcells, ParsedCell{At: ref.Ref{Col: 1, Row: r}, Shape: formula.MustParseShape(src, ref.Ref{Col: 1, Row: r})})
 	}
 	return pcells
 }
@@ -218,7 +219,7 @@ func TestWalkFromEachEntry(t *testing.T) {
 			walked, reference := build(), build()
 			walkFrom(walked, ref.MustCell(entry[0]))
 			walked.RecalculateAll()
-			recursiveResolver{reference}.evaluate(reference.store.get(ref.MustCell(entry[0])))
+			recursiveResolver{reference}.evaluate(ref.MustCell(entry[0]), reference.store.get(ref.MustCell(entry[0])))
 			drainRecursive(reference)
 			enginesEqual(t, reference, walked)
 		}
@@ -276,13 +277,13 @@ func TestTotalAboveColumnDrainsLinear(t *testing.T) {
 			build := func() *Engine {
 				pcells := []ParsedCell{
 					{At: ref.MustCell("A1"), Value: formula.Num(1)},
-					{At: ref.MustCell("C1"), Src: total, AST: formula.MustParse(total)},
+					{At: ref.MustCell("C1"), Shape: formula.MustParseShape(total, ref.MustCell("C1"))},
 				}
 				for r := 1; r <= rows; r++ {
 					pcells = append(pcells, ParsedCell{At: ref.Ref{Col: 2, Row: r}, Value: formula.Num(float64(r))})
 					for col, f := range tc.cols {
 						src := fmt.Sprintf(f, r)
-						pcells = append(pcells, ParsedCell{At: ref.Ref{Col: col, Row: r}, Src: src, AST: formula.MustParse(src)})
+						pcells = append(pcells, ParsedCell{At: ref.Ref{Col: col, Row: r}, Shape: formula.MustParseShape(src, ref.Ref{Col: col, Row: r})})
 					}
 				}
 				e := LoadBulkParsed(pcells)

@@ -20,10 +20,13 @@ import (
 // position (the anchor) on their relative axes and absolutely on their
 // $-fixed axes — exactly the axes Shift preserves. Two formulae that are
 // shifted copies of each other therefore compile to byte-identical programs,
-// and CompileCached interns programs by those bytes, so "same shape" is a
+// and CompileCached interns programs by those bytes, so "same program" is a
 // pointer comparison. That is what the wavefront scheduler's pattern-run
 // detection keys on (see engine/runs.go): a column of =A2*B2+C2,
-// =A3*B3+C3, ... shares one *Program.
+// =A3*B3+C3, ... shares one *Program. One level up, a formula's text is
+// interned by the same relative encoding (shape.go): the column shares one
+// *Shape, which holds that program, and text that differs only in spelling
+// or spacing is another shape of the same program.
 //
 // Exactness: Eval and the VM read the same operands in the same order — both
 // evaluate every argument expression before they apply an operator or
@@ -217,6 +220,18 @@ func rel(coord, anchor int, fixed bool) int32 {
 	return int32(coord - anchor)
 }
 
+// rangeOpOf encodes a range reference relative to anchor.
+func rangeOpOf(t *RangeRef, anchor ref.Ref) rangeOp {
+	return rangeOp{
+		headCol:      rel(t.At.Head.Col, anchor.Col, t.HeadColFixed),
+		headRow:      rel(t.At.Head.Row, anchor.Row, t.HeadRowF),
+		tailCol:      rel(t.At.Tail.Col, anchor.Col, t.TailColFixed),
+		tailRow:      rel(t.At.Tail.Row, anchor.Row, t.TailRowF),
+		headColFixed: t.HeadColFixed, headRowFixed: t.HeadRowF,
+		tailColFixed: t.TailColFixed, tailRowFixed: t.TailRowF,
+	}
+}
+
 func (c *compiler) gen(n Node) {
 	switch t := n.(type) {
 	case *Number:
@@ -232,14 +247,7 @@ func (c *compiler) gen(n Node) {
 			ColFixed: t.ColFixed, RowFixed: t.RowFixed,
 		}))
 	case *RangeRef:
-		c.emit(opRange, c.addRange(rangeOp{
-			headCol:      rel(t.At.Head.Col, c.anchor.Col, t.HeadColFixed),
-			headRow:      rel(t.At.Head.Row, c.anchor.Row, t.HeadRowF),
-			tailCol:      rel(t.At.Tail.Col, c.anchor.Col, t.TailColFixed),
-			tailRow:      rel(t.At.Tail.Row, c.anchor.Row, t.TailRowF),
-			headColFixed: t.HeadColFixed, headRowFixed: t.HeadRowF,
-			tailColFixed: t.TailColFixed, tailRowFixed: t.TailRowF,
-		}))
+		c.emit(opRange, c.addRange(rangeOpOf(t, c.anchor)))
 	case *Unary:
 		c.gen(t.X)
 		c.emit(opUnary, c.addOp(t.Op))

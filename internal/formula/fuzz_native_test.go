@@ -163,6 +163,74 @@ func FuzzBytecodeEval(f *testing.F) {
 	})
 }
 
+// FuzzShapeRender: the shape key loses nothing. For every source the parser
+// accepts, at a fuzzed anchor, ParseShape accepts it too, its shape renders
+// the source back byte for byte, reports the references Refs does and runs the
+// program CompileCached interns for it; and the same fill's text at a second
+// anchor — wherever it compiles to that program — is the same *Shape.
+func FuzzShapeRender(f *testing.F) {
+	seeds := []string{
+		"=A1*B1*$H$1",
+		"  = sum(a1:B9) ",
+		"=D4+C5",
+		"=SUM(A$1:A7)",
+		"=A$10:A1",
+		"=$A5:B$1+aB3-A07",
+		`=IF(A1>0,"x""y",C3)&"A1"`,
+		"=LOG10(A1)*1E5/E5",
+		"=A1:B2:C3",
+	}
+	for i, s := range seeds {
+		f.Add(s, uint16(3+i), uint32(7+i), int16(1), int16(i))
+	}
+	lastDrops := mCompileDrops.Value()
+	f.Fuzz(func(t *testing.T, src string, col uint16, row uint32, dcol, drow int16) {
+		// A compile-cache drop leaves interned shapes holding programs the
+		// cache no longer does; identity is only checked between drops.
+		if d := mCompileDrops.Value(); d != lastDrops {
+			ResetShapeCache()
+			lastDrops = d
+		}
+		at := ref.Ref{Col: 1 + int(col)%2000, Row: 1 + int(row)%200_000}
+		node, perr := Parse(src)
+		s, err := ParseShape(src, at)
+		if (perr == nil) != (err == nil) {
+			t.Fatalf("%q at %v: Parse says %v, ParseShape %v", src, at, perr, err)
+		}
+		if err != nil {
+			return
+		}
+		if got := s.Source(at); got != src {
+			t.Fatalf("%q at %v renders %q", src, at, got)
+		}
+		if got, want := s.AppendRefs(nil, at), Refs(node); !slices.Equal(got, want) {
+			t.Fatalf("%q at %v: refs %v, want %v", src, at, got, want)
+		}
+		sameProgram := func(p *Program) bool {
+			return string(p.appendKey(nil)) == string(s.Program().appendKey(nil))
+		}
+		p := CompileCached(node, at)
+		if !sameProgram(p) {
+			t.Fatalf("%q at %v: the shape's program is another formula's", src, at)
+		}
+		if p != s.Program() && mCompileDrops.Value() == lastDrops && len(p.appendKey(nil)) <= progCacheMaxEntry {
+			t.Fatalf("%q at %v: the shape's program is not the interned one", src, at)
+		}
+		at2 := ref.Ref{Col: at.Col + int(dcol), Row: at.Row + int(drow)}
+		if !at2.Valid() || len(s.key) > shapeCacheMaxKey {
+			return
+		}
+		src2 := s.Source(at2)
+		node2, err := Parse(src2)
+		if err != nil || !sameProgram(Compile(node2, at2)) {
+			return // not the same fill there
+		}
+		if s2, err := ParseShape(src2, at2); err != nil || s2 != s {
+			t.Fatalf("%q at %v and %q at %v: two shapes (%v)", src, at, src2, at2, err)
+		}
+	})
+}
+
 // FuzzNumericLanes: NumericSweepRows ≡ NumericSweepRow on operands the fuzzer
 // writes bit by bit. prog picks a program of the numeric corpus, every eight
 // bytes of data are one float64, dealt out row-major; a row the bytes do not

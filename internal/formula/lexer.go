@@ -114,7 +114,7 @@ func (lx *lexer) next() (token, error) {
 		return token{kind: tokOp, text: ">", pos: start}, nil
 	case c == '+' || c == '-' || c == '*' || c == '/' || c == '^' || c == '&' || c == '=' || c == '%':
 		lx.pos++
-		return token{kind: tokOp, text: string(c), pos: start}, nil
+		return token{kind: tokOp, text: lx.src[start : start+1], pos: start}, nil
 	default:
 		return token{}, lx.errf(start, "unexpected character %q", c)
 	}
@@ -153,21 +153,24 @@ done:
 func (lx *lexer) lexString() (token, error) {
 	start := lx.pos
 	lx.pos++ // opening quote
-	var sb strings.Builder
+	escaped := false
 	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == '"' {
-			// Doubled quote is an escaped quote, per spreadsheet convention.
-			if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '"' {
-				sb.WriteByte('"')
-				lx.pos += 2
-				continue
-			}
+		if lx.src[lx.pos] != '"' {
 			lx.pos++
-			return token{kind: tokString, text: sb.String(), pos: start}, nil
+			continue
 		}
-		sb.WriteByte(c)
+		// Doubled quote is an escaped quote, per spreadsheet convention.
+		if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '"' {
+			escaped = true
+			lx.pos += 2
+			continue
+		}
 		lx.pos++
+		text := lx.src[start+1 : lx.pos-1]
+		if escaped {
+			text = strings.ReplaceAll(text, `""`, `"`)
+		}
+		return token{kind: tokString, text: text, pos: start}, nil
 	}
 	return token{}, lx.errf(start, "unterminated string")
 }

@@ -2,6 +2,7 @@ package formula
 
 import (
 	"strings"
+	"unicode"
 
 	"taco/internal/ref"
 )
@@ -134,11 +135,8 @@ func Text(n Node) string {
 
 // Parse parses a formula. A leading '=' is accepted and ignored.
 func Parse(src string) (Node, error) {
-	s := strings.TrimSpace(src)
-	if strings.HasPrefix(s, "=") {
-		s = s[1:]
-	}
-	p := &parser{lx: lexer{src: s}}
+	lo, hi := body(src)
+	p := &parser{lx: lexer{src: src[lo:hi]}}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -150,6 +148,17 @@ func Parse(src string) (Node, error) {
 		return nil, p.lx.errf(p.tok.pos, "unexpected %q after expression", p.tok.text)
 	}
 	return n, nil
+}
+
+// body bounds the part of src the parser reads: src[lo:hi] is src without
+// surrounding white space and without a leading '='.
+func body(src string) (lo, hi int) {
+	hi = len(strings.TrimRightFunc(src, unicode.IsSpace))
+	lo = hi - len(strings.TrimLeftFunc(src[:hi], unicode.IsSpace))
+	if lo < hi && src[lo] == '=' {
+		lo++
+	}
+	return lo, hi
 }
 
 // MustParse parses a formula and panics on error. Intended for tests.

@@ -383,7 +383,7 @@ func TestWaitHoldsStayBoundedOnTheWalk(t *testing.T) {
 					}
 					for col, f := range srcs {
 						src := fmt.Sprintf(f, r, r+1)
-						pcells = append(pcells, engine.ParsedCell{At: ref.Ref{Col: col, Row: r}, Src: src, AST: formula.MustParse(src)})
+						pcells = append(pcells, engine.ParsedCell{At: ref.Ref{Col: col, Row: r}, Shape: formula.MustParseShape(src, ref.Ref{Col: col, Row: r})})
 					}
 				}
 				e := engine.LoadBulkParsed(pcells)
@@ -425,7 +425,7 @@ func TestWaitHoldsStayBoundedOnTheWalk(t *testing.T) {
 func ledgerEngine(rows int) *engine.Engine {
 	cells := []engine.ParsedCell{{At: ref.MustCell("H1"), Value: formula.Num(1.05)}}
 	form := func(at ref.Ref, src string) {
-		cells = append(cells, engine.ParsedCell{At: at, Src: src, AST: formula.MustParse(src)})
+		cells = append(cells, engine.ParsedCell{At: at, Shape: formula.MustParseShape(src, at)})
 	}
 	for r := 1; r <= rows; r++ {
 		cells = append(cells,

@@ -544,9 +544,9 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 type parsedOp struct {
-	at  ref.Ref
-	op  EditOp
-	ast formula.Node // pre-parsed formula (EditOp.Formula ops only)
+	at    ref.Ref
+	op    EditOp
+	shape *formula.Shape // pre-parsed formula at at (EditOp.Formula ops only)
 }
 
 type badEditError struct {
@@ -584,16 +584,17 @@ func parseBatch(edits []EditOp) ([]parsedOp, error) {
 		if set != 1 {
 			return nil, &badEditError{i, errors.New("exactly one of value, text, formula, clear required")}
 		}
-		var ast formula.Node
+		var shape *formula.Shape
 		if op.Formula != nil {
-			// Cached parse: edit streams replay formulae that load paths
-			// (and other tenants' identical sheets) have already parsed.
-			ast, err = formula.ParseCached(*op.Formula)
+			// Interned parse: edit streams replay formulae — and shifted
+			// copies of them — that load paths (and other tenants'
+			// identical sheets) have already parsed.
+			shape, err = formula.ParseShape(*op.Formula, at)
 			if err != nil {
 				return nil, &badEditError{i, err}
 			}
 		}
-		ops[i] = parsedOp{at: at, op: op, ast: ast}
+		ops[i] = parsedOp{at: at, op: op, shape: shape}
 	}
 	return ops, nil
 }
@@ -616,7 +617,7 @@ func applyBatch(eng *engine.Engine, ops []parsedOp) (applied, dirty int, bulk bo
 			case p.op.Text != nil:
 				pc.Value = formula.Str(*p.op.Text)
 			case p.op.Formula != nil:
-				pc.Src, pc.AST = *p.op.Formula, p.ast
+				pc.Shape = p.shape
 			}
 			pcells = append(pcells, pc)
 		}
@@ -630,7 +631,7 @@ func applyBatch(eng *engine.Engine, ops []parsedOp) (applied, dirty int, bulk bo
 		case p.op.Text != nil:
 			dirty += countCells(eng.SetValue(p.at, formula.Str(*p.op.Text)))
 		case p.op.Formula != nil:
-			dirty += countCells(eng.SetFormulaParsed(p.at, *p.op.Formula, p.ast))
+			dirty += countCells(eng.SetFormulaShape(p.at, p.shape))
 		case p.op.Clear:
 			dirty += countCells(eng.ClearCell(p.at))
 		}
