@@ -24,10 +24,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The drain-ownership and barrier tests, ten times over under the race
-# detector: a lost wake-up or a write-fence deadlock shows on some runs only.
+# The drain-ownership and barrier tests, and the tests that cross the
+# session lifecycle's transitions (degrade, repair, eviction, fork,
+# quarantine), ten times over under the race detector: a lost wake-up, a
+# write-fence deadlock or a transition racing a drain shows on some runs only.
 stress-drain:
-	$(GO) test -race -run 'Wait|Drain|OneDrainer|Stress' -count=10 ./internal/server
+	$(GO) test -race -run 'Wait|Drain|OneDrainer|Stress|Lifecycle|Degrad|Repair|Evict|Fork|Quarantin' -count=10 ./internal/server
 
 # Non-test Go lines per package — the number simplicity PRs report before
 # and after. CI prints it on every run.
@@ -119,6 +121,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime=15s
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzJournalDecode$$' -fuzztime=15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGraphSequence$$' -fuzztime=15s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStoreLifecycle$$' -fuzztime=15s
 
 # Local mirror of CI's perf-regression gate: measure now, compare against
 # the checked-in baselines, fail on >25% regression (edits/s, mid-drain

@@ -3,39 +3,27 @@ package server
 import (
 	"errors"
 	"time"
-
-	"taco/internal/journal"
 )
 
 // Graceful degradation: a disk fault on a session's durability path — a
-// journal append that fails, a snapshot that won't write — no longer risks
-// poisoning the store or silently dropping the durability contract. The
-// session enters a typed degraded state: reads keep serving (the in-memory
-// engine is fine), writes are rejected with 507 + Retry-After (accepting
-// more edits would silently widen the window of acknowledged-but-
-// unjournaled data), and a background repairer retries with capped backoff
-// until the fault clears — reopening torn journal writers, re-appending the
-// records that failed, rewriting failed snapshots — then re-arms durability
-// and lifts the write fence.
+// journal append that fails, a base that won't write — degrades that session
+// (lifecycle.go's health) instead of poisoning the store or silently dropping
+// the durability contract. Reads keep serving, writes are rejected with 507 +
+// Retry-After (more edits would widen the window of acknowledged-but-
+// unjournaled data), and a repair loop retries with capped backoff until the
+// fault clears — reopening torn journal writers, re-appending the records
+// that failed, rewriting the base — then lifts the write fence.
 //
-// The one batch that triggered journal degradation IS acknowledged (it was
-// applied before the append failed; unwinding applied engine state would
-// trade a durability gap for a consistency lie) and is buffered in memory
-// until the repairer lands it on disk. A crash inside that window loses
-// exactly the buffered batches of degraded sessions — the same window a
-// non-durable store has for everything, bounded here to one batch per
-// degraded session because subsequent writes are fenced.
+// The batch whose append failed IS acknowledged (it was applied first;
+// unwinding applied engine state would trade a durability gap for a
+// consistency lie) and buffered in memory until the repairer lands it. A
+// crash inside that window loses exactly that one batch per degraded session,
+// since later writes are fenced.
 
 // ErrSessionDegraded rejects writes to a session whose durability path is
 // broken (HTTP 507 + Retry-After). Reads are unaffected; the background
 // repairer clears the state once appends/spills succeed again.
 var ErrSessionDegraded = errors.New("server: session degraded (durability fault, retry later)")
-
-// Degradation reasons, for telemetry and repair dispatch.
-const (
-	degradedJournal = "journal" // append or group-commit fsync failed
-	degradedSpill   = "spill"   // snapshot write failed (evict or checkpoint)
-)
 
 // pendingRecord is an acknowledged edit batch whose journal append failed,
 // held in memory (in rev order) until the repairer lands it.
@@ -44,143 +32,107 @@ type pendingRecord struct {
 	payload []byte
 }
 
-// degradeLocked moves the session into the degraded state (idempotently)
-// and buffers rec if the failed append's payload must be replayed by the
-// repairer. Called with s.mu held; the caller schedules the repair after
-// releasing the lock (scheduleRepair is session-lock-safe, but keeping it
-// out of fn-callback paths keeps lock holds short).
-func (st *Store) degradeLocked(s *Session, reason string, rec *pendingRecord) {
-	if rec != nil {
-		s.pendingRecs = append(s.pendingRecs, *rec)
-	}
-	// Whatever faulted, stop trusting base + journal to reproduce the state:
-	// the next eviction writes a full base.
-	s.tailBroken = true
-	if s.degraded {
+// degradeLocked marks path p of the session broken, buffering rec if the
+// failed append's batch must be landed by the repairer. A session that was
+// healthy gets its repair loop; one past degrading (quarantined or deleted)
+// is left as it is. Called with s.mu held.
+func (st *Store) degradeLocked(s *Session, p brokenPath, rec *pendingRecord) {
+	was := s.health.broken
+	if s.degrade(p, rec) != nil {
 		return
 	}
-	s.degraded = true
-	s.degradedReason = reason
-	s.degradedSince = time.Now()
-	s.repairBackoff = journal.Backoff{Base: 50 * time.Millisecond, Cap: 5 * time.Second}
-	st.degradedCount.Add(1)
-	mDegradedEvents.With(reason).Inc()
-}
-
-// scheduleRepair queues the session for the repair worker (deduplicated).
-// Safe to call while holding a session lock: repq.mu is a leaf.
-func (st *Store) scheduleRepair(s *Session) {
-	st.repq.mu.Lock()
-	if !st.repq.closed && !st.repq.queued[s] {
-		st.repq.queued[s] = true
-		st.repq.queue = append(st.repq.queue, s)
-		st.repq.cond.Signal()
+	if was&p == 0 {
+		mDegradedEvents.With(p.String()).Inc()
 	}
-	st.repq.mu.Unlock()
+	if was == 0 {
+		st.degradedCount.Add(1)
+		st.rq.mu.Lock() // a leaf, safe under a session lock
+		if !st.rq.closed {
+			st.wg.Add(1)
+			go st.repairLoop(s)
+		}
+		st.rq.mu.Unlock()
+	}
 }
 
-// repairWorker drains the repair queue. A failed attempt re-schedules the
-// session on its capped exponential backoff via a timer, so one stubborn
-// fault never busy-loops the worker or starves other degraded sessions.
-func (st *Store) repairWorker() {
+// baseFailedLocked degrades a session whose base write failed: it stays
+// resident and unevictable, its writes fenced, until the repairer lands the
+// base. Called with s.mu held.
+func (st *Store) baseFailedLocked(s *Session) {
+	mSpillErrors.Inc()
+	st.degradeLocked(s, brokenSpill, nil)
+}
+
+// repairLoop is a degraded session's repairer: it retries the broken paths
+// on the session's capped exponential backoff until none is left (or the
+// session is deleted) or the store closes.
+func (st *Store) repairLoop(s *Session) {
 	defer st.wg.Done()
-	for {
-		st.repq.mu.Lock()
-		for len(st.repq.queue) == 0 && !st.repq.closed {
-			st.repq.cond.Wait()
-		}
-		if st.repq.closed {
-			st.repq.mu.Unlock()
-			return
-		}
-		s := st.repq.queue[0]
-		st.repq.queue = st.repq.queue[1:]
-		delete(st.repq.queued, s)
-		st.repq.mu.Unlock()
-		if st.repairSession(s) {
-			continue
-		}
+	for !st.repairSession(s) {
 		mRepairFailures.Inc()
 		s.mu.Lock()
-		delay := s.repairBackoff.Next()
+		delay := s.retryDelay()
 		s.mu.Unlock()
-		time.AfterFunc(delay, func() { st.scheduleRepair(s) })
+		select {
+		case <-time.After(delay):
+		case <-st.stop:
+			return
+		}
 	}
 }
 
-// repairSession attempts to restore the session's durability and reports
-// whether the session no longer needs repair (fixed, deleted, or never
-// degraded). On success the degraded fence lifts and writes flow again.
+// repairSession attempts to restore each broken durability path of the
+// session and reports whether none is left (fixed, deleted, or never
+// degraded). Once none is left the write fence lifts.
 func (st *Store) repairSession(s *Session) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.degraded || s.deleted {
-		return true
-	}
-	switch s.degradedReason {
-	case degradedSpill:
-		if !st.repairSpillLocked(s) {
+	for _, p := range [...]brokenPath{brokenJournal, brokenSpill} {
+		if s.health.broken&p == 0 {
+			continue
+		}
+		if p == brokenJournal && !st.repairJournalLocked(s) || p == brokenSpill && !st.repairSpillLocked(s) {
 			return false
 		}
-	default:
-		if !st.repairJournalLocked(s) {
-			return false
+		s.repair(p)
+		if s.health.broken == 0 {
+			st.degradedCount.Add(-1)
+			mRepairs.Inc()
 		}
 	}
-	s.degraded = false
-	s.degradedReason = ""
-	s.degradedSince = time.Time{}
-	s.repairBackoff.Reset()
-	st.degradedCount.Add(-1)
-	mRepairs.Inc()
 	return true
 }
 
 // repairJournalLocked re-arms a session's journal: reopen (revalidating the
-// file and clearing any torn poison), drop buffered records a checkpointed
-// snapshot has since superseded, re-append the rest in rev order, and run
-// the policy's fsync barrier. Called with s.mu held.
+// file and clearing any torn poison), re-append the buffered records in rev
+// order — all but those the surviving journal or a checkpointed base already
+// holds — and run the policy's fsync barrier. Called with s.mu held.
 func (st *Store) repairJournalLocked(s *Session) bool {
 	w, err := st.sessionJournal(s)
 	if err != nil {
 		return false
 	}
-	if _, err := w.Reopen(); err != nil {
+	head, err := w.Reopen()
+	if err != nil {
 		return false
 	}
-	// A spill that checkpointed past a buffered rev makes its record moot:
-	// the snapshot already contains the batch.
-	for len(s.pendingRecs) > 0 && s.pendingRecs[0].rev <= s.snapRev {
-		s.pendingRecs = s.pendingRecs[1:]
-	}
-	for len(s.pendingRecs) > 0 {
-		pr := s.pendingRecs[0]
+	for _, pr := range s.health.recs {
+		if pr.rev <= max(head, s.disk.rev) {
+			continue
+		}
 		if err := w.Append(pr.rev, pr.payload); err != nil {
 			return false
 		}
-		s.pendingRecs = s.pendingRecs[1:]
+		head = pr.rev
 	}
-	if err := w.Sync(); err != nil {
-		return false
-	}
-	return true
+	return w.Sync() == nil
 }
 
-// repairSpillLocked retries the snapshot write that failed at eviction (or
-// checkpoint). On success the session holds a current snapshot again and
-// rejoins the evictable pool. Called with s.mu held.
+// repairSpillLocked retries the base write that failed at eviction,
+// creation or checkpoint. On success the session holds a current base again
+// and rejoins the evictable pool. Called with s.mu held.
 func (st *Store) repairSpillLocked(s *Session) bool {
-	if s.eng == nil {
-		// Spilled successfully since (or deleted race): the snapshot write
-		// that defines this degradation has already happened.
-		s.unevictable.Store(false)
-		return true
-	}
-	if err := st.writeFullLocked(s); err != nil {
-		return false
-	}
-	s.unevictable.Store(false)
-	return true
+	return s.res == resident && st.writeFullLocked(s) == nil
 }
 
 // Degraded reports whether the session's durability path is currently
@@ -188,5 +140,5 @@ func (st *Store) repairSpillLocked(s *Session) bool {
 func (s *Session) Degraded() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.degraded
+	return s.health.broken != 0
 }

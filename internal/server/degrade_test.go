@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"path/filepath"
 	"syscall"
@@ -9,6 +10,8 @@ import (
 
 	"taco/internal/engine"
 	"taco/internal/faultfs"
+	"taco/internal/formula"
+	"taco/internal/ref"
 )
 
 // waitRepaired polls until the store reports no degraded sessions.
@@ -208,5 +211,153 @@ func TestSlowFsyncDoesNotDegrade(t *testing.T) {
 	}
 	if st := srv.Store().Stats(); st.DegradedSessions != 0 {
 		t.Fatalf("slow fsync degraded sessions: %+v", st)
+	}
+}
+
+// spillWriteFault fails every atomic base write (the temp file's write) with
+// ENOSPC, and clears the plan when the test ends.
+func spillWriteFault(t *testing.T, more ...faultfs.Rule) {
+	t.Helper()
+	t.Cleanup(faultfs.Clear)
+	faultfs.Inject(append(more, faultfs.Rule{
+		Op: faultfs.OpWrite, PathContains: ".spill-",
+		Fault: faultfs.Fault{Err: syscall.ENOSPC},
+	})...)
+}
+
+// oneCell is an engine holding A1 = v.
+func oneCell(v float64) *engine.Engine {
+	eng := engine.New(nil)
+	eng.SetValue(ref.Ref{Col: 1, Row: 1}, formula.Num(v))
+	return eng
+}
+
+// TestRepairedSessionEvictable: a session degraded by a journal fault whose
+// eviction then fails too owes two repairs. Once both land it must be
+// evictable again — no flag of the failed spill may outlive the repair.
+func TestRepairedSessionEvictable(t *testing.T) {
+	st, err := NewStore(StoreOptions{
+		Shards: 1, MaxResident: 1, RecalcWorkers: -1,
+		Durable: true, SpillDir: t.TempDir(), FsyncPolicy: "never",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	a := st.Create("a", engine.New(nil))
+	spillWriteFault(t, faultfs.Rule{
+		Op: faultfs.OpWrite, PathContains: a.ID + journalSuffix,
+		Fault: faultfs.Fault{Err: syscall.ENOSPC},
+	})
+	applyJournaled(t, st, a.ID, valueEdit("A1", 1)) // acknowledged, degrades a
+	if !a.Degraded() {
+		t.Fatal("failed journal append did not degrade the session")
+	}
+	st.Create("b", engine.New(nil)) // evicting a fails: its base cannot be written
+	if !a.Resident() {
+		t.Fatal("a was evicted though its base write failed")
+	}
+	faultfs.Clear()
+	waitRepaired(t, st)
+	st.Create("c", engine.New(nil))
+	if a.Resident() {
+		t.Fatalf("repaired session a still resident after a create over the cap: %+v", st.Stats())
+	}
+}
+
+// TestCreateDuringBaseFaultKeepsAcks: a non-empty session created while its
+// first base cannot be written must not acknowledge an edit a restart would
+// lose. Writes are fenced until the repairer lands the base and the
+// registry entry; after that an acknowledged edit survives a restart.
+func TestCreateDuringBaseFaultKeepsAcks(t *testing.T) {
+	dir := t.TempDir()
+	opts := StoreOptions{Shards: 1, RecalcWorkers: -1, Durable: true, SpillDir: dir, FsyncPolicy: "always"}
+	st1, err := NewStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st1.Close)
+	spillWriteFault(t)
+	a := st1.Create("a", oneCell(1)).ID
+	edit := func(cell string, v float64) error {
+		batch := valueEdit(cell, v)
+		ops, err := parseBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st1.UpdateJournaled(a, batch, func(_ *Session, eng *engine.Engine) error {
+			applyBatch(eng, ops)
+			return nil
+		})
+	}
+	acked := map[string]float64{"A1": 1}
+	if err := edit("A2", 2); err == nil {
+		acked["A2"] = 2
+	} else if !errors.Is(err, ErrSessionDegraded) {
+		t.Fatalf("edit during the base fault: %v", err)
+	}
+	faultfs.Clear()
+	waitRepaired(t, st1)
+	if err := edit("A3", 3); err != nil {
+		t.Fatalf("edit after repair: %v", err)
+	}
+	acked["A3"] = 3
+	st1.Close()
+
+	st2, err := NewStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	err = st2.View(a, func(_ *Session, eng *engine.Engine) error {
+		for cell, want := range acked {
+			at, _ := ref.ParseA1(cell)
+			if got := eng.Value(at); got.Num != want {
+				t.Errorf("after restart %s = %v, want the acknowledged %v", cell, got, want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("session lost across the restart: %v", err)
+	}
+}
+
+// TestReplicaDuringBaseFaultNeverRestartsEmpty: a durable standby whose
+// bootstrap base cannot be written must not register a base it does not
+// hold. After a restart the replica either holds the bootstrapped cells or
+// is absent (and is bootstrapped again); it is never an empty engine at the
+// shipped revision.
+func TestReplicaDuringBaseFaultNeverRestartsEmpty(t *testing.T) {
+	dir := t.TempDir()
+	opts := tailStoreOpts(dir)
+	st1, err := NewStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st1.Close)
+	spillWriteFault(t)
+	if _, err := st1.CreateReplica("replica", "r", oneCell(7), 5); err != nil {
+		t.Fatal(err)
+	}
+	st1.Close()
+	faultfs.Clear()
+
+	st2, err := NewStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, err := st2.Peek("replica"); errors.Is(err, ErrSessionNotFound) {
+		return
+	}
+	err = st2.View("replica", func(s *Session, eng *engine.Engine) error {
+		if v := eng.Value(ref.Ref{Col: 1, Row: 1}); v.Num != 7 {
+			t.Errorf("restarted replica A1 = %v at rev %d, want the bootstrapped 7", v, s.rev)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -16,16 +16,13 @@ import (
 )
 
 // This file is the store's durability layer (StoreOptions.Durable): a
-// session is `base snapshot at snapRev + journal records (snapRev, rev]`.
-// Every accepted edit batch is appended to the session's journal before the
-// response commits; every full base write is a checkpoint — the base lands
-// atomically, the session's registry entry advances, and the journal is
-// truncated, so the journal only ever holds records above the base; and a
-// restarted store replays the registry at boot, re-registering every session
-// as non-resident. Restoring a session — after an eviction or a restart alike
-// — means: read the base (integrity-checked, quarantined on corruption),
-// replay the journal tail through the live edit path, and let the normal
-// drain reconverge values.
+// session on disk is its base at the disk state's rev plus the journal
+// records above it (lifecycle.go). Every accepted edit batch is appended to
+// the journal before the response commits; every base write is a checkpoint
+// that truncates it; a restarted store re-registers every registry entry as
+// spilled. A restore — after an eviction or a restart alike — reads the base
+// (integrity-checked, quarantined on corruption), replays the journal tail
+// through the live edit path, and lets the normal drain reconverge values.
 //
 // Crash ordering. Journal records carry the post-batch revision and replay
 // skips records at or below the base's revision, while every edit op is an
@@ -100,25 +97,15 @@ func (st *Store) bootRecover() {
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			head = 0 // unreadable journal: serve the snapshot alone
 		}
-		s := &Session{
-			ID: e.ID, Name: e.Name, rev: e.SnapRev, snapRev: e.SnapRev, snapHeld: e.SnapHeld,
-			baseID: e.BaseID,
-		}
-		if head > s.rev {
-			s.rev = head
-		}
+		s := &Session{ID: e.ID, Name: e.Name}
+		s.bootRecover(e, head)
 		// Every registry entry is a live referent of its frozen base; the
 		// post-recovery orphan sweep relies on these counts being complete
 		// before the store serves.
 		if p := st.frozenBaseLocked(s); p != "" {
 			st.incref(p)
 		}
-		s.tick.Store(st.clock.Add(1))
-		sh := st.shardFor(e.ID)
-		s.shard = sh
-		sh.mu.Lock()
-		sh.sessions[e.ID] = s
-		sh.mu.Unlock()
+		_ = st.register(s) // cannot fail: the registry holds each ID once
 		st.recovered.Add(1)
 		mRecoveredSessions.Inc()
 	}
@@ -156,53 +143,16 @@ func (st *Store) sessionJournal(s *Session) (*journal.Writer, error) {
 	return w, nil
 }
 
-// recordCreate makes a freshly created session durable before it is
-// published: a non-empty engine gets an initial snapshot at revision 0 (so
-// a crash before the first spill still restores its loaded content), and
-// the registry learns the session either way. The engine is still owned
-// exclusively by Create's caller, so no locks are taken. Failures degrade
-// the session to non-durable with a metric rather than failing creation —
-// the spill path's philosophy (a non-TACO graph backend, for example, has
-// no snapshot encoding at all).
-func (st *Store) recordCreate(s *Session, eng *engine.Engine) {
-	if eng.NumCells() > 0 {
-		buf := bufPool.Get().(*bytes.Buffer)
-		defer func() { buf.Reset(); bufPool.Put(buf) }()
-		buf.Reset()
-		err := eng.WriteSnapshot(buf)
-		if err == nil {
-			err = writeFileAtomic(st.spillPath(s.ID), buf.Bytes(), st.syncFiles())
-		}
-		if err != nil {
-			mDurabilityErrors.Inc()
-			return
-		}
-		s.snapHeld = true
-		s.snapRev = 0
-		s.baseBytes = int64(buf.Len())
-		mSpillBytes.Add(uint64(buf.Len()))
-	}
-	if err := st.reg.Put(regEntryLocked(s)); err != nil {
-		mDurabilityErrors.Inc()
-		return
-	}
-	if err := st.reg.Sync(); err != nil {
-		mDurabilityErrors.Inc()
-	}
-}
-
-// writeFullLocked serialises the resident engine to the session's own base
-// snapshot file at s.rev (pooled buffer, then atomic publish: same-directory
-// temp file + rename, so neither a crash mid-write nor a restarted durable
-// store can ever observe a torn snapshot at the final path) and, on a durable
-// store, checkpoints: advance the registry entry, make it durable, release
-// the frozen base this one supersedes, and only then truncate the journal —
-// records the base supersedes are skipped (or idempotently re-applied) by
-// replay, so truncating last means no crash window can lose an acknowledged
-// batch. A failed checkpoint step keeps what the stale entry still
-// references: the journal stays (replay reconstructs past the stale entry)
-// and the old frozen base leaks until the next boot's sweep. Called with s.mu
-// held and s.eng non-nil.
+// writeFullLocked is the one base writer, the checkpoint. It publishes the
+// resident engine's snapshot at s.rev as the session's own base file (pooled
+// buffer, same-directory temp file + rename: no crash or restarted store ever
+// sees a torn base) and, on a durable store, points the registry entry at it
+// durably, releases the frozen base it supersedes, and only then truncates
+// the journal — replay skips (or idempotently re-applies) records the base
+// holds, so no crash window loses an acknowledged batch and a failed
+// truncation only keeps stale records. An error leaves the disk state as it
+// was: the registry never names a base that is not on disk. Called with s.mu
+// held and the session resident.
 func (st *Store) writeFullLocked(s *Session) error {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer func() { buf.Reset(); bufPool.Put(buf) }()
@@ -214,51 +164,46 @@ func (st *Store) writeFullLocked(s *Session) error {
 		return err
 	}
 	mSpillBytes.Add(uint64(buf.Len()))
-	oldBase := st.frozenBaseLocked(s)
-	s.snapHeld = true
-	s.snapRev = s.rev
-	s.baseID = ""
-	s.baseBytes = int64(buf.Len())
-	s.tailStructural, s.tailBroken = false, false
 	if !st.opts.Durable {
+		s.checkpoint(int64(buf.Len()))
 		return nil
 	}
-	err := st.reg.Put(regEntryLocked(s))
-	if err == nil {
-		err = st.reg.Sync()
+	if err := st.putEntries(journal.Entry{ID: s.ID, Name: s.Name, SnapRev: s.rev, SnapHeld: true}); err != nil {
+		return err
 	}
-	if err != nil {
-		mDurabilityErrors.Inc()
-		return nil
-	}
+	journaled := s.jw != nil || s.disk.tailBytes > 0 // else the journal holds no records
+	oldBase := st.frozenBaseLocked(s)
+	s.checkpoint(int64(buf.Len()))
 	if oldBase != "" {
 		st.decref(oldBase)
 	}
-	if s.jw != nil || s.tailBytes > 0 { // else the journal holds no records
+	if journaled {
 		w, err := st.sessionJournal(s)
 		if err == nil {
 			err = w.Reset()
 		}
 		if err != nil {
 			mDurabilityErrors.Inc()
-		} else {
-			s.tailBytes = 0
 		}
 	}
 	return nil
 }
 
-// recordDelete erases a session's durable state: journal file and registry
-// entry. The journal writer was detached and closed by Delete already.
-func (st *Store) recordDelete(id string) {
-	os.Remove(st.journalPath(id))
-	if err := st.reg.Delete(id); err != nil {
-		mDurabilityErrors.Inc()
-		return
+// putEntries writes registry entries and makes them durable.
+func (st *Store) putEntries(es ...journal.Entry) error {
+	var err error
+	for _, e := range es {
+		if err == nil {
+			err = st.reg.Put(e)
+		}
 	}
-	if err := st.reg.Sync(); err != nil {
+	if err == nil {
+		err = st.reg.Sync()
+	}
+	if err != nil {
 		mDurabilityErrors.Inc()
 	}
+	return err
 }
 
 // restoreEngine rebuilds a non-resident session's engine: base snapshot
@@ -267,11 +212,11 @@ func (st *Store) recordDelete(id string) {
 // the live edit path. Replayed cells come back dirty and reconverge on the
 // normal drain. Called with s.mu held.
 func (st *Store) restoreEngine(s *Session) (*engine.Engine, error) {
-	if s.corrupt {
+	if s.res == quarantined {
 		return nil, fmt.Errorf("%w: session %s", ErrSnapshotCorrupt, s.ID)
 	}
 	var eng *engine.Engine
-	if s.snapHeld {
+	if s.disk.held {
 		var err error
 		path := st.baseFilePathLocked(s)
 		eng, err = st.readSpill(path, s.graph)
@@ -287,7 +232,7 @@ func (st *Store) restoreEngine(s *Session) (*engine.Engine, error) {
 		// journaled edits): replay rebuilds it from an empty engine.
 		eng = engine.New(nil)
 	}
-	if st.opts.Durable && s.rev > s.snapRev {
+	if st.opts.Durable && s.rev > s.disk.rev {
 		if err := st.replayJournal(s, eng); err != nil {
 			return nil, err
 		}
@@ -302,7 +247,7 @@ func (st *Store) restoreEngine(s *Session) (*engine.Engine, error) {
 // restore; sessions that don't reference the file are untouched.
 func (st *Store) quarantine(s *Session, path string) {
 	os.Rename(path, path+".corrupt")
-	s.corrupt = true
+	s.quarantine()
 	st.quarantined.Add(1)
 	mQuarantined.Inc()
 }
@@ -335,11 +280,11 @@ func journalRecordBytes(valid int64) int64 {
 func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 	start := time.Now()
 	path := st.journalPath(s.ID)
-	last := s.snapRev
+	last := s.disk.rev
 	replayed := 0
-	gap, structural := false, false
+	k := tailValues
 	_, valid, err := journal.ScanFile(path, journal.JournalMagic, func(rev uint64, payload []byte) error {
-		if rev <= s.snapRev {
+		if rev <= s.disk.rev {
 			return nil // the base already contains this batch
 		}
 		edits, err := decodeEditOps(payload)
@@ -351,8 +296,12 @@ func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 			return fmt.Errorf("record rev %d: %w", rev, err)
 		}
 		applyBatch(eng, ops)
-		gap = gap || rev != last+1
-		structural = structural || !valueOnly(edits)
+		switch {
+		case rev != last+1:
+			k = tailBroken
+		case !valueOnly(edits):
+			k = max(k, tailStructural)
+		}
 		last = rev
 		replayed++
 		return nil
@@ -368,8 +317,7 @@ func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 		return fmt.Errorf("%w: session %s: journal replays to rev %d, want %d",
 			ErrSnapshotCorrupt, s.ID, last, s.rev)
 	}
-	s.tailBytes = journalRecordBytes(valid)
-	s.tailStructural, s.tailBroken = structural, gap
+	s.replay(k, journalRecordBytes(valid))
 	st.replayed.Add(uint64(replayed))
 	mReplayRecords.Add(uint64(replayed))
 	mReplayDuration.Observe(time.Since(start).Seconds())
@@ -528,77 +476,82 @@ func decodeEditOps(payload []byte) ([]EditOp, error) {
 // Durable reports whether the store journals edits (StoreOptions.Durable).
 func (st *Store) Durable() bool { return st.opts.Durable }
 
-// appendTailLocked journals the batch that produced s.rev and folds it into
-// the session's tail state. A failed append leaves a hole the journal-as-tail
-// design must not trust: the tail is marked broken so the next eviction
-// writes a full base. Called with s.mu held.
-func (st *Store) appendTailLocked(s *Session, edits []EditOp, record []byte) (*journal.Writer, error) {
+// appendTailLocked journals the batch that produces rev and advances the
+// session to it. A failed append, or a gap the caller reports, leaves a hole
+// the journal-as-tail design must not trust: the tail breaks, so the next
+// eviction writes a full base. Returns the writer to sync, nil on failure.
+// Called with s.mu held.
+func (st *Store) appendTailLocked(s *Session, rev uint64, edits []EditOp, record []byte, gap bool) *journal.Writer {
 	w, err := st.sessionJournal(s)
 	if err == nil {
-		err = w.Append(s.rev, record)
+		err = w.Append(rev, record)
 	}
 	if err != nil {
 		mDurabilityErrors.Inc()
-		s.tailBroken = true
-		return nil, err
+		s.append(rev, tailBroken, 0)
+		return nil
 	}
-	s.tailBytes = journalRecordBytes(w.Size())
-	s.tailStructural = s.tailStructural || !valueOnly(edits)
-	return w, nil
+	k := tailValues
+	switch {
+	case gap:
+		k = tailBroken
+	case !valueOnly(edits):
+		k = tailStructural
+	}
+	s.append(rev, k, journalRecordBytes(w.Size()))
+	return w
 }
 
-// UpdateJournaled is Update(id, true, fn) plus the durability contract: on a
-// durable store the batch fn applied (edits, already validated by parseBatch)
-// is appended to the session's journal at the bumped revision before
-// UpdateJournaled returns, and the policy's fsync barrier has run — the
-// caller can acknowledge the batch knowing a crashed server will replay it.
+// UpdateJournaled is a write: fn applies edits (already validated by
+// parseBatch) under the session write lock and the revision advances. On a
+// durable store the batch is appended to the session's journal at the new
+// revision before UpdateJournaled returns, and the policy's fsync barrier
+// has run — the caller can acknowledge the batch knowing a crashed server
+// will replay it. On a non-durable store, or with no edits (Update), the
+// revision reaches no journal and only a base write covers it. Writes are
+// fenced with ErrSessionDegraded while the session is degraded.
 //
 // A journal append failure degrades the session (degrade.go) instead of
 // failing the request or silently dropping durability: the batch is applied
 // and acknowledged (engine state must stay consistent with what readers
 // already saw), its record is buffered for the background repairer, and
-// every subsequent write is fenced with ErrSessionDegraded until the
-// repairer lands the buffered records. A failed group-commit fsync under
-// `always` both degrades and surfaces the error, since an fsynced
-// acknowledgement is exactly the guarantee that policy sells.
+// every subsequent write is fenced until the repairer lands the buffered
+// records. A failed group-commit fsync under `always` both degrades and
+// surfaces the error, since an fsynced acknowledgement is exactly the
+// guarantee that policy sells.
 func (st *Store) UpdateJournaled(id string, edits []EditOp, fn func(*Session, *engine.Engine) error) error {
-	if !st.opts.Durable {
-		return st.Update(id, true, fn)
-	}
 	s, err := st.lookup(id)
 	if err != nil {
 		return err
 	}
-	record := encodeEditOps(edits) // outside the session lock
+	var record []byte
+	if st.opts.Durable && edits != nil {
+		record = encodeEditOps(edits) // outside the session lock
+	}
 	var jw *journal.Writer
-	degradedNow := false
 	err = st.withResident(s, true, func(eng *engine.Engine) error {
-		if s.degraded {
+		if s.health.broken != 0 {
 			return ErrSessionDegraded
 		}
 		if err := fn(s, eng); err != nil {
 			return err
 		}
-		s.rev++
-		var jerr error
-		if jw, jerr = st.appendTailLocked(s, edits, record); jerr != nil {
-			st.degradeLocked(s, degradedJournal, &pendingRecord{rev: s.rev, payload: record})
-			degradedNow = true
+		rev := s.rev + 1
+		if record == nil {
+			s.append(rev, tailBroken, 0)
+		} else if jw = st.appendTailLocked(s, rev, edits, record, false); jw == nil {
+			st.degradeLocked(s, brokenJournal, &pendingRecord{rev: rev, payload: record})
 		}
 		return nil
 	})
-	if degradedNow {
-		st.scheduleRepair(s)
-	}
 	if err == nil && jw != nil {
 		// Group commit outside the session lock: concurrent batches on other
 		// sessions (or this one) share the fsync instead of queueing on it.
 		if serr := jw.Sync(); serr != nil {
 			mDurabilityErrors.Inc()
 			s.mu.Lock()
-			st.degradeLocked(s, degradedJournal, nil)
+			st.degradeLocked(s, brokenJournal, nil)
 			s.mu.Unlock()
-			st.scheduleRepair(s)
 			return fmt.Errorf("%w: %w", ErrSessionDegraded, serr)
 		}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -17,15 +16,10 @@ import (
 // Copy-on-write forks over shared base snapshots. The paper's thesis —
 // spreadsheet state is dominated by repeated structure that should be stored
 // once and shared — applies to persistence as much as to formula graphs. A
-// durable session's on-disk state is exactly
-//
-//	base snapshot at snapRev  +  journal records (snapRev, rev]
-//
-// and nothing else: eviction of a session whose journal already reproduces
-// everything above its base writes no file at all (store.go), and a full base
-// write is the only checkpoint (durability.go). A fork is then a new registry
-// entry pointing at the parent's base plus a copy of the parent's journal
-// tail — O(tail), never O(sheet), and never a fault-in of a spilled parent.
+// durable session's on-disk state is exactly its base plus the journal
+// records above it, so a fork is a new registry entry pointing at the
+// parent's base plus a copy of the parent's journal tail — O(tail), never
+// O(sheet), and never a fault-in of a spilled parent.
 //
 // Because the parent's own .tacos file is renamed over at its next full
 // write, the base a fork shares is first *frozen* under a revision-stamped
@@ -55,10 +49,10 @@ func (st *Store) basePath(owner string, rev uint64) string {
 // or "" when its own spill file is the base. Called with s.mu held (read or
 // write), or on a not-yet-published session.
 func (st *Store) frozenBaseLocked(s *Session) string {
-	if s.baseID == "" {
+	if s.disk.owner == "" {
 		return ""
 	}
-	return st.basePath(s.baseID, s.snapRev)
+	return st.basePath(s.disk.owner, s.disk.rev)
 }
 
 // baseFilePathLocked is the file holding the session's base snapshot: the
@@ -129,8 +123,8 @@ func (st *Store) sweepOrphans() {
 func regEntryLocked(s *Session) journal.Entry {
 	return journal.Entry{
 		ID: s.ID, Name: s.Name,
-		SnapRev: s.snapRev, SnapHeld: s.snapHeld,
-		BaseID: s.baseID,
+		SnapRev: s.disk.rev, SnapHeld: s.disk.held,
+		BaseID: s.disk.owner,
 	}
 }
 
@@ -185,12 +179,7 @@ func (st *Store) Fork(parentID, name string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	child.tick.Store(st.clock.Add(1))
-	sh := st.shardFor(child.ID)
-	child.shard = sh
-	sh.mu.Lock()
-	sh.sessions[child.ID] = child
-	sh.mu.Unlock()
+	_ = st.register(child) // cannot fail: a fresh random ID
 	mSessionsCreated.Inc()
 	mForks.Inc()
 	mForkDuration.Observe(time.Since(start).Seconds())
@@ -203,18 +192,18 @@ func (st *Store) Fork(parentID, name string) (*Session, error) {
 // p.mu held.
 func (st *Store) forkLocked(p *Session, name string) (c *Session, needBase bool, err error) {
 	switch {
-	case p.deleted:
+	case p.res == deleted:
 		return nil, false, ErrSessionDeleted
-	case p.corrupt:
+	case p.res == quarantined:
 		return nil, false, fmt.Errorf("%w: session %s", ErrSnapshotCorrupt, p.ID)
-	case p.degraded:
+	case p.health.broken != 0:
 		return nil, false, ErrSessionDegraded
 	}
 	var tail []byte
-	if p.rev > p.snapRev {
+	if p.rev > p.disk.rev {
 		// Without a base the "tail" is the parent's whole history: give the
 		// parent a base to share instead of copying the sheet as a journal.
-		if p.tailBroken || !p.snapHeld {
+		if p.disk.tail == tailBroken || !p.disk.held {
 			return nil, true, nil
 		}
 		var ok bool
@@ -224,19 +213,15 @@ func (st *Store) forkLocked(p *Session, name string) (c *Session, needBase bool,
 	}
 	// Freeze the base: children must reference an immutable file, and the
 	// parent's own .tacos is renamed over at its next full write.
-	if p.snapHeld && p.baseID == "" {
-		frozen := st.basePath(p.ID, p.snapRev)
+	if p.disk.held && p.disk.owner == "" {
+		frozen := st.basePath(p.ID, p.disk.rev)
 		if err := freezeBase(st.spillPath(p.ID), frozen); err != nil {
 			return nil, false, fmt.Errorf("server: freeze base of %s: %w", p.ID, err)
 		}
 		st.incref(frozen) // the parent's own reference
-		p.baseID = p.ID
 	}
-	c = &Session{
-		ID: newSessionID(), Name: name,
-		rev: p.rev, snapRev: p.snapRev, snapHeld: p.snapHeld,
-		baseID: p.baseID, baseBytes: p.baseBytes,
-	}
+	c = &Session{ID: newSessionID(), Name: name}
+	p.fork(c, journalRecordBytes(int64(len(tail))))
 	frozen := st.frozenBaseLocked(c)
 	if frozen != "" {
 		st.incref(frozen)
@@ -248,13 +233,7 @@ func (st *Store) forkLocked(p *Session, name string) (c *Session, needBase bool,
 		err = writeFileAtomic(st.journalPath(c.ID), tail, st.syncFiles())
 	}
 	if err == nil {
-		err = st.reg.Put(regEntryLocked(c))
-	}
-	if err == nil {
-		err = st.reg.Put(regEntryLocked(p))
-	}
-	if err == nil {
-		err = st.reg.Sync()
+		err = st.putEntries(regEntryLocked(c), regEntryLocked(p))
 	}
 	if err != nil {
 		if tail != nil {
@@ -263,18 +242,18 @@ func (st *Store) forkLocked(p *Session, name string) (c *Session, needBase bool,
 		if frozen != "" {
 			st.decref(frozen)
 		}
-		mDurabilityErrors.Inc()
 		return nil, false, fmt.Errorf("server: fork %s: %w", p.ID, err)
 	}
 	return c, false, nil
 }
 
-// copyTailLocked reads the records (snapRev, rev] out of the session's
-// journal and returns them framed as a journal file of their own. ok=false
-// means the file does not hold that run contiguously. Called with s.mu held.
+// copyTailLocked reads the records above the base, up to rev, out of the
+// session's journal and returns them framed as a journal file of their own.
+// ok=false means the file does not hold that run contiguously. Called with
+// s.mu held.
 func (st *Store) copyTailLocked(s *Session) (body []byte, ok bool) {
 	body = append(body, journal.JournalMagic...)
-	next := s.snapRev + 1
+	next := s.disk.rev + 1
 	_, _, err := journal.ScanFile(st.journalPath(s.ID), journal.JournalMagic, func(rev uint64, payload []byte) error {
 		if rev == next && rev <= s.rev {
 			body = journal.AppendRecord(body, rev, payload)
@@ -283,43 +262,4 @@ func (st *Store) copyTailLocked(s *Session) (body []byte, ok bool) {
 		return nil
 	})
 	return body, err == nil && next == s.rev+1
-}
-
-// ReadSpilledBase streams a spilled session's base snapshot file — even when
-// a journal tail extends past it — under the session read lock, reporting the
-// revision the base holds. The replication snapshot endpoint uses this to
-// ship `base + tail` instead of a freshly encoded full sheet: the standby
-// bootstraps from the base and receives the tail through the journal
-// endpoint. handled=false when the session is resident, corrupt, or holds no
-// snapshot (fall back to encoding the live engine).
-func (st *Store) ReadSpilledBase(id string, fn func(br *bufio.Reader, baseRev uint64) error) (handled bool, err error) {
-	s, err := st.lookup(id)
-	if err != nil {
-		return false, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.deleted {
-		return false, ErrSessionDeleted
-	}
-	if s.eng != nil || !s.snapHeld || s.corrupt {
-		return false, nil
-	}
-	f, err := os.Open(st.baseFilePathLocked(s))
-	if err != nil {
-		return false, nil
-	}
-	defer f.Close()
-	br := brPool.Get().(*bufio.Reader)
-	br.Reset(f)
-	defer func() {
-		br.Reset(nil)
-		brPool.Put(br)
-	}()
-	if fn(br, s.snapRev) != nil {
-		return false, nil
-	}
-	st.spillReads.Add(1)
-	mSpillReads.Inc()
-	return true, nil
 }

@@ -37,7 +37,7 @@ var (
 	mSpillBytes = telemetry.NewCounter("taco_store_spill_bytes_total",
 		"Bytes of session snapshots written to spill files.")
 	mSpillErrors = telemetry.NewCounter("taco_store_spill_errors_total",
-		"Failed snapshot writes; the victim is kept resident and marked unevictable.")
+		"Failed base snapshot writes (eviction, a new session's first base); the session stays resident and unevictable until the repairer lands its base.")
 	mSpillReads = telemetry.NewCounter("taco_store_spill_reads_total",
 		"Spilled base snapshots streamed to a standby by the replication snapshot endpoint.")
 	mLookupHits = telemetry.NewCounter("taco_store_lookup_hits_total",
@@ -72,7 +72,7 @@ var (
 
 	// Graceful degradation (degrade.go).
 	mDegradedEvents = telemetry.NewCounterVec("taco_durability_degraded_total",
-		"Sessions entering the degraded state (writes fenced, repair scheduled), by cause.", "reason")
+		"Durability paths a session lost (writes fenced, repair scheduled), by cause; a session losing both counts once for each.", "reason")
 	mRepairs = telemetry.NewCounter("taco_durability_repairs_total",
 		"Degraded sessions repaired: durability re-armed and the write fence lifted.")
 	mRepairFailures = telemetry.NewCounter("taco_durability_repair_failures_total",

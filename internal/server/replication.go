@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -78,8 +78,8 @@ func (s *Server) handleReplSessions(w http.ResponseWriter, r *http.Request) {
 	out := []replSession{}
 	s.store.Each(func(sess *Session) bool {
 		sess.mu.RLock()
-		if !sess.deleted {
-			out = append(out, replSession{ID: sess.ID, Name: sess.Name, Rev: sess.rev, SnapRev: sess.snapRev})
+		if sess.res != deleted {
+			out = append(out, replSession{ID: sess.ID, Name: sess.Name, Rev: sess.rev, SnapRev: sess.disk.rev})
 		}
 		sess.mu.RUnlock()
 		return true
@@ -87,43 +87,17 @@ func (s *Server) handleReplSessions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleReplSnapshot streams the session's engine snapshot (drained and
-// serialised under the session write lock) with X-Snapshot-Rev naming the
-// revision it captures. The standby bootstraps (or re-bases) from this.
+// handleReplSnapshot streams the session's base for a standby, with
+// X-Snapshot-Rev naming the revision it captures. The standby bootstraps (or
+// re-bases) from this.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer func() { buf.Reset(); bufPool.Put(buf) }()
 	buf.Reset()
-	var rev uint64
-	// A spilled session's base file is authoritative up to its revision and
-	// already in snapshot format: stream its bytes instead of faulting the
-	// session resident — a standby bootstrapping every cold session must not
-	// evict the hot set. With a journal tail above it, the base plus the
-	// records served by the journal endpoint reconstruct the full state, so
-	// an evicted-but-lightly-edited session ships its edits, not the sheet.
-	handled, err := s.store.ReadSpilledBase(id, func(br *bufio.Reader, baseRev uint64) error {
-		rev = baseRev
-		_, err := buf.ReadFrom(br)
-		return err
-	})
+	rev, err := s.store.replicaBase(r.PathValue("id"), buf)
 	if err != nil {
 		writeErr(w, errStatus(err), err)
 		return
-	}
-	if !handled {
-		buf.Reset()
-		err := s.store.Update(id, false, func(sess *Session, eng *engine.Engine) error {
-			if err := eng.WriteSnapshot(buf); err != nil {
-				return err
-			}
-			rev = sess.rev
-			return nil
-		})
-		if err != nil {
-			writeErr(w, errStatus(err), err)
-			return
-		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Snapshot-Rev", strconv.FormatUint(rev, 10))
@@ -152,7 +126,7 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.mu.RLock()
-	head, snapRev := sess.rev, sess.snapRev
+	head, snapRev := sess.rev, sess.disk.rev
 	sess.mu.RUnlock()
 	if from < snapRev {
 		// Records at or below the base were truncated away by its checkpoint;
@@ -218,54 +192,46 @@ func (st *Store) ReadOnly() bool { return st.readOnly.Load() }
 
 // CreateReplica registers a session replicated from a primary, under the
 // primary's session ID, with its engine restored from the primary's
-// snapshot at revision rev. On a durable store the snapshot is persisted
-// and registered immediately, so a standby crash re-bootstraps from local
-// disk instead of the wire.
+// snapshot at revision rev. On a durable store the snapshot is checkpointed
+// as the replica's base before anything else can touch it, so a standby
+// crash re-bootstraps from local disk instead of the wire.
 func (st *Store) CreateReplica(id, name string, eng *engine.Engine, rev uint64) (*Session, error) {
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	if _, exists := sh.sessions[id]; exists {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("server: replica %s already exists", id)
+	return st.admit(id, name, eng, rev)
+}
+
+// replicaBase fills buf with a base of the session for a standby and returns
+// its revision. A spilled session's base file ships as it lies, without
+// faulting the session in — a standby bootstrapping every cold session must
+// not evict the hot set — and the journal endpoint ships the tail above it.
+// Otherwise the engine is drained and encoded at its revision.
+func (st *Store) replicaBase(id string, buf *bytes.Buffer) (uint64, error) {
+	s, err := st.lookup(id)
+	if err != nil {
+		return 0, err
 	}
-	sh.mu.Unlock()
-	s := &Session{ID: id, Name: name, eng: eng, rev: rev, snapRev: rev}
-	if st.opts.Durable {
-		buf := bufPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		if err := eng.WriteSnapshot(buf); err == nil {
-			if err := writeFileAtomic(st.spillPath(id), buf.Bytes(), st.syncFiles()); err == nil {
-				s.snapHeld = true
-				s.baseBytes = int64(buf.Len())
-				mSpillBytes.Add(uint64(buf.Len()))
-			} else {
-				mDurabilityErrors.Inc()
-			}
-		} else {
-			mDurabilityErrors.Inc()
+	s.mu.RLock()
+	rev, fromFile := s.disk.rev, s.res == spilled && s.disk.held
+	if fromFile {
+		f, err := os.Open(st.baseFilePathLocked(s))
+		if err == nil {
+			_, err = buf.ReadFrom(f)
+			f.Close()
 		}
-		buf.Reset()
-		bufPool.Put(buf)
-		if err := st.reg.Put(regEntryLocked(s)); err != nil {
-			mDurabilityErrors.Inc()
-		} else if err := st.reg.Sync(); err != nil {
-			mDurabilityErrors.Inc()
+		if fromFile = err == nil; !fromFile {
+			buf.Reset()
 		}
 	}
-	s.tick.Store(st.clock.Add(1))
-	s.shard = sh
-	sh.mu.Lock()
-	if _, exists := sh.sessions[id]; exists {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("server: replica %s already exists", id)
+	s.mu.RUnlock()
+	if fromFile {
+		st.spillReads.Add(1)
+		mSpillReads.Inc()
+		return rev, nil
 	}
-	sh.sessions[id] = s
-	s.elem = sh.lru.PushFront(s)
-	sh.resident++
-	sh.mu.Unlock()
-	mSessionsCreated.Inc()
-	st.evictOverflow()
-	return s, nil
+	err = st.withResident(s, false, func(eng *engine.Engine) error {
+		rev = s.rev
+		return eng.WriteSnapshot(buf)
+	})
+	return rev, err
 }
 
 // ApplyReplicated applies one shipped journal record: decode with the
@@ -294,14 +260,12 @@ func (st *Store) ApplyReplicated(id string, rev uint64, payload []byte) error {
 			return fmt.Errorf("shipped record rev %d: %w", rev, err)
 		}
 		applyBatch(eng, ops)
-		if rev != s.rev+1 || !st.opts.Durable {
-			s.tailBroken = true // revisions the local journal will not hold
-		}
-		s.rev = rev
 		if st.opts.Durable {
 			// A failed local append is not fatal to the standby — the primary
-			// still holds the record — but it breaks the tail.
-			jw, _ = st.appendTailLocked(s, edits, payload)
+			// still holds the record — but it breaks the tail, as a gap does.
+			jw = st.appendTailLocked(s, rev, edits, payload, rev != s.rev+1)
+		} else {
+			s.append(rev, tailBroken, 0) // no local journal holds it
 		}
 		mReplApplied.Inc()
 		return nil
@@ -462,90 +426,74 @@ func (rp *Replicator) cycle() error {
 func (rp *Replicator) syncSession(ps *replSession) (uint64, error) {
 	local, err := rp.store.Peek(ps.ID)
 	if errors.Is(err, ErrSessionNotFound) {
-		if err := rp.bootstrap(ps); err != nil {
-			return 0, err
-		}
-		if local, err = rp.store.Peek(ps.ID); err != nil {
-			return 0, err
-		}
-	} else if err != nil {
+		local, err = rp.bootstrap(ps)
+	}
+	if err != nil {
 		return 0, err
 	}
 	localRev := local.Rev()
 	if ps.Rev <= localRev {
 		return localRev, nil
 	}
-	applied, status, err := rp.shipJournal(ps.ID, localRev)
+	status, err := rp.shipJournal(ps.ID, localRev)
 	if status == http.StatusConflict {
 		// Our cursor predates the primary's snapshot: the tail we need was
 		// checkpointed away. Re-base from the snapshot.
-		if err := rp.store.Delete(ps.ID); err != nil {
-			return localRev, err
+		if err = rp.store.Delete(ps.ID); err == nil {
+			local, err = rp.bootstrap(ps)
 		}
-		if err := rp.bootstrap(ps); err != nil {
-			return localRev, err
-		}
-		if local, err = rp.store.Peek(ps.ID); err != nil {
-			return 0, err
-		}
-		return local.Rev(), nil
 	}
 	if err != nil {
 		return localRev, err
 	}
-	_ = applied
 	return local.Rev(), nil
 }
 
 // bootstrap creates the local replica from the primary's snapshot.
-func (rp *Replicator) bootstrap(ps *replSession) error {
+func (rp *Replicator) bootstrap(ps *replSession) (*Session, error) {
 	body, hdr, err := rp.get("/replication/sessions/" + ps.ID + "/snapshot")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rev, err := strconv.ParseUint(hdr.Get("X-Snapshot-Rev"), 10, 64)
 	if err != nil {
-		return fmt.Errorf("replication: snapshot of %s: bad X-Snapshot-Rev: %w", ps.ID, err)
+		return nil, fmt.Errorf("replication: snapshot of %s: bad X-Snapshot-Rev: %w", ps.ID, err)
 	}
 	// The primary streams a spilled base as it lies on its disk, unverified:
 	// check the trailer before trusting a byte of it.
 	if err := engine.CheckSnapshotIntegrity(body); err != nil {
-		return fmt.Errorf("replication: snapshot of %s: %w", ps.ID, err)
+		return nil, fmt.Errorf("replication: snapshot of %s: %w", ps.ID, err)
 	}
 	eng, err := engine.RestoreSnapshot(bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("replication: snapshot of %s: %w", ps.ID, err)
+		return nil, fmt.Errorf("replication: snapshot of %s: %w", ps.ID, err)
 	}
-	if _, err := rp.store.CreateReplica(ps.ID, ps.Name, eng, rev); err != nil {
-		return err
+	s, err := rp.store.CreateReplica(ps.ID, ps.Name, eng, rev)
+	if err == nil {
+		mReplSnapshots.Inc()
 	}
-	mReplSnapshots.Inc()
-	return nil
+	return s, err
 }
 
-// shipJournal fetches and applies the session's journal tail past rev.
-func (rp *Replicator) shipJournal(id string, from uint64) (int, int, error) {
+// shipJournal fetches and applies the session's journal tail past rev,
+// reporting the HTTP status.
+func (rp *Replicator) shipJournal(id string, from uint64) (int, error) {
 	resp, err := rp.client.Get(rp.base + "/replication/sessions/" + id + "/journal?from=" + strconv.FormatUint(from, 10))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return 0, resp.StatusCode, fmt.Errorf("replication: journal of %s: HTTP %d", id, resp.StatusCode)
+		return resp.StatusCode, fmt.Errorf("replication: journal of %s: HTTP %d", id, resp.StatusCode)
 	}
-	applied := 0
 	_, _, err = journal.Scan(resp.Body, journal.JournalMagic, func(rev uint64, payload []byte) error {
 		if rp.fenced.Load() {
 			return errors.New("replication: fenced")
 		}
-		if err := rp.store.ApplyReplicated(id, rev, payload); err != nil {
-			return err
-		}
-		applied++
-		return nil
+		return rp.store.ApplyReplicated(id, rev, payload)
 	})
-	return applied, resp.StatusCode, err
+	return resp.StatusCode, err
 }
 
 func (rp *Replicator) get(path string) ([]byte, http.Header, error) {

@@ -110,51 +110,34 @@ func (o StoreOptions) withDefaults() StoreOptions {
 
 // Session is one hosted workbook session. The zero rev is the freshly
 // created state; every successful edit batch increments it, so clients can
-// detect missed updates cheaply.
+// detect missed updates cheaply. Its lifecycle — residency, what its files
+// hold, health — is the typed state of lifecycle.go, guarded by mu and
+// changed only by the transitions there; the rest is drain ownership, the
+// journal writer and the LRU's bookkeeping.
 type Session struct {
 	// ID is the server-assigned session identifier.
 	ID string
 	// Name is the optional client-supplied label.
 	Name string
 
-	mu      sync.RWMutex
-	eng     *engine.Engine // nil while spilled
-	rev     uint64
-	deleted bool
+	mu  sync.RWMutex
+	rev uint64
 	// pending counts dirty cells awaiting background recalculation (guarded
 	// by mu). Reads serve last-computed values and report this so clients
 	// can distinguish settled values from in-flight ones.
 	pending int
-	// snapRev is the revision the session's base snapshot holds (snapHeld:
-	// one exists at all). The base is the session's own spill file, or —
-	// while baseID is set — the frozen <baseID>.<snapRev>.tacob it shares
-	// copy-on-write with the session it was forked from (fork.go).
-	// baseBytes is the base's size (0 = unknown, e.g. boot-recovered).
-	// Guarded by mu.
-	snapRev   uint64
-	snapHeld  bool
-	baseID    string
-	baseBytes int64
-	// Journal-tail state, guarded by mu: what is known in memory about the
-	// journal records above the base, so eviction decides whether base +
-	// journal already reproduce the session without opening the file. While
-	// tailBroken is false the journal holds exactly the records
-	// (snapRev, rev], contiguously; tailBroken marks a revision that never
-	// reached it (non-durable store, failed append, shipped gap).
-	// tailStructural marks a tail record that is not a plain value
-	// assignment — replaying it would not leave the pinned graph as it is.
-	// tailBytes is the framed size of the journal's records. Maintained by
-	// every revision bump, recomputed by replayJournal, reset by a full
-	// write.
-	tailBytes      int64
-	tailStructural bool
-	tailBroken     bool
-	// graph pins the session's compressed formula graph across a spill (nil
-	// while resident, and for a session recovered at boot, which has not yet
-	// been restored). The compressed graph is the compact part of a
-	// session, so keeping it lets restores skip the graph decode. Guarded by
-	// mu; valid only while eng == nil.
-	graph *core.Graph
+
+	// The lifecycle parts (lifecycle.go). eng is set only while resident and
+	// elem, the LRU position (also guarded by shard.mu), with it; graph pins
+	// the compressed graph across a spill, so a restore skips its decode (nil
+	// until a boot-recovered or forked session is first restored).
+	res    residency
+	eng    *engine.Engine
+	elem   *list.Element
+	graph  *core.Graph
+	disk   diskState
+	health health
+
 	// queued marks a worker turn — in the recalc queue or mid-chunk on a
 	// worker — guarded by the store's recalc mutex, not the session lock.
 	queued bool
@@ -168,29 +151,14 @@ type Session struct {
 	// jw is the session's edit journal writer, opened lazily on the first
 	// journaled edit of a durable store (guarded by mu).
 	jw *journal.Writer
-	// corrupt poisons a session whose spill file failed its integrity check
-	// at restore; the file is quarantined and every touch returns
-	// ErrSnapshotCorrupt rather than serving bad data. Guarded by mu.
-	corrupt bool
-	// Degradation state (degrade.go), guarded by mu: while degraded, writes
-	// are fenced with ErrSessionDegraded (reads still serve) and the store's
-	// repair worker retries the broken durability path on repairBackoff.
-	// pendingRecs buffers acknowledged batches whose journal append failed,
-	// in rev order, until the repairer lands them.
-	degraded       bool
-	degradedReason string
-	degradedSince  time.Time
-	pendingRecs    []pendingRecord
-	repairBackoff  journal.Backoff
 
 	shard *shard
-	elem  *list.Element // LRU position; nil while spilled (guarded by shard.mu)
 	// tick is the store-wide logical time of the last touch; eviction picks
 	// the resident session with the smallest tick across shard tails.
 	tick atomic.Uint64
-	// unevictable marks a session whose snapshot failed to write (disk
-	// full, oversized content). Eviction skips it so one bad session cannot
-	// stall the LRU and let residents grow unboundedly.
+	// unevictable mirrors health's broken spill path for coldest, which
+	// reads it without mu: set when a base write fails, cleared when the
+	// repairer lands one (or the session is deleted).
 	unevictable atomic.Bool
 }
 
@@ -212,7 +180,7 @@ func (s *Session) Pending() int {
 func (s *Session) Resident() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.eng != nil
+	return s.res == resident
 }
 
 type shard struct {
@@ -237,17 +205,22 @@ type Store struct {
 	// one giant recalculation shares the workers with everyone else instead
 	// of monopolising them. Lock order: rq.mu is leaf-only on the enqueue
 	// side (callers may hold a session lock); workers never hold rq.mu
-	// while taking a session lock.
+	// while taking a session lock. closed also bars new repair loops
+	// (degrade.go), and stop ends the waiting ones.
 	rq struct {
 		mu     sync.Mutex
 		cond   *sync.Cond
 		queue  []*Session
 		closed bool
 	}
-	wg sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup
 	// drainsInFlight counts the goroutines inside drainChunk — at most one
 	// per session — surfaced in Stats.
 	drainsInFlight atomic.Int64
+	// spilling counts the still-resident victims evictors hold mid-spill, so
+	// a second evictor neither waits on their base writes nor evicts for them.
+	spilling atomic.Int64
 
 	// Durability layer (nil / zero unless StoreOptions.Durable): fsync
 	// policy, the shared background syncer (interval policy), and the
@@ -262,16 +235,6 @@ type Store struct {
 	refMu sync.Mutex
 	refs  map[string]int
 
-	// repq is the degraded-session repair queue (degrade.go): one worker,
-	// deduplicated entries, per-session capped backoff between attempts.
-	// Lock order: repq.mu is a leaf, safe under a session lock.
-	repq struct {
-		mu     sync.Mutex
-		cond   *sync.Cond
-		queue  []*Session
-		queued map[*Session]bool
-		closed bool
-	}
 	degradedCount atomic.Int64
 
 	// readOnly fences every write path with ErrStandby (503): the store is
@@ -307,7 +270,7 @@ func NewStore(opts StoreOptions) (*Store, error) {
 			return nil, err
 		}
 	}
-	st := &Store{opts: opts, shards: make([]*shard, opts.Shards)}
+	st := &Store{opts: opts, shards: make([]*shard, opts.Shards), stop: make(chan struct{})}
 	st.refs = make(map[string]int)
 	for i := range st.shards {
 		st.shards[i] = &shard{sessions: make(map[string]*Session), lru: list.New()}
@@ -320,10 +283,6 @@ func NewStore(opts StoreOptions) (*Store, error) {
 		st.sweepOrphans()
 	}
 	st.rq.cond = sync.NewCond(&st.rq.mu)
-	st.repq.cond = sync.NewCond(&st.repq.mu)
-	st.repq.queued = make(map[*Session]bool)
-	st.wg.Add(1)
-	go st.repairWorker()
 	if opts.RecalcWorkers > 0 {
 		st.wg.Add(opts.RecalcWorkers)
 		for i := 0; i < opts.RecalcWorkers; i++ {
@@ -339,10 +298,10 @@ func NewStore(opts StoreOptions) (*Store, error) {
 // for startup logging and diagnostics.
 func (st *Store) Options() StoreOptions { return st.opts }
 
-// Close stops the background recalculation workers, waiting for them to
-// exit. Undrained sessions simply keep their dirty sets; the spill path
-// drains before writing, so no state is lost. Wait barriers after Close
-// still settle: with no worker left, the waiter owns the drain.
+// Close stops the background recalculation workers and repair loops,
+// waiting for them to exit. Undrained sessions simply keep their dirty sets;
+// the spill path drains before writing, so no state is lost. Wait barriers
+// after Close still settle: with no worker left, the waiter owns the drain.
 func (st *Store) Close() {
 	liveStores.Delete(st)
 	st.rq.mu.Lock()
@@ -350,14 +309,9 @@ func (st *Store) Close() {
 	if !closed {
 		st.rq.closed = true
 		st.rq.cond.Broadcast()
+		close(st.stop)
 	}
 	st.rq.mu.Unlock()
-	st.repq.mu.Lock()
-	if !st.repq.closed {
-		st.repq.closed = true
-		st.repq.cond.Broadcast()
-	}
-	st.repq.mu.Unlock()
 	st.wg.Wait()
 	if st.opts.Durable && !closed {
 		st.closeDurability()
@@ -428,7 +382,7 @@ func (st *Store) drainChunk(s *Session, worker bool) {
 	st.drainsInFlight.Add(1)
 	s.mu.Lock()
 	s.pending = 0 // deleted, or spilled with its dirty set drained or kept
-	if !s.deleted && s.eng != nil && s.eng.Pending() > 0 {
+	if s.res == resident && s.eng.Pending() > 0 {
 		// The hold timer runs inside the lock so the sample is published
 		// before any barrier observes pending == 0, and because the hold IS
 		// the quantity measured: how long a reader can stall behind a chunk.
@@ -471,13 +425,11 @@ func (st *Store) Wait(id string) error {
 		return err
 	}
 	s.mu.RLock()
-	// A non-resident session with a journal tail above its base (evicted
-	// without a write, or boot-recovered) is NOT settled even though it has
-	// no engine: eviction dropped residency without draining, and restore
-	// re-dirties every replayed edit — the barrier must fault it in so those
-	// cells drain.
-	tail := !s.deleted && s.eng == nil && s.rev != s.snapRev
-	settled := !s.deleted && !tail && (s.eng == nil || s.pending == 0)
+	// A non-resident session with a journal tail above its base is NOT
+	// settled: eviction dropped residency without draining, and restore
+	// re-dirties every replayed edit — the barrier faults it in to drain.
+	tail := (s.res == spilled || s.res == quarantined) && s.rev != s.disk.rev
+	settled := s.res != deleted && !tail && (s.res != resident || s.pending == 0)
 	s.mu.RUnlock()
 	if settled {
 		return nil
@@ -490,7 +442,7 @@ func (st *Store) Wait(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.waiters++
-	for !s.deleted && s.eng != nil && s.eng.Pending() > 0 {
+	for s.res == resident && s.eng.Pending() > 0 {
 		if s.draining {
 			s.sleepLocked()
 			continue
@@ -503,7 +455,7 @@ func (st *Store) Wait(id string) error {
 	if s.waiters--; s.waiters == 0 {
 		s.drained.Broadcast() // lift the write fence
 	}
-	if s.deleted {
+	if s.res == deleted {
 		return ErrSessionDeleted
 	}
 	return nil
@@ -527,21 +479,54 @@ func newSessionID() string {
 // insertion may push the store over MaxResident, in which case the coldest
 // sessions are spilled before Create returns.
 func (st *Store) Create(name string, eng *engine.Engine) *Session {
-	s := &Session{ID: newSessionID(), Name: name, eng: eng}
-	if st.opts.Durable {
-		st.recordCreate(s, eng)
-	}
-	s.tick.Store(st.clock.Add(1))
+	s, _ := st.admit(newSessionID(), name, eng, 0) // cannot fail: a fresh random ID
+	return s
+}
+
+// register publishes a session in its shard's index; it fails when the ID
+// is taken.
+func (st *Store) register(s *Session) error {
 	sh := st.shardFor(s.ID)
 	s.shard = sh
+	s.tick.Store(st.clock.Add(1))
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, dup := sh.sessions[s.ID]; dup {
+		return fmt.Errorf("server: session %s already exists", s.ID)
+	}
 	sh.sessions[s.ID] = s
-	s.elem = sh.lru.PushFront(s)
-	sh.resident++
-	sh.mu.Unlock()
+	return nil
+}
+
+// admit registers a resident session at rev around eng (Create, and
+// CreateReplica at the shipped revision) and, on a durable store, makes it
+// durable before anyone can write it: a non-empty engine through the
+// checkpoint, an empty one — which needs no base — with its registry entry
+// alone. A failure degrades the session as a failed eviction does, so its
+// writes are fenced until the repairer lands the base and the entry.
+func (st *Store) admit(id, name string, eng *engine.Engine, rev uint64) (*Session, error) {
+	s := &Session{ID: id, Name: name}
+	s.mu.Lock()
+	if err := st.register(s); err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	s.create(eng, rev)
+	if st.opts.Durable {
+		var err error
+		if eng.NumCells() > 0 {
+			err = st.writeFullLocked(s)
+		} else {
+			err = st.putEntries(regEntryLocked(s))
+		}
+		if err != nil {
+			st.baseFailedLocked(s)
+		}
+	}
+	s.mu.Unlock()
 	mSessionsCreated.Inc()
 	st.evictOverflow()
-	return s
+	return s, nil
 }
 
 // View runs fn with the session's engine under the session read lock.
@@ -556,7 +541,7 @@ func (st *Store) View(id string, fn func(*Session, *engine.Engine) error) error 
 		return err
 	}
 	s.mu.RLock()
-	if s.eng != nil && !s.deleted {
+	if s.res == resident {
 		defer s.mu.RUnlock()
 		return fn(s, s.eng)
 	}
@@ -567,26 +552,17 @@ func (st *Store) View(id string, fn func(*Session, *engine.Engine) error) error 
 
 // Update runs fn with the session's engine under the session write lock,
 // restoring it from its spill file first when necessary. When fn returns nil
-// and bumpRev is true, the revision counter is incremented. Revision-bumping
-// updates (the write path) are fenced while the session is degraded.
+// and bumpRev is true, the revision counter is incremented: a write, which
+// is UpdateJournaled with no batch to journal.
 func (st *Store) Update(id string, bumpRev bool, fn func(*Session, *engine.Engine) error) error {
+	if bumpRev {
+		return st.UpdateJournaled(id, nil, fn)
+	}
 	s, err := st.lookup(id)
 	if err != nil {
 		return err
 	}
-	return st.withResident(s, bumpRev, func(eng *engine.Engine) error {
-		if bumpRev && s.degraded {
-			return ErrSessionDegraded
-		}
-		if err := fn(s, eng); err != nil {
-			return err
-		}
-		if bumpRev {
-			s.rev++
-			s.tailBroken = true // a revision no journal holds: only a base write can
-		}
-		return nil
-	})
+	return st.withResident(s, false, func(eng *engine.Engine) error { return fn(s, eng) })
 }
 
 // Peek finds a session without touching its LRU position or miss/hit
@@ -634,32 +610,22 @@ func (st *Store) withResident(s *Session, write bool, fn func(*engine.Engine) er
 	for write && s.waiters > 0 {
 		s.sleepLocked()
 	}
-	if s.deleted {
+	if s.res == deleted {
 		s.mu.Unlock()
 		return ErrSessionDeleted
 	}
-	restored := false
-	if s.eng == nil {
-		// restoreEngine reads the snapshot (integrity-checked) and replays
-		// any journal tail. When rev == snapRev afterwards the file holds
-		// exactly this state and eviction can drop residency without
-		// rewriting; a replayed session keeps rev > snapRev, forcing the
-		// next spill to write a fresh snapshot.
+	restored := s.res != resident
+	if restored {
+		// restoreEngine reads the base (integrity-checked) and replays any
+		// journal tail, which leaves the tail's kind as the journal holds it.
 		eng, err := st.restoreEngine(s)
 		if err != nil {
 			s.mu.Unlock()
 			return fmt.Errorf("server: restore session %s: %w", s.ID, err)
 		}
-		s.eng = eng
-		s.graph = nil // live again; the engine owns it now
-		restored = true
+		s.restore(eng)
 		st.restores.Add(1)
 		mRestores.Inc()
-		sh := s.shard
-		sh.mu.Lock()
-		s.elem = sh.lru.PushFront(s)
-		sh.resident++
-		sh.mu.Unlock()
 	}
 	err := fn(s.eng)
 	// Refresh the pending count and hand any new dirty cells to the
@@ -677,7 +643,7 @@ func (st *Store) withResident(s *Session, write bool, fn func(*engine.Engine) er
 	return err
 }
 
-// Delete removes a session and its spill file. It is idempotent.
+// Delete removes a session and its files.
 func (st *Store) Delete(id string) error {
 	sh := st.shardFor(id)
 	sh.mu.Lock()
@@ -689,29 +655,13 @@ func (st *Store) Delete(id string) error {
 	delete(sh.sessions, id)
 	sh.mu.Unlock()
 	s.mu.Lock()
-	s.deleted = true
-	s.eng = nil
-	s.graph = nil
-	if s.degraded {
-		s.degraded = false
-		s.pendingRecs = nil
+	frozen := st.frozenBaseLocked(s)
+	if s.health.broken != 0 {
 		st.degradedCount.Add(-1)
 	}
+	s.delete()
 	jw := s.jw
 	s.jw = nil
-	frozen := st.frozenBaseLocked(s)
-	s.baseID = ""
-	// Unlink from the LRU while still holding s.mu (the permitted s.mu ->
-	// sh.mu order): a restore that raced the map removal above may have
-	// re-registered the session, and leaving it listed would permanently
-	// overcount residents and skew eviction.
-	sh.mu.Lock()
-	if s.elem != nil {
-		sh.lru.Remove(s.elem)
-		s.elem = nil
-		sh.resident--
-	}
-	sh.mu.Unlock()
 	s.mu.Unlock()
 	if jw != nil {
 		jw.Close()
@@ -724,8 +674,15 @@ func (st *Store) Delete(id string) error {
 	if frozen != "" {
 		st.decref(frozen)
 	}
-	if st.opts.Durable {
-		st.recordDelete(id)
+	if st.opts.Durable { // the journal writer is closed: erase journal and entry
+		os.Remove(st.journalPath(id))
+		err := st.reg.Delete(id)
+		if err == nil {
+			err = st.reg.Sync()
+		}
+		if err != nil {
+			mDurabilityErrors.Inc()
+		}
 	}
 	mSessionsDeleted.Inc()
 	return nil
@@ -759,73 +716,45 @@ func (st *Store) evictOverflow() {
 	if st.opts.MaxResident <= 0 {
 		return
 	}
-	for st.residentCount() > st.opts.MaxResident {
+	for st.residentCount()-int(st.spilling.Load()) > st.opts.MaxResident {
 		victim := st.coldest()
 		if victim == nil {
 			return
 		}
-		if err := st.spill(victim); err != nil {
-			// Spill failure (disk full, unsnapshottable content): put the
-			// victim back so it stays servable, mark it so coldest skips
-			// it from now on, and keep shrinking with other victims. The
-			// session degrades — reads fine, writes fenced — until the
-			// repair worker lands a snapshot again.
-			mSpillErrors.Inc()
-			victim.unevictable.Store(true)
-			victim.mu.Lock()
-			st.degradeLocked(victim, degradedSpill, nil)
-			victim.mu.Unlock()
-			st.scheduleRepair(victim)
-			sh := victim.shard
-			sh.mu.Lock()
-			if victim.elem == nil {
-				victim.elem = sh.lru.PushFront(victim)
-				sh.resident++
-			}
-			sh.mu.Unlock()
-		}
+		st.spill(victim)
 	}
 }
 
-// coldest pops the globally least-recently-touched evictable session,
-// approximated as the oldest tick among the shard LRU tails (unevictable
-// sessions are passed over). Returns nil when nothing is evictable.
+// coldest claims the oldest-ticked evictable session among the shard LRU
+// tails, passing over sessions locked elsewhere (in use, or mid-spill): it
+// returns it locked and counted in spilling, or nil. TryLock never waits, so
+// holding the best candidate while scanning on cannot deadlock.
 func (st *Store) coldest() *Session {
-	// evictableTail walks from the shard's LRU tail past unevictable
-	// entries. Caller holds sh.mu.
-	evictableTail := func(sh *shard) *list.Element {
-		for el := sh.lru.Back(); el != nil; el = el.Prev() {
-			if !el.Value.(*Session).unevictable.Load() {
-				return el
-			}
-		}
-		return nil
-	}
-	var best *shard
-	var bestTick uint64
+	var victim *Session
 	for _, sh := range st.shards {
 		sh.mu.Lock()
-		if el := evictableTail(sh); el != nil {
-			t := el.Value.(*Session).tick.Load()
-			if best == nil || t < bestTick {
-				best, bestTick = sh, t
+		for el := sh.lru.Back(); el != nil; el = el.Prev() {
+			s := el.Value.(*Session)
+			if !s.mu.TryLock() {
+				continue
 			}
+			if s.unevictable.Load() {
+				s.mu.Unlock()
+				continue
+			}
+			if victim == nil || s.tick.Load() < victim.tick.Load() {
+				s, victim = victim, s
+			}
+			if s != nil {
+				s.mu.Unlock()
+			}
+			break
 		}
 		sh.mu.Unlock()
 	}
-	if best == nil {
-		return nil
+	if victim != nil {
+		st.spilling.Add(1)
 	}
-	best.mu.Lock()
-	defer best.mu.Unlock()
-	el := evictableTail(best)
-	if el == nil {
-		return nil
-	}
-	victim := el.Value.(*Session)
-	best.lru.Remove(el)
-	victim.elem = nil
-	best.resident--
 	return victim
 }
 
@@ -852,37 +781,34 @@ const maxTailRecords = 32
 // the sheet itself — is skipped while the base size is unknown. Decided from
 // in-memory state only. Called with s.mu held.
 func (s *Session) tailReplayableLocked() (ok, capped bool) {
-	if !s.snapHeld || s.degraded || s.tailBroken || s.tailStructural {
+	if !s.disk.held || s.health.broken != 0 || s.disk.tail > tailValues {
 		return false, false
 	}
-	if s.rev-s.snapRev > maxTailRecords || (s.baseBytes > 0 && s.tailBytes > s.baseBytes/2) {
+	if s.rev-s.disk.rev > maxTailRecords || (s.disk.bytes > 0 && s.disk.tailBytes > s.disk.bytes/2) {
 		return false, true
 	}
 	return true, false
 }
 
-// spill releases the victim's in-memory state, first writing a full base
-// snapshot unless base + journal already hold the state. A session touched
-// between LRU removal and here is simply spilled anyway — the next touch
-// restores it (approximate LRU).
-func (st *Store) spill(victim *Session) error {
-	victim.mu.Lock()
-	defer victim.mu.Unlock()
-	if victim.eng == nil || victim.deleted {
-		return nil
-	}
+// spill evicts the victim coldest claimed, first writing a full base
+// snapshot unless base + journal already hold the state. A failed base write
+// degrades the victim instead: it stays resident, and coldest passes it
+// over until the repairer lands its base.
+func (st *Store) spill(victim *Session) {
+	defer func() { victim.mu.Unlock(); st.spilling.Add(-1) }()
 	replayable, capped := victim.tailReplayableLocked()
 	switch {
 	case !replayable:
 		// writeFullLocked drains pending recalculation before serialising, so
 		// the stored values are authoritative.
 		if err := st.writeFullLocked(victim); err != nil {
-			return err
+			st.baseFailedLocked(victim)
+			return
 		}
 		if capped {
 			mDeltaCompactions.Inc()
 		}
-	case victim.rev == victim.snapRev:
+	case victim.rev == victim.disk.rev:
 		// The base already holds this exact state — the session has only been
 		// read since. Restoring the file reproduces the engine (including any
 		// still-unevaluated oversized-value cells, which the snapshot
@@ -895,13 +821,10 @@ func (st *Store) spill(victim *Session) error {
 		// pending recalculation need not drain before residency drops.
 		mDeltaWrites.Inc()
 	}
-	victim.graph = victim.eng.TACOGraph()
-	victim.eng.Recycle()
-	victim.eng = nil
+	victim.spill()
 	victim.pending = 0
 	st.evictions.Add(1)
 	mEvictions.Inc()
-	return nil
 }
 
 // readSpill restores an engine from the snapshot file at path, verifying

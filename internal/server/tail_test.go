@@ -47,7 +47,7 @@ func valueEdit(cell string, v float64) []EditOp {
 func snapState(s *Session) (snapRev, rev uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.snapRev, s.rev
+	return s.disk.rev, s.rev
 }
 
 // globCount counts spill-dir files matching pattern.
@@ -223,7 +223,7 @@ func TestTailCapsForceOneFullWrite(t *testing.T) {
 	}
 	cases := map[string]tailCase{
 		"record cap": {rows: 2000, grow: func(t *testing.T, st *Store, a string) {
-			if base := mustPeek(t, st, a).baseBytes; int64(maxTailRecords+1)*64 > base/2 {
+			if base := mustPeek(t, st, a).disk.bytes; int64(maxTailRecords+1)*64 > base/2 {
 				t.Fatalf("base of %d bytes too small to isolate the record cap", base)
 			}
 			for i := 0; i <= maxTailRecords; i++ {
