@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race loc bench bench-test bench-pairs bench-server bench-core bench-engine profile-engine bench-eval fuzz-smoke perf-check crash-smoke failover-smoke stress-drain
+.PHONY: check fmt vet build test race loc bench bench-test bench-pairs bench-server bench-core bench-engine bench-formula profile-engine bench-eval fuzz-smoke perf-check crash-smoke failover-smoke stress-drain
 
 check: fmt vet build race
 
@@ -89,6 +89,12 @@ bench-core:
 # real measurements.
 bench-engine:
 	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape|RowByRowInstall|MidColumnInsert' -benchtime=1x
+
+# The formula intern table's three paths (BenchmarkParseShape): a hit, a miss
+# into an emptied table, and a respelled miss that takes an interned program.
+# CI smoke-runs them once; drop -benchtime for real measurements.
+bench-formula:
+	$(GO) test ./internal/formula -run '^$$' -bench=. -benchtime=1x
 
 # The rate edit's CPU profile, cumulative, cut to the engine, graph and R-tree
 # frames: the edit's stages (mark, FindDependents, carve, link, sweeps) in one

@@ -15,10 +15,10 @@ import (
 // evaluated as a single batched sweep instead of per-cell dispatch. The
 // sharing is what the TACO graph's pattern/RR-Chain edges record too — a
 // compressed dependent run is a set of cells with one formula shape — but run
-// detection does not read it off the edges: it is keyed on the canonical
-// compile cache (shifted copies of a formula intern to one *Program;
-// membership is pointer equality), which every backend shares and no edit
-// history fragments. Like the graph's edges, the runs outlive an edit: each
+// detection does not read it off the edges: it is keyed on the interned
+// *Program (shifted copies and respellings of a formula share one; membership
+// is pointer equality, never *Shape identity), which every backend shares and
+// no edit history fragments. Like the graph's edges, the runs outlive an edit: each
 // column's run table (colstore.go) lists its stretches of one program, built
 // once and repaired where a write lands, and a carve intersects the dirty
 // spans with it — a dense span (one the marking pass flagged whole) without

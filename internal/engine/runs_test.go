@@ -82,6 +82,31 @@ func TestPlanLevelBrokenRun(t *testing.T) {
 	}
 }
 
+// TestPlanLevelRespelledRowJoinsRun: a row written with redundant
+// parentheses or spaces is another shape of the column's program, so it stays
+// in the run — run identity is program identity, not shape identity.
+func TestPlanLevelRespelledRowJoinsRun(t *testing.T) {
+	e := runsFixture(t, nil, 40, func(r int) (string, string) {
+		switch r {
+		case 20:
+			return fmt.Sprintf("C%d", r), fmt.Sprintf("(A%d+B%d)", r, r)
+		case 30:
+			return fmt.Sprintf("C%d", r), fmt.Sprintf("=A%d + B%d", r, r)
+		}
+		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d+B%d", r, r)
+	})
+	if c := e.store.cols[3].cells; c[19].shape == c[0].shape || c[29].shape == c[0].shape {
+		t.Fatal("a respelled row holds the column's shape")
+	}
+	runs, singles := carveFixture(e)
+	if len(runs) != 1 || singles != 0 {
+		t.Fatalf("got %d runs, %d singles; want 1 run, 0 singles", len(runs), singles)
+	}
+	if n := len(runs[0].cells); n != 40 {
+		t.Fatalf("run length %d, want 40", n)
+	}
+}
+
 // TestPlanLevelPartialRun: runs shorter than minPatternRun stay per-cell.
 func TestPlanLevelPartialRun(t *testing.T) {
 	e := runsFixture(t, nil, minPatternRun-1, func(r int) (string, string) {
@@ -532,7 +557,7 @@ func TestPlanWindowsRefusals(t *testing.T) {
 		{"SUM(A2:A$5)", 3, true},                              // the head reaches the fixed tail
 		{"SUM(A2:A$5)", 5, false},                             // and would pass it
 	} {
-		p := formula.CompileCached(formula.MustParse(tc.src), anchor)
+		p := formula.Compile(formula.MustParse(tc.src), anchor)
 		if p == nil || !p.HasNumericSweep() {
 			t.Fatalf("%s: no numeric plan", tc.src)
 		}

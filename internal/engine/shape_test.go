@@ -94,7 +94,7 @@ func TestFillSharesOneShape(t *testing.T) {
 		v, _ := s.Value("taco_parse_cache_bytes", nil)
 		return v
 	}
-	const budget = 8 << 20 // formula.shapeCacheMaxBytes
+	const budget = 32 << 20 // formula.internBudget
 	e, at, pad := New(nil), ref.MustCell("A1"), strings.Repeat("x", 1024)
 	for i := 0; i < 2*budget/len(pad); i++ {
 		if _, err := e.SetFormula(at, fmt.Sprintf(`LEN("%s")+%d`, pad, i)); err != nil {

@@ -246,7 +246,7 @@ type snapshotCell struct {
 }
 
 // scanCells decodes the cell section (magic, count, records), invoking fn
-// per cell. Formula sources go through the process-wide shape cache
+// per cell. Formula sources go through the process-wide intern table
 // (formula.ParseShape at the record's position): a formula whose shape was
 // seen before — any row of a fill, any session — is looked up, not parsed,
 // and restores as the same *Shape. On return the reader is positioned at the
@@ -351,7 +351,7 @@ func scanCells(br *bufio.Reader, fn func(snapshotCell) error) error {
 // restored with their cached values (formulae whose cached value was too
 // large to persist come back dirty and recompute on demand); the graph is
 // bulk-loaded through the core snapshot path, so no dependency is
-// recompressed, and formula sources hit the process-wide shape cache.
+// recompressed, and formula sources hit the process-wide intern table.
 func RestoreSnapshot(r io.Reader) (*Engine, error) {
 	return restoreSnapshot(r, nil)
 }

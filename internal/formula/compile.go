@@ -3,11 +3,10 @@ package formula
 import (
 	"encoding/binary"
 	"math"
-	"slices"
+	"strings"
 	"sync"
 
 	"taco/internal/ref"
-	"taco/internal/telemetry"
 )
 
 // This file compiles parsed formulae to flat postfix bytecode and evaluates
@@ -19,14 +18,15 @@ import (
 // Cell and range operands are encoded relative to the compiling cell's
 // position (the anchor) on their relative axes and absolutely on their
 // $-fixed axes — exactly the axes Shift preserves. Two formulae that are
-// shifted copies of each other therefore compile to byte-identical programs,
-// and CompileCached interns programs by those bytes, so "same program" is a
-// pointer comparison. That is what the wavefront scheduler's pattern-run
-// detection keys on (see engine/runs.go): a column of =A2*B2+C2,
-// =A3*B3+C3, ... shares one *Program. One level up, a formula's text is
-// interned by the same relative encoding (shape.go): the column shares one
-// *Shape, which holds that program, and text that differs only in spelling
-// or spacing is another shape of the same program.
+// shifted copies of each other therefore compile to byte-identical programs
+// (appendKey), and the intern table (shape.go) keeps one *Program per bytes,
+// so "same program" is a pointer comparison. That is what the wavefront
+// scheduler's pattern-run detection keys on (see engine/runs.go): a column of
+// =A2*B2+C2, =A3*B3+C3, ... shares one *Program. The same table interns a
+// formula's text by the same relative encoding: the column shares one
+// *Shape, which holds that program, and text that differs only in spelling,
+// spacing or redundant parentheses is another shape of the same program. A
+// program copies the strings it keeps, so it pins none of the source.
 //
 // Exactness: Eval and the VM read the same operands in the same order — both
 // evaluate every argument expression before they apply an operator or
@@ -152,10 +152,13 @@ func Compile(n Node, at ref.Ref) *Program {
 	return &c.p
 }
 
+// CompileCached is Compile. Programs are interned with the shapes that hold
+// them (ParseShape); the name stays for the benchmark harness (bench/).
+func CompileCached(n Node, at ref.Ref) *Program { return Compile(n, at) }
+
 type compiler struct {
 	p      Program
 	anchor ref.Ref
-	key    []byte // CompileCached's interning key
 }
 
 func (c *compiler) emit(op opcode, a int32) {
@@ -168,6 +171,7 @@ func (c *compiler) addConst(v Value) int32 {
 			return int32(i)
 		}
 	}
+	v.Str = strings.Clone(v.Str) // the program pins none of the source
 	c.p.consts = append(c.p.consts, v)
 	return int32(len(c.p.consts) - 1)
 }
@@ -178,7 +182,7 @@ func (c *compiler) addOp(op string) int32 {
 			return int32(i)
 		}
 	}
-	c.p.ops = append(c.p.ops, op)
+	c.p.ops = append(c.p.ops, op) // the lexer's static text
 	return int32(len(c.p.ops) - 1)
 }
 
@@ -208,6 +212,7 @@ func (c *compiler) addCall(ci callInfo) int32 {
 			return int32(i)
 		}
 	}
+	ci.name = strings.Clone(ci.name)
 	c.p.calls = append(c.p.calls, ci)
 	return int32(len(c.p.calls) - 1)
 }
@@ -639,96 +644,6 @@ func dispatchCall(ci callInfo, args []arg, res Resolver) Value {
 		return v
 	}
 	return callShared(ci.name, args, res)
-}
-
-const (
-	// progCacheMaxBytes bounds the interning cache by serialized program
-	// size; exceeding it drops the cache wholesale, like the parse cache.
-	progCacheMaxBytes = 4 << 20
-	// progCacheMaxEntry keeps one pathological formula from dominating the
-	// budget; larger programs evaluate fine but are not interned (and so
-	// never participate in pattern runs, which need pointer equality).
-	progCacheMaxEntry = 16 << 10
-)
-
-var progCache = struct {
-	sync.RWMutex
-	m     map[string]*Program
-	bytes int
-}{m: make(map[string]*Program)}
-
-var (
-	mCompileHits = telemetry.NewCounter("taco_compile_cache_hits_total",
-		"Formula compilations served from the process-wide program cache.")
-	mCompileMisses = telemetry.NewCounter("taco_compile_cache_misses_total",
-		"Formula compilations that missed the cache and built a new program.")
-	mCompileDrops = telemetry.NewCounter("taco_compile_cache_drops_total",
-		"Wholesale program-cache resets triggered by the byte budget.")
-)
-
-func init() {
-	telemetry.NewGaugeFunc("taco_compile_cache_entries",
-		"Programs currently retained by the compile cache.",
-		func() float64 {
-			progCache.RLock()
-			defer progCache.RUnlock()
-			return float64(len(progCache.m))
-		})
-}
-
-// compilerPool recycles CompileCached's compilers: a hit generates into a
-// pooled compiler's tables and key buffer and allocates nothing.
-var compilerPool = sync.Pool{New: func() any { return new(compiler) }}
-
-// CompileCached is Compile with canonical interning: programs are keyed by
-// their serialized bytes, so every formula cell that is a shifted copy of
-// the same shape shares one *Program pointer. The engine's pattern-run
-// detector relies on that canonicalisation — run membership is program
-// pointer equality, never a structural comparison per drain.
-func CompileCached(n Node, at ref.Ref) *Program {
-	c := compilerPool.Get().(*compiler)
-	defer compilerPool.Put(c)
-	p := &c.p
-	p.code, p.consts, p.cells, p.ranges, p.calls, p.ops = p.code[:0], p.consts[:0], p.cells[:0], p.ranges[:0], p.calls[:0], p.ops[:0]
-	c.anchor = at
-	c.gen(n)
-	c.key = p.appendKey(c.key[:0])
-	if len(c.key) > progCacheMaxEntry {
-		mCompileMisses.Inc()
-		return p.clone()
-	}
-	progCache.RLock()
-	cached, ok := progCache.m[string(c.key)]
-	progCache.RUnlock()
-	if ok {
-		mCompileHits.Inc()
-		return cached
-	}
-	mCompileMisses.Inc()
-	key := string(c.key)
-	progCache.Lock()
-	defer progCache.Unlock()
-	if cached, ok := progCache.m[key]; ok {
-		return cached
-	}
-	if progCache.bytes+len(key) > progCacheMaxBytes {
-		progCache.m = make(map[string]*Program, 1024)
-		progCache.bytes = 0
-		mCompileDrops.Inc()
-	}
-	cached = p.clone()
-	progCache.m[key] = cached
-	progCache.bytes += len(key)
-	return cached
-}
-
-// clone copies a pooled compiler's program out of its tables and derives the
-// numeric plan.
-func (p *Program) clone() *Program {
-	q := &Program{code: slices.Clone(p.code), consts: slices.Clone(p.consts), cells: slices.Clone(p.cells),
-		ranges: slices.Clone(p.ranges), calls: slices.Clone(p.calls), ops: slices.Clone(p.ops)}
-	q.numeric = q.buildNumeric()
-	return q
 }
 
 // appendKey serializes the program unambiguously (every variable-length

@@ -141,36 +141,39 @@ func TestBytecodeEquivalence(t *testing.T) {
 }
 
 // TestCompileCachedInterning: shifted copies of one formula shape intern to
-// the same *Program (run membership is pointer equality), $-fixed axes keep
-// distinct shapes distinct, and differing literals break sharing.
+// the same *Program (run membership is pointer equality), and so does a
+// respelling of it, which is another shape; $-fixed axes keep distinct shapes
+// distinct, and differing literals break sharing.
 func TestCompileCachedInterning(t *testing.T) {
 	base := ref.Ref{Col: 4, Row: 10}
 	ast := MustParse("=A10*B10+$F$1")
-	p := CompileCached(ast, base)
-	if p == nil {
-		t.Fatal("base formula did not compile")
-	}
+	intern := func(n Node, at ref.Ref) *Program { return MustParseShape(Text(n), at).Program() }
+	p := intern(ast, base)
 	for dRow := 1; dRow <= 5; dRow++ {
-		shifted := Shift(ast, 0, dRow)
 		at := ref.Ref{Col: base.Col, Row: base.Row + dRow}
-		if q := CompileCached(shifted, at); q != p {
+		if q := intern(Shift(ast, 0, dRow), at); q != p {
 			t.Fatalf("row %+d: shifted copy interned to a different program", dRow)
 		}
 	}
 	// A column shift is also the same shape (both axes relative on A/B).
-	if q := CompileCached(Shift(ast, 3, 0), ref.Ref{Col: base.Col + 3, Row: base.Row}); q != p {
+	if q := intern(Shift(ast, 3, 0), ref.Ref{Col: base.Col + 3, Row: base.Row}); q != p {
 		t.Fatal("column-shifted copy interned to a different program")
 	}
+	// Spaces and redundant parentheses: another shape of the same program.
+	respelled := MustParseShape("= (A12*B12) + $F$1", ref.Ref{Col: base.Col, Row: base.Row + 2})
+	if respelled == MustParseShape(Text(ast), base) || respelled.Program() != p {
+		t.Fatal("a respelling is the same shape, or another program")
+	}
 	// Same text at the same anchor but row-fixed reference: different shape.
-	if q := CompileCached(MustParse("=A$10*B10+$F$1"), base); q == p {
+	if q := intern(MustParse("=A$10*B10+$F$1"), base); q == p {
 		t.Fatal("row-fixed variant interned to the relative program")
 	}
 	// Different literal: different shape.
-	if q := CompileCached(MustParse("=A10*B10+$F$2"), base); q == p {
+	if q := intern(MustParse("=A10*B10+$F$2"), base); q == p {
 		t.Fatal("different fixed ref interned to the same program")
 	}
 	// Not a shifted copy (same text, different anchor → different offsets).
-	if q := CompileCached(ast, ref.Ref{Col: 4, Row: 11}); q == p {
+	if q := intern(ast, ref.Ref{Col: 4, Row: 11}); q == p {
 		t.Fatal("same text at a different anchor interned to the same program")
 	}
 }
@@ -201,7 +204,7 @@ func TestCellOpAt(t *testing.T) {
 
 // TestCompileAcceptsEveryFormula: a nest far deeper than the numeric plan's
 // stack and SUMs of more single cells than the VM's initial stack holds
-// compile, through Compile and the cache, and evaluate to what Eval gives.
+// compile, through Compile and the intern table, and evaluate to what Eval gives.
 func TestCompileAcceptsEveryFormula(t *testing.T) {
 	sumOf := func(n int) string {
 		cells := make([]string, n)
@@ -219,7 +222,7 @@ func TestCompileAcceptsEveryFormula(t *testing.T) {
 	} {
 		ast := MustParse(src)
 		want := Eval(ast, &colResolver{cells: grid})
-		for _, p := range []*Program{Compile(ast, anchor), CompileCached(ast, anchor)} {
+		for _, p := range []*Program{Compile(ast, anchor), MustParseShape(src, anchor).Program()} {
 			if p == nil {
 				t.Fatalf("%.40q: did not compile", src)
 			}
@@ -227,24 +230,6 @@ func TestCompileAcceptsEveryFormula(t *testing.T) {
 				t.Fatalf("%.40q: VM=%v AST=%v", src, got, want)
 			}
 		}
-	}
-}
-
-// TestCompileCachedHitAllocatesNothing: a warm cache hit — a shifted copy of
-// an interned formula — generates into a pooled compiler and allocates 0.
-func TestCompileCachedHitAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
-	ast := MustParse("=IF(A7>0,SUM(B1:B7)*$H$1,\"none\")&C7")
-	at := ref.Ref{Col: 4, Row: 7}
-	p := CompileCached(ast, at)
-	shifted, at2 := Shift(ast, 0, 5), ref.Ref{Col: 4, Row: 12}
-	if CompileCached(shifted, at2) != p {
-		t.Fatal("a shifted copy did not intern to the same program")
-	}
-	if allocs := testing.AllocsPerRun(100, func() { CompileCached(shifted, at2) }); allocs != 0 {
-		t.Fatalf("a cache hit allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -166,11 +166,14 @@ func FuzzBytecodeEval(f *testing.F) {
 // FuzzShapeRender: the shape key loses nothing. For every source the parser
 // accepts, at a fuzzed anchor, ParseShape accepts it too, its shape renders
 // the source back byte for byte, reports the references Refs does and runs the
-// program CompileCached interns for it; and the same fill's text at a second
+// program Compile makes of it, and the intern table holds the shape with the
+// table's program for those bytes; and the same fill's text at a second
 // anchor — wherever it compiles to that program — is the same *Shape.
 func FuzzShapeRender(f *testing.F) {
 	seeds := []string{
 		"=A1*B1*$H$1",
+		"(A1*B1)*$H$1",
+		"= A1 * B1 * $H$1",
 		"  = sum(a1:B9) ",
 		"=D4+C5",
 		"=SUM(A$1:A7)",
@@ -183,14 +186,7 @@ func FuzzShapeRender(f *testing.F) {
 	for i, s := range seeds {
 		f.Add(s, uint16(3+i), uint32(7+i), int16(1), int16(i))
 	}
-	lastDrops := mCompileDrops.Value()
 	f.Fuzz(func(t *testing.T, src string, col uint16, row uint32, dcol, drow int16) {
-		// A compile-cache drop leaves interned shapes holding programs the
-		// cache no longer does; identity is only checked between drops.
-		if d := mCompileDrops.Value(); d != lastDrops {
-			ResetShapeCache()
-			lastDrops = d
-		}
 		at := ref.Ref{Col: 1 + int(col)%2000, Row: 1 + int(row)%200_000}
 		node, perr := Parse(src)
 		s, err := ParseShape(src, at)
@@ -206,23 +202,22 @@ func FuzzShapeRender(f *testing.F) {
 		if got, want := s.AppendRefs(nil, at), Refs(node); !slices.Equal(got, want) {
 			t.Fatalf("%q at %v: refs %v, want %v", src, at, got, want)
 		}
-		sameProgram := func(p *Program) bool {
-			return string(p.appendKey(nil)) == string(s.Program().appendKey(nil))
-		}
-		p := CompileCached(node, at)
-		if !sameProgram(p) {
+		if !sameBytes(Compile(node, at), s.Program()) {
 			t.Fatalf("%q at %v: the shape's program is another formula's", src, at)
 		}
-		if p != s.Program() && mCompileDrops.Value() == lastDrops && len(p.appendKey(nil)) <= progCacheMaxEntry {
-			t.Fatalf("%q at %v: the shape's program is not the interned one", src, at)
+		internTable.RLock()
+		held, prog := internTable.shapes[s.key], internTable.progs[string(s.Program().appendKey(nil))]
+		internTable.RUnlock()
+		if len(s.key) <= internMaxKey && (held != s || prog != s.Program()) {
+			t.Fatalf("%q at %v: the table does not hold the shape with its program for its bytes", src, at)
 		}
 		at2 := ref.Ref{Col: at.Col + int(dcol), Row: at.Row + int(drow)}
-		if !at2.Valid() || len(s.key) > shapeCacheMaxKey {
+		if !at2.Valid() || len(s.key) > internMaxKey {
 			return
 		}
 		src2 := s.Source(at2)
 		node2, err := Parse(src2)
-		if err != nil || !sameProgram(Compile(node2, at2)) {
+		if err != nil || !sameBytes(Compile(node2, at2), s.Program()) {
 			return // not the same fill there
 		}
 		if s2, err := ParseShape(src2, at2); err != nil || s2 != s {

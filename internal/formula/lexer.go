@@ -70,6 +70,10 @@ func (lx *lexer) errf(pos int, format string, args ...any) error {
 	return &ErrSyntax{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// opText is the token text of each one-byte operator: a static string, so a
+// compiled program's operator table pins none of the source.
+var opText = [256]string{'+': "+", '-': "-", '*': "*", '/': "/", '^': "^", '&': "&", '=': "=", '%': "%"}
+
 func (lx *lexer) next() (token, error) {
 	for lx.pos < len(lx.src) && (lx.src[lx.pos] == ' ' || lx.src[lx.pos] == '\t' || lx.src[lx.pos] == '\n' || lx.src[lx.pos] == '\r') {
 		lx.pos++
@@ -99,9 +103,13 @@ func (lx *lexer) next() (token, error) {
 		lx.pos++
 		return token{kind: tokColon, text: ":", pos: start}, nil
 	case c == '<':
-		if lx.pos+1 < len(lx.src) && (lx.src[lx.pos+1] == '=' || lx.src[lx.pos+1] == '>') {
+		if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '=' {
 			lx.pos += 2
-			return token{kind: tokOp, text: lx.src[start : start+2], pos: start}, nil
+			return token{kind: tokOp, text: "<=", pos: start}, nil
+		}
+		if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '>' {
+			lx.pos += 2
+			return token{kind: tokOp, text: "<>", pos: start}, nil
 		}
 		lx.pos++
 		return token{kind: tokOp, text: "<", pos: start}, nil
@@ -112,9 +120,9 @@ func (lx *lexer) next() (token, error) {
 		}
 		lx.pos++
 		return token{kind: tokOp, text: ">", pos: start}, nil
-	case c == '+' || c == '-' || c == '*' || c == '/' || c == '^' || c == '&' || c == '=' || c == '%':
+	case opText[c] != "":
 		lx.pos++
-		return token{kind: tokOp, text: lx.src[start : start+1], pos: start}, nil
+		return token{kind: tokOp, text: opText[c], pos: start}, nil
 	default:
 		return token{}, lx.errf(start, "unexpected character %q", c)
 	}

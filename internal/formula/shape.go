@@ -3,8 +3,8 @@ package formula
 import (
 	"encoding/binary"
 	"strconv"
-	"strings"
 	"sync"
+	"unsafe"
 
 	"taco/internal/ref"
 	"taco/internal/telemetry"
@@ -34,6 +34,12 @@ import (
 // spelled other than canonically (lowercase, a leading zero) is recorded in
 // its flags, or verbatim, so the key and the anchor together give the source
 // back exactly: the key is also the render template.
+//
+// One table interns both levels (internTable): shapes by key and, under the
+// same lock, programs by their bytes, so a respelling of a formula (other
+// spaces, redundant parentheses) is another shape of the same *Program —
+// which is what pattern runs key on (engine/runs.go). The table has one byte
+// budget, counting everything an entry pins, and one wholesale drop.
 
 // Reference flags in a shape key.
 const (
@@ -54,8 +60,8 @@ type Shape struct {
 	refs []rangeOp // the references, in Refs order
 }
 
-// Program returns the shape's program, interned through CompileCached: every
-// shape of one program shares the pointer.
+// Program returns the shape's program, interned in the same table as the
+// shape: every shape of one program shares the pointer.
 func (s *Shape) Program() *Program { return s.prog }
 
 // AppendRefs appends what Refs reports of the shape's formula at anchor at.
@@ -234,85 +240,128 @@ func spelling(text string) byte {
 }
 
 const (
-	// shapeCacheMaxBytes bounds what the shape cache retains, counted as
-	// shapeBytes. When an insert would exceed it the cache is dropped
+	// internBudget bounds what the intern table pins, counted by shapeBytes
+	// and programBytes. When an insert would exceed it both maps are dropped
 	// wholesale — crude, but O(1), allocation-free on the hit path, and
 	// resistant to a hostile tenant streaming unique formulae to pin host
-	// memory. Cells keep the shapes they hold; a dropped shape is interned
-	// afresh the next time its text is parsed.
-	shapeCacheMaxBytes = 8 << 20
-	// shapeCacheMaxKey keeps pathological single formulae from dominating
-	// the budget; a longer key's shape is built uncached.
-	shapeCacheMaxKey = 64 << 10
+	// memory. Cells keep the shapes and programs they hold; a dropped shape is
+	// interned afresh the next time its text is parsed.
+	internBudget = 32 << 20
+	// internMaxKey keeps pathological single formulae from dominating the
+	// budget; a longer key's shape and program are built uncached (and so
+	// never join a pattern run, which needs program pointer equality).
+	internMaxKey = 64 << 10
 )
 
-// shapeBytes is roughly what an interned shape pins: its key, its reference
-// list, and the Shape with its map slot.
-func shapeBytes(s *Shape) int { return len(s.key) + 20*len(s.refs) + 96 }
-
-var shapeCache = struct {
+// internTable interns formulae at two levels under one lock, one budget and
+// one drop: shapes by shape key, and the programs they hold by program bytes
+// (appendKey), so shifted copies and respellings of one formula share one
+// *Program. Every shape in shapes holds the program progs has for its bytes.
+var internTable = struct {
 	sync.RWMutex
-	m     map[string]*Shape
-	bytes int
-}{m: make(map[string]*Shape)}
+	shapes map[string]*Shape
+	progs  map[string]*Program
+	bytes  int
+}{shapes: make(map[string]*Shape), progs: make(map[string]*Program)}
 
-// The shape cache keeps the parse cache's metric families: a lookup is what a
-// parse of known text was. The hit ratio is the restore path's cheapest
-// health signal (a cold cache turns every session restore into a full
-// re-parse), and the drop counter surfaces wholesale evictions caused by
-// unique-formula churn.
+// mapSlot is roughly what one entry of a string-keyed map of pointers costs:
+// the key's header and the value in a slot, at the table's typical load.
+const mapSlot = 40
+
+// shapeBytes is what an interned shape pins: its key, its reference list,
+// and the Shape with its map slot.
+func shapeBytes(s *Shape) int {
+	return alloc(len(s.key)) + sliceBytes(s.refs) + alloc(int(unsafe.Sizeof(*s))) + mapSlot
+}
+
+// programBytes is what an interned program pins beside its key of keyLen
+// bytes: its tables, its numeric plan, its string constants and call names,
+// and the Program with its map slot.
+func programBytes(p *Program, keyLen int) int {
+	n := alloc(keyLen) + sliceBytes(p.code) + sliceBytes(p.consts) + sliceBytes(p.cells) + sliceBytes(p.ranges) +
+		sliceBytes(p.calls) + sliceBytes(p.ops) + alloc(int(unsafe.Sizeof(*p))) + mapSlot
+	for _, v := range p.consts {
+		n += alloc(len(v.Str))
+	}
+	for _, c := range p.calls {
+		n += alloc(len(c.name))
+	}
+	if np := p.numeric; np != nil {
+		n += sliceBytes(np.code) + sliceBytes(np.consts) + sliceBytes(np.folds) + alloc(int(unsafe.Sizeof(*np)))
+	}
+	return n
+}
+
+// sliceBytes is the size of s's backing array, as allocated.
+func sliceBytes[T any](s []T) int {
+	var zero T
+	return alloc(cap(s) * int(unsafe.Sizeof(zero)))
+}
+
+// alloc is an allocation of n bytes rounded up to the allocator's 16-byte
+// steps, which is what the small size classes round it to, roughly.
+func alloc(n int) int { return (n + 15) &^ 15 }
+
+// The table keeps the parse cache's metric families: a lookup is what a parse
+// of known text was. The hit ratio is the restore path's cheapest health
+// signal (a cold table turns every session restore into a full re-parse), and
+// the drop counter surfaces wholesale evictions caused by unique-formula
+// churn.
 var (
 	mParseHits = telemetry.NewCounter("taco_parse_cache_hits_total",
-		"Formula parses answered by an interned shape from the process-wide shape cache.")
+		"Formula parses answered by an interned shape from the process-wide intern table.")
 	mParseMisses = telemetry.NewCounter("taco_parse_cache_misses_total",
-		"Formula parses that missed the shape cache and ran the parser.")
+		"Formula parses that missed the intern table and ran the parser and compiler.")
 	mParseDrops = telemetry.NewCounter("taco_parse_cache_drops_total",
-		"Wholesale shape-cache resets triggered by the byte budget.")
+		"Wholesale intern-table resets triggered by the byte budget.")
 )
 
 func init() {
 	telemetry.NewGaugeFunc("taco_parse_cache_bytes",
-		"Bytes the shape cache retains: keys, reference lists and per-shape overhead.",
+		"Bytes the intern table pins: its shapes' keys and reference lists, its programs' keys, tables, plans and strings, and per-entry overhead.",
 		func() float64 {
-			shapeCache.RLock()
-			defer shapeCache.RUnlock()
-			return float64(shapeCache.bytes)
+			internTable.RLock()
+			defer internTable.RUnlock()
+			return float64(internTable.bytes)
 		})
 	telemetry.NewGaugeFunc("taco_parse_cache_entries",
-		"Formula shapes currently retained by the shape cache.",
+		"Formula shapes currently retained by the intern table.",
 		func() float64 {
-			shapeCache.RLock()
-			defer shapeCache.RUnlock()
-			return float64(len(shapeCache.m))
+			internTable.RLock()
+			defer internTable.RUnlock()
+			return float64(len(internTable.shapes))
 		})
 }
 
 // ParseShape parses the formula src written at anchor at and returns its
-// interned shape. A text whose shape is cached — any shifted copy of a
+// interned shape. A text whose shape is interned — any shifted copy of a
 // formula parsed before, anywhere — is not parsed: it is lexed into its key
-// and looked up, which allocates nothing. src is not retained, so it may be
-// a string over a buffer the caller reuses. Parse errors are not cached.
+// and looked up, which allocates nothing. A miss parses and compiles, and
+// takes the program the table holds for the compiled bytes when there is one.
+// src is not retained, so it may be a string over a buffer the caller reuses.
+// Parse errors are not cached.
 func ParseShape(src string, at ref.Ref) (*Shape, error) {
 	var buf [128]byte
 	key, err := appendShapeKey(buf[:0], src, at)
-	if err == nil && len(key) <= shapeCacheMaxKey {
-		shapeCache.RLock()
-		s := shapeCache.m[string(key)]
-		shapeCache.RUnlock()
+	interned := err == nil && len(key) <= internMaxKey
+	if interned {
+		internTable.RLock()
+		s := internTable.shapes[string(key)]
+		internTable.RUnlock()
 		if s != nil {
 			mParseHits.Inc()
 			return s, nil
 		}
 	}
 	mParseMisses.Inc()
-	n, perr := Parse(strings.Clone(src)) // the tree keeps pieces of the text
+	n, perr := Parse(src)
 	if perr != nil {
 		return nil, perr // the parser's error, where the lexer's is another
 	}
 	if err != nil {
 		return nil, err
 	}
-	s := &Shape{key: string(key), prog: CompileCached(n, at)}
+	s := &Shape{key: string(key), prog: Compile(n, at)}
 	walk(n, func(x Node) {
 		switch t := x.(type) {
 		case *CellRef:
@@ -323,21 +372,29 @@ func ParseShape(src string, at ref.Ref) (*Shape, error) {
 			s.refs = append(s.refs, rangeOpOf(t, at))
 		}
 	})
-	if len(key) > shapeCacheMaxKey {
+	if !interned {
 		return s, nil
 	}
-	shapeCache.Lock()
-	defer shapeCache.Unlock()
-	if prev := shapeCache.m[s.key]; prev != nil {
+	var kb [256]byte
+	pkey := s.prog.appendKey(kb[:0])
+	internTable.Lock()
+	defer internTable.Unlock()
+	if prev := internTable.shapes[s.key]; prev != nil {
 		return prev, nil
 	}
-	if shapeCache.bytes+shapeBytes(s) > shapeCacheMaxBytes {
-		shapeCache.m = make(map[string]*Shape, 1024)
-		shapeCache.bytes = 0
+	// Checked as if the program were new, which can only drop one insert early.
+	if internTable.bytes+shapeBytes(s)+programBytes(s.prog, len(pkey)) > internBudget {
+		resetInternTable()
 		mParseDrops.Inc()
 	}
-	shapeCache.m[s.key] = s
-	shapeCache.bytes += shapeBytes(s)
+	if p := internTable.progs[string(pkey)]; p != nil {
+		s.prog = p
+	} else {
+		internTable.progs[string(pkey)] = s.prog
+		internTable.bytes += programBytes(s.prog, len(pkey))
+	}
+	internTable.shapes[s.key] = s
+	internTable.bytes += shapeBytes(s)
 	return s, nil
 }
 
@@ -350,14 +407,19 @@ func MustParseShape(src string, at ref.Ref) *Shape {
 	return s
 }
 
-// ResetShapeCache empties the shape cache, for tests and benchmarks that
-// measure it from empty or drop it mid-load. Shapes already handed out stay
-// valid.
+// ResetShapeCache empties the intern table, for tests and benchmarks that
+// measure it from empty or drop it mid-load. Shapes and programs already
+// handed out stay valid.
 func ResetShapeCache() {
-	shapeCache.Lock()
-	defer shapeCache.Unlock()
-	shapeCache.m = make(map[string]*Shape)
-	shapeCache.bytes = 0
+	internTable.Lock()
+	defer internTable.Unlock()
+	resetInternTable()
+}
+
+func resetInternTable() {
+	internTable.shapes = make(map[string]*Shape)
+	internTable.progs = make(map[string]*Program)
+	internTable.bytes = 0
 }
 
 // ParseCached is Parse. Formulae are interned by shape (ParseShape), not by

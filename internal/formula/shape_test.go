@@ -1,16 +1,19 @@
 package formula
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
 	"taco/internal/ref"
+	"taco/internal/telemetry"
 )
 
 // TestParseShapeSharesFill: every row of a filled-down column is one shape,
-// whose program is the one CompileCached interns for the row's formula, and
-// which renders each row's text back.
+// whose program is the one Compile makes of the row's formula, and which
+// renders each row's text back.
 func TestParseShapeSharesFill(t *testing.T) {
 	var first *Shape
 	for row := 2; row <= 50; row++ {
@@ -23,8 +26,8 @@ func TestParseShapeSharesFill(t *testing.T) {
 		if got := s.Source(at); got != src {
 			t.Fatalf("row %d renders %q, want %q", row, got, src)
 		}
-		if s.Program() != CompileCached(MustParse(src), at) {
-			t.Fatalf("row %d: the shape's program is not the interned one", row)
+		if !sameBytes(s.Program(), Compile(MustParse(src), at)) {
+			t.Fatalf("row %d: the shape's program is another formula's", row)
 		}
 		if first == nil {
 			first = s
@@ -33,6 +36,9 @@ func TestParseShapeSharesFill(t *testing.T) {
 		}
 	}
 }
+
+// sameBytes reports whether two programs compile to the same bytes.
+func sameBytes(p, q *Program) bool { return string(p.appendKey(nil)) == string(q.appendKey(nil)) }
 
 // TestParseShapeHitAllocatesNothing: a text whose shape is interned is lexed
 // into its key and looked up, with no allocation.
@@ -70,8 +76,8 @@ func TestShapeRendersSourceExactly(t *testing.T) {
 		if got, want := s.AppendRefs(nil, at), Refs(n); !slices.Equal(got, want) {
 			t.Errorf("%q: refs %v, want %v", src, got, want)
 		}
-		if s.Program() != CompileCached(n, at) {
-			t.Errorf("%q: the program is not the interned one", src)
+		if !sameBytes(s.Program(), Compile(n, at)) {
+			t.Errorf("%q: the program is another formula's", src)
 		}
 	}
 	below := ref.Ref{Col: at.Col, Row: at.Row + 1}
@@ -128,7 +134,7 @@ func TestParseCacheBoundedReset(t *testing.T) {
 		padding[i] = 'A'
 	}
 	at := ref.Ref{Col: 1, Row: 1}
-	for i := 0; i < 2*(shapeCacheMaxBytes/len(padding)); i++ {
+	for i := 0; i < 2*(internBudget/len(padding)); i++ {
 		src := fmt.Sprintf("%d+LEN(\"%s\")", i, padding)
 		s, err := ParseShape(src, at)
 		if err != nil {
@@ -138,9 +144,104 @@ func TestParseCacheBoundedReset(t *testing.T) {
 			t.Fatalf("shape %d renders wrong", i)
 		}
 	}
-	shapeCache.RLock()
-	defer shapeCache.RUnlock()
-	if shapeCache.bytes > shapeCacheMaxBytes {
-		t.Fatalf("cache grew to %d bytes (budget %d)", shapeCache.bytes, shapeCacheMaxBytes)
+	internTable.RLock()
+	defer internTable.RUnlock()
+	if internTable.bytes > internBudget {
+		t.Fatalf("cache grew to %d bytes (budget %d)", internTable.bytes, internBudget)
 	}
+}
+
+// TestInternTableCountsWhatItPins: the byte budget counts what the table
+// keeps alive. Unique formulas interned into the emptied table grow the live
+// heap by what taco_parse_cache_bytes reads, within a quarter, measured every
+// 500 formulas up to the last time before the first drop; and that drop comes
+// where it came when the budget counted less than the table held, within a
+// tenth: after about 33 000 formulas of this form.
+func TestInternTableCountsWhatItPins(t *testing.T) {
+	at := ref.Ref{Col: 6, Row: 1}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	counted := func() float64 {
+		var page bytes.Buffer
+		if err := telemetry.Default.WriteText(&page); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := telemetry.ParseText(&page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := sc.Value("taco_parse_cache_bytes", nil)
+		return v
+	}
+	ResetShapeCache()
+	before, drops := heap(), mParseDrops.Value()
+	var n, first int
+	var live int64
+	var count float64
+	for ; ; first++ {
+		if first%500 == 0 {
+			n, live, count = first, heap()-before, counted()
+		}
+		src := fmt.Sprintf("=A1*%d+SUM(B1:B%d)+IF(C1>%d,D1,E1)*%d", first, 2+first%1000, first, 3+first%7)
+		if _, err := ParseShape(src, at); err != nil {
+			t.Fatal(err)
+		}
+		if mParseDrops.Value() != drops {
+			break
+		}
+	}
+	t.Logf("first drop after %d formulas; at %d, live heap %d bytes, counted %.0f", first, n, live, count)
+	if lo, hi := 33158*9/10, 33158*11/10; first < lo || first > hi {
+		t.Errorf("the first drop came after %d formulas, want %d..%d", first, lo, hi)
+	}
+	if l := float64(live); l < count*3/4 || l > count*5/4 {
+		t.Errorf("%d formulas pin %d live bytes, the table counts %.0f", n, live, count)
+	}
+}
+
+// BenchmarkParseShape: the intern table's three paths — a hit, a miss into
+// the emptied table (parse, compile, a shape and a program inserted), and a
+// respelled miss, whose program the table already holds (parse, compile, the
+// shape inserted with the table's program). Misses run a thousand at a time
+// into a table emptied, and primed, with the timer stopped.
+func BenchmarkParseShape(b *testing.B) {
+	at := ref.Ref{Col: 4, Row: 12}
+	form := func(sp string, i int) string {
+		return fmt.Sprintf(`=IF(A12>%d,%sSUM(B6:B12)*$H$1,%s"none")&C12`, i, sp, sp)
+	}
+	b.Run("hit", func(b *testing.B) {
+		src := form("", 0)
+		MustParseShape(src, at)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ParseShape(src, at)
+		}
+	})
+	misses := func(b *testing.B, sp string, prime bool) {
+		srcs := make([]string, 1000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%len(srcs) == 0 {
+				b.StopTimer()
+				ResetShapeCache()
+				for k := range srcs {
+					if srcs[k] = form(sp, i+k); prime {
+						MustParseShape(form("", i+k), at)
+					}
+				}
+				b.StartTimer()
+			}
+			if _, err := ParseShape(srcs[i%len(srcs)], at); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("miss", func(b *testing.B) { misses(b, "", false) })
+	b.Run("respelled", func(b *testing.B) { misses(b, " ", true) })
 }
