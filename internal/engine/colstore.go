@@ -10,17 +10,22 @@ import (
 )
 
 // colStore is the engine's column-sliced cell storage: per column, a
-// row-sorted slab of cell records, held by value. It exploits the tabular
-// regularity the TACO paper builds on — spreadsheet ranges are column-aligned
-// rectangles, so a range read becomes a handful of contiguous per-column
-// scans (one binary search each) instead of rows×cols map probes. It is also
-// the engine's only cell index and the only holder of a record: a point read
-// (get) is one column probe plus a binary search of that column's rows, and
-// ncells counts the records.
+// row-sorted slab of cell records, held by value as parallel arrays. It
+// exploits the tabular regularity the TACO paper builds on — spreadsheet ranges
+// are column-aligned rectangles, so a range read becomes a handful of
+// contiguous per-column scans (one binary search each) instead of rows×cols
+// map probes. It is also the engine's only cell index and the only holder of a
+// record: a point read (get) is one column probe plus a binary search of that
+// column's rows, and ncells counts the records.
 //
-// Every *cell and every []cell window the store hands out points into a slab
-// and is valid until that column's next insert or delete, which may move the
-// records: nothing keeps one across a set of a new position or a delete (the
+// A record is split across the slab's arrays (see column): its row, its
+// float and a 16-byte cellMeta — 32 bytes a cell with the row — plus, for the
+// rare string value, a slot in the column's string table. A drain reads the
+// floats as they lie: a numeric lane is a subslice of the slab, not a copy.
+//
+// Every cell handle and every window the store hands out is a slab index and
+// is valid until that column's next insert or delete, which moves the records
+// below it: nothing keeps one across a set of a new position or a delete (the
 // engine drops its live schedule, whose nodes are such windows, on exactly
 // those writes, and the column shifts its run table's slab indexes).
 // Evaluation never reshapes a slab.
@@ -55,13 +60,19 @@ type rowSpan struct {
 	dense  uint64
 }
 
-// column is one row-ordered slab: rows sorted ascending, cells — the records
-// themselves — parallel. dirty is the column's dirty-span list: ascending,
-// disjoint, never touching. runs is the column's run table, valid while
-// runsOK (see runTable).
+// column is one row-ordered slab: rows sorted ascending and, parallel, the
+// records — num the value of a number (zero for any other value), meta the
+// rest. strs holds the string values, each at the slot its record's meta
+// names, and free the slots an overwrite or a delete gave back: the slot rides
+// in meta, so a record moved by an insert or a delete keeps it. dirty is the
+// column's dirty-span list: ascending, disjoint, never touching. runs is the
+// column's run table, valid while runsOK (see runTable).
 type column struct {
 	rows   []int
-	cells  []cell
+	num    []float64
+	meta   []cellMeta
+	strs   []string
+	free   []uint32
 	dirty  []rowSpan
 	runs   []colRun
 	runsOK bool
@@ -74,13 +85,93 @@ type colRun struct {
 	p         *formula.Program
 }
 
+// value builds the value of record i. A field at a time, from a Value holding
+// the kind and the float (zero but for a number): one built in each arm of
+// the switch is copied out through the stack, which stalls a read path on
+// its partial writes.
+func (c *column) value(i int) formula.Value {
+	m := &c.meta[i]
+	v := formula.Value{Kind: m.kind, Num: c.num[i]}
+	switch m.kind {
+	case formula.KindString:
+		v.Str = c.strs[m.slot]
+	case formula.KindBool:
+		v.Bool = m.aux != 0
+	case formula.KindError:
+		v.Err = formula.ErrCode(m.aux)
+	}
+	return v
+}
+
+// number is value(i).AsNumber(), reading a number's float in place.
+func (c *column) number(i int) (float64, bool) {
+	if c.meta[i].kind == formula.KindNumber {
+		return c.num[i], true
+	}
+	return c.value(i).AsNumber()
+}
+
+// numbers reports whether the records [lo, hi) all hold numbers, so their
+// values are num[lo:hi] as they lie.
+func (c *column) numbers(lo, hi int) bool {
+	ms := c.meta[lo:hi]
+	for i := range ms {
+		if ms[i].kind != formula.KindNumber {
+			return false
+		}
+	}
+	return true
+}
+
+// put makes v the value of record i: a string into the slot the record holds
+// or a free one, any other value into num and meta, giving a string's slot back.
+func (c *column) put(i int, v formula.Value) {
+	m := &c.meta[i]
+	switch was := m.kind == formula.KindString; {
+	case v.Kind == formula.KindString && !was:
+		if n := len(c.free); n > 0 {
+			m.slot, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			m.slot, c.strs = uint32(len(c.strs)), append(c.strs, "")
+		}
+	case v.Kind != formula.KindString && was:
+		c.strs[m.slot], c.free = "", append(c.free, m.slot)
+	}
+	m.kind, m.aux, c.num[i] = v.Kind, 0, 0
+	switch v.Kind {
+	case formula.KindNumber:
+		c.num[i] = v.Num
+	case formula.KindString:
+		c.strs[m.slot] = v.Str
+	case formula.KindBool:
+		if v.Bool {
+			m.aux = 1
+		}
+	case formula.KindError:
+		m.aux = uint8(v.Err)
+	}
+}
+
+// record returns record i whole, its value built.
+func (c *column) record(i int) record {
+	m := &c.meta[i]
+	return record{value: c.value(i), shape: m.shape, dirty: m.dirty}
+}
+
+// write replaces record i, which is on the slab, with r.
+func (c *column) write(i int, r record) {
+	c.meta[i].shape, c.meta[i].dirty, c.meta[i].evaluating = r.shape, r.dirty, 0
+	c.put(i, r.value)
+}
+
 // columnPool and colMapPool recycle the store's containers across the
 // spill/restore churn of a capped multi-tenant host: a restored session's
 // column slabs come back from whatever engine was recycled last, so the
 // eviction round-trip stops allocating once the pools warm up. Pooled
 // columns keep their slab capacity (that is the point: it is the one record
-// allocator there is) but are emptied — and their records zeroed, so no shape
-// or string stays reachable — before pooling.
+// allocator there is) but are emptied — their metas zeroed to capacity and
+// their string table cleared, so no shape or string stays reachable — before
+// pooling.
 var (
 	columnPool = sync.Pool{New: func() any { return &column{} }}
 	colMapPool = sync.Pool{New: func() any { return make(map[int]*column, 32) }}
@@ -103,9 +194,10 @@ func (s *colStore) recycle() {
 }
 
 func recycleColumn(col *column) {
-	clear(col.cells) // drop the records' shape and string references before pooling
-	col.rows = col.rows[:0]
-	col.cells = col.cells[:0]
+	clear(col.meta[:cap(col.meta)]) // drop the shapes, whatever a reshape left past the end
+	clear(col.strs[:cap(col.strs)]) // and the strings
+	col.rows, col.num, col.meta = col.rows[:0], col.num[:0], col.meta[:0]
+	col.strs, col.free = col.strs[:0], col.free[:0]
 	col.dirty = col.dirty[:0]
 	col.dropRuns()
 	columnPool.Put(col)
@@ -162,9 +254,9 @@ func (s *colStore) cleaned(n int) {
 	s.dirtyCols = s.dirtyCols[:0]
 }
 
-// dirtyWindows calls fn with the slab window col.cells[lo:hi] of each dirty
-// span, column-major, until fn returns false; the flagged cells are the ones
-// in those windows whose flag is still set — all of them when dense. fn may
+// dirtyWindows calls fn with the slab window [lo, hi) of each dirty span,
+// column-major, until fn returns false; the flagged cells are the ones in
+// those windows whose flag is still set — all of them when dense. fn may
 // clean cells (never flag new ones): when it cleans the last one the span
 // lists are dropped under the walk, which the length checks then end.
 func (s *colStore) dirtyWindows(fn func(ci int, col *column, lo, hi int, dense bool) bool) {
@@ -184,29 +276,32 @@ func (s *colStore) dirtyWindows(fn func(ci int, col *column, lo, hi int, dense b
 	}
 }
 
-// get returns the record at the given position, nil when it is unpopulated.
-func (s *colStore) get(at ref.Ref) *cell {
+// get returns the record at the given position; ok is false when it is
+// unpopulated.
+func (s *colStore) get(at ref.Ref) (c cell, ok bool) {
 	if col := s.cols[at.Col]; col != nil {
 		if i, found := slices.BinarySearch(col.rows, at.Row); found {
-			return &col.cells[i]
+			return cell{col, i}, true
 		}
 	}
-	return nil
+	return cell{}, false
 }
 
 // column returns the slab of column ci, creating it with room for n records
 // when the column is unpopulated — which is how a loader that knows a column's
 // height sizes its slab once, with no growth copies and no growth slack. A
 // pooled column keeps its capacity when that fits, at least n and at most an
-// eighth over; otherwise its slab is allocated exactly: a record is 48 bytes,
-// and whatever capacity the pool happened to hand out would put a 2 000-row
-// slab under a three-cell column for as long as the session is resident.
+// eighth over; otherwise its arrays are allocated exactly, one allocation
+// each: a record is 32 bytes, and whatever capacity the pool happened to hand
+// out would put a 2 000-row slab under a three-cell column for as long as the
+// session is resident.
 func (s *colStore) column(ci, n int) *column {
 	col := s.cols[ci]
 	if col == nil {
 		col = columnPool.Get().(*column)
-		if c := cap(col.cells); c < n || c > n+n/8 {
-			col.rows, col.cells = make([]int, 0, n), make([]cell, 0, n)
+		caps := [...]int{cap(col.rows), cap(col.num), cap(col.meta)} // appends may have grown them apart
+		if slices.Min(caps[:]) < n || slices.Max(caps[:]) > n+n/8 {
+			col.rows, col.num, col.meta = make([]int, 0, n), make([]float64, 0, n), make([]cellMeta, 0, n)
 		}
 		s.cols[ci] = col
 	}
@@ -218,19 +313,22 @@ func (s *colStore) column(ci, n int) *column {
 // column-major order, so the append fast path handles bulk fills without a
 // binary search per cell. A write that can change the column's run table
 // repairs it; an insert mid-slab first shifts the stretches below it.
-func (s *colStore) set(at ref.Ref, c cell) (old cell, had bool) {
+func (s *colStore) set(at ref.Ref, r record) (old record, had bool) {
 	col := s.column(at.Col, 1)
 	if n := len(col.rows); n == 0 || at.Row > col.rows[n-1] {
 		col.rows = append(col.rows, at.Row)
-		col.cells = append(col.cells, c)
+		col.num = append(col.num, 0)
+		col.meta = append(col.meta, cellMeta{})
+		col.write(n, r)
 		s.ncells++
 		col.repairRuns(n)
-		return cell{}, false
+		return record{}, false
 	}
 	i, found := slices.BinarySearch(col.rows, at.Row)
 	if found {
-		old, col.cells[i] = col.cells[i], c
-		if old.shape != nil || c.shape != nil {
+		old = col.record(i)
+		col.write(i, r)
+		if old.shape != nil || r.shape != nil {
 			col.repairRuns(i)
 		}
 		return old, true
@@ -239,30 +337,34 @@ func (s *colStore) set(at ref.Ref, c cell) (old cell, had bool) {
 		s.cuts++ // the record may land inside a dense span
 	}
 	col.rows = slices.Insert(col.rows, i, at.Row)
-	col.cells = slices.Insert(col.cells, i, c)
+	col.num = slices.Insert(col.num, i, 0)
+	col.meta = slices.Insert(col.meta, i, cellMeta{})
+	col.write(i, r)
 	col.shiftRuns(i, 1)
 	col.repairRuns(i)
 	s.ncells++
-	return cell{}, false
+	return record{}, false
 }
 
 // delete removes and returns the record at the given position, had reporting
 // whether it was populated. The stretch that held it splits, and the ones
 // below it shift up.
-func (s *colStore) delete(at ref.Ref) (old cell, had bool) {
+func (s *colStore) delete(at ref.Ref) (old record, had bool) {
 	col := s.cols[at.Col]
 	if col == nil {
-		return cell{}, false
+		return record{}, false
 	}
 	i, found := slices.BinarySearch(col.rows, at.Row)
 	if !found {
-		return cell{}, false
+		return record{}, false
 	}
-	old = col.cells[i]
+	old = col.record(i)
+	col.put(i, formula.Value{}) // gives a string's slot back
 	col.cutRuns(i)
 	col.shiftRuns(i+1, -1)
 	col.rows = slices.Delete(col.rows, i, i+1)
-	col.cells = slices.Delete(col.cells, i, i+1) // zeroes the vacated tail record
+	col.num = slices.Delete(col.num, i, i+1)
+	col.meta = slices.Delete(col.meta, i, i+1) // zeroes the vacated tail meta
 	s.ncells--
 	if len(col.rows) == 0 {
 		delete(s.cols, at.Col)
@@ -271,14 +373,7 @@ func (s *colStore) delete(at ref.Ref) (old cell, had bool) {
 	return old, true
 }
 
-// view returns the slab window covering rows r1..r2: the rows populated
-// there and, parallel, their records.
-func (c *column) view(r1, r2 int) (rows []int, cells []cell) {
-	lo, hi := c.window(r1, r2)
-	return c.rows[lo:hi], c.cells[lo:hi]
-}
-
-// window is view's slab index interval [lo, hi).
+// window is the slab index interval [lo, hi) covering rows r1..r2.
 func (c *column) window(r1, r2 int) (lo, hi int) {
 	lo, _ = slices.BinarySearch(c.rows, r1)
 	hi, _ = slices.BinarySearch(c.rows[lo:], r2+1)
@@ -301,7 +396,7 @@ func (c *column) window(r1, r2 int) (lo, hi int) {
 // runTable returns the column's run table, building it if it is not valid.
 func (c *column) runTable() []colRun {
 	if !c.runsOK {
-		c.runs, c.runsOK = c.appendStretches(c.runs[:0], 0, len(c.cells), false), true
+		c.runs, c.runsOK = c.appendStretches(c.runs[:0], 0, len(c.rows), false), true
 	}
 	return c.runs
 }
@@ -310,10 +405,10 @@ func (c *column) runTable() []colRun {
 // indexes lo..hi-1, counting only the flagged ones when flagged is set.
 func (c *column) appendStretches(runs []colRun, lo, hi int, flagged bool) []colRun {
 	prog := func(i int) *formula.Program {
-		if flagged && !c.cells[i].dirty {
+		if flagged && !c.meta[i].dirty {
 			return nil
 		}
-		return c.cells[i].program()
+		return c.meta[i].program()
 	}
 	for i := lo; i < hi; {
 		p, j := prog(i), i+1
@@ -326,6 +421,21 @@ func (c *column) appendStretches(runs []colRun, lo, hi int, flagged bool) []colR
 		i = j
 	}
 	return runs
+}
+
+// formulas reports whether a valid run table shows the records [lo, hi) all
+// formulas: stretches end to end across them.
+func (c *column) formulas(lo, hi int) bool {
+	if !c.runsOK {
+		return false
+	}
+	k, _ := slices.BinarySearchFunc(c.runs, lo, func(st colRun, i int) int { return st.i + st.n - 1 - i })
+	for ; k < len(c.runs) && c.runs[k].i <= lo; k++ {
+		if lo = c.runs[k].i + c.runs[k].n; lo >= hi {
+			return true
+		}
+	}
+	return false
 }
 
 // dropRuns invalidates the run table, keeping its capacity.
@@ -343,14 +453,14 @@ func (c *column) repairRuns(i int) {
 	}
 	k := c.cutRuns(i)
 	runs := c.runs
-	if p := c.cells[i].program(); p != nil {
+	if p := c.meta[i].program(); p != nil {
 		lo, hi := i, i+1
 		if k > 0 && runs[k-1].i+runs[k-1].n == i && runs[k-1].p == p && c.rows[i-1] == c.rows[i]-1 {
 			k--
 			lo = runs[k].i
 			runs = slices.Delete(runs, k, k+1)
 		} else {
-			for lo > 0 && i-lo < minPatternRun && c.rows[lo-1] == c.rows[lo]-1 && c.cells[lo-1].program() == p {
+			for lo > 0 && i-lo < minPatternRun && c.rows[lo-1] == c.rows[lo]-1 && c.meta[lo-1].program() == p {
 				lo--
 			}
 		}
@@ -358,7 +468,7 @@ func (c *column) repairRuns(i int) {
 			hi = i + 1 + runs[k].n
 			runs = slices.Delete(runs, k, k+1)
 		} else {
-			for hi < len(c.cells) && hi-i <= minPatternRun && c.rows[hi] == c.rows[hi-1]+1 && c.cells[hi].program() == p {
+			for hi < len(c.rows) && hi-i <= minPatternRun && c.rows[hi] == c.rows[hi-1]+1 && c.meta[hi].program() == p {
 				hi++
 			}
 		}
@@ -398,23 +508,36 @@ func (c *column) shiftRuns(i, d int) {
 	}
 }
 
-// foldCursor is one column's slab window with a scan position — the unit of
-// the row-major merges below and of a sweep's operand reads (runs.go).
+// foldCursor is one column's slab window with a scan position, the slab
+// index i: rows is the column's rows up to the window's end. It is the unit of
+// the row-major merges below and of a sweep's operand reads (runs.go). col is
+// nil, and the window empty, over an unpopulated column.
 type foldCursor struct {
-	col   int
-	rows  []int
-	cells []cell
-	i     int
+	ci   int
+	col  *column
+	rows []int
+	i    int
 }
+
+// cursor returns column ci's window of rows r1..r2.
+func (s *colStore) cursor(ci, r1, r2 int) foldCursor {
+	cu := foldCursor{ci: ci, col: s.cols[ci]}
+	if cu.col != nil {
+		lo, hi := cu.col.window(r1, r2)
+		cu.rows, cu.i = cu.col.rows[:hi], lo
+	}
+	return cu
+}
+
+// row is the row at the cursor's position, which must be inside the window.
+func (cu *foldCursor) row() int { return cu.rows[cu.i] }
 
 // cursors appends the populated column windows of rng to curs, in ascending
 // column order; a range crossing empty columns costs one map probe each.
 func (s *colStore) cursors(rng ref.Range, curs []foldCursor) []foldCursor {
 	for c := rng.Head.Col; c <= rng.Tail.Col; c++ {
-		if col := s.cols[c]; col != nil {
-			if rows, cells := col.view(rng.Head.Row, rng.Tail.Row); len(rows) > 0 {
-				curs = append(curs, foldCursor{col: c, rows: rows, cells: cells})
-			}
+		if cu := s.cursor(c, rng.Head.Row, rng.Tail.Row); cu.i < len(cu.rows) {
+			curs = append(curs, cu)
 		}
 	}
 	return curs
@@ -427,7 +550,7 @@ func (s *colStore) cursors(rng ref.Range, curs []foldCursor) []foldCursor {
 func minHead(curs []foldCursor) *foldCursor {
 	var best *foldCursor
 	for k := range curs {
-		if cu := &curs[k]; cu.i < len(cu.rows) && (best == nil || cu.rows[cu.i] < best.rows[best.i]) {
+		if cu := &curs[k]; cu.i < len(cu.rows) && (best == nil || cu.row() < best.row()) {
 			best = cu
 		}
 	}
@@ -435,15 +558,13 @@ func minHead(curs []foldCursor) *foldCursor {
 }
 
 // probe advances the cursor to row (monotonic: callers feed ascending rows)
-// and returns the cell stored there, or nil when the row is unpopulated.
-func (cu *foldCursor) probe(row int) *cell {
-	for cu.i < len(cu.rows) && cu.rows[cu.i] < row {
+// and returns the slab index of the record stored there; ok is false when the
+// row is unpopulated.
+func (cu *foldCursor) probe(row int) (i int, ok bool) {
+	for cu.i < len(cu.rows) && cu.row() < row {
 		cu.i++
 	}
-	if cu.i < len(cu.rows) && cu.rows[cu.i] == row {
-		return &cu.cells[cu.i]
-	}
-	return nil
+	return cu.i, cu.i < len(cu.rows) && cu.row() == row
 }
 
 // scanRange visits every populated cell of rng in row-major order — the
@@ -456,15 +577,11 @@ func (cu *foldCursor) probe(row int) *cell {
 // plus a linear walk. Multi-column ranges merge the per-column windows with
 // a small binary heap keyed on (row, col) — O(cells · log cols), no
 // per-cell point reads.
-func (s *colStore) scanRange(rng ref.Range, fn func(at ref.Ref, c *cell) bool) bool {
+func (s *colStore) scanRange(rng ref.Range, fn func(at ref.Ref, c cell) bool) bool {
 	if rng.Head.Col == rng.Tail.Col {
-		col := s.cols[rng.Head.Col]
-		if col == nil {
-			return true
-		}
-		rows, cells := col.view(rng.Head.Row, rng.Tail.Row)
-		for i := range cells {
-			if !fn(ref.Ref{Col: rng.Head.Col, Row: rows[i]}, &cells[i]) {
+		cu := s.cursor(rng.Head.Col, rng.Head.Row, rng.Tail.Row)
+		for ; cu.i < len(cu.rows); cu.i++ {
+			if !fn(ref.Ref{Col: cu.ci, Row: cu.row()}, cell{cu.col, cu.i}) {
 				return false
 			}
 		}
@@ -474,10 +591,10 @@ func (s *colStore) scanRange(rng ref.Range, fn func(at ref.Ref, c *cell) bool) b
 	// Binary min-heap of cursor indices, ordered by (current row, column).
 	less := func(a, b int) bool {
 		ca, cb := &curs[a], &curs[b]
-		if ca.rows[ca.i] != cb.rows[cb.i] {
-			return ca.rows[ca.i] < cb.rows[cb.i]
+		if ca.row() != cb.row() {
+			return ca.row() < cb.row()
 		}
-		return ca.col < cb.col
+		return ca.ci < cb.ci
 	}
 	h := make([]int, len(curs))
 	for i := range h {
@@ -505,7 +622,7 @@ func (s *colStore) scanRange(rng ref.Range, fn func(at ref.Ref, c *cell) bool) b
 	}
 	for len(h) > 0 {
 		c := &curs[h[0]]
-		if !fn(ref.Ref{Col: c.col, Row: c.rows[c.i]}, &c.cells[c.i]) {
+		if !fn(ref.Ref{Col: c.ci, Row: c.row()}, cell{c.col, c.i}) {
 			return false
 		}
 		c.i++
@@ -534,37 +651,97 @@ const maxFoldCols = 16
 // comparisons mispredict on most numbers.
 type foldAcc struct {
 	f        formula.NumericFold
-	dirtyVal func(ref.Ref, *cell) formula.Value
+	dirtyVal func(ref.Ref, cell) formula.Value
 	sumOnly  bool
 }
 
-// add reads the record's value in place: 32 bytes, of which a number needs 8.
-func (a *foldAcc) add(at ref.Ref, c *cell) {
-	v := &c.value
-	if c.dirty && a.dirtyVal != nil {
-		dv := a.dirtyVal(at, c)
-		v = &dv
+// add folds the record's value, a number's float read in place.
+func (a *foldAcc) add(at ref.Ref, c cell) {
+	switch m := c.meta(); {
+	case m.dirty && a.dirtyVal != nil:
+		a.addValue(a.dirtyVal(at, c))
+	case m.kind == formula.KindNumber:
+		a.addNum(c.col.num[c.i])
+	default:
+		a.addValue(c.value())
 	}
+}
+
+// addRecords folds the records [lo, hi) of column ci, in order: each run of
+// numbers through addNumbers, every other record through add.
+func (a *foldAcc) addRecords(ci int, col *column, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if i = a.addNumbers(col, i, hi); i < hi {
+			a.add(ref.Ref{Col: ci, Row: col.rows[i]}, cell{col, i})
+		}
+	}
+}
+
+// addNumbers folds the run of records from lo, short of hi, that hold
+// numbers — clean ones, when a dirty record resolves through dirtyVal — their
+// floats as they lie, and returns where the run ends. Four records at a time
+// pay one branch for their four kinds, off the sum's dependency chain, so the
+// run costs about what its additions cost; the extrema take a second pass.
+func (a *foldAcc) addNumbers(col *column, lo, hi int) int {
+	ms, ns := col.meta[lo:hi], col.num[lo:hi]
+	ns = ns[:len(ms)]
+	dirty, sum, n := a.dirtyVal != nil, a.f.Sum, 0 // dirty: a dirty record ends the run
+	for ; n+4 <= len(ms); n += 4 {
+		m := ms[n : n+4 : n+4]
+		if m[0].kind != formula.KindNumber || m[1].kind != formula.KindNumber ||
+			m[2].kind != formula.KindNumber || m[3].kind != formula.KindNumber ||
+			dirty && (m[0].dirty || m[1].dirty || m[2].dirty || m[3].dirty) {
+			break
+		}
+		v := ns[n : n+4 : n+4]
+		sum = sum + v[0] + v[1] + v[2] + v[3]
+	}
+	for ; n < len(ms) && ms[n].kind == formula.KindNumber && !(dirty && ms[n].dirty); n++ {
+		sum += ns[n]
+	}
+	f := &a.f
+	f.Sum, f.Count, f.NonEmpty = sum, f.Count+n, f.NonEmpty+n
+	if !a.sumOnly {
+		for _, v := range ns[:n] {
+			if v < f.Min {
+				f.Min = v
+			}
+			if v > f.Max {
+				f.Max = v
+			}
+		}
+	}
+	return lo + n
+}
+
+// addNum folds one number.
+func (a *foldAcc) addNum(v float64) {
+	f := &a.f
+	f.Sum += v
+	f.Count++
+	f.NonEmpty++
+	if a.sumOnly {
+		return
+	}
+	if v < f.Min {
+		f.Min = v
+	}
+	if v > f.Max {
+		f.Max = v
+	}
+}
+
+// addValue folds one value.
+func (a *foldAcc) addValue(v formula.Value) {
 	switch v.Kind {
 	case formula.KindNumber:
-		a.f.Sum += v.Num
-		a.f.Count++
-		a.f.NonEmpty++
-		if a.sumOnly {
-			return
-		}
-		if v.Num < a.f.Min {
-			a.f.Min = v.Num
-		}
-		if v.Num > a.f.Max {
-			a.f.Max = v.Num
-		}
+		a.addNum(v.Num)
 	case formula.KindEmpty:
 		// A stored blank counts nowhere, like an unpopulated cell.
 	case formula.KindError:
 		a.f.NonEmpty++
 		if !a.f.Err.IsError() {
-			a.f.Err = *v
+			a.f.Err = v
 		}
 	default: // string, bool: non-blank, non-numeric
 		a.f.NonEmpty++
@@ -575,73 +752,21 @@ func (a *foldAcc) add(at ref.Ref, c *cell) {
 // tight pass over the range's slab windows accumulating everything the plain
 // aggregates need (sum, counts, extrema, first error) without surfacing a
 // callback per cell. Single columns — the common aggregation shape — walk
-// one window; dense slab runs of four consecutive clean numeric cells take a
-// blocked fast path that pays one branch per four cells. Multi-column
+// one window, adding each run of clean numbers' floats as they lie
+// (addRecords, as the sweep's fold windows do). Multi-column
 // rectangles up to maxFoldCols merge their per-column windows with a
 // min-scan over the cursor heads, visiting cells in exactly the row-major
 // order the streaming scan uses; wider rectangles report handled=false. On
 // every path the accumulation stays a sequential left-to-right chain (Go
 // never reassociates float expressions), so the sum is bit-identical to
 // per-cell iteration.
-func (s *colStore) foldRange(rng ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (formula.NumericFold, bool) {
+func (s *colStore) foldRange(rng ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) (formula.NumericFold, bool) {
 	if rng.Head.Col != rng.Tail.Col {
 		return s.foldRect(rng, dirtyVal)
 	}
 	acc := foldAcc{f: formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}, dirtyVal: dirtyVal}
-	col := s.cols[rng.Head.Col]
-	if col == nil {
-		return acc.f, true
-	}
-	rows, cells := col.view(rng.Head.Row, rng.Tail.Row)
-	f := &acc.f
-	slow := func(i int) {
-		acc.add(ref.Ref{Col: rng.Head.Col, Row: rows[i]}, &cells[i])
-	}
-	i, n := 0, len(cells)
-	for ; i+4 <= n; i += 4 {
-		b := cells[i : i+4] // one bounds check for the four records, read in place
-		c0, c1, c2, c3 := &b[0], &b[1], &b[2], &b[3]
-		if !(c0.dirty || c1.dirty || c2.dirty || c3.dirty) &&
-			c0.value.Kind == formula.KindNumber && c1.value.Kind == formula.KindNumber &&
-			c2.value.Kind == formula.KindNumber && c3.value.Kind == formula.KindNumber {
-			v0, v1, v2, v3 := c0.value.Num, c1.value.Num, c2.value.Num, c3.value.Num
-			f.Sum = f.Sum + v0 + v1 + v2 + v3
-			f.Count += 4
-			f.NonEmpty += 4
-			if v0 < f.Min {
-				f.Min = v0
-			}
-			if v1 < f.Min {
-				f.Min = v1
-			}
-			if v2 < f.Min {
-				f.Min = v2
-			}
-			if v3 < f.Min {
-				f.Min = v3
-			}
-			if v0 > f.Max {
-				f.Max = v0
-			}
-			if v1 > f.Max {
-				f.Max = v1
-			}
-			if v2 > f.Max {
-				f.Max = v2
-			}
-			if v3 > f.Max {
-				f.Max = v3
-			}
-			continue
-		}
-		slow(i)
-		slow(i + 1)
-		slow(i + 2)
-		slow(i + 3)
-	}
-	for ; i < n; i++ {
-		slow(i)
-	}
+	cu := s.cursor(rng.Head.Col, rng.Head.Row, rng.Tail.Row) // over no column: no records
+	acc.addRecords(cu.ci, cu.col, cu.i, len(cu.rows))
 	return acc.f, true
 }
 
@@ -650,7 +775,7 @@ func (s *colStore) foldRange(rng ref.Range, dirtyVal func(ref.Ref, *cell) formul
 // row-major visit order exactly, so Sum/Err match bit-for-bit. A rectangle
 // wider than maxFoldCols reports handled=false (the caller falls back to the
 // streaming scan).
-func (s *colStore) foldRect(rng ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (formula.NumericFold, bool) {
+func (s *colStore) foldRect(rng ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) (formula.NumericFold, bool) {
 	if rng.Cols() > maxFoldCols {
 		return formula.NumericFold{}, false
 	}
@@ -658,7 +783,7 @@ func (s *colStore) foldRect(rng ref.Range, dirtyVal func(ref.Ref, *cell) formula
 	curs := s.cursors(rng, buf[:0])
 	acc := foldAcc{f: formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}, dirtyVal: dirtyVal}
 	for cu := minHead(curs); cu != nil; cu = minHead(curs) {
-		acc.add(ref.Ref{Col: cu.col, Row: cu.rows[cu.i]}, &cu.cells[cu.i])
+		acc.add(ref.Ref{Col: cu.ci, Row: cu.row()}, cell{cu.col, cu.i})
 		cu.i++
 	}
 	return acc.f, true
@@ -666,11 +791,11 @@ func (s *colStore) foldRect(rng ref.Range, dirtyVal func(ref.Ref, *cell) formula
 
 // cellVal resolves one stored cell's value with the fold paths' dirty
 // semantics (see foldAcc).
-func cellVal(at ref.Ref, c *cell, dirtyVal func(ref.Ref, *cell) formula.Value) formula.Value {
-	if c.dirty && dirtyVal != nil {
+func cellVal(at ref.Ref, c cell, dirtyVal func(ref.Ref, cell) formula.Value) formula.Value {
+	if dirtyVal != nil && c.meta().dirty {
 		return dirtyVal(at, c)
 	}
-	return c.value
+	return c.value()
 }
 
 // foldSumIf is the slab fold behind formula.CondFolder.FoldSumIf for the
@@ -682,35 +807,30 @@ func cellVal(at ref.Ref, c *cell, dirtyVal func(ref.Ref, *cell) formula.Value) f
 // CellValue probe does. The caller guarantees the criterion does not match
 // blanks, so unpopulated criterion cells are correctly skipped. Other
 // shapes report handled=false.
-func (s *colStore) foldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (float64, bool) {
+func (s *colStore) foldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) (float64, bool) {
 	if critRng.Head.Col != critRng.Tail.Col || sumRng.Head.Col != sumRng.Tail.Col {
 		return 0, false
 	}
 	same := critRng == sumRng
-	col := s.cols[critRng.Head.Col]
-	if col == nil {
-		return 0, true
-	}
-	rows, cells := col.view(critRng.Head.Row, critRng.Tail.Row)
+	cu := s.cursor(critRng.Head.Col, critRng.Head.Row, critRng.Tail.Row)
 	var sumCur foldCursor
 	if !same {
-		if sc := s.cols[sumRng.Head.Col]; sc != nil {
-			sumCur.rows, sumCur.cells = sc.view(sumRng.Head.Row, sumRng.Tail.Row)
-		}
+		sumCur = s.cursor(sumRng.Head.Col, sumRng.Head.Row, sumRng.Tail.Row)
 	}
 	dRow := sumRng.Head.Row - critRng.Head.Row
 	total := 0.0
-	for i := range rows {
-		v := cellVal(ref.Ref{Col: critRng.Head.Col, Row: rows[i]}, &cells[i], dirtyVal)
+	for ; cu.i < len(cu.rows); cu.i++ {
+		row := cu.row()
+		v := cellVal(ref.Ref{Col: cu.ci, Row: row}, cell{cu.col, cu.i}, dirtyVal)
 		if !crit.Matches(v) {
 			continue
 		}
 		sv := v
 		if !same {
 			sv = formula.Empty()
-			srow := rows[i] + dRow
-			if sc := sumCur.probe(srow); sc != nil {
-				sv = cellVal(ref.Ref{Col: sumRng.Head.Col, Row: srow}, sc, dirtyVal)
+			srow := row + dRow
+			if i, ok := sumCur.probe(srow); ok {
+				sv = cellVal(ref.Ref{Col: sumCur.ci, Row: srow}, cell{sumCur.col, i}, dirtyVal)
 			}
 		}
 		if f, ok := sv.AsNumber(); ok {
@@ -731,12 +851,12 @@ func (s *colStore) foldSumIf(critRng ref.Range, crit formula.Criterion, sumRng r
 // skipped and missing partner cells read as Empty, matching the streaming
 // RangeValues/CellValue semantics; non-numeric and error values contribute a
 // zero factor via formula.SumProductFactor.
-func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, *cell) formula.Value) (float64, bool) {
+func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) (float64, bool) {
 	if a.Cols() > maxFoldCols || b.Cols() > maxFoldCols {
 		return 0, false
 	}
 	for _, rng := range [2]ref.Range{a, b} {
-		finite := s.scanRange(rng, func(at ref.Ref, c *cell) bool {
+		finite := s.scanRange(rng, func(at ref.Ref, c cell) bool {
 			v := cellVal(at, c, dirtyVal)
 			if v.Kind == formula.KindNumber && (math.IsNaN(v.Num) || math.IsInf(v.Num, 0)) {
 				return false
@@ -753,19 +873,19 @@ func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, *cell) 
 	// stay nil and read as Empty.
 	var bByCol [maxFoldCols]*foldCursor
 	for k := range bcurs {
-		bByCol[bcurs[k].col-b.Head.Col] = &bcurs[k]
+		bByCol[bcurs[k].ci-b.Head.Col] = &bcurs[k]
 	}
 	dRow := b.Head.Row - a.Head.Row
 	total := 0.0
 	for cu := minHead(acurs); cu != nil; cu = minHead(acurs) {
-		arow := cu.rows[cu.i]
-		av := cellVal(ref.Ref{Col: cu.col, Row: arow}, &cu.cells[cu.i], dirtyVal)
+		arow := cu.row()
+		av := cellVal(ref.Ref{Col: cu.ci, Row: arow}, cell{cu.col, cu.i}, dirtyVal)
 		cu.i++
 		bv := formula.Empty()
-		if bc := bByCol[cu.col-a.Head.Col]; bc != nil {
+		if bc := bByCol[cu.ci-a.Head.Col]; bc != nil {
 			brow := arow + dRow
-			if c := bc.probe(brow); c != nil {
-				bv = cellVal(ref.Ref{Col: bc.col, Row: brow}, c, dirtyVal)
+			if i, ok := bc.probe(brow); ok {
+				bv = cellVal(ref.Ref{Col: bc.ci, Row: brow}, cell{bc.col, i}, dirtyVal)
 			}
 		}
 		total += formula.SumProductFactor(av) * formula.SumProductFactor(bv)
@@ -776,7 +896,7 @@ func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, *cell) 
 // eachColumnMajor visits every stored cell in column-major order — the
 // deterministic order snapshots are written in. Column keys are sorted per
 // call; the slab rows are already sorted.
-func (s *colStore) eachColumnMajor(fn func(at ref.Ref, c *cell) error) error {
+func (s *colStore) eachColumnMajor(fn func(at ref.Ref, c cell) error) error {
 	cols := make([]int, 0, len(s.cols))
 	for c := range s.cols {
 		cols = append(cols, c)
@@ -785,7 +905,7 @@ func (s *colStore) eachColumnMajor(fn func(at ref.Ref, c *cell) error) error {
 	for _, cidx := range cols {
 		col := s.cols[cidx]
 		for i, row := range col.rows {
-			if err := fn(ref.Ref{Col: cidx, Row: row}, &col.cells[i]); err != nil {
+			if err := fn(ref.Ref{Col: cidx, Row: row}, cell{col, i}); err != nil {
 				return err
 			}
 		}

@@ -37,11 +37,26 @@ const (
 // rows get the same write, formulae shifted row by row as a copy would.
 const (
 	modelOpValue = 0  // at := arg
+	modelOpText  = 3  // at := modelText(arg): text, a boolean or an error
 	modelOpRef   = 5  // at := <one earlier cell> + arg
 	modelOpSum   = 9  // at := SUM(<a window of earlier cells>) + arg
 	modelOpClear = 12 // clear at
 	modelOpDrain = 15 // RecalculateAll
 )
+
+// modelText is what a text write stores, picked by arg: a string that is not
+// a number, numeric text (which AsNumber parses), TRUE or FALSE, or an error.
+func modelText(arg int) formula.Value {
+	switch arg % 4 {
+	case 0:
+		return formula.Str(fmt.Sprintf("s%d", arg))
+	case 1:
+		return formula.Str(fmt.Sprintf(" %d ", arg))
+	case 2:
+		return formula.Boolean(arg/4%2 == 1)
+	}
+	return formula.Error([...]formula.ErrCode{formula.ErrDiv0, formula.ErrNA, formula.ErrValue}[arg/4%3])
+}
 
 // modelCell is the oracle's record: the last computed value, and for a
 // formula its source, the window it sums and the constant it adds.
@@ -92,6 +107,9 @@ func (m storeModel) step(t *testing.T, e *Engine, op, cb, rb, ab byte) {
 		switch {
 		case op < modelOpRef:
 			v := formula.Num(float64(arg))
+			if op >= modelOpText {
+				v = modelText(arg)
+			}
 			e.SetValue(at, v)
 			m[at] = &modelCell{value: v}
 		case op < modelOpClear:
@@ -131,7 +149,10 @@ func (m storeModel) invalidate(at ref.Ref) {
 	}
 }
 
-// drain evaluates the flagged formulae, precedents first.
+// drain evaluates the flagged formulae, precedents first: a reference plus
+// k as arithmetic coerces (an error propagates, what AsNumber refuses is
+// #VALUE!), a SUM plus k as the range fold does (numbers add, the first error
+// in row-major order wins, text and booleans count for nothing).
 func (m storeModel) drain() {
 	for col := 1; col <= modelCols; col++ {
 		for row := 1; row <= modelRows; row++ {
@@ -139,18 +160,46 @@ func (m storeModel) drain() {
 			if mc == nil || !mc.dirty {
 				continue
 			}
-			sum := 0.0
-			if mc.prec.Valid() {
-				mc.prec.Cells(func(r ref.Ref) bool { // row-major, the order SUM folds in
-					if pc := m[r]; pc != nil {
-						sum += pc.value.Num
-					}
-					return true
-				})
-			}
-			mc.value, mc.dirty = formula.Num(sum+mc.k), false
+			mc.value, mc.dirty = m.eval(mc), false
 		}
 	}
+}
+
+// eval is the value of the formula mc over the model's current values.
+func (m storeModel) eval(mc *modelCell) formula.Value {
+	read := func(r ref.Ref) formula.Value {
+		if pc := m[r]; pc != nil {
+			return pc.value
+		}
+		return formula.Empty()
+	}
+	switch {
+	case !mc.prec.Valid():
+		return formula.Num(mc.k)
+	case mc.prec.IsCell():
+		v := read(mc.prec.Head)
+		if v.IsError() {
+			return v
+		}
+		if f, ok := v.AsNumber(); ok {
+			return formula.Num(f + mc.k)
+		}
+		return formula.Error(formula.ErrValue)
+	}
+	sum, err := 0.0, formula.Value{}
+	mc.prec.Cells(func(r ref.Ref) bool { // row-major, the order SUM folds in
+		switch v := read(r); v.Kind {
+		case formula.KindNumber:
+			sum += v.Num
+		case formula.KindError:
+			err = v
+		}
+		return !err.IsError()
+	})
+	if err.IsError() {
+		return err
+	}
+	return formula.Num(sum + mc.k)
 }
 
 // check holds every read path and counter of e to the model, at every ref of
@@ -185,11 +234,11 @@ func (m storeModel) check(t *testing.T, e *Engine, when string) {
 				t.Fatalf("%s: %v reads value %v, peek (%v, clean %v), dirty %v, formula %q; model %+v",
 					when, at, e.Value(at), peek, clean, e.Dirty(at), e.Formula(at), *want)
 			}
-			// The record itself, through a pointer taken after the step: one
-			// from before it may address another row's record, or a dead slab.
-			if c := e.store.get(at); (c != nil) != (m[at] != nil) ||
-				c != nil && (c.value != want.value || c.dirty != want.dirty || (c.shape != nil) != (want.src != "")) {
-				t.Fatalf("%s: %v holds record %+v; model %+v", when, at, c, *want)
+			// The record itself, through a handle taken after the step: one
+			// from before it may name another row's record, or a dead slab.
+			if r, ok := storedRecord(e, at); ok != (m[at] != nil) ||
+				ok && (r.value != want.value || r.dirty != want.dirty || (r.shape != nil) != (want.src != "")) {
+				t.Fatalf("%s: %v holds record %+v; model %+v", when, at, r, *want)
 			}
 		}
 	}
@@ -199,25 +248,53 @@ func (m storeModel) check(t *testing.T, e *Engine, when string) {
 	checkRunTables(t, e, when)
 }
 
+// storedRecord is the record at at, read through a handle taken now.
+func storedRecord(e *Engine, at ref.Ref) (record, bool) {
+	if c, ok := e.store.get(at); ok {
+		return c.col.record(c.i), true
+	}
+	return record{}, false
+}
+
 // slabbedCells counts the records on e's slabs, holding each column to its
-// shape — never empty, rows and records parallel, rows strictly ascending —
-// and the engine's three counters to a recount of the records themselves.
+// shape — never empty, rows, floats and metas parallel, rows strictly
+// ascending, every slot of the string table either one string record's or
+// free — and the engine's three counters to a recount of the records
+// themselves.
 func slabbedCells(t *testing.T, e *Engine, when string) (n int) {
 	t.Helper()
 	dirty, formulas := 0, 0
 	for ci, col := range e.store.cols {
-		if len(col.rows) == 0 || len(col.rows) != len(col.cells) {
-			t.Fatalf("%s: column %d holds %d rows and %d records", when, ci, len(col.rows), len(col.cells))
+		if len(col.rows) == 0 || len(col.rows) != len(col.num) || len(col.rows) != len(col.meta) {
+			t.Fatalf("%s: column %d holds %d rows, %d floats and %d metas", when, ci, len(col.rows), len(col.num), len(col.meta))
+		}
+		owner := make([]int, len(col.strs)) // 1 + the slab index holding each slot, -1 when free
+		for _, slot := range col.free {
+			if slot >= uint32(len(owner)) || owner[slot] != 0 {
+				t.Fatalf("%s: column %d frees slot %d twice or past its %d strings", when, ci, slot, len(col.strs))
+			}
+			owner[slot] = -1
 		}
 		for i, row := range col.rows {
 			if i > 0 && row <= col.rows[i-1] {
 				t.Fatalf("%s: column %d rows not strictly ascending: %v", when, ci, col.rows)
 			}
-			if col.cells[i].dirty {
+			if m := col.meta[i]; m.kind == formula.KindString {
+				if m.slot >= uint32(len(owner)) || owner[m.slot] != 0 {
+					t.Fatalf("%s: column %d row %d holds slot %d, free or another record's", when, ci, row, m.slot)
+				}
+				owner[m.slot] = 1 + i
+			}
+			if col.meta[i].dirty {
 				dirty++
 			}
-			if col.cells[i].shape != nil {
+			if col.meta[i].shape != nil {
 				formulas++
+			}
+		}
+		for slot, o := range owner {
+			if o == 0 || o < 0 && col.strs[slot] != "" {
+				t.Fatalf("%s: column %d's slot %d is neither held nor free and empty (%q)", when, ci, slot, col.strs[slot])
 			}
 		}
 		n += len(col.rows)
@@ -238,10 +315,10 @@ func checkRunTables(t *testing.T, e *Engine, when string) {
 			continue
 		}
 		var want []colRun
-		for i := 0; i < len(col.cells); {
-			p, j := col.cells[i].program(), i+1
-			for ; p != nil && j < len(col.cells) && col.rows[j] == col.rows[j-1]+1; j++ {
-				if col.cells[j].program() != p {
+		for i := 0; i < len(col.meta); {
+			p, j := col.meta[i].program(), i+1
+			for ; p != nil && j < len(col.meta) && col.rows[j] == col.rows[j-1]+1; j++ {
+				if col.meta[j].program() != p {
 					break
 				}
 			}
@@ -263,11 +340,12 @@ func modelProg(ops ...[4]byte) (prog []byte) {
 	return prog
 }
 
-// FuzzColStore: under any program of value writes, formula writes, clears and
-// drains over a 20×60 window — gapped columns, first and last rows, columns
-// emptied and re-created — Value, Peek, Dirty, Formula, NumCells, NumFormulas
-// and Pending agree with the map model after every step, the slabs stay
-// strictly ascending with no empty column, every column's run table — each is
+// FuzzColStore: under any program of value writes — numbers, text, booleans
+// and errors — formula writes, clears and drains over a 20×60 window — gapped
+// columns, first and last rows, columns emptied and re-created — Value, Peek,
+// Dirty, Formula, NumCells, NumFormulas and Pending agree with the map model
+// after every step, the slabs stay strictly ascending with no empty column and
+// every string slot held once or free, every column's run table — each is
 // kept built, so every write repairs one — equals one derived afresh,
 // and a snapshot round trip preserves all of it.
 func FuzzColStore(f *testing.F) {
@@ -282,6 +360,16 @@ func FuzzColStore(f *testing.F) {
 	f.Add(modelProg([4]byte{modelOpValue, a, 0, 7*fill + 1}, [4]byte{modelOpValue, a, 30, 2}, [4]byte{modelOpSum, a, 59, 6},
 		[4]byte{modelOpDrain}, [4]byte{modelOpClear, a, 0, 0}, [4]byte{modelOpValue, a, 15, 4},
 		[4]byte{modelOpRef, a, 30, 3*fill + 15}, [4]byte{modelOpValue, a, 59, 8}, [4]byte{modelOpClear, a, 59, 0}))
+	// A string overwritten by a number and back in the middle of a filled
+	// column that a filled reference column reads, drained in between.
+	f.Add(modelProg([4]byte{modelOpValue, a, 0, 7*fill + 2}, [4]byte{modelOpRef, 1, 0, 7*fill + 1},
+		[4]byte{modelOpText, a, 3, 0}, [4]byte{modelOpDrain}, [4]byte{modelOpValue, a, 3, 5}, [4]byte{modelOpDrain},
+		[4]byte{modelOpText, a, 3, 4}, [4]byte{modelOpDrain}))
+	// A column of strings under sliding SUMs: a number into the middle and a
+	// string back, then a record deleted and a string inserted mid-slab.
+	f.Add(modelProg([4]byte{modelOpText, a, 0, 7 * fill}, [4]byte{modelOpSum, 1, 0, 7*fill + 3},
+		[4]byte{modelOpValue, a, 4, 9}, [4]byte{modelOpDrain}, [4]byte{modelOpText, a, 4, 4},
+		[4]byte{modelOpClear, a, 2, 0}, [4]byte{modelOpText, a, 2, 8}, [4]byte{modelOpDrain}))
 	for seed := int64(1); seed <= 4; seed++ {
 		prog := make([]byte, 4*modelMaxSteps)
 		rand.New(rand.NewSource(seed)).Read(prog)
@@ -320,14 +408,81 @@ type coarseGraph struct {
 
 func (g coarseGraph) Dependents(ref.Range) []ref.Range { return []ref.Range{g.all} }
 
-// TestRecordLayout pins the slab record's size: a sweep or a mark steps
-// through records one at a time, so every byte of one is paid per cell.
+// TestRecordLayout pins the slab record's size: a mark or a carve steps
+// through metas one at a time, so every byte of one is paid per cell.
 func TestRecordLayout(t *testing.T) {
 	if got := unsafe.Sizeof(formula.Value{}); got != 32 {
 		t.Errorf("formula.Value is %d bytes, want 32: Kind, Bool and Err share its first word", got)
 	}
-	if got := unsafe.Sizeof(cell{}); got != 48 {
-		t.Errorf("cell is %d bytes, want 48: see the layout comment on cell in engine.go, its flags share the word after shape", got)
+	if got := unsafe.Sizeof(cellMeta{}); got != 16 {
+		t.Errorf("cellMeta is %d bytes, want 16: see the layout comment on cellMeta in engine.go, slot and the four bytes share the word after shape", got)
+	}
+}
+
+// slabBytes is what the slabs of e hold — capacity times element size, over
+// rows, floats, metas and string tables — and the cells they hold.
+func slabBytes(e *Engine) (bytes, cells int) {
+	for _, col := range e.store.cols {
+		bytes += cap(col.rows)*int(unsafe.Sizeof(int(0))) + cap(col.num)*int(unsafe.Sizeof(float64(0))) +
+			cap(col.meta)*int(unsafe.Sizeof(cellMeta{})) + cap(col.strs)*int(unsafe.Sizeof(""))
+		cells += len(col.rows)
+	}
+	return bytes, cells
+}
+
+// TestLedgerStoreBytesPerCell: a 2 000-row ledger loaded from text through
+// LoadBulk holds at most 33 bytes a cell on its slabs — a row, a float and a
+// meta, 32 bytes, each array sized exactly, and no string table.
+func TestLedgerStoreBytesPerCell(t *testing.T) {
+	e, err := LoadBulk(ledgerSheet(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, cells := slabBytes(e)
+	if cells != e.NumCells() || float64(b)/float64(cells) > 33 {
+		t.Fatalf("the ledger's slabs hold %d bytes for %d cells (%d counted), %.1f a cell; want at most 33",
+			b, e.NumCells(), cells, float64(b)/float64(cells))
+	}
+}
+
+// TestRecycledColumnPinsNothing: a column goes back to the pool with every meta
+// zeroed up to its capacity — a delete's vacated tail included — and an empty
+// string table, so a pooled column keeps no shape and no string reachable.
+func TestRecycledColumnPinsNothing(t *testing.T) {
+	e := New(nil)
+	for r := 1; r <= 40; r++ {
+		at := ref.Ref{Col: 1, Row: r}
+		switch r % 3 {
+		case 0:
+			e.SetValue(at, formula.Str(fmt.Sprintf("text %d", r)))
+		case 1:
+			mustFormula(t, e, at.String(), fmt.Sprintf("B%d*2", r))
+		default:
+			e.SetValue(at, formula.Num(float64(r)))
+		}
+	}
+	e.RecalculateAll()
+	e.ClearCell(ref.MustCell("A3")) // a string's slot freed
+	e.ClearCell(ref.MustCell("A4")) // a shape moved off the slab's end
+	col := e.store.cols[1]
+	if len(col.strs) == 0 || len(col.free) == 0 {
+		t.Fatalf("the column holds %d strings, %d free: want both", len(col.strs), len(col.free))
+	}
+	delete(e.store.cols, 1)
+	recycleColumn(col)
+	for i, m := range col.meta[:cap(col.meta)] {
+		if m != (cellMeta{}) {
+			t.Fatalf("meta %d of %d is %+v after recycling, want zero", i, cap(col.meta), m)
+		}
+	}
+	for i, s := range col.strs[:cap(col.strs)] {
+		if s != "" {
+			t.Fatalf("string slot %d of %d holds %q after recycling", i, cap(col.strs), s)
+		}
+	}
+	if len(col.strs) != 0 || len(col.free) != 0 || len(col.rows) != 0 || len(col.num) != 0 || len(col.meta) != 0 {
+		t.Fatalf("a recycled column holds %d rows, %d floats, %d metas, %d strings and %d free slots",
+			len(col.rows), len(col.num), len(col.meta), len(col.strs), len(col.free))
 	}
 }
 
@@ -415,7 +570,7 @@ func slabReshapeBetweenBudgetedDrains(t *testing.T) {
 		cut := e.sched != nil && len(e.sched.frontier) > 0
 		if cut {
 			nd := &e.sched.nodes[e.sched.frontier[0]]
-			cut = nd.done > 0 && nd.done < len(nd.cells)
+			cut = nd.done > 0 && nd.done < nd.n
 		}
 		if !cut {
 			t.Fatalf("%s: the budget did not end inside a span", reshape.name)
@@ -439,9 +594,9 @@ func slabReshapeBetweenBudgetedDrains(t *testing.T) {
 		if g, w := e.NumCells(), serial.NumCells(); g != w {
 			t.Fatalf("%s: %d cells, the serial twin %d", reshape.name, g, w)
 		}
-		serial.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
+		serial.store.eachColumnMajor(func(at ref.Ref, c cell) error {
 			g, clean := e.Peek(at)
-			if w := c.value; !clean || g.Kind != w.Kind || math.Float64bits(g.Num) != math.Float64bits(w.Num) || g.Err != w.Err {
+			if w := c.value(); !clean || g.Kind != w.Kind || math.Float64bits(g.Num) != math.Float64bits(w.Num) || g.Err != w.Err {
 				t.Errorf("%s, chunks of %d: %v = %v (clean %v), the serial twin has %v", reshape.name, sweepChunk, at, g, clean, w)
 			}
 			return nil
@@ -460,12 +615,12 @@ func TestBulkLoadAndRestoreAllocatePerColumn(t *testing.T) {
 	e := ledgerEngine(t, 2000)
 	var pasted []ParsedCell
 	for ci, col := range e.store.cols {
-		if len(col.cells) != cap(col.cells) || len(col.rows) != cap(col.rows) {
-			t.Errorf("column %d: %d records in a slab of %d, %d rows in %d: want no slack after a bulk load",
-				ci, len(col.cells), cap(col.cells), len(col.rows), cap(col.rows))
+		if len(col.meta) != cap(col.meta) || len(col.num) != cap(col.num) || len(col.rows) != cap(col.rows) {
+			t.Errorf("column %d: %d metas in %d, %d floats in %d, %d rows in %d: want no slack after a bulk load",
+				ci, len(col.meta), cap(col.meta), len(col.num), cap(col.num), len(col.rows), cap(col.rows))
 		}
 		for i, row := range col.rows {
-			pasted = append(pasted, ParsedCell{At: ref.Ref{Col: ci, Row: row}, Value: col.cells[i].value})
+			pasted = append(pasted, ParsedCell{At: ref.Ref{Col: ci, Row: row}, Value: col.value(i)})
 		}
 	}
 	// A pooled slab is reused only where it fits: a short sheet loaded, or one
@@ -474,8 +629,9 @@ func TestBulkLoadAndRestoreAllocatePerColumn(t *testing.T) {
 	short := ledgerEngine(t, 20)
 	short.SetValue(ref.MustCell("Z1"), formula.Num(1))
 	for ci, col := range short.store.cols {
-		if n := len(col.cells); cap(col.cells) > n+n/8 || cap(col.rows) > n+n/8 {
-			t.Errorf("column %d: %d records in a slab of %d (rows %d) after a 2 000-row engine was recycled", ci, n, cap(col.cells), cap(col.rows))
+		if n := len(col.rows); cap(col.meta) > n+n/8 || cap(col.num) > n+n/8 || cap(col.rows) > n+n/8 {
+			t.Errorf("column %d: %d records in a slab of %d metas, %d floats, %d rows after a 2 000-row engine was recycled",
+				ci, n, cap(col.meta), cap(col.num), cap(col.rows))
 		}
 	}
 	if raceEnabled {
@@ -498,7 +654,7 @@ func TestBulkLoadAndRestoreAllocatePerColumn(t *testing.T) {
 		}
 		prev = r
 	})
-	if prev.NumCells() != cells || allocs > float64(4*cols+64) { // two a column that fits no pooled slab, the stage's growth
+	if prev.NumCells() != cells || allocs > float64(3*cols+64) { // one an array (rows, num, meta) of a column that fits no pooled slab, the stage's growth
 		t.Errorf("a warm-pool restore of %d cells in %d columns allocates %.0f times (and holds %d), want none per record",
 			cells, cols, allocs, prev.NumCells())
 	}

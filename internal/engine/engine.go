@@ -72,14 +72,10 @@ func (n NoComp) Dependents(r ref.Range) []ref.Range { return n.G.FindDependents(
 // Precedents implements Graph.
 func (n NoComp) Precedents(r ref.Range) []ref.Range { return n.G.FindPrecedents(r) }
 
-// cell is the engine's cell record, 48 bytes stored by value on its column's
-// slab (colstore.go): a *cell is an address inside the slab, good until that
-// column's next insert or delete. The record is its value (32 bytes), one
-// pointer to its formula's shape and a word the two flags share; a field
-// added anywhere but beside the flags costs every record a word
-// (TestRecordLayout).
-type cell struct {
-	value formula.Value
+// cellMeta is what a cell record holds beside its float (see column): 16
+// bytes, the four small fields sharing the word after shape — a field added
+// anywhere costs every record a word (TestRecordLayout).
+type cellMeta struct {
 	// shape is the cell's formula, interned by its relative structure
 	// (formula.ParseShape): every row of a filled-down column holds the same
 	// *Shape. At the cell's position it renders the source, lists the
@@ -87,12 +83,48 @@ type cell struct {
 	// so shifted copies of one formula share a *Program, and pointer equality
 	// is how the scheduler detects pattern runs (runs.go). nil for a value.
 	shape *formula.Shape
+	// slot is a string value's index in the column's strs.
+	slot uint32
+	// kind is the value's kind; aux its bool (0 or 1) or its ErrCode. A
+	// number's float is the column's num at the record's slab index.
+	kind  formula.Kind
+	aux   uint8
 	dirty bool
 	// evaluating marks a cell the walk has started and not finished, reading
 	// which is #CYCLE!: exact or speculative (see evalResolver). A flag on the
 	// record, not a side map, so the hot resolver path reads it off the record
 	// it already holds.
 	evaluating uint8
+}
+
+// program returns the record's interned bytecode program; nil for a value.
+func (m *cellMeta) program() *formula.Program {
+	if m.shape == nil {
+		return nil
+	}
+	return m.shape.Program()
+}
+
+// cell is a handle on one record: its column and its slab index, good until
+// that column's next insert or delete. Handles are comparable: two name the
+// same record when they are equal.
+type cell struct {
+	col *column
+	i   int
+}
+
+// meta returns the record's meta, in place.
+func (c cell) meta() *cellMeta { return &c.col.meta[c.i] }
+
+// value builds the record's value.
+func (c cell) value() formula.Value { return c.col.value(c.i) }
+
+// record is one cell's record whole, by value — what a write installs and
+// a replace or a delete hands back.
+type record struct {
+	value formula.Value
+	shape *formula.Shape
+	dirty bool
 }
 
 // Engine is a single-sheet spreadsheet host.
@@ -124,8 +156,8 @@ type Engine struct {
 	exact, top    int
 	cycled        uint8
 	kids          []*tentative
-	reader        *cell
-	tent          map[*cell]*tentative
+	reader        cell
+	tent          map[cell]*tentative
 	fold, walking bool
 	// dirtyGen counts dirty-set mutations from outside a wavefront drain.
 	// The cached schedule carries the generation it was built at; a mismatch
@@ -174,22 +206,14 @@ func (e *Engine) SetPatternRuns(on bool) {
 	}
 }
 
-// program returns the cell's interned bytecode program; nil for a value cell.
-func (c *cell) program() *formula.Program {
-	if c.shape == nil {
-		return nil
-	}
-	return c.shape.Program()
-}
-
 // setCell installs a cell record, maintaining the formula count and the
 // dirty set. A replaced formula's dependencies leave the graph with it; the
 // caller registers the new record's.
-func (e *Engine) setCell(at ref.Ref, c cell) {
+func (e *Engine) setCell(at ref.Ref, c record) {
 	e.noteDirtyMutation()
 	old, had := e.store.set(at, c)
 	if had {
-		e.dropped(at, &old)
+		e.dropped(at, old)
 	}
 	if c.shape != nil {
 		e.nformulas++
@@ -219,9 +243,9 @@ func (e *Engine) populate(s *workload.Sheet) error {
 			if err != nil {
 				return fmt.Errorf("engine: cell %v: %w", at, err)
 			}
-			e.setCell(at, cell{shape: shape, dirty: true})
+			e.setCell(at, record{shape: shape, dirty: true})
 		} else {
-			e.setCell(at, cell{value: c.Value})
+			e.setCell(at, record{value: c.Value})
 		}
 	}
 	return nil
@@ -297,9 +321,9 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 			}
 			e.store.column(c.At.Col, n)
 		}
-		rec := cell{value: c.Value}
+		rec := record{value: c.Value}
 		if c.Shape != nil {
-			rec = cell{shape: c.Shape, dirty: true}
+			rec = record{shape: c.Shape, dirty: true}
 			e.nformulas++
 		}
 		e.store.set(c.At, rec) // ordered input: the append fast path
@@ -337,8 +361,8 @@ func LoadBulk(s *workload.Sheet) (*Engine, error) {
 // RecalculateAll/RecalculateN to drain), so concurrent readers are safe under
 // a shared read lock.
 func (e *Engine) Value(at ref.Ref) formula.Value {
-	if c := e.store.get(at); c != nil {
-		return c.value
+	if c, ok := e.store.get(at); ok {
+		return c.value()
 	}
 	return formula.Empty()
 }
@@ -347,11 +371,11 @@ func (e *Engine) Value(at ref.Ref) formula.Value {
 // (dirty) cell returns its stale value with clean=false — the greyed-out
 // state an asynchronous UI shows.
 func (e *Engine) Peek(at ref.Ref) (v formula.Value, clean bool) {
-	c := e.store.get(at)
-	if c == nil {
+	c, ok := e.store.get(at)
+	if !ok {
 		return formula.Empty(), true
 	}
-	return c.value, !c.dirty
+	return c.value(), !c.meta().dirty
 }
 
 // evalResolver is the formula.Resolver of the walk, the serial resolver that
@@ -377,19 +401,19 @@ type evalResolver struct{ e *Engine }
 
 // CellValue implements formula.Resolver: a clean cell costs one point read.
 func (r evalResolver) CellValue(at ref.Ref) formula.Value {
-	c := r.e.store.get(at)
-	if c == nil {
+	c, ok := r.e.store.get(at)
+	if !ok {
 		return formula.Empty()
 	}
-	if c.dirty {
+	if c.meta().dirty {
 		return r.await(at, c)
 	}
-	return c.value
+	return c.value()
 }
 
 // RangeValues implements formula.RangeResolver straight off the slabs.
 func (r evalResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) bool {
-	r.e.store.scanRange(rng, func(at ref.Ref, c *cell) bool { return fn(at, cellVal(at, c, r.await)) })
+	r.e.store.scanRange(rng, func(at ref.Ref, c cell) bool { return fn(at, cellVal(at, c, r.await)) })
 	return true
 }
 
@@ -416,16 +440,16 @@ func (r evalResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
 }
 
 // await is the hook for a dirty read (see evalResolver).
-func (r evalResolver) await(at ref.Ref, c *cell) formula.Value {
+func (r evalResolver) await(at ref.Ref, c cell) formula.Value {
 	e := r.e
 	exact := e.fold || len(e.walk) == e.top && e.top == e.exact // the first dirty read
-	if c.evaluating != 0 {
+	if m := c.meta(); m.evaluating != 0 {
 		if c != e.walk[e.top-1].c { // a read of itself is #CYCLE! on any path
-			e.cycled = max(e.cycled, c.evaluating)
+			e.cycled = max(e.cycled, m.evaluating)
 		}
 		return formula.Error(formula.ErrCycle)
 	}
-	if t := e.tent[c]; t != nil && t.on.evaluating != 0 {
+	if t := e.tent[c]; t != nil && t.on.meta().evaluating != 0 {
 		if exact {
 			e.commit(t)
 		} else {
@@ -443,11 +467,11 @@ func (r evalResolver) await(at ref.Ref, c *cell) formula.Value {
 // walkSlot is an entry of the walk's stack: a cell and its position, the
 // anchor its program runs at.
 type walkSlot struct {
-	c  *cell
+	c  cell
 	at ref.Ref
 }
 
-// exactEval and specEval are the walk's evaluations, as cell.evaluating says.
+// exactEval and specEval are the walk's evaluations, as cellMeta.evaluating says.
 const exactEval, specEval uint8 = 1, 2
 
 // tentative is a speculative evaluation of c to v that read cells under exact
@@ -455,7 +479,7 @@ const exactEval, specEval uint8 = 1, 2
 // then in progress, which they all started no later than. Its value is the
 // recursion's wherever the recursion evaluates c while on is under evaluation.
 type tentative struct {
-	c, on *cell
+	c, on cell
 	v     formula.Value
 	kids  []*tentative
 }
@@ -474,8 +498,9 @@ func (e *Engine) commit(t *tentative) {
 }
 
 // settle makes v the value of c, which leaves the dirty set.
-func (e *Engine) settle(c *cell, v formula.Value) {
-	c.value, c.dirty = v, false
+func (e *Engine) settle(c cell, v formula.Value) {
+	c.col.put(c.i, v)
+	c.meta().dirty = false
 	e.store.cleaned(1)
 	if v.Err == formula.ErrCycle {
 		mCycleCells.Inc()
@@ -493,11 +518,11 @@ func (e *Engine) drainSerial(max int) int {
 	n := e.unwind(max)
 	e.store.dirtyWindows(func(ci int, col *column, lo, hi int, _ bool) bool {
 		for i := lo; i < hi; i++ {
-			if c := &col.cells[i]; c.dirty {
+			if col.meta[i].dirty {
 				if len(e.walk) > 0 || n >= max {
 					return false
 				}
-				e.walk, e.exact = append(e.walk, walkSlot{c, ref.Ref{Col: ci, Row: col.rows[i]}}), 1
+				e.walk, e.exact = append(e.walk, walkSlot{cell{col, i}, ref.Ref{Col: ci, Row: col.rows[i]}}), 1
 				n += e.unwind(max - n)
 			}
 		}
@@ -516,20 +541,22 @@ func (e *Engine) unwind(max int) int {
 	for len(e.walk) > 0 && n < max {
 		top := len(e.walk) - 1
 		s := e.walk[top]
-		c := s.c
-		if t := e.tent[c]; c.dirty && t != nil && t.on.evaluating != 0 {
+		c, m := s.c, s.c.meta()
+		if t := e.tent[c]; m.dirty && t != nil && t.on.meta().evaluating != 0 {
 			if top < e.exact {
 				e.commit(t)
 			}
-		} else if c.dirty {
+		} else if m.dirty {
 			n++
-			v := c.value
-			if c.shape != nil {
-				c.evaluating, e.top, e.cycled, e.kids = specEval, len(e.walk), 0, e.kids[:0]
+			var v formula.Value
+			if m.shape == nil {
+				v = c.value()
+			} else {
+				m.evaluating, e.top, e.cycled, e.kids = specEval, len(e.walk), 0, e.kids[:0]
 				if top < e.exact {
-					c.evaluating, e.reader = exactEval, c
+					m.evaluating, e.reader = exactEval, c
 				}
-				v = c.program().EvalAt(evalResolver{e}, s.at)
+				v = m.program().EvalAt(evalResolver{e}, s.at)
 				if e.cycled == specEval && top >= e.exact {
 					e.truncate(e.exact) // a cycle among speculations
 					continue
@@ -537,9 +564,9 @@ func (e *Engine) unwind(max int) int {
 				if len(e.walk) > e.top {
 					continue // finish what it read, then retry
 				}
-				if c.evaluating = 0; e.cycled != 0 && top >= e.exact {
+				if m.evaluating = 0; e.cycled != 0 && top >= e.exact {
 					if e.tent == nil {
-						e.tent = make(map[*cell]*tentative)
+						e.tent = make(map[cell]*tentative)
 					}
 					e.tent[c] = &tentative{c, e.reader, v, slices.Clone(e.kids)}
 					e.truncate(top)
@@ -558,20 +585,20 @@ func (e *Engine) unwind(max int) int {
 // Popped empty, it drops the tentative evaluations, whose exact ones finished.
 func (e *Engine) truncate(h int) {
 	for _, s := range e.walk[h:] {
-		s.c.evaluating = 0
+		s.c.meta().evaluating = 0
 	}
 	clear(e.walk[h:])
 	e.walk, e.exact = e.walk[:h], min(e.exact, h)
 	if h == 0 {
-		e.reader, e.kids, e.tent = nil, nil, nil
+		e.reader, e.kids, e.tent = cell{}, nil, nil
 	}
 }
 
 // Formula returns the formula source of a cell ("" for value cells),
 // rendered from its shape: the text it was written with, byte for byte.
 func (e *Engine) Formula(at ref.Ref) string {
-	if c := e.store.get(at); c != nil && c.shape != nil {
-		return c.shape.Source(at)
+	if c, ok := e.store.get(at); ok && c.meta().shape != nil {
+		return c.meta().shape.Source(at)
 	}
 	return ""
 }
@@ -579,7 +606,7 @@ func (e *Engine) Formula(at ref.Ref) string {
 // SetValue writes a pure value, returning the dirty set — the transitive
 // dependents the asynchronous model hides before returning control.
 func (e *Engine) SetValue(at ref.Ref, v formula.Value) []ref.Range {
-	e.setCell(at, cell{value: v})
+	e.setCell(at, record{value: v})
 	return e.invalidate(at)
 }
 
@@ -609,7 +636,7 @@ func (e *Engine) SetFormulaParsed(at ref.Ref, src string, ast formula.Node) []re
 // (formula.ParseShape at the same position) — batch endpoints validate whole
 // batches up front and must not pay for a second lookup per edit.
 func (e *Engine) SetFormulaShape(at ref.Ref, shape *formula.Shape) []ref.Range {
-	e.setCell(at, cell{shape: shape, dirty: true})
+	e.setCell(at, record{shape: shape, dirty: true})
 	var refs [8]formula.RefInfo
 	for _, r := range shape.AppendRefs(refs[:0], at) {
 		e.graph.Add(core.Dependency{
@@ -623,7 +650,7 @@ func (e *Engine) SetFormulaShape(at ref.Ref, shape *formula.Shape) []ref.Range {
 func (e *Engine) ClearCell(at ref.Ref) []ref.Range {
 	e.noteDirtyMutation()
 	if old, had := e.store.delete(at); had {
-		e.dropped(at, &old)
+		e.dropped(at, old)
 	}
 	return e.invalidate(at)
 }
@@ -631,7 +658,7 @@ func (e *Engine) ClearCell(at ref.Ref) []ref.Range {
 // dropped settles the books for a record that just left the store, replaced
 // or removed: a formula takes its dependencies out of the graph and its unit
 // off the formula count, a dirty record leaves the dirty set with its flag.
-func (e *Engine) dropped(at ref.Ref, old *cell) {
+func (e *Engine) dropped(at ref.Ref, old record) {
 	if old.shape != nil {
 		e.graph.Clear(ref.CellRange(at))
 		e.nformulas--
@@ -679,28 +706,44 @@ func (e *Engine) markRange(rng ref.Range) {
 	}
 }
 
-// markCol flags the clean formula cells of one column's row window: a scan of
-// the contiguous slab checking shape != nil — a few ns per cell — that notes
-// one dirty span from the first row it flagged to the last. A window of
-// formulas only is noted whole and dense (see colStore), even when it flagged
-// none: every record in it is flagged now.
+// markCol flags the clean formula cells of one column's row window and notes
+// one dirty span from the first row it flagged to the last. Where the column's
+// run table shows the window all formulas — stretches end to end across it —
+// it sets the flags without reading a shape or a row; elsewhere it scans the
+// window's metas for shape != nil. A window of formulas only is noted whole
+// and dense (see colStore), even when it flagged none: every record in it is
+// flagged now.
 func (e *Engine) markCol(ci int, col *column, r1, r2 int) {
-	rows, cells := col.view(r1, r2)
-	n, first, last, all := 0, 0, 0, len(cells) > 0
-	for i := range cells {
-		if c := &cells[i]; c.shape == nil {
-			all = false
-		} else if !c.dirty {
-			c.dirty = true
-			if n == 0 {
-				first = rows[i]
+	lo, hi := col.window(r1, r2)
+	if lo == hi {
+		return
+	}
+	meta, n := col.meta[lo:hi], 0
+	if col.formulas(lo, hi) {
+		for i := range meta {
+			if !meta[i].dirty {
+				meta[i].dirty = true
+				n++
 			}
-			last = rows[i]
+		}
+		e.store.noteDirty(ci, col.rows[lo], col.rows[hi-1], n, true)
+		return
+	}
+	first, last, all := 0, 0, true
+	for i := range meta {
+		if m := &meta[i]; m.shape == nil {
+			all = false
+		} else if !m.dirty {
+			m.dirty = true
+			if n == 0 {
+				first = col.rows[lo+i]
+			}
+			last = col.rows[lo+i]
 			n++
 		}
 	}
 	if all {
-		first, last = rows[0], rows[len(rows)-1]
+		first, last = col.rows[lo], col.rows[hi-1]
 	}
 	if n > 0 || all {
 		e.store.noteDirty(ci, first, last, n, all)
@@ -717,15 +760,15 @@ func (e *Engine) markCol(ci int, col *column, r1, r2 int) {
 func (e *Engine) ScanRange(rng ref.Range, fn func(at ref.Ref, v formula.Value, src string, clean bool) bool) {
 	var sources strings.Builder
 	var scratch []byte
-	e.store.scanRange(rng, func(at ref.Ref, c *cell) bool {
-		src := ""
-		if c.shape != nil {
-			scratch = c.shape.AppendSource(scratch[:0], at)
+	e.store.scanRange(rng, func(at ref.Ref, c cell) bool {
+		src, m := "", c.meta()
+		if m.shape != nil {
+			scratch = m.shape.AppendSource(scratch[:0], at)
 			n := sources.Len()
 			sources.Write(scratch)
 			src = sources.String()[n:]
 		}
-		return fn(at, c.value, src, !c.dirty)
+		return fn(at, c.value(), src, !m.dirty)
 	})
 }
 
@@ -740,8 +783,8 @@ func (r valueResolver) CellValue(at ref.Ref) formula.Value { return r.e.Value(at
 
 // RangeValues implements formula.RangeResolver.
 func (r valueResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) bool {
-	r.e.store.scanRange(rng, func(at ref.Ref, c *cell) bool {
-		return fn(at, c.value)
+	r.e.store.scanRange(rng, func(at ref.Ref, c cell) bool {
+		return fn(at, c.value())
 	})
 	return true
 }
@@ -774,8 +817,8 @@ func (e *Engine) CellStats() CellStoreStats { return e.store.stats() }
 
 // Dirty reports whether the cell awaits recalculation.
 func (e *Engine) Dirty(at ref.Ref) bool {
-	c := e.store.get(at)
-	return c != nil && c.dirty
+	c, ok := e.store.get(at)
+	return ok && c.meta().dirty
 }
 
 // SetRecalcParallelism(1) pins recalculation to the walk (see evalResolver),
@@ -849,7 +892,7 @@ func (e *Engine) RecalcStats() RecalcStats {
 	if sch := e.sched; sch != nil {
 		st.Scheduled = sch.total
 		for _, i := range sch.frontier {
-			st.FrontierWidth += len(sch.nodes[i].cells) - sch.nodes[i].done
+			st.FrontierWidth += sch.nodes[i].n - sch.nodes[i].done
 		}
 	}
 	return st

@@ -36,8 +36,8 @@ func TestFoldRangeMatchesScan(t *testing.T) {
 		// Reference accumulation via the streaming scan, in the same order
 		// with the same comparison semantics.
 		want := formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}
-		e.store.scanRange(rng, func(_ ref.Ref, c *cell) bool {
-			v := c.value
+		e.store.scanRange(rng, func(_ ref.Ref, c cell) bool {
+			v := c.value()
 			switch v.Kind {
 			case formula.KindNumber:
 				want.Sum += v.Num
@@ -208,36 +208,43 @@ func TestCondFoldEvaluatesDirty(t *testing.T) {
 	}
 }
 
-// TestFoldUnrolledBlockBoundaries hammers the 4-cell blocked fast path's
-// edges: slab lengths 0..9 of clean numbers with a disruptor (text, error,
-// dirty cell) planted at every position, fold vs streaming per-cell SUM.
+// TestFoldUnrolledBlockBoundaries hammers the edges of the runs of clean
+// numbers foldRange adds in place: slab lengths 0..9 of clean numbers with a
+// disruptor planted at every position — a string, or a dirty number folded
+// through dirtyVal or, with none, as it lies — fold vs streaming per-cell SUM.
 func TestFoldUnrolledBlockBoundaries(t *testing.T) {
+	fresh := func(ref.Ref, cell) formula.Value { return formula.Num(1000.5) }
 	for n := 0; n <= 9; n++ {
 		for bad := -1; bad < n; bad++ {
-			e := New(nil)
-			for i := 0; i < n; i++ {
-				at := ref.Ref{Col: 1, Row: i + 1}
-				if i == bad {
-					e.SetValue(at, formula.Str("x"))
-				} else {
+			for mode, dirtyVal := range []func(ref.Ref, cell) formula.Value{nil, fresh, nil} {
+				e := New(nil)
+				for i := 0; i < n; i++ {
+					at := ref.Ref{Col: 1, Row: i + 1}
+					if i == bad && mode == 0 {
+						e.SetValue(at, formula.Str("x"))
+						continue
+					}
 					e.SetValue(at, formula.Num(float64(i)*1.25+0.1))
+					if i == bad {
+						handle(e, at).meta().dirty = true
+					}
 				}
-			}
-			rng := ref.Range{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: 1, Row: 10}}
-			fold, ok := e.store.foldRange(rng, nil)
-			if !ok {
-				t.Fatal("fold refused")
-			}
-			sum, cnt := 0.0, 0
-			e.store.scanRange(rng, func(_ ref.Ref, c *cell) bool {
-				if c.value.Kind == formula.KindNumber {
-					sum += c.value.Num
-					cnt++
+				rng := ref.Range{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: 1, Row: 10}}
+				fold, ok := e.store.foldRange(rng, dirtyVal)
+				if !ok {
+					t.Fatal("fold refused")
 				}
-				return true
-			})
-			if fold.Sum != sum || fold.Count != cnt {
-				t.Fatalf("n=%d bad=%d: fold (%v,%d), scan (%v,%d)", n, bad, fold.Sum, fold.Count, sum, cnt)
+				sum, cnt := 0.0, 0
+				e.store.scanRange(rng, func(at ref.Ref, c cell) bool {
+					if v := cellVal(at, c, dirtyVal); v.Kind == formula.KindNumber {
+						sum += v.Num
+						cnt++
+					}
+					return true
+				})
+				if fold.Sum != sum || fold.Count != cnt {
+					t.Fatalf("n=%d bad=%d mode=%d: fold (%v,%d), scan (%v,%d)", n, bad, mode, fold.Sum, fold.Count, sum, cnt)
+				}
 			}
 		}
 	}

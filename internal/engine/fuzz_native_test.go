@@ -114,9 +114,9 @@ func FuzzRecalcParallel(f *testing.F) {
 			if p := e.Pending(); p != 0 {
 				t.Fatalf("%s drain left %d pending", arm, p)
 			}
-			serial.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
-				if v := e.Value(at); v != c.value {
-					t.Errorf("%v: serial=%v %s=%v (formula %q, chunk %d)", at, c.value, arm, v, src, 1+int(chunk))
+			serial.store.eachColumnMajor(func(at ref.Ref, c cell) error {
+				if v := e.Value(at); v != c.value() {
+					t.Errorf("%v: serial=%v %s=%v (formula %q, chunk %d)", at, c.value(), arm, v, src, 1+int(chunk))
 				}
 				return nil
 			})

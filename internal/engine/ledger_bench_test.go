@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"taco/internal/formula"
 	"taco/internal/ref"
@@ -183,8 +182,9 @@ func BenchmarkRowByRowInstall(b *testing.B) {
 
 // BenchmarkMidColumnInsert times filling the gaps of a 20 000-row column that
 // holds every other row, top to bottom: each write inserts mid-slab and moves
-// every record below it, 48 bytes apiece — the worst case for a slab of
-// records against one of pointers to them. ns/insert is over the 10 000 gaps.
+// every record below it, 32 bytes apiece across the row, float and meta
+// arrays — the worst case for a slab of records against one of pointers to
+// them. ns/insert is over the 10 000 gaps.
 func BenchmarkMidColumnInsert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -204,8 +204,8 @@ func BenchmarkMidColumnInsert(b *testing.B) {
 }
 
 // BenchmarkLedgerHeap measures what a loaded, settled 20 000-row ledger
-// holds, per cell: slab-B/cell is the column slabs' records (capacity times
-// the record's size), heap-B/cell the live heap the engine adds, read as
+// holds, per cell: slab-B/cell is the column slabs' arrays (capacity times
+// element size, slabBytes), heap-B/cell the live heap the engine adds, read as
 // HeapAlloc after two GCs against the same reading before the load. The
 // ledger is loaded from its text through LoadBulk, as the workloads load it,
 // into an emptied shape cache, so what the process-wide cache keeps counts.
@@ -228,11 +228,8 @@ func BenchmarkLedgerHeap(b *testing.B) {
 		}
 		e.RecalculateAll()
 		live = (float64(heap()) - float64(before)) / float64(e.NumCells())
-		slab = 0
-		for _, col := range e.store.cols {
-			slab += float64(uintptr(cap(col.cells)) * unsafe.Sizeof(cell{}))
-		}
-		slab /= float64(e.NumCells())
+		b, cells := slabBytes(e)
+		slab = float64(b) / float64(cells)
 		runtime.KeepAlive(e)
 	}
 	runtime.KeepAlive(sheet)
@@ -288,9 +285,9 @@ func benchmarkLoad(b *testing.B, cells []ParsedCell) {
 // one formula hanging off $H$1, the edit of H1 and its drain, in ns per cell
 // recalculated — so a change to the sweep shows which shape it moved. All but
 // running_balance, which reads its own column and stays on the row loop, run
-// on gathered lanes; the 1 000-row sliding SUM is the widest window here (a
-// chunk of it still fits under the gather's cap), and the gapped operand takes
-// the gather's probe arm.
+// on lanes — an operand column of numbers is its slab's floats as they lie;
+// the 1 000-row sliding SUM is the widest window here, and the gapped operand
+// takes the gather's probe arm.
 func BenchmarkSweepShape(b *testing.B) {
 	for _, shape := range []struct {
 		name string

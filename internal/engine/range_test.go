@@ -280,7 +280,7 @@ func TestColumnStoreInvariants(t *testing.T) {
 	// Every live cell is scannable; nothing extra is.
 	seen := map[ref.Ref]bool{}
 	e.store.scanRange(ref.Range{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: 20, Row: 60}},
-		func(at ref.Ref, c *cell) bool {
+		func(at ref.Ref, c cell) bool {
 			if seen[at] {
 				t.Fatalf("duplicate scan of %v", at)
 			}
@@ -296,7 +296,7 @@ func TestColumnStoreInvariants(t *testing.T) {
 	// Row-major order check over a multi-column window.
 	var prev ref.Ref
 	first := true
-	e.store.scanRange(ref.MustRange("A1:L40"), func(at ref.Ref, _ *cell) bool {
+	e.store.scanRange(ref.MustRange("A1:L40"), func(at ref.Ref, _ cell) bool {
 		if !first && !prev.Before(at) {
 			t.Fatalf("scan out of row-major order: %v then %v", prev, at)
 		}

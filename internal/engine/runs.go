@@ -29,11 +29,13 @@ import (
 // that only moves down — and one foldWindow per range the numeric plan folds
 // (SUM, AVERAGE, COUNT, COUNTA, MIN, MAX of one single-column range), whose
 // ends only move down too: a sliding window costs its width per row, a running
-// total what entered. A numeric-plan span then runs on lanes (sweepLanes),
-// sweepChunk rows at a time. Gather: each relative operand in another column
-// has its AsNumber coercions read straight off its slab window into a
-// []float64 lane (fixed operands are broadcast once), each aggregate over
-// another column its per-row Result into a lane of its own. Run: a span that
+// total what entered; a window over numbers adds the slab's floats as they
+// lie. A numeric-plan span then runs on lanes (sweepLanes), sweepChunk rows at
+// a time. Lanes: a relative operand in another column is a subslice of its
+// column's floats where the chunk's rows are all populated with numbers, and
+// otherwise its AsNumber coercions gathered into a buffer (fixed operands are
+// broadcast once); an aggregate over another column is its per-row Result in
+// a lane of its own. Run: a span that
 // reads nothing in its own column runs formula.NumericSweepRows, the plan one
 // instruction at a time over whole lanes — per row NumericSweepRow's float
 // operations in NumericSweepRow's order, so the same bits. Bad rows: one whose
@@ -89,12 +91,12 @@ func (e *Engine) carve(sch *schedule) {
 		return sweepable
 	}
 	e.store.dirtyWindows(func(ci int, col *column, lo, hi int, dense bool) bool {
-		rows, cells := col.rows, col.cells
+		rows, meta := col.rows, col.meta
 		at := func(i int) ref.Ref { return ref.Ref{Col: ci, Row: rows[i]} }
 		singles := func(i, j int) {
 			for ; i < j; i++ {
-				if dense || cells[i].dirty {
-					sch.addNode(at(i), cells[i:i+1], nil)
+				if dense || meta[i].dirty {
+					sch.addNode(at(i), col, i, 1, nil)
 				}
 			}
 		}
@@ -103,7 +105,7 @@ func (e *Engine) carve(sch *schedule) {
 			return true
 		}
 		runs := col.runs
-		if dense && lo == 0 && hi == len(cells) {
+		if dense && lo == 0 && hi == len(rows) {
 			runs = col.runTable()
 		} else if !col.runsOK {
 			sch.stretches = col.appendStretches(sch.stretches[:0], lo, hi, !dense)
@@ -116,19 +118,19 @@ func (e *Engine) carve(sch *schedule) {
 			for a < z {
 				b := z
 				if !dense { // the next run of flagged records in the stretch
-					for a < z && !cells[a].dirty {
+					for a < z && !meta[a].dirty {
 						a++
 					}
-					for b = a; b < z && cells[b].dirty; b++ {
+					for b = a; b < z && meta[b].dirty; b++ {
 					}
 				}
 				sweepable = b-a >= minPatternRun
 				if sweepable {
 					span = ref.Range{Head: at(a), Tail: at(b - 1)}
-					e.spanPrecedents(sch, at(a), cells[a:b], runs[k].p, check)
+					e.spanPrecedents(sch, at(a), b-a, runs[k].p, check)
 				}
 				if sweepable {
-					sch.addNode(at(a), cells[a:b], runs[k].p)
+					sch.addNode(at(a), col, a, b-a, runs[k].p)
 				} else {
 					singles(a, b)
 				}
@@ -155,85 +157,65 @@ type runCursor struct {
 	end        int
 }
 
-// asNumber is v.AsNumber() without copying a number's Value to read its float.
-func asNumber(v *formula.Value) (float64, bool) {
-	if v.Kind == formula.KindNumber {
-		return v.Num, true
-	}
-	return v.AsNumber()
-}
-
-// setNum is *v = formula.Num(f), in eight bytes and no write barrier over a number.
-func setNum(v *formula.Value, f float64) {
-	if v.Kind == formula.KindNumber {
-		v.Num = f
-	} else {
-		*v = formula.Num(f)
-	}
-}
-
-// blank is what a missing cell reads as: Empty, as valueResolver.CellValue
-// would return it.
-var blank formula.Value
-
-// at is the operand's value at row, in place.
-func (cu *runCursor) at(row int) *formula.Value {
+// at is the operand's value at row; a missing cell reads as Empty, as
+// valueResolver.CellValue would return it.
+func (cu *runCursor) at(row int) formula.Value {
 	if cu.fixed {
-		return &cu.v
+		return cu.v
 	}
-	if c := cu.cur.probe(row); c != nil {
-		return &c.value
+	if i, ok := cu.cur.probe(row); ok {
+		return cu.cur.col.value(i)
 	}
-	return &blank
+	return formula.Value{}
 }
 
-// selfAt is an own-column operand's value at the span nd's row index j: a row
-// of the span itself is its record — the rows are contiguous, and an ascending
-// sweep has computed every one it reads (see carve) — and a row outside it
-// comes off the slab.
-func (cu *runCursor) selfAt(nd *schedNode, j int) *formula.Value {
-	if j >= 0 && j < len(nd.cells) {
-		return &nd.cells[j].value
+// selfAt is an own-column operand's number at the span nd's row index j: a
+// row of the span itself is its record — the rows are contiguous, and an
+// ascending sweep has computed every one it reads (see carve) — and a row
+// outside it comes off the slab.
+func (cu *runCursor) selfAt(nd *schedNode, j int) (float64, bool) {
+	if j >= 0 && j < nd.n {
+		return nd.col.number(nd.i + j)
 	}
-	return cu.at(nd.at.Row + j)
+	return cu.at(nd.at.Row + j).AsNumber()
 }
 
-// gather reads a relative operand's AsNumber coercions at the len(lane) rows
-// from row, on a copy of the cursor; bad flags a failed one.
-func (cu *runCursor) gather(row int, lane []float64, bad []bool) {
-	cur, n := cu.cur, len(lane)
-	cur.probe(row)
+// gather returns a relative operand's AsNumber coercions at the len(buf) rows
+// from row, read on a copy of the cursor: where those rows are all populated
+// with numbers, the slab's floats as they lie; else buf, filled, with bad
+// flagging a failed coercion.
+func (cu *runCursor) gather(row int, buf []float64, bad []bool) []float64 {
+	cur, n := cu.cur, len(buf)
+	i, _ := cur.probe(row)
 	// Rows ascend without repeats: if the n-th from here is row+n-1, none is missing.
-	gapless := cur.i+n <= len(cur.rows) && cur.rows[cur.i+n-1] == row+n-1
-	for k := range lane {
-		v := &blank
-		if gapless {
-			v = &cur.cells[cur.i+k].value
-		} else if c := cur.probe(row + k); c != nil {
-			v = &c.value
-		}
-		var ok bool
-		if lane[k], ok = asNumber(v); !ok {
-			bad[k] = true
+	if i+n <= len(cur.rows) && cur.rows[i+n-1] == row+n-1 && cur.col.numbers(i, i+n) {
+		cu.end = i + n
+		return cur.col.num[i : i+n]
+	}
+	for k := range buf {
+		buf[k] = 0
+		if j, found := cur.probe(row + k); found {
+			var ok bool
+			if buf[k], ok = cur.col.number(j); !ok {
+				bad[k] = true
+			}
 		}
 	}
-	if cu.end = cur.i; gapless {
-		cu.end += n
-	}
+	cu.end = cur.i
+	return buf
 }
 
-// foldWindow feeds one aggregate of the numeric plan during a sweep. rows and
-// cells are the slab window spanning every row's range — the live records,
-// so a span over its own column (own) folds what the rows above just wrote —
-// and acc holds the fold of cells[lo:hi], the current row's range. While a lane
-// sweep has its chunk's records gathered, nums[i-base] is cells[i]'s float.
+// foldWindow feeds one aggregate of the numeric plan during a sweep. col's
+// records whose rows are in rows (the column's, up to the window's end) are
+// the slab window spanning every row's range — the live records, so a span
+// over its own column (own) folds what the rows above just wrote — and acc
+// holds the fold of the records [lo, hi), the current row's range. A range
+// over a column with no cells has neither: col and rows are nil.
 type foldWindow struct {
+	col    *column
 	rows   []int
-	cells  []cell
 	lo, hi int
 	acc    foldAcc
-	nums   []float64
-	base   int
 	own    bool
 }
 
@@ -257,61 +239,28 @@ func (w *foldWindow) seek(row int) {
 // fold moves the window down to rows head..tail and returns its fold, the
 // left-to-right chain from zero foldRange computes. A window whose head stayed
 // put (the paper's FR shape, a running total) extends the accumulator by the
-// records that entered — the same additions in the same order, floats for
-// records when they were gathered. One whose head moved starts over: sliding
-// it, adding the entering cell and dropping the leaving one, is another sum.
+// records that entered — the same additions in the same order, the slab's
+// floats as they lie when the records are numbers. One whose head moved starts
+// over: sliding it, adding the entering cell and dropping the leaving one, is
+// another sum.
 func (w *foldWindow) fold(head, tail int) *formula.NumericFold {
 	w.seek(head)
-	hi, f := w.hi, &w.acc.f
+	hi := w.hi
 	for hi < len(w.rows) && w.rows[hi] <= tail {
 		hi++
 	}
-	if w.nums == nil {
-		for i := w.hi; i < hi; i++ {
-			w.acc.add(ref.Ref{}, &w.cells[i])
-		}
-	} else {
-		in, sum := w.nums[w.hi-w.base:hi-w.base], f.Sum
-		for _, v := range in {
-			sum += v
-		}
-		f.Sum, f.Count, f.NonEmpty = sum, f.Count+len(in), f.NonEmpty+len(in)
-		if !w.acc.sumOnly {
-			for _, v := range in {
-				if v < f.Min {
-					f.Min = v
-				}
-				if v > f.Max {
-					f.Max = v
-				}
-			}
-		}
-	}
+	// Over no column, no record enters; with no dirtyVal, no record's position is read.
+	w.acc.addRecords(0, w.col, w.hi, hi)
 	w.hi = hi
-	return f
+	return &w.acc.f
 }
 
 // lane is fold for the len(out) rows from at — each row's Result, one the
-// interpreter answers with an error flagged in bad. The records those rows can
-// add — from the first head on, or from where the window stands if its head
-// stays — are gathered into buf first when they fit and are all numbers.
-func (w *foldWindow) lane(fo formula.FoldOp, at ref.Ref, out []float64, bad []bool, buf []float64) {
+// interpreter answers with an error flagged in bad.
+func (w *foldWindow) lane(fo formula.FoldOp, at ref.Ref, out []float64, bad []bool) {
 	a, z := fo.At(at), fo.At(ref.Ref{Col: at.Col, Row: at.Row + len(out) - 1})
 	head, tail := a.Head.Row, a.Tail.Row
 	dh, dt := min(1, z.Head.Row-head), min(1, z.Tail.Row-tail) // an end stays or moves a row a row
-	w.seek(head)
-	w.base, w.nums = w.lo, buf[:0]
-	if dh == 0 {
-		w.base = w.hi // the head stays: only what enters
-	}
-	for i := w.base; i < len(w.rows) && w.rows[i] <= z.Tail.Row; i++ {
-		v := &w.cells[i].value
-		if v.Kind != formula.KindNumber || len(w.nums) == cap(buf) {
-			w.nums = nil // this chunk folds its records
-			break
-		}
-		w.nums = append(w.nums, v.Num)
-	}
 	for k := range out {
 		var ok bool
 		if out[k], ok = fo.Result(w.fold(head, tail)); !ok {
@@ -332,7 +281,7 @@ type runScratch struct {
 
 // readOp serves one cell-operand read from its cursor.
 func (rs *runScratch) readOp(op int, target ref.Ref) formula.Value {
-	return *rs.cursors[op].at(target.Row)
+	return rs.cursors[op].at(target.Row)
 }
 
 // planWindows plans one window per aggregate for the m rows from anchor, or
@@ -346,33 +295,29 @@ func (rs *runScratch) planWindows(s *colStore, folds []formula.FoldOp, anchor re
 			z.Head.Row < a.Head.Row || z.Tail.Row < a.Tail.Row {
 			return false
 		}
-		w := foldWindow{own: a.Head.Col == anchor.Col}
-		if col := s.cols[a.Head.Col]; col != nil {
-			w.rows, w.cells = col.view(a.Head.Row, z.Tail.Row)
-		}
+		cu := s.cursor(a.Head.Col, a.Head.Row, z.Tail.Row)
+		w := foldWindow{col: cu.col, rows: cu.rows, own: a.Head.Col == anchor.Col}
 		w.acc.sumOnly = !fo.WantsExtrema()
-		w.restart(0)
+		w.restart(cu.i)
 		rs.windows = append(rs.windows, w)
 	}
 	return true
 }
 
-// sweepChunk is how many rows a lane sweep gathers and runs at a time: enough
-// to amortise the per-instruction dispatch, few enough that the lanes stay in
-// the L1 cache (a variable for the tests, which put a chunk's edge on every
-// row). foldGatherChunks caps, in chunks, the floats a window gathers: a
-// running total adds a chunk, a sliding window a chunk plus its width — one
-// wider than the rest of the cap folds its records.
+// sweepChunk is how many rows a lane sweep runs at a time: enough to amortise
+// the per-instruction dispatch, few enough that the lanes stay in the L1 cache
+// (a variable for the tests, which put a chunk's edge on every row).
 var sweepChunk = 256
 
-const foldGatherChunks = 8
-
-// laneBuf is a lane sweep's memory — the lanes, lane i at floats[i*chunk], one
-// gather buffer per aggregate after them, the flags — pooled process-wide and
-// held for one sweep: no schedule, live or pooled, ever reaches a lane.
+// laneBuf is a lane sweep's memory — a buffer per operand, buffer i at
+// floats[i*chunk], the work lanes after them, the flags, and the lanes, each
+// its operand's buffer or a subslice of a slab — pooled process-wide and held
+// for one sweep, its lanes cleared before it goes back: no schedule, live or
+// pooled, ever reaches a lane.
 type laneBuf struct {
 	floats []float64
 	bad    []bool
+	lanes  [][]float64
 }
 
 var lanePool = sync.Pool{New: func() any { return new(laneBuf) }}
@@ -398,11 +343,11 @@ func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 			// operand resolves to one position: read it once. One that does
 			// not coerce sends every row to the interpreter.
 			cu.fixed, cu.v = true, res.CellValue(t0)
-			if _, ok := asNumber(&cu.v); !ok {
+			if _, ok := cu.v.AsNumber(); !ok {
 				numeric = false
 			}
-		} else if col := e.store.cols[t0.Col]; col != nil {
-			cu.cur.rows, cu.cur.cells = col.view(t0.Row, t0.Row+m-1)
+		} else {
+			cu.cur = e.store.cursor(t0.Col, t0.Row, t0.Row+m-1)
 			cu.own, cu.d = t0.Col == anchor.Col, t0.Row-anchor.Row
 		}
 		rs.cursors = append(rs.cursors, cu)
@@ -413,22 +358,22 @@ func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 		e.sweepLanes(rs, nd, m, anchor)
 		return
 	}
-	at := anchor
-	for k := range m {
-		c := &nd.cells[nd.done+k]
-		c.value = p.EvalCells(res, at, rs.read)
-		c.dirty = false
+	at, col := anchor, nd.col
+	for i := nd.i + nd.done; i < nd.i+nd.done+m; i++ {
+		col.put(i, p.EvalCells(res, at, rs.read))
+		col.meta[i].dirty = false
 		at.Row++
 	}
 	e.swept.interp += uint64(m)
 }
 
-// sweepLanes is executeRun over gathered float lanes, a chunk of rows at a
-// time. What the span reads in other columns is gathered; what it reads in its
-// own column — a running balance, a cumulative fold — is what the rows above
-// just wrote, so a span that reads it runs the plan row by row (NumericSweepRow,
-// the lane sweep's operations in its order) over the gathered floats and its
-// own column's records and live windows.
+// sweepLanes is executeRun over float lanes, a chunk of rows at a time. What
+// the span reads in other columns is a lane: a slab's floats as they lie, or
+// their coercions gathered. What it reads in its own column — a running
+// balance, a cumulative fold — is what the rows above just wrote, so a span
+// that reads it runs the plan row by row (NumericSweepRow, the lane sweep's
+// operations in its order) over the lanes and its own column's records and
+// live windows.
 func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref) {
 	p, res := nd.prog, valueResolver{e}
 	ops, folds := p.CellOps(), p.FoldOps()
@@ -439,85 +384,96 @@ func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref
 	for i := range rs.windows {
 		own = own || rs.windows[i].own
 	}
-	chunk, nlanes := min(m, sweepChunk), len(ops)+len(folds)+p.NumericWork()
+	nin, chunk := len(ops)+len(folds), min(m, sweepChunk)
 	lb := lanePool.Get().(*laneBuf)
-	if per := nlanes + len(folds)*foldGatherChunks; cap(lb.floats) < per*chunk {
+	if per := nin + p.NumericWork(); cap(lb.floats) < per*chunk {
 		lb.floats = make([]float64, per*sweepChunk) // a full chunk's: a budget cuts sweeps of every length
 	}
 	if cap(lb.bad) < chunk {
 		lb.bad = make([]bool, sweepChunk)
 	}
-	lanes, gathers, bad := lb.floats[:nlanes*chunk], lb.floats[nlanes*chunk:], lb.bad[:chunk]
+	if cap(lb.lanes) < nin {
+		lb.lanes = make([][]float64, nin)
+	}
+	bufs, work, bad, lanes := lb.floats[:nin*chunk], lb.floats[nin*chunk:], lb.bad[:chunk], lb.lanes[:nin]
+	buf := func(i, n int) []float64 { return bufs[i*chunk:][:n] }
 	for i := range ops {
 		if cu := &rs.cursors[i]; cu.fixed {
-			f, _ := asNumber(&cu.v)
-			lane := lanes[i*chunk:][:chunk]
+			f, _ := cu.v.AsNumber()
+			lane := buf(i, chunk)
 			for k := range lane {
 				lane[k] = f
 			}
 		}
 	}
-	at, flagged := anchor, 0
-	for cells := nd.cells[nd.done : nd.done+m]; len(cells) > 0; cells = cells[min(chunk, len(cells)):] {
-		n := min(chunk, len(cells))
+	col, at, flagged := nd.col, anchor, 0
+	for lo, end := nd.i+nd.done, nd.i+nd.done+m; lo < end; lo += chunk {
+		n := min(chunk, end-lo)
 		clear(bad[:n])
 		for i, op := range ops {
-			if cu := &rs.cursors[i]; !cu.fixed && !cu.own {
-				cu.gather(op.At(at).Row, lanes[i*chunk:][:n], bad)
+			if cu := &rs.cursors[i]; cu.fixed || cu.own {
+				lanes[i] = buf(i, n)
+			} else {
+				lanes[i] = cu.gather(op.At(at).Row, buf(i, n), bad)
 			}
 		}
 		for i, fo := range folds {
+			lanes[len(ops)+i] = buf(len(ops)+i, n)
 			if w := &rs.windows[i]; !w.own {
-				buf := gathers[i*foldGatherChunks*chunk:][: 0 : foldGatherChunks*chunk]
-				w.lane(fo, at, lanes[(len(ops)+i)*chunk:][:n], bad, buf)
+				w.lane(fo, at, lanes[len(ops)+i], bad)
 			}
 		}
 		var out []float64
 		if !own {
-			out = p.NumericSweepRows(lanes, chunk, n, bad)
+			out = p.NumericSweepRows(lanes, work, n, bad)
 		}
+		meta, num := col.meta[lo:lo+n], col.num[lo:lo+n]
 		for k := range n {
-			c, fast := &cells[k], !bad[k]
+			fast := !bad[k]
 			var f float64
 			if own && fast {
 				// The row loop: what the span reads of its own column goes
 				// into the row's lane slots, and the plan runs on the row.
 				j := at.Row - nd.at.Row
-				for i := 0; fast && i < len(ops); i++ {
-					if cu := &rs.cursors[i]; cu.own {
-						lanes[i*chunk+k], fast = asNumber(cu.selfAt(nd, j+cu.d))
+				for x := 0; fast && x < len(ops); x++ {
+					if cu := &rs.cursors[x]; cu.own {
+						lanes[x][k], fast = cu.selfAt(nd, j+cu.d)
 					}
 				}
-				for i := 0; fast && i < len(folds); i++ {
-					if w := &rs.windows[i]; w.own {
-						rng := folds[i].At(at)
-						lanes[(len(ops)+i)*chunk+k], fast = folds[i].Result(w.fold(rng.Head.Row, rng.Tail.Row))
+				for x := 0; fast && x < len(folds); x++ {
+					if w := &rs.windows[x]; w.own {
+						rng := folds[x].At(at)
+						lanes[len(ops)+x][k], fast = folds[x].Result(w.fold(rng.Head.Row, rng.Tail.Row))
 					}
 				}
 				if fast {
-					f, fast = p.NumericSweepRow(lanes, chunk, k)
+					f, fast = p.NumericSweepRow(lanes, k)
 				}
 			} else if fast {
 				f = out[k]
 			}
-			if fast {
-				setNum(&c.value, f)
-			} else {
+			switch m := &meta[k]; {
+			case fast && m.kind == formula.KindNumber:
+				num[k] = f // over a number, the float alone changes
+			case fast:
+				col.put(lo+k, formula.Num(f))
+			default:
 				// Operands through the cursors, ranges through the resolver:
 				// probe is idempotent for its row, and a half-advanced window
 				// is harmless.
-				c.value = p.EvalCells(res, at, rs.read)
+				col.put(lo+k, p.EvalCells(res, at, rs.read))
 				flagged++
 			}
-			c.dirty = false
+			meta[k].dirty = false
 			at.Row++
 		}
 		for i := range rs.cursors {
-			if cu := &rs.cursors[i]; !cu.own {
+			if cu := &rs.cursors[i]; !cu.fixed && !cu.own {
 				cu.cur.i = cu.end
 			}
 		}
 	}
+	clear(lanes)
 	lanePool.Put(lb)
 	if own {
 		e.swept.loop += uint64(m - flagged)

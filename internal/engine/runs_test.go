@@ -39,7 +39,7 @@ func runsFixture(t testing.TB, g Graph, rows int, form func(r int) (cell string,
 func carveFixture(e *Engine) (runs []*schedNode, singles int) {
 	sch := e.ensureSchedule()
 	for i := range sch.nodes {
-		if nd := &sch.nodes[i]; len(nd.cells) > 1 {
+		if nd := &sch.nodes[i]; nd.n > 1 {
 			runs = append(runs, nd)
 		} else {
 			singles++
@@ -56,7 +56,7 @@ func TestPlanLevelDetectsColumnRun(t *testing.T) {
 	if len(runs) != 1 || singles != 0 {
 		t.Fatalf("got %d runs, %d singles; want 1 run, 0 singles", len(runs), singles)
 	}
-	if n := len(runs[0].cells); n != 100 {
+	if n := runs[0].n; n != 100 {
 		t.Fatalf("run length %d, want 100", n)
 	}
 }
@@ -74,8 +74,8 @@ func TestPlanLevelBrokenRun(t *testing.T) {
 	if len(runs) != 2 {
 		t.Fatalf("got %d runs, want 2 (split around the odd row)", len(runs))
 	}
-	if len(runs[0].cells) != 19 || len(runs[1].cells) != 20 {
-		t.Fatalf("run lengths %d/%d, want 19/20", len(runs[0].cells), len(runs[1].cells))
+	if runs[0].n != 19 || runs[1].n != 20 {
+		t.Fatalf("run lengths %d/%d, want 19/20", runs[0].n, runs[1].n)
 	}
 	if singles != 1 {
 		t.Fatalf("got %d singles, want 1", singles)
@@ -95,14 +95,14 @@ func TestPlanLevelRespelledRowJoinsRun(t *testing.T) {
 		}
 		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d+B%d", r, r)
 	})
-	if c := e.store.cols[3].cells; c[19].shape == c[0].shape || c[29].shape == c[0].shape {
+	if c := e.store.cols[3].meta; c[19].shape == c[0].shape || c[29].shape == c[0].shape {
 		t.Fatal("a respelled row holds the column's shape")
 	}
 	runs, singles := carveFixture(e)
 	if len(runs) != 1 || singles != 0 {
 		t.Fatalf("got %d runs, %d singles; want 1 run, 0 singles", len(runs), singles)
 	}
-	if n := len(runs[0].cells); n != 40 {
+	if n := runs[0].n; n != 40 {
 		t.Fatalf("run length %d, want 40", n)
 	}
 }
@@ -134,7 +134,7 @@ func TestPlanLevelPartialDirtySet(t *testing.T) {
 	}
 	e.SetValue(ref.MustCell("A60"), formula.Num(1)) // invalidates; C60 is dirty already
 	runs, singles := carveFixture(e)
-	if len(runs) != 1 || singles != 0 || runs[0].at != ref.MustCell("C31") || len(runs[0].cells) != 70 {
+	if len(runs) != 1 || singles != 0 || runs[0].at != ref.MustCell("C31") || runs[0].n != 70 {
 		t.Fatalf("rebuild carved %d runs, %d singles (first %+v); want one run C31:C100", len(runs), singles, runs)
 	}
 }
@@ -154,7 +154,7 @@ func TestPlanLevelGapSplitsRun(t *testing.T) {
 		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*2", r))
 	}
 	runs, _ := carveFixture(e)
-	if len(runs) != 2 || len(runs[0].cells) != 20 || len(runs[1].cells) != 20 {
+	if len(runs) != 2 || runs[0].n != 20 || runs[1].n != 20 {
 		t.Fatalf("gap not respected: %d runs", len(runs))
 	}
 }
@@ -190,7 +190,7 @@ func TestPlanLevelHoleSplitsRun(t *testing.T) {
 		return true
 	})
 	runs, singles := carveFixture(e)
-	if len(runs) != 1 || singles != 0 || runs[0].at != ref.MustCell("C1") || len(runs[0].cells) != 60 {
+	if len(runs) != 1 || singles != 0 || runs[0].at != ref.MustCell("C1") || runs[0].n != 60 {
 		t.Fatalf("carved %d runs, %d singles; want the one span C1:C60", len(runs), singles)
 	}
 	serial.RecalculateAll()
@@ -211,35 +211,34 @@ func (e *Engine) carveRecords(sch *schedule) {
 		return sweepable
 	}
 	e.store.dirtyWindows(func(ci int, col *column, lo, hi int, _ bool) bool {
-		rows, cells := col.rows[lo:hi], col.cells[lo:hi]
+		rows, meta := col.rows, col.meta
 		at := func(k int) ref.Ref { return ref.Ref{Col: ci, Row: rows[k]} }
-		for i := 0; i < len(cells); {
-			c := &cells[i]
-			if !c.dirty {
+		for i := lo; i < hi; {
+			if !meta[i].dirty {
 				i++
 				continue
 			}
 			j := i + 1
 			var p *formula.Program
 			if e.patternRuns {
-				p = c.program()
+				p = meta[i].program()
 			}
-			for p != nil && j < len(cells) && cells[j].dirty && rows[j] == rows[j-1]+1 &&
-				cells[j].program() == p {
+			for p != nil && j < hi && meta[j].dirty && rows[j] == rows[j-1]+1 &&
+				meta[j].program() == p {
 				j++
 			}
 			sweepable = j-i >= minPatternRun
 			if sweepable {
 				span = ref.Range{Head: at(i), Tail: at(j - 1)}
-				e.spanPrecedents(sch, at(i), cells[i:j], p, check)
+				e.spanPrecedents(sch, at(i), j-i, p, check)
 			}
 			if sweepable {
-				sch.addNode(at(i), cells[i:j], p)
+				sch.addNode(at(i), col, i, j-i, p)
 				i = j
 				continue
 			}
 			for ; i < j; i++ {
-				sch.addNode(at(i), cells[i:i+1], nil)
+				sch.addNode(at(i), col, i, 1, nil)
 			}
 		}
 		return true
@@ -261,7 +260,7 @@ func carvedNodes(e *Engine, carve func(*Engine, *schedule)) (list []carvedNode) 
 	carve(e, sch)
 	for i := range sch.nodes {
 		nd := &sch.nodes[i]
-		list = append(list, carvedNode{nd.at, len(nd.cells), nd.prog})
+		list = append(list, carvedNode{nd.at, nd.n, nd.prog})
 	}
 	poolSchedule(sch)
 	return list
@@ -320,14 +319,14 @@ func TestPlanLevelReversedLoad(t *testing.T) {
 		mustFormula(t, e, fmt.Sprintf("C%d", r), fmt.Sprintf("A%d*2", r))
 	}
 	runs, singles := carveFixture(e)
-	if len(runs) != 1 || singles != 0 || len(runs[0].cells) != 50 {
+	if len(runs) != 1 || singles != 0 || runs[0].n != 50 {
 		t.Fatalf("reversed load: %d runs, %d singles", len(runs), singles)
 	}
 	if runs[0].at != ref.MustCell("C1") {
 		t.Fatalf("run starts at %v, want C1", runs[0].at)
 	}
-	for k := range runs[0].cells {
-		if &runs[0].cells[k] != e.store.get(ref.Ref{Col: 3, Row: 1 + k}) {
+	for k := range runs[0].n {
+		if c, _ := e.store.get(ref.Ref{Col: 3, Row: 1 + k}); (cell{runs[0].col, runs[0].i + k}) != c {
 			t.Fatalf("run cell %d is not C%d's record", k, 1+k)
 		}
 	}
@@ -343,7 +342,7 @@ func TestPlanLevelNoCompFallback(t *testing.T) {
 		return fmt.Sprintf("C%d", r), fmt.Sprintf("A%d+B%d", r, r)
 	})
 	runs, _ := carveFixture(e)
-	if len(runs) != 1 || len(runs[0].cells) != 30 {
+	if len(runs) != 1 || runs[0].n != 30 {
 		t.Fatalf("the NoComp-backed engine carved %d runs", len(runs))
 	}
 }

@@ -90,14 +90,15 @@ const (
 // column, evaluated top to bottom as a unit. A span of more than one cell is
 // a pattern run — every cell interns to prog — and drains as one sweep.
 type schedNode struct {
-	// at is the span's first cell; cells is its slab window, cells[i] being
-	// row at.Row+i. The window aliases the column slab — it is the records,
-	// not a list of them — which is stable for as long as the schedule is
+	// at is the span's first cell; col's records [i, i+n) are its slab
+	// window, record i+k being row at.Row+k. The window is an index range over
+	// the column's arrays, which is stable for as long as the schedule is
 	// valid: an insert or delete drops it.
-	at    ref.Ref
-	cells []cell
-	prog  *formula.Program // the shared program; nil for a single cell
-	// done is the budget cursor: cells[:done] are published.
+	at   ref.Ref
+	col  *column
+	i, n int
+	prog *formula.Program // the shared program; nil for a single cell
+	// done is the budget cursor: the window's first done records are published.
 	done int
 	// outs indexes the dirty dependents of this span; completing the span
 	// decrements each one's nprec.
@@ -169,7 +170,7 @@ func (e *Engine) releaseSchedule() {
 // windows and programs its nodes reference but keeping every slice's capacity.
 func poolSchedule(sch *schedule) {
 	for i := range sch.nodes {
-		sch.nodes[i].cells, sch.nodes[i].prog = nil, nil
+		sch.nodes[i].col, sch.nodes[i].prog = nil, nil
 	}
 	sch.nodes = sch.nodes[:0]
 	for c, list := range sch.cols {
@@ -218,41 +219,48 @@ func (e *Engine) ensureSchedule() *schedule {
 	return sch
 }
 
-// addNode appends a node for the slab window cells starting at at, reusing
-// the slot's out-edge capacity, and indexes it.
-func (sch *schedule) addNode(at ref.Ref, cells []cell, p *formula.Program) {
-	i := len(sch.nodes)
-	if i < cap(sch.nodes) {
-		sch.nodes = sch.nodes[:i+1]
+// addNode appends a node for col's slab window [i, i+n) starting at at,
+// reusing the slot's out-edge capacity, and indexes it.
+func (sch *schedule) addNode(at ref.Ref, col *column, i, n int, p *formula.Program) {
+	k := len(sch.nodes)
+	if k < cap(sch.nodes) {
+		sch.nodes = sch.nodes[:k+1]
 	} else {
 		sch.nodes = append(sch.nodes, schedNode{})
 	}
-	nd := &sch.nodes[i]
-	*nd = schedNode{at: at, cells: cells, prog: p, outs: nd.outs[:0]}
-	sch.cols[at.Col] = append(sch.cols[at.Col], uint64(at.Row)<<32|uint64(i))
+	nd := &sch.nodes[k]
+	*nd = schedNode{at: at, col: col, i: i, n: n, prog: p, outs: nd.outs[:0]}
+	sch.cols[at.Col] = append(sch.cols[at.Col], uint64(at.Row)<<32|uint64(k))
 }
 
-// spanPrecedents reports what a node reads, one call per operand of its
-// formula: the window the node's cells read between them, and the window the
-// first cell reads alone. A span's cells share one program, which each
-// compiled from its own normalised formula at its own position, so an operand
-// resolves upright at the first row and at the last and moves linearly in
-// between — the box around the two is the span's union window. These are the
-// ranges every constructor registers with the graph as the cell's
-// dependencies, the invariant dirty-marking rests on too.
-func (e *Engine) spanPrecedents(sch *schedule, at ref.Ref, cells []cell, p *formula.Program, fn func(prec, first ref.Range) bool) {
-	if p == nil { // a single cell
-		c := &cells[0]
-		if p = c.program(); p == nil {
-			return // dirty value cell: no precedents, levels at 0
-		}
+// program returns the node's program: the span's, or the single cell's (nil
+// for a value).
+func (nd *schedNode) program() *formula.Program {
+	if nd.prog != nil {
+		return nd.prog
+	}
+	return nd.col.meta[nd.i].program()
+}
+
+// spanPrecedents reports what the n cells of p from at read, one call per
+// operand of its formula: the window the cells read between them, and the
+// window the first cell reads alone; nothing for a value (p nil). A span's
+// cells share one program, which each compiled from its own normalised
+// formula at its own position, so an operand resolves upright at the first row
+// and at the last and moves linearly in between — the box around the two is
+// the span's union window. These are the ranges every constructor registers
+// with the graph as the cell's dependencies, the invariant dirty-marking rests
+// on too.
+func (e *Engine) spanPrecedents(sch *schedule, at ref.Ref, n int, p *formula.Program, fn func(prec, first ref.Range) bool) {
+	if p == nil {
+		return // dirty value cell: no precedents, levels at 0
 	}
 	reads := p.AppendReads(sch.reads[:0], at)
-	n := len(reads)
-	reads = p.AppendReads(reads, ref.Ref{Col: at.Col, Row: at.Row + len(cells) - 1})
+	k := len(reads)
+	reads = p.AppendReads(reads, ref.Ref{Col: at.Col, Row: at.Row + n - 1})
 	sch.reads = reads
-	for i, first := range reads[:n] {
-		if !fn(first.Bound(reads[n+i]), first) {
+	for i, first := range reads[:k] {
+		if !fn(first.Bound(reads[k+i]), first) {
 			return
 		}
 	}
@@ -271,7 +279,7 @@ func (e *Engine) linkSchedule(sch *schedule) {
 	// per node would be the dominant allocation of the whole build.
 	var cur int32
 	hit := func(j int32) {
-		if j == cur && len(nodes[cur].cells) > 1 {
+		if j == cur && nodes[cur].n > 1 {
 			return
 		}
 		nodes[j].outs = append(nodes[j].outs, cur)
@@ -283,7 +291,7 @@ func (e *Engine) linkSchedule(sch *schedule) {
 	}
 	for i := range nodes {
 		cur = int32(i)
-		e.spanPrecedents(sch, nodes[i].at, nodes[i].cells, nodes[i].prog, link)
+		e.spanPrecedents(sch, nodes[i].at, nodes[i].n, nodes[i].program(), link)
 	}
 }
 
@@ -295,7 +303,7 @@ func (sch *schedule) search(p ref.Range, hit func(int32)) {
 		lo, _ := slices.BinarySearch(list, uint64(p.Head.Row)<<32)
 		if lo > 0 {
 			j := int32(uint32(list[lo-1]))
-			if nd := &sch.nodes[j]; nd.at.Row+len(nd.cells) > p.Head.Row {
+			if nd := &sch.nodes[j]; nd.at.Row+nd.n > p.Head.Row {
 				hit(j)
 			}
 		}
@@ -353,8 +361,8 @@ func (e *Engine) DrainLevels(budget int) int {
 		start, k := drained, 0
 		for k < len(level) && drained < budget {
 			nd := &sch.nodes[level[k]]
-			m := min(len(nd.cells)-nd.done, budget-drained)
-			if len(nd.cells) == 1 {
+			m := min(nd.n-nd.done, budget-drained)
+			if nd.n == 1 {
 				e.evalLevelCell(nd)
 			} else {
 				e.executeRun(&sch.run, nd, m)
@@ -363,7 +371,7 @@ func (e *Engine) DrainLevels(budget int) int {
 			}
 			nd.done += m
 			drained += m
-			if nd.done < len(nd.cells) {
+			if nd.done < nd.n {
 				break // the budget ended inside the span
 			}
 			k++
@@ -412,10 +420,9 @@ func (e *Engine) DrainLevels(budget int) int {
 // never meets a dirty read or a cycle flag — the writes are to the cell
 // itself (value, dirty, and the program, compiled on first use), run on the
 // bytecode VM as the walk runs it.
-func (e *Engine) evalLevelCell(n *schedNode) {
-	c := &n.cells[0]
-	if p := c.program(); p != nil {
-		c.value = p.EvalAt(valueResolver{e}, n.at)
+func (e *Engine) evalLevelCell(nd *schedNode) {
+	if p := nd.program(); p != nil {
+		nd.col.put(nd.i, p.EvalAt(valueResolver{e}, nd.at))
 	}
-	c.dirty = false
+	nd.col.meta[nd.i].dirty = false
 }

@@ -129,10 +129,10 @@ func enginesEqual(t *testing.T, serial, levelled *Engine) {
 	if sn, pn := serial.NumCells(), levelled.NumCells(); sn != pn {
 		t.Fatalf("cell counts diverge: serial %d, levelled %d", sn, pn)
 	}
-	serial.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
+	serial.store.eachColumnMajor(func(at ref.Ref, c cell) error {
 		pv := levelled.Value(at)
-		if pv != c.value {
-			t.Errorf("%v: serial=%v levelled=%v", at, c.value, pv)
+		if pv != c.value() {
+			t.Errorf("%v: serial=%v levelled=%v", at, c.value(), pv)
 		}
 		if levelled.Dirty(at) {
 			t.Errorf("%v: still dirty after levelled drain", at)

@@ -52,17 +52,17 @@ func TestFillSharesOneShape(t *testing.T) {
 	byRow := install(-1)
 	for name, e := range map[string]*Engine{"LoadBulk": loaded, "RestoreSnapshot": restored, "SetFormula": byRow} {
 		col := e.store.cols[3]
-		if len(col.cells) != rows {
-			t.Fatalf("%s: column C holds %d records, want %d", name, len(col.cells), rows)
+		if len(col.meta) != rows {
+			t.Fatalf("%s: column C holds %d records, want %d", name, len(col.meta), rows)
 		}
-		for i := range col.cells {
-			if s := col.cells[i].shape; s == nil || s != col.cells[0].shape {
+		for i := range col.meta {
+			if s := col.meta[i].shape; s == nil || s != col.meta[0].shape {
 				t.Fatalf("%s: C%d holds another shape than C1", name, col.rows[i])
 			}
 		}
 	}
 	dropped := install(len(text) / 2)
-	if c := dropped.store.cols[3].cells; c[0].shape == c[rows-1].shape {
+	if c := dropped.store.cols[3].meta; c[0].shape == c[rows-1].shape {
 		t.Fatal("the rows installed after the drop hold the shape interned before it")
 	}
 	for _, e := range []*Engine{restored, byRow, dropped} {

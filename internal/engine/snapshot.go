@@ -175,27 +175,27 @@ func (e *Engine) writeCells(bw snapWriter) error {
 	if err := putUvarint(uint64(e.store.ncells)); err != nil {
 		return err
 	}
-	return e.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
+	return e.store.eachColumnMajor(func(at ref.Ref, c cell) error {
 		return e.writeCell(bw, putUvarint, putString, putSource, at, c)
 	})
 }
 
 // writeCell encodes one cell record.
 func (e *Engine) writeCell(bw snapWriter, putUvarint func(uint64) error, putString func(string) error,
-	putSource func(ref.Ref, *formula.Shape) error, at ref.Ref, c *cell) error {
+	putSource func(ref.Ref, *formula.Shape) error, at ref.Ref, c cell) error {
 	if err := putUvarint(uint64(at.Col)); err != nil {
 		return err
 	}
 	if err := putUvarint(uint64(at.Row)); err != nil {
 		return err
 	}
-	kind := byte(0)
-	if c.shape != nil {
+	kind, m, v := byte(0), c.meta(), c.value()
+	if m.shape != nil {
 		kind = 1
 		// A computed value can outgrow the snapshot string limit (string
 		// concatenation compounds); it is only a cache, so persist the
 		// formula alone and let the restored engine recompute it.
-		if c.value.Kind == formula.KindString && len(c.value.Str) > MaxSnapshotString {
+		if v.Kind == formula.KindString && len(v.Str) > MaxSnapshotString {
 			kind = 2
 		}
 	}
@@ -203,14 +203,14 @@ func (e *Engine) writeCell(bw snapWriter, putUvarint func(uint64) error, putStri
 		return err
 	}
 	if kind != 0 {
-		if err := putSource(at, c.shape); err != nil {
+		if err := putSource(at, m.shape); err != nil {
 			return err
 		}
 	}
 	if kind == 2 {
 		return nil
 	}
-	return writeValue(bw, putUvarint, putString, c.value)
+	return writeValue(bw, putUvarint, putString, v)
 }
 
 func writeValue(bw snapWriter, putUvarint func(uint64) error, putString func(string) error, v formula.Value) error {
@@ -388,7 +388,7 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 		}
 		store.column(stage[0].at.Col, len(stage))
 		for _, sc := range stage {
-			store.set(sc.at, cell{shape: sc.shape, value: sc.value, dirty: sc.dirty}) // the append path
+			store.set(sc.at, record{shape: sc.shape, value: sc.value, dirty: sc.dirty}) // the append path
 			if sc.shape != nil {
 				nformulas++
 			}

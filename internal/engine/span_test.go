@@ -10,6 +10,7 @@ import (
 	"taco/internal/formula"
 	"taco/internal/nocomp"
 	"taco/internal/ref"
+	"taco/internal/workload"
 )
 
 // This file is the differential harness for span scheduling: a small sheet
@@ -56,7 +57,7 @@ const (
 	tmplTwoArgs           // AGG(A[r-k]:A[r], B[r]): no numeric plan
 	tmplDivB              // A[r] / B[r]: zero divisors, and operands that do not coerce, where B is salted
 	tmplPairB             // B[r] + B[r+2]: salted, a column of numbers with a NaN (Inf-Inf), ±Inf and errors in it
-	tmplBlockB            // AGG(B[r]:B[r+47]): enters more records per five-row chunk than a window gathers
+	tmplBlockB            // AGG(B[r]:B[r+47]): a window wider than many chunks, folded afresh each row
 	tmplNextNext          // N[r+1] + A[r]: with tmplSameRow in N, the zig-zag mirrored — X1 reads down the whole chain
 	numTmpl
 )
@@ -405,12 +406,12 @@ func (sc spanCase) runOnce(t *testing.T) (got *Engine) {
 	if g, w := got.NumCells(), want.NumCells(); g != w {
 		t.Fatalf("cell counts diverge: %d vs reference %d", g, w)
 	}
-	want.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
+	want.store.eachColumnMajor(func(at ref.Ref, c cell) error {
 		g, clean := got.Peek(at)
 		if !clean {
 			t.Errorf("%v: left dirty", at)
 		}
-		if w := c.value; g.Kind != w.Kind || math.Float64bits(g.Num) != math.Float64bits(w.Num) || g.Err != w.Err {
+		if w := c.value(); g.Kind != w.Kind || math.Float64bits(g.Num) != math.Float64bits(w.Num) || g.Err != w.Err {
 			t.Errorf("%v (%q): got %v, reference %v", at, want.Formula(at), g, w)
 		}
 		return nil
@@ -600,7 +601,7 @@ func TestSpanSelfDependence(t *testing.T) {
 				runs, singles := carveFixture(e)
 				spans, want := len(runs), 0
 				for _, nd := range runs {
-					want += len(nd.cells) // the drain drops the windows
+					want += nd.n // the drain drops the windows
 				}
 				if tc.whole && (spans != 1 || singles > 3) {
 					t.Fatalf("%s: carved %d spans and %d singles, want one span (and the head cells)", backend.name, spans, singles)
@@ -641,9 +642,9 @@ func TestSpanCoarseCycleDemotes(t *testing.T) {
 	if got := e.RecalcStats().ScheduleBuilds; got != builds {
 		t.Fatalf("demotion counted as %d schedule builds", got-builds)
 	}
-	e.store.eachColumnMajor(func(at ref.Ref, c *cell) error {
-		if c.dirty || c.value.Kind == formula.KindError {
-			t.Errorf("%v = %v (dirty %v) after the demoted drain", at, c.value, c.dirty)
+	e.store.eachColumnMajor(func(at ref.Ref, c cell) error {
+		if v := c.value(); c.meta().dirty || v.Kind == formula.KindError {
+			t.Errorf("%v = %v (dirty %v) after the demoted drain", at, v, c.meta().dirty)
 		}
 		return nil
 	})
@@ -829,13 +830,10 @@ func TestSweepAllocatesNothingPerSpan(t *testing.T) {
 }
 
 // TestSweepAllocatesNothingPerLaneChunk is the same bound on the lane path: a
-// product column, a sliding SUM over it and a 1 000-row block SUM (more
-// records a chunk than a window gathers: it must fold them, not grow the
-// buffer), 1 000 rows, drained 100 cells a call with the lane pool warm — and
-// afterwards no schedule, live or pooled, holds on to a slab window or
-// to a lane buffer (a window's gathered floats are the only pointer into one
-// that outlives a statement). At five rows a chunk every chunk of the block SUM
-// is past the cap.
+// product column, a sliding SUM over it and a 1 000-row block SUM (a window
+// far wider than a chunk, folded off the slab's floats), 1 000 rows, drained
+// 100 cells a call with the lane pool warm — and afterwards no schedule, live
+// or pooled, holds on to a slab window.
 func TestSweepAllocatesNothingPerLaneChunk(t *testing.T) {
 	eachSpanChunk(func() { sweepAllocatesNothingPerLaneChunk(t) })
 }
@@ -868,8 +866,8 @@ func sweepAllocatesNothingPerLaneChunk(t *testing.T) {
 			t.Fatalf("no %s schedule to inspect", which)
 		}
 		for _, w := range sch.run.windows[:cap(sch.run.windows)] {
-			if w.rows != nil || w.cells != nil || w.nums != nil {
-				t.Fatalf("the %s schedule's sweep scratch still holds a window: %d rows, %d gathered floats", which, len(w.rows), len(w.nums))
+			if w.col != nil || w.rows != nil {
+				t.Fatalf("the %s schedule's sweep scratch still holds a window: %d rows", which, len(w.rows))
 			}
 		}
 	}
@@ -878,6 +876,14 @@ func sweepAllocatesNothingPerLaneChunk(t *testing.T) {
 	// resume it, and one more finishes.
 	allocs := testing.AllocsPerRun(28, func() { e.RecalculateN(100) })
 	unpinned("live", e.sched)
+	// A lane may be a subslice of a slab: a pooled lane buffer holds none.
+	lb := lanePool.Get().(*laneBuf)
+	for i, lane := range lb.lanes[:cap(lb.lanes)] {
+		if lane != nil {
+			t.Fatalf("a pooled lane buffer still holds lane %d: %d floats", i, len(lane))
+		}
+	}
+	lanePool.Put(lb)
 	if e.RecalculateN(100); e.Pending() != 0 {
 		t.Fatalf("%d cells pending after thirty chunks of 100", e.Pending())
 	}
@@ -907,7 +913,7 @@ func TestRateEditAllocatesNothing(t *testing.T) {
 	rate := 1.0
 	edit := func() {
 		rate += 1.0 / 1024
-		e.setCell(h1, cell{value: formula.Num(rate)})
+		e.setCell(h1, record{value: formula.Num(rate)})
 		for _, rng := range dirty {
 			e.markRange(rng)
 		}
@@ -936,10 +942,65 @@ func TestRateEditAllocatesNothing(t *testing.T) {
 
 // TestSweepPathsOnTheLedger: which rows take which path is part of the
 // contract, not an accident of the benchmark. On the ledger sheet a rate edit
-// sweeps C (a product) and E (a sliding SUM of C) on gathered lanes and D (a
+// sweeps C (a product) and E (a sliding SUM of C) on lanes and D (a
 // running balance: it reads its own column) on the row loop, and nothing needs
 // the interpreter; where an operand column is salted, the rows the interpreter
 // re-runs are exactly the ones holding text or an error.
+// TestSweepFoldsOverAnEmptyColumn: a numeric-plan span whose aggregates read
+// a column holding no cells — a sliding window and a running one, so fold
+// windows over no slab — sweeps on lanes on load, after a value lands in that
+// column and after it is cleared again, and agrees with the reference (runs
+// off, serial) bit for bit.
+func TestSweepFoldsOverAnEmptyColumn(t *testing.T) {
+	const rows = 4 * minPatternRun
+	s := workload.NewSheet("")
+	for r := 1; r <= rows; r++ {
+		s.SetValue(ref.Ref{Col: 1, Row: r}, float64(r)+0.25)
+		s.SetFormula(ref.Ref{Col: 2, Row: r}, fmt.Sprintf("SUM(Z%d:Z%d)+A%d", r, r+2, r))
+		s.SetFormula(ref.Ref{Col: 3, Row: r}, fmt.Sprintf("MAX(Z$1:Z%d)+COUNT(Y%d:Y%d)+A%d", r, r, r+1, r))
+	}
+	load := func(runs bool) *Engine {
+		e, err := LoadBulk(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !runs {
+			e.SetPatternRuns(false)
+			e.SetRecalcParallelism(1)
+		}
+		return e
+	}
+	eachSpanChunk(func() {
+		got, want := load(true), load(false)
+		same := func(step string) {
+			t.Helper()
+			got.RecalculateAll()
+			want.RecalculateAll()
+			for r := 1; r <= rows; r++ {
+				for c := 2; c <= 3; c++ {
+					at := ref.Ref{Col: c, Row: r}
+					if g, w := got.Value(at), want.Value(at); g.Kind != w.Kind || math.Float64bits(g.Num) != math.Float64bits(w.Num) {
+						t.Fatalf("chunks of %d, %s: %v = %v, reference %v", sweepChunk, step, at, g, w)
+					}
+				}
+			}
+		}
+		same("load")
+		if got.swept.lane == 0 {
+			t.Fatalf("chunks of %d: no row swept on lanes (%+v)", sweepChunk, got.swept)
+		}
+		z := ref.MustCell("Z9")
+		for _, e := range []*Engine{got, want} {
+			e.SetValue(z, formula.Num(2.5))
+		}
+		same("a value in Z")
+		for _, e := range []*Engine{got, want} {
+			e.ClearCell(z)
+		}
+		same("Z cleared")
+	})
+}
+
 func TestSweepPathsOnTheLedger(t *testing.T) {
 	const rows = 2000
 	e := ledgerEngine(t, rows)

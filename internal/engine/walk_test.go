@@ -18,18 +18,18 @@ import (
 type recursiveResolver struct{ e *Engine }
 
 func (r recursiveResolver) CellValue(at ref.Ref) formula.Value {
-	c := r.e.store.get(at)
-	if c == nil {
+	c, ok := r.e.store.get(at)
+	if !ok {
 		return formula.Empty()
 	}
-	if c.dirty {
+	if c.meta().dirty {
 		return r.dirtyVal(at, c)
 	}
-	return c.value
+	return c.value()
 }
 
 func (r recursiveResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) bool {
-	r.e.store.scanRange(rng, func(at ref.Ref, c *cell) bool { return fn(at, cellVal(at, c, r.dirtyVal)) })
+	r.e.store.scanRange(rng, func(at ref.Ref, c cell) bool { return fn(at, cellVal(at, c, r.dirtyVal)) })
 	return true
 }
 
@@ -47,22 +47,23 @@ func (r recursiveResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
 
 // dirtyVal evaluates a dirty cell before it is read; a cell under evaluation
 // reads as #CYCLE!.
-func (r recursiveResolver) dirtyVal(at ref.Ref, c *cell) formula.Value {
-	if c.evaluating != 0 {
+func (r recursiveResolver) dirtyVal(at ref.Ref, c cell) formula.Value {
+	if c.meta().evaluating != 0 {
 		return formula.Error(formula.ErrCycle)
 	}
 	r.evaluate(at, c)
-	return c.value
+	return c.value()
 }
 
 // evaluate runs the AST walker over the formula the cell's shape renders.
-func (r recursiveResolver) evaluate(at ref.Ref, c *cell) {
-	if c.shape != nil {
-		c.evaluating = exactEval
-		c.value = formula.Eval(formula.MustParse(c.shape.Source(at)), r)
-		c.evaluating = 0
+func (r recursiveResolver) evaluate(at ref.Ref, c cell) {
+	if m := c.meta(); m.shape != nil {
+		m.evaluating = exactEval
+		v := formula.Eval(formula.MustParse(m.shape.Source(at)), r)
+		c.col.put(c.i, v)
+		m.evaluating = 0
 	}
-	c.dirty = false
+	c.meta().dirty = false
 	r.e.store.cleaned(1)
 }
 
@@ -73,8 +74,8 @@ func drainRecursive(e *Engine) {
 	e.noteDirtyMutation()
 	e.store.dirtyWindows(func(ci int, col *column, lo, hi int, _ bool) bool {
 		for i := lo; i < hi; i++ {
-			if c := &col.cells[i]; c.dirty {
-				recursiveResolver{e}.evaluate(ref.Ref{Col: ci, Row: col.rows[i]}, c)
+			if col.meta[i].dirty {
+				recursiveResolver{e}.evaluate(ref.Ref{Col: ci, Row: col.rows[i]}, cell{col, i})
 			}
 		}
 		return true
@@ -85,8 +86,17 @@ func drainRecursive(e *Engine) {
 // the evaluations it ran.
 func walkFrom(e *Engine, at ref.Ref) int {
 	e.walking = true
-	e.walk, e.exact = append(e.walk, walkSlot{e.store.get(at), at}), 1
+	e.walk, e.exact = append(e.walk, walkSlot{handle(e, at), at}), 1
 	return e.unwind(math.MaxInt)
+}
+
+// handle is the handle on the record at at, which must be populated.
+func handle(e *Engine, at ref.Ref) cell {
+	c, ok := e.store.get(at)
+	if !ok {
+		panic(fmt.Sprintf("no record at %v", at))
+	}
+	return c
 }
 
 // lookDownChain is column A of rows r = 1..n, A[r] = A[r+1]+$B$1, over the
@@ -219,7 +229,7 @@ func TestWalkFromEachEntry(t *testing.T) {
 			walked, reference := build(), build()
 			walkFrom(walked, ref.MustCell(entry[0]))
 			walked.RecalculateAll()
-			recursiveResolver{reference}.evaluate(ref.MustCell(entry[0]), reference.store.get(ref.MustCell(entry[0])))
+			recursiveResolver{reference}.evaluate(ref.MustCell(entry[0]), handle(reference, ref.MustCell(entry[0])))
 			drainRecursive(reference)
 			enginesEqual(t, reference, walked)
 		}
@@ -309,10 +319,10 @@ func TestTotalAboveColumnDrainsLinear(t *testing.T) {
 			}
 			// One evaluation a call: the next is of the topmost dirty entry
 			// of the stack, or of a root when there is none.
-			totalCell, totals := stepped.store.get(ref.MustCell("C1")), 1
+			totalCell, totals := handle(stepped, ref.MustCell("C1")), 1
 			for stepped.Pending() > 0 {
 				for i := len(stepped.walk) - 1; i >= 0; i-- {
-					if c := stepped.walk[i].c; c.dirty {
+					if c := stepped.walk[i].c; c.meta().dirty {
 						if c == totalCell {
 							totals++
 						}

@@ -438,13 +438,12 @@ func (p *Program) FoldOps() []FoldOp {
 }
 
 // NumericSweepRow evaluates the numeric fast path for row k of
-// NumericSweepRows' lanes: lanes[i*stride+k] must hold the AsNumber coercion
-// of the value the i-th of CellOps() resolves to, then the Result of each of
+// NumericSweepRows' lanes: lanes[i][k] must hold the AsNumber coercion of the
+// value the i-th of CellOps() resolves to, then the Result of each of
 // FoldOps() over its range (the caller bails to the generic interpreter when
-// any of them fails); the work lanes are not touched. ok is false on a zero
-// divisor — the row re-runs generically so #DIV/0! placement is exactly the
-// interpreter's. Called with stride 1 and k 0, lanes is one row's operands.
-func (p *Program) NumericSweepRow(lanes []float64, stride, k int) (v float64, ok bool) {
+// any of them fails). ok is false on a zero divisor — the row re-runs
+// generically so #DIV/0! placement is exactly the interpreter's.
+func (p *Program) NumericSweepRow(lanes [][]float64, k int) (v float64, ok bool) {
 	var stack [maxNumericDepth]float64
 	sp := 0
 	for _, ins := range p.numeric.code {
@@ -453,7 +452,7 @@ func (p *Program) NumericSweepRow(lanes []float64, stride, k int) (v float64, ok
 			stack[sp] = p.numeric.consts[ins.a]
 			sp++
 		case npCell, npFold:
-			stack[sp] = lanes[int(ins.a)*stride+k]
+			stack[sp] = lanes[ins.a][k]
 			sp++
 		case npAdd:
 			sp--
@@ -478,36 +477,37 @@ func (p *Program) NumericSweepRow(lanes []float64, stride, k int) (v float64, ok
 // NumericWork is how many work lanes NumericSweepRows needs: the stack's depth.
 func (p *Program) NumericWork() int { return p.numeric.depth }
 
-// NumericSweepRows is NumericSweepRow for n rows at once. Lane i is
-// lanes[i*stride:][:n]: one per operand — lane i's k-th float is vals[i] of
-// row k — then NumericWork() lanes of scratch. The plan runs one instruction
-// at a time over whole lanes: per row the same float operations in the same
-// order, so the same bits. A zero divisor sets bad[k] where NumericSweepRow
-// answers ok=false (that row's result is garbage, as is one the caller flagged
-// beforehand). The result is a work lane or, for a bare aggregate, an operand's.
-func (p *Program) NumericSweepRows(lanes []float64, stride, n int, bad []bool) []float64 {
+// NumericSweepRows is NumericSweepRow for n rows at once. lanes holds one
+// lane per operand, lane i's k-th float being row k's operand i; they are
+// only read, so a lane may be the caller's storage as it lies. work holds
+// NumericWork() lanes of n floats of scratch, work lane w at work[w*n:]. The
+// plan runs one instruction at a time over whole lanes: per row the same float
+// operations in the same order, so the same bits. A zero divisor sets bad[k]
+// where NumericSweepRow answers ok=false (that row's result is garbage, as is
+// one the caller flagged beforehand). The result is a work lane or, for a bare
+// operand, its lane.
+func (p *Program) NumericSweepRows(lanes [][]float64, work []float64, n int, bad []bool) []float64 {
 	np := p.numeric
-	lane := func(i int) []float64 { return lanes[i*stride:][:n] }
-	work := len(p.cells) + len(np.folds)
+	scratch := func(w int) []float64 { return work[w*n:][:n] }
 	var stack [maxNumericDepth][]float64
 	sp := 0
 	for _, ins := range np.code {
 		switch ins.kind {
 		case npConst:
-			dst, c := lane(work+sp), np.consts[ins.a]
+			dst, c := scratch(sp), np.consts[ins.a]
 			for k := range dst {
 				dst[k] = c
 			}
 			stack[sp] = dst
 			sp++
 		case npCell, npFold:
-			stack[sp] = lane(int(ins.a))
+			stack[sp] = lanes[ins.a][:n]
 			sp++
 		default:
 			// A work lane is only ever held by its own stack level, so dst
 			// aliases at most l, element for element.
 			sp--
-			dst := lane(work + sp - 1)
+			dst := scratch(sp - 1)
 			l, r := stack[sp-1][:len(dst)], stack[sp][:len(dst)]
 			switch ins.kind {
 			case npAdd:

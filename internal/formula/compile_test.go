@@ -406,7 +406,7 @@ func TestNumericSweepMatchesVM(t *testing.T) {
 		}
 		var got float64
 		if ok {
-			got, ok = p.NumericSweepRow(vals, 1, 0)
+			got, ok = p.NumericSweepRow(rowLanes(vals), 0)
 		}
 		switch {
 		case ok == tc.bails:
@@ -451,26 +451,43 @@ func numericPrograms(t testing.TB) (ps []*Program) {
 // operand lanes, rows at once answer what NumericSweepRow answers row by row —
 // the same bits, and a flag exactly where it says ok=false.
 func checkNumericLanes(t testing.TB, p *Program, n int, operand func(i, k int) float64) {
-	nin, stride := len(p.CellOps())+len(p.FoldOps()), n+3
-	lanes := make([]float64, (nin+p.NumericWork())*stride)
+	nin := len(p.CellOps()) + len(p.FoldOps())
+	lanes := make([][]float64, nin)
 	for i := range lanes {
-		lanes[i] = math.NaN() // a work lane is written before it is read, and nothing past n is read
-		if i < nin*stride && i%stride < n {
-			lanes[i] = operand(i/stride, i%stride)
+		lanes[i] = make([]float64, n+3)
+		for k := range lanes[i] {
+			lanes[i][k] = math.NaN() // nothing past n is read
+			if k < n {
+				lanes[i][k] = operand(i, k)
+			}
 		}
 	}
+	work := make([]float64, p.NumericWork()*n)
+	for i := range work {
+		work[i] = math.NaN() // a work lane is written before it is read
+	}
 	bad := make([]bool, n)
-	out := p.NumericSweepRows(lanes, stride, n, bad)
+	out := p.NumericSweepRows(lanes, work, n, bad)
 	vals := make([]float64, nin)
 	for k := 0; k < n; k++ {
 		for i := range vals {
-			vals[i] = lanes[i*stride+k]
+			vals[i] = lanes[i][k]
 		}
-		want, ok := p.NumericSweepRow(vals, 1, 0)
+		want, ok := p.NumericSweepRow(rowLanes(vals), 0)
 		if bad[k] == ok || ok && math.Float64bits(out[k]) != math.Float64bits(want) {
 			t.Fatalf("row %d of %d, operands %v: lanes answer %v (bad=%v), the row sweep %v (ok=%v)", k, n, vals, out[k], bad[k], want, ok)
 		}
 	}
+}
+
+// rowLanes makes one row's operands lanes of one float each, for
+// NumericSweepRow's row 0.
+func rowLanes(vals []float64) [][]float64 {
+	lanes := make([][]float64, len(vals))
+	for i := range vals {
+		lanes[i] = vals[i : i+1]
+	}
+	return lanes
 }
 
 // laneSpecials are the operands float arithmetic treats specially.
