@@ -1,32 +1,27 @@
 // Benchmarks regenerating the paper's evaluation artefacts. One benchmark
 // per table/figure (driving the same harness as cmd/tacobench at a reduced
 // scale so `go test -bench` stays tractable), plus micro-benchmarks on the
-// primitive operations and ablations of the design choices DESIGN.md calls
-// out (RR-Chain, dollar-sign cues).
+// primitive operations and ablations of the design choices (RR-Chain,
+// dollar-sign cues, the pattern set).
 //
 // Absolute numbers are host-dependent; the shapes — TACO vs NoComp ratios,
-// DNF markers, pattern ordering — are the reproduction targets and are
-// asserted in internal/experiments tests.
+// pattern ordering — are the reproduction targets and are asserted in
+// internal/experiments tests.
 package taco_test
 
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"taco"
-	"taco/internal/antifreeze"
-	"taco/internal/calcgraph"
 	"taco/internal/core"
-	"taco/internal/excelsim"
 	"taco/internal/experiments"
-	"taco/internal/graphdb"
 	"taco/internal/nocomp"
 	"taco/internal/workload"
 )
 
 func benchConfig() experiments.Config {
-	return experiments.Config{Scale: 0.08, Timeout: 2 * time.Second, Out: nil}
+	return experiments.Config{Scale: 0.08, Out: nil}
 }
 
 // --- Figure/table harness benchmarks -----------------------------------------
@@ -79,24 +74,6 @@ func BenchmarkFig12Modify(b *testing.B) {
 	}
 }
 
-func BenchmarkFig13BuildBaselines(b *testing.B) {
-	// Runs the Figs. 13-15 suite (build + find + modify for TACO, NoComp,
-	// GraphDB-sim and Antifreeze on the top-10 sheets).
-	cfg := benchConfig()
-	cfg.Scale = 0.05
-	for i := 0; i < b.N; i++ {
-		experiments.RunFig13to15(cfg)
-	}
-}
-
-func BenchmarkFig16ExcelCalc(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Scale = 0.05
-	for i := 0; i < b.N; i++ {
-		experiments.RunFig16(cfg)
-	}
-}
-
 func BenchmarkCEMGreedyVsExact(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
@@ -128,41 +105,6 @@ func BenchmarkBuildNoComp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nocomp.Build(deps)
-	}
-}
-
-func BenchmarkBuildGraphDB(b *testing.B) {
-	deps := benchSheet()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graphdb.Build(deps)
-	}
-}
-
-func BenchmarkBuildCalc(b *testing.B) {
-	deps := benchSheet()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		calcgraph.Build(deps)
-	}
-}
-
-func BenchmarkBuildExcelSim(b *testing.B) {
-	deps := benchSheet()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		excelsim.Build(deps)
-	}
-}
-
-func BenchmarkBuildAntifreezeSmall(b *testing.B) {
-	// Antifreeze's closure-per-cell build is quadratic; bench on a small
-	// slice to keep it tractable (its DNF behaviour is the Fig. 13 result).
-	s := workload.GenerateSheet("af", 120, 0.08, rand.New(rand.NewSource(42)))
-	deps := s.MustDependencies()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		antifreeze.Build(deps, 0, nil)
 	}
 }
 

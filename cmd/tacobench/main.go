@@ -1,15 +1,17 @@
-// Command tacobench regenerates the tables and figures of the paper's
-// evaluation (Sec. VI) on the synthetic corpora.
+// Command tacobench regenerates the paper's evaluation (Sec. VI) of TACO
+// against the uncompressed graph, NoComp, on the synthetic corpora.
 //
 // Usage:
 //
-//	tacobench [-exp all] [-scale 1.0] [-timeout 10s]
+//	tacobench [-exp all] [-scale 1.0]
 //
 // Experiments: fig1, sizes (Tables II-IV), table5, fig10, fig11, fig12,
-// fig13 (runs Figs. 13-15 together), fig16, cem, all.
+// accesses (Sec. IV-D), cem (Sec. IV-A), all; several may be given
+// comma-separated. An unknown name exits with status 2. Figs. 13-16, the
+// comparisons with RedisGraph, Antifreeze and Excel, are not reproduced.
 //
-// Absolute numbers depend on the host; the shapes — who wins, by what
-// factor, where DNFs appear — are what reproduce the paper.
+// Absolute numbers depend on the host; the shapes — who wins and by what
+// factor — are what reproduce the paper.
 package main
 
 import (
@@ -23,12 +25,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig1|sizes|table5|fig10|fig11|fig12|fig13|fig16|accesses|cem|all")
+	exp := flag.String("exp", "all", "experiments to run, comma-separated: fig1|sizes|table5|fig10|fig11|fig12|accesses|cem, or all")
 	scale := flag.Float64("scale", 1.0, "corpus scale factor (sheet sizes and counts)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-measurement DNF timeout for the baseline experiments")
 	flag.Parse()
 
-	cfg := experiments.Config{Scale: *scale, Timeout: *timeout, Out: os.Stdout}
+	cfg := experiments.Config{Scale: *scale, Out: os.Stdout}
 
 	run := map[string]func(){
 		"fig1":     func() { experiments.RunFig1(cfg) },
@@ -37,12 +38,10 @@ func main() {
 		"fig10":    func() { experiments.RunFig10(cfg) },
 		"fig11":    func() { experiments.RunFig11(cfg) },
 		"fig12":    func() { experiments.RunFig12(cfg) },
-		"fig13":    func() { experiments.RunFig13to15(cfg) },
-		"fig16":    func() { experiments.RunFig16(cfg) },
 		"accesses": func() { experiments.RunAccesses(cfg) },
 		"cem":      func() { experiments.RunCEM(cfg) },
 	}
-	order := []string{"fig1", "sizes", "table5", "fig10", "fig11", "fig12", "fig13", "fig16", "accesses", "cem"}
+	order := []string{"fig1", "sizes", "table5", "fig10", "fig11", "fig12", "accesses", "cem"}
 
 	selected := strings.Split(*exp, ",")
 	if *exp == "all" {

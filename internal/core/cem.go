@@ -114,12 +114,6 @@ func classFitsPattern(deps []Dependency, idx []int, p PatternType, axis ref.Axis
 	return true
 }
 
-// GreedyCEM compresses deps with the greedy algorithm and returns the number
-// of edges, for comparison against ExactCEM.
-func GreedyCEM(deps []Dependency, opts Options) int {
-	return Build(deps, opts).NumEdges()
-}
-
 // ---------------------------------------------------------------------------
 // RR-GapOne prevalence analysis (Sec. V).
 // ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ func TestExactCEMPerfectRun(t *testing.T) {
 	if n != 1 || len(part[0]) != 6 {
 		t.Fatalf("FF run CEM = %d %v", n, part)
 	}
-	if g := GreedyCEM(deps, DefaultOptions()); g != 1 {
+	if g := Build(deps, DefaultOptions()).NumEdges(); g != 1 {
 		t.Fatalf("greedy = %d, want 1", g)
 	}
 }
@@ -58,7 +58,7 @@ func TestExactCEMMixedRuns(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("mixed CEM = %d, want 2", n)
 	}
-	if g := GreedyCEM(deps, DefaultOptions()); g != n {
+	if g := Build(deps, DefaultOptions()).NumEdges(); g != n {
 		t.Fatalf("greedy = %d, exact = %d", g, n)
 	}
 }
@@ -79,7 +79,7 @@ func TestGreedyNeverBeatsExact(t *testing.T) {
 			continue
 		}
 		n, _ := ExactCEM(deps, DefaultOptions())
-		g := GreedyCEM(deps, DefaultOptions())
+		g := Build(deps, DefaultOptions()).NumEdges()
 		if g < n {
 			t.Fatalf("workload %d: greedy %d beats exact %d (exact solver bug)", i, g, n)
 		}

@@ -1,21 +1,22 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (Sec. VI) on the synthetic corpora. Each RunXxx function
-// executes one experiment, prints the same rows/series the paper reports,
-// and returns the structured results so benchmarks and tests can assert on
-// the shapes (who wins, by roughly what factor) without re-parsing text.
+// Package experiments regenerates the paper's evaluation (Sec. VI) of TACO
+// against the uncompressed graph, NoComp, on the synthetic corpora: Fig. 1,
+// Tables II-V, Figs. 10-12, the edge accesses of Sec. IV-D and greedy
+// against exact CEM. Each RunXxx function executes one experiment, prints
+// the same rows/series the paper reports, and returns the structured
+// results so benchmarks and tests can assert on the shapes (who wins, by
+// roughly what factor) without re-parsing text.
+//
+// Figs. 13-16 are not reproduced. They compare against RedisGraph,
+// Antifreeze and Excel, and a stand-in written here would model none of
+// those systems' costs, so its numbers would say nothing about them.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
-	"taco/internal/antifreeze"
-	"taco/internal/calcgraph"
 	"taco/internal/core"
-	"taco/internal/excelsim"
-	"taco/internal/graphdb"
 	"taco/internal/nocomp"
 	"taco/internal/ref"
 	"taco/internal/stats"
@@ -26,16 +27,8 @@ import (
 type Config struct {
 	// Scale multiplies corpus sizes; 1.0 is the laptop-friendly default.
 	Scale float64
-	// Timeout marks a baseline run as DNF, mirroring the paper's 300 s
-	// build / 60 s query cut-offs (scaled down by default).
-	Timeout time.Duration
 	// Out receives the printed tables; nil discards them.
 	Out io.Writer
-}
-
-// DefaultConfig returns the defaults used by `tacobench` without flags.
-func DefaultConfig() Config {
-	return Config{Scale: 1.0, Timeout: 10 * time.Second, Out: io.Discard}
 }
 
 func (c Config) printf(format string, args ...any) {
@@ -419,209 +412,6 @@ func printCDF(cfg Config, title string, l LatencyCDFs) {
 }
 
 // ---------------------------------------------------------------------------
-// Figs. 13-16 — the top-10 hardest sheets against all baselines.
-// ---------------------------------------------------------------------------
-
-// DNF marks a did-not-finish measurement.
-const DNF = -1.0
-
-// BaselineRow is one sheet's latency per system, in milliseconds (DNF = -1).
-type BaselineRow struct {
-	Sheet   string
-	Systems map[string]float64
-}
-
-// BaselineResult is a list of rows per corpus.
-type BaselineResult map[string][]BaselineRow
-
-// runWithTimeout runs fn, returning its duration in ms or DNF when it
-// exceeds the configured timeout. The runaway goroutine is abandoned, like
-// the paper's killed processes.
-func runWithTimeout(cfg Config, fn func()) float64 {
-	done := make(chan float64, 1)
-	go func() {
-		done <- timeMS(fn)
-	}()
-	select {
-	case ms := <-done:
-		return ms
-	case <-time.After(cfg.Timeout):
-		return DNF
-	}
-}
-
-// topSheets returns up to n sheets with the largest score.
-func topSheets(sheets []SheetData, n int, score func(SheetData) float64) []SheetData {
-	type scored struct {
-		sd SheetData
-		v  float64
-	}
-	list := make([]scored, 0, len(sheets))
-	for _, sd := range sheets {
-		list = append(list, scored{sd, score(sd)})
-	}
-	sort.SliceStable(list, func(i, j int) bool { return list[i].v > list[j].v })
-	if len(list) > n {
-		list = list[:n]
-	}
-	out := make([]SheetData, len(list))
-	for i, s := range list {
-		out[i] = s.sd
-	}
-	return out
-}
-
-// Fig13Systems orders the systems of Figs. 13-15.
-var Fig13Systems = []string{"TACO", "NoComp", "GraphDB", "Antifreeze"}
-
-// RunFig13to15 measures build, find-dependents, and modify latency for TACO,
-// NoComp, the RedisGraph stand-in, and Antifreeze on the top-10 sheets by
-// TACO build time per corpus. It returns (build, find, modify) results.
-func RunFig13to15(cfg Config) (BaselineResult, BaselineResult, BaselineResult) {
-	corp := Corpora(cfg)
-	build, find, modify := BaselineResult{}, BaselineResult{}, BaselineResult{}
-	for _, name := range CorpusNames {
-		top := topSheets(corp[name], 10, func(sd SheetData) float64 {
-			return timeMS(func() { core.Build(sd.Deps, core.DefaultOptions()) })
-		})
-		for i, sd := range top {
-			label := fmt.Sprintf("max%d", i+1)
-			deps := sd.Deps
-			m := workload.Metrics(deps)
-			seed := ref.CellRange(m.MaxDependentsCell)
-			clear := clearRangeFor(deps)
-
-			bRow := BaselineRow{Sheet: label, Systems: map[string]float64{}}
-			fRow := BaselineRow{Sheet: label, Systems: map[string]float64{}}
-			mRow := BaselineRow{Sheet: label, Systems: map[string]float64{}}
-
-			// TACO.
-			var tg *core.Graph
-			bRow.Systems["TACO"] = runWithTimeout(cfg, func() { tg = core.Build(deps, core.DefaultOptions()) })
-			if tg != nil {
-				fRow.Systems["TACO"] = runWithTimeout(cfg, func() { tg.FindDependents(seed) })
-				mRow.Systems["TACO"] = runWithTimeout(cfg, func() { tg.Clear(clear) })
-			}
-			// NoComp.
-			var ng *nocomp.Graph
-			bRow.Systems["NoComp"] = runWithTimeout(cfg, func() { ng = nocomp.Build(deps) })
-			if ng != nil {
-				fRow.Systems["NoComp"] = runWithTimeout(cfg, func() { ng.FindDependents(seed) })
-				mRow.Systems["NoComp"] = runWithTimeout(cfg, func() { ng.Clear(clear) })
-			}
-			// GraphDB (RedisGraph stand-in): decomposed bulk load. The edge
-			// cap models the memory exhaustion the paper observed.
-			var store *graphdb.Store
-			bRow.Systems["GraphDB"] = runWithTimeout(cfg, func() {
-				if st, ok := graphdb.BuildCapped(deps, 5_000_000); ok {
-					store = st
-				}
-			})
-			if bRow.Systems["GraphDB"] == DNF || store == nil {
-				bRow.Systems["GraphDB"] = DNF
-			}
-			if bRow.Systems["GraphDB"] == DNF || store == nil {
-				fRow.Systems["GraphDB"] = DNF
-				mRow.Systems["GraphDB"] = DNF
-			} else {
-				fRow.Systems["GraphDB"] = runWithTimeout(cfg, func() { store.FindDependents(seed) })
-				mRow.Systems["GraphDB"] = runWithTimeout(cfg, func() { store.Clear(clear) })
-			}
-			// Antifreeze: the budget callback enforces the DNF timeout
-			// cooperatively (its build would otherwise run for hours).
-			var tbl *antifreeze.Table
-			deadline := time.Now().Add(cfg.Timeout)
-			bRow.Systems["Antifreeze"] = runWithTimeout(cfg, func() {
-				t := antifreeze.Build(deps, 0, func() bool { return time.Now().Before(deadline) })
-				if time.Now().Before(deadline) {
-					tbl = t
-				}
-			})
-			if time.Now().After(deadline) {
-				bRow.Systems["Antifreeze"] = DNF
-			}
-			if tbl == nil || bRow.Systems["Antifreeze"] == DNF {
-				bRow.Systems["Antifreeze"] = DNF
-				fRow.Systems["Antifreeze"] = DNF
-				mRow.Systems["Antifreeze"] = DNF
-			} else {
-				fRow.Systems["Antifreeze"] = runWithTimeout(cfg, func() { tbl.FindDependents(seed) })
-				mRow.Systems["Antifreeze"] = runWithTimeout(cfg, func() { tbl.Clear(clear) })
-			}
-
-			build[name] = append(build[name], bRow)
-			find[name] = append(find[name], fRow)
-			modify[name] = append(modify[name], mRow)
-		}
-	}
-	printBaseline(cfg, "Fig. 13 — latency on building graphs", build, Fig13Systems)
-	printBaseline(cfg, "Fig. 14 — latency on finding dependents", find, Fig13Systems)
-	printBaseline(cfg, "Fig. 15 — latency on modifying graphs", modify, Fig13Systems)
-	return build, find, modify
-}
-
-// Fig16Systems orders the systems of Fig. 16.
-var Fig16Systems = []string{"TACO", "NoComp", "NoComp-Calc", "ExcelSim"}
-
-// RunFig16 measures find-dependents latency for TACO, NoComp, NoComp-Calc
-// (container-partitioned) and the Excel model on the top-10 sheets by TACO
-// find time.
-func RunFig16(cfg Config) BaselineResult {
-	corp := Corpora(cfg)
-	out := BaselineResult{}
-	for _, name := range CorpusNames {
-		top := topSheets(corp[name], 10, func(sd SheetData) float64 {
-			g := core.Build(sd.Deps, core.DefaultOptions())
-			m := workload.Metrics(sd.Deps)
-			if !m.MaxDependentsCell.Valid() {
-				return 0
-			}
-			return timeMS(func() { g.FindDependents(ref.CellRange(m.MaxDependentsCell)) })
-		})
-		for i, sd := range top {
-			label := fmt.Sprintf("max%d", i+1)
-			deps := sd.Deps
-			m := workload.Metrics(deps)
-			seed := ref.CellRange(m.MaxDependentsCell)
-			row := BaselineRow{Sheet: label, Systems: map[string]float64{}}
-
-			tg := core.Build(deps, core.DefaultOptions())
-			row.Systems["TACO"] = runWithTimeout(cfg, func() { tg.FindDependents(seed) })
-			ng := nocomp.Build(deps)
-			row.Systems["NoComp"] = runWithTimeout(cfg, func() { ng.FindDependents(seed) })
-			cg := calcgraph.Build(deps)
-			row.Systems["NoComp-Calc"] = runWithTimeout(cfg, func() { cg.FindDependents(seed) })
-			wb := excelsim.Build(deps)
-			row.Systems["ExcelSim"] = runWithTimeout(cfg, func() { wb.FindDependents(seed) })
-
-			out[name] = append(out[name], row)
-		}
-	}
-	printBaseline(cfg, "Fig. 16 — latency on finding dependents (Excel model and NoComp-Calc)", out, Fig16Systems)
-	return out
-}
-
-func printBaseline(cfg Config, title string, res BaselineResult, systems []string) {
-	header := append([]string{"Corpus", "Sheet"}, systems...)
-	t := stats.NewTable(header...)
-	for _, name := range CorpusNames {
-		for _, row := range res[name] {
-			cells := []any{name, row.Sheet}
-			for _, sys := range systems {
-				v, ok := row.Systems[sys]
-				if !ok || v == DNF {
-					cells = append(cells, "DNF(X)")
-				} else {
-					cells = append(cells, stats.FormatFloat(v)+"ms")
-				}
-			}
-			t.AddRow(cells...)
-		}
-	}
-	cfg.printf("%s\n%s\n", title, t)
-}
-
-// ---------------------------------------------------------------------------
 // Sec. IV-D — edge accesses during the compressed BFS.
 // ---------------------------------------------------------------------------
 
@@ -720,7 +510,7 @@ func RunCEM(cfg Config) []CEMResult {
 	t := stats.NewTable("Workload", "Deps", "Exact |E|", "Greedy |E|")
 	for _, w := range workloads {
 		exact, _ := core.ExactCEM(w.deps, core.DefaultOptions())
-		greedy := core.GreedyCEM(w.deps, core.DefaultOptions())
+		greedy := core.Build(w.deps, core.DefaultOptions()).NumEdges()
 		res = append(res, CEMResult{Name: w.name, Exact: exact, Greedy: greedy})
 		t.AddRow(w.name, len(w.deps), exact, greedy)
 	}

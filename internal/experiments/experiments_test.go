@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"taco/internal/core"
 	"taco/internal/ref"
@@ -13,7 +12,7 @@ import (
 
 // tinyConfig keeps experiment tests fast: a very small corpus.
 func tinyConfig() Config {
-	return Config{Scale: 0.05, Timeout: 5 * time.Second, Out: nil}
+	return Config{Scale: 0.05, Out: nil}
 }
 
 func TestCorporaDeterministicAndNonEmpty(t *testing.T) {
@@ -121,22 +120,6 @@ func TestRunFig11And12Shape(t *testing.T) {
 	}
 }
 
-func TestRunFig16Shape(t *testing.T) {
-	res := RunFig16(tinyConfig())
-	for _, name := range CorpusNames {
-		if len(res[name]) == 0 {
-			t.Fatalf("%s: no rows", name)
-		}
-		for _, row := range res[name] {
-			for _, sys := range Fig16Systems {
-				if _, ok := row.Systems[sys]; !ok {
-					t.Fatalf("%s/%s missing system %s", name, row.Sheet, sys)
-				}
-			}
-		}
-	}
-}
-
 func TestRunAccessesShape(t *testing.T) {
 	res := RunAccesses(tinyConfig())
 	for _, name := range CorpusNames {
@@ -190,16 +173,5 @@ func TestClearRangeFor(t *testing.T) {
 	r := clearRangeFor(deps)
 	if r.Head != ref.MustCell("B3") || r.Rows() != 1000 {
 		t.Fatalf("clear range = %v", r)
-	}
-}
-
-func TestRunWithTimeout(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Timeout = 50 * time.Millisecond
-	if ms := runWithTimeout(cfg, func() {}); ms == DNF {
-		t.Fatal("instant fn marked DNF")
-	}
-	if ms := runWithTimeout(cfg, func() { time.Sleep(500 * time.Millisecond) }); ms != DNF {
-		t.Fatalf("slow fn = %v, want DNF", ms)
 	}
 }

@@ -49,6 +49,23 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// maxFuzzArea bounds the cells of any one range FuzzEval and
+// FuzzBytecodeEval evaluate. The declined resolver and readLog visit every
+// cell of a range's area, so without it a fuzzed =MIN(H1:BA100000000)
+// (4.6e9 cells) stalls the worker; the grid the targets read is 3x20.
+const maxFuzzArea = 1 << 16
+
+// rangesWithin reports whether every range node references covers at most
+// area cells.
+func rangesWithin(node Node, area int) bool {
+	for _, r := range Refs(node) {
+		if r.At.Size() > area {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzEval: evaluating any parse result against both a plain and a
 // range-capable resolver must never panic, and the two resolver paths must
 // agree — the bulk range fast path is behaviour-preserving by construction.
@@ -61,6 +78,7 @@ func FuzzEval(f *testing.F) {
 		"=VLOOKUP(0,A1:B20,2)",
 		"=AVERAGE(A1:A20)/COUNTBLANK(B1:B20)",
 		"=MIN(A1:B20)&MAX(A1:B20)",
+		"=MIN(H1:BA100000000)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -82,7 +100,7 @@ func FuzzEval(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		node, err := Parse(src)
-		if err != nil {
+		if err != nil || !rangesWithin(node, maxFuzzArea) {
 			return
 		}
 		bulk := Eval(node, &colResolver{cells: grid})
@@ -108,6 +126,8 @@ func FuzzBytecodeEval(f *testing.F) {
 		"=IFERROR(1/C3,VLOOKUP(0,A1:B20,2))",
 		"=MIN(A1:B20)&MAX(A1:B20)&NOSUCH(A2)",
 		"=-$A$3^2&CONCAT(B2,\"x\")",
+		"=MIN(H1:BA100000000)",
+		"=SUMIF(C1:A18888880,\"0\"\"\"\"\")",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -129,7 +149,7 @@ func FuzzBytecodeEval(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		node, err := Parse(src)
-		if err != nil {
+		if err != nil || !rangesWithin(node, maxFuzzArea) {
 			return
 		}
 		anchor := ref.Ref{Col: 4, Row: 7}

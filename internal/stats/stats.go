@@ -79,21 +79,6 @@ type CDFPoint struct {
 	Fraction float64
 }
 
-// CDF returns the empirical CDF of xs: for each sorted value, the fraction
-// of samples <= it.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, v := range s {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
 // CDFAt evaluates the empirical CDF at selected percentile fractions,
 // producing the compact series the harness prints for Figs. 10-12.
 func CDFAt(xs []float64, fracs []float64) []CDFPoint {
@@ -133,15 +118,6 @@ func Bucketize(xs []float64) []float64 {
 		}
 	}
 	return counts
-}
-
-// Durations converts time.Durations to float64 milliseconds.
-func Durations(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = float64(d.Microseconds()) / 1000.0
-	}
-	return out
 }
 
 // Table is a minimal fixed-width table printer for the experiment harness.

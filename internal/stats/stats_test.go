@@ -44,17 +44,7 @@ func TestMeanMinMax(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 || pts[0].Value != 1 || pts[2].Fraction != 1 {
-		t.Fatalf("CDF = %v", pts)
-	}
-	if pts[1].Fraction <= pts[0].Fraction {
-		t.Fatal("CDF fractions must increase")
-	}
-	if CDF(nil) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
+func TestCDFAt(t *testing.T) {
 	at := CDFAt([]float64{1, 2, 3, 4}, []float64{0.5, 1.0})
 	if at[1].Value != 4 {
 		t.Fatalf("CDFAt = %v", at)
@@ -114,12 +104,5 @@ func TestFormatting(t *testing.T) {
 	}
 	if FormatMillis(1500*time.Microsecond) != "1.500ms" {
 		t.Errorf("FormatMillis = %s", FormatMillis(1500*time.Microsecond))
-	}
-}
-
-func TestDurations(t *testing.T) {
-	ds := Durations([]time.Duration{time.Millisecond, 2500 * time.Microsecond})
-	if ds[0] != 1 || ds[1] != 2.5 {
-		t.Fatalf("Durations = %v", ds)
 	}
 }
