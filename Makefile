@@ -80,7 +80,9 @@ bench-core:
 # formula rewrite-and-restore (BenchmarkLedgerRewrite, the run table's repair), and
 # the edit under a 20k-row running total — the fast inner loop for scheduler
 # and sweep work — then one 20k-row column per sweep shape (BenchmarkSweepShape,
-# ns/cell each), which says which shape a sweep change moved — and the two
+# ns/cell each: a running balance on the recurrence, a cumulative fold over its
+# own column on the row loop, sliding windows re-summed off the slab, and
+# plain lanes), which says which shape a sweep change moved — and the two
 # write paths that reshape a slab, the ledger installed row by row and a
 # column's gaps filled mid-slab — the loaded ledger's bytes per cell
 # (BenchmarkLedgerHeap: the slab records and the live heap), and the loads of
@@ -96,14 +98,16 @@ bench-engine:
 bench-formula:
 	$(GO) test ./internal/formula -run '^$$' -bench=. -benchtime=1x
 
-# The rate edit's CPU profile, cumulative, cut to the engine, graph and R-tree
-# frames: the edit's stages (mark, FindDependents, carve, link, sweeps) in one
-# command. Binary and profile go to a temporary directory, removed afterwards.
+# The rate edit's CPU profile, cumulative, cut to the engine, graph, R-tree and
+# formula frames: the edit's stages (mark, FindDependents, carve, link, sweeps)
+# and the numeric plan's kernels (NumericSweepRows, NumericChainRows, the row
+# loop's NumericSweepRow) in one command. Binary and profile go to a temporary
+# directory, removed afterwards.
 profile-engine:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) test ./internal/engine -run '^$$' -bench '^BenchmarkLedgerRateEdit$$' -benchtime=3s \
 		-cpuprofile "$$dir/cpu.out" -o "$$dir/engine.test" && \
-	$(GO) tool pprof -top -cum -show 'internal/(engine|core|rtree)' "$$dir/engine.test" "$$dir/cpu.out"
+	$(GO) tool pprof -top -cum -show 'internal/(engine|core|rtree|formula)' "$$dir/engine.test" "$$dir/cpu.out"
 
 # Refresh the evaluation perf baseline: the range-aggregation shapes (bulk
 # range resolver vs the per-cell probe path) and the pattern-run shapes

@@ -283,11 +283,14 @@ func benchmarkLoad(b *testing.B, cells []ParsedCell) {
 
 // BenchmarkSweepShape times one span shape at a time: a 20 000-row column of
 // one formula hanging off $H$1, the edit of H1 and its drain, in ns per cell
-// recalculated — so a change to the sweep shows which shape it moved. All but
-// running_balance, which reads its own column and stays on the row loop, run
-// on lanes — an operand column of numbers is its slab's floats as they lie;
-// the 1 000-row sliding SUM is the widest window here, and the gapped operand
-// takes the gather's probe arm.
+// recalculated — so a change to the sweep shows which shape it moved. The two
+// that read their own column do not run on lanes: running_balance, prev plus a
+// product, is carried down each chunk on the recurrence, and own_cumulative, a
+// fixed-head SUM over its own column, stays on the row loop. The rest run on
+// lanes — an operand column of numbers is its slab's floats as they lie; the
+// sliding windows (sliding_sum7, sliding_min7 and the 1 000-row
+// block_sum1000, the widest here) add them afresh for every row, and the
+// gapped operand takes the gather's probe arm.
 func BenchmarkSweepShape(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -301,6 +304,12 @@ func BenchmarkSweepShape(b *testing.B) {
 				return "A1*$H$1"
 			}
 			return fmt.Sprintf("C%d+A%d*$H$1", r-1, r)
+		}, 0},
+		{"own_cumulative", func(r int) string {
+			if r == 1 {
+				return "A1*$H$1"
+			}
+			return fmt.Sprintf("SUM(C$1:C%d)+A%d*$H$1", r-1, r)
 		}, 0},
 		{"sliding_sum7", func(r int) string { return fmt.Sprintf("SUM(A%d:A%d)*$H$1", max(1, r-6), r) }, 0},
 		{"sliding_min7", func(r int) string { return fmt.Sprintf("MIN(A%d:A%d)*$H$1", max(1, r-6), r) }, 0},

@@ -30,32 +30,40 @@ import (
 // (SUM, AVERAGE, COUNT, COUNTA, MIN, MAX of one single-column range), whose
 // ends only move down too: a sliding window costs its width per row, a running
 // total what entered; a window over numbers adds the slab's floats as they
-// lie. A numeric-plan span then runs on lanes (sweepLanes), sweepChunk rows at
-// a time. Lanes: a relative operand in another column is a subslice of its
-// column's floats where the chunk's rows are all populated with numbers, and
-// otherwise its AsNumber coercions gathered into a buffer (fixed operands are
-// broadcast once); an aggregate over another column is its per-row Result in
-// a lane of its own. Run: a span that
-// reads nothing in its own column runs formula.NumericSweepRows, the plan one
-// instruction at a time over whole lanes — per row NumericSweepRow's float
+// lie, and one whose ends both move a row a row over numbers on gapless rows
+// is re-summed from zero off the slab, a chunk of rows at a time, with no kind
+// check per record (foldWindow.slide). A numeric-plan span then runs on lanes
+// (sweepLanes), sweepChunk rows at a time. Lanes: a relative operand in
+// another column is a subslice of its column's floats where the chunk's rows
+// are all populated with numbers, and otherwise its AsNumber coercions
+// gathered into a buffer (fixed operands are broadcast once); an aggregate
+// over another column is its per-row Result in a lane of its own. Run: a span
+// that reads nothing in its own column runs formula.NumericSweepRows, the plan
+// one instruction at a time over whole lanes — per row NumericSweepRow's float
 // operations in NumericSweepRow's order, so the same bits. Bad rows: one whose
 // operand does not coerce, whose aggregate is not a number or whose divisor is
 // zero is flagged by the step that met it and evaluated by the generic
 // interpreter, which owns every error and coercion outcome.
 //
 // A span that reads its own column (a running balance, a cumulative fold) must
-// see what the row above just wrote, so those reads are not gathered: the row
-// loop takes them a row at a time into the row's lane slots — an operand k
-// rows up carried from the record the sweep wrote k rows before (a span's rows
-// are contiguous), or off the slab above the span; a fold off its live window
-// — and runs the plan on that row (NumericSweepRow). Chunks of one row on the
-// lane path, the other way to one loop, cost a tenth of the ledger's rate
-// edit. A program without a numeric plan runs on the interpreter, row by row,
-// off the same cursors. Every value a run reads was settled by an earlier
+// see what the row above just wrote, so those reads are not gathered. A
+// recurrence, prev ⊕ X with prev the row above and X reading nothing of its
+// own column (formula.NumericChain: the running balance), runs X on lanes and
+// carries prev down the chunk in a register (NumericChainRows) — per row the
+// row loop's operation in its operand order — until a flagged row, a zero
+// divisor or a row above that is not a number. From there, and in every other
+// such span, the row loop takes the own reads a row at a time into the row's
+// lane slots — an operand k rows up carried from the record the sweep wrote k
+// rows before (a span's rows are contiguous), or off the slab above the span;
+// a fold off its live window — and runs the plan on that row
+// (NumericSweepRow). Chunks of one row on the lane path, the other way to one
+// loop, cost a tenth of the ledger's rate edit. A program without a numeric
+// plan runs on the interpreter, row by row, off the same cursors. Every value a run reads was settled by an earlier
 // level or an earlier row of the same sweep — a span that reads itself is only
 // carved when it reads strictly upwards — and no float expression is
-// reassociated (no sliding, pairwise or blocked sum), so results, errors and
-// #CYCLE! from earlier levels included, are bit-identical to the walk.
+// reassociated (no sliding, pairwise or blocked sum: a re-summed window adds
+// each row's floats from zero in order), so results, errors and #CYCLE! from
+// earlier levels included, are bit-identical to the walk.
 
 // minPatternRun is the run length below which a span is not carved: planning
 // cursors for a handful of cells costs more than evaluating them.
@@ -256,11 +264,15 @@ func (w *foldWindow) fold(head, tail int) *formula.NumericFold {
 }
 
 // lane is fold for the len(out) rows from at — each row's Result, one the
-// interpreter answers with an error flagged in bad.
-func (w *foldWindow) lane(fo formula.FoldOp, at ref.Ref, out []float64, bad []bool) {
+// interpreter answers with an error flagged in bad — and reports whether the
+// rows slid (slide).
+func (w *foldWindow) lane(fo formula.FoldOp, at ref.Ref, out []float64, bad []bool) bool {
 	a, z := fo.At(at), fo.At(ref.Ref{Col: at.Col, Row: at.Row + len(out) - 1})
 	head, tail := a.Head.Row, a.Tail.Row
 	dh, dt := min(1, z.Head.Row-head), min(1, z.Tail.Row-tail) // an end stays or moves a row a row
+	if dh == 1 && dt == 1 && w.slide(fo, head, tail-head+1, out) {
+		return true
+	}
 	for k := range out {
 		var ok bool
 		if out[k], ok = fo.Result(w.fold(head, tail)); !ok {
@@ -268,6 +280,68 @@ func (w *foldWindow) lane(fo formula.FoldOp, at ref.Ref, out []float64, bad []bo
 		}
 		head, tail = head+dh, tail+dt
 	}
+	return false
+}
+
+// slide is lane for a window of width rows from head whose ends both move down
+// a row a row, when the records under all len(out) rows' windows are numbers
+// on gapless rows; it reports false, having folded nothing, when they are not.
+// Each row's fold is its window's floats added from zero in order — addRecords'
+// additions, so the same bits — four rows at a time, whose sums are
+// independent; Count and NonEmpty are the width, and the extrema are taken
+// only when Result reads them. The window then restarts after the chunk.
+func (w *foldWindow) slide(fo formula.FoldOp, head, width int, out []float64) bool {
+	if w.col == nil {
+		return false
+	}
+	w.seek(head)
+	i, span := w.lo, width+len(out)-1
+	// Rows ascend without repeats: if the span-th from here is head+span-1, none is missing.
+	if i+span > len(w.rows) || w.rows[i+span-1] != head+span-1 || !w.col.numbers(i, i+span) {
+		return false
+	}
+	num := w.col.num[i : i+span]
+	f := formula.NumericFold{Count: width, NonEmpty: width}
+	k := 0
+	if fo.WantsExtrema() {
+		for ; k < len(out); k++ {
+			f.Sum, f.Min, f.Max = 0, math.Inf(1), math.Inf(-1)
+			for _, v := range num[k : k+width] {
+				f.Sum += v
+				if v < f.Min {
+					f.Min = v
+				}
+				if v > f.Max {
+					f.Max = v
+				}
+			}
+			out[k], _ = fo.Result(&f)
+		}
+	}
+	for ; k+4 <= len(out); k += 4 {
+		v0 := num[k : k+width]
+		v1, v2, v3 := num[k+1:][:len(v0)], num[k+2:][:len(v0)], num[k+3:][:len(v0)]
+		var s0, s1, s2, s3 float64
+		for j, v := range v0 {
+			s0 += v
+			s1 += v1[j]
+			s2 += v2[j]
+			s3 += v3[j]
+		}
+		for x, sum := range [4]float64{s0, s1, s2, s3} {
+			f.Sum = sum
+			out[k+x], _ = fo.Result(&f)
+		}
+	}
+	for ; k < len(out); k++ {
+		f.Sum = 0
+		for _, v := range num[k : k+width] {
+			f.Sum += v
+		}
+		out[k], _ = fo.Result(&f)
+	}
+	w.restart(i + len(out))
+	return true
 }
 
 // runScratch is the sweep's per-schedule scratch: operand cursors, aggregate
@@ -310,10 +384,11 @@ func (rs *runScratch) planWindows(s *colStore, folds []formula.FoldOp, anchor re
 var sweepChunk = 256
 
 // laneBuf is a lane sweep's memory — a buffer per operand, buffer i at
-// floats[i*chunk], the work lanes after them, the flags, and the lanes, each
-// its operand's buffer or a subslice of a slab — pooled process-wide and held
-// for one sweep, its lanes cleared before it goes back: no schedule, live or
-// pooled, ever reaches a lane.
+// floats[i*chunk], the work lanes after them, a recurrence's results and the
+// row loop's stack, the flags, and the lanes, each its operand's buffer or a
+// subslice of a slab — pooled process-wide and held for one sweep, its lanes
+// cleared before it goes back: no schedule, live or pooled, ever reaches a
+// lane.
 type laneBuf struct {
 	floats []float64
 	bad    []bool
@@ -322,8 +397,12 @@ type laneBuf struct {
 
 var lanePool = sync.Pool{New: func() any { return new(laneBuf) }}
 
-// sweepCounts counts executeRun's rows by path, for the tests.
-type sweepCounts struct{ lane, loop, interp uint64 }
+// sweepCounts counts executeRun's rows by path, for the tests: lane, loop and
+// interp are a partition — a span that reads nothing in its own column, one
+// that does, and the rows the interpreter re-ran — and chain and slide count
+// again the rows of the first two that ran on a recurrence (NumericChainRows)
+// and whose folds slid (foldWindow.slide).
+type sweepCounts struct{ lane, loop, interp, chain, slide uint64 }
 
 // executeRun sweeps the next m cells of a span node, from its cursor. Cursors
 // and windows are planned once against the first row swept and only move
@@ -370,24 +449,31 @@ func (e *Engine) executeRun(rs *runScratch, nd *schedNode, m int) {
 // sweepLanes is executeRun over float lanes, a chunk of rows at a time. What
 // the span reads in other columns is a lane: a slab's floats as they lie, or
 // their coercions gathered. What it reads in its own column — a running
-// balance, a cumulative fold — is what the rows above just wrote, so a span
-// that reads it runs the plan row by row (NumericSweepRow, the lane sweep's
-// operations in its order) over the lanes and its own column's records and
-// live windows.
+// balance, a cumulative fold — is what the rows above just wrote. A recurrence
+// (formula.NumericChain) that reads its own column only through prev carries
+// prev down the chunk in a register (NumericChainRows); past the row it stops
+// at, and in every other span that reads its own column, the plan runs row by
+// row (NumericSweepRow, the lane sweep's operations in its order) over the
+// lanes and its own column's records and live windows.
 func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref) {
 	p, res := nd.prog, valueResolver{e}
 	ops, folds := p.CellOps(), p.FoldOps()
+	prevOp, chain := p.NumericChain()
 	own := false
 	for i := range rs.cursors {
-		own = own || rs.cursors[i].own
+		if rs.cursors[i].own {
+			own, chain = true, chain && i == prevOp
+		}
 	}
 	for i := range rs.windows {
-		own = own || rs.windows[i].own
+		if rs.windows[i].own {
+			own, chain = true, false
+		}
 	}
-	nin, chunk := len(ops)+len(folds), min(m, sweepChunk)
+	nin, depth, chunk := len(ops)+len(folds), p.NumericWork(), min(m, sweepChunk)
 	lb := lanePool.Get().(*laneBuf)
-	if per := nin + p.NumericWork(); cap(lb.floats) < per*chunk {
-		lb.floats = make([]float64, per*sweepChunk) // a full chunk's: a budget cuts sweeps of every length
+	if per := nin + depth + 1; cap(lb.floats) < per*chunk+depth {
+		lb.floats = make([]float64, per*sweepChunk+depth) // a full chunk's: a budget cuts sweeps of every length
 	}
 	if cap(lb.bad) < chunk {
 		lb.bad = make([]bool, sweepChunk)
@@ -395,7 +481,9 @@ func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref
 	if cap(lb.lanes) < nin {
 		lb.lanes = make([][]float64, nin)
 	}
-	bufs, work, bad, lanes := lb.floats[:nin*chunk], lb.floats[nin*chunk:], lb.bad[:chunk], lb.lanes[:nin]
+	bufs, work := lb.floats[:nin*chunk], lb.floats[nin*chunk:][:depth*chunk]
+	rec, stack := lb.floats[(nin+depth)*chunk:][:chunk], lb.floats[(nin+depth+1)*chunk:][:depth]
+	bad, lanes := lb.bad[:chunk], lb.lanes[:nin]
 	buf := func(i, n int) []float64 { return bufs[i*chunk:][:n] }
 	for i := range ops {
 		if cu := &rs.cursors[i]; cu.fixed {
@@ -408,7 +496,7 @@ func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref
 	}
 	col, at, flagged := nd.col, anchor, 0
 	for lo, end := nd.i+nd.done, nd.i+nd.done+m; lo < end; lo += chunk {
-		n := min(chunk, end-lo)
+		n, slid := min(chunk, end-lo), false
 		clear(bad[:n])
 		for i, op := range ops {
 			if cu := &rs.cursors[i]; cu.fixed || cu.own {
@@ -419,19 +507,29 @@ func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref
 		}
 		for i, fo := range folds {
 			lanes[len(ops)+i] = buf(len(ops)+i, n)
-			if w := &rs.windows[i]; !w.own {
-				w.lane(fo, at, lanes[len(ops)+i], bad)
+			if w := &rs.windows[i]; !w.own && w.lane(fo, at, lanes[len(ops)+i], bad) {
+				slid = true
 			}
 		}
+		// out holds the rows' values, those of the first carried ones on a recurrence.
 		var out []float64
-		if !own {
+		carried := 0
+		switch {
+		case !own:
 			out = p.NumericSweepRows(lanes, work, n, bad)
+		case chain:
+			if prev, ok := rs.cursors[prevOp].selfAt(nd, at.Row-nd.at.Row-1); ok {
+				carried, out = p.NumericChainRows(lanes, work, n, bad, prev, rec), rec
+			}
 		}
+		chunkFlagged := flagged
 		meta, num := col.meta[lo:lo+n], col.num[lo:lo+n]
 		for k := range n {
 			fast := !bad[k]
 			var f float64
-			if own && fast {
+			if k < carried || !own && fast {
+				f = out[k]
+			} else if fast {
 				// The row loop: what the span reads of its own column goes
 				// into the row's lane slots, and the plan runs on the row.
 				j := at.Row - nd.at.Row
@@ -447,10 +545,8 @@ func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref
 					}
 				}
 				if fast {
-					f, fast = p.NumericSweepRow(lanes, k)
+					f, fast = p.NumericSweepRow(lanes, k, stack)
 				}
-			} else if fast {
-				f = out[k]
 			}
 			switch m := &meta[k]; {
 			case fast && m.kind == formula.KindNumber:
@@ -466,6 +562,10 @@ func (e *Engine) sweepLanes(rs *runScratch, nd *schedNode, m int, anchor ref.Ref
 			}
 			meta[k].dirty = false
 			at.Row++
+		}
+		e.swept.chain += uint64(carried)
+		if slid {
+			e.swept.slide += uint64(n - (flagged - chunkFlagged))
 		}
 		for i := range rs.cursors {
 			if cu := &rs.cursors[i]; !cu.fixed && !cu.own {

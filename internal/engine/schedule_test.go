@@ -493,14 +493,14 @@ func TestRunTableBuiltFromWholeColumn(t *testing.T) {
 		eng.SetValue(ref.MustCell("A1300"), formula.Num(7)) // D1300:D1536 and a few more
 		eng.SetValue(ref.MustCell("A1700"), formula.Num(8)) // D1700:D1792
 	}
-	loop := e.swept.loop
+	swept := e.swept
 	e.RecalculateAll()
 	serial.RecalculateAll()
 	if e.RecalcStats().ScheduleBuilds == 0 {
 		t.Fatal("the point edits were not levelled")
 	}
-	if got := e.swept.loop - loop; got != 237+93 {
-		t.Fatalf("%d rows of D on the row loop, want D1300:D1536 and D1700:D1792", got)
+	if got := e.swept; got.chain-swept.chain != 237+93 || got.loop-swept.loop != 237+93 {
+		t.Fatalf("rows by path %+v after %+v, want D1300:D1536 and D1700:D1792 carried on the recurrence", got, swept)
 	}
 	for _, col := range []string{"C", "D", "E"} {
 		if c := e.store.cols[ref.MustCell(col+"7").Col]; c.runsOK {

@@ -59,8 +59,14 @@ const (
 	tmplPairB             // B[r] + B[r+2]: salted, a column of numbers with a NaN (Inf-Inf), ±Inf and errors in it
 	tmplBlockB            // AGG(B[r]:B[r+47]): a window wider than many chunks, folded afresh each row
 	tmplNextNext          // N[r+1] + A[r]: with tmplSameRow in N, the zig-zag mirrored — X1 reads down the whole chain
+	tmplChainOp           // X[r-1] op P[r], op one of chainOps: a recurrence, zero divisors where P holds a zero
+	tmplChainRight        // P[r] * $rate + X[r-1]: a recurrence with prev on the right
+	tmplChainNest         // X[r-1] * 2 + A[r]: prev under an operator, so the row loop, not a recurrence
 	numTmpl
 )
+
+// chainOps are tmplChainOp's operators, as spanColumn.agg selects them.
+var chainOps = [...]string{"-", "*", "/"}
 
 // spanAggs are the aggregates the numeric plan folds, as spanColumn.agg
 // selects them.
@@ -164,6 +170,21 @@ func (c spanColumn) formula(col, r int) string {
 		return fmt.Sprintf("B%d+B%d", r, r+2)
 	case tmplNextNext:
 		return fmt.Sprintf("%s%d+A%d", n, r+1, r)
+	case tmplChainOp:
+		if r == 1 {
+			return head
+		}
+		return fmt.Sprintf("%s%d%s%s%d", x, r-1, chainOps[c.agg%len(chainOps)], p, r)
+	case tmplChainRight:
+		if r == 1 {
+			return head
+		}
+		return fmt.Sprintf("%s%d*$%s$1+%s%d", p, r, ref.ColName(spanRateCol), x, r-1)
+	case tmplChainNest:
+		if r == 1 {
+			return head
+		}
+		return fmt.Sprintf("%s%d*2+A%d", x, r-1, r)
 	default: // tmplBlockB
 		return fmt.Sprintf("%s(B%d:B%d)", agg, r, r+47)
 	}
@@ -177,6 +198,7 @@ const (
 	editFormula        // (col,row) := the column's formula — e.g. a value→formula switch
 	editClear          // clear (col,row)
 	editPrev           // B[row] := val — a number over whatever the salt left there
+	editText           // (col,row) := text: "txt" for an odd val, else a number's spelling, which coerces
 	numEdit
 )
 
@@ -313,6 +335,11 @@ func (sc spanCase) edit(t testing.TB, e *Engine, ed spanEdit) []ref.Range {
 	switch ed.kind {
 	case editValue:
 		return e.SetValue(at, v)
+	case editText:
+		if ed.val%2 == 1 {
+			return e.SetValue(at, formula.Str("txt"))
+		}
+		return e.SetValue(at, formula.Str(fmt.Sprint(v.Num)))
 	case editFormula:
 		dirty, err := e.SetFormula(at, sc.cols[i].formula(at.Col, at.Row))
 		if err != nil {
@@ -513,6 +540,36 @@ var spanSeeds = []struct {
 		edits: []spanEdit{{kind: editRate, val: 1}, {kind: editData, row: 20, val: 2}, {kind: editRate, val: 5},
 			{kind: editValue, col: 1, row: 40, val: 6}, {kind: editRate, val: 8}},
 		budgets: []int{30, 9}}},
+	// Recurrences over the salted column, each restarted every 16 rows: C
+	// divides by B, which holds zeros (-0, a stored blank, gaps), text and
+	// errors mid-chunk at either chunk length; D subtracts C, with its errors;
+	// E carries prev on the right; F reads prev under an operator and stays on
+	// the row loop.
+	{"recurrences_over_zero_text_and_error", spanCase{rows: 71, salt: true,
+		cols: []spanColumn{{tmpl: tmplChainOp, agg: 2, head: 16}, {tmpl: tmplChainOp, agg: 0, head: 16},
+			{tmpl: tmplChainRight, head: 16, hole: 7}, {tmpl: tmplChainNest, head: 16}},
+		edits: []spanEdit{{kind: editRate, val: 3}, {kind: editPrev, row: 9, val: 2}, {kind: editPrev, row: 28, val: 5},
+			{kind: editRate, val: 6}},
+		budgets: []int{256, 9}}},
+	// Text above a recurrence's first row, mid-column: "txt", which ends the
+	// register loop before it starts, then a number's spelling, which coerces;
+	// a plain number and a gap above others.
+	{"text_above_a_recurrence", spanCase{rows: 60,
+		cols: []spanColumn{{tmpl: tmplFixedCell}, {tmpl: tmplChainOp, agg: 1, over: 30}, {tmpl: tmplChainRight, hole: 11},
+			{tmpl: tmplChainOp, agg: 2}},
+		edits: []spanEdit{{kind: editRate, val: 3}, {kind: editText, col: 1, row: 12, val: 1}, {kind: editRate, val: 7},
+			{kind: editText, col: 1, row: 12, val: 2}, {kind: editText, col: 3, row: 41, val: 5}, {kind: editRate, val: 11}},
+		budgets: []int{256, 7}}},
+	// Sliding windows over numbers on gapless rows, folded off the slab, and
+	// the same windows where they are not: C slides over B, D over C — with a
+	// gap cleared into C and filled again — and the two 48-row blocks run off
+	// the populated rows at the bottom.
+	{"slides_taken_and_not", spanCase{rows: 71,
+		cols: []spanColumn{{tmpl: tmplSlidePrev, k: 3}, {tmpl: tmplSlidePrev, k: 2, agg: 4}, {tmpl: tmplBlockB, agg: 1},
+			{tmpl: tmplBlockB, agg: 5}},
+		edits: []spanEdit{{kind: editPrev, row: 30, val: 2}, {kind: editClear, col: 0, row: 20, val: 3},
+			{kind: editPrev, row: 21, val: 4}, {kind: editFormula, col: 0, row: 20, val: 3}, {kind: editPrev, row: 60, val: 1}},
+		budgets: []int{256, 9}}},
 }
 
 // sixAggs is one column of the template per aggregate.
@@ -526,6 +583,28 @@ func sixAggs(tmpl, k int) (cols []spanColumn) {
 func TestSpanDrainShapes(t *testing.T) {
 	for _, seed := range spanSeeds {
 		t.Run(seed.name, func(t *testing.T) { seed.sc.run(t) })
+	}
+}
+
+// TestSpanSeedsReachTheirPaths: the seeds written for the recurrence and the
+// sliding window take those paths, and leave them, at either chunk length — a
+// seed that stopped reaching its path would still pass the differential check.
+func TestSpanSeedsReachTheirPaths(t *testing.T) {
+	for _, seed := range spanSeeds {
+		var reached func(c sweepCounts) bool
+		switch seed.name {
+		case "recurrences_over_zero_text_and_error", "text_above_a_recurrence":
+			reached = func(c sweepCounts) bool { return c.chain > 0 && c.interp > 0 }
+		case "slides_taken_and_not":
+			reached = func(c sweepCounts) bool { return c.slide > 0 && c.slide < c.lane }
+		default:
+			continue
+		}
+		eachSpanChunk(func() {
+			if c := seed.sc.runOnce(t).swept; !reached(c) {
+				t.Errorf("%s, chunks of %d: rows by path %+v", seed.name, sweepChunk, c)
+			}
+		})
 	}
 }
 
@@ -588,6 +667,9 @@ func TestSpanSelfDependence(t *testing.T) {
 		{"straddle", spanColumn{tmpl: tmplStraddle}, false},
 		{"window_onto_itself", spanColumn{tmpl: tmplWinOnto, k: 2}, false},
 		{"window_below", spanColumn{tmpl: tmplWinBelow, k: 2}, false},
+		{"recurrence_divide", spanColumn{tmpl: tmplChainOp, agg: 2}, true},
+		{"recurrence_prev_on_the_right", spanColumn{tmpl: tmplChainRight}, true},
+		{"prev_under_an_operator", spanColumn{tmpl: tmplChainNest}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := spanCase{rows: 70, cols: []spanColumn{tc.col}}
@@ -687,7 +769,8 @@ func TestSpanMirroredZigzagDrainsInBudget(t *testing.T) {
 
 // TestSpanChainInChunksOfSeven: a 256-row chain drained seven cells at a
 // time stays one node whose cursor advances — one build, exact budgets, and
-// every chunk a sweep — on either backend.
+// every chunk a sweep, each row carried on the recurrence from the row above —
+// on either backend.
 func TestSpanChainInChunksOfSeven(t *testing.T) {
 	build := func(e *Engine) {
 		e.SetValue(spanRate, formula.Num(2))
@@ -709,7 +792,7 @@ func TestSpanChainInChunksOfSeven(t *testing.T) {
 	for _, backend := range spanBackends {
 		e := New(backend.new())
 		build(e)
-		builds, swept := e.RecalcStats().ScheduleBuilds, e.swept.loop
+		builds, swept := e.RecalcStats().ScheduleBuilds, e.swept
 		for pending := 256; pending > 0; pending -= 7 {
 			if n := e.RecalculateN(7); n != min(7, pending) || e.Pending() != max(pending-7, 0) {
 				t.Fatalf("%s: chunk drained %d, %d pending; want %d, %d", backend.name, n, e.Pending(), min(7, pending), max(pending-7, 0))
@@ -718,8 +801,8 @@ func TestSpanChainInChunksOfSeven(t *testing.T) {
 		if got := e.RecalcStats().ScheduleBuilds - builds; got != 1 {
 			t.Fatalf("%s: %d schedule builds, want 1", backend.name, got)
 		}
-		if got := e.swept.loop - swept; got != 255 {
-			t.Fatalf("%s: %d rows swept on the row loop, want D2:D256", backend.name, got)
+		if got := e.swept; got.chain-swept.chain != 255 || got.loop-swept.loop != 255 || got.interp != swept.interp {
+			t.Fatalf("%s: rows by path %+v after %+v, want D2:D256 carried on the recurrence", backend.name, got, swept)
 		}
 		enginesEqual(t, serial, e)
 	}
@@ -940,12 +1023,6 @@ func TestRateEditAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSweepPathsOnTheLedger: which rows take which path is part of the
-// contract, not an accident of the benchmark. On the ledger sheet a rate edit
-// sweeps C (a product) and E (a sliding SUM of C) on lanes and D (a
-// running balance: it reads its own column) on the row loop, and nothing needs
-// the interpreter; where an operand column is salted, the rows the interpreter
-// re-runs are exactly the ones holding text or an error.
 // TestSweepFoldsOverAnEmptyColumn: a numeric-plan span whose aggregates read
 // a column holding no cells — a sliding window and a running one, so fold
 // windows over no slab — sweeps on lanes on load, after a value lands in that
@@ -1001,6 +1078,13 @@ func TestSweepFoldsOverAnEmptyColumn(t *testing.T) {
 	})
 }
 
+// TestSweepPathsOnTheLedger: which rows take which path is part of the
+// contract, not an accident of the benchmark. On the ledger sheet a rate edit
+// sweeps C (a product) and E (a sliding SUM of C) on lanes, E's windows slid
+// over C's floats, and D (a running balance: it reads its own column) carried
+// on the recurrence, and nothing needs the interpreter; where an operand
+// column is salted, the rows the interpreter re-runs are exactly the ones
+// holding text or an error.
 func TestSweepPathsOnTheLedger(t *testing.T) {
 	const rows = 2000
 	e := ledgerEngine(t, rows)
@@ -1008,7 +1092,8 @@ func TestSweepPathsOnTheLedger(t *testing.T) {
 	e.SetValue(ref.MustCell("H1"), formula.Num(1.07))
 	e.RecalculateAll()
 	heads := (rows + 255) / 256 // D restarts every 256 rows: a bare =C[r], a node of its own
-	want := sweepCounts{lane: before.lane + rows + rows - 6, loop: before.loop + rows - uint64(heads), interp: before.interp}
+	want := sweepCounts{lane: before.lane + rows + rows - 6, slide: before.slide + rows - 6,
+		loop: before.loop + rows - uint64(heads), chain: before.chain + rows - uint64(heads), interp: before.interp}
 	if e.swept != want {
 		t.Fatalf("rows by path after the rate edit: %+v, want %+v (from %+v)", e.swept, want, before)
 	}

@@ -306,6 +306,19 @@ type numericPlan struct {
 	consts []float64
 	folds  []FoldOp
 	depth  int // the deepest the value stack gets
+	chain  numericChain
+}
+
+// numericChain is a plan's recurrence form, prev ⊕ X: the root is one + - * /
+// (root, an npAdd..npDiv), one child is the cell operand op, the cell one row
+// up in the anchor's own column, on the right when right is set, and X, the
+// other child (code), does not read op. ok is false for every other plan.
+type numericChain struct {
+	ok    bool
+	right bool
+	root  uint8
+	op    int
+	code  []numInstr
 }
 
 // FoldOp is an aggregate the numeric plan reads as one number: a call from
@@ -421,7 +434,50 @@ func (p *Program) buildNumeric() *numericPlan {
 		return nil
 	}
 	np.depth = maxDepth
+	np.chain = p.chainOf(np.code)
 	return np
+}
+
+// chainOf finds the recurrence form of a plan's code (numericChain): a root
+// op one of whose children is a single operand one row up in the anchor's
+// column, which the other child never reads.
+func (p *Program) chainOf(code []numInstr) numericChain {
+	n := len(code)
+	if n < 3 || code[n-1].kind < npAdd {
+		return numericChain{}
+	}
+	// The right child is code[s:n-1]: walking back from its root, the first
+	// instruction at which the values pushed outnumber those popped by one.
+	s, vals := n-1, 0
+	for vals < 1 {
+		if s--; code[s].kind < npAdd {
+			vals++
+		} else {
+			vals--
+		}
+	}
+	prev := func(ins numInstr) bool {
+		if ins.kind != npCell {
+			return false
+		}
+		o := p.cells[ins.a]
+		return !o.ColFixed && !o.RowFixed && o.DCol == 0 && o.DRow == -1
+	}
+	ch := numericChain{ok: true, root: code[n-1].kind}
+	switch {
+	case s == 1 && prev(code[0]):
+		ch.op, ch.code = int(code[0].a), code[1:n-1]
+	case s == n-2 && prev(code[n-2]):
+		ch.op, ch.code, ch.right = int(code[n-2].a), code[:n-2], true
+	default:
+		return numericChain{}
+	}
+	for _, ins := range ch.code {
+		if ins.kind == npCell && int(ins.a) == ch.op {
+			return numericChain{}
+		}
+	}
+	return ch
 }
 
 // HasNumericSweep reports whether the numeric fast path (NumericSweepRow,
@@ -441,10 +497,11 @@ func (p *Program) FoldOps() []FoldOp {
 // NumericSweepRows' lanes: lanes[i][k] must hold the AsNumber coercion of the
 // value the i-th of CellOps() resolves to, then the Result of each of
 // FoldOps() over its range (the caller bails to the generic interpreter when
-// any of them fails). ok is false on a zero divisor — the row re-runs
-// generically so #DIV/0! placement is exactly the interpreter's.
-func (p *Program) NumericSweepRow(lanes [][]float64, k int) (v float64, ok bool) {
-	var stack [maxNumericDepth]float64
+// any of them fails). stack holds NumericWork() floats of scratch. ok is false
+// on a zero divisor — the row re-runs generically so #DIV/0! placement is
+// exactly the interpreter's.
+func (p *Program) NumericSweepRow(lanes [][]float64, k int, stack []float64) (v float64, ok bool) {
+	stack = stack[:p.numeric.depth]
 	sp := 0
 	for _, ins := range p.numeric.code {
 		switch ins.kind {
@@ -487,11 +544,16 @@ func (p *Program) NumericWork() int { return p.numeric.depth }
 // one the caller flagged beforehand). The result is a work lane or, for a bare
 // operand, its lane.
 func (p *Program) NumericSweepRows(lanes [][]float64, work []float64, n int, bad []bool) []float64 {
-	np := p.numeric
+	return p.numeric.sweep(p.numeric.code, lanes, work, n, bad)
+}
+
+// sweep runs code, a whole expression of the plan, over the lanes as
+// NumericSweepRows describes.
+func (np *numericPlan) sweep(code []numInstr, lanes [][]float64, work []float64, n int, bad []bool) []float64 {
 	scratch := func(w int) []float64 { return work[w*n:][:n] }
 	var stack [maxNumericDepth][]float64
 	sp := 0
-	for _, ins := range np.code {
+	for _, ins := range code {
 		switch ins.kind {
 		case npConst:
 			dst, c := scratch(sp), np.consts[ins.a]
@@ -535,6 +597,54 @@ func (p *Program) NumericSweepRows(lanes [][]float64, work []float64, n int, bad
 		}
 	}
 	return stack[0]
+}
+
+// NumericChain reports whether the plan is a recurrence, prev ⊕ X — its root
+// one + - * /, one child the cell operand one row up in the anchor's own
+// column, the other, X, an expression that does not read it — and which of
+// CellOps() prev is. A span of such a program that reads its own column
+// nowhere else runs NumericChainRows.
+func (p *Program) NumericChain() (op int, ok bool) {
+	if p.numeric == nil {
+		return 0, false
+	}
+	return p.numeric.chain.op, p.numeric.chain.ok
+}
+
+// NumericChainRows runs a recurrence (NumericChain) down n rows from prev, the
+// value of the row above the first: X over the lanes as NumericSweepRows runs
+// a plan (lanes[op] is not read; work and bad as there), then prev carried
+// from row to row, row k's value being prev ⊕ X[k], or X[k] ⊕ prev with prev on
+// the right, written to out[k] — NumericSweepRow's operation in its operand
+// order, so the same bits. It stops at the first row flagged in bad or with a
+// zero divisor, whose value NumericSweepRow does not give, and returns how many
+// rows it wrote.
+func (p *Program) NumericChainRows(lanes [][]float64, work []float64, n int, bad []bool, prev float64, out []float64) int {
+	ch := &p.numeric.chain
+	x := p.numeric.sweep(ch.code, lanes, work, n, bad)
+	x, bad, out = x[:n], bad[:n], out[:n]
+	for k := range x {
+		l, r := prev, x[k]
+		if ch.right {
+			l, r = r, l
+		}
+		switch {
+		case bad[k]:
+			return k
+		case ch.root == npAdd:
+			prev = l + r
+		case ch.root == npSub:
+			prev = l - r
+		case ch.root == npMul:
+			prev = l * r
+		case r == 0:
+			return k
+		default: // npDiv
+			prev = l / r
+		}
+		out[k] = prev
+	}
+	return n
 }
 
 // scalarize coerces a stacked argument to scalar context: a range argument

@@ -406,7 +406,7 @@ func TestNumericSweepMatchesVM(t *testing.T) {
 		}
 		var got float64
 		if ok {
-			got, ok = p.NumericSweepRow(rowLanes(vals), 0)
+			got, ok = p.NumericSweepRow(rowLanes(vals), 0, make([]float64, p.NumericWork()))
 		}
 		switch {
 		case ok == tc.bails:
@@ -427,7 +427,10 @@ func numericPrograms(t testing.TB) (ps []*Program) {
 	srcs := append([]string{}, bytecodeCorpus...)
 	srcs = append(srcs, "=A4*B4*$C$1", "=A4/B4-$A$1", "=(A4+B4)*(A5-B5)/(A4-A4)", "=A4*A4-A4/A4", "=1/(A4/B4)",
 		"=2.5-A4/0.5+B4*-1", "=SUM(A1:A30)/COUNT(B1:B30)-AVERAGE(B1:B30)", "=A4-SUM(A$1:A4)*MAX(B1:B30)+MIN(B1:B30)",
-		"=MAX(A1:A9)/MIN(A1:A9)/COUNTA(C1:C9)")
+		"=MAX(A1:A9)/MIN(A1:A9)/COUNTA(C1:C9)",
+		// Recurrences: prev, H3 at H4, on either side of each operator, under
+		// a bare operand, a constant and an expression that divides.
+		"=H3+A4", "=H3-A4*$C$1", "=H3*2", "=H3/(A4-B4)", "=A4*$C$1+H3", "=SUM(A1:A9)-H3", "=2/H3", "=(A4/B4)*H3")
 	deep := "=A4"
 	for i := 0; i < maxNumericDepth-2; i++ {
 		deep += "/(B4"
@@ -468,15 +471,61 @@ func checkNumericLanes(t testing.TB, p *Program, n int, operand func(i, k int) f
 	}
 	bad := make([]bool, n)
 	out := p.NumericSweepRows(lanes, work, n, bad)
-	vals := make([]float64, nin)
+	vals, stack := make([]float64, nin), make([]float64, p.NumericWork())
 	for k := 0; k < n; k++ {
 		for i := range vals {
 			vals[i] = lanes[i][k]
 		}
-		want, ok := p.NumericSweepRow(rowLanes(vals), 0)
+		want, ok := p.NumericSweepRow(rowLanes(vals), 0, stack)
 		if bad[k] == ok || ok && math.Float64bits(out[k]) != math.Float64bits(want) {
 			t.Fatalf("row %d of %d, operands %v: lanes answer %v (bad=%v), the row sweep %v (ok=%v)", k, n, vals, out[k], bad[k], want, ok)
 		}
+	}
+	if op, ok := p.NumericChain(); ok {
+		checkNumericChain(t, p, op, lanes, n)
+	}
+}
+
+// checkNumericChain is the property NumericChainRows is held to: carried from
+// the prev operand's row-0 value down the lanes, each row answers what
+// NumericSweepRow answers with the row above's answer for prev, and the
+// recurrence stops exactly at the first row flagged beforehand or the row
+// sweep will not answer.
+func checkNumericChain(t testing.TB, p *Program, op int, lanes [][]float64, n int) {
+	work := make([]float64, p.NumericWork()*n)
+	for i := range work {
+		work[i] = math.NaN()
+	}
+	bad, out := make([]bool, n), make([]float64, n)
+	flag := n / 2 // a row the caller flagged, on longer lanes
+	if n > 4 {
+		bad[flag] = true
+	}
+	prev := lanes[op][0]
+	done := p.NumericChainRows(lanes, work, n, bad, prev, out)
+	vals, stack := make([]float64, len(lanes)), make([]float64, p.NumericWork())
+	for k := 0; k < n; k++ {
+		for i := range vals {
+			vals[i] = lanes[i][k]
+		}
+		vals[op] = prev
+		want, ok := p.NumericSweepRow(rowLanes(vals), 0, stack)
+		if n > 4 && k == flag {
+			ok = false
+		}
+		if !ok {
+			if done != k {
+				t.Fatalf("row %d of %d, operands %v: the recurrence ran %d rows, want it to stop here", k, n, vals, done)
+			}
+			return
+		}
+		if done <= k || math.Float64bits(out[k]) != math.Float64bits(want) {
+			t.Fatalf("row %d of %d, operands %v: recurrence %v (%d rows run), the row sweep %v", k, n, vals, out[k], done, want)
+		}
+		prev = want
+	}
+	if done != n {
+		t.Fatalf("the recurrence ran %d of %d rows", done, n)
 	}
 }
 
@@ -506,6 +555,40 @@ func TestNumericSweepRowsMatchesRowSweep(t *testing.T) {
 					return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(7)-3))
 				})
 			}
+		}
+	}
+}
+
+// TestNumericChainForm pins which plans are recurrences: prev — the cell one
+// row up in the anchor's column, relative on both axes — as one whole child of
+// the root operator, read nowhere in the other.
+func TestNumericChainForm(t *testing.T) {
+	anchor := ref.Ref{Col: 8, Row: 4} // H4
+	for _, tc := range []struct {
+		src   string
+		op    int
+		right bool
+		chain bool
+	}{
+		{"=H3+A4", 0, false, true},
+		{"=A4*$C$1+H3", 2, true, true},
+		{"=H3-SUM(A1:A9)", 0, false, true},
+		{"=(A4+B4)/H3", 2, true, true},
+		{"=H3*2", 0, false, true},
+		{"=H3*2+A4", 0, false, false},  // prev is inside the left child
+		{"=A4+H3*2", 0, false, false},  // and inside the right one
+		{"=H3+H3", 0, false, false},    // X reads prev
+		{"=H3+A4*H3", 0, false, false}, // X reads prev
+		{"=H2+A4", 0, false, false},    // two rows up
+		{"=$H3+A4", 0, false, false},   // column-fixed
+		{"=H$3+A4", 0, false, false},   // row-fixed
+		{"=G3+A4", 0, false, false},    // another column
+		{"=SUM(H1:H3)+A4", 0, false, false},
+	} {
+		p := Compile(MustParse(tc.src), anchor)
+		op, ok := p.NumericChain()
+		if ok != tc.chain || ok && (op != tc.op || p.numeric.chain.right != tc.right) {
+			t.Errorf("%q: NumericChain = %d, %v (right %v); want %d, %v (right %v)", tc.src, op, ok, p.numeric.chain.right, tc.op, tc.chain, tc.right)
 		}
 	}
 }
