@@ -1,8 +1,8 @@
 package taco_test
 
 // End-to-end integration tests crossing every subsystem the way a release
-// user would: generate a workload, persist it as .xlsx, reopen it as a live
-// workbook, edit through the async engine, snapshot the compressed graph,
+// user would: generate a workload, persist it as .xlsx, reopen each sheet as
+// a live engine, edit through the async engine, snapshot the compressed graph,
 // and reload it — verifying values and dependency answers at each step.
 
 import (
@@ -31,16 +31,25 @@ func TestEndToEndScenarioPipeline(t *testing.T) {
 			if err := taco.WriteXLSX(path, []*taco.Sheet{sheet}, true); err != nil {
 				t.Fatal(err)
 			}
-			book, err := taco.OpenWorkbook(path)
+			sheets, err := taco.ReadXLSX(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := book.Sheet(name)
+			var names []string
+			var eng *taco.Engine
+			for _, s := range sheets {
+				names = append(names, s.Name)
+				if s.Name == name {
+					if eng, err = taco.LoadEngine(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			if eng == nil {
-				t.Fatalf("sheet %q missing; names=%v", name, book.Names())
+				t.Fatalf("sheet %q missing; names=%v", name, names)
 			}
 
-			// 2. The reopened workbook computes the same values as loading
+			// 2. The reopened sheet computes the same values as loading
 			// the sheet directly.
 			direct, err := taco.LoadEngine(sheet)
 			if err != nil {
@@ -124,16 +133,20 @@ func TestEndToEndCorpusThroughEverything(t *testing.T) {
 	if err := taco.WriteXLSX(path, sheets, true); err != nil {
 		t.Fatal(err)
 	}
-	book, err := taco.OpenWorkbook(path)
+	read, err := taco.ReadXLSX(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if book.NumSheets() != 2 {
-		t.Fatalf("sheets = %d", book.NumSheets())
+	if len(read) != 2 {
+		t.Fatalf("sheets = %d", len(read))
 	}
-	for name, st := range book.Stats() {
-		if st.Edges == 0 || st.Edges >= st.Dependencies {
-			t.Fatalf("sheet %s poorly compressed: %+v", name, st)
+	for _, s := range read {
+		eng, err := taco.LoadEngine(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := eng.GraphStats(); st.Edges == 0 || st.Edges >= st.Dependencies {
+			t.Fatalf("sheet %s poorly compressed: %+v", s.Name, st)
 		}
 	}
 }

@@ -118,3 +118,45 @@ func BenchmarkFindDependentsAfterRewrites(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBuildBulkVsGreedy builds column-major load lists both ways: the
+// paper's Fig. 2 column, the 2 000-row ledger, three scenarios filled down
+// and the planning sheet, whose rows are filled across — runs the bulk path
+// cannot extend down a column and hands to Alg. 2. Each reports its edges.
+func BenchmarkBuildBulkVsGreedy(b *testing.B) {
+	fig2 := workload.NewSheet("fig2")
+	fig2.AddFig2Column(1, 13, 14, 3000)
+	inputs := []struct {
+		name string
+		deps []core.Dependency
+	}{{"fig2", fig2.MustDependencies()}, {"ledger", ledgerDeps(b, 2000)}}
+	for _, name := range workload.ScenarioNames {
+		n := 200
+		if name == "planning" {
+			n = 2000
+		}
+		s, err := workload.BuildScenario(name, n, rand.New(rand.NewSource(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs = append(inputs, struct {
+			name string
+			deps []core.Dependency
+		}{name, s.MustDependencies()})
+	}
+	builders := []struct {
+		name  string
+		build func([]core.Dependency, core.Options) *core.Graph
+	}{{"greedy", core.Build}, {"bulk", core.BuildBulk}}
+	for _, in := range inputs {
+		for _, bl := range builders {
+			b.Run(in.name+"/"+bl.name, func(b *testing.B) {
+				var g *core.Graph
+				for i := 0; i < b.N; i++ {
+					g = bl.build(in.deps, core.DefaultOptions())
+				}
+				b.ReportMetric(float64(g.NumEdges()), "edges")
+			})
+		}
+	}
+}

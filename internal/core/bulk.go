@@ -4,104 +4,65 @@ import (
 	"taco/internal/ref"
 )
 
-// BuildBulk compresses a dependency list with a streaming fast path. The
-// general insertion algorithm (Alg. 2) pays an R-tree candidate search per
+// BuildBulk compresses a dependency list with a streaming fast path in front
+// of Alg. 2. The greedy insertion pays an R-tree candidate search per
 // dependency; when dependencies arrive in column-major load order — the way
 // spreadsheet files are parsed (Sec. VI-A configures POI to load by
 // columns) — runs of adjacent formula cells arrive consecutively, so the
-// builder can extend open runs directly and only touch the R-trees once per
-// *compressed* edge.
+// builder extends open column runs directly and touches the R-trees once
+// per *compressed* edge.
 //
-// The fast path only merges column-axis runs; dependencies it cannot merge
-// are inserted as Single edges via the same indexes. Compression quality on
-// column-major corpora matches the greedy builder (tests assert parity);
-// the greedy builder remains the general path for out-of-order insertion
-// and row-major sheets.
+// The fast path makes no choice of its own: an open run grows by the
+// candidate selectCandidate picks among genCompEdges' merges, and a run
+// flushed while it still holds one dependency goes in through
+// AddDependency, where it may join an edge on either axis. A row fill
+// therefore compresses as greedy does.
 func BuildBulk(deps []Dependency, opts Options) *Graph {
 	g := NewGraph(opts)
-	if len(deps) == 0 {
-		return g
-	}
-
-	// Group consecutive dependencies by formula cell, preserving order.
-	type group struct {
-		at   ref.Ref
-		deps []Dependency
-	}
-	var groups []group
-	for _, d := range deps {
-		if n := len(groups); n > 0 && groups[n-1].at == d.Dep {
-			groups[n-1].deps = append(groups[n-1].deps, d)
-			continue
-		}
-		groups = append(groups, group{at: d.Dep, deps: []Dependency{d}})
-	}
-
+	// open holds one run per reference of the formula cell at prev, in
+	// reference order; a cell below prev with as many references extends
+	// them pairwise.
 	var open []*Edge
 	var prev ref.Ref
-	havePrev := false
-	flush := func() {
-		for _, e := range open {
+	flushRun := func(e *Edge) {
+		if e.Pattern == Single {
+			g.AddDependency(Dependency{Prec: e.Prec, Dep: e.Dep.Head, HeadFixed: e.HeadFixed, TailFixed: e.TailFixed})
+		} else {
 			g.insertEdge(e)
 		}
-		open = open[:0]
 	}
-	openFresh := func(ds []Dependency) {
-		for _, d := range ds {
-			open = append(open, singleEdge(d))
+	for i := 0; i < len(deps); {
+		at := deps[i].Dep
+		n := 1
+		for i+n < len(deps) && deps[i+n].Dep == at {
+			n++
 		}
-	}
-
-	for _, gr := range groups {
-		adjacent := havePrev && gr.at.Col == prev.Col && gr.at.Row == prev.Row+1
-		if !adjacent || len(gr.deps) != len(open) {
-			flush()
-			openFresh(gr.deps)
-			prev, havePrev = gr.at, true
+		cell := deps[i : i+n]
+		i += n
+		if at.Col != prev.Col || at.Row != prev.Row+1 || n != len(open) {
+			for _, e := range open {
+				flushRun(e)
+			}
+			open = open[:0]
+			for _, d := range cell {
+				open = append(open, singleEdge(d))
+			}
+			prev = at
 			continue
 		}
-		// Extend each open run with the matching reference, in order.
-		for i, d := range gr.deps {
-			if merged := g.extendRun(open[i], d); merged != nil {
-				open[i] = merged
+		for k, d := range cell {
+			var buf [8]candidate
+			if cands := g.genCompEdges(buf[:0], open[k], d, ref.AxisCol); len(cands) > 0 {
+				open[k] = g.selectCandidate(cands, d).merged
 			} else {
-				g.insertEdge(open[i])
-				open[i] = singleEdge(d)
+				flushRun(open[k])
+				open[k] = singleEdge(d)
 			}
 		}
-		prev = gr.at
+		prev = at
 	}
-	flush()
+	for _, e := range open {
+		flushRun(e)
+	}
 	return g
-}
-
-// extendRun tries to extend one open run with a column-adjacent dependency,
-// choosing the pattern with the greedy heuristics' priorities (special
-// pattern first, then dollar cues, then declaration order).
-func (g *Graph) extendRun(e *Edge, d Dependency) *Edge {
-	if e.Pattern != Single {
-		if merged := AddDep(e, d, e.Pattern, ref.AxisCol); merged != nil && g.allowed(merged) {
-			return merged
-		}
-		return nil
-	}
-	var best *Edge
-	bestScore := -1
-	for _, p := range g.opts.patterns() {
-		merged := AddDep(e, d, p, ref.AxisCol)
-		if merged == nil || !g.allowed(merged) {
-			continue
-		}
-		score := 0
-		if merged.Pattern == RRChain {
-			score += 1 << 8
-		}
-		if g.opts.UseDollarCues && cueMatch(merged.Pattern, d) {
-			score += 1 << 4
-		}
-		if score > bestScore {
-			best, bestScore = merged, score
-		}
-	}
-	return best
 }

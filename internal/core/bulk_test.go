@@ -78,7 +78,8 @@ func TestBuildBulkQueriesAgree(t *testing.T) {
 			sameCells(t, "bulk dependents", b, a)
 		}
 		// Bulk never compresses worse than 25% over greedy on these
-		// column-major workloads (it forgoes only row-axis merges).
+		// column-major workloads (it differs only in the runs it extends down
+		// a column before the graph sees them).
 		if bulk.NumEdges() > greedy.NumEdges()+greedy.NumEdges()/4+2 {
 			t.Fatalf("seed %d: bulk %d edges vs greedy %d", seed, bulk.NumEdges(), greedy.NumEdges())
 		}
@@ -135,22 +136,9 @@ func TestBuildBulkRunBreaks(t *testing.T) {
 	if err := g.Check(); err != nil {
 		t.Fatal(err)
 	}
-	// B1:B2 merge; B3's two refs are singles; B5:B6 merge.
-	if g.NumEdges() != 4 {
+	// B1:B2 merge, and B3's A3 joins that run through Alg. 2; B3's Z1 is a
+	// single; B5:B6 merge.
+	if g.NumEdges() != 3 {
 		t.Fatalf("edges = %d", g.NumEdges())
 	}
-}
-
-func BenchmarkBuildBulkVsGreedy(b *testing.B) {
-	deps := columnMajor(fig2Deps(3000))
-	b.Run("greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Build(deps, DefaultOptions())
-		}
-	})
-	b.Run("bulk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BuildBulk(deps, DefaultOptions())
-		}
-	})
 }

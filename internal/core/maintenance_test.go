@@ -3,10 +3,12 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"taco/internal/core"
 	"taco/internal/formula"
+	"taco/internal/nocomp"
 	"taco/internal/ref"
 	"taco/internal/workload"
 )
@@ -94,5 +96,53 @@ func TestRewriteRestoreKeepsCompression(t *testing.T) {
 	if got, want := g.FindDependents(rate), fresh.FindDependents(rate); !sameCells(cellSet(got), cellSet(want)) {
 		t.Fatalf("FindDependents(H1) after the rewrites: %d cells in %d ranges, fresh %d cells in %d",
 			core.CountCells(got), len(got), core.CountCells(want), len(want))
+	}
+}
+
+// TestBuildBulkRowFills: the bulk builder compresses a row fill as Alg. 2
+// does, since a run it cannot extend down a column goes in through
+// AddDependency. Every planning sheet (its budget and variance rows filled
+// across) bulk-builds to greedy's edge count; no input, column-major in load
+// order, takes more than twice greedy's edges; and every bulk graph answers
+// sampled dependents and precedents as NoComp does.
+func TestBuildBulkRowFills(t *testing.T) {
+	type input struct {
+		name string
+		deps []core.Dependency
+	}
+	var inputs []input
+	for _, q := range []int{48, 100, 2000} {
+		s := workload.PlanningBudget(q, rand.New(rand.NewSource(1)))
+		inputs = append(inputs, input{fmt.Sprintf("planning/%d", q), s.MustDependencies()})
+	}
+	for _, name := range []string{"financial", "inventory", "gradebook"} {
+		s, err := workload.BuildScenario(name, 200, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{name, s.MustDependencies()})
+	}
+	inputs = append(inputs, input{"ledger/2000", ledgerDeps(t, 2000)})
+	for _, in := range inputs {
+		greedy, bulk := core.Build(in.deps, core.DefaultOptions()), core.BuildBulk(in.deps, core.DefaultOptions())
+		if err := bulk.Check(); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		got, want := bulk.NumEdges(), greedy.NumEdges()
+		if strings.HasPrefix(in.name, "planning") && got != want || got > 2*want {
+			t.Errorf("%s: bulk %d edges, greedy %d", in.name, got, want)
+		}
+		nc := nocomp.Build(in.deps)
+		for i := 0; i < len(in.deps); i += 1 + len(in.deps)/64 {
+			for _, q := range []ref.Range{in.deps[i].Prec, ref.CellRange(in.deps[i].Dep)} {
+				if got, want := cellSet(bulk.FindDependents(q)), cellSet(nc.FindDependents(q)); !sameCells(got, want) {
+					t.Fatalf("%s: FindDependents(%v): bulk %d cells, NoComp %d", in.name, q, len(got), len(want))
+				}
+				if got, want := cellSet(bulk.FindPrecedents(q)), cellSet(nc.FindPrecedents(q)); !sameCells(got, want) {
+					t.Fatalf("%s: FindPrecedents(%v): bulk %d cells, NoComp %d", in.name, q, len(got), len(want))
+				}
+			}
+		}
+		t.Logf("%s: bulk %d edges, greedy %d", in.name, got, want)
 	}
 }

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +20,9 @@ import (
 // After every step the compressed graph must pass Check, decompress to exactly
 // the live dependency multiset, and answer FindDependents and FindPrecedents
 // of every cell with NoComp's cell sets — the paper's contract that
-// compression changes no answer, held under maintenance.
+// compression changes no answer, held under maintenance. At the end of the
+// program the live dependencies, bulk-built in column-major load order, are
+// held to the same contract.
 func FuzzGraphSequence(f *testing.F) {
 	// A ledger in small: C reads its row's A and B and the rate, D is a running
 	// balance of C, E a sliding window; then column C's rewrite-and-restores.
@@ -98,6 +102,13 @@ func FuzzGraphSequence(f *testing.F) {
 				s.set(t, at, old, fmt.Sprintf("restore %v", at))
 			}
 		}
+		cells := slices.SortedFunc(maps.Keys(s.live), ref.ColumnMajorCompare)
+		var deps []core.Dependency
+		for _, at := range cells {
+			deps = append(deps, s.live[at]...)
+		}
+		s.log = append(s.log, "bulk build")
+		s.check(t, core.BuildBulk(deps, core.DefaultOptions()))
 	})
 }
 
@@ -228,7 +239,7 @@ func (s *seqState) set(t *testing.T, at ref.Ref, deps []core.Dependency, what st
 		s.live[at] = deps
 	}
 	s.log = append(s.log, what)
-	s.check(t)
+	s.check(t, s.taco)
 }
 
 func (s *seqState) clear(t *testing.T, r ref.Range) {
@@ -240,7 +251,7 @@ func (s *seqState) clear(t *testing.T, r ref.Range) {
 		}
 	}
 	s.log = append(s.log, fmt.Sprintf("clear %v", r))
-	s.check(t)
+	s.check(t, s.taco)
 }
 
 type depKey struct {
@@ -248,13 +259,15 @@ type depKey struct {
 	dep  ref.Ref
 }
 
-func (s *seqState) check(t *testing.T) {
+// check holds g, the TACO graph or one bulk-built from the live
+// dependencies, to the model and to NoComp.
+func (s *seqState) check(t *testing.T, g *core.Graph) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("after %s:\n%s\nedges:\n%s", strings.Join(s.log, "; "), fmt.Sprintf(format, args...), edgeList(s.taco))
+		t.Fatalf("after %s:\n%s\nedges:\n%s", strings.Join(s.log, "; "), fmt.Sprintf(format, args...), edgeList(g))
 	}
-	if err := s.taco.Check(); err != nil {
+	if err := g.Check(); err != nil {
 		fail("Check: %v", err)
 	}
 	want := map[depKey]int{}
@@ -265,10 +278,10 @@ func (s *seqState) check(t *testing.T) {
 			n++
 		}
 	}
-	if got := s.taco.NumDependencies(); got != n {
+	if got := g.NumDependencies(); got != n {
 		fail("NumDependencies %d, live dependencies %d", got, n)
 	}
-	for _, d := range s.taco.Dependencies() {
+	for _, d := range g.Dependencies() {
 		k := depKey{d.Prec, d.Dep}
 		if want[k] == 0 {
 			fail("Dependencies holds %v -> %v beyond the live ones", d.Prec, d.Dep)
@@ -283,10 +296,10 @@ func (s *seqState) check(t *testing.T) {
 	for col := 1; col <= seqCols+1; col++ {
 		for row := 1; row <= seqRows+1; row++ {
 			q := ref.CellRange(ref.Ref{Col: col, Row: row})
-			if got, want := cellSet(s.taco.FindDependents(q)), cellSet(s.nc.FindDependents(q)); !sameCells(got, want) {
+			if got, want := cellSet(g.FindDependents(q)), cellSet(s.nc.FindDependents(q)); !sameCells(got, want) {
 				fail("FindDependents(%v): TACO %v, NoComp %v", q, got, want)
 			}
-			if got, want := cellSet(s.taco.FindPrecedents(q)), cellSet(s.nc.FindPrecedents(q)); !sameCells(got, want) {
+			if got, want := cellSet(g.FindPrecedents(q)), cellSet(s.nc.FindPrecedents(q)); !sameCells(got, want) {
 				fail("FindPrecedents(%v): TACO %v, NoComp %v", q, got, want)
 			}
 		}

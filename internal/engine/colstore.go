@@ -308,6 +308,35 @@ func (s *colStore) column(ci, n int) *column {
 	return col
 }
 
+// placed is a record at its position: what a whole-cell fill installs.
+type placed struct {
+	at  ref.Ref
+	rec record
+}
+
+// fill installs cells, ascending column-major with no ref repeated, into
+// columns not yet populated: each slab sized once for its column's run,
+// every record through the append path. It returns the formula count.
+func (s *colStore) fill(cells []placed) (nformulas int) {
+	for i, p := range cells {
+		if i == 0 || p.at.Col != cells[i-1].at.Col {
+			n := 1
+			for i+n < len(cells) && cells[i+n].at.Col == p.at.Col {
+				n++
+			}
+			s.column(p.at.Col, n)
+		}
+		s.set(p.at, p.rec)
+		if p.rec.shape != nil {
+			nformulas++
+		}
+		if p.rec.dirty {
+			s.noteDirty(p.at.Col, p.at.Row, p.at.Row, 1, true)
+		}
+	}
+	return nformulas
+}
+
 // set installs the record at the given position and returns the one it
 // replaced, had reporting whether there was one. Loaders feed cells in
 // column-major order, so the append fast path handles bulk fills without a

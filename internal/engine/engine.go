@@ -223,124 +223,39 @@ func (e *Engine) setCell(at ref.Ref, c record) {
 	}
 }
 
-// populate fills the engine's cell store from a sheet: values clean,
-// formulae parsed and dirty. Graph construction is the caller's job — Load
-// feeds dependencies through the incremental path, LoadBulk through the
-// streaming compressor. Cells are written in column-major order so the
-// columnar store takes its append fast path; the sheet map's random
-// iteration order would binary-insert mid-slab — quadratic per dense
-// column.
-func (e *Engine) populate(s *workload.Sheet) error {
-	refs := make([]ref.Ref, 0, len(s.Cells))
-	for at := range s.Cells {
-		refs = append(refs, at)
-	}
-	slices.SortFunc(refs, ref.ColumnMajorCompare)
-	for _, at := range refs {
-		c := s.Cells[at]
-		if c.IsFormula() {
-			shape, err := formula.ParseShape(c.Formula, at)
-			if err != nil {
-				return fmt.Errorf("engine: cell %v: %w", at, err)
-			}
-			e.setCell(at, record{shape: shape, dirty: true})
-		} else {
-			e.setCell(at, record{value: c.Value})
-		}
-	}
-	return nil
-}
-
-// Load populates the engine from a workload sheet and evaluates everything.
+// Load builds an engine from a workload sheet and evaluates everything. Its
+// dependencies are registered in column-major order: with a nil g, by Alg. 2
+// (core.Build) into a TACO graph; otherwise one g.Add each.
 func Load(s *workload.Sheet, g Graph) (*Engine, error) {
-	e := New(g)
-	if err := e.populate(s); err != nil {
-		return nil, err
-	}
-	deps, err := s.Dependencies()
+	pcells, err := parseSheet(s)
 	if err != nil {
 		return nil, err
 	}
-	for _, d := range deps {
-		e.graph.Add(d)
-	}
-	e.RecalculateAll()
-	return e, nil
+	return load(pcells, func(deps []core.Dependency) Graph {
+		if g == nil {
+			return TACO{G: core.Build(deps, core.DefaultOptions())}
+		}
+		for _, d := range deps {
+			g.Add(d)
+		}
+		return g
+	}), nil
 }
 
-// ParsedCell is a pre-parsed cell for LoadBulkParsed: a formula (its shape,
-// parsed at At) or a pure value. Callers that already parsed their input —
-// batch validation, file loaders — hand the shapes over instead of paying a
-// second lookup.
-type ParsedCell struct {
-	At    ref.Ref
-	Shape *formula.Shape // formula.ParseShape of the source at At; nil for value cells
-	Value formula.Value
-}
-
-// LoadBulkParsed builds an engine from pre-parsed cells through the
-// column-major streaming bulk path (core.BuildBulk), which skips the
-// per-dependency candidate search. Cells may arrive in any order, with the
-// later of duplicate refs winning (as if applied sequentially);
-// dependencies are derived in column-major order, the order that gives the
-// streaming compressor its adjacent runs. The load drains like any other
-// dirty set: levelled from minLevelledDirty cells on, on the walk below.
-func LoadBulkParsed(pcells []ParsedCell) *Engine {
-	// Duplicate refs: the later cell wins, matching sequential application.
-	ordered := make([]ParsedCell, 0, len(pcells))
-	seen := make(map[ref.Ref]int, len(pcells))
-	for _, c := range pcells {
-		if i, dup := seen[c.At]; dup {
-			ordered[i] = c
-			continue
-		}
-		seen[c.At] = len(ordered)
-		ordered = append(ordered, c)
-	}
-	slices.SortFunc(ordered, func(a, b ParsedCell) int { return ref.ColumnMajorCompare(a.At, b.At) })
-	var deps []core.Dependency
-	var refs []formula.RefInfo
-	for _, c := range ordered {
-		if c.Shape == nil {
-			continue
-		}
-		refs = c.Shape.AppendRefs(refs[:0], c.At)
-		for _, r := range refs {
-			deps = append(deps, core.Dependency{
-				Prec: r.At, Dep: c.At, HeadFixed: r.HeadFixed, TailFixed: r.TailFixed,
-			})
-		}
-	}
-	e := New(TACO{G: core.BuildBulk(deps, core.DefaultOptions())})
-	for i, c := range ordered {
-		if i == 0 || c.At.Col != ordered[i-1].At.Col {
-			// The input is sorted: each slab is sized once, for its column's run.
-			n := 1
-			for i+n < len(ordered) && ordered[i+n].At.Col == c.At.Col {
-				n++
-			}
-			e.store.column(c.At.Col, n)
-		}
-		rec := record{value: c.Value}
-		if c.Shape != nil {
-			rec = record{shape: c.Shape, dirty: true}
-			e.nformulas++
-		}
-		e.store.set(c.At, rec) // ordered input: the append fast path
-		if rec.dirty {
-			e.store.noteDirty(c.At.Col, c.At.Row, c.At.Row, 1, true)
-		}
-	}
-	e.RecalculateAll()
-	return e
-}
-
-// LoadBulk populates an engine from a workload sheet like Load, but through
-// the bulk path. Each formula is looked up by its shape, and parsed only when
-// no shifted copy of it was parsed before. Use it when
-// materialising a whole sheet at once — fresh server sessions, file opens —
-// and Load/SetFormula for interactive edits.
+// LoadBulk is Load through the streaming compressor (LoadBulkParsed). Use it
+// when materialising a whole sheet at once — fresh server sessions, file
+// opens — and SetFormula for interactive edits.
 func LoadBulk(s *workload.Sheet) (*Engine, error) {
+	pcells, err := parseSheet(s)
+	if err != nil {
+		return nil, err
+	}
+	return LoadBulkParsed(pcells), nil
+}
+
+// parseSheet parses each formula of s once, at its own position: a shifted
+// copy of a formula parsed before is looked up by its shape.
+func parseSheet(s *workload.Sheet) ([]ParsedCell, error) {
 	pcells := make([]ParsedCell, 0, len(s.Cells))
 	for at, c := range s.Cells {
 		if c.IsFormula() {
@@ -353,7 +268,68 @@ func LoadBulk(s *workload.Sheet) (*Engine, error) {
 			pcells = append(pcells, ParsedCell{At: at, Value: c.Value})
 		}
 	}
-	return LoadBulkParsed(pcells), nil
+	return pcells, nil
+}
+
+// ParsedCell is a pre-parsed cell for LoadBulkParsed: a formula (its shape,
+// parsed at At) or a pure value. Callers that already parsed their input —
+// batch validation, file loaders — hand the shapes over instead of paying a
+// second lookup.
+type ParsedCell struct {
+	At    ref.Ref
+	Shape *formula.Shape // formula.ParseShape of the source at At; nil for value cells
+	Value formula.Value
+}
+
+// LoadBulkParsed builds an engine from pre-parsed cells, compressing their
+// dependencies with the streaming bulk path (core.BuildBulk), which extends
+// column runs without a candidate search per dependency. Cells may arrive in
+// any order, with the later of duplicate refs winning (as if applied
+// sequentially).
+func LoadBulkParsed(pcells []ParsedCell) *Engine {
+	return load(pcells, func(deps []core.Dependency) Graph {
+		return TACO{G: core.BuildBulk(deps, core.DefaultOptions())}
+	})
+}
+
+// load is every whole-cell load: the cells deduplicated (the later wins) and
+// sorted column-major, their dependencies derived in that order from the
+// interned shapes and handed to graph, the slabs filled a column at a time.
+// The load drains like any other dirty set: levelled from minLevelledDirty
+// cells on, on the walk below.
+func load(pcells []ParsedCell, graph func([]core.Dependency) Graph) *Engine {
+	ordered := make([]placed, 0, len(pcells))
+	seen := make(map[ref.Ref]int, len(pcells))
+	for _, c := range pcells {
+		p := placed{at: c.At, rec: record{value: c.Value}}
+		if c.Shape != nil {
+			p.rec = record{shape: c.Shape, dirty: true}
+		}
+		if i, dup := seen[c.At]; dup {
+			ordered[i] = p
+			continue
+		}
+		seen[c.At] = len(ordered)
+		ordered = append(ordered, p)
+	}
+	slices.SortFunc(ordered, func(a, b placed) int { return ref.ColumnMajorCompare(a.at, b.at) })
+	var deps []core.Dependency
+	var refs []formula.RefInfo
+	for _, p := range ordered {
+		if p.rec.shape == nil {
+			continue
+		}
+		refs = p.rec.shape.AppendRefs(refs[:0], p.at)
+		for _, r := range refs {
+			deps = append(deps, core.Dependency{
+				Prec: r.At, Dep: p.at, HeadFixed: r.HeadFixed, TailFixed: r.TailFixed,
+			})
+		}
+	}
+	e := New(graph(deps))
+	e.nformulas = e.store.fill(ordered)
+	e.RecalculateAll()
+	return e
 }
 
 // Value returns the last computed value of a cell. It is side-effect-free:

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -287,5 +288,34 @@ func TestFormulaSourceAccessor(t *testing.T) {
 	}
 	if _, err := e.SetFormula(ref.MustCell("B2"), "SUM("); err == nil {
 		t.Fatal("want parse error")
+	}
+}
+
+// TestLoadBuildsAlg2Graph: Load registers a sheet's dependencies through
+// Alg. 2 in column-major order, reading them off the interned shapes, so its
+// graph is core.Build's over the sheet's parsed dependency list — the same
+// edge count, pattern by pattern — on the four scenarios and on both
+// synthetic corpora at a small scale.
+func TestLoadBuildsAlg2Graph(t *testing.T) {
+	var sheets []*workload.Sheet
+	for _, name := range workload.ScenarioNames {
+		s, err := workload.BuildScenario(name, 60, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sheets = append(sheets, s)
+	}
+	sheets = append(sheets, workload.Generate(workload.EnronSpec(0.01))...)
+	sheets = append(sheets, workload.Generate(workload.GithubSpec(0.01))...)
+	for _, s := range sheets {
+		e, err := Load(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := e.TACOGraph(), core.Build(s.MustDependencies(), core.DefaultOptions())
+		if got.NumEdges() != want.NumEdges() || !maps.Equal(got.PatternStats(), want.PatternStats()) {
+			t.Errorf("%s: Load's graph has %d edges %v, Alg. 2 over the sheet's dependencies %d %v",
+				s.Name, got.NumEdges(), got.PatternStats(), want.NumEdges(), want.PatternStats())
+		}
 	}
 }

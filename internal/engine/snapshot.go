@@ -237,27 +237,20 @@ func writeValue(bw snapWriter, putUvarint func(uint64) error, putString func(str
 	}
 }
 
-// snapshotCell is one decoded cell record.
-type snapshotCell struct {
-	at    ref.Ref
-	shape *formula.Shape // the formula; nil for value cells
-	value formula.Value
-	dirty bool // formula restored without a cached value (kind 2)
-}
-
 // scanCells decodes the cell section (magic, count, records), invoking fn
-// per cell. Formula sources go through the process-wide intern table
-// (formula.ParseShape at the record's position): a formula whose shape was
-// seen before — any row of a fill, any session — is looked up, not parsed,
-// and restores as the same *Shape. On return the reader is positioned at the
-// graph section.
+// per cell with its record placed where it was read (a formula restored
+// without a cached value, kind 2, is dirty). Formula sources go through the
+// process-wide intern table (formula.ParseShape at the record's position): a
+// formula whose shape was seen before — any row of a fill, any session — is
+// looked up, not parsed, and restores as the same *Shape. On return the
+// reader is positioned at the graph section.
 //
 // The writer emits records strictly ascending in column-major order, and
 // the reader holds the input to it: a repeated or out-of-order ref is
 // ErrBadEngineSnapshot. That is what makes a restore's store.set the append
 // path, and what keeps its cell, formula and dirty counts in step with the
 // records the slabs end up holding.
-func scanCells(br *bufio.Reader, fn func(snapshotCell) error) error {
+func scanCells(br *bufio.Reader, fn func(placed) error) error {
 	var magicBuf [8]byte
 	magic := magicBuf[:len(engineSnapshotMagic)]
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -319,26 +312,26 @@ func scanCells(br *bufio.Reader, fn func(snapshotCell) error) error {
 		if kind > 2 {
 			return fmt.Errorf("%w: cell %d: unknown cell kind %d", ErrBadEngineSnapshot, i, kind)
 		}
-		sc := snapshotCell{at: at}
+		sc := placed{at: at}
 		if kind != 0 {
 			b, err := readBytes()
 			if err != nil {
 				return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
 			}
 			// ParseShape keeps nothing of the text, so it reads it in place.
-			sc.shape, err = formula.ParseShape(unsafe.String(unsafe.SliceData(b), len(b)), at)
+			sc.rec.shape, err = formula.ParseShape(unsafe.String(unsafe.SliceData(b), len(b)), at)
 			if err != nil {
 				return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
 			}
 		}
 		if kind == 2 {
-			sc.dirty = true // no cached value; recomputed on demand
+			sc.rec.dirty = true // no cached value; recomputed on demand
 		} else {
 			v, err := readValue(br, readString)
 			if err != nil {
 				return fmt.Errorf("%w: cell %d: %v", ErrBadEngineSnapshot, i, err)
 			}
-			sc.value = v
+			sc.rec.value = v
 		}
 		if err := fn(sc); err != nil {
 			return err
@@ -376,31 +369,17 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 	}
 	store, nformulas := newColStore(), 0
 	// Records ascend column-major, so a column's arrive together: they are
-	// staged and its slab sized once, from what was actually read — never from
-	// the snapshot's unchecked count — into the capacity a pooled column kept
-	// from the engine recycled before, when it has enough. That is how the
+	// staged and filled as a load fills (colStore.fill), the slab sized once
+	// from what was actually read — never from the snapshot's unchecked count
+	// — into the capacity a pooled column kept from the engine recycled
+	// before, when it has enough. That is how the
 	// restore/spill churn of a capped host stops allocating record storage
 	// once the pool warms up, and why a restored slab carries no growth slack.
-	var stage []snapshotCell
-	install := func() {
-		if len(stage) == 0 {
-			return
-		}
-		store.column(stage[0].at.Col, len(stage))
-		for _, sc := range stage {
-			store.set(sc.at, record{shape: sc.shape, value: sc.value, dirty: sc.dirty}) // the append path
-			if sc.shape != nil {
-				nformulas++
-			}
-			if sc.dirty {
-				store.noteDirty(sc.at.Col, sc.at.Row, sc.at.Row, 1, true)
-			}
-		}
-		stage = stage[:0]
-	}
-	err := scanCells(br, func(sc snapshotCell) error {
+	var stage []placed
+	err := scanCells(br, func(sc placed) error {
 		if len(stage) > 0 && stage[0].at.Col != sc.at.Col {
-			install()
+			nformulas += store.fill(stage)
+			stage = stage[:0]
 		}
 		stage = append(stage, sc)
 		return nil
@@ -408,7 +387,7 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	install()
+	nformulas += store.fill(stage)
 	g := pinned
 	if g == nil {
 		g, err = core.ReadSnapshot(br, core.DefaultOptions())

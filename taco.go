@@ -90,8 +90,6 @@ type (
 	Cell = workload.Cell
 	// Engine is a spreadsheet host with TACO-driven recalculation.
 	Engine = engine.Engine
-	// Book is a multi-sheet workbook; each sheet has its own TACO graph.
-	Book = engine.Book
 	// Value is a spreadsheet value (number, text, bool, error, empty).
 	Value = formula.Value
 )
@@ -232,16 +230,6 @@ func NewServer(opts ServerOptions) (*Server, error) { return server.NewServer(op
 // Engine.WriteSnapshot — the whole-session persistence the serving layer
 // uses to spill cold sessions.
 func RestoreEngineSnapshot(r io.Reader) (*Engine, error) { return engine.RestoreSnapshot(r) }
-
-// OpenWorkbook reads an .xlsx file into a live multi-sheet workbook with
-// TACO-driven recalculation.
-func OpenWorkbook(path string) (*Book, error) {
-	sheets, err := xlsx.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return engine.LoadBook(sheets)
-}
 
 // ExtractReferences parses a formula (with or without a leading '=') and
 // returns the ranges it references as dependencies of the given cell,

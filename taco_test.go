@@ -133,23 +133,6 @@ func TestBulkBuildAndSnapshotThroughPublicAPI(t *testing.T) {
 	}
 }
 
-func TestOpenWorkbook(t *testing.T) {
-	a := taco.NewSheet("data")
-	a.SetValue(taco.MustCell("A1"), 3)
-	a.SetFormula(taco.MustCell("B1"), "A1*7")
-	path := filepath.Join(t.TempDir(), "book.xlsx")
-	if err := taco.WriteXLSX(path, []*taco.Sheet{a}, true); err != nil {
-		t.Fatal(err)
-	}
-	b, err := taco.OpenWorkbook(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Sheet("data").Value(taco.MustCell("B1")); got.Num != 21 {
-		t.Fatalf("B1 = %v", got)
-	}
-}
-
 func TestSafeGraphThroughPublicAPI(t *testing.T) {
 	s := taco.NewSafeGraph(taco.DefaultOptions())
 	s.AddDependency(taco.Dependency{Prec: taco.MustRange("A1"), Dep: taco.MustCell("B1")})
