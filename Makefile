@@ -69,11 +69,15 @@ bench-server:
 	$(GO) run ./cmd/tacoload -sessions 32 -edits 100 -rows 100 -max-resident 12 -durable -churn-rounds 4 -fork-storm 64 -metrics-url /metrics -standby-url inproc -json > BENCH_server.json
 	@cat BENCH_server.json
 
-# Core traversal/maintenance microbenchmarks. CI smoke-runs every benchmark
-# once so a regression that breaks (or hangs) the compressed-graph hot path
-# fails the build; drop -benchtime for real measurements.
+# Core traversal/maintenance microbenchmarks with their allocations
+# (-benchmem). CI smoke-runs every benchmark once so a regression that breaks
+# (or hangs) the compressed-graph hot path fails the build, and its log shows
+# allocs/op for every traversal and maintenance benchmark. Run once, a
+# traversal is cold: its one call fills the graph's scratch. Drop -benchtime
+# for real measurements, where a warm FindDependents allocates little beyond
+# its answer.
 bench-core:
-	$(GO) test ./internal/core -run '^$$' -bench=. -benchtime=1x
+	$(GO) test ./internal/core -run '^$$' -bench=. -benchmem -benchtime=1x
 
 # The two edits that dominate engine_recalc and serve_big_drain, on the
 # 20k-row ledger built in the test (the rate edit also reports ns/cell), its

@@ -65,9 +65,9 @@ type Graph struct {
 	// layer reports graph stats on hot paths).
 	verts map[ref.Range]int
 	ndeps int
-	// scratch pools per-traversal state (visited tree, touched set, BFS
-	// queue). Concurrent read-only traversals each take their own scratch, so
-	// queries stay safe under a shared read lock.
+	// scratch pools per-traversal state (visited tree, BFS queue,
+	// subtraction slices). Concurrent read-only traversals each take their
+	// own scratch, so queries stay safe under a shared read lock.
 	scratch sync.Pool
 }
 
@@ -307,15 +307,13 @@ func cueMatch(p PatternType, d Dependency) bool {
 // computed directly on the compressed graph with the modified BFS of Alg. 3.
 // The returned ranges are disjoint and cover exactly the dependent cells.
 func (g *Graph) FindDependents(r ref.Range) []ref.Range {
-	out, _ := g.traverse(r, true)
-	return out
+	return g.traverse(r, true, nil)
 }
 
 // FindPrecedents returns the set of ranges that r transitively depends on —
 // the dual traversal, walking edges from dependents to precedents.
 func (g *Graph) FindPrecedents(r ref.Range) []ref.Range {
-	out, _ := g.traverse(r, false)
-	return out
+	return g.traverse(r, false, nil)
 }
 
 // TraversalStats instruments one traversal for the Sec. IV-D cost analysis:
@@ -341,41 +339,46 @@ func (t TraversalStats) MeanAccessesPerEdge() float64 {
 
 // FindDependentsStats is FindDependents with traversal instrumentation.
 func (g *Graph) FindDependentsStats(r ref.Range) ([]ref.Range, TraversalStats) {
-	return g.traverse(r, true)
+	var stats TraversalStats
+	out := g.traverse(r, true, &stats)
+	return out, stats
 }
 
-// traverseScratch is the reusable per-traversal state. One traversal's
-// allocations (visited index nodes, touched set, BFS queue) survive into the
-// next via the graph's pool, which keeps the query hot path allocation-free
-// in steady state.
+// traverseScratch is the reusable per-traversal state: the visited index,
+// the BFS queue, and the two slices a reached range is cut in — the visited
+// ranges it overlaps, and the parts of it left after subtracting them. The
+// visited tree recycles its nodes on Reset and every slice keeps its
+// capacity, so through the graph's pool one traversal's storage serves the
+// next and the query path allocates nothing in steady state but its answer.
 type traverseScratch struct {
-	touched map[*Edge]struct{}
 	visited *rtree.Tree[struct{}]
 	queue   []ref.Range
 	overlap []ref.Range
+	parts   []ref.Range
 }
 
 func (g *Graph) getScratch() *traverseScratch {
 	if s, ok := g.scratch.Get().(*traverseScratch); ok {
 		return s
 	}
-	return &traverseScratch{
-		touched: make(map[*Edge]struct{}),
-		visited: rtree.New[struct{}](),
-	}
+	return &traverseScratch{visited: rtree.New[struct{}]()}
 }
 
 func (g *Graph) putScratch(s *traverseScratch) {
-	clear(s.touched)
 	s.visited.Reset()
 	s.queue = s.queue[:0]
-	s.overlap = s.overlap[:0]
 	g.scratch.Put(s)
 }
 
-func (g *Graph) traverse(r ref.Range, forward bool) ([]ref.Range, TraversalStats) {
+// traverse runs Alg. 3 from r, forward to dependents or backward to
+// precedents. Only a non-nil stats pays for the instrumentation: the set of
+// distinct edges is built for it alone.
+func (g *Graph) traverse(r ref.Range, forward bool, stats *TraversalStats) []ref.Range {
 	var result []ref.Range
-	var stats TraversalStats
+	var touched map[*Edge]struct{}
+	if stats != nil {
+		touched = make(map[*Edge]struct{})
+	}
 	s := g.getScratch()
 	defer g.putScratch(s)
 	index := g.byPrec
@@ -386,10 +389,9 @@ func (g *Graph) traverse(r ref.Range, forward bool) ([]ref.Range, TraversalStats
 	for head := 0; head < len(s.queue); head++ {
 		cur := s.queue[head]
 		index.Search(cur, func(_ ref.Range, e *Edge) bool {
-			stats.EdgeAccesses++
-			if _, seen := s.touched[e]; !seen {
-				s.touched[e] = struct{}{}
-				stats.DistinctEdges++
+			if stats != nil {
+				stats.EdgeAccesses++
+				touched[e] = struct{}{}
 			}
 			var next ref.Range
 			var ok bool
@@ -407,7 +409,8 @@ func (g *Graph) traverse(r ref.Range, forward bool) ([]ref.Range, TraversalStats
 				s.overlap = append(s.overlap, seen)
 				return true
 			})
-			for _, part := range next.SubtractAll(s.overlap) {
+			s.parts = next.SubtractAll(s.parts[:0], s.overlap)
+			for _, part := range s.parts {
 				s.visited.Insert(part, struct{}{})
 				result = append(result, part)
 				s.queue = append(s.queue, part)
@@ -415,7 +418,10 @@ func (g *Graph) traverse(r ref.Range, forward bool) ([]ref.Range, TraversalStats
 			return true
 		})
 	}
-	return result, stats
+	if stats != nil {
+		stats.DistinctEdges = len(touched)
+	}
+	return result
 }
 
 // CountCells sums the sizes of a set of disjoint ranges — the number of

@@ -99,6 +99,39 @@ func TestRewriteRestoreKeepsCompression(t *testing.T) {
 	}
 }
 
+// TestBuildBulkLedgerMatchesColumnOrder: the bulk builder keeps the ledger's
+// runs across the rows where a formula's reference count changes (D restarts
+// every 256 rows with one reference instead of two), so it ends with exactly
+// the edges of column-order Build.
+func TestBuildBulkLedgerMatchesColumnOrder(t *testing.T) {
+	for _, rows := range []int{2000, 20_000} {
+		deps := ledgerDeps(t, rows)
+		bulk, greedy := core.BuildBulk(deps, core.DefaultOptions()), core.Build(deps, core.DefaultOptions())
+		if err := bulk.Check(); err != nil {
+			t.Fatalf("%d rows: %v", rows, err)
+		}
+		if got, want := bulk.NumEdges(), greedy.NumEdges(); got != want {
+			t.Errorf("%d rows: bulk %d edges, column-order Build %d", rows, got, want)
+		}
+	}
+}
+
+// TestFindDependentsAllocationFree: a warm FindDependents($H$1) on the
+// bulk-loaded 20 000-row ledger allocates little beyond its answer; the
+// visited tree's nodes, the queue and the subtraction slices come back from
+// the graph's scratch.
+func TestFindDependentsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	g := core.BuildBulk(ledgerDeps(t, 20_000), core.DefaultOptions())
+	rate := ref.CellRange(ref.MustCell("H1"))
+	g.FindDependents(rate)
+	if allocs := testing.AllocsPerRun(20, func() { g.FindDependents(rate) }); allocs > 10 {
+		t.Fatalf("FindDependents(H1) allocated %.0f times a call, want at most 10", allocs)
+	}
+}
+
 // TestBuildBulkRowFills: the bulk builder compresses a row fill as Alg. 2
 // does, since a run it cannot extend down a column goes in through
 // AddDependency. Every planning sheet (its budget and variance rows filled

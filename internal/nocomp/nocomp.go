@@ -91,19 +91,20 @@ func (g *Graph) FindDependents(r ref.Range) []ref.Range {
 // precedents are ranges, the visited set needs the same rectangle
 // subtraction bookkeeping TACO uses.
 func (g *Graph) FindPrecedents(r ref.Range) []ref.Range {
-	var result []ref.Range
+	var result, overlapping, parts []ref.Range
 	visited := rtree.New[struct{}]()
 	queue := []ref.Range{r}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		g.byDep.Search(cur, func(_ ref.Range, e *Edge) bool {
-			var overlapping []ref.Range
+			overlapping = overlapping[:0]
 			visited.Search(e.Prec, func(seen ref.Range, _ struct{}) bool {
 				overlapping = append(overlapping, seen)
 				return true
 			})
-			for _, part := range e.Prec.SubtractAll(overlapping) {
+			parts = e.Prec.SubtractAll(parts[:0], overlapping)
+			for _, part := range parts {
 				visited.Insert(part, struct{}{})
 				result = append(result, part)
 				queue = append(queue, part)

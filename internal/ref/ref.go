@@ -158,57 +158,63 @@ func (g Range) Bound(b Range) Range {
 // This is the primitive behind removeDep and the visited-set bookkeeping of
 // the compressed BFS.
 func (g Range) Subtract(b Range) []Range {
+	return g.appendSubtract(nil, b)
+}
+
+// appendSubtract appends the bands of Subtract(b) to dst.
+func (g Range) appendSubtract(dst []Range, b Range) []Range {
 	cut, ok := g.Intersect(b)
 	if !ok {
-		return []Range{g}
+		return append(dst, g)
 	}
-	var out []Range
 	// Top band: rows above the cut.
 	if cut.Head.Row > g.Head.Row {
-		out = append(out, Range{
+		dst = append(dst, Range{
 			Head: g.Head,
 			Tail: Ref{g.Tail.Col, cut.Head.Row - 1},
 		})
 	}
 	// Bottom band: rows below the cut.
 	if cut.Tail.Row < g.Tail.Row {
-		out = append(out, Range{
+		dst = append(dst, Range{
 			Head: Ref{g.Head.Col, cut.Tail.Row + 1},
 			Tail: g.Tail,
 		})
 	}
 	// Left band: columns left of the cut, limited to the cut's rows.
 	if cut.Head.Col > g.Head.Col {
-		out = append(out, Range{
+		dst = append(dst, Range{
 			Head: Ref{g.Head.Col, cut.Head.Row},
 			Tail: Ref{cut.Head.Col - 1, cut.Tail.Row},
 		})
 	}
 	// Right band: columns right of the cut, limited to the cut's rows.
 	if cut.Tail.Col < g.Tail.Col {
-		out = append(out, Range{
+		dst = append(dst, Range{
 			Head: Ref{cut.Tail.Col + 1, cut.Head.Row},
 			Tail: Ref{g.Tail.Col, cut.Tail.Row},
 		})
 	}
-	return out
+	return dst
 }
 
-// SubtractAll removes every range in bs from g, returning the remaining
-// disjoint rectangles.
-func (g Range) SubtractAll(bs []Range) []Range {
-	rest := []Range{g}
+// SubtractAll removes every range in bs from g and appends the remaining
+// disjoint rectangles to dst. It works in dst's spare capacity only, so a
+// caller that keeps dst across calls subtracts without allocating.
+func (g Range) SubtractAll(dst, bs []Range) []Range {
+	base := len(dst)
+	dst = append(dst, g)
 	for _, b := range bs {
-		var next []Range
-		for _, piece := range rest {
-			next = append(next, piece.Subtract(b)...)
+		end := len(dst)
+		for i := base; i < end; i++ {
+			dst = dst[i].appendSubtract(dst, b)
 		}
-		rest = next
-		if len(rest) == 0 {
+		dst = append(dst[:base], dst[end:]...)
+		if len(dst) == base {
 			break
 		}
 	}
-	return rest
+	return dst
 }
 
 // Cells calls fn for every cell in the range in row-major order. It stops

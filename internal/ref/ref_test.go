@@ -3,6 +3,7 @@ package ref
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -224,7 +225,7 @@ func checkPartition(t *testing.T, whole, removed Range, rest []Range) {
 
 func TestSubtractAll(t *testing.T) {
 	g := MustRange("A1:A10")
-	rest := g.SubtractAll([]Range{MustRange("A2:A3"), MustRange("A7")})
+	rest := g.SubtractAll(nil, []Range{MustRange("A2:A3"), MustRange("A7")})
 	total := 0
 	for _, p := range rest {
 		total += p.Size()
@@ -318,6 +319,45 @@ func TestSubtractProperty(t *testing.T) {
 		}
 		if area != g.Size()-cutArea {
 			t.Fatalf("area mismatch: %d + %d != %d for %v - %v", area, cutArea, g.Size(), g, b)
+		}
+	}
+}
+
+// TestSubtractAllProperty: the pieces SubtractAll appends are disjoint and
+// cover exactly the cells of g that no subtracted range holds, and a dst
+// reused across calls keeps its prefix.
+func TestSubtractAllProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	var dst []Range
+	for i := 0; i < 300; i++ {
+		g := randRange(r)
+		bs := make([]Range, r.Intn(5))
+		for k := range bs {
+			bs[k] = randRange(r)
+		}
+		prefix := randRange(r)
+		dst = g.SubtractAll(append(dst[:0], prefix), bs)
+		if dst[0] != prefix {
+			t.Fatalf("prefix %v overwritten: %v", prefix, dst)
+		}
+		rest := dst[1:]
+		g.Cells(func(c Ref) bool {
+			inB := slices.ContainsFunc(bs, func(b Range) bool { return b.Contains(c) })
+			n := 0
+			for _, p := range rest {
+				if p.Contains(c) {
+					n++
+				}
+			}
+			if inB && n != 0 || !inB && n != 1 {
+				t.Fatalf("%v - %v: cell %v in %d pieces of %v", g, bs, c, n, rest)
+			}
+			return true
+		})
+		for _, p := range rest {
+			if !g.ContainsRange(p) {
+				t.Fatalf("%v - %v: piece %v outside g", g, bs, p)
+			}
 		}
 	}
 }

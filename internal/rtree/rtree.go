@@ -4,10 +4,15 @@
 // primitive the paper assumes O(N) search / O(log N) insert and delete for.
 //
 // The tree is generic over the payload type so graphs can index edges,
-// vertices, or result-set ranges with the same structure.
+// vertices, or result-set ranges with the same structure. A tree recycles its
+// nodes: Reset keeps every node on the tree's free list, and Insert takes the
+// nodes its splits need from there, so a scratch tree filled and reset once
+// per query stops allocating once it has reached its largest size.
 package rtree
 
 import (
+	"slices"
+
 	"taco/internal/ref"
 )
 
@@ -23,6 +28,9 @@ const (
 type Tree[T any] struct {
 	root *node[T]
 	size int
+	// free holds the nodes Reset released, their entries cleared, for Insert
+	// to take before it allocates.
+	free []*node[T]
 }
 
 type entry[T any] struct {
@@ -44,51 +52,76 @@ func New[T any]() *Tree[T] {
 // Len returns the number of stored entries.
 func (t *Tree[T]) Len() int { return t.size }
 
-// Reset empties the tree for reuse, retaining the root node's entry slice so
-// repeated fill/reset cycles (per-query scratch trees) stop allocating once
-// the slice has grown. Interior nodes are released to the garbage collector.
+// Reset empties the tree for reuse. Every node below the root goes on the
+// free list, and every node keeps its entry slice with the entries cleared,
+// so no payload or child stays reachable from a free node. Repeated
+// fill/reset cycles — the per-query scratch trees — stop allocating once the
+// tree has reached its largest size.
 func (t *Tree[T]) Reset() {
-	clear(t.root.entries) // drop payload references before slice reuse
+	t.release(t.root)
 	t.root.leaf = true
-	t.root.entries = t.root.entries[:0]
 	t.size = 0
+}
+
+// release puts every node below n on the free list and clears n's entries.
+func (t *Tree[T]) release(n *node[T]) {
+	if !n.leaf {
+		for _, e := range n.entries {
+			t.release(e.child)
+			t.free = append(t.free, e.child)
+		}
+	}
+	clear(n.entries)
+	n.entries = n.entries[:0]
+}
+
+// newNode takes a node off the free list, or allocates one whose entry slice
+// grows on demand as a fresh node's always has.
+func (t *Tree[T]) newNode(leaf bool) *node[T] {
+	if k := len(t.free) - 1; k >= 0 {
+		n := t.free[k]
+		t.free[k] = nil
+		t.free = t.free[:k]
+		n.leaf = leaf
+		return n
+	}
+	return &node[T]{leaf: leaf}
 }
 
 // Insert adds a range/value pair. Duplicate ranges are allowed; each Insert
 // stores a distinct entry.
 func (t *Tree[T]) Insert(r ref.Range, v T) {
-	split := insertRec(t.root, r, v)
+	split := t.insertRec(t.root, entry[T]{rect: r, value: v})
 	t.size++
 	if split != nil {
 		old := t.root
-		t.root = &node[T]{
-			leaf: false,
-			entries: []entry[T]{
-				{rect: nodeRect(old), child: old},
-				{rect: nodeRect(split), child: split},
-			},
-		}
+		t.root = t.newNode(false)
+		t.root.entries = append(t.root.entries,
+			entry[T]{rect: nodeRect(old), child: old},
+			entry[T]{rect: nodeRect(split), child: split})
 	}
 }
 
-// insertRec inserts into the subtree rooted at n. If n overflows it is split
-// in place and the new sibling is returned for the caller to attach.
-func insertRec[T any](n *node[T], r ref.Range, v T) *node[T] {
-	if n.leaf {
-		n.entries = append(n.entries, entry[T]{rect: r, value: v})
-	} else {
-		i := chooseSubtree(n, r)
-		n.entries[i].rect = n.entries[i].rect.Bound(r)
-		if split := insertRec(n.entries[i].child, r, v); split != nil {
-			n.entries[i].rect = nodeRect(n.entries[i].child)
-			n.entries = append(n.entries, entry[T]{rect: nodeRect(split), child: split})
+// insertRec inserts the leaf entry e into the subtree rooted at n. A node
+// that is full when an entry arrives is split with it, in place, and the new
+// sibling is returned for the caller to attach; no entry slice grows past
+// maxEntries.
+func (t *Tree[T]) insertRec(n *node[T], e entry[T]) *node[T] {
+	if !n.leaf {
+		i := chooseSubtree(n, e.rect)
+		n.entries[i].rect = n.entries[i].rect.Bound(e.rect)
+		split := t.insertRec(n.entries[i].child, e)
+		if split == nil {
+			return nil
 		}
+		n.entries[i].rect = nodeRect(n.entries[i].child)
+		e = entry[T]{rect: nodeRect(split), child: split}
 	}
-	if len(n.entries) > maxEntries {
-		_, b := splitNode(n)
-		return b
+	if len(n.entries) < maxEntries {
+		n.entries = append(n.entries, e)
+		return nil
 	}
-	return nil
+	return t.splitNode(n, e)
 }
 
 // chooseSubtree picks the child whose bounding rectangle needs the least
@@ -107,11 +140,14 @@ func chooseSubtree[T any](n *node[T], r ref.Range) int {
 	return best
 }
 
-// splitNode performs Guttman's quadratic split, returning the two halves.
-// The first half reuses n so parent pointers to n stay valid until the
-// caller rewires them.
-func splitNode[T any](n *node[T]) (*node[T], *node[T]) {
-	ents := n.entries
+// splitNode performs Guttman's quadratic split of the full node n and the
+// arriving entry extra, in a stack buffer, and returns the new sibling. The
+// larger group stays in n, whose parent pointers stay valid and whose entry
+// slice already has room for it; the smaller goes into a node from newNode,
+// so a fresh node's slice grows only as far as its entries need.
+func (t *Tree[T]) splitNode(n *node[T], extra entry[T]) *node[T] {
+	var buf [maxEntries + 1]entry[T]
+	ents := append(append(buf[:0], n.entries...), extra)
 	// Pick seeds: the pair wasting the most area if grouped together.
 	seedA, seedB, worst := 0, 1, -1
 	for i := 0; i < len(ents); i++ {
@@ -122,61 +158,67 @@ func splitNode[T any](n *node[T]) (*node[T], *node[T]) {
 			}
 		}
 	}
-	a := &node[T]{leaf: n.leaf, entries: []entry[T]{ents[seedA]}}
-	b := &node[T]{leaf: n.leaf, entries: []entry[T]{ents[seedB]}}
+	// group[i] is 'a' or 'b' once ents[i] is assigned.
+	var group [maxEntries + 1]byte
+	group[seedA], group[seedB] = 'a', 'b'
+	nA, nB := 1, 1
 	rectA, rectB := ents[seedA].rect, ents[seedB].rect
-
-	rest := make([]entry[T], 0, len(ents)-2)
-	for i, e := range ents {
-		if i != seedA && i != seedB {
-			rest = append(rest, e)
-		}
-	}
-	for len(rest) > 0 {
+	for left := len(ents) - 2; left > 0; left-- {
 		// Force assignment when one group must take all remaining entries to
 		// reach minimum fill.
-		if len(a.entries)+len(rest) == minEntries {
-			for _, e := range rest {
-				a.entries = append(a.entries, e)
-				rectA = rectA.Bound(e.rect)
-			}
-			break
+		var force byte
+		switch {
+		case nA+left == minEntries:
+			force = 'a'
+		case nB+left == minEntries:
+			force = 'b'
 		}
-		if len(b.entries)+len(rest) == minEntries {
-			for _, e := range rest {
-				b.entries = append(b.entries, e)
-				rectB = rectB.Bound(e.rect)
+		if force != 0 {
+			for i := range ents {
+				if group[i] == 0 {
+					group[i] = force
+				}
 			}
 			break
 		}
 		// Pick the entry with maximum preference for one group.
-		bestIdx, bestDiff := 0, -1
-		for i, e := range rest {
-			dA := rectA.Bound(e.rect).Size() - rectA.Size()
-			dB := rectB.Bound(e.rect).Size() - rectB.Size()
-			diff := dA - dB
+		best, bestDiff := 0, -1
+		for i, e := range ents {
+			if group[i] != 0 {
+				continue
+			}
+			diff := rectA.Bound(e.rect).Size() - rectA.Size() - (rectB.Bound(e.rect).Size() - rectB.Size())
 			if diff < 0 {
 				diff = -diff
 			}
 			if diff > bestDiff {
-				bestIdx, bestDiff = i, diff
+				best, bestDiff = i, diff
 			}
 		}
-		e := rest[bestIdx]
-		rest = append(rest[:bestIdx], rest[bestIdx+1:]...)
-		dA := rectA.Bound(e.rect).Size() - rectA.Size()
-		dB := rectB.Bound(e.rect).Size() - rectB.Size()
-		if dA < dB || (dA == dB && len(a.entries) <= len(b.entries)) {
-			a.entries = append(a.entries, e)
-			rectA = rectA.Bound(e.rect)
+		r := ents[best].rect
+		dA := rectA.Bound(r).Size() - rectA.Size()
+		dB := rectB.Bound(r).Size() - rectB.Size()
+		if dA < dB || (dA == dB && nA <= nB) {
+			group[best], nA, rectA = 'a', nA+1, rectA.Bound(r)
 		} else {
-			b.entries = append(b.entries, e)
-			rectB = rectB.Bound(e.rect)
+			group[best], nB, rectB = 'b', nB+1, rectB.Bound(r)
 		}
 	}
-	// Reuse n's storage for a.
-	n.entries = a.entries
-	return n, b
+	stay := byte('a')
+	if nB > nA {
+		stay = 'b'
+	}
+	clear(n.entries)
+	n.entries = n.entries[:0]
+	sib := t.newNode(n.leaf)
+	for i, e := range ents {
+		if group[i] == stay {
+			n.entries = append(n.entries, e)
+		} else {
+			sib.entries = append(sib.entries, e)
+		}
+	}
+	return sib
 }
 
 func nodeRect[T any](n *node[T]) ref.Range {
@@ -244,7 +286,7 @@ func (t *Tree[T]) Delete(r ref.Range, match func(T) bool) bool {
 		t.root = t.root.entries[0].child
 	}
 	if len(t.root.entries) == 0 {
-		t.root = &node[T]{leaf: true}
+		t.root.leaf = true
 	}
 	// Reinsert entries orphaned by condensed nodes.
 	for _, e := range orphans {
@@ -266,7 +308,7 @@ func deleteRec[T any](n *node[T], r ref.Range, match func(T) bool, orphans *[]en
 		for i := range n.entries {
 			e := &n.entries[i]
 			if e.rect == r && match(e.value) {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
+				n.entries = slices.Delete(n.entries, i, i+1)
 				return true
 			}
 		}
@@ -282,7 +324,7 @@ func deleteRec[T any](n *node[T], r ref.Range, match func(T) bool, orphans *[]en
 		}
 		if len(e.child.entries) < minEntries {
 			*orphans = append(*orphans, e.child.entries...)
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
+			n.entries = slices.Delete(n.entries, i, i+1)
 		} else {
 			e.rect = nodeRect(e.child)
 		}

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -151,6 +152,97 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 		}
 		if tr.Len() != len(naive) {
 			t.Fatalf("step %d: Len=%d, naive=%d", step, tr.Len(), len(naive))
+		}
+	}
+}
+
+// TestRecycledTreeMatchesFresh runs rounds of random inserts, deletes and
+// searches with a Reset between rounds. The recycled tree answers every
+// search in the same order as a fresh tree given the same round and with the
+// same payloads as a brute-force list; after each Reset no payload or child
+// is reachable from a free node, and refilling the tree as the round left it
+// allocates nothing.
+func TestRecycledTreeMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	recycled := New[*int]()
+	collect := func(tr *Tree[*int], q ref.Range) []*int {
+		var out []*int
+		tr.Search(q, func(_ ref.Range, v *int) bool {
+			out = append(out, v)
+			return true
+		})
+		return out
+	}
+	type item struct {
+		r ref.Range
+		v *int
+	}
+	for round := 0; round < 60; round++ {
+		fresh := New[*int]()
+		var list []item
+		randR := func() ref.Range {
+			a := ref.Ref{Col: 1 + rng.Intn(20), Row: 1 + rng.Intn(100)}
+			return ref.RangeOf(a, ref.Ref{Col: a.Col + rng.Intn(3), Row: a.Row + rng.Intn(8)})
+		}
+		for step, n := 0, rng.Intn(400); step < n; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6 || len(list) == 0:
+				it := item{randR(), new(int)}
+				*it.v = step
+				recycled.Insert(it.r, it.v)
+				fresh.Insert(it.r, it.v)
+				list = append(list, it)
+			case op < 8:
+				k := rng.Intn(len(list))
+				it := list[k]
+				match := func(v *int) bool { return v == it.v }
+				if !recycled.Delete(it.r, match) || !fresh.Delete(it.r, match) {
+					t.Fatalf("round %d step %d: delete of %v failed", round, step, it.r)
+				}
+				list = append(list[:k], list[k+1:]...)
+			default:
+				q := randR()
+				got, want := collect(recycled, q), collect(fresh, q)
+				if !slices.Equal(got, want) {
+					t.Fatalf("round %d step %d: search %v: recycled %d payloads, fresh %d", round, step, q, len(got), len(want))
+				}
+				var brute []*int
+				for _, it := range list {
+					if it.r.Overlaps(q) {
+						brute = append(brute, it.v)
+					}
+				}
+				byValue := func(a, b *int) int { return *a - *b }
+				slices.SortFunc(got, byValue)
+				slices.SortFunc(brute, byValue)
+				if !slices.Equal(got, brute) {
+					t.Fatalf("round %d step %d: search %v: %d payloads, brute force %d", round, step, q, len(got), len(brute))
+				}
+			}
+			if recycled.Len() != len(list) {
+				t.Fatalf("round %d step %d: Len %d, want %d", round, step, recycled.Len(), len(list))
+			}
+		}
+		refill := func() {
+			recycled.Reset()
+			for _, it := range list {
+				recycled.Insert(it.r, it.v)
+			}
+		}
+		refill()
+		if allocs := testing.AllocsPerRun(3, refill); allocs != 0 {
+			t.Fatalf("round %d: refilling %d entries after Reset allocated %.0f times", round, len(list), allocs)
+		}
+		recycled.Reset()
+		if recycled.Len() != 0 || len(recycled.root.entries) != 0 || !recycled.root.leaf {
+			t.Fatalf("round %d: Reset left %d entries", round, recycled.Len())
+		}
+		for _, n := range append(recycled.free, recycled.root) {
+			for _, e := range n.entries[:cap(n.entries)] {
+				if e.value != nil || e.child != nil {
+					t.Fatalf("round %d: a free node still holds %v", round, e.rect)
+				}
+			}
 		}
 	}
 }
