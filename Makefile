@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race loc bench bench-test bench-pairs bench-server bench-core bench-engine bench-formula profile-engine bench-eval fuzz-smoke perf-check crash-smoke failover-smoke stress-drain
+.PHONY: check fmt vet build test race loc bench bench-test bench-pairs bench-server bench-core bench-engine bench-formula profile-engine eval-floors eval-pairs fuzz-smoke perf-check crash-smoke failover-smoke stress-drain
 
 check: fmt vet build race
 
@@ -113,12 +113,26 @@ profile-engine:
 		-cpuprofile "$$dir/cpu.out" -o "$$dir/engine.test" && \
 	$(GO) tool pprof -top -cum -show 'internal/(engine|core|rtree|formula)' "$$dir/engine.test" "$$dir/cpu.out"
 
-# Refresh the evaluation perf baseline: the range-aggregation shapes (bulk
-# range resolver vs the per-cell probe path) and the pattern-run shapes
-# (levelled vectorized drain vs per-cell evaluation on the pinned walk).
-bench-eval:
-	$(GO) run ./cmd/tacoeval -json > BENCH_eval.json
-	@cat BENCH_eval.json
+# The eval shapes' speedup floors (BenchmarkEvalShape): per shape, its slow
+# path's ns/op over its fast path's must reach the floor the shape declares —
+# 2x bulk over per-cell on every range shape, 3x vectorized over the walk on
+# pattern_mul_add_column. Both paths run in one process, so the floors hold on
+# any host. CI's perf job runs it; so does perf-check.
+eval-floors:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) test ./internal/engine -run '^$$' -bench '^BenchmarkEvalShape$$' -benchtime=1s > "$$out" && cat "$$out" && \
+	awk '/^BenchmarkEvalShape\// { n++; for (f = 5; f < NF; f += 2) m[$$(f + 1)] = $$f; \
+		if (m["speedup"] < m["floor"]) { printf "FLOOR MISSED: %s speedup %.2fx, floor %.2fx\n", $$1, m["speedup"], m["floor"]; bad = 1 } } \
+		END { if (!n) print "no eval shape ran"; exit bad || !n }' "$$out"
+
+# The eval shapes' timings, gated against the parent on the same host: N
+# alternating parent/change runs of BenchmarkEvalShape, medians, quartiles and
+# wins per shape and path, failing when a change median is more than 25 %
+# worse than the parent's (scripts/eval_pairs.sh). PARENT is a checkout of the
+# parent commit, as for bench-pairs; CI's perf job runs it against the
+# commit's base:  make eval-pairs PARENT=/tmp/parent N=10
+eval-pairs:
+	bash scripts/eval_pairs.sh $(PARENT) . $(or $(N),10)
 
 # Bounded native-fuzz smoke, mirrored by CI. The nightly workflow runs the
 # same targets at 10 minutes each (see .github/workflows/nightly.yml).
@@ -137,18 +151,14 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGraphSequence$$' -fuzztime=15s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStoreLifecycle$$' -fuzztime=15s
 
-# Local mirror of CI's perf-regression gate: measure now, compare against
-# the checked-in baselines, fail on >25% regression (edits/s, mid-drain
-# read p50, drain throughput, per-shape ns/op), a bulk range speedup under
-# 2x, or a pattern-run drain speedup under its baseline floor (3x on the
-# 100k-row column shape, enforced on every host — the advantage is
-# algorithmic; the SUMPRODUCT rectangle carries none, both its sides spend
-# their time in the same slab fold).
-perf-check:
+# Local mirror of CI's perf-regression gate: measure the server now, compare
+# against the checked-in baseline and fail on a >25% regression (edits/s,
+# mid-drain read p50, drain throughput, spill bytes an edit, fork p50), then
+# hold the eval shapes to their speedup floors (eval-floors). The eval shapes'
+# timings are gated against a parent checkout instead (eval-pairs).
+perf-check: eval-floors
 	$(GO) run ./cmd/tacoload -sessions 32 -edits 100 -rows 100 -max-resident 12 -durable -churn-rounds 4 -fork-storm 64 -metrics-url /metrics -standby-url inproc -json > /tmp/taco_bench_server.json
 	$(GO) run ./cmd/benchdiff -tol 0.25 BENCH_server.json /tmp/taco_bench_server.json
-	$(GO) run ./cmd/tacoeval -json > /tmp/taco_bench_eval.json
-	$(GO) run ./cmd/benchdiff -tol 0.25 -min-speedup 2.0 BENCH_eval.json /tmp/taco_bench_eval.json
 
 # Kill-and-restart smoke, mirrored by CI's perf job: journaled edits into a
 # durable tacoserve, SIGKILL mid-stream, restart on the same spill dir, and

@@ -596,18 +596,6 @@ func (e *Engine) SetFormula(at ref.Ref, src string) ([]ref.Range, error) {
 	return e.SetFormulaShape(at, shape), nil
 }
 
-// SetFormulaParsed is SetFormula for a source the caller already parsed to
-// ast. The cell holds src's shape, looked up by its text, so ast only vouches
-// that src parses; the method stays for the benchmark harness (bench/), which
-// calls it. It panics when src does not parse.
-func (e *Engine) SetFormulaParsed(at ref.Ref, src string, ast formula.Node) []ref.Range {
-	shape, err := formula.ParseShape(src, at)
-	if err != nil {
-		panic(fmt.Sprintf("engine: SetFormulaParsed of a formula that does not parse: %v", err))
-	}
-	return e.SetFormulaShape(at, shape)
-}
-
 // SetFormulaShape is SetFormula for a formula the caller already parsed
 // (formula.ParseShape at the same position) — batch endpoints validate whole
 // batches up front and must not pay for a second lookup per edit.

@@ -152,10 +152,6 @@ func Compile(n Node, at ref.Ref) *Program {
 	return &c.p
 }
 
-// CompileCached is Compile. Programs are interned with the shapes that hold
-// them (ParseShape); the name stays for the benchmark harness (bench/).
-func CompileCached(n Node, at ref.Ref) *Program { return Compile(n, at) }
-
 type compiler struct {
 	p      Program
 	anchor ref.Ref

@@ -85,16 +85,6 @@ func Empty() Value { return Value{Kind: KindEmpty} }
 // Error returns the error value with the given code.
 func Error(c ErrCode) Value { return Value{Kind: KindError, Err: c} }
 
-// Errorf returns the error value whose text is code, the way a client reads
-// one back; a text that names no ErrCode reads as #VALUE!.
-func Errorf(code string) Value {
-	c, ok := ParseErrCode(code)
-	if !ok {
-		c = ErrValue
-	}
-	return Error(c)
-}
-
 // IsError reports whether the value is an evaluation error.
 func (v Value) IsError() bool { return v.Kind == KindError }
 
@@ -337,10 +327,13 @@ func foldAggregate(name string, args []arg, res Resolver) (Value, bool) {
 	return Value{}, false
 }
 
-// Eval evaluates the AST against the resolver, returning the cell's value.
+// Eval is the reference the bytecode VM is held to: a tree walk of the AST
+// against the resolver, which the equivalence tests and fuzzers compare every
+// compiled program with. No runtime path evaluates through it; it is exported
+// for the frozen benchmark module (bench/), which times it beside the VM.
 // Errors propagate as #-style error values rather than Go errors, matching
-// spreadsheet semantics. It is the reference the bytecode VM is held to: both
-// evaluate every operand, left to right, before they apply what consumes it.
+// spreadsheet semantics, and both evaluate every operand, left to right,
+// before they apply what consumes it.
 func Eval(n Node, res Resolver) Value {
 	switch t := n.(type) {
 	case *Number:

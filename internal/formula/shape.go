@@ -421,7 +421,3 @@ func resetInternTable() {
 	internTable.progs = make(map[string]*Program)
 	internTable.bytes = 0
 }
-
-// ParseCached is Parse. Formulae are interned by shape (ParseShape), not by
-// text; the name stays for the benchmark harness (bench/), which calls it.
-func ParseCached(src string) (Node, error) { return Parse(src) }

@@ -18,16 +18,18 @@
 # than the distance between the parent's quartiles. Which direction is better,
 # and the bound past which a worse median is flagged, are read from the
 # parent's BENCHMARK.json. A run whose oracle fails ends the
-# script: a gain does not count on wrong output.
+# script: a gain does not count on wrong output. The statistics are
+# scripts/pairs.awk's, shared with scripts/eval_pairs.sh.
 #
 # Needs bash and a POSIX awk. Each checkout builds into its own .bench_build/.
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-    sed -n '2,23p' "$0" >&2
+    sed -n '2,24p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd) workload=$3 pairs=$4 seed0=${5:-101}
+here=$(cd "$(dirname "$0")" && pwd)
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
@@ -53,16 +55,8 @@ for i in $(seq 1 "$pairs"); do
 done
 
 echo "== $workload: $pairs alternating pairs, seeds $seed0..$((seed0 + pairs - 1)), parent $parent, change $change"
-awk -v pairs="$pairs" '
-function quantile(v, n, p,    pos, lo) { # v[1..n] ascending
-    pos = 1 + (n - 1) * p; lo = int(pos)
-    return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
-}
-function sorted(src, dst, n,    i, j, t) {
-    for (i = 1; i <= n; i++) dst[i] = src[i]
-    for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
-}
-FNR == NR { # the parent checkout'"'"'s BENCHMARK.json: end-to-end metric -> better
+awk -v pairs="$pairs" -v tagname=seed -f "$here/pairs.awk" -f /dev/stdin "$parent/BENCHMARK.json" "$runs" <<'AWK'
+FNR == NR { # the parent checkout's BENCHMARK.json: end-to-end metric -> better
     if ($0 ~ /"end_to_end"/) inE2E = 1
     if ($0 ~ /"per_layer"/) inE2E = 0
     if (inE2E && match($0, /"name": *"[^"]+"/)) { name = substr($0, RSTART, RLENGTH); gsub(/"name": *"|"/, "", name); order[++nm] = name }
@@ -71,7 +65,7 @@ FNR == NR { # the parent checkout'"'"'s BENCHMARK.json: end-to-end metric -> bet
     next
 }
 {
-    side = $1; pair = $2; seeds[pair] = $3
+    side = $1; pair = $2; tag[pair] = $3
     for (m = 1; m <= nm; m++) {
         if (!match($0, "\"" order[m] "\":\\{\"value\":[^,}]+")) continue
         v = substr($0, RSTART, RLENGTH); sub(/.*:/, "", v)
@@ -82,24 +76,7 @@ FNR == NR { # the parent checkout'"'"'s BENCHMARK.json: end-to-end metric -> bet
 }
 END {
     printf "failed ops: parent %d of %d, change %d of %d\n", failed["parent"], attempted["parent"], failed["change"], attempted["change"]
-    for (m = 1; m <= nm; m++) {
-        name = order[m]; if (!seen[name]) continue
-        sign = better[name] == "higher" ? 1 : -1
-        printf "\n%s (%s is better)\n  %4s %6s %14s %14s  %s\n", name, better[name], "pair", "seed", "parent", "change", "winner"
-        wins = ties = 0
-        for (i = 1; i <= pairs; i++) {
-            p[i] = val["parent", name, i]; c[i] = val["change", name, i]
-            w = "tie"; if (sign * (c[i] - p[i]) > 0) { w = "change"; wins++ } else if (c[i] == p[i]) ties++; else w = "parent"
-            printf "  %4d %6d %14.6g %14.6g  %s\n", i, seeds[i], p[i], c[i], w
-        }
-        sorted(p, sp, pairs); sorted(c, sc, pairs)
-        pm = quantile(sp, pairs, 0.5); cm = quantile(sc, pairs, 0.5)
-        p1 = quantile(sp, pairs, 0.25); p3 = quantile(sp, pairs, 0.75)
-        printf "  parent median %.6g  quartiles [%.6g, %.6g]\n", pm, p1, p3
-        printf "  change median %.6g  quartiles [%.6g, %.6g]  (%+.1f%% against the parent median)\n", cm, quantile(sc, pairs, 0.25), quantile(sc, pairs, 0.75), pm ? 100 * (cm - pm) / pm : 0
-        gap = sign * (cm - pm)
-        if (pm && -gap / pm > bound[name]) printf "  WORSE than the parent median by more than the bound %g\n", bound[name]
-        verdict = (wins >= 0.9 * pairs && gap > p3 - p1) ? "GAIN" : "no gain shown"
-        printf "  change wins %d of %d, %d ties; median gap %.6g vs parent inter-quartile distance %.6g: %s\n", wins, pairs, ties, gap, p3 - p1, verdict
-    }
-}' "$parent/BENCHMARK.json" "$runs"
+    for (m = 1; m <= nm; m++)
+        if (seen[order[m]]) report(order[m], better[order[m]], bound[order[m]], pairs)
+}
+AWK
