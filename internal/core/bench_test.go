@@ -160,3 +160,29 @@ func BenchmarkBuildBulkVsGreedy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildCorpus builds every sheet of the Enron and Github corpora,
+// at half graph_corpus's scale, through Alg. 2 one dependency at a
+// time (core.Build, the graph_corpus load): the path where a run grows by a
+// cell per dependency. It reports the corpora's edges and dependencies.
+func BenchmarkBuildCorpus(b *testing.B) {
+	var deps [][]core.Dependency
+	n := 0
+	for _, spec := range []workload.CorpusSpec{workload.EnronSpec(0.5), workload.GithubSpec(0.5)} {
+		for _, s := range workload.Generate(spec) {
+			deps = append(deps, s.MustDependencies())
+			n += len(deps[len(deps)-1])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	edges := 0
+	for i := 0; i < b.N; i++ {
+		edges = 0
+		for _, d := range deps {
+			edges += core.Build(d, core.DefaultOptions()).NumEdges()
+		}
+	}
+	b.ReportMetric(float64(edges), "edges")
+	b.ReportMetric(float64(n), "deps")
+}

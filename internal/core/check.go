@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"taco/internal/ref"
 )
@@ -88,10 +89,18 @@ func CheckEdge(e *Edge) error {
 }
 
 // Check validates every edge of the graph plus the index invariants: each
-// edge is present in both R-trees under exactly its own ranges, and the
-// dependency multiset is consistent with edge counts.
+// edge is present in both R-trees under exactly its own ranges, no index
+// holds a stale entry, and the cached vertex refcounts and dependency count
+// equal a recount from the edges.
 func (g *Graph) Check() error {
+	verts := make(map[ref.Range]int, len(g.verts))
+	ndeps := 0
 	for e := range g.edges {
+		verts[e.Prec]++
+		if e.Prec != e.Dep {
+			verts[e.Dep]++
+		}
+		ndeps += e.Count()
 		if err := CheckEdge(e); err != nil {
 			return err
 		}
@@ -106,6 +115,13 @@ func (g *Graph) Check() error {
 	if g.byPrec.Len() != len(g.edges) || g.byDep.Len() != len(g.edges) {
 		return fmt.Errorf("%w: index sizes %d/%d, edges %d",
 			ErrInvariant, g.byPrec.Len(), g.byDep.Len(), len(g.edges))
+	}
+	if ndeps != g.ndeps {
+		return fmt.Errorf("%w: dependency count %d, edges hold %d", ErrInvariant, g.ndeps, ndeps)
+	}
+	if !maps.Equal(verts, g.verts) {
+		return fmt.Errorf("%w: vertex refcounts differ from a recount (%d cached, %d recounted)",
+			ErrInvariant, len(g.verts), len(verts))
 	}
 	return nil
 }

@@ -51,7 +51,8 @@ func (o Options) patterns() []PatternType {
 // splits a run around the cleared cells; a dependency added back into the gap
 // bridges the two pieces into one edge again, so an update (Clear, then the
 // new formula's dependencies) that restores a cell's shape leaves the graph as
-// compressed as it was.
+// compressed as it was. A run that grows or shrinks stays one edge, updated
+// in place in both indexes.
 //
 // Graph is not safe for concurrent mutation; wrap it with a lock if needed.
 type Graph struct {
@@ -149,6 +150,19 @@ func (g *Graph) deleteEdge(e *Edge) {
 	g.noteDelete(e)
 }
 
+// replaceEdge turns edge e into ne in place: e keeps its identity, its place
+// in g.edges and its leaf in both indexes, whose entries move to ne's ranges
+// with one R-tree Update each. A run that grows or shrinks by a cell changes
+// one edge's rectangles, so it costs no delete and no reinsert.
+func (g *Graph) replaceEdge(e, ne *Edge) {
+	match := func(x *Edge) bool { return x == e }
+	g.byPrec.Update(e.Prec, match, ne.Prec)
+	g.byDep.Update(e.Dep, match, ne.Dep)
+	g.noteDelete(e)
+	g.noteInsert(ne)
+	*e = *ne
+}
+
 // candidate is one valid way to compress an inserted dependency.
 type candidate struct {
 	merged *Edge
@@ -173,13 +187,12 @@ func (g *Graph) AddDependency(d Dependency) bool {
 		return false
 	}
 	best := g.selectCandidate(cands, d)
-	g.deleteEdge(best.old)
 	if far := bridge(cands, best); far != nil {
 		g.deleteEdge(far)
 		best.merged.Prec = best.merged.Prec.Bound(far.Prec)
 		best.merged.Dep = best.merged.Dep.Bound(far.Dep)
 	}
-	g.insertEdge(best.merged)
+	g.replaceEdge(best.old, best.merged)
 	return true
 }
 
@@ -436,7 +449,9 @@ func CountCells(rs []ref.Range) int {
 
 // Clear removes the dependencies of every formula cell inside s — the
 // maintenance operation of Sec. IV-C (an update is modelled as Clear followed
-// by AddDependency for the new formula's references).
+// by AddDependency for the new formula's references). An edge cut short keeps
+// its identity and moves its index entries in place; only the second piece
+// of a split is inserted, and only an edge with nothing left is deleted.
 func (g *Graph) Clear(s ref.Range) {
 	var relevant []*Edge
 	g.byDep.Search(s, func(_ ref.Range, e *Edge) bool {
@@ -444,12 +459,13 @@ func (g *Graph) Clear(s ref.Range) {
 		return true
 	})
 	for _, e := range relevant {
-		replacements := RemoveDeps(e, s)
-		if len(replacements) == 1 && replacements[0] == e {
-			continue // no overlap after clipping
+		pieces := RemoveDeps(e, s)
+		if len(pieces) == 0 {
+			g.deleteEdge(e)
+			continue
 		}
-		g.deleteEdge(e)
-		for _, ne := range replacements {
+		g.replaceEdge(e, pieces[0])
+		for _, ne := range pieces[1:] {
 			g.insertEdge(ne)
 		}
 	}

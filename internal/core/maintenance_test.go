@@ -179,3 +179,35 @@ func TestBuildBulkRowFills(t *testing.T) {
 		t.Logf("%s: bulk %d edges, greedy %d", in.name, got, want)
 	}
 }
+
+// TestRunMaintenanceAllocations pins what growing and cutting a run
+// allocates: an AddDependency that extends a 100-row column run allocates
+// only the merged edge AddDep returns, since the run's edge takes it in
+// place; a Clear of the run's end cell allocates four times, for the edges
+// its search found, the piece Subtract leaves, the list RemoveDeps returns
+// and the piece's edge.
+func TestRunMaintenanceAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	g := core.NewGraph(core.DefaultOptions())
+	dep := func(row int) core.Dependency {
+		return core.Dependency{Prec: ref.CellRange(ref.Ref{Col: 1, Row: row}), Dep: ref.Ref{Col: 2, Row: row}}
+	}
+	row := 1
+	for ; row <= 100; row++ {
+		g.AddDependency(dep(row))
+	}
+	if allocs := testing.AllocsPerRun(50, func() { g.AddDependency(dep(row)); row++ }); allocs > 1 {
+		t.Errorf("extending the run allocated %.1f times, want at most 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { row--; g.Clear(ref.CellRange(ref.Ref{Col: 2, Row: row})) }); allocs > 4 {
+		t.Errorf("clearing the run's end cell allocated %.1f times, want at most 4", allocs)
+	}
+	if err := g.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 1 || g.NumDependencies() != row-1 {
+		t.Fatalf("%d edges holding %d dependencies, want 1 holding %d", g.NumEdges(), g.NumDependencies(), row-1)
+	}
+}

@@ -52,6 +52,26 @@ func FuzzGraphSequence(f *testing.F) {
 		clearRange(3, 4, 3, 6),
 		fillCol(3, 4, 3, shapeTwice, 1),
 	))
+	// A run's edge changed in place, on each axis: a run grown a cell at a
+	// time, its end cell cleared (one piece left), a middle cell cleared (two
+	// pieces), that cell re-added (the pieces bridged), and a two-cell run
+	// cleared down to a Single.
+	f.Add(seqProgram(
+		fillCol(2, 1, seqRows, shapeCell, 0),
+		clearCell(2, seqRows),
+		clearCell(2, 5),
+		fillCol(2, 5, 1, shapeCell, 0),
+		fillCol(4, 1, 2, shapeFixed, 0),
+		clearCell(4, 2),
+	))
+	f.Add(seqProgram(
+		fillRow(2, 1, seqCols, shapeCell, 0),
+		clearCell(seqCols, 2),
+		clearCell(3, 2),
+		fillRow(2, 3, 1, shapeCell, 0),
+		fillRow(6, 1, 2, shapeFixed, 0),
+		clearCell(2, 6),
+	))
 	// Every shape once down a column and once across a row, installed
 	// bottom-up, then a range clear cutting all of them.
 	var every [][]byte

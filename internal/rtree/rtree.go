@@ -2,6 +2,9 @@
 // spreadsheet ranges. Every formula-graph variant in this repository uses it
 // to find, for an input range, the stored ranges that overlap it — the
 // primitive the paper assumes O(N) search / O(log N) insert and delete for.
+// Update moves one entry's rectangle in place, so a compressed edge whose
+// run grows or shrinks by a cell is refitted rather than deleted and
+// reinserted.
 //
 // The tree is generic over the payload type so graphs can index edges,
 // vertices, or result-set ranges with the same structure. A tree recycles its
@@ -329,6 +332,32 @@ func deleteRec[T any](n *node[T], r ref.Range, match func(T) bool, orphans *[]en
 			e.rect = nodeRect(e.child)
 		}
 		return true
+	}
+	return false
+}
+
+// Update moves the first entry with exactly range old for which match returns
+// true to range r, in place, reporting whether an entry was found. It
+// descends only into children whose rectangle contains old and refits every
+// rectangle on the way back up, so the bounds stay tight; it never splits,
+// condenses or allocates. The entry keeps its leaf, so an entry grown far
+// past where Insert would have put it widens its ancestors instead.
+func (t *Tree[T]) Update(old ref.Range, match func(T) bool, r ref.Range) bool {
+	return updateRec(t.root, old, match, r)
+}
+
+func updateRec[T any](n *node[T], old ref.Range, match func(T) bool, r ref.Range) bool {
+	for i := range n.entries {
+		e := &n.entries[i]
+		if n.leaf {
+			if e.rect == old && match(e.value) {
+				e.rect = r
+				return true
+			}
+		} else if e.rect.ContainsRange(old) && updateRec(e.child, old, match, r) {
+			e.rect = nodeRect(e.child)
+			return true
+		}
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -156,12 +157,50 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 	}
 }
 
-// TestRecycledTreeMatchesFresh runs rounds of random inserts, deletes and
-// searches with a Reset between rounds. The recycled tree answers every
-// search in the same order as a fresh tree given the same round and with the
-// same payloads as a brute-force list; after each Reset no payload or child
-// is reachable from a free node, and refilling the tree as the round left it
-// allocates nothing.
+// checkStructure verifies the R-tree invariants: every internal entry's
+// rectangle is exactly its child's bounds, every non-root node holds
+// minEntries..maxEntries entries, every leaf sits at one depth, and the
+// leaves hold Len entries.
+func checkStructure[T any](t *testing.T, tr *Tree[T], what string) {
+	t.Helper()
+	leafDepth, leaves := -1, 0
+	var walk func(n *node[T], depth int)
+	walk = func(n *node[T], depth int) {
+		if n != tr.root && (len(n.entries) < minEntries || len(n.entries) > maxEntries) {
+			t.Fatalf("%s: a node at depth %d holds %d entries", what, depth, len(n.entries))
+		}
+		if n.leaf {
+			if leafDepth < 0 {
+				leafDepth = depth
+			} else if depth != leafDepth {
+				t.Fatalf("%s: leaves at depths %d and %d", what, leafDepth, depth)
+			}
+			leaves += len(n.entries)
+			return
+		}
+		for _, e := range n.entries {
+			if got := nodeRect(e.child); e.rect != got {
+				t.Fatalf("%s: an entry at depth %d bounds %v, its child %v", what, depth, e.rect, got)
+			}
+			walk(e.child, depth+1)
+		}
+	}
+	walk(tr.root, 0)
+	if len(tr.root.entries) > maxEntries {
+		t.Fatalf("%s: the root holds %d entries", what, len(tr.root.entries))
+	}
+	if leaves != tr.Len() {
+		t.Fatalf("%s: leaves hold %d entries, Len %d", what, leaves, tr.Len())
+	}
+}
+
+// TestRecycledTreeMatchesFresh runs rounds of random inserts, deletes,
+// updates (an entry grown, shrunk or moved elsewhere) and searches with a
+// Reset between rounds. After every op both trees pass checkStructure, and
+// the recycled tree answers every search in the same order as a fresh tree
+// given the same round and with the same payloads as a brute-force list;
+// after each Reset no payload or child is reachable from a free node, and
+// refilling the tree as the round left it allocates nothing.
 func TestRecycledTreeMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	recycled := New[*int]()
@@ -192,7 +231,7 @@ func TestRecycledTreeMatchesFresh(t *testing.T) {
 				recycled.Insert(it.r, it.v)
 				fresh.Insert(it.r, it.v)
 				list = append(list, it)
-			case op < 8:
+			case op < 7:
 				k := rng.Intn(len(list))
 				it := list[k]
 				match := func(v *int) bool { return v == it.v }
@@ -200,6 +239,27 @@ func TestRecycledTreeMatchesFresh(t *testing.T) {
 					t.Fatalf("round %d step %d: delete of %v failed", round, step, it.r)
 				}
 				list = append(list[:k], list[k+1:]...)
+			case op < 8:
+				k := rng.Intn(len(list))
+				it := &list[k]
+				r := it.r
+				switch rng.Intn(3) {
+				case 0: // grow along the column, as a run extended by Alg. 2
+					r.Tail.Row += 1 + rng.Intn(20)
+				case 1: // shrink, as a run whose end cell is cleared
+					if r.Rows() > 1 {
+						r.Tail.Row--
+					} else if r.Cols() > 1 {
+						r.Tail.Col--
+					}
+				default:
+					r = randR()
+				}
+				match := func(v *int) bool { return v == it.v }
+				if !recycled.Update(it.r, match, r) || !fresh.Update(it.r, match, r) {
+					t.Fatalf("round %d step %d: update of %v to %v failed", round, step, it.r, r)
+				}
+				it.r = r
 			default:
 				q := randR()
 				got, want := collect(recycled, q), collect(fresh, q)
@@ -222,6 +282,8 @@ func TestRecycledTreeMatchesFresh(t *testing.T) {
 			if recycled.Len() != len(list) {
 				t.Fatalf("round %d step %d: Len %d, want %d", round, step, recycled.Len(), len(list))
 			}
+			checkStructure(t, recycled, fmt.Sprintf("round %d step %d: recycled", round, step))
+			checkStructure(t, fresh, fmt.Sprintf("round %d step %d: fresh", round, step))
 		}
 		refill := func() {
 			recycled.Reset()
@@ -244,6 +306,62 @@ func TestRecycledTreeMatchesFresh(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUpdate moves entries in place: an Update of an absent entry (wrong
+// range, or the right range with no matching payload) reports false and
+// leaves every rectangle as it was, and an Update allocates nothing.
+func TestUpdate(t *testing.T) {
+	tr := New[int]()
+	for i := 0; i < 500; i++ {
+		tr.Insert(ref.RangeOf(ref.Ref{Col: i%9 + 1, Row: i/9 + 1}, ref.Ref{Col: i%9 + 1, Row: i/9 + 2}), i)
+	}
+	dump := func() []ref.Range {
+		var out []ref.Range
+		var walk func(n *node[int])
+		walk = func(n *node[int]) {
+			for _, e := range n.entries {
+				out = append(out, e.rect)
+				if !n.leaf {
+					walk(e.child)
+				}
+			}
+		}
+		walk(tr.root)
+		return out
+	}
+	before := dump()
+	all := func(int) bool { return true }
+	if tr.Update(mustRange("Z1:Z2"), all, mustRange("A1")) {
+		t.Fatal("Update of an absent range reported true")
+	}
+	if tr.Update(mustRange("A1:A2"), func(v int) bool { return v == 1 }, mustRange("A1")) {
+		t.Fatal("Update with no matching payload reported true")
+	}
+	if !slices.Equal(before, dump()) {
+		t.Fatal("a failed Update changed the tree")
+	}
+	// Entry 0 is A1:A2: grow it down the column and back, and move it away.
+	is0 := func(v int) bool { return v == 0 }
+	steps := []ref.Range{mustRange("A1:A900"), mustRange("A1"), mustRange("ZZ5000:ZZ5001"), mustRange("A1:A2")}
+	prev := mustRange("A1:A2")
+	for _, r := range steps {
+		if !tr.Update(prev, is0, r) {
+			t.Fatalf("Update %v -> %v failed", prev, r)
+		}
+		checkStructure(t, tr, fmt.Sprintf("after %v -> %v", prev, r))
+		if got := tr.Collect(r); !slices.Contains(got, 0) {
+			t.Fatalf("after %v -> %v, a search of %v misses the entry", prev, r, r)
+		}
+		prev = r
+	}
+	grow, shrink := mustRange("A1:A3000"), mustRange("A1:A2")
+	if allocs := testing.AllocsPerRun(100, func() {
+		tr.Update(shrink, is0, grow)
+		tr.Update(grow, is0, shrink)
+	}); allocs != 0 {
+		t.Fatalf("Update allocated %.1f times a pair", allocs)
 	}
 }
 
