@@ -12,11 +12,13 @@ import (
 )
 
 // TestBenchOnlyNames: formula.ParseCached, formula.CompileCached,
-// formula.Errorf and Engine.SetFormulaParsed are kept only because the
-// frozen benchmark module (bench/) calls them. No non-test file of this
-// module calls them, so they can go when the benchmark is next opened.
+// formula.Errorf, Engine.SetFormulaParsed, Engine.SetRecalcParallelism and
+// Engine.RecalcParallelism are kept only because the frozen benchmark module
+// (bench/) calls them. No non-test file of this module calls them, so they
+// can go when the benchmark is next opened.
 func TestBenchOnlyNames(t *testing.T) {
 	formulaNames := map[string]bool{"ParseCached": true, "CompileCached": true, "Errorf": true}
+	engineNames := map[string]bool{"SetFormulaParsed": true, "SetRecalcParallelism": true, "RecalcParallelism": true}
 	fset := token.NewFileSet()
 	var files int
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -61,8 +63,8 @@ func TestBenchOnlyNames(t *testing.T) {
 			case *ast.SelectorExpr:
 				if x, ok := fn.X.(*ast.Ident); ok && formulaPkg != "" && x.Name == formulaPkg && formulaNames[fn.Sel.Name] {
 					name = "formula." + fn.Sel.Name
-				} else if fn.Sel.Name == "SetFormulaParsed" {
-					name = "SetFormulaParsed"
+				} else if engineNames[fn.Sel.Name] {
+					name = fn.Sel.Name
 				}
 			}
 			if name != "" {

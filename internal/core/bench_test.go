@@ -1,8 +1,8 @@
 package core_test
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"taco/internal/core"
@@ -92,23 +92,36 @@ func BenchmarkStats(b *testing.B) {
 }
 
 // BenchmarkFindDependentsAfterRewrites times the rate edit's traversal,
-// FindDependents($H$1), on the 20 000-row ledger: freshly bulk-loaded, and
-// after 128 rewrite-and-restores of column C at random rows, as many as
-// engine_recalc's op list makes. The two should cost the same.
+// FindDependents($H$1), on the 20 000-row ledger: freshly bulk-loaded, after
+// 128 rewrite-and-restores of column C at random rows, as many as
+// engine_recalc's op list makes, and built row by row through Alg. 2, the
+// order a typed sheet arrives in. The first two should cost the same. The
+// row-order build ends with about 20 000 edges (ROADMAP item 2), whose grown
+// runs stay in the leaves their first cells went into.
 func BenchmarkFindDependentsAfterRewrites(b *testing.B) {
 	deps := ledgerDeps(b, 20_000)
 	rate := ref.CellRange(ref.MustCell("H1"))
-	for _, rewrites := range []int{0, 128} {
-		name := "fresh"
-		if rewrites > 0 {
-			name = fmt.Sprintf("rewritten_%d", rewrites)
-		}
-		b.Run(name, func(b *testing.B) {
+	rewritten := func(n int) func() *core.Graph {
+		return func() *core.Graph {
 			g := core.BuildBulk(deps, core.DefaultOptions())
 			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < rewrites; i++ {
+			for i := 0; i < n; i++ {
 				rewriteLedgerRow(b, g, 1+rng.Intn(20_000))
 			}
+			return g
+		}
+	}
+	rowOrder := func() *core.Graph {
+		byRow := slices.Clone(deps)
+		slices.SortStableFunc(byRow, func(x, y core.Dependency) int { return x.Dep.Row - y.Dep.Row })
+		return core.Build(byRow, core.DefaultOptions())
+	}
+	for _, c := range []struct {
+		name  string
+		build func() *core.Graph
+	}{{"fresh", rewritten(0)}, {"rewritten_128", rewritten(128)}, {"row-order", rowOrder}} {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.build()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

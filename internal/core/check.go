@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 
 	"taco/internal/ref"
 )
@@ -88,40 +87,34 @@ func CheckEdge(e *Edge) error {
 	return nil
 }
 
-// Check validates every edge of the graph plus the index invariants: each
-// edge is present in both R-trees under exactly its own ranges, no index
-// holds a stale entry, and the cached vertex refcounts and dependency count
-// equal a recount from the edges.
+// Check validates every edge of the graph and the two indexes against each
+// other: every dependent-index entry sits under its edge's own Dep, passes
+// CheckEdge and is found in the precedent index under its own Prec; no edge
+// is indexed twice; and both indexes hold as many entries, so neither holds
+// a stale one.
 func (g *Graph) Check() error {
-	verts := make(map[ref.Range]int, len(g.verts))
-	ndeps := 0
-	for e := range g.edges {
-		verts[e.Prec]++
-		if e.Prec != e.Dep {
-			verts[e.Dep]++
+	var err error
+	seen := make(map[*Edge]struct{}, g.byDep.Len())
+	g.byDep.All(func(r ref.Range, e *Edge) bool {
+		switch _, dup := seen[e]; {
+		case dup:
+			err = fmt.Errorf("%w: edge %v indexed twice", ErrInvariant, e)
+		case r != e.Dep:
+			err = fmt.Errorf("%w: edge %v indexed under dependent %v", ErrInvariant, e, r)
+		default:
+			err = CheckEdge(e)
 		}
-		ndeps += e.Count()
-		if err := CheckEdge(e); err != nil {
-			return err
+		if err == nil && !treeHas(g.byPrec, e.Prec, e) {
+			err = fmt.Errorf("%w: edge %v missing from precedent index", ErrInvariant, e)
 		}
-		if !treeHas(g.byPrec, e.Prec, e) {
-			return fmt.Errorf("%w: edge %v missing from precedent index", ErrInvariant, e)
-		}
-		if !treeHas(g.byDep, e.Dep, e) {
-			return fmt.Errorf("%w: edge %v missing from dependent index", ErrInvariant, e)
-		}
+		seen[e] = struct{}{}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
-	// The indexes must not contain stale entries.
-	if g.byPrec.Len() != len(g.edges) || g.byDep.Len() != len(g.edges) {
-		return fmt.Errorf("%w: index sizes %d/%d, edges %d",
-			ErrInvariant, g.byPrec.Len(), g.byDep.Len(), len(g.edges))
-	}
-	if ndeps != g.ndeps {
-		return fmt.Errorf("%w: dependency count %d, edges hold %d", ErrInvariant, g.ndeps, ndeps)
-	}
-	if !maps.Equal(verts, g.verts) {
-		return fmt.Errorf("%w: vertex refcounts differ from a recount (%d cached, %d recounted)",
-			ErrInvariant, len(g.verts), len(verts))
+	if g.byPrec.Len() != g.byDep.Len() {
+		return fmt.Errorf("%w: index sizes %d/%d", ErrInvariant, g.byPrec.Len(), g.byDep.Len())
 	}
 	return nil
 }
@@ -145,9 +138,10 @@ func treeHas(t interface {
 // tools that export the graph.
 func (g *Graph) Dependencies() []Dependency {
 	var out []Dependency
-	for e := range g.edges {
+	g.Edges(func(e *Edge) bool {
 		out = append(out, edgeDependencies(e)...)
-	}
+		return true
+	})
 	return out
 }
 

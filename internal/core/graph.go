@@ -54,18 +54,14 @@ func (o Options) patterns() []PatternType {
 // compressed as it was. A run that grows or shrinks stays one edge, updated
 // in place in both indexes.
 //
+// A graph is its two R-trees, one over the edges' precedent ranges and one
+// over their dependent ranges; it keeps no edge set or count beside them.
+//
 // Graph is not safe for concurrent mutation; wrap it with a lock if needed.
 type Graph struct {
 	opts   Options
-	edges  map[*Edge]struct{}
 	byPrec *rtree.Tree[*Edge] // indexed by Edge.Prec
 	byDep  *rtree.Tree[*Edge] // indexed by Edge.Dep
-	// verts refcounts the distinct ranges appearing as an edge endpoint, and
-	// ndeps sums Edge.Count() — both maintained on every edge insert/delete
-	// so Stats reads are O(1) instead of rescanning all edges (the serving
-	// layer reports graph stats on hot paths).
-	verts map[ref.Range]int
-	ndeps int
 	// scratch pools per-traversal state (visited tree, BFS queue,
 	// subtraction slices). Concurrent read-only traversals each take their
 	// own scratch, so queries stay safe under a shared read lock.
@@ -76,10 +72,8 @@ type Graph struct {
 func NewGraph(opts Options) *Graph {
 	return &Graph{
 		opts:   opts,
-		edges:  make(map[*Edge]struct{}),
 		byPrec: rtree.New[*Edge](),
 		byDep:  rtree.New[*Edge](),
-		verts:  make(map[ref.Range]int),
 	}
 }
 
@@ -93,73 +87,39 @@ func Build(deps []Dependency, opts Options) *Graph {
 }
 
 // NumEdges returns |E|, the number of (compressed) edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.byDep.Len() }
 
 // NumDependencies returns |E'|, the number of underlying uncompressed
-// dependencies represented by the graph.
-func (g *Graph) NumDependencies() int { return g.ndeps }
+// dependencies represented by the graph. It walks every edge (see Stats).
+func (g *Graph) NumDependencies() int { return g.Stats().Dependencies }
 
 // NumVertices returns |V|, the number of distinct ranges appearing as a
-// precedent or dependent of some edge.
-func (g *Graph) NumVertices() int { return len(g.verts) }
+// precedent or dependent of some edge. It walks every edge (see Stats).
+func (g *Graph) NumVertices() int { return g.Stats().Vertices }
 
 // Edges calls fn for every edge. Iteration order is unspecified.
 func (g *Graph) Edges(fn func(*Edge) bool) {
-	for e := range g.edges {
-		if !fn(e) {
-			return
-		}
-	}
-}
-
-// noteInsert maintains the cached vertex and dependency counts for an edge
-// entering the graph. Every insertion path (incremental, bulk, snapshot
-// restore) must pair it with the edge becoming visible in g.edges.
-func (g *Graph) noteInsert(e *Edge) {
-	g.verts[e.Prec]++
-	if e.Prec != e.Dep {
-		g.verts[e.Dep]++
-	}
-	g.ndeps += e.Count()
-}
-
-func (g *Graph) noteDelete(e *Edge) {
-	decref := func(r ref.Range) {
-		if g.verts[r]--; g.verts[r] <= 0 {
-			delete(g.verts, r)
-		}
-	}
-	decref(e.Prec)
-	if e.Prec != e.Dep {
-		decref(e.Dep)
-	}
-	g.ndeps -= e.Count()
+	g.byDep.All(func(_ ref.Range, e *Edge) bool { return fn(e) })
 }
 
 func (g *Graph) insertEdge(e *Edge) {
-	g.edges[e] = struct{}{}
 	g.byPrec.Insert(e.Prec, e)
 	g.byDep.Insert(e.Dep, e)
-	g.noteInsert(e)
 }
 
 func (g *Graph) deleteEdge(e *Edge) {
-	delete(g.edges, e)
 	g.byPrec.Delete(e.Prec, func(x *Edge) bool { return x == e })
 	g.byDep.Delete(e.Dep, func(x *Edge) bool { return x == e })
-	g.noteDelete(e)
 }
 
-// replaceEdge turns edge e into ne in place: e keeps its identity, its place
-// in g.edges and its leaf in both indexes, whose entries move to ne's ranges
-// with one R-tree Update each. A run that grows or shrinks by a cell changes
-// one edge's rectangles, so it costs no delete and no reinsert.
+// replaceEdge turns edge e into ne in place: e keeps its identity and its
+// leaf in both indexes, whose entries move to ne's ranges with one R-tree
+// Update each. A run that grows or shrinks by a cell changes one edge's
+// rectangles, so it costs no delete and no reinsert.
 func (g *Graph) replaceEdge(e, ne *Edge) {
 	match := func(x *Edge) bool { return x == e }
 	g.byPrec.Update(e.Prec, match, ne.Prec)
 	g.byDep.Update(e.Dep, match, ne.Dep)
-	g.noteDelete(e)
-	g.noteInsert(ne)
 	*e = *ne
 }
 
@@ -483,12 +443,13 @@ type PatternStat struct {
 // PatternStats returns per-pattern compression statistics.
 func (g *Graph) PatternStats() map[PatternType]PatternStat {
 	out := make(map[PatternType]PatternStat, numPatterns)
-	for e := range g.edges {
+	g.Edges(func(e *Edge) bool {
 		st := out[e.Pattern]
 		st.Edges++
 		st.Reduced += e.Count() - 1
 		out[e.Pattern] = st
-	}
+		return true
+	})
 	return out
 }
 
@@ -499,11 +460,22 @@ type Stats struct {
 	Dependencies int
 }
 
-// Stats returns the graph's size statistics.
+// Stats returns the graph's size statistics. The graph keeps no counts beside
+// its two indexes, so Stats walks every edge once, O(E), and NumVertices and
+// NumDependencies call it. Its callers are reports, not edits, drains or
+// /metrics: the server's session replies (POST /sessions, /sessions/xlsx and
+// /sessions/{id}/fork, GET /sessions and /sessions/{id}, through
+// Engine.GraphStats), the benchmark's end-of-run counts, the experiments, the
+// examples and the commands.
 func (g *Graph) Stats() Stats {
-	return Stats{
-		Vertices:     g.NumVertices(),
-		Edges:        g.NumEdges(),
-		Dependencies: g.NumDependencies(),
-	}
+	st := Stats{Edges: g.NumEdges()}
+	verts := make(map[ref.Range]struct{}, 2*st.Edges)
+	g.Edges(func(e *Edge) bool {
+		verts[e.Prec] = struct{}{}
+		verts[e.Dep] = struct{}{}
+		st.Dependencies += e.Count()
+		return true
+	})
+	st.Vertices = len(verts)
+	return st
 }

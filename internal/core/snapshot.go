@@ -47,10 +47,11 @@ func (g *Graph) WriteSnapshot(w io.Writer) error {
 	if _, err := bw.Write(snapshotMagic); err != nil {
 		return err
 	}
-	edges := make([]*Edge, 0, len(g.edges))
-	for e := range g.edges {
+	edges := make([]*Edge, 0, g.NumEdges())
+	g.Edges(func(e *Edge) bool {
 		edges = append(edges, e)
-	}
+		return true
+	})
 	slices.SortFunc(edges, func(a, b *Edge) int {
 		if a == b {
 			return 0
@@ -183,10 +184,6 @@ func ReadSnapshot(r io.Reader, opts Options) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	g := NewGraph(opts)
-	// Pre-size the edge and vertex maps (bounded against hostile counts).
-	g.edges = make(map[*Edge]struct{}, min(count, 1<<16))
-	g.verts = make(map[ref.Range]int, min(2*count, 1<<17))
 	// Slab-allocate edge records in bounded blocks: one allocation per block
 	// instead of one per edge, with stable pointers (a full block is never
 	// regrown). The block cap also bounds the up-front trust in a hostile
@@ -255,14 +252,10 @@ func ReadSnapshot(r io.Reader, opts Options) (*Graph, error) {
 	precItems := make([]rtree.Item[*Edge], len(edges))
 	depItems := make([]rtree.Item[*Edge], len(edges))
 	for i, e := range edges {
-		g.edges[e] = struct{}{}
-		g.noteInsert(e)
 		precItems[i] = rtree.Item[*Edge]{Rect: e.Prec, Value: e}
 		depItems[i] = rtree.Item[*Edge]{Rect: e.Dep, Value: e}
 	}
-	g.byPrec = rtree.BulkLoad(precItems)
-	g.byDep = rtree.BulkLoad(depItems)
-	return g, nil
+	return &Graph{opts: opts, byPrec: rtree.BulkLoad(precItems), byDep: rtree.BulkLoad(depItems)}, nil
 }
 
 func readMeta(br *bufio.Reader, readByte func() (byte, error), e *Edge) error {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"taco/internal/ref"
 )
 
 func depsEqualAsSets(t *testing.T, a, b []Dependency) {
@@ -139,6 +142,42 @@ func TestCheckEdgeCatchesCorruption(t *testing.T) {
 	s.Dep = mustRange("C1:C2")
 	if err := CheckEdge(s); err == nil {
 		t.Fatal("multi-cell Single accepted")
+	}
+}
+
+// TestCheckCatchesIndexFaults plants one fault a time in the two indexes of
+// a valid graph, each one a mutation path could leave and each caught by a
+// different clause of Check, and requires Check to report it.
+func TestCheckCatchesIndexFaults(t *testing.T) {
+	faults := []struct {
+		name  string
+		plant func(g *Graph, e *Edge)
+	}{
+		{"stray precedent entry", func(g *Graph, e *Edge) { g.byPrec.Insert(e.Prec, e) }},
+		{"edge in the dependent index only", func(g *Graph, e *Edge) { g.byDep.Insert(e.Dep, e) }},
+		{"edge inserted twice", func(g *Graph, e *Edge) { g.insertEdge(e); g.insertEdge(e) }},
+		{"dependent moved without its entry", func(g *Graph, e *Edge) {
+			g.insertEdge(e)
+			e.Dep = e.Dep.Shift(ref.Offset{DCol: 1})
+		}},
+		{"precedent moved without its entry", func(g *Graph, e *Edge) {
+			g.insertEdge(e)
+			e.Prec = e.Prec.Shift(ref.Offset{DCol: 1})
+		}},
+		{"invalid edge", func(g *Graph, e *Edge) {
+			e.Dep = mustRange("Z9:Z10")
+			g.insertEdge(e)
+		}},
+	}
+	for _, f := range faults {
+		g := Build(fig2Deps(40), DefaultOptions())
+		if err := g.Check(); err != nil {
+			t.Fatalf("%s: valid graph rejected: %v", f.name, err)
+		}
+		f.plant(g, singleEdge(dep("A1:B2", "Z9")))
+		if err := g.Check(); !errors.Is(err, ErrInvariant) {
+			t.Errorf("%s: Check = %v, want an invariant violation", f.name, err)
+		}
 	}
 }
 

@@ -21,3 +21,16 @@ func (e *Engine) SetFormulaParsed(at ref.Ref, src string, ast formula.Node) []re
 	}
 	return e.SetFormulaShape(at, shape)
 }
+
+// SetRecalcParallelism is SetSerial(n == 1). The name is from when n was a
+// worker count; bench/ sets a worker count and pins serial with 1.
+func (e *Engine) SetRecalcParallelism(n int) { e.SetSerial(n == 1) }
+
+// RecalcParallelism returns 1 when the engine is pinned serial and 0 when
+// it is not, so SetRecalcParallelism(RecalcParallelism()) restores the pin.
+func (e *Engine) RecalcParallelism() int {
+	if e.serial {
+		return 1
+	}
+	return 0
+}

@@ -552,7 +552,7 @@ func TestSlabReshapeBetweenBudgetedDrains(t *testing.T) {
 func slabReshapeBetweenBudgetedDrains(t *testing.T) {
 	const rows, budget = 2000, 700
 	e, serial := ledgerEngine(t, rows), ledgerEngine(t, rows)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	both := func(do func(*Engine)) { do(e); do(serial) }
 	both(func(e *Engine) { e.ClearCell(ref.MustCell("E1000")); e.RecalculateAll() })
 	for i, reshape := range []struct {

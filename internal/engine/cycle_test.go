@@ -40,7 +40,7 @@ func TestCycleValuesIndependentOfDrainPath(t *testing.T) {
 					}
 				}
 				serial, e := New(nil), New(nil)
-				serial.SetRecalcParallelism(1)
+				serial.SetSerial(true)
 				build(serial)
 				build(e)
 				// The load drains, then an edit that keeps the guard and one
@@ -87,7 +87,7 @@ func TestCycleAboveColumnDrainsLikeSerial(t *testing.T) {
 		e.SetValue(ref.MustCell("Z1"), formula.Num(2))
 	}
 	serial := New(nil)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	build(serial)
 	serial.RecalculateAll()
 	if v := serial.Value(ref.MustCell("C7")); v != formula.Num(7.5) {
@@ -163,7 +163,7 @@ func TestCycleReadsEveryOperand(t *testing.T) {
 		}
 	}
 	pinned := build(0)
-	pinned.SetRecalcParallelism(1)
+	pinned.SetSerial(true)
 	pinned.RecalculateAll()
 	check("pinned walk", pinned)
 

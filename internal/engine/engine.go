@@ -142,10 +142,9 @@ type Engine struct {
 	store colStore
 	// nformulas counts the formula cells in store (NumFormulas).
 	nformulas int
-	// parallelism is the serial-reference pin (the name is historical, see
-	// SetRecalcParallelism): 1 keeps every drain on the walk; any other value,
-	// the zero default included, lets wavefrontReady choose.
-	parallelism int
+	// serial is the serial-reference pin (SetSerial): true keeps every drain
+	// on the walk; false, the default, lets wavefrontReady choose.
+	serial bool
 	// walk is the serial resolver's stack (see evalResolver), walk[:exact] its
 	// exact entries, top its height when the evaluation in progress started,
 	// cycled the most it read under evaluation, kids the tentative evaluations
@@ -785,15 +784,10 @@ func (e *Engine) Dirty(at ref.Ref) bool {
 	return ok && c.meta().dirty
 }
 
-// SetRecalcParallelism(1) pins recalculation to the walk (see evalResolver),
-// the reference the equivalence oracles compare the levelled drain against;
-// any other value (0 is the default) leaves the choice to wavefrontReady. The
-// name is historical — n was a worker count — and stays while the frozen
-// benchmark calls it.
-func (e *Engine) SetRecalcParallelism(n int) { e.parallelism = n }
-
-// RecalcParallelism returns the value last given to SetRecalcParallelism.
-func (e *Engine) RecalcParallelism() int { return e.parallelism }
+// SetSerial(true) pins recalculation to the walk (see evalResolver), the
+// reference the equivalence oracles compare the levelled drain against;
+// SetSerial(false), the default, leaves the choice to wavefrontReady.
+func (e *Engine) SetSerial(serial bool) { e.serial = serial }
 
 // wavefrontReady reports whether recalculation should route through the
 // levelled drain (schedule.go) rather than the walk: not pinned serial, the
@@ -802,7 +796,7 @@ func (e *Engine) RecalcParallelism() int { return e.parallelism }
 // (resuming it is always cheaper than switching paths). The choice depends
 // only on what the engine can observe, so it is the same on every host.
 func (e *Engine) wavefrontReady() bool {
-	return e.parallelism != 1 && !e.walking && (e.sched != nil || e.store.ndirty >= minLevelledDirty)
+	return !e.serial && !e.walking && (e.sched != nil || e.store.ndirty >= minLevelledDirty)
 }
 
 // RecalculateAll evaluates every dirty formula cell (the background phase of

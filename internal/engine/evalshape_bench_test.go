@@ -132,7 +132,7 @@ func patternShape(name string, floor float64, rows int, build func(tb testing.TB
 				e := New(nil)
 				if !vectorized {
 					e.SetPatternRuns(false)
-					e.SetRecalcParallelism(1)
+					e.SetSerial(true)
 				}
 				build(tb, e, rows)
 				e.RecalculateAll()

@@ -66,7 +66,7 @@ func FuzzRecalcParallel(f *testing.F) {
 		build := func(arm string) *Engine {
 			e := New(nil)
 			if arm == "serial" {
-				e.SetRecalcParallelism(1)
+				e.SetSerial(true)
 			}
 			for row := 1; row <= 40; row++ {
 				switch row % 4 {

@@ -172,7 +172,7 @@ func TestPlanLevelHoleSplitsRun(t *testing.T) {
 	}
 	uncompressed := TACO{G: core.NewGraph(core.Options{Patterns: []core.PatternType{}})}
 	serial, e := runsFixture(t, nil, 60, form), runsFixture(t, uncompressed, 60, form)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	for _, eng := range []*Engine{serial, e} {
 		eng.RecalculateAll()
 		for _, r := range []int{30, 31} {
@@ -359,7 +359,7 @@ func drainEquivalence(t *testing.T, build func(e *Engine)) {
 		case 1:
 			e.SetPatternRuns(false)
 		case 2: // serial oracle: the pin never enters the wavefront
-			e.SetRecalcParallelism(1)
+			e.SetSerial(true)
 		}
 		build(e)
 		e.RecalculateAll()
@@ -491,7 +491,7 @@ func TestRunDrainAfterEdit(t *testing.T) {
 		}
 	}
 	vec, oracle := New(nil), New(nil)
-	oracle.SetRecalcParallelism(1)
+	oracle.SetSerial(true)
 	build(vec)
 	build(oracle)
 	vec.RecalculateAll()

@@ -30,7 +30,7 @@ func buildTieredFanout(t testing.TB, e *Engine) {
 // instead of re-running Kahn — while converging to the serial fixpoint.
 func TestScheduleResumesAcrossBudgets(t *testing.T) {
 	serial := New(nil)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	levelled := New(nil)
 	for _, e := range []*Engine{serial, levelled} {
 		buildTieredFanout(t, e)
@@ -75,7 +75,7 @@ func TestScheduleResumesAcrossBudgets(t *testing.T) {
 // cannot change the result, only the schedule shapes).
 func TestEditMidDrainInvalidatesSchedule(t *testing.T) {
 	serial := New(nil)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	levelled := New(nil)
 	for _, e := range []*Engine{serial, levelled} {
 		buildTieredFanout(t, e)

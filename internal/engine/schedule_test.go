@@ -152,7 +152,7 @@ func TestWavefrontMatchesSerial(t *testing.T) {
 	for _, fx := range recalcFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			serial := New(nil)
-			serial.SetRecalcParallelism(1)
+			serial.SetSerial(true)
 			levelled := New(nil)
 			for _, e := range []*Engine{serial, levelled} {
 				fx.build(e)
@@ -173,7 +173,7 @@ func TestWavefrontNoCompBackend(t *testing.T) {
 	for _, fx := range recalcFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			serial := New(NoComp{G: nocomp.NewGraph()})
-			serial.SetRecalcParallelism(1)
+			serial.SetSerial(true)
 			levelled := New(NoComp{G: nocomp.NewGraph()})
 			for _, e := range []*Engine{serial, levelled} {
 				fx.build(e)
@@ -194,7 +194,7 @@ func TestWavefrontRecalculateN(t *testing.T) {
 	for _, fx := range recalcFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			serial := New(nil)
-			serial.SetRecalcParallelism(1)
+			serial.SetSerial(true)
 			levelled := New(nil)
 			for _, e := range []*Engine{serial, levelled} {
 				fx.build(e)
@@ -262,7 +262,7 @@ func TestWavefrontSmallSetStaysSerial(t *testing.T) {
 	}
 }
 
-// TestSerialPin: SetRecalcParallelism(1) is the serial-reference pin — a
+// TestSerialPin: SetSerial(true) is the serial-reference pin — a
 // 10k-cell drain, far past the levelling threshold, builds no schedule, and
 // its cells are bit-identical to the unpinned engine's levelled drain.
 func TestSerialPin(t *testing.T) {
@@ -277,7 +277,7 @@ func TestSerialPin(t *testing.T) {
 		return e
 	}
 	pinned, levelled := build(), build()
-	pinned.SetRecalcParallelism(1)
+	pinned.SetSerial(true)
 	for _, e := range []*Engine{pinned, levelled} {
 		e.RecalculateAll()
 		e.SetValue(ref.MustCell("F1"), formula.Num(3))
@@ -293,6 +293,25 @@ func TestSerialPin(t *testing.T) {
 		t.Fatalf("unpinned engine never levelled: %+v", st)
 	}
 	enginesEqual(t, pinned, levelled)
+}
+
+// TestRecalcParallelismPins: the benchmark's aliases for the pin keep their
+// meaning. A worker count of 1 pins the walk, any other count leaves the
+// choice to wavefrontReady, and a count read back and set again restores the
+// pin it read.
+func TestRecalcParallelismPins(t *testing.T) {
+	e := New(nil)
+	for _, n := range []int{2, 1, 0} {
+		e.SetRecalcParallelism(n)
+		if e.serial != (n == 1) || (e.RecalcParallelism() == 1) != (n == 1) {
+			t.Fatalf("SetRecalcParallelism(%d): serial %v, RecalcParallelism %d", n, e.serial, e.RecalcParallelism())
+		}
+		par := e.RecalcParallelism()
+		e.SetRecalcParallelism(1)
+		if e.SetRecalcParallelism(par); e.serial != (n == 1) {
+			t.Fatalf("SetRecalcParallelism(%d) not restored after a pin", n)
+		}
+	}
 }
 
 // installByEdits writes cells into e one edit at a time, the values first,
@@ -350,7 +369,7 @@ func TestFreshLoadDrainsLevelled(t *testing.T) {
 	}
 	checkRunTables(t, e, "after the load")
 	pinned := New(nil)
-	pinned.SetRecalcParallelism(1)
+	pinned.SetSerial(true)
 	installByEdits(pinned, pcells, false)
 	enginesEqual(t, pinned, e)
 }
@@ -443,15 +462,15 @@ func TestRunTableRepairsOwnColumn(t *testing.T) {
 func TestRunTableSurvivesWalk(t *testing.T) {
 	e := runTableSheet(t)
 	serial := runTableSheet(t)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	for _, eng := range []*Engine{e, serial} {
 		eng.SetValue(ref.MustCell("F1"), formula.Num(2))
 		eng.RecalculateAll()
 		eng.SetValue(ref.MustCell("F1"), formula.Num(3))
 	}
-	e.SetRecalcParallelism(1)
+	e.SetSerial(true)
 	e.RecalculateN(10)
-	e.SetRecalcParallelism(0)
+	e.SetSerial(false)
 	for _, eng := range []*Engine{e, serial} {
 		eng.SetValue(ref.MustCell("G1"), formula.Num(2))
 	}
@@ -480,7 +499,7 @@ func TestRunTableSurvivesWalk(t *testing.T) {
 // record of a column (a rate edit; the one-record G too) builds its table.
 func TestRunTableBuiltFromWholeColumn(t *testing.T) {
 	e, serial := New(nil), New(nil)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	for _, eng := range []*Engine{e, serial} {
 		installByEdits(eng, ledgerCells(2000), true)
 	}

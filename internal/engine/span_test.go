@@ -380,7 +380,7 @@ func (sc spanCase) runOnce(t *testing.T) (got *Engine) {
 	twin := New(NoComp{G: nocomp.NewGraph()})
 	want := New(NoComp{G: nocomp.NewGraph()})
 	want.SetPatternRuns(false)
-	want.SetRecalcParallelism(1)
+	want.SetSerial(true)
 	sc.build(t, got)
 	sc.build(t, twin)
 	sc.build(t, want)
@@ -674,7 +674,7 @@ func TestSpanSelfDependence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := spanCase{rows: 70, cols: []spanColumn{tc.col}}
 			serial := New(nil)
-			serial.SetRecalcParallelism(1)
+			serial.SetSerial(true)
 			sc.build(t, serial)
 			serial.RecalculateAll()
 			for _, backend := range spanBackends {
@@ -712,7 +712,7 @@ func TestSpanCoarseCycleDemotes(t *testing.T) {
 		t.Fatalf("seed 2 is %q", spanSeeds[2].name)
 	}
 	serial, e := New(nil), New(nil)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	sc.build(t, serial)
 	sc.build(t, e)
 	serial.RecalculateAll()
@@ -744,7 +744,7 @@ func TestSpanMirroredZigzagDrainsInBudget(t *testing.T) {
 	const budget = 256
 	sc := spanCase{rows: 600, cols: []spanColumn{{tmpl: tmplNextNext}, {tmpl: tmplSameRow}}}
 	serial, e := New(nil), New(nil)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	for _, eng := range []*Engine{serial, e} {
 		sc.build(t, eng)
 		eng.RecalculateAll()
@@ -786,7 +786,7 @@ func TestSpanChainInChunksOfSeven(t *testing.T) {
 		e.SetValue(spanRate, formula.Num(3))
 	}
 	serial := New(nil)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	build(serial)
 	serial.RecalculateAll()
 	for _, backend := range spanBackends {
@@ -829,7 +829,7 @@ func TestSpanBudgetCut(t *testing.T) {
 		e.RecalculateAll()
 	}
 	serial, e := New(nil), New(nil)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	build(serial)
 	build(e)
 
@@ -940,7 +940,7 @@ func sweepAllocatesNothingPerLaneChunk(t *testing.T) {
 		return e
 	}
 	serial := New(nil)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	build(serial).RecalculateAll()
 	e := build(New(nil))
 	unpinned := func(which string, sch *schedule) {
@@ -1014,7 +1014,7 @@ func TestRateEditAllocatesNothing(t *testing.T) {
 		t.Fatal("D's rows did not take the row loop")
 	}
 	serial := ledgerEngine(t, 2000)
-	serial.SetRecalcParallelism(1)
+	serial.SetSerial(true)
 	serial.SetValue(h1, formula.Num(rate))
 	serial.RecalculateAll()
 	enginesEqual(t, serial, e)
@@ -1043,7 +1043,7 @@ func TestSweepFoldsOverAnEmptyColumn(t *testing.T) {
 		}
 		if !runs {
 			e.SetPatternRuns(false)
-			e.SetRecalcParallelism(1)
+			e.SetSerial(true)
 		}
 		return e
 	}

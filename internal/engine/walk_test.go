@@ -129,7 +129,7 @@ func TestLookDownChainLoads(t *testing.T) {
 		e := LoadBulkParsed(lookDownChain(rows, "$B$1"))
 		for _, b1 := range []float64{1, 2} {
 			if b1 != 1 {
-				e.SetRecalcParallelism(1)
+				e.SetSerial(true)
 				e.SetValue(ref.MustCell("B1"), formula.Num(b1))
 				e.RecalculateAll()
 			}
@@ -192,7 +192,7 @@ func TestWalkMatchesRecursion(t *testing.T) {
 	for _, last := range []string{"$B$1", "A1+$B$1", "IFERROR(A1,7)+$B$1"} {
 		t.Run(last, func(t *testing.T) {
 			ref0, pinned, chunked := LoadBulkParsed(lookDownChain(rows, last)), LoadBulkParsed(lookDownChain(rows, last)), LoadBulkParsed(lookDownChain(rows, last))
-			pinned.SetRecalcParallelism(1)
+			pinned.SetSerial(true)
 			for _, e := range []*Engine{ref0, pinned, chunked} {
 				e.SetValue(ref.MustCell("B1"), formula.Num(2))
 			}
@@ -307,8 +307,8 @@ func TestTotalAboveColumnDrainsLinear(t *testing.T) {
 			}
 			drainRecursive(reference)
 			pinned, whole, chunked, stepped := build(), build(), build(), build()
-			pinned.SetRecalcParallelism(1)
-			stepped.SetRecalcParallelism(1)
+			pinned.SetSerial(true)
+			stepped.SetSerial(true)
 			evals := map[string]int{"pinned": pinned.RecalculateAll(), "whole": whole.RecalculateAll()}
 			for chunked.Pending() > 0 {
 				n := chunked.RecalculateN(budget)
@@ -402,7 +402,7 @@ func walkMatchesRecursion(t *testing.T, rng *rand.Rand, sheet int) {
 		for at, src := range srcs {
 			mustFormula(t, e, at, src)
 		}
-		e.SetRecalcParallelism(1)
+		e.SetSerial(true)
 		return e
 	}
 	reference, pinned, chunked := build(), build(), build()

@@ -19,7 +19,6 @@ type Edge struct {
 
 // Graph is the uncompressed formula graph.
 type Graph struct {
-	edges  map[*Edge]struct{}
 	byPrec *rtree.Tree[*Edge]
 	byDep  *rtree.Tree[*Edge]
 }
@@ -27,7 +26,6 @@ type Graph struct {
 // NewGraph returns an empty uncompressed graph.
 func NewGraph() *Graph {
 	return &Graph{
-		edges:  make(map[*Edge]struct{}),
 		byPrec: rtree.New[*Edge](),
 		byDep:  rtree.New[*Edge](),
 	}
@@ -45,22 +43,22 @@ func Build(deps []core.Dependency) *Graph {
 // AddDependency inserts one dependency (always as its own edge).
 func (g *Graph) AddDependency(d core.Dependency) {
 	e := &Edge{Prec: d.Prec, Dep: d.Dep}
-	g.edges[e] = struct{}{}
 	g.byPrec.Insert(e.Prec, e)
 	g.byDep.Insert(ref.CellRange(e.Dep), e)
 }
 
 // NumEdges returns |E'|.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.byDep.Len() }
 
 // NumVertices returns |V'|: the number of distinct ranges among precedents
 // and dependent cells.
 func (g *Graph) NumVertices() int {
-	seen := make(map[ref.Range]struct{}, 2*len(g.edges))
-	for e := range g.edges {
+	seen := make(map[ref.Range]struct{}, 2*g.NumEdges())
+	g.byDep.All(func(dep ref.Range, e *Edge) bool {
 		seen[e.Prec] = struct{}{}
-		seen[ref.CellRange(e.Dep)] = struct{}{}
-	}
+		seen[dep] = struct{}{}
+		return true
+	})
 	return len(seen)
 }
 
@@ -125,7 +123,6 @@ func (g *Graph) Clear(s ref.Range) {
 		return true
 	})
 	for _, e := range doomed {
-		delete(g.edges, e)
 		g.byPrec.Delete(e.Prec, func(x *Edge) bool { return x == e })
 		g.byDep.Delete(ref.CellRange(e.Dep), func(x *Edge) bool { return x == e })
 	}

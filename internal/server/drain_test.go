@@ -388,7 +388,7 @@ func TestWaitHoldsStayBoundedOnTheWalk(t *testing.T) {
 				}
 				e := engine.LoadBulkParsed(pcells)
 				if tc.pin {
-					e.SetRecalcParallelism(1)
+					e.SetSerial(true)
 				}
 				return e
 			}
