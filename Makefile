@@ -91,10 +91,11 @@ bench-core:
 # column's gaps filled mid-slab — the loaded ledger's bytes per cell
 # (BenchmarkLedgerHeap: the slab records and the live heap), and the loads of
 # the ledger and of the running total (BenchmarkLedgerLoad,
-# BenchmarkRunningTotalLoad). CI smoke-runs them once; drop -benchtime for
-# real measurements.
+# BenchmarkRunningTotalLoad), and a restore of each scenario session and of
+# the ledger from its base (BenchmarkRestoreSnapshot: ns/cell, base B/cell).
+# CI smoke-runs them once; drop -benchtime for real measurements.
 bench-engine:
-	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape|RowByRowInstall|MidColumnInsert' -benchtime=1x
+	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape|RowByRowInstall|MidColumnInsert|RestoreSnapshot' -benchtime=1x
 
 # The formula intern table's three paths (BenchmarkParseShape): a hit, a miss
 # into an emptied table, and a respelled miss that takes an interned program.

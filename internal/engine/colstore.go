@@ -922,24 +922,15 @@ func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, cell) f
 	return total, true
 }
 
-// eachColumnMajor visits every stored cell in column-major order — the
-// deterministic order snapshots are written in. Column keys are sorted per
-// call; the slab rows are already sorted.
-func (s *colStore) eachColumnMajor(fn func(at ref.Ref, c cell) error) error {
+// columnOrder returns the populated columns' indexes, ascending: the
+// deterministic order snapshots are written in.
+func (s *colStore) columnOrder() []int {
 	cols := make([]int, 0, len(s.cols))
 	for c := range s.cols {
 		cols = append(cols, c)
 	}
 	slices.Sort(cols)
-	for _, cidx := range cols {
-		col := s.cols[cidx]
-		for i, row := range col.rows {
-			if err := fn(ref.Ref{Col: cidx, Row: row}, cell{col, i}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return cols
 }
 
 // CellStoreStats describes the columnar store's shape — the stats seam the

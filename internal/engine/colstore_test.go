@@ -659,3 +659,16 @@ func TestBulkLoadAndRestoreAllocatePerColumn(t *testing.T) {
 			cells, cols, allocs, prev.NumCells())
 	}
 }
+
+// eachColumnMajor visits every stored cell in column-major order.
+func (s *colStore) eachColumnMajor(fn func(at ref.Ref, c cell) error) error {
+	for _, ci := range s.columnOrder() {
+		col := s.cols[ci]
+		for i, row := range col.rows {
+			if err := fn(ref.Ref{Col: ci, Row: row}, cell{col, i}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}

@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"sync"
 	"unsafe"
 
 	"taco/internal/core"
@@ -23,21 +25,45 @@ import (
 // values, so a restored engine answers reads immediately; the graph section
 // reuses the core snapshot format (and its bulk-loaded R-tree restore).
 //
-// RestoreSnapshot is the only decoder. A caller that kept the session's
-// compressed graph pinned across a spill restores through
-// RestoreSnapshotWithGraph, which decodes the cell section alone.
-//
 // Format:
 //
-//	magic "TACOE2" | cell count N | N cell records | core graph snapshot |
+//	magic | cell section | core graph snapshot |
 //	crc32c little-endian (over everything before it, magic included)
 //
-// Each cell record: col uvarint, row uvarint, kind byte, then the payload.
-// Kind 0 is a value cell (value only), kind 1 a formula with its cached
-// value (source + value), kind 2 a formula without a cached value (source
-// only — restored dirty and recomputed on demand; used when the cached
-// value is itself too large to snapshot). Values are a formula.Kind byte
-// plus a kind-specific payload.
+// The writer emits the TACOE3 cell section, which stores what the engine
+// holds: the column slabs, each formula shape once. Its integers are
+// uvarints; a gap is the count of unpopulated slots skipped, so every row
+// and column it places is at least 1 and strictly ascending:
+//
+//	section = ncols column*
+//	column  = colgap n nruns (rowgap len)^nruns   -- rows as runs, lens sum to n
+//	          (ref len [source])*                 -- formulas as runs, lens sum to n
+//	          lane                                -- 8n bytes: the num slab, float64 LE
+//	          nexc (idxgap kind payload)^nexc     -- every record that is not a number
+//
+// A formula run names its shape: ref 0 is a run of value cells, ref k ≤ the
+// table's size the k-th shape defined so far, and ref = size+1 defines the
+// next one — its source follows (uvarint length, bytes), rendered at the
+// run's first record, where the decoder parses it once. The lane holds a
+// number's float and zero for any other value. An exception's kind is the
+// formula.Kind of its value with its payload — 0 empty, 2 string (uvarint
+// length, bytes), 3 bool (one byte), 4 error (its text as a string) — or 5,
+// a formula written without its value (a computed value too large to
+// snapshot), restored dirty and recomputed on demand. Equal engines write
+// identical bytes: columns ascend, records follow the slab and shapes are
+// numbered by first use.
+//
+// TACOE2, the section before it, is still read, so bases already on disk stay
+// restorable: a cell count, then per cell, column-major, col uvarint, row
+// uvarint, a kind byte (0 a value, 1 a formula and its value, 2 a formula
+// without one) and the payload — the formula's source, the value as a
+// formula.Kind byte plus a kind-specific payload.
+//
+// There is one decoder per cell-section version, and RestoreSnapshot picks
+// it by the magic. A caller that kept the session's compressed graph pinned
+// across a spill restores through RestoreSnapshotWithGraph, which decodes the
+// cell section alone. Either decoder holds hostile input to ErrBadEngineSnapshot:
+// a count sizes nothing before the bytes it claims have been read.
 //
 // The CRC32C trailer makes torn or bit-rotted snapshots detectable:
 // CheckSnapshotIntegrity verifies the whole byte string before anything
@@ -45,7 +71,10 @@ import (
 // before it bootstraps from a shipped one. The decoder self-delimits and
 // never reads the trailer.
 
-var engineSnapshotMagic = []byte("TACOE2")
+var (
+	engineSnapshotMagic = []byte("TACOE3")
+	legacySnapshotMagic = []byte("TACOE2")
+)
 
 // snapCRCTable is CRC32-Castagnoli, hardware-accelerated on amd64/arm64.
 var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -53,8 +82,9 @@ var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrBadEngineSnapshot is returned when decoding malformed session data.
 var ErrBadEngineSnapshot = errors.New("engine: malformed engine snapshot")
 
-// ErrSnapshotChecksum is returned by CheckSnapshotIntegrity when a TACOE2
-// snapshot's trailer does not match its content — a torn write or bit rot.
+// ErrSnapshotChecksum is returned by CheckSnapshotIntegrity when a TACOE3 or
+// TACOE2 snapshot's trailer does not match its content — a torn write or bit
+// rot.
 var ErrSnapshotChecksum = errors.New("engine: snapshot checksum mismatch")
 
 // MaxSnapshotString bounds formula/text lengths — enforced symmetrically on
@@ -69,7 +99,6 @@ const MaxSnapshotString = 4 << 20
 type snapWriter interface {
 	io.Writer
 	io.ByteWriter
-	io.StringWriter
 }
 
 // WriteSnapshot serialises the engine. Dirty cells are recalculated first so
@@ -106,12 +135,11 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 }
 
 // crcWriter threads every byte through the running CRC32C on its way to the
-// sink. WriteString hashes through a fixed scratch block so large string
-// payloads cost no allocation.
+// sink.
 type crcWriter struct {
-	w       snapWriter
-	sum     uint32
-	scratch [512]byte
+	w   snapWriter
+	sum uint32
+	one [1]byte
 }
 
 func (c *crcWriter) Write(p []byte) (int, error) {
@@ -120,124 +148,141 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 }
 
 func (c *crcWriter) WriteByte(b byte) error {
-	c.scratch[0] = b
-	c.sum = crc32.Update(c.sum, snapCRCTable, c.scratch[:1])
+	c.one[0] = b
+	c.sum = crc32.Update(c.sum, snapCRCTable, c.one[:])
 	return c.w.WriteByte(b)
 }
 
-func (c *crcWriter) WriteString(s string) (int, error) {
-	for rest := s; len(rest) > 0; {
-		n := copy(c.scratch[:], rest)
-		c.sum = crc32.Update(c.sum, snapCRCTable, c.scratch[:n])
-		rest = rest[n:]
-	}
-	return c.w.WriteString(s)
-}
+// Exception kinds of the TACOE3 cell section beside a value's formula.Kind:
+// a formula written without its value.
+const excNoValue = 5
 
+// writeCells encodes the magic and the TACOE3 cell section, a column at a time
+// through one buffer.
 func (e *Engine) writeCells(bw snapWriter) error {
-	if _, err := bw.Write(engineSnapshotMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	putLen := func(n int) error {
-		if n > MaxSnapshotString {
-			return fmt.Errorf("engine: cannot snapshot string of %d bytes (limit %d)", n, MaxSnapshotString)
-		}
-		return putUvarint(uint64(n))
-	}
-	putString := func(s string) error {
-		if err := putLen(len(s)); err != nil {
+	cols := e.store.columnOrder()
+	w := cellWriter{shapes: map[*formula.Shape]uint64{}}
+	w.buf = binary.AppendUvarint(append(w.buf, engineSnapshotMagic...), uint64(len(cols)))
+	last := 0
+	for _, ci := range cols {
+		if _, err := bw.Write(w.buf); err != nil {
 			return err
 		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	// A formula's source is rendered from its shape into src, which every
-	// record reuses.
-	var src []byte
-	putSource := func(at ref.Ref, s *formula.Shape) error {
-		src = s.AppendSource(src[:0], at)
-		if err := putLen(len(src)); err != nil {
+		w.buf = w.buf[:0]
+		if err := w.column(ci-last-1, ci, e.store.cols[ci]); err != nil {
 			return err
 		}
-		_, err := bw.Write(src)
-		return err
+		last = ci
 	}
-	// Deterministic column-major order so equal engines produce identical
-	// bytes, mirroring the core snapshot's guarantee. The columnar store
-	// already holds cells in exactly this order — the encoder streams the
-	// slabs directly, with no per-spill sort or scratch buffers at all.
-	if err := putUvarint(uint64(e.store.ncells)); err != nil {
-		return err
-	}
-	return e.store.eachColumnMajor(func(at ref.Ref, c cell) error {
-		return e.writeCell(bw, putUvarint, putString, putSource, at, c)
-	})
+	_, err := bw.Write(w.buf)
+	return err
 }
 
-// writeCell encodes one cell record.
-func (e *Engine) writeCell(bw snapWriter, putUvarint func(uint64) error, putString func(string) error,
-	putSource func(ref.Ref, *formula.Shape) error, at ref.Ref, c cell) error {
-	if err := putUvarint(uint64(at.Col)); err != nil {
-		return err
+// cellWriter encodes columns into buf, numbering shapes by first use.
+type cellWriter struct {
+	buf    []byte
+	src    []byte
+	shapes map[*formula.Shape]uint64
+}
+
+func (w *cellWriter) uvarint(v int) { w.buf = binary.AppendUvarint(w.buf, uint64(v)) }
+
+func (w *cellWriter) string(s string) error {
+	if len(s) > MaxSnapshotString {
+		return fmt.Errorf("engine: cannot snapshot string of %d bytes (limit %d)", len(s), MaxSnapshotString)
 	}
-	if err := putUvarint(uint64(at.Row)); err != nil {
-		return err
+	w.uvarint(len(s))
+	w.buf = append(w.buf, s...)
+	return nil
+}
+
+// column appends column ci, colgap columns past the one before it.
+func (w *cellWriter) column(colgap, ci int, c *column) error {
+	n := len(c.rows)
+	w.uvarint(colgap)
+	w.uvarint(n)
+	nruns := 1
+	for i := 1; i < n; i++ {
+		if c.rows[i] != c.rows[i-1]+1 {
+			nruns++
+		}
 	}
-	kind, m, v := byte(0), c.meta(), c.value()
-	if m.shape != nil {
-		kind = 1
+	w.uvarint(nruns)
+	for i, last := 0, 0; i < n; {
+		j := i + 1
+		for j < n && c.rows[j] == c.rows[j-1]+1 {
+			j++
+		}
+		w.uvarint(c.rows[i] - last - 1)
+		w.uvarint(j - i)
+		i, last = j, c.rows[j-1]
+	}
+	for i := 0; i < n; {
+		s, j := c.meta[i].shape, i+1
+		for j < n && c.meta[j].shape == s {
+			j++
+		}
+		id, known := w.shapes[s]
+		if s != nil && !known {
+			id = uint64(len(w.shapes) + 1)
+			w.shapes[s] = id
+		}
+		w.uvarint(int(id))
+		w.uvarint(j - i)
+		if s != nil && !known {
+			w.src = s.AppendSource(w.src[:0], ref.Ref{Col: ci, Row: c.rows[i]})
+			if err := w.string(string(w.src)); err != nil {
+				return err
+			}
+		}
+		i = j
+	}
+	nexc := 0
+	for i := range c.meta {
+		bits := uint64(0)
+		if c.meta[i].kind == formula.KindNumber {
+			bits = math.Float64bits(c.num[i])
+		} else {
+			nexc++
+		}
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, bits)
+	}
+	w.uvarint(nexc)
+	for i, next := 0, 0; i < n; i++ {
+		m := &c.meta[i]
+		if m.kind == formula.KindNumber {
+			continue
+		}
+		w.uvarint(i - next)
+		next = i + 1
+		kind := byte(m.kind)
 		// A computed value can outgrow the snapshot string limit (string
 		// concatenation compounds); it is only a cache, so persist the
 		// formula alone and let the restored engine recompute it.
-		if v.Kind == formula.KindString && len(v.Str) > MaxSnapshotString {
-			kind = 2
+		if m.shape != nil && m.kind == formula.KindString && len(c.strs[m.slot]) > MaxSnapshotString {
+			kind = excNoValue
 		}
-	}
-	if err := bw.WriteByte(kind); err != nil {
-		return err
-	}
-	if kind != 0 {
-		if err := putSource(at, m.shape); err != nil {
+		w.buf = append(w.buf, kind)
+		var err error
+		switch kind {
+		case byte(formula.KindString):
+			err = w.string(c.strs[m.slot])
+		case byte(formula.KindBool):
+			w.buf = append(w.buf, m.aux)
+		case byte(formula.KindError):
+			err = w.string(formula.ErrCode(m.aux).String())
+		case byte(formula.KindEmpty), excNoValue:
+		default:
+			err = fmt.Errorf("engine: cannot snapshot value kind %d", m.kind)
+		}
+		if err != nil {
 			return err
 		}
 	}
-	if kind == 2 {
-		return nil
-	}
-	return writeValue(bw, putUvarint, putString, v)
+	return nil
 }
 
-func writeValue(bw snapWriter, putUvarint func(uint64) error, putString func(string) error, v formula.Value) error {
-	if err := bw.WriteByte(byte(v.Kind)); err != nil {
-		return err
-	}
-	switch v.Kind {
-	case formula.KindEmpty:
-		return nil
-	case formula.KindNumber:
-		return putUvarint(math.Float64bits(v.Num))
-	case formula.KindString:
-		return putString(v.Str)
-	case formula.KindBool:
-		b := byte(0)
-		if v.Bool {
-			b = 1
-		}
-		return bw.WriteByte(b)
-	case formula.KindError:
-		return putString(v.Err.String())
-	default:
-		return fmt.Errorf("engine: cannot snapshot value kind %d", v.Kind)
-	}
-}
-
-// scanCells decodes the cell section (magic, count, records), invoking fn
+// scanCells decodes a TACOE2 cell section (count, records), invoking fn
 // per cell with its record placed where it was read (a formula restored
 // without a cached value, kind 2, is dirty). Formula sources go through the
 // process-wide intern table (formula.ParseShape at the record's position): a
@@ -245,20 +290,12 @@ func writeValue(bw snapWriter, putUvarint func(uint64) error, putString func(str
 // looked up, not parsed, and restores as the same *Shape. On return the
 // reader is positioned at the graph section.
 //
-// The writer emits records strictly ascending in column-major order, and
-// the reader holds the input to it: a repeated or out-of-order ref is
+// The TACOE2 writer emitted records strictly ascending in column-major
+// order, and the reader holds the input to it: a repeated or out-of-order ref is
 // ErrBadEngineSnapshot. That is what makes a restore's store.set the append
 // path, and what keeps its cell, formula and dirty counts in step with the
 // records the slabs end up holding.
 func scanCells(br *bufio.Reader, fn func(placed) error) error {
-	var magicBuf [8]byte
-	magic := magicBuf[:len(engineSnapshotMagic)]
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadEngineSnapshot, err)
-	}
-	if string(magic) != string(engineSnapshotMagic) {
-		return fmt.Errorf("%w: bad magic %q", ErrBadEngineSnapshot, magic)
-	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadEngineSnapshot, err)
@@ -344,7 +381,8 @@ func scanCells(br *bufio.Reader, fn func(placed) error) error {
 // restored with their cached values (formulae whose cached value was too
 // large to persist come back dirty and recompute on demand); the graph is
 // bulk-loaded through the core snapshot path, so no dependency is
-// recompressed, and formula sources hit the process-wide intern table.
+// recompressed. A TACOE3 base parses each formula shape once, a TACOE2 base
+// each formula's source, through the process-wide intern table.
 func RestoreSnapshot(r io.Reader) (*Engine, error) {
 	return restoreSnapshot(r, nil)
 }
@@ -367,27 +405,24 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 	if !isBufio {
 		br = bufio.NewReader(r)
 	}
-	store, nformulas := newColStore(), 0
-	// Records ascend column-major, so a column's arrive together: they are
-	// staged and filled as a load fills (colStore.fill), the slab sized once
-	// from what was actually read — never from the snapshot's unchecked count
-	// — into the capacity a pooled column kept from the engine recycled
-	// before, when it has enough. That is how the
-	// restore/spill churn of a capped host stops allocating record storage
-	// once the pool warms up, and why a restored slab carries no growth slack.
-	var stage []placed
-	err := scanCells(br, func(sc placed) error {
-		if len(stage) > 0 && stage[0].at.Col != sc.at.Col {
-			nformulas += store.fill(stage)
-			stage = stage[:0]
-		}
-		stage = append(stage, sc)
-		return nil
-	})
+	var magic [6]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadEngineSnapshot, err)
+	}
+	store, nformulas, err := newColStore(), 0, error(nil)
+	switch {
+	case bytes.Equal(magic[:], engineSnapshotMagic):
+		d := decoderPool.Get().(*colDecoder)
+		nformulas, err = d.section(br, &store)
+		d.release()
+	case bytes.Equal(magic[:], legacySnapshotMagic):
+		nformulas, err = restoreRecords(br, &store)
+	default:
+		err = fmt.Errorf("%w: bad magic %q", ErrBadEngineSnapshot, magic[:])
+	}
 	if err != nil {
 		return nil, err
 	}
-	nformulas += store.fill(stage)
 	g := pinned
 	if g == nil {
 		g, err = core.ReadSnapshot(br, core.DefaultOptions())
@@ -403,6 +438,292 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 	}, nil
 }
 
+// restoreRecords fills store from a TACOE2 cell section and returns its
+// formula count. Records ascend column-major, so a column's arrive together:
+// they are staged and filled as a load fills (colStore.fill), the slab sized
+// once from what was actually read — never from the section's unchecked count.
+func restoreRecords(br *bufio.Reader, store *colStore) (nformulas int, err error) {
+	var stage []placed
+	err = scanCells(br, func(sc placed) error {
+		if len(stage) > 0 && stage[0].at.Col != sc.at.Col {
+			nformulas += store.fill(stage)
+			stage = stage[:0]
+		}
+		stage = append(stage, sc)
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return nformulas + store.fill(stage), nil
+}
+
+// colDecoder decodes a TACOE3 cell section. Its scratch — the shape table,
+// a column's runs and its lane — is kept across restores in decoderPool, so
+// the restore/spill churn of a capped host reuses it once the pool warms.
+type colDecoder struct {
+	br     *bufio.Reader
+	shapes []*formula.Shape
+	rows   []rowRun
+	forms  []shapeRun
+	lane   []byte
+	text   []byte
+	refs   []formula.RefInfo
+}
+
+// rowRun is len rows from row on; shapeRun is n records holding shape (nil
+// for value cells).
+type (
+	rowRun   struct{ row, len int }
+	shapeRun struct {
+		shape *formula.Shape
+		n     int
+	}
+)
+
+var decoderPool = sync.Pool{New: func() any { return &colDecoder{} }}
+
+// release pools the decoder, holding no shape.
+func (d *colDecoder) release() {
+	clear(d.shapes)
+	clear(d.forms)
+	d.br, d.shapes, d.forms = nil, d.shapes[:0], d.forms[:0]
+	decoderPool.Put(d)
+}
+
+// count reads a uvarint that must lie in lo..hi.
+func (d *colDecoder) count(lo, hi uint64, what string) (int, error) {
+	v, err := binary.ReadUvarint(d.br)
+	if err != nil {
+		return 0, err
+	}
+	if v < lo || v > hi {
+		return 0, fmt.Errorf("%s %d outside %d..%d", what, v, lo, hi)
+	}
+	return int(v), nil
+}
+
+// bytes reads a string's bytes into the decoder's scratch.
+func (d *colDecoder) bytes() ([]byte, error) {
+	n, err := d.count(0, MaxSnapshotString, "string length")
+	if err != nil {
+		return nil, err
+	}
+	d.text = slices.Grow(d.text[:0], n)[:n]
+	_, err = io.ReadFull(d.br, d.text)
+	return d.text, err
+}
+
+// section fills store from the columns of a TACOE3 cell section and returns
+// its formula count. A column's slab is sized once, for its n records, only
+// after its lane — 8n bytes — has been read: until then n sizes nothing, and
+// the runs and the lane grow with what is actually read.
+func (d *colDecoder) section(br *bufio.Reader, store *colStore) (nformulas int, err error) {
+	d.br = br
+	ncols, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrBadEngineSnapshot, err)
+	}
+	ci := 0
+	for k := uint64(0); k < ncols; k++ {
+		gap, err := d.count(0, math.MaxInt-1-uint64(ci), "column gap")
+		if err != nil {
+			return 0, fmt.Errorf("%w: column %d: %v", ErrBadEngineSnapshot, k, err)
+		}
+		ci += gap + 1
+		nf, err := d.column(ci, store)
+		if err != nil {
+			return 0, fmt.Errorf("%w: column %d: %v", ErrBadEngineSnapshot, ci, err)
+		}
+		nformulas += nf
+	}
+	return nformulas, nil
+}
+
+// column decodes column ci into store.
+func (d *colDecoder) column(ci int, store *colStore) (nformulas int, err error) {
+	n, err := d.count(1, math.MaxInt/8, "record count")
+	if err != nil {
+		return 0, err
+	}
+	nruns, err := d.count(1, uint64(n), "row run count")
+	if err != nil {
+		return 0, err
+	}
+	d.rows = d.rows[:0]
+	for k, last, sum := 0, 0, 0; k < nruns; k++ {
+		gap, err := d.count(0, math.MaxInt-1-uint64(last), "row gap")
+		if err != nil {
+			return 0, err
+		}
+		row := last + gap + 1
+		ln, err := d.count(1, min(uint64(n-sum), math.MaxInt-uint64(row)), "row run")
+		if err != nil {
+			return 0, err
+		}
+		d.rows = append(d.rows, rowRun{row, ln})
+		last, sum = row+ln-1, sum+ln
+		if k == nruns-1 && sum != n {
+			return 0, fmt.Errorf("row runs cover %d of %d records", sum, n)
+		}
+	}
+	// Formula runs, each shape checked where its run starts and ends: its
+	// references are rectangles on the sheet there, so between them too.
+	d.forms = d.forms[:0]
+	rows := rowCursor{runs: d.rows}
+	for covered := 0; covered < n; {
+		id, err := d.count(0, uint64(len(d.shapes)+1), "shape ref")
+		if err != nil {
+			return 0, err
+		}
+		ln, err := d.count(1, uint64(n-covered), "formula run")
+		if err != nil {
+			return 0, err
+		}
+		var s *formula.Shape
+		if id > 0 {
+			first := ref.Ref{Col: ci, Row: rows.row(covered)}
+			if id > len(d.shapes) {
+				src, err := d.bytes()
+				if err != nil {
+					return 0, err
+				}
+				// ParseShape keeps nothing of the text, so it reads it in place.
+				sh, err := formula.ParseShape(unsafe.String(unsafe.SliceData(src), len(src)), first)
+				if err != nil {
+					return 0, err
+				}
+				d.shapes = append(d.shapes, sh)
+			}
+			s = d.shapes[id-1]
+			if !d.fits(s, first) || ln > 1 && !d.fits(s, ref.Ref{Col: ci, Row: rows.row(covered + ln - 1)}) {
+				return 0, fmt.Errorf("shape %d reaches off the sheet from row %d", id, first.Row)
+			}
+			nformulas += ln
+		}
+		d.forms = append(d.forms, shapeRun{s, ln})
+		covered += ln
+	}
+	// The lane, chunk by chunk: only bytes that arrived size the scratch.
+	d.lane = d.lane[:0]
+	for need := 8 * n; len(d.lane) < need; {
+		k := min(need-len(d.lane), 64<<10)
+		d.lane = slices.Grow(d.lane, k)
+		if _, err := io.ReadFull(d.br, d.lane[len(d.lane):len(d.lane)+k]); err != nil {
+			return 0, err
+		}
+		d.lane = d.lane[:len(d.lane)+k]
+	}
+	col := store.column(ci, n)
+	col.rows, col.num, col.meta = col.rows[:n], col.num[:n], col.meta[:n]
+	i := 0
+	for _, r := range d.rows {
+		for row := r.row; row < r.row+r.len; row++ {
+			col.rows[i] = row
+			i++
+		}
+	}
+	i = 0
+	for _, f := range d.forms {
+		for end := i + f.n; i < end; i++ {
+			col.meta[i] = cellMeta{shape: f.shape, kind: formula.KindNumber}
+		}
+	}
+	for i := range col.num {
+		col.num[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.lane[8*i:]))
+	}
+	store.ncells += n
+	return nformulas, d.exceptions(ci, col, store)
+}
+
+// exceptions reads column ci's exception list into its slab, col, whose
+// records all hold numbers until then; an exception's value replaces the
+// lane's float (column.put zeroes it).
+func (d *colDecoder) exceptions(ci int, col *column, store *colStore) error {
+	n := len(col.rows)
+	nexc, err := d.count(0, uint64(n), "exception count")
+	if err != nil {
+		return err
+	}
+	for k, next := 0, 0; k < nexc; k++ {
+		if next == n {
+			return fmt.Errorf("%d exceptions in %d records", nexc, n)
+		}
+		gap, err := d.count(0, uint64(n-1-next), "exception gap")
+		if err != nil {
+			return err
+		}
+		i := next + gap
+		next = i + 1
+		kind, err := d.br.ReadByte()
+		if err != nil {
+			return err
+		}
+		var v formula.Value
+		switch kind {
+		case byte(formula.KindEmpty):
+		case byte(formula.KindString):
+			b, err := d.bytes()
+			if err != nil {
+				return err
+			}
+			v = formula.Str(string(b))
+		case byte(formula.KindBool):
+			b, err := d.br.ReadByte()
+			if err != nil {
+				return err
+			}
+			v = formula.Boolean(b != 0)
+		case byte(formula.KindError):
+			b, err := d.bytes()
+			if err != nil {
+				return err
+			}
+			c, ok := formula.ParseErrCode(string(b))
+			if !ok {
+				return fmt.Errorf("record %d: unknown error value %q", i, b)
+			}
+			v = formula.Error(c)
+		case excNoValue:
+			if col.meta[i].shape == nil {
+				return fmt.Errorf("record %d: a value cell without a value", i)
+			}
+			col.meta[i].dirty = true // no cached value; recomputed on demand
+			store.noteDirty(ci, col.rows[i], col.rows[i], 1, true)
+		default:
+			return fmt.Errorf("record %d: unknown exception kind %d", i, kind)
+		}
+		col.put(i, v)
+	}
+	return nil
+}
+
+// fits reports whether every reference of s at at is a rectangle on the sheet.
+func (d *colDecoder) fits(s *formula.Shape, at ref.Ref) bool {
+	d.refs = s.AppendRefs(d.refs[:0], at)
+	for _, r := range d.refs {
+		if !r.At.Valid() {
+			return false
+		}
+	}
+	return true
+}
+
+// rowCursor reads the row of record i off a column's row runs, for i
+// ascending across calls.
+type rowCursor struct {
+	runs  []rowRun
+	k, lo int // runs[k] holds records lo..lo+runs[k].len-1
+}
+
+func (c *rowCursor) row(i int) int {
+	for i >= c.lo+c.runs[c.k].len {
+		c.lo += c.runs[c.k].len
+		c.k++
+	}
+	return c.runs[c.k].row + i - c.lo
+}
+
 // CheckSnapshotIntegrity verifies a whole engine snapshot against its
 // CRC32C trailer before any of it is trusted: nil means the content is
 // exactly what was written. A mismatch returns ErrSnapshotChecksum; an
@@ -411,7 +732,8 @@ func restoreSnapshot(r io.Reader, pinned *core.Graph) (*Engine, error) {
 // of serving silently corrupt sessions, and on every snapshot a standby
 // bootstraps from.
 func CheckSnapshotIntegrity(data []byte) error {
-	if len(data) < len(engineSnapshotMagic)+4 || !bytes.Equal(data[:len(engineSnapshotMagic)], engineSnapshotMagic) {
+	if len(data) < len(engineSnapshotMagic)+4 ||
+		!bytes.Equal(data[:6], engineSnapshotMagic) && !bytes.Equal(data[:6], legacySnapshotMagic) {
 		return fmt.Errorf("%w: short or unrecognised header", ErrBadEngineSnapshot)
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]

@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,6 +157,15 @@ func TestRestoreSnapshotRejectsCorruptInput(t *testing.T) {
 		"truncated":   good[:len(good)/2],
 		"huge count":  append([]byte("TACOE2"), hugeCount...),
 		"huge string": append([]byte("TACOE2"), hugeString...),
+		// TACOE3: a huge column count, and a shape claiming a ~2^62-byte
+		// source (one column, A, one record on row 1, shape 1 for it).
+		"columnar huge count":  append([]byte("TACOE3"), hugeCount...),
+		"columnar huge string": append([]byte("TACOE3"), append([]byte{1, 0, 1, 1, 0, 1, 1, 1}, hugeString[4:]...)...),
+		// One column of two value cells on rows 1 and 2 (but for the first
+		// case, whose row run covers one of them), an 8-byte lane each,
+		// then its exceptions: two at records 1 and 2, past the end.
+		"columnar rows short of the count": sealSnapshot(t, append([]byte("TACOE3"), append([]byte{1, 0, 2, 1, 0, 1, 0, 2}, make([]byte, 17)...)...)),
+		"columnar exception past the end":  sealSnapshot(t, append([]byte("TACOE3"), append(append([]byte{1, 0, 2, 1, 0, 2, 0, 2}, make([]byte, 16)...), 2, 1, 0, 0, 0)...)),
 		// The pre-checksum TACOE1 format is no longer readable: its header is
 		// a bad magic whatever follows.
 		"legacy magic, huge count":  append([]byte("TACOE1"), hugeCount...),
@@ -278,16 +289,33 @@ func TestSnapshotUnknownErrorText(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotDecode feeds RestoreSnapshot — the one snapshot decoder, which
-// reads spill files and the bytes a standby is shipped — arbitrary input. It
-// must never panic, and an engine it accepts must write back through
-// WriteSnapshot into a checksummed snapshot that restores to as many cells.
+// FuzzSnapshotDecode feeds RestoreSnapshot — which reads spill files and the
+// bytes a standby is shipped through the decoder of their cell section's
+// version — arbitrary input. It must never panic, and an engine it accepts
+// must write back through WriteSnapshot into a checksummed snapshot that
+// restores to the same cells, bit for bit.
 func FuzzSnapshotDecode(f *testing.F) {
-	var ledger bytes.Buffer
-	if err := ledgerEngine(f, 12).WriteSnapshot(&ledger); err != nil {
+	// TACOE3: the ledger; the golden engine, with every exception kind but the
+	// dirty one and gapped rows; one shape in two columns; a formula written
+	// without its value.
+	reused := New(nil)
+	reused.SetValue(ref.MustCell("A1"), formula.Num(4))
+	mustFormula(f, reused, "B1", "$A$1*2")
+	mustFormula(f, reused, "C3", "$A$1*2")
+	for _, e := range []*Engine{ledgerEngine(f, 12), goldenEngine(f), reused} {
+		var buf bytes.Buffer
+		if err := e.WriteSnapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(noValueSnapshot(f))
+	legacy, err := os.ReadFile("testdata/golden.tacoe2")
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(ledger.Bytes())
+	f.Add(legacy)
+	// TACOE2 records out of order, and in order.
 	one := formula.Num(1)
 	for _, recs := range [][]snapRec{
 		{{"A1", 2, "1+1", one}, {"A1", 1, "1+1", one}},
@@ -313,18 +341,72 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("written-back snapshot does not restore: %v", err)
 		}
-		if r.NumCells() != e.NumCells() {
-			t.Fatalf("written-back snapshot restores %d cells, want %d", r.NumCells(), e.NumCells())
-		}
+		sameCells(t, e, r)
 	})
 }
 
-// TestSnapshotFormatGolden pins the TACOE2 bytes: a fixed small engine —
-// every value kind, formulae clean, erroring and cyclic, a gapped column, a
-// far column — hashes to the constant its WriteSnapshot produced at commit
-// 1731fbe, so spill files written since then stay readable. A format change
-// bumps the magic and this constant together.
-func TestSnapshotFormatGolden(t *testing.T) {
+// noValueSnapshot is a checksummed TACOE3 file of one formula cell, A1 =
+// 1+1, written without its value: restored dirty.
+func noValueSnapshot(t testing.TB) []byte {
+	t.Helper()
+	b := append([]byte("TACOE3"),
+		1,    // one column
+		0, 1, // A, one record
+		1, 0, 1, // one row run: row 1, one row
+		1, 1, 3, '1', '+', '1', // shape 1, defined here, for one record
+	)
+	b = append(b, make([]byte, 8)...) // the lane
+	b = append(b, 1, 0, excNoValue)   // one exception: record 0, no value
+	return sealSnapshot(t, b)
+}
+
+// TestSnapshotNoValueRecord: a formula written without its value restores
+// dirty, with no value, and the drain computes it.
+func TestSnapshotNoValueRecord(t *testing.T) {
+	r, err := RestoreSnapshot(bytes.NewReader(noValueSnapshot(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1 := ref.MustCell("A1")
+	if !r.Dirty(a1) || r.Pending() != 1 || r.NumFormulas() != 1 || r.Value(a1) != (formula.Value{}) || r.Formula(a1) != "1+1" {
+		t.Fatalf("A1 = %v (%q), dirty %v, %d pending, %d formulas", r.Value(a1), r.Formula(a1), r.Dirty(a1), r.Pending(), r.NumFormulas())
+	}
+	if r.RecalculateAll(); r.Value(a1) != formula.Num(2) {
+		t.Fatalf("A1 = %v after the drain, want 2", r.Value(a1))
+	}
+}
+
+// TestSnapshotHostileCountsAllocateNothing: a TACOE3 header claiming 2^40
+// records in a column, or 2^40 runs, fails with ErrBadEngineSnapshot on the
+// bytes that are not there, having allocated under 1 MB.
+func TestSnapshotHostileCountsAllocateNothing(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	head := append([]byte("TACOE3"), 1, 0) // one column, A
+	cases := map[string][]byte{
+		"2^40 records, 2^40 runs": append(append(bytes.Clone(head), huge...), huge...),
+		// One run of 2^40 rows, all values, and a lane that stops short.
+		"2^40 records, short lane": append(append(append(append(append(bytes.Clone(head), huge...), 1, 0), huge...), 0), append(huge, 1, 2, 3)...),
+		"2^40 columns":             append([]byte("TACOE3"), huge...),
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := RestoreSnapshot(bytes.NewReader(data))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadEngineSnapshot) {
+				t.Fatalf("err = %v, want ErrBadEngineSnapshot", err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Fatalf("allocated %d bytes", d)
+			}
+		})
+	}
+}
+
+// goldenEngine is a fixed small engine — every value kind, formulae clean,
+// erroring and cyclic, a gapped column, a far column — drained.
+func goldenEngine(t testing.TB) *Engine {
 	e := New(nil)
 	e.SetValue(ref.MustCell("A1"), formula.Num(1.5))
 	e.SetValue(ref.MustCell("A2"), formula.Str("text"))
@@ -340,14 +422,85 @@ func TestSnapshotFormatGolden(t *testing.T) {
 	mustFormula(t, e, "D2", "A2&\"!\"")
 	mustFormula(t, e, "D4", "D4+1")
 	e.ClearCell(ref.MustCell("B4"))
+	e.RecalculateAll()
+	return e
+}
+
+// goldenTACOE3 is the SHA-256 of goldenEngine's snapshot, goldenTACOE3Len its
+// length. A format change bumps the magic and these together.
+const (
+	goldenTACOE3    = "379d48f3adc36f00eadfc58ae41b26b9efa75dd0c9e31726656bf64cbf73fa07"
+	goldenTACOE3Len = 420
+)
+
+// TestSnapshotFormatGolden pins the TACOE3 bytes: goldenEngine hashes to the
+// constant its WriteSnapshot produced when the format was introduced, so
+// spill files written since then stay readable.
+func TestSnapshotFormatGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := e.WriteSnapshot(&buf); err != nil {
+	if err := goldenEngine(t).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != goldenTACOE3Len || got != goldenTACOE3 {
+		t.Fatalf("snapshot is %d bytes hashing to %s, want %d bytes hashing to %s", buf.Len(), got, goldenTACOE3Len, goldenTACOE3)
+	}
+}
+
+// TestSnapshotLegacyFixture: testdata/golden.tacoe2 is the 539 TACOE2 bytes
+// goldenEngine wrote before TACOE3 replaced that section. It restores to
+// goldenEngine cell for cell — value bits, kind, source, dirty flag and
+// *Shape — and writes back as exactly the TACOE3 golden.
+func TestSnapshotLegacyFixture(t *testing.T) {
+	old, err := os.ReadFile("testdata/golden.tacoe2")
+	if err != nil {
 		t.Fatal(err)
 	}
 	const want = "088f8eb4fdff9be333d92f4fb99f37d2b1609781780e0f9388f35c23e20344af"
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != 539 || got != want {
-		t.Fatalf("snapshot is %d bytes hashing to %s, want 539 bytes hashing to %s", buf.Len(), got, want)
+	if got := fmt.Sprintf("%x", sha256.Sum256(old)); len(old) != 539 || got != want || !bytes.HasPrefix(old, []byte("TACOE2")) {
+		t.Fatalf("fixture is %d bytes hashing to %s, want the 539 TACOE2 bytes hashing to %s", len(old), got, want)
 	}
+	if err := CheckSnapshotIntegrity(old); err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreSnapshot(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCells(t, goldenEngine(t), r)
+	var buf bytes.Buffer
+	if err := r.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != goldenTACOE3Len || got != goldenTACOE3 {
+		t.Fatalf("the fixture writes back as %d bytes hashing to %s, want the TACOE3 golden", buf.Len(), got)
+	}
+}
+
+// sameCells fails unless got holds exactly want's cells: the same positions,
+// and at each the same value bit for bit, kind, formula source, dirty flag
+// and *Shape.
+func sameCells(t testing.TB, want, got *Engine) {
+	t.Helper()
+	if got.NumCells() != want.NumCells() || got.NumFormulas() != want.NumFormulas() || got.Pending() != want.Pending() {
+		t.Fatalf("%d cells, %d formulas, %d pending; want %d, %d, %d", got.NumCells(), got.NumFormulas(), got.Pending(),
+			want.NumCells(), want.NumFormulas(), want.Pending())
+	}
+	want.store.eachColumnMajor(func(at ref.Ref, w cell) error {
+		g, ok := got.store.get(at)
+		if !ok {
+			t.Fatalf("%v: missing", at)
+		}
+		wv, gv, wm, gm := w.value(), g.value(), w.meta(), g.meta()
+		if wv.Kind != gv.Kind || math.Float64bits(wv.Num) != math.Float64bits(gv.Num) || wv.Str != gv.Str ||
+			wv.Bool != gv.Bool || wv.Err != gv.Err {
+			t.Fatalf("%v: value %#v, want %#v", at, gv, wv)
+		}
+		if gm.shape != wm.shape || gm.dirty != wm.dirty || got.Formula(at) != want.Formula(at) {
+			t.Fatalf("%v: formula %q (shape %p, dirty %v), want %q (shape %p, dirty %v)",
+				at, got.Formula(at), gm.shape, gm.dirty, want.Formula(at), wm.shape, wm.dirty)
+		}
+		return nil
+	})
 }
 
 func TestLoadBulkMatchesLoad(t *testing.T) {
@@ -420,7 +573,7 @@ func TestRecycleReusesColumnSlabs(t *testing.T) {
 	}
 }
 
-// TestSnapshotChecksum pins the TACOE2 integrity trailer: a fresh snapshot
+// TestSnapshotChecksum pins the integrity trailer: a fresh snapshot
 // verifies, any single flipped bit fails with ErrSnapshotChecksum, and a
 // legacy TACOE1 header is ErrBadEngineSnapshot.
 func TestSnapshotChecksum(t *testing.T) {
@@ -434,8 +587,8 @@ func TestSnapshotChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	if !bytes.HasPrefix(good, []byte("TACOE2")) {
-		t.Fatalf("snapshot magic = %q, want TACOE2", good[:6])
+	if !bytes.HasPrefix(good, []byte("TACOE3")) {
+		t.Fatalf("snapshot magic = %q, want TACOE3", good[:6])
 	}
 	if err := CheckSnapshotIntegrity(good); err != nil {
 		t.Fatalf("fresh snapshot fails integrity check: %v", err)
@@ -506,5 +659,105 @@ func TestRestoredEngineVectorizedDrain(t *testing.T) {
 	}
 	if v := r.Value(ref.MustCell("B64")); v.Num != 64*3 {
 		t.Fatalf("B64 = %v, want 192", v)
+	}
+}
+
+// snapshotSessions are the sessions a restore is measured and checked on:
+// the four scenarios at the size a served session has (planning, row-major,
+// at 48 columns) and the 20 000-row ledger.
+func snapshotSessions(tb testing.TB) map[string]*Engine {
+	tb.Helper()
+	out := map[string]*Engine{"ledger": ledgerEngine(tb, ledgerBenchRows)}
+	for _, name := range workload.ScenarioNames {
+		rows := 200
+		if name == "planning" {
+			rows = 48
+		}
+		sheet, err := workload.BuildScenario(name, rows, rand.New(rand.NewSource(1)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if out[name], err = LoadBulk(sheet); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestSnapshotRoundTripExact: a restore gives back every cell of every
+// session bit for bit, and the ledger's base is at most half the 2 392 820
+// bytes TACOE2 wrote for it.
+func TestSnapshotRoundTripExact(t *testing.T) {
+	for name, e := range snapshotSessions(t) {
+		var buf bytes.Buffer
+		if err := e.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		size := buf.Len()
+		r, err := RestoreSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameCells(t, e, r)
+		if name == "ledger" && size > 2_392_820/2 {
+			t.Errorf("the ledger's base is %d bytes, want at most %d", size, 2_392_820/2)
+		}
+	}
+}
+
+// BenchmarkRestoreSnapshot times RestoreSnapshot of each snapshotSessions
+// session into a warm column pool, as a capped host restores: ns/cell is a
+// restore's time over its cells, B/cell the base's bytes over them.
+func BenchmarkRestoreSnapshot(b *testing.B) {
+	sessions := snapshotSessions(b)
+	for _, name := range append(slices.Clone(workload.ScenarioNames), "ledger") {
+		b.Run(name, func(b *testing.B) {
+			e := sessions[name]
+			var buf bytes.Buffer
+			if err := e.WriteSnapshot(&buf); err != nil {
+				b.Fatal(err)
+			}
+			raw, cells := buf.Bytes(), e.NumCells()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := RestoreSnapshot(bytes.NewReader(raw))
+				if err != nil || r.NumCells() != cells {
+					b.Fatalf("restore: %v", err)
+				}
+				b.StopTimer()
+				r.Recycle()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+			b.ReportMetric(float64(len(raw))/float64(cells), "B/cell")
+			b.ReportMetric(float64(len(raw)), "B/base")
+		})
+	}
+}
+
+// TestSnapshotShapeOffSheet: a TACOE3 record may name a shape parsed at
+// another record, so the decoder checks that the shape's references are on
+// the sheet where each run of it starts and ends. A shape reused where a
+// reference falls off the sheet, or a run that walks off it, is
+// ErrBadEngineSnapshot; the same run kept on the sheet restores.
+func TestSnapshotShapeOffSheet(t *testing.T) {
+	sumTo10 := func(rows byte) []byte {
+		b := append([]byte("TACOE3"), 1, 0, rows, 1, 4, rows, 1, rows, 12) // A5 down, shape 1 for all
+		b = append(append(b, "SUM(A5:A$10)"...), make([]byte, 8*int(rows))...)
+		return sealSnapshot(t, append(b, 0))
+	}
+	if r, err := RestoreSnapshot(bytes.NewReader(sumTo10(6))); err != nil || r.Formula(ref.MustCell("A10")) != "SUM(A10:A$10)" {
+		t.Fatalf("A5:A10 = SUM(A{r}:A$10): err %v", err)
+	}
+	reused := append([]byte("TACOE3"), 2,
+		0, 1, 1, 4, 1, 1, 1, 2, 'A', '1', 0, 0, 0, 0, 0, 0, 0, 0, 0, // A5 = A1
+		0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0) // B1 = the same shape, B-3
+	for name, data := range map[string][]byte{
+		"a run that walks off the sheet": sumTo10(8),
+		"a shape reused off the sheet":   sealSnapshot(t, reused),
+	} {
+		if _, err := RestoreSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrBadEngineSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadEngineSnapshot", name, err)
+		}
 	}
 }

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"taco/internal/engine"
 	"taco/internal/formula"
 	"taco/internal/ref"
+	"taco/internal/workload"
 )
 
 // crashBatches scripts a deterministic edit sequence: batch 0 builds a
@@ -400,13 +404,13 @@ func spillRotted(t *testing.T, tc *testClient, dir string) (string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 7.0 is 0x401C000000000000; its uvarint ends in 8e 40, and 8f 40 is
-	// 7.5's ending.
-	seven := []byte{0x8e, 0x40}
+	// 7.0 is 0x401C000000000000, in column A's lane 00 00 00 00 00 00 1c 40;
+	// 7.5 is 0x401E000000000000.
+	seven := []byte{0, 0, 0, 0, 0, 0, 0x1c, 0x40}
 	if n := bytes.Count(data, seven); n != 1 {
-		t.Fatalf("base file holds %d copies of A1's payload ending, want 1", n)
+		t.Fatalf("base file holds %d copies of A1's payload, want 1", n)
 	}
-	data[bytes.Index(data, seven)] ^= 0x01
+	data[bytes.Index(data, seven)+6] ^= 0x02
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -520,4 +524,147 @@ func TestEditOpsCodec(t *testing.T) {
 	if _, err := decodeEditOps([]byte{0xFF, 0xFF, 0xFF}); err == nil {
 		t.Fatal("garbage decoded without error")
 	}
+}
+
+// parentStoreKinds is the "kinds" session of testdata/parent_store: every
+// value kind, a fill, and formulas that compute an error, a string and a
+// boolean.
+func parentStoreKinds() *engine.Engine {
+	e := engine.New(nil)
+	e.SetValue(ref.MustCell("A1"), formula.Str("label"))
+	e.SetValue(ref.MustCell("A2"), formula.Boolean(true))
+	e.SetValue(ref.MustCell("A3"), formula.Empty())
+	e.SetValue(ref.MustCell("A4"), formula.Num(-0.25))
+	for r := 1; r <= 12; r++ {
+		e.SetValue(ref.Ref{Col: 2, Row: r}, formula.Num(float64(r)*1.5))
+		e.SetFormula(ref.Ref{Col: 3, Row: r}, fmt.Sprintf("B%d*$A$4", r))
+	}
+	e.SetFormula(ref.MustCell("D1"), "1/0")
+	e.SetFormula(ref.MustCell("D2"), "A1&\"!\"")
+	e.SetFormula(ref.MustCell("D3"), "NOT(A2)")
+	e.RecalculateAll()
+	return e
+}
+
+// TestParentStoreBoots opens testdata/parent_store, a durable store directory
+// written before the TACOE3 cell section: its bases are TACOE2. It holds three
+// sessions — "kinds" (parentStoreKinds), the financial scenario at 20 rows
+// (seed 5), and "tail", crashBatches' first five batches in a base with the
+// other four in its journal above it — and the process that wrote it ended
+// without closing the store. Every session must read as its reference; then
+// an edit to "tail" and its eviction write a TACOE3 base, which restores to
+// the same cells.
+func TestParentStoreBoots(t *testing.T) {
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/parent_store/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fixture: %v (%d files)", err, len(files))
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := NewStore(StoreOptions{Shards: 1, MaxResident: 1, RecalcWorkers: -1, Durable: true, SpillDir: dir, FsyncPolicy: "never"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ids := map[string]string{}
+	st.Each(func(s *Session) bool {
+		ids[s.Name] = s.ID
+		return true
+	})
+	sheet, err := workload.BuildScenario("financial", 20, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := engine.LoadBulk(sheet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := engine.New(nil)
+	for _, batch := range crashBatches() {
+		ops, err := parseBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applyBatch(tail, ops)
+	}
+	tail.RecalculateAll()
+	want := map[string]*engine.Engine{"kinds": parentStoreKinds(), "financial": fin, "tail": tail}
+	if len(ids) != len(want) {
+		t.Fatalf("sessions %v, want %d", ids, len(want))
+	}
+	check := func(name string) {
+		t.Helper()
+		if err := st.Wait(ids[name]); err != nil {
+			t.Fatal(err)
+		}
+		err := st.View(ids[name], func(_ *Session, eng *engine.Engine) error {
+			sameSheet(t, name, want[name], eng)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name := range want {
+		check(name)
+	}
+	if got := st.Stats().ReplayedRecords; got != 4 {
+		t.Fatalf("replayed %d journal records, want tail's 4", got)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, ".tacos") && !bytes.HasPrefix(must(os.ReadFile(f)), []byte("TACOE2")) {
+			t.Fatalf("fixture base %s is not TACOE2", f)
+		}
+	}
+	edit := []EditOp{{Cell: "A3", Value: num(77)}, {Cell: "F2", Formula: str("SUM(C2:E2)*2")}}
+	applyJournaled(t, st, ids["tail"], edit)
+	ops, err := parseBatch(edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyBatch(tail, ops)
+	tail.RecalculateAll()
+	check("kinds") // evicts tail, whose structural edit writes a base
+	if s, _ := st.Peek(ids["tail"]); s.Resident() {
+		t.Fatal("tail still resident")
+	}
+	if base := must(os.ReadFile(st.spillPath(ids["tail"]))); !bytes.HasPrefix(base, []byte("TACOE3")) {
+		t.Fatalf("tail's base after the eviction starts %q, want TACOE3", base[:6])
+	}
+	check("tail")
+}
+
+// sameSheet fails unless got holds exactly want's cells: values and formulas.
+func sameSheet(t *testing.T, name string, want, got *engine.Engine) {
+	t.Helper()
+	if got.NumCells() != want.NumCells() || got.NumFormulas() != want.NumFormulas() {
+		t.Fatalf("%s: %d cells, %d formulas; want %d, %d", name, got.NumCells(), got.NumFormulas(), want.NumCells(), want.NumFormulas())
+	}
+	all := ref.Range{Head: ref.Ref{Col: 1, Row: 1}, Tail: ref.Ref{Col: 64, Row: 1 << 20}}
+	n := 0
+	want.ScanRange(all, func(at ref.Ref, v formula.Value, src string, _ bool) bool {
+		n++
+		if g := got.Value(at); !sameValue(g, v) || math.Float64bits(g.Num) != math.Float64bits(v.Num) || got.Formula(at) != src {
+			t.Errorf("%s %s: %v (%q), want %v (%q)", name, ref.FormatA1(at), g, got.Formula(at), v, src)
+		}
+		return true
+	})
+	if n != want.NumCells() {
+		t.Fatalf("%s: scanned %d of %d cells", name, n, want.NumCells())
+	}
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

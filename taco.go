@@ -228,7 +228,8 @@ func NewServer(opts ServerOptions) (*Server, error) { return server.NewServer(op
 
 // RestoreEngineSnapshot loads a live engine serialised with
 // Engine.WriteSnapshot — the whole-session persistence the serving layer
-// uses to spill cold sessions.
+// uses to spill cold sessions. It reads the TACOE3 cell section the writer
+// emits and the TACOE2 section earlier builds wrote.
 func RestoreEngineSnapshot(r io.Reader) (*Engine, error) { return engine.RestoreSnapshot(r) }
 
 // ExtractReferences parses a formula (with or without a leading '=') and
