@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -538,19 +539,21 @@ func (c *column) shiftRuns(i, d int) {
 }
 
 // foldCursor is one column's slab window with a scan position, the slab
-// index i: rows is the column's rows up to the window's end. It is the unit of
-// the row-major merges below and of a sweep's operand reads (runs.go). col is
-// nil, and the window empty, over an unpopulated column.
+// index i: rows is the column's rows up to the window's end, r1 the window's
+// first row. It is the unit of the row-major merge below and of a sweep's
+// operand reads (runs.go). col is nil, and the window empty, over an
+// unpopulated column.
 type foldCursor struct {
 	ci   int
 	col  *column
 	rows []int
 	i    int
+	r1   int
 }
 
 // cursor returns column ci's window of rows r1..r2.
 func (s *colStore) cursor(ci, r1, r2 int) foldCursor {
-	cu := foldCursor{ci: ci, col: s.cols[ci]}
+	cu := foldCursor{ci: ci, col: s.cols[ci], r1: r1}
 	if cu.col != nil {
 		lo, hi := cu.col.window(r1, r2)
 		cu.rows, cu.i = cu.col.rows[:hi], lo
@@ -572,20 +575,6 @@ func (s *colStore) cursors(rng ref.Range, curs []foldCursor) []foldCursor {
 	return curs
 }
 
-// minHead returns the cursor with the lowest current row, nil when every one
-// is exhausted. Ties resolve to the lowest column because cursors are stored
-// in column order and the comparison is strict, so taking minHead until nil
-// visits cells in exactly the streaming scan's row-major order.
-func minHead(curs []foldCursor) *foldCursor {
-	var best *foldCursor
-	for k := range curs {
-		if cu := &curs[k]; cu.i < len(cu.rows) && (best == nil || cu.row() < best.row()) {
-			best = cu
-		}
-	}
-	return best
-}
-
 // probe advances the cursor to row (monotonic: callers feed ascending rows)
 // and returns the slab index of the record stored there; ok is false when the
 // row is unpopulated.
@@ -596,81 +585,123 @@ func (cu *foldCursor) probe(row int) (i int, ok bool) {
 	return cu.i, cu.i < len(cu.rows) && cu.row() == row
 }
 
+// mergeScratch is a merge's memory on its caller's stack: a merge of up to
+// 32 cursors — both sides of a 16-column SUMPRODUCT — allocates nothing.
+type mergeScratch struct {
+	curs [32]foldCursor
+	h    [32]int
+}
+
+// rowMerge is the row-major merge every range read takes (scanRange and the
+// folds): a binary min-heap of its cursors that are not exhausted, keyed by
+// the offset of each one's cell from its window's first row, then by the
+// cursor's index. The cursors of one rectangle, in column order, visit its
+// cells in row-major order — the per-cell path's order, so a fold and
+// per-cell iteration see a range's first error and add its floats
+// identically; two equal-shape rectangles' cursors, paired per column, visit
+// both rectangles' cells at each offset together, the first one's first. A
+// heap entry is its key packed into one int, offset<<shift | index, so a cell
+// costs O(log cursors) integer compares.
+type rowMerge struct {
+	curs        []foldCursor
+	h           []int
+	shift, mask int
+}
+
+// mergeOf starts a merge over curs, its heap in h's memory.
+func mergeOf(curs []foldCursor, h []int) rowMerge {
+	shift := bits.Len(uint(len(curs)))
+	m := rowMerge{curs: curs, h: h[:0], shift: shift, mask: 1<<shift - 1}
+	for k := range curs {
+		if cu := &curs[k]; cu.i < len(cu.rows) {
+			m.h = append(m.h, (cu.row()-cu.r1)<<shift|k)
+		}
+	}
+	for j := len(m.h)/2 - 1; j >= 0; j-- {
+		m.down(j)
+	}
+	return m
+}
+
+// merge starts a merge over rng's columns.
+func (s *colStore) merge(rng ref.Range, sc *mergeScratch) rowMerge {
+	return mergeOf(s.cursors(rng, sc.curs[:0]), sc.h[:0])
+}
+
+// head returns the index of the cursor at the next cell, -1 when every one
+// is exhausted.
+func (m *rowMerge) head() int {
+	if len(m.h) == 0 {
+		return -1
+	}
+	return m.h[0] & m.mask
+}
+
+// offset is the head cell's row offset in its window.
+func (m *rowMerge) offset() int {
+	cu := &m.curs[m.h[0]&m.mask]
+	return cu.row() - cu.r1
+}
+
+// next moves the head cursor past its cell and returns the new head. A sole
+// cursor just steps: nothing else reads its key.
+func (m *rowMerge) next() int {
+	k := m.h[0] & m.mask
+	cu := &m.curs[k]
+	if cu.i++; len(m.h) > 1 || cu.i == len(cu.rows) {
+		return m.sift(k)
+	}
+	return k
+}
+
+// sift re-keys the head cursor k, which just stepped, and sifts its entry
+// down, or takes it out of the heap when k is exhausted.
+func (m *rowMerge) sift(k int) int {
+	if cu := &m.curs[k]; cu.i < len(cu.rows) {
+		m.h[0] = (cu.row()-cu.r1)<<m.shift | k
+	} else {
+		n := len(m.h) - 1
+		m.h[0], m.h = m.h[n], m.h[:n]
+	}
+	m.down(0)
+	return m.head()
+}
+
+// down sifts the heap entry at j down to its place.
+func (m *rowMerge) down(j int) {
+	h := m.h
+	for {
+		l, least := 2*j+1, j
+		if l < len(h) && h[l] < h[least] {
+			least = l
+		}
+		if r := l + 1; r < len(h) && h[r] < h[least] {
+			least = r
+		}
+		if least == j {
+			return
+		}
+		h[j], h[least] = h[least], h[j]
+		j = least
+	}
+}
+
 // scanRange visits every populated cell of rng in row-major order — the
 // order the per-cell evaluation path uses, so bulk and per-cell consumers
 // observe values (and in particular a range's first error) identically.
 // Unpopulated cells are skipped; that is the point. Returns false if fn
 // stopped the scan early.
-//
-// A single-column range (the common aggregation shape) is one binary search
-// plus a linear walk. Multi-column ranges merge the per-column windows with
-// a small binary heap keyed on (row, col) — O(cells · log cols), no
-// per-cell point reads.
 func (s *colStore) scanRange(rng ref.Range, fn func(at ref.Ref, c cell) bool) bool {
-	if rng.Head.Col == rng.Tail.Col {
-		cu := s.cursor(rng.Head.Col, rng.Head.Row, rng.Tail.Row)
-		for ; cu.i < len(cu.rows); cu.i++ {
-			if !fn(ref.Ref{Col: cu.ci, Row: cu.row()}, cell{cu.col, cu.i}) {
-				return false
-			}
-		}
-		return true
-	}
-	curs := s.cursors(rng, nil)
-	// Binary min-heap of cursor indices, ordered by (current row, column).
-	less := func(a, b int) bool {
-		ca, cb := &curs[a], &curs[b]
-		if ca.row() != cb.row() {
-			return ca.row() < cb.row()
-		}
-		return ca.ci < cb.ci
-	}
-	h := make([]int, len(curs))
-	for i := range h {
-		h[i] = i
-	}
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for len(h) > 0 {
-		c := &curs[h[0]]
-		if !fn(ref.Ref{Col: c.ci, Row: c.row()}, cell{c.col, c.i}) {
+	var sc mergeScratch
+	m := s.merge(rng, &sc)
+	for k := m.head(); k >= 0; k = m.next() {
+		cu := &m.curs[k]
+		if !fn(ref.Ref{Col: cu.ci, Row: cu.row()}, cell{cu.col, cu.i}) {
 			return false
-		}
-		c.i++
-		if c.i == len(c.rows) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			down(0)
 		}
 	}
 	return true
 }
-
-// maxFoldCols bounds the column fan-in of the multi-column fold paths
-// (foldRange rectangles, foldSumProduct): the cursor merge scans every
-// column head per cell, so wider rectangles stay on the heap-merge
-// streaming path, which is O(cells · log cols).
-const maxFoldCols = 16
 
 // foldAcc accumulates one cell into a NumericFold with the exact per-cell
 // semantics of the streaming path: dirty cells resolve through dirtyVal
@@ -778,44 +809,28 @@ func (a *foldAcc) addValue(v formula.Value) {
 }
 
 // foldRange is the batched numeric fold behind formula.RangeFolder: one
-// tight pass over the range's slab windows accumulating everything the plain
+// pass over the range's slab windows accumulating everything the plain
 // aggregates need (sum, counts, extrema, first error) without surfacing a
-// callback per cell. Single columns — the common aggregation shape — walk
+// callback per cell. A single column — the common aggregation shape — walks
 // one window, adding each run of clean numbers' floats as they lie
-// (addRecords, as the sweep's fold windows do). Multi-column
-// rectangles up to maxFoldCols merge their per-column windows with a
-// min-scan over the cursor heads, visiting cells in exactly the row-major
-// order the streaming scan uses; wider rectangles report handled=false. On
-// every path the accumulation stays a sequential left-to-right chain (Go
-// never reassociates float expressions), so the sum is bit-identical to
-// per-cell iteration.
-func (s *colStore) foldRange(rng ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) (formula.NumericFold, bool) {
-	if rng.Head.Col != rng.Tail.Col {
-		return s.foldRect(rng, dirtyVal)
-	}
+// (addRecords, as the sweep's fold windows do); a rectangle takes the
+// row-major merge. Either way the accumulation stays a sequential
+// left-to-right chain (Go never reassociates float expressions), so the sum
+// is bit-identical to per-cell iteration.
+func (s *colStore) foldRange(rng ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) formula.NumericFold {
 	acc := foldAcc{f: formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}, dirtyVal: dirtyVal}
-	cu := s.cursor(rng.Head.Col, rng.Head.Row, rng.Tail.Row) // over no column: no records
-	acc.addRecords(cu.ci, cu.col, cu.i, len(cu.rows))
-	return acc.f, true
-}
-
-// foldRect folds a multi-column rectangle by taking the lowest cursor head
-// until none is left (minHead), which reproduces the streaming scan's
-// row-major visit order exactly, so Sum/Err match bit-for-bit. A rectangle
-// wider than maxFoldCols reports handled=false (the caller falls back to the
-// streaming scan).
-func (s *colStore) foldRect(rng ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) (formula.NumericFold, bool) {
-	if rng.Cols() > maxFoldCols {
-		return formula.NumericFold{}, false
+	if rng.Head.Col == rng.Tail.Col {
+		cu := s.cursor(rng.Head.Col, rng.Head.Row, rng.Tail.Row) // over no column: no records
+		acc.addRecords(cu.ci, cu.col, cu.i, len(cu.rows))
+		return acc.f
 	}
-	var buf [maxFoldCols]foldCursor
-	curs := s.cursors(rng, buf[:0])
-	acc := foldAcc{f: formula.NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}, dirtyVal: dirtyVal}
-	for cu := minHead(curs); cu != nil; cu = minHead(curs) {
+	var sc mergeScratch
+	m := s.merge(rng, &sc)
+	for k := m.head(); k >= 0; k = m.next() {
+		cu := &m.curs[k]
 		acc.add(ref.Ref{Col: cu.ci, Row: cu.row()}, cell{cu.col, cu.i})
-		cu.i++
 	}
-	return acc.f, true
+	return acc.f
 }
 
 // cellVal resolves one stored cell's value with the fold paths' dirty
@@ -827,99 +842,76 @@ func cellVal(at ref.Ref, c cell, dirtyVal func(ref.Ref, cell) formula.Value) for
 	return c.value()
 }
 
-// foldSumIf is the slab fold behind formula.CondFolder.FoldSumIf for the
-// canonical SUMIF shape: single-column criterion range, single-column sum
-// range of the same height. The criterion column is walked once; each match
-// probes the sum column at a constant row offset with a monotonic cursor, so
-// the whole call is two merged slab walks. An unpopulated sum cell
-// contributes 0 (Empty coerces to 0), exactly as the streaming path's
-// CellValue probe does. The caller guarantees the criterion does not match
-// blanks, so unpopulated criterion cells are correctly skipped. Other
-// shapes report handled=false.
-func (s *colStore) foldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) (float64, bool) {
-	if critRng.Head.Col != critRng.Tail.Col || sumRng.Head.Col != sumRng.Tail.Col {
-		return 0, false
-	}
-	same := critRng == sumRng
-	cu := s.cursor(critRng.Head.Col, critRng.Head.Row, critRng.Tail.Row)
-	var sumCur foldCursor
-	if !same {
-		sumCur = s.cursor(sumRng.Head.Col, sumRng.Head.Row, sumRng.Tail.Row)
+// foldSumIf is the slab fold behind formula.RangeFolder.FoldSumIf. The
+// criterion cells are merged in row-major order; each match reads the sum
+// cell at its offset from sumRng's head, however far past sumRng's own tail
+// that lies — the sum cells span the criterion range's shape, as on the
+// per-cell path — through a monotonic cursor per column, and an unpopulated
+// one adds 0 (Empty coerces to 0). The caller guarantees the criterion does
+// not match blanks, so skipping unpopulated criterion cells is exact.
+func (s *colStore) foldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) float64 {
+	var sc mergeScratch
+	curs := s.cursors(critRng, sc.curs[:0])
+	var sums []foldCursor // sums[k] pairs curs[k]; nil when each criterion cell is its own sum cell
+	if sumRng.Head != critRng.Head {
+		sums = curs[len(curs):]
+		for k := range curs {
+			sums = append(sums, s.cursor(curs[k].ci-critRng.Head.Col+sumRng.Head.Col, sumRng.Head.Row, sumRng.Head.Row+critRng.Rows()-1))
+		}
 	}
 	dRow := sumRng.Head.Row - critRng.Head.Row
 	total := 0.0
-	for ; cu.i < len(cu.rows); cu.i++ {
+	m := mergeOf(curs, sc.h[:0])
+	for k := m.head(); k >= 0; k = m.next() {
+		cu := &curs[k]
 		row := cu.row()
 		v := cellVal(ref.Ref{Col: cu.ci, Row: row}, cell{cu.col, cu.i}, dirtyVal)
 		if !crit.Matches(v) {
 			continue
 		}
-		sv := v
-		if !same {
-			sv = formula.Empty()
-			srow := row + dRow
-			if i, ok := sumCur.probe(srow); ok {
-				sv = cellVal(ref.Ref{Col: sumCur.ci, Row: srow}, cell{sumCur.col, i}, dirtyVal)
+		if sums != nil {
+			su, srow := &sums[k], row+dRow
+			v = formula.Empty()
+			if i, ok := su.probe(srow); ok {
+				v = cellVal(ref.Ref{Col: su.ci, Row: srow}, cell{su.col, i}, dirtyVal)
 			}
 		}
-		if f, ok := sv.AsNumber(); ok {
+		if f, ok := v.AsNumber(); ok {
 			total += f
 		}
 	}
-	return total, true
+	return total
 }
 
-// foldSumProduct is the slab fold behind formula.CondFolder.FoldSumProduct
-// for the two-argument SUMPRODUCT: equal-shape rectangles (the caller checks
-// shape) up to maxFoldCols wide. It first replays the streaming path's
-// finite guard over both rectangles — any stored non-finite number bails to
-// handled=false so the caller's exact-compensation fallback runs — then
-// scans the first rectangle's populated cells in row-major order, pairing
-// each with the second rectangle's cell at the same offset via per-column
-// monotonic cursors. Positions unpopulated in the first rectangle are
-// skipped and missing partner cells read as Empty, matching the streaming
-// RangeValues/CellValue semantics; non-numeric and error values contribute a
-// zero factor via formula.SumProductFactor.
-func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) (float64, bool) {
-	if a.Cols() > maxFoldCols || b.Cols() > maxFoldCols {
-		return 0, false
+// foldSumProduct is the slab fold behind formula.RangeFolder.FoldSumProduct
+// over two equal-shape rectangles (the caller checks shape). It merges both
+// rectangles' cursors, paired per column, so it visits the union of their
+// populated offsets in row-major order, reading a's cell before b's, and adds
+// formula.SumProductFactor of each side's value — Empty's for a side
+// unpopulated there — multiplied. That is the per-cell path's sum without its
+// terms where both sides are unpopulated: each of those is 0·0 = +0, and a
+// total that starts at +0 is never -0, so dropping them changes no bit.
+func (s *colStore) foldSumProduct(a, b ref.Range, dirtyVal func(ref.Ref, cell) formula.Value) float64 {
+	var sc mergeScratch
+	curs := sc.curs[:0]
+	for k := 0; k < a.Cols(); k++ {
+		curs = append(curs, s.cursor(a.Head.Col+k, a.Head.Row, a.Tail.Row), s.cursor(b.Head.Col+k, b.Head.Row, b.Tail.Row))
 	}
-	for _, rng := range [2]ref.Range{a, b} {
-		finite := s.scanRange(rng, func(at ref.Ref, c cell) bool {
-			v := cellVal(at, c, dirtyVal)
-			if v.Kind == formula.KindNumber && (math.IsNaN(v.Num) || math.IsInf(v.Num, 0)) {
-				return false
-			}
-			return true
-		})
-		if !finite {
-			return 0, false
-		}
+	factor := func(cu *foldCursor) float64 {
+		return formula.SumProductFactor(cellVal(ref.Ref{Col: cu.ci, Row: cu.row()}, cell{cu.col, cu.i}, dirtyVal))
 	}
-	var abuf, bbuf [maxFoldCols]foldCursor
-	acurs, bcurs := s.cursors(a, abuf[:0]), s.cursors(b, bbuf[:0])
-	// Index b's cursors by column offset for O(1) pairing; absent columns
-	// stay nil and read as Empty.
-	var bByCol [maxFoldCols]*foldCursor
-	for k := range bcurs {
-		bByCol[bcurs[k].ci-b.Head.Col] = &bcurs[k]
-	}
-	dRow := b.Head.Row - a.Head.Row
 	total := 0.0
-	for cu := minHead(acurs); cu != nil; cu = minHead(acurs) {
-		arow := cu.row()
-		av := cellVal(ref.Ref{Col: cu.ci, Row: arow}, cell{cu.col, cu.i}, dirtyVal)
-		cu.i++
-		bv := formula.Empty()
-		if bc := bByCol[cu.ci-a.Head.Col]; bc != nil {
-			brow := arow + dRow
-			if i, ok := bc.probe(brow); ok {
-				bv = cellVal(ref.Ref{Col: bc.ci, Row: brow}, cell{bc.col, i}, dirtyVal)
-			}
+	m := mergeOf(curs, sc.h[:0])
+	for k := m.head(); k >= 0; {
+		// One offset: a's cell, then b's, whichever of them is populated.
+		var f [2]float64
+		pair, off := k|1, m.offset()
+		for ; k >= 0 && k|1 == pair && m.offset() == off; k = m.next() {
+			f[k&1] = factor(&curs[k])
 		}
-		total += formula.SumProductFactor(av) * formula.SumProductFactor(bv)
+		total += f[0] * f[1]
 	}
-	return total, true
+	return total
 }
 
 // columnOrder returns the populated columns' indexes, ascending: the

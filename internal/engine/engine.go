@@ -374,6 +374,8 @@ func (e *Engine) Peek(at ref.Ref) (v formula.Value, clean bool) {
 // which empties the stack.
 type evalResolver struct{ e *Engine }
 
+var _ formula.RangeFolder = evalResolver{}
+
 // CellValue implements formula.Resolver: a clean cell costs one point read.
 func (r evalResolver) CellValue(at ref.Ref) formula.Value {
 	c, ok := r.e.store.get(at)
@@ -387,30 +389,29 @@ func (r evalResolver) CellValue(at ref.Ref) formula.Value {
 }
 
 // RangeValues implements formula.RangeResolver straight off the slabs.
-func (r evalResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) bool {
+func (r evalResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) {
 	r.e.store.scanRange(rng, func(at ref.Ref, c cell) bool { return fn(at, cellVal(at, c, r.await)) })
-	return true
 }
 
 // FoldRange implements formula.RangeFolder straight off the slabs. A fold reads
 // every cell of its range whatever their values, so when it makes an exact
 // evaluation's first dirty read, its every dirty read is exact, in read order.
-func (r evalResolver) FoldRange(rng ref.Range) (formula.NumericFold, bool) {
+func (r evalResolver) FoldRange(rng ref.Range) formula.NumericFold {
 	e, h := r.e, len(r.e.walk)
 	e.fold = h == e.top && e.top == e.exact
-	f, ok := e.store.foldRange(rng, r.await)
+	f := e.store.foldRange(rng, r.await)
 	e.fold = false
 	slices.Reverse(e.walk[h:])
-	return f, ok
+	return f
 }
 
-// FoldSumIf implements formula.CondFolder for the recalculation path.
-func (r evalResolver) FoldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range) (float64, bool) {
+// FoldSumIf implements formula.RangeFolder for the recalculation path.
+func (r evalResolver) FoldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range) float64 {
 	return r.e.store.foldSumIf(critRng, crit, sumRng, r.await)
 }
 
-// FoldSumProduct implements formula.CondFolder for the recalculation path.
-func (r evalResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
+// FoldSumProduct implements formula.RangeFolder for the recalculation path.
+func (r evalResolver) FoldSumProduct(a, b ref.Range) float64 {
 	return r.e.store.foldSumProduct(a, b, r.await)
 }
 
@@ -736,43 +737,44 @@ func (e *Engine) ScanRange(rng ref.Range, fn func(at ref.Ref, v formula.Value, s
 }
 
 // valueResolver adapts the engine's side-effect-free read path to
-// formula.Resolver + formula.RangeResolver: last computed values only,
+// formula.Resolver + formula.RangeFolder: last computed values only,
 // never evaluating. It is what external consumers (benchmarks, ad-hoc
 // expression evaluation over a quiesced engine) should evaluate against.
 type valueResolver struct{ e *Engine }
+
+var _ formula.RangeFolder = valueResolver{}
 
 // CellValue implements formula.Resolver.
 func (r valueResolver) CellValue(at ref.Ref) formula.Value { return r.e.Value(at) }
 
 // RangeValues implements formula.RangeResolver.
-func (r valueResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) bool {
+func (r valueResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) {
 	r.e.store.scanRange(rng, func(at ref.Ref, c cell) bool {
 		return fn(at, c.value())
 	})
-	return true
 }
 
 // FoldRange implements formula.RangeFolder: the side-effect-free variant
 // folds last computed values (a dirty cell contributes its stale value,
 // exactly as RangeValues streams it).
-func (r valueResolver) FoldRange(rng ref.Range) (formula.NumericFold, bool) {
+func (r valueResolver) FoldRange(rng ref.Range) formula.NumericFold {
 	return r.e.store.foldRange(rng, nil)
 }
 
-// FoldSumIf implements formula.CondFolder over last computed values.
-func (r valueResolver) FoldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range) (float64, bool) {
+// FoldSumIf implements formula.RangeFolder over last computed values.
+func (r valueResolver) FoldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range) float64 {
 	return r.e.store.foldSumIf(critRng, crit, sumRng, nil)
 }
 
-// FoldSumProduct implements formula.CondFolder over last computed values.
-func (r valueResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
+// FoldSumProduct implements formula.RangeFolder over last computed values.
+func (r valueResolver) FoldSumProduct(a, b ref.Range) float64 {
 	return r.e.store.foldSumProduct(a, b, nil)
 }
 
 // ValueResolver returns a side-effect-free formula resolver over the
-// engine's last computed values. It implements formula.RangeResolver and
-// formula.RangeFolder, so range-consuming builtins evaluated against it take
-// the columnar bulk path and the plain aggregates the batched fold.
+// engine's last computed values. It implements formula.RangeFolder, so
+// range-consuming builtins evaluated against it take the columnar scans and
+// folds.
 func (e *Engine) ValueResolver() formula.Resolver { return valueResolver{e} }
 
 // CellStats returns the columnar cell store's shape summary.

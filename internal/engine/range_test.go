@@ -94,7 +94,7 @@ var rangeBuiltinSrcs = []string{
 	"=SUM(E1:E40)",          // error in E5 propagates through the fold
 	"=AVERAGE(E1:E40)",      // ditto
 	"=AVERAGE(D1:D60)",      // empty column: #DIV/0! on both paths
-	"=SUM(B1:B50,C1:C50)",   // multi-arg: fold declines, streaming path
+	"=SUM(B1:B50,C1:C50)",   // multi-arg: not folded, streaming path
 	"=MIN(B1:B50,3,C7)",     // range + scalar mix
 	"=MAX(C1:C50,\"4\")",    // numeric-text scalar coerces
 	"=MIN(E1:E40)",          // error propagates

@@ -17,6 +17,8 @@ import (
 // values, #CYCLE! on the same cells — and it runs only in tests.
 type recursiveResolver struct{ e *Engine }
 
+var _ formula.RangeFolder = recursiveResolver{}
+
 func (r recursiveResolver) CellValue(at ref.Ref) formula.Value {
 	c, ok := r.e.store.get(at)
 	if !ok {
@@ -28,20 +30,19 @@ func (r recursiveResolver) CellValue(at ref.Ref) formula.Value {
 	return c.value()
 }
 
-func (r recursiveResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) bool {
+func (r recursiveResolver) RangeValues(rng ref.Range, fn func(at ref.Ref, v formula.Value) bool) {
 	r.e.store.scanRange(rng, func(at ref.Ref, c cell) bool { return fn(at, cellVal(at, c, r.dirtyVal)) })
-	return true
 }
 
-func (r recursiveResolver) FoldRange(rng ref.Range) (formula.NumericFold, bool) {
+func (r recursiveResolver) FoldRange(rng ref.Range) formula.NumericFold {
 	return r.e.store.foldRange(rng, r.dirtyVal)
 }
 
-func (r recursiveResolver) FoldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range) (float64, bool) {
+func (r recursiveResolver) FoldSumIf(critRng ref.Range, crit formula.Criterion, sumRng ref.Range) float64 {
 	return r.e.store.foldSumIf(critRng, crit, sumRng, r.dirtyVal)
 }
 
-func (r recursiveResolver) FoldSumProduct(a, b ref.Range) (float64, bool) {
+func (r recursiveResolver) FoldSumProduct(a, b ref.Range) float64 {
 	return r.e.store.foldSumProduct(a, b, r.dirtyVal)
 }
 
@@ -377,6 +378,10 @@ func walkMatchesRecursion(t *testing.T, rng *rand.Rand, sheet int) {
 	const cols, rows = 5, 6
 	cellName := func() string { return fmt.Sprintf("%c%d", 'A'+rng.IntN(cols), 1+rng.IntN(rows)) }
 	rangeOf := func() string { return cellName() + ":" + cellName() }
+	rectOf := func(w, h int) string { // a w×h rectangle inside the sheet
+		c, r := rng.IntN(cols-w+1), 1+rng.IntN(rows-h+1)
+		return fmt.Sprintf("%c%d:%c%d", 'A'+c, r, 'A'+c+w-1, r+h-1)
+	}
 	shapes := []func() string{
 		func() string { return cellName() + "+1" },
 		func() string { return cellName() + "*2-" + cellName() },
@@ -387,6 +392,11 @@ func walkMatchesRecursion(t *testing.T, rng *rand.Rand, sheet int) {
 		func() string { return "IFERROR(" + cellName() + "+" + cellName() + ",SUM(" + rangeOf() + "))" },
 		func() string { return "COUNTIF(" + rangeOf() + ",\">2\")" },
 		func() string { return "IFERROR(VLOOKUP(3," + rangeOf() + ",1),7)" },
+		func() string { return "SUMIF(" + rangeOf() + ",\">2\"," + rangeOf() + ")" },
+		func() string {
+			w, h := 1+rng.IntN(cols), 1+rng.IntN(rows)
+			return "SUMPRODUCT(" + rectOf(w, h) + "," + rectOf(w, h) + ")"
+		},
 	}
 	srcs := map[string]string{}
 	for c := 0; c < cols; c++ {

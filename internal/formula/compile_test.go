@@ -111,12 +111,11 @@ func TestBytecodeEquivalence(t *testing.T) {
 			t.Errorf("%q: did not compile", src)
 			continue
 		}
-		for _, decline := range []bool{false, true} {
-			res := &colResolver{cells: grid, decline: decline}
-			want := Eval(ast, &colResolver{cells: grid, decline: decline})
+		for _, res := range []Resolver{&colResolver{cells: grid}, plain{&colResolver{cells: grid}}} {
+			want := Eval(ast, res)
 			got := p.EvalAt(res, anchor)
 			if !sameValue(got, want) {
-				t.Errorf("%q (decline=%v): VM=%v AST=%v", src, decline, got, want)
+				t.Errorf("%q (%T): VM=%v AST=%v", src, res, got, want)
 			}
 		}
 		// Shifted copy at a shifted anchor: same program bytes, same values

@@ -145,26 +145,29 @@ func (f ResolverFunc) CellValue(at ref.Ref) Value { return f(at) }
 // RangeResolver is an optional Resolver extension: a resolver backed by
 // column-sliced storage can stream every populated cell of a range as
 // contiguous per-column scans instead of answering rows×cols CellValue
-// probes. Range-consuming builtins (SUM and friends, SUMIF, COUNTIF,
-// SUMPRODUCT, VLOOKUP) use it as their fast path and fall back to per-cell
-// CellValue resolution for plain resolvers.
+// probes. The range builtins no RangeFolder method answers — COUNTIF,
+// VLOOKUP, PRODUCT and the rest — stream through it; plain resolvers take
+// the per-cell path.
 type RangeResolver interface {
 	Resolver
 	// RangeValues calls fn for every populated cell of rng in row-major
 	// order — the same order (and therefore the same first-error
 	// behaviour) as per-cell iteration — with the cell's position and
-	// value. Unpopulated cells are skipped; callers that assign meaning to
-	// blanks must account for them (see COUNTIF's empty-matching
-	// criterion). It returns false when the resolver cannot serve the bulk
-	// scan, in which case the caller must take the per-cell path.
-	RangeValues(rng ref.Range, fn func(at ref.Ref, v Value) bool) bool
+	// value, until fn returns false. Unpopulated cells are skipped; callers
+	// that assign meaning to blanks must account for them (see COUNTIF's
+	// empty-matching criterion).
+	RangeValues(rng ref.Range, fn func(at ref.Ref, v Value) bool)
 }
 
-// rangeScan streams rng through the resolver's bulk path when it has one.
-// handled=false means the caller must fall back to per-cell CellValue.
-func rangeScan(res Resolver, rng ref.Range, fn func(ref.Ref, Value) bool) (handled bool) {
+// rangeScan streams rng through the resolver's bulk path when it has one;
+// streamed=false means it has none and the caller must take the per-cell
+// path.
+func rangeScan(res Resolver, rng ref.Range, fn func(ref.Ref, Value) bool) (streamed bool) {
 	rr, ok := res.(RangeResolver)
-	return ok && rr.RangeValues(rng, fn)
+	if ok {
+		rr.RangeValues(rng, fn)
+	}
+	return ok
 }
 
 // NumericFold is the result of a resolver-side batched fold over one range —
@@ -196,36 +199,25 @@ type NumericFold struct {
 }
 
 // RangeFolder is an optional RangeResolver extension: a resolver backed by
-// columnar storage can answer the plain aggregates (SUM, COUNT, COUNTA,
-// AVERAGE, MIN, MAX) with one batched fold over its slabs — no per-cell
-// callback, no interface dispatch per value — instead of streaming every
-// cell through RangeValues. handled=false means the resolver cannot fold
-// this range shape (e.g. a rectangle wider than its cursor-merge limit) and
-// the caller must take the streaming path.
+// columnar storage answers the plain aggregates (SUM, COUNT, COUNTA,
+// AVERAGE, MIN, MAX), SUMIF and two-range SUMPRODUCT with one fold over its
+// slabs — no per-cell callback, no interface dispatch per value. Every fold
+// answers any range it is handed, and carries the same exactness contract as
+// NumericFold: cells visited in row-major order, float accumulation never
+// reassociated, so its result is bit-identical to the per-cell path's.
 type RangeFolder interface {
 	RangeResolver
-	FoldRange(rng ref.Range) (NumericFold, bool)
-}
-
-// CondFolder is an optional RangeFolder extension for the conditional
-// aggregates: SUMIF and two-range SUMPRODUCT fold directly off the columnar
-// slabs, replacing the streaming scan's per-match point probes with slab
-// cursors. Both folds carry the same exactness contract as FoldRange — cells
-// visited in row-major order, float accumulation never reassociated — so
-// their results are bit-identical to the streaming and per-cell paths.
-type CondFolder interface {
-	RangeFolder
-	// FoldSumIf sums sumRng cells whose matching critRng cell satisfies the
-	// compiled criterion. Callers guarantee the criterion does not match
-	// blanks (they fall back before asking); handled=false means the
-	// resolver cannot fold these shapes.
-	FoldSumIf(critRng ref.Range, crit Criterion, sumRng ref.Range) (float64, bool)
+	FoldRange(rng ref.Range) NumericFold
+	// FoldSumIf sums the sum cells whose criterion cell in critRng satisfies
+	// the compiled criterion: the sum cell at a criterion cell's offset from
+	// critRng's head, taken from sumRng's head, so the sum cells span
+	// critRng's shape whatever sumRng's own. Callers guarantee the criterion
+	// does not match blanks (they take the per-cell path before asking).
+	FoldSumIf(critRng ref.Range, crit Criterion, sumRng ref.Range) float64
 	// FoldSumProduct computes the two-range SUMPRODUCT over equal-shape
-	// ranges. The resolver must preserve the bulk-path semantics of
-	// evalSumProduct: positions unpopulated in a are skipped (their term is
-	// zero), and handled must be false when any stored number in either
-	// range is non-finite — a skipped 0·Inf term would be NaN, not zero.
-	FoldSumProduct(a, b ref.Range) (float64, bool)
+	// ranges: the products of each offset's two SumProductFactors, added in
+	// row-major order.
+	FoldSumProduct(a, b ref.Range) float64
 }
 
 // foldAggregate answers the fold-compatible aggregate builtins from the
@@ -234,7 +226,8 @@ type CondFolder interface {
 // accumulation is order-sensitive, and only there does the fold's row-major
 // sequential sum equal the per-cell path's. COUNT/COUNTA/MIN/MAX are
 // order-free, so every range argument folds and scalars mix in directly.
-// ok=false means "not foldable here" — the caller runs the generic path.
+// ok=false means the resolver has no folds or the builtin is not answered
+// here — the caller runs the generic path.
 func foldAggregate(name string, args []arg, res Resolver) (Value, bool) {
 	rf, isFolder := res.(RangeFolder)
 	if !isFolder {
@@ -245,10 +238,7 @@ func foldAggregate(name string, args []arg, res Resolver) (Value, bool) {
 		if len(args) != 1 || !args[0].isRange {
 			return Value{}, false
 		}
-		f, ok := rf.FoldRange(args[0].rng)
-		if !ok {
-			return Value{}, false
-		}
+		f := rf.FoldRange(args[0].rng)
 		if f.Err.IsError() {
 			return f.Err, true
 		}
@@ -272,10 +262,7 @@ func foldAggregate(name string, args []arg, res Resolver) (Value, bool) {
 				}
 				continue
 			}
-			f, ok := rf.FoldRange(a.rng)
-			if !ok {
-				return Value{}, false
-			}
+			f := rf.FoldRange(a.rng)
 			if name == "COUNT" {
 				n += f.Count
 			} else {
@@ -302,10 +289,7 @@ func foldAggregate(name string, args []arg, res Resolver) (Value, bool) {
 				}
 				continue
 			}
-			f, ok := rf.FoldRange(a.rng)
-			if !ok {
-				return Value{}, false
-			}
+			f := rf.FoldRange(a.rng)
 			if f.Err.IsError() {
 				return f.Err, true
 			}
@@ -533,7 +517,7 @@ func condTruth(cond Value) bool {
 func callShared(name string, args []arg, res Resolver) Value {
 	// Fold-compatible aggregates first: one batched pass over the columnar
 	// slabs when the resolver supports it, bit-identical to the streaming
-	// path below (which remains the fallback for unfoldable shapes).
+	// path below (which serves the argument shapes it does not answer).
 	if v, ok := foldAggregate(name, args, res); ok {
 		return v
 	}
@@ -893,39 +877,14 @@ func evalSumif(args []arg, res Resolver) Value {
 		}
 		sumRange = args[2].rng
 	}
-	total := 0.0
-	// Bulk paths: scan only the populated criterion cells — sound when a
-	// blank cannot satisfy the criterion (e.g. "<5" or =0 match blanks; for
-	// those the blank positions' sum cells still matter, so fall back).
-	// A CondFolder answers the whole fold off its slabs; the streaming scan
-	// pays one point probe per match into the sum range (the common 2-arg
-	// form, sum range == criterion range, pays none). Row-major order keeps
-	// float accumulation identical to the per-cell path on all three.
-	if !crit.Matches(Empty()) {
-		if cf, ok := res.(CondFolder); ok {
-			if f, handled := cf.FoldSumIf(args[0].rng, crit, sumRange); handled {
-				return Num(f)
-			}
-		}
-		sameRange := sumRange == args[0].rng
-		if rangeScan(res, args[0].rng, func(at ref.Ref, v Value) bool {
-			if crit.Matches(v) {
-				if !sameRange {
-					off := at.Sub(args[0].rng.Head)
-					v = res.CellValue(ref.Ref{
-						Col: sumRange.Head.Col + off.DCol,
-						Row: sumRange.Head.Row + off.DRow,
-					})
-				}
-				if f, ok := v.AsNumber(); ok {
-					total += f
-				}
-			}
-			return true
-		}) {
-			return Num(total)
-		}
+	// A RangeFolder answers off its slabs, visiting only the populated
+	// criterion cells, when a blank cannot satisfy the criterion. One that
+	// matches blanks ("<5", =0) makes the blank positions' sum cells count,
+	// so it takes the per-cell path, as every plain resolver does.
+	if rf, ok := res.(RangeFolder); ok && !crit.Matches(Empty()) {
+		return Num(rf.FoldSumIf(args[0].rng, crit, sumRange))
 	}
+	total := 0.0
 	i := 0
 	args[0].rng.Cells(func(c ref.Ref) bool {
 		if crit.Matches(res.CellValue(c)) {
@@ -992,7 +951,7 @@ const (
 // Criterion is a compiled SUMIF/COUNTIF criterion: the mini-language (plain
 // value matches by equality; strings beginning with a comparison operator
 // compare numerically) parsed once per call instead of once per cell.
-// Resolvers implementing CondFolder receive it to test slab values.
+// Resolvers implementing RangeFolder receive it to test slab values.
 type Criterion struct {
 	mode critMode
 	num  float64

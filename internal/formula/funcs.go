@@ -401,53 +401,14 @@ func evalSumProduct(args []arg, res Resolver) Value {
 			return Error(ErrValue)
 		}
 	}
+	// The two-range form folds off a RangeFolder's slabs; more ranges, and
+	// a resolver without folds, take the per-cell path, which is the
+	// reference.
+	if rf, ok := res.(RangeFolder); ok && len(args) == 2 {
+		return Num(rf.FoldSumProduct(args[0].rng, args[1].rng))
+	}
 	first := args[0].rng
 	total := 0.0
-	// Folded path: the common two-range form folds directly off the columnar
-	// slabs when the resolver supports it (same semantics as the bulk path
-	// below, including the all-finite guard — see CondFolder).
-	if len(args) == 2 {
-		if cf, ok := res.(CondFolder); ok {
-			if f, handled := cf.FoldSumProduct(args[0].rng, args[1].rng); handled {
-				return Num(f)
-			}
-		}
-	}
-	// Bulk path: a position unpopulated in the first range contributes a
-	// zero factor, so its whole term is zero — scan only the first range's
-	// populated cells and probe the other ranges at the matching offsets.
-	// Sound only while every stored number is finite: a 0·Inf term at a
-	// skipped position would be NaN, not zero (arithmetic can overflow to
-	// Inf, e.g. =1E308*10), so any non-finite value anywhere in the ranges
-	// forces the exact per-cell walk. The guard scans are populated-cells-
-	// only and cheap next to the rectangle walk they avoid.
-	allFinite := true
-	for _, a := range args {
-		if !rangeScan(res, a.rng, func(_ ref.Ref, v Value) bool {
-			if v.Kind == KindNumber && (math.IsInf(v.Num, 0) || math.IsNaN(v.Num)) {
-				allFinite = false
-				return false
-			}
-			return true
-		}) {
-			allFinite = false // no bulk support: per-cell walk below
-			break
-		}
-	}
-	if allFinite && rangeScan(res, first, func(at ref.Ref, v Value) bool {
-		off := at.Sub(first.Head)
-		prod := SumProductFactor(v)
-		for _, a := range args[1:] {
-			prod *= SumProductFactor(res.CellValue(ref.Ref{
-				Col: a.rng.Head.Col + off.DCol,
-				Row: a.rng.Head.Row + off.DRow,
-			}))
-		}
-		total += prod
-		return true
-	}) {
-		return Num(total)
-	}
 	i := 0
 	first.Cells(func(ref.Ref) bool {
 		dc := i % first.Cols()
@@ -466,7 +427,7 @@ func evalSumProduct(args []arg, res Resolver) Value {
 
 // SumProductFactor coerces one SUMPRODUCT operand: text (including numeric
 // text) and errors count as zero, per spreadsheet semantics. Exported so
-// bulk resolvers implementing CondFolder.FoldSumProduct can reproduce the
+// bulk resolvers implementing RangeFolder.FoldSumProduct can reproduce the
 // exact per-cell coercion.
 func SumProductFactor(v Value) float64 {
 	f, ok := v.AsNumber()

@@ -50,7 +50,7 @@ func FuzzParse(f *testing.F) {
 }
 
 // maxFuzzArea bounds the cells of any one range FuzzEval and
-// FuzzBytecodeEval evaluate. The declined resolver and readLog visit every
+// FuzzBytecodeEval evaluate. The plain resolver and readLog visit every
 // cell of a range's area, so without it a fuzzed =MIN(H1:BA100000000)
 // (4.6e9 cells) stalls the worker; the grid the targets read is 3x20.
 const maxFuzzArea = 1 << 16
@@ -104,7 +104,7 @@ func FuzzEval(f *testing.F) {
 			return
 		}
 		bulk := Eval(node, &colResolver{cells: grid})
-		percell := Eval(node, &colResolver{cells: grid, decline: true})
+		percell := Eval(node, plain{&colResolver{cells: grid}})
 		if !sameValue(bulk, percell) {
 			t.Fatalf("%q: bulk=%v percell=%v", src, bulk, percell)
 		}
@@ -163,11 +163,11 @@ func FuzzBytecodeEval(f *testing.F) {
 		if !slices.Equal(walker.reads, vm.reads) {
 			t.Fatalf("%q: Eval read %v, the VM %v", src, walker.reads, vm.reads)
 		}
-		for _, decline := range []bool{false, true} {
-			want := Eval(node, &colResolver{cells: grid, decline: decline})
-			got := p.EvalAt(&colResolver{cells: grid, decline: decline}, anchor)
+		for _, res := range []Resolver{&colResolver{cells: grid}, plain{&colResolver{cells: grid}}} {
+			want := Eval(node, res)
+			got := p.EvalAt(res, anchor)
 			if !sameValue(got, want) {
-				t.Fatalf("%q (decline=%v): VM=%v AST=%v", src, decline, got, want)
+				t.Fatalf("%q (%T): VM=%v AST=%v", src, res, got, want)
 			}
 		}
 		shifted := Shift(node, 1, 3)

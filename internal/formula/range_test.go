@@ -10,24 +10,25 @@ import (
 
 // colResolver is a map-backed RangeResolver test double: CellValue probes
 // the map, RangeValues streams the populated cells in row-major order like
-// a columnar store would. With decline set it refuses bulk scans, forcing
-// callers onto the per-cell fallback.
+// a columnar store would.
 type colResolver struct {
-	cells   map[ref.Ref]Value
-	decline bool
-	scans   int // bulk scans served
-	probes  int // CellValue probes answered
+	cells  map[ref.Ref]Value
+	scans  int // bulk scans served
+	probes int // CellValue probes answered
 }
+
+var _ RangeResolver = (*colResolver)(nil)
+
+// plain hides a resolver's bulk scan: plain{&colResolver{...}} is the
+// per-cell path every bulk path is held to.
+type plain struct{ Resolver }
 
 func (g *colResolver) CellValue(at ref.Ref) Value {
 	g.probes++
 	return g.cells[at]
 }
 
-func (g *colResolver) RangeValues(rng ref.Range, fn func(ref.Ref, Value) bool) bool {
-	if g.decline {
-		return false
-	}
+func (g *colResolver) RangeValues(rng ref.Range, fn func(ref.Ref, Value) bool) {
 	g.scans++
 	var populated []ref.Ref
 	for at := range g.cells {
@@ -43,10 +44,9 @@ func (g *colResolver) RangeValues(rng ref.Range, fn func(ref.Ref, Value) bool) b
 	})
 	for _, at := range populated {
 		if !fn(at, g.cells[at]) {
-			return true
+			return
 		}
 	}
-	return true
 }
 
 // sameValue is Value equality with NaN==NaN: both paths can legitimately
@@ -109,14 +109,14 @@ func TestRangeResolverMatchesPerCell(t *testing.T) {
 	for _, src := range srcs {
 		ast := MustParse(src)
 		bulkRes := &colResolver{cells: grid}
-		perRes := &colResolver{cells: grid, decline: true}
+		perRes := &colResolver{cells: grid}
 		bulk := Eval(ast, bulkRes)
-		percell := Eval(ast, perRes)
+		percell := Eval(ast, plain{perRes})
 		if !sameValue(bulk, percell) {
 			t.Errorf("%s: bulk=%v percell=%v", src, bulk, percell)
 		}
 		if perRes.scans != 0 {
-			t.Errorf("%s: declining resolver served %d scans", src, perRes.scans)
+			t.Errorf("%s: plain resolver served %d scans", src, perRes.scans)
 		}
 	}
 }
@@ -137,8 +137,8 @@ func TestRangeResolverTakesBulkPath(t *testing.T) {
 // TestRangeResolverFallbackProbes: a resolver without bulk support pays one
 // probe per range cell — the legacy path, still correct.
 func TestRangeResolverFallbackProbes(t *testing.T) {
-	res := &colResolver{cells: rangeTestGrid(), decline: true}
-	if v := Eval(MustParse("=SUM(A1:A30)"), res); v.Num != 465 {
+	res := &colResolver{cells: rangeTestGrid()}
+	if v := Eval(MustParse("=SUM(A1:A30)"), plain{res}); v.Num != 465 {
 		t.Fatalf("SUM = %v, want 465", v)
 	}
 	if res.probes != 30 {
@@ -168,7 +168,7 @@ func TestSumProductNonFiniteFallsBack(t *testing.T) {
 	}
 	ast := MustParse("=SUMPRODUCT(A1:A2,B1:B2)")
 	bulk := Eval(ast, &colResolver{cells: grid})
-	percell := Eval(ast, &colResolver{cells: grid, decline: true})
+	percell := Eval(ast, plain{&colResolver{cells: grid}})
 	if !math.IsNaN(bulk.Num) || !math.IsNaN(percell.Num) {
 		t.Fatalf("bulk=%v percell=%v, want NaN from both", bulk, percell)
 	}
@@ -184,7 +184,7 @@ func TestSumifEarlyErrorOrder(t *testing.T) {
 	}
 	ast := MustParse("=SUM(A1:B10)")
 	bulk := Eval(ast, &colResolver{cells: grid})
-	percell := Eval(ast, &colResolver{cells: grid, decline: true})
+	percell := Eval(ast, plain{&colResolver{cells: grid}})
 	if bulk != percell || bulk.Err != ErrDiv0 {
 		t.Fatalf("bulk=%v percell=%v, want #DIV/0! from both", bulk, percell)
 	}
