@@ -24,12 +24,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The drain-ownership and barrier tests, and the tests that cross the
-# session lifecycle's transitions (degrade, repair, eviction, fork,
-# quarantine), ten times over under the race detector: a lost wake-up, a
-# write-fence deadlock or a transition racing a drain shows on some runs only.
+# The drain-ownership and barrier tests, the tests that cross the session
+# lifecycle's transitions (degrade, repair, eviction, fork, quarantine), and
+# the replication tests (a standby polling the journal endpoint, promotion),
+# ten times over under the race detector: a lost wake-up, a write-fence
+# deadlock or a transition racing a drain shows on some runs only.
 stress-drain:
-	$(GO) test -race -run 'Wait|Drain|OneDrainer|Stress|Lifecycle|Degrad|Repair|Evict|Fork|Quarantin' -count=10 ./internal/server
+	$(GO) test -race -run 'Wait|Drain|OneDrainer|Stress|Lifecycle|Degrad|Repair|Evict|Fork|Quarantin|Standby|Promote' -count=10 ./internal/server
 
 # Non-test Go lines per package — the number simplicity PRs report before
 # and after. CI prints it on every run.

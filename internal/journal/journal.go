@@ -64,7 +64,7 @@ var ErrClosed = errors.New("journal: writer closed")
 // ErrTorn is returned by Append and Sync once a failed append could not be
 // wound back to the last record boundary: the file may end mid-record, so
 // further appends would be invisible to every valid-prefix scan (recovery,
-// followers) while looking accepted to callers. The writer poisons itself
+// replication, forks) while looking accepted to callers. The writer poisons itself
 // instead; Reopen re-validates the file and re-arms it.
 var ErrTorn = errors.New("journal: writer torn, reopen required")
 
@@ -196,7 +196,7 @@ func (w *Writer) Size() int64 {
 // process-crash durable when Append returns; call Sync for the policy's
 // power-loss barrier. On a write error the file is wound back to the prior
 // valid prefix so a partial record never lingers at the tail (an ENOSPC
-// mid-record leaves the journal scan-valid for recovery and followers); if
+// mid-record leaves the journal scan-valid for every reader); if
 // even the wind-back fails the writer poisons itself with ErrTorn rather
 // than let later appends land beyond an undecodable gap, and Reopen is the
 // repairer's path back.
@@ -398,12 +398,14 @@ func AppendRecord(dst []byte, rev uint64, payload []byte) []byte {
 }
 
 // Scan decodes the valid prefix of a log, invoking fn (when non-nil) per
-// record with the rev and payload; the payload slice is reused between
-// records. It returns the rev of the last valid record and the byte length
-// of the valid prefix. A torn, truncated, or bit-flipped tail stops the scan
-// cleanly — never a panic, never an error — because that is the normal
-// post-crash state; only fn's own error propagates. An unreadable or absent
-// magic yields (0, 0, nil): nothing valid, caller reinitialises.
+// record with the rev and payload. It is the only decoder of the framing:
+// recovery, the registry, replication and fork tail copies all read
+// through it. The payload slice is reused between records. It returns the
+// rev of the last valid record and the byte length of the valid prefix. A
+// torn, truncated, or bit-flipped tail stops the scan cleanly — never a
+// panic, never an error — because that is the normal post-crash state;
+// only fn's own error propagates. An unreadable or absent magic yields
+// (0, 0, nil): nothing valid, caller reinitialises.
 func Scan(r io.Reader, magic []byte, fn func(rev uint64, payload []byte) error) (head uint64, valid int64, err error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {

@@ -287,15 +287,10 @@ func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 		if rev <= s.disk.rev {
 			return nil // the base already contains this batch
 		}
-		edits, err := decodeEditOps(payload)
+		edits, err := applyRecord(eng, payload)
 		if err != nil {
 			return fmt.Errorf("record rev %d: %w", rev, err)
 		}
-		ops, err := parseBatch(edits)
-		if err != nil {
-			return fmt.Errorf("record rev %d: %w", rev, err)
-		}
-		applyBatch(eng, ops)
 		switch {
 		case rev != last+1:
 			k = tailBroken
@@ -322,6 +317,46 @@ func (st *Store) replayJournal(s *Session, eng *engine.Engine) error {
 	mReplayRecords.Add(uint64(replayed))
 	mReplayDuration.Observe(time.Since(start).Seconds())
 	return nil
+}
+
+// applyRecord decodes one journal record's payload and applies it to eng
+// through the live edit path, returning its edits: the one applier for a
+// replayed tail and a shipped record alike.
+func applyRecord(eng *engine.Engine, payload []byte) ([]EditOp, error) {
+	edits, err := decodeEditOps(payload)
+	if err != nil {
+		return nil, err
+	}
+	ops, err := parseBatch(edits)
+	if err != nil {
+		return nil, err
+	}
+	applyBatch(eng, ops)
+	return edits, nil
+}
+
+// journalTail reads the session's journal records with rev > from through
+// journal.Scan and frames them as a journal file of their own: the magic,
+// then each record through journal.AppendRecord. n counts them, and gapless
+// reports whether their revs run from+1, from+2, … one by one. A missing
+// journal is an empty tail. Valid-prefix reads are safe against the live
+// writer, so no session lock is needed. It is what the replication endpoint
+// ships and what a fork copies.
+func (st *Store) journalTail(id string, from uint64) (tail []byte, n int, gapless bool, err error) {
+	tail = append(tail, journal.JournalMagic...)
+	gapless = true
+	_, _, err = journal.ScanFile(st.journalPath(id), journal.JournalMagic, func(rev uint64, payload []byte) error {
+		if rev > from {
+			n++
+			gapless = gapless && rev == from+uint64(n)
+			tail = journal.AppendRecord(tail, rev, payload)
+		}
+		return nil
+	})
+	if errors.Is(err, os.ErrNotExist) {
+		err = nil
+	}
+	return tail, n, gapless, err
 }
 
 // writeFileAtomic writes data via a same-directory temp file and rename, so

@@ -247,19 +247,11 @@ func (st *Store) forkLocked(p *Session, name string) (c *Session, needBase bool,
 	return c, false, nil
 }
 
-// copyTailLocked reads the records above the base, up to rev, out of the
-// session's journal and returns them framed as a journal file of their own.
-// ok=false means the file does not hold that run contiguously. Called with
-// s.mu held.
+// copyTailLocked returns the session's journal records above its base,
+// framed as a journal file of their own (journalTail). ok=false means the
+// file does not hold them as the run disk.rev+1 … rev, one by one. Called
+// with s.mu held.
 func (st *Store) copyTailLocked(s *Session) (body []byte, ok bool) {
-	body = append(body, journal.JournalMagic...)
-	next := s.disk.rev + 1
-	_, _, err := journal.ScanFile(st.journalPath(s.ID), journal.JournalMagic, func(rev uint64, payload []byte) error {
-		if rev == next && rev <= s.rev {
-			body = journal.AppendRecord(body, rev, payload)
-			next++
-		}
-		return nil
-	})
-	return body, err == nil && next == s.rev+1
+	body, n, gapless, err := st.journalTail(s.ID, s.disk.rev)
+	return body, err == nil && gapless && s.disk.rev+uint64(n) == s.rev
 }

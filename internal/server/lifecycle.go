@@ -96,8 +96,32 @@ func (p brokenPath) String() string {
 type health struct {
 	broken  brokenPath
 	recs    []pendingRecord
-	backoff journal.Backoff
+	backoff Backoff
 }
+
+// Backoff is capped exponential retry pacing for the repair loop and the
+// replicator: Next doubles from Base to Cap, Reset re-arms after a success.
+type Backoff struct {
+	Base time.Duration
+	Cap  time.Duration
+	cur  time.Duration
+}
+
+// Next returns the delay before the next retry.
+func (b *Backoff) Next() time.Duration {
+	if b.cur <= 0 {
+		b.cur = b.Base
+	} else {
+		b.cur *= 2
+		if b.cur > b.Cap {
+			b.cur = b.Cap
+		}
+	}
+	return b.cur
+}
+
+// Reset re-arms the backoff after a successful attempt.
+func (b *Backoff) Reset() { b.cur = 0 }
 
 func (s *Session) illegal(t string) error {
 	return fmt.Errorf("%w: %s on a %s session", errIllegalTransition, t, s.res)
@@ -235,7 +259,7 @@ func (s *Session) degrade(p brokenPath, rec *pendingRecord) error {
 		return s.illegal("degrade")
 	}
 	if s.health.broken == 0 {
-		s.health.backoff = journal.Backoff{Base: 50 * time.Millisecond, Cap: 5 * time.Second}
+		s.health.backoff = Backoff{Base: 50 * time.Millisecond, Cap: 5 * time.Second}
 	}
 	s.health.broken |= p
 	if rec != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"taco/internal/engine"
 	"taco/internal/faultfs"
@@ -558,5 +559,19 @@ func checkAgainstModel(t *testing.T, st *Store, id string, acked [][]EditOp) {
 	})
 	if err != nil {
 		t.Fatalf("read %s: %v", id, err)
+	}
+}
+
+func TestBackoff(t *testing.T) {
+	b := &Backoff{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
+	want := []time.Duration{10, 20, 40, 80, 80}
+	for i, w := range want {
+		if got := b.Next(); got != w*time.Millisecond {
+			t.Fatalf("Next #%d = %v, want %v", i, got, w*time.Millisecond)
+		}
+	}
+	b.Reset()
+	if got := b.Next(); got != 10*time.Millisecond {
+		t.Fatalf("post-reset Next = %v", got)
 	}
 }

@@ -104,11 +104,12 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// handleReplJournal streams the session's journal records with rev > from,
-// re-encoded in the journal's own format (magic + CRC-trailed records) so
-// the standby applies them with the same decoder recovery uses. When the
-// requested revision predates the snapshot (the journal was checkpointed
-// past it), it answers 409: the follower must re-base from the snapshot.
+// handleReplJournal ships the session's journal records with rev > from in
+// the journal's own format (magic + CRC-trailed records): read by
+// journal.Scan, the decoder recovery uses, on both ends of the wire. When
+// the requested revision predates the snapshot (the journal was
+// checkpointed past it), it answers 409: the standby must re-base from the
+// snapshot.
 func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 	if !s.store.Durable() {
 		writeErr(w, http.StatusNotFound, errors.New("replication journal requires a durable store"))
@@ -136,23 +137,10 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("rev %d predates snapshot rev %d: fetch the snapshot", from, snapRev))
 		return
 	}
-	// A transient follower over the journal file: valid-prefix reads are
-	// safe against the live writer, so no session lock is held while
-	// streaming. Records are re-framed with their own CRCs so the wire
-	// format IS the journal format.
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer func() { buf.Reset(); bufPool.Put(buf) }()
-	buf.Reset()
-	buf.Write(journal.JournalMagic)
-	var rec []byte
-	shipped := 0
-	fl := journal.NewFollower(s.store.journalPath(id), journal.JournalMagic, from)
-	if _, err := fl.Poll(func(rev uint64, payload []byte) error {
-		rec = journal.AppendRecord(rec[:0], rev, payload)
-		buf.Write(rec)
-		shipped++
-		return nil
-	}); err != nil {
+	// One reader, journal.Scan, over the live file (journalTail). The
+	// records keep their own CRCs, so the wire format IS the journal format.
+	tail, shipped, _, err := s.store.journalTail(id, from)
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -160,7 +148,7 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Journal-Head", strconv.FormatUint(head, 10))
 	w.Header().Set("X-Snapshot-Rev", strconv.FormatUint(snapRev, 10))
-	w.Write(buf.Bytes())
+	w.Write(tail)
 }
 
 // handlePromote fences the replicator (no further shipped records apply)
@@ -251,15 +239,10 @@ func (st *Store) ApplyReplicated(id string, rev uint64, payload []byte) error {
 		if rev <= s.rev {
 			return nil
 		}
-		edits, err := decodeEditOps(payload)
+		edits, err := applyRecord(eng, payload)
 		if err != nil {
 			return fmt.Errorf("shipped record rev %d: %w", rev, err)
 		}
-		ops, err := parseBatch(edits)
-		if err != nil {
-			return fmt.Errorf("shipped record rev %d: %w", rev, err)
-		}
-		applyBatch(eng, ops)
 		if st.opts.Durable {
 			// A failed local append is not fatal to the standby — the primary
 			// still holds the record — but it breaks the tail, as a gap does.
@@ -325,7 +308,7 @@ func NewReplicator(store *Store, opts StandbyOptions) *Replicator {
 func (rp *Replicator) Start() {
 	go func() {
 		defer close(rp.done)
-		bo := journal.Backoff{Base: rp.interval, Cap: 32 * rp.interval}
+		bo := Backoff{Base: rp.interval, Cap: 32 * rp.interval}
 		for {
 			delay := rp.interval
 			if err := rp.cycle(); err != nil {

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -633,5 +637,199 @@ func TestBootRefcountsAndOrphanSweep(t *testing.T) {
 		if err := st2.View(id, func(*Session, *engine.Engine) error { return nil }); err != nil {
 			t.Fatalf("session %s does not restore after restart: %v", id, err)
 		}
+	}
+}
+
+// getJournal asks srv's replication endpoint for id's journal tail above from.
+func getJournal(srv *Server, id string, from uint64) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+		fmt.Sprintf("/replication/sessions/%s/journal?from=%d", id, from), nil))
+	return rec
+}
+
+// shippedRevs decodes a journal tail's revs with the one decoder.
+func shippedRevs(t *testing.T, tail []byte) []uint64 {
+	t.Helper()
+	var revs []uint64
+	if _, _, err := journal.Scan(bytes.NewReader(tail), journal.JournalMagic, func(rev uint64, _ []byte) error {
+		revs = append(revs, rev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return revs
+}
+
+// TestJournalTailFromFilter: journalTail frames exactly the records above
+// from as a journal file of their own and reports whether their revs run
+// one by one from from+1.
+func TestJournalTailFromFilter(t *testing.T) {
+	st, err := NewStore(tailStoreOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	w, err := journal.Open(st.journalPath("s"), journal.JournalMagic, journal.SyncNever, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	want := append([]byte(nil), journal.JournalMagic...)
+	for rev := uint64(1); rev <= 5; rev++ {
+		if err := w.Append(rev, []byte{byte(rev)}); err != nil {
+			t.Fatal(err)
+		}
+		if rev > 3 {
+			want = journal.AppendRecord(want, rev, []byte{byte(rev)})
+		}
+	}
+	if tail, n, gapless, err := st.journalTail("s", 3); err != nil || n != 2 || !gapless || !bytes.Equal(tail, want) {
+		t.Fatalf("tail above 3 = %q (n %d, gapless %t, err %v), want %q", tail, n, gapless, err, want)
+	}
+	if tail, n, gapless, err := st.journalTail("s", 5); err != nil || n != 0 || !gapless || !bytes.Equal(tail, journal.JournalMagic) {
+		t.Fatalf("tail above the head = %q (n %d, gapless %t, err %v), want the magic alone", tail, n, gapless, err)
+	}
+	// Rev 6 never reached the journal: the tail ships past the hole but is
+	// not a run.
+	if err := w.Append(7, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if tail, n, gapless, err := st.journalTail("s", 3); err != nil || n != 3 || gapless || !reflect.DeepEqual(shippedRevs(t, tail), []uint64{4, 5, 7}) {
+		t.Fatalf("tail over a hole = revs %v (n %d, gapless %t, err %v), want [4 5 7], not gapless", shippedRevs(t, tail), n, gapless, err)
+	}
+}
+
+// TestMissingJournalIsEmptyTail: a durable session with no journal file has
+// an empty tail, not a failing one. The replication endpoint answers 200
+// with the magic alone and the session's head, and a fork of a parent whose
+// revision runs past its base with no journal to show for it writes a base
+// instead of copying a tail.
+func TestMissingJournalIsEmptyTail(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newTestServer(t, Options{Store: tailStoreOpts(dir)})
+	st := srv.Store()
+	a := st.Create("a", engine.New(nil)).ID
+	applyJournaled(t, st, a, sheetBatch(16))
+	b := st.Create("b", engine.New(nil)).ID // evicts a: full base
+	applyJournaled(t, st, a, valueEdit("A1", 41))
+	if err := os.Remove(st.journalPath(a)); err != nil {
+		t.Fatal(err)
+	}
+	sa := mustPeek(t, st, a)
+	snap, rev := snapState(sa)
+	if rev != snap+1 {
+		t.Fatalf("parent at rev %d over base %d, want one rev past its base", rev, snap)
+	}
+
+	for _, c := range []struct {
+		id        string
+		from, rev uint64
+	}{{b, 0, 0}, {a, snap, rev}} {
+		if _, err := os.Stat(st.journalPath(c.id)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("session %s has a journal file (%v)", c.id, err)
+		}
+		resp := getJournal(srv, c.id, c.from)
+		if resp.Code != http.StatusOK || !bytes.Equal(resp.Body.Bytes(), journal.JournalMagic) {
+			t.Fatalf("journal of %s from %d = HTTP %d %q, want 200 and the magic alone", c.id, c.from, resp.Code, resp.Body.Bytes())
+		}
+		if got := resp.Header().Get("X-Journal-Head"); got != fmt.Sprint(c.rev) {
+			t.Fatalf("journal of %s: X-Journal-Head %q, want %d", c.id, got, c.rev)
+		}
+	}
+
+	spilled := mSpillBytes.Value()
+	child, err := st.Fork(a, "no-journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mSpillBytes.Value() == spilled {
+		t.Fatal("fork of a parent past its base with no journal wrote no base")
+	}
+	if _, err := os.Stat(st.journalPath(child.ID)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("fork over a base copied a journal (%v)", err)
+	}
+	err = st.View(child.ID, func(_ *Session, eng *engine.Engine) error {
+		if v := eng.Value(ref.Ref{Col: 1, Row: 1}); v.Num != 41 {
+			t.Fatalf("child A1 = %v, want the parent's 41", v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForkCopiesTheShippedTail: a fork and the replication endpoint read a
+// session's tail through one function, so the child's journal is byte for
+// byte the endpoint's body from the base. Once a failed local append on a
+// durable standby leaves a hole, the endpoint still ships the records past
+// it, while a fork writes a base instead of copying a tail that is not a run.
+func TestForkCopiesTheShippedTail(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newTestServer(t, Options{Store: tailStoreOpts(dir)})
+	st := srv.Store()
+	eng := engine.New(nil)
+	eng.SetValue(ref.Ref{Col: 1, Row: 1}, formula.Num(1))
+	if _, err := st.CreateReplica("replica", "r", eng, 5); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(rev uint64, v float64) {
+		t.Helper()
+		if err := st.ApplyReplicated("replica", rev, encodeEditOps(valueEdit("A1", v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(6, 60)
+	apply(7, 70)
+
+	child, err := st.Fork("replica", "copy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := os.ReadFile(st.journalPath(child.ID))
+	if err != nil {
+		t.Fatalf("fork copied no tail: %v", err)
+	}
+	resp := getJournal(srv, "replica", 5)
+	if resp.Code != http.StatusOK || !bytes.Equal(copied, resp.Body.Bytes()) {
+		t.Fatalf("fork copied %q, endpoint shipped HTTP %d %q", copied, resp.Code, resp.Body.Bytes())
+	}
+	if got := shippedRevs(t, copied); !reflect.DeepEqual(got, []uint64{6, 7}) {
+		t.Fatalf("copied tail revs %v, want [6 7]", got)
+	}
+
+	func() {
+		defer faultfs.Inject(faultfs.Rule{
+			Op: faultfs.OpWrite, PathContains: "replica" + journalSuffix,
+			Fault: faultfs.Fault{Err: syscall.ENOSPC},
+		})()
+		apply(8, 80)
+	}()
+	apply(9, 90)
+	resp = getJournal(srv, "replica", 5)
+	if got := shippedRevs(t, resp.Body.Bytes()); resp.Code != http.StatusOK || !reflect.DeepEqual(got, []uint64{6, 7, 9}) {
+		t.Fatalf("endpoint over a hole shipped HTTP %d revs %v, want 200 [6 7 9]", resp.Code, got)
+	}
+
+	spilled := mSpillBytes.Value()
+	child, err = st.Fork("replica", "based")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mSpillBytes.Value() == spilled {
+		t.Fatal("fork copied a journal with a hole: no base written")
+	}
+	if _, err := os.Stat(st.journalPath(child.ID)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("fork over a base copied a journal (%v)", err)
+	}
+	err = st.View(child.ID, func(s *Session, eng *engine.Engine) error {
+		if v := eng.Value(ref.Ref{Col: 1, Row: 1}); v.Num != 90 || s.rev != 9 {
+			t.Fatalf("child A1 = %v at rev %d, want 90 at rev 9", v, s.rev)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
