@@ -61,12 +61,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed is returned by operations on a closed Writer.
 var ErrClosed = errors.New("journal: writer closed")
 
-// ErrTorn is returned by Append and Sync once a failed append could not be
-// wound back to the last record boundary: the file may end mid-record, so
-// further appends would be invisible to every valid-prefix scan (recovery,
-// replication, forks) while looking accepted to callers. The writer poisons itself
-// instead; Reopen re-validates the file and re-arms it.
-var ErrTorn = errors.New("journal: writer torn, reopen required")
+// ErrTorn poisons a writer whose failed append could not be wound back to
+// the last record boundary: the file may end mid-record, so further appends
+// would be invisible to every valid-prefix scan (recovery, replication,
+// forks) while looking accepted to callers. Append and Sync return it until
+// Reset truncates the file to its header, which the caller does once a
+// snapshot holds every record; the file is never repaired in place.
+var ErrTorn = errors.New("journal: writer torn, reset required")
 
 // Policy selects when appended records are fsynced.
 type Policy int8
@@ -122,7 +123,7 @@ type Writer struct {
 	head    uint64 // rev of the last valid record
 	size    int64  // length of the valid prefix (== file size between appends)
 	scratch []byte // record encode buffer, reused under mu
-	torn    bool   // truncate-back failed: file may end mid-record, see ErrTorn
+	poison  error  // ErrTorn, or a failed fsync: returned by Append and Sync until Reset
 
 	// Group-commit state (SyncAlways): seq counts appends, synced the highest
 	// seq a completed fsync covered. A committer whose appends are already
@@ -196,18 +197,18 @@ func (w *Writer) Size() int64 {
 // process-crash durable when Append returns; call Sync for the policy's
 // power-loss barrier. On a write error the file is wound back to the prior
 // valid prefix so a partial record never lingers at the tail (an ENOSPC
-// mid-record leaves the journal scan-valid for every reader); if
-// even the wind-back fails the writer poisons itself with ErrTorn rather
-// than let later appends land beyond an undecodable gap, and Reopen is the
-// repairer's path back.
+// mid-record leaves the journal scan-valid for every reader); if even the
+// wind-back fails the writer poisons itself with ErrTorn rather than let
+// later appends land beyond an undecodable gap. A poisoned writer — torn, or
+// after a failed fsync — refuses every append until Reset.
 func (w *Writer) Append(rev uint64, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return ErrClosed
 	}
-	if w.torn {
-		return ErrTorn
+	if w.poison != nil {
+		return w.poison
 	}
 	w.scratch = AppendRecord(w.scratch[:0], rev, payload)
 	if _, err := w.f.Write(w.scratch); err != nil {
@@ -217,14 +218,10 @@ func (w *Writer) Append(rev uint64, payload []byte) error {
 		// itself fails the invariant is gone: poison the writer so nothing
 		// appends past the tear.
 		if terr := w.f.Truncate(w.size); terr != nil {
-			w.torn = true
-			mTornWriters.Inc()
-			return fmt.Errorf("%w: %w (append: %w)", ErrTorn, terr, err)
+			return w.poisonLocked(fmt.Errorf("%w: %w (append: %w)", ErrTorn, terr, err))
 		}
 		if _, serr := w.f.Seek(w.size, io.SeekStart); serr != nil {
-			w.torn = true
-			mTornWriters.Inc()
-			return fmt.Errorf("%w: %w (append: %w)", ErrTorn, serr, err)
+			return w.poisonLocked(fmt.Errorf("%w: %w (append: %w)", ErrTorn, serr, err))
 		}
 		return err
 	}
@@ -237,6 +234,26 @@ func (w *Writer) Append(rev uint64, payload []byte) error {
 		w.sy.note(w)
 	}
 	return nil
+}
+
+// poisonLocked records the first error that leaves the file untrustworthy
+// and returns it. A failed fsync counts: the kernel may have dropped the
+// dirty pages it failed to write, so a later fsync that succeeds proves
+// nothing about the records before it. Called with w.mu held.
+func (w *Writer) poisonLocked(err error) error {
+	if w.poison == nil {
+		w.poison = err
+		mTornWriters.Inc()
+	}
+	return w.poison
+}
+
+// Err returns the error poisoning the writer, or nil while it accepts
+// appends.
+func (w *Writer) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.poison
 }
 
 // Sync is the durability barrier: under SyncAlways it returns only after an
@@ -259,8 +276,8 @@ func (w *Writer) Sync() error {
 	if w.f == nil {
 		return ErrClosed
 	}
-	if w.torn {
-		return ErrTorn
+	if w.poison != nil {
+		return w.poison // the committer's fsync failed, or the file is torn
 	}
 	cover := w.seq
 	w.syncing = true
@@ -274,13 +291,16 @@ func (w *Writer) Sync() error {
 		if cover > w.synced {
 			w.synced = cover
 		}
+	} else {
+		err = w.poisonLocked(fmt.Errorf("journal: fsync: %w", err))
 	}
 	w.cond.Broadcast()
 	return err
 }
 
 // backgroundSync is the Syncer's flush of one dirty log. The fsync runs
-// outside the writer mutex so it never stalls the append path.
+// outside the writer mutex so it never stalls the append path; a failure
+// poisons the writer, so the log's next Append reports it.
 func (w *Writer) backgroundSync() {
 	w.mu.Lock()
 	f := w.f
@@ -288,13 +308,22 @@ func (w *Writer) backgroundSync() {
 	if f == nil {
 		return
 	}
-	if f.Sync() == nil {
-		mFsyncs.Inc()
+	err := f.Sync()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err != nil {
+		w.poisonLocked(fmt.Errorf("journal: background fsync: %w", err))
+		return
 	}
+	mFsyncs.Inc()
 }
 
 // Reset truncates the log back to its header: the snapshot the caller just
-// wrote has superseded every record. The head rev resets to 0.
+// wrote has superseded every record. The head rev resets to 0, and a
+// poisoned writer is re-armed: a file cut back to its header ends on a
+// record boundary, and none of its records is needed any more. A failed
+// seek after the cut poisons the writer, since its offset no longer
+// matches the file.
 func (w *Writer) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -305,53 +334,11 @@ func (w *Writer) Reset() error {
 		return err
 	}
 	if _, err := w.f.Seek(int64(len(w.magic)), io.SeekStart); err != nil {
-		return err
+		return w.poisonLocked(fmt.Errorf("%w: %w (reset)", ErrTorn, err))
 	}
-	w.size = int64(len(w.magic))
-	w.head = 0
+	w.size, w.head, w.poison = int64(len(w.magic)), 0, nil
 	mTruncations.Inc()
 	return nil
-}
-
-// Reopen re-validates the log after a failure and re-arms the writer: it
-// rescans the file, truncates any torn or unwound tail back to the valid
-// prefix, repositions, and clears the torn poison. This is the background
-// repairer's recovery step once the underlying fault (full volume, flaky
-// device) has cleared. Appends that failed are gone — the caller re-appends
-// from its own buffer. Returns the head rev of the surviving prefix.
-func (w *Writer) Reopen() (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return 0, ErrClosed
-	}
-	head, valid, err := ScanFile(w.path, w.magic, nil)
-	if err != nil {
-		return 0, err
-	}
-	if valid == 0 {
-		// Header never survived: reinitialise empty.
-		if err := w.f.Truncate(0); err != nil {
-			return 0, err
-		}
-		if _, err := w.f.WriteAt(w.magic, 0); err != nil {
-			return 0, err
-		}
-		valid = int64(len(w.magic))
-	} else if fi, serr := w.f.Stat(); serr == nil && fi.Size() > valid {
-		if err := w.f.Truncate(valid); err != nil {
-			return 0, err
-		}
-		mTruncations.Inc()
-	}
-	if _, err := w.f.Seek(valid, io.SeekStart); err != nil {
-		return 0, err
-	}
-	w.head = head
-	w.size = valid
-	w.torn = false
-	mWriterReopens.Inc()
-	return head, nil
 }
 
 // Close flushes (per policy) and closes the log. Further operations return
@@ -517,18 +504,24 @@ func (sy *Syncer) flush() {
 		// Every log a store syncs lives in one spill directory: one
 		// syncfs(2) is a single disk barrier covering the whole dirty set,
 		// instead of a per-file fsync parade stalling concurrent appends on
-		// inode locks.
+		// inode locks. It bypasses the File wrapper, so the fault plan is
+		// consulted per log: a log with an injected fsync fault takes it as
+		// its own fsync's failure.
+		var f *faultfs.File
 		for _, w := range batch {
 			w.mu.Lock()
-			f := w.f
-			w.mu.Unlock()
-			// The syncfs(2) fast path bypasses the File wrapper, so consult
-			// the fault plan directly; an injected fsync fault drops to the
-			// per-file loop where it is observable per log.
-			if f != nil && faultfs.Check(faultfs.OpSync, w.path) == nil && syncFS(f.File) {
-				mFsyncs.Inc()
-				return
+			if w.f != nil {
+				if err := faultfs.Check(faultfs.OpSync, w.path); err != nil {
+					w.poisonLocked(fmt.Errorf("journal: background fsync: %w", err))
+				} else if f == nil {
+					f = w.f
+				}
 			}
+			w.mu.Unlock()
+		}
+		if f != nil && syncFS(f.File) {
+			mFsyncs.Inc()
+			return
 		}
 	}
 	for _, w := range batch {

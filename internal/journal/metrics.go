@@ -18,9 +18,7 @@ var (
 	mAppendErrors = telemetry.NewCounter("taco_journal_append_errors_total",
 		"Failed journal appends (write error; the tail was wound back to the last record boundary).")
 	mTornWriters = telemetry.NewCounter("taco_journal_torn_writers_total",
-		"Writers poisoned because a failed append could not be wound back (ErrTorn until Reopen).")
-	mWriterReopens = telemetry.NewCounter("taco_journal_reopens_total",
-		"Writer reopens: post-fault revalidations that re-armed a journal for appends.")
+		"Writers poisoned by an append that could not be wound back or a failed fsync (refusing appends until Reset).")
 	mRegistryRecords = telemetry.NewCounter("taco_registry_records_total",
 		"Put/delete records appended to the session registry.")
 	mRegistryCompactions = telemetry.NewCounter("taco_registry_compactions_total",

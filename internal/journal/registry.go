@@ -105,8 +105,8 @@ func (r *Registry) Put(e Entry) error {
 	payload := appendEntry(nil, e)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.w == nil {
-		return ErrClosed
+	if err := r.writableLocked(); err != nil {
+		return err
 	}
 	if err := r.w.Append(regOpPut, payload); err != nil {
 		return err
@@ -122,8 +122,8 @@ func (r *Registry) Delete(id string) error {
 	payload := appendString(nil, id)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.w == nil {
-		return ErrClosed
+	if err := r.writableLocked(); err != nil {
+		return err
 	}
 	if err := r.w.Append(regOpDelete, payload); err != nil {
 		return err
@@ -132,6 +132,20 @@ func (r *Registry) Delete(id string) error {
 	delete(r.live, id)
 	r.appends++
 	return r.maybeCompactLocked()
+}
+
+// writableLocked readies the log for an append. A poisoned writer — a torn
+// append, a failed fsync — is never re-armed in place: the live set is the
+// registry's own base, so compaction rewrites it to a fresh file and the
+// append goes there. Called with r.mu held.
+func (r *Registry) writableLocked() error {
+	if r.w == nil {
+		return ErrClosed
+	}
+	if r.w.Err() != nil {
+		return r.compactLocked()
+	}
+	return nil
 }
 
 // Sync applies the policy's durability barrier to the manifest log.
@@ -187,8 +201,9 @@ func (r *Registry) maybeCompactLocked() error {
 
 // compactLocked rewrites the manifest as magic + one put per live entry,
 // atomically: temp file in the same directory, fsync, rename over the old
-// log, reopen. On any failure the old log (and writer) stay in service —
-// compaction is an optimisation, never a correctness step.
+// log, reopen. On any failure the old log (and writer) stay in service,
+// poisoned still if they were — compaction is an optimisation, and the
+// only way back for a poisoned log.
 func (r *Registry) compactLocked() error {
 	var buf bytes.Buffer
 	buf.Write(RegistryMagic)
@@ -216,12 +231,14 @@ func (r *Registry) compactLocked() error {
 	// Swap under the old writer's feet only after the replacement is fully
 	// on disk. Close before rename so no handle still points at the
 	// unlinked inode holding appends the new log would silently drop.
+	poison := r.w.Err()
 	r.w.Close()
 	r.w = nil
 	if err := faultfs.Rename(tmp, r.path); err != nil {
 		os.Remove(tmp)
 		// Reopen the (unreplaced) old log so the registry stays writable.
 		if w, oerr := Open(r.path, RegistryMagic, r.pol, r.sy); oerr == nil {
+			w.poison = poison
 			r.w = w
 		}
 		return fmt.Errorf("journal: compact registry: %w", err)

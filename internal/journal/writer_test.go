@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"syscall"
 	"testing"
+	"time"
 
 	"taco/internal/faultfs"
 )
@@ -78,32 +79,140 @@ func TestWriterTornPoisonAndReopen(t *testing.T) {
 	}
 	faultfs.Clear()
 
-	// Repair: reopen revalidates, drops the torn bytes, re-arms.
-	head, err := w.Reopen()
-	if err != nil {
-		t.Fatalf("Reopen: %v", err)
-	}
-	if head != 1 {
-		t.Fatalf("reopened head = %d, want 1", head)
+	// Re-arm: a base now holds record 1 (the caller's checkpoint), so Reset
+	// cuts the file to its header, torn bytes and all, instead of trusting
+	// what the failed write left.
+	if err := w.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
 	}
 	if err := w.Append(2, []byte("retried")); err != nil {
-		t.Fatalf("post-reopen append: %v", err)
+		t.Fatalf("post-reset append: %v", err)
 	}
 	if err := w.Sync(); err != nil {
-		t.Fatalf("post-reopen sync: %v", err)
+		t.Fatalf("post-reset sync: %v", err)
 	}
 
-	// The journal must be scan-valid end to end: committed, then retried.
+	// The journal must be scan-valid end to end: the retried record alone.
 	var got []string
-	head, _, err = ScanFile(path, JournalMagic, func(rev uint64, payload []byte) error {
+	head, _, err := ScanFile(path, JournalMagic, func(rev uint64, payload []byte) error {
 		got = append(got, fmt.Sprintf("%d:%s", rev, payload))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if head != 2 || len(got) != 2 || got[0] != "1:committed" || got[1] != "2:retried" {
-		t.Fatalf("post-repair scan = %v (head %d)", got, head)
+	if head != 2 || len(got) != 1 || got[0] != "2:retried" {
+		t.Fatalf("post-reset scan = %v (head %d)", got, head)
+	}
+}
+
+// TestWriterFailedFsyncPoisons: a failed fsync may have dropped the dirty
+// pages it could not write, so a later fsync that succeeds proves nothing.
+// Under group commit the failure poisons the writer — the next Append and
+// Sync return it, a one-shot fault or not — until Reset re-arms it.
+func TestWriterFailedFsyncPoisons(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.tacoj")
+	w, err := Open(path, JournalMagic, SyncAlways, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(1, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	restore := faultfs.Inject(faultfs.Rule{Op: faultfs.OpSync, Count: 1, Fault: faultfs.Fault{Err: syscall.EIO}})
+	defer restore()
+	if err := w.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("faulted sync: want EIO, got %v", err)
+	}
+	if err := w.Append(2, []byte("b")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append after a failed fsync: want the fsync's EIO, got %v", err)
+	}
+	if err := w.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("sync after a failed fsync: want the fsync's EIO, got %v", err)
+	}
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(3, []byte("c")); err != nil {
+		t.Fatalf("append after Reset: %v", err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatalf("sync after Reset: %v", err)
+	}
+}
+
+// TestWriterFailedBackgroundFsyncPoisons: under the interval policy the
+// Syncer's flush is the only fsync; its failure poisons the writer, so the
+// log's next Append reports it instead of the error vanishing.
+func TestWriterFailedBackgroundFsyncPoisons(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.tacoj")
+	sy := NewSyncer(time.Hour) // flushed by hand below
+	defer sy.Close()
+	w, err := Open(path, JournalMagic, SyncInterval, sy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(1, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	restore := faultfs.Inject(faultfs.Rule{Op: faultfs.OpSync, Count: 1, Fault: faultfs.Fault{Err: syscall.EIO}})
+	defer restore()
+	sy.flush()
+	if err := w.Append(2, []byte("b")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append after a failed background fsync: want EIO, got %v", err)
+	}
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(3, []byte("c")); err != nil {
+		t.Fatalf("append after Reset: %v", err)
+	}
+}
+
+// TestRegistryRewritesAPoisonedLog: the registry shares the journal's
+// writer, so a torn append poisons it too. Once the fault clears, the next
+// Put rewrites the live set to a fresh log (the registry's own base) and
+// lands there; a reload sees every entry.
+func TestRegistryRewritesAPoisonedLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sessions.tacor")
+	r, err := OpenRegistry(path, SyncAlways, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Put(Entry{ID: "a", Name: "x", SnapRev: 1}); err != nil {
+		t.Fatal(err)
+	}
+	restore := faultfs.Inject(
+		faultfs.Rule{Op: faultfs.OpWrite, PathContains: "sessions.tacor", Count: 1, Fault: faultfs.Fault{Err: syscall.ENOSPC, ShortBytes: 3}},
+		faultfs.Rule{Op: faultfs.OpTruncate, PathContains: "sessions.tacor", Count: 1, Fault: faultfs.Fault{Err: syscall.EIO}},
+	)
+	if err := r.Put(Entry{ID: "b", Name: "y", SnapRev: 2}); !errors.Is(err, ErrTorn) {
+		t.Fatalf("torn registry append: want ErrTorn, got %v", err)
+	}
+	restore()
+	if err := r.Put(Entry{ID: "b", Name: "y", SnapRev: 3}); err != nil {
+		t.Fatalf("Put after the fault cleared: %v", err)
+	}
+	if err := r.Sync(); err != nil {
+		t.Fatalf("Sync after the fault cleared: %v", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := OpenRegistry(path, SyncAlways, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	found := map[string]uint64{}
+	for _, e := range r2.Entries() {
+		found[e.ID] = e.SnapRev
+	}
+	if !reflect.DeepEqual(found, map[string]uint64{"a": 1, "b": 3}) {
+		t.Fatalf("reloaded registry = %v, want a:1 b:3", found)
 	}
 }
 

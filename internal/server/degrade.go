@@ -3,42 +3,40 @@ package server
 import (
 	"errors"
 	"time"
+
+	"taco/internal/engine"
 )
 
 // Graceful degradation: a disk fault on a session's durability path — a
-// journal append that fails, a base that won't write — degrades that session
-// (lifecycle.go's health) instead of poisoning the store or silently dropping
-// the durability contract. Reads keep serving, writes are rejected with 507 +
-// Retry-After (more edits would widen the window of acknowledged-but-
-// unjournaled data), and a repair loop retries with capped backoff until the
-// fault clears — reopening torn journal writers, re-appending the records
-// that failed, rewriting the base — then lifts the write fence.
+// journal append or fsync that fails, a base that won't write — degrades
+// that session (lifecycle.go's health) instead of poisoning the store or
+// silently dropping the durability contract. Reads keep serving, writes are
+// rejected with 507 + Retry-After (more edits would widen the window of
+// acknowledged-but-unjournaled data), and a repair loop retries with capped
+// backoff until the fault clears, then lifts the write fence.
+//
+// There is one repair, whichever path broke: land a base. The session's
+// engine holds every acknowledged batch, so a checkpoint at its revision
+// supersedes the journal — its Reset cuts the file to its header and
+// re-arms the writer — and nothing a failed write or fsync touched is
+// trusted again: a journal is never repaired in place.
 //
 // The batch whose append failed IS acknowledged (it was applied first;
 // unwinding applied engine state would trade a durability gap for a
-// consistency lie) and buffered in memory until the repairer lands it. A
-// crash inside that window loses exactly that one batch per degraded session,
-// since later writes are fenced.
+// consistency lie). A crash before the repair's base lands loses exactly
+// that one batch per degraded session, since later writes are fenced.
 
 // ErrSessionDegraded rejects writes to a session whose durability path is
 // broken (HTTP 507 + Retry-After). Reads are unaffected; the background
-// repairer clears the state once appends/spills succeed again.
+// repairer clears the state once a base lands.
 var ErrSessionDegraded = errors.New("server: session degraded (durability fault, retry later)")
 
-// pendingRecord is an acknowledged edit batch whose journal append failed,
-// held in memory (in rev order) until the repairer lands it.
-type pendingRecord struct {
-	rev     uint64
-	payload []byte
-}
-
-// degradeLocked marks path p of the session broken, buffering rec if the
-// failed append's batch must be landed by the repairer. A session that was
+// degradeLocked marks path p of the session broken. A session that was
 // healthy gets its repair loop; one past degrading (quarantined or deleted)
 // is left as it is. Called with s.mu held.
-func (st *Store) degradeLocked(s *Session, p brokenPath, rec *pendingRecord) {
+func (st *Store) degradeLocked(s *Session, p brokenPath) {
 	was := s.health.broken
-	if s.degrade(p, rec) != nil {
+	if s.degrade(p) != nil {
 		return
 	}
 	if was&p == 0 {
@@ -60,16 +58,16 @@ func (st *Store) degradeLocked(s *Session, p brokenPath, rec *pendingRecord) {
 // base. Called with s.mu held.
 func (st *Store) baseFailedLocked(s *Session) {
 	mSpillErrors.Inc()
-	st.degradeLocked(s, brokenSpill, nil)
+	st.degradeLocked(s, brokenSpill)
 }
 
-// repairLoop is a degraded session's repairer: it retries the broken paths
-// on the session's capped exponential backoff until none is left (or the
-// session is deleted) or the store closes.
+// repairLoop is a degraded session's repairer: after each wait of the
+// session's capped exponential backoff — a fault seen a moment ago has
+// rarely cleared — it tries the repair, until the session is healthy
+// (repaired, quarantined or deleted) or the store closes.
 func (st *Store) repairLoop(s *Session) {
 	defer st.wg.Done()
-	for !st.repairSession(s) {
-		mRepairFailures.Inc()
+	for {
 		s.mu.Lock()
 		delay := s.retryDelay()
 		s.mu.Unlock()
@@ -78,61 +76,34 @@ func (st *Store) repairLoop(s *Session) {
 		case <-st.stop:
 			return
 		}
+		if st.repairSession(s) {
+			return
+		}
+		mRepairFailures.Inc()
 	}
 }
 
-// repairSession attempts to restore each broken durability path of the
-// session and reports whether none is left (fixed, deleted, or never
-// degraded). Once none is left the write fence lifts.
+// repairSession lands a base of the session at its revision — restoring a
+// spilled session first — and reports whether the session is healthy:
+// repaired, once the base has landed and the checkpoint's journal Reset has
+// re-armed the writer, or deleted or quarantined meanwhile, with no health
+// left to repair.
 func (st *Store) repairSession(s *Session) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range [...]brokenPath{brokenJournal, brokenSpill} {
-		if s.health.broken&p == 0 {
-			continue
+	err := st.withResident(s, false, func(*engine.Engine) error {
+		if err := st.writeFullLocked(s); err != nil {
+			return err
 		}
-		if p == brokenJournal && !st.repairJournalLocked(s) || p == brokenSpill && !st.repairSpillLocked(s) {
-			return false
+		if s.jw != nil {
+			if err := s.jw.Err(); err != nil {
+				return err // the Reset failed: the writer is still poisoned
+			}
 		}
-		s.repair(p)
-		if s.health.broken == 0 {
-			st.degradedCount.Add(-1)
-			mRepairs.Inc()
-		}
-	}
-	return true
-}
-
-// repairJournalLocked re-arms a session's journal: reopen (revalidating the
-// file and clearing any torn poison), re-append the buffered records in rev
-// order — all but those the surviving journal or a checkpointed base already
-// holds — and run the policy's fsync barrier. Called with s.mu held.
-func (st *Store) repairJournalLocked(s *Session) bool {
-	w, err := st.sessionJournal(s)
-	if err != nil {
-		return false
-	}
-	head, err := w.Reopen()
-	if err != nil {
-		return false
-	}
-	for _, pr := range s.health.recs {
-		if pr.rev <= max(head, s.disk.rev) {
-			continue
-		}
-		if err := w.Append(pr.rev, pr.payload); err != nil {
-			return false
-		}
-		head = pr.rev
-	}
-	return w.Sync() == nil
-}
-
-// repairSpillLocked retries the base write that failed at eviction,
-// creation or checkpoint. On success the session holds a current base again
-// and rejoins the evictable pool. Called with s.mu held.
-func (st *Store) repairSpillLocked(s *Session) bool {
-	return s.res == resident && st.writeFullLocked(s) == nil
+		s.repair()
+		st.degradedCount.Add(-1)
+		mRepairs.Inc()
+		return nil
+	})
+	return err == nil || errors.Is(err, ErrSessionDeleted) || errors.Is(err, ErrSnapshotCorrupt)
 }
 
 // Degraded reports whether the session's durability path is currently

@@ -27,10 +27,12 @@ func waitRepaired(t *testing.T, st *Store) {
 }
 
 // TestJournalENOSPCDegradesAndRecovers is the tentpole degradation flow:
-// a journal append hitting a full disk applies and acknowledges the batch,
+// a journal append hitting a full volume applies and acknowledges the batch,
 // fences further writes on that session only (507, reads keep serving),
-// and — once the disk heals — the background repairer re-lands the buffered
-// record so a restart replays every acknowledged batch.
+// and — once the disk heals — the background repairer lands a base holding
+// it, so a restart serves every acknowledged batch. The volume is full for
+// the journal and every base write alike: with the journal alone faulted,
+// the repair would land at once (TestJournalFaultRepairLandsBase).
 func TestJournalENOSPCDegradesAndRecovers(t *testing.T) {
 	spill := t.TempDir()
 	srv, tc := newTestServer(t, Options{Store: StoreOptions{
@@ -49,9 +51,8 @@ func TestJournalENOSPCDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("edit before fault = %d", code)
 	}
 
-	// Fill the disk for session a's journal only.
-	defer faultfs.Clear()
-	faultfs.Inject(faultfs.Rule{
+	// Fill the volume for session a's journal and for every base write.
+	spillWriteFault(t, faultfs.Rule{
 		Op: faultfs.OpWrite, PathContains: a.ID + ".tacoj",
 		Fault: faultfs.Fault{Err: syscall.ENOSPC},
 	})
@@ -77,8 +78,7 @@ func TestJournalENOSPCDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("degraded sessions = %d, want 1", st.DegradedSessions)
 	}
 
-	// Disk heals: the repairer re-lands the buffered record and lifts the
-	// fence.
+	// Disk heals: the repairer lands a base and lifts the fence.
 	faultfs.Clear()
 	waitRepaired(t, srv.Store())
 	if er, code := edit(a.ID, "A3", 3); code != http.StatusOK || er.Rev != 3 {
@@ -101,6 +101,154 @@ func TestJournalENOSPCDegradesAndRecovers(t *testing.T) {
 	err = srv2.Store().View(a.ID, func(_ *Session, eng *engine.Engine) error {
 		if n := eng.NumCells(); n != 3 {
 			t.Fatalf("recovered session has %d cells, want 3", n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalFaultRepairLandsBase: with only the journal faulted, the
+// repair needs nothing of it — it lands a base holding the acknowledged
+// batch while the fault still stands — so the session is writable again
+// at once, and a restart serves every acknowledged batch.
+func TestJournalFaultRepairLandsBase(t *testing.T) {
+	spill := t.TempDir()
+	opts := StoreOptions{Shards: 1, RecalcWorkers: -1, Durable: true, SpillDir: spill, FsyncPolicy: "never"}
+	st, err := NewStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	a := st.Create("a", engine.New(nil))
+	applyJournaled(t, st, a.ID, valueEdit("A1", 1))
+	defer faultfs.Clear()
+	faultfs.Inject(faultfs.Rule{
+		Op: faultfs.OpWrite, PathContains: a.ID + journalSuffix,
+		Fault: faultfs.Fault{Err: syscall.ENOSPC},
+	})
+	applyJournaled(t, st, a.ID, valueEdit("A2", 2)) // acknowledged, degrades a
+	if !a.Degraded() {
+		t.Fatal("failed journal append did not degrade the session")
+	}
+	waitRepaired(t, st) // the journal fault still stands
+	a.mu.RLock()
+	base, rev := a.disk, a.rev
+	a.mu.RUnlock()
+	if !base.held || base.rev != 2 || rev != 2 {
+		t.Fatalf("repair left base %+v at rev %d, want a held base at rev 2", base, rev)
+	}
+	faultfs.Clear()
+	applyJournaled(t, st, a.ID, valueEdit("A3", 3))
+	if a.Degraded() {
+		t.Fatal("edit after the repair degraded the session")
+	}
+	st.Close()
+
+	st2, err := NewStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	checkAgainstModel(t, st2, a.ID, [][]EditOp{valueEdit("A1", 1), valueEdit("A2", 2), valueEdit("A3", 3)})
+}
+
+// TestBackgroundFsyncFailureDegrades: under `-fsync interval` the syncer's
+// flush is the only fsync. Its failure poisons the journal, so the
+// session's next edit degrades it (acknowledged, as a failed append is),
+// and the repair lands a base that re-arms the journal.
+func TestBackgroundFsyncFailureDegrades(t *testing.T) {
+	st, err := NewStore(StoreOptions{
+		Shards: 1, RecalcWorkers: -1, Durable: true, SpillDir: t.TempDir(),
+		FsyncPolicy: "interval", FsyncInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	a := st.Create("a", engine.New(nil))
+	defer faultfs.Clear()
+	faultfs.Inject(faultfs.Rule{
+		Op: faultfs.OpSync, PathContains: a.ID + journalSuffix,
+		Fault: faultfs.Fault{Err: syscall.EIO},
+	})
+	applyJournaled(t, st, a.ID, valueEdit("A1", 1)) // dirties the journal
+	waitPoisoned(t, a)
+	faultfs.Clear()
+	degraded := mDegradedEvents.With(brokenJournal.String()).Value()
+	applyJournaled(t, st, a.ID, valueEdit("A2", 2))
+	if d := mDegradedEvents.With(brokenJournal.String()).Value() - degraded; d != 1 {
+		t.Fatalf("edit after a failed background fsync degraded %d sessions, want 1", d)
+	}
+	waitRepaired(t, st)
+	a.mu.RLock()
+	base, rev, armed := a.disk, a.rev, a.jw.Err() == nil
+	a.mu.RUnlock()
+	if !base.held || base.rev != rev || rev != 2 || !armed {
+		t.Fatalf("repair left base %+v at rev %d (journal armed: %v), want a held base at rev 2", base, rev, armed)
+	}
+	applyJournaled(t, st, a.ID, valueEdit("A3", 3))
+	if a.Degraded() {
+		t.Fatal("edit after the repair degraded the session")
+	}
+}
+
+// waitPoisoned polls until a failed fsync has poisoned the session's
+// journal writer.
+func waitPoisoned(t *testing.T, s *Session) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.RLock()
+		poisoned := s.jw != nil && s.jw.Err() != nil
+		s.mu.RUnlock()
+		if poisoned {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the failed background fsync never poisoned the journal")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPoisonedJournalEvictsWithBase: an eviction that would leave a value
+// tail in the journal writes a base instead once a failed fsync has
+// poisoned that journal, since the restore would read records the disk may
+// never have taken. The base's checkpoint re-arms the journal.
+func TestPoisonedJournalEvictsWithBase(t *testing.T) {
+	st, err := NewStore(StoreOptions{
+		Shards: 1, MaxResident: 1, RecalcWorkers: -1, Durable: true, SpillDir: t.TempDir(),
+		FsyncPolicy: "interval", FsyncInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	eng := engine.New(nil)
+	for r := 1; r <= 100; r++ { // a base large enough that one record stays under the tail's byte cap
+		eng.SetValue(ref.Ref{Col: 1, Row: r}, formula.Num(float64(r)))
+	}
+	a := st.Create("a", eng) // a held base at rev 0
+	defer faultfs.Clear()
+	faultfs.Inject(faultfs.Rule{
+		Op: faultfs.OpSync, PathContains: a.ID + journalSuffix,
+		Fault: faultfs.Fault{Err: syscall.EIO},
+	})
+	applyJournaled(t, st, a.ID, valueEdit("A1", 2)) // a value tail
+	waitPoisoned(t, a)
+	faultfs.Clear()
+	st.Create("b", engine.New(nil)) // evicts a
+	a.mu.RLock()
+	res, base, armed := a.res, a.disk, a.jw.Err() == nil
+	a.mu.RUnlock()
+	if res != spilled || !base.held || base.rev != 1 || base.tail != tailNone || !armed {
+		t.Fatalf("a evicted as %s over base %+v (journal armed: %v), want spilled over a base at rev 1", res, base, armed)
+	}
+	err = st.View(a.ID, func(_ *Session, eng *engine.Engine) error {
+		if v := eng.Value(ref.Ref{Col: 1, Row: 1}); v.Num != 2 {
+			t.Errorf("a's A1 after the eviction = %v, want 2", v)
 		}
 		return nil
 	})

@@ -247,6 +247,9 @@ func (st *Store) restoreEngine(s *Session) (*engine.Engine, error) {
 // restore; sessions that don't reference the file are untouched.
 func (st *Store) quarantine(s *Session, path string) {
 	os.Rename(path, path+".corrupt")
+	if s.health.broken != 0 {
+		st.degradedCount.Add(-1)
+	}
 	s.quarantine()
 	st.quarantined.Add(1)
 	mQuarantined.Inc()
@@ -549,11 +552,10 @@ func (st *Store) appendTailLocked(s *Session, rev uint64, edits []EditOp, record
 // A journal append failure degrades the session (degrade.go) instead of
 // failing the request or silently dropping durability: the batch is applied
 // and acknowledged (engine state must stay consistent with what readers
-// already saw), its record is buffered for the background repairer, and
-// every subsequent write is fenced until the repairer lands the buffered
-// records. A failed group-commit fsync under `always` both degrades and
-// surfaces the error, since an fsynced acknowledgement is exactly the
-// guarantee that policy sells.
+// already saw), and every subsequent write is fenced until the repairer
+// lands a base holding it. A failed group-commit fsync under `always` both
+// degrades and surfaces the error, since an fsynced acknowledgement is
+// exactly the guarantee that policy sells.
 func (st *Store) UpdateJournaled(id string, edits []EditOp, fn func(*Session, *engine.Engine) error) error {
 	s, err := st.lookup(id)
 	if err != nil {
@@ -575,7 +577,7 @@ func (st *Store) UpdateJournaled(id string, edits []EditOp, fn func(*Session, *e
 		if record == nil {
 			s.append(rev, tailBroken, 0)
 		} else if jw = st.appendTailLocked(s, rev, edits, record, false); jw == nil {
-			st.degradeLocked(s, brokenJournal, &pendingRecord{rev: rev, payload: record})
+			st.degradeLocked(s, brokenJournal)
 		}
 		return nil
 	})
@@ -585,7 +587,7 @@ func (st *Store) UpdateJournaled(id string, edits []EditOp, fn func(*Session, *e
 		if serr := jw.Sync(); serr != nil {
 			mDurabilityErrors.Inc()
 			s.mu.Lock()
-			st.degradeLocked(s, brokenJournal, nil)
+			st.degradeLocked(s, brokenJournal)
 			s.mu.Unlock()
 			return fmt.Errorf("%w: %w", ErrSessionDegraded, serr)
 		}

@@ -26,9 +26,9 @@ import (
 //	append       resident: rev advances, the tail grows
 //	replay       spilled above its base: the tail as the journal holds it
 //	fork         healthy parent whose disk reproduces it: base frozen; child new → spilled
-//	quarantine   spilled → quarantined
+//	quarantine   spilled → quarantined, ok
 //	degrade      resident, or spilled (journal only): a path broken
-//	repair       degraded on the path: path cleared, ok when none is left
+//	repair       degraded, resident: a base at rev landed → ok
 //	delete       resident, spilled or quarantined → deleted, no disk, ok
 
 // errIllegalTransition rejects a transition the session's state does not
@@ -91,11 +91,9 @@ func (p brokenPath) String() string {
 	return [...]string{brokenJournal: "journal", brokenSpill: "spill"}[p]
 }
 
-// health is ok while broken is empty. recs holds the acknowledged batches
-// whose journal append failed, in rev order; backoff paces the repairer.
+// health is ok while broken is empty; backoff paces the repairer.
 type health struct {
 	broken  brokenPath
-	recs    []pendingRecord
 	backoff Backoff
 }
 
@@ -242,19 +240,20 @@ func (s *Session) fork(c *Session, tailBytes int64) {
 	c.disk.tailBytes = tailBytes
 }
 
-// quarantine poisons a spilled session whose base or journal failed its check.
+// quarantine poisons a spilled session whose base or journal failed its
+// check. Nothing of it is served again, so no repair is owed: its health
+// clears.
 func (s *Session) quarantine() {
 	if s.res != spilled {
 		panic(s.illegal("quarantine"))
 	}
-	s.res, s.graph = quarantined, nil
+	s.res, s.graph, s.health = quarantined, nil, health{}
 }
 
-// degrade marks path p broken, buffering rec (an acknowledged batch the
-// journal lacks) if there is one. A resident session's disk no longer counts
+// degrade marks path p broken. A resident session's disk no longer counts
 // as reproducing it; a broken spill path, which only a resident session can
 // lose, makes it unevictable until repaired.
-func (s *Session) degrade(p brokenPath, rec *pendingRecord) error {
+func (s *Session) degrade(p brokenPath) error {
 	if s.res != resident && (s.res != spilled || p != brokenJournal) {
 		return s.illegal("degrade")
 	}
@@ -262,9 +261,6 @@ func (s *Session) degrade(p brokenPath, rec *pendingRecord) error {
 		s.health.backoff = Backoff{Base: 50 * time.Millisecond, Cap: 5 * time.Second}
 	}
 	s.health.broken |= p
-	if rec != nil {
-		s.health.recs = append(s.health.recs, *rec)
-	}
 	if s.res == resident {
 		s.disk.tail = tailBroken
 	}
@@ -274,20 +270,14 @@ func (s *Session) degrade(p brokenPath, rec *pendingRecord) error {
 	return nil
 }
 
-// repair clears path p once the repairer restored it.
-func (s *Session) repair(p brokenPath) {
-	if s.health.broken&p == 0 || s.res == deleted || p == brokenSpill && s.res != resident {
+// repair returns a degraded session to ok once a base of it at its
+// revision has landed (a checkpoint: held, no tail), whichever paths broke.
+func (s *Session) repair() {
+	if s.health.broken == 0 || s.res != resident || !s.disk.held || s.disk.tail != tailNone {
 		panic(s.illegal("repair"))
 	}
-	s.health.broken &^= p
-	if p == brokenJournal {
-		s.health.recs = nil
-	} else {
-		s.unevictable.Store(false)
-	}
-	if s.health.broken == 0 {
-		s.health = health{}
-	}
+	s.health = health{}
+	s.unevictable.Store(false)
 }
 
 // retryDelay is the wait before the repairer's next attempt.

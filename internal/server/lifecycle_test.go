@@ -37,8 +37,8 @@ func lifecycleViolation(s *Session) string {
 		return "non-resident with a broken tail: nothing reproduces it"
 	case s.res == deleted && (s.disk != diskState{} || h.broken != 0):
 		return "deleted with disk or health state"
-	case h.broken == 0 && len(h.recs) > 0:
-		return "healthy with buffered records"
+	case h.broken != 0 && s.res == quarantined:
+		return "quarantined with a broken path: nothing of it is served to repair"
 	case h.broken&brokenSpill != 0 && s.res != resident:
 		return "spill repair owed by a non-resident session"
 	case s.unevictable.Load() != (h.broken&brokenSpill != 0):
@@ -96,10 +96,10 @@ func buildSession(t *testing.T, st *Store, code string) *Session {
 		s.rev = 5
 	}
 	if strings.Contains(code[3:], "j") {
-		s.degrade(brokenJournal, &pendingRecord{rev: 5})
+		s.degrade(brokenJournal)
 	}
 	if strings.Contains(code[3:], "s") {
-		s.degrade(brokenSpill, nil)
+		s.degrade(brokenSpill)
 	}
 	s.disk.tail = tailKind(strings.IndexByte("nvsb", code[1])) // degrade breaks a resident tail
 	if code[0] == 'Q' {
@@ -121,19 +121,21 @@ type lifeSnapshot struct {
 	graph       any
 	disk        diskState
 	broken      brokenPath
-	recs        int
 	unevictable bool
 }
 
 func snapshotLife(s *Session) lifeSnapshot {
-	return lifeSnapshot{s.res, s.rev, s.eng, s.elem, s.graph, s.disk, s.health.broken, len(s.health.recs), s.unevictable.Load()}
+	return lifeSnapshot{s.res, s.rev, s.eng, s.elem, s.graph, s.disk, s.health.broken, s.unevictable.Load()}
 }
 
 // lifecycleStates are the from-states the table covers: every residency and
-// health, and each tail and base the preconditions tell apart.
+// health, and each tail and base the preconditions tell apart. Qvhj is one
+// quarantine no longer leaves (it clears health), kept to show that every
+// transition but delete rejects it.
 var lifecycleStates = []string{
 	"N",
 	"Rn-", "Rnh", "Rvh", "Rsh", "Rbh", "Rv-", "Rb-", "Rbhj", "Rvhj", "Rbhs", "Rb-s", "Rbhjs",
+	"Rnhj", "Rnhs", "Rnhjs",
 	"Snh", "Svh", "Ssh", "Sv-", "Svhj",
 	"Qvh", "Qvhj",
 	"D",
@@ -152,7 +154,7 @@ type lifecycleRow struct {
 }
 
 var (
-	allResident = "Rn- Rnh Rvh Rsh Rbh Rv- Rb- Rbhj Rvhj Rbhs Rb-s Rbhjs"
+	allResident = "Rn- Rnh Rvh Rsh Rbh Rv- Rb- Rbhj Rvhj Rbhs Rb-s Rbhjs Rnhj Rnhs Rnhjs"
 	allSpilled  = "Snh Svh Ssh Sv- Svhj"
 	allQuar     = "Qvh Qvhj"
 	notNew      = allResident + " " + allSpilled + " " + allQuar + " D"
@@ -188,10 +190,10 @@ var lifecycleTable = []lifecycleRow{
 	{
 		name:  "spill",
 		apply: func(s *Session) *Session { s.spill(); return nil },
-		legal: map[string]string{"Rn-": "Sn-", "Rnh": "Snh", "Rvh": "Svh", "Rvhj": "Svhj"},
+		legal: map[string]string{"Rn-": "Sn-", "Rnh": "Snh", "Rvh": "Svh", "Rvhj": "Svhj", "Rnhj": "Snhj"},
 		why: map[string]string{
 			"Rsh Rbh Rv- Rb- Rbhj":            "Store.spill checkpoints (leaving no tail) unless tailReplayableLocked holds: a healthy value tail above a held base",
-			"Rbhs Rb-s Rbhjs":                 "coldest passes unevictable sessions over, reading the flag with the session locked",
+			"Rbhs Rb-s Rbhjs Rnhs Rnhjs":      "coldest passes unevictable sessions over, reading the flag with the session locked",
 			"N " + allSpilled + " " + allQuar: "coldest claims LRU members only, locked, and the LRU holds exactly the resident sessions",
 			"D":                               "Delete leaves the LRU under s.mu, before coldest can claim the session",
 		},
@@ -202,9 +204,10 @@ var lifecycleTable = []lifecycleRow{
 		legal: map[string]string{
 			"Rn-": "Rnh", "Rnh": "Rnh", "Rvh": "Rnh", "Rsh": "Rnh", "Rbh": "Rnh", "Rv-": "Rnh", "Rb-": "Rnh",
 			"Rbhj": "Rnhj", "Rvhj": "Rnhj", "Rbhs": "Rnhs", "Rb-s": "Rnhs", "Rbhjs": "Rnhjs",
+			"Rnhj": "Rnhj", "Rnhs": "Rnhs", "Rnhjs": "Rnhjs",
 		},
 		why: map[string]string{
-			"N " + allSpilled + " " + allQuar + " D": "writeFullLocked runs on a resident session only: in admit after create, in Store.spill, under withResident for a fork's base, and in the spill repair behind its residency check",
+			"N " + allSpilled + " " + allQuar + " D": "writeFullLocked runs on a resident session only: in admit after create, in Store.spill, and under withResident for a fork's base and for the repair",
 		},
 	},
 	{
@@ -216,6 +219,7 @@ var lifecycleTable = []lifecycleRow{
 		legal: map[string]string{
 			"Rn-": "Rv-", "Rnh": "Rvh", "Rvh": "Rvh", "Rsh": "Rsh", "Rbh": "Rbh", "Rv-": "Rv-", "Rb-": "Rb-",
 			"Rbhj": "Rbhj", "Rvhj": "Rvhj", "Rbhs": "Rbhs", "Rb-s": "Rb-s", "Rbhjs": "Rbhjs",
+			"Rnhj": "Rvhj", "Rnhs": "Rvhs", "Rnhjs": "Rvhjs",
 		},
 		why: map[string]string{
 			"N " + allSpilled + " " + allQuar + " D": "every revision lands inside withResident (UpdateJournaled, ApplyReplicated), which restores the session or refuses first",
@@ -242,17 +246,17 @@ var lifecycleTable = []lifecycleRow{
 			"Snh": "Snh|Snh", "Svh": "Svh|Svh", "Ssh": "Ssh|Ssh",
 		},
 		why: map[string]string{
-			"Rbh Rv- Rb- Sv-":                     "forkLocked asks for a base first (needBase) when the parent's tail is broken or has no base under it, and Fork checkpoints it under withResident",
-			"Rbhj Rvhj Rbhs Rb-s Rbhjs Svhj Qvhj": "forkLocked answers ErrSessionDegraded (or ErrSnapshotCorrupt) first",
-			"Qvh":                                 "forkLocked answers ErrSnapshotCorrupt first",
-			"D":                                   "forkLocked answers ErrSessionDeleted first",
-			"N":                                   "Fork looks the parent up in the index; a new session is locked by its constructor until its transition",
+			"Rbh Rv- Rb- Sv-": "forkLocked asks for a base first (needBase) when the parent's tail is broken or has no base under it, and Fork checkpoints it under withResident",
+			"Rbhj Rvhj Rbhs Rb-s Rbhjs Rnhj Rnhs Rnhjs Svhj Qvhj": "forkLocked answers ErrSessionDegraded (or ErrSnapshotCorrupt) first",
+			"Qvh": "forkLocked answers ErrSnapshotCorrupt first",
+			"D":   "forkLocked answers ErrSessionDeleted first",
+			"N":   "Fork looks the parent up in the index; a new session is locked by its constructor until its transition",
 		},
 	},
 	{
 		name:  "quarantine",
 		apply: func(s *Session) *Session { s.quarantine(); return nil },
-		legal: map[string]string{"Snh": "Qnh", "Svh": "Qvh", "Ssh": "Qsh", "Sv-": "Qv-", "Svhj": "Qvhj"},
+		legal: map[string]string{"Snh": "Qnh", "Svh": "Qvh", "Ssh": "Qsh", "Sv-": "Qv-", "Svhj": "Qvh"},
 		why: map[string]string{
 			"N " + allResident + " " + allQuar + " D": "restoreEngine quarantines only the spilled session withResident is restoring",
 		},
@@ -263,6 +267,7 @@ var lifecycleTable = []lifecycleRow{
 		legal: map[string]string{
 			"Rn-": "Rb-j", "Rnh": "Rbhj", "Rvh": "Rbhj", "Rsh": "Rbhj", "Rbh": "Rbhj", "Rv-": "Rb-j", "Rb-": "Rb-j",
 			"Rbhj": "Rbhj", "Rvhj": "Rbhj", "Rbhs": "Rbhjs", "Rb-s": "Rb-js", "Rbhjs": "Rbhjs",
+			"Rnhj": "Rbhj", "Rnhs": "Rbhjs", "Rnhjs": "Rbhjs",
 			"Snh": "Snhj", "Svh": "Svhj", "Ssh": "Sshj", "Sv-": "Sv-j", "Svhj": "Svhj",
 		},
 		why: map[string]string{
@@ -276,27 +281,14 @@ var lifecycleTable = []lifecycleRow{
 		legal: map[string]string{
 			"Rn-": "Rb-s", "Rnh": "Rbhs", "Rvh": "Rbhs", "Rsh": "Rbhs", "Rbh": "Rbhs", "Rv-": "Rb-s", "Rb-": "Rb-s",
 			"Rbhj": "Rbhjs", "Rvhj": "Rbhjs", "Rbhs": "Rbhs", "Rb-s": "Rb-s", "Rbhjs": "Rbhjs",
+			"Rnhj": "Rbhjs", "Rnhs": "Rbhs", "Rnhjs": "Rbhjs",
 		},
 		why: map[string]string{
-			"N " + allSpilled + " " + allQuar + " D": "a base write fails only on a resident session: in admit, Store.spill or the spill repair, each under s.mu",
+			"N " + allSpilled + " " + allQuar + " D": "a base write fails only on a resident session: in admit, Store.spill, Fork or the repair, each under s.mu",
 		},
 	},
-	{
-		name:  "repair journal",
-		apply: func(s *Session) *Session { s.repair(brokenJournal); return nil },
-		legal: map[string]string{"Rbhj": "Rbh", "Rvhj": "Rvh", "Rbhjs": "Rbhs", "Svhj": "Svh", "Qvhj": "Qvh"},
-		why: map[string]string{
-			"N Rn- Rnh Rvh Rsh Rbh Rv- Rb- Rbhs Rb-s Snh Svh Ssh Sv- Qvh D": "repairSession repairs only the paths its session has broken, under s.mu",
-		},
-	},
-	{
-		name:  "repair spill",
-		apply: func(s *Session) *Session { s.repair(brokenSpill); return nil },
-		legal: map[string]string{"Rbhs": "Rbh", "Rb-s": "Rb-", "Rbhjs": "Rbhj"},
-		why: map[string]string{
-			"N Rn- Rnh Rvh Rsh Rbh Rv- Rb- Rbhj Rvhj " + allSpilled + " " + allQuar + " D": "repairSession repairs only the paths its session has broken, under s.mu",
-		},
-	},
+	repairRow("repair journal"),
+	repairRow("repair spill"),
 	{
 		name:  "delete",
 		apply: func(s *Session) *Session { s.delete(); return nil },
@@ -316,10 +308,30 @@ var lifecycleTable = []lifecycleRow{
 	},
 }
 
+// repairRow is the one repair, a base at rev landed → ok. It is listed
+// under each path a session can lose (the reason label of
+// taco_durability_degraded_total), since whichever broke, the degradation
+// ends the same way.
+func repairRow(name string) lifecycleRow {
+	return lifecycleRow{
+		name:  name,
+		apply: func(s *Session) *Session { s.repair(); return nil },
+		legal: map[string]string{"Rnhj": "Rnh", "Rnhs": "Rnh", "Rnhjs": "Rnh"},
+		why: map[string]string{
+			"Rbhj Rvhj Rbhs Rb-s Rbhjs": "repairSession repairs right after writeFullLocked's checkpoint, which leaves a held base and no tail",
+			"Svhj":                      "repairSession restores a spilled session (withResident) before its checkpoint",
+			"Rn- Rnh Rvh Rsh Rbh Rv- Rb- Snh Svh Ssh Sv- Qvh": "only a degraded session has a repair loop, and the loop ends at its repair",
+			"Qvhj": "quarantine clears health, and a quarantined session's restore fails (ErrSnapshotCorrupt), which ends the loop",
+			"N":    "a constructor holds s.mu until its transition, and no repair loop exists before it",
+			"D":    "withResident answers ErrSessionDeleted first, which ends the loop",
+		},
+	}
+}
+
 // mustDegrade turns degrade's rejection into the panic the other
 // transitions reject with, so the table treats all of them alike.
 func mustDegrade(s *Session, p brokenPath) {
-	if err := s.degrade(p, nil); err != nil {
+	if err := s.degrade(p); err != nil {
 		panic(err)
 	}
 }
@@ -403,28 +415,36 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 // FuzzStoreLifecycle drives a durable store — two resident slots, no drain
-// workers — with a fuzzed stream of value and formula edits, reads, Wait
-// barriers, creates (which evict), forks, deletes and journal ENOSPC turned
-// on and off. After every op each session's state is a legal triple; after a
-// Wait, every readable session's cells equal a model engine fed the batches
-// the store acknowledged to it.
+// workers, `-fsync never` or `always` by the program's first byte — with a
+// fuzzed stream of value and formula edits, reads, Wait barriers, creates
+// (which evict), forks, deletes, journal ENOSPC turned on and off, and a
+// one-shot EIO on the next journal fsync. After every op each session's
+// state is a legal triple; after a Wait, every readable session's cells
+// equal a model engine fed the batches the store applied to it. The run
+// ends by closing the store and reopening its directory: every live
+// session still equals its model, so no acknowledged batch was lost.
 func FuzzStoreLifecycle(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 1, 1, 2, 4, 0, 3, 5, 0, 7, 0, 0, 2, 3, 8, 1, 1, 3})
-	f.Add([]byte{4, 0, 4, 0, 0, 0, 9, 7, 1, 1, 3, 3, 7, 0, 0, 1, 3, 5, 1, 6, 0, 3})
-	f.Add([]byte{0, 1, 2, 7, 0, 0, 5, 1, 4, 0, 6, 0, 1, 1, 0, 3, 7, 4, 0, 0, 0, 3})
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 4, 0, 3, 5, 0, 7, 0, 0, 2, 3, 8, 1, 1, 3})
+	f.Add([]byte{1, 4, 0, 4, 0, 0, 0, 9, 7, 1, 1, 3, 3, 7, 0, 0, 1, 3, 5, 1, 6, 0, 3})
+	f.Add([]byte{0, 0, 1, 2, 7, 0, 0, 5, 1, 4, 0, 6, 0, 1, 1, 0, 3, 7, 4, 0, 0, 0, 3})
+	f.Add([]byte{1, 0, 0, 5, 9, 0, 1, 7, 3, 9, 1, 0, 9, 5, 0, 2, 1, 3})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 256 {
 			prog = prog[:256]
 		}
 		defer faultfs.Clear()
-		st, err := NewStore(StoreOptions{
+		opts := StoreOptions{
 			Shards: 2, MaxResident: 2, RecalcWorkers: -1,
 			Durable: true, SpillDir: t.TempDir(), FsyncPolicy: "never",
-		})
+		}
+		if len(prog) > 0 && prog[0]%2 == 1 {
+			opts.FsyncPolicy = "always"
+		}
+		st, err := NewStore(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
+		defer func() { st.Close() }()
 		type tracked struct {
 			id    string
 			acked [][]EditOp
@@ -440,6 +460,7 @@ func FuzzStoreLifecycle(f *testing.F) {
 			prog = prog[1:]
 			return b
 		}
+		next() // the policy
 		pick := func() *tracked {
 			if len(live) == 0 {
 				create()
@@ -457,14 +478,16 @@ func FuzzStoreLifecycle(f *testing.F) {
 				return nil
 			})
 			switch {
-			case err == nil:
+			case err == nil, errors.Is(err, syscall.EIO):
+				// A failed group commit answers an error for a batch it
+				// applied: the repair's base holds it all the same.
 				s.acked = append(s.acked, batch)
 			case !errors.Is(err, ErrSessionDegraded):
 				t.Fatalf("edit of %s: %v", s.id, err)
 			}
 		}
 		for len(prog) > 0 {
-			switch next() % 9 {
+			switch next() % 10 {
 			case 0: // a value into A1:B4
 				b := next()
 				edit(valueEdit(fmt.Sprintf("%c%d", 'A'+b%2, 1+b/2%4), float64(next())))
@@ -511,6 +534,11 @@ func FuzzStoreLifecycle(f *testing.F) {
 				})
 			case 8:
 				faultfs.Clear()
+			case 9:
+				faultfs.Inject(faultfs.Rule{
+					Op: faultfs.OpSync, PathContains: journalSuffix, Count: 1,
+					Fault: faultfs.Fault{Err: syscall.EIO},
+				})
 			}
 			st.Each(func(s *Session) bool {
 				s.mu.RLock()
@@ -524,6 +552,13 @@ func FuzzStoreLifecycle(f *testing.F) {
 		}
 		faultfs.Clear()
 		waitRepaired(t, st)
+		for _, s := range live {
+			checkAgainstModel(t, st, s.id, s.acked)
+		}
+		st.Close()
+		if st, err = NewStore(opts); err != nil {
+			t.Fatal(err)
+		}
 		for _, s := range live {
 			checkAgainstModel(t, st, s.id, s.acked)
 		}

@@ -2,7 +2,11 @@ package server
 
 import (
 	"io"
+	"maps"
 	"net/http"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,5 +168,37 @@ func TestRequestIDHeader(t *testing.T) {
 	resp.Body.Close()
 	if got := resp.Header.Get("X-Request-ID"); got != "caller-chosen-7" {
 		t.Errorf("X-Request-ID = %q, want echoed caller-chosen-7", got)
+	}
+}
+
+// TestTelemetryDocCoversRegistry holds TELEMETRY.md to the registry: the
+// taco_* families registered once a server is up are exactly the families
+// its tables name, a row naming two families counting both.
+func TestTelemetryDocCoversRegistry(t *testing.T) {
+	newTestServer(t, Options{})
+	doc, err := os.ReadFile("../../TELEMETRY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	family := regexp.MustCompile("`(taco_[a-z0-9_]+)`")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 && strings.HasPrefix(line, "|") {
+			for _, m := range family.FindAllStringSubmatch(cells[1], -1) {
+				documented[m[1]] = true
+			}
+		}
+	}
+	for _, name := range telemetry.Default.Names() {
+		if !strings.HasPrefix(name, "taco_") {
+			continue
+		}
+		if !documented[name] {
+			t.Errorf("%s is registered but TELEMETRY.md has no row for it", name)
+		}
+		delete(documented, name)
+	}
+	for _, name := range slices.Sorted(maps.Keys(documented)) {
+		t.Errorf("TELEMETRY.md documents %s, which no package registers", name)
 	}
 }

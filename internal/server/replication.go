@@ -106,10 +106,13 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // handleReplJournal ships the session's journal records with rev > from in
 // the journal's own format (magic + CRC-trailed records): read by
-// journal.Scan, the decoder recovery uses, on both ends of the wire. When
+// journal.Scan, the decoder recovery uses, on both ends of the wire. It
+// ships only a tail that runs from+1, from+2, … without a gap; otherwise —
 // the requested revision predates the snapshot (the journal was
-// checkpointed past it), it answers 409: the standby must re-base from the
-// snapshot.
+// checkpointed past it), or the journal has a hole (a failed local append
+// on a standby) — it answers 409: the standby must re-base from the
+// snapshot. The base revision is read after the scan, so a checkpoint
+// landing mid-request shows as one or the other.
 func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 	if !s.store.Durable() {
 		writeErr(w, http.StatusNotFound, errors.New("replication journal requires a durable store"))
@@ -126,22 +129,22 @@ func (s *Server) handleReplJournal(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errStatus(err), err)
 		return
 	}
+	// One reader, journal.Scan, over the live file (journalTail). The
+	// records keep their own CRCs, so the wire format IS the journal format.
+	tail, shipped, gapless, err := s.store.journalTail(id, from)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
 	sess.mu.RLock()
 	head, snapRev := sess.rev, sess.disk.rev
 	sess.mu.RUnlock()
-	if from < snapRev {
-		// Records at or below the base were truncated away by its checkpoint;
-		// the snapshot is the only complete source.
+	if from < snapRev || !gapless {
+		// Records at or below the base were truncated away by its checkpoint,
+		// or a hole breaks the run: the snapshot is the only complete source.
 		w.Header().Set("X-Snapshot-Rev", strconv.FormatUint(snapRev, 10))
 		writeErr(w, http.StatusConflict,
-			fmt.Errorf("rev %d predates snapshot rev %d: fetch the snapshot", from, snapRev))
-		return
-	}
-	// One reader, journal.Scan, over the live file (journalTail). The
-	// records keep their own CRCs, so the wire format IS the journal format.
-	tail, shipped, _, err := s.store.journalTail(id, from)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+			fmt.Errorf("journal from rev %d is not a gapless tail above snapshot rev %d: fetch the snapshot", from, snapRev))
 		return
 	}
 	mReplShipped.Add(uint64(shipped))
@@ -420,8 +423,9 @@ func (rp *Replicator) syncSession(ps *replSession) (uint64, error) {
 	}
 	status, err := rp.shipJournal(ps.ID, localRev)
 	if status == http.StatusConflict {
-		// Our cursor predates the primary's snapshot: the tail we need was
-		// checkpointed away. Re-base from the snapshot.
+		// Our cursor predates the primary's snapshot (the tail we need was
+		// checkpointed away), or the primary's tail has a hole. Re-base from
+		// the snapshot.
 		if err = rp.store.Delete(ps.ID); err == nil {
 			local, err = rp.bootstrap(ps)
 		}

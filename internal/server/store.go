@@ -775,13 +775,14 @@ const maxTailRecords = 32
 // tailReplayableLocked reports whether base + journal already reproduce the
 // session, so eviction may drop residency without writing. Everything above
 // the base must be in the journal and value-only (the pinned graph stays
-// exact), the session healthy, and the tail under its
-// caps; capped reports a refusal on the caps alone. The byte cap — once the
-// tail outweighs half the base, replaying it approaches the cost of restoring
-// the sheet itself — is skipped while the base size is unknown. Decided from
-// in-memory state only. Called with s.mu held.
+// exact), the session healthy, its journal writer unpoisoned (a failed
+// fsync may have lost records the restore would read), and the tail under
+// its caps; capped reports a refusal on the caps alone. The byte cap — once
+// the tail outweighs half the base, replaying it approaches the cost of
+// restoring the sheet itself — is skipped while the base size is unknown.
+// Decided from in-memory state only. Called with s.mu held.
 func (s *Session) tailReplayableLocked() (ok, capped bool) {
-	if !s.disk.held || s.health.broken != 0 || s.disk.tail > tailValues {
+	if !s.disk.held || s.health.broken != 0 || s.disk.tail > tailValues || s.jw != nil && s.jw.Err() != nil {
 		return false, false
 	}
 	if s.rev-s.disk.rev > maxTailRecords || (s.disk.bytes > 0 && s.disk.tailBytes > s.disk.bytes/2) {

@@ -763,11 +763,13 @@ func TestMissingJournalIsEmptyTail(t *testing.T) {
 // TestForkCopiesTheShippedTail: a fork and the replication endpoint read a
 // session's tail through one function, so the child's journal is byte for
 // byte the endpoint's body from the base. Once a failed local append on a
-// durable standby leaves a hole, the endpoint still ships the records past
-// it, while a fork writes a base instead of copying a tail that is not a run.
+// durable standby leaves a hole, neither ships the records past it: the
+// endpoint answers 409, so a replicator following it re-bases from the
+// snapshot, and a fork writes a base instead of copying a tail that is not
+// a run.
 func TestForkCopiesTheShippedTail(t *testing.T) {
 	dir := t.TempDir()
-	srv, _ := newTestServer(t, Options{Store: tailStoreOpts(dir)})
+	srv, tc := newTestServer(t, Options{Store: tailStoreOpts(dir)})
 	st := srv.Store()
 	eng := engine.New(nil)
 	eng.SetValue(ref.Ref{Col: 1, Row: 1}, formula.Num(1))
@@ -807,9 +809,33 @@ func TestForkCopiesTheShippedTail(t *testing.T) {
 		apply(8, 80)
 	}()
 	apply(9, 90)
-	resp = getJournal(srv, "replica", 5)
-	if got := shippedRevs(t, resp.Body.Bytes()); resp.Code != http.StatusOK || !reflect.DeepEqual(got, []uint64{6, 7, 9}) {
-		t.Fatalf("endpoint over a hole shipped HTTP %d revs %v, want 200 [6 7 9]", resp.Code, got)
+	for _, from := range []uint64{5, 7} {
+		resp = getJournal(srv, "replica", from)
+		if resp.Code != http.StatusConflict || resp.Header().Get("X-Snapshot-Rev") == "" {
+			t.Fatalf("endpoint over a hole from rev %d answered HTTP %d %q, want 409 with X-Snapshot-Rev",
+				from, resp.Code, resp.Body.Bytes())
+		}
+	}
+
+	// A follower at rev 7 re-bases from the snapshot instead of applying rev 9
+	// over the missing rev 8.
+	follower, err := NewStore(StoreOptions{RecalcWorkers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	at7 := engine.New(nil)
+	at7.SetValue(ref.Ref{Col: 1, Row: 1}, formula.Num(70))
+	if _, err := follower.CreateReplica("replica", "r", at7, 7); err != nil {
+		t.Fatal(err)
+	}
+	applied, bootstraps := mReplApplied.Value(), mReplSnapshots.Value()
+	rp := NewReplicator(follower, StandbyOptions{PrimaryURL: tc.base})
+	if rev, err := rp.syncSession(&replSession{ID: "replica", Name: "r", Rev: 9}); err != nil || rev != 9 {
+		t.Fatalf("follower sync = rev %d, %v; want rev 9", rev, err)
+	}
+	if d, b := mReplApplied.Value()-applied, mReplSnapshots.Value()-bootstraps; d != 0 || b != 1 {
+		t.Fatalf("follower applied %d shipped records and re-based %d times, want 0 and 1", d, b)
 	}
 
 	spilled := mSpillBytes.Value()

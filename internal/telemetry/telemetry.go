@@ -99,17 +99,25 @@ func (r *Registry) register(m metric) {
 	r.metrics[name] = m
 }
 
-// WriteText renders every registered metric in the Prometheus text format
-// (version 0.0.4), families sorted by name, samples sorted by label values —
-// deterministic output for a fixed metric state.
-func (r *Registry) WriteText(w io.Writer) error {
+// Names returns the registered family names, sorted.
+func (r *Registry) Names() []string {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.metrics))
 	for name := range r.metrics {
 		names = append(names, name)
 	}
-	ordered := make([]metric, len(names))
+	r.mu.Unlock()
 	sort.Strings(names)
+	return names
+}
+
+// WriteText renders every registered metric in the Prometheus text format
+// (version 0.0.4), families sorted by name, samples sorted by label values —
+// deterministic output for a fixed metric state.
+func (r *Registry) WriteText(w io.Writer) error {
+	names := r.Names()
+	ordered := make([]metric, len(names))
+	r.mu.Lock()
 	for i, name := range names {
 		ordered[i] = r.metrics[name]
 	}
