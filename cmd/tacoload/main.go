@@ -709,8 +709,8 @@ func run(cfg config) (*report, error) {
 	// -max-resident below -sessions every touch faults a cold session in and
 	// evicts another whose journal tail since its snapshot is a single value
 	// edit — the shape a durable store evicts without writing at all. Serial
-	// on purpose: interleaving across sessions defeats
-	// LRU reuse and maximizes churn.
+	// on purpose: a round-robin over more sessions than the cap makes most
+	// touches misses, which maximizes churn.
 	if cfg.ChurnRounds > 0 {
 		for r := 0; r < cfg.ChurnRounds; r++ {
 			for i, id := range ids {

@@ -218,8 +218,7 @@ func TestEvictionDrainsPendingAndRoundTrips(t *testing.T) {
 		t.Fatalf("edit result = %+v, want 1 pending", res)
 	}
 
-	// Evict the victim by creating another session under MaxResident=1.
-	tc.do("POST", "/sessions", CreateRequest{Name: "pusher"}, nil)
+	evictNow(t, srv.Store(), a.ID)
 	sess, err := srv.Store().lookup(a.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +261,7 @@ func TestQueryAgainstSpilledSession(t *testing.T) {
 				{Cell: "B1", Formula: str("A1*2")},
 				{Cell: "C1", Formula: str("B1*2")},
 			}}, nil)
-			tc.do("POST", "/sessions", CreateRequest{Name: "pusher"}, nil)
+			evictNow(t, srv.Store(), a.ID)
 			if noPin {
 				srv.Close() // the eviction checkpointed q; the restart forgets its graph
 				srv, tc = newTestServer(t, opts)

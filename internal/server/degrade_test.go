@@ -239,7 +239,7 @@ func TestPoisonedJournalEvictsWithBase(t *testing.T) {
 	applyJournaled(t, st, a.ID, valueEdit("A1", 2)) // a value tail
 	waitPoisoned(t, a)
 	faultfs.Clear()
-	st.Create("b", engine.New(nil)) // evicts a
+	evictNow(t, st, a.ID)
 	a.mu.RLock()
 	res, base, armed := a.res, a.disk, a.jw.Err() == nil
 	a.mu.RUnlock()
@@ -401,13 +401,17 @@ func TestRepairedSessionEvictable(t *testing.T) {
 	if !a.Degraded() {
 		t.Fatal("failed journal append did not degrade the session")
 	}
-	st.Create("b", engine.New(nil)) // evicting a fails: its base cannot be written
+	evictNow(t, st, a.ID) // fails: a's base cannot be written
 	if !a.Resident() {
 		t.Fatal("a was evicted though its base write failed")
 	}
 	faultfs.Clear()
 	waitRepaired(t, st)
+	// Two creates over the cap: the first overflow's hand passes a over,
+	// clearing the visited bit its edit set, and spills c; the second must
+	// claim a.
 	st.Create("c", engine.New(nil))
+	st.Create("d", engine.New(nil))
 	if a.Resident() {
 		t.Fatalf("repaired session a still resident after a create over the cap: %+v", st.Stats())
 	}

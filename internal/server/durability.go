@@ -517,8 +517,8 @@ func (st *Store) Durable() bool { return st.opts.Durable }
 // appendTailLocked journals the batch that produces rev and advances the
 // session to it. A failed append, or a gap the caller reports, leaves a hole
 // the journal-as-tail design must not trust: the tail breaks, so the next
-// eviction writes a full base. Returns the writer to sync, nil on failure.
-// Called with s.mu held.
+// eviction writes a full base. Returns the writer to sync, nil on failure,
+// on which the caller degrades the session. Called with s.mu held.
 func (st *Store) appendTailLocked(s *Session, rev uint64, edits []EditOp, record []byte, gap bool) *journal.Writer {
 	w, err := st.sessionJournal(s)
 	if err == nil {

@@ -388,7 +388,7 @@ func TestQuarantineCorruptSnapshot(t *testing.T) {
 // one), and flips one bit of A1's value payload in its base file in dir, so
 // the file decodes cleanly to A1 = 7.5 and only its CRC trailer tells.
 // Returns the session's id and the path of its base file.
-func spillRotted(t *testing.T, tc *testClient, dir string) (string, string) {
+func spillRotted(t *testing.T, st *Store, tc *testClient, dir string) (string, string) {
 	t.Helper()
 	var info SessionInfo
 	tc.do("POST", "/sessions", CreateRequest{Name: "rot"}, &info)
@@ -398,7 +398,7 @@ func spillRotted(t *testing.T, tc *testClient, dir string) (string, string) {
 	}}, nil); code != http.StatusOK {
 		t.Fatalf("edit: status %d", code)
 	}
-	tc.do("POST", "/sessions", CreateRequest{Name: "pusher"}, nil) // evicts rot
+	evictNow(t, st, info.ID)
 	path := filepath.Join(dir, info.ID+".tacos")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -427,8 +427,8 @@ func TestRottedSpillNeverServed(t *testing.T) {
 		first := paths[i]
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			_, tc := newTestServer(t, Options{Store: StoreOptions{Shards: 1, MaxResident: 1, SpillDir: dir}})
-			id, path := spillRotted(t, tc, dir)
+			srv, tc := newTestServer(t, Options{Store: StoreOptions{Shards: 1, MaxResident: 1, SpillDir: dir}})
+			id, path := spillRotted(t, srv.Store(), tc, dir)
 			for _, p := range append([]string{first}, paths...) {
 				var body map[string]any
 				if code := tc.do("GET", "/sessions/"+id+p, nil, &body); code != http.StatusInternalServerError {
@@ -482,7 +482,7 @@ func TestErrorValuesSurviveEviction(t *testing.T) {
 		}
 	}
 	check("before eviction")
-	tc.do("POST", "/sessions", CreateRequest{Name: "pusher"}, nil) // evicts errors
+	evictNow(t, srv.Store(), info.ID)
 	base, err := os.ReadFile(filepath.Join(dir, info.ID+".tacos"))
 	if err != nil {
 		t.Fatal(err)
@@ -569,7 +569,7 @@ func TestParentStoreBoots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := NewStore(StoreOptions{Shards: 1, MaxResident: 1, RecalcWorkers: -1, Durable: true, SpillDir: dir, FsyncPolicy: "never"})
+	st, err := NewStore(StoreOptions{Shards: 1, RecalcWorkers: -1, Durable: true, SpillDir: dir, FsyncPolicy: "never"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +632,7 @@ func TestParentStoreBoots(t *testing.T) {
 	}
 	applyBatch(tail, ops)
 	tail.RecalculateAll()
-	check("kinds") // evicts tail, whose structural edit writes a base
+	evictNow(t, st, ids["tail"]) // a structural edit: the eviction writes a base
 	if s, _ := st.Peek(ids["tail"]); s.Resident() {
 		t.Fatal("tail still resident")
 	}

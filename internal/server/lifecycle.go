@@ -125,25 +125,18 @@ func (s *Session) illegal(t string) error {
 	return fmt.Errorf("%w: %s on a %s session", errIllegalTransition, t, s.res)
 }
 
-// enterResident and leaveResident are the only writers of eng, the LRU
-// position and the shard's resident count.
+// enterResident and leaveResident are the only writers of eng and of the
+// session's place in the eviction ring. A session enters at the ring's head
+// unvisited.
 func (s *Session) enterResident(eng *engine.Engine) {
 	s.res, s.eng, s.graph = resident, eng, nil
-	sh := s.shard
-	sh.mu.Lock()
-	s.elem = sh.lru.PushFront(s)
-	sh.resident++
-	sh.mu.Unlock()
+	s.visited.Store(false)
+	s.ring.push(s)
 }
 
 func (s *Session) leaveResident(to residency) {
 	s.res, s.eng = to, nil
-	sh := s.shard
-	sh.mu.Lock()
-	sh.lru.Remove(s.elem)
-	s.elem = nil
-	sh.resident--
-	sh.mu.Unlock()
+	s.ring.remove(s)
 }
 
 // create makes a new session resident at rev (a replica's shipped revision,
@@ -252,7 +245,7 @@ func (s *Session) quarantine() {
 
 // degrade marks path p broken. A resident session's disk no longer counts
 // as reproducing it; a broken spill path, which only a resident session can
-// lose, makes it unevictable until repaired.
+// lose, keeps coldest from claiming it until repaired.
 func (s *Session) degrade(p brokenPath) error {
 	if s.res != resident && (s.res != spilled || p != brokenJournal) {
 		return s.illegal("degrade")
@@ -264,9 +257,6 @@ func (s *Session) degrade(p brokenPath) error {
 	if s.res == resident {
 		s.disk.tail = tailBroken
 	}
-	if p == brokenSpill {
-		s.unevictable.Store(true)
-	}
 	return nil
 }
 
@@ -277,7 +267,6 @@ func (s *Session) repair() {
 		panic(s.illegal("repair"))
 	}
 	s.health = health{}
-	s.unevictable.Store(false)
 }
 
 // retryDelay is the wait before the repairer's next attempt.
@@ -292,5 +281,4 @@ func (s *Session) delete() {
 		s.leaveResident(deleted)
 	}
 	s.res, s.graph, s.disk, s.health = deleted, nil, diskState{}, health{}
-	s.unevictable.Store(false)
 }

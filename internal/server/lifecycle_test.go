@@ -23,8 +23,8 @@ func lifecycleViolation(s *Session) string {
 		return "a published session is new"
 	case (s.eng != nil) != (s.res == resident):
 		return "engine set but not resident, or resident without one"
-	case (s.elem != nil) != (s.res == resident):
-		return "LRU position without residency, or residency without one"
+	case inRing(s) != (s.res == resident):
+		return "in the eviction ring without residency, or residency outside it"
 	case s.graph != nil && s.res != spilled:
 		return "graph pinned but not spilled"
 	case s.disk.rev > s.rev:
@@ -41,8 +41,46 @@ func lifecycleViolation(s *Session) string {
 		return "quarantined with a broken path: nothing of it is served to repair"
 	case h.broken&brokenSpill != 0 && s.res != resident:
 		return "spill repair owed by a non-resident session"
-	case s.unevictable.Load() != (h.broken&brokenSpill != 0):
-		return "unevictable does not mirror the spill path"
+	}
+	return ""
+}
+
+// inRing reports whether s is linked into its store's eviction ring.
+func inRing(s *Session) bool {
+	if s.ring == nil { // a forked child before its store registers it
+		return false
+	}
+	s.ring.mu.Lock()
+	defer s.ring.mu.Unlock()
+	return s.ring.head == s || s.newer != nil || s.older != nil
+}
+
+// ringViolation names the first way the store's eviction ring is not a
+// well-formed list — its links, count and hand agreeing — or returns "".
+// That it holds exactly the resident sessions is lifecycleViolation's check.
+func ringViolation(st *Store) string {
+	r := &st.ring
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n, handSeen := 0, r.hand == nil
+	var newer *Session
+	for s := r.tail; s != nil; s = s.newer {
+		if s.older != newer {
+			return "a link disagrees with its neighbour's"
+		}
+		handSeen = handSeen || r.hand == s
+		newer = s
+		if n++; n > r.n {
+			return "more sessions linked than counted"
+		}
+	}
+	switch {
+	case newer != r.head:
+		return "the walk from the tail does not end at the head"
+	case n != r.n:
+		return fmt.Sprintf("%d sessions linked, %d counted", n, r.n)
+	case !handSeen:
+		return "the hand points outside the ring"
 	}
 	return ""
 }
@@ -114,18 +152,17 @@ func buildSession(t *testing.T, st *Store, code string) *Session {
 // lifeSnapshot is every lifecycle field, to show a rejected transition left
 // the session as it was.
 type lifeSnapshot struct {
-	res         residency
-	rev         uint64
-	eng         *engine.Engine
-	elem        any
-	graph       any
-	disk        diskState
-	broken      brokenPath
-	unevictable bool
+	res    residency
+	rev    uint64
+	eng    *engine.Engine
+	linked bool
+	graph  any
+	disk   diskState
+	broken brokenPath
 }
 
 func snapshotLife(s *Session) lifeSnapshot {
-	return lifeSnapshot{s.res, s.rev, s.eng, s.elem, s.graph, s.disk, s.health.broken, s.unevictable.Load()}
+	return lifeSnapshot{s.res, s.rev, s.eng, inRing(s), s.graph, s.disk, s.health.broken}
 }
 
 // lifecycleStates are the from-states the table covers: every residency and
@@ -193,9 +230,9 @@ var lifecycleTable = []lifecycleRow{
 		legal: map[string]string{"Rn-": "Sn-", "Rnh": "Snh", "Rvh": "Svh", "Rvhj": "Svhj", "Rnhj": "Snhj"},
 		why: map[string]string{
 			"Rsh Rbh Rv- Rb- Rbhj":            "Store.spill checkpoints (leaving no tail) unless tailReplayableLocked holds: a healthy value tail above a held base",
-			"Rbhs Rb-s Rbhjs Rnhs Rnhjs":      "coldest passes unevictable sessions over, reading the flag with the session locked",
-			"N " + allSpilled + " " + allQuar: "coldest claims LRU members only, locked, and the LRU holds exactly the resident sessions",
-			"D":                               "Delete leaves the LRU under s.mu, before coldest can claim the session",
+			"Rbhs Rb-s Rbhjs Rnhs Rnhjs":      "coldest passes over a session with a broken spill path, reading it with the session locked",
+			"N " + allSpilled + " " + allQuar: "coldest claims ring members only, locked, and the ring holds exactly the resident sessions",
+			"D":                               "Delete leaves the ring under s.mu, before coldest can claim the session",
 		},
 	},
 	{
@@ -417,17 +454,24 @@ func TestSessionLifecycle(t *testing.T) {
 // FuzzStoreLifecycle drives a durable store — two resident slots, no drain
 // workers, `-fsync never` or `always` by the program's first byte — with a
 // fuzzed stream of value and formula edits, reads, Wait barriers, creates
-// (which evict), forks, deletes, journal ENOSPC turned on and off, and a
-// one-shot EIO on the next journal fsync. After every op each session's
-// state is a legal triple; after a Wait, every readable session's cells
-// equal a model engine fed the batches the store applied to it. The run
-// ends by closing the store and reopening its directory: every live
-// session still equals its model, so no acknowledged batch was lost.
+// (which evict), forks, deletes, journal ENOSPC turned on and off, a
+// one-shot EIO on the next journal fsync, and a barrier on one session
+// while the test holds every other session's lock, so the overflow after
+// the barrier's fault-in can claim only the waited session. After every op
+// each session's state is a legal triple and the eviction ring well formed;
+// after a Wait, every readable session's cells equal a model engine fed the
+// batches the store applied to it. The run ends by closing the store and
+// reopening its directory: every live session still equals its model, so
+// no acknowledged batch was lost.
 func FuzzStoreLifecycle(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 4, 0, 3, 5, 0, 7, 0, 0, 2, 3, 8, 1, 1, 3})
 	f.Add([]byte{1, 4, 0, 4, 0, 0, 0, 9, 7, 1, 1, 3, 3, 7, 0, 0, 1, 3, 5, 1, 6, 0, 3})
 	f.Add([]byte{0, 0, 1, 2, 7, 0, 0, 5, 1, 4, 0, 6, 0, 1, 1, 0, 3, 7, 4, 0, 0, 0, 3})
 	f.Add([]byte{1, 0, 0, 5, 9, 0, 1, 7, 3, 9, 1, 0, 9, 5, 0, 2, 1, 3})
+	// A formula on s0, two creates, a value edit of s0 and reads of s2 and
+	// s1 can leave s0 spilled with a value tail and the others resident: the
+	// barrier on s0 must drain it before anything spills it again.
+	f.Add([]byte{0, 1, 0, 0, 0, 4, 4, 0, 0, 5, 0, 2, 2, 2, 1, 10, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 256 {
 			prog = prog[:256]
@@ -487,7 +531,7 @@ func FuzzStoreLifecycle(f *testing.F) {
 			}
 		}
 		for len(prog) > 0 {
-			switch next() % 10 {
+			switch next() % 11 {
 			case 0: // a value into A1:B4
 				b := next()
 				edit(valueEdit(fmt.Sprintf("%c%d", 'A'+b%2, 1+b/2%4), float64(next())))
@@ -539,6 +583,21 @@ func FuzzStoreLifecycle(f *testing.F) {
 					Op: faultfs.OpSync, PathContains: journalSuffix, Count: 1,
 					Fault: faultfs.Fault{Err: syscall.EIO},
 				})
+			case 10: // a barrier on one session, every other one locked
+				w := pick()
+				func() {
+					for _, o := range live {
+						if o != w {
+							s := mustPeek(t, st, o.id)
+							s.mu.Lock()
+							defer s.mu.Unlock()
+						}
+					}
+					checkAgainstModel(t, st, w.id, w.acked)
+				}()
+			}
+			if v := ringViolation(st); v != "" {
+				t.Fatalf("eviction ring: %s", v)
 			}
 			st.Each(func(s *Session) bool {
 				s.mu.RLock()

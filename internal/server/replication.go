@@ -231,7 +231,11 @@ func (st *Store) replicaBase(id string, buf *bytes.Buffer) (uint64, error) {
 // Records at or below the local revision are duplicates of state the
 // snapshot or an earlier poll already delivered and are skipped — shipping
 // is at-least-once, application exactly-once. On a durable standby the
-// record is re-journaled locally under the same revision.
+// record is re-journaled locally under the same revision; a failed local
+// append or fsync degrades the session as it does a primary's, and later
+// records are refused with ErrSessionDegraded until the repairer lands a
+// base: the primary still holds them, so the replicator ships them again
+// after the repair, and the local journal never takes a record over a hole.
 func (st *Store) ApplyReplicated(id string, rev uint64, payload []byte) error {
 	s, err := st.lookup(id)
 	if err != nil {
@@ -242,16 +246,17 @@ func (st *Store) ApplyReplicated(id string, rev uint64, payload []byte) error {
 		if rev <= s.rev {
 			return nil
 		}
+		if s.health.broken != 0 {
+			return ErrSessionDegraded
+		}
 		edits, err := applyRecord(eng, payload)
 		if err != nil {
 			return fmt.Errorf("shipped record rev %d: %w", rev, err)
 		}
-		if st.opts.Durable {
-			// A failed local append is not fatal to the standby — the primary
-			// still holds the record — but it breaks the tail, as a gap does.
-			jw = st.appendTailLocked(s, rev, edits, payload, rev != s.rev+1)
-		} else {
+		if !st.opts.Durable {
 			s.append(rev, tailBroken, 0) // no local journal holds it
+		} else if jw = st.appendTailLocked(s, rev, edits, payload, rev != s.rev+1); jw == nil {
+			st.degradeLocked(s, brokenJournal)
 		}
 		mReplApplied.Inc()
 		return nil
@@ -259,6 +264,9 @@ func (st *Store) ApplyReplicated(id string, rev uint64, payload []byte) error {
 	if err == nil && jw != nil {
 		if serr := jw.Sync(); serr != nil {
 			mDurabilityErrors.Inc()
+			s.mu.Lock()
+			st.degradeLocked(s, brokenJournal)
+			s.mu.Unlock()
 		}
 	}
 	return err

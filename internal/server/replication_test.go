@@ -5,10 +5,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
 	"taco/internal/engine"
+	"taco/internal/faultfs"
+	"taco/internal/formula"
+	"taco/internal/ref"
 )
 
 // newPair boots a durable primary and a warm standby following it over
@@ -214,10 +218,11 @@ func TestStandbyRebasesPastCheckpoint(t *testing.T) {
 // file.
 func TestStandbyRefusesRottedBase(t *testing.T) {
 	dir := t.TempDir()
-	_, priTC := newTestServer(t, Options{Store: StoreOptions{
+	pri, priTC := newTestServer(t, Options{Store: StoreOptions{
 		Shards: 1, SpillDir: dir, Durable: true, FsyncPolicy: "never", MaxResident: 1,
 	}})
-	id, _ := spillRotted(t, priTC, dir)
+	id, _ := spillRotted(t, pri.Store(), priTC, dir)
+	priTC.do("POST", "/sessions", CreateRequest{Name: "sound"}, nil)
 
 	store, err := NewStore(StoreOptions{})
 	if err != nil {
@@ -238,5 +243,80 @@ func TestStandbyRefusesRottedBase(t *testing.T) {
 	}
 	if code := priTC.do("GET", "/sessions/"+id+"/cells?at=A1", nil, nil); code != http.StatusInternalServerError {
 		t.Fatalf("primary read of the rotted session: status %d, want 500", code)
+	}
+}
+
+// TestStandbyFailedAppendDegrades: a durable standby whose local append of a
+// shipped record fails degrades that session, as a primary's does, and takes
+// no later record until the repairer lands a base — so its journal never
+// holds a record over a hole. Restarted before the repair, it serves the
+// journal it has, a gapless tail above its base, and a follower of it passes
+// the base within two shipping cycles instead of re-basing on every one.
+func TestStandbyFailedAppendDegrades(t *testing.T) {
+	opts := StoreOptions{Shards: 1, RecalcWorkers: -1, Durable: true, SpillDir: t.TempDir(), FsyncPolicy: "never"}
+	st, err := NewStore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.CreateReplica("replica", "r", oneCell(50), 5); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(rev uint64) error {
+		return st.ApplyReplicated("replica", rev, encodeEditOps(valueEdit("A1", float64(10*rev))))
+	}
+	for _, rev := range []uint64{6, 7} {
+		if err := apply(rev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	func() {
+		defer faultfs.Inject(faultfs.Rule{
+			Op: faultfs.OpWrite, PathContains: "replica" + journalSuffix,
+			Fault: faultfs.Fault{Err: syscall.ENOSPC},
+		})()
+		if err := apply(8); err != nil {
+			t.Fatalf("apply with a failing local append: %v", err)
+		}
+	}()
+	if !mustPeek(t, st, "replica").Degraded() {
+		t.Fatal("a failed local append did not degrade the standby's session")
+	}
+	// The repairer may land its base first; otherwise rev 9 waits for it.
+	if err := apply(9); err != nil && !errors.Is(err, ErrSessionDegraded) {
+		t.Fatalf("apply past a failed append: %v", err)
+	}
+	st.Close()
+
+	srv, tc := newTestServer(t, Options{Store: opts})
+	sess := mustPeek(t, srv.Store(), "replica")
+	if snap, rev := snapState(sess); rev <= 5 {
+		t.Fatalf("restarted standby at rev %d over base %d, want past 5", rev, snap)
+	}
+	follower, err := NewStore(StoreOptions{RecalcWorkers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	rp := NewReplicator(follower, StandbyOptions{PrimaryURL: tc.base})
+	for cycle := 1; ; cycle++ {
+		if err := rp.cycle(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if s, err := follower.Peek("replica"); err == nil && s.Rev() > 5 {
+			break
+		}
+		if cycle == 2 {
+			t.Fatal("the follower is still at the standby's base after two cycles")
+		}
+	}
+	want := sess.Rev()
+	err = follower.View("replica", func(s *Session, eng *engine.Engine) error {
+		if v := eng.Value(ref.Ref{Col: 1, Row: 1}); s.rev != want || v != formula.Num(float64(10*want)) {
+			t.Errorf("follower A1 = %v at rev %d, want %d at rev %d", v, s.rev, 10*want, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

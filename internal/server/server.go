@@ -421,8 +421,8 @@ func (s *Server) handleCreateXLSX(w http.ResponseWriter, r *http.Request) {
 
 // sessionInfo snapshots a session's metadata under its read lock without
 // faulting a spilled session back in (a spilled session reports Rev and
-// Resident=false only) and without touching LRU state — listing and stats
-// reads must not reorder eviction.
+// Resident=false only) and without setting its visited bit — listing and
+// stats reads must not sway eviction.
 func sessionInfo(sess *Session) SessionInfo {
 	sess.mu.RLock()
 	defer sess.mu.RUnlock()
@@ -690,21 +690,8 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("range of %d cells exceeds limit %d", rng.Size(), s.opts.MaxRangeCells))
 		return
 	}
-	// ?wait=1 drains pending recalculation first — the read-your-writes
-	// barrier. Plain reads serve last-computed values immediately.
-	if q.Get("wait") == "1" {
-		if err := s.store.Wait(id); err != nil {
-			writeErr(w, errStatus(err), err)
-			return
-		}
-	}
-	// View, not Update: reads are side-effect-free, so a resident session
-	// answers under the read lock and never blocks behind (or triggers)
-	// recalculation. A spilled session is restored first — through the
-	// integrity-checked path, so a rotted spill file is quarantined, never
-	// served.
 	res := CellsResult{Cells: []CellOut{}}
-	err := s.store.View(id, func(sess *Session, eng *engine.Engine) error {
+	scan := func(sess *Session, eng *engine.Engine) error {
 		res.Rev = sess.rev
 		res.Pending = eng.Pending()
 		// Columnar scan: contiguous per-column slabs instead of a Peek map
@@ -717,7 +704,20 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 			return true
 		})
 		return nil
-	})
+	}
+	var err error
+	if q.Get("wait") == "1" {
+		// The read-your-writes barrier drains pending recalculation and scans
+		// inside its final hold, so the cells read are the settled ones.
+		err = s.store.waitView(id, scan)
+	} else {
+		// View, not Update: reads are side-effect-free, so a resident session
+		// answers under the read lock and never blocks behind (or triggers)
+		// recalculation; plain reads serve last-computed values. A spilled
+		// session is restored first — through the integrity-checked path, so
+		// a rotted spill file is quarantined, never served.
+		err = s.store.View(id, scan)
+	}
 	if err != nil {
 		writeErr(w, errStatus(err), err)
 		return

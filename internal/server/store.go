@@ -9,7 +9,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -41,8 +40,10 @@ type StoreOptions struct {
 	// individually.
 	Shards int
 	// MaxResident caps in-memory sessions across the store. When exceeded,
-	// the least recently used sessions are spilled to SpillDir as engine
-	// snapshots and restored lazily on next touch. 0 means unlimited.
+	// the store's SIEVE hand picks sessions not looked up since it last
+	// passed them and spills them to SpillDir (a base snapshot, or nothing
+	// where base + journal already hold the session), to be restored lazily
+	// on next touch. 0 means unlimited.
 	MaxResident int
 	// SpillDir is where evicted sessions are written. Required when
 	// MaxResident > 0.
@@ -113,7 +114,7 @@ func (o StoreOptions) withDefaults() StoreOptions {
 // detect missed updates cheaply. Its lifecycle — residency, what its files
 // hold, health — is the typed state of lifecycle.go, guarded by mu and
 // changed only by the transitions there; the rest is drain ownership, the
-// journal writer and the LRU's bookkeeping.
+// journal writer and the eviction ring's bookkeeping.
 type Session struct {
 	// ID is the server-assigned session identifier.
 	ID string
@@ -127,13 +128,13 @@ type Session struct {
 	// can distinguish settled values from in-flight ones.
 	pending int
 
-	// The lifecycle parts (lifecycle.go). eng is set only while resident and
-	// elem, the LRU position (also guarded by shard.mu), with it; graph pins
-	// the compressed graph across a spill, so a restore skips its decode (nil
-	// until a boot-recovered or forked session is first restored).
+	// The lifecycle parts (lifecycle.go). eng is set only while resident, and
+	// with it the session's links in the store's eviction ring (newer, older,
+	// guarded by the ring's mu); graph pins the compressed graph across a
+	// spill, so a restore skips its decode (nil until a boot-recovered or
+	// forked session is first restored).
 	res    residency
 	eng    *engine.Engine
-	elem   *list.Element
 	graph  *core.Graph
 	disk   diskState
 	health health
@@ -152,14 +153,13 @@ type Session struct {
 	// journaled edit of a durable store (guarded by mu).
 	jw *journal.Writer
 
-	shard *shard
-	// tick is the store-wide logical time of the last touch; eviction picks
-	// the resident session with the smallest tick across shard tails.
-	tick atomic.Uint64
-	// unevictable mirrors health's broken spill path for coldest, which
-	// reads it without mu: set when a base write fails, cleared when the
-	// repairer lands one (or the session is deleted).
-	unevictable atomic.Bool
+	// ring is the store's eviction ring; newer and older link the session
+	// into it while it is resident.
+	ring         *ring
+	newer, older *Session
+	// visited is SIEVE's bit: every lookup sets it, and entering the ring
+	// and the hand passing over the session clear it.
+	visited atomic.Bool
 }
 
 // Rev returns the session's revision counter.
@@ -186,17 +186,73 @@ func (s *Session) Resident() bool {
 type shard struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
-	lru      *list.List // resident sessions; front = most recently used
-	resident int
+}
+
+// ring is the store's eviction order, SIEVE (Zhang et al., "SIEVE is Simpler
+// than LRU", NSDI 2024): the resident sessions in the order they entered,
+// newest at the head, and a hand that walks from the tail toward the head
+// and wraps around. A lookup only sets the session's visited bit, so a hit
+// moves nothing and takes no lock here; the hand clears the bits it passes
+// and stops at the first unvisited session it can claim. Lock order: a
+// session's mu, then mu; coldest, which holds mu, only TryLocks sessions.
+type ring struct {
+	mu         sync.Mutex
+	head, tail *Session
+	hand       *Session // the next session the walk looks at; nil: the tail
+	n          int
+}
+
+// push links s in at the head.
+func (r *ring) push(s *Session) {
+	r.mu.Lock()
+	s.newer, s.older = nil, r.head
+	if r.head != nil {
+		r.head.newer = s
+	} else {
+		r.tail = s
+	}
+	r.head = s
+	r.n++
+	r.mu.Unlock()
+}
+
+// remove unlinks s; a hand pointing at it first moves one step toward the
+// head.
+func (r *ring) remove(s *Session) {
+	r.mu.Lock()
+	if r.hand == s {
+		r.hand = s.newer
+	}
+	if s.newer != nil {
+		s.newer.older = s.older
+	} else {
+		r.head = s.older
+	}
+	if s.older != nil {
+		s.older.newer = s.newer
+	} else {
+		r.tail = s.newer
+	}
+	s.newer, s.older = nil, nil
+	r.n--
+	r.mu.Unlock()
+}
+
+func (r *ring) len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
 }
 
 // Store is the sharded session store. Sessions are hash-sharded by ID; each
-// shard has its own index lock and LRU list, and each session its own
-// RWMutex, so requests for different sessions never serialise on shared
-// state beyond the brief index lookup.
+// shard has its own index lock, each session its own RWMutex, and the
+// resident sessions one store-wide eviction ring that a lookup never locks,
+// so requests for different sessions never serialise on shared state beyond
+// the brief index lookup.
 type Store struct {
 	opts   StoreOptions
 	shards []*shard
+	ring   ring
 
 	// recalc is the store-owned background recalculation queue: sessions
 	// with pending dirty cells, drained by the worker pool in bounded
@@ -242,7 +298,6 @@ type Store struct {
 	// Promotion flips it off (replication.go).
 	readOnly atomic.Bool
 
-	clock       atomic.Uint64
 	hits        atomic.Uint64
 	misses      atomic.Uint64
 	evictions   atomic.Uint64
@@ -273,7 +328,7 @@ func NewStore(opts StoreOptions) (*Store, error) {
 	st := &Store{opts: opts, shards: make([]*shard, opts.Shards), stop: make(chan struct{})}
 	st.refs = make(map[string]int)
 	for i := range st.shards {
-		st.shards[i] = &shard{sessions: make(map[string]*Session), lru: list.New()}
+		st.shards[i] = &shard{sessions: make(map[string]*Session)}
 	}
 	if opts.Durable {
 		if err := st.openDurability(); err != nil {
@@ -419,29 +474,46 @@ func (s *Session) sleepLocked() {
 // session whose base is current, or an already-clean one, is a no-op — a
 // base write drains first — which keeps barriers from faulting cold
 // sessions back in and evicting warm ones.
-func (st *Store) Wait(id string) error {
+func (st *Store) Wait(id string) error { return st.waitView(id, nil) }
+
+// waitView is Wait that, with fn set, also reads the settled session: fn
+// runs on its engine inside the barrier's final hold, so no eviction can
+// come between the barrier and the read and leave a replayed tail dirty
+// again. The ?wait=1 reads use it.
+//
+// The barrier registers as a waiter before it faults a session in, and
+// coldest passes over a session with waiters, so the overflow a restore
+// triggers cannot spill the session between its fault-in and its drain.
+func (st *Store) waitView(id string, fn func(*Session, *engine.Engine) error) error {
 	s, err := st.lookup(id)
 	if err != nil {
 		return err
 	}
-	s.mu.RLock()
+	s.mu.Lock()
 	// A non-resident session with a journal tail above its base is NOT
 	// settled: eviction dropped residency without draining, and restore
 	// re-dirties every replayed edit — the barrier faults it in to drain.
 	tail := (s.res == spilled || s.res == quarantined) && s.rev != s.disk.rev
 	settled := s.res != deleted && !tail && (s.res != resident || s.pending == 0)
-	s.mu.RUnlock()
-	if settled {
+	if settled && fn == nil {
+		s.mu.Unlock()
 		return nil
 	}
-	if tail {
-		if err := st.withResident(s, false, func(*engine.Engine) error { return nil }); err != nil {
+	s.waiters++
+	defer func() {
+		if s.waiters--; s.waiters == 0 {
+			s.drained.Broadcast() // lift the write fence
+		}
+		s.mu.Unlock()
+	}()
+	if s.res != resident && s.res != deleted {
+		s.mu.Unlock()
+		err := st.withResident(s, false, func(*engine.Engine) error { return nil })
+		s.mu.Lock()
+		if err != nil {
 			return err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.waiters++
 	for s.res == resident && s.eng.Pending() > 0 {
 		if s.draining {
 			s.sleepLocked()
@@ -452,11 +524,11 @@ func (st *Store) Wait(id string) error {
 		st.drainChunk(s, false)
 		s.mu.Lock()
 	}
-	if s.waiters--; s.waiters == 0 {
-		s.drained.Broadcast() // lift the write fence
-	}
 	if s.res == deleted {
 		return ErrSessionDeleted
+	}
+	if fn != nil {
+		return fn(s, s.eng)
 	}
 	return nil
 }
@@ -487,8 +559,7 @@ func (st *Store) Create(name string, eng *engine.Engine) *Session {
 // is taken.
 func (st *Store) register(s *Session) error {
 	sh := st.shardFor(s.ID)
-	s.shard = sh
-	s.tick.Store(st.clock.Add(1))
+	s.ring = &st.ring
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, dup := sh.sessions[s.ID]; dup {
@@ -565,8 +636,8 @@ func (st *Store) Update(id string, bumpRev bool, fn func(*Session, *engine.Engin
 	return st.withResident(s, false, func(eng *engine.Engine) error { return fn(s, eng) })
 }
 
-// Peek finds a session without touching its LRU position or miss/hit
-// counters — for metadata reads that must not influence eviction.
+// Peek finds a session without setting its visited bit or touching the
+// miss/hit counters — for metadata reads that must not influence eviction.
 func (st *Store) Peek(id string) (*Session, error) {
 	sh := st.shardFor(id)
 	sh.mu.Lock()
@@ -578,22 +649,20 @@ func (st *Store) Peek(id string) (*Session, error) {
 	return s, nil
 }
 
-// lookup finds the session and touches its LRU position.
+// lookup finds the session and sets its visited bit, which spares it the
+// eviction hand's next pass. It moves nothing and takes no ring lock.
 func (st *Store) lookup(id string) (*Session, error) {
 	sh := st.shardFor(id)
 	sh.mu.Lock()
 	s := sh.sessions[id]
-	if s != nil {
-		s.tick.Store(st.clock.Add(1))
-		if s.elem != nil {
-			sh.lru.MoveToFront(s.elem)
-		}
-	}
 	sh.mu.Unlock()
 	if s == nil {
 		st.misses.Add(1)
 		mLookupMisses.Inc()
 		return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, id)
+	}
+	if !s.visited.Load() {
+		s.visited.Store(true)
 	}
 	st.hits.Add(1)
 	mLookupHits.Inc()
@@ -709,14 +778,14 @@ func (st *Store) spillPath(id string) string {
 	return filepath.Join(st.opts.SpillDir, id+".tacos")
 }
 
-// evictOverflow spills least-recently-used sessions until the resident count
+// evictOverflow spills the sessions coldest picks until the resident count
 // is back under MaxResident. Called only while the caller holds no session
 // lock.
 func (st *Store) evictOverflow() {
 	if st.opts.MaxResident <= 0 {
 		return
 	}
-	for st.residentCount()-int(st.spilling.Load()) > st.opts.MaxResident {
+	for st.ring.len()-int(st.spilling.Load()) > st.opts.MaxResident {
 		victim := st.coldest()
 		if victim == nil {
 			return
@@ -725,37 +794,47 @@ func (st *Store) evictOverflow() {
 	}
 }
 
-// coldest claims the oldest-ticked evictable session among the shard LRU
-// tails, passing over sessions locked elsewhere (in use, or mid-spill): it
-// returns it locked and counted in spilling, or nil. TryLock never waits, so
-// holding the best candidate while scanning on cannot deadlock.
+// coldest claims the eviction victim: the ring's hand walks from where it
+// stopped toward the head, wrapping at it, and clears the visited bit of
+// each session it passes. It passes over a visited session, one locked
+// elsewhere (in use, or mid-spill), one whose base write failed and one
+// with a Wait barrier registered, which must find the session resident
+// when it settles. The first session left is the victim, returned locked
+// and counted in spilling, and the hand stays at the session after it. The
+// walk gives up, returning nil, after twice the ring's length. TryLock never
+// waits, so holding the ring's lock meanwhile cannot deadlock.
 func (st *Store) coldest() *Session {
-	var victim *Session
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Back(); el != nil; el = el.Prev() {
-			s := el.Value.(*Session)
-			if !s.mu.TryLock() {
-				continue
-			}
-			if s.unevictable.Load() {
-				s.mu.Unlock()
-				continue
-			}
-			if victim == nil || s.tick.Load() < victim.tick.Load() {
-				s, victim = victim, s
-			}
-			if s != nil {
-				s.mu.Unlock()
-			}
-			break
+	r := &st.ring
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := 0; i < 2*r.n; i++ {
+		s := r.hand
+		if s == nil {
+			s = r.tail
 		}
-		sh.mu.Unlock()
-	}
-	if victim != nil {
+		r.hand = s.newer
+		if s.visited.Load() {
+			s.visited.Store(false)
+			continue
+		}
+		if !s.mu.TryLock() {
+			continue
+		}
+		if !s.evictableLocked() {
+			s.mu.Unlock()
+			continue
+		}
 		st.spilling.Add(1)
+		return s
 	}
-	return victim
+	return nil
+}
+
+// evictableLocked reports whether coldest may claim the resident session:
+// its base writes work and no Wait barrier is registered. Called with s.mu
+// held.
+func (s *Session) evictableLocked() bool {
+	return s.health.broken&brokenSpill == 0 && s.waiters == 0
 }
 
 // bufPool recycles spill serialisation buffers; brPool recycles sized read
@@ -848,16 +927,6 @@ func (st *Store) readSpill(path string, pinned *core.Graph) (*engine.Engine, err
 	return engine.RestoreSnapshot(br)
 }
 
-func (st *Store) residentCount() int {
-	n := 0
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		n += sh.resident
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // StoreStats is the store-wide health snapshot served by GET /stats.
 type StoreStats struct {
 	Sessions  int    `json:"sessions"`
@@ -905,13 +974,12 @@ type StoreStats struct {
 // Stats summarises the store.
 func (st *Store) Stats() StoreStats {
 	total := 0
-	resident := 0
 	for _, sh := range st.shards {
 		sh.mu.Lock()
 		total += len(sh.sessions)
-		resident += sh.resident
 		sh.mu.Unlock()
 	}
+	resident := st.ring.len()
 	st.rq.mu.Lock()
 	queued := len(st.rq.queue)
 	st.rq.mu.Unlock()

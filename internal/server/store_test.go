@@ -3,15 +3,19 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"taco/internal/engine"
+	"taco/internal/ref"
 )
 
 // TestEvictionRestoreEquivalence is the acceptance check: a session spilled
@@ -39,16 +43,13 @@ func TestEvictionRestoreEquivalence(t *testing.T) {
 		t.Fatalf("empty baseline: %d cells, dep %+v", len(beforeCells), beforeDep)
 	}
 
-	// Push the victim out with newer sessions.
-	for i := 0; i < 4; i++ {
-		tc.do("POST", "/sessions", CreateRequest{Scenario: "inventory", Rows: 20, Seed: int64(i)}, nil)
-	}
+	evictNow(t, srv.Store(), victim.ID)
 	sess, err := srv.Store().lookup(victim.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sess.Resident() {
-		t.Fatal("victim still resident after overflow")
+		t.Fatal("victim still resident after its eviction")
 	}
 	if _, err := os.Stat(filepath.Join(spill, victim.ID+".tacos")); err != nil {
 		t.Fatalf("spill file: %v", err)
@@ -84,6 +85,95 @@ func TestEvictionRestoreEquivalence(t *testing.T) {
 	}
 	if st.Resident > 2 {
 		t.Fatalf("resident = %d exceeds cap", st.Resident)
+	}
+}
+
+// TestEvictionKeepsHotSessions pins what the eviction order buys as a
+// count: lookups on a seeded Zipf(0.9) choice among 64 small sessions, with
+// room for 16, from one goroutine. SIEVE keeps at least 58 % of them
+// resident; LRU, which it replaced, keeps about 53 % on this trace.
+func TestEvictionKeepsHotSessions(t *testing.T) {
+	st, err := NewStore(StoreOptions{MaxResident: 16, RecalcWorkers: -1, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ids := make([]string, 64)
+	for i := range ids {
+		ids[i] = st.Create("", oneCell(float64(i))).ID
+	}
+	// Zipf(0.9) by its inverse CDF: math/rand's Zipf needs s > 1.
+	cdf := make([]float64, len(ids))
+	sum := 0.0
+	for i := range cdf {
+		sum += math.Pow(float64(i+1), -0.9)
+		cdf[i] = sum
+	}
+	rng := rand.New(rand.NewSource(7))
+	const lookups = 5000
+	restores := st.Stats().Restores
+	for i := 0; i < lookups; i++ {
+		k := sort.SearchFloat64s(cdf, rng.Float64()*sum)
+		err := st.View(ids[k], func(_ *Session, eng *engine.Engine) error {
+			if v := eng.Value(ref.Ref{Col: 1, Row: 1}); v.Num != float64(k) {
+				return fmt.Errorf("session %d reads A1 = %v", k, v)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit := 1 - float64(st.Stats().Restores-restores)/lookups
+	t.Logf("resident hit ratio %.4f", hit)
+	if hit < 0.58 {
+		t.Fatalf("resident hit ratio %.4f, want at least 0.58", hit)
+	}
+}
+
+// TestWaitHoldsTheSessionItFaultsIn: a barrier on a spilled session with a
+// value tail faults it in, and the overflow that restore triggers must not
+// spill it again before the barrier has drained it — else Wait returns with
+// the tail's dependents still dirty, and the next read restores them dirty.
+// b's lock is held across the barrier, so the overflow can claim only a.
+func TestWaitHoldsTheSessionItFaultsIn(t *testing.T) {
+	st, err := NewStore(tailStoreOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	a := st.Create("a", engine.New(nil)).ID
+	applyJournaled(t, st, a, []EditOp{{Cell: "A1", Value: num(1)}, {Cell: "B1", Formula: str("A1*2")}})
+	evictNow(t, st, a) // a base at rev 1
+	b := st.Create("b", engine.New(nil)).ID
+	evictNow(t, st, b)
+	applyJournaled(t, st, a, valueEdit("A1", 5)) // rev 2; B1 pending, no workers
+	evictNow(t, st, a)                           // a one-record value tail, nothing drained
+	if snap, rev := snapState(mustPeek(t, st, a)); snap != 1 || rev != 2 {
+		t.Fatalf("a spilled at base %d rev %d, want base 1 rev 2", snap, rev)
+	}
+	if err := st.View(b, func(*Session, *engine.Engine) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	sb := mustPeek(t, st, b)
+	sb.mu.Lock()
+	err = st.Wait(a)
+	sb.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.View(a, func(s *Session, eng *engine.Engine) error {
+		if s.pending != 0 || eng.Pending() != 0 {
+			t.Errorf("%d cells pending (engine: %d) right after the barrier", s.pending, eng.Pending())
+		}
+		if v := eng.Value(ref.Ref{Col: 2, Row: 1}); v.Num != 10 {
+			t.Errorf("B1 = %v after the barrier, want 10", v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -123,6 +123,9 @@ func TestRaceStress(t *testing.T) {
 	if st.Resident > 3 {
 		t.Fatalf("resident = %d exceeds cap", st.Resident)
 	}
+	if v := ringViolation(store); v != "" {
+		t.Fatalf("eviction ring after stress: %s", v)
+	}
 	if st.Evictions == 0 || st.Restores == 0 {
 		t.Fatalf("stress produced no spill traffic: %+v", st)
 	}

@@ -125,7 +125,8 @@ func TestTailEvictionWritesNothingRoundTrip(t *testing.T) {
 	batches := [][]EditOp{sheetBatch(16)}
 	a := st1.Create("a", engine.New(nil)).ID
 	applyJournaled(t, st1, a, batches[0])
-	b := st1.Create("b", engine.New(nil)).ID // evicts a: its first full base
+	evictNow(t, st1, a) // its first full base
+	b := st1.Create("b", engine.New(nil)).ID
 	applyJournaled(t, st1, b, sheetBatch(16))
 	sa, _ := st1.Peek(a)
 	if sa.Resident() {
@@ -137,22 +138,27 @@ func TestTailEvictionWritesNothingRoundTrip(t *testing.T) {
 	if n := fileSize(t, st1.journalPath(a)); n != int64(len(journal.JournalMagic)) {
 		t.Fatalf("journal holds %d bytes after the base write, want the bare header", n)
 	}
-	st1.View(a, func(*Session, *engine.Engine) error { return nil }) // evicts b: its first full base
+	evictNow(t, st1, b) // its first full base
+	st1.View(a, func(*Session, *engine.Engine) error { return nil })
 
-	// Alternating value-only touches: each edit of a faults it in and evicts
-	// b, each edit of b evicts a — every victim's tail is value batches.
+	// Alternating value-only touches, one session resident at a time: b is
+	// evicted before each edit of a faults a in, and a before each edit of
+	// b — every victim's tail is value batches.
 	spilled, tailEvictions := mSpillBytes.Value(), mDeltaWrites.Value()
 	for round := 1; round <= 3; round++ {
 		batch := valueEdit("A1", float64(1000*round))
 		batches = append(batches, batch)
+		if round > 1 {
+			evictNow(t, st1, b)
+		}
 		applyJournaled(t, st1, a, batch)
+		evictNow(t, st1, a)
 		applyJournaled(t, st1, b, valueEdit("A1", float64(round)))
 	}
 	if got := mSpillBytes.Value() - spilled; got != 0 {
 		t.Fatalf("value-only evictions wrote %d snapshot bytes, want 0", got)
 	}
-	// Six evictions: b's first finds its base current (a snapshot skip), the
-	// other five leave a journal tail behind.
+	// Five evictions, each leaving a journal tail behind.
 	if got := mDeltaWrites.Value() - tailEvictions; got != 5 {
 		t.Fatalf("write-nothing tail evictions = %d, want 5", got)
 	}
@@ -248,12 +254,15 @@ func TestTailCapsForceOneFullWrite(t *testing.T) {
 			defer st.Close()
 			a := st.Create("a", engine.New(nil)).ID
 			applyJournaled(t, st, a, sheetBatch(tc.rows))
-			b := st.Create("b", engine.New(nil)).ID // a: full base
+			evictNow(t, st, a) // a: full base
+			b := st.Create("b", engine.New(nil)).ID
 			sa, _ := st.Peek(a)
 
-			tc.grow(t, st, a) // faults a in (evicting b), then grows its tail past a cap
+			evictNow(t, st, b)
+			tc.grow(t, st, a) // faults a in, then grows its tail past a cap
 			spilled, compactions := mSpillBytes.Value(), mDeltaCompactions.Value()
-			applyJournaled(t, st, b, valueEdit("A1", 1)) // evicts a
+			evictNow(t, st, a)
+			applyJournaled(t, st, b, valueEdit("A1", 1))
 			if mSpillBytes.Value() == spilled {
 				t.Fatal("eviction past the cap wrote no base")
 			}
@@ -272,9 +281,11 @@ func TestTailCapsForceOneFullWrite(t *testing.T) {
 			}
 
 			// Back under the caps: the next value-only eviction writes nothing.
+			evictNow(t, st, b)
 			applyJournaled(t, st, a, valueEdit("A3", 7))
 			spilled = mSpillBytes.Value()
-			applyJournaled(t, st, b, valueEdit("A1", 2)) // evicts a
+			evictNow(t, st, a)
+			applyJournaled(t, st, b, valueEdit("A1", 2))
 			if got := mSpillBytes.Value() - spilled; got != 0 {
 				t.Fatalf("eviction under the caps wrote %d bytes, want 0", got)
 			}
@@ -318,9 +329,12 @@ func TestForkSharesBaseWithoutFaultIn(t *testing.T) {
 	defer st.Close()
 	a := st.Create("a", engine.New(nil)).ID
 	applyJournaled(t, st, a, sheetBatch(400))
-	b := st.Create("b", engine.New(nil)).ID // evicts a: full base
+	evictNow(t, st, a) // a full base
+	b := st.Create("b", engine.New(nil)).ID
+	evictNow(t, st, b)
 	applyJournaled(t, st, a, valueEdit("A1", 41))
-	applyJournaled(t, st, b, valueEdit("A1", 1)) // evicts a with a one-record tail
+	evictNow(t, st, a) // a one-record tail
+	applyJournaled(t, st, b, valueEdit("A1", 1))
 	sa, _ := st.Peek(a)
 	if snap, rev := snapState(sa); sa.Resident() || rev != snap+1 {
 		t.Fatalf("parent resident=%t snapRev=%d rev=%d, want spilled with a one-record tail", sa.Resident(), snap, rev)
@@ -424,8 +438,8 @@ func TestForkSurvivesParentCompactionAndDelete(t *testing.T) {
 	defer st.Close()
 	a := st.Create("a", engine.New(nil)).ID
 	applyJournaled(t, st, a, sheetBatch(16))
-	st.Create("b", engine.New(nil)) // evicts a: full base
-	// A tail on the (now resident) parent that a pinned graph could not
+	evictNow(t, st, a) // a full base
+	// A tail on the parent, faulted back in, that a pinned graph could not
 	// replay: the child pins none, so the fork still copies it.
 	applyJournaled(t, st, a, valueEdit("A1", 555))
 	applyJournaled(t, st, a, []EditOp{{Cell: "C1", Formula: str("A1*2")}})
@@ -444,7 +458,7 @@ func TestForkSurvivesParentCompactionAndDelete(t *testing.T) {
 
 	// Parent compaction: its structural tail forces a full write at eviction,
 	// cutting it loose from the frozen base, which must outlive that.
-	st.Create("c", engine.New(nil)) // evicts a
+	evictNow(t, st, a)
 	if snap, rev := snapState(mustPeek(t, st, a)); snap != rev {
 		t.Fatalf("parent snapRev %d != rev %d, want a fresh base of its own", snap, rev)
 	}
@@ -489,6 +503,24 @@ func mustPeek(t *testing.T, st *Store, id string) *Session {
 	return s
 }
 
+// evictNow spills session id the way an overflow does — claimed locked and
+// counted in spilling, as coldest claims a victim, then through st.spill —
+// whichever session the eviction order would pick. It stands in for
+// pushing a session out by touching others where the order is not the
+// test's subject.
+func evictNow(t *testing.T, st *Store, id string) {
+	t.Helper()
+	s := mustPeek(t, st, id)
+	s.mu.Lock()
+	if s.res != resident || !s.evictableLocked() {
+		code := lifeCode(s)
+		s.mu.Unlock()
+		t.Fatalf("session %s (%s) is not evictable", id, code)
+	}
+	st.spilling.Add(1)
+	st.spill(s)
+}
+
 // TestShortJournalQuarantines: on a live store the session's revision is
 // known, so a journal whose valid prefix ends short of it — a bit flip in a
 // mid-tail record — fails the restore with ErrSnapshotCorrupt, renames the
@@ -503,11 +535,14 @@ func TestShortJournalQuarantines(t *testing.T) {
 	defer st.Close()
 	a := st.Create("a", engine.New(nil)).ID
 	applyJournaled(t, st, a, sheetBatch(16))
-	b := st.Create("b", engine.New(nil)).ID // evicts a: full base
+	evictNow(t, st, a) // a full base
+	b := st.Create("b", engine.New(nil)).ID
+	evictNow(t, st, b)
 	for i := 1; i <= 3; i++ {
 		applyJournaled(t, st, a, valueEdit("A1", float64(40+i)))
 	}
-	applyJournaled(t, st, b, valueEdit("A1", 1)) // evicts a: three-record tail, nothing written
+	evictNow(t, st, a) // a three-record tail, nothing written
+	applyJournaled(t, st, b, valueEdit("A1", 1))
 	if s := mustPeek(t, st, a); s.Resident() {
 		t.Fatal("a still resident")
 	}
@@ -542,9 +577,10 @@ func TestShortJournalQuarantines(t *testing.T) {
 }
 
 // TestStandbyFailedAppendForcesFullBase: a shipped record whose local journal
-// append fails still applies on the standby, but leaves a hole the journal
-// cannot replay — so the next eviction must write a full base instead of
-// trusting base + journal, and the restore after it serves the shipped value.
+// append fails still applies on the standby, but the journal does not hold
+// it, and the session degrades — so the next eviction must write a full base
+// instead of trusting base + journal, and the restore after it serves the
+// shipped value.
 func TestStandbyFailedAppendForcesFullBase(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewStore(tailStoreOpts(dir))
@@ -568,7 +604,7 @@ func TestStandbyFailedAppendForcesFullBase(t *testing.T) {
 	faultfs.Clear()
 
 	spilled := mSpillBytes.Value()
-	st.Create("other", engine.New(nil)) // evicts the replica
+	evictNow(t, st, "replica")
 	if s := mustPeek(t, st, "replica"); s.Resident() {
 		t.Fatal("replica still resident")
 	}
@@ -711,7 +747,9 @@ func TestMissingJournalIsEmptyTail(t *testing.T) {
 	st := srv.Store()
 	a := st.Create("a", engine.New(nil)).ID
 	applyJournaled(t, st, a, sheetBatch(16))
-	b := st.Create("b", engine.New(nil)).ID // evicts a: full base
+	evictNow(t, st, a) // a full base
+	b := st.Create("b", engine.New(nil)).ID
+	evictNow(t, st, b)
 	applyJournaled(t, st, a, valueEdit("A1", 41))
 	if err := os.Remove(st.journalPath(a)); err != nil {
 		t.Fatal(err)
@@ -762,11 +800,12 @@ func TestMissingJournalIsEmptyTail(t *testing.T) {
 
 // TestForkCopiesTheShippedTail: a fork and the replication endpoint read a
 // session's tail through one function, so the child's journal is byte for
-// byte the endpoint's body from the base. Once a failed local append on a
-// durable standby leaves a hole, neither ships the records past it: the
+// byte the endpoint's body from the base. Once a shipped gap leaves a hole
+// in a durable standby's journal, neither ships the records past it: the
 // endpoint answers 409, so a replicator following it re-bases from the
 // snapshot, and a fork writes a base instead of copying a tail that is not
-// a run.
+// a run. (A failed local append leaves no hole: it degrades the standby's
+// session, TestStandbyFailedAppendDegrades.)
 func TestForkCopiesTheShippedTail(t *testing.T) {
 	dir := t.TempDir()
 	srv, tc := newTestServer(t, Options{Store: tailStoreOpts(dir)})
@@ -801,14 +840,7 @@ func TestForkCopiesTheShippedTail(t *testing.T) {
 		t.Fatalf("copied tail revs %v, want [6 7]", got)
 	}
 
-	func() {
-		defer faultfs.Inject(faultfs.Rule{
-			Op: faultfs.OpWrite, PathContains: "replica" + journalSuffix,
-			Fault: faultfs.Fault{Err: syscall.ENOSPC},
-		})()
-		apply(8, 80)
-	}()
-	apply(9, 90)
+	apply(9, 90) // rev 8 never ships
 	for _, from := range []uint64{5, 7} {
 		resp = getJournal(srv, "replica", from)
 		if resp.Code != http.StatusConflict || resp.Header().Get("X-Snapshot-Rev") == "" {

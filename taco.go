@@ -125,7 +125,7 @@ type SafeGraph = core.SafeGraph
 type (
 	// Server is the multi-tenant spreadsheet HTTP service: many concurrent
 	// workbook sessions, each backed by an Engine over a TACO graph, behind
-	// a sharded session store with LRU spill-to-disk. It implements
+	// a sharded session store with SIEVE-evicted spill-to-disk. It implements
 	// http.Handler; run it standalone with cmd/tacoserve.
 	Server = server.Server
 	// ServerOptions configures a Server.
