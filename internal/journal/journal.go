@@ -384,6 +384,12 @@ func AppendRecord(dst []byte, rev uint64, payload []byte) []byte {
 	return append(dst, cb[:]...)
 }
 
+// scanReaders recycles Scan's 64 KiB read buffers: every restore's replay,
+// replication poll and fork tail copy scans a log, and each would otherwise
+// allocate a fresh buffer for the GC to reclaim. A pooled reader holds no
+// source (Reset(nil)), so it pins no file.
+var scanReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 // Scan decodes the valid prefix of a log, invoking fn (when non-nil) per
 // record with the rev and payload. It is the only decoder of the framing:
 // recovery, the registry, replication and fork tail copies all read
@@ -396,32 +402,31 @@ func AppendRecord(dst []byte, rev uint64, payload []byte) []byte {
 func Scan(r io.Reader, magic []byte, fn func(rev uint64, payload []byte) error) (head uint64, valid int64, err error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
-		br = bufio.NewReaderSize(r, 64<<10)
+		br = scanReaders.Get().(*bufio.Reader)
+		br.Reset(r)
+		defer func() { br.Reset(nil); scanReaders.Put(br) }()
 	}
-	var hdr [8]byte
-	m := hdr[:len(magic)]
-	if _, err := io.ReadFull(br, m); err != nil || !bytes.Equal(m, magic) {
+	if m, err := br.Peek(len(magic)); err != nil || !bytes.Equal(m, magic) {
 		return 0, 0, nil
 	}
+	br.Discard(len(magic)) // cannot fail: Peek buffered these bytes
 	valid = int64(len(magic))
-	var body []byte
+	var body []byte // a record's body and its CRC, read in one piece
 	for {
 		n, err := binary.ReadUvarint(br)
 		if err != nil || n == 0 || n > MaxRecordBytes {
 			return head, valid, nil
 		}
-		if uint64(cap(body)) < n {
-			body = make([]byte, n)
+		if uint64(cap(body)) < n+4 {
+			body = make([]byte, n+4)
 		}
-		body = body[:n]
+		body = body[:n+4]
 		if _, err := io.ReadFull(br, body); err != nil {
 			return head, valid, nil
 		}
-		var cb [4]byte
-		if _, err := io.ReadFull(br, cb[:]); err != nil {
-			return head, valid, nil
-		}
-		if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(cb[:]) {
+		sum := binary.LittleEndian.Uint32(body[n:])
+		body = body[:n]
+		if crc32.Checksum(body, crcTable) != sum {
 			return head, valid, nil
 		}
 		rev, rn := binary.Uvarint(body)

@@ -388,3 +388,27 @@ func FuzzJournalDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestScanPoolsItsReader: a scan over a reader that is not a *bufio.Reader
+// borrows its 64 KiB buffer from the pool, so it allocates only the record
+// body it decodes into.
+func TestScanPoolsItsReader(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	log := append([]byte(nil), JournalMagic...)
+	for rev := uint64(1); rev <= 8; rev++ {
+		log = AppendRecord(log, rev, []byte("payload"))
+	}
+	rd := bytes.NewReader(log)
+	count := func(uint64, []byte) error { return nil }
+	allocs := testing.AllocsPerRun(50, func() {
+		rd.Reset(log)
+		if head, _, err := Scan(rd, JournalMagic, count); err != nil || head != 8 {
+			t.Fatalf("scan: head %d, err %v", head, err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("Scan allocates %.0f times a call, want at most 1 (the record body)", allocs)
+	}
+}

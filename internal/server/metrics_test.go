@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"maps"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"taco/internal/telemetry"
@@ -38,6 +40,9 @@ func scrapeMetrics(t *testing.T, tc *testClient) (*telemetry.Scrape, string) {
 	return s, string(body)
 }
 
+// metricsRuns numbers TestMetricsEndToEnd's runs in this process.
+var metricsRuns atomic.Int64
+
 // TestMetricsEndToEnd drives edits, reads, and a flush through the HTTP API
 // and asserts /metrics exposes lint-clean families from every layer of the
 // stack with activity recorded. Counters are process-global, so assertions
@@ -54,10 +59,14 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if code := tc.do("POST", "/sessions", CreateRequest{Name: "m"}, &info); code != http.StatusCreated {
 		t.Fatalf("create = %d", code)
 	}
+	// A formula text no earlier run in this process interned, so the parse
+	// cache misses under -count=N too; emptying the process-wide table
+	// instead would disturb the tests running beside this one.
+	fresh := fmt.Sprintf("=A2+A1+%d", 1_000_000+metricsRuns.Add(1))
 	edits := EditBatch{Edits: []EditOp{
 		{Cell: "A1", Value: num(2)},
 		{Cell: "A2", Formula: str("=A1*3")},
-		{Cell: "A3", Formula: str("=A2+A1")},
+		{Cell: "A3", Formula: &fresh},
 	}}
 	var er EditResult
 	if code := tc.do("POST", "/sessions/"+info.ID+"/edits", edits, &er); code != http.StatusOK {

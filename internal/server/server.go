@@ -476,11 +476,16 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	var batch EditBatch
-	// The same byte cap as uploads: json.Decoder buffers strings in full,
-	// so an unbounded body would sidestep every other per-request limit.
+	// The same byte cap as uploads: the body is read whole before it is
+	// decoded, so an unbounded one would sidestep every other per-request
+	// limit.
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
+	body, err := readBody(r)
+	var batch EditBatch
+	if err == nil {
+		batch, err = decodeBatch(body)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode batch: %w", err))
 		return
 	}
@@ -524,7 +529,7 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		}
 		res.Pending = 0
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeWire(w, res, appendEditResult)
 }
 
 // handleFlush is the explicit read-your-writes barrier: it returns once the
@@ -540,7 +545,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, FlushResult{Rev: sess.Rev()})
+	writeWire(w, FlushResult{Rev: sess.Rev()}, appendFlushResult)
 }
 
 type parsedOp struct {
@@ -722,7 +727,7 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeWire(w, res, appendCellsResult)
 }
 
 func cellOut(at ref.Ref, v formula.Value, src string, pending bool) CellOut {
@@ -783,7 +788,7 @@ func (s *Server) handleQuery(dependents bool) http.HandlerFunc {
 			writeErr(w, errStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		writeWire(w, res, appendQueryResult)
 	}
 }
 

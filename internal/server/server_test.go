@@ -443,3 +443,33 @@ func TestListAndStoreStats(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// TestEditBatchTrailingData: a body that holds a batch and more after it is
+// refused whole, on the hand path and on json.Unmarshal's alike; before,
+// the decoder stopped at the first batch and dropped the second silently.
+func TestEditBatchTrailingData(t *testing.T) {
+	_, tc := newTestServer(t, Options{})
+	var info SessionInfo
+	tc.do("POST", "/sessions", CreateRequest{}, &info)
+	for _, body := range []string{
+		`{"edits":[{"cell":"A1","value":1}]}{"edits":[{"cell":"A2","value":2}]}`,
+		`{"Edits":[{"cell":"A1","value":1}]} {"edits":[{"cell":"A2","value":2}]}`,
+		`{"edits":[{"cell":"A1","value":1}]} x`,
+	} {
+		resp, err := tc.c.Post(tc.base+"/sessions/"+info.ID+"/edits", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(eb.Error, "decode batch: ") {
+			t.Errorf("%s: status %d, error %q; want 400 decode batch: ...", body, resp.StatusCode, eb.Error)
+		}
+	}
+	var got SessionInfo
+	tc.do("GET", "/sessions/"+info.ID, nil, &got)
+	if got.Rev != 0 || got.Cells != 0 {
+		t.Errorf("after refused batches: rev %d, %d cells; want nothing applied", got.Rev, got.Cells)
+	}
+}
