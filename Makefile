@@ -154,7 +154,6 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGraphSequence$$' -fuzztime=15s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzStoreLifecycle$$' -fuzztime=15s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime=15s
-	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime=15s
 
 # Local mirror of CI's perf-regression gate: measure the server now, compare
 # against the checked-in baseline and fail on a >25% regression (edits/s,

@@ -384,11 +384,25 @@ func AppendRecord(dst []byte, rev uint64, payload []byte) []byte {
 	return append(dst, cb[:]...)
 }
 
-// scanReaders recycles Scan's 64 KiB read buffers: every restore's replay,
-// replication poll and fork tail copy scans a log, and each would otherwise
-// allocate a fresh buffer for the GC to reclaim. A pooled reader holds no
-// source (Reset(nil)), so it pins no file.
-var scanReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+// readers recycles 64 KiB read buffers: Scan's, since every restore's
+// replay, replication poll and fork tail copy scans a log, and the server's
+// base restores'. Each would otherwise allocate a fresh buffer for the GC
+// to reclaim. A pooled reader holds no source, so it pins no file.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
+// GetReader returns a pooled 64 KiB reader over r. Hand it back with
+// PutReader once done.
+func GetReader(r io.Reader) *bufio.Reader {
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// PutReader drops br's source and returns it to the pool.
+func PutReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readers.Put(br)
+}
 
 // Scan decodes the valid prefix of a log, invoking fn (when non-nil) per
 // record with the rev and payload. It is the only decoder of the framing:
@@ -402,9 +416,8 @@ var scanReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64
 func Scan(r io.Reader, magic []byte, fn func(rev uint64, payload []byte) error) (head uint64, valid int64, err error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
-		br = scanReaders.Get().(*bufio.Reader)
-		br.Reset(r)
-		defer func() { br.Reset(nil); scanReaders.Put(br) }()
+		br = GetReader(r)
+		defer PutReader(br)
 	}
 	if m, err := br.Peek(len(magic)); err != nil || !bytes.Equal(m, magic) {
 		return 0, 0, nil

@@ -529,7 +529,7 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		}
 		res.Pending = 0
 	}
-	writeWire(w, res, appendEditResult)
+	writeJSON(w, http.StatusOK, res)
 }
 
 // handleFlush is the explicit read-your-writes barrier: it returns once the
@@ -545,7 +545,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errStatus(err), err)
 		return
 	}
-	writeWire(w, FlushResult{Rev: sess.Rev()}, appendFlushResult)
+	writeJSON(w, http.StatusOK, FlushResult{Rev: sess.Rev()})
 }
 
 type parsedOp struct {
@@ -727,7 +727,7 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errStatus(err), err)
 		return
 	}
-	writeWire(w, res, appendCellsResult)
+	writeJSON(w, http.StatusOK, res)
 }
 
 func cellOut(at ref.Ref, v formula.Value, src string, pending bool) CellOut {
@@ -788,7 +788,7 @@ func (s *Server) handleQuery(dependents bool) http.HandlerFunc {
 			writeErr(w, errStatus(err), err)
 			return
 		}
-		writeWire(w, res, appendQueryResult)
+		writeJSON(w, http.StatusOK, res)
 	}
 }
 

@@ -7,7 +7,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/rand"
 	"encoding/hex"
@@ -837,14 +836,10 @@ func (s *Session) evictableLocked() bool {
 	return s.health.broken&brokenSpill == 0 && s.waiters == 0
 }
 
-// bufPool recycles spill serialisation buffers; brPool recycles sized read
-// buffers. Both exist because the eviction loop runs constantly under a
-// resident cap — one allocation per spill or restore is one allocation too
-// many.
-var (
-	bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	brPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
-)
+// bufPool recycles spill serialisation buffers, as journal.GetReader does a
+// restore's read buffer: the eviction loop runs constantly under a resident
+// cap, and one allocation per spill or restore is one allocation too many.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxTailRecords caps the journal records an eviction may leave above the
 // base: replaying one costs roughly a seventh of restoring a whole base, so
@@ -918,9 +913,8 @@ func (st *Store) readSpill(path string, pinned *core.Graph) (*engine.Engine, err
 	if err := engine.CheckSnapshotIntegrity(data); err != nil {
 		return nil, err
 	}
-	br := brPool.Get().(*bufio.Reader)
-	br.Reset(bytes.NewReader(data))
-	defer func() { br.Reset(nil); brPool.Put(br) }()
+	br := journal.GetReader(bytes.NewReader(data))
+	defer journal.PutReader(br)
 	if pinned != nil {
 		return engine.RestoreSnapshotWithGraph(br, pinned)
 	}

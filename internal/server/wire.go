@@ -3,23 +3,19 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http"
+	"slices"
 	"strconv"
-	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// The wire codec of the hot routes: the edit batch a client posts, and the
-// bodies of an edit, a cells read, a dependents or precedents query and a
-// flush. It exists because encoding/json's reflection cost more per request
-// than applying a batch did. Every appender writes exactly the bytes
-// json.NewEncoder(w).Encode writes for the same value, trailing newline
-// included, so no client sees a change; FuzzWireEncode holds them to it.
-// The decoder reads the canonical form json.Marshal writes and hands
-// everything else to json.Unmarshal, which stays the one judge of any other
-// input; FuzzWireDecode holds the two to the same answers.
+// The edit batch's wire decoder. It exists because encoding/json's
+// reflection cost more per load than applying the batch did. It reads the
+// canonical form json.Marshal writes and hands everything else to
+// json.Unmarshal, which stays the one judge of any other input;
+// FuzzWireDecode holds the two to the same answers. The answers go out
+// through writeJSON.
 
 // decodeBatch decodes an edit batch body: through scanBatch when the body is
 // in the canonical form, else through json.Unmarshal. Either way, data after
@@ -65,12 +61,19 @@ func scanBatch(body []byte) (EditBatch, bool) {
 	if !s.skip('{') || !s.skip('"') || !s.word(`edits"`) || !s.skip(':') || !s.skip('[') {
 		return EditBatch{}, false
 	}
-	n := bytes.Count(body, []byte{'{'}) // the ops and the batch, give or take a brace in a string
+	// Presized from the braces, the ops and the batch give or take one in a
+	// string, but never past maxBatchHint: the count is the client's word,
+	// and a body of bare braces would otherwise reserve 72 bytes a byte
+	// before its second one is refused. A larger batch grows as it is read.
+	n := min(bytes.Count(body, []byte{'{'}), maxBatchHint)
 	edits := make([]EditOp, 0, n)
 	s.nums = make([]float64, 0, n)
 	s.strs = make([]string, 0, n)
 	if !s.skip(']') {
 		for {
+			if len(edits) == cap(edits) {
+				edits = slices.Grow(edits, len(edits)) // doubles, where append adds a quarter
+			}
 			edits = append(edits, EditOp{})
 			if !s.op(&edits[len(edits)-1]) {
 				return EditBatch{}, false
@@ -90,6 +93,10 @@ func scanBatch(body []byte) (EditBatch, bool) {
 	s.space()
 	return EditBatch{Edits: edits}, s.i == len(s.b)
 }
+
+// maxBatchHint caps the ops scanBatch reserves room for before it has read
+// any: about three times a 200-row sheet's whole-sheet load.
+const maxBatchHint = 4096
 
 // scanner is scanBatch's cursor over a body.
 type scanner struct {
@@ -379,184 +386,4 @@ func (s *scanner) boolean() (bool, bool) {
 		return true, true
 	}
 	return false, s.word(`false`)
-}
-
-// wireBufs recycles the response buffers the appenders fill.
-var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// writeWire answers 200 with the body appendBody builds for v.
-func writeWire[T any](w http.ResponseWriter, v T, appendBody func([]byte, T) []byte) {
-	bp := wireBufs.Get().(*[]byte)
-	*bp = appendBody((*bp)[:0], v)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(*bp)
-	wireBufs.Put(bp)
-}
-
-func appendEditResult(b []byte, r EditResult) []byte {
-	b = append(b, `{"rev":`...)
-	b = strconv.AppendUint(b, r.Rev, 10)
-	b = append(b, `,"applied":`...)
-	b = strconv.AppendInt(b, int64(r.Applied), 10)
-	b = append(b, `,"dirty_cells":`...)
-	b = strconv.AppendInt(b, int64(r.DirtyCells), 10)
-	b = append(b, `,"pending":`...)
-	b = strconv.AppendInt(b, int64(r.Pending), 10)
-	b = append(b, `,"bulk":`...)
-	b = strconv.AppendBool(b, r.Bulk)
-	return append(b, "}\n"...)
-}
-
-func appendFlushResult(b []byte, r FlushResult) []byte {
-	b = append(b, `{"rev":`...)
-	b = strconv.AppendUint(b, r.Rev, 10)
-	return append(b, "}\n"...)
-}
-
-func appendQueryResult(b []byte, r QueryResult) []byte {
-	b = append(b, `{"of":`...)
-	b = appendString(b, r.Of)
-	b = append(b, `,"ranges":`...)
-	if r.Ranges == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, rg := range r.Ranges {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendString(b, rg)
-		}
-		b = append(b, ']')
-	}
-	b = append(b, `,"cells":`...)
-	b = strconv.AppendInt(b, int64(r.Cells), 10)
-	return append(b, "}\n"...)
-}
-
-// appendCellsResult needs every Num finite, as cellOut leaves it: JSON has
-// no other numbers.
-func appendCellsResult(b []byte, r CellsResult) []byte {
-	b = append(b, `{"rev":`...)
-	b = strconv.AppendUint(b, r.Rev, 10)
-	b = append(b, `,"pending":`...)
-	b = strconv.AppendInt(b, int64(r.Pending), 10)
-	b = append(b, `,"cells":`...)
-	if r.Cells == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i := range r.Cells {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendCellOut(b, &r.Cells[i])
-		}
-		b = append(b, ']')
-	}
-	return append(b, "}\n"...)
-}
-
-func appendCellOut(b []byte, c *CellOut) []byte {
-	b = append(b, `{"cell":`...)
-	b = appendString(b, c.Cell)
-	b = append(b, `,"kind":`...)
-	b = appendString(b, c.Kind)
-	if c.Num != 0 {
-		b = append(b, `,"num":`...)
-		b = appendFloat(b, c.Num)
-	}
-	if c.Str != "" {
-		b = append(b, `,"str":`...)
-		b = appendString(b, c.Str)
-	}
-	if c.Bool {
-		b = append(b, `,"bool":true`...)
-	}
-	if c.Error != "" {
-		b = append(b, `,"error":`...)
-		b = appendString(b, c.Error)
-	}
-	if c.Formula != "" {
-		b = append(b, `,"formula":`...)
-		b = appendString(b, c.Formula)
-	}
-	if c.Pending {
-		b = append(b, `,"pending":true`...)
-	}
-	return append(b, '}')
-}
-
-// appendFloat formats a finite float64 as encoding/json does: the shortest
-// decimal, in 'e' form below 1e-6 and from 1e21 up, with a one-digit
-// negative exponent written without its leading zero (1e-7, not 1e-07).
-func appendFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendString quotes s as encoding/json does with HTML escaping on: <, >
-// and & as \u003c, \u003e and \u0026, control bytes as \b \f \n \r \t or
-// \u00XX, U+2028 and U+2029 escaped, and each byte of invalid UTF-8 as
-// \ufffd.
-func appendString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -137,51 +140,6 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// FuzzWireEncode holds each appender to json.Encoder, byte for byte.
-func FuzzWireEncode(f *testing.F) {
-	f.Add(uint64(0), int64(0), "", "", 0.0, false)
-	f.Add(uint64(math.MaxUint64), int64(math.MinInt64), "<a&b>", "\u2028\u2029", math.Copysign(0, -1), true)
-	f.Add(uint64(1<<53+1), int64(-1), "\xff\xfe bad", "\"\\\b\f\n\r\t\x00\x1f\x7f", 1e-7, true)
-	f.Add(uint64(7), int64(42), "\u00e9\u65e5\u672c\U0001F600", "IF(D1<$G$1,1,0)", 1e21, false)
-	f.Add(uint64(3), int64(9), "x", "y", 1e20, true)
-	f.Add(uint64(3), int64(9), "x", "y", 1e-6, true)
-	f.Add(uint64(3), int64(9), "x", "y", -123456.789e-12, false)
-	f.Add(uint64(3), int64(9), "x", "y", math.MaxFloat64, false)
-	f.Add(uint64(3), int64(9), "x", "y", math.SmallestNonzeroFloat64, false)
-	f.Fuzz(func(t *testing.T, rev uint64, n int64, s1, s2 string, num float64, flag bool) {
-		if math.IsInf(num, 0) || math.IsNaN(num) {
-			num = 0 // cellOut never leaves a non-finite Num
-		}
-		i := int(n)
-		cells := []CellOut{
-			{Cell: s1, Kind: s2, Num: num, Str: s1, Bool: flag, Error: s2, Formula: s1, Pending: flag},
-			{Cell: "B2", Kind: "number", Num: num},
-			{Cell: s2, Kind: "empty", Pending: !flag},
-		}
-		ranges := []string{s1, s2}
-		if flag {
-			cells, ranges = nil, nil
-		}
-		check := func(name string, v any, got []byte) {
-			var want bytes.Buffer
-			if err := json.NewEncoder(&want).Encode(v); err != nil {
-				t.Fatalf("%s: json.Encoder: %v", name, err)
-			}
-			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("%s: appender wrote\n%q\njson.Encoder wrote\n%q", name, got, want.Bytes())
-			}
-		}
-		er := EditResult{Rev: rev, Applied: i, DirtyCells: -i, Pending: i / 3, Bulk: flag}
-		check("EditResult", er, appendEditResult(nil, er))
-		fr := FlushResult{Rev: rev}
-		check("FlushResult", fr, appendFlushResult(nil, fr))
-		qr := QueryResult{Of: s1, Ranges: ranges, Cells: i}
-		check("QueryResult", qr, appendQueryResult(nil, qr))
-		cr := CellsResult{Rev: rev, Pending: -i, Cells: cells}
-		check("CellsResult", cr, appendCellsResult(nil, cr))
-	})
-}
-
 // clientBatches marshals the batches the load drivers send for a scenario:
 // the whole-sheet load the benchmark posts for its 200-row sessions, then
 // cmd/tacoload's edit stream at its default of eight ops a batch.
@@ -280,6 +238,34 @@ func TestScanBatchAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { scanBatch(body) })
 	if limit := float64(strs + 3); allocs > limit {
 		t.Errorf("scanBatch of %d ops allocates %.0f times, want at most %.0f", len(b.Edits), allocs, limit)
+	}
+}
+
+// TestBraceFloodAllocatesLittle: a body that opens a batch and then holds
+// only braces is refused at its second brace having allocated a small
+// multiple of its own size. Presizing the ops from its brace count reserved
+// some 72 bytes a byte of it, so a body at the upload cap could ask for
+// gigabytes.
+func TestBraceFloodAllocatesLittle(t *testing.T) {
+	srv, tc := newTestServer(t, Options{})
+	var info SessionInfo
+	tc.do("POST", "/sessions", CreateRequest{}, &info)
+	// A mebibyte in all, so the body is read into one buffer sized from its
+	// Content-Length and the rest of what it costs is the decode's.
+	body := []byte(`{"edits":[`)
+	body = append(body, bytes.Repeat([]byte{'{'}, 1<<20-len(body))...)
+	req := httptest.NewRequest("POST", "/sessions/"+info.ID+"/edits", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	srv.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "decode batch") {
+		t.Fatalf("status %d, body %s; want 400 decode batch", rec.Code, rec.Body)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(body)); got > limit {
+		t.Errorf("refusing a %d-byte brace flood allocated %d bytes, want at most %d", len(body), got, limit)
 	}
 }
 
