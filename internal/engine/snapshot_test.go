@@ -91,9 +91,13 @@ func TestEngineSnapshotDeterministic(t *testing.T) {
 }
 
 func TestSnapshotOversizedComputedValue(t *testing.T) {
-	// A computed string can exceed MaxSnapshotString even when every source
-	// string is within it (concatenation compounds). The snapshot must still
-	// round-trip: the cached value is dropped and recomputed on read.
+	// A computed string cannot outgrow MaxSnapshotString, even when a source
+	// string is past the text bound (concatenation compounds): text a formula
+	// would build past formula.MaxTextBytes, which is below it, is #VALUE!.
+	// The snapshot holds the error, and it restores clean.
+	if formula.MaxTextBytes >= MaxSnapshotString {
+		t.Fatalf("text bound %d is not below the snapshot string limit %d", formula.MaxTextBytes, MaxSnapshotString)
+	}
 	e := New(nil)
 	big := strings.Repeat("x", MaxSnapshotString/2+1)
 	e.SetValue(ref.MustCell("A1"), formula.Str(big))
@@ -103,23 +107,23 @@ func TestSnapshotOversizedComputedValue(t *testing.T) {
 	if _, err := e.SetFormula(ref.MustCell("C1"), "LEN(A1)"); err != nil {
 		t.Fatal(err)
 	}
+	e.RecalculateAll()
+	if got := e.Value(ref.MustCell("B1")); got != formula.Error(formula.ErrValue) {
+		t.Fatalf("B1 = %v of %d bytes, want #VALUE!", got.Kind, len(got.Str))
+	}
 	var buf bytes.Buffer
 	if err := e.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("snapshot failed on oversized computed value: %v", err)
+		t.Fatalf("snapshot failed: %v", err)
 	}
 	r, err := RestoreSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The oversized cached value comes back dirty (pending) and is
-	// recomputed by the next recalculation, not by the (side-effect-free)
-	// read itself.
-	if !r.Dirty(ref.MustCell("B1")) || r.Pending() != 1 {
-		t.Fatalf("B1 dirty=%v pending=%d, want dirty", r.Dirty(ref.MustCell("B1")), r.Pending())
+	if r.Dirty(ref.MustCell("B1")) || r.Pending() != 0 {
+		t.Fatalf("B1 dirty=%v pending=%d, want clean", r.Dirty(ref.MustCell("B1")), r.Pending())
 	}
-	r.RecalculateAll()
-	if got := r.Value(ref.MustCell("B1")); len(got.Str) != len(big)*2 {
-		t.Fatalf("B1 recomputed to %d bytes, want %d", len(got.Str), len(big)*2)
+	if got := r.Value(ref.MustCell("B1")); got != formula.Error(formula.ErrValue) {
+		t.Fatalf("B1 restored as %v, want #VALUE!", got)
 	}
 	if got, want := r.Value(ref.MustCell("C1")), e.Value(ref.MustCell("C1")); got.Num != want.Num {
 		t.Fatalf("C1 = %v, want %v", got, want)

@@ -98,18 +98,11 @@ func (o rangeOp) at(anchor ref.Ref) ref.Range {
 	return ref.Range{Head: head, Tail: tail}
 }
 
-// callInfo is a compiled call site.
+// callInfo is a compiled call site: the builtin its name resolved to.
 type callInfo struct {
 	name string
 	argc int32
-	// exempt marks the builtins exempt from first-scalar-error propagation
-	// (IF, ISERROR, IFERROR — they give errors meaning).
-	exempt bool
-}
-
-// callSite is the call site of the named builtin over argc arguments.
-func callSite(name string, argc int) callInfo {
-	return callInfo{name: name, argc: int32(argc), exempt: name == "IF" || name == "ISERROR" || name == "IFERROR"}
+	fn   *builtin
 }
 
 // Program is a compiled formula: flat postfix code over operand tables.
@@ -317,26 +310,25 @@ type numericChain struct {
 	code  []numInstr
 }
 
-// FoldOp is an aggregate the numeric plan reads as one number: a call from
-// the set foldAggregate answers off a NumericFold — SUM, AVERAGE/AVG, COUNT,
-// COUNTA, MIN, MAX — whose only argument is a range operand. The engine's run
-// executor folds the range At resolves and hands in what Result makes of it.
+// FoldOp is an aggregate the numeric plan reads as one number: a call of a
+// builtin with a fold kind — SUM, AVERAGE/AVG, COUNT, COUNTA, MIN, MAX — whose
+// only argument is a range operand. The engine's run executor folds the range
+// At resolves and hands in what Result makes of it.
 type FoldOp struct {
 	fn  uint8
 	rng rangeOp
 }
 
+// The fold kinds of a builtin (builtin.fold); foldNone is every other one.
 const (
-	foldSum = iota
+	foldNone = iota
+	foldSum
 	foldAverage
 	foldCount
 	foldCountA
 	foldMin
 	foldMax
 )
-
-var foldFns = map[string]uint8{"SUM": foldSum, "AVERAGE": foldAverage, "AVG": foldAverage,
-	"COUNT": foldCount, "COUNTA": foldCountA, "MIN": foldMin, "MAX": foldMax}
 
 // At resolves the aggregate's range for a given anchor cell.
 func (o FoldOp) At(anchor ref.Ref) ref.Range { return o.rng.at(anchor) }
@@ -345,9 +337,10 @@ func (o FoldOp) At(anchor ref.Ref) ref.Range { return o.rng.at(anchor) }
 // only for Result can leave them alone when it does not.
 func (o FoldOp) WantsExtrema() bool { return o.fn >= foldMin }
 
-// Result finishes the aggregate from its range's fold, as foldAggregate does.
-// ok is false when the interpreter answers an error instead: one in the range
-// (the counting two ignore it), or #DIV/0! for an AVERAGE of no numbers.
+// Result finishes the aggregate from its range's fold, for the numeric plan
+// and, through value, for the builtin itself (foldAggregate). ok is false when
+// the interpreter answers an error instead: one in the range (the counting two
+// ignore it), or #DIV/0! for an AVERAGE of no numbers.
 func (o FoldOp) Result(f *NumericFold) (v float64, ok bool) {
 	switch {
 	case o.fn == foldCount:
@@ -366,6 +359,18 @@ func (o FoldOp) Result(f *NumericFold) (v float64, ok bool) {
 		return f.Min, true
 	}
 	return f.Max, true
+}
+
+// value is the aggregate's value from its fold: Result, or the error it
+// stands aside for.
+func (o FoldOp) value(f *NumericFold) Value {
+	if v, ok := o.Result(f); ok {
+		return Num(v)
+	}
+	if f.Err.IsError() {
+		return f.Err
+	}
+	return Error(ErrDiv0)
 }
 
 // buildNumeric derives the numeric plan, or nil when any instruction falls
@@ -393,8 +398,8 @@ func (p *Program) buildNumeric() *numericPlan {
 				return nil
 			}
 			ci := p.calls[p.code[i].a]
-			fn, folds := foldFns[ci.name]
-			if !folds || ci.argc != 1 {
+			fn := ci.fn.fold
+			if fn == foldNone || ci.argc != 1 {
 				return nil
 			}
 			np.code = append(np.code, numInstr{kind: npFold, a: int32(len(p.cells) + len(np.folds))})
@@ -709,47 +714,6 @@ func (p *Program) run(res Resolver, at ref.Ref, read func(int, ref.Ref) Value) V
 	st.stack = stack
 	vmStatePool.Put(st)
 	return out
-}
-
-// dispatchCall runs one call site over its evaluated arguments, for the VM and
-// Eval alike: the first scalar error (in argument order) propagates unless the
-// builtin gives errors meaning, IF and IFERROR pick among their evaluated
-// arguments, and everything else goes through the shared dispatcher.
-func dispatchCall(ci callInfo, args []arg, res Resolver) Value {
-	if !ci.exempt {
-		for i := range args {
-			if !args[i].isRange && args[i].scalar.IsError() {
-				return args[i].scalar
-			}
-		}
-	}
-	switch ci.name {
-	case "IF":
-		if len(args) < 2 || len(args) > 3 {
-			return Error(ErrNA)
-		}
-		cond := scalarize(args[0])
-		if cond.IsError() {
-			return cond
-		}
-		if condTruth(cond) {
-			return scalarize(args[1])
-		}
-		if len(args) == 3 {
-			return scalarize(args[2])
-		}
-		return Boolean(false)
-	case "IFERROR":
-		if len(args) != 2 {
-			return Error(ErrNA)
-		}
-		v := scalarize(args[0])
-		if v.IsError() {
-			return scalarize(args[1])
-		}
-		return v
-	}
-	return callShared(ci.name, args, res)
 }
 
 // appendKey serializes the program unambiguously (every variable-length

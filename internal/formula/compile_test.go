@@ -11,82 +11,176 @@ import (
 	"taco/internal/ref"
 )
 
+// corpusCase is a formula and the value it evaluates to over bytecodeGrid.
+type corpusCase struct {
+	src  string
+	want Value
+}
+
 // bytecodeCorpus exercises every builtin the evaluator implements — plus
 // all operators, error values, blanks, range shapes, and the exempt
 // builtins' short-circuit forms — so TestBytecodeEquivalence pins the VM to
-// the AST walker across the whole surface, not just the hot shapes.
-var bytecodeCorpus = []string{
+// the AST walker across the whole surface, not just the hot shapes. Each
+// formula carries the value it has always had (TestBytecodeCorpusPinned):
+// the VM and the walker share the builtin table, so only a pinned value shows
+// a builtin whose body changed under both. TestCorpusCallsEveryBuiltin holds
+// it to calling every name in the table.
+var bytecodeCorpus = []corpusCase{
 	// Literals and operators.
-	"=1+2*3-4/8",
-	"=2^10",
-	"=-A1",
-	"=+A2",
-	"=50%",
-	"=A1%",
-	"=1/0",
-	"=0/0",
-	"=\"a\"&\"b\"&A1",
-	"=\"x\"+1",
-	"=1=1", "=1<>2", "=2<3", "=2>3", "=2<=2", "=3>=4",
-	"=\"a\"<\"b\"", "=\"A\"=\"a\"", "=TRUE", "=FALSE", "=TRUE=FALSE",
-	"=(1+2)*(3+4)^2",
+	{"=1+2*3-4/8", Num(6.5)},
+	{"=2^10", Num(1024)},
+	{"=-A1", Num(-1)},
+	{"=+A2", Num(2)},
+	{"=50%", Num(0.5)},
+	{"=A1%", Num(0.01)},
+	{"=1/0", Error(ErrDiv0)},
+	{"=0/0", Error(ErrDiv0)},
+	{"=\"a\"&\"b\"&A1", Str("ab1")},
+	{"=\"x\"+1", Error(ErrValue)},
+	{"=1=1", Boolean(true)},
+	{"=1<>2", Boolean(true)},
+	{"=2<3", Boolean(true)},
+	{"=2>3", Boolean(false)},
+	{"=2<=2", Boolean(true)},
+	{"=3>=4", Boolean(false)},
+	{"=\"a\"<\"b\"", Boolean(true)},
+	{"=\"A\"=\"a\"", Boolean(true)},
+	{"=TRUE", Boolean(true)},
+	{"=FALSE", Boolean(false)},
+	{"=TRUE=FALSE", Boolean(false)},
+	{"=(1+2)*(3+4)^2", Num(147)},
 	// Blank and error cell reads, propagation through operators.
-	"=C5", "=C5+1", "=D6", "=D6+1", "=-D6", "=D6&\"x\"",
+	{"=C5", Empty()},
+	{"=C5+1", Num(1)},
+	{"=D6", Error(ErrDiv0)},
+	{"=D6+1", Error(ErrDiv0)},
+	{"=-D6", Error(ErrDiv0)},
+	{"=D6&\"x\"", Error(ErrDiv0)},
 	// Plain aggregates over ranges (incl. empty, mixed, error, reversed).
-	"=SUM(A1:A30)", "=SUM(B1:B30)", "=SUM(C1:C30)", "=SUM(A1:C30)",
-	"=SUM(A30:A1)", "=SUM(D1:D30)", "=SUM(1,2,A1)", "=SUM(1,1/0,A1)",
-	"=AVERAGE(B1:B30)", "=AVG(A1:A10)", "=AVERAGE(C1:C30)",
-	"=MIN(B1:B30)", "=MAX(A1:B30)", "=MIN(C1:C2)", "=MAX(5,2,9)",
-	"=COUNT(A1:D30)", "=COUNTA(A1:D30)", "=COUNTBLANK(A1:D30)",
-	"=PRODUCT(B1:B30)", "=PRODUCT(C1:C30)", "=SUMSQ(A1:A10)",
-	"=MEDIAN(A1:A30)", "=MEDIAN(A1:A4)", "=STDEV(A1:A10)", "=VAR(A1:A10)",
-	"=LARGE(A1:A30,3)", "=SMALL(A1:A30,3)", "=RANK(17,A1:A30)",
-	"=RANK(17,A1:A30,1)",
+	{"=SUM(A1:A30)", Num(465)},
+	{"=SUM(B1:B30)", Num(8)},
+	{"=SUM(C1:C30)", Num(0)},
+	{"=SUM(A1:C30)", Num(473)},
+	{"=SUM(A30:A1)", Num(465)},
+	{"=SUM(D1:D30)", Error(ErrDiv0)},
+	{"=SUM(1,2,A1)", Num(4)},
+	{"=SUM(1,1/0,A1)", Error(ErrDiv0)},
+	{"=AVERAGE(B1:B30)", Num(4)},
+	{"=AVG(A1:A10)", Num(5.5)},
+	{"=AVERAGE(C1:C30)", Error(ErrDiv0)},
+	{"=MIN(B1:B30)", Num(-2)},
+	{"=MAX(A1:B30)", Num(30)},
+	{"=MIN(C1:C2)", Num(0)},
+	{"=MAX(5,2,9)", Num(9)},
+	{"=COUNT(A1:D30)", Num(33)},
+	{"=COUNTA(A1:D30)", Num(37)},
+	{"=COUNTBLANK(A1:D30)", Num(83)},
+	{"=PRODUCT(B1:B30)", Num(-20)},
+	{"=PRODUCT(C1:C30)", Num(1)},
+	{"=SUMSQ(A1:A10)", Num(385)},
+	{"=MEDIAN(A1:A30)", Num(15.5)},
+	{"=MEDIAN(A1:A4)", Num(2.5)},
+	{"=STDEV(A1:A10)", Num(3.0276503540974917)},
+	{"=VAR(A1:A10)", Num(9.166666666666666)},
+	{"=LARGE(A1:A30,3)", Num(28)},
+	{"=SMALL(A1:A30,3)", Num(3)},
+	{"=RANK(17,A1:A30)", Num(14)},
+	{"=RANK(17,A1:A30,1)", Num(17)},
 	// Conditional aggregates: fold, compensated-scan, and fallback shapes.
-	"=SUMIF(A1:A30,\">20\")",
-	"=SUMIF(B1:B30,\">0\",A1:A30)",
-	"=SUMIF(B1:B30,\"txt\",A1:A30)",
-	"=SUMIF(C1:C30,\"<1\",A1:A30)",
-	"=SUMIF(A1:A30,\"<>7\")",
-	"=COUNTIF(A1:A30,\"<>7\")",
-	"=COUNTIF(B1:B30,\">=0\")",
-	"=COUNTIF(A1:A30,15)",
-	"=SUMPRODUCT(A1:A30,B1:B30)",
-	"=SUMPRODUCT(A1:A30)",
-	"=SUMPRODUCT(A1:A30,D1:D30)",
+	{"=SUMIF(A1:A30,\">20\")", Num(255)},
+	{"=SUMIF(B1:B30,\">0\",A1:A30)", Num(57)},
+	{"=SUMIF(B1:B30,\"txt\",A1:A30)", Num(9)},
+	{"=SUMIF(C1:C30,\"<1\",A1:A30)", Num(465)},
+	{"=SUMIF(A1:A30,\"<>7\")", Num(458)},
+	{"=COUNTIF(A1:A30,\"<>7\")", Num(29)},
+	{"=COUNTIF(B1:B30,\">=0\")", Num(28)},
+	{"=COUNTIF(A1:A30,15)", Num(1)},
+	{"=SUMPRODUCT(A1:A30,B1:B30)", Num(34)},
+	{"=SUMPRODUCT(A1:A30)", Num(465)},
+	{"=SUMPRODUCT(A1:A30,D1:D30)", Num(84)},
 	// Lookups and selection.
-	"=VLOOKUP(17,A1:B30,2)", "=VLOOKUP(99,A1:B30,1)", "=VLOOKUP(0,A1:B30,1)",
-	"=HLOOKUP(1,A1:D2,2)", "=INDEX(A1:B30,4,2)", "=MATCH(17,A1:A30)",
-	"=CHOOSE(2,\"a\",\"b\",\"c\")", "=CHOOSE(9,\"a\")",
+	{"=VLOOKUP(17,A1:B30,2)", Num(-2)},
+	{"=VLOOKUP(99,A1:B30,1)", Error(ErrNA)},
+	{"=VLOOKUP(0,A1:B30,1)", Error(ErrNA)},
+	{"=HLOOKUP(1,A1:D2,2)", Num(2)},
+	{"=INDEX(A1:B30,4,2)", Num(10)},
+	{"=MATCH(17,A1:A30)", Num(17)},
+	{"=CHOOSE(2,\"a\",\"b\",\"c\")", Str("b")},
+	{"=CHOOSE(9,\"a\")", Error(ErrValue)},
 	// Logic, type predicates, exempt builtins.
-	"=AND(TRUE,1,A1)", "=OR(FALSE,0,C1)", "=NOT(A1)", "=XOR(1,0,1)",
-	"=IF(A1>5,\"big\",\"small\")", "=IF(A1>0,A2)", "=IF(C1,1,2)",
-	"=IF(1/0,1,2)", "=IF(\"true\",1,2)", "=IF(A1,D6,5)", "=IF(0,D6,5)",
-	"=IFERROR(1/0,\"rescued\")", "=IFERROR(A1,\"no\")", "=IFERROR(D6,C5)",
-	"=ISERROR(1/0)", "=ISERROR(A1)", "=ISBLANK(C1)", "=ISBLANK(A1)",
-	"=ISNUMBER(A1)", "=ISNUMBER(B9)", "=ISTEXT(B9)", "=ISLOGICAL(B28)",
-	"=ISEVEN(A4)", "=ISODD(A4)", "=NA()",
+	{"=AND(TRUE,1,A1)", Boolean(true)},
+	{"=OR(FALSE,0,C1)", Boolean(false)},
+	{"=NOT(A1)", Boolean(false)},
+	{"=XOR(1,0,1)", Boolean(false)},
+	{"=IF(A1>5,\"big\",\"small\")", Str("small")},
+	{"=IF(A1>0,A2)", Num(2)},
+	{"=IF(C1,1,2)", Num(2)},
+	{"=IF(1/0,1,2)", Error(ErrDiv0)},
+	{"=IF(\"true\",1,2)", Num(1)},
+	{"=IF(A1,D6,5)", Error(ErrDiv0)},
+	{"=IF(0,D6,5)", Num(5)},
+	{"=IFERROR(1/0,\"rescued\")", Str("rescued")},
+	{"=IFERROR(A1,\"no\")", Num(1)},
+	{"=IFERROR(D6,C5)", Empty()},
+	{"=ISERROR(1/0)", Boolean(true)},
+	{"=ISERROR(A1)", Boolean(false)},
+	{"=ISBLANK(C1)", Boolean(true)},
+	{"=ISBLANK(A1)", Boolean(false)},
+	{"=ISNUMBER(A1)", Boolean(true)},
+	{"=ISNUMBER(B9)", Boolean(false)},
+	{"=ISTEXT(B9)", Boolean(true)},
+	{"=ISLOGICAL(B28)", Boolean(true)},
+	{"=ISEVEN(A4)", Boolean(true)},
+	{"=ISODD(A4)", Boolean(false)},
+	{"=NA()", Error(ErrNA)},
 	// Math builtins.
-	"=ABS(-3)", "=SQRT(A4)", "=SQRT(0-A4)", "=INT(-2.5)", "=EXP(1)",
-	"=LN(A10)", "=LOG(8,2)", "=LOG(100)", "=LOG10(A10)", "=PI()",
-	"=SIGN(B17)", "=FLOOR(7.3,2)", "=CEILING(7.3,2)", "=TRUNC(-2.7)",
-	"=ROUND(2.675,2)", "=ROUND(A10,0-1)", "=MOD(10,3)", "=MOD(10,0)",
-	"=POWER(2,0.5)",
+	{"=ABS(-3)", Num(3)},
+	{"=SQRT(A4)", Num(2)},
+	{"=SQRT(0-A4)", Error(ErrNum)},
+	{"=INT(-2.5)", Num(-3)},
+	{"=EXP(1)", Num(2.718281828459045)},
+	{"=LN(A10)", Num(2.302585092994046)},
+	{"=LOG(8,2)", Num(3)},
+	{"=LOG(100)", Num(2)},
+	{"=LOG10(A10)", Num(1)},
+	{"=PI()", Num(3.141592653589793)},
+	{"=SIGN(B17)", Num(-1)},
+	{"=FLOOR(7.3,2)", Num(6)},
+	{"=CEILING(7.3,2)", Num(8)},
+	{"=TRUNC(-2.7)", Num(-2)},
+	{"=ROUND(2.675,2)", Num(2.68)},
+	{"=ROUND(A10,0-1)", Num(10)},
+	{"=MOD(10,3)", Num(1)},
+	{"=MOD(10,0)", Error(ErrDiv0)},
+	{"=POWER(2,0.5)", Num(1.4142135623730951)},
 	// Text builtins.
-	"=CONCATENATE(\"a\",1,TRUE)", "=CONCAT(B9,B25)", "=LEN(B9)",
-	"=UPPER(B9)", "=LOWER(\"ABC\")", "=TRIM(\"  x  \")",
-	"=LEFT(\"hello\",2)", "=RIGHT(\"hello\",2)", "=MID(\"hello\",2,3)",
-	"=FIND(\"l\",\"hello\")", "=FIND(\"z\",\"hello\")",
-	"=SUBSTITUTE(\"aaa\",\"a\",\"b\")", "=REPT(\"ab\",3)",
-	"=EXACT(\"a\",\"A\")", "=PROPER(\"hello world\")",
-	"=VALUE(B25)", "=VALUE(B9)",
+	{"=CONCATENATE(\"a\",1,TRUE)", Str("a1TRUE")},
+	{"=CONCAT(B9,B25)", Str("txt5")},
+	{"=LEN(B9)", Num(3)},
+	{"=UPPER(B9)", Str("TXT")},
+	{"=LOWER(\"ABC\")", Str("abc")},
+	{"=TRIM(\"  x  \")", Str("x")},
+	{"=LEFT(\"hello\",2)", Str("he")},
+	{"=RIGHT(\"hello\",2)", Str("lo")},
+	{"=MID(\"hello\",2,3)", Str("ell")},
+	{"=FIND(\"l\",\"hello\")", Num(3)},
+	{"=FIND(\"z\",\"hello\")", Error(ErrValue)},
+	{"=SUBSTITUTE(\"aaa\",\"a\",\"b\")", Str("bbb")},
+	{"=REPT(\"ab\",3)", Str("ababab")},
+	{"=EXACT(\"a\",\"A\")", Boolean(false)},
+	{"=PROPER(\"hello world\")", Str("Hello World")},
+	{"=VALUE(B25)", Num(5)},
+	{"=VALUE(B9)", Error(ErrValue)},
 	// Financial builtins (E holds cash flows with a sign change for IRR).
-	"=NPV(0.1,E1:E3)", "=PMT(0.05,10,1000)", "=FV(0.05,10,100)",
-	"=PV(0.05,10,100)", "=IRR(E1:E3)",
+	{"=NPV(0.1,E1:E3)", Num(-4.507888805409479)},
+	{"=PMT(0.05,10,1000)", Num(-129.5045749654567)},
+	{"=FV(0.05,10,100)", Num(-1257.789253554883)},
+	{"=PV(0.05,10,100)", Num(-772.1734929184813)},
+	{"=IRR(E1:E3)", Num(0.06394102980498528)},
 	// Unknown function: both paths produce the same #NAME?.
-	"=NOSUCH(1,2)",
+	{"=NOSUCH(1,2)", Error(ErrName)},
 	// Nesting across every dispatch kind.
-	"=IF(ISERROR(VLOOKUP(17,A1:B30,2)),0,SUM(A1:A5)*MAX(B1:B30))%",
+	{"=IF(ISERROR(VLOOKUP(17,A1:B30,2)),0,SUM(A1:A5)*MAX(B1:B30))%", Num(1.5)},
 }
 
 func bytecodeGrid() map[ref.Ref]Value {
@@ -104,7 +198,8 @@ func bytecodeGrid() map[ref.Ref]Value {
 func TestBytecodeEquivalence(t *testing.T) {
 	grid := bytecodeGrid()
 	anchor := ref.Ref{Col: 8, Row: 4}
-	for _, src := range bytecodeCorpus {
+	for _, c := range bytecodeCorpus {
+		src := c.src
 		ast := MustParse(src)
 		p := Compile(ast, anchor)
 		if p == nil {
@@ -135,6 +230,59 @@ func TestBytecodeEquivalence(t *testing.T) {
 		// Re-evaluation is stable: no hidden state in the program.
 		if got := p2.EvalAt(res, at2); !sameValue(got, want) {
 			t.Errorf("%q shifted re-eval: VM=%v AST=%v", src, got, want)
+		}
+	}
+}
+
+// TestBytecodeCorpusPinned: every corpus formula evaluates to its pinned value
+// on the walker and on the VM, under the per-cell resolver, the bulk scan and
+// the slab folds alike.
+func TestBytecodeCorpusPinned(t *testing.T) {
+	grid := bytecodeGrid()
+	anchor := ref.Ref{Col: 8, Row: 4}
+	for _, c := range bytecodeCorpus {
+		ast := MustParse(c.src)
+		p := Compile(ast, anchor)
+		for _, res := range []Resolver{plain{&colResolver{cells: grid}}, &colResolver{cells: grid}, folder{&colResolver{cells: grid}}} {
+			if got := Eval(ast, res); !sameValue(got, c.want) {
+				t.Errorf("%q (%T): Eval=%#v, pinned %#v", c.src, res, got, c.want)
+			}
+			if got := p.EvalAt(res, anchor); !sameValue(got, c.want) {
+				t.Errorf("%q (%T): VM=%#v, pinned %#v", c.src, res, got, c.want)
+			}
+		}
+	}
+}
+
+// TestCorpusCallsEveryBuiltin: every name in the builtin table is called by
+// some corpus formula, so the pinned values cover the whole library; and a
+// numeric builtin takes no more arguments than nums holds.
+func TestCorpusCallsEveryBuiltin(t *testing.T) {
+	called := map[string]bool{}
+	var walk func(Node)
+	walk = func(n Node) {
+		switch n := n.(type) {
+		case *Call:
+			called[n.Name] = true
+			for _, a := range n.Args {
+				walk(a)
+			}
+		case *Binary:
+			walk(n.L)
+			walk(n.R)
+		case *Unary:
+			walk(n.X)
+		}
+	}
+	for _, c := range bytecodeCorpus {
+		walk(MustParse(c.src))
+	}
+	for name, b := range builtins {
+		if !called[name] {
+			t.Errorf("no corpus formula calls %s", name)
+		}
+		if b.num != nil && b.max > len(nums{}) {
+			t.Errorf("%s takes up to %d numbers, nums holds %d", name, b.max, len(nums{}))
 		}
 	}
 }
@@ -423,7 +571,10 @@ func TestNumericSweepMatchesVM(t *testing.T) {
 // over cells, constants and aggregates, a repeated operand, a divisor that is
 // itself a quotient, the float stack at its full depth.
 func numericPrograms(t testing.TB) (ps []*Program) {
-	srcs := append([]string{}, bytecodeCorpus...)
+	var srcs []string
+	for _, c := range bytecodeCorpus {
+		srcs = append(srcs, c.src)
+	}
 	srcs = append(srcs, "=A4*B4*$C$1", "=A4/B4-$A$1", "=(A4+B4)*(A5-B5)/(A4-A4)", "=A4*A4-A4/A4", "=1/(A4/B4)",
 		"=2.5-A4/0.5+B4*-1", "=SUM(A1:A30)/COUNT(B1:B30)-AVERAGE(B1:B30)", "=A4-SUM(A$1:A4)*MAX(B1:B30)+MIN(B1:B30)",
 		"=MAX(A1:A9)/MIN(A1:A9)/COUNTA(C1:C9)",

@@ -70,6 +70,10 @@ type Value struct {
 	Str  string
 }
 
+// MaxTextBytes is the longest text a value holds: an edit carries none
+// longer, and a formula that would build longer text is #VALUE!.
+const MaxTextBytes = 1 << 20
+
 // Num returns a numeric value.
 func Num(v float64) Value { return Value{Kind: KindNumber, Num: v} }
 
@@ -220,95 +224,63 @@ type RangeFolder interface {
 	FoldSumProduct(a, b ref.Range) float64
 }
 
-// foldAggregate answers the fold-compatible aggregate builtins from the
-// resolver's batched fold, when the argument shapes allow an exact answer.
-// SUM and AVERAGE accept only the single-range form — their float
-// accumulation is order-sensitive, and only there does the fold's row-major
-// sequential sum equal the per-cell path's. COUNT/COUNTA/MIN/MAX are
-// order-free, so every range argument folds and scalars mix in directly.
-// ok=false means the resolver has no folds or the builtin is not answered
-// here — the caller runs the generic path.
-func foldAggregate(name string, args []arg, res Resolver) (Value, bool) {
+// foldAggregate answers an aggregate builtin of the given fold kind off the
+// resolver's folds, when the argument shapes allow an exact answer, through
+// FoldOp.Result as the numeric plan does. A single range folds for all six.
+// SUM and AVERAGE take only that form: their float accumulation is
+// order-sensitive, and only there does the fold's row-major sequential sum
+// equal the per-cell path's. COUNT, COUNTA, MIN and MAX are order-free, so
+// every range argument folds and scalars mix in directly, each range's fold
+// merged into one. ok=false means the resolver has no folds or the shapes
+// are not answered here: the caller runs the generic path.
+func foldAggregate(kind uint8, args []arg, res Resolver) (Value, bool) {
 	rf, isFolder := res.(RangeFolder)
 	if !isFolder {
 		return Value{}, false
 	}
-	switch name {
-	case "SUM", "AVERAGE", "AVG":
-		if len(args) != 1 || !args[0].isRange {
-			return Value{}, false
-		}
+	fo := FoldOp{fn: kind}
+	if len(args) == 1 && args[0].isRange {
 		f := rf.FoldRange(args[0].rng)
-		if f.Err.IsError() {
+		return fo.value(&f), true
+	}
+	if kind == foldSum || kind == foldAverage {
+		return Value{}, false
+	}
+	acc := NumericFold{Min: math.Inf(1), Max: math.Inf(-1)}
+	for _, a := range args {
+		var f NumericFold
+		switch {
+		case a.isRange:
+			f = rf.FoldRange(a.rng)
+		case kind >= foldMin:
+			x, ok := a.number()
+			if !ok {
+				return Error(ErrValue), true
+			}
+			f = NumericFold{Count: 1, Min: x, Max: x}
+		case a.scalar.Kind == KindNumber:
+			f = NumericFold{Count: 1, NonEmpty: 1}
+		case a.scalar.Kind != KindEmpty:
+			f.NonEmpty = 1
+		}
+		// Errors inside ranges are not propagated by the counting builtins —
+		// they are merely non-numeric, non-blank cells — so their fold's Err
+		// is deliberately ignored, exactly like the per-cell scan.
+		if f.Err.IsError() && kind >= foldMin {
 			return f.Err, true
 		}
-		if name == "SUM" {
-			return Num(f.Sum), true
+		acc.Count += f.Count
+		acc.NonEmpty += f.NonEmpty
+		// Strict comparisons, the ones extremum runs per cell: ties, signed
+		// zeros and NaNs resolve alike.
+		if f.Count > 0 && f.Min < acc.Min {
+			acc.Min = f.Min
 		}
-		if f.Count == 0 {
-			return Error(ErrDiv0), true
+		if f.Count > 0 && f.Max > acc.Max {
+			acc.Max = f.Max
 		}
-		return Num(f.Sum / float64(f.Count)), true
-	case "COUNT", "COUNTA":
-		// Errors inside ranges are not propagated by the counting builtins —
-		// they are merely non-numeric, non-blank cells — so the fold's Err is
-		// deliberately ignored, exactly like the per-cell scan.
-		n := 0
-		for _, a := range args {
-			if !a.isRange {
-				if name == "COUNT" && a.scalar.Kind == KindNumber ||
-					name == "COUNTA" && a.scalar.Kind != KindEmpty {
-					n++
-				}
-				continue
-			}
-			f := rf.FoldRange(a.rng)
-			if name == "COUNT" {
-				n += f.Count
-			} else {
-				n += f.NonEmpty
-			}
-		}
-		return Num(float64(n)), true
-	case "MIN", "MAX":
-		wantMin := name == "MIN"
-		best := math.Inf(1)
-		if !wantMin {
-			best = math.Inf(-1)
-		}
-		n := 0
-		for _, a := range args {
-			if !a.isRange {
-				v, ok := a.scalar.AsNumber()
-				if !ok {
-					return Error(ErrValue), true
-				}
-				n++
-				if wantMin && v < best || !wantMin && v > best {
-					best = v
-				}
-				continue
-			}
-			f := rf.FoldRange(a.rng)
-			if f.Err.IsError() {
-				return f.Err, true
-			}
-			n += f.Count
-			if f.Count > 0 {
-				if wantMin && f.Min < best {
-					best = f.Min
-				}
-				if !wantMin && f.Max > best {
-					best = f.Max
-				}
-			}
-		}
-		if n == 0 {
-			return Num(0), true
-		}
-		return Num(best), true
 	}
-	return Value{}, false
+	return fo.value(&acc), true
 }
 
 // Eval is the reference the bytecode VM is held to: a tree walk of the AST
@@ -384,7 +356,11 @@ func applyBinary(op string, l, r Value) Value {
 	}
 	switch op {
 	case "&":
-		return Str(l.String() + r.String())
+		ls, rs := l.String(), r.String()
+		if len(ls)+len(rs) > MaxTextBytes {
+			return Error(ErrValue)
+		}
+		return Str(ls + rs)
 	case "=", "<>", "<", ">", "<=", ">=":
 		return compare(op, l, r)
 	}
@@ -510,322 +486,47 @@ func condTruth(cond Value) bool {
 	return false
 }
 
-// callShared evaluates a builtin from its name and evaluated arguments — the
-// dispatcher shared by the AST walker and the bytecode VM. Every function
-// here is a pure mapping of (evaluated arguments, resolver) to a value; IF
-// and IFERROR are handled by dispatchCall before it.
-func callShared(name string, args []arg, res Resolver) Value {
-	// Fold-compatible aggregates first: one batched pass over the columnar
-	// slabs when the resolver supports it, bit-identical to the streaming
-	// path below (which serves the argument shapes it does not answer).
-	if v, ok := foldAggregate(name, args, res); ok {
-		return v
-	}
-	switch name {
-	case "SUM":
-		return aggregate(args, res, 0, func(acc, v float64) float64 { return acc + v })
-	case "PRODUCT":
-		return aggregateInit(args, res, 1, func(acc, v float64) float64 { return acc * v })
-	case "AVERAGE", "AVG":
-		sum, n := 0.0, 0
-		if err := forNumbers(args, res, func(f float64) {
-			sum += f
-			n++
-		}); err != nil {
-			return *err
-		}
-		if n == 0 {
-			return Error(ErrDiv0)
-		}
-		return Num(sum / float64(n))
-	case "MIN":
-		return extremum(args, res, true)
-	case "MAX":
-		return extremum(args, res, false)
-	case "COUNT":
-		n := 0
-		for _, a := range args {
-			a.eachValueSparse(res, func(v Value) bool {
-				if v.Kind == KindNumber {
-					n++
-				}
-				return true
-			})
-		}
-		return Num(float64(n))
-	case "COUNTA":
-		n := 0
-		for _, a := range args {
-			a.eachValueSparse(res, func(v Value) bool {
-				if v.Kind != KindEmpty {
-					n++
-				}
-				return true
-			})
-		}
-		return Num(float64(n))
-	case "AND", "OR":
-		want := name == "AND"
-		out := want
-		for _, a := range args {
-			var errVal Value
-			var errv *Value
-			a.eachValue(res, func(v Value) bool {
-				if v.IsError() {
-					errVal = v
-					errv = &errVal
-					return false
-				}
-				f, ok := v.AsNumber()
-				truth := ok && f != 0
-				if v.Kind == KindBool {
-					truth = v.Bool
-				}
-				if want {
-					out = out && truth
-				} else {
-					out = out || truth
-				}
-				return true
-			})
-			if errv != nil {
-				return *errv
-			}
-		}
-		return Boolean(out)
-	case "NOT":
-		if len(args) != 1 {
-			return Error(ErrNA)
-		}
-		f, ok := args[0].scalar.AsNumber()
-		if !ok {
-			return Error(ErrValue)
-		}
-		return Boolean(f == 0)
-	case "ABS", "SQRT", "INT", "EXP", "LN":
-		if len(args) != 1 {
-			return Error(ErrNA)
-		}
-		f, ok := args[0].scalar.AsNumber()
-		if !ok {
-			return Error(ErrValue)
-		}
-		switch name {
-		case "ABS":
-			return Num(math.Abs(f))
-		case "SQRT":
-			if f < 0 {
-				return Error(ErrNum)
-			}
-			return Num(math.Sqrt(f))
-		case "INT":
-			return Num(math.Floor(f))
-		case "EXP":
-			return Num(math.Exp(f))
-		default:
-			if f <= 0 {
-				return Error(ErrNum)
-			}
-			return Num(math.Log(f))
-		}
-	case "ROUND":
-		if len(args) < 1 || len(args) > 2 {
-			return Error(ErrNA)
-		}
-		f, ok := args[0].scalar.AsNumber()
-		if !ok {
-			return Error(ErrValue)
-		}
-		digits := 0.0
-		if len(args) == 2 {
-			digits, ok = args[1].scalar.AsNumber()
-			if !ok {
-				return Error(ErrValue)
-			}
-		}
-		scale := math.Pow(10, digits)
-		return Num(math.Round(f*scale) / scale)
-	case "MOD":
-		if len(args) != 2 {
-			return Error(ErrNA)
-		}
-		a, ok1 := args[0].scalar.AsNumber()
-		b, ok2 := args[1].scalar.AsNumber()
-		if !ok1 || !ok2 {
-			return Error(ErrValue)
-		}
-		if b == 0 {
-			return Error(ErrDiv0)
-		}
-		m := math.Mod(a, b)
-		if m != 0 && (m < 0) != (b < 0) {
-			m += b
-		}
-		return Num(m)
-	case "POWER":
-		if len(args) != 2 {
-			return Error(ErrNA)
-		}
-		a, ok1 := args[0].scalar.AsNumber()
-		b, ok2 := args[1].scalar.AsNumber()
-		if !ok1 || !ok2 {
-			return Error(ErrValue)
-		}
-		return Num(math.Pow(a, b))
-	case "CONCATENATE", "CONCAT":
-		var sb strings.Builder
-		for _, a := range args {
-			a.eachValue(res, func(v Value) bool {
-				sb.WriteString(v.String())
-				return true
-			})
-		}
-		return Str(sb.String())
-	case "LEN":
-		if len(args) != 1 {
-			return Error(ErrNA)
-		}
-		return Num(float64(len(args[0].scalar.String())))
-	case "UPPER", "LOWER", "TRIM":
-		if len(args) != 1 {
-			return Error(ErrNA)
-		}
-		s := args[0].scalar.String()
-		switch name {
-		case "UPPER":
-			return Str(strings.ToUpper(s))
-		case "LOWER":
-			return Str(strings.ToLower(s))
-		default:
-			return Str(strings.TrimSpace(s))
-		}
-	case "LEFT", "RIGHT":
-		if len(args) < 1 || len(args) > 2 {
-			return Error(ErrNA)
-		}
-		s := args[0].scalar.String()
-		n := 1.0
-		if len(args) == 2 {
-			var ok bool
-			n, ok = args[1].scalar.AsNumber()
-			if !ok || n < 0 {
-				return Error(ErrValue)
-			}
-		}
-		k := int(n)
-		if k > len(s) {
-			k = len(s)
-		}
-		if name == "LEFT" {
-			return Str(s[:k])
-		}
-		return Str(s[len(s)-k:])
-	case "ISBLANK":
-		return Boolean(len(args) == 1 && !args[0].isRange && args[0].scalar.Kind == KindEmpty)
-	case "ISNUMBER":
-		return Boolean(len(args) == 1 && !args[0].isRange && args[0].scalar.Kind == KindNumber)
-	case "ISERROR":
-		return Boolean(len(args) == 1 && !args[0].isRange && args[0].scalar.IsError())
-	case "VLOOKUP":
-		return evalVlookup(args, res)
-	case "SUMIF":
-		return evalSumif(args, res)
-	case "COUNTIF":
-		return evalCountif(args, res)
-	default:
-		return evalCallExt(name, args, res)
-	}
-}
-
-func aggregate(args []arg, res Resolver, init float64, f func(acc, v float64) float64) Value {
-	return aggregateInit(args, res, init, f)
-}
-
-func aggregateInit(args []arg, res Resolver, init float64, f func(acc, v float64) float64) Value {
-	acc := init
-	if err := forNumbers(args, res, func(v float64) { acc = f(acc, v) }); err != nil {
-		return *err
-	}
-	return Num(acc)
-}
-
 // forNumbers streams every numeric value of the arguments. Range cells that
 // hold text or blanks are skipped (spreadsheet aggregate semantics); scalar
-// arguments must be numeric. Returns a non-nil error value on #-errors.
-func forNumbers(args []arg, res Resolver, fn func(float64)) *Value {
-	// The first error is copied into errVal rather than captured by
-	// address: taking &v of the callback parameter would make every
-	// streamed Value escape — one heap allocation per cell on the hot
-	// aggregation path.
-	var errVal Value
-	var errv *Value
+// arguments must be numeric. It returns the first #-error, or #VALUE! for a
+// scalar that is not a number; the zero Value when there is neither.
+func forNumbers(args []arg, res Resolver, fn func(float64)) Value {
 	for _, a := range args {
 		if a.isRange {
 			// Blanks are skipped either way, so the sparse scan is exact:
 			// populated cells arrive in the same row-major order the
 			// per-cell loop would visit them, errors included.
-			a.eachValueSparse(res, func(v Value) bool {
-				if v.IsError() {
-					errVal = v
-					errv = &errVal
-					return false
-				}
+			if errv := a.untilError(res, true, func(v Value) {
 				if v.Kind == KindNumber {
 					fn(v.Num)
 				}
-				return true
-			})
-			if errv != nil {
+			}); errv.IsError() {
 				return errv
 			}
 			continue
 		}
 		if a.scalar.IsError() {
-			return &a.scalar
+			return a.scalar
 		}
-		f, ok := a.scalar.AsNumber()
+		f, ok := a.number()
 		if !ok {
-			e := Error(ErrValue)
-			return &e
+			return Error(ErrValue)
 		}
 		fn(f)
 	}
-	return nil
-}
-
-func extremum(args []arg, res Resolver, wantMin bool) Value {
-	best := math.Inf(1)
-	if !wantMin {
-		best = math.Inf(-1)
-	}
-	n := 0
-	if err := forNumbers(args, res, func(f float64) {
-		n++
-		if wantMin && f < best || !wantMin && f > best {
-			best = f
-		}
-	}); err != nil {
-		return *err
-	}
-	if n == 0 {
-		return Num(0)
-	}
-	return Num(best)
+	return Value{}
 }
 
 // evalVlookup implements VLOOKUP(needle, table, colIndex[, exact]). Only the
 // exact-match mode (FALSE / omitted-as-FALSE here) is supported, which is the
 // mode the paper's FF range-lookup workloads use.
 func evalVlookup(args []arg, res Resolver) Value {
-	if len(args) < 3 {
-		return Error(ErrNA)
-	}
 	needle := args[0].scalar
 	if !args[1].isRange {
 		return Error(ErrValue)
 	}
 	table := args[1].rng
-	colF, ok := args[2].scalar.AsNumber()
+	colF, ok := args[2].number()
 	if !ok {
 		return Error(ErrValue)
 	}
@@ -866,7 +567,7 @@ func evalVlookup(args []arg, res Resolver) Value {
 }
 
 func evalSumif(args []arg, res Resolver) Value {
-	if len(args) < 2 || !args[0].isRange {
+	if !args[0].isRange {
 		return Error(ErrNA)
 	}
 	crit := ParseCriterion(args[1].scalar)
@@ -902,7 +603,7 @@ func evalSumif(args []arg, res Resolver) Value {
 }
 
 func evalCountif(args []arg, res Resolver) Value {
-	if len(args) != 2 || !args[0].isRange {
+	if !args[0].isRange {
 		return Error(ErrNA)
 	}
 	crit := ParseCriterion(args[1].scalar)

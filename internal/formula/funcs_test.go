@@ -2,6 +2,8 @@ package formula
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"taco/internal/ref"
@@ -216,6 +218,11 @@ func TestLogicAndInfoExtensions(t *testing.T) {
 	if got := evalOn(t, g, "=TOTALLYUNKNOWN(1)"); got.Err != ErrName {
 		t.Errorf("unknown fn = %v", got)
 	}
+	// An unknown name propagates its arguments' first error, as any
+	// builtin does.
+	if got := evalOn(t, g, "=NOSUCH(1/0)"); got.Err != ErrDiv0 {
+		t.Errorf("unknown fn of an error = %v", got)
+	}
 }
 
 func TestExtendedFunctionsInRefGraph(t *testing.T) {
@@ -230,5 +237,107 @@ func TestExtendedFunctionsInRefGraph(t *testing.T) {
 	}
 	if refs[0].At != ref.MustRange("D1:F2") || !refs[0].HeadFixed || !refs[0].TailFixed {
 		t.Fatalf("table ref = %+v", refs[0])
+	}
+}
+
+// evalBoth evaluates src at A1 through Eval and through the VM, failing when
+// the two differ, and returns the value.
+func evalBoth(t *testing.T, g gridResolver, src string) Value {
+	t.Helper()
+	ast := MustParse(src)
+	at := ref.MustCell("A1")
+	want, got := Eval(ast, g), Compile(ast, at).EvalAt(g, at)
+	if !sameValue(got, want) {
+		t.Fatalf("%.60s: VM=%v Eval=%v", src, got, want)
+	}
+	return want
+}
+
+// TestTextCountsCharacters: the text builtins count, cut and find by
+// character, so text past ASCII is never split inside a character, and PROPER
+// takes any letter for a letter.
+func TestTextCountsCharacters(t *testing.T) {
+	g := grid(nil)
+	for src, want := range map[string]Value{
+		`=LEFT("héllo",2)`:     Str("hé"),
+		`=RIGHT("héllo",4)`:    Str("éllo"),
+		`=MID("héllo",2,1)`:    Str("é"),
+		`=LEN("héllo")`:        Num(5),
+		`=FIND("l","héllo")`:   Num(3),
+		`=PROPER("élan")`:      Str("Élan"),
+		`=FIND("l","héllo",4)`: Num(4),
+		`=MID("日本語です",3,9)`:    Str("語です"),
+	} {
+		if got := evalBoth(t, g, src); got != want {
+			t.Errorf("%s = %#v, want %#v", src, got, want)
+		}
+	}
+}
+
+// TestTextHugeCounts: a count or position far past the text's length clamps
+// to it (or is #VALUE! for FIND's start) rather than overflowing an int.
+func TestTextHugeCounts(t *testing.T) {
+	g := grid(nil)
+	for src, want := range map[string]Value{
+		`=LEFT("abc",1e300)`:     Str("abc"),
+		`=RIGHT("abc",1e300)`:    Str("abc"),
+		`=MID("abc",2,1e300)`:    Str("bc"),
+		`=MID("abc",1e300,1)`:    Str(""),
+		`=FIND("a","abc",1e300)`: Error(ErrValue),
+		`=REPT("a",1e300)`:       Error(ErrValue),
+		`=LEFT("abc",1e308*10)`:  Str("abc"),
+		`=FIND("c","abc",3.9)`:   Num(3),
+		`=FIND("c","abc",4.5)`:   Error(ErrValue),
+		`=FIND("","abc",4)`:      Num(4),
+		`=RIGHT("abc",0)`:        Str(""),
+	} {
+		if got := evalBoth(t, g, src); got != want {
+			t.Errorf("%s = %#v, want %#v", src, got, want)
+		}
+	}
+}
+
+// TestComputedTextBounded: text a formula would build past MaxTextBytes is
+// #VALUE!, and REPT, SUBSTITUTE, CONCATENATE and & refuse before they build
+// it; the dispatcher bounds any other builtin's text. Text of exactly the
+// bound is built.
+func TestComputedTextBounded(t *testing.T) {
+	g := grid(map[string]Value{
+		"A1": Str(strings.Repeat("x", 64<<10)),  // 17 of it pass the bound
+		"A2": Str(strings.Repeat("x", 1024)),    // SUBSTITUTE by itself: the bound
+		"A3": Str(strings.Repeat("x", 1025)),    // and past it
+		"A4": Str(strings.Repeat("ɐ", 400_000)), // UPPER grows each letter a byte
+	})
+	for src, wantLen := range map[string]int{
+		`=REPT(A1,16)`:                   MaxTextBytes,
+		`=SUBSTITUTE(A2,"x",A2)`:         MaxTextBytes,
+		`=REPT(A1,15)&REPT(A1,1)`:        MaxTextBytes,
+		`=CONCAT(REPT(A1,8),REPT(A1,8))`: MaxTextBytes,
+	} {
+		if got := evalBoth(t, g, src); got.Kind != KindString || len(got.Str) != wantLen {
+			t.Errorf("%s: %v of %d bytes, want text of %d", src, got.Kind, len(got.Str), wantLen)
+		}
+	}
+	for _, src := range []string{
+		`=REPT(A1,17)`,
+		`=SUBSTITUTE(A3,"x",A3)`,
+		`=REPT(A1,16)&"y"`,
+		`=CONCATENATE(REPT(A1,16),1)`,
+		`=UPPER(A4)`,
+	} {
+		if got := evalBoth(t, g, src); got != Error(ErrValue) {
+			t.Errorf("%s = %v (%d bytes), want #VALUE!", src, got.Kind, len(got.Str))
+		}
+	}
+	// The refusal builds nothing of the refused text.
+	for src, refused := range map[string]uint64{`=REPT(A1,17)`: 17 << 16, `=SUBSTITUTE(A3,"x",A3)`: 1025 * 1025} {
+		p, at := Compile(MustParse(src), ref.MustCell("A1")), ref.MustCell("A1")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p.EvalAt(g, at)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > refused/16 {
+			t.Errorf("%s: refusing %d bytes allocated %d", src, refused, n)
+		}
 	}
 }

@@ -184,10 +184,11 @@ func (lx *lexer) lexString() (token, error) {
 }
 
 // lexWord scans an identifier or a cell reference. A word like "A1" is a cell
-// reference; "SUM" is an identifier; "$B$2" is a cell reference with fixed
-// markers. Identifiers may contain digits after the first letter but a pure
-// letters+digits word that parses as a valid A1 reference is treated as one
-// unless followed by '(' (checked by the parser via lookahead text).
+// reference; a function name is an identifier; "$B$2" is a cell reference
+// with fixed markers. Identifiers may contain digits after the first letter
+// but a pure letters+digits word that parses as a valid A1 reference is
+// treated as one unless followed by '(' (checked by the parser via lookahead
+// text).
 func (lx *lexer) lexWord() (token, error) {
 	start := lx.pos
 	colFixed := false

@@ -23,6 +23,38 @@ var _ RangeResolver = (*colResolver)(nil)
 // per-cell path every bulk path is held to.
 type plain struct{ Resolver }
 
+// folder adds the slab folds to a colResolver, each answered cell by cell in
+// row-major order as RangeFolder's contract states them.
+type folder struct{ *colResolver }
+
+var _ RangeFolder = folder{}
+
+func (g folder) FoldRange(rng ref.Range) NumericFold { return gridFold(g.colResolver, rng) }
+
+func (g folder) FoldSumIf(critRng ref.Range, crit Criterion, sumRng ref.Range) float64 {
+	total := 0.0
+	critRng.Cells(func(c ref.Ref) bool {
+		if crit.Matches(g.cells[c]) {
+			at := ref.Ref{Col: sumRng.Head.Col + c.Col - critRng.Head.Col, Row: sumRng.Head.Row + c.Row - critRng.Head.Row}
+			if f, ok := g.cells[at].AsNumber(); ok {
+				total += f
+			}
+		}
+		return true
+	})
+	return total
+}
+
+func (g folder) FoldSumProduct(a, b ref.Range) float64 {
+	total := 0.0
+	a.Cells(func(c ref.Ref) bool {
+		at := ref.Ref{Col: b.Head.Col + c.Col - a.Head.Col, Row: b.Head.Row + c.Row - a.Head.Row}
+		total += SumProductFactor(g.cells[c]) * SumProductFactor(g.cells[at])
+		return true
+	})
+	return total
+}
+
 func (g *colResolver) CellValue(at ref.Ref) Value {
 	g.probes++
 	return g.cells[at]

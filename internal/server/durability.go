@@ -12,6 +12,7 @@ import (
 
 	"taco/internal/engine"
 	"taco/internal/faultfs"
+	"taco/internal/formula"
 	"taco/internal/journal"
 )
 
@@ -487,13 +488,13 @@ func decodeEditOps(payload []byte) ([]EditOp, error) {
 			payload = payload[8:]
 			op.Value = &v
 		case journalOpText:
-			s, err := takeString(maxEditStringBytes)
+			s, err := takeString(formula.MaxTextBytes)
 			if err != nil {
 				return nil, err
 			}
 			op.Text = &s
 		case journalOpFormula:
-			s, err := takeString(maxEditStringBytes)
+			s, err := takeString(formula.MaxTextBytes)
 			if err != nil {
 				return nil, err
 			}

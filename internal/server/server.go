@@ -562,11 +562,10 @@ type badEditError struct {
 func (e *badEditError) Error() string { return fmt.Sprintf("edit %d: %v", e.index, e.err) }
 func (e *badEditError) Unwrap() error { return e.err }
 
-// maxEditStringBytes caps formula and text payload sizes — kept below the
-// engine snapshot's string limit so no batch can build a session that the
+// parseBatch parses a batch's edits. A formula or text payload is capped at
+// formula.MaxTextBytes, the longest text a formula may build too — below the
+// engine snapshot's string limit, so no batch can build a session that the
 // spill path cannot round-trip.
-const maxEditStringBytes = 1 << 20
-
 func parseBatch(edits []EditOp) ([]parsedOp, error) {
 	ops := make([]parsedOp, len(edits))
 	for i, op := range edits {
@@ -574,11 +573,11 @@ func parseBatch(edits []EditOp) ([]parsedOp, error) {
 		if err != nil {
 			return nil, &badEditError{i, err}
 		}
-		if op.Formula != nil && len(*op.Formula) > maxEditStringBytes {
-			return nil, &badEditError{i, fmt.Errorf("formula of %d bytes exceeds limit %d", len(*op.Formula), maxEditStringBytes)}
+		if op.Formula != nil && len(*op.Formula) > formula.MaxTextBytes {
+			return nil, &badEditError{i, fmt.Errorf("formula of %d bytes exceeds limit %d", len(*op.Formula), formula.MaxTextBytes)}
 		}
-		if op.Text != nil && len(*op.Text) > maxEditStringBytes {
-			return nil, &badEditError{i, fmt.Errorf("text of %d bytes exceeds limit %d", len(*op.Text), maxEditStringBytes)}
+		if op.Text != nil && len(*op.Text) > formula.MaxTextBytes {
+			return nil, &badEditError{i, fmt.Errorf("text of %d bytes exceeds limit %d", len(*op.Text), formula.MaxTextBytes)}
 		}
 		set := 0
 		for _, on := range []bool{op.Value != nil, op.Text != nil, op.Formula != nil, op.Clear} {

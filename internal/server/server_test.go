@@ -269,7 +269,7 @@ func TestBadRequests(t *testing.T) {
 			return tc.do("POST", "/sessions/xlsx", []byte("not a zip"), nil)
 		}},
 		{"formula nested past formula.MaxNesting", http.StatusBadRequest, func() int {
-			// Each about 1 MB: under maxEditStringBytes, so only the parser's
+			// Each about 1 MB: under formula.MaxTextBytes, so only the parser's
 			// nesting bounds refuse them — parentheses its recursion, a chain
 			// of postfix % or of sums, built in a loop, the AST's depth.
 			code := http.StatusBadRequest
@@ -289,7 +289,7 @@ func TestBadRequests(t *testing.T) {
 			return code
 		}},
 		{"oversized text payload", http.StatusBadRequest, func() int {
-			big := strings.Repeat("x", maxEditStringBytes+1)
+			big := strings.Repeat("x", formula.MaxTextBytes+1)
 			return tc.do("POST", "/sessions/"+info.ID+"/edits",
 				EditBatch{Edits: []EditOp{{Cell: "A1", Text: &big}}}, nil)
 		}},
