@@ -92,8 +92,10 @@ bench-core:
 # column's gaps filled mid-slab — the loaded ledger's bytes per cell
 # (BenchmarkLedgerHeap: the slab records and the live heap), and the loads of
 # the ledger and of the running total (BenchmarkLedgerLoad,
-# BenchmarkRunningTotalLoad), and a restore of each scenario session and of
-# the ledger from its base (BenchmarkRestoreSnapshot: ns/cell, base B/cell).
+# BenchmarkRunningTotalLoad; BenchmarkLedgerLoadSheet, the ledger's sheet in
+# map order with its parse, as engine_recalc loads it), and a restore of each
+# scenario session and of the ledger from its base (BenchmarkRestoreSnapshot:
+# ns/cell, base B/cell).
 # CI smoke-runs them once; drop -benchtime for real measurements.
 bench-engine:
 	$(GO) test ./internal/engine -run '^$$' -bench='Ledger|RunningTotal|SweepShape|RowByRowInstall|MidColumnInsert|RestoreSnapshot' -benchtime=1x
@@ -104,14 +106,17 @@ bench-engine:
 bench-formula:
 	$(GO) test ./internal/formula -run '^$$' -bench=. -benchtime=1x
 
-# The rate edit's CPU profile, cumulative, cut to the engine, graph, R-tree and
-# formula frames: the edit's stages (mark, FindDependents, carve, link, sweeps)
-# and the numeric plan's kernels (NumericSweepRows, NumericChainRows, the row
-# loop's NumericSweepRow) in one command. Binary and profile go to a temporary
-# directory, removed afterwards.
+# An engine benchmark's CPU profile, cumulative, cut to the engine, graph,
+# R-tree and formula frames. BENCH names the benchmark without its Benchmark
+# prefix: by default the rate edit, whose stages (mark, FindDependents, carve,
+# link, sweeps) and numeric kernels (NumericSweepRows, NumericChainRows, the
+# row loop's NumericSweepRow) it shows in one command; a load is profiled with
+# make profile-engine BENCH=LedgerLoadSheet. Binary and profile go to a
+# temporary directory, removed afterwards.
+BENCH ?= LedgerRateEdit
 profile-engine:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) test ./internal/engine -run '^$$' -bench '^BenchmarkLedgerRateEdit$$' -benchtime=3s \
+	$(GO) test ./internal/engine -run '^$$' -bench '^Benchmark$(BENCH)$$' -benchtime=3s \
 		-cpuprofile "$$dir/cpu.out" -o "$$dir/engine.test" && \
 	$(GO) tool pprof -top -cum -show 'internal/(engine|core|rtree|formula)' "$$dir/engine.test" "$$dir/cpu.out"
 

@@ -317,8 +317,10 @@ type placed struct {
 
 // fill installs cells, ascending column-major with no ref repeated, into
 // columns not yet populated: each slab sized once for its column's run,
-// every record through the append path. It returns the formula count.
+// every record through the append path, each run of dirty records on
+// consecutive rows noted as one dense span. It returns the formula count.
 func (s *colStore) fill(cells []placed) (nformulas int) {
+	run := 0 // the dirty records on consecutive rows ending at cells[i]
 	for i, p := range cells {
 		if i == 0 || p.at.Col != cells[i-1].at.Col {
 			n := 1
@@ -332,7 +334,10 @@ func (s *colStore) fill(cells []placed) (nformulas int) {
 			nformulas++
 		}
 		if p.rec.dirty {
-			s.noteDirty(p.at.Col, p.at.Row, p.at.Row, 1, true)
+			if run++; i+1 == len(cells) || !cells[i+1].rec.dirty || cells[i+1].at != (ref.Ref{Col: p.at.Col, Row: p.at.Row + 1}) {
+				s.noteDirty(p.at.Col, p.at.Row-run+1, p.at.Row, run, true)
+				run = 0
+			}
 		}
 	}
 	return nformulas

@@ -12,6 +12,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -291,39 +292,57 @@ func LoadBulkParsed(pcells []ParsedCell) *Engine {
 	})
 }
 
-// load is every whole-cell load: the cells deduplicated (the later wins) and
-// sorted column-major, their dependencies derived in that order from the
-// interned shapes and handed to graph, the slabs filled a column at a time.
+// load is every whole-cell load. It orders and deduplicates its input by
+// sorting one 8-byte key a cell in its column's bucket, uint64(row)<<32 | its
+// index in pcells, and keeps the last key of each ref: the later cell wins,
+// as if the cells were written in turn. The packing is exact: rows are at
+// most ref.MaxA1Row (2^30), below the 2^32 the schedule's node keys assume
+// too, and an index fits 32 bits (2^32 ParsedCells are 240 GB). The
+// dependencies, presized from the shapes' reference counts, are derived
+// column-major and handed to graph; the slabs are filled a column at a time.
 // The load drains like any other dirty set: levelled from minLevelledDirty
 // cells on, on the walk below.
 func load(pcells []ParsedCell, graph func([]core.Dependency) Graph) *Engine {
-	ordered := make([]placed, 0, len(pcells))
-	seen := make(map[ref.Ref]int, len(pcells))
-	for _, c := range pcells {
-		p := placed{at: c.At, rec: record{value: c.Value}}
-		if c.Shape != nil {
-			p.rec = record{shape: c.Shape, dirty: true}
-		}
-		if i, dup := seen[c.At]; dup {
-			ordered[i] = p
-			continue
-		}
-		seen[c.At] = len(ordered)
-		ordered = append(ordered, p)
-	}
-	slices.SortFunc(ordered, func(a, b placed) int { return ref.ColumnMajorCompare(a.at, b.at) })
-	var deps []core.Dependency
+	next := make(map[int]int) // a column's count, then where its next key goes
 	var refs []formula.RefInfo
-	for _, p := range ordered {
-		if p.rec.shape == nil {
-			continue
+	nrefs := 0
+	for _, c := range pcells {
+		next[c.At.Col]++
+		if c.Shape != nil {
+			refs = c.Shape.AppendRefs(refs[:0], c.At)
+			nrefs += len(refs)
 		}
-		refs = p.rec.shape.AppendRefs(refs[:0], p.at)
-		for _, r := range refs {
-			deps = append(deps, core.Dependency{
-				Prec: r.At, Dep: p.at, HeadFixed: r.HeadFixed, TailFixed: r.TailFixed,
-			})
+	}
+	cols, off := slices.AppendSeq(make([]int, 0, len(next)), maps.Keys(next)), 0
+	slices.Sort(cols)
+	for _, col := range cols {
+		off, next[col] = off+next[col], off
+	}
+	keys := make([]uint64, len(pcells))
+	for i, c := range pcells {
+		keys[next[c.At.Col]] = uint64(c.At.Row)<<32 | uint64(i)
+		next[c.At.Col]++
+	}
+	ordered, deps, lo := make([]placed, 0, len(keys)), make([]core.Dependency, 0, nrefs), 0
+	for _, col := range cols {
+		run := keys[lo:next[col]]
+		slices.Sort(run)
+		for j, k := range run {
+			if j+1 < len(run) && run[j+1]>>32 == k>>32 {
+				continue // a later cell of the same ref follows
+			}
+			c := &pcells[uint32(k)]
+			p := placed{at: c.At, rec: record{value: c.Value}}
+			if c.Shape != nil {
+				p.rec = record{shape: c.Shape, dirty: true}
+				refs = c.Shape.AppendRefs(refs[:0], c.At)
+				for _, r := range refs {
+					deps = append(deps, core.Dependency{Prec: r.At, Dep: c.At, HeadFixed: r.HeadFixed, TailFixed: r.TailFixed})
+				}
+			}
+			ordered = append(ordered, p)
 		}
+		lo = next[col]
 	}
 	e := New(graph(deps))
 	e.nformulas = e.store.fill(ordered)

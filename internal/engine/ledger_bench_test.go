@@ -268,6 +268,26 @@ func BenchmarkRunningTotalEdit(b *testing.B) {
 // pays. ns/cell is over the cells loaded.
 func BenchmarkLedgerLoad(b *testing.B) { benchmarkLoad(b, ledgerCells(ledgerBenchRows)) }
 
+// BenchmarkLedgerLoadSheet times LoadBulk of the 20 000-row ledger as a
+// workload sheet: every formula looked up by its shape, the cells taken in
+// the map's order — what engine_recalc's load_cells_per_s times.
+// BenchmarkLedgerLoad feeds parsed cells in row order, which understates the
+// ordering a load does.
+func BenchmarkLedgerLoadSheet(b *testing.B) {
+	s := ledgerSheet(ledgerBenchRows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := LoadBulk(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if e.Pending() != 0 {
+			b.Fatalf("%d cells pending after the load", e.Pending())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s.Cells)), "ns/cell")
+}
+
 // BenchmarkRunningTotalLoad is BenchmarkLedgerLoad for the 20 000-row running
 // total, whose first drain folds rows²/2 cells unless it sweeps.
 func BenchmarkRunningTotalLoad(b *testing.B) { benchmarkLoad(b, runningTotalCells(ledgerBenchRows)) }

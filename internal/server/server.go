@@ -392,18 +392,19 @@ func (s *Server) handleCreateXLSX(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Reject cell strings the spill path could not round-trip: a session
-	// must never be admitted that cannot later be snapshotted and restored.
+	// Hold cell text and formulas to the edit limit, formula.MaxTextBytes:
+	// an import admits no cell an edit could not write, and so none the spill
+	// path could not round-trip.
 	var tooBig ref.Ref
 	for at, c := range sheet.Cells {
-		if len(c.Formula) > engine.MaxSnapshotString || len(c.Value.Str) > engine.MaxSnapshotString {
+		if len(c.Formula) > formula.MaxTextBytes || len(c.Value.Str) > formula.MaxTextBytes {
 			tooBig = at
 			break
 		}
 	}
 	if tooBig.Valid() {
 		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("cell %v holds a string over the %d-byte limit", tooBig, engine.MaxSnapshotString))
+			fmt.Errorf("cell %v holds a string over the %d-byte limit", tooBig, formula.MaxTextBytes))
 		return
 	}
 	eng, err := engine.LoadBulk(sheet)

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"taco/internal/formula"
+	"taco/internal/ref"
 	"taco/internal/workload"
 	"taco/internal/xlsx"
 )
@@ -292,6 +293,26 @@ func TestBadRequests(t *testing.T) {
 			big := strings.Repeat("x", formula.MaxTextBytes+1)
 			return tc.do("POST", "/sessions/"+info.ID+"/edits",
 				EditBatch{Edits: []EditOp{{Cell: "A1", Text: &big}}}, nil)
+		}},
+		{"oversized xlsx text", http.StatusBadRequest, func() int {
+			// Text one byte past the edit limit in A1, read by B1: under the
+			// snapshot's string limit, so only the edit limit refuses it.
+			sheet := workload.NewSheet("big")
+			sheet.SetText(ref.MustCell("A1"), strings.Repeat("x", formula.MaxTextBytes+1))
+			sheet.SetFormula(ref.MustCell("B1"), "A1")
+			var buf bytes.Buffer
+			if err := xlsx.Write(&buf, []*workload.Sheet{sheet}, xlsx.WriteOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := tc.c.Post(tc.base+"/sessions/xlsx", "application/octet-stream", &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if body, _ := io.ReadAll(resp.Body); !strings.Contains(string(body), "cell A1 ") {
+				t.Errorf("oversized xlsx text: answer %q names no cell A1", body)
+			}
+			return resp.StatusCode
 		}},
 		{"rows beyond cap", http.StatusBadRequest, func() int {
 			return tc.do("POST", "/sessions", CreateRequest{Scenario: "financial", Rows: 1 << 30}, nil)
